@@ -2,12 +2,14 @@
 //! `micro_sharded`, with the shard tasks crossing a real TCP hop.
 //!
 //! `remote_measure/W` times the remote MEASURE → RECONSTRUCT pipeline
-//! (`try_run_mechanism_remote_observed`, the same path the engine's serving
-//! loop takes for sharded datasets with a transport configured) against a
-//! pool of W in-process `spawn_worker` loopback workers on a 2¹⁸-cell
-//! domain. Slabs are preloaded, so iterations measure task fan-out — wire
-//! encode, TCP round trip, worker-side contraction, ordered merge — not
-//! data movement. Outputs are byte-identical across W (and to the local
+//! (`try_run_mechanism_remote_traced`, the same path the engine's serving
+//! loop takes for sharded datasets with a transport configured, with the
+//! per-plan `PreparedReconstruct` and `OperandKeys` built once outside the
+//! loop as the engine's cache does) against a pool of W in-process
+//! `spawn_worker` loopback workers on a 2¹⁸-cell domain. Slabs are
+//! preloaded and factor lists become worker-resident on the first
+//! iteration, so iterations measure task fan-out — wire encode, TCP round
+//! trip, worker-side contraction, ordered merge — not operand movement. Outputs are byte-identical across W (and to the local
 //! sharded path), so any wall-clock change with W is pure distribution
 //! effect; on a loopback single machine the workers still share the same
 //! cores, so this sweep bounds protocol overhead rather than demonstrating
@@ -24,11 +26,12 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hdmm_core::{builders, Domain, Plan, QueryEngine, WorkloadGrams};
 use hdmm_engine::{Engine, EngineOptions, PlanStore};
 use hdmm_linalg::{partition_rows, StructuredMatrix};
-use hdmm_mechanism::{DataSlab, NoopObserver, ShardedView, Strategy};
+use hdmm_mechanism::{DataSlab, NoopObserver, PreparedReconstruct, ShardedView, Strategy};
 use hdmm_net::{
-    spawn_worker, try_run_mechanism_remote_observed, RemoteExecutor, RemoteOptions, RetryPolicy,
-    WorkerHandle, WorkerOptions,
+    spawn_worker, try_run_mechanism_remote_traced, OperandKeys, RemoteExecutor, RemoteOptions,
+    RetryPolicy, WorkerHandle, WorkerOptions,
 };
+use hdmm_obs::NoopSpanSink;
 use hdmm_optimizer::{HdmmOptions, Selected};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -83,6 +86,8 @@ fn bench_remote_measure(c: &mut Criterion) {
     let (n1, n2) = (1024usize, 256usize); // 2^18 cells
     let workload = builders::prefix_2d(n1, n2);
     let strategy = kron_strategy(n1, n2);
+    let prepared = PreparedReconstruct::new(&strategy);
+    let keys = OperandKeys::new(&strategy, &prepared);
     let x = data(n1 * n2);
     let view = view_of(&x, n1, SHARDS);
     for &workers in &WORKER_SWEEP {
@@ -92,9 +97,11 @@ fn bench_remote_measure(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, _| {
             let mut rng = StdRng::seed_from_u64(0);
             b.iter(|| {
-                criterion::black_box(try_run_mechanism_remote_observed(
+                criterion::black_box(try_run_mechanism_remote_traced(
                     &workload,
                     &strategy,
+                    &prepared,
+                    &keys,
                     "bench",
                     &view,
                     1.0,
@@ -102,6 +109,7 @@ fn bench_remote_measure(c: &mut Criterion) {
                     &mut rng,
                     &exec,
                     &NoopObserver,
+                    &NoopSpanSink,
                 ))
                 .expect("healthy pool")
             });

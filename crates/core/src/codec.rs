@@ -54,6 +54,7 @@
 use hdmm_linalg::{Csr, Matrix, StructuredMatrix};
 use hdmm_mechanism::{MarginalsStrategy, Strategy, UnionGroup};
 use hdmm_workload::Domain;
+use std::borrow::Borrow;
 
 /// Every way a decode can fail. Corruption is always a typed error, never a
 /// panic, an over-allocation, or a partially read value.
@@ -145,12 +146,21 @@ pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Appends a run of `f64`s with no length prefix: the same bytes as one
+/// [`put_f64`] per element, written as a single sized copy the compiler
+/// lowers to a block move instead of a bounds-checked push per value.
+fn put_f64_run(out: &mut Vec<u8>, vs: &[f64]) {
+    let start = out.len();
+    out.resize(start + vs.len() * 8, 0);
+    for (dst, v) in out[start..].chunks_exact_mut(8).zip(vs) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
 /// Appends a length-prefixed `f64` slice.
 pub fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
     put_usize(out, vs.len());
-    for &v in vs {
-        put_f64(out, v);
-    }
+    put_f64_run(out, vs);
 }
 
 /// Appends a length-prefixed `usize` slice.
@@ -171,11 +181,7 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
 pub fn put_matrix(out: &mut Vec<u8>, m: &Matrix) {
     put_usize(out, m.rows());
     put_usize(out, m.cols());
-    for r in 0..m.rows() {
-        for &v in m.row(r) {
-            put_f64(out, v);
-        }
-    }
+    put_f64_run(out, m.as_slice());
 }
 
 /// Appends a structured matrix (tagged by variant; `Kron` recurses).
@@ -234,11 +240,12 @@ pub fn put_structured(out: &mut Vec<u8>, f: &StructuredMatrix) {
     }
 }
 
-/// Appends a length-prefixed structured factor list.
-pub fn put_structured_list(out: &mut Vec<u8>, fs: &[StructuredMatrix]) {
+/// Appends a length-prefixed structured factor list (owned factors or
+/// references to them — the bytes are the same).
+pub fn put_structured_list<F: Borrow<StructuredMatrix>>(out: &mut Vec<u8>, fs: &[F]) {
     put_usize(out, fs.len());
     for f in fs {
-        put_structured(out, f);
+        put_structured(out, f.borrow());
     }
 }
 
@@ -336,10 +343,22 @@ impl<'a> Reader<'a> {
         ))
     }
 
+    /// Reads a run of `n` `f64`s: availability is checked once for the
+    /// whole run (so a corrupt count fails before any allocation), then the
+    /// bytes convert in one pass — the same values as `n` calls of
+    /// [`Reader::f64`].
+    fn f64_run(&mut self, n: usize) -> Result<Vec<f64>, CodecError> {
+        let bytes = self.take(n.checked_mul(8).ok_or(CodecError::Truncated)?)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
+            .collect())
+    }
+
     /// Reads a length-prefixed `f64` vector.
     pub fn f64s(&mut self) -> Result<Vec<f64>, CodecError> {
         let n = self.count()?;
-        (0..n).map(|_| self.f64()).collect()
+        self.f64_run(n)
     }
 
     /// Reads a length-prefixed `usize` vector.
@@ -359,11 +378,7 @@ impl<'a> Reader<'a> {
         let rows = self.usize()?;
         let cols = self.usize()?;
         let n = rows.checked_mul(cols).ok_or(CodecError::Truncated)?;
-        if n > self.bytes.len() / 8 + 1 {
-            return Err(CodecError::Truncated);
-        }
-        let data: Result<Vec<f64>, _> = (0..n).map(|_| self.f64()).collect();
-        Ok(Matrix::from_vec(rows, cols, data?))
+        Ok(Matrix::from_vec(rows, cols, self.f64_run(n)?))
     }
 
     /// Reads a structured matrix, validating every variant invariant.

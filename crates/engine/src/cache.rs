@@ -21,6 +21,7 @@
 use crate::sync::{read_recover, write_recover};
 use hdmm_core::{Plan, WorkloadFingerprint};
 use hdmm_mechanism::PreparedReconstruct;
+use hdmm_net::OperandKeys;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -53,6 +54,11 @@ struct CacheEntry {
     /// later request — the warm-path cost that motivated
     /// [`PreparedReconstruct`]. Reset whenever the plan is replaced.
     prepared: OnceLock<Arc<PreparedReconstruct>>,
+    /// The content keys the remote fan-out names this plan's factor lists
+    /// by: like `prepared`, a pure function of the strategy that costs a
+    /// pass over every factor to derive, built on the first remote serve
+    /// and reset with the plan.
+    operand_keys: OnceLock<Arc<OperandKeys>>,
 }
 
 /// Number of shards; hits on different fingerprints rarely collide, and even
@@ -146,18 +152,49 @@ impl StrategyCache {
         key: &WorkloadFingerprint,
         plan: &Arc<Plan>,
     ) -> Arc<PreparedReconstruct> {
+        self.memoized(
+            key,
+            plan,
+            |entry| &entry.prepared,
+            || PreparedReconstruct::new(plan.strategy()),
+        )
+    }
+
+    /// The remote fan-out's [`OperandKeys`] for `plan`, memoized beside
+    /// [`StrategyCache::prepared`] under the same rules. `prepared` must be
+    /// the factorization of the same plan.
+    pub fn operand_keys(
+        &self,
+        key: &WorkloadFingerprint,
+        plan: &Arc<Plan>,
+        prepared: &PreparedReconstruct,
+    ) -> Arc<OperandKeys> {
+        self.memoized(
+            key,
+            plan,
+            |entry| &entry.operand_keys,
+            || OperandKeys::new(plan.strategy(), prepared),
+        )
+    }
+
+    /// One per-plan memo slot: built by the first caller, shared by every
+    /// later one, bypassed (fresh build, not stored) when the entry is gone
+    /// or no longer holds `plan`.
+    fn memoized<T>(
+        &self,
+        key: &WorkloadFingerprint,
+        plan: &Arc<Plan>,
+        slot: impl Fn(&CacheEntry) -> &OnceLock<Arc<T>>,
+        build: impl Fn() -> T,
+    ) -> Arc<T> {
         let shard = read_recover(self.shard(key));
         if let Some(entry) = shard.get(key) {
             if Arc::ptr_eq(&entry.plan, plan) {
-                return Arc::clone(
-                    entry
-                        .prepared
-                        .get_or_init(|| Arc::new(PreparedReconstruct::new(plan.strategy()))),
-                );
+                return Arc::clone(slot(entry).get_or_init(|| Arc::new(build())));
             }
         }
         drop(shard);
-        Arc::new(PreparedReconstruct::new(plan.strategy()))
+        Arc::new(build())
     }
 
     /// Inserts a plan, evicting least-recently-used entries when over
@@ -169,13 +206,14 @@ impl StrategyCache {
             match shard.entry(key) {
                 Entry::Occupied(mut e) => {
                     // Concurrent planners may race on the same miss; keep one
-                    // entry, refreshed. The prepared factorization belongs to
-                    // the old plan: drop it so the next serve rebuilds it
-                    // from the plan actually stored.
+                    // entry, refreshed. The memoized factorization and keys
+                    // belong to the old plan: drop them so the next serve
+                    // rebuilds them from the plan actually stored.
                     let entry = e.get_mut();
                     entry.plan = plan;
                     entry.last_used.store(stamp, Ordering::Relaxed);
                     entry.prepared = OnceLock::new();
+                    entry.operand_keys = OnceLock::new();
                     false
                 }
                 Entry::Vacant(v) => {
@@ -183,6 +221,7 @@ impl StrategyCache {
                         plan,
                         last_used: AtomicU64::new(stamp),
                         prepared: OnceLock::new(),
+                        operand_keys: OnceLock::new(),
                     });
                     true
                 }
@@ -303,11 +342,17 @@ mod tests {
         let p1 = cache.prepared(&fp, &plan);
         let p2 = cache.prepared(&fp, &plan);
         assert!(Arc::ptr_eq(&p1, &p2), "second lookup reuses the build");
+        let k1 = cache.operand_keys(&fp, &plan, &p1);
+        assert!(
+            Arc::ptr_eq(&k1, &cache.operand_keys(&fp, &plan, &p1)),
+            "operand keys share the memo rules"
+        );
         // Replacing the plan invalidates the memoized factorization.
         cache.insert(fp.clone(), plan_of(&w));
         let plan2 = cache.get(&fp).unwrap();
         let p3 = cache.prepared(&fp, &plan2);
         assert!(!Arc::ptr_eq(&p1, &p3), "reinsert resets the memo");
+        assert!(!Arc::ptr_eq(&k1, &cache.operand_keys(&fp, &plan2, &p3)));
         // A stale plan (no longer the cached one) still gets a working
         // factorization, just unmemoized.
         let p4 = cache.prepared(&fp, &plan);

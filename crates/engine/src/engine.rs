@@ -1195,6 +1195,8 @@ impl Engine {
                     Some(remote) => match try_run_mechanism_remote_traced(
                         workload,
                         plan.strategy(),
+                        &prepared,
+                        &self.cache.operand_keys(&fingerprint, &plan, &prepared),
                         dataset,
                         &view,
                         eps,

@@ -166,6 +166,15 @@ impl PreparedReconstruct {
             Strategy::Union(_) => PreparedReconstruct::Union,
         }
     }
+
+    /// The subset algebra of a marginals strategy — MEASURE needs the same
+    /// tables RECONSTRUCT does, so prepared pipelines hand it to both.
+    pub fn marginals_algebra(&self) -> Option<&MarginalsAlgebra> {
+        match self {
+            PreparedReconstruct::Marginals { algebra, .. } => Some(algebra),
+            _ => None,
+        }
+    }
 }
 
 /// RECONSTRUCT: least-squares estimate `x̄` of the data vector from noisy

@@ -53,8 +53,10 @@ use std::time::Instant;
 pub type ExplicitFn<'a, E> = dyn FnMut(&hdmm_linalg::Matrix) -> Result<Vec<f64>, E> + 'a;
 
 /// Fallible Kronecker forward product over the data for [`measure_with`]:
-/// how the executor computes one measurement block from its factors.
-pub type ForwardFn<'a, E> = dyn FnMut(&[&StructuredMatrix]) -> Result<Vec<f64>, E> + 'a;
+/// how the executor computes one measurement block from its factors. The
+/// first argument is the block's index in strategy order, for executors that
+/// keep per-block state keyed the same way (the remote path's operand keys).
+pub type ForwardFn<'a, E> = dyn FnMut(usize, &[&StructuredMatrix]) -> Result<Vec<f64>, E> + 'a;
 
 /// One contiguous slab of a row-major data vector: leading-axis rows `rows`
 /// holding `rows.len() · (N / leading)` cells.
@@ -470,11 +472,17 @@ pub fn explicit_forward_sharded(
 /// in strategy order, so every caller consumes the RNG stream identically —
 /// the root of the byte-identity guarantee across executors.
 ///
+/// `algebra` is the marginals subset algebra when the caller already holds
+/// one (a [`PreparedReconstruct`] does); `None` builds it here. It is a pure
+/// function of the strategy's domain, so the measurements are the same bits
+/// either way.
+///
 /// # Panics
 /// Panics if `eps` is not positive (mirror of the plain path; use
 /// [`try_run_mechanism_sharded_observed`] for typed validation).
 pub fn measure_with<E>(
     strategy: &Strategy,
+    algebra: Option<&MarginalsAlgebra>,
     eps: f64,
     rng: &mut impl Rng,
     explicit: &mut ExplicitFn<'_, E>,
@@ -495,7 +503,7 @@ pub fn measure_with<E>(
             let sens: f64 = factors.iter().map(StructuredMatrix::sensitivity).product();
             let scale = sens / eps;
             let refs: Vec<&StructuredMatrix> = factors.iter().collect();
-            let mut noisy = forward(&refs)?;
+            let mut noisy = forward(0, &refs)?;
             add_laplace_noise(&mut noisy, scale, rng);
             vec![MeasuredBlock {
                 noisy,
@@ -504,7 +512,14 @@ pub fn measure_with<E>(
         }
         Strategy::Marginals(m) => {
             let scale = m.sensitivity() / eps;
-            let algebra = MarginalsAlgebra::new(&m.domain);
+            let built;
+            let algebra = match algebra {
+                Some(cached) => cached,
+                None => {
+                    built = MarginalsAlgebra::new(&m.domain);
+                    &built
+                }
+            };
             let mut blocks = Vec::new();
             for (a, &theta) in m.theta.iter().enumerate() {
                 if theta == 0.0 {
@@ -512,7 +527,7 @@ pub fn measure_with<E>(
                 }
                 let q = algebra.marginal_factors(a);
                 let refs: Vec<&StructuredMatrix> = q.iter().collect();
-                let mut noisy = forward(&refs)?;
+                let mut noisy = forward(blocks.len(), &refs)?;
                 for v in &mut noisy {
                     *v *= theta;
                 }
@@ -534,7 +549,7 @@ pub fn measure_with<E>(
                     .product();
                 let scale = sens / (g.share * eps);
                 let refs: Vec<&StructuredMatrix> = g.factors.iter().collect();
-                let mut noisy = forward(&refs)?;
+                let mut noisy = forward(blocks.len(), &refs)?;
                 add_laplace_noise(&mut noisy, scale, rng);
                 blocks.push(MeasuredBlock {
                     noisy,
@@ -563,9 +578,24 @@ pub fn measure_sharded(
     exec: &dyn ShardExecutor,
     observer: &(impl PhaseObserver + ?Sized),
 ) -> Measurements {
+    measure_sharded_on(strategy, None, view, eps, rng, exec, observer)
+}
+
+/// [`measure_sharded`] with the marginals algebra optionally supplied (see
+/// [`measure_with`]).
+fn measure_sharded_on(
+    strategy: &Strategy,
+    algebra: Option<&MarginalsAlgebra>,
+    view: &ShardedView<'_>,
+    eps: f64,
+    rng: &mut impl Rng,
+    exec: &dyn ShardExecutor,
+    observer: &(impl PhaseObserver + ?Sized),
+) -> Measurements {
     let phase = MechanismPhase::Measure;
     let result: Result<Measurements, std::convert::Infallible> = measure_with(
         strategy,
+        algebra,
         eps,
         rng,
         &mut |a| {
@@ -579,7 +609,7 @@ pub fn measure_sharded(
                 phase,
             ))
         },
-        &mut |refs| Ok(kron_forward_sharded(refs, view, exec, observer, phase)),
+        &mut |_, refs| Ok(kron_forward_sharded(refs, view, exec, observer, phase)),
     );
     match result {
         Ok(meas) => meas,
@@ -832,7 +862,15 @@ pub fn try_run_mechanism_sharded_prepared_observed(
     }
 
     let t = Instant::now();
-    let meas = measure_sharded(strategy, view, eps, rng, exec, observer);
+    let meas = measure_sharded_on(
+        strategy,
+        prepared.marginals_algebra(),
+        view,
+        eps,
+        rng,
+        exec,
+        observer,
+    );
     observer.phase_complete(MechanismPhase::Measure, t.elapsed());
 
     let t = Instant::now();

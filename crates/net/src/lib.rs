@@ -7,8 +7,8 @@
 //!   RPCs, built on the same [`hdmm_core::codec`] primitives as the plan
 //!   store on disk;
 //! * [`worker`] — the shard worker: a TCP server owning pushed data slabs
-//!   and evaluating pure trailing-factor kernels against them (also shipped
-//!   as the `hdmm-shard-worker` binary);
+//!   and content-keyed trailing-factor lists, and evaluating pure kernels
+//!   over them (also shipped as the `hdmm-shard-worker` binary);
 //! * [`client`] — the coordinator's [`WorkerPool`]: task routing with
 //!   per-task timeouts, bounded retry with backoff, shard reassignment to
 //!   surviving workers, and per-worker health counters;
@@ -17,8 +17,8 @@
 //!   single-node pipeline for every worker count.
 //!
 //! The design keeps workers stateless in the failure sense: the coordinator
-//! holds the authoritative data, slabs are pushed (and re-pushed) on demand,
-//! and tasks are pure and idempotent — which is what makes at-least-once
+//! holds the authoritative data and factors, both are pushed (and re-pushed)
+//! on demand, and tasks are pure and idempotent — which is what makes at-least-once
 //! retry and reassignment safe without any distributed coordination.
 
 pub mod client;
@@ -26,14 +26,13 @@ pub mod remote;
 pub mod wire;
 pub mod worker;
 
-pub use client::{PoolHealth, RetryPolicy, WorkerHealth, WorkerPool};
+pub use client::{Operand, PoolHealth, RetryPolicy, WorkerHealth, WorkerPool};
 pub use remote::{
-    try_run_mechanism_remote_observed, try_run_mechanism_remote_traced, RemoteError,
-    RemoteExecutor, RemoteOptions,
+    try_run_mechanism_remote_traced, OperandKeys, RemoteError, RemoteExecutor, RemoteOptions,
 };
 pub use wire::{
     decode_frame, decode_frame_ext, encode_frame, encode_frame_ext, read_frame, read_frame_ext,
-    write_frame, write_frame_ext, ErrorCode, Frame, NetError, TraceExt, WireSpan, MAX_FRAME_BYTES,
-    PROTO_V1, PROTO_V2, WIRE_MAGIC, WIRE_PREFIX,
+    write_frame, write_frame_ext, ErrorCode, FactorKey, Frame, NetError, TraceExt, WireSpan,
+    MAX_FRAME_BYTES, PROTO_V1, PROTO_V2, WIRE_MAGIC, WIRE_PREFIX,
 };
-pub use worker::{spawn_worker, WorkerHandle, WorkerOptions};
+pub use worker::{spawn_worker, WorkerHandle, WorkerOptions, FACTOR_BUDGET_BYTES};

@@ -3,14 +3,21 @@
 //!
 //! The split of work mirrors the in-process sharded pipeline exactly: the
 //! per-slab trailing-factor products (the bulk of the flops) become
-//! [`SlabForward`](crate::Frame::SlabForward) / [`Apply`](crate::Frame::Apply)
-//! RPCs, while the ordered merge and the leading contraction run on the
-//! coordinator through the *same*
+//! [`SlabForwardKeyed`](crate::Frame::SlabForwardKeyed) /
+//! [`ApplyKeyed`](crate::Frame::ApplyKeyed) RPCs, while the ordered merge and
+//! the leading contraction run on the coordinator through the *same*
 //! [`kron_forward_from_parts`] / [`kron_transpose_from_parts`] code the
 //! local path uses. Workers run the same `kmatvec_*_trailing_slab` kernels
 //! on the same slices, so the answers are **bitwise identical** to the dense
 //! single-node pipeline for any worker count — the exactness contract of
 //! [`hdmm_mechanism::sharded`] extends across the wire unchanged.
+//!
+//! A warm request costs the local request plus vector traffic: everything
+//! that depends only on the strategy — the [`PreparedReconstruct`] inverse
+//! Grams / marginals algebra and the content keys of the trailing-factor
+//! lists ([`OperandKeys`]) — is built once per plan by the caller and passed
+//! in, and the factors themselves live on the workers (see [`crate::wire`]),
+//! so tasks carry a key plus a slab reference or a payload.
 //!
 //! Failure handling lives in [`WorkerPool`]: per-task timeouts, bounded
 //! retry with doubling backoff, and shard reassignment to surviving workers
@@ -20,15 +27,15 @@
 //! then fall back to the local sharded path with a reseeded RNG, preserving
 //! byte-identity even through total pool loss.
 
-use crate::client::{PoolHealth, RetryPolicy, WorkerPool};
-use crate::wire::NetError;
+use crate::client::{Operand, PoolHealth, RetryPolicy, WorkerPool};
+use crate::wire::{FactorKey, NetError};
 use hdmm_linalg::{leading_split, partition_rows, StructuredMatrix};
 use hdmm_mechanism::{
     answer_sharded, explicit_forward_sharded, kron_forward_from_parts, kron_transpose_from_parts,
-    measure_with, MarginalsAlgebra, Measurements, MechanismError, MechanismPhase, MechanismResult,
-    PhaseObserver, ScopedExecutor, ShardExecutor, ShardedView, Strategy,
+    measure_with, reconstruct_with, Measurements, MechanismError, MechanismPhase, MechanismResult,
+    PhaseObserver, PreparedReconstruct, ScopedExecutor, ShardExecutor, ShardedView, Strategy,
 };
-use hdmm_obs::{NoopSpanSink, SpanSink};
+use hdmm_obs::SpanSink;
 use hdmm_workload::Workload;
 use rand::Rng;
 use std::ops::Range;
@@ -79,6 +86,84 @@ impl From<NetError> for RemoteError {
         RemoteError::Net(e)
     }
 }
+
+/// The content keys of every trailing-factor list the remote pipeline names
+/// in its tasks for one plan. Deriving a key encodes and checksums the whole
+/// list, so this is built once per plan — memoized beside the plan's
+/// [`PreparedReconstruct`] — never per request.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OperandKeys {
+    /// One per measurement block, in [`measure_with`] order: the trailing
+    /// factors MEASURE applies forward and RECONSTRUCT applies transposed.
+    blocks: Vec<FactorKey>,
+    /// The trailing inverse-Gram factors (Kronecker strategies only).
+    gram_pinv: Option<FactorKey>,
+}
+
+impl OperandKeys {
+    /// Derives the keys for `strategy` and the `prepared` built from it.
+    pub fn new(strategy: &Strategy, prepared: &PreparedReconstruct) -> Self {
+        fn trailing_key<'a>(factors: impl IntoIterator<Item = &'a StructuredMatrix>) -> FactorKey {
+            let refs: Vec<&StructuredMatrix> = factors.into_iter().collect();
+            FactorKey::of(&leading_split(&refs).trailing)
+        }
+        let blocks = match strategy {
+            Strategy::Explicit(_) => Vec::new(),
+            Strategy::Kron(factors) => vec![trailing_key(factors)],
+            Strategy::Union(groups) => groups.iter().map(|g| trailing_key(&g.factors)).collect(),
+            Strategy::Marginals(m) => match prepared.marginals_algebra() {
+                Some(algebra) => (0..m.theta.len())
+                    .filter(|&a| m.theta[a] != 0.0)
+                    .map(|a| trailing_key(&algebra.marginal_factors(a)))
+                    .collect(),
+                None => Vec::new(),
+            },
+        };
+        let gram_pinv = match prepared {
+            PreparedReconstruct::Kron { gram_pinvs } => Some(trailing_key(gram_pinvs)),
+            _ => None,
+        };
+        OperandKeys { blocks, gram_pinv }
+    }
+
+    /// Every key the plan's tasks can name.
+    pub fn keys(&self) -> impl Iterator<Item = FactorKey> + '_ {
+        self.blocks.iter().copied().chain(self.gram_pinv)
+    }
+
+    /// The key for measurement block `block`; a miss means the keys were
+    /// built for a different plan, which the caller serves locally instead.
+    fn block(&self, block: usize) -> Result<FactorKey, NetError> {
+        self.blocks.get(block).copied().ok_or(MISMATCHED_PLAN)
+    }
+
+    /// Refuses state that visibly belongs to another strategy — a different
+    /// family, or a different number of measurement blocks — before any
+    /// task names a key. (State of the right shape built from different
+    /// factors is the caller's contract, as it is for
+    /// [`reconstruct_with`].)
+    fn check(&self, strategy: &Strategy, prepared: &PreparedReconstruct) -> Result<(), NetError> {
+        let blocks = match (strategy, prepared) {
+            (Strategy::Explicit(_), PreparedReconstruct::Explicit { .. }) => 0,
+            (Strategy::Kron(_), PreparedReconstruct::Kron { .. }) => 1,
+            (Strategy::Union(groups), PreparedReconstruct::Union) => groups.len(),
+            (Strategy::Marginals(m), PreparedReconstruct::Marginals { .. }) => {
+                m.theta.iter().filter(|&&t| t != 0.0).count()
+            }
+            _ => return Err(MISMATCHED_PLAN),
+        };
+        let kron = matches!(strategy, Strategy::Kron(_));
+        if self.blocks.len() == blocks && self.gram_pinv.is_some() == kron {
+            Ok(())
+        } else {
+            Err(MISMATCHED_PLAN)
+        }
+    }
+}
+
+/// `prepared` / `keys` do not belong to the strategy they were passed with.
+const MISMATCHED_PLAN: NetError =
+    NetError::Unsupported("prepared state was built for a different strategy");
 
 /// The distributed shard executor: a worker pool for the RPC fan-out plus a
 /// local scoped-thread executor for the coordinator-side stages.
@@ -152,34 +237,26 @@ impl std::fmt::Debug for RemoteExecutor {
     }
 }
 
-/// Fans the keyed slab tasks of `view` out to the pool, one concurrent RPC
-/// per slab, returning the per-slab trailing products in slab order.
-fn fan_out_slabs(
-    pool: &WorkerPool,
-    dataset: &str,
-    view: &ShardedView<'_>,
-    trailing: &[StructuredMatrix],
+/// Runs one task per item on its own scoped thread (each blocks on an RPC)
+/// and returns the per-item products in item order. A task thread that
+/// panics — an observer or span sink is caller code — is reported as
+/// [`NetError::TaskPanicked`] instead of unwinding through the request, so
+/// the caller's reseeded local fallback takes over.
+fn fan_out<I: Sync>(
+    items: &[I],
     observer: &(impl PhaseObserver + ?Sized),
     phase: MechanismPhase,
-    sink: &dyn SpanSink,
+    task: impl Fn(usize, &I) -> Result<Vec<f64>, NetError> + Sync,
 ) -> Result<Vec<Vec<f64>>, NetError> {
     let results: Vec<Result<Vec<f64>, NetError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = view
-            .slabs
+        let handles: Vec<_> = items
             .iter()
             .enumerate()
-            .map(|(shard, slab)| {
+            .map(|(shard, item)| {
+                let task = &task;
                 s.spawn(move || {
                     let t = Instant::now();
-                    let part = pool.run_slab_task_traced(
-                        dataset,
-                        shard as u64,
-                        trailing,
-                        (slab.rows.start as u64, slab.rows.end as u64),
-                        slab.values,
-                        sink,
-                        phase.name(),
-                    );
+                    let part = task(shard, item);
                     if part.is_ok() {
                         observer.shard_phase_complete(phase, shard, t.elapsed());
                     }
@@ -187,56 +264,19 @@ fn fan_out_slabs(
                 })
             })
             .collect();
+        // Join every thread before looking at any result: a scope that ends
+        // with an unjoined panicked thread panics itself.
         handles
             .into_iter()
-            .map(|h| h.join().expect("shard task thread"))
+            .map(|h| h.join().unwrap_or(Err(NetError::TaskPanicked)))
             .collect()
     });
     results.into_iter().collect()
-}
-
-/// Fans stateless payload tasks out to the pool, one concurrent RPC per
-/// payload, returning the per-payload products in order.
-fn fan_out_apply(
-    pool: &WorkerPool,
-    transpose: bool,
-    trailing: &[StructuredMatrix],
-    payloads: &[&[f64]],
-    observer: &(impl PhaseObserver + ?Sized),
-    phase: MechanismPhase,
-    sink: &dyn SpanSink,
-) -> Result<Vec<Vec<f64>>, NetError> {
-    let results: Vec<Result<Vec<f64>, NetError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = payloads
-            .iter()
-            .enumerate()
-            .map(|(shard, payload)| {
-                s.spawn(move || {
-                    let t = Instant::now();
-                    let part =
-                        pool.apply_traced(transpose, trailing, payload, shard, sink, phase.name());
-                    if part.is_ok() {
-                        observer.shard_phase_complete(phase, shard, t.elapsed());
-                    }
-                    part
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard task thread"))
-            .collect()
-    });
-    results.into_iter().collect()
-}
-
-fn owned_trailing(split_trailing: &[&StructuredMatrix]) -> Vec<StructuredMatrix> {
-    split_trailing.iter().map(|f| (*f).clone()).collect()
 }
 
 /// The remote forward fan-out over a dataset's slabs: phase 1 runs as
-/// [`SlabForward`](crate::Frame::SlabForward) RPCs (slabs are cached on
-/// workers), the merge and leading contraction run locally through
+/// [`SlabForwardKeyed`](crate::Frame::SlabForwardKeyed) RPCs (slabs are
+/// cached on workers), the merge and leading contraction run locally through
 /// [`kron_forward_from_parts`] — bitwise identical to
 /// [`kron_forward_sharded`](hdmm_mechanism::kron_forward_sharded).
 #[allow(clippy::too_many_arguments)]
@@ -244,6 +284,7 @@ fn kron_forward_remote(
     exec: &RemoteExecutor,
     dataset: &str,
     factors: &[&StructuredMatrix],
+    key: FactorKey,
     view: &ShardedView<'_>,
     observer: &(impl PhaseObserver + ?Sized),
     phase: MechanismPhase,
@@ -258,8 +299,18 @@ fn kron_forward_remote(
             "slab boundaries do not align with the leading factor",
         ));
     }
-    let trailing = owned_trailing(&split.trailing);
-    let parts = fan_out_slabs(exec.pool(), dataset, view, &trailing, observer, phase, sink)?;
+    let trailing = Operand::keyed(key, &split.trailing);
+    let parts = fan_out(&view.slabs, observer, phase, |shard, slab| {
+        exec.pool().run_slab_task(
+            dataset,
+            shard as u64,
+            trailing,
+            (slab.rows.start as u64, slab.rows.end as u64),
+            slab.values,
+            sink,
+            phase.name(),
+        )
+    })?;
     Ok(kron_forward_from_parts(
         factors,
         parts,
@@ -275,6 +326,7 @@ fn kron_forward_remote(
 fn kron_forward_remote_payload(
     exec: &RemoteExecutor,
     factors: &[&StructuredMatrix],
+    key: FactorKey,
     x: &[f64],
     ranges: &[Range<usize>],
     observer: &(impl PhaseObserver + ?Sized),
@@ -283,20 +335,12 @@ fn kron_forward_remote_payload(
 ) -> Result<Vec<f64>, NetError> {
     let split = leading_split(factors);
     let rest_n = split.trailing_cols();
-    let trailing = owned_trailing(&split.trailing);
-    let payloads: Vec<&[f64]> = ranges
-        .iter()
-        .map(|r| &x[r.start * rest_n..r.end * rest_n])
-        .collect();
-    let parts = fan_out_apply(
-        exec.pool(),
-        false,
-        &trailing,
-        &payloads,
-        observer,
-        phase,
-        sink,
-    )?;
+    let trailing = Operand::keyed(key, &split.trailing);
+    let parts = fan_out(ranges, observer, phase, |shard, r| {
+        let payload = &x[r.start * rest_n..r.end * rest_n];
+        exec.pool()
+            .apply(false, trailing, payload, shard, sink, phase.name())
+    })?;
     Ok(kron_forward_from_parts(
         factors,
         parts,
@@ -307,13 +351,14 @@ fn kron_forward_remote_payload(
 }
 
 /// The remote transposed fan-out: trailing transposes run as
-/// [`Apply`](crate::Frame::Apply) RPCs over measurement-axis blocks, the
+/// [`ApplyKeyed`](crate::Frame::ApplyKeyed) RPCs over measurement-axis blocks, the
 /// merge and leading transpose run locally — bitwise identical to
 /// [`kron_transpose_sharded`](hdmm_mechanism::kron_transpose_sharded).
 #[allow(clippy::too_many_arguments)]
 fn kron_transpose_remote(
     exec: &RemoteExecutor,
     factors: &[&StructuredMatrix],
+    key: FactorKey,
     y: &[f64],
     domain_ranges: &[Range<usize>],
     observer: &(impl PhaseObserver + ?Sized),
@@ -322,21 +367,13 @@ fn kron_transpose_remote(
 ) -> Result<Vec<f64>, NetError> {
     let split = leading_split(factors);
     let rest_m = split.trailing_rows();
-    let trailing = owned_trailing(&split.trailing);
+    let trailing = Operand::keyed(key, &split.trailing);
     let y_blocks = partition_rows(split.leading.rows(), domain_ranges.len());
-    let payloads: Vec<&[f64]> = y_blocks
-        .iter()
-        .map(|b| &y[b.start * rest_m..b.end * rest_m])
-        .collect();
-    let parts = fan_out_apply(
-        exec.pool(),
-        true,
-        &trailing,
-        &payloads,
-        observer,
-        phase,
-        sink,
-    )?;
+    let parts = fan_out(&y_blocks, observer, phase, |shard, b| {
+        let payload = &y[b.start * rest_m..b.end * rest_m];
+        exec.pool()
+            .apply(true, trailing, payload, shard, sink, phase.name())
+    })?;
     Ok(kron_transpose_from_parts(
         factors,
         parts,
@@ -348,13 +385,17 @@ fn kron_transpose_remote(
 }
 
 /// Remote RECONSTRUCT, mirroring
-/// [`reconstruct_sharded`](hdmm_mechanism::reconstruct_sharded) stage for
-/// stage: Kronecker strategies fan both passes out over the wire; explicit
-/// and union strategies keep the local serial path (small domains / global
-/// LSMR solve); marginals fan the per-marginal `Mᵀy` out and keep the
-/// subset-algebra application local.
+/// [`reconstruct_sharded_with`](hdmm_mechanism::reconstruct_sharded_with)
+/// stage for stage: Kronecker strategies fan both passes out over the wire;
+/// explicit and union strategies keep the local serial path (small domains /
+/// global LSMR solve); marginals fan the per-marginal `Mᵀy` out and keep the
+/// subset-algebra application local. Nothing that depends only on the
+/// strategy is built here — it all comes from `prepared` and `keys`.
+#[allow(clippy::too_many_arguments)]
 fn reconstruct_remote(
     strategy: &Strategy,
+    prepared: &PreparedReconstruct,
+    keys: &OperandKeys,
     meas: &Measurements,
     view: &ShardedView<'_>,
     exec: &RemoteExecutor,
@@ -362,100 +403,86 @@ fn reconstruct_remote(
     sink: &dyn SpanSink,
 ) -> Result<Vec<f64>, NetError> {
     let phase = MechanismPhase::Reconstruct;
-    match strategy {
-        Strategy::Explicit(_) | Strategy::Union(_) => {
-            Ok(hdmm_mechanism::reconstruct(strategy, meas))
+    match (strategy, prepared) {
+        (Strategy::Explicit(_), PreparedReconstruct::Explicit { .. })
+        | (Strategy::Union(_), PreparedReconstruct::Union) => {
+            Ok(reconstruct_with(prepared, strategy, meas))
         }
-        Strategy::Kron(factors) => {
+        (Strategy::Kron(factors), PreparedReconstruct::Kron { gram_pinvs }) => {
             let refs: Vec<&StructuredMatrix> = factors.iter().collect();
             let split = leading_split(&refs);
             let Some(ranges) = view.ranges_on_axis(split.leading.cols(), split.trailing_cols())
             else {
-                return Ok(hdmm_mechanism::reconstruct(strategy, meas));
+                return Ok(reconstruct_with(prepared, strategy, meas));
             };
-            let y = &meas.blocks[0].noisy;
-            let aty = kron_transpose_remote(exec, &refs, y, &ranges, observer, phase, sink)?;
-            let gram_pinvs: Vec<StructuredMatrix> =
-                factors.iter().map(StructuredMatrix::gram_pinv).collect();
+            let pinv_key = keys.gram_pinv.ok_or(MISMATCHED_PLAN)?;
+            let y = &meas.blocks.first().ok_or(MISMATCHED_PLAN)?.noisy;
+            let aty = kron_transpose_remote(
+                exec,
+                &refs,
+                keys.block(0)?,
+                y,
+                &ranges,
+                observer,
+                phase,
+                sink,
+            )?;
             let pinv_refs: Vec<&StructuredMatrix> = gram_pinvs.iter().collect();
-            kron_forward_remote_payload(exec, &pinv_refs, &aty, &ranges, observer, phase, sink)
+            kron_forward_remote_payload(
+                exec, &pinv_refs, pinv_key, &aty, &ranges, observer, phase, sink,
+            )
         }
-        Strategy::Marginals(m) => {
+        (Strategy::Marginals(m), PreparedReconstruct::Marginals { algebra, v }) => {
             if view.leading != m.domain.attr_size(0) {
-                return Ok(hdmm_mechanism::reconstruct(strategy, meas));
+                return Ok(reconstruct_with(prepared, strategy, meas));
             }
-            let algebra = MarginalsAlgebra::new(&m.domain);
             let n = m.domain.size();
             let domain_ranges: Vec<Range<usize>> =
                 view.slabs.iter().map(|s| s.rows.clone()).collect();
             let mut mty = vec![0.0; n];
-            let mut block_iter = meas.blocks.iter();
-            for (a, &theta) in m.theta.iter().enumerate() {
-                if theta == 0.0 {
-                    continue;
-                }
-                let block = block_iter
-                    .next()
-                    .expect("one block per positive-weight marginal");
+            let measured = (0..m.theta.len()).filter(|&a| m.theta[a] != 0.0);
+            for (i, a) in measured.enumerate() {
+                let block = meas.blocks.get(i).ok_or(MISMATCHED_PLAN)?;
                 let q = algebra.marginal_factors(a);
                 let refs: Vec<&StructuredMatrix> = q.iter().collect();
                 let back = kron_transpose_remote(
                     exec,
                     &refs,
+                    keys.block(i)?,
                     &block.noisy,
                     &domain_ranges,
                     observer,
                     phase,
                     sink,
                 )?;
+                let theta = m.theta[a];
                 for (acc, b) in mty.iter_mut().zip(&back) {
                     *acc += theta * b;
                 }
             }
-            let v = algebra.g_inverse_weights(&m.gram_weights());
-            Ok(algebra.g_apply(&v, &mty))
+            Ok(algebra.g_apply(v, &mty))
         }
+        _ => Err(MISMATCHED_PLAN),
     }
-}
-
-/// Untraced [`try_run_mechanism_remote_traced`] — the spans are discarded,
-/// everything else (timing callbacks, retry, results) is identical.
-#[allow(clippy::too_many_arguments)]
-pub fn try_run_mechanism_remote_observed(
-    workload: &Workload,
-    strategy: &Strategy,
-    dataset: &str,
-    view: &ShardedView<'_>,
-    eps: f64,
-    remaining: f64,
-    rng: &mut impl Rng,
-    exec: &RemoteExecutor,
-    observer: &(impl PhaseObserver + ?Sized),
-) -> Result<MechanismResult, RemoteError> {
-    try_run_mechanism_remote_traced(
-        workload,
-        strategy,
-        dataset,
-        view,
-        eps,
-        remaining,
-        rng,
-        exec,
-        observer,
-        &NoopSpanSink,
-    )
 }
 
 /// The full checked remote pipeline with per-phase timing: budget-validated
 /// MEASURE with the slab fan-out over the worker pool, remote RECONSTRUCT,
 /// and local sharded ANSWER over the reconstructed estimate.
 ///
+/// `prepared` and `keys` are the strategy-only state, built once per plan
+/// from `strategy` ([`PreparedReconstruct::new`], [`OperandKeys::new`]) and
+/// reused by every request. State of another strategy family or block count
+/// is refused with a typed [`NetError::Unsupported`]; beyond that, pairing
+/// them with the strategy they were built from is the caller's contract.
+///
 /// Results are bitwise identical to
-/// [`try_run_mechanism_sharded_observed`](hdmm_mechanism::try_run_mechanism_sharded_observed)
+/// [`try_run_mechanism_sharded_prepared_observed`](hdmm_mechanism::try_run_mechanism_sharded_prepared_observed)
 /// on the same view with the same RNG — and therefore to the plain dense
 /// pipeline — for every worker count. On [`RemoteError::Net`] the RNG may be
 /// partially consumed; callers that fall back locally must reseed.
 ///
+/// Pass [`NoopSpanSink`](hdmm_obs::NoopSpanSink) as `sink` to run untraced.
 /// When `sink` traces, every RPC attempt of the fan-out (retries included)
 /// and every worker-side kernel span shipped back in the replies is recorded
 /// into it, parented under the phase spans the sink pre-allocates — giving
@@ -465,6 +492,8 @@ pub fn try_run_mechanism_remote_observed(
 pub fn try_run_mechanism_remote_traced(
     workload: &Workload,
     strategy: &Strategy,
+    prepared: &PreparedReconstruct,
+    keys: &OperandKeys,
     dataset: &str,
     view: &ShardedView<'_>,
     eps: f64,
@@ -493,10 +522,13 @@ pub fn try_run_mechanism_remote_traced(
         .into());
     }
 
+    keys.check(strategy, prepared)?;
+
     let phase = MechanismPhase::Measure;
     let t = Instant::now();
     let meas = measure_with(
         strategy,
+        prepared.marginals_algebra(),
         eps,
         rng,
         &mut |a| {
@@ -512,12 +544,15 @@ pub fn try_run_mechanism_remote_traced(
                 phase,
             ))
         },
-        &mut |refs| kron_forward_remote(exec, dataset, refs, view, observer, phase, sink),
+        &mut |block, refs| {
+            let key = keys.block(block)?;
+            kron_forward_remote(exec, dataset, refs, key, view, observer, phase, sink)
+        },
     )?;
     observer.phase_complete(MechanismPhase::Measure, t.elapsed());
 
     let t = Instant::now();
-    let x_hat = reconstruct_remote(strategy, &meas, view, exec, observer, sink)?;
+    let x_hat = reconstruct_remote(strategy, prepared, keys, &meas, view, exec, observer, sink)?;
     observer.phase_complete(MechanismPhase::Reconstruct, t.elapsed());
 
     let t = Instant::now();
@@ -534,6 +569,7 @@ mod tests {
     use hdmm_mechanism::{
         try_run_mechanism, DataSlab, MarginalsStrategy, NoopObserver, UnionGroup,
     };
+    use hdmm_obs::NoopSpanSink;
     use hdmm_workload::{blocks, builders, Domain};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -574,6 +610,38 @@ mod tests {
         };
         let exec = RemoteExecutor::connect(&opts);
         (workers, exec)
+    }
+
+    /// The pipeline under test with the per-plan state built on the spot
+    /// (the engine memoizes it; a test has one request per plan anyway).
+    #[allow(clippy::too_many_arguments)]
+    fn run_remote(
+        workload: &Workload,
+        strategy: &Strategy,
+        dataset: &str,
+        view: &ShardedView<'_>,
+        eps: f64,
+        remaining: f64,
+        rng: &mut StdRng,
+        exec: &RemoteExecutor,
+        observer: &impl PhaseObserver,
+    ) -> Result<MechanismResult, RemoteError> {
+        let prepared = PreparedReconstruct::new(strategy);
+        let keys = OperandKeys::new(strategy, &prepared);
+        try_run_mechanism_remote_traced(
+            workload,
+            strategy,
+            &prepared,
+            &keys,
+            dataset,
+            view,
+            eps,
+            remaining,
+            rng,
+            exec,
+            observer,
+            &NoopSpanSink,
+        )
     }
 
     fn strategies() -> Vec<(Workload, Strategy)> {
@@ -618,7 +686,7 @@ mod tests {
             for workers in [1usize, 2, 3] {
                 let (_handles, exec) = spawn_pool(workers);
                 let view = view_of(&x, leading, 3);
-                let got = try_run_mechanism_remote_observed(
+                let got = run_remote(
                     &w,
                     &s,
                     "test",
@@ -658,17 +726,7 @@ mod tests {
         let view = view_of(&x, 4, 2);
         let mut rng = StdRng::seed_from_u64(0);
         assert!(matches!(
-            try_run_mechanism_remote_observed(
-                &w,
-                &s,
-                "d",
-                &view,
-                2.0,
-                1.0,
-                &mut rng,
-                &exec,
-                &NoopObserver
-            ),
+            run_remote(&w, &s, "d", &view, 2.0, 1.0, &mut rng, &exec, &NoopObserver),
             Err(RemoteError::Mechanism(
                 MechanismError::BudgetExhausted { .. }
             ))
@@ -686,7 +744,7 @@ mod tests {
         let s = Strategy::kron(vec![blocks::prefix(4), blocks::prefix(4)]);
         let x = data(16);
         let view = view_of(&x, 4, 2);
-        let r = try_run_mechanism_remote_observed(
+        let r = run_remote(
             &w,
             &s,
             "d",
@@ -698,5 +756,67 @@ mod tests {
             &NoopObserver,
         );
         assert!(matches!(r, Err(RemoteError::Net(_))));
+    }
+
+    #[test]
+    fn a_panicking_shard_task_is_a_net_error_not_a_request_panic() {
+        /// Caller code on the fan-out threads: panics when shard 1 reports.
+        struct PanicsOnShardOne;
+        impl PhaseObserver for PanicsOnShardOne {
+            fn phase_complete(&self, _phase: MechanismPhase, _elapsed: Duration) {}
+            fn shard_phase_complete(&self, _phase: MechanismPhase, shard: usize, _e: Duration) {
+                assert_ne!(shard, 1, "observer bug");
+            }
+        }
+        let (_handles, exec) = spawn_pool(2);
+        let w = builders::prefix_2d(4, 4);
+        let s = Strategy::kron(vec![blocks::prefix(4), blocks::prefix(4)]);
+        let x = data(16);
+        let view = view_of(&x, 4, 2);
+        let r = run_remote(
+            &w,
+            &s,
+            "d",
+            &view,
+            1.0,
+            1.0,
+            &mut StdRng::seed_from_u64(0),
+            &exec,
+            &PanicsOnShardOne,
+        );
+        assert!(
+            matches!(r, Err(RemoteError::Net(NetError::TaskPanicked))),
+            "got {r:?}"
+        );
+    }
+
+    #[test]
+    fn state_prepared_for_another_strategy_family_is_refused() {
+        let (_handles, exec) = spawn_pool(1);
+        let w = builders::prefix_2d(4, 4);
+        let s = Strategy::kron(vec![blocks::prefix(4), blocks::prefix(4)]);
+        let other = Strategy::Marginals(MarginalsStrategy::uniform(Domain::new(&[4, 4])));
+        let prepared = PreparedReconstruct::new(&other);
+        let keys = OperandKeys::new(&other, &prepared);
+        let x = data(16);
+        let view = view_of(&x, 4, 2);
+        let r = try_run_mechanism_remote_traced(
+            &w,
+            &s,
+            &prepared,
+            &keys,
+            "d",
+            &view,
+            1.0,
+            1.0,
+            &mut StdRng::seed_from_u64(0),
+            &exec,
+            &NoopObserver,
+            &NoopSpanSink,
+        );
+        assert!(
+            matches!(r, Err(RemoteError::Net(NetError::Unsupported(_)))),
+            "got {r:?}"
+        );
     }
 }

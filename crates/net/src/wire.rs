@@ -29,10 +29,27 @@
 //! computes a deterministic function of its inputs and mutates nothing — so
 //! the client may retry at-least-once on timeout without coordination.
 //!
+//! **Keyed operands.** A strategy is a few small per-attribute factors while
+//! the vectors are what is big, so trailing-factor lists are worker-resident
+//! operands exactly like slabs: the coordinator names a list by its
+//! [`FactorKey`] (content checksum + encoded length), pushes it to a worker
+//! once with [`Frame::LoadFactors`], and from then on sends
+//! [`Frame::SlabForwardKeyed`] / [`Frame::ApplyKeyed`] tasks that carry only
+//! the key plus a slab reference or a payload. A worker that does not hold
+//! the key (it restarted, or evicted the list) answers a typed
+//! [`ErrorCode::UnknownFactors`]; the coordinator re-pushes and retries, the
+//! same choreography as [`ErrorCode::UnknownSlab`]. Because the key is the
+//! content, a stale or colliding registration is impossible by construction:
+//! `LoadFactors` frames whose key does not match their factor bytes do not
+//! decode. The inline-factor `SlabForward` / `Apply` frames stay decodable
+//! and served (a stateless fallback for older coordinators); this crate's
+//! coordinator no longer emits them.
+//!
 //! [`PlanStore`]: https://docs.rs/hdmm-engine
 
 use hdmm_core::codec::{self, CodecError, Reader};
 use hdmm_linalg::StructuredMatrix;
+use std::borrow::Borrow;
 use std::io::{Read, Write};
 
 /// Magic prefix of every frame payload: format tag + the v1 version byte.
@@ -136,6 +153,10 @@ pub enum ErrorCode {
     UnknownSlab,
     /// The request was structurally invalid for this worker.
     BadTask,
+    /// The worker does not hold the factor list a keyed task names (it
+    /// restarted, or evicted the list); the client re-pushes the factors and
+    /// retries.
+    UnknownFactors,
 }
 
 impl ErrorCode {
@@ -144,6 +165,7 @@ impl ErrorCode {
             ErrorCode::Internal => 0,
             ErrorCode::UnknownSlab => 1,
             ErrorCode::BadTask => 2,
+            ErrorCode::UnknownFactors => 3,
         }
     }
 
@@ -152,9 +174,51 @@ impl ErrorCode {
             0 => Ok(ErrorCode::Internal),
             1 => Ok(ErrorCode::UnknownSlab),
             2 => Ok(ErrorCode::BadTask),
+            3 => Ok(ErrorCode::UnknownFactors),
             tag => Err(CodecError::BadTag { tag }),
         }
     }
+}
+
+/// Content key of a trailing-factor list: what keyed tasks send instead of
+/// the factors themselves. Two lists share a key only if their encodings
+/// agree in both checksum and length, so different factors never alias.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct FactorKey {
+    /// [`codec::checksum`] of the list's `put_structured_list` bytes.
+    pub sum: u64,
+    /// Length of those bytes — also what a worker charges against its
+    /// resident-factor budget.
+    pub len: u64,
+}
+
+impl FactorKey {
+    /// Derives the key of a factor list (encodes and checksums it — do this
+    /// once per plan, not per request).
+    pub fn of<F: Borrow<StructuredMatrix>>(factors: &[F]) -> FactorKey {
+        let mut bytes = Vec::new();
+        codec::put_structured_list(&mut bytes, factors);
+        FactorKey::of_encoded(&bytes)
+    }
+
+    fn of_encoded(bytes: &[u8]) -> FactorKey {
+        FactorKey {
+            sum: codec::checksum(bytes),
+            len: bytes.len() as u64,
+        }
+    }
+}
+
+fn put_key(out: &mut Vec<u8>, key: FactorKey) {
+    codec::put_u64(out, key.sum);
+    codec::put_u64(out, key.len);
+}
+
+fn read_key(r: &mut Reader<'_>) -> Result<FactorKey, CodecError> {
+    Ok(FactorKey {
+        sum: r.u64()?,
+        len: r.u64()?,
+    })
 }
 
 /// Every message exchanged between coordinator and shard worker, both
@@ -195,12 +259,39 @@ pub enum Frame {
         /// The payload block to contract.
         payload: Vec<f64>,
     },
+    /// Pushes one trailing-factor list to the worker under its content key.
+    /// Idempotent; answered by [`Frame::Loaded`].
+    LoadFactors {
+        /// Must equal [`FactorKey::of`] the list, or the frame does not
+        /// decode.
+        key: FactorKey,
+        /// Trailing factors, outermost first.
+        factors: Vec<StructuredMatrix>,
+    },
+    /// [`Frame::SlabForward`] with the trailing factors named by key.
+    SlabForwardKeyed {
+        /// Dataset whose slab to use.
+        dataset: String,
+        /// Shard index within the dataset's partition.
+        shard: u64,
+        /// Key of a factor list pushed with [`Frame::LoadFactors`].
+        key: FactorKey,
+    },
+    /// [`Frame::Apply`] with the trailing factors named by key.
+    ApplyKeyed {
+        /// `true` for the transposed kernel (`Aᵀ`-side passes).
+        transpose: bool,
+        /// Key of a factor list pushed with [`Frame::LoadFactors`].
+        key: FactorKey,
+        /// The payload block to contract.
+        payload: Vec<f64>,
+    },
     /// Response to [`Frame::Ping`]: how many slabs the worker holds.
     Pong {
         /// Number of loaded slabs.
         slabs: u64,
     },
-    /// Response to [`Frame::LoadSlab`].
+    /// Response to [`Frame::LoadSlab`] and [`Frame::LoadFactors`].
     Loaded,
     /// Successful task result: the per-slab partial product.
     Part {
@@ -224,6 +315,9 @@ impl Frame {
             Frame::LoadSlab { .. } => "load-slab",
             Frame::SlabForward { .. } => "slab-forward",
             Frame::Apply { .. } => "apply",
+            Frame::LoadFactors { .. } => "load-factors",
+            Frame::SlabForwardKeyed { .. } => "slab-forward-keyed",
+            Frame::ApplyKeyed { .. } => "apply-keyed",
             Frame::Pong { .. } => "pong",
             Frame::Loaded => "loaded",
             Frame::Part { .. } => "part",
@@ -264,6 +358,9 @@ pub enum NetError {
     /// misaligned with the leading factor); the caller should fall back to
     /// the local pipeline.
     Unsupported(&'static str),
+    /// A fan-out thread panicked (in an observer or span sink — caller
+    /// code); nothing was lost that a local re-run cannot redo.
+    TaskPanicked,
 }
 
 impl std::fmt::Display for NetError {
@@ -280,6 +377,7 @@ impl std::fmt::Display for NetError {
             NetError::Unexpected { got } => write!(f, "unexpected response frame: {got}"),
             NetError::NoWorkers => write!(f, "no live workers available"),
             NetError::Unsupported(what) => write!(f, "not remotable: {what}"),
+            NetError::TaskPanicked => write!(f, "a shard task thread panicked"),
         }
     }
 }
@@ -300,17 +398,61 @@ impl From<CodecError> for NetError {
 
 /// Factor lists on the wire may be empty (a single-factor Kronecker strategy
 /// has no trailing factors), unlike strategy factor lists in the shared
-/// codec — hence dedicated helpers.
-fn put_factors(out: &mut Vec<u8>, fs: &[StructuredMatrix]) {
-    codec::put_usize(out, fs.len());
-    for f in fs {
-        codec::put_structured(out, f);
-    }
-}
-
+/// codec — hence a dedicated reader beside `codec::put_structured_list`.
 fn read_factors(r: &mut Reader<'_>) -> Result<Vec<StructuredMatrix>, CodecError> {
     let n = r.count()?;
     (0..n).map(|_| r.structured()).collect()
+}
+
+/// A keyed task borrowed from coordinator memory: what the request path
+/// encodes, so a payload is copied once — into the link's send buffer — and
+/// never into an owned [`Frame`] first. Encodes to exactly the bytes of the
+/// owned [`Frame::SlabForwardKeyed`] / [`Frame::ApplyKeyed`] it mirrors.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum KeyedTask<'a> {
+    SlabForward {
+        dataset: &'a str,
+        shard: u64,
+        key: FactorKey,
+    },
+    Apply {
+        transpose: bool,
+        key: FactorKey,
+        payload: &'a [f64],
+    },
+}
+
+fn put_keyed_task(out: &mut Vec<u8>, task: &KeyedTask<'_>) {
+    match *task {
+        KeyedTask::SlabForward {
+            dataset,
+            shard,
+            key,
+        } => {
+            out.push(9);
+            codec::put_str(out, dataset);
+            codec::put_u64(out, shard);
+            put_key(out, key);
+        }
+        KeyedTask::Apply {
+            transpose,
+            key,
+            payload,
+        } => {
+            out.push(10);
+            out.push(u8::from(transpose));
+            put_key(out, key);
+            codec::put_f64s(out, payload);
+        }
+    }
+}
+
+fn read_bool(r: &mut Reader<'_>) -> Result<bool, CodecError> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        tag => Err(CodecError::BadTag { tag }),
+    }
 }
 
 /// Encodes a v1 frame payload (magic + kind + body + checksum trailer)
@@ -324,17 +466,21 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 /// `Some` ⇒ v2 with the extension between version byte and kind.
 pub fn encode_frame_ext(frame: &Frame, ext: Option<&TraceExt>) -> Vec<u8> {
     let mut out = Vec::new();
+    put_header(&mut out, ext);
+    put_body(&mut out, frame);
+    codec::seal(&mut out);
+    out
+}
+
+fn put_header(out: &mut Vec<u8>, ext: Option<&TraceExt>) {
     out.extend_from_slice(WIRE_PREFIX);
     match ext {
         None => out.push(PROTO_V1),
         Some(ext) => {
             out.push(PROTO_V2);
-            put_ext(&mut out, ext);
+            put_ext(out, ext);
         }
     }
-    put_body(&mut out, frame);
-    codec::seal(&mut out);
-    out
 }
 
 fn put_body(out: &mut Vec<u8>, frame: &Frame) {
@@ -361,7 +507,7 @@ fn put_body(out: &mut Vec<u8>, frame: &Frame) {
             out.push(2);
             codec::put_str(out, dataset);
             codec::put_u64(out, *shard);
-            put_factors(out, factors);
+            codec::put_structured_list(out, factors);
         }
         Frame::Apply {
             transpose,
@@ -370,7 +516,7 @@ fn put_body(out: &mut Vec<u8>, frame: &Frame) {
         } => {
             out.push(3);
             out.push(u8::from(*transpose));
-            put_factors(out, factors);
+            codec::put_structured_list(out, factors);
             codec::put_f64s(out, payload);
         }
         Frame::Pong { slabs } => {
@@ -387,6 +533,35 @@ fn put_body(out: &mut Vec<u8>, frame: &Frame) {
             out.push(code.tag());
             codec::put_str(out, message);
         }
+        Frame::LoadFactors { key, factors } => {
+            out.push(8);
+            put_key(out, *key);
+            codec::put_structured_list(out, factors);
+        }
+        Frame::SlabForwardKeyed {
+            dataset,
+            shard,
+            key,
+        } => put_keyed_task(
+            out,
+            &KeyedTask::SlabForward {
+                dataset,
+                shard: *shard,
+                key: *key,
+            },
+        ),
+        Frame::ApplyKeyed {
+            transpose,
+            key,
+            payload,
+        } => put_keyed_task(
+            out,
+            &KeyedTask::Apply {
+                transpose: *transpose,
+                key: *key,
+                payload,
+            },
+        ),
     }
 }
 
@@ -428,11 +603,7 @@ pub fn decode_frame_ext(bytes: &[u8]) -> Result<(Frame, Option<TraceExt>), Codec
             factors: read_factors(&mut r)?,
         },
         3 => Frame::Apply {
-            transpose: match r.u8()? {
-                0 => false,
-                1 => true,
-                tag => return Err(CodecError::BadTag { tag }),
-            },
+            transpose: read_bool(&mut r)?,
             factors: read_factors(&mut r)?,
             payload: r.f64s()?,
         },
@@ -442,6 +613,27 @@ pub fn decode_frame_ext(bytes: &[u8]) -> Result<(Frame, Option<TraceExt>), Codec
         7 => Frame::Error {
             code: ErrorCode::from_tag(r.u8()?)?,
             message: r.str()?,
+        },
+        8 => {
+            let key = read_key(&mut r)?;
+            let start = r.position();
+            let factors = read_factors(&mut r)?;
+            // The key is the content: a frame that names its factors wrongly
+            // is corrupt, and a worker must never file a list under it.
+            if FactorKey::of_encoded(&payload[start..r.position()]) != key {
+                return Err(CodecError::Invalid("factor key does not match its list"));
+            }
+            Frame::LoadFactors { key, factors }
+        }
+        9 => Frame::SlabForwardKeyed {
+            dataset: r.str()?,
+            shard: r.u64()?,
+            key: read_key(&mut r)?,
+        },
+        10 => Frame::ApplyKeyed {
+            transpose: read_bool(&mut r)?,
+            key: read_key(&mut r)?,
+            payload: r.f64s()?,
         },
         tag => return Err(CodecError::BadTag { tag }),
     };
@@ -461,13 +653,48 @@ pub fn write_frame_ext(
     frame: &Frame,
     ext: Option<&TraceExt>,
 ) -> std::io::Result<()> {
-    let payload = encode_frame_ext(frame, ext);
-    let len = u32::try_from(payload.len()).map_err(|_| {
+    let mut buf = Vec::new();
+    frame_into(&mut buf, frame, ext)?;
+    w.write_all(&buf)?;
+    w.flush()
+}
+
+/// Replaces `buf` with one complete stream frame — length prefix, payload,
+/// checksum — so a link can reuse one buffer across requests and hand the
+/// socket a single write.
+pub(crate) fn frame_into(
+    buf: &mut Vec<u8>,
+    frame: &Frame,
+    ext: Option<&TraceExt>,
+) -> std::io::Result<()> {
+    stream_frame_into(buf, ext, |out| put_body(out, frame))
+}
+
+/// [`frame_into`] for a borrowed [`KeyedTask`].
+pub(crate) fn keyed_task_into(
+    buf: &mut Vec<u8>,
+    task: &KeyedTask<'_>,
+    ext: Option<&TraceExt>,
+) -> std::io::Result<()> {
+    stream_frame_into(buf, ext, |out| put_keyed_task(out, task))
+}
+
+fn stream_frame_into(
+    buf: &mut Vec<u8>,
+    ext: Option<&TraceExt>,
+    body: impl FnOnce(&mut Vec<u8>),
+) -> std::io::Result<()> {
+    buf.clear();
+    buf.extend_from_slice(&[0; 4]);
+    put_header(buf, ext);
+    body(buf);
+    let sum = codec::checksum(&buf[4..]);
+    codec::put_u64(buf, sum);
+    let len = u32::try_from(buf.len() - 4).map_err(|_| {
         std::io::Error::new(std::io::ErrorKind::InvalidData, "frame exceeds u32 length")
     })?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&payload)?;
-    w.flush()
+    buf[..4].copy_from_slice(&len.to_le_bytes());
+    Ok(())
 }
 
 /// Reads one length-prefixed frame of either version, discarding any trace
@@ -481,6 +708,15 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, NetError> {
 /// against [`MAX_FRAME_BYTES`] *before* the payload buffer is allocated, so
 /// a corrupt prefix costs nothing.
 pub fn read_frame_ext(r: &mut impl Read) -> Result<(Frame, Option<TraceExt>), NetError> {
+    read_frame_ext_buf(r, &mut Vec::new())
+}
+
+/// [`read_frame_ext`] reading the payload into a caller-owned buffer (left
+/// holding the payload bytes), so a link reuses one allocation.
+pub(crate) fn read_frame_ext_buf(
+    r: &mut impl Read,
+    payload: &mut Vec<u8>,
+) -> Result<(Frame, Option<TraceExt>), NetError> {
     let mut len_bytes = [0u8; 4];
     r.read_exact(&mut len_bytes)?;
     let len = u64::from(u32::from_le_bytes(len_bytes));
@@ -490,9 +726,10 @@ pub fn read_frame_ext(r: &mut impl Read) -> Result<(Frame, Option<TraceExt>), Ne
             max: MAX_FRAME_BYTES,
         });
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    Ok(decode_frame_ext(&payload)?)
+    payload.clear();
+    payload.resize(len as usize, 0);
+    r.read_exact(payload)?;
+    Ok(decode_frame_ext(payload)?)
 }
 
 #[cfg(test)]
@@ -595,5 +832,76 @@ mod tests {
             read_frame(&mut buf.as_slice()),
             Err(NetError::Io(_))
         ));
+    }
+
+    #[test]
+    fn borrowed_keyed_tasks_encode_to_the_owned_frames_bytes() {
+        let key = FactorKey::of(&[StructuredMatrix::prefix(3)]);
+        let payload = [1.5, -0.0, f64::NAN];
+        let pairs = [
+            (
+                KeyedTask::SlabForward {
+                    dataset: "d",
+                    shard: 7,
+                    key,
+                },
+                Frame::SlabForwardKeyed {
+                    dataset: "d".into(),
+                    shard: 7,
+                    key,
+                },
+            ),
+            (
+                KeyedTask::Apply {
+                    transpose: true,
+                    key,
+                    payload: &payload,
+                },
+                Frame::ApplyKeyed {
+                    transpose: true,
+                    key,
+                    payload: payload.to_vec(),
+                },
+            ),
+        ];
+        for (task, frame) in pairs {
+            for ext in [None, Some(TraceExt::request(9, 4))] {
+                let (mut borrowed, mut owned) = (vec![0xAA; 3], Vec::new());
+                keyed_task_into(&mut borrowed, &task, ext.as_ref()).unwrap();
+                write_frame_ext(&mut owned, &frame, ext.as_ref()).unwrap();
+                assert_eq!(borrowed, owned, "{}", frame.kind());
+            }
+        }
+    }
+
+    #[test]
+    fn a_factor_list_filed_under_the_wrong_key_does_not_decode() {
+        let factors = vec![StructuredMatrix::prefix(3)];
+        let right = FactorKey::of(&factors);
+        let good = Frame::LoadFactors {
+            key: right,
+            factors: factors.clone(),
+        };
+        assert_eq!(decode_frame(&encode_frame(&good)).unwrap(), good);
+        for wrong in [
+            FactorKey {
+                sum: right.sum ^ 1,
+                ..right
+            },
+            FactorKey {
+                len: right.len + 1,
+                ..right
+            },
+            FactorKey::of(&[StructuredMatrix::prefix(4)]),
+        ] {
+            let bad = Frame::LoadFactors {
+                key: wrong,
+                factors: factors.clone(),
+            };
+            assert_eq!(
+                decode_frame(&encode_frame(&bad)),
+                Err(CodecError::Invalid("factor key does not match its list"))
+            );
+        }
     }
 }

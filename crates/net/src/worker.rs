@@ -2,11 +2,22 @@
 //! frames.
 //!
 //! A worker is deliberately dumb — it holds `(dataset, shard) → slab`
-//! entries pushed by the coordinator and evaluates pure kernels against
-//! them. All policy (assignment, retry, reassignment, fallback) lives on the
-//! coordinator side ([`WorkerPool`](crate::WorkerPool)), which keeps the
-//! authoritative data copy; a worker that crashes loses nothing that cannot
-//! be re-pushed.
+//! entries and [`FactorKey`] → trailing-factor-list entries pushed by the
+//! coordinator and evaluates pure kernels against them. All policy
+//! (assignment, retry, reassignment, fallback) lives on the coordinator side
+//! ([`WorkerPool`](crate::WorkerPool)), which keeps the authoritative copy of
+//! both; a worker that crashes loses nothing that cannot be re-pushed.
+//!
+//! **Resident operands.** Keyed tasks ([`Frame::SlabForwardKeyed`],
+//! [`Frame::ApplyKeyed`]) name their factors instead of carrying them. A key
+//! the worker does not hold — never pushed, lost in a restart, or evicted —
+//! is answered with a typed [`ErrorCode::UnknownFactors`], and the
+//! coordinator re-pushes with [`Frame::LoadFactors`] and retries (the
+//! [`ErrorCode::UnknownSlab`] choreography). Resident factor lists are
+//! bounded by [`FACTOR_BUDGET_BYTES`], least-recently-used first; the list
+//! just pushed is never the victim, so a single over-budget list still
+//! serves. Inline-factor tasks run through the same kernel entry point with
+//! the factors they carry, touching no worker state.
 //!
 //! Task kernels run under `catch_unwind`, so a shape mismatch that would
 //! panic in-process comes back as a typed [`Frame::Error`] instead of
@@ -23,9 +34,12 @@
 //! private data slab). Bind workers to loopback or a trusted private
 //! network only — never expose the port beyond the coordinator's network.
 
-use crate::wire::{read_frame_ext, write_frame_ext, ErrorCode, Frame, TraceExt, WireSpan};
+use crate::wire::{
+    frame_into, read_frame_ext_buf, ErrorCode, FactorKey, Frame, TraceExt, WireSpan,
+};
 use hdmm_linalg::{kmatvec_trailing_slab, kmatvec_transpose_trailing_slab, StructuredMatrix};
 use std::collections::HashMap;
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -48,9 +62,65 @@ struct Slab {
     values: Vec<f64>,
 }
 
+/// Cap on the encoded bytes of factor lists a worker keeps resident. A fixed
+/// constant, not an option: factors are small next to slabs (a 256×256 dense
+/// factor is 0.5 MB), so the cap only has to stop unbounded growth across
+/// many plans, and eviction costs one re-push.
+pub const FACTOR_BUDGET_BYTES: u64 = 64 << 20;
+
+/// The worker-resident factor lists: content-keyed, LRU-bounded by bytes.
+struct FactorStore {
+    budget: u64,
+    /// `key → (factors, last-use stamp)`; the smallest stamp is the LRU list.
+    lists: HashMap<FactorKey, (Arc<Vec<StructuredMatrix>>, u64)>,
+    bytes: u64,
+    clock: u64,
+}
+
+impl FactorStore {
+    fn new(budget: u64) -> Self {
+        FactorStore {
+            budget,
+            lists: HashMap::new(),
+            bytes: 0,
+            clock: 0,
+        }
+    }
+
+    fn insert(&mut self, key: FactorKey, factors: Vec<StructuredMatrix>) {
+        self.clock += 1;
+        if self
+            .lists
+            .insert(key, (Arc::new(factors), self.clock))
+            .is_none()
+        {
+            self.bytes += key.len;
+        }
+        while self.bytes > self.budget {
+            let victim = self
+                .lists
+                .iter()
+                .filter(|(k, _)| **k != key)
+                .min_by_key(|(_, (_, used))| *used)
+                .map(|(k, _)| *k);
+            let Some(victim) = victim else { break };
+            self.lists.remove(&victim);
+            self.bytes -= victim.len;
+        }
+    }
+
+    fn get(&mut self, key: FactorKey) -> Option<Arc<Vec<StructuredMatrix>>> {
+        self.clock += 1;
+        let (factors, used) = self.lists.get_mut(&key)?;
+        *used = self.clock;
+        Some(Arc::clone(factors))
+    }
+}
+
 struct Shared {
     stop: AtomicBool,
     slabs: Mutex<HashMap<(String, u64), Slab>>,
+    factors: Mutex<FactorStore>,
     /// Kill-registry of live connections, keyed by accept-order id so each
     /// entry can be pruned when its serve loop exits.
     conns: Mutex<Vec<(u64, TcpStream)>>,
@@ -73,6 +143,16 @@ impl WorkerHandle {
     /// Number of slabs currently loaded.
     pub fn slab_count(&self) -> usize {
         self.shared.slabs.lock().expect("slab map").len()
+    }
+
+    /// Number of factor lists currently resident.
+    pub fn factor_list_count(&self) -> usize {
+        self.shared
+            .factors
+            .lock()
+            .expect("factor store")
+            .lists
+            .len()
     }
 
     /// Hard-stops the worker: the accept loop exits and every live
@@ -105,6 +185,7 @@ pub fn spawn_worker(
     let shared = Arc::new(Shared {
         stop: AtomicBool::new(false),
         slabs: Mutex::new(HashMap::new()),
+        factors: Mutex::new(FactorStore::new(FACTOR_BUDGET_BYTES)),
         conns: Mutex::new(Vec::new()),
         next_conn: AtomicU64::new(0),
         opts,
@@ -146,11 +227,13 @@ pub fn spawn_worker(
 }
 
 fn serve_connection(mut stream: TcpStream, shared: &Shared) {
+    // One buffer per connection, reused for every request and reply.
+    let mut buf = Vec::new();
     loop {
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        let (request, ext) = match read_frame_ext(&mut stream) {
+        let (request, ext) = match read_frame_ext_buf(&mut stream, &mut buf) {
             // Legacy emulation: an old build's strict "HNW1" check turns any
             // v2 frame into BadMagic and a dropped connection.
             Ok((_, Some(_))) if shared.opts.legacy_protocol => return,
@@ -166,7 +249,9 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
             spans: if e.trace_id == 0 { Vec::new() } else { spans },
             ..e
         });
-        if write_frame_ext(&mut stream, &response, reply_ext.as_ref()).is_err() {
+        let sent = frame_into(&mut buf, &response, reply_ext.as_ref())
+            .and_then(|()| stream.write_all(&buf));
+        if sent.is_err() {
             return;
         }
     }
@@ -226,36 +311,42 @@ fn handle(request: Frame, shared: &Shared) -> (Frame, Vec<WireSpan>) {
             });
             Frame::Loaded
         }
+        Frame::LoadFactors { key, factors } => {
+            timed(&mut spans, "worker:load", || {
+                shared
+                    .factors
+                    .lock()
+                    .expect("factor store")
+                    .insert(key, factors);
+            });
+            Frame::Loaded
+        }
         Frame::SlabForward {
             dataset,
             shard,
             factors,
-        } => {
-            std::thread::sleep(shared.opts.task_delay);
-            let slabs = shared.slabs.lock().expect("slab map");
-            let Some(slab) = slabs.get(&(dataset.clone(), shard)) else {
-                return (
-                    Frame::Error {
-                        code: ErrorCode::UnknownSlab,
-                        message: format!("no slab {shard} of dataset {dataset:?} loaded"),
-                    },
-                    spans,
-                );
-            };
-            timed(&mut spans, "worker:forward", || {
-                compute(&factors, &slab.values, false)
-            })
-        }
+        } => slab_forward(shared, &mut spans, &dataset, shard, &factors),
+        Frame::SlabForwardKeyed {
+            dataset,
+            shard,
+            key,
+        } => match resident(shared, key) {
+            Ok(factors) => slab_forward(shared, &mut spans, &dataset, shard, &factors),
+            Err(unknown) => unknown,
+        },
         Frame::Apply {
             transpose,
             factors,
             payload,
-        } => {
-            std::thread::sleep(shared.opts.task_delay);
-            timed(&mut spans, "worker:apply", || {
-                compute(&factors, &payload, transpose)
-            })
-        }
+        } => apply(shared, &mut spans, &factors, &payload, transpose),
+        Frame::ApplyKeyed {
+            transpose,
+            key,
+            payload,
+        } => match resident(shared, key) {
+            Ok(factors) => apply(shared, &mut spans, &factors, &payload, transpose),
+            Err(unknown) => unknown,
+        },
         // Response frames are not valid requests.
         other => Frame::Error {
             code: ErrorCode::BadTask,
@@ -263,6 +354,49 @@ fn handle(request: Frame, shared: &Shared) -> (Frame, Vec<WireSpan>) {
         },
     };
     (response, spans)
+}
+
+/// The factor list a keyed task names, or the typed miss that makes the
+/// coordinator re-push it.
+fn resident(shared: &Shared, key: FactorKey) -> Result<Arc<Vec<StructuredMatrix>>, Frame> {
+    let held = shared.factors.lock().expect("factor store").get(key);
+    held.ok_or_else(|| Frame::Error {
+        code: ErrorCode::UnknownFactors,
+        message: format!("no factor list {:#018x}/{} resident", key.sum, key.len),
+    })
+}
+
+fn slab_forward(
+    shared: &Shared,
+    spans: &mut Vec<WireSpan>,
+    dataset: &str,
+    shard: u64,
+    factors: &[StructuredMatrix],
+) -> Frame {
+    std::thread::sleep(shared.opts.task_delay);
+    let slabs = shared.slabs.lock().expect("slab map");
+    let Some(slab) = slabs.get(&(dataset.to_string(), shard)) else {
+        return Frame::Error {
+            code: ErrorCode::UnknownSlab,
+            message: format!("no slab {shard} of dataset {dataset:?} loaded"),
+        };
+    };
+    timed(spans, "worker:forward", || {
+        compute(factors, &slab.values, false)
+    })
+}
+
+fn apply(
+    shared: &Shared,
+    spans: &mut Vec<WireSpan>,
+    factors: &[StructuredMatrix],
+    payload: &[f64],
+    transpose: bool,
+) -> Frame {
+    std::thread::sleep(shared.opts.task_delay);
+    timed(spans, "worker:apply", || {
+        compute(factors, payload, transpose)
+    })
 }
 
 /// Runs a trailing kernel under `catch_unwind` so shape mismatches come back
@@ -288,7 +422,7 @@ fn compute(factors: &[StructuredMatrix], payload: &[f64], transpose: bool) -> Fr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{read_frame, write_frame, NetError};
+    use crate::wire::{read_frame, read_frame_ext, write_frame, write_frame_ext, NetError};
 
     fn call(addr: SocketAddr, frame: &Frame) -> Result<Frame, NetError> {
         let mut stream = TcpStream::connect(addr)?;
@@ -450,5 +584,96 @@ mod tests {
             ok = write_frame(&mut s, &Frame::Ping).is_ok() && read_frame(&mut s).is_ok();
         }
         assert!(!ok, "a killed worker must stop answering");
+    }
+
+    #[test]
+    fn keyed_tasks_use_resident_factors_and_miss_typed() {
+        let w = spawn_worker("127.0.0.1:0", WorkerOptions::default()).unwrap();
+        let factors = vec![StructuredMatrix::prefix(3)];
+        let key = FactorKey::of(&factors);
+        let payload: Vec<f64> = (0..6).map(f64::from).collect();
+        let keyed = Frame::ApplyKeyed {
+            transpose: false,
+            key,
+            payload: payload.clone(),
+        };
+
+        // Not pushed yet: a typed miss, not a dropped connection.
+        match call(w.addr(), &keyed).unwrap() {
+            Frame::Error { code, .. } => assert_eq!(code, ErrorCode::UnknownFactors),
+            other => panic!("expected UnknownFactors, got {other:?}"),
+        }
+
+        let load = Frame::LoadFactors {
+            key,
+            factors: factors.clone(),
+        };
+        assert_eq!(call(w.addr(), &load).unwrap(), Frame::Loaded);
+        assert_eq!(w.factor_list_count(), 1);
+
+        // The keyed task and the inline one run the same kernel on the same
+        // factors: identical bits.
+        let inline = Frame::Apply {
+            transpose: false,
+            factors: factors.clone(),
+            payload,
+        };
+        let via_key = call(w.addr(), &keyed).unwrap();
+        assert!(matches!(via_key, Frame::Part { .. }));
+        assert_eq!(via_key, call(w.addr(), &inline).unwrap());
+
+        // Keyed slab tasks need both operands; each miss has its own code.
+        let slab_task = Frame::SlabForwardKeyed {
+            dataset: "d".into(),
+            shard: 0,
+            key,
+        };
+        match call(w.addr(), &slab_task).unwrap() {
+            Frame::Error { code, .. } => assert_eq!(code, ErrorCode::UnknownSlab),
+            other => panic!("expected UnknownSlab, got {other:?}"),
+        }
+        let load_slab = Frame::LoadSlab {
+            dataset: "d".into(),
+            shard: 0,
+            rows: (0, 2),
+            values: (0..6).map(f64::from).collect(),
+        };
+        assert_eq!(call(w.addr(), &load_slab).unwrap(), Frame::Loaded);
+        assert_eq!(
+            call(w.addr(), &slab_task).unwrap(),
+            call(
+                w.addr(),
+                &Frame::SlabForward {
+                    dataset: "d".into(),
+                    shard: 0,
+                    factors,
+                }
+            )
+            .unwrap()
+        );
+        w.kill();
+    }
+
+    #[test]
+    fn factor_store_evicts_least_recently_used_down_to_its_budget() {
+        let key = |sum: u64, len: u64| FactorKey { sum, len };
+        let list = || vec![StructuredMatrix::total(2)];
+        let mut store = FactorStore::new(100);
+        store.insert(key(1, 40), list());
+        store.insert(key(2, 40), list());
+        assert!(store.get(key(1, 40)).is_some(), "touch 1: 2 is now oldest");
+        store.insert(key(3, 40), list());
+        assert!(store.get(key(2, 40)).is_none(), "LRU list evicted");
+        assert!(store.get(key(1, 40)).is_some() && store.get(key(3, 40)).is_some());
+        assert_eq!(store.bytes, 80);
+
+        // Re-inserting a resident key is idempotent in the accounting.
+        store.insert(key(3, 40), list());
+        assert_eq!(store.bytes, 80);
+
+        // A list larger than the whole budget still serves, alone.
+        store.insert(key(4, 500), list());
+        assert!(store.get(key(4, 500)).is_some());
+        assert_eq!((store.lists.len(), store.bytes), (1, 500));
     }
 }

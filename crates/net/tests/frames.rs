@@ -4,10 +4,11 @@
 //! bytes, oversized length prefixes) always yields a **typed error**, never
 //! a panic and never a partial read that decodes to a different frame.
 
+use hdmm_core::codec::{self, Reader};
 use hdmm_linalg::{Matrix, StructuredMatrix};
 use hdmm_net::{
     decode_frame, decode_frame_ext, encode_frame, encode_frame_ext, read_frame, write_frame,
-    ErrorCode, Frame, TraceExt, WireSpan, MAX_FRAME_BYTES,
+    ErrorCode, FactorKey, Frame, TraceExt, WireSpan, MAX_FRAME_BYTES,
 };
 use proptest::prelude::*;
 
@@ -63,10 +64,11 @@ fn frame_from(which: usize, n: usize, len: usize, seed: u64, kinds: &[usize]) ->
             values: values_from(seed, len),
         },
         4 => Frame::Error {
-            code: match seed % 3 {
+            code: match seed % 4 {
                 0 => ErrorCode::Internal,
                 1 => ErrorCode::UnknownSlab,
-                _ => ErrorCode::BadTask,
+                2 => ErrorCode::BadTask,
+                _ => ErrorCode::UnknownFactors,
             },
             message: format!("err-{seed}: ünïcode ok"),
         },
@@ -81,13 +83,30 @@ fn frame_from(which: usize, n: usize, len: usize, seed: u64, kinds: &[usize]) ->
             shard: seed % 16,
             factors,
         },
-        _ => Frame::Apply {
+        7 => Frame::Apply {
             transpose: seed.is_multiple_of(2),
             factors,
             payload: values_from(seed, len),
         },
+        8 => Frame::LoadFactors {
+            key: FactorKey::of(&factors),
+            factors,
+        },
+        9 => Frame::SlabForwardKeyed {
+            dataset: format!("ds-{}", seed % 5),
+            shard: seed % 16,
+            key: FactorKey::of(&factors),
+        },
+        _ => Frame::ApplyKeyed {
+            transpose: seed.is_multiple_of(2),
+            key: FactorKey::of(&factors),
+            payload: values_from(seed, len),
+        },
     }
 }
+
+/// Number of frame kinds [`frame_from`] can build.
+const KINDS: usize = 11;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -96,7 +115,7 @@ proptest! {
     /// codec and through the length-prefixed stream.
     #[test]
     fn every_frame_kind_round_trips_bit_exactly(
-        which in 0usize..8,
+        which in 0usize..KINDS,
         n in 1usize..6,
         len in 0usize..40,
         seed in 0u64..10_000,
@@ -118,7 +137,7 @@ proptest! {
     /// a panic, and never a shorter frame that happens to decode.
     #[test]
     fn truncated_frames_are_typed_errors(
-        which in 0usize..8,
+        which in 0usize..KINDS,
         n in 1usize..5,
         len in 0usize..20,
         seed in 0u64..10_000,
@@ -151,7 +170,7 @@ proptest! {
     /// so a one-byte change can never collide with the original checksum.
     #[test]
     fn flipped_bytes_never_decode(
-        which in 0usize..8,
+        which in 0usize..KINDS,
         n in 1usize..5,
         len in 0usize..20,
         seed in 0u64..10_000,
@@ -174,7 +193,7 @@ proptest! {
     /// the frame, the trace identity, and every worker-side span.
     #[test]
     fn v2_trace_extension_round_trips_bit_exactly(
-        which in 0usize..8,
+        which in 0usize..KINDS,
         n in 1usize..5,
         len in 0usize..20,
         seed in 0u64..10_000,
@@ -209,7 +228,7 @@ proptest! {
     /// always talk to an old worker's bytes.
     #[test]
     fn v1_bytes_decode_through_the_v2_reader(
-        which in 0usize..8,
+        which in 0usize..KINDS,
         n in 1usize..5,
         len in 0usize..20,
         seed in 0u64..10_000,
@@ -229,7 +248,7 @@ proptest! {
     /// yields the same frame.
     #[test]
     fn untraced_v2_is_byte_identical_v1_and_the_extension_is_pure_metadata(
-        which in 0usize..8,
+        which in 0usize..KINDS,
         n in 1usize..5,
         len in 0usize..20,
         seed in 0u64..10_000,
@@ -247,6 +266,74 @@ proptest! {
         );
     }
 
+    /// The codec's bulk `f64` paths write and accept byte-for-byte what one
+    /// `put_f64` / `Reader::f64` per element does — NaN payloads, negative
+    /// zero, and infinities included — so plan-store files, WAL records and
+    /// frames written element-wise by earlier builds still open, and
+    /// everything written now opens there.
+    #[test]
+    fn bulk_f64_runs_match_the_element_wise_reference_byte_for_byte(
+        bits in proptest::collection::vec(0u64..u64::MAX, 48),
+        specials in proptest::collection::vec(0usize..6, 48),
+        len in 0usize..48,
+        rows in 0usize..7,
+    ) {
+        const SPECIAL: [u64; 5] = [
+            0x8000_0000_0000_0000, // -0.0
+            0x7ff8_0000_0000_0001, // quiet NaN with a payload
+            0x7ff0_0000_dead_beef, // signalling NaN with a payload
+            0x7ff0_0000_0000_0000, // +inf
+            0xfff0_0000_0000_0000, // -inf
+        ];
+        let values: Vec<f64> = bits
+            .iter()
+            .zip(&specials)
+            .take(len)
+            .map(|(&b, &s)| f64::from_bits(SPECIAL.get(s).copied().unwrap_or(b)))
+            .collect();
+
+        let mut bulk = Vec::new();
+        codec::put_f64s(&mut bulk, &values);
+        let reference = reference_f64s(&values);
+        prop_assert_eq!(&bulk, &reference);
+        let mut r = Reader::new(&reference);
+        let back = r.f64s().expect("reference bytes decode");
+        r.expect_end().expect("fully consumed");
+        prop_assert_eq!(
+            back.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            values.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+
+        // Same for a dense matrix over the same cells.
+        let cols = values.len().checked_div(rows).unwrap_or(0);
+        let cells = &values[..rows * cols];
+        let m = Matrix::from_vec(rows, cols, cells.to_vec());
+        let mut bulk = Vec::new();
+        codec::put_matrix(&mut bulk, &m);
+        let mut reference = Vec::new();
+        codec::put_usize(&mut reference, rows);
+        codec::put_usize(&mut reference, cols);
+        for &v in cells {
+            codec::put_f64(&mut reference, v);
+        }
+        prop_assert_eq!(&bulk, &reference);
+        let mut r = Reader::new(&reference);
+        let back = r.matrix().expect("reference bytes decode");
+        r.expect_end().expect("fully consumed");
+        prop_assert_eq!(back.shape(), (rows, cols));
+        prop_assert_eq!(
+            back.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            cells.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+
+        // A run cut short is Truncated, exactly as the element loop was.
+        if !values.is_empty() {
+            let full = reference_f64s(&values);
+            let cut = &full[..full.len() - 3];
+            prop_assert!(Reader::new(cut).f64s().is_err());
+        }
+    }
+
     /// Oversized length prefixes are rejected before any allocation.
     #[test]
     fn oversized_length_prefixes_are_rejected(excess in 1u64..1_000_000) {
@@ -260,6 +347,15 @@ proptest! {
             "length {bad_len} must be rejected before allocation"
         );
     }
+}
+
+fn reference_f64s(values: &[f64]) -> Vec<u8> {
+    let mut out = Vec::new();
+    codec::put_usize(&mut out, values.len());
+    for &v in values {
+        codec::put_f64(&mut out, v);
+    }
+    out
 }
 
 /// Response-vs-request confusion and garbage magic are typed, not panics.

@@ -4,6 +4,11 @@
 //! worker counts {1, 2, 3} and across strategy families — and a worker
 //! killed mid-MEASURE must never fail a request: tasks retry and reassign to
 //! survivors, with the failure visible in `Engine::metrics()`.
+//!
+//! ISSUE 12 adds the residency contract: trailing-factor lists live on the
+//! workers under content keys, ship to each link exactly once in steady
+//! state, never alias across plans, and come back after a worker restart
+//! through the typed `UnknownFactors` → re-push choreography.
 
 use hdmm::core::{builders, Domain, QueryEngine, Workload};
 use hdmm::engine::{Engine, EngineOptions, RemoteOptions, RetryPolicy};
@@ -260,4 +265,167 @@ fn connect_worker_at_runtime_requires_a_transport_and_a_live_worker() {
         local_only.connect_worker("127.0.0.1:1"),
         Err(hdmm::EngineError::WorkerUnavailable { .. })
     ));
+}
+
+/// A fresh worker on the address of a killed one: same port, nothing loaded.
+/// The old listener closes within one accept poll of the kill, so the bind
+/// is retried briefly.
+fn respawn(addr: std::net::SocketAddr) -> WorkerHandle {
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        match spawn_worker(addr, WorkerOptions::default()) {
+            Ok(w) => return w,
+            Err(_) if std::time::Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Err(e) => panic!("could not rebind {addr}: {e}"),
+        }
+    }
+}
+
+fn prefix_product(domain: &Domain) -> Workload {
+    Workload::product(
+        domain.clone(),
+        domain
+            .sizes()
+            .iter()
+            .map(|&n| hdmm::workload::blocks::prefix_block(n))
+            .collect(),
+    )
+}
+
+#[test]
+fn restarted_worker_gets_its_factors_back_without_a_fallback() {
+    let domain = Domain::new(&[64, 32, 32]);
+    let w = prefix_product(&domain);
+    let dense = dense_answers(17, "respawn", &domain, &w);
+
+    // One worker, so the replacement must serve the second request itself:
+    // the coordinator still believes slabs and factors are resident there,
+    // and only the worker's typed UnknownSlab / UnknownFactors can say
+    // otherwise.
+    let (mut handles, remote) = spawn_workers(&[Duration::ZERO]);
+    let engine = engine_with(17, "respawn", Some(remote));
+    engine
+        .register_dataset_sharded("d", domain.clone(), data(domain.size()), 3, 1e6)
+        .unwrap();
+    let first = engine.serve("d", &w, 1.0).unwrap().answers;
+    assert!(bits_eq(&dense.0, &first));
+    let before = engine.metrics().remote.expect("pool health");
+    assert_eq!(before.factor_misses, 0);
+
+    let addr = handles[0].addr();
+    handles[0].kill();
+    handles[0] = respawn(addr);
+    assert_eq!(handles[0].factor_list_count(), 0);
+
+    let second = engine.serve("d", &w, 0.5).unwrap().answers;
+    assert!(
+        bits_eq(&dense.1, &second),
+        "answers through a restarted worker must still match dense"
+    );
+    let m = engine.metrics();
+    assert_eq!(
+        m.telemetry.remote_fallbacks, 0,
+        "a restart is recovered on the wire, not by serving locally"
+    );
+    let pool = m.remote.expect("pool health");
+    assert!(
+        pool.factor_misses >= 1,
+        "the restarted worker must have answered UnknownFactors: {pool}"
+    );
+    assert!(
+        pool.workers[0].factor_pushes > before.workers[0].factor_pushes,
+        "and been sent the factors again: {pool}"
+    );
+    assert!(handles[0].factor_list_count() >= 1);
+}
+
+#[test]
+fn plans_with_different_trailing_factors_never_share_a_key() {
+    use hdmm::linalg::StructuredMatrix;
+    use hdmm::mechanism::{PreparedReconstruct, Strategy};
+    use hdmm_net::OperandKeys;
+
+    // Same shapes, same leading factor; only the trailing factors differ.
+    let plan = |scale: f64| {
+        let s = Strategy::kron(vec![
+            StructuredMatrix::prefix(8),
+            StructuredMatrix::prefix(4).scaled(scale),
+        ]);
+        let prepared = PreparedReconstruct::new(&s);
+        OperandKeys::new(&s, &prepared)
+    };
+    let (a, b) = (plan(0.25), plan(0.5));
+    for ka in a.keys() {
+        assert!(b.keys().all(|kb| kb != ka), "plans alias on {ka:?}");
+    }
+    assert_eq!(a, plan(0.25), "keys are a pure function of the plan");
+
+    // And on the wire: two plans over one dataset, served alternately
+    // through the same workers, each keep computing with their own factors.
+    let domain = Domain::new(&[64, 32, 32]);
+    let (wa, wb) = (
+        prefix_product(&domain),
+        builders::upto_kway_marginals(&domain, 2),
+    );
+    let serve_both = |engine: &Engine| -> Vec<Vec<f64>> {
+        [&wa, &wb, &wa, &wb]
+            .iter()
+            .map(|w| engine.serve("d", w, 0.5).unwrap().answers)
+            .collect()
+    };
+    let dense_engine = engine_with(19, "two-plans", None);
+    dense_engine
+        .register_dataset("d", domain.clone(), data(domain.size()), 1e6)
+        .unwrap();
+    let dense = serve_both(&dense_engine);
+    let (handles, remote) = spawn_workers(&[Duration::ZERO, Duration::ZERO]);
+    let engine = engine_with(19, "two-plans", Some(remote));
+    engine
+        .register_dataset_sharded("d", domain.clone(), data(domain.size()), 3, 1e6)
+        .unwrap();
+    let got = serve_both(&engine);
+    for (i, (d, g)) in dense.iter().zip(&got).enumerate() {
+        assert!(bits_eq(d, g), "request {i} diverges from dense");
+    }
+    assert_eq!(engine.metrics().telemetry.remote_fallbacks, 0);
+    assert!(
+        handles.iter().all(|h| h.factor_list_count() >= 2),
+        "each worker holds both plans' lists side by side"
+    );
+}
+
+#[test]
+fn steady_state_ships_each_factor_list_to_each_link_exactly_once() {
+    let domain = Domain::new(&[64, 32, 32]);
+    let w = prefix_product(&domain);
+    let (handles, remote) = spawn_workers(&[Duration::ZERO, Duration::ZERO]);
+    let engine = engine_with(23, "once", Some(remote));
+    engine
+        .register_dataset_sharded("d", domain.clone(), data(domain.size()), 3, 1e6)
+        .unwrap();
+    engine.serve("d", &w, 0.5).unwrap();
+    let warm = engine.metrics().remote.expect("pool health");
+    for (link, worker) in warm.workers.iter().zip(&handles) {
+        assert!(link.factor_pushes >= 1, "the first request pushes: {warm}");
+        assert_eq!(
+            link.factor_pushes as usize,
+            worker.factor_list_count(),
+            "one push per list the worker holds: {warm}"
+        );
+    }
+    for _ in 0..4 {
+        engine.serve("d", &w, 0.5).unwrap();
+    }
+    let steady = engine.metrics().remote.expect("pool health");
+    assert_eq!(steady.factor_misses, 0);
+    for (before, after) in warm.workers.iter().zip(&steady.workers) {
+        assert_eq!(
+            before.factor_pushes, after.factor_pushes,
+            "warm requests re-ship no factors: {steady}"
+        );
+        assert!(after.tasks > before.tasks && after.bytes_sent > before.bytes_sent);
+        assert!(after.bytes_received > before.bytes_received);
+    }
 }

@@ -209,3 +209,57 @@ fn acceptance_grid_non_divisible_axes() {
         );
     }
 }
+
+/// The prepared sharded pipeline hands MEASURE the marginals algebra cached
+/// in `PreparedReconstruct` instead of rebuilding it per request (ISSUE 12):
+/// the algebra is a pure function of the domain, so measurements, estimate
+/// and answers must keep the plain pipeline's bits at every shard count.
+#[test]
+fn cached_marginals_algebra_measures_bitwise_like_a_fresh_one() {
+    use hdmm::mechanism::{
+        try_run_mechanism, try_run_mechanism_sharded_prepared_observed, MarginalsStrategy,
+        PreparedReconstruct,
+    };
+    let domain = Domain::new(&[6, 3, 2]);
+    let w = builders::upto_kway_marginals(&domain, 2);
+    // Zero weights exercise the skipped-marginal bookkeeping too.
+    let theta = vec![0.0, 0.2, 0.0, 0.1, 0.3, 0.0, 0.1, 0.3];
+    let strategy = Strategy::Marginals(MarginalsStrategy::new(domain.clone(), theta));
+    let prepared = PreparedReconstruct::new(&strategy);
+    assert!(prepared.marginals_algebra().is_some());
+    let x: Vec<f64> = (0..domain.size()).map(|i| ((i * 5) % 11) as f64).collect();
+    let plain =
+        try_run_mechanism(&w, &strategy, &x, 1.0, 1.0, &mut StdRng::seed_from_u64(5)).unwrap();
+    for shards in [1usize, 2, 4, 6] {
+        let stride = domain.size() / 6;
+        let slabs: Vec<DataSlab<'_>> = hdmm::linalg::partition_rows(6, shards)
+            .into_iter()
+            .map(|r| DataSlab {
+                rows: r.clone(),
+                values: &x[r.start * stride..r.end * stride],
+            })
+            .collect();
+        let view = ShardedView::new(6, slabs);
+        for exec in [
+            &SerialExecutor as &dyn ShardExecutor,
+            &ScopedExecutor::new(4),
+        ] {
+            let got = try_run_mechanism_sharded_prepared_observed(
+                &w,
+                &strategy,
+                &prepared,
+                &view,
+                1.0,
+                1.0,
+                &mut StdRng::seed_from_u64(5),
+                exec,
+                &NoopObserver,
+            )
+            .unwrap();
+            assert!(
+                bits_eq(&plain.x_hat, &got.x_hat) && bits_eq(&plain.answers, &got.answers),
+                "shards={shards}: cached-algebra pipeline diverges from plain"
+            );
+        }
+    }
+}

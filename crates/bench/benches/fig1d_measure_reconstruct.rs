@@ -7,7 +7,9 @@
 //! Default sweep to N = 10⁶; `HDMM_LARGE=1` extends to N ≈ 10⁸.
 
 use hdmm_bench::{large_runs, print_table, timed};
-use hdmm_mechanism::{measure, reconstruct, MarginalsStrategy, Strategy, UnionGroup};
+use hdmm_mechanism::{
+    measure, reconstruct_with, MarginalsStrategy, PreparedReconstruct, Strategy, UnionGroup,
+};
 use hdmm_workload::{blocks, Domain};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,7 +44,7 @@ fn main() {
         let kron = Strategy::kron(vec![factor(n), factor(n), factor(n)]);
         let (_, kron_secs) = timed(|| {
             let m = measure(&kron, &x, 1.0, &mut rng);
-            reconstruct(&kron, &m)
+            reconstruct_with(&PreparedReconstruct::new(&kron), &kron, &m)
         });
 
         // OPT_+-style union strategy (two groups → LSMR inference).
@@ -56,7 +58,7 @@ fn main() {
         ]);
         let (_, union_secs) = timed(|| {
             let m = measure(&union, &x, 1.0, &mut rng);
-            reconstruct(&union, &m)
+            reconstruct_with(&PreparedReconstruct::new(&union), &union, &m)
         });
 
         // OPT_M-style marginals strategy (all 1- and 0-way + full).
@@ -69,7 +71,7 @@ fn main() {
         let marg = Strategy::Marginals(MarginalsStrategy::new(domain.clone(), theta));
         let (_, marg_secs) = timed(|| {
             let m = measure(&marg, &x, 1.0, &mut rng);
-            reconstruct(&marg, &m)
+            reconstruct_with(&PreparedReconstruct::new(&marg), &marg, &m)
         });
 
         rows.push(vec![

@@ -1,11 +1,11 @@
 //! Remote fan-out microbenchmarks: loopback worker-count sweep mirroring
 //! `micro_sharded`, with the shard tasks crossing a real TCP hop.
 //!
-//! `remote_measure/W` times the remote MEASURE → RECONSTRUCT pipeline
-//! (`try_run_mechanism_remote_traced`, the same path the engine's serving
-//! loop takes for sharded datasets with a transport configured, with the
-//! per-plan `PreparedReconstruct` and `OperandKeys` built once outside the
-//! loop as the engine's cache does) against a pool of W in-process
+//! `remote_measure/W` times the mechanism pipeline over the RPC kernels
+//! (`MechanismRequest::run` over `RpcKernels`, the same path the engine's
+//! serving loop takes for sharded datasets with a transport configured, with
+//! the per-plan `PreparedReconstruct` and `OperandKeys` built once outside
+//! the loop as the engine's cache does) against a pool of W in-process
 //! `spawn_worker` loopback workers on a 2¹⁸-cell domain. Slabs are
 //! preloaded and factor lists become worker-resident on the first
 //! iteration, so iterations measure task fan-out — wire encode, TCP round
@@ -25,11 +25,13 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hdmm_core::{builders, Domain, Plan, QueryEngine, WorkloadGrams};
 use hdmm_engine::{Engine, EngineOptions, PlanStore};
-use hdmm_linalg::{partition_rows, StructuredMatrix};
-use hdmm_mechanism::{DataSlab, NoopObserver, PreparedReconstruct, ShardedView, Strategy};
+use hdmm_linalg::StructuredMatrix;
+use hdmm_mechanism::{
+    LocalKernels, MechanismRequest, NoopObserver, PreparedReconstruct, ScopedExecutor, ShardedView,
+    Strategy,
+};
 use hdmm_net::{
-    spawn_worker, try_run_mechanism_remote_traced, OperandKeys, RemoteExecutor, RemoteOptions,
-    RetryPolicy, WorkerHandle, WorkerOptions,
+    spawn_worker, OperandKeys, RemoteOptions, RetryPolicy, RpcKernels, WorkerHandle, WorkerOptions,
 };
 use hdmm_obs::NoopSpanSink;
 use hdmm_optimizer::{HdmmOptions, Selected};
@@ -44,18 +46,6 @@ fn data(n: usize) -> Vec<f64> {
     (0..n).map(|i| ((i * 7) % 13) as f64).collect()
 }
 
-fn view_of(x: &[f64], leading: usize, shards: usize) -> ShardedView<'_> {
-    let stride = x.len() / leading;
-    let slabs = partition_rows(leading, shards)
-        .into_iter()
-        .map(|r| DataSlab {
-            rows: r.clone(),
-            values: &x[r.start * stride..r.end * stride],
-        })
-        .collect();
-    ShardedView::new(leading, slabs)
-}
-
 fn spawn_pool(workers: usize) -> (Vec<WorkerHandle>, RemoteOptions) {
     let handles: Vec<WorkerHandle> = (0..workers)
         .map(|_| spawn_worker("127.0.0.1:0", WorkerOptions::default()).expect("loopback bind"))
@@ -66,7 +56,6 @@ fn spawn_pool(workers: usize) -> (Vec<WorkerHandle>, RemoteOptions) {
             task_timeout: Duration::from_secs(30),
             ..Default::default()
         },
-        local_threads: SHARDS,
     };
     (handles, opts)
 }
@@ -89,34 +78,44 @@ fn bench_remote_measure(c: &mut Criterion) {
     let prepared = PreparedReconstruct::new(&strategy);
     let keys = OperandKeys::new(&strategy, &prepared);
     let x = data(n1 * n2);
-    let view = view_of(&x, n1, SHARDS);
+    let view = ShardedView::partitioned(n1, &x, SHARDS);
+    let lanes = ScopedExecutor::new(SHARDS);
     for &workers in &WORKER_SWEEP {
         let (_handles, opts) = spawn_pool(workers);
-        let exec = RemoteExecutor::connect(&opts);
-        exec.preload("bench", &view).expect("loopback preload");
+        let pool = opts.connect();
+        for (shard, slab) in view.slabs.iter().enumerate() {
+            let rows = (slab.rows.start as u64, slab.rows.end as u64);
+            pool.load_slab("bench", shard as u64, rows, slab.values)
+                .expect("loopback preload");
+        }
         group.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, _| {
             let mut rng = StdRng::seed_from_u64(0);
             b.iter(|| {
-                criterion::black_box(try_run_mechanism_remote_traced(
-                    &workload,
-                    &strategy,
-                    &prepared,
-                    &keys,
-                    "bench",
-                    &view,
-                    1.0,
-                    f64::INFINITY,
-                    &mut rng,
-                    &exec,
-                    &NoopObserver,
-                    &NoopSpanSink,
-                ))
-                .expect("healthy pool")
+                let request = MechanismRequest {
+                    workload: &workload,
+                    strategy: &strategy,
+                    prepared: &prepared,
+                    eps: 1.0,
+                    remaining: f64::INFINITY,
+                };
+                let kernels = RpcKernels {
+                    pool: &pool,
+                    dataset: "bench",
+                    keys: &keys,
+                    local: LocalKernels {
+                        view: &view,
+                        exec: &lanes,
+                        observer: &NoopObserver,
+                    },
+                    sink: &NoopSpanSink,
+                };
+                criterion::black_box(request.run(&mut rng, &kernels, &NoopObserver))
+                    .expect("healthy pool")
             });
         });
-        let pool = exec.health();
-        eprintln!("remote_measure/{workers}: {pool}");
-        assert_eq!(pool.retries, 0, "loopback pool must not need retries");
+        let health = pool.health();
+        eprintln!("remote_measure/{workers}: {health}");
+        assert_eq!(health.retries, 0, "loopback pool must not need retries");
     }
     group.finish();
 }

@@ -1,9 +1,9 @@
 //! Sharded-domain microbenchmarks: MEASURE throughput vs. shard count on
 //! 2-D domains of ≥ 2²⁰ cells.
 //!
-//! `sharded_measure/K` times the sharded MEASURE kernel (the same
-//! `measure_sharded` + `ScopedExecutor` fan-out the engine's serving path
-//! uses) on a marginal-ranges union strategy over a 1024×1024 domain,
+//! `sharded_measure/K` times MEASURE over the slab fan-out (the same
+//! `measure_on` over `LocalKernels` + `ScopedExecutor` the engine's serving
+//! path uses) on a marginal-ranges union strategy over a 1024×1024 domain,
 //! sweeping the shard count. The work is constant across K and the outputs
 //! are byte-identical for every K (the pipeline never reassociates a sum),
 //! so wall clock falling with K is pure fan-out win: the trailing-mode
@@ -24,9 +24,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hdmm_core::{builders, Domain, Plan, WorkloadGrams};
 use hdmm_engine::{Engine, EngineOptions, EngineServer, PlanStore, ServerOptions};
-use hdmm_linalg::{partition_rows, StructuredMatrix};
+use hdmm_linalg::StructuredMatrix;
 use hdmm_mechanism::{
-    measure_sharded, DataSlab, NoopObserver, ScopedExecutor, ShardedView, Strategy, UnionGroup,
+    measure_on, LocalKernels, NoopObserver, ScopedExecutor, ShardedView, Strategy, UnionGroup,
 };
 use hdmm_optimizer::{HdmmOptions, Selected};
 use rand::rngs::StdRng;
@@ -37,18 +37,6 @@ const SHARD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 fn data(n: usize) -> Vec<f64> {
     (0..n).map(|i| ((i * 7) % 13) as f64).collect()
-}
-
-fn view_of(x: &[f64], leading: usize, shards: usize) -> ShardedView<'_> {
-    let stride = x.len() / leading;
-    let slabs = partition_rows(leading, shards)
-        .into_iter()
-        .map(|r| DataSlab {
-            rows: r.clone(),
-            values: &x[r.start * stride..r.end * stride],
-        })
-        .collect();
-    ShardedView::new(leading, slabs)
 }
 
 /// The marginal-ranges union strategy shape `OPT_+` produces for
@@ -84,19 +72,17 @@ fn bench_sharded_measure(c: &mut Criterion) {
     let x = data(n1 * n2);
     let strategy = union_strategy(n1, n2);
     for &shards in &SHARD_SWEEP {
-        let view = view_of(&x, n1, shards);
+        let view = ShardedView::partitioned(n1, &x, shards);
         let exec = ScopedExecutor::new(shards);
         group.bench_with_input(BenchmarkId::from_parameter(shards), &shards, |b, _| {
             let mut rng = StdRng::seed_from_u64(0);
             b.iter(|| {
-                criterion::black_box(measure_sharded(
-                    &strategy,
-                    &view,
-                    1.0,
-                    &mut rng,
-                    &exec,
-                    &NoopObserver,
-                ))
+                let kernels = LocalKernels {
+                    view: &view,
+                    exec: &exec,
+                    observer: &NoopObserver,
+                };
+                criterion::black_box(measure_on(&strategy, None, 1.0, &mut rng, &kernels))
             });
         });
     }

@@ -43,15 +43,8 @@ pub trait DataBackend: Send + Sync {
     /// The contiguous cells of slab `s`.
     fn shard_values(&self, s: usize) -> &[f64];
 
-    /// The whole vector when it is stored contiguously — the dense fast path
-    /// that bypasses the fan-out pipeline entirely.
-    fn as_contiguous(&self) -> Option<&[f64]>;
-
     /// Materializes the full vector (ordered slab concatenation).
     fn to_dense(&self) -> Vec<f64> {
-        if let Some(x) = self.as_contiguous() {
-            return x.to_vec();
-        }
         let mut out = Vec::with_capacity(self.len());
         for s in 0..self.shard_count() {
             out.extend_from_slice(self.shard_values(s));
@@ -102,10 +95,6 @@ impl DataBackend for DenseVector {
     fn shard_values(&self, s: usize) -> &[f64] {
         assert_eq!(s, 0, "dense backend has a single slab");
         &self.x
-    }
-
-    fn as_contiguous(&self) -> Option<&[f64]> {
-        Some(&self.x)
     }
 }
 
@@ -203,14 +192,6 @@ impl DataBackend for ShardedDataVector {
     fn shard_values(&self, s: usize) -> &[f64] {
         &self.slabs[s]
     }
-
-    fn as_contiguous(&self) -> Option<&[f64]> {
-        if self.slabs.len() == 1 {
-            Some(&self.slabs[0])
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
@@ -232,7 +213,7 @@ mod tests {
         assert_eq!(d.leading_len(), 7);
         assert_eq!(d.shard_count(), 1);
         assert_eq!(d.shard_rows(0), 0..7);
-        assert_eq!(d.as_contiguous().unwrap(), &cells()[..]);
+        assert_eq!(d.shard_values(0), &cells()[..]);
         assert_eq!(d.to_dense(), cells());
     }
 
@@ -245,7 +226,6 @@ mod tests {
         assert_eq!(s.shard_rows(1), 3..5);
         assert_eq!(s.shard_rows(2), 5..7);
         assert_eq!(s.shard_values(0), &cells()[0..9]);
-        assert!(s.as_contiguous().is_none());
         assert_eq!(s.to_dense(), cells());
     }
 
@@ -255,7 +235,7 @@ mod tests {
         assert_eq!(s.shard_count(), 7, "one slab per leading row at most");
         let one = ShardedDataVector::partition(&domain(), cells(), 0);
         assert_eq!(one.shard_count(), 1);
-        assert_eq!(one.as_contiguous().unwrap(), &cells()[..]);
+        assert_eq!(one.shard_values(0), &cells()[..]);
     }
 
     #[test]

@@ -174,6 +174,11 @@ impl EngineError {
             MechanismError::DataVectorMismatch { expected, got } => {
                 EngineError::DataVectorMismatch { expected, got }
             }
+            // A serving layer memoizes per-plan state next to the plan, so
+            // this is a broken cache invariant, not a caller mistake.
+            MechanismError::PlanMismatch => EngineError::StatePoisoned {
+                what: err.to_string(),
+            },
         }
     }
 }
@@ -230,7 +235,7 @@ pub struct QueryResponse {
     pub operator: &'static str,
     /// Closed-form expected total squared error at the spent ε (Definition 7).
     pub expected_error: f64,
-    /// How many data shards the measurement fanned out over (1 = dense path).
+    /// How many data shards the measurement fanned out over (1 = one slab, served by the plain kernels).
     pub shards: usize,
     /// Trace id of the request (deterministic under the engine seed; 0 when
     /// the serving engine does not trace). Look up the request's span tree

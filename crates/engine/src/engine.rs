@@ -37,10 +37,10 @@ use hdmm_core::{
     WorkloadFingerprint, WorkloadGrams,
 };
 use hdmm_mechanism::{
-    try_run_mechanism_prepared_observed, try_run_mechanism_sharded_prepared_observed, DataSlab,
-    PhaseObserver, ScopedExecutor, ShardedView,
+    DataSlab, LocalKernels, MechanismError, MechanismRequest, PhaseObserver, PipelineError,
+    ScopedExecutor, ShardedView,
 };
-use hdmm_net::{try_run_mechanism_remote_traced, RemoteError, RemoteExecutor, RemoteOptions};
+use hdmm_net::{RemoteOptions, RpcKernels, WorkerPool};
 use hdmm_obs::trace::dur_ns;
 use hdmm_obs::{AuditKind, AuditLog, Span, SpanCollector, SpanSink, TraceContext};
 use hdmm_optimizer::planner::{optimize_with_choice_observed, select_optimizer, OptimizerChoice};
@@ -266,7 +266,7 @@ pub struct Engine {
     sessions: SessionStore,
     telemetry: Telemetry,
     shard_exec: ScopedExecutor,
-    remote: Option<RemoteExecutor>,
+    remote: Option<WorkerPool>,
     next_session: AtomicU64,
     collector: SpanCollector,
     audit: AuditLog,
@@ -381,7 +381,7 @@ impl Engine {
             sessions: SessionStore::new(options.session_capacity),
             telemetry,
             shard_exec: ScopedExecutor::new(options.shard_workers),
-            remote: options.remote.as_ref().map(RemoteExecutor::connect),
+            remote: options.remote.as_ref().map(RemoteOptions::connect),
             collector: SpanCollector::new(options.trace_capacity),
             audit: AuditLog::new(options.audit_capacity),
             options,
@@ -564,16 +564,17 @@ impl Engine {
         // shape) never overwrites a live dataset's slabs on the workers.
         // Best-effort: `run_slab_task` re-pushes on demand, so a failure here
         // (worker down, pool empty) costs first-request latency only.
-        if let Some(remote) = &self.remote {
-            if data.as_contiguous().is_none() {
-                let slabs: Vec<DataSlab<'_>> = (0..data.shard_count())
-                    .map(|s| DataSlab {
-                        rows: data.shard_rows(s),
-                        values: data.shard_values(s),
-                    })
-                    .collect();
-                let view = ShardedView::new(data.leading_len(), slabs);
-                let _ = remote.preload(&name, &view);
+        if let Some(pool) = &self.remote {
+            if data.shard_count() > 1 {
+                let _ = (0..data.shard_count()).try_for_each(|s| {
+                    let rows = data.shard_rows(s);
+                    pool.load_slab(
+                        &name,
+                        s as u64,
+                        (rows.start as u64, rows.end as u64),
+                        data.shard_values(s),
+                    )
+                });
             }
         }
         Ok(())
@@ -887,7 +888,7 @@ impl Engine {
                 audit_events: self.audit.emitted(),
                 audit_subscriber_drops: self.audit.subscriber_drops(),
             },
-            remote: self.remote.as_ref().map(RemoteExecutor::health),
+            remote: self.remote.as_ref().map(WorkerPool::health),
             wal: self.wal.as_ref().map(Wal::metrics),
         }
     }
@@ -973,22 +974,24 @@ impl Engine {
         };
         let counter = self.next_trace.fetch_add(1, Ordering::Relaxed);
         let ctx = TraceContext::derive(self.options.seed, counter);
-        let tracer = RequestTracer::new(ctx, &self.collector, &self.telemetry);
+        // Stride 0 disables sampling entirely (the guard also keeps
+        // `is_multiple_of(0)` from sampling request 0). Decided up front: a
+        // request that can neither be sampled nor be slow buffers no spans.
+        let sampled =
+            self.options.trace_sample != 0 && counter.is_multiple_of(self.options.trace_sample);
+        let slow_threshold = self.options.slow_query_threshold;
+        let tracer = RequestTracer::new(
+            ctx,
+            &self.collector,
+            &self.telemetry,
+            sampled || slow_threshold.is_some(),
+        );
         if let Some(at) = enqueued {
             tracer.record_queue(at);
         }
         let result = self.serve_inner(dataset, workload, eps, &tracer);
         record.outcome = Some(result.is_ok());
-        // Stride 0 disables sampling entirely (the guard also keeps
-        // `is_multiple_of(0)` from sampling request 0).
-        let sampled =
-            self.options.trace_sample != 0 && counter.is_multiple_of(self.options.trace_sample);
-        let slow = tracer.finish(
-            dataset,
-            result.is_ok(),
-            sampled,
-            self.options.slow_query_threshold,
-        );
+        let slow = tracer.finish(dataset, result.is_ok(), sampled, slow_threshold);
         if slow {
             self.telemetry.record_slow_query();
         }
@@ -1155,73 +1158,59 @@ impl Engine {
 
         // MEASURE + RECONSTRUCT + answer, lock-free: the data is immutable
         // and the reservation already guaranteed the budget. `remaining =
-        // eps` keeps the mechanism's own validation consistent with the
-        // reservation. A single-slab backend takes the dense path; sharded
-        // backends fan out per slab — with byte-identical results, so the
-        // branch is a performance decision only.
-        let result = match handle.data.as_contiguous() {
-            Some(x) => try_run_mechanism_prepared_observed(
-                workload,
-                plan.strategy(),
-                &prepared,
-                x,
-                eps,
-                eps,
-                &mut rng,
-                tracer,
-            ),
-            None => {
-                let slabs: Vec<DataSlab<'_>> = (0..handle.data.shard_count())
-                    .map(|s| DataSlab {
-                        rows: handle.data.shard_rows(s),
-                        values: handle.data.shard_values(s),
-                    })
-                    .collect();
-                let view = ShardedView::new(handle.data.leading_len(), slabs);
-                let local = |rng: &mut StdRng| {
-                    try_run_mechanism_sharded_prepared_observed(
-                        workload,
-                        plan.strategy(),
-                        &prepared,
-                        &view,
-                        eps,
-                        eps,
-                        rng,
-                        &self.shard_exec,
-                        tracer,
-                    )
+        // eps` keeps the pipeline's own validation consistent with the
+        // reservation. Every backend goes through the one pipeline over its
+        // slab view — a dense vector is the one-slab case — and the kernels
+        // only decide where the slab tasks run, never the answer bytes.
+        let data = handle.data.as_ref();
+        let slabs = (0..data.shard_count())
+            .map(|s| DataSlab {
+                rows: data.shard_rows(s),
+                values: data.shard_values(s),
+            })
+            .collect();
+        let view = ShardedView::new(data.leading_len(), slabs);
+        let request = MechanismRequest {
+            workload,
+            strategy: plan.strategy(),
+            prepared: &prepared,
+            eps,
+            remaining: eps,
+        };
+        let local = LocalKernels {
+            view: &view,
+            exec: &self.shard_exec,
+            observer: tracer,
+        };
+        let run_local = |rng: &mut StdRng| {
+            request
+                .run(rng, &local, tracer)
+                .map_err(MechanismError::from)
+        };
+        let result = match &self.remote {
+            Some(pool) if view.shard_count() > 1 => {
+                let rpc = RpcKernels {
+                    pool,
+                    dataset,
+                    keys: &self.cache.operand_keys(&fingerprint, &plan, &prepared),
+                    local: LocalKernels { ..local },
+                    sink: tracer,
                 };
-                match &self.remote {
-                    Some(remote) => match try_run_mechanism_remote_traced(
-                        workload,
-                        plan.strategy(),
-                        &prepared,
-                        &self.cache.operand_keys(&fingerprint, &plan, &prepared),
-                        dataset,
-                        &view,
-                        eps,
-                        eps,
-                        &mut rng,
-                        remote,
-                        tracer,
-                        tracer,
-                    ) {
-                        Ok(r) => Ok(r),
-                        Err(RemoteError::Mechanism(e)) => Err(e),
-                        Err(RemoteError::Net(_)) => {
-                            // No worker could complete the request, even after
-                            // retry and reassignment: serve locally. The RNG
-                            // is reseeded from the request seed, so the local
-                            // rerun redraws the identical noise stream — the
-                            // fallback is invisible in the answer bytes.
-                            self.telemetry.record_remote_fallback();
-                            rng = StdRng::seed_from_u64(req_seed);
-                            local(&mut rng)
-                        }
-                    },
-                    None => local(&mut rng),
+                match request.run(&mut rng, &rpc, tracer) {
+                    Ok(r) => Ok(r),
+                    Err(PipelineError::Rejected(e)) => Err(e),
+                    Err(PipelineError::Kernel(_)) => {
+                        // No worker could complete the request, even after
+                        // retry and reassignment: serve locally. The RNG is
+                        // reseeded from the request seed, so the local rerun
+                        // redraws the identical noise stream — the fallback
+                        // is invisible in the answer bytes.
+                        self.telemetry.record_remote_fallback();
+                        run_local(&mut StdRng::seed_from_u64(req_seed))
+                    }
                 }
             }
+            _ => run_local(&mut rng),
         }
         .map_err(|e| EngineError::from_mechanism(e, dataset))?;
         // Noise was drawn: the ε is genuinely spent, keep the reservation.
@@ -1935,9 +1924,6 @@ mod tests {
             }
             fn shard_values(&self, _s: usize) -> &[f64] {
                 &[0.0; 7]
-            }
-            fn as_contiguous(&self) -> Option<&[f64]> {
-                None
             }
         }
         let engine = quick_engine(0);

@@ -80,7 +80,7 @@ impl Session {
     /// count. The engine routes [`serve_batch_from_session`] here with its
     /// shard-worker executor.
     ///
-    /// [`serve_batch_from_session`]: crate::QueryEngine::serve_batch_from_session
+    /// [`serve_batch_from_session`]: crate::Engine::serve_batch_from_session
     pub fn answer_batch_on(
         &self,
         workloads: &[&Workload],

@@ -361,7 +361,9 @@ pub struct TelemetrySnapshot {
     pub reconstruct: PhaseSnapshot,
     /// Workload answering latency.
     pub answer: PhaseSnapshot,
-    /// Per-shard MEASURE task spans (empty until a sharded dataset serves).
+    /// Per-shard MEASURE task spans. Empty until a dataset of more than one
+    /// slab serves: a one-slab request runs on the plain kernels, which have
+    /// no tasks to report.
     pub shard_measure: Vec<ShardSpanSnapshot>,
     /// Per-shard RECONSTRUCT task spans.
     pub shard_reconstruct: Vec<ShardSpanSnapshot>,

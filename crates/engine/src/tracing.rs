@@ -7,7 +7,8 @@
 //! * [`PhaseObserver`] — the mechanism crates report phase and shard-task
 //!   completions; the tracer forwards every event to the engine's
 //!   [`Telemetry`] histograms (so aggregate metrics are identical with
-//!   tracing on or off) *and* materializes each as a [`Span`];
+//!   tracing on or off) *and*, when buffering, materializes each as a
+//!   [`Span`];
 //! * [`SpanSink`] — `hdmm-net`'s RPC fan-out records per-attempt spans and
 //!   re-based worker-side spans through this trait, parenting them under the
 //!   pre-allocated phase spans via [`SpanSink::parent_for`].
@@ -16,7 +17,12 @@
 //! [`SpanCollector`] only at the end of the request — when the request is
 //! sampled, or when it breached the slow-query threshold (the eager emit
 //! that makes `slow_queries` actionable). An unsampled, fast request never
-//! touches the shared collector at all.
+//! touches the shared collector at all — and whether a request *can* flush
+//! is known before it starts (sampling is a stride over the request
+//! counter), so a request that is unsampled with no slow-query threshold
+//! set does not buffer: no [`Span`] is built for its phase, shard-task, or
+//! RPC events, and [`SpanSink::context`] reports `None` so lower layers skip
+//! their own span bookkeeping too.
 //!
 //! Phase span ids are **pre-allocated** (`queue`=2, `select`=3, `measure`=4,
 //! `reconstruct`=5, `answer`=6, root=1) so children created *during* a phase
@@ -54,14 +60,21 @@ pub(crate) struct RequestTracer<'a> {
     telemetry: &'a Telemetry,
     started: Instant,
     next_id: AtomicU64,
+    /// Whether [`RequestTracer::finish`] could flush: spans are built and
+    /// kept only then. Telemetry is fed either way.
+    buffering: bool,
     spans: Mutex<Vec<Span>>,
 }
 
 impl<'a> RequestTracer<'a> {
+    /// `buffering` must be true whenever [`RequestTracer::finish`] may be
+    /// asked to flush — the request is sampled, or a slow-query threshold is
+    /// set.
     pub(crate) fn new(
         ctx: TraceContext,
         collector: &'a SpanCollector,
         telemetry: &'a Telemetry,
+        buffering: bool,
     ) -> Self {
         RequestTracer {
             ctx,
@@ -69,6 +82,7 @@ impl<'a> RequestTracer<'a> {
             telemetry,
             started: Instant::now(),
             next_id: AtomicU64::new(FIRST_DYNAMIC_SPAN_ID),
+            buffering,
             spans: Mutex::new(Vec::new()),
         }
     }
@@ -80,6 +94,9 @@ impl<'a> RequestTracer<'a> {
     /// Records the queue-wait span of a request that sat on the server's
     /// bounded queue from `enqueued` until now (its serving start).
     pub(crate) fn record_queue(&self, enqueued: Instant) {
+        if !self.buffering {
+            return;
+        }
         let start = self.rel_ns(enqueued);
         let end = self.rel_ns(Instant::now());
         self.record(Span::new(
@@ -95,6 +112,9 @@ impl<'a> RequestTracer<'a> {
     /// Records the SELECT span (cache lookup + optional optimization) that
     /// started at `from`.
     pub(crate) fn record_select(&self, from: Instant, cache_hit: bool) {
+        if !self.buffering {
+            return;
+        }
         let start = self.rel_ns(from);
         let end = self.rel_ns(Instant::now());
         self.record(
@@ -152,6 +172,9 @@ impl PhaseObserver for RequestTracer<'_> {
     fn phase_complete(&self, phase: MechanismPhase, elapsed: Duration) {
         // Telemetry first: histograms stay identical with tracing on or off.
         self.telemetry.phase_complete(phase, elapsed);
+        if !self.buffering {
+            return;
+        }
         let end = self.rel_ns(Instant::now());
         let dur = dur_ns(elapsed);
         self.record(Span::new(
@@ -166,6 +189,9 @@ impl PhaseObserver for RequestTracer<'_> {
 
     fn shard_phase_complete(&self, phase: MechanismPhase, shard: usize, elapsed: Duration) {
         self.telemetry.shard_phase_complete(phase, shard, elapsed);
+        if !self.buffering {
+            return;
+        }
         let end = self.rel_ns(Instant::now());
         let dur = dur_ns(elapsed);
         let lane = shard.to_string();
@@ -186,7 +212,7 @@ impl PhaseObserver for RequestTracer<'_> {
 
 impl SpanSink for RequestTracer<'_> {
     fn context(&self) -> Option<TraceContext> {
-        Some(self.ctx)
+        self.buffering.then_some(self.ctx)
     }
 
     fn next_span_id(&self) -> u64 {
@@ -209,7 +235,9 @@ impl SpanSink for RequestTracer<'_> {
     }
 
     fn record(&self, span: Span) {
-        lock(&self.spans).push(span);
+        if self.buffering {
+            lock(&self.spans).push(span);
+        }
     }
 }
 
@@ -222,7 +250,7 @@ mod tests {
         let collector = SpanCollector::new(64);
         let telemetry = Telemetry::default();
         let ctx = TraceContext::derive(1, 0);
-        let tracer = RequestTracer::new(ctx, &collector, &telemetry);
+        let tracer = RequestTracer::new(ctx, &collector, &telemetry, true);
         tracer.phase_complete(MechanismPhase::Measure, Duration::from_micros(10));
         tracer.shard_phase_complete(MechanismPhase::Measure, 2, Duration::from_micros(4));
         assert!(!tracer.finish("d", true, true, None), "not slow");
@@ -238,10 +266,24 @@ mod tests {
         let collector = SpanCollector::new(64);
         let telemetry = Telemetry::default();
         let ctx = TraceContext::derive(1, 1);
-        let tracer = RequestTracer::new(ctx, &collector, &telemetry);
+        let tracer = RequestTracer::new(ctx, &collector, &telemetry, true);
         tracer.phase_complete(MechanismPhase::Answer, Duration::from_micros(1));
         assert!(!tracer.finish("d", true, false, Some(Duration::from_secs(3600))));
         assert_eq!(collector.collected(), 0);
+
+        // Unsampled with no slow-query threshold: `finish` can never flush,
+        // so nothing is even buffered — but the histograms still count.
+        let tracer = RequestTracer::new(ctx, &collector, &telemetry, false);
+        tracer.record_queue(Instant::now());
+        tracer.record_select(Instant::now(), true);
+        tracer.phase_complete(MechanismPhase::Answer, Duration::from_micros(1));
+        tracer.shard_phase_complete(MechanismPhase::Answer, 0, Duration::from_micros(1));
+        assert!(tracer.context().is_none(), "lower layers skip their spans");
+        tracer.record(Span::new(ctx.trace_id, 9, ROOT_SPAN_ID, "rpc", 0, 1));
+        assert!(lock(&tracer.spans).is_empty(), "nothing was buffered");
+        assert!(!tracer.finish("d", true, false, None));
+        assert_eq!(collector.collected(), 0);
+        assert_eq!(telemetry.snapshot().answer.count, 2);
     }
 
     #[test]
@@ -249,7 +291,7 @@ mod tests {
         let collector = SpanCollector::new(64);
         let telemetry = Telemetry::default();
         let ctx = TraceContext::derive(1, 2);
-        let tracer = RequestTracer::new(ctx, &collector, &telemetry);
+        let tracer = RequestTracer::new(ctx, &collector, &telemetry, true);
         assert!(tracer.finish("d", false, false, Some(Duration::ZERO)));
         let spans = collector.trace(ctx.trace_id);
         assert_eq!(spans.len(), 1);

@@ -12,34 +12,36 @@
 //! * [`error`] — `‖WA⁺‖²_F` for every strategy form, decomposed per
 //!   Theorems 5/6 so only per-attribute blocks are touched;
 //! * [`laplace`] — the vector-form Laplace mechanism (Definition 6);
-//! * [`run_mechanism`] — the end-to-end ε-differentially-private pipeline
-//!   `measure → reconstruct → answer`.
+//! * [`pipeline`] — the one request pipeline, validate → MEASURE →
+//!   RECONSTRUCT → ANSWER ([`MechanismRequest::run`]), written once over the
+//!   [`Kernels`] seam that says only *where* each Kronecker product runs:
+//!   the plain reference kernels ([`PlainKernels`], behind [`measure`] /
+//!   [`reconstruct_with`] / [`run_mechanism`]), the in-process slab fan-out
+//!   ([`LocalKernels`] in [`sharded`]), or `hdmm-net`'s RPC fan-out.
 
-pub mod budget;
 pub mod error;
 pub mod laplace;
 pub mod marginals;
 mod mechanism;
 pub mod phases;
+pub mod pipeline;
 pub mod sharded;
 mod strategy;
 
-pub use budget::{try_measure, try_run_mechanism, MechanismError};
 pub use marginals::{MarginalsAlgebra, MarginalsStrategy};
 pub use mechanism::MeasuredBlock;
 pub use mechanism::{
-    answer_many_from_parts, answer_many_from_parts_on, answer_workload, measure, reconstruct,
-    reconstruct_with, run_mechanism, Measurements, MechanismResult, PreparedReconstruct,
+    answer_many_from_parts, answer_many_from_parts_on, answer_workload, measure, reconstruct_with,
+    run_mechanism, Measurements, MechanismResult, PreparedReconstruct,
 };
-pub use phases::{
-    try_run_mechanism_observed, try_run_mechanism_prepared_observed, MechanismPhase, NoopObserver,
-    PhaseObserver,
+pub use phases::{MechanismPhase, NoopObserver, PhaseObserver};
+pub use pipeline::{
+    measure_on, reconstruct_on, Kernels, MechanismError, MechanismRequest, PipelineError,
+    PlainKernels, PlanShape,
 };
 pub use sharded::{
     answer_sharded, explicit_forward_sharded, kron_forward_from_parts, kron_forward_sharded,
-    kron_transpose_from_parts, kron_transpose_sharded, measure_sharded, measure_with,
-    reconstruct_sharded, reconstruct_sharded_with, try_run_mechanism_sharded_observed,
-    try_run_mechanism_sharded_prepared_observed, DataSlab, ScopedExecutor, SerialExecutor,
-    ShardExecutor, ShardedView,
+    kron_transpose_from_parts, kron_transpose_sharded, DataSlab, LocalKernels, ScopedExecutor,
+    SerialExecutor, ShardExecutor, ShardedView,
 };
 pub use strategy::{Strategy, UnionGroup};

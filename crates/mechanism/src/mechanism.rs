@@ -2,12 +2,10 @@
 //! (Table 1(b) of the paper, with the efficient implementations of §7.2).
 
 use crate::error::gram_pinv;
-use crate::laplace::add_laplace_noise;
+use crate::phases::NoopObserver;
+use crate::pipeline::{measure_on, reconstruct_on, MechanismRequest, PlainKernels};
 use crate::{MarginalsAlgebra, Strategy};
-use hdmm_linalg::{
-    kmatvec_structured, kmatvec_transpose_structured, lsmr, KronScratch, LinOp, LsmrOptions,
-    Matrix, ScaledOp, StackedOp, StructuredMatrix,
-};
+use hdmm_linalg::{KronScratch, Matrix, StructuredMatrix};
 use hdmm_workload::Workload;
 use rand::Rng;
 
@@ -40,84 +38,25 @@ pub struct MechanismResult {
 }
 
 /// MEASURE: computes `A·x` implicitly and adds Laplace noise calibrated to
-/// the strategy sensitivity (Definition 6). ε-differentially private.
+/// the strategy sensitivity (Definition 6). ε-differentially private. This is
+/// [`measure_on`] over the plain reference kernels.
+///
+/// # Panics
+/// Panics if `eps` is not positive.
 pub fn measure(strategy: &Strategy, x: &[f64], eps: f64, rng: &mut impl Rng) -> Measurements {
-    assert!(eps > 0.0, "privacy budget must be positive");
-    let blocks = match strategy {
-        Strategy::Explicit(a) => {
-            let scale = a.norm_l1_operator() / eps;
-            let mut noisy = a.matvec(x);
-            add_laplace_noise(&mut noisy, scale, rng);
-            vec![MeasuredBlock {
-                noisy,
-                noise_scale: scale,
-            }]
-        }
-        Strategy::Kron(factors) => {
-            let sens: f64 = factors.iter().map(StructuredMatrix::sensitivity).product();
-            let scale = sens / eps;
-            let refs: Vec<&StructuredMatrix> = factors.iter().collect();
-            let mut noisy = kmatvec_structured(&refs, x);
-            add_laplace_noise(&mut noisy, scale, rng);
-            vec![MeasuredBlock {
-                noisy,
-                noise_scale: scale,
-            }]
-        }
-        Strategy::Marginals(m) => {
-            let scale = m.sensitivity() / eps;
-            let algebra = MarginalsAlgebra::new(&m.domain);
-            let mut blocks = Vec::new();
-            for (a, &theta) in m.theta.iter().enumerate() {
-                if theta == 0.0 {
-                    continue;
-                }
-                let q = algebra.marginal_factors(a);
-                let refs: Vec<&StructuredMatrix> = q.iter().collect();
-                let mut noisy = kmatvec_structured(&refs, x);
-                for v in &mut noisy {
-                    *v *= theta;
-                }
-                add_laplace_noise(&mut noisy, scale, rng);
-                blocks.push(MeasuredBlock {
-                    noisy,
-                    noise_scale: scale,
-                });
-            }
-            blocks
-        }
-        Strategy::Union(groups) => {
-            // Sequential composition: group g runs at ε_g = share_g·ε.
-            groups
-                .iter()
-                .map(|g| {
-                    let sens: f64 = g
-                        .factors
-                        .iter()
-                        .map(StructuredMatrix::sensitivity)
-                        .product();
-                    let scale = sens / (g.share * eps);
-                    let refs: Vec<&StructuredMatrix> = g.factors.iter().collect();
-                    let mut noisy = kmatvec_structured(&refs, x);
-                    add_laplace_noise(&mut noisy, scale, rng);
-                    MeasuredBlock {
-                        noisy,
-                        noise_scale: scale,
-                    }
-                })
-                .collect()
-        }
-    };
-    Measurements { blocks, eps }
+    match measure_on(strategy, None, eps, rng, &PlainKernels::over(x)) {
+        Ok(meas) => meas,
+        Err(never) => match never {},
+    }
 }
 
 /// The strategy-only half of RECONSTRUCT, factored out so a serving layer
 /// answering many requests against one cached strategy pays for it once.
 ///
 /// Everything here is a pure deterministic function of the strategy — no
-/// measurements, no randomness — so `reconstruct_with(&prepared, s, m)` is
-/// bitwise identical to `reconstruct(s, m)` whether `prepared` was built
-/// moments ago or cached across requests:
+/// measurements, no randomness — so `reconstruct_with(&prepared, s, m)`
+/// returns the same bits whether `prepared` was built moments ago or cached
+/// across requests:
 ///
 /// * explicit: the `n×n` inverse Gram `(AᵀA)⁺` (a Cholesky or eigendecomposed
 ///   pseudo-inverse — the dominant cost of a warm explicit request);
@@ -178,27 +117,11 @@ impl PreparedReconstruct {
 }
 
 /// RECONSTRUCT: least-squares estimate `x̄` of the data vector from noisy
-/// measurements (post-processing; consumes no privacy budget).
-///
-/// * explicit: `x̄ = A⁺y`;
-/// * Kronecker: `(⊗Aᵢ)⁺y = ⊗(AᵢᵀAᵢ)⁺ · (⊗Aᵢᵀ)y` through two structured
-///   `kmatvec` passes (§7.2) — the per-factor work is the `nᵢ × nᵢ` inverse
-///   Gram (closed-form for Identity/Prefix), never the `nᵢ × mᵢ`
-///   pseudo-inverse;
-/// * marginals: `M⁺y = G(v)·Mᵀy` through the subset algebra (§7.2);
-/// * union: no closed-form pseudo-inverse — noise-whitened LSMR over the
-///   stacked implicit operator (§7.2, reference \[14\]).
-///
-/// Builds the strategy factorization fresh each call; serving paths that
-/// answer many requests against one strategy should build a
-/// [`PreparedReconstruct`] once and call [`reconstruct_with`].
-pub fn reconstruct(strategy: &Strategy, meas: &Measurements) -> Vec<f64> {
-    reconstruct_with(&PreparedReconstruct::new(strategy), strategy, meas)
-}
-
-/// [`reconstruct`] with the strategy-only factorization supplied by the
-/// caller. Bitwise identical to `reconstruct` for a `prepared` built from the
-/// same strategy (the factorization is a pure function of the strategy).
+/// measurements (post-processing; consumes no privacy budget) —
+/// [`reconstruct_on`] over the plain reference kernels; see there for the
+/// per-strategy pseudo-inverses. `prepared` is the strategy-only
+/// factorization ([`PreparedReconstruct::new`]): a pure function of the
+/// strategy, so a cached one gives the same bits as a fresh one.
 ///
 /// # Panics
 /// Panics if `prepared` was built from a different strategy variant.
@@ -207,58 +130,9 @@ pub fn reconstruct_with(
     strategy: &Strategy,
     meas: &Measurements,
 ) -> Vec<f64> {
-    match (strategy, prepared) {
-        (Strategy::Explicit(a), PreparedReconstruct::Explicit { gram_pinv }) => {
-            let y = &meas.blocks[0].noisy;
-            // A⁺ = (AᵀA)⁺Aᵀ.
-            gram_pinv.matvec(&a.t_matvec(y))
-        }
-        (Strategy::Kron(factors), PreparedReconstruct::Kron { gram_pinvs }) => {
-            let y = &meas.blocks[0].noisy;
-            let refs: Vec<&StructuredMatrix> = factors.iter().collect();
-            let aty = kmatvec_transpose_structured(&refs, y);
-            let pinv_refs: Vec<&StructuredMatrix> = gram_pinvs.iter().collect();
-            kmatvec_structured(&pinv_refs, &aty)
-        }
-        (Strategy::Marginals(m), PreparedReconstruct::Marginals { algebra, v }) => {
-            // Mᵀy = Σ_a θ_a·Q_aᵀ·y_a over the measured marginals.
-            let n = m.domain.size();
-            let mut mty = vec![0.0; n];
-            let mut block_iter = meas.blocks.iter();
-            for (a, &theta) in m.theta.iter().enumerate() {
-                if theta == 0.0 {
-                    continue;
-                }
-                let block = block_iter
-                    .next()
-                    .expect("one block per positive-weight marginal");
-                let q = algebra.marginal_factors(a);
-                let refs: Vec<&StructuredMatrix> = q.iter().collect();
-                let back = kmatvec_transpose_structured(&refs, &block.noisy);
-                for (acc, b) in mty.iter_mut().zip(&back) {
-                    *acc += theta * b;
-                }
-            }
-            // x̄ = (MᵀM)⁺·Mᵀy = G(v)·Mᵀy.
-            algebra.g_apply(v, &mty)
-        }
-        (Strategy::Union(groups), PreparedReconstruct::Union) => {
-            // Whiten each block by its noise scale and solve jointly over the
-            // stacked structured Kronecker operators.
-            let mut ops: Vec<Box<dyn LinOp>> = Vec::with_capacity(groups.len());
-            let mut rhs = Vec::new();
-            for (g, block) in groups.iter().zip(&meas.blocks) {
-                let w = 1.0 / block.noise_scale;
-                ops.push(Box::new(ScaledOp {
-                    alpha: w,
-                    inner: StructuredMatrix::kron(g.factors.clone()),
-                }));
-                rhs.extend(block.noisy.iter().map(|v| v * w));
-            }
-            let stacked = StackedOp::new(ops);
-            lsmr(&stacked, &rhs, &LsmrOptions::default()).x
-        }
-        _ => panic!("PreparedReconstruct was built from a different strategy variant"),
+    match reconstruct_on(prepared, strategy, meas, &PlainKernels::over(&[])) {
+        Ok(x_hat) => x_hat,
+        Err(never) => match never {},
     }
 }
 
@@ -309,8 +183,14 @@ pub fn answer_many_from_parts_on(
     out
 }
 
-/// Runs the complete ε-differentially-private pipeline (Theorem 7: privacy
-/// follows from the Laplace mechanism plus post-processing).
+/// The asserting library convenience around [`MechanismRequest::run`]: the
+/// complete ε-differentially-private pipeline over the plain kernels, with
+/// the strategy factorization built on the spot and no budget ceiling.
+///
+/// # Panics
+/// Panics where a serving caller would get a typed [`crate::MechanismError`]:
+/// a non-positive or non-finite `eps`, or an `x` that does not match the
+/// workload's domain.
 pub fn run_mechanism(
     workload: &Workload,
     strategy: &Strategy,
@@ -318,15 +198,17 @@ pub fn run_mechanism(
     eps: f64,
     rng: &mut impl Rng,
 ) -> MechanismResult {
-    assert_eq!(
-        x.len(),
-        workload.domain().size(),
-        "data vector size mismatch"
-    );
-    let meas = measure(strategy, x, eps, rng);
-    let x_hat = reconstruct(strategy, &meas);
-    let answers = answer_workload(workload, &x_hat);
-    MechanismResult { x_hat, answers }
+    let request = MechanismRequest {
+        workload,
+        strategy,
+        prepared: &PreparedReconstruct::new(strategy),
+        eps,
+        remaining: f64::INFINITY,
+    };
+    match request.run(rng, &PlainKernels::over(x), &NoopObserver) {
+        Ok(result) => result,
+        Err(e) => panic!("{}", crate::MechanismError::from(e)),
+    }
 }
 
 #[cfg(test)]
@@ -390,7 +272,7 @@ mod tests {
         ]);
         let mut rng = StdRng::seed_from_u64(2);
         let meas = measure(&strat, &x, 1e7, &mut rng);
-        let x_hat = reconstruct(&strat, &meas);
+        let x_hat = reconstruct_with(&PreparedReconstruct::new(&strat), &strat, &meas);
         // The union of the two prefix-margin strategies determines the row
         // and column sums of x, which is all the workload needs.
         let truth = w.answer(&x);

@@ -1,5 +1,6 @@
-//! Sharded MEASURE / RECONSTRUCT / ANSWER: the fan-out pipeline over
-//! leading-axis slabs of the data vector.
+//! The in-process fan-out kernels: MEASURE / RECONSTRUCT / ANSWER products
+//! over leading-axis slabs of the data vector ([`LocalKernels`], one of the
+//! [`Kernels`] implementations the pipeline runs over).
 //!
 //! HDMM's Kronecker structure makes the data vector separable per attribute
 //! (§7.2): every mode contraction except the leading one operates
@@ -15,48 +16,32 @@
 //!   is identical to the unsharded mechanism's.
 //! * **RECONSTRUCT** — `Aᵀy` fans out over measurement-axis slabs (trailing
 //!   transposes) then domain-axis blocks (leading transpose), and the inverse
-//!   Grams scatter `x̂` back per domain slab. Union strategies keep the
-//!   global LSMR solve, and the marginals `G(v)` application stays serial;
-//!   both are documented single-task stages.
+//!   Grams scatter `x̂` back per domain slab. The union LSMR solve and the
+//!   marginals `G(v)` application are single coordinator-side stages of
+//!   [`reconstruct_on`](crate::reconstruct_on), outside the seam.
 //! * **ANSWER** — each workload term runs the same forward fan-out over `x̂`.
 //!
 //! ## Exactness contract
 //!
-//! Every pipeline here is **bitwise identical** to the plain
-//! [`measure`](crate::measure) / [`reconstruct`](crate::reconstruct) /
-//! [`Workload::answer`] path for *any* shard count, including 1 — floating
-//! point sums are never reassociated (see [`hdmm_linalg::apply_leading_rows`]
-//! for the kernel-level argument), noise is drawn from the same RNG in the
-//! same order, and merges are ordered concatenations. A serving engine can
+//! Every product here is **bitwise identical** to the plain
+//! [`PlainKernels`] product for *any* shard count,
+//! including 1 — floating point sums are never reassociated (see
+//! [`hdmm_linalg::apply_leading_rows`] for the kernel-level argument) and
+//! merges are ordered concatenations; the pipeline draws noise from the same
+//! RNG in the same order whatever the kernels. A serving engine can
 //! therefore promise: same seed, same dataset, same request order ⇒ same
 //! answers, regardless of how the data vector is partitioned.
-//!
-//! [`Workload::answer`]: hdmm_workload::Workload::answer
 
-use crate::budget::MechanismError;
-use crate::laplace::add_laplace_noise;
 use crate::phases::{MechanismPhase, PhaseObserver};
-use crate::{
-    MarginalsAlgebra, MeasuredBlock, Measurements, MechanismResult, PreparedReconstruct, Strategy,
-};
+use crate::pipeline::{Kernels, PlainKernels};
 use hdmm_linalg::{
     apply_leading_rows, apply_leading_transpose_rows, kmatvec_trailing_slab,
     kmatvec_transpose_trailing_slab, leading_split, matvec_rows, partition_rows, StructuredMatrix,
 };
 use hdmm_workload::Workload;
-use rand::Rng;
+use std::convert::Infallible;
 use std::ops::Range;
 use std::time::Instant;
-
-/// Fallible dense-strategy product `A·x` for [`measure_with`]: how the
-/// executor computes the explicit-matrix measurement vector.
-pub type ExplicitFn<'a, E> = dyn FnMut(&hdmm_linalg::Matrix) -> Result<Vec<f64>, E> + 'a;
-
-/// Fallible Kronecker forward product over the data for [`measure_with`]:
-/// how the executor computes one measurement block from its factors. The
-/// first argument is the block's index in strategy order, for executors that
-/// keep per-block state keyed the same way (the remote path's operand keys).
-pub type ForwardFn<'a, E> = dyn FnMut(usize, &[&StructuredMatrix]) -> Result<Vec<f64>, E> + 'a;
 
 /// One contiguous slab of a row-major data vector: leading-axis rows `rows`
 /// holding `rows.len() · (N / leading)` cells.
@@ -112,15 +97,18 @@ impl<'a> ShardedView<'a> {
         ShardedView { leading, slabs }
     }
 
-    /// A single-slab view over a whole dense vector.
-    pub fn dense(leading: usize, x: &'a [f64]) -> Self {
+    /// A view of the contiguous vector `x` as (at most) `shards` near-equal
+    /// leading-axis slabs — the canonical [`partition_rows`] split.
+    pub fn partitioned(leading: usize, x: &'a [f64], shards: usize) -> Self {
         ShardedView::new(
             leading,
-            vec![DataSlab {
-                rows: 0..leading,
-                values: x,
-            }],
+            ranges_to_slabs(&partition_rows(leading, shards), x, leading),
         )
+    }
+
+    /// A single-slab view over a whole dense vector.
+    pub fn dense(leading: usize, x: &'a [f64]) -> Self {
+        ShardedView::partitioned(leading, x, 1)
     }
 
     /// Total cells across all slabs.
@@ -461,277 +449,10 @@ pub fn explicit_forward_sharded(
     out
 }
 
-/// The strategy-generic MEASURE skeleton, parametrized over the two forward
-/// kernels: per-strategy sensitivity, block ordering, theta scaling, and the
-/// noise-draw order live here — written exactly once — while `explicit`
-/// (dense matvec) and `forward` (Kronecker factor product over the data)
-/// decide *where* the flops run. The in-process path supplies infallible
-/// closures over the scoped-thread fan-out; the remote path supplies
-/// RPC-backed closures that can fail with a transport error. Noise is always
-/// drawn *after* a block's forward product succeeds, and blocks are visited
-/// in strategy order, so every caller consumes the RNG stream identically —
-/// the root of the byte-identity guarantee across executors.
-///
-/// `algebra` is the marginals subset algebra when the caller already holds
-/// one (a [`PreparedReconstruct`] does); `None` builds it here. It is a pure
-/// function of the strategy's domain, so the measurements are the same bits
-/// either way.
-///
-/// # Panics
-/// Panics if `eps` is not positive (mirror of the plain path; use
-/// [`try_run_mechanism_sharded_observed`] for typed validation).
-pub fn measure_with<E>(
-    strategy: &Strategy,
-    algebra: Option<&MarginalsAlgebra>,
-    eps: f64,
-    rng: &mut impl Rng,
-    explicit: &mut ExplicitFn<'_, E>,
-    forward: &mut ForwardFn<'_, E>,
-) -> Result<Measurements, E> {
-    assert!(eps > 0.0, "privacy budget must be positive");
-    let blocks = match strategy {
-        Strategy::Explicit(a) => {
-            let scale = a.norm_l1_operator() / eps;
-            let mut noisy = explicit(a)?;
-            add_laplace_noise(&mut noisy, scale, rng);
-            vec![MeasuredBlock {
-                noisy,
-                noise_scale: scale,
-            }]
-        }
-        Strategy::Kron(factors) => {
-            let sens: f64 = factors.iter().map(StructuredMatrix::sensitivity).product();
-            let scale = sens / eps;
-            let refs: Vec<&StructuredMatrix> = factors.iter().collect();
-            let mut noisy = forward(0, &refs)?;
-            add_laplace_noise(&mut noisy, scale, rng);
-            vec![MeasuredBlock {
-                noisy,
-                noise_scale: scale,
-            }]
-        }
-        Strategy::Marginals(m) => {
-            let scale = m.sensitivity() / eps;
-            let built;
-            let algebra = match algebra {
-                Some(cached) => cached,
-                None => {
-                    built = MarginalsAlgebra::new(&m.domain);
-                    &built
-                }
-            };
-            let mut blocks = Vec::new();
-            for (a, &theta) in m.theta.iter().enumerate() {
-                if theta == 0.0 {
-                    continue;
-                }
-                let q = algebra.marginal_factors(a);
-                let refs: Vec<&StructuredMatrix> = q.iter().collect();
-                let mut noisy = forward(blocks.len(), &refs)?;
-                for v in &mut noisy {
-                    *v *= theta;
-                }
-                add_laplace_noise(&mut noisy, scale, rng);
-                blocks.push(MeasuredBlock {
-                    noisy,
-                    noise_scale: scale,
-                });
-            }
-            blocks
-        }
-        Strategy::Union(groups) => {
-            let mut blocks = Vec::with_capacity(groups.len());
-            for g in groups {
-                let sens: f64 = g
-                    .factors
-                    .iter()
-                    .map(StructuredMatrix::sensitivity)
-                    .product();
-                let scale = sens / (g.share * eps);
-                let refs: Vec<&StructuredMatrix> = g.factors.iter().collect();
-                let mut noisy = forward(blocks.len(), &refs)?;
-                add_laplace_noise(&mut noisy, scale, rng);
-                blocks.push(MeasuredBlock {
-                    noisy,
-                    noise_scale: scale,
-                });
-            }
-            blocks
-        }
-    };
-    Ok(Measurements { blocks, eps })
-}
-
-/// Sharded MEASURE: computes `A·x` through the per-slab fan-out and adds
-/// Laplace noise exactly once over the assembled measurement vector —
-/// bitwise identical to [`measure`](crate::measure) on the assembled data
-/// for every shard count, so ε-differential privacy holds unchanged.
-///
-/// # Panics
-/// Panics if `eps` is not positive (mirror of the plain path; use
-/// [`try_run_mechanism_sharded_observed`] for typed validation).
-pub fn measure_sharded(
-    strategy: &Strategy,
-    view: &ShardedView<'_>,
-    eps: f64,
-    rng: &mut impl Rng,
-    exec: &dyn ShardExecutor,
-    observer: &(impl PhaseObserver + ?Sized),
-) -> Measurements {
-    measure_sharded_on(strategy, None, view, eps, rng, exec, observer)
-}
-
-/// [`measure_sharded`] with the marginals algebra optionally supplied (see
-/// [`measure_with`]).
-fn measure_sharded_on(
-    strategy: &Strategy,
-    algebra: Option<&MarginalsAlgebra>,
-    view: &ShardedView<'_>,
-    eps: f64,
-    rng: &mut impl Rng,
-    exec: &dyn ShardExecutor,
-    observer: &(impl PhaseObserver + ?Sized),
-) -> Measurements {
-    let phase = MechanismPhase::Measure;
-    let result: Result<Measurements, std::convert::Infallible> = measure_with(
-        strategy,
-        algebra,
-        eps,
-        rng,
-        &mut |a| {
-            let x = view.assemble();
-            Ok(explicit_forward_sharded(
-                a,
-                &x,
-                view.shard_count(),
-                exec,
-                observer,
-                phase,
-            ))
-        },
-        &mut |_, refs| Ok(kron_forward_sharded(refs, view, exec, observer, phase)),
-    );
-    match result {
-        Ok(meas) => meas,
-        Err(never) => match never {},
-    }
-}
-
-/// Sharded RECONSTRUCT: scatters `x̂` back per domain slab. Bitwise identical
-/// to [`reconstruct`](crate::reconstruct). Kronecker strategies fan both
-/// passes out; unions keep the global LSMR solve and marginals keep the
-/// subset-algebra `G(v)` application as single-task stages (the `Mᵀy`
-/// accumulation still fans out per marginal).
-pub fn reconstruct_sharded(
-    strategy: &Strategy,
-    meas: &Measurements,
-    view: &ShardedView<'_>,
-    exec: &dyn ShardExecutor,
-    observer: &(impl PhaseObserver + ?Sized),
-) -> Vec<f64> {
-    reconstruct_sharded_with(
-        &PreparedReconstruct::new(strategy),
-        strategy,
-        meas,
-        view,
-        exec,
-        observer,
-    )
-}
-
-/// [`reconstruct_sharded`] with the strategy factorization supplied by the
-/// caller ([`PreparedReconstruct`]); the fan-out no longer rebuilds the
-/// per-factor inverse Grams (Kron) or the subset algebra (marginals) per
-/// request. Bitwise identical to `reconstruct_sharded` for a `prepared` built
-/// from the same strategy.
-///
-/// # Panics
-/// Panics if `prepared` was built from a different strategy variant.
-pub fn reconstruct_sharded_with(
-    prepared: &PreparedReconstruct,
-    strategy: &Strategy,
-    meas: &Measurements,
-    view: &ShardedView<'_>,
-    exec: &dyn ShardExecutor,
-    observer: &(impl PhaseObserver + ?Sized),
-) -> Vec<f64> {
-    let phase = MechanismPhase::Reconstruct;
-    match strategy {
-        // Explicit strategies live on small 1-D domains; unions need the
-        // global iterative LSMR solve. Both keep the plain serial path.
-        Strategy::Explicit(_) | Strategy::Union(_) => {
-            crate::reconstruct_with(prepared, strategy, meas)
-        }
-        Strategy::Kron(factors) => {
-            let PreparedReconstruct::Kron { gram_pinvs } = prepared else {
-                panic!("PreparedReconstruct was built from a different strategy variant");
-            };
-            let refs: Vec<&StructuredMatrix> = factors.iter().collect();
-            let split = leading_split(&refs);
-            let lead_n = split.leading.cols();
-            let rest_n = split.trailing_cols();
-            let Some(ranges) = view.ranges_on_axis(lead_n, rest_n) else {
-                return crate::reconstruct_with(prepared, strategy, meas);
-            };
-            let y = &meas.blocks[0].noisy;
-            let aty = kron_transpose_sharded(&refs, y, &ranges, exec, observer, phase);
-            let pinv_refs: Vec<&StructuredMatrix> = gram_pinvs.iter().collect();
-            let aty_view =
-                ShardedView::new(lead_n, ranges_to_slabs(&ranges, &aty, lead_n, aty.len()));
-            kron_forward_sharded(&pinv_refs, &aty_view, exec, observer, phase)
-        }
-        Strategy::Marginals(m) => {
-            let PreparedReconstruct::Marginals { algebra, v } = prepared else {
-                panic!("PreparedReconstruct was built from a different strategy variant");
-            };
-            // Marginal factors put their attribute-0 block (cols = n₁) first,
-            // so the fan-out needs the view's slab ranges to live on that
-            // axis; fall back to the plain path otherwise.
-            if view.leading != m.domain.attr_size(0) {
-                return crate::reconstruct_with(prepared, strategy, meas);
-            }
-            let n = m.domain.size();
-            let domain_ranges: Vec<Range<usize>> =
-                view.slabs.iter().map(|s| s.rows.clone()).collect();
-            let mut mty = vec![0.0; n];
-            let mut block_iter = meas.blocks.iter();
-            for (a, &theta) in m.theta.iter().enumerate() {
-                if theta == 0.0 {
-                    continue;
-                }
-                let block = block_iter
-                    .next()
-                    .expect("one block per positive-weight marginal");
-                let q = algebra.marginal_factors(a);
-                let refs: Vec<&StructuredMatrix> = q.iter().collect();
-                // The marginal factor on attribute 0 has cols == leading, so
-                // the view's slab ranges are already in leading-leaf space.
-                let back = kron_transpose_sharded(
-                    &refs,
-                    &block.noisy,
-                    &domain_ranges,
-                    exec,
-                    observer,
-                    phase,
-                );
-                for (acc, b) in mty.iter_mut().zip(&back) {
-                    *acc += theta * b;
-                }
-            }
-            algebra.g_apply(v, &mty)
-        }
-    }
-}
-
 /// Reinterprets a contiguous vector as slabs over the given ranges (helper
 /// for feeding an intermediate back through the forward fan-out).
-fn ranges_to_slabs<'a>(
-    ranges: &[Range<usize>],
-    x: &'a [f64],
-    leading: usize,
-    total: usize,
-) -> Vec<DataSlab<'a>> {
-    let stride = total / leading;
+fn ranges_to_slabs<'a>(ranges: &[Range<usize>], x: &'a [f64], leading: usize) -> Vec<DataSlab<'a>> {
+    let stride = x.len() / leading;
     ranges
         .iter()
         .map(|r| DataSlab {
@@ -756,16 +477,7 @@ pub fn answer_sharded(
         workload.domain().size(),
         "data vector size mismatch"
     );
-    let leading = workload.domain().attr_size(0);
-    let stride = x_hat.len() / leading;
-    let slabs: Vec<DataSlab<'_>> = partition_rows(leading, shards)
-        .into_iter()
-        .map(|r| DataSlab {
-            rows: r.clone(),
-            values: &x_hat[r.start * stride..r.end * stride],
-        })
-        .collect();
-    let view = ShardedView::new(leading, slabs);
+    let view = ShardedView::partitioned(workload.domain().attr_size(0), x_hat, shards);
     let mut out = Vec::with_capacity(workload.query_count());
     for t in workload.terms() {
         let refs: Vec<&StructuredMatrix> = t.factors.iter().collect();
@@ -780,312 +492,144 @@ pub fn answer_sharded(
     out
 }
 
-/// The full checked sharded pipeline with per-phase timing: budget-validated
-/// sharded MEASURE, sharded RECONSTRUCT, sharded ANSWER. Identical results
-/// to [`try_run_mechanism_observed`](crate::try_run_mechanism_observed) on
-/// the assembled data vector, per seed, for every shard count.
-#[allow(clippy::too_many_arguments)]
-pub fn try_run_mechanism_sharded_observed(
-    workload: &Workload,
-    strategy: &Strategy,
-    view: &ShardedView<'_>,
-    eps: f64,
-    remaining: f64,
-    rng: &mut impl Rng,
-    exec: &dyn ShardExecutor,
-    observer: &(impl PhaseObserver + ?Sized),
-) -> Result<MechanismResult, MechanismError> {
-    if !(eps.is_finite() && eps > 0.0) {
-        return Err(MechanismError::InvalidEpsilon { eps });
-    }
-    if eps > remaining * (1.0 + 1e-12) {
-        return Err(MechanismError::BudgetExhausted {
-            requested: eps,
-            remaining,
-        });
-    }
-    let expected = workload.domain().size();
-    if view.total_len() != expected {
-        return Err(MechanismError::DataVectorMismatch {
-            expected,
-            got: view.total_len(),
-        });
-    }
-
-    let t = Instant::now();
-    let meas = measure_sharded(strategy, view, eps, rng, exec, observer);
-    observer.phase_complete(MechanismPhase::Measure, t.elapsed());
-
-    let t = Instant::now();
-    let x_hat = reconstruct_sharded(strategy, &meas, view, exec, observer);
-    observer.phase_complete(MechanismPhase::Reconstruct, t.elapsed());
-
-    let t = Instant::now();
-    let answers = answer_sharded(workload, &x_hat, view.shard_count(), exec, observer);
-    observer.phase_complete(MechanismPhase::Answer, t.elapsed());
-
-    Ok(MechanismResult { x_hat, answers })
+/// The in-process fan-out behind the [`Kernels`] seam: every product runs
+/// as per-slab tasks of `view` on `exec`, each task reported to `observer`.
+///
+/// Where the fan-out has nothing to offer, the product runs on the plain
+/// kernel instead — the same bits, only the parallelism differs: a product
+/// whose leading factor does not line up with the slab boundaries, and every
+/// product of a one-slab view (a contiguous vector, [`ShardedView::dense`]),
+/// where the per-slab copy and merge buffers would be pure overhead.
+pub struct LocalKernels<'a, O: PhaseObserver + ?Sized> {
+    /// The dataset, as ordered leading-axis slabs.
+    pub view: &'a ShardedView<'a>,
+    /// Where the tasks run.
+    pub exec: &'a dyn ShardExecutor,
+    /// Receives one [`PhaseObserver::shard_phase_complete`] per task.
+    pub observer: &'a O,
 }
 
-/// [`try_run_mechanism_sharded_observed`] with the strategy factorization
-/// supplied by the caller, mirroring
-/// [`try_run_mechanism_prepared_observed`](crate::try_run_mechanism_prepared_observed)
-/// for the fan-out path. Bitwise identical to the unprepared sharded variant
-/// for a `prepared` built from `strategy`.
-#[allow(clippy::too_many_arguments)]
-pub fn try_run_mechanism_sharded_prepared_observed(
-    workload: &Workload,
-    strategy: &Strategy,
-    prepared: &PreparedReconstruct,
-    view: &ShardedView<'_>,
-    eps: f64,
-    remaining: f64,
-    rng: &mut impl Rng,
-    exec: &dyn ShardExecutor,
-    observer: &(impl PhaseObserver + ?Sized),
-) -> Result<MechanismResult, MechanismError> {
-    if !(eps.is_finite() && eps > 0.0) {
-        return Err(MechanismError::InvalidEpsilon { eps });
-    }
-    if eps > remaining * (1.0 + 1e-12) {
-        return Err(MechanismError::BudgetExhausted {
-            requested: eps,
-            remaining,
-        });
-    }
-    let expected = workload.domain().size();
-    if view.total_len() != expected {
-        return Err(MechanismError::DataVectorMismatch {
-            expected,
-            got: view.total_len(),
-        });
+impl<O: PhaseObserver + ?Sized> LocalKernels<'_, O> {
+    /// The plain kernels over the whole dataset, when it is a single slab.
+    fn one_slab(&self) -> Option<PlainKernels<'_>> {
+        match self.view.slabs.as_slice() {
+            [slab] => Some(PlainKernels::over(slab.values)),
+            _ => None,
+        }
     }
 
-    let t = Instant::now();
-    let meas = measure_sharded_on(
-        strategy,
-        prepared.marginals_algebra(),
-        view,
-        eps,
-        rng,
-        exec,
-        observer,
-    );
-    observer.phase_complete(MechanismPhase::Measure, t.elapsed());
+    /// The view's slab ranges on the input axis of `factors`' leading leaf,
+    /// when the boundaries fall on whole rows of it.
+    pub fn aligned_ranges(&self, factors: &[&StructuredMatrix]) -> Option<Vec<Range<usize>>> {
+        let split = leading_split(factors);
+        self.view
+            .ranges_on_axis(split.leading.cols(), split.trailing_cols())
+    }
+}
 
-    let t = Instant::now();
-    let x_hat = reconstruct_sharded_with(prepared, strategy, &meas, view, exec, observer);
-    observer.phase_complete(MechanismPhase::Reconstruct, t.elapsed());
+impl<O: PhaseObserver + ?Sized> Kernels for LocalKernels<'_, O> {
+    type Error = Infallible;
 
-    let t = Instant::now();
-    let answers = answer_sharded(workload, &x_hat, view.shard_count(), exec, observer);
-    observer.phase_complete(MechanismPhase::Answer, t.elapsed());
+    fn cells(&self) -> usize {
+        self.view.total_len()
+    }
 
-    Ok(MechanismResult { x_hat, answers })
+    fn explicit(&self, a: &hdmm_linalg::Matrix) -> Result<Vec<f64>, Infallible> {
+        if let Some(plain) = self.one_slab() {
+            return plain.explicit(a);
+        }
+        Ok(explicit_forward_sharded(
+            a,
+            &self.view.assemble(),
+            self.view.shard_count(),
+            self.exec,
+            self.observer,
+            MechanismPhase::Measure,
+        ))
+    }
+
+    fn forward(&self, block: usize, factors: &[&StructuredMatrix]) -> Result<Vec<f64>, Infallible> {
+        if let Some(plain) = self.one_slab() {
+            return plain.forward(block, factors);
+        }
+        Ok(kron_forward_sharded(
+            factors,
+            self.view,
+            self.exec,
+            self.observer,
+            MechanismPhase::Measure,
+        ))
+    }
+
+    fn transpose(
+        &self,
+        block: usize,
+        factors: &[&StructuredMatrix],
+        y: &[f64],
+    ) -> Result<Vec<f64>, Infallible> {
+        if let Some(plain) = self.one_slab() {
+            return plain.transpose(block, factors, y);
+        }
+        Ok(match self.aligned_ranges(factors) {
+            Some(ranges) => kron_transpose_sharded(
+                factors,
+                y,
+                &ranges,
+                self.exec,
+                self.observer,
+                MechanismPhase::Reconstruct,
+            ),
+            None => hdmm_linalg::kmatvec_transpose_structured(factors, y),
+        })
+    }
+
+    fn inverse_grams(
+        &self,
+        gram_pinvs: &[&StructuredMatrix],
+        aty: &[f64],
+    ) -> Result<Vec<f64>, Infallible> {
+        if let Some(plain) = self.one_slab() {
+            return plain.inverse_grams(gram_pinvs, aty);
+        }
+        let Some(ranges) = self.aligned_ranges(gram_pinvs) else {
+            return Ok(hdmm_linalg::kmatvec_structured(gram_pinvs, aty));
+        };
+        // Inverse Grams are square, so `Aᵀy` partitions exactly like the data.
+        let leading = leading_split(gram_pinvs).leading.cols();
+        let aty_view = ShardedView::new(leading, ranges_to_slabs(&ranges, aty, leading));
+        Ok(kron_forward_sharded(
+            gram_pinvs,
+            &aty_view,
+            self.exec,
+            self.observer,
+            MechanismPhase::Reconstruct,
+        ))
+    }
+
+    fn answer(&self, workload: &Workload, x_hat: &[f64]) -> Vec<f64> {
+        if let Some(plain) = self.one_slab() {
+            return plain.answer(workload, x_hat);
+        }
+        answer_sharded(
+            workload,
+            x_hat,
+            self.view.shard_count(),
+            self.exec,
+            self.observer,
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phases::NoopObserver;
-    use crate::{MarginalsStrategy, UnionGroup};
-    use hdmm_workload::{blocks, builders, Domain};
+    use crate::{MechanismRequest, PreparedReconstruct, Strategy};
+    use hdmm_workload::{blocks, builders};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn data(n: usize) -> Vec<f64> {
         (0..n).map(|i| ((i * 7) % 13) as f64).collect()
-    }
-
-    fn view_of(x: &[f64], leading: usize, shards: usize) -> ShardedView<'_> {
-        let stride = x.len() / leading;
-        let slabs = partition_rows(leading, shards)
-            .into_iter()
-            .map(|r| DataSlab {
-                rows: r.clone(),
-                values: &x[r.start * stride..r.end * stride],
-            })
-            .collect();
-        ShardedView::new(leading, slabs)
-    }
-
-    fn bits_eq(a: &[f64], b: &[f64]) -> bool {
-        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-    }
-
-    fn strategies() -> Vec<(Workload, Strategy)> {
-        let kron = (
-            builders::prefix_2d(6, 5),
-            Strategy::kron(vec![
-                blocks::prefix(6).scaled(1.0 / 6.0),
-                blocks::prefix(5).scaled(0.2),
-            ]),
-        );
-        let explicit = (
-            builders::prefix_1d(8),
-            Strategy::Explicit(hdmm_linalg::Matrix::from_fn(8, 8, |r, c| {
-                if c <= r {
-                    0.125
-                } else {
-                    0.0
-                }
-            })),
-        );
-        let marginals = (
-            builders::all_marginals(&Domain::new(&[4, 3])),
-            Strategy::Marginals(MarginalsStrategy::uniform(Domain::new(&[4, 3]))),
-        );
-        let union = (
-            builders::range_total_union_2d(4, 4),
-            Strategy::Union(vec![
-                UnionGroup::new(
-                    0.5,
-                    vec![blocks::prefix(4).scaled(0.25), blocks::total(4)],
-                    vec![0],
-                ),
-                UnionGroup::new(
-                    0.5,
-                    vec![blocks::total(4), blocks::prefix(4).scaled(0.25)],
-                    vec![1],
-                ),
-            ]),
-        );
-        vec![kron, explicit, marginals, union]
-    }
-
-    #[test]
-    fn sharded_pipeline_is_bitwise_identical_to_plain() {
-        for (w, s) in strategies() {
-            let n = w.domain().size();
-            let leading = w.domain().attr_size(0);
-            let x = data(n);
-            let plain =
-                crate::try_run_mechanism(&w, &s, &x, 1.0, 1.0, &mut StdRng::seed_from_u64(42))
-                    .unwrap();
-            for shards in [1usize, 2, 3, leading] {
-                for exec in [
-                    &SerialExecutor as &dyn ShardExecutor,
-                    &ScopedExecutor::new(4),
-                ] {
-                    let view = view_of(&x, leading, shards);
-                    let got = try_run_mechanism_sharded_observed(
-                        &w,
-                        &s,
-                        &view,
-                        1.0,
-                        1.0,
-                        &mut StdRng::seed_from_u64(42),
-                        exec,
-                        &NoopObserver,
-                    )
-                    .unwrap();
-                    assert!(
-                        bits_eq(&got.answers, &plain.answers),
-                        "{} shards={shards}: answers diverge",
-                        s.kind()
-                    );
-                    assert!(
-                        bits_eq(&got.x_hat, &plain.x_hat),
-                        "{} shards={shards}: x_hat diverges",
-                        s.kind()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn prepared_sharded_is_bitwise_identical_to_unprepared() {
-        for (w, s) in strategies() {
-            let n = w.domain().size();
-            let leading = w.domain().attr_size(0);
-            let x = data(n);
-            let prepared = PreparedReconstruct::new(&s);
-            for shards in [1usize, 2, leading] {
-                let view = view_of(&x, leading, shards);
-                let plain = try_run_mechanism_sharded_observed(
-                    &w,
-                    &s,
-                    &view,
-                    1.0,
-                    1.0,
-                    &mut StdRng::seed_from_u64(42),
-                    &SerialExecutor,
-                    &NoopObserver,
-                )
-                .unwrap();
-                let got = try_run_mechanism_sharded_prepared_observed(
-                    &w,
-                    &s,
-                    &prepared,
-                    &view,
-                    1.0,
-                    1.0,
-                    &mut StdRng::seed_from_u64(42),
-                    &SerialExecutor,
-                    &NoopObserver,
-                )
-                .unwrap();
-                assert!(
-                    bits_eq(&got.x_hat, &plain.x_hat) && bits_eq(&got.answers, &plain.answers),
-                    "{} shards={shards}: prepared path diverges",
-                    s.kind()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_validation_is_typed() {
-        let w = builders::prefix_1d(8);
-        let s = Strategy::identity(w.domain());
-        let x = data(8);
-        let view = view_of(&x, 8, 2);
-        let mut rng = StdRng::seed_from_u64(0);
-        assert!(matches!(
-            try_run_mechanism_sharded_observed(
-                &w,
-                &s,
-                &view,
-                2.0,
-                1.0,
-                &mut rng,
-                &SerialExecutor,
-                &NoopObserver
-            ),
-            Err(MechanismError::BudgetExhausted { .. })
-        ));
-        assert!(matches!(
-            try_run_mechanism_sharded_observed(
-                &w,
-                &s,
-                &view,
-                f64::NAN,
-                1.0,
-                &mut rng,
-                &SerialExecutor,
-                &NoopObserver
-            ),
-            Err(MechanismError::InvalidEpsilon { .. })
-        ));
-        let short = data(6);
-        let bad_view = view_of(&short, 6, 2);
-        assert!(matches!(
-            try_run_mechanism_sharded_observed(
-                &w,
-                &s,
-                &bad_view,
-                0.5,
-                1.0,
-                &mut rng,
-                &SerialExecutor,
-                &NoopObserver
-            ),
-            Err(MechanismError::DataVectorMismatch {
-                expected: 8,
-                got: 6
-            })
-        ));
     }
 
     #[test]
@@ -1106,17 +650,22 @@ mod tests {
         let w = builders::prefix_2d(6, 4);
         let s = Strategy::kron(vec![blocks::prefix(6), blocks::prefix(4)]);
         let x = data(24);
-        let view = view_of(&x, 6, 3);
+        let view = ShardedView::partitioned(6, &x, 3);
         let spans = Spans(Mutex::new(Vec::new()));
-        let mut rng = StdRng::seed_from_u64(1);
-        try_run_mechanism_sharded_observed(
-            &w,
-            &s,
-            &view,
-            1.0,
-            1.0,
-            &mut rng,
-            &SerialExecutor,
+        MechanismRequest {
+            workload: &w,
+            strategy: &s,
+            prepared: &PreparedReconstruct::new(&s),
+            eps: 1.0,
+            remaining: 1.0,
+        }
+        .run(
+            &mut StdRng::seed_from_u64(1),
+            &LocalKernels {
+                view: &view,
+                exec: &SerialExecutor,
+                observer: &spans,
+            },
             &spans,
         )
         .unwrap();

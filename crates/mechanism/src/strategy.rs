@@ -148,6 +148,16 @@ impl Strategy {
         }
     }
 
+    /// Number of blocks MEASURE produces: one for explicit and Kronecker
+    /// strategies, one per group of a union, one per nonzero-weight marginal.
+    pub fn measurement_blocks(&self) -> usize {
+        match self {
+            Strategy::Explicit(_) | Strategy::Kron(_) => 1,
+            Strategy::Union(groups) => groups.len(),
+            Strategy::Marginals(m) => m.theta.iter().filter(|&&t| t != 0.0).count(),
+        }
+    }
+
     /// A human-readable strategy kind tag for reporting.
     pub fn kind(&self) -> &'static str {
         match self {

@@ -1,6 +1,6 @@
 //! Distributed shard fan-out for the HDMM serving engine.
 //!
-//! This crate extends the in-process sharded pipeline of
+//! This crate extends the in-process slab fan-out of
 //! [`hdmm_mechanism::sharded`] across machine boundaries:
 //!
 //! * [`wire`] — a length-prefixed, checksummed frame codec for shard-task
@@ -12,9 +12,9 @@
 //! * [`client`] — the coordinator's [`WorkerPool`]: task routing with
 //!   per-task timeouts, bounded retry with backoff, shard reassignment to
 //!   surviving workers, and per-worker health counters;
-//! * [`remote`] — [`RemoteExecutor`] and the full remote
-//!   MEASURE / RECONSTRUCT / ANSWER pipeline, bitwise identical to the dense
-//!   single-node pipeline for every worker count.
+//! * [`remote`] — [`RpcKernels`], the kernel implementation that runs the
+//!   one mechanism pipeline's slab tasks on the pool, bitwise identical to
+//!   the plain single-node kernels for every worker count.
 //!
 //! The design keeps workers stateless in the failure sense: the coordinator
 //! holds the authoritative data and factors, both are pushed (and re-pushed)
@@ -27,9 +27,7 @@ pub mod wire;
 pub mod worker;
 
 pub use client::{Operand, PoolHealth, RetryPolicy, WorkerHealth, WorkerPool};
-pub use remote::{
-    try_run_mechanism_remote_traced, OperandKeys, RemoteError, RemoteExecutor, RemoteOptions,
-};
+pub use remote::{OperandKeys, RemoteOptions, RpcKernels};
 pub use wire::{
     decode_frame, decode_frame_ext, encode_frame, encode_frame_ext, read_frame, read_frame_ext,
     write_frame, write_frame_ext, ErrorCode, FactorKey, Frame, NetError, TraceExt, WireSpan,

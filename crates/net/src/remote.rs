@@ -1,100 +1,72 @@
-//! `RemoteExecutor`: the distributed MEASURE / RECONSTRUCT pipeline that
-//! fans shard tasks out to TCP workers.
+//! The RPC fan-out: [`RpcKernels`], the [`Kernels`] implementation that
+//! sends the per-slab tasks of MEASURE / RECONSTRUCT to TCP shard workers.
 //!
-//! The split of work mirrors the in-process sharded pipeline exactly: the
-//! per-slab trailing-factor products (the bulk of the flops) become
+//! The split of work mirrors the in-process fan-out exactly: the per-slab
+//! trailing-factor products (the bulk of the flops) become
 //! [`SlabForwardKeyed`](crate::Frame::SlabForwardKeyed) /
 //! [`ApplyKeyed`](crate::Frame::ApplyKeyed) RPCs, while the ordered merge and
 //! the leading contraction run on the coordinator through the *same*
-//! [`kron_forward_from_parts`] / [`kron_transpose_from_parts`] code the
-//! local path uses. Workers run the same `kmatvec_*_trailing_slab` kernels
-//! on the same slices, so the answers are **bitwise identical** to the dense
-//! single-node pipeline for any worker count — the exactness contract of
-//! [`hdmm_mechanism::sharded`] extends across the wire unchanged.
+//! [`kron_forward_from_parts`] / [`kron_transpose_from_parts`] code
+//! [`LocalKernels`] uses. Workers run the same `kmatvec_*_trailing_slab`
+//! kernels on the same slices, so — run through the one pipeline,
+//! [`MechanismRequest::run`](hdmm_mechanism::MechanismRequest::run) — the
+//! answers are **bitwise identical** to the plain single-node kernels for
+//! any worker count: the exactness contract of [`hdmm_mechanism::sharded`]
+//! extends across the wire unchanged.
 //!
 //! A warm request costs the local request plus vector traffic: everything
-//! that depends only on the strategy — the [`PreparedReconstruct`] inverse
-//! Grams / marginals algebra and the content keys of the trailing-factor
-//! lists ([`OperandKeys`]) — is built once per plan by the caller and passed
-//! in, and the factors themselves live on the workers (see [`crate::wire`]),
-//! so tasks carry a key plus a slab reference or a payload.
+//! that depends only on the strategy — the
+//! [`PreparedReconstruct`] inverse Grams / marginals algebra and the content
+//! keys of the trailing-factor lists ([`OperandKeys`]) — is built once per
+//! plan by the caller and passed in, and the factors themselves live on the
+//! workers (see [`crate::wire`]), so tasks carry a key plus a slab reference
+//! or a payload.
 //!
 //! Failure handling lives in [`WorkerPool`]: per-task timeouts, bounded
 //! retry with doubling backoff, and shard reassignment to surviving workers
 //! (the coordinator keeps the authoritative data, so a reassigned shard is
-//! simply re-pushed). Only when *no* worker can complete a task does the
-//! pipeline surface a [`RemoteError`] — callers such as the serving engine
-//! then fall back to the local sharded path with a reseeded RNG, preserving
+//! simply re-pushed). Only when *no* worker can complete a task does a
+//! kernel surface a [`NetError`] — callers such as the serving engine then
+//! rerun the request over [`LocalKernels`] with a reseeded RNG, preserving
 //! byte-identity even through total pool loss.
 
-use crate::client::{Operand, PoolHealth, RetryPolicy, WorkerPool};
+use crate::client::{Operand, RetryPolicy, WorkerPool};
 use crate::wire::{FactorKey, NetError};
-use hdmm_linalg::{leading_split, partition_rows, StructuredMatrix};
+use hdmm_linalg::{leading_split, partition_rows, Matrix, StructuredMatrix};
 use hdmm_mechanism::{
-    answer_sharded, explicit_forward_sharded, kron_forward_from_parts, kron_transpose_from_parts,
-    measure_with, reconstruct_with, Measurements, MechanismError, MechanismPhase, MechanismResult,
-    PhaseObserver, PreparedReconstruct, ScopedExecutor, ShardExecutor, ShardedView, Strategy,
+    kron_forward_from_parts, kron_transpose_from_parts, Kernels, LocalKernels, MechanismPhase,
+    PhaseObserver, PlanShape, PreparedReconstruct, Strategy,
 };
 use hdmm_obs::SpanSink;
 use hdmm_workload::Workload;
-use rand::Rng;
 use std::ops::Range;
 use std::time::Instant;
 
-/// Configuration for a [`RemoteExecutor`].
+/// Configuration of the remote fan-out: the [`WorkerPool`] to connect.
 #[derive(Debug, Clone, Default)]
 pub struct RemoteOptions {
     /// Worker addresses (`host:port`) to register at connect time.
     pub workers: Vec<String>,
     /// Failure-handling policy for shard tasks.
     pub policy: RetryPolicy,
-    /// Threads for the coordinator-local stages (merge-side contractions and
-    /// ANSWER); 0 ⇒ available parallelism.
-    pub local_threads: usize,
 }
 
-/// A failure of the remote pipeline.
-#[derive(Debug)]
-pub enum RemoteError {
-    /// Request validation failed (budget, epsilon, data shape) — the same
-    /// typed errors the local pipeline raises; retrying locally cannot help.
-    Mechanism(MechanismError),
-    /// The worker pool could not complete a shard task (after retry and
-    /// reassignment). The request is still servable locally.
-    Net(NetError),
-}
-
-impl std::fmt::Display for RemoteError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RemoteError::Mechanism(e) => write!(f, "{e}"),
-            RemoteError::Net(e) => write!(f, "remote shard fan-out failed: {e}"),
-        }
+impl RemoteOptions {
+    /// Connects the configured pool (best-effort: unreachable workers start
+    /// dead and are retried lazily).
+    pub fn connect(&self) -> WorkerPool {
+        WorkerPool::connect(&self.workers, self.policy.clone())
     }
 }
 
-impl std::error::Error for RemoteError {}
-
-impl From<MechanismError> for RemoteError {
-    fn from(e: MechanismError) -> Self {
-        RemoteError::Mechanism(e)
-    }
-}
-
-impl From<NetError> for RemoteError {
-    fn from(e: NetError) -> Self {
-        RemoteError::Net(e)
-    }
-}
-
-/// The content keys of every trailing-factor list the remote pipeline names
-/// in its tasks for one plan. Deriving a key encodes and checksums the whole
+/// The content keys of every trailing-factor list [`RpcKernels`] names in
+/// its tasks for one plan. Deriving a key encodes and checksums the whole
 /// list, so this is built once per plan — memoized beside the plan's
 /// [`PreparedReconstruct`] — never per request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OperandKeys {
-    /// One per measurement block, in [`measure_with`] order: the trailing
-    /// factors MEASURE applies forward and RECONSTRUCT applies transposed.
+    /// One per measurement block, in MEASURE order: the trailing factors
+    /// MEASURE applies forward and RECONSTRUCT applies transposed.
     blocks: Vec<FactorKey>,
     /// The trailing inverse-Gram factors (Kronecker strategies only).
     gram_pinv: Option<FactorKey>,
@@ -131,117 +103,30 @@ impl OperandKeys {
         self.blocks.iter().copied().chain(self.gram_pinv)
     }
 
-    /// The key for measurement block `block`; a miss means the keys were
-    /// built for a different plan, which the caller serves locally instead.
+    /// The shape of the plan these keys were derived for; the pipeline's
+    /// validation refuses to run them against a plan of another shape.
+    pub fn shape(&self) -> PlanShape {
+        PlanShape {
+            kron_blocks: self.blocks.len(),
+            inverse_grams: self.gram_pinv.is_some(),
+        }
+    }
+
+    /// The key for measurement block `block`.
     fn block(&self, block: usize) -> Result<FactorKey, NetError> {
-        self.blocks.get(block).copied().ok_or(MISMATCHED_PLAN)
-    }
-
-    /// Refuses state that visibly belongs to another strategy — a different
-    /// family, or a different number of measurement blocks — before any
-    /// task names a key. (State of the right shape built from different
-    /// factors is the caller's contract, as it is for
-    /// [`reconstruct_with`].)
-    fn check(&self, strategy: &Strategy, prepared: &PreparedReconstruct) -> Result<(), NetError> {
-        let blocks = match (strategy, prepared) {
-            (Strategy::Explicit(_), PreparedReconstruct::Explicit { .. }) => 0,
-            (Strategy::Kron(_), PreparedReconstruct::Kron { .. }) => 1,
-            (Strategy::Union(groups), PreparedReconstruct::Union) => groups.len(),
-            (Strategy::Marginals(m), PreparedReconstruct::Marginals { .. }) => {
-                m.theta.iter().filter(|&&t| t != 0.0).count()
-            }
-            _ => return Err(MISMATCHED_PLAN),
-        };
-        let kron = matches!(strategy, Strategy::Kron(_));
-        if self.blocks.len() == blocks && self.gram_pinv.is_some() == kron {
-            Ok(())
-        } else {
-            Err(MISMATCHED_PLAN)
-        }
+        self.blocks.get(block).copied().ok_or(NO_KEY)
     }
 }
 
-/// `prepared` / `keys` do not belong to the strategy they were passed with.
-const MISMATCHED_PLAN: NetError =
-    NetError::Unsupported("prepared state was built for a different strategy");
-
-/// The distributed shard executor: a worker pool for the RPC fan-out plus a
-/// local scoped-thread executor for the coordinator-side stages.
-///
-/// Implements [`ShardExecutor`] (delegating to the local executor) so it
-/// slots anywhere the in-process fan-out does — the merge and leading
-/// contractions of the remote pipeline run through exactly that
-/// implementation.
-pub struct RemoteExecutor {
-    pool: WorkerPool,
-    local: ScopedExecutor,
-}
-
-impl RemoteExecutor {
-    /// Connects to the configured workers (best-effort: unreachable workers
-    /// start dead and are retried lazily).
-    pub fn connect(opts: &RemoteOptions) -> Self {
-        RemoteExecutor {
-            pool: WorkerPool::connect(&opts.workers, opts.policy.clone()),
-            local: ScopedExecutor::new(opts.local_threads),
-        }
-    }
-
-    /// The worker pool (registry, routing, health).
-    pub fn pool(&self) -> &WorkerPool {
-        &self.pool
-    }
-
-    /// The coordinator-local executor used for merge-side stages.
-    pub fn local(&self) -> &ScopedExecutor {
-        &self.local
-    }
-
-    /// Point-in-time pool health for `Engine::metrics()`.
-    pub fn health(&self) -> PoolHealth {
-        self.pool.health()
-    }
-
-    /// Registers one more worker at runtime; fails unless it answers a ping.
-    pub fn add_worker(&self, addr: &str) -> Result<(), NetError> {
-        self.pool.add_worker(addr)
-    }
-
-    /// Eagerly pushes every slab of `view` to its primary worker. Purely a
-    /// warm-up: `run_slab_task` re-pushes on demand, so failures here only
-    /// cost first-request latency.
-    pub fn preload(&self, dataset: &str, view: &ShardedView<'_>) -> Result<(), NetError> {
-        for (i, slab) in view.slabs.iter().enumerate() {
-            self.pool.load_slab(
-                dataset,
-                i as u64,
-                (slab.rows.start as u64, slab.rows.end as u64),
-                slab.values,
-            )?;
-        }
-        Ok(())
-    }
-}
-
-impl ShardExecutor for RemoteExecutor {
-    fn run<'a>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'a>>) {
-        self.local.run(tasks);
-    }
-}
-
-impl std::fmt::Debug for RemoteExecutor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RemoteExecutor")
-            .field("pool", &self.pool)
-            .finish_non_exhaustive()
-    }
-}
+/// A task asked for a key the plan's [`OperandKeys`] do not hold — the
+/// pipeline's validation rules this out, so it is typed rather than trusted.
+const NO_KEY: NetError = NetError::Unsupported("no operand key for this product");
 
 /// Runs one task per item on its own scoped thread (each blocks on an RPC)
 /// and returns the per-item products in item order. A task thread that
 /// panics — an observer or span sink is caller code — is reported as
 /// [`NetError::TaskPanicked`] instead of unwinding through the request, so
-/// the caller's reseeded local fallback takes over.
+/// the caller's reseeded local rerun takes over.
 fn fan_out<I: Sync>(
     items: &[I],
     observer: &(impl PhaseObserver + ?Sized),
@@ -274,292 +159,148 @@ fn fan_out<I: Sync>(
     results.into_iter().collect()
 }
 
-/// The remote forward fan-out over a dataset's slabs: phase 1 runs as
-/// [`SlabForwardKeyed`](crate::Frame::SlabForwardKeyed) RPCs (slabs are
-/// cached on workers), the merge and leading contraction run locally through
-/// [`kron_forward_from_parts`] — bitwise identical to
-/// [`kron_forward_sharded`](hdmm_mechanism::kron_forward_sharded).
-#[allow(clippy::too_many_arguments)]
-fn kron_forward_remote(
-    exec: &RemoteExecutor,
-    dataset: &str,
-    factors: &[&StructuredMatrix],
-    key: FactorKey,
-    view: &ShardedView<'_>,
-    observer: &(impl PhaseObserver + ?Sized),
-    phase: MechanismPhase,
-    sink: &dyn SpanSink,
-) -> Result<Vec<f64>, NetError> {
-    let split = leading_split(factors);
-    if view
-        .ranges_on_axis(split.leading.cols(), split.trailing_cols())
-        .is_none()
-    {
-        return Err(NetError::Unsupported(
-            "slab boundaries do not align with the leading factor",
-        ));
-    }
-    let trailing = Operand::keyed(key, &split.trailing);
-    let parts = fan_out(&view.slabs, observer, phase, |shard, slab| {
-        exec.pool().run_slab_task(
-            dataset,
-            shard as u64,
-            trailing,
-            (slab.rows.start as u64, slab.rows.end as u64),
-            slab.values,
-            sink,
-            phase.name(),
-        )
-    })?;
-    Ok(kron_forward_from_parts(
-        factors,
-        parts,
-        exec.local(),
-        observer,
-        phase,
-    ))
-}
-
-/// The remote forward fan-out over a coordinator-held intermediate (the
-/// inverse-Gram pass of RECONSTRUCT): payload slices ship with the request.
-#[allow(clippy::too_many_arguments)]
-fn kron_forward_remote_payload(
-    exec: &RemoteExecutor,
-    factors: &[&StructuredMatrix],
-    key: FactorKey,
-    x: &[f64],
-    ranges: &[Range<usize>],
-    observer: &(impl PhaseObserver + ?Sized),
-    phase: MechanismPhase,
-    sink: &dyn SpanSink,
-) -> Result<Vec<f64>, NetError> {
-    let split = leading_split(factors);
-    let rest_n = split.trailing_cols();
-    let trailing = Operand::keyed(key, &split.trailing);
-    let parts = fan_out(ranges, observer, phase, |shard, r| {
-        let payload = &x[r.start * rest_n..r.end * rest_n];
-        exec.pool()
-            .apply(false, trailing, payload, shard, sink, phase.name())
-    })?;
-    Ok(kron_forward_from_parts(
-        factors,
-        parts,
-        exec.local(),
-        observer,
-        phase,
-    ))
-}
-
-/// The remote transposed fan-out: trailing transposes run as
-/// [`ApplyKeyed`](crate::Frame::ApplyKeyed) RPCs over measurement-axis blocks, the
-/// merge and leading transpose run locally — bitwise identical to
-/// [`kron_transpose_sharded`](hdmm_mechanism::kron_transpose_sharded).
-#[allow(clippy::too_many_arguments)]
-fn kron_transpose_remote(
-    exec: &RemoteExecutor,
-    factors: &[&StructuredMatrix],
-    key: FactorKey,
-    y: &[f64],
-    domain_ranges: &[Range<usize>],
-    observer: &(impl PhaseObserver + ?Sized),
-    phase: MechanismPhase,
-    sink: &dyn SpanSink,
-) -> Result<Vec<f64>, NetError> {
-    let split = leading_split(factors);
-    let rest_m = split.trailing_rows();
-    let trailing = Operand::keyed(key, &split.trailing);
-    let y_blocks = partition_rows(split.leading.rows(), domain_ranges.len());
-    let parts = fan_out(&y_blocks, observer, phase, |shard, b| {
-        let payload = &y[b.start * rest_m..b.end * rest_m];
-        exec.pool()
-            .apply(true, trailing, payload, shard, sink, phase.name())
-    })?;
-    Ok(kron_transpose_from_parts(
-        factors,
-        parts,
-        domain_ranges,
-        exec.local(),
-        observer,
-        phase,
-    ))
-}
-
-/// Remote RECONSTRUCT, mirroring
-/// [`reconstruct_sharded_with`](hdmm_mechanism::reconstruct_sharded_with)
-/// stage for stage: Kronecker strategies fan both passes out over the wire;
-/// explicit and union strategies keep the local serial path (small domains /
-/// global LSMR solve); marginals fan the per-marginal `Mᵀy` out and keep the
-/// subset-algebra application local. Nothing that depends only on the
-/// strategy is built here — it all comes from `prepared` and `keys`.
-#[allow(clippy::too_many_arguments)]
-fn reconstruct_remote(
-    strategy: &Strategy,
-    prepared: &PreparedReconstruct,
-    keys: &OperandKeys,
-    meas: &Measurements,
-    view: &ShardedView<'_>,
-    exec: &RemoteExecutor,
-    observer: &(impl PhaseObserver + ?Sized),
-    sink: &dyn SpanSink,
-) -> Result<Vec<f64>, NetError> {
-    let phase = MechanismPhase::Reconstruct;
-    match (strategy, prepared) {
-        (Strategy::Explicit(_), PreparedReconstruct::Explicit { .. })
-        | (Strategy::Union(_), PreparedReconstruct::Union) => {
-            Ok(reconstruct_with(prepared, strategy, meas))
-        }
-        (Strategy::Kron(factors), PreparedReconstruct::Kron { gram_pinvs }) => {
-            let refs: Vec<&StructuredMatrix> = factors.iter().collect();
-            let split = leading_split(&refs);
-            let Some(ranges) = view.ranges_on_axis(split.leading.cols(), split.trailing_cols())
-            else {
-                return Ok(reconstruct_with(prepared, strategy, meas));
-            };
-            let pinv_key = keys.gram_pinv.ok_or(MISMATCHED_PLAN)?;
-            let y = &meas.blocks.first().ok_or(MISMATCHED_PLAN)?.noisy;
-            let aty = kron_transpose_remote(
-                exec,
-                &refs,
-                keys.block(0)?,
-                y,
-                &ranges,
-                observer,
-                phase,
-                sink,
-            )?;
-            let pinv_refs: Vec<&StructuredMatrix> = gram_pinvs.iter().collect();
-            kron_forward_remote_payload(
-                exec, &pinv_refs, pinv_key, &aty, &ranges, observer, phase, sink,
-            )
-        }
-        (Strategy::Marginals(m), PreparedReconstruct::Marginals { algebra, v }) => {
-            if view.leading != m.domain.attr_size(0) {
-                return Ok(reconstruct_with(prepared, strategy, meas));
-            }
-            let n = m.domain.size();
-            let domain_ranges: Vec<Range<usize>> =
-                view.slabs.iter().map(|s| s.rows.clone()).collect();
-            let mut mty = vec![0.0; n];
-            let measured = (0..m.theta.len()).filter(|&a| m.theta[a] != 0.0);
-            for (i, a) in measured.enumerate() {
-                let block = meas.blocks.get(i).ok_or(MISMATCHED_PLAN)?;
-                let q = algebra.marginal_factors(a);
-                let refs: Vec<&StructuredMatrix> = q.iter().collect();
-                let back = kron_transpose_remote(
-                    exec,
-                    &refs,
-                    keys.block(i)?,
-                    &block.noisy,
-                    &domain_ranges,
-                    observer,
-                    phase,
-                    sink,
-                )?;
-                let theta = m.theta[a];
-                for (acc, b) in mty.iter_mut().zip(&back) {
-                    *acc += theta * b;
-                }
-            }
-            Ok(algebra.g_apply(v, &mty))
-        }
-        _ => Err(MISMATCHED_PLAN),
-    }
-}
-
-/// The full checked remote pipeline with per-phase timing: budget-validated
-/// MEASURE with the slab fan-out over the worker pool, remote RECONSTRUCT,
-/// and local sharded ANSWER over the reconstructed estimate.
+/// The RPC fan-out behind the [`Kernels`] seam: phase 1 of every Kronecker
+/// product — the trailing factors over each slab or payload block — runs on
+/// the worker pool; the merge and leading contraction run on the
+/// coordinator through `local`'s executor and observer, exactly as
+/// [`LocalKernels`] runs them. Explicit products (small 1-D domains, not
+/// worth a round trip) and ANSWER (per-request workload factors, resident
+/// nowhere) are `local`'s outright.
 ///
-/// `prepared` and `keys` are the strategy-only state, built once per plan
-/// from `strategy` ([`PreparedReconstruct::new`], [`OperandKeys::new`]) and
-/// reused by every request. State of another strategy family or block count
-/// is refused with a typed [`NetError::Unsupported`]; beyond that, pairing
-/// them with the strategy they were built from is the caller's contract.
-///
-/// Results are bitwise identical to
-/// [`try_run_mechanism_sharded_prepared_observed`](hdmm_mechanism::try_run_mechanism_sharded_prepared_observed)
-/// on the same view with the same RNG — and therefore to the plain dense
-/// pipeline — for every worker count. On [`RemoteError::Net`] the RNG may be
-/// partially consumed; callers that fall back locally must reseed.
-///
-/// Pass [`NoopSpanSink`](hdmm_obs::NoopSpanSink) as `sink` to run untraced.
-/// When `sink` traces, every RPC attempt of the fan-out (retries included)
-/// and every worker-side kernel span shipped back in the replies is recorded
-/// into it, parented under the phase spans the sink pre-allocates — giving
-/// one connected span tree per request even across the wire. Tracing never
+/// `keys` must be the [`OperandKeys`] of the plan being served. When `sink`
+/// traces, every RPC attempt of the fan-out (retries included) and every
+/// worker-side kernel span shipped back in the replies is recorded into it,
+/// parented under the phase spans the sink pre-allocates — one connected
+/// span tree per request even across the wire; pass
+/// [`NoopSpanSink`](hdmm_obs::NoopSpanSink) to run untraced. Tracing never
 /// changes the computation: the sink is consulted outside the numeric path.
-#[allow(clippy::too_many_arguments)]
-pub fn try_run_mechanism_remote_traced(
-    workload: &Workload,
-    strategy: &Strategy,
-    prepared: &PreparedReconstruct,
-    keys: &OperandKeys,
-    dataset: &str,
-    view: &ShardedView<'_>,
-    eps: f64,
-    remaining: f64,
-    rng: &mut impl Rng,
-    exec: &RemoteExecutor,
-    observer: &(impl PhaseObserver + ?Sized),
-    sink: &dyn SpanSink,
-) -> Result<MechanismResult, RemoteError> {
-    if !(eps.is_finite() && eps > 0.0) {
-        return Err(MechanismError::InvalidEpsilon { eps }.into());
-    }
-    if eps > remaining * (1.0 + 1e-12) {
-        return Err(MechanismError::BudgetExhausted {
-            requested: eps,
-            remaining,
-        }
-        .into());
-    }
-    let expected = workload.domain().size();
-    if view.total_len() != expected {
-        return Err(MechanismError::DataVectorMismatch {
-            expected,
-            got: view.total_len(),
-        }
-        .into());
-    }
+pub struct RpcKernels<'a, O: PhaseObserver + ?Sized> {
+    /// The workers.
+    pub pool: &'a WorkerPool,
+    /// The name the dataset's slabs are cached under on the workers.
+    pub dataset: &'a str,
+    /// The served plan's content keys.
+    pub keys: &'a OperandKeys,
+    /// The coordinator-side stages (and the dataset view).
+    pub local: LocalKernels<'a, O>,
+    /// Receives the RPC spans.
+    pub sink: &'a dyn SpanSink,
+}
 
-    keys.check(strategy, prepared)?;
-
-    let phase = MechanismPhase::Measure;
-    let t = Instant::now();
-    let meas = measure_with(
-        strategy,
-        prepared.marginals_algebra(),
-        eps,
-        rng,
-        &mut |a| {
-            // Explicit strategies live on small 1-D domains — not worth a
-            // round-trip; identical to the local sharded path by definition.
-            let x = view.assemble();
-            Ok(explicit_forward_sharded(
-                a,
-                &x,
-                view.shard_count(),
-                exec.local(),
-                observer,
-                phase,
+impl<O: PhaseObserver + ?Sized> RpcKernels<'_, O> {
+    /// The slab ranges on the leading axis of `factors`. A product that does
+    /// not line up with them has no per-slab tasks to send; the caller
+    /// reruns the request over [`LocalKernels`], which serve it plain.
+    fn aligned(&self, factors: &[&StructuredMatrix]) -> Result<Vec<Range<usize>>, NetError> {
+        self.local
+            .aligned_ranges(factors)
+            .ok_or(NetError::Unsupported(
+                "slab boundaries do not align with the leading factor",
             ))
-        },
-        &mut |block, refs| {
-            let key = keys.block(block)?;
-            kron_forward_remote(exec, dataset, refs, key, view, observer, phase, sink)
-        },
-    )?;
-    observer.phase_complete(MechanismPhase::Measure, t.elapsed());
+    }
+}
 
-    let t = Instant::now();
-    let x_hat = reconstruct_remote(strategy, prepared, keys, &meas, view, exec, observer, sink)?;
-    observer.phase_complete(MechanismPhase::Reconstruct, t.elapsed());
+impl<O: PhaseObserver + ?Sized> Kernels for RpcKernels<'_, O> {
+    type Error = NetError;
 
-    let t = Instant::now();
-    let answers = answer_sharded(workload, &x_hat, view.shard_count(), exec.local(), observer);
-    observer.phase_complete(MechanismPhase::Answer, t.elapsed());
+    fn cells(&self) -> usize {
+        self.local.cells()
+    }
 
-    Ok(MechanismResult { x_hat, answers })
+    fn resident_plan(&self) -> Option<PlanShape> {
+        Some(self.keys.shape())
+    }
+
+    fn explicit(&self, a: &Matrix) -> Result<Vec<f64>, NetError> {
+        self.local.explicit(a).map_err(|never| match never {})
+    }
+
+    /// Slabs are cached on the workers, so tasks are
+    /// [`SlabForwardKeyed`](crate::Frame::SlabForwardKeyed) RPCs naming one.
+    fn forward(&self, block: usize, factors: &[&StructuredMatrix]) -> Result<Vec<f64>, NetError> {
+        let phase = MechanismPhase::Measure;
+        self.aligned(factors)?;
+        let split = leading_split(factors);
+        let trailing = Operand::keyed(self.keys.block(block)?, &split.trailing);
+        let slabs = &self.local.view.slabs;
+        let parts = fan_out(slabs, self.local.observer, phase, |shard, slab| {
+            self.pool.run_slab_task(
+                self.dataset,
+                shard as u64,
+                trailing,
+                (slab.rows.start as u64, slab.rows.end as u64),
+                slab.values,
+                self.sink,
+                phase.name(),
+            )
+        })?;
+        Ok(kron_forward_from_parts(
+            factors,
+            parts,
+            self.local.exec,
+            self.local.observer,
+            phase,
+        ))
+    }
+
+    /// Trailing transposes over measurement-axis blocks of `y` run as
+    /// [`ApplyKeyed`](crate::Frame::ApplyKeyed) RPCs.
+    fn transpose(
+        &self,
+        block: usize,
+        factors: &[&StructuredMatrix],
+        y: &[f64],
+    ) -> Result<Vec<f64>, NetError> {
+        let phase = MechanismPhase::Reconstruct;
+        let domain_ranges = self.aligned(factors)?;
+        let split = leading_split(factors);
+        let rest_m = split.trailing_rows();
+        let trailing = Operand::keyed(self.keys.block(block)?, &split.trailing);
+        let y_blocks = partition_rows(split.leading.rows(), domain_ranges.len());
+        let parts = fan_out(&y_blocks, self.local.observer, phase, |shard, b| {
+            let payload = &y[b.start * rest_m..b.end * rest_m];
+            self.pool
+                .apply(true, trailing, payload, shard, self.sink, phase.name())
+        })?;
+        Ok(kron_transpose_from_parts(
+            factors,
+            parts,
+            &domain_ranges,
+            self.local.exec,
+            self.local.observer,
+            phase,
+        ))
+    }
+
+    /// The intermediate lives on the coordinator, so payload slices ship
+    /// with the [`ApplyKeyed`](crate::Frame::ApplyKeyed) requests.
+    fn inverse_grams(
+        &self,
+        gram_pinvs: &[&StructuredMatrix],
+        aty: &[f64],
+    ) -> Result<Vec<f64>, NetError> {
+        let phase = MechanismPhase::Reconstruct;
+        let ranges = self.aligned(gram_pinvs)?;
+        let split = leading_split(gram_pinvs);
+        let rest_n = split.trailing_cols();
+        let trailing = Operand::keyed(self.keys.gram_pinv.ok_or(NO_KEY)?, &split.trailing);
+        let parts = fan_out(&ranges, self.local.observer, phase, |shard, r| {
+            let payload = &aty[r.start * rest_n..r.end * rest_n];
+            self.pool
+                .apply(false, trailing, payload, shard, self.sink, phase.name())
+        })?;
+        Ok(kron_forward_from_parts(
+            gram_pinvs,
+            parts,
+            self.local.exec,
+            self.local.observer,
+            phase,
+        ))
+    }
+
+    fn answer(&self, workload: &Workload, x_hat: &[f64]) -> Vec<f64> {
+        self.local.answer(workload, x_hat)
+    }
 }
 
 #[cfg(test)]
@@ -567,7 +308,8 @@ mod tests {
     use super::*;
     use crate::worker::{spawn_worker, WorkerHandle, WorkerOptions};
     use hdmm_mechanism::{
-        try_run_mechanism, DataSlab, MarginalsStrategy, NoopObserver, UnionGroup,
+        run_mechanism, MarginalsStrategy, MechanismRequest, MechanismResult, NoopObserver,
+        PipelineError, ScopedExecutor, ShardedView, UnionGroup,
     };
     use hdmm_obs::NoopSpanSink;
     use hdmm_workload::{blocks, builders, Domain};
@@ -583,19 +325,7 @@ mod tests {
         (0..n).map(|i| ((i * 7) % 13) as f64).collect()
     }
 
-    fn view_of(x: &[f64], leading: usize, shards: usize) -> ShardedView<'_> {
-        let stride = x.len() / leading;
-        let slabs = partition_rows(leading, shards)
-            .into_iter()
-            .map(|r| DataSlab {
-                rows: r.clone(),
-                values: &x[r.start * stride..r.end * stride],
-            })
-            .collect();
-        ShardedView::new(leading, slabs)
-    }
-
-    fn spawn_pool(n: usize) -> (Vec<WorkerHandle>, RemoteExecutor) {
+    fn spawn_pool(n: usize) -> (Vec<WorkerHandle>, WorkerPool) {
         let workers: Vec<WorkerHandle> = (0..n)
             .map(|_| spawn_worker("127.0.0.1:0", WorkerOptions::default()).unwrap())
             .collect();
@@ -606,41 +336,42 @@ mod tests {
                 attempts: 3,
                 backoff: Duration::from_millis(5),
             },
-            local_threads: 2,
         };
-        let exec = RemoteExecutor::connect(&opts);
-        (workers, exec)
+        (workers, opts.connect())
     }
 
-    /// The pipeline under test with the per-plan state built on the spot
-    /// (the engine memoizes it; a test has one request per plan anyway).
-    #[allow(clippy::too_many_arguments)]
+    /// The pipeline over RPC kernels, with the per-plan state built on the
+    /// spot (the engine memoizes it; a test has one request per plan anyway).
     fn run_remote(
         workload: &Workload,
         strategy: &Strategy,
-        dataset: &str,
         view: &ShardedView<'_>,
-        eps: f64,
-        remaining: f64,
-        rng: &mut StdRng,
-        exec: &RemoteExecutor,
+        pool: &WorkerPool,
         observer: &impl PhaseObserver,
-    ) -> Result<MechanismResult, RemoteError> {
+    ) -> Result<MechanismResult, PipelineError<NetError>> {
         let prepared = PreparedReconstruct::new(strategy);
         let keys = OperandKeys::new(strategy, &prepared);
-        try_run_mechanism_remote_traced(
+        MechanismRequest {
             workload,
             strategy,
-            &prepared,
-            &keys,
-            dataset,
-            view,
-            eps,
-            remaining,
-            rng,
-            exec,
+            prepared: &prepared,
+            eps: 1.0,
+            remaining: 1.0,
+        }
+        .run(
+            &mut StdRng::seed_from_u64(42),
+            &RpcKernels {
+                pool,
+                dataset: "test",
+                keys: &keys,
+                local: LocalKernels {
+                    view,
+                    exec: &ScopedExecutor::new(2),
+                    observer,
+                },
+                sink: &NoopSpanSink,
+            },
             observer,
-            &NoopSpanSink,
         )
     }
 
@@ -681,23 +412,11 @@ mod tests {
             let n = w.domain().size();
             let leading = w.domain().attr_size(0);
             let x = data(n);
-            let plain =
-                try_run_mechanism(&w, &s, &x, 1.0, 1.0, &mut StdRng::seed_from_u64(42)).unwrap();
+            let plain = run_mechanism(&w, &s, &x, 1.0, &mut StdRng::seed_from_u64(42));
             for workers in [1usize, 2, 3] {
-                let (_handles, exec) = spawn_pool(workers);
-                let view = view_of(&x, leading, 3);
-                let got = run_remote(
-                    &w,
-                    &s,
-                    "test",
-                    &view,
-                    1.0,
-                    1.0,
-                    &mut StdRng::seed_from_u64(42),
-                    &exec,
-                    &NoopObserver,
-                )
-                .unwrap();
+                let (_handles, pool) = spawn_pool(workers);
+                let view = ShardedView::partitioned(leading, &x, 3);
+                let got = run_remote(&w, &s, &view, &pool, &NoopObserver).unwrap();
                 assert!(
                     bits_eq(&got.answers, &plain.answers),
                     "{} workers={workers}: answers diverge",
@@ -708,7 +427,7 @@ mod tests {
                     "{} workers={workers}: x_hat diverges",
                     s.kind()
                 );
-                let health = exec.health();
+                let health = pool.health();
                 assert!(
                     health.workers.iter().map(|h| h.tasks).sum::<u64>() > 0,
                     "workers must have served tasks"
@@ -718,24 +437,8 @@ mod tests {
     }
 
     #[test]
-    fn remote_validation_is_typed() {
-        let (_handles, exec) = spawn_pool(1);
-        let w = builders::prefix_2d(4, 4);
-        let s = Strategy::kron(vec![blocks::prefix(4), blocks::prefix(4)]);
-        let x = data(16);
-        let view = view_of(&x, 4, 2);
-        let mut rng = StdRng::seed_from_u64(0);
-        assert!(matches!(
-            run_remote(&w, &s, "d", &view, 2.0, 1.0, &mut rng, &exec, &NoopObserver),
-            Err(RemoteError::Mechanism(
-                MechanismError::BudgetExhausted { .. }
-            ))
-        ));
-    }
-
-    #[test]
     fn dead_pool_surfaces_a_net_error() {
-        let (handles, exec) = spawn_pool(2);
+        let (handles, pool) = spawn_pool(2);
         for h in &handles {
             h.kill();
         }
@@ -743,19 +446,9 @@ mod tests {
         let w = builders::prefix_2d(4, 4);
         let s = Strategy::kron(vec![blocks::prefix(4), blocks::prefix(4)]);
         let x = data(16);
-        let view = view_of(&x, 4, 2);
-        let r = run_remote(
-            &w,
-            &s,
-            "d",
-            &view,
-            1.0,
-            1.0,
-            &mut StdRng::seed_from_u64(0),
-            &exec,
-            &NoopObserver,
-        );
-        assert!(matches!(r, Err(RemoteError::Net(_))));
+        let view = ShardedView::partitioned(4, &x, 2);
+        let r = run_remote(&w, &s, &view, &pool, &NoopObserver);
+        assert!(matches!(r, Err(PipelineError::Kernel(_))));
     }
 
     #[test]
@@ -768,54 +461,14 @@ mod tests {
                 assert_ne!(shard, 1, "observer bug");
             }
         }
-        let (_handles, exec) = spawn_pool(2);
+        let (_handles, pool) = spawn_pool(2);
         let w = builders::prefix_2d(4, 4);
         let s = Strategy::kron(vec![blocks::prefix(4), blocks::prefix(4)]);
         let x = data(16);
-        let view = view_of(&x, 4, 2);
-        let r = run_remote(
-            &w,
-            &s,
-            "d",
-            &view,
-            1.0,
-            1.0,
-            &mut StdRng::seed_from_u64(0),
-            &exec,
-            &PanicsOnShardOne,
-        );
+        let view = ShardedView::partitioned(4, &x, 2);
+        let r = run_remote(&w, &s, &view, &pool, &PanicsOnShardOne);
         assert!(
-            matches!(r, Err(RemoteError::Net(NetError::TaskPanicked))),
-            "got {r:?}"
-        );
-    }
-
-    #[test]
-    fn state_prepared_for_another_strategy_family_is_refused() {
-        let (_handles, exec) = spawn_pool(1);
-        let w = builders::prefix_2d(4, 4);
-        let s = Strategy::kron(vec![blocks::prefix(4), blocks::prefix(4)]);
-        let other = Strategy::Marginals(MarginalsStrategy::uniform(Domain::new(&[4, 4])));
-        let prepared = PreparedReconstruct::new(&other);
-        let keys = OperandKeys::new(&other, &prepared);
-        let x = data(16);
-        let view = view_of(&x, 4, 2);
-        let r = try_run_mechanism_remote_traced(
-            &w,
-            &s,
-            &prepared,
-            &keys,
-            "d",
-            &view,
-            1.0,
-            1.0,
-            &mut StdRng::seed_from_u64(0),
-            &exec,
-            &NoopObserver,
-            &NoopSpanSink,
-        );
-        assert!(
-            matches!(r, Err(RemoteError::Net(NetError::Unsupported(_)))),
+            matches!(r, Err(PipelineError::Kernel(NetError::TaskPanicked))),
             "got {r:?}"
         );
     }

@@ -149,7 +149,7 @@ pub fn select_optimizer(workload: &Workload, opts: &HdmmOptions) -> PlanDecision
 /// Runs exactly one operator (with restarts and the Identity fallback of
 /// Algorithm 2's first line) and returns the best strategy found.
 ///
-/// `OptimizerChoice::Exhaustive` delegates to [`opt_hdmm_grams`]. Operators
+/// `OptimizerChoice::Exhaustive` delegates to [`crate::opt_hdmm_grams`]. Operators
 /// that do not apply to the given shape (e.g. `Plus` on a single term,
 /// `Marginals` on 1-D) quietly fall back to the nearest applicable one, so
 /// the function is total over all (choice, workload) pairs.

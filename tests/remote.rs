@@ -63,7 +63,6 @@ fn spawn_workers(specs: &[Duration]) -> (Vec<WorkerHandle>, RemoteOptions) {
             attempts: 3,
             backoff: Duration::from_millis(10),
         },
-        local_threads: 4,
     };
     (handles, opts)
 }

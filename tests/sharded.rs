@@ -12,8 +12,8 @@
 use hdmm::core::{builders, Domain, QueryEngine, Workload};
 use hdmm::engine::{Engine, EngineOptions};
 use hdmm::mechanism::{
-    measure_sharded, reconstruct_sharded, DataSlab, ScopedExecutor, SerialExecutor, ShardExecutor,
-    ShardedView, Strategy,
+    measure_on, reconstruct_on, reconstruct_with, Kernels, LocalKernels, PreparedReconstruct,
+    ScopedExecutor, SerialExecutor, ShardExecutor, ShardedView, Strategy,
 };
 use hdmm::optimizer::HdmmOptions;
 use hdmm_mechanism::NoopObserver;
@@ -161,27 +161,22 @@ proptest! {
         for strategy in strategies {
             let mut rng = StdRng::seed_from_u64(seed);
             let plain = hdmm::mechanism::measure(&strategy, &x, 1.0, &mut rng);
-            let plain_xhat = hdmm::mechanism::reconstruct(&strategy, &plain);
+            let prepared = PreparedReconstruct::new(&strategy);
+            let plain_xhat = reconstruct_with(&prepared, &strategy, &plain);
 
-            let stride = n2;
-            let slabs: Vec<DataSlab<'_>> = hdmm::linalg::partition_rows(n1, shards)
-                .into_iter()
-                .map(|r| DataSlab { rows: r.clone(), values: &x[r.start * stride..r.end * stride] })
-                .collect();
-            let view = ShardedView::new(n1, slabs);
+            let view = ShardedView::partitioned(n1, &x, shards);
             let exec: &dyn ShardExecutor =
                 if threaded { &ScopedExecutor::new(4) } else { &SerialExecutor };
+            let kernels = LocalKernels { view: &view, exec, observer: &NoopObserver };
             let mut rng = StdRng::seed_from_u64(seed);
-            let meas = measure_sharded(&strategy, &view, 1.0, &mut rng, exec, &NoopObserver);
+            let meas = measure_on(&strategy, None, 1.0, &mut rng, &kernels).unwrap();
             for (a, b) in plain.blocks.iter().zip(&meas.blocks) {
                 prop_assert!(bits_eq(&a.noisy, &b.noisy), "measurement diverges");
                 prop_assert!(a.noise_scale.to_bits() == b.noise_scale.to_bits());
             }
-            let xhat = reconstruct_sharded(&strategy, &meas, &view, exec, &NoopObserver);
+            let xhat = reconstruct_on(&prepared, &strategy, &meas, &kernels).unwrap();
             prop_assert!(bits_eq(&plain_xhat, &xhat), "reconstruction diverges");
-            let answers = hdmm::mechanism::answer_sharded(
-                &w, &xhat, view.shard_count(), exec, &NoopObserver,
-            );
+            let answers = kernels.answer(&w, &xhat);
             prop_assert!(bits_eq(&w.answer(&plain_xhat), &answers), "answers diverge");
         }
     }
@@ -210,16 +205,13 @@ fn acceptance_grid_non_divisible_axes() {
     }
 }
 
-/// The prepared sharded pipeline hands MEASURE the marginals algebra cached
+/// The pipeline hands MEASURE the marginals algebra cached
 /// in `PreparedReconstruct` instead of rebuilding it per request (ISSUE 12):
 /// the algebra is a pure function of the domain, so measurements, estimate
 /// and answers must keep the plain pipeline's bits at every shard count.
 #[test]
 fn cached_marginals_algebra_measures_bitwise_like_a_fresh_one() {
-    use hdmm::mechanism::{
-        try_run_mechanism, try_run_mechanism_sharded_prepared_observed, MarginalsStrategy,
-        PreparedReconstruct,
-    };
+    use hdmm::mechanism::{measure, MarginalsStrategy, MechanismRequest};
     let domain = Domain::new(&[6, 3, 2]);
     let w = builders::upto_kway_marginals(&domain, 2);
     // Zero weights exercise the skipped-marginal bookkeeping too.
@@ -228,36 +220,35 @@ fn cached_marginals_algebra_measures_bitwise_like_a_fresh_one() {
     let prepared = PreparedReconstruct::new(&strategy);
     assert!(prepared.marginals_algebra().is_some());
     let x: Vec<f64> = (0..domain.size()).map(|i| ((i * 5) % 11) as f64).collect();
-    let plain =
-        try_run_mechanism(&w, &strategy, &x, 1.0, 1.0, &mut StdRng::seed_from_u64(5)).unwrap();
+    // The reference: plain kernels, MEASURE building its own algebra.
+    let meas = measure(&strategy, &x, 1.0, &mut StdRng::seed_from_u64(5));
+    let plain_x_hat = reconstruct_with(&prepared, &strategy, &meas);
+    let plain_answers = w.answer(&plain_x_hat);
     for shards in [1usize, 2, 4, 6] {
-        let stride = domain.size() / 6;
-        let slabs: Vec<DataSlab<'_>> = hdmm::linalg::partition_rows(6, shards)
-            .into_iter()
-            .map(|r| DataSlab {
-                rows: r.clone(),
-                values: &x[r.start * stride..r.end * stride],
-            })
-            .collect();
-        let view = ShardedView::new(6, slabs);
+        let view = ShardedView::partitioned(6, &x, shards);
         for exec in [
             &SerialExecutor as &dyn ShardExecutor,
             &ScopedExecutor::new(4),
         ] {
-            let got = try_run_mechanism_sharded_prepared_observed(
-                &w,
-                &strategy,
-                &prepared,
-                &view,
-                1.0,
-                1.0,
+            let got = MechanismRequest {
+                workload: &w,
+                strategy: &strategy,
+                prepared: &prepared,
+                eps: 1.0,
+                remaining: 1.0,
+            }
+            .run(
                 &mut StdRng::seed_from_u64(5),
-                exec,
+                &LocalKernels {
+                    view: &view,
+                    exec,
+                    observer: &NoopObserver,
+                },
                 &NoopObserver,
             )
             .unwrap();
             assert!(
-                bits_eq(&plain.x_hat, &got.x_hat) && bits_eq(&plain.answers, &got.answers),
+                bits_eq(&plain_x_hat, &got.x_hat) && bits_eq(&plain_answers, &got.answers),
                 "shards={shards}: cached-algebra pipeline diverges from plain"
             );
         }

@@ -99,8 +99,8 @@ fn bench_dedup_under_miss(c: &mut Criterion) {
 fn bench_singleflight_hit_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("warm_hit_with_telemetry");
     group.sample_size(20);
-    // The full serve path after this PR (sharded cache + telemetry): directly
-    // comparable to the engine_warm_cache_hit baseline snapshot.
+    // The full serve path (sharded cache + telemetry): directly comparable
+    // to `engine_end_to_end`'s engine_warm_cache_hit.
     let n = 64;
     let workload = builders::all_range_1d(n);
     let engine = quick_engine();

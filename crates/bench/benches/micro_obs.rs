@@ -4,8 +4,8 @@
 //!
 //! The acceptance bar (ISSUE 7) is that `trace_sample: 1` stays within 5%
 //! of the unsampled path on warm cache hits — compare the two
-//! `engine_warm_obs` series, and either against the pre-observability
-//! `engine_warm_cache_hit` numbers in `BENCH_engine.json`.
+//! `engine_warm_obs` series, and either against `engine_end_to_end`'s
+//! `engine_warm_cache_hit`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hdmm_core::{builders, Domain, QueryEngine};

@@ -6,8 +6,6 @@
 //! * `HDMM_LARGE=1` — include the largest paper configurations (slower);
 //! * `HDMM_TRIALS=k` — trials for data-dependent mechanisms (default small).
 
-pub mod snapshot;
-
 use std::time::Instant;
 
 /// True when the large (paper-scale) configurations were requested.

@@ -8,17 +8,10 @@
 //! this repository make. Results are printed as text; there is no HTML
 //! report, statistical regression, or outlier analysis.
 //!
-//! Two environment variables support the CI `bench-smoke` job:
-//!
-//! * `BENCH_QUICK=1` clamps every benchmark to 3 samples so a full target
-//!   finishes in seconds;
-//! * `BENCH_JSON=<path>` appends one JSON object per benchmark
-//!   (`{"label", "min_ns", "median_ns", "mean_ns", "samples"}`, JSON-lines
-//!   format) to `<path>`, which CI aggregates into the `BENCH_*.json`
-//!   performance-trajectory artifacts.
+//! `BENCH_QUICK=1` clamps every benchmark to 3 samples so a full target
+//! finishes in seconds.
 
 use std::fmt;
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 /// Samples per benchmark under `BENCH_QUICK=1`.
@@ -26,39 +19,6 @@ const QUICK_SAMPLES: usize = 3;
 
 fn quick_mode() -> bool {
     std::env::var("BENCH_QUICK").is_ok_and(|v| v != "0" && !v.is_empty())
-}
-
-/// Appends one JSON-lines record to the `BENCH_JSON` file, if configured.
-/// Failures are reported to stderr but never fail the bench run.
-fn emit_json(label: &str, min: Duration, median: Duration, mean: Duration, samples: usize) {
-    let Ok(path) = std::env::var("BENCH_JSON") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    let escaped: String = label
-        .chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            c if (c as u32) < 0x20 => vec![' '],
-            c => vec![c],
-        })
-        .collect();
-    let line = format!(
-        "{{\"label\":\"{escaped}\",\"min_ns\":{},\"median_ns\":{},\"mean_ns\":{},\"samples\":{samples}}}\n",
-        min.as_nanos(),
-        median.as_nanos(),
-        mean.as_nanos(),
-    );
-    let written = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| f.write_all(line.as_bytes()));
-    if let Err(e) = written {
-        eprintln!("BENCH_JSON: failed to append to {path}: {e}");
-    }
 }
 
 /// Prevents the optimizer from eliding a benchmarked computation.
@@ -231,7 +191,6 @@ fn run_bench(label: &str, sample_size: usize, f: &mut dyn FnMut(&mut Bencher)) {
         fmt_duration(mean),
         b.samples.len(),
     );
-    emit_json(label, min, median, mean, b.samples.len());
 }
 
 fn fmt_duration(d: Duration) -> String {
@@ -289,24 +248,15 @@ mod tests {
     }
 
     #[test]
-    fn quick_and_json_modes() {
-        let path =
-            std::env::temp_dir().join(format!("bench_json_test_{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        std::env::set_var("BENCH_JSON", &path);
+    fn quick_mode_clamps_the_sample_count() {
         std::env::set_var("BENCH_QUICK", "1");
-        let mut c = Criterion::default();
-        c.bench_function("json_smoke", |b| b.iter(|| black_box(1 + 1)));
-        std::env::remove_var("BENCH_JSON");
+        let mut samples = 0;
+        Criterion::default().bench_function("quick_smoke", |b| {
+            b.iter(|| black_box(1 + 1));
+            samples = b.samples.len();
+        });
         std::env::remove_var("BENCH_QUICK");
-        let contents = std::fs::read_to_string(&path).expect("json file written");
-        let line = contents
-            .lines()
-            .find(|l| l.contains("\"json_smoke\""))
-            .expect("record for this bench");
-        assert!(line.contains("\"min_ns\":"), "{line}");
-        assert!(line.contains("\"samples\":3"), "{line}");
-        let _ = std::fs::remove_file(&path);
+        assert_eq!(samples, QUICK_SAMPLES);
     }
 
     #[test]

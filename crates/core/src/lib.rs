@@ -57,6 +57,7 @@ pub use hdmm_workload::{
     builders, census, predicates, Domain, ProductTerm, Workload, WorkloadFingerprint, WorkloadGrams,
 };
 
+use hdmm_optimizer::{OptimizerChoice, RestartObserver};
 use rand::Rng;
 
 /// The HDMM planner: configuration for the SELECT phase.
@@ -84,29 +85,7 @@ impl Hdmm {
     /// SELECT: optimizes a measurement strategy for `workload`
     /// (Algorithm 2). Pure function of the workload — no data, no budget.
     pub fn plan(&self, workload: &Workload) -> Plan {
-        let grams = WorkloadGrams::from_workload(workload);
-        let ps = self
-            .options
-            .ps
-            .clone()
-            .unwrap_or_else(|| hdmm_optimizer::default_ps(workload));
-        let selected = hdmm_optimizer::opt_hdmm_grams(&grams, &ps, &self.options);
-        Plan {
-            selected,
-            grams,
-            query_count: workload.query_count(),
-        }
-    }
-
-    /// SELECT directly from workload Grams (very large structured workloads
-    /// where the query matrices are never materialized).
-    pub fn plan_grams(&self, grams: WorkloadGrams, ps: &[usize], query_count: usize) -> Plan {
-        let selected = hdmm_optimizer::opt_hdmm_grams(&grams, ps, &self.options);
-        Plan {
-            selected,
-            grams,
-            query_count,
-        }
+        Plan::select(workload, &self.options, OptimizerChoice::Exhaustive, &())
     }
 }
 
@@ -120,9 +99,30 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Assembles a plan from an externally produced selection — the hook the
-    /// serving engine uses after running a single planner-chosen optimizer
-    /// instead of full Algorithm 2.
+    /// SELECT: forms the workload's Grams, applies the §7.1 `p` convention
+    /// unless `opts.ps` overrides it, and runs Algorithm 2's restart grid
+    /// over the operator set `choice` resolves to
+    /// ([`hdmm_optimizer::optimize_with_choice_observed`]). `Exhaustive` is
+    /// the paper's offline `OPT_HDMM`; a serving engine passes the planner's
+    /// structural choice and its own per-cell `observer`.
+    pub fn select(
+        workload: &Workload,
+        opts: &HdmmOptions,
+        choice: OptimizerChoice,
+        observer: &dyn RestartObserver,
+    ) -> Plan {
+        let grams = WorkloadGrams::from_workload(workload);
+        let ps = opts
+            .ps
+            .clone()
+            .unwrap_or_else(|| hdmm_optimizer::default_ps(workload));
+        let selected =
+            hdmm_optimizer::optimize_with_choice_observed(&grams, &ps, opts, choice, observer);
+        Plan::from_parts(selected, grams, workload.query_count())
+    }
+
+    /// Reassembles a plan from a stored selection (the plan store, and
+    /// benches that hand-pick a strategy).
     pub fn from_parts(selected: Selected, grams: WorkloadGrams, query_count: usize) -> Plan {
         Plan {
             selected,

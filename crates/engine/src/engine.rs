@@ -34,7 +34,7 @@ use crate::wal::{now_unix_ms, RecoveredDataset, Wal, WalRecord};
 use hdmm_core::{
     BudgetAccountant, DataBackend, DenseVector, Domain, EngineError, HdmmOptions, Plan,
     PrivateSession, QueryEngine, QueryResponse, SessionId, ShardedDataVector, Workload,
-    WorkloadFingerprint, WorkloadGrams,
+    WorkloadFingerprint,
 };
 use hdmm_mechanism::{
     DataSlab, LocalKernels, MechanismError, MechanismRequest, PhaseObserver, PipelineError,
@@ -43,8 +43,7 @@ use hdmm_mechanism::{
 use hdmm_net::{RemoteOptions, RpcKernels, WorkerPool};
 use hdmm_obs::trace::dur_ns;
 use hdmm_obs::{AuditKind, AuditLog, Span, SpanCollector, SpanSink, TraceContext};
-use hdmm_optimizer::planner::{optimize_with_choice_observed, select_optimizer, OptimizerChoice};
-use hdmm_optimizer::{RestartExecutor, RestartObserver};
+use hdmm_optimizer::{select_optimizer, RestartObserver};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
@@ -67,9 +66,6 @@ pub struct EngineOptions {
     /// per-dataset request order) regardless of thread interleaving across
     /// datasets.
     pub seed: u64,
-    /// Run full Algorithm 2 on every plan instead of the structural planner
-    /// (slower, occasionally lower error; mirrors the paper's offline mode).
-    pub exhaustive_planning: bool,
     /// Maximum threads a single request's shard fan-out may use
     /// (0 = the machine's available parallelism). Shard counts above this
     /// still work; tasks queue onto the available lanes.
@@ -118,7 +114,6 @@ impl Default for EngineOptions {
             cache_capacity: 64,
             session_capacity: 1024,
             seed: 0,
-            exhaustive_planning: false,
             shard_workers: 0,
             cache_dir: None,
             remote: None,
@@ -373,7 +368,7 @@ impl Engine {
             }
         }
         let telemetry = Telemetry::default();
-        telemetry.set_select_threads(RestartExecutor::new(options.hdmm.threads).threads() as u64);
+        telemetry.set_select_threads(ScopedExecutor::new(options.hdmm.threads).threads() as u64);
         Ok(Engine {
             cache: StrategyCache::new(options.cache_capacity),
             plan_store: options.cache_dir.clone().map(PlanStore::new),
@@ -739,7 +734,9 @@ impl Engine {
                 progress: flight,
                 sink,
             };
-            let plan = Arc::new(self.optimize_observed(workload, &observer));
+            let opts = &self.options.hdmm;
+            let choice = select_optimizer(workload, opts).choice;
+            let plan = Arc::new(Plan::select(workload, opts, choice, &observer));
             self.telemetry.record_select(t.elapsed());
             self.cache.insert(fingerprint.clone(), Arc::clone(&plan));
             freshly_optimized.set(true);
@@ -758,22 +755,6 @@ impl Engine {
             }
         }
         (plan, false)
-    }
-
-    fn optimize_observed(&self, workload: &Workload, observer: &dyn RestartObserver) -> Plan {
-        let opts = &self.options.hdmm;
-        let grams = WorkloadGrams::from_workload(workload);
-        let ps = opts
-            .ps
-            .clone()
-            .unwrap_or_else(|| hdmm_optimizer::default_ps(workload));
-        let choice = if self.options.exhaustive_planning {
-            OptimizerChoice::Exhaustive
-        } else {
-            select_optimizer(workload, opts).choice
-        };
-        let selected = optimize_with_choice_observed(&grams, &ps, opts, choice, observer);
-        Plan::from_parts(selected, grams, workload.query_count())
     }
 
     /// The planner decision for a workload, without running the optimization

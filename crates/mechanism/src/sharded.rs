@@ -685,19 +685,19 @@ mod tests {
     }
 
     #[test]
-    fn scoped_executor_runs_every_task() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let counter = AtomicUsize::new(0);
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..17)
-            .map(|_| {
-                let c = &counter;
-                Box::new(move || {
-                    c.fetch_add(1, Ordering::SeqCst);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        ScopedExecutor::new(4).run(tasks);
-        assert_eq!(counter.load(Ordering::SeqCst), 17);
+    fn scoped_executor_runs_every_task_into_its_own_slot() {
+        for threads in [1, 2, 4, 7] {
+            let mut slots = [0u64; 17];
+            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
+                .iter_mut()
+                .zip(1u64..)
+                .map(|(slot, i)| Box::new(move || *slot = i * i) as Box<dyn FnOnce() + Send + '_>)
+                .collect();
+            ScopedExecutor::new(threads).run(tasks);
+            assert!(slots.iter().zip(1u64..).all(|(&s, i)| s == i * i));
+        }
+        assert!(ScopedExecutor::new(0).threads() >= 1);
+        assert_eq!(ScopedExecutor::new(3).threads(), 3);
     }
 
     #[test]

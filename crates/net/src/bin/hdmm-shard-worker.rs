@@ -12,11 +12,10 @@
 use hdmm_net::{spawn_worker, WorkerOptions};
 use std::time::Duration;
 
-const USAGE: &str = "usage: hdmm-shard-worker [--listen ADDR] [--delay-ms N] [--legacy-protocol]
+const USAGE: &str = "usage: hdmm-shard-worker [--listen ADDR] [--delay-ms N]
 
   --listen ADDR      address to listen on (default 127.0.0.1:7411)
   --delay-ms N       artificial per-task latency in ms (fault injection; default 0)
-  --legacy-protocol  emulate a pre-versioning worker (drops traced v2 frames)
 
 The protocol is unauthenticated and slabs hold raw private data: listen on
 loopback or a trusted private network only.";
@@ -24,7 +23,6 @@ loopback or a trusted private network only.";
 fn main() {
     let mut listen = String::from("127.0.0.1:7411");
     let mut delay_ms = 0u64;
-    let mut legacy_protocol = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -36,7 +34,6 @@ fn main() {
                 Some(Ok(v)) => delay_ms = v,
                 _ => die("--delay-ms needs an integer"),
             },
-            "--legacy-protocol" => legacy_protocol = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return;
@@ -47,7 +44,6 @@ fn main() {
 
     let opts = WorkerOptions {
         task_delay: Duration::from_millis(delay_ms),
-        legacy_protocol,
     };
     match spawn_worker(listen.as_str(), opts) {
         Ok(handle) => {

@@ -21,14 +21,14 @@
 
 use crate::wire::{
     frame_into, keyed_task_into, read_frame_ext_buf, ErrorCode, FactorKey, Frame, KeyedTask,
-    NetError, TraceExt, PROTO_V1, PROTO_V2,
+    NetError, TraceExt,
 };
 use hdmm_linalg::StructuredMatrix;
 use hdmm_obs::{NoopSpanSink, Span, SpanSink};
 use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -148,9 +148,6 @@ struct WorkerLink {
     /// Factor lists this link has pushed. Only a hint: the worker is the
     /// authority and says `UnknownFactors` when the hint is stale.
     factors: Mutex<HashSet<FactorKey>>,
-    /// Negotiated protocol version: 0 = not yet probed, [`PROTO_V1`] =
-    /// legacy-only peer, [`PROTO_V2`] = traced frames confirmed.
-    proto: AtomicU8,
 }
 
 impl WorkerLink {
@@ -170,7 +167,6 @@ impl WorkerLink {
             factor_pushes: AtomicU64::new(0),
             loaded: Mutex::new(HashSet::new()),
             factors: Mutex::new(HashSet::new()),
-            proto: AtomicU8::new(0),
         }
     }
 
@@ -226,47 +222,10 @@ impl WorkerLink {
         exchange
     }
 
-    /// Untraced exchange — always legacy (v1) bytes, accepted by every peer.
+    /// Untraced exchange: the request carries no trace extension, and the
+    /// worker answers in kind.
     fn call(&self, request: &Request<'_>, timeout: Duration) -> Result<Frame, NetError> {
         self.call_raw(request, None, timeout).map(|(f, _)| f)
-    }
-
-    /// Traced exchange with per-link version negotiation. An old worker has
-    /// no way to say "unknown version" — its strict magic check drops the
-    /// connection — so the first traced call to an unprobed link tries v2
-    /// and, on a transport/decode failure, downgrades the link to v1 and
-    /// retries once without the extension (losing only that call's worker
-    /// spans, never the call). A v2 success pins the link to v2, after which
-    /// failures are treated as genuine. The one-time downgrade probe may
-    /// spend up to a second `timeout` window; it happens at most once per
-    /// link per process.
-    fn call_traced(
-        &self,
-        frame: &Request<'_>,
-        ext: &TraceExt,
-        timeout: Duration,
-    ) -> Result<(Frame, Option<TraceExt>), NetError> {
-        match self.proto.load(Ordering::Relaxed) {
-            p if p == PROTO_V1 => self.call_raw(frame, None, timeout),
-            p if p == PROTO_V2 => self.call_raw(frame, Some(ext), timeout),
-            _ => match self.call_raw(frame, Some(ext), timeout) {
-                Ok(ok) => {
-                    self.proto.store(PROTO_V2, Ordering::Relaxed);
-                    Ok(ok)
-                }
-                Err(NetError::Io(_) | NetError::Codec(_)) => {
-                    // Distinguish "legacy peer" from "dead peer": only a v1
-                    // success proves the worker is alive but version-blind.
-                    // A dead worker stays unprobed so it can still negotiate
-                    // v2 when it comes back.
-                    let retry = self.call_raw(frame, None, timeout);
-                    self.proto
-                        .store(if retry.is_ok() { PROTO_V1 } else { 0 }, Ordering::Relaxed);
-                    retry
-                }
-                Err(e) => Err(e),
-            },
-        }
     }
 
     fn health(&self) -> WorkerHealth {
@@ -702,7 +661,7 @@ impl WorkerPool {
         let span_id = rpc.sink.next_span_id();
         let ext = TraceExt::request(ctx.trace_id, span_id);
         let start = Instant::now();
-        let result = link.call_traced(request, &ext, self.policy.task_timeout);
+        let result = link.call_raw(request, Some(&ext), self.policy.task_timeout);
         let end = Instant::now();
         let outcome = match &result {
             Ok((Frame::Error { .. }, _)) => "remote-error",

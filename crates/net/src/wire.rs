@@ -10,20 +10,17 @@
 //! [`MAX_FRAME_BYTES`] before any allocation: a corrupt or hostile length
 //! yields a typed [`NetError::Oversized`], never a multi-gigabyte buffer.
 //!
-//! **Versioning.** The original protocol shipped with the fixed magic
-//! `"HNW1"`; this module reinterprets its last byte as a version:
+//! **Versioning.** The byte after the `"HNW"` tag says whether a frame
+//! carries a trace extension:
 //!
-//! * version `'1'` — the legacy payload, byte-for-byte unchanged: no
-//!   extension, `kind` immediately follows the magic;
+//! * version `'1'` — no extension, `kind` immediately follows the magic;
 //! * version `'2'` — a [`TraceExt`] (trace id, parent span id, and — on
 //!   responses — worker-side [`WireSpan`]s) sits between the version byte
 //!   and `kind`. A v2 frame with `trace_id == 0` is explicitly "untraced".
 //!
-//! Both versions decode through [`decode_frame_ext`]; a v1-only peer
-//! rejects v2 frames as `BadMagic` and drops the connection, which is the
-//! signal [`WorkerPool`](crate::WorkerPool) uses to downgrade a link (see
-//! its per-link negotiation). Workers always answer in the version the
-//! request arrived in, so an old coordinator never sees v2 bytes.
+//! Both decode through [`decode_frame_ext`]. The coordinator sends v2 for a
+//! traced call and v1 for an untraced one; workers answer in the version
+//! the request arrived in. There is no negotiation: every peer reads both.
 //!
 //! Every task frame is **pure and idempotent** — a `SlabForward` or `Apply`
 //! computes a deterministic function of its inputs and mutates nothing — so
@@ -59,10 +56,10 @@ pub const WIRE_MAGIC: &[u8; 4] = b"HNW1";
 /// The version-independent format tag (the first three payload bytes).
 pub const WIRE_PREFIX: &[u8; 3] = b"HNW";
 
-/// Version byte of the legacy, extension-free protocol.
+/// Version byte of an extension-free (untraced) frame.
 pub const PROTO_V1: u8 = b'1';
 
-/// Version byte of the traced protocol (frames carry a [`TraceExt`]).
+/// Version byte of a frame that carries a [`TraceExt`].
 pub const PROTO_V2: u8 = b'2';
 
 /// Upper bound on a frame's encoded size; length prefixes beyond this are

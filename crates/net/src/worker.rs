@@ -51,11 +51,6 @@ pub struct WorkerOptions {
     /// Artificial latency added before every compute task — fault-injection
     /// hook for tests and demos (a "slow worker"); zero in production.
     pub task_delay: Duration,
-    /// Emulates a pre-versioning worker: v2 (traced) frames are rejected by
-    /// dropping the connection, exactly as an old build's strict `"HNW1"`
-    /// magic check does. Lets tests cover old-worker/new-coordinator skew
-    /// without keeping an old binary around.
-    pub legacy_protocol: bool,
 }
 
 struct Slab {
@@ -234,16 +229,13 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
             return;
         }
         let (request, ext) = match read_frame_ext_buf(&mut stream, &mut buf) {
-            // Legacy emulation: an old build's strict "HNW1" check turns any
-            // v2 frame into BadMagic and a dropped connection.
-            Ok((_, Some(_))) if shared.opts.legacy_protocol => return,
             Ok(pair) => pair,
             // EOF, reset, or garbage: drop the connection. The coordinator
             // reconnects and retries; tasks are idempotent.
             Err(_) => return,
         };
-        // Answer in the version the request arrived in: an old coordinator
-        // (v1 requests) never sees v2 bytes, a new one gets its spans back.
+        // Answer in kind: an untraced request gets an extension-free reply,
+        // a traced one gets its spans back.
         let (response, spans) = handle(request, shared);
         let reply_ext = ext.map(|e| TraceExt {
             spans: if e.trace_id == 0 { Vec::new() } else { spans },
@@ -479,29 +471,6 @@ mod tests {
         let (reply, ext) = call_v2(w.addr(), &Frame::Ping, &TraceExt::request(0, 0)).unwrap();
         assert_eq!(reply, Frame::Pong { slabs: 0 });
         assert!(ext.unwrap().spans.is_empty());
-        w.kill();
-    }
-
-    #[test]
-    fn legacy_worker_drops_v2_but_answers_v1() {
-        let opts = WorkerOptions {
-            legacy_protocol: true,
-            ..WorkerOptions::default()
-        };
-        let w = spawn_worker("127.0.0.1:0", opts).unwrap();
-        // v1 works against the legacy worker...
-        assert_eq!(
-            call(w.addr(), &Frame::Ping).unwrap(),
-            Frame::Pong { slabs: 0 }
-        );
-        // ...while a traced frame gets the connection dropped, like a real
-        // old binary's BadMagic path.
-        let mut stream = TcpStream::connect(w.addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(2)))
-            .unwrap();
-        write_frame_ext(&mut stream, &Frame::Ping, Some(&TraceExt::request(1, 1))).unwrap();
-        assert!(read_frame_ext(&mut stream).is_err());
         w.kill();
     }
 

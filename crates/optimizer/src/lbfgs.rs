@@ -166,7 +166,6 @@ pub fn minimize(
         } else {
             1.0f64
         };
-        let g_dot_dir = dot(&g, &dir);
         // Best Armijo-satisfying candidate seen so far.
         let mut best: Option<(Vec<f64>, f64, Vec<f64>)> = None;
         let mut cand = vec![0.0; n];
@@ -199,9 +198,6 @@ pub fn minimize(
             }
         }
         let Some((x_new, f_new, g_new)) = best else {
-            if std::env::var("LBFGS_DEBUG").is_ok() {
-                eprintln!("iter {iter}: line search failed, gdd {g_dot_dir:.3e} lo {lo:.3e} hi {hi:.3e} step {step:.3e}");
-            }
             converged = true; // no further progress possible along any scale
             break;
         };
@@ -227,13 +223,6 @@ pub fn minimize(
             rho_hist.clear();
         }
 
-        if std::env::var("LBFGS_DEBUG").is_ok() {
-            eprintln!(
-                "iter {iter}: f {f_new:.6e} step {step:.3e} hist {} sy {sy:.3e} |dir| {:.3e} gdd {g_dot_dir:.3e}",
-                s_hist.len(),
-                dot(&dir, &dir).sqrt()
-            );
-        }
         let rel_impr = (fx - f_new) / fx.abs().max(1e-30);
         x = x_new;
         fx = f_new;

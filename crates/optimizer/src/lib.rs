@@ -10,10 +10,26 @@
 //!   budget shares (Definition 11);
 //! * [`opt_marginals`](mod@opt_marginals) — `OPT_M`, weighted-marginals strategies with the
 //!   O(4^d) subset-algebra objective (§6.3, Appendix A.4);
-//! * [`opt_hdmm`](mod@opt_hdmm) — Algorithm 2: run all operators with restarts, keep the
-//!   best;
-//! * [`planner`] — structural plan selection (§7.1 decision rules): pick one
-//!   operator from workload shape instead of running all of Algorithm 2.
+//! * [`planner`] — SELECT itself: Algorithm 2's restart grid
+//!   ([`optimize_with_choice_observed`]), written once over an operator set,
+//!   plus the §7.1 decision rules ([`select_optimizer`]) that pick one
+//!   operator from workload shape instead of running them all;
+//! * [`opt_hdmm`](mod@opt_hdmm) — the options and result types, and
+//!   [`opt_hdmm_grams`]: Algorithm 2 as the paper names it, i.e. the grid
+//!   over [`OptimizerChoice::Exhaustive`];
+//! * [`restart`] — the per-cell seed derivation and observer.
+//!
+//! # One SELECT
+//!
+//! An [`OptimizerChoice`] resolves to an ordered operator set: `Exhaustive`
+//! → `{OPT_⊗, OPT_+(g(W)) when the union partition has ≥ 2 groups, OPT_M
+//! when 2 ≤ d ≤ marginals_max_dims}`; a single choice → that operator, or
+//! `OPT_⊗` where it does not apply. The grid enumerates `(restart, operator)`
+//! cells restart-major, seeds each with [`restart_seed`]`(master, restart,
+//! tag)`, runs them on `hdmm_mechanism::ScopedExecutor`
+//! ([`HdmmOptions::threads`] lanes) and folds the candidates in grid order
+//! under strict `<` from the Identity fallback — bitwise identical at any
+//! lane count, with `threads = 1` the serial reference.
 
 pub mod lbfgs;
 pub mod opt0;
@@ -25,9 +41,7 @@ pub mod planner;
 pub mod restart;
 
 pub use opt0::{opt0, opt0_with, Opt0Options, Opt0Result, PIdentity};
-pub use opt_hdmm::{
-    default_ps, opt_hdmm, opt_hdmm_grams, opt_hdmm_grams_observed, HdmmOptions, Selected,
-};
+pub use opt_hdmm::{default_ps, opt_hdmm_grams, HdmmOptions, Selected};
 pub use opt_kron::{opt_kron, OptKronOptions, OptKronResult};
 pub use opt_marginals::{opt_marginals, MarginalsObjective, OptMarginalsResult};
 pub use opt_plus::{group_terms, opt_plus, OptPlusResult};
@@ -35,8 +49,4 @@ pub use planner::{
     optimize_with_choice, optimize_with_choice_observed, select_optimizer, OptimizerChoice,
     PlanDecision,
 };
-pub use restart::{restart_seed, RestartExecutor, RestartObserver};
-
-/// The serving-facing name for [`HdmmOptions`]: restart count and restart-grid
-/// thread count live here (`OptimizerOptions::{restarts, threads}`).
-pub use opt_hdmm::HdmmOptions as OptimizerOptions;
+pub use restart::{restart_seed, RestartObserver};

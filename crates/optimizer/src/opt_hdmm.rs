@@ -3,18 +3,13 @@
 //!
 //! Runs the operator set `{OPT_⊗, OPT_+(g(W)), OPT_M}` across random restarts
 //! and keeps the lowest-error strategy, seeded with the Identity strategy as
-//! the universal fallback. Strategy selection never touches the data and
+//! the universal fallback — [`crate::planner`]'s restart grid with the
+//! `Exhaustive` operator set. Strategy selection never touches the data and
 //! consumes no privacy budget.
 
-use crate::opt_kron::{opt_kron, OptKronOptions};
-use crate::opt_marginals::opt_marginals;
-use crate::opt_plus::{group_terms, opt_plus};
-use crate::restart::{restart_seed, RestartExecutor, RestartObserver};
+use crate::planner::{optimize_with_choice, OptimizerChoice};
 use hdmm_mechanism::Strategy;
 use hdmm_workload::{Workload, WorkloadGrams};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::time::Instant;
 
 /// Options for `OPT_HDMM`.
 #[derive(Debug, Clone)]
@@ -45,19 +40,9 @@ impl Default for HdmmOptions {
             union_groups: 2,
             marginals_max_dims: 14,
             ps: None,
-            threads: default_threads(),
+            threads: 0,
         }
     }
-}
-
-/// The default restart-grid lane count: `HDMM_SELECT_THREADS` when set and
-/// parseable (CI pins the suite to `1` for a serial reference run), else `0`
-/// (one lane per core).
-fn default_threads() -> usize {
-    std::env::var("HDMM_SELECT_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
 }
 
 /// The selected strategy and its error.
@@ -67,7 +52,8 @@ pub struct Selected {
     pub strategy: Strategy,
     /// Squared error coefficient: `Err = (2/ε²)·squared_error`.
     pub squared_error: f64,
-    /// Which operator produced it (`identity`, `kron`, `plus`, `marginals`).
+    /// Which operator produced it (`identity`, `opt0`, `kron`, `plus`,
+    /// `marginals`).
     pub operator: &'static str,
 }
 
@@ -90,149 +76,33 @@ pub fn default_ps(workload: &Workload) -> Vec<usize> {
         .collect()
 }
 
-/// Runs Algorithm 2 on a logical workload.
-pub fn opt_hdmm(workload: &Workload, opts: &HdmmOptions) -> Selected {
-    let grams = WorkloadGrams::from_workload(workload);
-    let ps = opts.ps.clone().unwrap_or_else(|| default_ps(workload));
-    opt_hdmm_grams(&grams, &ps, opts)
-}
-
-/// A candidate error is usable only when the numerics were sound.
-fn valid(e: f64) -> bool {
-    e.is_finite() && e > 0.0
-}
-
-/// Runs Algorithm 2 directly on workload Grams (large structured workloads
-/// where `W` itself is never materialized).
+/// Algorithm 2 (`OPT_HDMM`) on workload Grams — `W` itself is never
+/// materialized: the restart grid over the full operator set
+/// ([`OptimizerChoice::Exhaustive`]).
 pub fn opt_hdmm_grams(grams: &WorkloadGrams, ps: &[usize], opts: &HdmmOptions) -> Selected {
-    opt_hdmm_grams_observed(grams, ps, opts, &())
-}
-
-/// The Identity fallback of Algorithm 2's first line.
-pub(crate) fn identity_fallback(grams: &WorkloadGrams) -> Selected {
-    Selected {
-        strategy: Strategy::identity(grams.domain()),
-        squared_error: grams.frobenius_norm_sq(),
-        operator: "identity",
-    }
-}
-
-/// Folds restart-cell candidates in grid order under strict `<` — the
-/// deterministic argmin merge. Because every candidate came from its own
-/// derived RNG stream, this fold over results computed in *any* order (or on
-/// any thread) equals the serial loop's result bit for bit; strict `<` means
-/// loss ties resolve to the earliest grid cell (lowest restart index, then
-/// operator order within the restart).
-pub(crate) fn fold_candidates(
-    mut best: Selected,
-    candidates: impl IntoIterator<Item = Option<Selected>>,
-) -> Selected {
-    for cand in candidates.into_iter().flatten() {
-        if cand.squared_error < best.squared_error {
-            best = cand;
-        }
-    }
-    best
-}
-
-/// [`opt_hdmm_grams`] with a per-cell completion observer (telemetry spans,
-/// progress counters). The observer sees cells in completion order; the
-/// returned selection is order-independent.
-///
-/// Every `(restart, operator)` cell draws from its own derived stream
-/// ([`restart_seed`]), so a cell's candidate is independent of restart count,
-/// operator applicability, and evaluation order — which is what lets
-/// [`RestartExecutor`] fan the grid over threads without changing the argmin.
-pub fn opt_hdmm_grams_observed(
-    grams: &WorkloadGrams,
-    ps: &[usize],
-    opts: &HdmmOptions,
-    observer: &dyn RestartObserver,
-) -> Selected {
-    let d = grams.dims();
-    let k = grams.terms().len();
-
-    // The union partition is RNG-free, so every restart shares it.
-    let partition = if k >= 2 && d >= 2 {
-        let p = group_terms(grams, opts.union_groups);
-        (p.len() >= 2).then_some(p)
-    } else {
-        None
-    };
-    let partition = partition.as_ref();
-    let run_marginals = d >= 2 && d <= opts.marginals_max_dims;
-
-    // Enumerate the restart grid in its canonical order: restart-major,
-    // operators in {⊗, +, M} order within each restart.
-    let mut cells: Vec<(usize, &'static str)> = Vec::new();
-    for restart in 0..opts.restarts.max(1) {
-        cells.push((restart, "kron"));
-        if partition.is_some() {
-            cells.push((restart, "plus"));
-        }
-        if run_marginals {
-            cells.push((restart, "marginals"));
-        }
-    }
-
-    observer.grid_planned(cells.len());
-
-    let jobs: Vec<_> = cells
-        .into_iter()
-        .map(|(restart, operator)| {
-            move || {
-                let started = Instant::now();
-                let mut rng =
-                    StdRng::seed_from_u64(restart_seed(opts.seed, restart as u64, operator));
-                let candidate = match operator {
-                    "kron" => {
-                        let res = opt_kron(grams, &OptKronOptions::new(ps.to_vec()), &mut rng);
-                        valid(res.residual).then(|| Selected {
-                            strategy: Strategy::kron(res.factors()),
-                            squared_error: res.residual,
-                            operator: "kron",
-                        })
-                    }
-                    "plus" => {
-                        let res = opt_plus(grams, partition.unwrap(), ps, &mut rng);
-                        valid(res.squared_error).then_some(Selected {
-                            squared_error: res.squared_error,
-                            strategy: res.strategy,
-                            operator: "plus",
-                        })
-                    }
-                    _ => {
-                        let res = opt_marginals(grams, &mut rng);
-                        valid(res.squared_error).then_some(Selected {
-                            squared_error: res.squared_error,
-                            strategy: Strategy::Marginals(res.strategy),
-                            operator: "marginals",
-                        })
-                    }
-                };
-                let loss = candidate
-                    .as_ref()
-                    .map_or(f64::INFINITY, |c| c.squared_error);
-                observer.restart_complete(operator, restart, loss, started.elapsed());
-                candidate
-            }
-        })
-        .collect();
-
-    let results = RestartExecutor::new(opts.threads).run(jobs);
-    fold_candidates(identity_fallback(grams), results)
+    optimize_with_choice(grams, ps, opts, OptimizerChoice::Exhaustive)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::optimize_with_choice_observed;
+    use crate::restart::RestartObserver;
     use hdmm_workload::{blocks, builders, Domain};
+    use std::sync::Mutex;
+    use std::time::Duration;
 
     fn quick() -> HdmmOptions {
         HdmmOptions {
             restarts: 1,
             ..Default::default()
         }
+    }
+
+    /// Algorithm 2 on a logical workload, under the §7.1 `p` convention.
+    fn opt_hdmm(workload: &Workload, opts: &HdmmOptions) -> Selected {
+        let grams = WorkloadGrams::from_workload(workload);
+        opt_hdmm_grams(&grams, &default_ps(workload), opts)
     }
 
     #[test]
@@ -308,30 +178,45 @@ mod tests {
         assert!(three.squared_error <= one.squared_error);
     }
 
+    /// Per-cell candidate losses, keyed by `(restart, operator)`.
+    #[derive(Default)]
+    struct CellLosses(Mutex<Vec<(usize, &'static str, u64)>>);
+
+    impl RestartObserver for CellLosses {
+        fn restart_complete(&self, operator: &'static str, restart: usize, loss: f64, _: Duration) {
+            self.0
+                .lock()
+                .unwrap()
+                .push((restart, operator, loss.to_bits()));
+        }
+    }
+
     #[test]
     fn restart_streams_are_independent_of_restart_count() {
-        // The restart-0 cell must produce the same candidate no matter how
+        // The restart-0 cells must produce the same candidates no matter how
         // many restarts follow; with a shared RNG stream this fails because
-        // later restarts would shift earlier draws. Exercised by comparing
-        // full selections whose argmin lands in restart 0.
-        let w = builders::prefix_2d(8, 8);
-        let a = opt_hdmm(
-            &w,
-            &HdmmOptions {
-                restarts: 2,
+        // later restarts would shift earlier draws.
+        let restart0_cells = |w: &Workload, choice, restarts| {
+            let grams = WorkloadGrams::from_workload(w);
+            let opts = HdmmOptions {
+                restarts,
                 seed: 11,
                 ..Default::default()
-            },
-        );
-        let b = opt_hdmm(
-            &w,
-            &HdmmOptions {
-                restarts: 2,
-                seed: 11,
-                ..Default::default()
-            },
-        );
-        assert_eq!(a.squared_error.to_bits(), b.squared_error.to_bits());
-        assert_eq!(a.operator, b.operator);
+            };
+            let log = CellLosses::default();
+            optimize_with_choice_observed(&grams, &default_ps(w), &opts, choice, &log);
+            let mut cells = log.0.into_inner().unwrap();
+            cells.retain(|&(restart, ..)| restart == 0);
+            cells.sort_unstable();
+            cells
+        };
+        let union = builders::range_total_union_2d(8, 8);
+        for (choice, cells_per_restart) in
+            [(OptimizerChoice::Plus, 1), (OptimizerChoice::Exhaustive, 3)]
+        {
+            let one = restart0_cells(&union, choice, 1);
+            assert_eq!(one.len(), cells_per_restart, "{choice:?}");
+            assert_eq!(one, restart0_cells(&union, choice, 3), "{choice:?}");
+        }
     }
 }

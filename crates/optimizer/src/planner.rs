@@ -1,28 +1,44 @@
-//! Plan selection: choose the right optimizer from workload structure.
+//! SELECT: Algorithm 2's restart grid, and the structural rules that pick
+//! which operators it runs.
 //!
-//! `OPT_HDMM` (Algorithm 2) runs every applicable operator and keeps the
-//! best — robust, but expensive for a serving engine. This module encodes the
-//! paper's decision rules (§7.1, §8) as a cheap structural inspection, so a
-//! caller can run *one* operator when the workload's shape already determines
-//! the winner:
+//! Algorithm 2 (§7.1) is one loop — for each of `S` restarts, for each
+//! operator in a set, keep the lowest-error strategy, seeded with Identity —
+//! and [`optimize_with_choice_observed`] is that loop, written once. Its only
+//! degree of freedom is the operator set, which an [`OptimizerChoice`]
+//! resolves to:
+//!
+//! * `Exhaustive` → `{OPT_⊗, OPT_+(g(W)), OPT_M}`, each where it applies —
+//!   the paper's `OPT_HDMM` ([`crate::opt_hdmm_grams`]);
+//! * a single operator → that operator, or `OPT_⊗` where it does not apply.
+//!
+//! [`select_optimizer`] encodes the paper's decision rules (§7.1, §8) as a
+//! cheap structural inspection, so a serving engine can run *one* operator
+//! when the workload's shape already determines the winner:
 //!
 //! * one-dimensional domains → `OPT_0` on the explicit Gram (§5.2);
 //! * marginals workloads (every factor `Identity` or `Total`) on
 //!   multi-dimensional domains → `OPT_M` (§6.3);
 //! * unions with ≥ 2 structural groups → `OPT_+` (§6.2);
-//! * everything else → `OPT_⊗` (§6.1);
-//! * `Exhaustive` → full Algorithm 2.
+//! * everything else → `OPT_⊗` (§6.1).
+//!
+//! # The grid
+//!
+//! Cells are `(restart, operator)` pairs enumerated restart-major, operators
+//! in set order within a restart. Each cell seeds its own RNG stream with
+//! [`restart_seed`]`(master, restart, tag)`, runs as a slot-writing task on
+//! [`ScopedExecutor`] (`opts.threads` lanes; `1` is the serial reference),
+//! and the selection is the fold of the slots in grid order under strict `<`
+//! from the Identity fallback — so ties go to the earliest cell and the
+//! result is bitwise identical at any lane count.
 
 use crate::opt0::{opt0_with, Opt0Options};
-use crate::opt_hdmm::{
-    fold_candidates, identity_fallback, opt_hdmm_grams_observed, HdmmOptions, Selected,
-};
+use crate::opt_hdmm::{HdmmOptions, Selected};
 use crate::opt_kron::{opt_kron, OptKronOptions};
 use crate::opt_marginals::opt_marginals;
 use crate::opt_plus::{group_terms, opt_plus};
-use crate::restart::{restart_seed, RestartExecutor, RestartObserver};
-use hdmm_linalg::StructuredMatrix;
-use hdmm_mechanism::Strategy;
+use crate::restart::{restart_seed, RestartObserver};
+use hdmm_linalg::{Matrix, StructuredMatrix};
+use hdmm_mechanism::{ScopedExecutor, ShardExecutor, Strategy};
 use hdmm_workload::{Workload, WorkloadGrams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -146,13 +162,93 @@ pub fn select_optimizer(workload: &Workload, opts: &HdmmOptions) -> PlanDecision
     }
 }
 
-/// Runs exactly one operator (with restarts and the Identity fallback of
-/// Algorithm 2's first line) and returns the best strategy found.
-///
-/// `OptimizerChoice::Exhaustive` delegates to [`crate::opt_hdmm_grams`]. Operators
-/// that do not apply to the given shape (e.g. `Plus` on a single term,
-/// `Marginals` on 1-D) quietly fall back to the nearest applicable one, so
-/// the function is total over all (choice, workload) pairs.
+/// One operator of Algorithm 2's set, carrying the RNG-free inputs every
+/// restart of it shares.
+enum Operator {
+    /// `OPT_0` on the explicit Gram `Σ w²·G` the 1-D union collapses to.
+    Opt0(Matrix),
+    Kron,
+    /// `OPT_+` over the union partition `g(W)` (≥ 2 groups).
+    Plus(Vec<Vec<usize>>),
+    Marginals,
+}
+
+impl Operator {
+    /// Resolves `choice` to the ordered operator set the grid runs — the one
+    /// place operator applicability is decided: `OPT_0` needs a 1-D domain,
+    /// `OPT_+` a union whose partition has ≥ 2 groups, `OPT_M`
+    /// `2 ≤ d ≤ marginals_max_dims`. A single choice that does not apply
+    /// runs `OPT_⊗` instead, so the set is never empty.
+    fn resolve(
+        choice: OptimizerChoice,
+        grams: &WorkloadGrams,
+        opts: &HdmmOptions,
+    ) -> Vec<Operator> {
+        let d = grams.dims();
+        let plus = || {
+            (grams.terms().len() >= 2 && d >= 2)
+                .then(|| group_terms(grams, opts.union_groups))
+                .filter(|partition| partition.len() >= 2)
+                .map(Operator::Plus)
+        };
+        let marginals = || {
+            (2..=opts.marginals_max_dims)
+                .contains(&d)
+                .then_some(Operator::Marginals)
+        };
+        match choice {
+            OptimizerChoice::Exhaustive => [Some(Operator::Kron), plus(), marginals()]
+                .into_iter()
+                .flatten()
+                .collect(),
+            OptimizerChoice::Opt0 if d == 1 => vec![Operator::Opt0(grams.explicit())],
+            OptimizerChoice::Opt0 | OptimizerChoice::Kron => vec![Operator::Kron],
+            OptimizerChoice::Plus => vec![plus().unwrap_or(Operator::Kron)],
+            OptimizerChoice::Marginals => vec![marginals().unwrap_or(Operator::Kron)],
+        }
+    }
+
+    /// The tag cells of this operator are seeded and reported under.
+    fn tag(&self) -> &'static str {
+        match self {
+            Operator::Opt0(_) => "opt0",
+            Operator::Kron => "kron",
+            Operator::Plus(_) => "plus",
+            Operator::Marginals => "marginals",
+        }
+    }
+
+    /// Runs one restart of this operator; `None` when the numerics were
+    /// unsound (a candidate error is usable only when finite and positive).
+    fn run(&self, grams: &WorkloadGrams, ps: &[usize], rng: &mut StdRng) -> Option<Selected> {
+        let (strategy, squared_error) = match self {
+            Operator::Opt0(wtw) => {
+                let p = ps.first().copied().unwrap_or(1).max(1);
+                let res = opt0_with(wtw, &Opt0Options { p, max_iter: 120 }, rng);
+                (Strategy::Explicit(res.pident.matrix()), res.residual)
+            }
+            Operator::Kron => {
+                let res = opt_kron(grams, &OptKronOptions::new(ps.to_vec()), rng);
+                (Strategy::kron(res.factors()), res.residual)
+            }
+            Operator::Plus(partition) => {
+                let res = opt_plus(grams, partition, ps, rng);
+                (res.strategy, res.squared_error)
+            }
+            Operator::Marginals => {
+                let res = opt_marginals(grams, rng);
+                (Strategy::Marginals(res.strategy), res.squared_error)
+            }
+        };
+        (squared_error.is_finite() && squared_error > 0.0).then_some(Selected {
+            strategy,
+            squared_error,
+            operator: self.tag(),
+        })
+    }
+}
+
+/// [`optimize_with_choice_observed`] without an observer.
 pub fn optimize_with_choice(
     grams: &WorkloadGrams,
     ps: &[usize],
@@ -162,10 +258,15 @@ pub fn optimize_with_choice(
     optimize_with_choice_observed(grams, ps, opts, choice, &())
 }
 
-/// [`optimize_with_choice`] with a per-cell completion observer. Restarts fan
-/// out over [`RestartExecutor`] (`opts.threads` lanes); each restart draws
-/// from its own derived stream ([`restart_seed`]) under the same contract as
-/// Algorithm 2, so the selection is bitwise identical at any thread count.
+/// Algorithm 2: runs the operator set `choice` resolves to across
+/// `opts.restarts` restarts and returns the lowest-error strategy, seeded
+/// with the Identity strategy as the universal fallback. Total over all
+/// (choice, workload) pairs — see the [module docs](self) for the operator
+/// set, cell order, seed derivation and fold.
+///
+/// The observer sees [`RestartObserver::grid_planned`] once with
+/// `restarts × |set|`, then one completion per cell in completion order; the
+/// returned selection does not depend on that order.
 pub fn optimize_with_choice_observed(
     grams: &WorkloadGrams,
     ps: &[usize],
@@ -173,99 +274,38 @@ pub fn optimize_with_choice_observed(
     choice: OptimizerChoice,
     observer: &dyn RestartObserver,
 ) -> Selected {
-    if choice == OptimizerChoice::Exhaustive {
-        return opt_hdmm_grams_observed(grams, ps, opts, observer);
-    }
-    let d = grams.dims();
-    let k = grams.terms().len();
-    let valid = |e: f64| e.is_finite() && e > 0.0;
-
-    // Resolve inapplicable choices to the nearest applicable operator.
-    let choice = match choice {
-        OptimizerChoice::Opt0 if d > 1 => OptimizerChoice::Kron,
-        OptimizerChoice::Marginals if d < 2 || d > opts.marginals_max_dims => OptimizerChoice::Kron,
-        OptimizerChoice::Plus if k < 2 || d < 2 => OptimizerChoice::Kron,
-        c => c,
-    };
-    // A union whose partition collapsed to one group runs OPT_⊗ instead —
-    // resolved before the fan-out so every cell runs the same operator.
-    let partition = match choice {
-        OptimizerChoice::Plus => {
-            let p = group_terms(grams, opts.union_groups);
-            if p.len() >= 2 {
-                Some(p)
-            } else {
-                None
-            }
-        }
-        _ => None,
-    };
-    let choice = match (choice, &partition) {
-        (OptimizerChoice::Plus, None) => OptimizerChoice::Kron,
-        (c, _) => c,
-    };
-    let partition = partition.as_ref();
-
-    // 1-D: the union collapses to one explicit Gram Σ w²·G, shared by every
-    // restart (it is RNG-free).
-    let wtw = (choice == OptimizerChoice::Opt0).then(|| grams.explicit());
-    let wtw = wtw.as_ref();
-
+    let operators = Operator::resolve(choice, grams, opts);
     let restarts = opts.restarts.max(1);
-    observer.grid_planned(restarts);
-    let exec = RestartExecutor::new(opts.threads);
+    let cells = (0..restarts).flat_map(|restart| operators.iter().map(move |op| (restart, op)));
+    observer.grid_planned(restarts * operators.len());
 
-    // Each restart computes its candidate from a cell-derived RNG stream;
-    // the in-order fold below is the deterministic argmin merge.
-    let run_cell = |restart: usize| -> Option<Selected> {
-        let started = Instant::now();
-        let operator = choice.tag();
-        let mut rng = StdRng::seed_from_u64(restart_seed(opts.seed, restart as u64, operator));
-        let candidate = match choice {
-            OptimizerChoice::Exhaustive => unreachable!("delegated to opt_hdmm_grams_observed"),
-            OptimizerChoice::Opt0 => {
-                let p = ps.first().copied().unwrap_or(1).max(1);
-                let res = opt0_with(wtw.unwrap(), &Opt0Options { p, max_iter: 120 }, &mut rng);
-                valid(res.residual).then(|| Selected {
-                    strategy: Strategy::Explicit(res.pident.matrix()),
-                    squared_error: res.residual,
-                    operator: "opt0",
-                })
-            }
-            OptimizerChoice::Kron => {
-                let res = opt_kron(grams, &OptKronOptions::new(ps.to_vec()), &mut rng);
-                valid(res.residual).then(|| Selected {
-                    strategy: Strategy::kron(res.factors()),
-                    squared_error: res.residual,
-                    operator: "kron",
-                })
-            }
-            OptimizerChoice::Plus => {
-                let res = opt_plus(grams, partition.unwrap(), ps, &mut rng);
-                valid(res.squared_error).then_some(Selected {
-                    squared_error: res.squared_error,
-                    strategy: res.strategy,
-                    operator: "plus",
-                })
-            }
-            OptimizerChoice::Marginals => {
-                let res = opt_marginals(grams, &mut rng);
-                valid(res.squared_error).then_some(Selected {
-                    squared_error: res.squared_error,
-                    strategy: Strategy::Marginals(res.strategy),
-                    operator: "marginals",
-                })
-            }
-        };
-        let loss = candidate
-            .as_ref()
-            .map_or(f64::INFINITY, |c| c.squared_error);
-        observer.restart_complete(operator, restart, loss, started.elapsed());
-        candidate
+    let mut slots: Vec<Option<Selected>> = vec![None; restarts * operators.len()];
+    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
+        .iter_mut()
+        .zip(cells)
+        .map(|(slot, (restart, op))| {
+            Box::new(move || {
+                let started = Instant::now();
+                let seed = restart_seed(opts.seed, restart as u64, op.tag());
+                *slot = op.run(grams, ps, &mut StdRng::seed_from_u64(seed));
+                let loss = slot.as_ref().map_or(f64::INFINITY, |c| c.squared_error);
+                observer.restart_complete(op.tag(), restart, loss, started.elapsed());
+            }) as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
+    ScopedExecutor::new(opts.threads).run(tasks);
+
+    let mut best = Selected {
+        strategy: Strategy::identity(grams.domain()),
+        squared_error: grams.frobenius_norm_sq(),
+        operator: "identity",
     };
-
-    let results = exec.run((0..restarts).map(|r| move || run_cell(r)).collect());
-    fold_candidates(identity_fallback(grams), results)
+    for candidate in slots.into_iter().flatten() {
+        if candidate.squared_error < best.squared_error {
+            best = candidate;
+        }
+    }
+    best
 }
 
 #[cfg(test)]
@@ -273,6 +313,9 @@ mod tests {
     use super::*;
     use crate::opt_hdmm::opt_hdmm_grams;
     use hdmm_workload::{builders, Domain};
+    use std::collections::BTreeSet;
+    use std::sync::Mutex;
+    use std::time::Duration;
 
     fn opts() -> HdmmOptions {
         HdmmOptions {
@@ -318,13 +361,75 @@ mod tests {
         assert_eq!(sel.operator, "opt0");
     }
 
+    /// What the grid announced and which operator tags its cells ran under.
+    #[derive(Default)]
+    struct GridShape {
+        planned: Mutex<Vec<usize>>,
+        tags: Mutex<BTreeSet<&'static str>>,
+    }
+
+    impl RestartObserver for GridShape {
+        fn grid_planned(&self, total_cells: usize) {
+            self.planned.lock().unwrap().push(total_cells);
+        }
+        fn restart_complete(&self, operator: &'static str, _: usize, _: f64, _: Duration) {
+            self.tags.lock().unwrap().insert(operator);
+        }
+    }
+
     #[test]
-    fn inapplicable_choice_falls_back() {
-        // Marginals on a 1-D domain resolves to Kron instead of panicking.
-        let w = builders::prefix_1d(8);
-        let grams = WorkloadGrams::from_workload(&w);
-        let sel = optimize_with_choice(&grams, &[1], &opts(), OptimizerChoice::Marginals);
-        assert!(sel.squared_error <= grams.frobenius_norm_sq() * 1.0001);
+    fn every_choice_resolves_to_its_operator_set_on_every_shape() {
+        use OptimizerChoice::*;
+        let range_1d = builders::prefix_1d(8);
+        let product_2d = builders::prefix_2d(4, 4);
+        let union_2d = builders::range_total_union_2d(4, 4);
+        let marginals_3d = builders::upto_kway_marginals(&Domain::new(&[3, 3, 3]), 2);
+        let narrow = HdmmOptions {
+            marginals_max_dims: 2,
+            ..Default::default()
+        };
+        let wide = HdmmOptions::default();
+        let table: [(&Workload, &HdmmOptions, OptimizerChoice, &[&str]); 15] = [
+            (&range_1d, &wide, Opt0, &["opt0"]),
+            (&range_1d, &wide, Marginals, &["kron"]),
+            (&range_1d, &wide, Plus, &["kron"]),
+            (&range_1d, &wide, Exhaustive, &["kron"]),
+            (&product_2d, &wide, Opt0, &["kron"]),
+            (&product_2d, &wide, Kron, &["kron"]),
+            (&product_2d, &wide, Plus, &["kron"]),
+            (&product_2d, &wide, Marginals, &["marginals"]),
+            (&product_2d, &wide, Exhaustive, &["kron", "marginals"]),
+            (&union_2d, &wide, Plus, &["plus"]),
+            (&union_2d, &wide, Exhaustive, &["kron", "marginals", "plus"]),
+            (&marginals_3d, &wide, Marginals, &["marginals"]),
+            (&marginals_3d, &narrow, Marginals, &["kron"]),
+            (
+                &marginals_3d,
+                &wide,
+                Exhaustive,
+                &["kron", "marginals", "plus"],
+            ),
+            (&marginals_3d, &narrow, Exhaustive, &["kron", "plus"]),
+        ];
+        for (row, (workload, base, choice, tags)) in table.into_iter().enumerate() {
+            let grams = WorkloadGrams::from_workload(workload);
+            let opts = HdmmOptions {
+                restarts: 2,
+                ..base.clone()
+            };
+            let shape = GridShape::default();
+            let ps = crate::default_ps(workload);
+            optimize_with_choice_observed(&grams, &ps, &opts, choice, &shape);
+            let ran: Vec<_> = shape.tags.into_inner().unwrap().into_iter().collect();
+            assert_eq!(ran, tags, "row {row}: {choice:?}");
+            // `restarts × |set|`, announced exactly once: the total
+            // `Engine::select_progress` reports against.
+            assert_eq!(
+                shape.planned.into_inner().unwrap(),
+                [2 * tags.len()],
+                "row {row}: {choice:?}"
+            );
+        }
     }
 
     #[test]

@@ -46,14 +46,7 @@ fn spawn_workers(specs: &[Duration]) -> (Vec<WorkerHandle>, RemoteOptions) {
     let handles: Vec<WorkerHandle> = specs
         .iter()
         .map(|&task_delay| {
-            spawn_worker(
-                "127.0.0.1:0",
-                WorkerOptions {
-                    task_delay,
-                    ..Default::default()
-                },
-            )
-            .expect("loopback bind")
+            spawn_worker("127.0.0.1:0", WorkerOptions { task_delay }).expect("loopback bind")
         })
         .collect();
     let opts = RemoteOptions {

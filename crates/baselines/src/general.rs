@@ -65,13 +65,16 @@ impl Objective for GeneralObjective<'_> {
         }
     }
 
-    fn value_grad(&mut self, x: &[f64]) -> (f64, Vec<f64>) {
+    fn value_grad(&mut self, x: &[f64], grad: &mut [f64]) -> f64 {
         let theta = Matrix::from_vec(self.m, self.n, x.to_vec());
         let (a, d) = self.normalize(&theta);
         let gram = a.gram();
         let ch = match Cholesky::new_regularized(&gram, 1e-10) {
             Ok(ch) => ch,
-            Err(_) => return (f64::INFINITY, vec![0.0; x.len()]),
+            Err(_) => {
+                grad.fill(0.0);
+                return f64::INFINITY;
+            }
         };
         // Y = (AᵀA)⁻¹(WᵀW); X = Y·(AᵀA)⁻¹; C = tr(Y)  — dense O(n³).
         let y = ch.solve_matrix(self.wtw);
@@ -80,7 +83,6 @@ impl Objective for GeneralObjective<'_> {
         // G = ∂C/∂A = −2AX (m×n).
         let g = a.matmul(&x_mat).scaled(-2.0);
         // Chain rule through the column normalization.
-        let mut grad = vec![0.0; self.m * self.n];
         for l in 0..self.n {
             let mut theta_g = 0.0;
             for k in 0..self.m {
@@ -91,7 +93,7 @@ impl Objective for GeneralObjective<'_> {
                 grad[k * self.n + l] = d[l] * g[(k, l)] - common;
             }
         }
-        (c, grad)
+        c
     }
 }
 
@@ -142,7 +144,8 @@ mod tests {
         let mut obj = GeneralObjective { wtw: &wtw, m: 7, n };
         let mut rng = StdRng::seed_from_u64(0);
         let x: Vec<f64> = (0..7 * n).map(|_| rng.gen::<f64>() + 0.05).collect();
-        let (_, grad) = obj.value_grad(&x);
+        let mut grad = vec![0.0; x.len()];
+        obj.value_grad(&x, &mut grad);
         let h = 1e-6;
         for i in (0..x.len()).step_by(3) {
             let mut xp = x.clone();

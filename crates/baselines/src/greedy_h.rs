@@ -30,11 +30,10 @@ impl Objective for TreeObjective<'_> {
     fn value(&mut self, w: &[f64]) -> f64 {
         tree_strategy_error(self.stats, w)
     }
-    fn value_grad(&mut self, w: &[f64]) -> (f64, Vec<f64>) {
+    fn value_grad(&mut self, w: &[f64], grad: &mut [f64]) -> f64 {
         // Central finite differences: the dimension is h+1 ≈ log n, and the
         // objective is O(h), so this is essentially free.
         let f0 = self.value(w);
-        let mut grad = vec![0.0; w.len()];
         let mut probe = w.to_vec();
         for i in 0..w.len() {
             let h = 1e-6 * w[i].abs().max(1e-3);
@@ -45,7 +44,7 @@ impl Objective for TreeObjective<'_> {
             grad[i] = (fp - fm) / (w[i] + h - probe[i]);
             probe[i] = w[i];
         }
-        (f0, grad)
+        f0
     }
 }
 
@@ -138,9 +137,8 @@ pub fn greedy_h_explicit(wtw: &Matrix) -> (Matrix, f64) {
             let sens = a.norm_l1_operator();
             sens * sens * residual_explicit(self.wtw, &a)
         }
-        fn value_grad(&mut self, w: &[f64]) -> (f64, Vec<f64>) {
+        fn value_grad(&mut self, w: &[f64], grad: &mut [f64]) -> f64 {
             let f0 = self.value(w);
-            let mut grad = vec![0.0; w.len()];
             let mut probe = w.to_vec();
             for i in 0..w.len() {
                 let h = 1e-5 * w[i].abs().max(1e-3);
@@ -149,7 +147,7 @@ pub fn greedy_h_explicit(wtw: &Matrix) -> (Matrix, f64) {
                 probe[i] = w[i];
                 grad[i] = (fp - f0) / h;
             }
-            (f0, grad)
+            f0
         }
     }
 

@@ -45,8 +45,9 @@ fn bench_opt0_gradient(c: &mut Criterion) {
         let mut obj = Opt0Objective::new(&wtw, p);
         let mut rng = StdRng::seed_from_u64(0);
         let x: Vec<f64> = (0..p * n).map(|_| rng.gen::<f64>()).collect();
+        let mut grad = vec![0.0; p * n];
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, _| {
-            bench.iter(|| obj.value_grad(&x));
+            bench.iter(|| obj.value_grad(&x, &mut grad));
         });
     }
     group.finish();

@@ -19,6 +19,24 @@ impl Cholesky {
     /// Returns [`LinalgError::Singular`] if a non-positive pivot is found
     /// (matrix not positive definite to working precision).
     pub fn new(a: &Matrix) -> Result<Self> {
+        let mut ch = Cholesky::identity(0);
+        ch.refactor(a)?;
+        Ok(ch)
+    }
+
+    /// The factor of `I_n`: storage for [`Cholesky::refactor`] to reuse.
+    pub fn identity(n: usize) -> Self {
+        Cholesky {
+            l: Matrix::identity(n),
+        }
+    }
+
+    /// Factorizes `a` into this factor's storage (reallocating only when the
+    /// shape changes), for callers that factorize once per iteration. Only
+    /// the lower triangle is written; the upper one is zero from
+    /// construction. On `Err` the factor holds a partial result and must not
+    /// be used until a later `refactor` succeeds.
+    pub fn refactor(&mut self, a: &Matrix) -> Result<()> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare {
                 rows: a.rows(),
@@ -26,7 +44,10 @@ impl Cholesky {
             });
         }
         let n = a.rows();
-        let mut l = Matrix::zeros(n, n);
+        if self.l.shape() != (n, n) {
+            self.l = Matrix::zeros(n, n);
+        }
+        let l = &mut self.l;
         for i in 0..n {
             for j in 0..=i {
                 // dot of row i and row j of L up to column j
@@ -45,7 +66,7 @@ impl Cholesky {
                 }
             }
         }
-        Ok(Cholesky { l })
+        Ok(())
     }
 
     /// Factorizes `a + jitter·I`, retrying with growing jitter.
@@ -112,6 +133,42 @@ impl Cholesky {
         xt.transpose()
     }
 
+    /// Solves `A X = B` in place on a row-major `B`: both substitutions are
+    /// whole-row [`crate::simd::axpy`] updates, so a wide right-hand side
+    /// (`B` is `n×m` with `m ≫ n`) needs no transposes and no scratch.
+    pub fn solve_rows_in_place(&self, b: &mut Matrix) {
+        let n = self.l.rows();
+        assert_eq!(b.rows(), n, "cholesky solve dimension mismatch");
+        let m = b.cols();
+        let data = b.as_mut_slice();
+        // Forward substitution: L Y = B
+        for i in 0..n {
+            let (done, rest) = data.split_at_mut(i * m);
+            let row_i = &mut rest[..m];
+            let l_row = self.l.row(i);
+            for k in 0..i {
+                crate::simd::axpy(-l_row[k], &done[k * m..(k + 1) * m], row_i);
+            }
+            let inv = 1.0 / l_row[i];
+            for v in row_i.iter_mut() {
+                *v *= inv;
+            }
+        }
+        // Back substitution: Lᵀ X = Y
+        for i in (0..n).rev() {
+            let (head, done) = data.split_at_mut((i + 1) * m);
+            let row_i = &mut head[i * m..];
+            for k in i + 1..n {
+                let off = (k - i - 1) * m;
+                crate::simd::axpy(-self.l[(k, i)], &done[off..off + m], row_i);
+            }
+            let inv = 1.0 / self.l[(i, i)];
+            for v in row_i.iter_mut() {
+                *v *= inv;
+            }
+        }
+    }
+
     /// The inverse `A⁻¹`.
     pub fn inverse(&self) -> Matrix {
         self.solve_matrix(&Matrix::identity(self.l.rows()))
@@ -169,6 +226,21 @@ mod tests {
         for (l, r) in ax.iter().zip(&b) {
             assert!((l - r).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn solve_rows_in_place_matches_solve_matrix_and_refactor_reuses_storage() {
+        let a = spd(5);
+        let mut ch = Cholesky::new(&spd(5).scaled(2.0)).unwrap();
+        ch.refactor(&a).unwrap();
+        let b = Matrix::from_fn(5, 9, |r, c| (r as f64 - 2.0) * 0.5 + (c * c) as f64 / 7.0);
+        let mut x = b.clone();
+        ch.solve_rows_in_place(&mut x);
+        assert!(x.approx_eq(&Cholesky::new(&a).unwrap().solve_matrix(&b), 1e-10));
+        assert!(a.matmul(&x).approx_eq(&b, 1e-9));
+        assert!(ch
+            .refactor(&Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]))
+            .is_err());
     }
 
     #[test]

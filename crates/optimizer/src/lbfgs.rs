@@ -13,8 +13,10 @@ pub trait Objective {
     fn dim(&self) -> usize;
     /// Objective value.
     fn value(&mut self, x: &[f64]) -> f64;
-    /// Objective value and gradient together (the expensive call).
-    fn value_grad(&mut self, x: &[f64]) -> (f64, Vec<f64>);
+    /// Objective value, with the gradient written into `grad` (length
+    /// [`Objective::dim`]) — the expensive call. A non-finite value marks an
+    /// infeasible point; `grad` must still be fully written.
+    fn value_grad(&mut self, x: &[f64], grad: &mut [f64]) -> f64;
 }
 
 /// Solver options.
@@ -92,7 +94,12 @@ pub fn minimize(
 
     let mut x = x0.to_vec();
     project(&mut x, lower);
-    let (mut fx, mut g) = f.value_grad(&x);
+    let mut g = vec![0.0; n];
+    let mut fx = f.value_grad(&x, &mut g);
+    // The line search's trial point and the best Armijo-satisfying one seen
+    // so far, each with its gradient: accepting a trial swaps the pairs.
+    let (mut cand, mut gv) = (vec![0.0; n], vec![0.0; n]);
+    let (mut x_new, mut g_new) = (vec![0.0; n], vec![0.0; n]);
 
     // L-BFGS history.
     let mut s_hist: Vec<Vec<f64>> = Vec::new();
@@ -166,9 +173,7 @@ pub fn minimize(
         } else {
             1.0f64
         };
-        // Best Armijo-satisfying candidate seen so far.
-        let mut best: Option<(Vec<f64>, f64, Vec<f64>)> = None;
-        let mut cand = vec![0.0; n];
+        let mut best: Option<f64> = None;
         for _ in 0..30 {
             for i in 0..n {
                 cand[i] = x[i] + step * dir[i];
@@ -176,7 +181,7 @@ pub fn minimize(
             project(&mut cand, lower);
             // Displacement after projection (the effective step).
             let decrease: f64 = (0..n).map(|i| g[i] * (cand[i] - x[i])).sum();
-            let (fv, gv) = f.value_grad(&cand);
+            let fv = f.value_grad(&cand, &mut gv);
             if !fv.is_finite() || fv > fx + opts.c1 * decrease || decrease >= 0.0 {
                 // Too long (or no progress): shrink.
                 hi = step;
@@ -184,7 +189,9 @@ pub fn minimize(
             } else {
                 let new_slope: f64 = (0..n).map(|i| gv[i] * (cand[i] - x[i])).sum();
                 let done = new_slope >= opts.c2 * decrease || hi.is_finite();
-                best = Some((cand.clone(), fv, gv));
+                best = Some(fv);
+                std::mem::swap(&mut cand, &mut x_new);
+                std::mem::swap(&mut gv, &mut g_new);
                 if done {
                     break;
                 }
@@ -197,7 +204,7 @@ pub fn minimize(
                 break;
             }
         }
-        let Some((x_new, f_new, g_new)) = best else {
+        let Some(f_new) = best else {
             converged = true; // no further progress possible along any scale
             break;
         };
@@ -224,9 +231,9 @@ pub fn minimize(
         }
 
         let rel_impr = (fx - f_new) / fx.abs().max(1e-30);
-        x = x_new;
+        std::mem::swap(&mut x, &mut x_new);
+        std::mem::swap(&mut g, &mut g_new);
         fx = f_new;
-        g = g_new;
         // Declare convergence only after two consecutive negligible
         // improvements: the first (normalized) step after a history reset is
         // intentionally tiny and must not trigger the test.
@@ -280,15 +287,11 @@ mod tests {
                 .map(|((&xi, &ci), &ti)| ci * (xi - ti) * (xi - ti))
                 .sum()
         }
-        fn value_grad(&mut self, x: &[f64]) -> (f64, Vec<f64>) {
-            let v = self.value(x);
-            let g = x
-                .iter()
-                .zip(&self.c)
-                .zip(&self.t)
-                .map(|((&xi, &ci), &ti)| 2.0 * ci * (xi - ti))
-                .collect();
-            (v, g)
+        fn value_grad(&mut self, x: &[f64], grad: &mut [f64]) -> f64 {
+            for (((g, &xi), &ci), &ti) in grad.iter_mut().zip(x).zip(&self.c).zip(&self.t) {
+                *g = 2.0 * ci * (xi - ti);
+            }
+            self.value(x)
         }
     }
 
@@ -328,13 +331,10 @@ mod tests {
             fn value(&mut self, x: &[f64]) -> f64 {
                 (1.0 - x[0]).powi(2) + 100.0 * (x[1] - x[0] * x[0]).powi(2)
             }
-            fn value_grad(&mut self, x: &[f64]) -> (f64, Vec<f64>) {
-                let v = self.value(x);
-                let g = vec![
-                    -2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] * x[0]),
-                    200.0 * (x[1] - x[0] * x[0]),
-                ];
-                (v, g)
+            fn value_grad(&mut self, x: &[f64], grad: &mut [f64]) -> f64 {
+                grad[0] = -2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] * x[0]);
+                grad[1] = 200.0 * (x[1] - x[0] * x[0]);
+                self.value(x)
             }
         }
         let r = minimize(

@@ -75,31 +75,27 @@ impl Objective for MarginalsObjective {
         sum * sum * g
     }
 
-    fn value_grad(&mut self, theta: &[f64]) -> (f64, Vec<f64>) {
-        let s = self.algebra.subsets();
+    fn value_grad(&mut self, theta: &[f64], grad: &mut [f64]) -> f64 {
         let (g, _u, v, y) = self.residual_and_solves(theta);
         if !g.is_finite() || g <= 0.0 {
-            return (f64::INFINITY, vec![0.0; s]);
+            grad.fill(0.0);
+            return f64::INFINITY;
         }
         let sum: f64 = theta.iter().sum();
-        let value = sum * sum * g;
 
-        // dg/du_a = −Σ_b y_{a&b}·C̄(a|b)·v_b  (O(4^d)).
-        let mut dg_du = vec![0.0; s];
-        for (a, d) in dg_du.iter_mut().enumerate() {
+        for (a, (out, &theta_a)) in grad.iter_mut().zip(theta).enumerate() {
+            // dg/du_a = −Σ_b y_{a&b}·C̄(a|b)·v_b  (O(4^d)).
             let mut acc = 0.0;
             for (b, &vb) in v.iter().enumerate() {
                 if vb != 0.0 {
                     acc += y[a & b] * self.algebra.cbar(a | b) * vb;
                 }
             }
-            *d = -acc;
+            let dg_du = -acc;
+            // df/dθ_a = 2·(Σθ)·g + (Σθ)²·dg/du_a·2θ_a.
+            *out = 2.0 * sum * g + sum * sum * dg_du * 2.0 * theta_a;
         }
-        // df/dθ_a = 2·(Σθ)·g + (Σθ)²·dg/du_a·2θ_a.
-        let grad = (0..s)
-            .map(|a| 2.0 * sum * g + sum * sum * dg_du[a] * 2.0 * theta[a])
-            .collect();
-        (value, grad)
+        sum * sum * g
     }
 }
 
@@ -124,6 +120,8 @@ pub struct OptMarginalsResult {
 struct PinnedMarginalsObjective {
     inner: MarginalsObjective,
     c: f64,
+    /// The inner gradient over all `2^d` weights.
+    theta_grad: Vec<f64>,
 }
 
 impl PinnedMarginalsObjective {
@@ -144,15 +142,14 @@ impl Objective for PinnedMarginalsObjective {
         let theta = self.expand(phi);
         self.inner.value(&theta)
     }
-    fn value_grad(&mut self, phi: &[f64]) -> (f64, Vec<f64>) {
+    fn value_grad(&mut self, phi: &[f64], grad: &mut [f64]) -> f64 {
         let theta = self.expand(phi);
-        let (f, g) = self.inner.value_grad(&theta);
-        let g_full = *g.last().expect("non-empty gradient");
-        let grad = g[..g.len() - 1]
-            .iter()
-            .map(|gi| gi + self.c * g_full)
-            .collect();
-        (f, grad)
+        let f = self.inner.value_grad(&theta, &mut self.theta_grad);
+        let g_full = self.theta_grad[phi.len()];
+        for (out, gi) in grad.iter_mut().zip(&self.theta_grad) {
+            *out = gi + self.c * g_full;
+        }
+        f
     }
 }
 
@@ -168,6 +165,7 @@ pub fn opt_marginals(grams: &WorkloadGrams, rng: &mut impl Rng) -> OptMarginalsR
     let mut objective = PinnedMarginalsObjective {
         inner: MarginalsObjective::new(grams),
         c,
+        theta_grad: vec![0.0; s],
     };
     let lower = vec![0.0; s - 1];
     let opts = LbfgsOptions {
@@ -249,7 +247,8 @@ mod tests {
         let grams = WorkloadGrams::from_workload(&builders::all_marginals(&domain));
         let mut obj = MarginalsObjective::new(&grams);
         let theta = vec![0.4, 0.3, 0.2, 0.5, 0.35, 0.15, 0.25, 0.6];
-        let (_, grad) = obj.value_grad(&theta);
+        let mut grad = vec![0.0; theta.len()];
+        obj.value_grad(&theta, &mut grad);
         let h = 1e-6;
         for i in 0..theta.len() {
             let mut tp = theta.clone();

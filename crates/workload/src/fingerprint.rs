@@ -151,9 +151,18 @@ fn term_digest(offset: u64, weight: f64, factors: &[StructuredMatrix]) -> u64 {
 }
 
 impl Workload {
-    /// Computes the canonical fingerprint of this workload (order-insensitive
-    /// across union terms).
+    /// The canonical fingerprint of this workload (order-insensitive across
+    /// union terms). Hashed once per workload value; later calls, and calls
+    /// on its clones, copy the stored key.
     pub fn fingerprint(&self) -> WorkloadFingerprint {
+        self.fingerprint
+            .get_or_init(|| self.hash_contents())
+            .clone()
+    }
+
+    fn hash_contents(&self) -> WorkloadFingerprint {
+        #[cfg(test)]
+        tests::HASHED.set(tests::HASHED.get() + 1);
         let mut lo: Vec<u64> = self
             .terms()
             .iter()
@@ -191,6 +200,12 @@ impl Workload {
 #[cfg(test)]
 mod tests {
     use crate::{blocks, Domain, ProductTerm, Workload};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Content hashes computed on this thread.
+        pub(super) static HASHED: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn two_term(domain: &Domain, flip: bool) -> Workload {
         let a = ProductTerm::new(1.0, vec![blocks::prefix(3), blocks::total(2)]);
@@ -206,6 +221,27 @@ mod tests {
             two_term(&d, false).fingerprint(),
             two_term(&d, false).fingerprint()
         );
+    }
+
+    #[test]
+    fn contents_are_hashed_once_per_workload_and_clones_carry_the_key() {
+        let d = Domain::new(&[3, 2]);
+        let w = two_term(&d, false);
+        let before = HASHED.get();
+        let first = w.fingerprint();
+        assert_eq!(HASHED.get(), before + 1);
+        assert_eq!(w.fingerprint(), first);
+        assert_eq!(w.clone().fingerprint(), first);
+        assert_eq!(
+            HASHED.get(),
+            before + 1,
+            "repeat and clone must not re-hash"
+        );
+        // A clone taken before the first call hashes for itself, to the same key.
+        let fresh = two_term(&d, false);
+        assert_eq!(fresh.clone().fingerprint(), first);
+        assert_eq!(fresh.fingerprint(), first);
+        assert_eq!(HASHED.get(), before + 3);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Union-of-products workloads (Definition 3 and §4.3, `ImpVec` output form).
 
-use crate::Domain;
+use crate::{Domain, WorkloadFingerprint};
 use hdmm_linalg::{
     kmatvec_structured, kmatvec_structured_scratch, kron_all, KronScratch, Matrix, StructuredMatrix,
 };
+use std::sync::OnceLock;
 
 /// One weighted product `w·(W₁ ⊗ … ⊗ W_d)`: a per-attribute query matrix for
 /// each attribute of the domain, kept in structured form so regular blocks
@@ -113,6 +114,9 @@ impl ProductTerm {
 pub struct Workload {
     domain: Domain,
     terms: Vec<ProductTerm>,
+    /// [`Workload::fingerprint`], hashed on first use: both fields above are
+    /// fixed at construction, and a clone carries the computed value along.
+    pub(crate) fingerprint: OnceLock<WorkloadFingerprint>,
 }
 
 impl Workload {
@@ -132,7 +136,11 @@ impl Workload {
                 assert_eq!(f.cols(), n, "factor columns must match attribute size");
             }
         }
-        Workload { domain, terms }
+        Workload {
+            domain,
+            terms,
+            fingerprint: OnceLock::new(),
+        }
     }
 
     /// Single-product workload.

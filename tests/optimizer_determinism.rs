@@ -8,6 +8,7 @@
 //! bit of every factor, not merely equal losses.
 
 use hdmm_core::codec;
+use hdmm_mechanism::error::squared_error;
 use hdmm_optimizer::{
     default_ps, opt_hdmm_grams, optimize_with_choice, optimize_with_choice_observed,
     select_optimizer, HdmmOptions, OptimizerChoice, RestartObserver, Selected,
@@ -184,7 +185,7 @@ impl CellLog {
 fn golden_families() -> Vec<(&'static str, Workload)> {
     vec![
         ("opt0", builders::all_range_1d(32)),
-        ("kron", builders::prefix_2d(8, 8)),
+        ("kron", builders::prefix_2d(32, 32)),
         ("plus", builders::range_total_union_2d(8, 8)),
         (
             "marginals",
@@ -194,44 +195,77 @@ fn golden_families() -> Vec<(&'static str, Workload)> {
 }
 
 /// `(family, choice, FNV of the put_strategy bytes, loss bits, winning
-/// operator, digest of the grid's cells)` at seed 17, 3 restarts — recorded
-/// at commit 102b4c7, when one operator × restarts and the operator set ×
-/// restarts were still two separate loops. `opt_hdmm_grams` takes no
-/// observer, so its cell digest is that of no cells.
+/// operator, digest of the grid's cells, reference loss bits)` at seed 17,
+/// 3 restarts. `opt_hdmm_grams` takes no observer, so its cell digest is that
+/// of no cells.
+///
+/// Recorded twice. The reference losses are those of commit c126d79, whose
+/// OPT_0 gradient materialized `(AᵀA)⁻¹WᵀW` densely; the rest of each row was
+/// re-recorded once when that gradient was fused into one `p×n×n` product,
+/// which changes rounding in every cell that runs OPT_0 / OPT_⊗ / OPT_+.
+/// Rows whose cells are all OPT_M, and every Identity selection, kept their
+/// strategy and loss bit for bit (a cell digest moves wherever an OPT_⊗ cell
+/// merely lost to the winner).
+///
+/// The `kron` family was `prefix_2d(8, 8)` until then. With p = 1 at 8×8,
+/// OPT_⊗ all but never beats Identity (58 of 64 master seeds select Identity
+/// along the reference gradient, 60 of 64 along the fused one), and the
+/// 1119.81 once recorded here was not a better minimum but a mis-evaluated
+/// one: that restart of seed 17 ran an entry of Θ up to ~1e8, where the
+/// Woodbury form cancels catastrophically, and the strategy it selected has a
+/// closed-form error of 1300.42 — above Identity's 1296. The fused evaluation
+/// refuses such points (`MAX_COLUMN_SCALE` in `opt0.rs`), every row now checks
+/// its loss against the closed form, and the family moved to a size where
+/// OPT_⊗ wins robustly, recorded at c126d79 first.
 #[rustfmt::skip]
-const GOLDEN: &[(&str, &str, u64, u64, &str, u64)] = &[
-    ("opt0", "own", 0x3ef6b6adf760a4a7, 0x40b4df628a23bc44, "opt0", 0xc324fc03fd54d61a),
-    ("opt0", "opt0", 0x3ef6b6adf760a4a7, 0x40b4df628a23bc44, "opt0", 0xc324fc03fd54d61a),
-    ("opt0", "kron", 0x3618619199b9f2d8, 0x40b4df628a2efe19, "kron", 0x9768effc7a21e2df),
-    ("opt0", "plus", 0x3618619199b9f2d8, 0x40b4df628a2efe19, "kron", 0x9768effc7a21e2df),
-    ("opt0", "marginals", 0x3618619199b9f2d8, 0x40b4df628a2efe19, "kron", 0x9768effc7a21e2df),
-    ("opt0", "exhaustive", 0x3618619199b9f2d8, 0x40b4df628a2efe19, "kron", 0x9768effc7a21e2df),
-    ("opt0", "opt_hdmm_grams", 0x3618619199b9f2d8, 0x40b4df628a2efe19, "kron", 0xcbf29ce484222325),
-    ("kron", "own", 0x0651321997bbfe42, 0x40917f3d818ce4e3, "kron", 0x3b6a3bd4e850c8f9),
-    ("kron", "opt0", 0x0651321997bbfe42, 0x40917f3d818ce4e3, "kron", 0x3b6a3bd4e850c8f9),
-    ("kron", "kron", 0x0651321997bbfe42, 0x40917f3d818ce4e3, "kron", 0x3b6a3bd4e850c8f9),
-    ("kron", "plus", 0x0651321997bbfe42, 0x40917f3d818ce4e3, "kron", 0x3b6a3bd4e850c8f9),
-    ("kron", "marginals", 0xfe714819cd75fefc, 0x4094400000000000, "identity", 0x59df6f3f1f96809b),
-    ("kron", "exhaustive", 0x0651321997bbfe42, 0x40917f3d818ce4e3, "kron", 0x496007b2d6a00917),
-    ("kron", "opt_hdmm_grams", 0x0651321997bbfe42, 0x40917f3d818ce4e3, "kron", 0xcbf29ce484222325),
-    ("plus", "own", 0x75831f83a98a7905, 0x408dfec41e21e554, "plus", 0x42c6336f7bab3696),
-    ("plus", "opt0", 0xbf0c9002553742bd, 0x409b1fdc387ebf44, "kron", 0xe474c206f6c16e48),
-    ("plus", "kron", 0xbf0c9002553742bd, 0x409b1fdc387ebf44, "kron", 0xe474c206f6c16e48),
-    ("plus", "plus", 0x75831f83a98a7905, 0x408dfec41e21e554, "plus", 0x42c6336f7bab3696),
-    ("plus", "marginals", 0x8039f3b777beb1e3, 0x40859b0dea000000, "marginals", 0x2362948e26d15508),
-    ("plus", "exhaustive", 0x8039f3b777beb1e3, 0x40859b0dea000000, "marginals", 0x58d8ca6ed705357e),
-    ("plus", "opt_hdmm_grams", 0x8039f3b777beb1e3, 0x40859b0dea000000, "marginals", 0xcbf29ce484222325),
-    ("marginals", "own", 0xb99a079b6525ab54, 0x40bf23ee00400000, "marginals", 0x291f639b61bab1f9),
-    ("marginals", "opt0", 0x7fbe7c128479b66c, 0x40cbd80000000000, "identity", 0x82e0c51ce7db35b9),
-    ("marginals", "kron", 0x7fbe7c128479b66c, 0x40cbd80000000000, "identity", 0x82e0c51ce7db35b9),
-    ("marginals", "plus", 0x7fbe7c128479b66c, 0x40cbd80000000000, "identity", 0x4394165e03cc5b2c),
-    ("marginals", "marginals", 0xb99a079b6525ab54, 0x40bf23ee00400000, "marginals", 0x291f639b61bab1f9),
-    ("marginals", "exhaustive", 0xb99a079b6525ab54, 0x40bf23ee00400000, "marginals", 0x6f10d9ee17ae8dd8),
-    ("marginals", "opt_hdmm_grams", 0xb99a079b6525ab54, 0x40bf23ee00400000, "marginals", 0xcbf29ce484222325),
+const GOLDEN: &[(&str, &str, u64, u64, &str, u64, u64)] = &[
+    ("opt0", "own", 0xb5c9ae87fd1cf9f9, 0x40b4df628a23bc49, "opt0", 0xa27531c9a6b97eb2, 0x40b4df628a23bc44),
+    ("opt0", "opt0", 0xb5c9ae87fd1cf9f9, 0x40b4df628a23bc49, "opt0", 0xa27531c9a6b97eb2, 0x40b4df628a23bc44),
+    ("opt0", "kron", 0x0a92d3291844c124, 0x40b4df628a2efe17, "kron", 0xbe9038d3ccbd6efe, 0x40b4df628a2efe19),
+    ("opt0", "plus", 0x0a92d3291844c124, 0x40b4df628a2efe17, "kron", 0xbe9038d3ccbd6efe, 0x40b4df628a2efe19),
+    ("opt0", "marginals", 0x0a92d3291844c124, 0x40b4df628a2efe17, "kron", 0xbe9038d3ccbd6efe, 0x40b4df628a2efe19),
+    ("opt0", "exhaustive", 0x0a92d3291844c124, 0x40b4df628a2efe17, "kron", 0xbe9038d3ccbd6efe, 0x40b4df628a2efe19),
+    ("opt0", "opt_hdmm_grams", 0x0a92d3291844c124, 0x40b4df628a2efe17, "kron", 0xcbf29ce484222325, 0x40b4df628a2efe19),
+    ("kron", "own", 0xacca7eeeee880465, 0x40f8231c86a555bd, "kron", 0xeadc3b51ebc6b930, 0x40f8231c86a555ba),
+    ("kron", "opt0", 0xacca7eeeee880465, 0x40f8231c86a555bd, "kron", 0xeadc3b51ebc6b930, 0x40f8231c86a555ba),
+    ("kron", "kron", 0xacca7eeeee880465, 0x40f8231c86a555bd, "kron", 0xeadc3b51ebc6b930, 0x40f8231c86a555ba),
+    ("kron", "plus", 0xacca7eeeee880465, 0x40f8231c86a555bd, "kron", 0xeadc3b51ebc6b930, 0x40f8231c86a555ba),
+    ("kron", "marginals", 0x6886f4c48132919c, 0x4111040000000000, "identity", 0xd504f5c7a044f4af, 0x4111040000000000),
+    ("kron", "exhaustive", 0xacca7eeeee880465, 0x40f8231c86a555bd, "kron", 0x34f1a491c36f6586, 0x40f8231c86a555ba),
+    ("kron", "opt_hdmm_grams", 0xacca7eeeee880465, 0x40f8231c86a555bd, "kron", 0xcbf29ce484222325, 0x40f8231c86a555ba),
+    ("plus", "own", 0xa4b1254618885b58, 0x408e018965ffffda, "plus", 0x06d20ffa8dcc895a, 0x408dfec41e21e554),
+    ("plus", "opt0", 0xf38697d4bdf892a9, 0x409b1fdc387ebf3e, "kron", 0x9815712e5c419268, 0x409b1fdc387ebf44),
+    ("plus", "kron", 0xf38697d4bdf892a9, 0x409b1fdc387ebf3e, "kron", 0x9815712e5c419268, 0x409b1fdc387ebf44),
+    ("plus", "plus", 0xa4b1254618885b58, 0x408e018965ffffda, "plus", 0x06d20ffa8dcc895a, 0x408dfec41e21e554),
+    ("plus", "marginals", 0x8039f3b777beb1e3, 0x40859b0dea000000, "marginals", 0x2362948e26d15508, 0x40859b0dea000000),
+    ("plus", "exhaustive", 0x8039f3b777beb1e3, 0x40859b0dea000000, "marginals", 0x35146c2f338ba880, 0x40859b0dea000000),
+    ("plus", "opt_hdmm_grams", 0x8039f3b777beb1e3, 0x40859b0dea000000, "marginals", 0xcbf29ce484222325, 0x40859b0dea000000),
+    ("marginals", "own", 0xb99a079b6525ab54, 0x40bf23ee00400000, "marginals", 0x291f639b61bab1f9, 0x40bf23ee00400000),
+    ("marginals", "opt0", 0x7fbe7c128479b66c, 0x40cbd80000000000, "identity", 0x4c9ed1b3e8ba3dd6, 0x40cbd80000000000),
+    ("marginals", "kron", 0x7fbe7c128479b66c, 0x40cbd80000000000, "identity", 0x4c9ed1b3e8ba3dd6, 0x40cbd80000000000),
+    ("marginals", "plus", 0x7fbe7c128479b66c, 0x40cbd80000000000, "identity", 0xe16d67491af58f7a, 0x40cbd80000000000),
+    ("marginals", "marginals", 0xb99a079b6525ab54, 0x40bf23ee00400000, "marginals", 0x291f639b61bab1f9, 0x40bf23ee00400000),
+    ("marginals", "exhaustive", 0xb99a079b6525ab54, 0x40bf23ee00400000, "marginals", 0xd04bb40a7d3d8e03, 0x40bf23ee00400000),
+    ("marginals", "opt_hdmm_grams", 0xb99a079b6525ab54, 0x40bf23ee00400000, "marginals", 0xcbf29ce484222325, 0x40bf23ee00400000),
 ];
 
-/// The selections — and every cell's candidate loss — are the ones the two
-/// pre-refactor loops produced, at any lane count.
+/// How far above its reference loss a re-recorded row may sit. On the 8×8
+/// range/total union, OPT_+ drives Θ on the Total attributes towards infinity
+/// (the optimum there is the total query alone), where the Woodbury form
+/// loses digits: the reference reported 959.846 for a strategy whose closed
+/// form is 960.024. The fused evaluation bounds the column scale at 1e4 and
+/// reports what the closed form gives, 960.192 — the 1.8e-4 above 960.024 is
+/// the budget the bounded identity rows keep.
+fn reference_slack(family: &str, operator: &str) -> f64 {
+    match (family, operator) {
+        ("plus", "plus") => 4e-4,
+        _ => 1e-6,
+    }
+}
+
+/// The selections — and every cell's candidate loss — are the recorded ones
+/// at any lane count, no re-recorded loss sits above its reference, and each
+/// reported loss is the closed-form error of the strategy selected.
 #[test]
 fn selections_match_the_table_recorded_before_the_grid_was_unified() {
     let mut rows = GOLDEN.iter();
@@ -249,7 +283,13 @@ fn selections_match_the_table_recorded_before_the_grid_was_unified() {
             ("opt_hdmm_grams", None),
         ];
         for (label, choice) in choices {
-            let row = rows.next();
+            let &(f, c, strategy, loss, operator, cells, reference) =
+                rows.next().expect("one golden row per (family, choice)");
+            assert!(
+                f64::from_bits(loss)
+                    <= f64::from_bits(reference) * (1.0 + reference_slack(family, operator)),
+                "{family}/{label}: re-recorded loss above its reference"
+            );
             for threads in [1, 2, 3] {
                 let log = CellLog::default();
                 let o = opts(17, 3, threads);
@@ -265,7 +305,17 @@ fn selections_match_the_table_recorded_before_the_grid_was_unified() {
                     sel.operator,
                     log.digest(),
                 );
-                assert_eq!(Some(&got), row, "threads={threads}");
+                assert_eq!(
+                    got,
+                    (f, c, strategy, loss, operator, cells),
+                    "threads={threads}"
+                );
+                let closed_form = squared_error(&grams, &sel.strategy);
+                assert!(
+                    (sel.squared_error - closed_form).abs() <= 1e-6 * closed_form,
+                    "{family}/{label}: reported {} vs closed form {closed_form}",
+                    sel.squared_error
+                );
             }
         }
     }

@@ -15,7 +15,7 @@ use hdmm_baselines::datacube::{datacube, upto_k_masks};
 use hdmm_baselines::hierarchy::prefix_energy;
 use hdmm_baselines::{general_mechanism, greedy_h_energy};
 use hdmm_bench::{large_runs, print_table, timed};
-use hdmm_optimizer::{opt0_with, opt_kron, opt_marginals, Opt0Options, OptKronOptions};
+use hdmm_optimizer::{opt0_with, opt_kron, opt_marginals, Opt0Options};
 use hdmm_workload::{blocks, builders, Domain, GramTerm, WorkloadGrams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -103,7 +103,7 @@ fn fig1b() {
             );
             let p = (n / 16).max(1);
             let mut rng = StdRng::seed_from_u64(0);
-            opt_kron(&grams, &OptKronOptions::new(vec![p, p, p]), &mut rng)
+            opt_kron(&grams, &[p, p, p], &mut rng)
         });
         rows.push(vec![format!("{total:.1e}"), lrm, format!("{hdmm_secs:.2}")]);
     }

@@ -7,7 +7,7 @@
 
 use hdmm_bench::{print_table, timed};
 use hdmm_linalg::kron;
-use hdmm_optimizer::{opt0_with, opt_kron, Opt0Options, OptKronOptions};
+use hdmm_optimizer::{opt0_with, opt_kron, Opt0Options};
 use hdmm_workload::{blocks, Domain, GramTerm, WorkloadGrams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,7 +31,7 @@ fn main() {
     );
     let (kron_res, kron_secs) = timed(|| {
         let mut rng = StdRng::seed_from_u64(0);
-        opt_kron(&grams, &OptKronOptions::new(vec![4, 4]), &mut rng)
+        opt_kron(&grams, &[4, 4], &mut rng)
     });
     rows.push(vec![
         "OPT_kron".into(),

@@ -6,9 +6,6 @@
 //!
 //! * [`BudgetAccountant`] — tracks ε spend per dataset across sequential
 //!   measurements (sequential composition) and rejects overspend;
-//! * [`PrivateSession`] — a measure-once/answer-many handle: after one noisy
-//!   measurement, any workload over the same domain is answered from the
-//!   reconstructed estimate at zero additional privacy cost (post-processing);
 //! * [`QueryEngine`] — the request lifecycle: plan (cached), spend, measure,
 //!   reconstruct, answer;
 //! * [`EngineError`] — every way a request can fail, as typed variants.
@@ -202,22 +199,6 @@ pub trait BudgetAccountant: Send {
     /// Records a spend of `eps`, or rejects it with a typed error. Must be
     /// all-or-nothing: a rejected spend leaves the ledger unchanged.
     fn try_spend(&mut self, eps: f64) -> Result<(), EngineError>;
-}
-
-/// A measure-once/answer-many handle over one reconstructed estimate.
-///
-/// `Send + Sync` so sessions can be shared (behind `Arc`) between the
-/// serving threads that answer follow-up workloads concurrently.
-pub trait PrivateSession: Send + Sync {
-    /// The domain the measurement was taken over.
-    fn domain(&self) -> &Domain;
-
-    /// ε consumed by the measurement backing this session.
-    fn eps_spent(&self) -> f64;
-
-    /// Answers an arbitrary workload over the session's domain from the
-    /// reconstructed estimate — pure post-processing, zero additional ε.
-    fn answer(&self, workload: &Workload) -> Result<Vec<f64>, EngineError>;
 }
 
 /// Summary of one served request.

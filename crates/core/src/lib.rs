@@ -47,10 +47,8 @@ pub use hdmm_mechanism as mechanism;
 pub use hdmm_optimizer as optimizer;
 pub use hdmm_workload as workload;
 
-pub use data::{DataBackend, DenseVector, ShardedDataVector};
-pub use engine::{
-    BudgetAccountant, EngineError, PrivateSession, QueryEngine, QueryResponse, SessionId,
-};
+pub use data::ShardedDataVector;
+pub use engine::{BudgetAccountant, EngineError, QueryEngine, QueryResponse, SessionId};
 pub use hdmm_mechanism::{MarginalsStrategy, MechanismResult, PreparedReconstruct, Strategy};
 pub use hdmm_optimizer::{HdmmOptions, Selected};
 pub use hdmm_workload::{

@@ -61,6 +61,9 @@ struct CacheEntry {
     operand_keys: OnceLock<Arc<OperandKeys>>,
 }
 
+/// Plans the engine's cache holds.
+pub(crate) const PLAN_CAPACITY: usize = 64;
+
 /// Number of shards; hits on different fingerprints rarely collide, and even
 /// same-shard hits share a read lock.
 const SHARDS: usize = 8;

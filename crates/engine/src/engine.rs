@@ -1,4 +1,12 @@
-//! The engine: request lifecycle over registered datasets.
+//! The engine: construction, `plan`, `serve`, and the read-only accessors.
+//!
+//! One request is one pass through [`Engine::serve_resolved`]: SELECT
+//! (cache-aware, single-flight — pure, no data, no budget), one
+//! [`Reservation`] taken before any noise is drawn, the mechanism pipeline
+//! run lock-free over the dataset's slab view, `commit()` once the pipeline
+//! returned `Ok`, and a [`Session`] for zero-ε follow-ups. Everything that
+//! moves ε lives in [`crate::reservation`]; what is registered lives in
+//! [`crate::registry`]; sessions live in [`crate::session`].
 //!
 //! ## Concurrency architecture
 //!
@@ -22,33 +30,31 @@
 //! single-field ledger updates), so a panicking request cannot wedge the
 //! engine — see [`crate::sync`].
 
-use crate::accountant::{EpsAccountant, TenantLedger};
-use crate::cache::StrategyCache;
+use crate::cache::{StrategyCache, PLAN_CAPACITY};
 use crate::persist::PlanStore;
-use crate::session::Session;
+use crate::registry::{DatasetConfig, DatasetState, Registry};
+use crate::reservation::{Reservation, AUDIT_CAPACITY};
+use crate::session::{Session, SessionStore};
 use crate::singleflight::{FlightOutcome, FlightProgress, SingleFlight};
-use crate::sync::{lock_recover, read_recover, write_recover};
-use crate::telemetry::{DatasetMetrics, EngineMetrics, ObsMetrics, Telemetry, TenantMetrics};
-use crate::tracing::{RequestTracer, SELECT_SPAN_ID};
-use crate::wal::{now_unix_ms, RecoveredDataset, Wal, WalRecord};
+use crate::sync::lock_recover;
+use crate::telemetry::{EngineMetrics, ObsMetrics, Telemetry};
+use crate::tracing::{RequestTracer, SELECT_SPAN_ID, TRACE_CAPACITY};
+use crate::wal::{Wal, SNAPSHOT_EVERY};
 use hdmm_core::{
-    BudgetAccountant, DataBackend, DenseVector, Domain, EngineError, HdmmOptions, Plan,
-    PrivateSession, QueryEngine, QueryResponse, SessionId, ShardedDataVector, Workload,
+    Domain, EngineError, HdmmOptions, Plan, QueryEngine, QueryResponse, SessionId, Workload,
     WorkloadFingerprint,
 };
 use hdmm_mechanism::{
-    DataSlab, LocalKernels, MechanismError, MechanismRequest, PhaseObserver, PipelineError,
-    ScopedExecutor, ShardedView,
+    LocalKernels, MechanismError, MechanismRequest, PhaseObserver, PipelineError, ScopedExecutor,
 };
 use hdmm_net::{RemoteOptions, RpcKernels, WorkerPool};
 use hdmm_obs::trace::dur_ns;
-use hdmm_obs::{AuditKind, AuditLog, Span, SpanCollector, SpanSink, TraceContext};
+use hdmm_obs::{AuditLog, Span, SpanCollector, SpanSink, TraceContext};
 use hdmm_optimizer::{select_optimizer, RestartObserver};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Engine configuration.
@@ -56,8 +62,6 @@ use std::time::{Duration, Instant};
 pub struct EngineOptions {
     /// Optimizer options (restarts, seeds, p overrides) used by SELECT.
     pub hdmm: HdmmOptions,
-    /// Maximum number of cached plans.
-    pub cache_capacity: usize,
     /// Maximum number of retained sessions; the oldest is dropped when full
     /// (each session holds a domain-sized estimate, so this bounds memory).
     pub session_capacity: usize,
@@ -85,15 +89,10 @@ pub struct EngineOptions {
     /// [`crate::TelemetrySnapshot::slow_queries`]. `None` disables the
     /// slow-query log.
     pub slow_query_threshold: Option<Duration>,
-    /// Spans the engine's [`SpanCollector`] retains (ring-buffered; overflow
-    /// overwrites the oldest span and is drop-counted).
-    pub trace_capacity: usize,
     /// Trace-sampling stride: every `trace_sample`-th request flushes its
     /// span tree to the collector (1 = every request, 0 = only slow ones).
     /// Phase/shard events always reach the latency histograms regardless.
     pub trace_sample: u64,
-    /// ε-audit events the engine's [`AuditLog`] ring retains.
-    pub audit_capacity: usize,
     /// Directory for the durable ε-ledger ([`crate::wal`]). `None` keeps the
     /// ledgers in memory only. With a directory set, every budget transition
     /// is journaled (commits fsynced before the answer is released), the
@@ -101,144 +100,21 @@ pub struct EngineOptions {
     /// snapshot + log to reconstruct exact spent-budget state after a crash —
     /// see `docs/DURABILITY.md`.
     pub wal_dir: Option<std::path::PathBuf>,
-    /// WAL records between automatic snapshots (each snapshot also truncates
-    /// the log). 0 disables automatic snapshotting; the log then grows until
-    /// [`Engine::snapshot_wal`] is called.
-    pub wal_snapshot_every: u64,
 }
 
 impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             hdmm: HdmmOptions::default(),
-            cache_capacity: 64,
             session_capacity: 1024,
             seed: 0,
             shard_workers: 0,
             cache_dir: None,
             remote: None,
             slow_query_threshold: None,
-            trace_capacity: 4096,
             trace_sample: 1,
-            audit_capacity: 1024,
             wal_dir: None,
-            wal_snapshot_every: 1024,
         }
-    }
-}
-
-/// Registration-time dataset parameters beyond the domain and data.
-#[derive(Debug, Clone)]
-pub struct DatasetConfig {
-    /// Total ε budget granted to the dataset.
-    pub total_eps: f64,
-    /// Number of leading-axis slabs to partition the data vector into
-    /// (clamped to `[1, n₁]`; 1 = contiguous dense storage).
-    pub shards: usize,
-    /// Owning tenant; spends are additionally charged against the tenant's
-    /// quota when one is set via [`Engine::set_tenant_quota`].
-    pub tenant: Option<String>,
-}
-
-impl DatasetConfig {
-    /// Dense, tenant-less registration with the given budget.
-    pub fn new(total_eps: f64) -> Self {
-        DatasetConfig {
-            total_eps,
-            shards: 1,
-            tenant: None,
-        }
-    }
-
-    /// Partitions the data vector into `shards` leading-axis slabs.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Charges this dataset's spends against `tenant`'s quota as well.
-    pub fn with_tenant(mut self, tenant: impl Into<String>) -> Self {
-        self.tenant = Some(tenant.into());
-        self
-    }
-}
-
-/// One registered dataset. `domain` and `data` are immutable after
-/// registration and read lock-free; only the ledgers and the RNG stream
-/// mutate, each behind its own short-lived mutex.
-struct DatasetState {
-    domain: Domain,
-    data: Arc<dyn DataBackend>,
-    accountant: Mutex<EpsAccountant>,
-    /// The owning tenant's shared quota, when the dataset has one.
-    tenant: Option<Arc<Mutex<TenantLedger>>>,
-    /// The owning tenant's name (for metrics labels and audit events),
-    /// duplicated here so reads never take the ledger lock.
-    tenant_name: Option<String>,
-    /// Per-dataset seeded stream: one `u64` is drawn per request to seed a
-    /// request-local RNG, so a dataset's answer sequence depends only on its
-    /// own request order, never on what other datasets' threads are doing.
-    rng: Mutex<StdRng>,
-    /// Requests that resolved to this dataset (including failures).
-    requests: AtomicU64,
-    /// Requests that failed (typed error or panic) after resolving.
-    failures: AtomicU64,
-}
-
-/// Number of session shards; ids are sequential, so round-robin spreads load.
-const SESSION_SHARDS: usize = 8;
-
-/// FIFO-bounded session registry, sharded by id for contention-free lookup.
-struct SessionStore {
-    shards: [RwLock<HashMap<SessionId, Arc<Session>>>; SESSION_SHARDS],
-    /// Global insertion order for FIFO eviction; ids closed early are left
-    /// stale and skipped when they reach the front.
-    order: Mutex<VecDeque<SessionId>>,
-    len: AtomicUsize,
-    capacity: usize,
-}
-
-impl SessionStore {
-    fn new(capacity: usize) -> Self {
-        SessionStore {
-            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            order: Mutex::new(VecDeque::new()),
-            len: AtomicUsize::new(0),
-            capacity: capacity.max(1),
-        }
-    }
-
-    fn shard(&self, id: SessionId) -> &RwLock<HashMap<SessionId, Arc<Session>>> {
-        &self.shards[(id.0 as usize) % SESSION_SHARDS]
-    }
-
-    fn get(&self, id: SessionId) -> Option<Arc<Session>> {
-        read_recover(self.shard(id)).get(&id).cloned()
-    }
-
-    fn insert(&self, session: Arc<Session>) {
-        let id = session.id();
-        write_recover(self.shard(id)).insert(id, session);
-        self.len.fetch_add(1, Ordering::SeqCst);
-        let mut order = lock_recover(&self.order);
-        order.push_back(id);
-        while self.len.load(Ordering::SeqCst) > self.capacity {
-            let Some(oldest) = order.pop_front() else {
-                break;
-            };
-            if write_recover(self.shard(oldest)).remove(&oldest).is_some() {
-                self.len.fetch_sub(1, Ordering::SeqCst);
-            }
-            // A stale id (closed explicitly) already decremented `len`.
-        }
-    }
-
-    fn remove(&self, id: SessionId) -> Option<Arc<Session>> {
-        let removed = write_recover(self.shard(id)).remove(&id);
-        if removed.is_some() {
-            self.len.fetch_sub(1, Ordering::SeqCst);
-        }
-        removed
     }
 }
 
@@ -256,8 +132,7 @@ pub struct Engine {
     cache: StrategyCache,
     plan_store: Option<PlanStore>,
     inflight: SingleFlight<WorkloadFingerprint, Arc<Plan>>,
-    datasets: RwLock<HashMap<String, Arc<DatasetState>>>,
-    tenants: RwLock<HashMap<String, Arc<Mutex<TenantLedger>>>>,
+    registry: Registry,
     sessions: SessionStore,
     telemetry: Telemetry,
     shard_exec: ScopedExecutor,
@@ -269,10 +144,6 @@ pub struct Engine {
     next_trace: AtomicU64,
     /// The durable ε-ledger, when [`EngineOptions::wal_dir`] is set.
     wal: Option<Wal>,
-    /// Spent-ε recovered from the WAL for datasets not yet re-registered;
-    /// re-registration under the same name re-attaches (and removes) the
-    /// entry, restoring the spend onto the fresh ledger.
-    recovered: Mutex<HashMap<String, RecoveredDataset>>,
 }
 
 /// Bridges the optimizer's per-restart callbacks into the engine's
@@ -351,41 +222,26 @@ impl Engine {
     /// under-count spent ε, so the engine refuses to start.
     pub fn open(options: EngineOptions) -> Result<Self, EngineError> {
         let wal = match &options.wal_dir {
-            Some(dir) => Some(Wal::open(dir.clone(), options.wal_snapshot_every)?),
+            Some(dir) => Some(Wal::open(dir.clone(), SNAPSHOT_EVERY)?),
             None => None,
         };
-        let mut tenants = HashMap::new();
-        let mut recovered = HashMap::new();
-        if let Some(wal) = &wal {
-            let state = wal.recovered();
-            for (name, t) in &state.tenants {
-                let mut ledger = TenantLedger::new(name.clone(), t.cap);
-                ledger.restore_spent(t.spent);
-                tenants.insert(name.clone(), Arc::new(Mutex::new(ledger)));
-            }
-            for (name, d) in &state.datasets {
-                recovered.insert(name.clone(), d.clone());
-            }
-        }
         let telemetry = Telemetry::default();
         telemetry.set_select_threads(ScopedExecutor::new(options.hdmm.threads).threads() as u64);
         Ok(Engine {
-            cache: StrategyCache::new(options.cache_capacity),
+            cache: StrategyCache::new(PLAN_CAPACITY),
             plan_store: options.cache_dir.clone().map(PlanStore::new),
             inflight: SingleFlight::new(),
+            registry: Registry::new(options.seed, wal.as_ref().map(Wal::recovered)),
             sessions: SessionStore::new(options.session_capacity),
             telemetry,
             shard_exec: ScopedExecutor::new(options.shard_workers),
             remote: options.remote.as_ref().map(RemoteOptions::connect),
-            collector: SpanCollector::new(options.trace_capacity),
-            audit: AuditLog::new(options.audit_capacity),
+            collector: SpanCollector::new(TRACE_CAPACITY),
+            audit: AuditLog::new(AUDIT_CAPACITY),
             options,
-            datasets: RwLock::new(HashMap::new()),
-            tenants: RwLock::new(tenants),
             next_session: AtomicU64::new(1),
             next_trace: AtomicU64::new(0),
             wal,
-            recovered: Mutex::new(recovered),
         })
     }
 
@@ -395,17 +251,6 @@ impl Engine {
             seed,
             ..Default::default()
         })
-    }
-
-    /// Derives the dataset's RNG seed from the master seed and its name
-    /// (FNV-1a), so streams are stable across runs and distinct per dataset.
-    fn dataset_seed(&self, name: &str) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in name.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^ self.options.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
     }
 
     /// Registers a dataset: its domain, data vector (cell counts in row-major
@@ -449,127 +294,27 @@ impl Engine {
         x: Vec<f64>,
         config: DatasetConfig,
     ) -> Result<(), EngineError> {
-        if x.len() != domain.size() {
-            return Err(EngineError::DataVectorMismatch {
-                expected: domain.size(),
-                got: x.len(),
-            });
-        }
-        let backend: Arc<dyn DataBackend> = if config.shards <= 1 {
-            Arc::new(DenseVector::new(&domain, x))
-        } else {
-            Arc::new(ShardedDataVector::partition(&domain, x, config.shards))
-        };
-        self.register_dataset_backend(name, domain, backend, config)
-    }
-
-    /// Registers a dataset over a caller-provided backend (custom slab
-    /// layouts, memory-mapped storage, …). `config.shards` is ignored — the
-    /// backend's own partition wins.
-    pub fn register_dataset_backend(
-        &self,
-        name: impl Into<String>,
-        domain: Domain,
-        data: Arc<dyn DataBackend>,
-        config: DatasetConfig,
-    ) -> Result<(), EngineError> {
         let name = name.into();
-        if !(config.total_eps.is_finite() && config.total_eps > 0.0) {
-            return Err(EngineError::InvalidEpsilon {
-                eps: config.total_eps,
-            });
-        }
-        if data.len() != domain.size() || data.leading_len() != domain.attr_size(0) {
-            return Err(EngineError::DataVectorMismatch {
-                expected: domain.size(),
-                got: data.len(),
-            });
-        }
-        // Validate the backend's slab partition once here (the same tiling
-        // invariants `ShardedView::new` asserts), so a malformed custom
-        // backend is a typed registration error rather than a panic on every
-        // later serve.
-        {
-            let stride = data.len() / data.leading_len().max(1);
-            let mut next = 0usize;
-            for s in 0..data.shard_count() {
-                let rows = data.shard_rows(s);
-                if rows.start != next
-                    || rows.end < rows.start
-                    || data.shard_values(s).len() != (rows.end - rows.start) * stride
-                {
-                    return Err(EngineError::DataVectorMismatch {
-                        expected: domain.size(),
-                        got: data.len(),
-                    });
-                }
-                next = rows.end;
-            }
-            if next != data.leading_len() || data.shard_count() == 0 {
-                return Err(EngineError::DataVectorMismatch {
-                    expected: domain.size(),
-                    got: data.len(),
-                });
-            }
-        }
-        let tenant = config
-            .tenant
-            .as_ref()
-            .map(|t| self.tenant_ledger_or_default(t));
-        let seed = self.dataset_seed(&name);
-        {
-            let mut datasets = write_recover(&self.datasets);
-            if datasets.contains_key(&name) {
-                return Err(EngineError::DatasetExists { name });
-            }
-            // Journal before apply (still under the write lock, so the WAL's
-            // registration order matches the registry's): if the durable
-            // record cannot be written, the registration fails and nothing
-            // was inserted — no rollback path to get wrong.
-            if let Some(wal) = &self.wal {
-                wal.append(&WalRecord::DatasetRegistered {
-                    name: name.clone(),
-                    total_eps: config.total_eps,
-                    tenant: config.tenant.clone(),
-                })?;
-            }
-            let mut ledger = EpsAccountant::new(name.clone(), config.total_eps);
-            // A crash-recovered ledger under this name re-attaches here: the
-            // new registration's grant and tenant win, the recovered spend is
-            // restored (clamped to the grant — conservative, never negative).
-            if let Some(prior) = lock_recover(&self.recovered).remove(&name) {
-                ledger.restore_spent(prior.spent);
-            }
-            datasets.insert(
-                name.clone(),
-                Arc::new(DatasetState {
-                    domain,
-                    data: Arc::clone(&data),
-                    accountant: Mutex::new(ledger),
-                    tenant,
-                    tenant_name: config.tenant.clone(),
-                    rng: Mutex::new(StdRng::seed_from_u64(seed)),
-                    requests: AtomicU64::new(0),
-                    failures: AtomicU64::new(0),
-                }),
-            );
-        }
+        let state = self
+            .registry
+            .register(name.clone(), domain, x, config, self.wal.as_ref())?;
         // Warm the remote workers with the new dataset's slabs — strictly
         // after the insert, so a rejected registration (duplicate name, bad
         // shape) never overwrites a live dataset's slabs on the workers.
         // Best-effort: `run_slab_task` re-pushes on demand, so a failure here
         // (worker down, pool empty) costs first-request latency only.
         if let Some(pool) = &self.remote {
-            if data.shard_count() > 1 {
-                let _ = (0..data.shard_count()).try_for_each(|s| {
-                    let rows = data.shard_rows(s);
-                    pool.load_slab(
-                        &name,
-                        s as u64,
-                        (rows.start as u64, rows.end as u64),
-                        data.shard_values(s),
-                    )
-                });
+            if state.data.shard_count() > 1 {
+                let _ = state
+                    .data
+                    .view()
+                    .slabs
+                    .iter()
+                    .zip(0u64..)
+                    .try_for_each(|(slab, s)| {
+                        let rows = (slab.rows.start as u64, slab.rows.end as u64);
+                        pool.load_slab(&name, s, rows, slab.values)
+                    });
             }
         }
         Ok(())
@@ -592,37 +337,12 @@ impl Engine {
             })
     }
 
-    /// The tenant's shared ledger, created unlimited if absent.
-    fn tenant_ledger_or_default(&self, tenant: &str) -> Arc<Mutex<TenantLedger>> {
-        if let Some(l) = read_recover(&self.tenants).get(tenant) {
-            return Arc::clone(l);
-        }
-        let mut tenants = write_recover(&self.tenants);
-        Arc::clone(
-            tenants
-                .entry(tenant.to_string())
-                .or_insert_with(|| Arc::new(Mutex::new(TenantLedger::new(tenant, f64::INFINITY)))),
-        )
-    }
-
     /// Sets (or updates) a tenant's ε quota: the sum of spends across all of
     /// the tenant's datasets may not exceed `eps_cap`. Lowering the cap
     /// below spend blocks further measurement until it is raised.
     pub fn set_tenant_quota(&self, tenant: &str, eps_cap: f64) -> Result<(), EngineError> {
-        if eps_cap.is_nan() || eps_cap <= 0.0 {
-            return Err(EngineError::InvalidEpsilon { eps: eps_cap });
-        }
-        // Journal before apply: a quota that was acked must survive restart
-        // (replaying a cap the crash forgot would *loosen* a tenant's limit).
-        if let Some(wal) = &self.wal {
-            wal.append(&WalRecord::TenantQuotaSet {
-                tenant: tenant.to_string(),
-                cap: eps_cap,
-            })?;
-        }
-        let ledger = self.tenant_ledger_or_default(tenant);
-        lock_recover(&ledger).set_cap(eps_cap);
-        Ok(())
+        self.registry
+            .set_tenant_quota(tenant, eps_cap, self.wal.as_ref())
     }
 
     /// Spent ε recovered from the durable ledger for a dataset that has not
@@ -630,12 +350,12 @@ impl Engine {
     /// re-attaches (its live ledger then carries the spend) or when nothing
     /// was recovered under the name.
     pub fn recovered_spent(&self, dataset: &str) -> Option<f64> {
-        lock_recover(&self.recovered).get(dataset).map(|d| d.spent)
+        self.registry.recovered_spent(dataset)
     }
 
     /// Forces a durable-ledger snapshot now (serialize ledger state, fsync,
-    /// truncate the log) instead of waiting for
-    /// [`EngineOptions::wal_snapshot_every`]. No-op without a WAL.
+    /// truncate the log) instead of waiting for the next automatic one.
+    /// No-op without a WAL.
     pub fn snapshot_wal(&self) -> Result<(), EngineError> {
         match &self.wal {
             Some(wal) => wal.snapshot_now().map_err(EngineError::from),
@@ -645,31 +365,7 @@ impl Engine {
 
     /// (cap, spent, remaining) ε for a tenant's quota.
     pub fn tenant_budget(&self, tenant: &str) -> Option<(f64, f64, f64)> {
-        let ledger = Arc::clone(read_recover(&self.tenants).get(tenant)?);
-        let l = lock_recover(&ledger);
-        Some((l.cap(), l.spent(), l.remaining()))
-    }
-
-    /// Resolves a dataset handle, validating the workload domain against it
-    /// (domains are immutable after registration, so one check suffices).
-    fn resolve_dataset(
-        &self,
-        name: &str,
-        workload: &Workload,
-    ) -> Result<Arc<DatasetState>, EngineError> {
-        let handle = read_recover(&self.datasets)
-            .get(name)
-            .cloned()
-            .ok_or_else(|| EngineError::UnknownDataset {
-                name: name.to_string(),
-            })?;
-        if workload.domain() != &handle.domain {
-            return Err(EngineError::DomainMismatch {
-                expected: handle.domain.clone(),
-                got: workload.domain().clone(),
-            });
-        }
-        Ok(handle)
+        self.registry.tenant_budget(tenant)
     }
 
     /// Returns the optimized plan for `workload`, consulting the strategy
@@ -787,7 +483,7 @@ impl Engine {
     ) -> Result<Vec<Vec<f64>>, EngineError> {
         let session = self.session(id)?;
         let t = Instant::now();
-        let out = session.answer_batch_on(workloads, &self.shard_exec)?;
+        let out = session.answer_batch(workloads, &self.shard_exec)?;
         self.telemetry
             .phase_complete(hdmm_mechanism::MechanismPhase::Answer, t.elapsed());
         Ok(out)
@@ -804,14 +500,7 @@ impl Engine {
 
     /// (total, spent, remaining) ε for a dataset.
     pub fn budget(&self, dataset: &str) -> Result<(f64, f64, f64), EngineError> {
-        let handle = read_recover(&self.datasets)
-            .get(dataset)
-            .cloned()
-            .ok_or_else(|| EngineError::UnknownDataset {
-                name: dataset.to_string(),
-            })?;
-        let a = lock_recover(&handle.accountant);
-        Ok((a.total_budget(), a.spent(), a.remaining()))
+        Ok(self.registry.get(dataset)?.ledgers.budget())
     }
 
     /// Strategy-cache effectiveness counters.
@@ -824,44 +513,11 @@ impl Engine {
     /// spans), serving counters, per-dataset request/failure counters and
     /// ε-budget gauges, tenant quotas, and span/audit pipeline counters.
     pub fn metrics(&self) -> EngineMetrics {
-        let mut datasets: Vec<DatasetMetrics> = read_recover(&self.datasets)
-            .iter()
-            .map(|(name, s)| {
-                let (eps_total, eps_spent, eps_remaining) = {
-                    let a = lock_recover(&s.accountant);
-                    (a.total_budget(), a.spent(), a.remaining())
-                };
-                DatasetMetrics {
-                    name: name.clone(),
-                    requests: s.requests.load(Ordering::Relaxed),
-                    failures: s.failures.load(Ordering::Relaxed),
-                    shards: s.data.shard_count(),
-                    eps_total,
-                    eps_spent,
-                    eps_remaining,
-                    tenant: s.tenant_name.clone(),
-                }
-            })
-            .collect();
-        datasets.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut tenants: Vec<TenantMetrics> = read_recover(&self.tenants)
-            .iter()
-            .map(|(name, ledger)| {
-                let l = lock_recover(ledger);
-                TenantMetrics {
-                    tenant: name.clone(),
-                    eps_cap: l.cap(),
-                    eps_spent: l.spent(),
-                    eps_remaining: l.remaining(),
-                }
-            })
-            .collect();
-        tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
         EngineMetrics {
             cache: self.cache.stats(),
             telemetry: self.telemetry.snapshot(),
-            datasets,
-            tenants,
+            datasets: self.registry.dataset_metrics(),
+            tenants: self.registry.tenant_metrics(),
             obs: ObsMetrics {
                 spans_collected: self.collector.collected(),
                 spans_dropped: self.collector.dropped(),
@@ -880,8 +536,8 @@ impl Engine {
         &self.telemetry
     }
 
-    /// The engine's span collector (bounded; see
-    /// [`EngineOptions::trace_capacity`]).
+    /// The engine's span collector (a bounded ring; overflow overwrites the
+    /// oldest span and is drop-counted).
     pub fn collector(&self) -> &SpanCollector {
         &self.collector
     }
@@ -912,36 +568,11 @@ impl Engine {
         crate::prometheus::render_prometheus(&self.metrics())
     }
 
-    /// Journals one budget transition to the durable ledger, when present.
-    /// The caller chooses what a failure means: the reserve path fails the
-    /// request (no noise drawn yet), deny/commit/refund paths absorb the
-    /// error (the in-memory transition already happened; the failure is
-    /// counted in [`crate::wal::WalMetrics::append_errors`]).
-    fn journal(
-        &self,
-        kind: AuditKind,
-        dataset: &str,
-        tenant: Option<&str>,
-        eps: f64,
-        trace_id: u64,
-    ) -> Result<(), EngineError> {
-        if let Some(wal) = &self.wal {
-            wal.append(&WalRecord::Budget {
-                kind,
-                dataset: dataset.to_string(),
-                tenant: tenant.map(str::to_string),
-                eps,
-                trace_id,
-                unix_ms: now_unix_ms(),
-            })?;
-        }
-        Ok(())
-    }
-
-    /// The request lifecycle around [`Engine::serve_inner`]: mints the
+    /// The request lifecycle around [`Engine::serve_resolved`]: mints the
     /// request's deterministic [`TraceContext`], runs the request under a
-    /// [`RequestTracer`], and at the end flushes the span tree to the
-    /// collector when the request is sampled or slow.
+    /// [`RequestTracer`], counts it (on the engine and, once resolved, on
+    /// its dataset) whatever the exit, and at the end flushes the span tree
+    /// to the collector when the request is sampled or slow.
     fn serve_with_trace(
         &self,
         dataset: &str,
@@ -951,7 +582,8 @@ impl Engine {
     ) -> Result<QueryResponse, EngineError> {
         let mut record = RecordRequestOnDrop {
             telemetry: &self.telemetry,
-            outcome: None,
+            dataset: None,
+            ok: false,
         };
         let counter = self.next_trace.fetch_add(1, Ordering::Relaxed);
         let ctx = TraceContext::derive(self.options.seed, counter);
@@ -970,8 +602,13 @@ impl Engine {
         if let Some(at) = enqueued {
             tracer.record_queue(at);
         }
-        let result = self.serve_inner(dataset, workload, eps, &tracer);
-        record.outcome = Some(result.is_ok());
+        // Cheap validation first (microseconds, short registry read lock) so
+        // a typo'd dataset or mismatched domain never pays for SELECT or
+        // occupies a cache slot.
+        let handle = self.registry.resolve(dataset, workload);
+        record.dataset = handle.as_ref().ok().cloned();
+        let result = handle.and_then(|h| self.serve_resolved(dataset, &h, workload, eps, &tracer));
+        record.ok = result.is_ok();
         let slow = tracer.finish(dataset, result.is_ok(), sampled, slow_threshold);
         if slow {
             self.telemetry.record_slow_query();
@@ -991,30 +628,6 @@ impl Engine {
         enqueued: Instant,
     ) -> Result<QueryResponse, EngineError> {
         self.serve_with_trace(dataset, workload, eps, Some(enqueued))
-    }
-
-    fn serve_inner(
-        &self,
-        dataset: &str,
-        workload: &Workload,
-        eps: f64,
-        tracer: &RequestTracer<'_>,
-    ) -> Result<QueryResponse, EngineError> {
-        // Cheap validation first (microseconds, short registry read lock) so
-        // a typo'd dataset or mismatched domain never pays for SELECT or
-        // occupies a cache slot.
-        let handle = self.resolve_dataset(dataset, workload)?;
-
-        // From here the request is attributable to the dataset: count it in
-        // the per-dataset counters, panics included (outcome `None` = failed).
-        let mut per_dataset = RecordDatasetOnDrop {
-            state: &handle,
-            outcome: None,
-        };
-
-        let result = self.serve_resolved(dataset, &handle, workload, eps, tracer);
-        per_dataset.outcome = Some(result.is_ok());
-        result
     }
 
     fn serve_resolved(
@@ -1049,108 +662,26 @@ impl Engine {
         };
         let mut rng = StdRng::seed_from_u64(req_seed);
 
-        // Reserve the budget *before* measuring (all-or-nothing): concurrent
-        // requests on one dataset can both measure at once, and optimistic
-        // spend-after-measure could let both draw noise when only one fits
-        // the remaining ε. The ledger lock is held only for the reservation.
-        // The guard refunds on *any* non-success exit — typed error or
-        // panic — since either way no noise was drawn against the ε. The
-        // tenant quota is reserved second; its failure refunds the dataset.
+        // Reserve the budget *before* measuring. Any exit from here short of
+        // `commit()` — typed error or panic — refunds it, since either way
+        // no noise was drawn against the ε.
         let trace_id = tracer.trace_id();
-        let tenant_name = handle.tenant_name.as_deref();
-        {
-            let mut a = lock_recover(&handle.accountant);
-            let outcome = a.try_spend(eps);
-            let remaining = a.remaining();
-            drop(a);
-            match outcome {
-                Ok(()) => {
-                    self.audit.emit(
-                        trace_id,
-                        dataset,
-                        tenant_name,
-                        AuditKind::Reserve,
-                        eps,
-                        remaining,
-                    );
-                }
-                Err(e) => {
-                    self.audit.emit(
-                        trace_id,
-                        dataset,
-                        tenant_name,
-                        AuditKind::Deny,
-                        eps,
-                        remaining,
-                    );
-                    // A denial changes no ledger state; journaling it is
-                    // best-effort forensic context, not a correctness need.
-                    let _ = self.journal(AuditKind::Deny, dataset, tenant_name, eps, trace_id);
-                    return Err(e);
-                }
-            }
-        }
-        let mut reservation = RefundOnFailure {
-            accountant: &handle.accountant,
-            tenant: None,
-            eps,
-            armed: true,
-            audit: &self.audit,
-            wal: self.wal.as_ref(),
-            trace_id,
+        let reservation = Reservation::reserve(
+            &handle.ledgers,
             dataset,
-            tenant_name,
-        };
-        // Journal the reservation *after* arming the guard: if the durable
-        // ledger cannot record it, the request fails (no noise drawn yet)
-        // and the guard's drop refunds the in-memory ledger. The guard must
-        // NOT journal that refund — the Reserve never reached the log, so a
-        // Refund record would be unmatched and replay would subtract it from
-        // previously *committed* spend, under-counting ε
-        // (docs/DURABILITY.md §7).
-        if let Err(e) = self.journal(AuditKind::Reserve, dataset, tenant_name, eps, trace_id) {
-            reservation.wal = None;
-            return Err(e);
-        }
-        if let Some(ledger) = &handle.tenant {
-            let mut l = lock_recover(ledger);
-            let outcome = l.try_spend(eps);
-            let remaining = l.remaining();
-            drop(l);
-            if let Err(e) = outcome {
-                // The dataset reservation is refunded (and audited) by the
-                // guard's drop; the quota denial gets its own event first so
-                // the stream reads Reserve → Deny → Refund in cause order
-                // (the WAL mirrors the same order; replay relies on the
-                // refund following its reserve — see docs/DURABILITY.md §4).
-                self.audit.emit(
-                    trace_id,
-                    dataset,
-                    tenant_name,
-                    AuditKind::Deny,
-                    eps,
-                    remaining,
-                );
-                let _ = self.journal(AuditKind::Deny, dataset, tenant_name, eps, trace_id);
-                return Err(e);
-            }
-            reservation.tenant = Some(ledger);
-        }
+            eps,
+            trace_id,
+            &self.audit,
+            self.wal.as_ref(),
+        )?;
 
         // MEASURE + RECONSTRUCT + answer, lock-free: the data is immutable
         // and the reservation already guaranteed the budget. `remaining =
         // eps` keeps the pipeline's own validation consistent with the
-        // reservation. Every backend goes through the one pipeline over its
+        // reservation. Every dataset goes through the one pipeline over its
         // slab view — a dense vector is the one-slab case — and the kernels
         // only decide where the slab tasks run, never the answer bytes.
-        let data = handle.data.as_ref();
-        let slabs = (0..data.shard_count())
-            .map(|s| DataSlab {
-                rows: data.shard_rows(s),
-                values: data.shard_values(s),
-            })
-            .collect();
-        let view = ShardedView::new(data.leading_len(), slabs);
+        let view = handle.data.view();
         let request = MechanismRequest {
             workload,
             strategy: plan.strategy(),
@@ -1214,129 +745,33 @@ impl Engine {
             cache_hit,
             operator: plan.operator(),
             expected_error: plan.expected_error(eps),
-            shards: handle.data.shard_count(),
+            shards: view.shard_count(),
             trace_id,
         })
     }
 }
 
-/// Refunds a budget reservation whose measurement never completed — a typed
-/// error return or a panic unwinding through `serve_inner`. Disarmed by
-/// [`RefundOnFailure::commit`] once noise has actually been drawn. When a
-/// tenant quota was also reserved, both ledgers are refunded together.
-///
-/// Both exits emit an audit event carrying the request's trace id: `Commit`
-/// when the spend sticks, `Refund` when the reservation is released — so the
-/// audit stream accounts for every ε that was ever reserved, panics
-/// included.
-struct RefundOnFailure<'a> {
-    accountant: &'a Mutex<EpsAccountant>,
-    tenant: Option<&'a Arc<Mutex<TenantLedger>>>,
-    eps: f64,
-    armed: bool,
-    audit: &'a AuditLog,
-    /// The durable ledger, when the engine has one: commit and refund are
-    /// journaled on the same exits that emit the audit events. Cleared when
-    /// the Reserve append itself fails, so the drop's refund is *not*
-    /// journaled — an unmatched Refund would under-count committed spend on
-    /// replay (docs/DURABILITY.md §7).
-    wal: Option<&'a Wal>,
-    trace_id: u64,
-    dataset: &'a str,
-    tenant_name: Option<&'a str>,
-}
-
-impl RefundOnFailure<'_> {
-    /// Journals one transition to the WAL, best-effort: by the time commit
-    /// or refund runs, the in-memory ledger has already moved, so a journal
-    /// failure degrades durability (counted in
-    /// [`crate::wal::WalMetrics::append_errors`]) rather than failing the
-    /// request. Replay stays conservative either way: a reserve whose
-    /// commit was lost still counts as spent, and a lost refund can only
-    /// over-count spend.
-    fn journal(&self, kind: AuditKind) {
-        if let Some(wal) = self.wal {
-            let _ = wal.append(&WalRecord::Budget {
-                kind,
-                dataset: self.dataset.to_string(),
-                tenant: self.tenant_name.map(str::to_string),
-                eps: self.eps,
-                trace_id: self.trace_id,
-                unix_ms: now_unix_ms(),
-            });
-        }
-    }
-
-    fn commit(mut self) {
-        self.armed = false;
-        let remaining = lock_recover(self.accountant).remaining();
-        self.audit.emit(
-            self.trace_id,
-            self.dataset,
-            self.tenant_name,
-            AuditKind::Commit,
-            self.eps,
-            remaining,
-        );
-        // The commit append fsyncs (see `WalRecord::durable`) — the caller
-        // only releases the answer after this returns, so an acked spend is
-        // never observable as unspent after a crash (DURABILITY.md §5).
-        self.journal(AuditKind::Commit);
-    }
-}
-
-impl Drop for RefundOnFailure<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            let remaining = {
-                let mut a = lock_recover(self.accountant);
-                a.refund(self.eps);
-                a.remaining()
-            };
-            if let Some(tenant) = self.tenant {
-                lock_recover(tenant).refund(self.eps);
-            }
-            self.audit.emit(
-                self.trace_id,
-                self.dataset,
-                self.tenant_name,
-                AuditKind::Refund,
-                self.eps,
-                remaining,
-            );
-            self.journal(AuditKind::Refund);
-        }
-    }
-}
-
-/// Per-dataset twin of [`RecordRequestOnDrop`]: attributes the request (and
-/// its outcome, panics included) to the dataset it resolved to.
-struct RecordDatasetOnDrop<'a> {
-    state: &'a DatasetState,
-    outcome: Option<bool>,
-}
-
-impl Drop for RecordDatasetOnDrop<'_> {
-    fn drop(&mut self) {
-        self.state.requests.fetch_add(1, Ordering::Relaxed);
-        if !self.outcome.unwrap_or(false) {
-            self.state.failures.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Counts every request exactly once, panics included: a request that
-/// unwinds (answered as a typed error by the server's catch-guard) must show
-/// up in `requests`/`failures`, or fleets suffering panic-inducing workloads
-/// would report `failures=0`.
+/// Counts every request exactly once — on the engine and, once it resolved,
+/// on its dataset — panics included: a request that unwinds (answered as a
+/// typed error by the server's catch-guard) must show up in
+/// `requests`/`failures`, or fleets suffering panic-inducing workloads would
+/// report `failures=0`.
 struct RecordRequestOnDrop<'a> {
     telemetry: &'a Telemetry,
-    outcome: Option<bool>,
+    /// The dataset the request resolved to, once it has.
+    dataset: Option<Arc<DatasetState>>,
+    ok: bool,
 }
 
 impl Drop for RecordRequestOnDrop<'_> {
     fn drop(&mut self) {
-        self.telemetry.record_request(self.outcome.unwrap_or(false));
+        if let Some(state) = &self.dataset {
+            state.requests.fetch_add(1, Ordering::Relaxed);
+            if !self.ok {
+                state.failures.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        self.telemetry.record_request(self.ok);
     }
 }
 
@@ -1362,7 +797,10 @@ impl QueryEngine for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accountant::EpsAccountant;
+    use crate::reservation::Ledgers;
     use hdmm_core::builders;
+    use hdmm_obs::AuditKind;
 
     fn quick_engine(seed: u64) -> Engine {
         Engine::new(EngineOptions {
@@ -1496,7 +934,7 @@ mod tests {
             assert!((engine.budget("d").unwrap().1 - 0.25).abs() < 1e-12);
         }
         // On disk: recovery reproduces exactly the committed spend.
-        let wal = crate::wal::Wal::open(&dir, 1024).unwrap();
+        let wal = Wal::open(&dir, SNAPSHOT_EVERY).unwrap();
         let spent = wal.recovered().datasets["d"].spent;
         assert!(
             (spent - 0.25).abs() < 1e-12,
@@ -1659,47 +1097,26 @@ mod tests {
     #[test]
     fn budget_reservation_refunds_when_measurement_unwinds() {
         let audit = AuditLog::new(16);
-        let acc = Mutex::new(EpsAccountant::new("d", 1.0));
-        lock_recover(&acc).try_spend(0.6).unwrap();
+        let ledgers = Ledgers::new(EpsAccountant::new("d", 1.0), None);
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _reservation = RefundOnFailure {
-                accountant: &acc,
-                tenant: None,
-                eps: 0.6,
-                armed: true,
-                audit: &audit,
-                wal: None,
-                trace_id: 7,
-                dataset: "d",
-                tenant_name: None,
-            };
+            let _reservation = Reservation::reserve(&ledgers, "d", 0.6, 7, &audit, None).unwrap();
             panic!("measurement died mid-flight");
         }));
         assert!(unwound.is_err());
         assert!(
-            lock_recover(&acc).spent().abs() < 1e-12,
+            ledgers.budget().1.abs() < 1e-12,
             "a panicked request must not leak its ε reservation"
         );
         // The unwound reservation is audited as a refund, trace id intact.
         let events = audit.recent();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].kind, AuditKind::Refund);
-        assert_eq!(events[0].trace_id, 7);
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[1].kind, AuditKind::Refund);
+        assert_eq!(events[1].trace_id, 7);
         // The success path keeps the spend and audits a commit.
-        lock_recover(&acc).try_spend(0.4).unwrap();
-        RefundOnFailure {
-            accountant: &acc,
-            tenant: None,
-            eps: 0.4,
-            armed: true,
-            audit: &audit,
-            wal: None,
-            trace_id: 8,
-            dataset: "d",
-            tenant_name: None,
-        }
-        .commit();
-        assert!((lock_recover(&acc).spent() - 0.4).abs() < 1e-12);
+        Reservation::reserve(&ledgers, "d", 0.4, 8, &audit, None)
+            .unwrap()
+            .commit();
+        assert!((ledgers.budget().1 - 0.4).abs() < 1e-12);
         assert_eq!(audit.recent().last().unwrap().kind, AuditKind::Commit);
     }
 
@@ -1709,7 +1126,8 @@ mod tests {
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _record = RecordRequestOnDrop {
                 telemetry: &telemetry,
-                outcome: None,
+                dataset: None,
+                ok: false,
             };
             panic!("request died before returning");
         }));
@@ -1884,42 +1302,6 @@ mod tests {
         assert!((cap - 0.5).abs() < 1e-12);
         assert!((spent - 0.5).abs() < 1e-12);
         assert!(remaining < 1e-12);
-    }
-
-    #[test]
-    fn malformed_custom_backends_are_rejected_at_registration() {
-        /// A backend whose single slab claims the wrong row range.
-        struct Gappy;
-        impl hdmm_core::DataBackend for Gappy {
-            fn len(&self) -> usize {
-                8
-            }
-            fn leading_len(&self) -> usize {
-                8
-            }
-            fn shard_count(&self) -> usize {
-                1
-            }
-            fn shard_rows(&self, _s: usize) -> std::ops::Range<usize> {
-                1..8 // gap: rows must start at 0
-            }
-            fn shard_values(&self, _s: usize) -> &[f64] {
-                &[0.0; 7]
-            }
-        }
-        let engine = quick_engine(0);
-        let err = engine
-            .register_dataset_backend(
-                "bad",
-                Domain::one_dim(8),
-                Arc::new(Gappy),
-                DatasetConfig::new(1.0),
-            )
-            .unwrap_err();
-        assert!(
-            matches!(err, EngineError::DataVectorMismatch { .. }),
-            "malformed slab tiling must be a typed registration error: {err:?}"
-        );
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //! * **Privacy-budget accountant** — every dataset registers with a total ε;
 //!   sequential measurements accumulate spend, and over-budget requests fail
 //!   with a typed [`EngineError::BudgetExhausted`] before any noise is drawn.
+//!   The whole transition — reserve before MEASURE, commit once noise was
+//!   drawn, refund on any other exit, deny — is one `Reservation` object
+//!   (`reservation.rs`), the only code that moves ε or writes a budget
+//!   record to the audit stream and the durable log.
 //! * **Measure-once / answer-many sessions** — each served request yields a
 //!   [`Session`] holding the reconstructed estimate `x̄`; follow-up workloads
 //!   over the same domain are answered from `x̄` at **zero** additional ε
@@ -88,6 +92,13 @@
 //!
 //! ## Layering
 //!
+//! Inside the crate, `engine.rs` is construction, `plan`, `serve` and the
+//! read-only accessors; what it serves over lives in one module per concern:
+//! `reservation.rs` (ε transitions), `registry.rs` (datasets, tenants,
+//! recovered spend), `session.rs` ([`Session`] and the bounded store),
+//! `accountant.rs` (the two ledgers), `cache.rs` / `persist.rs` /
+//! `singleflight.rs` (plans), [`wal`] (the durable ledger).
+//!
 //! `hdmm-engine` sits above [`hdmm_core`] (planner API, engine traits) and
 //! below any transport. It adds no new privacy analysis: privacy follows
 //! from the Laplace mechanism's guarantee per measurement, sequential
@@ -100,6 +111,8 @@ mod engine;
 mod exporter;
 mod persist;
 mod prometheus;
+mod registry;
+mod reservation;
 mod server;
 mod session;
 mod singleflight;
@@ -110,10 +123,11 @@ pub mod wal;
 
 pub use accountant::{EpsAccountant, TenantLedger};
 pub use cache::{CacheStats, StrategyCache};
-pub use engine::{DatasetConfig, Engine, EngineOptions};
+pub use engine::{Engine, EngineOptions};
 pub use exporter::MetricsExporter;
 pub use persist::PlanStore;
 pub use prometheus::render_prometheus;
+pub use registry::DatasetConfig;
 pub use server::{EngineServer, ServerOptions, Ticket};
 pub use session::Session;
 pub use singleflight::{FlightOutcome, FlightProgress, SingleFlight};
@@ -123,10 +137,7 @@ pub use telemetry::{
 };
 pub use wal::{Wal, WalError, WalMetrics, WalRecord};
 
-pub use hdmm_core::{
-    BudgetAccountant, DataBackend, DenseVector, EngineError, PrivateSession, QueryEngine,
-    QueryResponse, SessionId, ShardedDataVector,
-};
+pub use hdmm_core::{BudgetAccountant, EngineError, QueryEngine, QueryResponse, SessionId};
 pub use hdmm_net::{PoolHealth, RemoteOptions, RetryPolicy, WorkerHealth};
 pub use hdmm_obs::{
     chrome_trace, AuditEvent, AuditKind, AuditLog, Span, SpanCollector, TraceContext,

@@ -5,7 +5,12 @@
 //! *any* function of `x̄` — in particular, answering arbitrary follow-up
 //! workloads over the same domain — consumes zero additional privacy budget.
 
-use hdmm_core::{Domain, EngineError, PrivateSession, SessionId, Workload};
+use crate::sync::{lock_recover, read_recover, write_recover};
+use hdmm_core::{Domain, EngineError, SessionId, Workload};
+use hdmm_mechanism::ScopedExecutor;
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// One completed measurement: the reconstructed estimate plus its provenance.
 #[derive(Debug, Clone)]
@@ -45,56 +50,57 @@ impl Session {
         &self.dataset
     }
 
+    /// The domain the measurement was taken over.
+    pub fn domain(&self) -> &Domain {
+        &self.domain
+    }
+
+    /// ε consumed by the measurement backing this session.
+    pub fn eps_spent(&self) -> f64 {
+        self.eps_spent
+    }
+
     /// The reconstructed data-vector estimate `x̄`.
     pub fn estimate(&self) -> &[f64] {
         &self.x_hat
     }
 
+    fn check_domain(&self, workload: &Workload) -> Result<(), EngineError> {
+        if workload.domain() == &self.domain {
+            return Ok(());
+        }
+        Err(EngineError::DomainMismatch {
+            expected: self.domain.clone(),
+            got: workload.domain().clone(),
+        })
+    }
+
+    /// Answers an arbitrary workload over the session's domain from the
+    /// reconstructed estimate — pure post-processing, zero additional ε.
+    pub fn answer(&self, workload: &Workload) -> Result<Vec<f64>, EngineError> {
+        self.check_domain(workload)?;
+        Ok(workload.answer(&self.x_hat))
+    }
+
     /// Answers a batch of follow-up workloads against this session's
-    /// estimate, sharing one set of Kronecker scratch buffers across every
-    /// term of every workload — the amortized form of calling
-    /// [`PrivateSession::answer`] in a loop. Entry `i` is bitwise identical
-    /// to `self.answer(workloads[i])`, and like any post-processing of `x̄`
-    /// the batch consumes zero additional privacy budget.
+    /// estimate, fanned over `exec`: each workload's `W·x̄` pass runs as an
+    /// independent task with its own Kronecker scratch buffers, so entry `i`
+    /// is bitwise identical to `self.answer(workloads[i])` at any lane
+    /// count, and like any post-processing of `x̄` the batch consumes zero
+    /// additional privacy budget. The engine routes
+    /// [`serve_batch_from_session`] here with its shard-worker executor.
     ///
     /// All-or-nothing: a domain mismatch on any workload fails the batch
     /// before anything is answered.
-    pub fn answer_batch(&self, workloads: &[&Workload]) -> Result<Vec<Vec<f64>>, EngineError> {
-        for w in workloads {
-            if w.domain() != &self.domain {
-                return Err(EngineError::DomainMismatch {
-                    expected: self.domain.clone(),
-                    got: w.domain().clone(),
-                });
-            }
-        }
-        Ok(hdmm_mechanism::answer_many_from_parts(
-            &self.x_hat,
-            workloads,
-        ))
-    }
-
-    /// [`Session::answer_batch`] fanned over an executor: each workload's
-    /// `W·x̄` pass runs as an independent task with its own scratch buffers,
-    /// so answers are bitwise identical to the serial batch at any lane
-    /// count. The engine routes [`serve_batch_from_session`] here with its
-    /// shard-worker executor.
     ///
     /// [`serve_batch_from_session`]: crate::Engine::serve_batch_from_session
-    pub fn answer_batch_on(
+    pub fn answer_batch(
         &self,
         workloads: &[&Workload],
-        exec: &dyn hdmm_mechanism::ShardExecutor,
+        exec: &ScopedExecutor,
     ) -> Result<Vec<Vec<f64>>, EngineError> {
-        for w in workloads {
-            if w.domain() != &self.domain {
-                return Err(EngineError::DomainMismatch {
-                    expected: self.domain.clone(),
-                    got: w.domain().clone(),
-                });
-            }
-        }
-        Ok(hdmm_mechanism::answer_many_from_parts_on(
+        workloads.iter().try_for_each(|w| self.check_domain(w))?;
+        Ok(hdmm_mechanism::answer_many_from_parts(
             &self.x_hat,
             workloads,
             exec,
@@ -102,23 +108,60 @@ impl Session {
     }
 }
 
-impl PrivateSession for Session {
-    fn domain(&self) -> &Domain {
-        &self.domain
-    }
+/// Number of session shards; ids are sequential, so round-robin spreads load.
+const SESSION_SHARDS: usize = 8;
 
-    fn eps_spent(&self) -> f64 {
-        self.eps_spent
-    }
+/// FIFO-bounded session registry, sharded by id for contention-free lookup.
+pub(crate) struct SessionStore {
+    shards: [RwLock<HashMap<SessionId, Arc<Session>>>; SESSION_SHARDS],
+    /// Global insertion order for FIFO eviction; ids closed early are left
+    /// stale and skipped when they reach the front.
+    order: Mutex<VecDeque<SessionId>>,
+    len: AtomicUsize,
+    capacity: usize,
+}
 
-    fn answer(&self, workload: &Workload) -> Result<Vec<f64>, EngineError> {
-        if workload.domain() != &self.domain {
-            return Err(EngineError::DomainMismatch {
-                expected: self.domain.clone(),
-                got: workload.domain().clone(),
-            });
+impl SessionStore {
+    pub(crate) fn new(capacity: usize) -> Self {
+        SessionStore {
+            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
+            order: Mutex::new(VecDeque::new()),
+            len: AtomicUsize::new(0),
+            capacity: capacity.max(1),
         }
-        Ok(workload.answer(&self.x_hat))
+    }
+
+    fn shard(&self, id: SessionId) -> &RwLock<HashMap<SessionId, Arc<Session>>> {
+        &self.shards[(id.0 as usize) % SESSION_SHARDS]
+    }
+
+    pub(crate) fn get(&self, id: SessionId) -> Option<Arc<Session>> {
+        read_recover(self.shard(id)).get(&id).cloned()
+    }
+
+    pub(crate) fn insert(&self, session: Arc<Session>) {
+        let id = session.id();
+        write_recover(self.shard(id)).insert(id, session);
+        self.len.fetch_add(1, Ordering::SeqCst);
+        let mut order = lock_recover(&self.order);
+        order.push_back(id);
+        while self.len.load(Ordering::SeqCst) > self.capacity {
+            let Some(oldest) = order.pop_front() else {
+                break;
+            };
+            if write_recover(self.shard(oldest)).remove(&oldest).is_some() {
+                self.len.fetch_sub(1, Ordering::SeqCst);
+            }
+            // A stale id (closed explicitly) already decremented `len`.
+        }
+    }
+
+    pub(crate) fn remove(&self, id: SessionId) -> Option<Arc<Session>> {
+        let removed = write_recover(self.shard(id)).remove(&id);
+        if removed.is_some() {
+            self.len.fetch_sub(1, Ordering::SeqCst);
+        }
+        removed
     }
 }
 
@@ -162,42 +205,21 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_individual_answers_bitwise() {
-        let s = session();
-        let prefix = builders::prefix_1d(4);
-        let ranges = builders::all_range_1d(4);
-        let batch = s.answer_batch(&[&prefix, &ranges]).unwrap();
-        assert_eq!(batch[0], s.answer(&prefix).unwrap());
-        assert_eq!(batch[1], s.answer(&ranges).unwrap());
-    }
-
-    #[test]
-    fn parallel_batch_is_bitwise_identical_at_any_lane_count() {
+    fn batch_matches_individual_answers_bitwise_at_any_lane_count() {
         let s = session();
         let prefix = builders::prefix_1d(4);
         let ranges = builders::all_range_1d(4);
         let workloads: [&hdmm_core::Workload; 3] = [&prefix, &ranges, &prefix];
-        let serial = s.answer_batch(&workloads).unwrap();
-        for threads in [1, 2, 4, 7] {
-            let exec = hdmm_mechanism::ScopedExecutor::new(threads);
-            let par = s.answer_batch_on(&workloads, &exec).unwrap();
+        let serial = s.answer_batch(&workloads, &ScopedExecutor::new(1)).unwrap();
+        for (got, w) in serial.iter().zip(workloads) {
+            assert_eq!(got, &s.answer(w).unwrap());
+        }
+        for threads in [2, 4, 7] {
+            let par = s
+                .answer_batch(&workloads, &ScopedExecutor::new(threads))
+                .unwrap();
             assert_eq!(serial, par, "lane count {threads} changed answers");
         }
-        let par = s
-            .answer_batch_on(&workloads, &hdmm_mechanism::SerialExecutor)
-            .unwrap();
-        assert_eq!(serial, par);
-    }
-
-    #[test]
-    fn parallel_batch_rejects_mismatched_domains() {
-        let s = session();
-        let good = builders::prefix_1d(4);
-        let bad = builders::prefix_1d(8);
-        assert!(matches!(
-            s.answer_batch_on(&[&good, &bad], &hdmm_mechanism::SerialExecutor),
-            Err(EngineError::DomainMismatch { .. })
-        ));
     }
 
     #[test]
@@ -206,7 +228,7 @@ mod tests {
         let good = builders::prefix_1d(4);
         let bad = builders::prefix_1d(8);
         assert!(matches!(
-            s.answer_batch(&[&good, &bad]),
+            s.answer_batch(&[&good, &bad], &ScopedExecutor::new(1)),
             Err(EngineError::DomainMismatch { .. })
         ));
     }

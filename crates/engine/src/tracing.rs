@@ -37,6 +37,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+/// Spans the engine's [`SpanCollector`] retains (ring-buffered; overflow
+/// overwrites the oldest span and is drop-counted).
+pub(crate) const TRACE_CAPACITY: usize = 4096;
+
 /// Pre-allocated span id of the queue-wait span.
 pub(crate) const QUEUE_SPAN_ID: u64 = 2;
 /// Pre-allocated span id of the SELECT span.

@@ -638,6 +638,10 @@ struct WalInner {
     poisoned: bool,
 }
 
+/// WAL records between the engine's automatic snapshots (each snapshot also
+/// truncates the log).
+pub(crate) const SNAPSHOT_EVERY: u64 = 1024;
+
 /// The append-only budget log: one per engine, owning `wal.log` and
 /// `snapshot.bin` inside its directory. All appends serialize through one
 /// mutex — correctness wants the record order to *be* the apply order, and

@@ -31,8 +31,8 @@ mod strategy;
 pub use marginals::{MarginalsAlgebra, MarginalsStrategy};
 pub use mechanism::MeasuredBlock;
 pub use mechanism::{
-    answer_many_from_parts, answer_many_from_parts_on, answer_workload, measure, reconstruct_with,
-    run_mechanism, Measurements, MechanismResult, PreparedReconstruct,
+    answer_many_from_parts, answer_workload, measure, reconstruct_with, run_mechanism,
+    Measurements, MechanismResult, PreparedReconstruct,
 };
 pub use phases::{MechanismPhase, NoopObserver, PhaseObserver};
 pub use pipeline::{
@@ -42,6 +42,6 @@ pub use pipeline::{
 pub use sharded::{
     answer_sharded, explicit_forward_sharded, kron_forward_from_parts, kron_forward_sharded,
     kron_transpose_from_parts, kron_transpose_sharded, DataSlab, LocalKernels, ScopedExecutor,
-    SerialExecutor, ShardExecutor, ShardedView,
+    ShardedView,
 };
 pub use strategy::{Strategy, UnionGroup};

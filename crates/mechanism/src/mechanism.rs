@@ -142,31 +142,19 @@ pub fn answer_workload(workload: &Workload, x_hat: &[f64]) -> Vec<f64> {
 }
 
 /// ANSWER for a batch: evaluates several workloads against one reconstructed
-/// estimate, sharing one set of Kronecker scratch buffers across every
-/// product term. Each entry is bitwise identical to
-/// `answer_workload(workloads[i], x_hat)`.
+/// estimate, fanned over `exec` — each workload is an independent `W·x̄`
+/// pass, so the batch parallelizes with no coordination. Every task owns its
+/// own [`KronScratch`] shared across the workload's product terms (scratch
+/// buffers never affect values), so entry `i` is bitwise identical to
+/// `answer_workload(workloads[i], x_hat)` at any lane count.
 ///
 /// This is the amortization point for follow-up queries: MEASURE and
 /// RECONSTRUCT ran once, and each additional workload costs only its own
 /// `W·x̄` pass with no per-term allocation.
-pub fn answer_many_from_parts(x_hat: &[f64], workloads: &[&Workload]) -> Vec<Vec<f64>> {
-    let mut scratch = KronScratch::new();
-    workloads
-        .iter()
-        .map(|w| w.answer_with(x_hat, &mut scratch))
-        .collect()
-}
-
-/// [`answer_many_from_parts`] fanned over a [`crate::ShardExecutor`]: each
-/// workload is an independent `W·x̄` pass, so the batch parallelizes with no
-/// coordination. Every task owns its own [`KronScratch`] (scratch buffers
-/// never affect values), so entry `i` stays bitwise identical to
-/// `answer_workload(workloads[i], x_hat)` at any lane count — including the
-/// serial [`crate::SerialExecutor`].
-pub fn answer_many_from_parts_on(
+pub fn answer_many_from_parts(
     x_hat: &[f64],
     workloads: &[&Workload],
-    exec: &dyn crate::ShardExecutor,
+    exec: &crate::ScopedExecutor,
 ) -> Vec<Vec<f64>> {
     let mut out: Vec<Vec<f64>> = vec![Vec::new(); workloads.len()];
     let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out
@@ -314,33 +302,22 @@ mod tests {
     }
 
     #[test]
-    fn batch_answers_match_individual_answers_bitwise() {
-        let w1 = builders::prefix_2d(4, 5);
-        let w2 = builders::all_marginals(&Domain::new(&[4, 5]));
-        let x_hat = data(20);
-        let batch = answer_many_from_parts(&x_hat, &[&w1, &w2]);
-        assert_eq!(batch.len(), 2);
-        assert_eq!(batch[0], w1.answer(&x_hat));
-        assert_eq!(batch[1], w2.answer(&x_hat));
-    }
-
-    #[test]
-    fn parallel_batch_answers_match_serial_bitwise() {
+    fn batch_answers_match_individual_answers_bitwise_at_any_lane_count() {
         let w1 = builders::prefix_2d(4, 5);
         let w2 = builders::all_marginals(&Domain::new(&[4, 5]));
         let w3 = builders::prefix_2d(4, 5);
         let x_hat = data(20);
         let workloads: [&Workload; 3] = [&w1, &w2, &w3];
-        let serial = answer_many_from_parts(&x_hat, &workloads);
-        for threads in [1, 2, 4, 7] {
+        let serial = answer_many_from_parts(&x_hat, &workloads, &crate::ScopedExecutor::new(1));
+        assert_eq!(serial.len(), 3);
+        for (got, w) in serial.iter().zip(workloads) {
+            assert_eq!(got, &w.answer(&x_hat));
+        }
+        for threads in [2, 4, 7] {
             let par =
-                answer_many_from_parts_on(&x_hat, &workloads, &crate::ScopedExecutor::new(threads));
+                answer_many_from_parts(&x_hat, &workloads, &crate::ScopedExecutor::new(threads));
             assert_eq!(serial, par, "lane count {threads} changed answers");
         }
-        assert_eq!(
-            serial,
-            answer_many_from_parts_on(&x_hat, &workloads, &crate::SerialExecutor)
-        );
     }
 
     #[test]

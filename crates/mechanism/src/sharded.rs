@@ -159,27 +159,8 @@ impl<'a> ShardedView<'a> {
     }
 }
 
-/// Runs a batch of independent shard tasks to completion, possibly in
-/// parallel. Implementations must execute every task before returning.
-pub trait ShardExecutor: Sync {
-    /// Executes all tasks; ordering across tasks is unspecified (tasks write
-    /// disjoint outputs), completion is awaited.
-    fn run<'a>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'a>>);
-}
-
-/// Runs shard tasks inline on the calling thread, in order.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SerialExecutor;
-
-impl ShardExecutor for SerialExecutor {
-    fn run<'a>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'a>>) {
-        for t in tasks {
-            t();
-        }
-    }
-}
-
-/// Runs shard tasks on scoped threads, at most `threads` at a time.
+/// Runs a batch of independent shard tasks to completion on scoped threads,
+/// at most `threads` at a time; `new(1)` is the serial executor.
 ///
 /// Scoped threads (rather than a long-lived task queue) keep the executor
 /// deadlock-free by construction: a serving worker that fans out never waits
@@ -213,10 +194,10 @@ impl ScopedExecutor {
     pub fn threads(&self) -> usize {
         self.threads
     }
-}
 
-impl ShardExecutor for ScopedExecutor {
-    fn run<'a>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'a>>) {
+    /// Executes all tasks; ordering across tasks is unspecified (tasks write
+    /// disjoint outputs), completion is awaited.
+    pub fn run<'a>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'a>>) {
         if self.threads <= 1 || tasks.len() <= 1 {
             for t in tasks {
                 t();
@@ -266,7 +247,7 @@ fn timed_task<'a>(
 pub fn kron_forward_sharded(
     factors: &[&StructuredMatrix],
     view: &ShardedView<'_>,
-    exec: &dyn ShardExecutor,
+    exec: &ScopedExecutor,
     observer: &(impl PhaseObserver + ?Sized),
     phase: MechanismPhase,
 ) -> Vec<f64> {
@@ -308,7 +289,7 @@ pub fn kron_forward_sharded(
 pub fn kron_forward_from_parts(
     factors: &[&StructuredMatrix],
     parts: Vec<Vec<f64>>,
-    exec: &dyn ShardExecutor,
+    exec: &ScopedExecutor,
     observer: &(impl PhaseObserver + ?Sized),
     phase: MechanismPhase,
 ) -> Vec<f64> {
@@ -352,7 +333,7 @@ pub fn kron_transpose_sharded(
     factors: &[&StructuredMatrix],
     y: &[f64],
     domain_ranges: &[Range<usize>],
-    exec: &dyn ShardExecutor,
+    exec: &ScopedExecutor,
     observer: &(impl PhaseObserver + ?Sized),
     phase: MechanismPhase,
 ) -> Vec<f64> {
@@ -391,7 +372,7 @@ pub fn kron_transpose_from_parts(
     factors: &[&StructuredMatrix],
     parts: Vec<Vec<f64>>,
     domain_ranges: &[Range<usize>],
-    exec: &dyn ShardExecutor,
+    exec: &ScopedExecutor,
     observer: &(impl PhaseObserver + ?Sized),
     phase: MechanismPhase,
 ) -> Vec<f64> {
@@ -430,7 +411,7 @@ pub fn explicit_forward_sharded(
     a: &hdmm_linalg::Matrix,
     x: &[f64],
     parts: usize,
-    exec: &dyn ShardExecutor,
+    exec: &ScopedExecutor,
     observer: &(impl PhaseObserver + ?Sized),
     phase: MechanismPhase,
 ) -> Vec<f64> {
@@ -469,7 +450,7 @@ pub fn answer_sharded(
     workload: &Workload,
     x_hat: &[f64],
     shards: usize,
-    exec: &dyn ShardExecutor,
+    exec: &ScopedExecutor,
     observer: &(impl PhaseObserver + ?Sized),
 ) -> Vec<f64> {
     assert_eq!(
@@ -504,7 +485,7 @@ pub struct LocalKernels<'a, O: PhaseObserver + ?Sized> {
     /// The dataset, as ordered leading-axis slabs.
     pub view: &'a ShardedView<'a>,
     /// Where the tasks run.
-    pub exec: &'a dyn ShardExecutor,
+    pub exec: &'a ScopedExecutor,
     /// Receives one [`PhaseObserver::shard_phase_complete`] per task.
     pub observer: &'a O,
 }
@@ -663,7 +644,7 @@ mod tests {
             &mut StdRng::seed_from_u64(1),
             &LocalKernels {
                 view: &view,
-                exec: &SerialExecutor,
+                exec: &ScopedExecutor::new(1),
                 observer: &spans,
             },
             &spans,

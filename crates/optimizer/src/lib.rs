@@ -5,7 +5,7 @@
 //! * [`opt0`](mod@opt0) — `OPT_0`, gradient optimization over p-Identity strategies
 //!   with the O(pn²) Woodbury objective/gradient (§5.2, Theorem 4/8);
 //! * [`opt_kron`](mod@opt_kron) — `OPT_⊗` for (unions of) Kronecker product workloads via
-//!   per-attribute decomposition and block coordinate descent (§6.1–6.2);
+//!   per-attribute decomposition and one block-coordinate sweep (§6.1–6.2);
 //! * [`opt_plus`](mod@opt_plus) — `OPT_+`, union-of-products strategies with optimal
 //!   budget shares (Definition 11);
 //! * [`opt_marginals`](mod@opt_marginals) — `OPT_M`, weighted-marginals strategies with the
@@ -42,7 +42,7 @@ pub mod restart;
 
 pub use opt0::{opt0, opt0_with, Opt0Options, Opt0Result, PIdentity};
 pub use opt_hdmm::{default_ps, opt_hdmm_grams, HdmmOptions, Selected};
-pub use opt_kron::{opt_kron, OptKronOptions, OptKronResult};
+pub use opt_kron::{opt_kron, OptKronResult};
 pub use opt_marginals::{opt_marginals, MarginalsObjective, OptMarginalsResult};
 pub use opt_plus::{group_terms, opt_plus, OptPlusResult};
 pub use planner::{

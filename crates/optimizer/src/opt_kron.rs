@@ -3,40 +3,18 @@
 //!
 //! For a single product the problem decomposes into `d` independent `OPT_0`
 //! runs (Definition 10 / Theorem 5). For a weighted union of products the
-//! objective couples the attributes (Theorem 6); we use the paper's block
-//! coordinate descent, optimizing one attribute at a time against the
-//! surrogate workload `Ŵᵢ` of Equation 6, whose Gram is a weighted sum of the
-//! per-term attribute Grams.
+//! objective couples the attributes (Theorem 6); we take one sweep over the
+//! attributes, optimizing each in turn against the surrogate workload `Ŵᵢ`
+//! of Equation 6, whose Gram is a weighted sum of the per-term attribute
+//! Grams, and keeping a new block only when it lowers the global objective.
 
 use crate::opt0::{opt0_with, Opt0Options, PIdentity};
 use hdmm_linalg::Matrix;
 use hdmm_workload::WorkloadGrams;
 use rand::Rng;
 
-/// Options for `OPT_⊗`.
-#[derive(Debug, Clone)]
-pub struct OptKronOptions {
-    /// Per-attribute p-Identity sizes.
-    pub ps: Vec<usize>,
-    /// Maximum block-coordinate cycles over the attributes.
-    pub max_cycles: usize,
-    /// Relative improvement threshold for stopping.
-    pub tol: f64,
-    /// L-BFGS iteration cap per `OPT_0` call.
-    pub opt0_iters: usize,
-}
-
-impl OptKronOptions {
-    /// Default options for a given per-attribute `p` vector.
-    pub fn new(ps: Vec<usize>) -> Self {
-        OptKronOptions {
-            ps,
-            max_cycles: 8,
-            tol: 1e-4,
-            opt0_iters: 150,
-        }
-    }
-}
+/// L-BFGS iteration cap per `OPT_0` call.
+const OPT0_ITERS: usize = 150;
 
 /// Result of `OPT_⊗`.
 #[derive(Debug, Clone)]
@@ -56,17 +34,18 @@ impl OptKronResult {
     }
 }
 
-/// Runs `OPT_⊗` on an implicit workload.
-pub fn opt_kron(grams: &WorkloadGrams, opts: &OptKronOptions, rng: &mut impl Rng) -> OptKronResult {
+/// Runs `OPT_⊗` on an implicit workload with per-attribute p-Identity sizes
+/// `ps`.
+pub fn opt_kron(grams: &WorkloadGrams, ps: &[usize], rng: &mut impl Rng) -> OptKronResult {
     let d = grams.dims();
     let k = grams.terms().len();
-    assert_eq!(opts.ps.len(), d, "one p per attribute");
+    assert_eq!(ps.len(), d, "one p per attribute");
 
     // Initial random strategies and residual factors.
     let mut pidents: Vec<PIdentity> = (0..d)
         .map(|i| {
             let n = grams.domain().attr_size(i);
-            let p = opts.ps[i].max(1);
+            let p = ps[i].max(1);
             PIdentity::new(Matrix::from_fn(p, n, |_, _| rng.gen::<f64>()))
         })
         .collect();
@@ -85,51 +64,44 @@ pub fn opt_kron(grams: &WorkloadGrams, opts: &OptKronOptions, rng: &mut impl Rng
             .sum()
     };
 
+    // One sweep over the attributes. For a single product (k = 1) the
+    // problem is separable, so the sweep is the whole optimization.
     let mut best = objective(&e);
-    // Single attribute or single cycle suffices for k = 1 (the problem is
-    // separable), but the loop below handles it uniformly.
-    let cycles = if d == 1 { 1 } else { opts.max_cycles };
-    for _cycle in 0..cycles {
-        for i in 0..d {
-            // Surrogate Gram: Σ_j c_j²·Gᵢ⁽ʲ⁾ with c_j² = w_j²·Π_{i'≠i} e_{j,i'}.
-            let coeffs: Vec<f64> = grams
-                .terms()
-                .iter()
-                .enumerate()
-                .map(|(j, t)| {
-                    let prod: f64 = (0..d).filter(|&ii| ii != i).map(|ii| e[j][ii]).product();
-                    (t.weight * t.weight * prod).sqrt()
-                })
-                .collect();
-            let surrogate = grams.surrogate_gram(i, &coeffs);
-            let res = opt0_with(
-                &surrogate,
-                &Opt0Options {
-                    p: opts.ps[i].max(1),
-                    max_iter: opts.opt0_iters,
-                },
-                rng,
-            );
-            // Keep the new block only if it improves the global objective.
-            let new_e: Vec<f64> = grams
-                .terms()
-                .iter()
-                .map(|t| res.pident.trace_inverse_gram(&t.factors[i]))
-                .collect();
-            let mut e_candidate = e.clone();
-            for (j, v) in new_e.iter().enumerate() {
-                e_candidate[j][i] = *v;
-            }
-            let cand = objective(&e_candidate);
-            if cand < best {
-                best = cand;
-                e = e_candidate;
-                pidents[i] = res.pident;
-            }
+    for i in 0..d {
+        // Surrogate Gram: Σ_j c_j²·Gᵢ⁽ʲ⁾ with c_j² = w_j²·Π_{i'≠i} e_{j,i'}.
+        let coeffs: Vec<f64> = grams
+            .terms()
+            .iter()
+            .enumerate()
+            .map(|(j, t)| {
+                let prod: f64 = (0..d).filter(|&ii| ii != i).map(|ii| e[j][ii]).product();
+                (t.weight * t.weight * prod).sqrt()
+            })
+            .collect();
+        let surrogate = grams.surrogate_gram(i, &coeffs);
+        let res = opt0_with(
+            &surrogate,
+            &Opt0Options {
+                p: ps[i].max(1),
+                max_iter: OPT0_ITERS,
+            },
+            rng,
+        );
+        // Keep the new block only if it improves the global objective.
+        let new_e: Vec<f64> = grams
+            .terms()
+            .iter()
+            .map(|t| res.pident.trace_inverse_gram(&t.factors[i]))
+            .collect();
+        let mut e_candidate = e.clone();
+        for (j, v) in new_e.iter().enumerate() {
+            e_candidate[j][i] = *v;
         }
-        let now = objective(&e);
-        if (best - now).abs() / best.max(1e-30) < opts.tol {
-            break;
+        let cand = objective(&e_candidate);
+        if cand < best {
+            best = cand;
+            e = e_candidate;
+            pidents[i] = res.pident;
         }
     }
 
@@ -155,7 +127,7 @@ mod tests {
         let w = builders::prefix_2d(16, 16);
         let grams = WorkloadGrams::from_workload(&w);
         let mut rng = StdRng::seed_from_u64(0);
-        let res = opt_kron(&grams, &OptKronOptions::new(vec![2, 2]), &mut rng);
+        let res = opt_kron(&grams, &[2, 2], &mut rng);
         let direct: f64 = res
             .pidents
             .iter()
@@ -173,7 +145,7 @@ mod tests {
         let grams = WorkloadGrams::from_workload(&w);
         let identity_err = grams.frobenius_norm_sq();
         let mut rng = StdRng::seed_from_u64(1);
-        let res = opt_kron(&grams, &OptKronOptions::new(vec![2, 2]), &mut rng);
+        let res = opt_kron(&grams, &[2, 2], &mut rng);
         assert!(
             res.residual < 0.7 * identity_err,
             "{} vs {identity_err}",
@@ -182,7 +154,7 @@ mod tests {
         // Union workload must never end up worse than Identity.
         let wu = builders::prefix_identity_2d(16, 16);
         let gu = WorkloadGrams::from_workload(&wu);
-        let ru = opt_kron(&gu, &OptKronOptions::new(vec![1, 1]), &mut rng);
+        let ru = opt_kron(&gu, &[1, 1], &mut rng);
         assert!(ru.residual <= gu.frobenius_norm_sq() * 1.001);
     }
 
@@ -193,12 +165,12 @@ mod tests {
         let w = builders::prefix_2d(8, 8);
         let grams = WorkloadGrams::from_workload(&w);
         let mut rng = StdRng::seed_from_u64(2);
-        let res = opt_kron(&grams, &OptKronOptions::new(vec![1, 1]), &mut rng);
+        let res = opt_kron(&grams, &[1, 1], &mut rng);
         let strat = hdmm_mechanism::Strategy::kron(res.factors());
         let err = hdmm_mechanism::error::squared_error(&grams, &strat);
-        // The residual is tracked incrementally across coordinate-descent
-        // sweeps; allow the small float drift that accumulates relative to
-        // the one-shot recomputation.
+        // The residual is tracked incrementally across the sweep; allow the
+        // small float drift that accumulates relative to the one-shot
+        // recomputation.
         assert!(
             (res.residual - err).abs() < 1e-5 * err,
             "{} vs {err}",
@@ -220,7 +192,7 @@ mod tests {
         let grams = WorkloadGrams::from_workload(&w);
         let identity_err = grams.frobenius_norm_sq();
         let mut rng = StdRng::seed_from_u64(3);
-        let res = opt_kron(&grams, &OptKronOptions::new(vec![1, 1, 1]), &mut rng);
+        let res = opt_kron(&grams, &[1, 1, 1], &mut rng);
         assert!(
             res.residual < 0.8 * identity_err,
             "{} vs {identity_err}",

@@ -8,7 +8,7 @@
 //! a different fraction of the privacy budget", shares are set optimally
 //! (`share_g ∝ residual_g^{1/3}` minimizes `Σ_g residual_g / share_g²`).
 
-use crate::opt_kron::{opt_kron, OptKronOptions, OptKronResult};
+use crate::opt_kron::{opt_kron, OptKronResult};
 use hdmm_mechanism::{Strategy, UnionGroup};
 use hdmm_workload::{GramTerm, WorkloadGrams};
 use rand::Rng;
@@ -78,7 +78,7 @@ pub fn opt_plus(
             .map(|&j| grams.terms()[j].clone())
             .collect();
         let sub = WorkloadGrams::from_terms(grams.domain().clone(), terms);
-        let res = opt_kron(&sub, &OptKronOptions::new(ps.to_vec()), rng);
+        let res = opt_kron(&sub, ps, rng);
         residuals.push(res.residual);
         group_results.push(res);
     }
@@ -145,7 +145,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let partition = group_terms(&grams, 2);
         let plus = opt_plus(&grams, &partition, &[2, 2], &mut rng);
-        let kron = crate::opt_kron::opt_kron(&grams, &OptKronOptions::new(vec![2, 2]), &mut rng);
+        let kron = opt_kron(&grams, &[2, 2], &mut rng);
         assert!(
             plus.squared_error < kron.residual,
             "plus {} vs kron {}",

@@ -33,12 +33,12 @@
 
 use crate::opt0::{opt0_with, Opt0Options};
 use crate::opt_hdmm::{HdmmOptions, Selected};
-use crate::opt_kron::{opt_kron, OptKronOptions};
+use crate::opt_kron::opt_kron;
 use crate::opt_marginals::opt_marginals;
 use crate::opt_plus::{group_terms, opt_plus};
 use crate::restart::{restart_seed, RestartObserver};
 use hdmm_linalg::{Matrix, StructuredMatrix};
-use hdmm_mechanism::{ScopedExecutor, ShardExecutor, Strategy};
+use hdmm_mechanism::{ScopedExecutor, Strategy};
 use hdmm_workload::{Workload, WorkloadGrams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -228,7 +228,7 @@ impl Operator {
                 (Strategy::Explicit(res.pident.matrix()), res.residual)
             }
             Operator::Kron => {
-                let res = opt_kron(grams, &OptKronOptions::new(ps.to_vec()), rng);
+                let res = opt_kron(grams, ps, rng);
                 (Strategy::kron(res.factors()), res.residual)
             }
             Operator::Plus(partition) => {

@@ -3,9 +3,7 @@
 //! workload, zero-ε follow-ups from a session, typed budget exhaustion — plus
 //! seeded determinism of the full optimize→measure→reconstruct→answer loop.
 
-use hdmm_core::{
-    builders, census, BudgetAccountant, Domain, EngineError, PrivateSession, QueryEngine,
-};
+use hdmm_core::{builders, census, BudgetAccountant, Domain, EngineError, QueryEngine};
 use hdmm_engine::{Engine, EngineOptions, EpsAccountant};
 use hdmm_optimizer::HdmmOptions;
 

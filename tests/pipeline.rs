@@ -1,7 +1,7 @@
 //! The one mechanism pipeline, table-driven: strategy family {explicit, Kron,
 //! marginals, union} × kernel kind {plain; local fan-out over 1, 2, 3, 7
-//! slabs on `SerialExecutor` and `ScopedExecutor::new(4)`; RPC fan-out over
-//! 2 loopback workers}.
+//! slabs on `ScopedExecutor::new(1)` (serial) and `ScopedExecutor::new(4)`;
+//! RPC fan-out over 2 loopback workers}.
 //!
 //! For every cell of that table `MechanismRequest::run` must (a) produce the
 //! `x_hat` and answers of the plain-kernel reference — `measure` +
@@ -15,8 +15,7 @@ use hdmm::linalg::Matrix;
 use hdmm::mechanism::{
     measure, reconstruct_with, run_mechanism, Kernels, LocalKernels, MarginalsStrategy,
     MechanismError, MechanismPhase, MechanismRequest, PhaseObserver, PipelineError, PlainKernels,
-    PreparedReconstruct, ScopedExecutor, SerialExecutor, ShardExecutor, ShardedView, Strategy,
-    UnionGroup,
+    PreparedReconstruct, ScopedExecutor, ShardedView, Strategy, UnionGroup,
 };
 use hdmm::workload::blocks;
 use hdmm_net::{
@@ -138,8 +137,8 @@ fn for_each_kernel_kind(
     row: &impl Row,
 ) {
     row.check("plain", &PlainKernels::over(x));
-    let executors: [(&str, &dyn ShardExecutor); 2] = [
-        ("serial", &SerialExecutor),
+    let executors = [
+        ("serial", &ScopedExecutor::new(1)),
         ("scoped4", &ScopedExecutor::new(4)),
     ];
     for slabs in [1usize, 2, 3, 7] {
@@ -424,7 +423,7 @@ fn every_kernel_kind_refuses_invalid_requests_identically_before_any_noise() {
                 keys: &stale_keys,
                 local: LocalKernels {
                     view: &view,
-                    exec: &SerialExecutor,
+                    exec: &ScopedExecutor::new(1),
                     observer: &Recorder::default(),
                 },
                 sink: &NoopSpanSink,

@@ -13,7 +13,7 @@ use hdmm::core::{builders, Domain, QueryEngine, Workload};
 use hdmm::engine::{Engine, EngineOptions};
 use hdmm::mechanism::{
     measure_on, reconstruct_on, reconstruct_with, Kernels, LocalKernels, PreparedReconstruct,
-    ScopedExecutor, SerialExecutor, ShardExecutor, ShardedView, Strategy,
+    ScopedExecutor, ShardedView, Strategy,
 };
 use hdmm::optimizer::HdmmOptions;
 use hdmm_mechanism::NoopObserver;
@@ -165,9 +165,8 @@ proptest! {
             let plain_xhat = reconstruct_with(&prepared, &strategy, &plain);
 
             let view = ShardedView::partitioned(n1, &x, shards);
-            let exec: &dyn ShardExecutor =
-                if threaded { &ScopedExecutor::new(4) } else { &SerialExecutor };
-            let kernels = LocalKernels { view: &view, exec, observer: &NoopObserver };
+            let exec = ScopedExecutor::new(if threaded { 4 } else { 1 });
+            let kernels = LocalKernels { view: &view, exec: &exec, observer: &NoopObserver };
             let mut rng = StdRng::seed_from_u64(seed);
             let meas = measure_on(&strategy, None, 1.0, &mut rng, &kernels).unwrap();
             for (a, b) in plain.blocks.iter().zip(&meas.blocks) {
@@ -226,10 +225,7 @@ fn cached_marginals_algebra_measures_bitwise_like_a_fresh_one() {
     let plain_answers = w.answer(&plain_x_hat);
     for shards in [1usize, 2, 4, 6] {
         let view = ShardedView::partitioned(6, &x, shards);
-        for exec in [
-            &SerialExecutor as &dyn ShardExecutor,
-            &ScopedExecutor::new(4),
-        ] {
+        for exec in [&ScopedExecutor::new(1), &ScopedExecutor::new(4)] {
             let got = MechanismRequest {
                 workload: &w,
                 strategy: &strategy,

@@ -1,28 +1,15 @@
-//! Criterion micro-benchmarks for the hot kernels: the implicit Kronecker
-//! matrix–vector product, Gram computation, one OPT_0 objective/gradient
-//! evaluation, and Laplace noise generation.
+//! Criterion micro-benchmarks for the hot kernels: Gram computation, one
+//! OPT_0 objective/gradient evaluation, Laplace noise generation and the
+//! Cholesky trace solve. (The implicit Kronecker product is timed on the
+//! ruler, `benchmark/`'s `linalg.kmatvec_ms`.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hdmm_linalg::kmatvec;
 use hdmm_mechanism::laplace::add_laplace_noise;
 use hdmm_optimizer::lbfgs::Objective as _;
 use hdmm_optimizer::opt0::Opt0Objective;
 use hdmm_workload::blocks;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-fn bench_kmatvec(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kmatvec");
-    group.sample_size(20);
-    for &n in &[16usize, 32, 64] {
-        let a = blocks::prefix(n);
-        let x = vec![1.0; n * n * n];
-        group.bench_with_input(BenchmarkId::from_parameter(n * n * n), &n, |bench, _| {
-            bench.iter(|| kmatvec(&[&a, &a, &a], &x));
-        });
-    }
-    group.finish();
-}
 
 fn bench_gram(c: &mut Criterion) {
     let mut group = c.benchmark_group("gram");
@@ -82,7 +69,6 @@ fn bench_cholesky(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_kmatvec,
     bench_gram,
     bench_opt0_gradient,
     bench_laplace,

@@ -187,11 +187,6 @@ impl Cholesky {
         }
         tr
     }
-
-    /// log-determinant of `A`.
-    pub fn log_det(&self) -> f64 {
-        (0..self.l.rows()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
 }
 
 #[cfg(test)]
@@ -271,12 +266,5 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]); // rank 1 PSD
         let ch = Cholesky::new_regularized(&a, 1e-10).unwrap();
         assert!(ch.factor()[(0, 0)] > 0.0);
-    }
-
-    #[test]
-    fn log_det_of_diagonal() {
-        let a = Matrix::from_diag(&[2.0, 3.0, 4.0]);
-        let ch = Cholesky::new(&a).unwrap();
-        assert!((ch.log_det() - (24.0f64).ln()).abs() < 1e-12);
     }
 }

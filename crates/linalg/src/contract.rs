@@ -1,0 +1,445 @@
+//! Algorithm 1 (Appendix A.5), written once: the implicit Kronecker
+//! matrix–vector product as a chain of mode contractions over a
+//! `(left, n, right)` tensor.
+//!
+//! There is one kernel per direction — [`contract_rows`] and
+//! [`contract_transpose_rows`], each a single `match` over the leaf variants
+//! of [`StructuredMatrix`] — and one chain driver behind every public
+//! product. Both kernels produce a *block of output rows* of the mode:
+//!
+//! * the full contraction is the block `0..out_dim`;
+//! * a shard's leading step (see `slab.rs`) is `left = 1` and its block.
+//!
+//! A block writes exactly the bits the full contraction holds in those rows:
+//! row-local variants (`Dense`, `Sparse`, `Identity`) restrict their loop,
+//! and variants that carry a running accumulator along the mode (`Total`,
+//! `Prefix`, `AllRange`) replay it from the start of the mode in the
+//! original operation order instead of splitting the sum. "Sharded equals
+//! dense, bit for bit" is therefore a property of this one kernel, not an
+//! agreement between two.
+//!
+//! # Numeric contract
+//!
+//! Every output element accumulates its contributions over the contracted
+//! index in ascending order, through the element-wise kernels of
+//! [`crate::simd`] along the `right` lanes; with `right == 1` the forward
+//! `Dense` / `Sparse` contraction *is* a matvec and reduces through
+//! [`crate::simd::dot`] / [`Csr::row_dot`](crate::Csr::row_dot) — the same
+//! bits as [`Matrix::matvec`](crate::Matrix::matvec) and `Csr::matvec`. The
+//! dense arms tile the columns into [`PANEL`]-wide blocks for locality, which
+//! only reorders *which output row* is touched when.
+
+use crate::simd::{add_into, axpy, cumsum_step, diff_scaled, dot, scale_into};
+use crate::structured::{flatten, StructuredMatrix};
+use std::ops::Range;
+use StructuredMatrix::*;
+
+/// Column-panel width for the cache-blocked `right > 1` dense contractions:
+/// 64 columns × 8 bytes × a typical `right` of a few dozen keeps the active
+/// source panel inside L1/L2 while every output row streams over it. Each
+/// output element still accumulates in ascending column order, so the tiling
+/// is bitwise invisible.
+const PANEL: usize = 64;
+
+/// Row `i` of a row-major `(_, width)` tensor.
+fn lane(t: &[f64], i: usize, width: usize) -> &[f64] {
+    &t[i * width..(i + 1) * width]
+}
+
+fn lane_mut(t: &mut [f64], i: usize, width: usize) -> &mut [f64] {
+    &mut t[i * width..(i + 1) * width]
+}
+
+/// Running sum along a mode, restricted to a block: the `warmup` positions
+/// (those the traversal meets before the block) only advance `acc` (zeroed
+/// first) — with an `acc += col` bit-identical to [`cumsum_step`]'s — and
+/// each `emit` pair then writes `scale·acc`. That replay is what lets a
+/// block reproduce the accumulator the full contraction holds at its rows.
+fn cumsum_replay<'a>(
+    acc: &mut [f64],
+    warmup: impl Iterator<Item = &'a [f64]>,
+    emit: impl Iterator<Item = (&'a [f64], &'a mut [f64])>,
+    scale: f64,
+) {
+    acc.fill(0.0);
+    for col in warmup {
+        axpy(1.0, col, acc);
+    }
+    for (col, out_row) in emit {
+        cumsum_step(acc, col, out_row, scale);
+    }
+}
+
+/// Contracts leaf factor `a` (m×n) along the middle mode of the
+/// `(left, n, right)` tensor `cur`, producing output rows `rows ⊆ 0..m` into
+/// `next` (shape `(left, rows.len(), right)`, zero-initialized by the
+/// caller): `next[l, r − rows.start, j] = Σ_c a[r, c]·cur[l, c, j]`.
+///
+/// # Panics
+/// Panics on shape mismatches, `rows` out of bounds, or a `Kron` factor
+/// (the chain driver flattens those first).
+pub fn contract_rows(
+    a: &StructuredMatrix,
+    cur: &[f64],
+    next: &mut [f64],
+    left: usize,
+    right: usize,
+    rows: Range<usize>,
+) {
+    let (m, n) = a.shape();
+    let k = rows.len();
+    assert!(rows.end <= m, "row range out of bounds");
+    assert_eq!(cur.len(), left * n * right, "input tensor shape mismatch");
+    assert_eq!(next.len(), left * k * right, "output tensor shape mismatch");
+    if cur.is_empty() || next.is_empty() {
+        return;
+    }
+    let lanes = cur
+        .chunks_exact(n * right)
+        .zip(next.chunks_exact_mut(k * right));
+    match a {
+        Dense(d) if right == 1 => {
+            for (src, dst) in lanes {
+                for (slot, r) in dst.iter_mut().zip(rows.clone()) {
+                    *slot = dot(d.row(r), src);
+                }
+            }
+        }
+        Dense(d) => {
+            for (src, dst) in lanes {
+                for c0 in (0..n).step_by(PANEL) {
+                    let c1 = (c0 + PANEL).min(n);
+                    for (r, out_row) in rows.clone().zip(dst.chunks_exact_mut(right)) {
+                        for (c, &av) in (c0..c1).zip(&d.row(r)[c0..c1]) {
+                            if av != 0.0 {
+                                axpy(av, lane(src, c, right), out_row);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Sparse(s) if right == 1 => {
+            for (src, dst) in lanes {
+                for (slot, r) in dst.iter_mut().zip(rows.clone()) {
+                    *slot = s.row_dot(r, src);
+                }
+            }
+        }
+        Sparse(s) => {
+            for (src, dst) in lanes {
+                for (r, out_row) in rows.clone().zip(dst.chunks_exact_mut(right)) {
+                    for (c, v) in s.row_entries(r) {
+                        axpy(v, lane(src, c, right), out_row);
+                    }
+                }
+            }
+        }
+        // Element-wise, so the whole mode of every lane is one contiguous run.
+        Identity { scale, .. } if k == n => scale_into(*scale, cur, next),
+        Identity { scale, .. } => {
+            for (src, dst) in lanes {
+                scale_into(*scale, &src[rows.start * right..rows.end * right], dst);
+            }
+        }
+        Total { scale, .. } => {
+            // m == 1, so a non-empty block is the single row: the sequential
+            // sum over the whole mode.
+            for (src, dst) in lanes {
+                for col in src.chunks_exact(right) {
+                    axpy(*scale, col, dst);
+                }
+            }
+        }
+        Prefix { scale, .. } => {
+            let mut acc = vec![0.0; right];
+            for (src, dst) in lanes {
+                let (before, from) = src.split_at(rows.start * right);
+                let emit = from.chunks_exact(right).zip(dst.chunks_exact_mut(right));
+                cumsum_replay(&mut acc, before.chunks_exact(right), emit, *scale);
+            }
+        }
+        AllRange { scale, .. } => {
+            // Strided prefix sums over the whole mode (`sums[0]` stays zero),
+            // then every emitted interval row is one subtraction.
+            let mut sums = vec![0.0; (n + 1) * right];
+            for (src, dst) in lanes {
+                for c in 0..n {
+                    let (done, rest) = sums.split_at_mut((c + 1) * right);
+                    add_into(&done[c * right..], lane(src, c, right), &mut rest[..right]);
+                }
+                // Intervals starting at `i` are rows `first..first + n - i`.
+                let mut first = 0;
+                for i in 0..n {
+                    for row in rows.start.max(first)..rows.end.min(first + n - i) {
+                        diff_scaled(
+                            lane(&sums, i + row - first + 1, right),
+                            lane(&sums, i, right),
+                            *scale,
+                            lane_mut(dst, row - rows.start, right),
+                        );
+                    }
+                    first += n - i;
+                }
+            }
+        }
+        Kron(_) => unreachable!("Kron factors are flattened before mode contraction"),
+    }
+}
+
+/// The same contraction with `aᵀ`: `cur` has shape `(left, m, right)` and
+/// `rows ⊆ 0..n` are positions along `a`'s *input* mode:
+/// `next[l, c − rows.start, j] = Σ_r a[r, c]·cur[l, r, j]`, each output
+/// element accumulating over `a`'s rows in ascending order.
+///
+/// # Panics
+/// As [`contract_rows`].
+pub fn contract_transpose_rows(
+    a: &StructuredMatrix,
+    cur: &[f64],
+    next: &mut [f64],
+    left: usize,
+    right: usize,
+    rows: Range<usize>,
+) {
+    let (m, n) = a.shape();
+    let k = rows.len();
+    assert!(rows.end <= n, "row range out of bounds");
+    assert_eq!(cur.len(), left * m * right, "input tensor shape mismatch");
+    assert_eq!(next.len(), left * k * right, "output tensor shape mismatch");
+    if cur.is_empty() || next.is_empty() {
+        return;
+    }
+    let lanes = cur
+        .chunks_exact(m * right)
+        .zip(next.chunks_exact_mut(k * right));
+    match a {
+        Dense(d) if right == 1 => {
+            // A `Matrix::t_matvec`-shaped scatter: one axpy along the block
+            // per input row.
+            for (src, dst) in lanes {
+                for (r, &s) in src.iter().enumerate() {
+                    if s != 0.0 {
+                        axpy(s, &d.row(r)[rows.clone()], dst);
+                    }
+                }
+            }
+        }
+        Dense(d) => {
+            for (src, dst) in lanes {
+                for c0 in rows.clone().step_by(PANEL) {
+                    let c1 = (c0 + PANEL).min(rows.end);
+                    for (r, in_row) in src.chunks_exact(right).enumerate() {
+                        for (c, &av) in (c0..c1).zip(&d.row(r)[c0..c1]) {
+                            if av != 0.0 {
+                                axpy(av, in_row, lane_mut(dst, c - rows.start, right));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Sparse(s) => {
+            for (src, dst) in lanes {
+                for (r, in_row) in src.chunks_exact(right).enumerate() {
+                    for (c, v) in s.row_entries(r) {
+                        // One compare: a column below the block wraps above `k`.
+                        let at = c.wrapping_sub(rows.start);
+                        if at < k {
+                            axpy(v, in_row, lane_mut(dst, at, right));
+                        }
+                    }
+                }
+            }
+        }
+        // Symmetric.
+        Identity { .. } => contract_rows(a, cur, next, left, right, rows),
+        Total { scale, .. } => {
+            for (src, dst) in lanes {
+                for out_row in dst.chunks_exact_mut(right) {
+                    scale_into(*scale, src, out_row);
+                }
+            }
+        }
+        Prefix { scale, .. } => {
+            // (Pᵀ)·: reversed running sums, replayed from the end of the mode.
+            let mut acc = vec![0.0; right];
+            for (src, dst) in lanes {
+                let (upto, after) = src.split_at(rows.end * right);
+                let block = upto[rows.start * right..].chunks_exact(right).rev();
+                let emit = block.zip(dst.chunks_exact_mut(right).rev());
+                cumsum_replay(&mut acc, after.chunks_exact(right).rev(), emit, *scale);
+            }
+        }
+        AllRange { scale, .. } => {
+            // Difference arrays along the mode (interval `(i, j)` adds its
+            // value on `[i, j]`), built in row order, then one running sum.
+            let mut diff = vec![0.0; (n + 1) * right];
+            let mut acc = vec![0.0; right];
+            for (src, dst) in lanes {
+                diff.fill(0.0);
+                let mut in_rows = src.chunks_exact(right);
+                for i in 0..n {
+                    for (j, in_row) in (i..n).zip(&mut in_rows) {
+                        axpy(1.0, in_row, lane_mut(&mut diff, i, right));
+                        axpy(-1.0, in_row, lane_mut(&mut diff, j + 1, right));
+                    }
+                }
+                let (before, from) = diff.split_at(rows.start * right);
+                let emit = from.chunks_exact(right).zip(dst.chunks_exact_mut(right));
+                cumsum_replay(&mut acc, before.chunks_exact(right), emit, *scale);
+            }
+        }
+        Kron(_) => unreachable!("Kron factors are flattened before mode contraction"),
+    }
+}
+
+/// Reusable ping-pong buffers for the mode contractions of Algorithm 1.
+///
+/// One contraction chain needs exactly two buffers (current tensor and the
+/// one being produced); batched answer paths thread one `KronScratch`
+/// through many products so the warm serving path stops allocating. Buffer
+/// reuse is bitwise invisible: the target buffer is zero-filled before every
+/// contraction, exactly like the fresh allocation it replaces.
+#[derive(Debug, Default)]
+pub struct KronScratch {
+    cur: Vec<f64>,
+    buf: Vec<f64>,
+}
+
+impl KronScratch {
+    /// Empty scratch; buffers grow to the largest intermediate they see.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// The one chain driver: flattens nested `Kron` factors so every mode is a
+/// leaf, then contracts the modes last-to-first (fastest index first),
+/// ping-ponging between the two scratch buffers; the result is left in
+/// `scratch.cur`. `right` is the product of the output dimensions already
+/// produced. `x` may hold any whole number of leading rows on top of the
+/// factors' own modes — one for a full product, a slab's row count for the
+/// trailing step of `slab.rs` — since they are just more of `left`.
+///
+/// # Panics
+/// Panics if `x.len()` is not a multiple of the factors' input size.
+pub(crate) fn contract_chain(
+    factors: &[&StructuredMatrix],
+    x: &[f64],
+    scratch: &mut KronScratch,
+    transpose: bool,
+) {
+    // Before the tensor copy: allocated after it, this small list sits above
+    // a multi-megabyte buffer on the heap and keeps the allocator from
+    // recycling it (measured: +10 % on `warm_marginals_5d`'s p50).
+    let leaves = flatten(factors);
+    scratch.cur.clear();
+    scratch.cur.extend_from_slice(x);
+    let mut right = 1usize;
+    for a in leaves.into_iter().rev() {
+        let (m, n) = a.shape();
+        let (in_dim, out_dim) = if transpose { (m, n) } else { (n, m) };
+        assert_eq!(
+            scratch.cur.len() % (in_dim * right),
+            0,
+            "input length not aligned to the factor modes"
+        );
+        let left = scratch.cur.len() / (in_dim * right);
+        scratch.buf.clear();
+        scratch.buf.resize(left * out_dim * right, 0.0);
+        let (cur, next) = (&scratch.cur, &mut scratch.buf);
+        if transpose {
+            contract_transpose_rows(a, cur, next, left, right, 0..out_dim);
+        } else {
+            contract_rows(a, cur, next, left, right, 0..out_dim);
+        }
+        std::mem::swap(&mut scratch.cur, &mut scratch.buf);
+        right *= out_dim;
+    }
+}
+
+/// [`contract_chain`] into fresh buffers, returning the result.
+pub(crate) fn contract_chain_owned(
+    factors: &[&StructuredMatrix],
+    x: &[f64],
+    transpose: bool,
+) -> Vec<f64> {
+    let mut scratch = KronScratch::new();
+    contract_chain(factors, x, &mut scratch, transpose);
+    scratch.cur
+}
+
+/// Implicit Kronecker matrix–vector product `(A₁ ⊗ … ⊗ A_d)·x` over
+/// structured factors (Algorithm 1): `x` has length `Π nᵢ` with the first
+/// factor's index varying slowest (row-major tensor flattening), the result
+/// length `Π mᵢ`. Each mode contraction dispatches to its factor's
+/// closed-form kernel, so an `Identity` mode is a scaled copy and a `Prefix`
+/// mode a strided cumulative sum instead of an O(m·n) dense product; space
+/// is O(max intermediate) and time O(Σᵢ cost(Aᵢ)·rest), versus O(Π mᵢnᵢ) for
+/// the materialized product.
+///
+/// # Panics
+/// Panics if `x.len() != Π nᵢ`.
+pub fn kmatvec_structured(factors: &[&StructuredMatrix], x: &[f64]) -> Vec<f64> {
+    let mut scratch = KronScratch::new();
+    kmatvec_structured_scratch(factors, x, &mut scratch);
+    scratch.cur
+}
+
+/// Implicit transposed product `(A₁ ⊗ … ⊗ A_d)ᵀ·y` over structured factors.
+///
+/// # Panics
+/// Panics if `y.len() != Π mᵢ`.
+pub fn kmatvec_transpose_structured(factors: &[&StructuredMatrix], y: &[f64]) -> Vec<f64> {
+    let mut scratch = KronScratch::new();
+    kmatvec_transpose_structured_scratch(factors, y, &mut scratch);
+    scratch.cur
+}
+
+/// [`kmatvec_structured`] into caller-owned scratch; returns the result
+/// slice (alive until the scratch is reused). Bitwise identical to the
+/// allocating variant.
+pub fn kmatvec_structured_scratch<'a>(
+    factors: &[&StructuredMatrix],
+    x: &[f64],
+    scratch: &'a mut KronScratch,
+) -> &'a [f64] {
+    let expected: usize = factors.iter().map(|f| f.cols()).product();
+    assert_eq!(x.len(), expected, "kmatvec input length mismatch");
+    contract_chain(factors, x, scratch, false);
+    &scratch.cur
+}
+
+/// [`kmatvec_transpose_structured`] into caller-owned scratch.
+pub fn kmatvec_transpose_structured_scratch<'a>(
+    factors: &[&StructuredMatrix],
+    y: &[f64],
+    scratch: &'a mut KronScratch,
+) -> &'a [f64] {
+    let expected: usize = factors.iter().map(|f| f.rows()).product();
+    assert_eq!(y.len(), expected, "kmatvec input length mismatch");
+    contract_chain(factors, y, scratch, true);
+    &scratch.cur
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Csr, Matrix};
+
+    #[test]
+    fn single_factor_product_is_the_matvec_bitwise() {
+        let a = Matrix::from_fn(4, 6, |r, c| ((r * 6 + c) % 5) as f64 * 0.3 - 0.7);
+        let x: Vec<f64> = (0..6).map(|i| i as f64 * 0.37 - 1.0).collect();
+        let y: Vec<f64> = (0..4).map(|i| i as f64 * 0.41 - 0.5).collect();
+        let sparse = Csr::from_dense(&a);
+        assert_eq!(
+            kmatvec_structured(&[&Sparse(sparse.clone())], &x),
+            sparse.matvec(&x)
+        );
+        let dense = Dense(a.clone());
+        assert_eq!(kmatvec_structured(&[&dense], &x), a.matvec(&x));
+        assert_eq!(kmatvec_transpose_structured(&[&dense], &y), a.t_matvec(&y));
+    }
+}

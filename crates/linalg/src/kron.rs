@@ -1,9 +1,6 @@
-//! Kronecker-product utilities.
-//!
-//! Implements the explicit product (Definition 8) for tests and small cases,
-//! and the implicit Kronecker matrix–vector product of Appendix A.5
-//! (Algorithm 1, `kmatvec`) used by MEASURE and RECONSTRUCT so the full
-//! `Π mᵢ × Π nᵢ` matrix is never materialized.
+//! The explicit Kronecker product (Definition 8), for small cases and as the
+//! oracle the implicit product of `contract.rs` (Algorithm 1) is validated
+//! against wherever `Π mᵢ × Π nᵢ` is small enough to materialize.
 
 use crate::Matrix;
 
@@ -54,161 +51,6 @@ pub fn kron_vec(a: &[f64], b: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Implicit Kronecker matrix–vector product `(A₁ ⊗ … ⊗ A_d)·x`
-/// (Algorithm 1 of the paper's appendix).
-///
-/// `x` has length `Π nᵢ` with the first factor's index varying slowest
-/// (row-major tensor flattening); the result has length `Π mᵢ`.
-///
-/// Space is O(max intermediate) and time O(Σᵢ mᵢ·nᵢ·rest), versus O(Π mᵢnᵢ)
-/// for the materialized product.
-pub fn kmatvec(factors: &[&Matrix], x: &[f64]) -> Vec<f64> {
-    let expected: usize = factors.iter().map(|f| f.cols()).product();
-    assert_eq!(x.len(), expected, "kmatvec input length mismatch");
-    let mut cur = x.to_vec();
-    // Ping-pong between `cur` and one scratch buffer instead of allocating a
-    // fresh `next` per factor.
-    let mut buf = Vec::new();
-    // `right` = product of output dimensions of already-applied factors
-    // (factors are applied last-to-first, i.e. fastest index first).
-    let mut right = 1usize;
-    for k in (0..factors.len()).rev() {
-        let a = factors[k];
-        let (m, n) = a.shape();
-        let left = cur.len() / (n * right);
-        buf.clear();
-        buf.resize(left * m * right, 0.0);
-        apply_mode(a, &cur, &mut buf, left, m, n, right);
-        std::mem::swap(&mut cur, &mut buf);
-        right *= m;
-    }
-    cur
-}
-
-/// Implicit transposed Kronecker matrix–vector product `(A₁ ⊗ … ⊗ A_d)ᵀ·y`.
-pub fn kmatvec_transpose(factors: &[&Matrix], y: &[f64]) -> Vec<f64> {
-    let expected: usize = factors.iter().map(|f| f.rows()).product();
-    assert_eq!(y.len(), expected, "kmatvec_transpose input length mismatch");
-    let mut cur = y.to_vec();
-    let mut buf = Vec::new();
-    let mut right = 1usize;
-    for k in (0..factors.len()).rev() {
-        let a = factors[k];
-        let (m, n) = a.shape(); // we apply Aᵀ: maps length-m mode to length-n mode
-        let left = cur.len() / (m * right);
-        buf.clear();
-        buf.resize(left * n * right, 0.0);
-        apply_mode_transpose(a, &cur, &mut buf, left, m, n, right);
-        std::mem::swap(&mut cur, &mut buf);
-        right *= n;
-    }
-    cur
-}
-
-/// Column-panel width for the cache-blocked `right > 1` contractions: 64
-/// columns × 8 bytes × a typical `right` of a few dozen keeps the active
-/// source panel inside L1/L2 while every output row streams over it.
-/// Blocking only reorders *which output row* is touched when — each output
-/// element still accumulates its `c` contributions in ascending order, so
-/// the tiling is bitwise invisible.
-pub(crate) const PANEL: usize = 64;
-
-/// Contracts factor `a` (m×n) along the middle mode of a (left, n, right)
-/// tensor: `next[l, r_out, r] = Σ_c a[r_out, c] · cur[l, c, r]`.
-///
-/// Numeric contract: when `right == 1` the contraction *is* a dense matvec
-/// per `l` block and reduces through [`crate::simd::dot`] — bitwise equal to
-/// [`Matrix::matvec`]. When `right > 1` each output element accumulates its
-/// `c` contributions in ascending order via element-wise
-/// [`crate::simd::axpy`], tiled into [`PANEL`]-column blocks for locality.
-pub(crate) fn apply_mode(
-    a: &Matrix,
-    cur: &[f64],
-    next: &mut [f64],
-    left: usize,
-    m: usize,
-    n: usize,
-    right: usize,
-) {
-    if right == 1 {
-        for l in 0..left {
-            let src = &cur[l * n..(l + 1) * n];
-            let dst = &mut next[l * m..(l + 1) * m];
-            for (r_out, d) in dst.iter_mut().enumerate() {
-                *d = crate::simd::dot(a.row(r_out), src);
-            }
-        }
-        return;
-    }
-    for l in 0..left {
-        let cur_base = l * n * right;
-        let next_base = l * m * right;
-        for c0 in (0..n).step_by(PANEL) {
-            let c1 = (c0 + PANEL).min(n);
-            for r_out in 0..m {
-                let a_row = a.row(r_out);
-                let dst = &mut next[next_base + r_out * right..next_base + (r_out + 1) * right];
-                for (c, &av) in a_row[c0..c1].iter().enumerate() {
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let c = c0 + c;
-                    let src = &cur[cur_base + c * right..cur_base + (c + 1) * right];
-                    crate::simd::axpy(av, src, dst);
-                }
-            }
-        }
-    }
-}
-
-/// Same contraction with `aᵀ`: `next[l, c, r] = Σ_{r_in} a[r_in, c] · cur[l, r_in, r]`.
-///
-/// Same numeric contract as [`apply_mode`]: per output element the `r_in`
-/// contributions accumulate in ascending order (the `right == 1` case is a
-/// [`Matrix::t_matvec`]-shaped axpy scatter; blocking never reorders a sum).
-pub(crate) fn apply_mode_transpose(
-    a: &Matrix,
-    cur: &[f64],
-    next: &mut [f64],
-    left: usize,
-    m: usize,
-    n: usize,
-    right: usize,
-) {
-    if right == 1 {
-        for l in 0..left {
-            let src = &cur[l * m..(l + 1) * m];
-            let dst = &mut next[l * n..(l + 1) * n];
-            for (r_in, &s) in src.iter().enumerate() {
-                if s == 0.0 {
-                    continue;
-                }
-                crate::simd::axpy(s, a.row(r_in), dst);
-            }
-        }
-        return;
-    }
-    for l in 0..left {
-        let cur_base = l * m * right;
-        let next_base = l * n * right;
-        for c0 in (0..n).step_by(PANEL) {
-            let c1 = (c0 + PANEL).min(n);
-            for r_in in 0..m {
-                let a_row = a.row(r_in);
-                let src = &cur[cur_base + r_in * right..cur_base + (r_in + 1) * right];
-                for (c, &av) in a_row[c0..c1].iter().enumerate() {
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let c = c0 + c;
-                    let dst = &mut next[next_base + c * right..next_base + (c + 1) * right];
-                    crate::simd::axpy(av, src, dst);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,51 +90,6 @@ mod tests {
         let lhs = kron(&a, &b).matmul(&kron(&c, &d));
         let rhs = kron(&a.matmul(&c), &b.matmul(&d));
         assert!(lhs.approx_eq(&rhs, 1e-10));
-    }
-
-    #[test]
-    fn kmatvec_matches_explicit_two_factors() {
-        let a = mat(2, 3, 5);
-        let b = mat(4, 2, 6);
-        let x: Vec<f64> = (0..6).map(|i| i as f64 * 0.5 - 1.0).collect();
-        let explicit = kron(&a, &b).matvec(&x);
-        let implicit = kmatvec(&[&a, &b], &x);
-        for (l, r) in explicit.iter().zip(&implicit) {
-            assert!((l - r).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn kmatvec_matches_explicit_three_factors() {
-        let a = mat(2, 2, 7);
-        let b = mat(3, 4, 8);
-        let c = mat(2, 3, 9);
-        let n = 2 * 4 * 3;
-        let x: Vec<f64> = (0..n).map(|i| ((i * 37) % 11) as f64 - 5.0).collect();
-        let explicit = kron_all(&[&a, &b, &c]).matvec(&x);
-        let implicit = kmatvec(&[&a, &b, &c], &x);
-        for (l, r) in explicit.iter().zip(&implicit) {
-            assert!((l - r).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn kmatvec_single_factor_is_matvec() {
-        let a = mat(4, 6, 11);
-        let x: Vec<f64> = (0..6).map(|i| i as f64).collect();
-        assert_eq!(kmatvec(&[&a], &x), a.matvec(&x));
-    }
-
-    #[test]
-    fn kmatvec_transpose_matches_explicit() {
-        let a = mat(2, 3, 12);
-        let b = mat(4, 2, 13);
-        let y: Vec<f64> = (0..8).map(|i| (i as f64).cos()).collect();
-        let explicit = kron(&a, &b).t_matvec(&y);
-        let implicit = kmatvec_transpose(&[&a, &b], &y);
-        for (l, r) in explicit.iter().zip(&implicit) {
-            assert!((l - r).abs() < 1e-10);
-        }
     }
 
     #[test]

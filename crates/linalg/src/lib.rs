@@ -4,8 +4,9 @@
 //! the equivalents built from scratch: a row-major dense [`Matrix`], Cholesky
 //! and LU factorizations, a cyclic Jacobi symmetric eigendecomposition,
 //! Moore–Penrose pseudo-inverses, the LSMR iterative least-squares solver on a
-//! matrix-free [`LinOp`], and Kronecker-product utilities (explicit products
-//! and the implicit `kmatvec` of Appendix A.5).
+//! matrix-free [`LinOp`], and Kronecker products — explicit ([`kron_all`], the
+//! test oracle) and the implicit one of Appendix A.5 over structured factors
+//! ([`kmatvec_structured`]).
 //!
 //! # The structured backend
 //!
@@ -23,7 +24,9 @@
 //! * `sensitivity` (the L1 operator norm of Definition 6) is O(1)–O(n);
 //! * [`kmatvec_structured`] dispatches each mode contraction of Algorithm 1
 //!   to the factor's fast kernel, so MEASURE/RECONSTRUCT over large attribute
-//!   domains allocate nothing quadratic;
+//!   domains allocate nothing quadratic — one kernel per direction
+//!   ([`contract_rows`], [`contract_transpose_rows`]) and one chain driver
+//!   serve the full product, the scratch variants and the sharded steps;
 //! * [`StructuredMatrix::to_dense`] is the escape hatch for entry-wise
 //!   algorithms (small-n optimizer internals, tests).
 //!
@@ -34,6 +37,7 @@
 //! (n = 2¹⁴ and beyond) affordable.
 
 mod cholesky;
+mod contract;
 mod csr;
 mod eigen;
 mod kron;
@@ -47,22 +51,23 @@ mod slab;
 mod structured;
 
 pub use cholesky::Cholesky;
+pub use contract::{
+    contract_rows, contract_transpose_rows, kmatvec_structured, kmatvec_structured_scratch,
+    kmatvec_transpose_structured, kmatvec_transpose_structured_scratch, KronScratch,
+};
 pub use csr::Csr;
 pub use eigen::SymEigen;
-pub use kron::{kmatvec, kmatvec_transpose, kron, kron_all, kron_vec};
-pub use linop::{DenseOp, KronOp, LinOp, ScaledOp, StackedOp};
+pub use kron::{kron, kron_all, kron_vec};
+pub use linop::{DenseOp, LinOp, ScaledOp, StackedOp};
 pub use lsmr::{lsmr, LsmrOptions, LsmrResult};
 pub use lu::Lu;
 pub use matrix::Matrix;
 pub use pinv::{pinv, pinv_psd};
 pub use slab::{
-    apply_leading_rows, apply_leading_transpose_rows, kmatvec_trailing_slab,
-    kmatvec_transpose_trailing_slab, leading_split, matvec_rows, partition_rows, LeadingSplit,
+    kmatvec_trailing_slab, kmatvec_transpose_trailing_slab, leading_split, matvec_rows,
+    partition_rows, LeadingSplit,
 };
-pub use structured::{
-    kmatvec_structured, kmatvec_structured_scratch, kmatvec_transpose_structured,
-    kmatvec_transpose_structured_scratch, KronScratch, StructuredMatrix, SPARSE_DENSITY_THRESHOLD,
-};
+pub use structured::{StructuredMatrix, SPARSE_DENSITY_THRESHOLD};
 
 /// Errors produced by factorizations and solvers.
 #[derive(Debug, Clone, PartialEq)]

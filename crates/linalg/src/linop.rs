@@ -3,7 +3,6 @@
 //! LSMR-based reconstruction for union-of-product strategies (§7.2) only needs
 //! products with `A` and `Aᵀ`; this trait lets strategies stay implicit.
 
-use crate::kron::{kmatvec, kmatvec_transpose};
 use crate::Matrix;
 
 /// A linear operator exposing forward and adjoint matrix–vector products.
@@ -33,44 +32,6 @@ impl LinOp for DenseOp<'_> {
     }
     fn rmatvec(&self, y: &[f64]) -> Vec<f64> {
         self.0.t_matvec(y)
-    }
-}
-
-/// An implicit Kronecker product `A₁ ⊗ … ⊗ A_d` as a [`LinOp`].
-pub struct KronOp {
-    factors: Vec<Matrix>,
-}
-
-impl KronOp {
-    /// Builds the operator from its factors.
-    ///
-    /// # Panics
-    /// Panics if `factors` is empty.
-    pub fn new(factors: Vec<Matrix>) -> Self {
-        assert!(!factors.is_empty(), "KronOp requires at least one factor");
-        KronOp { factors }
-    }
-
-    /// Borrows the factors.
-    pub fn factors(&self) -> &[Matrix] {
-        &self.factors
-    }
-}
-
-impl LinOp for KronOp {
-    fn rows(&self) -> usize {
-        self.factors.iter().map(Matrix::rows).product()
-    }
-    fn cols(&self) -> usize {
-        self.factors.iter().map(Matrix::cols).product()
-    }
-    fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        let refs: Vec<&Matrix> = self.factors.iter().collect();
-        kmatvec(&refs, x)
-    }
-    fn rmatvec(&self, y: &[f64]) -> Vec<f64> {
-        let refs: Vec<&Matrix> = self.factors.iter().collect();
-        kmatvec_transpose(&refs, y)
     }
 }
 
@@ -158,21 +119,6 @@ impl LinOp for StackedOp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kron::kron;
-
-    #[test]
-    fn kron_op_matches_explicit() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[0.0, 1.0]]);
-        let b = Matrix::from_rows(&[&[1.0, 0.0, 1.0]]);
-        let op = KronOp::new(vec![a.clone(), b.clone()]);
-        let explicit = kron(&a, &b);
-        assert_eq!(op.rows(), explicit.rows());
-        assert_eq!(op.cols(), explicit.cols());
-        let x: Vec<f64> = (0..6).map(|i| i as f64).collect();
-        assert_eq!(op.matvec(&x), explicit.matvec(&x));
-        let y = vec![1.0, -1.0];
-        assert_eq!(op.rmatvec(&y), explicit.t_matvec(&y));
-    }
 
     #[test]
     fn stacked_op_matches_vstack() {

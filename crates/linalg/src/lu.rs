@@ -15,8 +15,6 @@ pub struct Lu {
     lu: Matrix,
     /// Row permutation: `perm[i]` is the original row now in position `i`.
     perm: Vec<usize>,
-    /// Sign of the permutation (for determinants).
-    sign: f64,
 }
 
 impl Lu {
@@ -31,7 +29,6 @@ impl Lu {
         let n = a.rows();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
 
         for k in 0..n {
             // Pivot search in column k.
@@ -55,7 +52,6 @@ impl Lu {
                     lu[(pivot, c)] = tmp;
                 }
                 perm.swap(k, pivot);
-                sign = -sign;
             }
             let diag = lu[(k, k)];
             for r in (k + 1)..n {
@@ -69,7 +65,7 @@ impl Lu {
                 }
             }
         }
-        Ok(Lu { lu, perm, sign })
+        Ok(Lu { lu, perm })
     }
 
     /// Solves `A x = b`.
@@ -115,15 +111,6 @@ impl Lu {
     pub fn inverse(&self) -> Matrix {
         self.solve_matrix(&Matrix::identity(self.lu.rows()))
     }
-
-    /// Determinant of the original matrix.
-    pub fn det(&self) -> f64 {
-        let mut d = self.sign;
-        for i in 0..self.lu.rows() {
-            d *= self.lu[(i, i)];
-        }
-        d
-    }
 }
 
 #[cfg(test)]
@@ -156,14 +143,6 @@ mod tests {
             .inverse()
             .matmul(&a)
             .approx_eq(&Matrix::identity(5), 1e-9));
-    }
-
-    #[test]
-    fn det_of_permutation_matrix() {
-        // Swap of two rows of identity: det = -1.
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        let lu = Lu::new(&a).unwrap();
-        assert!((lu.det() + 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -415,18 +415,14 @@ impl Matrix {
     }
 
     /// Matrix–vector product written into a caller-provided buffer, so warm
-    /// serving paths can reuse allocations. Uses the [`crate::simd::dot`]
-    /// lane-reduction order; `slab::matvec_rows` must stay on the same kernel
-    /// (sharded MEASURE is byte-compared against this path).
+    /// serving paths can reuse allocations: the all-rows case of
+    /// [`matvec_rows`](crate::matvec_rows), so a row-partitioned (sharded)
+    /// MEASURE is this product by construction.
     ///
     /// # Panics
     /// Panics if `x.len() != self.cols()` or `out.len() != self.rows()`.
     pub fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
-        assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
-        assert_eq!(out.len(), self.rows, "matvec output length mismatch");
-        for (r, out) in out.iter_mut().enumerate() {
-            *out = crate::simd::dot(self.row(r), x);
-        }
+        crate::slab::matvec_rows(self, x, 0..self.rows, out);
     }
 
     /// Transposed matrix–vector product `selfᵀ * x`.
@@ -502,13 +498,6 @@ impl Matrix {
             rows: self.rows,
             cols: self.cols,
             data,
-        }
-    }
-
-    /// Scales in place.
-    pub fn scale_mut(&mut self, alpha: f64) {
-        for v in &mut self.data {
-            *v *= alpha;
         }
     }
 

@@ -4,11 +4,11 @@
 //! the numeric behaviour of the whole workspace is pinned in one place. The
 //! wide path is hand-unrolled over `[f64; 4]` blocks on stable Rust — four
 //! independent accumulators with no cross-lane dependency, which LLVM lowers
-//! to packed SIMD on every target that has it — and the scalar fallback
-//! (`--no-default-features`, i.e. without the `simd` feature) executes the
-//! *same* operation sequence lane by lane, so the two builds are bitwise
-//! identical by construction. `tests/simd_kernels.rs` proptests that claim
-//! against [`scalar`], which is always compiled.
+//! to packed SIMD on every target that has it — and the [`scalar`] reference
+//! executes the *same* operation sequence lane by lane, so the two are
+//! bitwise identical by construction; `tests/simd_kernels.rs` proptests that
+//! claim. The wide path is plain stable Rust with no intrinsics, so it is the
+//! only path product code runs on any target.
 //!
 //! # The summation-order contract
 //!
@@ -27,8 +27,8 @@
 //! * **Element-wise kernels** ([`axpy`], [`scale_into`], [`add_into`],
 //!   [`cumsum_step`], [`diff_scaled`], [`offset_diff_scaled`]): output
 //!   element `i` depends only on input element(s) `i`, so no sum is ever
-//!   reassociated and the unrolling is bit-neutral. Mode contractions
-//!   (`apply_mode*`) accumulate over the contracted index in ascending
+//!   reassociated and the unrolling is bit-neutral. The mode contractions
+//!   (`contract.rs`) accumulate over the contracted index in ascending
 //!   order *outside* these kernels; vectorizing their inner `right`-lane
 //!   loop is therefore always safe.
 //!
@@ -38,12 +38,12 @@
 /// reductions assign element `i` to lane `i mod LANES`.
 pub const LANES: usize = 4;
 
-/// Scalar reference implementations of every kernel, always compiled.
+/// Scalar reference implementations of every kernel.
 ///
 /// These execute the wide path's operation sequence lane by lane, so for
 /// every kernel `k`, `simd::k(..)` and `simd::scalar::k(..)` return bitwise
-/// identical results — the property `tests/simd_kernels.rs` pins. The
-/// public kernels dispatch here when the `simd` feature is disabled.
+/// identical results — the property `tests/simd_kernels.rs` pins. No product
+/// code calls them.
 pub mod scalar {
     use super::LANES;
 
@@ -150,7 +150,6 @@ pub mod scalar {
     }
 }
 
-#[cfg(feature = "simd")]
 mod wide {
     //! The unrolled 4-lane path. Bitwise identical to [`super::scalar`]:
     //! lane `j` of a reduction sees exactly the products at indices
@@ -329,12 +328,6 @@ mod wide {
     }
 }
 
-#[cfg(feature = "simd")]
-use wide as active;
-
-#[cfg(not(feature = "simd"))]
-use scalar as active;
-
 /// Deterministic dot product `Σ aᵢ·bᵢ` under the lane contract: element `i`
 /// accumulates in lane `i mod 4`, lanes combine as `(l0+l1)+(l2+l3)`.
 ///
@@ -342,7 +335,7 @@ use scalar as active;
 /// Panics if the slices differ in length.
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    active::dot(a, b)
+    wide::dot(a, b)
 }
 
 /// Deterministic sparse dot `Σ_k vals[k]·x[idx[k]]` under the lane contract
@@ -352,7 +345,7 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// Panics if `vals`/`idx` differ in length or an index is out of bounds.
 #[inline]
 pub fn dot_indexed(vals: &[f64], idx: &[usize], x: &[f64]) -> f64 {
-    active::dot_indexed(vals, idx, x)
+    wide::dot_indexed(vals, idx, x)
 }
 
 /// `y[i] += alpha·x[i]`, unrolled; element-wise, so bit-neutral.
@@ -361,7 +354,7 @@ pub fn dot_indexed(vals: &[f64], idx: &[usize], x: &[f64]) -> f64 {
 /// Panics if the slices differ in length.
 #[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    active::axpy(alpha, x, y)
+    wide::axpy(alpha, x, y)
 }
 
 /// `out[i] = alpha·x[i]`, unrolled.
@@ -370,7 +363,7 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 /// Panics if the slices differ in length.
 #[inline]
 pub fn scale_into(alpha: f64, x: &[f64], out: &mut [f64]) {
-    active::scale_into(alpha, x, out)
+    wide::scale_into(alpha, x, out)
 }
 
 /// `out[i] = a[i] + b[i]`, unrolled.
@@ -379,7 +372,7 @@ pub fn scale_into(alpha: f64, x: &[f64], out: &mut [f64]) {
 /// Panics if the slices differ in length.
 #[inline]
 pub fn add_into(a: &[f64], b: &[f64], out: &mut [f64]) {
-    active::add_into(a, b, out)
+    wide::add_into(a, b, out)
 }
 
 /// Strided cumulative-sum step `acc[i] += src[i]; dst[i] = acc[i]·scale` —
@@ -390,7 +383,7 @@ pub fn add_into(a: &[f64], b: &[f64], out: &mut [f64]) {
 /// Panics if the slices differ in length.
 #[inline]
 pub fn cumsum_step(acc: &mut [f64], src: &[f64], dst: &mut [f64], scale: f64) {
-    active::cumsum_step(acc, src, dst, scale)
+    wide::cumsum_step(acc, src, dst, scale)
 }
 
 /// `out[i] = scale·(hi[i] − lo[i])` — the `AllRange` mode contraction's
@@ -400,7 +393,7 @@ pub fn cumsum_step(acc: &mut [f64], src: &[f64], dst: &mut [f64], scale: f64) {
 /// Panics if the slices differ in length.
 #[inline]
 pub fn diff_scaled(hi: &[f64], lo: &[f64], scale: f64, out: &mut [f64]) {
-    active::diff_scaled(hi, lo, scale, out)
+    wide::diff_scaled(hi, lo, scale, out)
 }
 
 /// `out[i] = scale·(src[i] − base)` — the 1-D `AllRange` closed-form answer
@@ -410,7 +403,7 @@ pub fn diff_scaled(hi: &[f64], lo: &[f64], scale: f64, out: &mut [f64]) {
 /// Panics if the slices differ in length.
 #[inline]
 pub fn offset_diff_scaled(src: &[f64], base: f64, scale: f64, out: &mut [f64]) {
-    active::offset_diff_scaled(src, base, scale, out)
+    wide::offset_diff_scaled(src, base, scale, out)
 }
 
 #[cfg(test)]

@@ -12,21 +12,23 @@
 //!    leading leaf to each slab independently (the bulk of the flops);
 //! 2. **merge** — concatenate the per-slab intermediates in slab order (a
 //!    pure memory move);
-//! 3. **leading** ([`apply_leading_rows`]) — contract the leading factor over
-//!    the merged tensor, restricted to a block of *output* rows per task.
+//! 3. **leading** ([`contract_rows`](crate::contract_rows) with `left = 1`) —
+//!    contract the leading factor over the merged tensor, restricted to a
+//!    block of *output* rows per task.
 //!
 //! ## Bit-for-bit exactness
 //!
 //! The decomposition is not merely numerically close to the unsharded
 //! [`kmatvec_structured`](crate::kmatvec_structured) — it is **bitwise
 //! identical** for every shard count, which is what lets a serving engine
-//! guarantee that answers do not depend on how a dataset is partitioned:
+//! guarantee that answers do not depend on how a dataset is partitioned —
+//! because every step *is* the unsharded code (`contract.rs`):
 //!
-//! * trailing contractions process each leading index with exactly the
-//!   operation sequence the unsharded kernel uses (the leading index is the
-//!   outermost `left` loop there, and no variant carries state across it);
-//! * the leading contraction computes each output row with the same inner
-//!   loop as the unsharded kernel; variants whose kernel carries a running
+//! * the trailing step runs the same chain driver, with the slab's leading
+//!   rows as more of the outermost `left` loop, across which no variant
+//!   carries state;
+//! * the leading step calls the same kernel the full product calls with
+//!   `0..out_dim`, for a block: variants whose contraction carries a running
 //!   accumulator across rows (`Prefix`, `AllRange`, `Total`) *recompute* the
 //!   prefix state from row 0 in the original order instead of splitting the
 //!   sum, trading a little redundant work for exact reproducibility.
@@ -36,9 +38,8 @@
 //! `(a+b)+(c+d)` differ in the last ulp. The trailing/merge/leading split is
 //! the decomposition that parallelizes *without* reassociating any sum.
 
-use crate::structured::{
-    apply_mode_structured, apply_mode_transpose_structured, flatten, StructuredMatrix,
-};
+use crate::contract::contract_chain_owned;
+use crate::structured::{flatten, StructuredMatrix};
 use crate::Matrix;
 use std::ops::Range;
 
@@ -84,32 +85,16 @@ impl LeadingSplit<'_> {
 }
 
 /// Applies the trailing factors of a Kronecker product to one leading-axis
-/// slab. The slab must span whole leading rows: `x_slab.len()` must be a
-/// multiple of the trailing input size `R`. Returns the slab of the
-/// intermediate tensor, bitwise equal to the corresponding rows of the
-/// unsharded intermediate.
+/// slab: the chain of [`kmatvec_structured`](crate::kmatvec_structured) with
+/// the slab's leading rows as extra `left`. The slab must span whole leading
+/// rows (`x_slab.len()` a multiple of the trailing input size `R`). Returns
+/// the slab of the intermediate tensor, bitwise equal to the corresponding
+/// rows of the unsharded intermediate.
 ///
 /// # Panics
 /// Panics if the slab length is not aligned to the trailing modes.
 pub fn kmatvec_trailing_slab(trailing: &[&StructuredMatrix], x_slab: &[f64]) -> Vec<f64> {
-    let mut cur = x_slab.to_vec();
-    let mut buf = Vec::new();
-    let mut right = 1usize;
-    for a in trailing.iter().rev() {
-        let (m, n) = a.shape();
-        assert_eq!(
-            cur.len() % (n * right),
-            0,
-            "slab length not aligned to trailing modes"
-        );
-        let left = cur.len() / (n * right);
-        buf.clear();
-        buf.resize(left * m * right, 0.0);
-        apply_mode_structured(a, &cur, &mut buf, left, m, n, right);
-        std::mem::swap(&mut cur, &mut buf);
-        right *= m;
-    }
-    cur
+    contract_chain_owned(trailing, x_slab, false)
 }
 
 /// Applies the *transposes* of the trailing factors to one leading-axis slab
@@ -118,270 +103,12 @@ pub fn kmatvec_trailing_slab(trailing: &[&StructuredMatrix], x_slab: &[f64]) -> 
 /// # Panics
 /// Panics if the slab length is not aligned to the trailing modes.
 pub fn kmatvec_transpose_trailing_slab(trailing: &[&StructuredMatrix], y_slab: &[f64]) -> Vec<f64> {
-    let mut cur = y_slab.to_vec();
-    let mut buf = Vec::new();
-    let mut right = 1usize;
-    for a in trailing.iter().rev() {
-        let (m, n) = a.shape();
-        assert_eq!(
-            cur.len() % (m * right),
-            0,
-            "slab length not aligned to trailing modes"
-        );
-        let left = cur.len() / (m * right);
-        buf.clear();
-        buf.resize(left * n * right, 0.0);
-        apply_mode_transpose_structured(a, &cur, &mut buf, left, m, n, right);
-        std::mem::swap(&mut cur, &mut buf);
-        right *= n;
-    }
-    cur
+    contract_chain_owned(trailing, y_slab, true)
 }
 
-/// Contracts the leading factor `a` (m×n) over the merged trailing tensor
-/// `t` (shape `n × right`), producing only output rows `rows` into `out`
-/// (shape `rows.len() × right`, zero-initialized by the caller).
-///
-/// Bitwise identical to the corresponding rows of the unsharded contraction:
-/// row-local variants restrict their outer loop; running-state variants
-/// (`Prefix`, `AllRange`, `Total`) replay the prefix state from row 0 in the
-/// original operation order.
-///
-/// # Panics
-/// Panics on shape mismatches or `rows` out of bounds.
-pub fn apply_leading_rows(
-    a: &StructuredMatrix,
-    t: &[f64],
-    right: usize,
-    rows: Range<usize>,
-    out: &mut [f64],
-) {
-    let (m, n) = a.shape();
-    assert_eq!(t.len(), n * right, "trailing tensor shape mismatch");
-    assert!(
-        rows.start <= rows.end && rows.end <= m,
-        "row range out of bounds"
-    );
-    assert_eq!(
-        out.len(),
-        (rows.end - rows.start) * right,
-        "output shape mismatch"
-    );
-    if rows.is_empty() {
-        return;
-    }
-    match a {
-        StructuredMatrix::Dense(d) => {
-            if right == 1 {
-                // Same lane-dot kernel as `apply_mode`'s right == 1 path (and
-                // `Matrix::matvec`), so the row restriction is bit-invisible.
-                for (slot, r_out) in out.iter_mut().zip(rows) {
-                    *slot = crate::simd::dot(d.row(r_out), t);
-                }
-                return;
-            }
-            for r_out in rows.clone() {
-                let a_row = d.row(r_out);
-                let dst = &mut out[(r_out - rows.start) * right..(r_out - rows.start + 1) * right];
-                for (c, &av) in a_row.iter().enumerate() {
-                    if av == 0.0 {
-                        continue;
-                    }
-                    crate::simd::axpy(av, &t[c * right..(c + 1) * right], dst);
-                }
-            }
-        }
-        StructuredMatrix::Sparse(s) => {
-            if right == 1 {
-                // Same `Csr::row_dot` reduction as the unsharded kernel.
-                for (slot, r_out) in out.iter_mut().zip(rows) {
-                    *slot = s.row_dot(r_out, t);
-                }
-                return;
-            }
-            for r_out in rows.clone() {
-                let dst = &mut out[(r_out - rows.start) * right..(r_out - rows.start + 1) * right];
-                for (c, v) in s.row_entries(r_out) {
-                    crate::simd::axpy(v, &t[c * right..(c + 1) * right], dst);
-                }
-            }
-        }
-        StructuredMatrix::Identity { scale, .. } => {
-            crate::simd::scale_into(*scale, &t[rows.start * right..rows.end * right], out);
-        }
-        StructuredMatrix::Total { scale, .. } => {
-            // m == 1, so `rows` can only be 0..1: the single output row is the
-            // full sequential sum over the mode, as in the unsharded kernel.
-            for c in 0..n {
-                crate::simd::axpy(*scale, &t[c * right..(c + 1) * right], out);
-            }
-        }
-        StructuredMatrix::Prefix { scale, .. } => {
-            // Replay the running sum from row 0 so every emitted row carries
-            // exactly the accumulator the unsharded kernel would hold.
-            let mut acc = vec![0.0; right];
-            for c in 0..rows.end {
-                let src = &t[c * right..(c + 1) * right];
-                if c >= rows.start {
-                    let dst = &mut out[(c - rows.start) * right..(c - rows.start + 1) * right];
-                    crate::simd::cumsum_step(&mut acc, src, dst, *scale);
-                } else {
-                    crate::simd::axpy(1.0, src, &mut acc);
-                }
-            }
-        }
-        StructuredMatrix::AllRange { n: nn, scale } => {
-            // Identical strided prefix sums as the unsharded kernel, then only
-            // the requested interval rows are emitted.
-            let nn = *nn;
-            let mut sums = vec![0.0; (nn + 1) * right];
-            for c in 0..nn {
-                let (done, rest) = sums.split_at_mut((c + 1) * right);
-                crate::simd::add_into(
-                    &done[c * right..],
-                    &t[c * right..(c + 1) * right],
-                    &mut rest[..right],
-                );
-            }
-            let mut row = 0usize;
-            'outer: for i in 0..nn {
-                for j in i..nn {
-                    if row >= rows.end {
-                        break 'outer;
-                    }
-                    if row >= rows.start {
-                        let dst =
-                            &mut out[(row - rows.start) * right..(row - rows.start + 1) * right];
-                        crate::simd::diff_scaled(
-                            &sums[(j + 1) * right..(j + 2) * right],
-                            &sums[i * right..(i + 1) * right],
-                            *scale,
-                            dst,
-                        );
-                    }
-                    row += 1;
-                }
-            }
-        }
-        StructuredMatrix::Kron(_) => unreachable!("leading factor is a flattened leaf"),
-    }
-}
-
-/// Contracts the *transpose* of the leading factor `a` (m×n) over the merged
-/// trailing tensor `t` (shape `m × right`), producing only output rows `rows`
-/// (positions along `a`'s input mode, `rows ⊆ 0..n`) into `out`
-/// (shape `rows.len() × right`, zero-initialized by the caller).
-///
-/// Bitwise identical to the corresponding rows of the unsharded transposed
-/// contraction (each output position accumulates over `a`'s rows in the same
-/// order; running-state variants replay their state in the original order).
-///
-/// # Panics
-/// Panics on shape mismatches or `rows` out of bounds.
-pub fn apply_leading_transpose_rows(
-    a: &StructuredMatrix,
-    t: &[f64],
-    right: usize,
-    rows: Range<usize>,
-    out: &mut [f64],
-) {
-    let (m, n) = a.shape();
-    assert_eq!(t.len(), m * right, "trailing tensor shape mismatch");
-    assert!(
-        rows.start <= rows.end && rows.end <= n,
-        "row range out of bounds"
-    );
-    assert_eq!(
-        out.len(),
-        (rows.end - rows.start) * right,
-        "output shape mismatch"
-    );
-    if rows.is_empty() {
-        return;
-    }
-    match a {
-        StructuredMatrix::Dense(d) => {
-            for r_in in 0..m {
-                let a_row = d.row(r_in);
-                let src = &t[r_in * right..(r_in + 1) * right];
-                for c in rows.clone() {
-                    let av = a_row[c];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let dst = &mut out[(c - rows.start) * right..(c - rows.start + 1) * right];
-                    crate::simd::axpy(av, src, dst);
-                }
-            }
-        }
-        StructuredMatrix::Sparse(s) => {
-            for r_in in 0..m {
-                let src = &t[r_in * right..(r_in + 1) * right];
-                for (c, v) in s.row_entries(r_in) {
-                    if c < rows.start || c >= rows.end {
-                        continue;
-                    }
-                    let dst = &mut out[(c - rows.start) * right..(c - rows.start + 1) * right];
-                    crate::simd::axpy(v, src, dst);
-                }
-            }
-        }
-        StructuredMatrix::Identity { scale, .. } => {
-            crate::simd::scale_into(*scale, &t[rows.start * right..rows.end * right], out);
-        }
-        StructuredMatrix::Total { scale, .. } => {
-            let src = &t[..right];
-            for c in rows.clone() {
-                let dst = &mut out[(c - rows.start) * right..(c - rows.start + 1) * right];
-                crate::simd::scale_into(*scale, src, dst);
-            }
-        }
-        StructuredMatrix::Prefix { scale, .. } => {
-            // (Pᵀ)·: reversed running sums, replayed from the top row.
-            let mut acc = vec![0.0; right];
-            for c in (rows.start..n).rev() {
-                let src = &t[c * right..(c + 1) * right];
-                if c < rows.end {
-                    let dst = &mut out[(c - rows.start) * right..(c - rows.start + 1) * right];
-                    crate::simd::cumsum_step(&mut acc, src, dst, *scale);
-                } else {
-                    crate::simd::axpy(1.0, src, &mut acc);
-                }
-            }
-        }
-        StructuredMatrix::AllRange { n: nn, scale } => {
-            // Full difference-array build in row order (as unsharded), then
-            // the prefix accumulation replayed up to the requested range.
-            let nn = *nn;
-            let mut diff = vec![0.0; (nn + 1) * right];
-            let mut row = 0usize;
-            for i in 0..nn {
-                for j in i..nn {
-                    let src = &t[row * right..(row + 1) * right];
-                    crate::simd::axpy(1.0, src, &mut diff[i * right..(i + 1) * right]);
-                    crate::simd::axpy(-1.0, src, &mut diff[(j + 1) * right..(j + 2) * right]);
-                    row += 1;
-                }
-            }
-            let mut acc = vec![0.0; right];
-            for c in 0..rows.end {
-                let diff_row = &diff[c * right..(c + 1) * right];
-                if c >= rows.start {
-                    let dst = &mut out[(c - rows.start) * right..(c - rows.start + 1) * right];
-                    crate::simd::cumsum_step(&mut acc, diff_row, dst, *scale);
-                } else {
-                    crate::simd::axpy(1.0, diff_row, &mut acc);
-                }
-            }
-        }
-        StructuredMatrix::Kron(_) => unreachable!("leading factor is a flattened leaf"),
-    }
-}
-
-/// Dense matvec restricted to a row block, replicating [`Matrix::matvec`]'s
-/// per-row reduction exactly — the same [`crate::simd::dot`] lane order — so
-/// a row-partitioned explicit strategy measures bitwise identically to the
-/// unsharded path. These two call sites must always share one dot kernel.
+/// Dense matvec restricted to a row block, one [`crate::simd::dot`] per row.
+/// [`Matrix::matvec`] is the `0..rows` call, so a row-partitioned explicit
+/// strategy measures bitwise identically to the unsharded path.
 ///
 /// # Panics
 /// Panics on shape mismatches or `rows` out of bounds.
@@ -414,7 +141,10 @@ pub fn partition_rows(len: usize, parts: usize) -> Vec<Range<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{kmatvec_structured, kmatvec_transpose_structured, Csr};
+    use crate::{
+        contract_rows, contract_transpose_rows, kmatvec_structured, kmatvec_transpose_structured,
+        Csr,
+    };
 
     fn bits_eq(a: &[f64], b: &[f64]) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
@@ -471,7 +201,7 @@ mod tests {
                 let mut out = vec![0.0; m * right];
                 for r in partition_rows(m, shards) {
                     let chunk = &mut out[r.start * right..r.end * right];
-                    apply_leading_rows(split.leading, &t, right, r, chunk);
+                    contract_rows(split.leading, &t, chunk, 1, right, r);
                 }
                 assert!(bits_eq(&out, &full), "{lead:?} shards={shards}");
             }
@@ -505,7 +235,7 @@ mod tests {
                 let mut out = vec![0.0; n * right];
                 for r in partition_rows(n, shards) {
                     let chunk = &mut out[r.start * right..r.end * right];
-                    apply_leading_transpose_rows(split.leading, &t, right, r, chunk);
+                    contract_transpose_rows(split.leading, &t, chunk, 1, right, r);
                 }
                 assert!(bits_eq(&out, &full), "{lead:?}ᵀ shards={shards}");
             }

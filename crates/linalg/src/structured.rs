@@ -25,8 +25,9 @@
 //!
 //! [`to_dense`]: StructuredMatrix::to_dense
 
+use crate::contract::{kmatvec_structured, kmatvec_transpose_structured};
 use crate::csr::Csr;
-use crate::kron::{apply_mode, apply_mode_transpose, kron};
+use crate::kron::kron;
 use crate::linop::LinOp;
 use crate::Matrix;
 
@@ -531,97 +532,7 @@ impl LinOp for StructuredMatrix {
     }
 }
 
-/// Implicit Kronecker matrix–vector product `(A₁ ⊗ … ⊗ A_d)·x` over
-/// structured factors: the mode contraction of Algorithm 1 dispatches to each
-/// factor's closed-form kernel, so an `Identity` mode is a scaled copy and a
-/// `Prefix` mode a strided cumulative sum instead of an O(m·n) dense product.
-pub fn kmatvec_structured(factors: &[&StructuredMatrix], x: &[f64]) -> Vec<f64> {
-    let mut scratch = KronScratch::new();
-    run_structured(factors, x, &mut scratch, false);
-    std::mem::take(&mut scratch.cur)
-}
-
-/// Implicit transposed product `(A₁ ⊗ … ⊗ A_d)ᵀ·y` over structured factors.
-pub fn kmatvec_transpose_structured(factors: &[&StructuredMatrix], y: &[f64]) -> Vec<f64> {
-    let mut scratch = KronScratch::new();
-    run_structured(factors, y, &mut scratch, true);
-    std::mem::take(&mut scratch.cur)
-}
-
-/// Reusable ping-pong buffers for the mode contractions of Algorithm 1.
-///
-/// One contraction chain needs exactly two buffers (current tensor and the
-/// one being produced); batched answer paths thread one `KronScratch`
-/// through many products so the warm serving path stops allocating. Buffer
-/// reuse is bitwise invisible: the target buffer is zero-filled before every
-/// contraction, exactly like the fresh allocation it replaces.
-#[derive(Debug, Default)]
-pub struct KronScratch {
-    cur: Vec<f64>,
-    buf: Vec<f64>,
-}
-
-impl KronScratch {
-    /// Empty scratch; buffers grow to the largest intermediate they see.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// [`kmatvec_structured`] into caller-owned scratch; returns the result
-/// slice (alive until the scratch is reused). Bitwise identical to the
-/// allocating variant.
-pub fn kmatvec_structured_scratch<'a>(
-    factors: &[&StructuredMatrix],
-    x: &[f64],
-    scratch: &'a mut KronScratch,
-) -> &'a [f64] {
-    run_structured(factors, x, scratch, false);
-    &scratch.cur
-}
-
-/// [`kmatvec_transpose_structured`] into caller-owned scratch.
-pub fn kmatvec_transpose_structured_scratch<'a>(
-    factors: &[&StructuredMatrix],
-    y: &[f64],
-    scratch: &'a mut KronScratch,
-) -> &'a [f64] {
-    run_structured(factors, y, scratch, true);
-    &scratch.cur
-}
-
-fn run_structured(
-    factors: &[&StructuredMatrix],
-    x: &[f64],
-    scratch: &mut KronScratch,
-    transpose: bool,
-) {
-    let expected: usize = factors
-        .iter()
-        .map(|f| if transpose { f.rows() } else { f.cols() })
-        .product();
-    assert_eq!(x.len(), expected, "kmatvec input length mismatch");
-    // Flatten nested Kron factors so every mode is a leaf kernel.
-    let flat = flatten(factors);
-    scratch.cur.clear();
-    scratch.cur.extend_from_slice(x);
-    let mut right = 1usize;
-    for a in flat.iter().rev() {
-        let (m, n) = a.shape();
-        let (in_dim, out_dim) = if transpose { (m, n) } else { (n, m) };
-        let left = scratch.cur.len() / (in_dim * right);
-        scratch.buf.clear();
-        scratch.buf.resize(left * out_dim * right, 0.0);
-        if transpose {
-            apply_mode_transpose_structured(a, &scratch.cur, &mut scratch.buf, left, m, n, right);
-        } else {
-            apply_mode_structured(a, &scratch.cur, &mut scratch.buf, left, m, n, right);
-        }
-        std::mem::swap(&mut scratch.cur, &mut scratch.buf);
-        right *= out_dim;
-    }
-}
-
+/// Flattens nested `Kron` factors into their leaves, in order.
 pub(crate) fn flatten<'a>(factors: &[&'a StructuredMatrix]) -> Vec<&'a StructuredMatrix> {
     let mut flat = Vec::with_capacity(factors.len());
     for &f in factors {
@@ -631,181 +542,6 @@ pub(crate) fn flatten<'a>(factors: &[&'a StructuredMatrix]) -> Vec<&'a Structure
         }
     }
     flat
-}
-
-/// Contracts structured factor `a` (m×n) along the middle mode of a
-/// `(left, n, right)` tensor: `next[l, r_out, r] = Σ_c a[r_out, c]·cur[l, c, r]`.
-pub(crate) fn apply_mode_structured(
-    a: &StructuredMatrix,
-    cur: &[f64],
-    next: &mut [f64],
-    left: usize,
-    m: usize,
-    n: usize,
-    right: usize,
-) {
-    match a {
-        Dense(d) => apply_mode(d, cur, next, left, m, n, right),
-        Identity { scale, .. } => {
-            crate::simd::scale_into(*scale, cur, next);
-        }
-        Total { scale, .. } => {
-            for l in 0..left {
-                let dst = &mut next[l * right..(l + 1) * right];
-                for c in 0..n {
-                    let src = &cur[l * n * right + c * right..l * n * right + (c + 1) * right];
-                    crate::simd::axpy(*scale, src, dst);
-                }
-            }
-        }
-        Prefix { scale, .. } => {
-            let mut acc = vec![0.0; right];
-            for l in 0..left {
-                acc.fill(0.0);
-                let base = l * n * right;
-                for c in 0..n {
-                    let src = &cur[base + c * right..base + (c + 1) * right];
-                    let dst = &mut next[base + c * right..base + (c + 1) * right];
-                    crate::simd::cumsum_step(&mut acc, src, dst, *scale);
-                }
-            }
-        }
-        AllRange { n: nn, scale } => {
-            // Strided prefix sums, then every output row is one subtraction.
-            let nn = *nn;
-            let mut sums = vec![0.0; (nn + 1) * right];
-            for l in 0..left {
-                let cur_base = l * n * right;
-                for c in 0..nn {
-                    let (done, rest) = sums.split_at_mut((c + 1) * right);
-                    crate::simd::add_into(
-                        &done[c * right..],
-                        &cur[cur_base + c * right..cur_base + (c + 1) * right],
-                        &mut rest[..right],
-                    );
-                }
-                let next_base = l * m * right;
-                let mut row = 0;
-                for i in 0..nn {
-                    for j in i..nn {
-                        let dst = &mut next[next_base + row * right..next_base + (row + 1) * right];
-                        crate::simd::diff_scaled(
-                            &sums[(j + 1) * right..(j + 2) * right],
-                            &sums[i * right..(i + 1) * right],
-                            *scale,
-                            dst,
-                        );
-                        row += 1;
-                    }
-                }
-            }
-        }
-        Sparse(s) => {
-            if right == 1 {
-                // One lane-dot per output row — the same kernel (and
-                // therefore the same bits) as `Csr::matvec`.
-                for l in 0..left {
-                    s.matvec_into(&cur[l * n..(l + 1) * n], &mut next[l * m..(l + 1) * m]);
-                }
-                return;
-            }
-            for l in 0..left {
-                let cur_base = l * n * right;
-                let next_base = l * m * right;
-                for rr in 0..m {
-                    let dst = &mut next[next_base + rr * right..next_base + (rr + 1) * right];
-                    for (c, v) in s.row_entries(rr) {
-                        let src = &cur[cur_base + c * right..cur_base + (c + 1) * right];
-                        crate::simd::axpy(v, src, dst);
-                    }
-                }
-            }
-        }
-        Kron(_) => unreachable!("Kron factors are flattened before mode application"),
-    }
-}
-
-/// Same contraction with `aᵀ`: `next[l, c, r] = Σ_{r_in} a[r_in, c]·cur[l, r_in, r]`.
-pub(crate) fn apply_mode_transpose_structured(
-    a: &StructuredMatrix,
-    cur: &[f64],
-    next: &mut [f64],
-    left: usize,
-    m: usize,
-    n: usize,
-    right: usize,
-) {
-    match a {
-        Dense(d) => apply_mode_transpose(d, cur, next, left, m, n, right),
-        Identity { scale, .. } => {
-            crate::simd::scale_into(*scale, cur, next);
-        }
-        Total { scale, .. } => {
-            for l in 0..left {
-                let src = &cur[l * right..(l + 1) * right];
-                for c in 0..n {
-                    let dst = &mut next[l * n * right + c * right..l * n * right + (c + 1) * right];
-                    crate::simd::scale_into(*scale, src, dst);
-                }
-            }
-        }
-        Prefix { scale, .. } => {
-            // (Pᵀ)·: reversed running sums along the mode.
-            let mut acc = vec![0.0; right];
-            for l in 0..left {
-                acc.fill(0.0);
-                let base = l * n * right;
-                for c in (0..n).rev() {
-                    let src = &cur[base + c * right..base + (c + 1) * right];
-                    let dst = &mut next[base + c * right..base + (c + 1) * right];
-                    crate::simd::cumsum_step(&mut acc, src, dst, *scale);
-                }
-            }
-        }
-        AllRange { n: nn, scale } => {
-            // Difference arrays along the mode, one strided lane per r.
-            let nn = *nn;
-            let mut diff = vec![0.0; (nn + 1) * right];
-            for l in 0..left {
-                diff.fill(0.0);
-                let cur_base = l * m * right;
-                let mut row = 0;
-                for i in 0..nn {
-                    for j in i..nn {
-                        let src = &cur[cur_base + row * right..cur_base + (row + 1) * right];
-                        crate::simd::axpy(1.0, src, &mut diff[i * right..(i + 1) * right]);
-                        crate::simd::axpy(-1.0, src, &mut diff[(j + 1) * right..(j + 2) * right]);
-                        row += 1;
-                    }
-                }
-                let next_base = l * nn * right;
-                let mut acc = vec![0.0; right];
-                for c in 0..nn {
-                    let dst = &mut next[next_base + c * right..next_base + (c + 1) * right];
-                    crate::simd::cumsum_step(
-                        &mut acc,
-                        &diff[c * right..(c + 1) * right],
-                        dst,
-                        *scale,
-                    );
-                }
-            }
-        }
-        Sparse(s) => {
-            for l in 0..left {
-                let cur_base = l * m * right;
-                let next_base = l * n * right;
-                for rr in 0..m {
-                    let src = &cur[cur_base + rr * right..cur_base + (rr + 1) * right];
-                    for (c, v) in s.row_entries(rr) {
-                        let dst = &mut next[next_base + c * right..next_base + (c + 1) * right];
-                        crate::simd::axpy(v, src, dst);
-                    }
-                }
-            }
-        }
-        Kron(_) => unreachable!("Kron factors are flattened before mode application"),
-    }
 }
 
 #[cfg(test)]

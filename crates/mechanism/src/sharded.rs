@@ -25,18 +25,19 @@
 //!
 //! Every product here is **bitwise identical** to the plain
 //! [`PlainKernels`] product for *any* shard count,
-//! including 1 — floating point sums are never reassociated (see
-//! [`hdmm_linalg::apply_leading_rows`] for the kernel-level argument) and
-//! merges are ordered concatenations; the pipeline draws noise from the same
-//! RNG in the same order whatever the kernels. A serving engine can
-//! therefore promise: same seed, same dataset, same request order ⇒ same
-//! answers, regardless of how the data vector is partitioned.
+//! including 1 — floating point sums are never reassociated (the leading
+//! step is [`hdmm_linalg::contract_rows`], the kernel the plain product
+//! itself runs, called on a row block) and merges are ordered
+//! concatenations; the pipeline draws noise from the same RNG in the same
+//! order whatever the kernels. A serving engine can therefore promise: same
+//! seed, same dataset, same request order ⇒ same answers, regardless of how
+//! the data vector is partitioned.
 
 use crate::phases::{MechanismPhase, PhaseObserver};
 use crate::pipeline::{Kernels, PlainKernels};
 use hdmm_linalg::{
-    apply_leading_rows, apply_leading_transpose_rows, kmatvec_trailing_slab,
-    kmatvec_transpose_trailing_slab, leading_split, matvec_rows, partition_rows, StructuredMatrix,
+    contract_rows, contract_transpose_rows, kmatvec_trailing_slab, kmatvec_transpose_trailing_slab,
+    leading_split, matvec_rows, partition_rows, StructuredMatrix,
 };
 use hdmm_workload::Workload;
 use std::convert::Infallible;
@@ -318,7 +319,7 @@ pub fn kron_forward_from_parts(
             let leading = split.leading;
             let merged = &merged;
             tasks.push(timed_task(observer, phase, shard, move || {
-                apply_leading_rows(leading, merged, right, block, chunk);
+                contract_rows(leading, merged, chunk, 1, right, block);
             }));
         }
         exec.run(tasks);
@@ -398,7 +399,7 @@ pub fn kron_transpose_from_parts(
             let merged = &merged;
             let block = block.clone();
             tasks.push(timed_task(observer, phase, shard, move || {
-                apply_leading_transpose_rows(leading, merged, right, block, chunk);
+                contract_transpose_rows(leading, merged, chunk, 1, right, block);
             }));
         }
         exec.run(tasks);

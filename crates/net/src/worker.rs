@@ -137,7 +137,7 @@ impl WorkerHandle {
 
     /// Number of slabs currently loaded.
     pub fn slab_count(&self) -> usize {
-        self.shared.slabs.lock().expect("slab map").len()
+        self.shared.slabs.lock().expect("slab map poisoned").len()
     }
 
     /// Number of factor lists currently resident.
@@ -145,7 +145,7 @@ impl WorkerHandle {
         self.shared
             .factors
             .lock()
-            .expect("factor store")
+            .expect("factor store poisoned")
             .lists
             .len()
     }
@@ -155,7 +155,13 @@ impl WorkerHandle {
     /// observes the failure immediately (mid-task kills included).
     pub fn kill(&self) {
         self.shared.stop.store(true, Ordering::SeqCst);
-        for (_, conn) in self.shared.conns.lock().expect("conn registry").drain(..) {
+        for (_, conn) in self
+            .shared
+            .conns
+            .lock()
+            .expect("conn registry poisoned")
+            .drain(..)
+        {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
     }
@@ -196,7 +202,7 @@ pub fn spawn_worker(
                         accept_shared
                             .conns
                             .lock()
-                            .expect("conn registry")
+                            .expect("conn registry poisoned")
                             .push((id, clone));
                     }
                     let conn_shared = Arc::clone(&accept_shared);
@@ -205,7 +211,7 @@ pub fn spawn_worker(
                         // Prune the kill-registry entry; without this every
                         // coordinator reconnect leaks one fd for the
                         // worker's lifetime.
-                        let mut conns = conn_shared.conns.lock().expect("conn registry");
+                        let mut conns = conn_shared.conns.lock().expect("conn registry poisoned");
                         if let Some(i) = conns.iter().position(|(cid, _)| *cid == id) {
                             conns.swap_remove(i);
                         }
@@ -265,7 +271,7 @@ fn handle(request: Frame, shared: &Shared) -> (Frame, Vec<WireSpan>) {
     let mut spans = Vec::new();
     let response = match request {
         Frame::Ping => Frame::Pong {
-            slabs: shared.slabs.lock().expect("slab map").len() as u64,
+            slabs: shared.slabs.lock().expect("slab map poisoned").len() as u64,
         },
         Frame::LoadSlab {
             dataset,
@@ -298,7 +304,7 @@ fn handle(request: Frame, shared: &Shared) -> (Frame, Vec<WireSpan>) {
                 shared
                     .slabs
                     .lock()
-                    .expect("slab map")
+                    .expect("slab map poisoned")
                     .insert((dataset, shard), Slab { values });
             });
             Frame::Loaded
@@ -308,7 +314,7 @@ fn handle(request: Frame, shared: &Shared) -> (Frame, Vec<WireSpan>) {
                 shared
                     .factors
                     .lock()
-                    .expect("factor store")
+                    .expect("factor store poisoned")
                     .insert(key, factors);
             });
             Frame::Loaded
@@ -351,7 +357,11 @@ fn handle(request: Frame, shared: &Shared) -> (Frame, Vec<WireSpan>) {
 /// The factor list a keyed task names, or the typed miss that makes the
 /// coordinator re-push it.
 fn resident(shared: &Shared, key: FactorKey) -> Result<Arc<Vec<StructuredMatrix>>, Frame> {
-    let held = shared.factors.lock().expect("factor store").get(key);
+    let held = shared
+        .factors
+        .lock()
+        .expect("factor store poisoned")
+        .get(key);
     held.ok_or_else(|| Frame::Error {
         code: ErrorCode::UnknownFactors,
         message: format!("no factor list {:#018x}/{} resident", key.sum, key.len),
@@ -366,7 +376,7 @@ fn slab_forward(
     factors: &[StructuredMatrix],
 ) -> Frame {
     std::thread::sleep(shared.opts.task_delay);
-    let slabs = shared.slabs.lock().expect("slab map");
+    let slabs = shared.slabs.lock().expect("slab map poisoned");
     let Some(slab) = slabs.get(&(dataset.to_string(), shard)) else {
         return Frame::Error {
             code: ErrorCode::UnknownSlab,

@@ -1,7 +1,10 @@
 //! Property-based tests on the core identities the system relies on.
 
 use hdmm_core::{Domain, ProductTerm, Workload, WorkloadGrams};
-use hdmm_linalg::{kmatvec, kmatvec_transpose, kron_all, lsmr, DenseOp, LsmrOptions, Matrix};
+use hdmm_linalg::{
+    kmatvec_structured, kmatvec_transpose_structured, kron_all, lsmr, DenseOp, LsmrOptions, Matrix,
+    StructuredMatrix,
+};
 use hdmm_mechanism::MarginalsAlgebra;
 use proptest::prelude::*;
 
@@ -33,7 +36,8 @@ proptest! {
         x in data_vec(12),
     ) {
         let explicit = kron_all(&[&w1, &w2]).matvec(&x);
-        let implicit = kmatvec(&[&w1, &w2], &x);
+        let (s1, s2) = (StructuredMatrix::Dense(w1), StructuredMatrix::Dense(w2));
+        let implicit = kmatvec_structured(&[&s1, &s2], &x);
         for (a, b) in explicit.iter().zip(&implicit) {
             prop_assert!((a - b).abs() < 1e-9);
         }
@@ -47,8 +51,9 @@ proptest! {
         x in data_vec(8),
         y in data_vec(12),
     ) {
-        let ax = kmatvec(&[&w1, &w2], &x);
-        let aty = kmatvec_transpose(&[&w1, &w2], &y);
+        let (s1, s2) = (StructuredMatrix::Dense(w1), StructuredMatrix::Dense(w2));
+        let ax = kmatvec_structured(&[&s1, &s2], &x);
+        let aty = kmatvec_transpose_structured(&[&s1, &s2], &y);
         let lhs: f64 = ax.iter().zip(&y).map(|(a, b)| a * b).sum();
         let rhs: f64 = x.iter().zip(&aty).map(|(a, b)| a * b).sum();
         prop_assert!((lhs - rhs).abs() < 1e-8 * lhs.abs().max(1.0));

@@ -1,18 +1,13 @@
 //! Bitwise-equality properties for the SIMD lane kernels.
 //!
-//! Every public kernel in `hdmm_linalg::simd` dispatches to a hand-unrolled
-//! 4-lane path when the `simd` feature is on (the default) and to
-//! `simd::scalar` otherwise. The whole byte-identity story of the serving
-//! layer (sharded == dense == remote, bit for bit) rests on the two paths
-//! agreeing exactly, so these tests pin `to_bits` equality — not approximate
-//! closeness — between the dispatched kernel and its scalar reference across
-//! lengths that cover every tail shape: shorter than one lane block
-//! (1–5), around the 32-lane-block unroll boundary (127/128/129), and a
-//! long vector (1000).
-//!
-//! CI additionally runs the `hdmm-linalg` unit tests with
-//! `--no-default-features`, where the dispatched functions *are* the scalar
-//! ones; this suite is what exercises the wide path in the default build.
+//! Every public kernel in `hdmm_linalg::simd` is a hand-unrolled 4-lane
+//! path whose summation order is *specified* by the lane-by-lane reference in
+//! `simd::scalar`. The whole byte-identity story of the serving layer
+//! (sharded == dense == remote, bit for bit) rests on the kernels keeping
+//! that order, so these tests pin `to_bits` equality — not approximate
+//! closeness — between each kernel and its scalar reference across lengths
+//! that cover every tail shape: shorter than one lane block (1–5), around
+//! the 32-lane-block unroll boundary (127/128/129), and a long vector (1000).
 
 use hdmm_linalg::simd;
 use proptest::prelude::*;

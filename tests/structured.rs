@@ -4,9 +4,11 @@
 //! paths can replace dense blocks anywhere without changing semantics.
 
 use hdmm_linalg::{
-    kmatvec_structured, kmatvec_transpose_structured, kron_all, Csr, Matrix, StructuredMatrix,
+    contract_rows, contract_transpose_rows, kmatvec_structured, kmatvec_transpose_structured,
+    kron_all, partition_rows, Csr, Matrix, StructuredMatrix,
 };
 use proptest::prelude::*;
+use std::ops::Range;
 
 /// A random structured variant over a domain of size `n` (2..=7), paired
 /// with a generated scale in (0.2, 2.2).
@@ -47,8 +49,112 @@ fn assert_close(a: &[f64], b: &[f64], tol: f64) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// The signature shared by `contract_rows` and `contract_transpose_rows`.
+type Contract = fn(&StructuredMatrix, &[f64], &mut [f64], usize, usize, Range<usize>);
+
+/// All six leaf variants over a domain of size `n`. The `Dense` / `Sparse`
+/// pair is `3 × (64 + n)` with entries from `cells` (0 → 0.0, 1 → `scale`,
+/// 2 → −1.0), so its columns cross one 64-wide dense panel and its zeros
+/// exercise the skip paths.
+fn leaves(n: usize, scale: f64, cells: &[u32]) -> Vec<StructuredMatrix> {
+    let wide = 64 + n;
+    let dense = Matrix::from_fn(3, wide, |r, c| match cells[r * wide + c] {
+        0 => 0.0,
+        1 => scale,
+        _ => -1.0,
+    });
+    vec![
+        StructuredMatrix::Sparse(Csr::from_dense(&dense)),
+        StructuredMatrix::Dense(dense),
+        StructuredMatrix::identity(n).scaled(scale),
+        StructuredMatrix::total(n).scaled(scale),
+        StructuredMatrix::prefix(n).scaled(scale),
+        StructuredMatrix::all_range(n).scaled(scale),
+    ]
+}
+
+/// Inexact values (so a reassociated sum would show in the last bit), a
+/// fifth of them exactly zero.
+fn tensor(len: usize, seed: u64) -> Vec<f64> {
+    (0..len as u64)
+        .map(|i| {
+            let h = (i + 1)
+                .wrapping_mul(seed | 1)
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                >> 40;
+            if h % 5 == 0 {
+                0.0
+            } else {
+                (h % 13) as f64 * 0.37 - 2.0
+            }
+        })
+        .collect()
+}
+
+/// One direction of the block-vs-full property: `contract` over the
+/// `(left, in_dim, right)` tensor for all of `0..out_dim` agrees with the
+/// explicit `I_left ⊗ op ⊗ I_right` where that is small enough to
+/// materialize, and every block of every partition writes exactly the bits
+/// the full call holds in its rows.
+fn check_blocks(
+    contract: Contract,
+    a: &StructuredMatrix,
+    op: &Matrix,
+    left: usize,
+    right: usize,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let (out_dim, in_dim) = op.shape();
+    let cur = tensor(left * in_dim * right, seed);
+    let mut full = vec![0.0; left * out_dim * right];
+    contract(a, &cur, &mut full, left, right, 0..out_dim);
+    if full.len() * cur.len() <= 1 << 22 {
+        let explicit = kron_all(&[&Matrix::identity(left), op, &Matrix::identity(right)]);
+        assert_close(&full, &explicit.matvec(&cur), 1e-9)?;
+    }
+    for parts in 1..=4 {
+        for block in partition_rows(out_dim, parts) {
+            let mut out = vec![0.0; left * block.len() * right];
+            contract(a, &cur, &mut out, left, right, block.clone());
+            for (l, lane) in out.chunks_exact(block.len() * right).enumerate() {
+                let base = (l * out_dim + block.start) * right;
+                let held = &full[base..base + lane.len()];
+                prop_assert!(
+                    lane.iter()
+                        .zip(held)
+                        .all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "{a:?} left={left} right={right} l={l} block={block:?}"
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Algorithm 1's mode contraction exists once per direction, and the full
+    /// contraction is its all-rows block: for every leaf variant, on both
+    /// sides of the `right == 1` fast paths and with `left > 1`, a row block
+    /// is bitwise the rows of the full call, and the full call is the
+    /// explicit product.
+    #[test]
+    fn row_block_contraction_matches_full_bitwise(
+        n in 2usize..6,
+        left in 1usize..4,
+        scale in 0.2f64..2.2,
+        cells_seed in (proptest::collection::vec(0u32..3, 3 * 69), 0u64..1000),
+    ) {
+        let (cells, seed) = cells_seed;
+        for a in leaves(n, scale, &cells) {
+            let dense = a.to_dense();
+            for right in [1usize, 3, 65] {
+                check_blocks(contract_rows, &a, &dense, left, right, seed)?;
+                check_blocks(contract_transpose_rows, &a, &dense.transpose(), left, right, seed)?;
+            }
+        }
+    }
 
     /// matvec and rmatvec agree with the dense equivalent for every variant.
     #[test]

@@ -27,13 +27,11 @@ use hdmm_core::{builders, Domain, Plan, QueryEngine, WorkloadGrams};
 use hdmm_engine::{Engine, EngineOptions, PlanStore};
 use hdmm_linalg::StructuredMatrix;
 use hdmm_mechanism::{
-    LocalKernels, MechanismRequest, NoopObserver, PreparedReconstruct, ScopedExecutor, ShardedView,
-    Strategy,
+    LocalKernels, MechanismRequest, PreparedReconstruct, ScopedExecutor, ShardedView, Strategy,
 };
 use hdmm_net::{
     spawn_worker, OperandKeys, RemoteOptions, RetryPolicy, RpcKernels, WorkerHandle, WorkerOptions,
 };
-use hdmm_obs::NoopSpanSink;
 use hdmm_optimizer::{HdmmOptions, Selected};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -105,16 +103,16 @@ fn bench_remote_measure(c: &mut Criterion) {
                     local: LocalKernels {
                         view: &view,
                         exec: &lanes,
-                        observer: &NoopObserver,
+                        observer: &(),
                     },
-                    sink: &NoopSpanSink,
                 };
-                criterion::black_box(request.run(&mut rng, &kernels, &NoopObserver))
-                    .expect("healthy pool")
+                criterion::black_box(request.run(&mut rng, &kernels, &())).expect("healthy pool")
             });
         });
         let health = pool.health();
-        eprintln!("remote_measure/{workers}: {health}");
+        for w in &health.workers {
+            eprintln!("remote_measure/{workers}: {}", worker_line(w));
+        }
         assert_eq!(health.retries, 0, "loopback pool must not need retries");
     }
     group.finish();
@@ -173,12 +171,20 @@ fn bench_remote_serve(c: &mut Criterion) {
             m.telemetry.remote_fallbacks, 0,
             "healthy loopback pool must never fall back"
         );
-        for h in &pool.workers {
-            eprintln!("remote_serve/{workers}: {h}");
+        for w in &pool.workers {
+            eprintln!("remote_serve/{workers}: {}", worker_line(w));
         }
     }
     let _ = std::fs::remove_dir_all(&cache_dir);
     group.finish();
+}
+
+/// One worker's task count and mean round trip.
+fn worker_line(w: &hdmm_net::WorkerHealth) -> String {
+    format!(
+        "{} tasks={} mean={:.0}µs",
+        w.addr, w.tasks, w.mean_task_micros
+    )
 }
 
 criterion_group!(benches, bench_remote_measure, bench_remote_serve);

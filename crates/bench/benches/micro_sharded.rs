@@ -25,9 +25,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hdmm_core::{builders, Domain, Plan, WorkloadGrams};
 use hdmm_engine::{Engine, EngineOptions, EngineServer, PlanStore, ServerOptions};
 use hdmm_linalg::StructuredMatrix;
-use hdmm_mechanism::{
-    measure_on, LocalKernels, NoopObserver, ScopedExecutor, ShardedView, Strategy, UnionGroup,
-};
+use hdmm_mechanism::{measure_on, LocalKernels, ScopedExecutor, ShardedView, Strategy, UnionGroup};
 use hdmm_optimizer::{HdmmOptions, Selected};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -80,7 +78,7 @@ fn bench_sharded_measure(c: &mut Criterion) {
                 let kernels = LocalKernels {
                     view: &view,
                     exec: &exec,
-                    observer: &NoopObserver,
+                    observer: &(),
                 };
                 criterion::black_box(measure_on(&strategy, None, 1.0, &mut rng, &kernels))
             });

@@ -115,12 +115,10 @@ pub fn seal(out: &mut Vec<u8>) {
 
 /// Verifies and strips the checksum trailer, returning the payload.
 pub fn open(full: &[u8]) -> Result<&[u8], CodecError> {
-    if full.len() < 8 {
+    let Some((payload, trailer)) = full.split_last_chunk::<8>() else {
         return Err(CodecError::Truncated);
-    }
-    let (payload, trailer) = full.split_at(full.len() - 8);
-    let stored = u64::from_le_bytes(trailer.try_into().expect("trailer is 8 bytes"));
-    if checksum(payload) != stored {
+    };
+    if checksum(payload) != u64::from_le_bytes(*trailer) {
         return Err(CodecError::ChecksumMismatch);
     }
     Ok(payload)

@@ -55,7 +55,8 @@ pub use hdmm_workload::{
     builders, census, predicates, Domain, ProductTerm, Workload, WorkloadFingerprint, WorkloadGrams,
 };
 
-use hdmm_optimizer::{OptimizerChoice, RestartObserver};
+use hdmm_obs::Observer;
+use hdmm_optimizer::OptimizerChoice;
 use rand::Rng;
 
 /// The HDMM planner: configuration for the SELECT phase.
@@ -107,7 +108,7 @@ impl Plan {
         workload: &Workload,
         opts: &HdmmOptions,
         choice: OptimizerChoice,
-        observer: &dyn RestartObserver,
+        observer: &dyn Observer,
     ) -> Plan {
         let grams = WorkloadGrams::from_workload(workload);
         let ps = opts

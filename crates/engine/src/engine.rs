@@ -38,19 +38,18 @@ use crate::session::{Session, SessionStore};
 use crate::singleflight::{FlightOutcome, FlightProgress, SingleFlight};
 use crate::sync::lock_recover;
 use crate::telemetry::{EngineMetrics, ObsMetrics, Telemetry};
-use crate::tracing::{RequestTracer, SELECT_SPAN_ID, TRACE_CAPACITY};
+use crate::tracing::{RequestTracer, TRACE_CAPACITY};
 use crate::wal::{Wal, SNAPSHOT_EVERY};
 use hdmm_core::{
     Domain, EngineError, HdmmOptions, Plan, QueryEngine, QueryResponse, SessionId, Workload,
     WorkloadFingerprint,
 };
 use hdmm_mechanism::{
-    LocalKernels, MechanismError, MechanismRequest, PhaseObserver, PipelineError, ScopedExecutor,
+    LocalKernels, MechanismError, MechanismRequest, PipelineError, ScopedExecutor,
 };
 use hdmm_net::{RemoteOptions, RpcKernels, WorkerPool};
-use hdmm_obs::trace::dur_ns;
-use hdmm_obs::{AuditLog, Span, SpanCollector, SpanSink, TraceContext};
-use hdmm_optimizer::{select_optimizer, RestartObserver};
+use hdmm_obs::{AuditLog, Observer, Phase, Span, SpanCollector, TraceContext};
+use hdmm_optimizer::select_optimizer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -91,7 +90,7 @@ pub struct EngineOptions {
     pub slow_query_threshold: Option<Duration>,
     /// Trace-sampling stride: every `trace_sample`-th request flushes its
     /// span tree to the collector (1 = every request, 0 = only slow ones).
-    /// Phase/shard events always reach the latency histograms regardless.
+    /// Phase events always reach the latency histograms regardless.
     pub trace_sample: u64,
     /// Directory for the durable ε-ledger ([`crate::wal`]). `None` keeps the
     /// ledgers in memory only. With a directory set, every budget transition
@@ -146,46 +145,25 @@ pub struct Engine {
     wal: Option<Wal>,
 }
 
-/// Bridges the optimizer's per-restart callbacks into the engine's
-/// observability surfaces: every completed cell bumps the
-/// `restarts_run` counter and the single-flight progress (`done/total`,
-/// visible to concurrent callers via [`Engine::select_progress`]), and —
-/// on the traced serving path — lands as a span parented under the
-/// request's SELECT span, one per `(restart, operator)` cell with its loss
-/// attached. Restart cells complete on arbitrary executor threads, so all
-/// three sinks are lock-free or internally synchronized.
-struct SelectObserver<'a, 'f> {
-    telemetry: &'a Telemetry,
+/// SELECT's events as one in-flight optimization sees them: the grid size
+/// and every finished restart cell move the flight's progress (`done/total`,
+/// read by concurrent callers through [`Engine::select_progress`]) and reach
+/// `request` — the request's tracer, or the engine's telemetry — unchanged.
+/// SELECT reports nothing else.
+struct Flight<'a, 'f> {
+    request: &'a dyn Observer,
     progress: &'f FlightProgress<'f, Arc<Plan>>,
-    sink: Option<&'a (dyn SpanSink + Sync)>,
 }
 
-impl RestartObserver for SelectObserver<'_, '_> {
+impl Observer for Flight<'_, '_> {
     fn grid_planned(&self, total_cells: usize) {
         self.progress.set_total(total_cells as u64);
+        self.request.grid_planned(total_cells);
     }
 
     fn restart_complete(&self, operator: &'static str, restart: usize, loss: f64, took: Duration) {
-        self.telemetry.record_restart();
         self.progress.tick();
-        if let Some(sink) = self.sink {
-            if let Some(ctx) = sink.context() {
-                let end = sink.rel_ns(Instant::now());
-                let dur = dur_ns(took);
-                sink.record(
-                    Span::new(
-                        ctx.trace_id,
-                        sink.next_span_id(),
-                        SELECT_SPAN_ID,
-                        format!("restart:{operator}"),
-                        end.saturating_sub(dur),
-                        dur,
-                    )
-                    .attr("restart", restart.to_string())
-                    .attr("loss", format!("{loss:e}")),
-                );
-            }
-        }
+        self.request.restart_complete(operator, restart, loss, took);
     }
 }
 
@@ -378,7 +356,7 @@ impl Engine {
     /// (counted in [`crate::TelemetrySnapshot::dedup_waits`]).
     pub fn plan(&self, workload: &Workload) -> (Arc<Plan>, bool) {
         let fingerprint = workload.fingerprint();
-        self.plan_keyed(&fingerprint, workload, None)
+        self.plan_keyed(&fingerprint, workload, &self.telemetry)
     }
 
     /// Live progress of an in-flight SELECT for `workload`, as
@@ -393,12 +371,13 @@ impl Engine {
 
     /// [`Engine::plan`] with the fingerprint supplied by the caller, so the
     /// serving path hashes the workload once and reuses the key for the
-    /// prepared-reconstruct lookup.
+    /// prepared-reconstruct lookup, and with the observer a SELECT reports
+    /// its restart cells to.
     fn plan_keyed(
         &self,
         fingerprint: &WorkloadFingerprint,
         workload: &Workload,
-        sink: Option<&(dyn SpanSink + Sync)>,
+        observer: &dyn Observer,
     ) -> (Arc<Plan>, bool) {
         if let Some(plan) = self.cache.get(fingerprint) {
             return (plan, true);
@@ -425,10 +404,9 @@ impl Engine {
             }
             let _inflight = self.telemetry.select_started();
             let t = Instant::now();
-            let observer = SelectObserver {
-                telemetry: &self.telemetry,
+            let observer = Flight {
+                request: observer,
                 progress: flight,
-                sink,
             };
             let opts = &self.options.hdmm;
             let choice = select_optimizer(workload, opts).choice;
@@ -484,8 +462,7 @@ impl Engine {
         let session = self.session(id)?;
         let t = Instant::now();
         let out = session.answer_batch(workloads, &self.shard_exec)?;
-        self.telemetry
-            .phase_complete(hdmm_mechanism::MechanismPhase::Answer, t.elapsed());
+        self.telemetry.phase_complete(Phase::Answer, t.elapsed());
         Ok(out)
     }
 
@@ -509,9 +486,10 @@ impl Engine {
     }
 
     /// One-call observability: strategy-cache counters, per-phase latency
-    /// histograms (select/measure/reconstruct/answer, plus per-shard task
-    /// spans), serving counters, per-dataset request/failure counters and
-    /// ε-budget gauges, tenant quotas, and span/audit pipeline counters.
+    /// histograms (select/measure/reconstruct/answer), serving counters,
+    /// per-dataset request/failure counters and ε-budget gauges, tenant
+    /// quotas, and span/audit pipeline counters. Its `Display` is the
+    /// Prometheus page [`Engine::render_prometheus`] serves.
     pub fn metrics(&self) -> EngineMetrics {
         EngineMetrics {
             cache: self.cache.stats(),
@@ -641,7 +619,7 @@ impl Engine {
         // SELECT (cache-aware, single-flight) — pure, no data, no budget.
         let select_started = Instant::now();
         let fingerprint = workload.fingerprint();
-        let (plan, cache_hit) = self.plan_keyed(&fingerprint, workload, Some(tracer));
+        let (plan, cache_hit) = self.plan_keyed(&fingerprint, workload, tracer);
         tracer.record_select(select_started, cache_hit);
 
         // The strategy's reconstruction factorization, memoized next to the
@@ -706,7 +684,6 @@ impl Engine {
                     dataset,
                     keys: &self.cache.operand_keys(&fingerprint, &plan, &prepared),
                     local: LocalKernels { ..local },
-                    sink: tracer,
                 };
                 match request.run(&mut rng, &rpc, tracer) {
                     Ok(r) => Ok(r),
@@ -1198,17 +1175,19 @@ mod tests {
             .register_dataset_sharded("d", Domain::new(&[8, 4]), vec![1.0; 32], 4, 10.0)
             .unwrap();
         let w = builders::prefix_2d(8, 4);
-        engine.serve("d", &w, 1.0).unwrap();
-        let t = engine.metrics().telemetry;
+        let resp = engine.serve("d", &w, 1.0).unwrap();
+        let spans = engine.trace_spans(resp.trace_id);
+        let shards: Vec<&str> = spans
+            .iter()
+            .filter(|s| s.name == "shard:measure")
+            .flat_map(|s| s.attrs.iter().filter(|(k, _)| k == "shard"))
+            .map(|(_, v)| v.as_str())
+            .collect();
         assert!(
-            !t.shard_measure.is_empty(),
+            !shards.is_empty(),
             "sharded MEASURE must report shard spans"
         );
-        assert!(
-            t.shard_measure.iter().any(|s| s.shard == 3),
-            "all four shards appear: {:?}",
-            t.shard_measure
-        );
+        assert!(shards.contains(&"3"), "all four shards appear: {shards:?}");
     }
 
     #[test]

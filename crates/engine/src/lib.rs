@@ -31,7 +31,9 @@
 //!   with a bounded queue and a pool of std worker threads.
 //! * **Telemetry** — lock-free per-phase latency histograms
 //!   (select/measure/reconstruct/answer) and serving counters, exported in
-//!   one call via [`Engine::metrics`].
+//!   one call via [`Engine::metrics`], whose `Display` is the Prometheus
+//!   page. Every layer reports to one [`hdmm_obs::Observer`]: the request's
+//!   tracer feeds the histograms and the span tree from the same events.
 //! * **Remote shard fan-out** — with [`EngineOptions::remote`] configured,
 //!   sharded datasets MEASURE/RECONSTRUCT over a pool of `hdmm-shard-worker`
 //!   processes ([`hdmm_net`]): per-task timeouts, bounded retry with backoff,
@@ -132,8 +134,8 @@ pub use server::{EngineServer, ServerOptions, Ticket};
 pub use session::Session;
 pub use singleflight::{FlightOutcome, FlightProgress, SingleFlight};
 pub use telemetry::{
-    DatasetMetrics, EngineMetrics, ObsMetrics, PhaseHistogram, PhaseSnapshot, ShardSpanSnapshot,
-    Telemetry, TelemetrySnapshot, TenantMetrics,
+    DatasetMetrics, EngineMetrics, ObsMetrics, PhaseHistogram, PhaseSnapshot, Telemetry,
+    TelemetrySnapshot, TenantMetrics,
 };
 pub use wal::{Wal, WalError, WalMetrics, WalRecord};
 

@@ -1,19 +1,20 @@
 //! [`EngineMetrics`] → Prometheus text exposition format (version 0.0.4).
 //!
 //! One function, [`render_prometheus`], turns a metrics snapshot into the
-//! page a scraper expects. The formatting invariants (name sanitization,
-//! label escaping, cumulative histogram buckets, never a `NaN`/`Inf` sample)
-//! live in [`hdmm_obs::PromBuf`]; this module owns the *schema*: which
-//! counters, gauges, and histograms the engine exports and under which
-//! names.
+//! page a scraper expects — the engine's only rendering of its metrics
+//! (`EngineMetrics`'s `Display` writes this page). The formatting
+//! invariants (name sanitization, label escaping, cumulative histogram
+//! buckets, never a `NaN`/`Inf` sample) live in [`hdmm_obs::PromBuf`]; this
+//! module owns the *schema*: which counters, gauges, and histograms the
+//! engine exports and under which names.
 //!
 //! Conventions:
 //!
 //! * latencies are exported in **seconds** (Prometheus base units), converted
 //!   from the engine's nanosecond histograms;
 //! * histogram `le` bounds are each power-of-two bucket's **inclusive upper
-//!   bound** — the same value the snapshot's `p50`/`p99` report, so a
-//!   quantile computed from the scrape matches [`crate::PhaseSnapshot`];
+//!   bound**, the same bounds [`crate::PhaseSnapshot::cumulative_buckets`]
+//!   reports;
 //! * non-finite gauge values (an uncapped tenant quota is `+Inf`) are
 //!   skipped rather than rendered, and show up in
 //!   `hdmm_render_skipped_nonfinite` instead.
@@ -518,5 +519,298 @@ mod tests {
             .unwrap();
         let v: f64 = sum_line.split(' ').next_back().unwrap().parse().unwrap();
         assert!((0.001..0.5).contains(&v), "2ms in seconds, got {v}");
+    }
+
+    /// The page [`sample_metrics`] renders, recorded before the numeric
+    /// layers and the engine shared one observer trait: names, HELP texts,
+    /// label order, bucket bounds and sample values, byte for byte.
+    const RECORDED_PAGE: &str = r#"# HELP hdmm_requests_total Requests served, including failures.
+# TYPE hdmm_requests_total counter
+hdmm_requests_total 0
+# HELP hdmm_request_failures_total Requests that returned a typed error (or panicked).
+# TYPE hdmm_request_failures_total counter
+hdmm_request_failures_total 0
+# HELP hdmm_selects_run_total SELECT optimizations actually executed (post cache and dedup).
+# TYPE hdmm_selects_run_total counter
+hdmm_selects_run_total 1
+# HELP hdmm_select_dedup_waits_total Requests that joined another request's in-flight SELECT.
+# TYPE hdmm_select_dedup_waits_total counter
+hdmm_select_dedup_waits_total 0
+# HELP hdmm_plan_disk_hits_total Plans loaded from the persistent strategy store instead of optimized.
+# TYPE hdmm_plan_disk_hits_total counter
+hdmm_plan_disk_hits_total 0
+# HELP hdmm_remote_fallbacks_total Sharded requests re-served locally after a pool-wide remote failure.
+# TYPE hdmm_remote_fallbacks_total counter
+hdmm_remote_fallbacks_total 0
+# HELP hdmm_slow_queries_total Requests slower than the slow-query threshold (span tree force-flushed).
+# TYPE hdmm_slow_queries_total counter
+hdmm_slow_queries_total 0
+# HELP hdmm_inflight_selects SELECT optimizations running right now.
+# TYPE hdmm_inflight_selects gauge
+hdmm_inflight_selects 0
+# HELP hdmm_select_restarts_total Optimizer restart cells executed across all SELECTs.
+# TYPE hdmm_select_restarts_total counter
+hdmm_select_restarts_total 0
+# HELP hdmm_select_threads Resolved lane count of the SELECT restart executor.
+# TYPE hdmm_select_threads gauge
+hdmm_select_threads 0
+# HELP hdmm_cache_hits_total Strategy-cache lookups answered from memory.
+# TYPE hdmm_cache_hits_total counter
+hdmm_cache_hits_total 3
+# HELP hdmm_cache_misses_total Strategy-cache lookups that required optimization.
+# TYPE hdmm_cache_misses_total counter
+hdmm_cache_misses_total 1
+# HELP hdmm_cache_evictions_total Plans dropped to respect cache capacity.
+# TYPE hdmm_cache_evictions_total counter
+hdmm_cache_evictions_total 0
+# HELP hdmm_cache_entries Plans currently cached.
+# TYPE hdmm_cache_entries gauge
+hdmm_cache_entries 1
+# HELP hdmm_cache_capacity Maximum cached plans.
+# TYPE hdmm_cache_capacity gauge
+hdmm_cache_capacity 64
+# HELP hdmm_phase_duration_seconds Per-phase request latency (power-of-two buckets; le is each bucket's inclusive upper bound).
+# TYPE hdmm_phase_duration_seconds histogram
+hdmm_phase_duration_seconds_bucket{phase="select",le="0.000000001"} 0
+hdmm_phase_duration_seconds_bucket{phase="select",le="0.0000000030000000000000004"} 0
+hdmm_phase_duration_seconds_bucket{phase="select",le="0.000000007000000000000001"} 0
+hdmm_phase_duration_seconds_bucket{phase="select",le="0.000000015000000000000002"} 0
+hdmm_phase_duration_seconds_bucket{phase="select",le="0.000000031"} 0
+hdmm_phase_duration_seconds_bucket{phase="select",le="0.00000006300000000000001"} 0
+hdmm_phase_duration_seconds_bucket{phase="select",le="0.000000127"} 0
+hdmm_phase_duration_seconds_bucket{phase="select",le="0.000000255"} 0
+hdmm_phase_duration_seconds_bucket{phase="select",le="0.0000005110000000000001"} 0
+hdmm_phase_duration_seconds_bucket{phase="select",le="0.000001023"} 0
+hdmm_phase_duration_seconds_bucket{phase="select",le="0.000002047"} 0
+hdmm_phase_duration_seconds_bucket{phase="select",le="0.000004095000000000001"} 0
+hdmm_phase_duration_seconds_bucket{phase="select",le="0.000008191"} 0
+hdmm_phase_duration_seconds_bucket{phase="select",le="0.000016383000000000002"} 0
+hdmm_phase_duration_seconds_bucket{phase="select",le="0.000032767"} 0
+hdmm_phase_duration_seconds_bucket{phase="select",le="0.000065535"} 0
+hdmm_phase_duration_seconds_bucket{phase="select",le="0.00013107100000000002"} 0
+hdmm_phase_duration_seconds_bucket{phase="select",le="0.000262143"} 0
+hdmm_phase_duration_seconds_bucket{phase="select",le="0.000524287"} 0
+hdmm_phase_duration_seconds_bucket{phase="select",le="0.0010485750000000002"} 0
+hdmm_phase_duration_seconds_bucket{phase="select",le="0.0020971510000000002"} 1
+hdmm_phase_duration_seconds_bucket{phase="select",le="0.004194303"} 1
+hdmm_phase_duration_seconds_bucket{phase="select",le="0.008388607000000001"} 1
+hdmm_phase_duration_seconds_bucket{phase="select",le="0.016777215"} 1
+hdmm_phase_duration_seconds_bucket{phase="select",le="0.033554431"} 1
+hdmm_phase_duration_seconds_bucket{phase="select",le="0.067108863"} 1
+hdmm_phase_duration_seconds_bucket{phase="select",le="0.134217727"} 1
+hdmm_phase_duration_seconds_bucket{phase="select",le="0.268435455"} 1
+hdmm_phase_duration_seconds_bucket{phase="select",le="0.5368709110000001"} 1
+hdmm_phase_duration_seconds_bucket{phase="select",le="1.073741823"} 1
+hdmm_phase_duration_seconds_bucket{phase="select",le="2.147483647"} 1
+hdmm_phase_duration_seconds_bucket{phase="select",le="4.294967295"} 1
+hdmm_phase_duration_seconds_bucket{phase="select",le="8.589934591"} 1
+hdmm_phase_duration_seconds_bucket{phase="select",le="17.179869183"} 1
+hdmm_phase_duration_seconds_bucket{phase="select",le="34.359738367000006"} 1
+hdmm_phase_duration_seconds_bucket{phase="select",le="68.719476735"} 1
+hdmm_phase_duration_seconds_bucket{phase="select",le="137.43895347100002"} 1
+hdmm_phase_duration_seconds_bucket{phase="select",le="274.877906943"} 1
+hdmm_phase_duration_seconds_bucket{phase="select",le="549.755813887"} 1
+hdmm_phase_duration_seconds_bucket{phase="select",le="1099.511627775"} 1
+hdmm_phase_duration_seconds_bucket{phase="select",le="+Inf"} 1
+hdmm_phase_duration_seconds_sum{phase="select"} 0.002
+hdmm_phase_duration_seconds_count{phase="select"} 1
+hdmm_phase_duration_seconds_bucket{phase="measure",le="0.000000001"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="0.0000000030000000000000004"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="0.000000007000000000000001"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="0.000000015000000000000002"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="0.000000031"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="0.00000006300000000000001"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="0.000000127"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="0.000000255"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="0.0000005110000000000001"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="0.000001023"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="0.000002047"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="0.000004095000000000001"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="0.000008191"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="0.000016383000000000002"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="0.000032767"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="0.000065535"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="0.00013107100000000002"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="0.000262143"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="0.000524287"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="0.0010485750000000002"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="0.0020971510000000002"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="0.004194303"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="0.008388607000000001"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="0.016777215"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="0.033554431"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="0.067108863"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="0.134217727"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="0.268435455"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="0.5368709110000001"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="1.073741823"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="2.147483647"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="4.294967295"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="8.589934591"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="17.179869183"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="34.359738367000006"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="68.719476735"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="137.43895347100002"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="274.877906943"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="549.755813887"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="1099.511627775"} 0
+hdmm_phase_duration_seconds_bucket{phase="measure",le="+Inf"} 0
+hdmm_phase_duration_seconds_sum{phase="measure"} 0
+hdmm_phase_duration_seconds_count{phase="measure"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="0.000000001"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="0.0000000030000000000000004"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="0.000000007000000000000001"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="0.000000015000000000000002"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="0.000000031"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="0.00000006300000000000001"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="0.000000127"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="0.000000255"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="0.0000005110000000000001"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="0.000001023"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="0.000002047"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="0.000004095000000000001"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="0.000008191"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="0.000016383000000000002"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="0.000032767"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="0.000065535"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="0.00013107100000000002"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="0.000262143"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="0.000524287"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="0.0010485750000000002"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="0.0020971510000000002"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="0.004194303"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="0.008388607000000001"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="0.016777215"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="0.033554431"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="0.067108863"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="0.134217727"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="0.268435455"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="0.5368709110000001"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="1.073741823"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="2.147483647"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="4.294967295"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="8.589934591"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="17.179869183"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="34.359738367000006"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="68.719476735"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="137.43895347100002"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="274.877906943"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="549.755813887"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="1099.511627775"} 0
+hdmm_phase_duration_seconds_bucket{phase="reconstruct",le="+Inf"} 0
+hdmm_phase_duration_seconds_sum{phase="reconstruct"} 0
+hdmm_phase_duration_seconds_count{phase="reconstruct"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="0.000000001"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="0.0000000030000000000000004"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="0.000000007000000000000001"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="0.000000015000000000000002"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="0.000000031"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="0.00000006300000000000001"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="0.000000127"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="0.000000255"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="0.0000005110000000000001"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="0.000001023"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="0.000002047"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="0.000004095000000000001"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="0.000008191"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="0.000016383000000000002"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="0.000032767"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="0.000065535"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="0.00013107100000000002"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="0.000262143"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="0.000524287"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="0.0010485750000000002"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="0.0020971510000000002"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="0.004194303"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="0.008388607000000001"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="0.016777215"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="0.033554431"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="0.067108863"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="0.134217727"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="0.268435455"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="0.5368709110000001"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="1.073741823"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="2.147483647"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="4.294967295"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="8.589934591"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="17.179869183"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="34.359738367000006"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="68.719476735"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="137.43895347100002"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="274.877906943"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="549.755813887"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="1099.511627775"} 0
+hdmm_phase_duration_seconds_bucket{phase="answer",le="+Inf"} 0
+hdmm_phase_duration_seconds_sum{phase="answer"} 0
+hdmm_phase_duration_seconds_count{phase="answer"} 0
+# HELP hdmm_dataset_requests_total Requests that resolved to the dataset, including failures.
+# TYPE hdmm_dataset_requests_total counter
+hdmm_dataset_requests_total{dataset="taxi"} 4
+# HELP hdmm_dataset_failures_total Requests that failed after resolving to the dataset.
+# TYPE hdmm_dataset_failures_total counter
+hdmm_dataset_failures_total{dataset="taxi"} 1
+# HELP hdmm_dataset_shards Slabs the dataset's backend is partitioned into.
+# TYPE hdmm_dataset_shards gauge
+hdmm_dataset_shards{dataset="taxi"} 2
+# HELP hdmm_dataset_eps_total Total ε budget granted at registration.
+# TYPE hdmm_dataset_eps_total gauge
+hdmm_dataset_eps_total{dataset="taxi",tenant="acme"} 1
+# HELP hdmm_dataset_eps_spent ε spent on committed measurements.
+# TYPE hdmm_dataset_eps_spent gauge
+hdmm_dataset_eps_spent{dataset="taxi",tenant="acme"} 0.25
+# HELP hdmm_dataset_eps_remaining ε still available to the dataset.
+# TYPE hdmm_dataset_eps_remaining gauge
+hdmm_dataset_eps_remaining{dataset="taxi",tenant="acme"} 0.75
+# HELP hdmm_tenant_eps_cap Tenant ε quota cap (absent when uncapped).
+# TYPE hdmm_tenant_eps_cap gauge
+# HELP hdmm_tenant_eps_spent ε spent across the tenant's datasets.
+# TYPE hdmm_tenant_eps_spent gauge
+hdmm_tenant_eps_spent{tenant="acme"} 0.25
+# HELP hdmm_tenant_eps_remaining ε still available under the tenant quota.
+# TYPE hdmm_tenant_eps_remaining gauge
+# HELP hdmm_wal_appends_total Budget records appended to the durable ledger.
+# TYPE hdmm_wal_appends_total counter
+hdmm_wal_appends_total 6
+# HELP hdmm_wal_fsyncs_total fsyncs issued by the durable ledger (commits, admin records, snapshots).
+# TYPE hdmm_wal_fsyncs_total counter
+hdmm_wal_fsyncs_total 3
+# HELP hdmm_wal_snapshots_total Ledger snapshots taken (each truncates the log).
+# TYPE hdmm_wal_snapshots_total counter
+hdmm_wal_snapshots_total 1
+# HELP hdmm_wal_append_errors_total WAL appends or snapshots that failed at the filesystem.
+# TYPE hdmm_wal_append_errors_total counter
+hdmm_wal_append_errors_total 0
+# HELP hdmm_wal_recovery_replayed Records replayed from the log tail at the last startup.
+# TYPE hdmm_wal_recovery_replayed gauge
+hdmm_wal_recovery_replayed 2
+# HELP hdmm_wal_recovery_torn_tail 1 when the last startup trimmed a torn final record.
+# TYPE hdmm_wal_recovery_torn_tail gauge
+hdmm_wal_recovery_torn_tail 1
+# HELP hdmm_wal_log_bytes Current write-ahead-log length in bytes.
+# TYPE hdmm_wal_log_bytes gauge
+hdmm_wal_log_bytes 200
+# HELP hdmm_spans_collected_total Spans pushed into the trace collector.
+# TYPE hdmm_spans_collected_total counter
+hdmm_spans_collected_total 10
+# HELP hdmm_spans_dropped_total Spans lost to collector ring overflow.
+# TYPE hdmm_spans_dropped_total counter
+hdmm_spans_dropped_total 2
+# HELP hdmm_trace_capacity Spans the collector can retain.
+# TYPE hdmm_trace_capacity gauge
+hdmm_trace_capacity 4096
+# HELP hdmm_audit_events_total ε-budget audit events emitted.
+# TYPE hdmm_audit_events_total counter
+hdmm_audit_events_total 5
+# HELP hdmm_audit_subscriber_drops_total Audit events dropped on saturated subscriber channels.
+# TYPE hdmm_audit_subscriber_drops_total counter
+hdmm_audit_subscriber_drops_total 0
+# HELP hdmm_render_skipped_nonfinite Samples withheld from this page because their value was NaN or Inf.
+# TYPE hdmm_render_skipped_nonfinite gauge
+hdmm_render_skipped_nonfinite 2
+"#;
+
+    #[test]
+    fn page_matches_the_literal_recorded_before_the_observer_merge() {
+        assert_eq!(render_prometheus(&sample_metrics()), RECORDED_PAGE);
     }
 }

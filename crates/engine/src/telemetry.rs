@@ -7,7 +7,7 @@
 //! on tiny domains, multi-second SELECT; Fig. 6 of the paper) and quantiles
 //! only need to be order-of-magnitude faithful to steer serving decisions.
 
-use hdmm_mechanism::{MechanismPhase, PhaseObserver};
+use hdmm_obs::{Observer, Phase};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -21,7 +21,6 @@ pub struct PhaseHistogram {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum_ns: AtomicU64,
-    max_ns: AtomicU64,
 }
 
 impl Default for PhaseHistogram {
@@ -30,7 +29,6 @@ impl Default for PhaseHistogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
             sum_ns: AtomicU64::new(0),
-            max_ns: AtomicU64::new(0),
         }
     }
 }
@@ -44,7 +42,6 @@ impl PhaseHistogram {
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of the counters.
@@ -54,23 +51,6 @@ impl PhaseHistogram {
             *out = b.load(Ordering::Relaxed);
         }
         let count = self.count.load(Ordering::Relaxed);
-        // Inclusive upper bound (2^(i+1) − 1 ns) of the bucket where the
-        // cumulative count crosses q·count — an upper estimate of the
-        // quantile, exact to within one power of two.
-        let quantile = |q: f64| -> u64 {
-            if count == 0 {
-                return 0;
-            }
-            let rank = (q * count as f64).ceil().max(1.0) as u64;
-            let mut seen = 0;
-            for (i, &n) in buckets.iter().enumerate() {
-                seen += n;
-                if seen >= rank {
-                    return (2u64 << i).saturating_sub(1);
-                }
-            }
-            self.max_ns.load(Ordering::Relaxed)
-        };
         let sum_ns = self.sum_ns.load(Ordering::Relaxed);
         PhaseSnapshot {
             count,
@@ -79,9 +59,6 @@ impl PhaseHistogram {
             } else {
                 sum_ns as f64 / count as f64
             },
-            max_ns: self.max_ns.load(Ordering::Relaxed),
-            p50_ns: quantile(0.50),
-            p99_ns: quantile(0.99),
             sum_ns,
             buckets,
         }
@@ -95,12 +72,6 @@ pub struct PhaseSnapshot {
     pub count: u64,
     /// Mean latency in nanoseconds.
     pub mean_ns: f64,
-    /// Maximum latency in nanoseconds.
-    pub max_ns: u64,
-    /// Median latency upper bound (power-of-two resolution).
-    pub p50_ns: u64,
-    /// 99th-percentile latency upper bound (power-of-two resolution).
-    pub p99_ns: u64,
     /// Total observed latency in nanoseconds (Prometheus `_sum`).
     pub sum_ns: u64,
     /// Raw per-bucket counts; bucket `i` covers `[2^i, 2^(i+1) − 1]` ns
@@ -112,9 +83,9 @@ impl PhaseSnapshot {
     /// The Prometheus cumulative-bucket view: `(upper_bound_seconds,
     /// cumulative_count)` pairs, one per power-of-two bucket, in increasing
     /// bound order. Each bound is the bucket's **inclusive** upper bound
-    /// (`(2^(i+1) − 1)` ns, in seconds) — the same convention
-    /// [`PhaseSnapshot::p50_ns`]/[`PhaseSnapshot::p99_ns`] report, so a
-    /// quantile read off the rendered histogram matches the snapshot.
+    /// (`(2^(i+1) − 1)` ns, in seconds), so a quantile read off the
+    /// rendered histogram is an upper estimate, exact to within one power
+    /// of two.
     pub fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
         let mut cum = 0u64;
         self.buckets
@@ -128,96 +99,6 @@ impl PhaseSnapshot {
     }
 }
 
-impl std::fmt::Display for PhaseSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "n={} mean={} p50≤{} p99≤{} max={}",
-            self.count,
-            fmt_ns(self.mean_ns as u64),
-            fmt_ns(self.p50_ns),
-            fmt_ns(self.p99_ns),
-            fmt_ns(self.max_ns),
-        )
-    }
-}
-
-fn fmt_ns(ns: u64) -> String {
-    if ns < 1_000 {
-        format!("{ns}ns")
-    } else if ns < 1_000_000 {
-        format!("{:.1}µs", ns as f64 / 1e3)
-    } else if ns < 1_000_000_000 {
-        format!("{:.1}ms", ns as f64 / 1e6)
-    } else {
-        format!("{:.2}s", ns as f64 / 1e9)
-    }
-}
-
-/// Number of shard slots tracked individually; tasks for shards at or past
-/// the last slot accumulate there.
-const SHARD_SLOTS: usize = 16;
-
-/// Lock-free per-shard span accumulator (count + total nanoseconds).
-#[derive(Debug, Default)]
-struct ShardCell {
-    count: AtomicU64,
-    sum_ns: AtomicU64,
-}
-
-/// Per-shard task spans for one phase.
-#[derive(Debug)]
-struct ShardSpans {
-    cells: [ShardCell; SHARD_SLOTS],
-}
-
-impl Default for ShardSpans {
-    fn default() -> Self {
-        ShardSpans {
-            cells: std::array::from_fn(|_| ShardCell::default()),
-        }
-    }
-}
-
-impl ShardSpans {
-    fn record(&self, shard: usize, elapsed: Duration) {
-        let cell = &self.cells[shard.min(SHARD_SLOTS - 1)];
-        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        cell.count.fetch_add(1, Ordering::Relaxed);
-        cell.sum_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> Vec<ShardSpanSnapshot> {
-        self.cells
-            .iter()
-            .enumerate()
-            .filter_map(|(shard, c)| {
-                let count = c.count.load(Ordering::Relaxed);
-                if count == 0 {
-                    return None;
-                }
-                let sum = c.sum_ns.load(Ordering::Relaxed);
-                Some(ShardSpanSnapshot {
-                    shard,
-                    tasks: count,
-                    mean_ns: sum as f64 / count as f64,
-                })
-            })
-            .collect()
-    }
-}
-
-/// Point-in-time summary of one shard's task spans within a phase.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardSpanSnapshot {
-    /// Shard index (the last tracked slot aggregates all higher indices).
-    pub shard: usize,
-    /// Shard tasks completed.
-    pub tasks: u64,
-    /// Mean task latency in nanoseconds.
-    pub mean_ns: f64,
-}
-
 /// The engine's telemetry registry: one histogram per request phase plus
 /// serving counters. Shared by reference across all worker threads.
 #[derive(Debug, Default)]
@@ -226,9 +107,6 @@ pub struct Telemetry {
     measure: PhaseHistogram,
     reconstruct: PhaseHistogram,
     answer: PhaseHistogram,
-    shard_measure: ShardSpans,
-    shard_reconstruct: ShardSpans,
-    shard_answer: ShardSpans,
     requests: AtomicU64,
     failures: AtomicU64,
     selects_run: AtomicU64,
@@ -245,11 +123,6 @@ impl Telemetry {
     pub(crate) fn record_select(&self, elapsed: Duration) {
         self.select.record(elapsed);
         self.selects_run.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One optimizer restart cell completed (any operator, any thread).
-    pub(crate) fn record_restart(&self) {
-        self.restarts_run.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Publishes the resolved restart-grid lane count (a static gauge: set
@@ -301,9 +174,6 @@ impl Telemetry {
             measure: self.measure.snapshot(),
             reconstruct: self.reconstruct.snapshot(),
             answer: self.answer.snapshot(),
-            shard_measure: self.shard_measure.snapshot(),
-            shard_reconstruct: self.shard_reconstruct.snapshot(),
-            shard_answer: self.shard_answer.snapshot(),
             requests: self.requests.load(Ordering::Relaxed),
             failures: self.failures.load(Ordering::Relaxed),
             selects_run: self.selects_run.load(Ordering::Relaxed),
@@ -332,21 +202,20 @@ impl Drop for InflightSelect<'_> {
     }
 }
 
-impl PhaseObserver for Telemetry {
-    fn phase_complete(&self, phase: MechanismPhase, elapsed: Duration) {
+/// The histograms and the restart counter; per-shard task time lives in the
+/// `shard:<phase>` spans.
+impl Observer for Telemetry {
+    fn phase_complete(&self, phase: Phase, elapsed: Duration) {
         match phase {
-            MechanismPhase::Measure => self.measure.record(elapsed),
-            MechanismPhase::Reconstruct => self.reconstruct.record(elapsed),
-            MechanismPhase::Answer => self.answer.record(elapsed),
+            Phase::Measure => self.measure.record(elapsed),
+            Phase::Reconstruct => self.reconstruct.record(elapsed),
+            Phase::Answer => self.answer.record(elapsed),
         }
     }
 
-    fn shard_phase_complete(&self, phase: MechanismPhase, shard: usize, elapsed: Duration) {
-        match phase {
-            MechanismPhase::Measure => self.shard_measure.record(shard, elapsed),
-            MechanismPhase::Reconstruct => self.shard_reconstruct.record(shard, elapsed),
-            MechanismPhase::Answer => self.shard_answer.record(shard, elapsed),
-        }
+    /// Any operator, any thread: every cell counts once.
+    fn restart_complete(&self, _: &'static str, _: usize, _: f64, _: Duration) {
+        self.restarts_run.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -361,14 +230,6 @@ pub struct TelemetrySnapshot {
     pub reconstruct: PhaseSnapshot,
     /// Workload answering latency.
     pub answer: PhaseSnapshot,
-    /// Per-shard MEASURE task spans. Empty until a dataset of more than one
-    /// slab serves: a one-slab request runs on the plain kernels, which have
-    /// no tasks to report.
-    pub shard_measure: Vec<ShardSpanSnapshot>,
-    /// Per-shard RECONSTRUCT task spans.
-    pub shard_reconstruct: Vec<ShardSpanSnapshot>,
-    /// Per-shard ANSWER task spans.
-    pub shard_answer: Vec<ShardSpanSnapshot>,
     /// Requests served (including failures).
     pub requests: u64,
     /// Requests that returned a typed error.
@@ -396,55 +257,6 @@ pub struct TelemetrySnapshot {
     /// Resolved lane count of the SELECT restart executor (`threads = 0`
     /// shows the machine's available parallelism it resolved to).
     pub select_threads: u64,
-}
-
-fn write_shard_spans(
-    f: &mut std::fmt::Formatter<'_>,
-    label: &str,
-    spans: &[ShardSpanSnapshot],
-) -> std::fmt::Result {
-    if spans.is_empty() {
-        return Ok(());
-    }
-    write!(f, "\n  {label}:")?;
-    for s in spans {
-        write!(
-            f,
-            " [{} n={} mean={}]",
-            s.shard,
-            s.tasks,
-            fmt_ns(s.mean_ns as u64)
-        )?;
-    }
-    Ok(())
-}
-
-impl std::fmt::Display for TelemetrySnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "requests={} failures={} selects_run={} dedup_waits={} plan_disk_hits={} \
-             inflight_selects={} remote_fallbacks={} slow_queries={} restarts_run={} \
-             select_threads={}",
-            self.requests,
-            self.failures,
-            self.selects_run,
-            self.dedup_waits,
-            self.plan_disk_hits,
-            self.inflight_selects,
-            self.remote_fallbacks,
-            self.slow_queries,
-            self.restarts_run,
-            self.select_threads
-        )?;
-        writeln!(f, "  select:      {}", self.select)?;
-        writeln!(f, "  measure:     {}", self.measure)?;
-        writeln!(f, "  reconstruct: {}", self.reconstruct)?;
-        write!(f, "  answer:      {}", self.answer)?;
-        write_shard_spans(f, "shard measure", &self.shard_measure)?;
-        write_shard_spans(f, "shard reconstruct", &self.shard_reconstruct)?;
-        write_shard_spans(f, "shard answer", &self.shard_answer)
-    }
 }
 
 /// Per-dataset serving counters and ε-budget gauges, exported with
@@ -522,67 +334,11 @@ pub struct EngineMetrics {
     pub wal: Option<crate::wal::WalMetrics>,
 }
 
+/// The Prometheus page ([`crate::render_prometheus`]): the one rendering of
+/// the engine's metrics.
 impl std::fmt::Display for EngineMetrics {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "cache: hits={} misses={} evictions={} len={}/{}",
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.evictions,
-            self.cache.len,
-            self.cache.capacity
-        )?;
-        write!(f, "{}", self.telemetry)?;
-        for d in &self.datasets {
-            write!(
-                f,
-                "\n  dataset {}: requests={} failures={} shards={} ε {:.4}/{:.4}",
-                d.name, d.requests, d.failures, d.shards, d.eps_spent, d.eps_total
-            )?;
-            if let Some(t) = &d.tenant {
-                write!(f, " tenant={t}")?;
-            }
-        }
-        for t in &self.tenants {
-            write!(
-                f,
-                "\n  tenant {}: ε {:.4}/{}",
-                t.tenant,
-                t.eps_spent,
-                if t.eps_cap.is_finite() {
-                    format!("{:.4}", t.eps_cap)
-                } else {
-                    "∞".to_string()
-                }
-            )?;
-        }
-        write!(
-            f,
-            "\n  spans: collected={} dropped={} capacity={} audit_events={}",
-            self.obs.spans_collected,
-            self.obs.spans_dropped,
-            self.obs.trace_capacity,
-            self.obs.audit_events
-        )?;
-        if let Some(pool) = &self.remote {
-            write!(f, "\nremote pool: {pool}")?;
-        }
-        if let Some(w) = &self.wal {
-            write!(
-                f,
-                "\n  wal: appends={} fsyncs={} snapshots={} append_errors={} \
-                 recovered={} torn_tail={} log_bytes={}",
-                w.appends,
-                w.fsyncs,
-                w.snapshots,
-                w.append_errors,
-                w.recovery_replayed,
-                w.recovery_torn_tail,
-                w.log_bytes
-            )?;
-        }
-        Ok(())
+        f.write_str(&crate::render_prometheus(self))
     }
 }
 
@@ -591,7 +347,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_tracks_count_mean_and_quantiles() {
+    fn histogram_tracks_count_mean_and_buckets() {
         let h = PhaseHistogram::default();
         for ms in [1u64, 1, 1, 1, 1, 1, 1, 1, 1, 100] {
             h.record(Duration::from_millis(ms));
@@ -599,21 +355,17 @@ mod tests {
         let s = h.snapshot();
         assert_eq!(s.count, 10);
         assert!((s.mean_ns - 10.9e6).abs() < 1e5, "{}", s.mean_ns);
-        // p50 falls in the 1ms bucket, p99 in the 100ms bucket.
-        assert!(
-            s.p50_ns >= 1_000_000 && s.p50_ns < 4_000_000,
-            "{}",
-            s.p50_ns
-        );
-        assert!(s.p99_ns >= 100_000_000, "{}", s.p99_ns);
-        assert_eq!(s.max_ns, 100_000_000);
+        // 1 ms = 2^19.9 ns lands in bucket 19, 100 ms = 2^26.6 ns in 26.
+        assert_eq!((s.buckets[19], s.buckets[26]), (9, 1));
+        assert_eq!(s.sum_ns, 109_000_000);
     }
 
     #[test]
     fn empty_histogram_snapshots_to_zeros() {
         let s = PhaseHistogram::default().snapshot();
-        assert_eq!((s.count, s.max_ns, s.p50_ns, s.p99_ns), (0, 0, 0, 0));
+        assert_eq!((s.count, s.sum_ns), (0, 0));
         assert_eq!(s.mean_ns, 0.0);
+        assert!(s.buckets.iter().all(|&n| n == 0));
     }
 
     #[test]
@@ -636,9 +388,9 @@ mod tests {
     #[test]
     fn observer_routes_phases_to_their_histograms() {
         let t = Telemetry::default();
-        t.phase_complete(MechanismPhase::Measure, Duration::from_micros(5));
-        t.phase_complete(MechanismPhase::Reconstruct, Duration::from_micros(7));
-        t.phase_complete(MechanismPhase::Answer, Duration::from_micros(9));
+        t.phase_complete(Phase::Measure, Duration::from_micros(5));
+        t.phase_complete(Phase::Reconstruct, Duration::from_micros(7));
+        t.phase_complete(Phase::Answer, Duration::from_micros(9));
         let s = t.snapshot();
         assert_eq!(
             (s.measure.count, s.reconstruct.count, s.answer.count),
@@ -648,12 +400,27 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_renders_human_readable() {
+    fn metrics_display_is_the_prometheus_page() {
         let t = Telemetry::default();
         t.record_select(Duration::from_millis(3));
         t.record_request(true);
-        let text = t.snapshot().to_string();
-        assert!(text.contains("selects_run=1"), "{text}");
-        assert!(text.contains("select:"), "{text}");
+        let m = EngineMetrics {
+            cache: crate::cache::CacheStats {
+                hits: 0,
+                misses: 1,
+                evictions: 0,
+                len: 1,
+                capacity: 64,
+            },
+            telemetry: t.snapshot(),
+            datasets: Vec::new(),
+            tenants: Vec::new(),
+            obs: ObsMetrics::default(),
+            remote: None,
+            wal: None,
+        };
+        let text = m.to_string();
+        assert_eq!(text, crate::render_prometheus(&m));
+        assert!(text.contains("hdmm_selects_run_total 1"), "{text}");
     }
 }

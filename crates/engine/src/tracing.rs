@@ -1,17 +1,14 @@
 //! Per-request span recording: the glue between the engine's serving path
 //! and the [`hdmm_obs`] primitives.
 //!
-//! A [`RequestTracer`] lives for exactly one `serve` call. It implements
-//! both hooks the lower layers already speak:
-//!
-//! * [`PhaseObserver`] — the mechanism crates report phase and shard-task
-//!   completions; the tracer forwards every event to the engine's
-//!   [`Telemetry`] histograms (so aggregate metrics are identical with
-//!   tracing on or off) *and*, when buffering, materializes each as a
-//!   [`Span`];
-//! * [`SpanSink`] — `hdmm-net`'s RPC fan-out records per-attempt spans and
-//!   re-based worker-side spans through this trait, parenting them under the
-//!   pre-allocated phase spans via [`SpanSink::parent_for`].
+//! A [`RequestTracer`] lives for exactly one `serve` call and is the one
+//! [`Observer`] every layer of that request reports to. Each event feeds
+//! the engine's [`Telemetry`] first — phase histograms and the restart
+//! counter, identical with tracing on or off — and, when buffering, becomes
+//! a [`Span`]: each phase, each shard task (`shard:<phase>`), each SELECT
+//! restart cell (`restart:<operator>`), and every RPC attempt and re-based
+//! worker-side span `hdmm-net` records, parented under the pre-allocated
+//! phase spans via [`Observer::parent_for`].
 //!
 //! Spans are buffered in the tracer and flushed to the engine's
 //! [`SpanCollector`] only at the end of the request — when the request is
@@ -20,9 +17,9 @@
 //! touches the shared collector at all — and whether a request *can* flush
 //! is known before it starts (sampling is a stride over the request
 //! counter), so a request that is unsampled with no slow-query threshold
-//! set does not buffer: no [`Span`] is built for its phase, shard-task, or
-//! RPC events, and [`SpanSink::context`] reports `None` so lower layers skip
-//! their own span bookkeeping too.
+//! set does not buffer: no [`Span`] is built for any event, and
+//! [`Observer::context`] reports `None` so lower layers skip their own span
+//! bookkeeping too.
 //!
 //! Phase span ids are **pre-allocated** (`queue`=2, `select`=3, `measure`=4,
 //! `reconstruct`=5, `answer`=6, root=1) so children created *during* a phase
@@ -30,9 +27,8 @@
 //! completes.
 
 use crate::telemetry::Telemetry;
-use hdmm_mechanism::{MechanismPhase, PhaseObserver};
 use hdmm_obs::trace::{dur_ns, ROOT_SPAN_ID};
-use hdmm_obs::{Span, SpanCollector, SpanSink, TraceContext};
+use hdmm_obs::{Observer, Phase, Span, SpanCollector, TraceContext};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -42,18 +38,18 @@ use std::time::{Duration, Instant};
 pub(crate) const TRACE_CAPACITY: usize = 4096;
 
 /// Pre-allocated span id of the queue-wait span.
-pub(crate) const QUEUE_SPAN_ID: u64 = 2;
+const QUEUE_SPAN_ID: u64 = 2;
 /// Pre-allocated span id of the SELECT span.
 pub(crate) const SELECT_SPAN_ID: u64 = 3;
-/// First id handed out by [`SpanSink::next_span_id`].
+/// First id handed out by [`Observer::next_span_id`].
 const FIRST_DYNAMIC_SPAN_ID: u64 = 7;
 
 /// The pre-allocated span id of a mechanism phase.
-fn phase_span_id(phase: MechanismPhase) -> u64 {
+fn phase_span_id(phase: Phase) -> u64 {
     match phase {
-        MechanismPhase::Measure => 4,
-        MechanismPhase::Reconstruct => 5,
-        MechanismPhase::Answer => 6,
+        Phase::Measure => 4,
+        Phase::Reconstruct => 5,
+        Phase::Answer => 6,
     }
 }
 
@@ -95,43 +91,35 @@ impl<'a> RequestTracer<'a> {
         self.ctx.trace_id
     }
 
+    /// A span of this trace that ended now, `elapsed` long.
+    fn ended(&self, span_id: u64, parent: u64, name: impl Into<String>, elapsed: Duration) -> Span {
+        let end = self.rel_ns(Instant::now());
+        let dur = dur_ns(elapsed);
+        Span::new(
+            self.ctx.trace_id,
+            span_id,
+            parent,
+            name,
+            end.saturating_sub(dur),
+            dur,
+        )
+    }
+
     /// Records the queue-wait span of a request that sat on the server's
     /// bounded queue from `enqueued` until now (its serving start).
     pub(crate) fn record_queue(&self, enqueued: Instant) {
-        if !self.buffering {
-            return;
+        if self.buffering {
+            self.record(self.ended(QUEUE_SPAN_ID, ROOT_SPAN_ID, "queue", enqueued.elapsed()));
         }
-        let start = self.rel_ns(enqueued);
-        let end = self.rel_ns(Instant::now());
-        self.record(Span::new(
-            self.ctx.trace_id,
-            QUEUE_SPAN_ID,
-            ROOT_SPAN_ID,
-            "queue",
-            start,
-            end.saturating_sub(start),
-        ));
     }
 
     /// Records the SELECT span (cache lookup + optional optimization) that
     /// started at `from`.
     pub(crate) fn record_select(&self, from: Instant, cache_hit: bool) {
-        if !self.buffering {
-            return;
+        if self.buffering {
+            let span = self.ended(SELECT_SPAN_ID, ROOT_SPAN_ID, "select", from.elapsed());
+            self.record(span.attr("cache_hit", if cache_hit { "true" } else { "false" }));
         }
-        let start = self.rel_ns(from);
-        let end = self.rel_ns(Instant::now());
-        self.record(
-            Span::new(
-                self.ctx.trace_id,
-                SELECT_SPAN_ID,
-                ROOT_SPAN_ID,
-                "select",
-                start,
-                end.saturating_sub(start),
-            )
-            .attr("cache_hit", if cache_hit { "true" } else { "false" }),
-        );
     }
 
     /// Ends the request: decides slowness against `slow_threshold`, and when
@@ -172,49 +160,37 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-impl PhaseObserver for RequestTracer<'_> {
-    fn phase_complete(&self, phase: MechanismPhase, elapsed: Duration) {
+impl Observer for RequestTracer<'_> {
+    fn phase_complete(&self, phase: Phase, elapsed: Duration) {
         // Telemetry first: histograms stay identical with tracing on or off.
         self.telemetry.phase_complete(phase, elapsed);
-        if !self.buffering {
-            return;
+        if self.buffering {
+            self.record(self.ended(phase_span_id(phase), ROOT_SPAN_ID, phase.name(), elapsed));
         }
-        let end = self.rel_ns(Instant::now());
-        let dur = dur_ns(elapsed);
-        self.record(Span::new(
-            self.ctx.trace_id,
-            phase_span_id(phase),
-            ROOT_SPAN_ID,
-            phase.name(),
-            end.saturating_sub(dur),
-            dur,
-        ));
     }
 
-    fn shard_phase_complete(&self, phase: MechanismPhase, shard: usize, elapsed: Duration) {
-        self.telemetry.shard_phase_complete(phase, shard, elapsed);
-        if !self.buffering {
-            return;
+    fn shard_phase_complete(&self, phase: Phase, shard: usize, elapsed: Duration) {
+        if self.buffering {
+            let name = format!("shard:{}", phase.name());
+            let span = self.ended(self.next_span_id(), phase_span_id(phase), name, elapsed);
+            let lane = shard.to_string();
+            self.record(span.attr("shard", lane.clone()).attr("lane", lane));
         }
-        let end = self.rel_ns(Instant::now());
-        let dur = dur_ns(elapsed);
-        let lane = shard.to_string();
-        self.record(
-            Span::new(
-                self.ctx.trace_id,
-                self.next_span_id(),
-                phase_span_id(phase),
-                format!("shard:{}", phase.name()),
-                end.saturating_sub(dur),
-                dur,
-            )
-            .attr("shard", &lane)
-            .attr("lane", &lane),
-        );
     }
-}
 
-impl SpanSink for RequestTracer<'_> {
+    fn restart_complete(&self, operator: &'static str, restart: usize, loss: f64, took: Duration) {
+        self.telemetry
+            .restart_complete(operator, restart, loss, took);
+        if self.buffering {
+            let name = format!("restart:{operator}");
+            let span = self.ended(self.next_span_id(), SELECT_SPAN_ID, name, took);
+            self.record(
+                span.attr("restart", restart.to_string())
+                    .attr("loss", format!("{loss:e}")),
+            );
+        }
+    }
+
     fn context(&self) -> Option<TraceContext> {
         self.buffering.then_some(self.ctx)
     }
@@ -223,15 +199,8 @@ impl SpanSink for RequestTracer<'_> {
         self.next_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    fn parent_for(&self, label: &str) -> Option<u64> {
-        match label {
-            "queue" => Some(QUEUE_SPAN_ID),
-            "select" => Some(SELECT_SPAN_ID),
-            "measure" => Some(phase_span_id(MechanismPhase::Measure)),
-            "reconstruct" => Some(phase_span_id(MechanismPhase::Reconstruct)),
-            "answer" => Some(phase_span_id(MechanismPhase::Answer)),
-            _ => None,
-        }
+    fn parent_for(&self, phase: Phase) -> Option<u64> {
+        Some(phase_span_id(phase))
     }
 
     fn rel_ns(&self, at: Instant) -> u64 {
@@ -255,13 +224,13 @@ mod tests {
         let telemetry = Telemetry::default();
         let ctx = TraceContext::derive(1, 0);
         let tracer = RequestTracer::new(ctx, &collector, &telemetry, true);
-        tracer.phase_complete(MechanismPhase::Measure, Duration::from_micros(10));
-        tracer.shard_phase_complete(MechanismPhase::Measure, 2, Duration::from_micros(4));
+        tracer.phase_complete(Phase::Measure, Duration::from_micros(10));
+        tracer.shard_phase_complete(Phase::Measure, 2, Duration::from_micros(4));
         assert!(!tracer.finish("d", true, true, None), "not slow");
         let spans = collector.trace(ctx.trace_id);
         assert_eq!(spans.len(), 3, "request + measure + shard task: {spans:?}");
         let shard = spans.iter().find(|s| s.name == "shard:measure").unwrap();
-        assert_eq!(shard.parent_id, phase_span_id(MechanismPhase::Measure));
+        assert_eq!(shard.parent_id, phase_span_id(Phase::Measure));
         assert_eq!(telemetry.snapshot().measure.count, 1);
     }
 
@@ -271,7 +240,7 @@ mod tests {
         let telemetry = Telemetry::default();
         let ctx = TraceContext::derive(1, 1);
         let tracer = RequestTracer::new(ctx, &collector, &telemetry, true);
-        tracer.phase_complete(MechanismPhase::Answer, Duration::from_micros(1));
+        tracer.phase_complete(Phase::Answer, Duration::from_micros(1));
         assert!(!tracer.finish("d", true, false, Some(Duration::from_secs(3600))));
         assert_eq!(collector.collected(), 0);
 
@@ -280,8 +249,8 @@ mod tests {
         let tracer = RequestTracer::new(ctx, &collector, &telemetry, false);
         tracer.record_queue(Instant::now());
         tracer.record_select(Instant::now(), true);
-        tracer.phase_complete(MechanismPhase::Answer, Duration::from_micros(1));
-        tracer.shard_phase_complete(MechanismPhase::Answer, 0, Duration::from_micros(1));
+        tracer.phase_complete(Phase::Answer, Duration::from_micros(1));
+        tracer.shard_phase_complete(Phase::Answer, 0, Duration::from_micros(1));
         assert!(tracer.context().is_none(), "lower layers skip their spans");
         tracer.record(Span::new(ctx.trace_id, 9, ROOT_SPAN_ID, "rpc", 0, 1));
         assert!(lock(&tracer.spans).is_empty(), "nothing was buffered");

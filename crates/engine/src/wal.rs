@@ -396,10 +396,10 @@ pub fn encode_record(seq: u64, record: &WalRecord) -> Vec<u8> {
 /// mismatch, or semantic violation is a typed error — never a panic.
 pub fn decode_record(bytes: &[u8]) -> Result<(u64, WalRecord, usize), WalError> {
     let corrupt = |what: &str| WalError::Corrupt(what.to_string());
-    if bytes.len() < 4 {
+    let Some((prefix, _)) = bytes.split_first_chunk::<4>() else {
         return Err(corrupt("frame shorter than its length prefix"));
-    }
-    let len = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes"));
+    };
+    let len = u32::from_le_bytes(*prefix);
     if !(9..=MAX_RECORD_BYTES).contains(&len) {
         return Err(corrupt("implausible record length"));
     }

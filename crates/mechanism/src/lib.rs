@@ -17,13 +17,13 @@
 //!   [`Kernels`] seam that says only *where* each Kronecker product runs:
 //!   the plain reference kernels ([`PlainKernels`], behind [`measure`] /
 //!   [`reconstruct_with`] / [`run_mechanism`]), the in-process slab fan-out
-//!   ([`LocalKernels`] in [`sharded`]), or `hdmm-net`'s RPC fan-out.
+//!   ([`LocalKernels`] in [`sharded`]), or `hdmm-net`'s RPC fan-out. Every
+//!   phase and shard task is reported to one [`hdmm_obs::Observer`].
 
 pub mod error;
 pub mod laplace;
 pub mod marginals;
 mod mechanism;
-pub mod phases;
 pub mod pipeline;
 pub mod sharded;
 mod strategy;
@@ -34,7 +34,6 @@ pub use mechanism::{
     answer_many_from_parts, answer_workload, measure, reconstruct_with, run_mechanism,
     Measurements, MechanismResult, PreparedReconstruct,
 };
-pub use phases::{MechanismPhase, NoopObserver, PhaseObserver};
 pub use pipeline::{
     measure_on, reconstruct_on, Kernels, MechanismError, MechanismRequest, PipelineError,
     PlainKernels, PlanShape,

@@ -2,7 +2,6 @@
 //! (Table 1(b) of the paper, with the efficient implementations of §7.2).
 
 use crate::error::gram_pinv;
-use crate::phases::NoopObserver;
 use crate::pipeline::{measure_on, reconstruct_on, MechanismRequest, PlainKernels};
 use crate::{MarginalsAlgebra, Strategy};
 use hdmm_linalg::{KronScratch, Matrix, StructuredMatrix};
@@ -193,7 +192,7 @@ pub fn run_mechanism(
         eps,
         remaining: f64::INFINITY,
     };
-    match request.run(rng, &PlainKernels::over(x), &NoopObserver) {
+    match request.run(rng, &PlainKernels::over(x), &()) {
         Ok(result) => result,
         Err(e) => panic!("{}", crate::MechanismError::from(e)),
     }

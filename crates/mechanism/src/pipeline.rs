@@ -25,7 +25,6 @@
 //! identically — the root of the byte-identity guarantee across them.
 
 use crate::laplace::add_laplace_noise;
-use crate::phases::{MechanismPhase, PhaseObserver};
 use crate::{
     MarginalsAlgebra, MeasuredBlock, Measurements, MechanismResult, PreparedReconstruct, Strategy,
 };
@@ -33,6 +32,7 @@ use hdmm_linalg::{
     kmatvec_structured, kmatvec_transpose_structured, lsmr, LinOp, LsmrOptions, Matrix, ScaledOp,
     StackedOp, StructuredMatrix,
 };
+use hdmm_obs::{Observer, Phase};
 use hdmm_workload::Workload;
 use rand::Rng;
 use std::convert::Infallible;
@@ -475,7 +475,7 @@ impl MechanismRequest<'_> {
         &self,
         rng: &mut impl Rng,
         kernels: &K,
-        observer: &(impl PhaseObserver + ?Sized),
+        observer: &dyn Observer,
     ) -> Result<MechanismResult, PipelineError<K::Error>> {
         self.validate(kernels).map_err(PipelineError::Rejected)?;
 
@@ -488,16 +488,16 @@ impl MechanismRequest<'_> {
             kernels,
         )
         .map_err(PipelineError::Kernel)?;
-        observer.phase_complete(MechanismPhase::Measure, t.elapsed());
+        observer.phase_complete(Phase::Measure, t.elapsed());
 
         let t = Instant::now();
         let x_hat = reconstruct_on(self.prepared, self.strategy, &meas, kernels)
             .map_err(PipelineError::Kernel)?;
-        observer.phase_complete(MechanismPhase::Reconstruct, t.elapsed());
+        observer.phase_complete(Phase::Reconstruct, t.elapsed());
 
         let t = Instant::now();
         let answers = kernels.answer(self.workload, &x_hat);
-        observer.phase_complete(MechanismPhase::Answer, t.elapsed());
+        observer.phase_complete(Phase::Answer, t.elapsed());
 
         Ok(MechanismResult { x_hat, answers })
     }

@@ -33,12 +33,12 @@
 //! seed, same dataset, same request order ⇒ same answers, regardless of how
 //! the data vector is partitioned.
 
-use crate::phases::{MechanismPhase, PhaseObserver};
 use crate::pipeline::{Kernels, PlainKernels};
 use hdmm_linalg::{
     contract_rows, contract_transpose_rows, kmatvec_trailing_slab, kmatvec_transpose_trailing_slab,
     leading_split, matvec_rows, partition_rows, StructuredMatrix,
 };
+use hdmm_obs::{Observer, Phase};
 use hdmm_workload::Workload;
 use std::convert::Infallible;
 use std::ops::Range;
@@ -227,8 +227,8 @@ impl ScopedExecutor {
 
 /// Times one shard task and reports it as a shard span.
 fn timed_task<'a>(
-    observer: &'a (impl PhaseObserver + ?Sized),
-    phase: MechanismPhase,
+    observer: &'a dyn Observer,
+    phase: Phase,
     shard: usize,
     body: impl FnOnce() + Send + 'a,
 ) -> Box<dyn FnOnce() + Send + 'a> {
@@ -249,8 +249,8 @@ pub fn kron_forward_sharded(
     factors: &[&StructuredMatrix],
     view: &ShardedView<'_>,
     exec: &ScopedExecutor,
-    observer: &(impl PhaseObserver + ?Sized),
-    phase: MechanismPhase,
+    observer: &dyn Observer,
+    phase: Phase,
 ) -> Vec<f64> {
     let split = leading_split(factors);
     let lead_n = split.leading.cols();
@@ -291,8 +291,8 @@ pub fn kron_forward_from_parts(
     factors: &[&StructuredMatrix],
     parts: Vec<Vec<f64>>,
     exec: &ScopedExecutor,
-    observer: &(impl PhaseObserver + ?Sized),
-    phase: MechanismPhase,
+    observer: &dyn Observer,
+    phase: Phase,
 ) -> Vec<f64> {
     let split = leading_split(factors);
     let lead_n = split.leading.cols();
@@ -335,8 +335,8 @@ pub fn kron_transpose_sharded(
     y: &[f64],
     domain_ranges: &[Range<usize>],
     exec: &ScopedExecutor,
-    observer: &(impl PhaseObserver + ?Sized),
-    phase: MechanismPhase,
+    observer: &dyn Observer,
+    phase: Phase,
 ) -> Vec<f64> {
     let split = leading_split(factors);
     let m_lead = split.leading.rows();
@@ -374,8 +374,8 @@ pub fn kron_transpose_from_parts(
     parts: Vec<Vec<f64>>,
     domain_ranges: &[Range<usize>],
     exec: &ScopedExecutor,
-    observer: &(impl PhaseObserver + ?Sized),
-    phase: MechanismPhase,
+    observer: &dyn Observer,
+    phase: Phase,
 ) -> Vec<f64> {
     let split = leading_split(factors);
     let m_lead = split.leading.rows();
@@ -413,8 +413,8 @@ pub fn explicit_forward_sharded(
     x: &[f64],
     parts: usize,
     exec: &ScopedExecutor,
-    observer: &(impl PhaseObserver + ?Sized),
-    phase: MechanismPhase,
+    observer: &dyn Observer,
+    phase: Phase,
 ) -> Vec<f64> {
     let mut out = vec![0.0; a.rows()];
     let blocks = partition_rows(a.rows(), parts);
@@ -452,7 +452,7 @@ pub fn answer_sharded(
     x_hat: &[f64],
     shards: usize,
     exec: &ScopedExecutor,
-    observer: &(impl PhaseObserver + ?Sized),
+    observer: &dyn Observer,
 ) -> Vec<f64> {
     assert_eq!(
         x_hat.len(),
@@ -463,7 +463,7 @@ pub fn answer_sharded(
     let mut out = Vec::with_capacity(workload.query_count());
     for t in workload.terms() {
         let refs: Vec<&StructuredMatrix> = t.factors.iter().collect();
-        let mut y = kron_forward_sharded(&refs, &view, exec, observer, MechanismPhase::Answer);
+        let mut y = kron_forward_sharded(&refs, &view, exec, observer, Phase::Answer);
         if t.weight != 1.0 {
             for v in &mut y {
                 *v *= t.weight;
@@ -482,16 +482,16 @@ pub fn answer_sharded(
 /// whose leading factor does not line up with the slab boundaries, and every
 /// product of a one-slab view (a contiguous vector, [`ShardedView::dense`]),
 /// where the per-slab copy and merge buffers would be pure overhead.
-pub struct LocalKernels<'a, O: PhaseObserver + ?Sized> {
+pub struct LocalKernels<'a> {
     /// The dataset, as ordered leading-axis slabs.
     pub view: &'a ShardedView<'a>,
     /// Where the tasks run.
     pub exec: &'a ScopedExecutor,
-    /// Receives one [`PhaseObserver::shard_phase_complete`] per task.
-    pub observer: &'a O,
+    /// Receives one [`Observer::shard_phase_complete`] per task.
+    pub observer: &'a dyn Observer,
 }
 
-impl<O: PhaseObserver + ?Sized> LocalKernels<'_, O> {
+impl LocalKernels<'_> {
     /// The plain kernels over the whole dataset, when it is a single slab.
     fn one_slab(&self) -> Option<PlainKernels<'_>> {
         match self.view.slabs.as_slice() {
@@ -509,7 +509,7 @@ impl<O: PhaseObserver + ?Sized> LocalKernels<'_, O> {
     }
 }
 
-impl<O: PhaseObserver + ?Sized> Kernels for LocalKernels<'_, O> {
+impl Kernels for LocalKernels<'_> {
     type Error = Infallible;
 
     fn cells(&self) -> usize {
@@ -526,7 +526,7 @@ impl<O: PhaseObserver + ?Sized> Kernels for LocalKernels<'_, O> {
             self.view.shard_count(),
             self.exec,
             self.observer,
-            MechanismPhase::Measure,
+            Phase::Measure,
         ))
     }
 
@@ -539,7 +539,7 @@ impl<O: PhaseObserver + ?Sized> Kernels for LocalKernels<'_, O> {
             self.view,
             self.exec,
             self.observer,
-            MechanismPhase::Measure,
+            Phase::Measure,
         ))
     }
 
@@ -559,7 +559,7 @@ impl<O: PhaseObserver + ?Sized> Kernels for LocalKernels<'_, O> {
                 &ranges,
                 self.exec,
                 self.observer,
-                MechanismPhase::Reconstruct,
+                Phase::Reconstruct,
             ),
             None => hdmm_linalg::kmatvec_transpose_structured(factors, y),
         })
@@ -584,7 +584,7 @@ impl<O: PhaseObserver + ?Sized> Kernels for LocalKernels<'_, O> {
             &aty_view,
             self.exec,
             self.observer,
-            MechanismPhase::Reconstruct,
+            Phase::Reconstruct,
         ))
     }
 
@@ -617,15 +617,9 @@ mod tests {
     #[test]
     fn shard_spans_are_reported_per_shard() {
         use std::sync::Mutex;
-        struct Spans(Mutex<Vec<(MechanismPhase, usize)>>);
-        impl PhaseObserver for Spans {
-            fn phase_complete(&self, _p: MechanismPhase, _e: std::time::Duration) {}
-            fn shard_phase_complete(
-                &self,
-                phase: MechanismPhase,
-                shard: usize,
-                _elapsed: std::time::Duration,
-            ) {
+        struct Spans(Mutex<Vec<(Phase, usize)>>);
+        impl Observer for Spans {
+            fn shard_phase_complete(&self, phase: Phase, shard: usize, _: std::time::Duration) {
                 self.0.lock().unwrap().push((phase, shard));
             }
         }
@@ -652,11 +646,7 @@ mod tests {
         )
         .unwrap();
         let seen = spans.0.lock().unwrap();
-        for phase in [
-            MechanismPhase::Measure,
-            MechanismPhase::Reconstruct,
-            MechanismPhase::Answer,
-        ] {
+        for phase in [Phase::Measure, Phase::Reconstruct, Phase::Answer] {
             for shard in 0..3 {
                 assert!(
                     seen.iter().any(|&(p, sh)| p == phase && sh == shard),

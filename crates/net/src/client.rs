@@ -24,7 +24,7 @@ use crate::wire::{
     NetError, TraceExt,
 };
 use hdmm_linalg::StructuredMatrix;
-use hdmm_obs::{NoopSpanSink, Span, SpanSink};
+use hdmm_obs::{Observer, Phase, Span};
 use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::net::TcpStream;
@@ -81,24 +81,6 @@ pub struct WorkerHealth {
     pub factor_pushes: u64,
 }
 
-impl std::fmt::Display for WorkerHealth {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{:<21} {} tasks={} failures={} mean={:.0}µs slabs={} sent={}B received={}B factor_pushes={}",
-            self.addr,
-            if self.alive { "alive" } else { "DEAD " },
-            self.tasks,
-            self.failures,
-            self.mean_task_micros,
-            self.slabs,
-            self.bytes_sent,
-            self.bytes_received,
-            self.factor_pushes,
-        )
-    }
-}
-
 /// Point-in-time health of the whole pool.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PoolHealth {
@@ -111,23 +93,6 @@ pub struct PoolHealth {
     /// Keyed tasks a worker answered with `UnknownFactors` (it restarted or
     /// evicted the list); each one cost a re-push and a retry.
     pub factor_misses: u64,
-}
-
-impl std::fmt::Display for PoolHealth {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "workers={} retries={} reassignments={} factor_misses={}",
-            self.workers.len(),
-            self.retries,
-            self.reassignments,
-            self.factor_misses
-        )?;
-        for w in &self.workers {
-            writeln!(f, "  {w}")?;
-        }
-        Ok(())
-    }
 }
 
 /// One coordinator→worker link: a lazily (re)connected TCP stream plus
@@ -349,15 +314,16 @@ impl std::io::Write for DeadlineStream<'_> {
     }
 }
 
-/// Identity of one RPC attempt inside a request's span tree: which sink to
-/// record into, what to call the span, and which phase span to parent under.
+/// Identity of one RPC attempt inside a request's span tree: which observer
+/// to record into, what to call the span, and which phase span to parent
+/// under.
 #[derive(Clone, Copy)]
 struct RpcSpan<'a> {
-    sink: &'a dyn SpanSink,
+    observer: &'a dyn Observer,
     /// Span name: `rpc:forward`, `rpc:apply`, `rpc:load`.
     name: &'static str,
-    /// Label of the parent phase span ([`SpanSink::parent_for`]).
-    phase: &'a str,
+    /// The phase whose span is the parent ([`Observer::parent_for`]).
+    phase: Phase,
     /// Shard (or block) index — also the Chrome-trace lane, so concurrent
     /// shard RPCs render side by side instead of falsely nested.
     shard: u64,
@@ -467,9 +433,9 @@ impl WorkerPool {
             return Err(NetError::NoWorkers);
         };
         let rpc = RpcSpan {
-            sink: &NoopSpanSink,
+            observer: &(),
             name: "rpc:load",
-            phase: "",
+            phase: Phase::Measure,
             shard,
             attempt: 0,
         };
@@ -491,11 +457,11 @@ impl WorkerPool {
     /// coordinator's authoritative copy (`rows`/`values`), and the factors
     /// from `trailing`, as needed.
     ///
-    /// When `sink` traces, every attempt (including failed and retried ones)
-    /// is recorded as an `rpc:forward` span — annotated with worker address,
-    /// shard, attempt index, and outcome — parented under the phase span
-    /// labeled `phase`, with the worker's own kernel spans re-based beneath
-    /// it. Pass [`NoopSpanSink`] and `""` to run untraced.
+    /// When `observer` traces, every attempt (including failed and retried
+    /// ones) is recorded as an `rpc:forward` span — annotated with worker
+    /// address, shard, attempt index, and outcome — parented under `phase`'s
+    /// span, with the worker's own kernel spans re-based beneath it. The `()`
+    /// observer runs untraced.
     #[allow(clippy::too_many_arguments)]
     pub fn run_slab_task(
         &self,
@@ -504,8 +470,8 @@ impl WorkerPool {
         trailing: Operand<'_>,
         rows: (u64, u64),
         values: &[f64],
-        sink: &dyn SpanSink,
-        phase: &str,
+        observer: &dyn Observer,
+        phase: Phase,
     ) -> Result<Vec<f64>, NetError> {
         let key = (dataset.to_string(), shard);
         let task = KeyedTask::SlabForward {
@@ -522,7 +488,7 @@ impl WorkerPool {
             |_| self.pick_worker(&key),
             |link, attempt| {
                 let rpc = RpcSpan {
-                    sink,
+                    observer,
                     name: "rpc:forward",
                     phase,
                     shard,
@@ -544,8 +510,8 @@ impl WorkerPool {
         trailing: Operand<'_>,
         payload: &[f64],
         hint: usize,
-        sink: &dyn SpanSink,
-        phase: &str,
+        observer: &dyn Observer,
+        phase: Phase,
     ) -> Result<Vec<f64>, NetError> {
         let task = KeyedTask::Apply {
             transpose,
@@ -556,7 +522,7 @@ impl WorkerPool {
             |attempt| self.pick_any(hint + attempt as usize),
             |link, attempt| {
                 let rpc = RpcSpan {
-                    sink,
+                    observer,
                     name: "rpc:apply",
                     phase,
                     shard: hint as u64,
@@ -645,7 +611,7 @@ impl WorkerPool {
     }
 
     /// One request/response exchange, recorded as one attempt span when the
-    /// sink traces. The attempt span covers connect-to-reply wall time; any
+    /// observer traces. The attempt span covers connect-to-reply wall time; any
     /// worker-side spans in the reply are parented beneath it, re-based onto
     /// the coordinator clock as ending when the reply arrived (accurate to
     /// within the attempt's network round-trip, since only durations travel).
@@ -655,10 +621,10 @@ impl WorkerPool {
         request: &Request<'_>,
         rpc: &RpcSpan<'_>,
     ) -> Result<Frame, NetError> {
-        let Some(ctx) = rpc.sink.context() else {
+        let Some(ctx) = rpc.observer.context() else {
             return link.call(request, self.policy.task_timeout);
         };
-        let span_id = rpc.sink.next_span_id();
+        let span_id = rpc.observer.next_span_id();
         let ext = TraceExt::request(ctx.trace_id, span_id);
         let start = Instant::now();
         let result = link.call_raw(request, Some(&ext), self.policy.task_timeout);
@@ -668,11 +634,11 @@ impl WorkerPool {
             Ok(_) => "ok",
             Err(_) => "transport-error",
         };
-        let start_ns = rpc.sink.rel_ns(start);
-        let end_ns = rpc.sink.rel_ns(end);
-        let parent = rpc.sink.parent_for(rpc.phase).unwrap_or(ctx.span_id);
+        let start_ns = rpc.observer.rel_ns(start);
+        let end_ns = rpc.observer.rel_ns(end);
+        let parent = rpc.observer.parent_for(rpc.phase).unwrap_or(ctx.span_id);
         let lane = rpc.shard.to_string();
-        rpc.sink.record(
+        rpc.observer.record(
             Span::new(
                 ctx.trace_id,
                 span_id,
@@ -689,10 +655,10 @@ impl WorkerPool {
         );
         if let Ok((_, Some(reply_ext))) = &result {
             for ws in &reply_ext.spans {
-                rpc.sink.record(
+                rpc.observer.record(
                     Span::new(
                         ctx.trace_id,
-                        rpc.sink.next_span_id(),
+                        rpc.observer.next_span_id(),
                         span_id,
                         ws.name.clone(),
                         end_ns.saturating_sub(ws.dur_ns),
@@ -764,7 +730,7 @@ impl WorkerPool {
     /// The link's key set stays locked across the push, so concurrent tasks
     /// that need the same list wait for the one push instead of each sending
     /// their own (they queue on the link's socket anyway). The set is valid
-    /// after every single step, so a poisoned lock — a span sink panicked
+    /// after every single step, so a poisoned lock — an observer panicked
     /// under it — is recovered rather than propagated.
     fn ensure_factors(
         &self,
@@ -896,7 +862,7 @@ mod tests {
         let refs = [&total];
         let trailing = Operand::new(&refs);
         let first = pool
-            .run_slab_task("d", 0, trailing, (0, 2), &values, &NoopSpanSink, "")
+            .run_slab_task("d", 0, trailing, (0, 2), &values, &(), Phase::Measure)
             .unwrap();
         assert_eq!(first, vec![6.0, 22.0]);
 
@@ -915,7 +881,7 @@ mod tests {
         }
         std::thread::sleep(Duration::from_millis(20));
         let again = pool
-            .run_slab_task("d", 0, trailing, (0, 2), &values, &NoopSpanSink, "")
+            .run_slab_task("d", 0, trailing, (0, 2), &values, &(), Phase::Measure)
             .unwrap();
         assert_eq!(again, first, "reassigned task must compute the same bytes");
         let health = pool.health();
@@ -935,7 +901,7 @@ mod tests {
         let total = StructuredMatrix::total(2);
         let refs = [&total];
         let trailing = Operand::new(&refs);
-        let r = pool.apply(false, trailing, &[1.0, 2.0], 0, &NoopSpanSink, "");
+        let r = pool.apply(false, trailing, &[1.0, 2.0], 0, &(), Phase::Measure);
         assert!(r.is_err(), "a dead pool must surface an error");
     }
 
@@ -965,13 +931,13 @@ mod tests {
         let trailing = Operand::new(&refs);
         let payload = vec![1.0; 64];
         let first = pool
-            .apply(false, trailing, &payload, 0, &NoopSpanSink, "")
+            .apply(false, trailing, &payload, 0, &(), Phase::Measure)
             .unwrap();
         let after_first = pool.health().workers[0].clone();
         assert_eq!(after_first.factor_pushes, 1);
         for _ in 0..5 {
             let again = pool
-                .apply(false, trailing, &payload, 0, &NoopSpanSink, "")
+                .apply(false, trailing, &payload, 0, &(), Phase::Measure)
                 .unwrap();
             assert_eq!(again, first);
         }
@@ -1001,10 +967,10 @@ mod tests {
         let values: Vec<f64> = (0..8).map(f64::from).collect();
         let payload = [1.0, 2.0, 3.0, 4.0];
         let slab_first = pool
-            .run_slab_task("d", 0, trailing, (0, 2), &values, &NoopSpanSink, "")
+            .run_slab_task("d", 0, trailing, (0, 2), &values, &(), Phase::Measure)
             .unwrap();
         let apply_first = pool
-            .apply(true, trailing, &payload, 0, &NoopSpanSink, "")
+            .apply(true, trailing, &payload, 0, &(), Phase::Measure)
             .unwrap();
 
         // The replacement holds nothing, while the link still believes both
@@ -1012,14 +978,14 @@ mod tests {
         w.kill();
         let fresh = respawn(addr);
         let apply_again = pool
-            .apply(true, trailing, &payload, 0, &NoopSpanSink, "")
+            .apply(true, trailing, &payload, 0, &(), Phase::Measure)
             .unwrap();
         assert_eq!(apply_again, apply_first);
         assert_eq!(pool.health().factor_misses, 1);
         // A slab task needs both operands back: UnknownSlab, then (the
         // factors are resident again by now) straight through.
         let slab_again = pool
-            .run_slab_task("d", 0, trailing, (0, 2), &values, &NoopSpanSink, "")
+            .run_slab_task("d", 0, trailing, (0, 2), &values, &(), Phase::Measure)
             .unwrap();
         assert_eq!(slab_again, slab_first);
         let health = pool.health();

@@ -34,10 +34,10 @@ use crate::client::{Operand, RetryPolicy, WorkerPool};
 use crate::wire::{FactorKey, NetError};
 use hdmm_linalg::{leading_split, partition_rows, Matrix, StructuredMatrix};
 use hdmm_mechanism::{
-    kron_forward_from_parts, kron_transpose_from_parts, Kernels, LocalKernels, MechanismPhase,
-    PhaseObserver, PlanShape, PreparedReconstruct, Strategy,
+    kron_forward_from_parts, kron_transpose_from_parts, Kernels, LocalKernels, PlanShape,
+    PreparedReconstruct, Strategy,
 };
-use hdmm_obs::SpanSink;
+use hdmm_obs::{Observer, Phase};
 use hdmm_workload::Workload;
 use std::ops::Range;
 use std::time::Instant;
@@ -124,13 +124,13 @@ const NO_KEY: NetError = NetError::Unsupported("no operand key for this product"
 
 /// Runs one task per item on its own scoped thread (each blocks on an RPC)
 /// and returns the per-item products in item order. A task thread that
-/// panics — an observer or span sink is caller code — is reported as
+/// panics — the observer is caller code — is reported as
 /// [`NetError::TaskPanicked`] instead of unwinding through the request, so
 /// the caller's reseeded local rerun takes over.
 fn fan_out<I: Sync>(
     items: &[I],
-    observer: &(impl PhaseObserver + ?Sized),
-    phase: MechanismPhase,
+    observer: &dyn Observer,
+    phase: Phase,
     task: impl Fn(usize, &I) -> Result<Vec<f64>, NetError> + Sync,
 ) -> Result<Vec<Vec<f64>>, NetError> {
     let results: Vec<Result<Vec<f64>, NetError>> = std::thread::scope(|s| {
@@ -167,27 +167,26 @@ fn fan_out<I: Sync>(
 /// worth a round trip) and ANSWER (per-request workload factors, resident
 /// nowhere) are `local`'s outright.
 ///
-/// `keys` must be the [`OperandKeys`] of the plan being served. When `sink`
-/// traces, every RPC attempt of the fan-out (retries included) and every
-/// worker-side kernel span shipped back in the replies is recorded into it,
-/// parented under the phase spans the sink pre-allocates — one connected
-/// span tree per request even across the wire; pass
-/// [`NoopSpanSink`](hdmm_obs::NoopSpanSink) to run untraced. Tracing never
-/// changes the computation: the sink is consulted outside the numeric path.
-pub struct RpcKernels<'a, O: PhaseObserver + ?Sized> {
+/// `keys` must be the [`OperandKeys`] of the plan being served. When
+/// `local`'s observer traces, every RPC attempt of the fan-out (retries
+/// included) and every worker-side kernel span shipped back in the replies
+/// is recorded into it, parented under the phase spans it pre-allocates —
+/// one connected span tree per request even across the wire; the `()`
+/// observer runs untraced. Tracing never changes the computation: the
+/// observer is consulted outside the numeric path.
+pub struct RpcKernels<'a> {
     /// The workers.
     pub pool: &'a WorkerPool,
     /// The name the dataset's slabs are cached under on the workers.
     pub dataset: &'a str,
     /// The served plan's content keys.
     pub keys: &'a OperandKeys,
-    /// The coordinator-side stages (and the dataset view).
-    pub local: LocalKernels<'a, O>,
-    /// Receives the RPC spans.
-    pub sink: &'a dyn SpanSink,
+    /// The coordinator-side stages, the dataset view, and the observer the
+    /// shard tasks and RPC spans are reported to.
+    pub local: LocalKernels<'a>,
 }
 
-impl<O: PhaseObserver + ?Sized> RpcKernels<'_, O> {
+impl RpcKernels<'_> {
     /// The slab ranges on the leading axis of `factors`. A product that does
     /// not line up with them has no per-slab tasks to send; the caller
     /// reruns the request over [`LocalKernels`], which serve it plain.
@@ -200,7 +199,7 @@ impl<O: PhaseObserver + ?Sized> RpcKernels<'_, O> {
     }
 }
 
-impl<O: PhaseObserver + ?Sized> Kernels for RpcKernels<'_, O> {
+impl Kernels for RpcKernels<'_> {
     type Error = NetError;
 
     fn cells(&self) -> usize {
@@ -218,7 +217,7 @@ impl<O: PhaseObserver + ?Sized> Kernels for RpcKernels<'_, O> {
     /// Slabs are cached on the workers, so tasks are
     /// [`SlabForwardKeyed`](crate::Frame::SlabForwardKeyed) RPCs naming one.
     fn forward(&self, block: usize, factors: &[&StructuredMatrix]) -> Result<Vec<f64>, NetError> {
-        let phase = MechanismPhase::Measure;
+        let phase = Phase::Measure;
         self.aligned(factors)?;
         let split = leading_split(factors);
         let trailing = Operand::keyed(self.keys.block(block)?, &split.trailing);
@@ -230,8 +229,8 @@ impl<O: PhaseObserver + ?Sized> Kernels for RpcKernels<'_, O> {
                 trailing,
                 (slab.rows.start as u64, slab.rows.end as u64),
                 slab.values,
-                self.sink,
-                phase.name(),
+                self.local.observer,
+                phase,
             )
         })?;
         Ok(kron_forward_from_parts(
@@ -251,7 +250,7 @@ impl<O: PhaseObserver + ?Sized> Kernels for RpcKernels<'_, O> {
         factors: &[&StructuredMatrix],
         y: &[f64],
     ) -> Result<Vec<f64>, NetError> {
-        let phase = MechanismPhase::Reconstruct;
+        let phase = Phase::Reconstruct;
         let domain_ranges = self.aligned(factors)?;
         let split = leading_split(factors);
         let rest_m = split.trailing_rows();
@@ -260,7 +259,7 @@ impl<O: PhaseObserver + ?Sized> Kernels for RpcKernels<'_, O> {
         let parts = fan_out(&y_blocks, self.local.observer, phase, |shard, b| {
             let payload = &y[b.start * rest_m..b.end * rest_m];
             self.pool
-                .apply(true, trailing, payload, shard, self.sink, phase.name())
+                .apply(true, trailing, payload, shard, self.local.observer, phase)
         })?;
         Ok(kron_transpose_from_parts(
             factors,
@@ -279,7 +278,7 @@ impl<O: PhaseObserver + ?Sized> Kernels for RpcKernels<'_, O> {
         gram_pinvs: &[&StructuredMatrix],
         aty: &[f64],
     ) -> Result<Vec<f64>, NetError> {
-        let phase = MechanismPhase::Reconstruct;
+        let phase = Phase::Reconstruct;
         let ranges = self.aligned(gram_pinvs)?;
         let split = leading_split(gram_pinvs);
         let rest_n = split.trailing_cols();
@@ -287,7 +286,7 @@ impl<O: PhaseObserver + ?Sized> Kernels for RpcKernels<'_, O> {
         let parts = fan_out(&ranges, self.local.observer, phase, |shard, r| {
             let payload = &aty[r.start * rest_n..r.end * rest_n];
             self.pool
-                .apply(false, trailing, payload, shard, self.sink, phase.name())
+                .apply(false, trailing, payload, shard, self.local.observer, phase)
         })?;
         Ok(kron_forward_from_parts(
             gram_pinvs,
@@ -308,10 +307,9 @@ mod tests {
     use super::*;
     use crate::worker::{spawn_worker, WorkerHandle, WorkerOptions};
     use hdmm_mechanism::{
-        run_mechanism, MarginalsStrategy, MechanismRequest, MechanismResult, NoopObserver,
-        PipelineError, ScopedExecutor, ShardedView, UnionGroup,
+        run_mechanism, MarginalsStrategy, MechanismRequest, MechanismResult, PipelineError,
+        ScopedExecutor, ShardedView, UnionGroup,
     };
-    use hdmm_obs::NoopSpanSink;
     use hdmm_workload::{blocks, builders, Domain};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -347,7 +345,7 @@ mod tests {
         strategy: &Strategy,
         view: &ShardedView<'_>,
         pool: &WorkerPool,
-        observer: &impl PhaseObserver,
+        observer: &dyn Observer,
     ) -> Result<MechanismResult, PipelineError<NetError>> {
         let prepared = PreparedReconstruct::new(strategy);
         let keys = OperandKeys::new(strategy, &prepared);
@@ -369,7 +367,6 @@ mod tests {
                     exec: &ScopedExecutor::new(2),
                     observer,
                 },
-                sink: &NoopSpanSink,
             },
             observer,
         )
@@ -416,7 +413,7 @@ mod tests {
             for workers in [1usize, 2, 3] {
                 let (_handles, pool) = spawn_pool(workers);
                 let view = ShardedView::partitioned(leading, &x, 3);
-                let got = run_remote(&w, &s, &view, &pool, &NoopObserver).unwrap();
+                let got = run_remote(&w, &s, &view, &pool, &()).unwrap();
                 assert!(
                     bits_eq(&got.answers, &plain.answers),
                     "{} workers={workers}: answers diverge",
@@ -447,7 +444,7 @@ mod tests {
         let s = Strategy::kron(vec![blocks::prefix(4), blocks::prefix(4)]);
         let x = data(16);
         let view = ShardedView::partitioned(4, &x, 2);
-        let r = run_remote(&w, &s, &view, &pool, &NoopObserver);
+        let r = run_remote(&w, &s, &view, &pool, &());
         assert!(matches!(r, Err(PipelineError::Kernel(_))));
     }
 
@@ -455,9 +452,8 @@ mod tests {
     fn a_panicking_shard_task_is_a_net_error_not_a_request_panic() {
         /// Caller code on the fan-out threads: panics when shard 1 reports.
         struct PanicsOnShardOne;
-        impl PhaseObserver for PanicsOnShardOne {
-            fn phase_complete(&self, _phase: MechanismPhase, _elapsed: Duration) {}
-            fn shard_phase_complete(&self, _phase: MechanismPhase, shard: usize, _e: Duration) {
+        impl Observer for PanicsOnShardOne {
+            fn shard_phase_complete(&self, _phase: Phase, shard: usize, _e: Duration) {
                 assert_ne!(shard, 1, "observer bug");
             }
         }

@@ -355,8 +355,8 @@ pub enum NetError {
     /// misaligned with the leading factor); the caller should fall back to
     /// the local pipeline.
     Unsupported(&'static str),
-    /// A fan-out thread panicked (in an observer or span sink — caller
-    /// code); nothing was lost that a local re-run cannot redo.
+    /// A fan-out thread panicked (in the observer — caller code); nothing
+    /// was lost that a local re-run cannot redo.
     TaskPanicked,
 }
 

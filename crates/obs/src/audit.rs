@@ -35,6 +35,7 @@
 //! counts such dangling reservations as spent (`docs/DURABILITY.md` §7
 //! documents this ordering contract, §5 the conservative-replay invariant).
 
+use crate::json_escape;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -87,20 +88,6 @@ pub struct AuditEvent {
     pub eps: f64,
     /// ε remaining in the dataset ledger *after* the transition.
     pub remaining: f64,
-}
-
-fn json_escape(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
 }
 
 impl AuditEvent {

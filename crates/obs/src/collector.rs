@@ -16,6 +16,7 @@
 //!   consistent *per-span* view (a span is recorded exactly once, after it
 //!   completes) without stalling writers.
 
+use crate::json_escape;
 use crate::trace::Span;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -142,22 +143,6 @@ impl SpanCollector {
             .collect();
         out.sort_by_key(|s| (s.start_ns, s.span_id));
         out
-    }
-}
-
-fn json_escape(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
     }
 }
 

@@ -5,9 +5,12 @@
 //! (retries included), and the merge. Aggregate histograms cannot explain
 //! one slow request, and a private query engine has a resource — the ε
 //! budget — whose consumption must be auditable per request. This crate
-//! holds the pieces, free of any engine dependency so every layer
-//! (mechanism, net, engine) can use them:
+//! holds the pieces, free of any workspace dependency so every layer
+//! (optimizer, mechanism, net, engine) can use them:
 //!
+//! * [`observer`] — [`Observer`], the one trait every layer reports its
+//!   events through (SELECT's restart grid, each [`Phase`] and shard task,
+//!   spans), and `()`, the observer that discards them;
 //! * [`trace`] — [`TraceContext`] (trace id + span id, FNV-derived and
 //!   deterministic under a seed) and [`Span`], the unit of causality;
 //! * [`collector`] — [`SpanCollector`], a sharded bounded ring buffer that
@@ -23,10 +26,28 @@
 
 pub mod audit;
 pub mod collector;
+pub mod observer;
 pub mod prom;
 pub mod trace;
 
 pub use audit::{AuditEvent, AuditKind, AuditLog};
 pub use collector::{chrome_trace, SpanCollector};
+pub use observer::{Observer, Phase};
 pub use prom::PromBuf;
-pub use trace::{NoopSpanSink, Span, SpanSink, TraceContext};
+pub use trace::{Span, TraceContext};
+
+/// Appends `s` to `out` as the body of a JSON string (the Chrome trace
+/// export and the audit stream's JSONL share it).
+pub(crate) fn json_escape(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+}

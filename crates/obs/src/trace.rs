@@ -9,7 +9,7 @@
 //! that replays the same request order against the same seed sees the same
 //! ids, which makes span-tree assertions exact rather than fuzzy.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// FNV-1a over a byte slice, the repo-wide cheap stable hash.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -110,59 +110,6 @@ impl Span {
         self.attrs.push((key.into(), value.into()));
         self
     }
-}
-
-/// A per-request recorder of completed spans, passed by reference down the
-/// serving stack (including into `hdmm-net`'s RPC fan-out, which is why this
-/// trait lives here and not in the engine).
-///
-/// Implementations must be cheap and non-blocking — every method runs on the
-/// serving path. `Sync` so one recorder can be shared by the scoped threads
-/// of a shard fan-out.
-pub trait SpanSink: Sync {
-    /// The trace to propagate (over the wire, into child spans); `None`
-    /// disables tracing and lets callers skip span construction entirely.
-    fn context(&self) -> Option<TraceContext>;
-
-    /// Allocates a fresh span id, unique within the current trace.
-    fn next_span_id(&self) -> u64;
-
-    /// The span id children labeled `label` should parent under (e.g. the
-    /// pre-allocated span of the phase named `label`); `None` parents under
-    /// the root.
-    fn parent_for(&self, label: &str) -> Option<u64>;
-
-    /// Converts an instant to collector-epoch-relative nanoseconds.
-    fn rel_ns(&self, at: Instant) -> u64;
-
-    /// Records one completed span.
-    fn record(&self, span: Span);
-}
-
-/// The disabled recorder: reports no context, records nothing. Callers that
-/// observe [`SpanSink::context`]`() == None` skip span bookkeeping, so the
-/// untraced path costs one virtual call per fan-out, not per span.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopSpanSink;
-
-impl SpanSink for NoopSpanSink {
-    fn context(&self) -> Option<TraceContext> {
-        None
-    }
-
-    fn next_span_id(&self) -> u64 {
-        0
-    }
-
-    fn parent_for(&self, _label: &str) -> Option<u64> {
-        None
-    }
-
-    fn rel_ns(&self, _at: Instant) -> u64 {
-        0
-    }
-
-    fn record(&self, _span: Span) {}
 }
 
 /// Duration → saturating nanoseconds (shared convention with telemetry).

@@ -17,7 +17,7 @@
 //! * [`opt_hdmm`](mod@opt_hdmm) — the options and result types, and
 //!   [`opt_hdmm_grams`]: Algorithm 2 as the paper names it, i.e. the grid
 //!   over [`OptimizerChoice::Exhaustive`];
-//! * [`restart`] — the per-cell seed derivation and observer.
+//! * [`restart`] — the per-cell seed derivation.
 //!
 //! # One SELECT
 //!
@@ -49,4 +49,9 @@ pub use planner::{
     optimize_with_choice, optimize_with_choice_observed, select_optimizer, OptimizerChoice,
     PlanDecision,
 };
-pub use restart::{restart_seed, RestartObserver};
+pub use restart::restart_seed;
+
+/// The optimizer's name for [`hdmm_obs::Observer`]: SELECT reports
+/// [`Observer::grid_planned`](hdmm_obs::Observer::grid_planned) and
+/// [`Observer::restart_complete`](hdmm_obs::Observer::restart_complete).
+pub use hdmm_obs::Observer as RestartObserver;

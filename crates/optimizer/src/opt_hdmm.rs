@@ -87,7 +87,7 @@ pub fn opt_hdmm_grams(grams: &WorkloadGrams, ps: &[usize], opts: &HdmmOptions) -
 mod tests {
     use super::*;
     use crate::planner::optimize_with_choice_observed;
-    use crate::restart::RestartObserver;
+    use hdmm_obs::Observer;
     use hdmm_workload::{blocks, builders, Domain};
     use std::sync::Mutex;
     use std::time::Duration;
@@ -182,7 +182,7 @@ mod tests {
     #[derive(Default)]
     struct CellLosses(Mutex<Vec<(usize, &'static str, u64)>>);
 
-    impl RestartObserver for CellLosses {
+    impl Observer for CellLosses {
         fn restart_complete(&self, operator: &'static str, restart: usize, loss: f64, _: Duration) {
             self.0
                 .lock()

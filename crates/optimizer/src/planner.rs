@@ -36,9 +36,10 @@ use crate::opt_hdmm::{HdmmOptions, Selected};
 use crate::opt_kron::opt_kron;
 use crate::opt_marginals::opt_marginals;
 use crate::opt_plus::{group_terms, opt_plus};
-use crate::restart::{restart_seed, RestartObserver};
+use crate::restart::restart_seed;
 use hdmm_linalg::{Matrix, StructuredMatrix};
 use hdmm_mechanism::{ScopedExecutor, Strategy};
+use hdmm_obs::Observer;
 use hdmm_workload::{Workload, WorkloadGrams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -264,7 +265,7 @@ pub fn optimize_with_choice(
 /// (choice, workload) pairs — see the [module docs](self) for the operator
 /// set, cell order, seed derivation and fold.
 ///
-/// The observer sees [`RestartObserver::grid_planned`] once with
+/// The observer sees [`Observer::grid_planned`] once with
 /// `restarts × |set|`, then one completion per cell in completion order; the
 /// returned selection does not depend on that order.
 pub fn optimize_with_choice_observed(
@@ -272,7 +273,7 @@ pub fn optimize_with_choice_observed(
     ps: &[usize],
     opts: &HdmmOptions,
     choice: OptimizerChoice,
-    observer: &dyn RestartObserver,
+    observer: &dyn Observer,
 ) -> Selected {
     let operators = Operator::resolve(choice, grams, opts);
     let restarts = opts.restarts.max(1);
@@ -368,7 +369,7 @@ mod tests {
         tags: Mutex<BTreeSet<&'static str>>,
     }
 
-    impl RestartObserver for GridShape {
+    impl Observer for GridShape {
         fn grid_planned(&self, total_cells: usize) {
             self.planned.lock().unwrap().push(total_cells);
         }

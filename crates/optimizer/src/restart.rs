@@ -1,4 +1,4 @@
-//! Restart seed derivation and the per-cell observer.
+//! Restart seed derivation.
 //!
 //! Algorithm 2 runs its operator set across `S` random restarts. Each
 //! `(restart, operator)` cell gets its **own** RNG stream, derived from the
@@ -13,8 +13,6 @@
 //!   the earliest cell (lowest restart index, then operator order);
 //! * therefore the serial run and any parallel schedule produce bitwise
 //!   identical strategies, and adding restarts never perturbs earlier cells.
-
-use std::time::Duration;
 
 /// Derives the RNG seed for one `(restart, operator)` cell.
 ///
@@ -36,27 +34,6 @@ pub fn restart_seed(master: u64, restart: u64, operator: &str) -> u64 {
     h = h.wrapping_mul(FNV_PRIME);
     h ^= restart.wrapping_add(1);
     h.wrapping_mul(FNV_PRIME)
-}
-
-/// Observer for individual restart-cell completions.
-///
-/// Implementations must be `Sync`: under a parallel executor, cells complete
-/// concurrently from scoped worker threads. Callbacks fire in **completion**
-/// order (not grid order); the deterministic argmin merge happens after all
-/// cells finish, so observers must not infer the winner from callback order.
-pub trait RestartObserver: Sync {
-    /// Called once, before any cell runs, with the total number of cells the
-    /// restart grid holds — so progress surfaces can report `done/total`.
-    fn grid_planned(&self, _total_cells: usize) {}
-
-    /// One `(restart, operator)` cell finished with the given candidate loss
-    /// (`f64::INFINITY` when the cell produced no valid candidate).
-    fn restart_complete(&self, operator: &'static str, restart: usize, loss: f64, took: Duration);
-}
-
-/// A no-op observer for callers that don't trace restarts.
-impl RestartObserver for () {
-    fn restart_complete(&self, _: &'static str, _: usize, _: f64, _: Duration) {}
 }
 
 #[cfg(test)]

@@ -14,10 +14,10 @@
 //!    byte-identically to its dense twin while MEASURE/RECONSTRUCT/ANSWER
 //!    fan out per shard;
 //! 7. the same sharded dataset served through a pool of in-process TCP
-//!    shard workers (`hdmm-net`) — remote answers byte-identical to local,
-//!    per-worker health printed — then the engine's cache, per-phase,
-//!    per-shard, per-dataset, and remote-pool telemetry is printed via
-//!    `Engine::metrics()`.
+//!    shard workers (`hdmm-net`) — remote answers byte-identical to local;
+//! 8. observability: a `/metrics` excerpt with per-worker health, the
+//!    Chrome trace, the ε-audit tail — then `Engine::metrics()` in full,
+//!    which prints as the same Prometheus page.
 
 use hdmm_core::{builders, Domain, EngineError, QueryEngine};
 use hdmm_engine::{Engine, EngineOptions, EngineServer, RemoteOptions, ServerOptions};
@@ -206,13 +206,6 @@ fn main() {
         "\n#7 remote: served over {} TCP workers, byte-identical to local: {remote_identical}",
         workers.len()
     );
-    let pool = remote_twin
-        .metrics()
-        .remote
-        .expect("remote engine exposes pool health");
-    for health in &pool.workers {
-        println!("   worker {health}");
-    }
 
     // 8. Observability: every request above carried a deterministic trace
     //    id and assembled a span tree — queue wait, SELECT, phases, shard
@@ -220,7 +213,8 @@ fn main() {
     //    crossed the wire. The same engines render their metrics as a
     //    Prometheus page (`hdmm-metrics-exporter` serves it over HTTP), and
     //    the trace exports as Chrome `trace_event` JSON that Perfetto or
-    //    `chrome://tracing` loads directly.
+    //    `chrome://tracing` loads directly. Per-worker health is the
+    //    `hdmm_worker_*` families of that page.
     let prom = remote_twin.render_prometheus();
     let excerpt: Vec<&str> = prom
         .lines()
@@ -230,6 +224,9 @@ fn main() {
                 || l.starts_with("hdmm_phase_duration_seconds_count")
                 || l.starts_with("hdmm_dataset_eps_remaining")
                 || l.starts_with("hdmm_worker_up")
+                || l.starts_with("hdmm_worker_tasks_total")
+                || l.starts_with("hdmm_worker_failures_total")
+                || l.starts_with("hdmm_worker_mean_task_seconds")
                 || l.starts_with("hdmm_spans_collected_total")
         })
         .collect();
@@ -258,9 +255,9 @@ fn main() {
         println!("   {}", event.to_json());
     }
 
-    // The one-call observability surface: cache counters, per-phase latency
-    // histograms (select runs once per distinct workload; measure/
-    // reconstruct/answer once per served request), per-shard task spans,
-    // per-dataset request/failure counters, and remote pool health.
+    // The one-call observability surface, printed as its Prometheus page:
+    // cache counters, per-phase latency histograms (select runs once per
+    // distinct workload; measure/reconstruct/answer once per served
+    // request), per-dataset request/failure counters and ε gauges.
     println!("\nengine metrics:\n{}", engine.metrics());
 }

@@ -21,7 +21,7 @@ use hdmm::engine::{AuditKind, Engine, EngineOptions, RemoteOptions, RetryPolicy,
 use hdmm::optimizer::HdmmOptions;
 use hdmm_net::{spawn_worker, WorkerHandle, WorkerOptions};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Duration;
 
 fn engine_with(seed: u64, remote: Option<RemoteOptions>) -> Engine {
@@ -543,5 +543,142 @@ fn phase_snapshots_expose_buckets_and_sum() {
     assert!(
         cum.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 <= w[1].1),
         "cumulative buckets are le-sorted and non-decreasing"
+    );
+}
+
+/// One run of identical spans in a trace: how many, their name, their
+/// parent's name (empty for the root) and their sorted attribute keys.
+type SpanRun = (usize, String, String, Vec<String>);
+
+/// A trace as a table of [`SpanRun`]s, sorted, so completion order and
+/// timings drop out and only the tree's shape is compared.
+fn span_table(spans: &[Span]) -> Vec<SpanRun> {
+    let names: HashMap<u64, &str> = spans.iter().map(|s| (s.span_id, s.name.as_str())).collect();
+    let mut rows: Vec<(String, String, Vec<String>)> = spans
+        .iter()
+        .map(|s| {
+            let mut keys: Vec<String> = s.attrs.iter().map(|(k, _)| k.clone()).collect();
+            keys.sort();
+            let parent = names.get(&s.parent_id).copied().unwrap_or_default();
+            (s.name.clone(), parent.to_string(), keys)
+        })
+        .collect();
+    rows.sort();
+    let mut runs: Vec<SpanRun> = Vec::new();
+    for (name, parent, keys) in rows {
+        match runs.last_mut() {
+            Some(run) if (&run.1, &run.2, &run.3) == (&name, &parent, &keys) => run.0 += 1,
+            _ => runs.push((1, name, parent, keys)),
+        }
+    }
+    runs
+}
+
+/// Compares a trace with its recorded table, printing the trace's own table
+/// as a literal when they differ.
+fn assert_span_table(what: &str, spans: &[Span], expected: &[(usize, &str, &str, &[&str])]) {
+    let got = span_table(spans);
+    let want: Vec<SpanRun> = expected
+        .iter()
+        .map(|&(n, name, parent, keys)| {
+            let keys = keys.iter().map(|k| k.to_string()).collect();
+            (n, name.to_string(), parent.to_string(), keys)
+        })
+        .collect();
+    if got != want {
+        let literal: String = got
+            .iter()
+            .map(|(n, name, parent, keys)| {
+                format!("        ({n}, {name:?}, {parent:?}, &{keys:?}),\n")
+            })
+            .collect();
+        panic!("{what}: the span tree changed; it now reads\n{literal}");
+    }
+}
+
+/// The span trees of three requests — a cold traced request on a 2-shard
+/// Kronecker dataset (restart cells included), a traced request through two
+/// loopback workers, and an unsampled request under a zero slow-query
+/// threshold — as tables recorded before the numeric layers and the engine
+/// shared one observer trait. Every span keeps its name, its parent and its
+/// attribute keys.
+#[test]
+fn span_trees_match_the_table_recorded_before_the_observer_merge() {
+    const RPC_KEYS: &[&str] = &["attempt", "lane", "outcome", "shard", "worker"];
+    let domain = Domain::new(&[8, 8]);
+    let workload = builders::prefix_2d(8, 8);
+
+    let local = engine_with(21, None);
+    local
+        .register_dataset_sharded("k", domain.clone(), vec![1.0; 64], 2, 10.0)
+        .unwrap();
+    let resp = local.serve("k", &workload, 0.5).unwrap();
+    assert_span_table(
+        "cold local, 2 shards",
+        &local.trace_spans(resp.trace_id),
+        &[
+            (1, "answer", "request", &[]),
+            (1, "measure", "request", &[]),
+            (1, "reconstruct", "request", &[]),
+            (1, "request", "", &["dataset", "outcome", "slow"]),
+            (1, "restart:kron", "select", &["loss", "restart"]),
+            (1, "select", "request", &["cache_hit"]),
+            (4, "shard:answer", "answer", &["lane", "shard"]),
+            (4, "shard:measure", "measure", &["lane", "shard"]),
+            (8, "shard:reconstruct", "reconstruct", &["lane", "shard"]),
+        ],
+    );
+
+    let (_workers, remote) = spawn_workers(2);
+    let rpc = engine_with(22, Some(remote));
+    rpc.register_dataset_sharded("k", domain, vec![1.0; 64], 2, 10.0)
+        .unwrap();
+    let resp = rpc.serve("k", &workload, 0.5).unwrap();
+    assert_span_table(
+        "cold remote, 2 workers",
+        &rpc.trace_spans(resp.trace_id),
+        &[
+            (1, "answer", "request", &[]),
+            (1, "measure", "request", &[]),
+            (1, "reconstruct", "request", &[]),
+            (1, "request", "", &["dataset", "outcome", "slow"]),
+            (1, "restart:kron", "select", &["loss", "restart"]),
+            (4, "rpc:apply", "reconstruct", RPC_KEYS),
+            (2, "rpc:forward", "measure", RPC_KEYS),
+            (2, "rpc:load", "measure", RPC_KEYS),
+            (1, "select", "request", &["cache_hit"]),
+            (4, "shard:answer", "answer", &["lane", "shard"]),
+            (4, "shard:measure", "measure", &["lane", "shard"]),
+            (8, "shard:reconstruct", "reconstruct", &["lane", "shard"]),
+            (4, "worker:apply", "rpc:apply", &["lane", "worker"]),
+            (2, "worker:forward", "rpc:forward", &["lane", "worker"]),
+            (2, "worker:load", "rpc:load", &["lane", "worker"]),
+        ],
+    );
+
+    let slow = Engine::new(EngineOptions {
+        hdmm: HdmmOptions {
+            restarts: 1,
+            ..Default::default()
+        },
+        seed: 23,
+        slow_query_threshold: Some(Duration::ZERO),
+        trace_sample: 0,
+        ..Default::default()
+    });
+    slow.register_dataset("d", Domain::one_dim(16), vec![1.0; 16], 10.0)
+        .unwrap();
+    let resp = slow.serve("d", &builders::prefix_1d(16), 0.25).unwrap();
+    assert_span_table(
+        "unsampled, slow",
+        &slow.trace_spans(resp.trace_id),
+        &[
+            (1, "answer", "request", &[]),
+            (1, "measure", "request", &[]),
+            (1, "reconstruct", "request", &[]),
+            (1, "request", "", &["dataset", "outcome", "slow"]),
+            (1, "restart:opt0", "select", &["loss", "restart"]),
+            (1, "select", "request", &["cache_hit"]),
+        ],
     );
 }

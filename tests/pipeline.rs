@@ -14,14 +14,14 @@ use hdmm::core::{builders, Domain, Workload};
 use hdmm::linalg::Matrix;
 use hdmm::mechanism::{
     measure, reconstruct_with, run_mechanism, Kernels, LocalKernels, MarginalsStrategy,
-    MechanismError, MechanismPhase, MechanismRequest, PhaseObserver, PipelineError, PlainKernels,
-    PreparedReconstruct, ScopedExecutor, ShardedView, Strategy, UnionGroup,
+    MechanismError, MechanismRequest, PipelineError, PlainKernels, PreparedReconstruct,
+    ScopedExecutor, ShardedView, Strategy, UnionGroup,
 };
 use hdmm::workload::blocks;
 use hdmm_net::{
     spawn_worker, OperandKeys, RemoteOptions, RpcKernels, WorkerHandle, WorkerOptions, WorkerPool,
 };
-use hdmm_obs::NoopSpanSink;
+use hdmm_obs::{Observer, Phase};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Debug;
@@ -91,16 +91,16 @@ fn families() -> Vec<(Workload, Strategy)> {
 
 /// Records the phases the pipeline reports, in order.
 #[derive(Default)]
-struct Recorder(Mutex<Vec<MechanismPhase>>);
+struct Recorder(Mutex<Vec<Phase>>);
 
-impl PhaseObserver for Recorder {
-    fn phase_complete(&self, phase: MechanismPhase, _elapsed: Duration) {
+impl Observer for Recorder {
+    fn phase_complete(&self, phase: Phase, _elapsed: Duration) {
         self.0.lock().unwrap().push(phase);
     }
 }
 
 impl Recorder {
-    fn phases(&self) -> Vec<MechanismPhase> {
+    fn phases(&self) -> Vec<Phase> {
         self.0.lock().unwrap().clone()
     }
 }
@@ -166,7 +166,6 @@ fn for_each_kernel_kind(
                 exec: &ScopedExecutor::new(2),
                 observer: &Recorder::default(),
             },
-            sink: &NoopSpanSink,
         },
     );
 }
@@ -199,11 +198,7 @@ impl Row for MatchesReference<'_> {
         );
         assert_eq!(
             observer.phases(),
-            [
-                MechanismPhase::Measure,
-                MechanismPhase::Reconstruct,
-                MechanismPhase::Answer
-            ],
+            [Phase::Measure, Phase::Reconstruct, Phase::Answer],
             "{family} over {kind}: each phase once, in order"
         );
     }
@@ -426,7 +421,6 @@ fn every_kernel_kind_refuses_invalid_requests_identically_before_any_noise() {
                     exec: &ScopedExecutor::new(1),
                     observer: &Recorder::default(),
                 },
-                sink: &NoopSpanSink,
             },
         );
     }

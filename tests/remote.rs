@@ -186,17 +186,17 @@ fn killed_worker_mid_measure_retries_and_reassigns() {
     );
     assert!(
         pool.retries >= 1,
-        "the interrupted task must have been retried: {pool}"
+        "the interrupted task must have been retried: {pool:?}"
     );
     assert!(
         pool.reassignments >= 1 || m.telemetry.remote_fallbacks >= 1,
         "the orphaned shard must have been reassigned (or the request \
-         re-served locally): {pool}"
+         re-served locally): {pool:?}"
     );
     // Survivors carried the load.
     assert!(
         pool.workers[1..].iter().all(|h| h.alive),
-        "surviving workers must stay alive: {pool}"
+        "surviving workers must stay alive: {pool:?}"
     );
 }
 
@@ -324,11 +324,11 @@ fn restarted_worker_gets_its_factors_back_without_a_fallback() {
     let pool = m.remote.expect("pool health");
     assert!(
         pool.factor_misses >= 1,
-        "the restarted worker must have answered UnknownFactors: {pool}"
+        "the restarted worker must have answered UnknownFactors: {pool:?}"
     );
     assert!(
         pool.workers[0].factor_pushes > before.workers[0].factor_pushes,
-        "and been sent the factors again: {pool}"
+        "and been sent the factors again: {pool:?}"
     );
     assert!(handles[0].factor_list_count() >= 1);
 }
@@ -400,11 +400,14 @@ fn steady_state_ships_each_factor_list_to_each_link_exactly_once() {
     engine.serve("d", &w, 0.5).unwrap();
     let warm = engine.metrics().remote.expect("pool health");
     for (link, worker) in warm.workers.iter().zip(&handles) {
-        assert!(link.factor_pushes >= 1, "the first request pushes: {warm}");
+        assert!(
+            link.factor_pushes >= 1,
+            "the first request pushes: {warm:?}"
+        );
         assert_eq!(
             link.factor_pushes as usize,
             worker.factor_list_count(),
-            "one push per list the worker holds: {warm}"
+            "one push per list the worker holds: {warm:?}"
         );
     }
     for _ in 0..4 {
@@ -415,7 +418,7 @@ fn steady_state_ships_each_factor_list_to_each_link_exactly_once() {
     for (before, after) in warm.workers.iter().zip(&steady.workers) {
         assert_eq!(
             before.factor_pushes, after.factor_pushes,
-            "warm requests re-ship no factors: {steady}"
+            "warm requests re-ship no factors: {steady:?}"
         );
         assert!(after.tasks > before.tasks && after.bytes_sent > before.bytes_sent);
         assert!(after.bytes_received > before.bytes_received);

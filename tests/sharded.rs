@@ -16,7 +16,6 @@ use hdmm::mechanism::{
     ScopedExecutor, ShardedView, Strategy,
 };
 use hdmm::optimizer::HdmmOptions;
-use hdmm_mechanism::NoopObserver;
 use proptest::prelude::*;
 // The mechanism's `Strategy` shadows the prelude's trait of the same name;
 // re-import the trait under an alias so `prop_map` stays in scope.
@@ -166,7 +165,7 @@ proptest! {
 
             let view = ShardedView::partitioned(n1, &x, shards);
             let exec = ScopedExecutor::new(if threaded { 4 } else { 1 });
-            let kernels = LocalKernels { view: &view, exec: &exec, observer: &NoopObserver };
+            let kernels = LocalKernels { view: &view, exec: &exec, observer: &() };
             let mut rng = StdRng::seed_from_u64(seed);
             let meas = measure_on(&strategy, None, 1.0, &mut rng, &kernels).unwrap();
             for (a, b) in plain.blocks.iter().zip(&meas.blocks) {
@@ -238,9 +237,9 @@ fn cached_marginals_algebra_measures_bitwise_like_a_fresh_one() {
                 &LocalKernels {
                     view: &view,
                     exec,
-                    observer: &NoopObserver,
+                    observer: &(),
                 },
-                &NoopObserver,
+                &(),
             )
             .unwrap();
             assert!(

@@ -314,13 +314,53 @@ impl KronScratch {
     }
 }
 
+/// A leaf's `(input, output)` extents in a product's direction.
+fn extents(a: &StructuredMatrix, transpose: bool) -> (usize, usize) {
+    let (m, n) = a.shape();
+    if transpose {
+        (m, n)
+    } else {
+        (n, m)
+    }
+}
+
+/// The order [`contract_chain`] contracts the modes of `leaves` in.
+///
+/// Every mode of Algorithm 1 costs `left · right · cost(Aᵢ)`, and `left` /
+/// `right` hold the modes already contracted at their *output* extents, so a
+/// mode that shrinks the tensor should go before the modes that grow it. A
+/// leaf *shrinks* when its output extent is below its input extent (`rows <
+/// cols` forward, `cols < rows` transposed — a `Total`, a short factor, any
+/// tall factor transposed). The order is the shrinking leaves, then the rest,
+/// each group last-to-first.
+///
+/// A chain with no shrinking leaf before a non-shrinking one keeps the plain
+/// last-to-first order and its bits: every forward strategy product of tall
+/// or square factors, every all-tall transpose, every square inverse-Gram
+/// chain. The order depends only on the leaves' shapes and the direction.
+pub(crate) fn chain_order<'a>(
+    leaves: &'a [&'a StructuredMatrix],
+    transpose: bool,
+) -> impl Iterator<Item = usize> + 'a {
+    let shrinks = move |&i: &usize| {
+        let (input, output) = extents(leaves[i], transpose);
+        output < input
+    };
+    let last_to_first = move || (0..leaves.len()).rev();
+    last_to_first()
+        .filter(shrinks)
+        .chain(last_to_first().filter(move |i| !shrinks(i)))
+}
+
 /// The one chain driver: flattens nested `Kron` factors so every mode is a
-/// leaf, then contracts the modes last-to-first (fastest index first),
-/// ping-ponging between the two scratch buffers; the result is left in
-/// `scratch.cur`. `right` is the product of the output dimensions already
-/// produced. `x` may hold any whole number of leading rows on top of the
-/// factors' own modes — one for a full product, a slab's row count for the
-/// trailing step of `slab.rs` — since they are just more of `left`.
+/// leaf, then contracts the modes in [`chain_order`], ping-ponging between
+/// the two scratch buffers; the result is left in `scratch.cur`. For every
+/// mode, `left` and `right` are the products of the *current* extents of the
+/// modes before and after it — output extents for modes already contracted,
+/// input extents for the rest. `x` may hold any whole number of leading rows
+/// on top of the factors' own modes — one for a full product, a slab's row
+/// count for the trailing step of `slab.rs` — since they are just more of
+/// `left`.
 ///
 /// # Panics
 /// Panics if `x.len()` is not a multiple of the factors' input size.
@@ -332,14 +372,28 @@ pub(crate) fn contract_chain(
 ) {
     // Before the tensor copy: allocated after it, this small list sits above
     // a multi-megabyte buffer on the heap and keeps the allocator from
-    // recycling it (measured: +10 % on `warm_marginals_5d`'s p50).
+    // recycling it (measured: +10 % on `warm_marginals_5d`'s p50). It stays
+    // the driver's only allocation besides the scratch: the modes' current
+    // extents are read off the order, not kept in a second list.
     let leaves = flatten(factors);
     scratch.cur.clear();
     scratch.cur.extend_from_slice(x);
-    let mut right = 1usize;
-    for a in leaves.into_iter().rev() {
-        let (m, n) = a.shape();
-        let (in_dim, out_dim) = if transpose { (m, n) } else { (n, m) };
+    for (step, i) in chain_order(&leaves, transpose).enumerate() {
+        let a = leaves[i];
+        let (in_dim, out_dim) = extents(a, transpose);
+        // A mode after `i` is at its output extent once an earlier step
+        // contracted it.
+        let contracted = |j: usize| chain_order(&leaves, transpose).take(step).any(|k| k == j);
+        let right: usize = (i + 1..leaves.len())
+            .map(|j| {
+                let (input, output) = extents(leaves[j], transpose);
+                if contracted(j) {
+                    output
+                } else {
+                    input
+                }
+            })
+            .product();
         assert_eq!(
             scratch.cur.len() % (in_dim * right),
             0,
@@ -355,7 +409,6 @@ pub(crate) fn contract_chain(
             contract_rows(a, cur, next, left, right, 0..out_dim);
         }
         std::mem::swap(&mut scratch.cur, &mut scratch.buf);
-        right *= out_dim;
     }
 }
 
@@ -441,5 +494,36 @@ mod tests {
         let dense = Dense(a.clone());
         assert_eq!(kmatvec_structured(&[&dense], &x), a.matvec(&x));
         assert_eq!(kmatvec_transpose_structured(&[&dense], &y), a.t_matvec(&y));
+    }
+
+    #[test]
+    fn chain_order_puts_shrinking_leaves_first_and_keeps_the_rest_last_to_first() {
+        let total = StructuredMatrix::total(5);
+        let ranges = StructuredMatrix::all_range(5);
+        let prefix = StructuredMatrix::prefix(5);
+        let identity = StructuredMatrix::identity(3);
+        let tall = Dense(Matrix::from_fn(7, 5, |r, c| (r + c) as f64));
+        let short = Dense(Matrix::from_fn(2, 5, |r, c| (r * c) as f64));
+        let table: [(&[&StructuredMatrix], bool, &[usize]); 10] = [
+            // A Total in front of the expansion goes first ...
+            (&[&total, &ranges], false, &[0, 1]),
+            (&[&ranges, &short, &identity], false, &[1, 2, 0]),
+            // ... and one already behind it keeps the plain order.
+            (&[&ranges, &total], false, &[1, 0]),
+            // Forward tall / square pairs, all-tall transposes and square
+            // (inverse-Gram) chains: last-to-first.
+            (&[&tall, &tall], false, &[1, 0]),
+            (&[&tall, &identity, &ranges], false, &[2, 1, 0]),
+            (&[&tall, &tall], true, &[1, 0]),
+            (&[&prefix, &identity, &prefix], false, &[2, 1, 0]),
+            (&[&prefix, &identity, &prefix], true, &[2, 1, 0]),
+            // Transposed, a tall leaf shrinks and a Total grows.
+            (&[&tall, &identity], true, &[0, 1]),
+            (&[&total, &ranges], true, &[1, 0]),
+        ];
+        for (leaves, transpose, want) in table {
+            let got: Vec<usize> = chain_order(leaves, transpose).collect();
+            assert_eq!(got, want, "{leaves:?} transpose={transpose}");
+        }
     }
 }

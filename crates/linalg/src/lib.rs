@@ -65,7 +65,7 @@ pub use matrix::Matrix;
 pub use pinv::{pinv, pinv_psd};
 pub use slab::{
     kmatvec_trailing_slab, kmatvec_transpose_trailing_slab, leading_split, matvec_rows,
-    partition_rows, LeadingSplit,
+    partition_rows, slab_split, LeadingSplit,
 };
 pub use structured::{StructuredMatrix, SPARSE_DENSITY_THRESHOLD};
 

@@ -15,6 +15,21 @@ pub trait LinOp {
     fn matvec(&self, x: &[f64]) -> Vec<f64>;
     /// `Aᵀ·y`.
     fn rmatvec(&self, y: &[f64]) -> Vec<f64>;
+
+    /// `A·x` written into `out` (length `rows()`), bitwise [`LinOp::matvec`].
+    /// An operator that owns reusable buffers overrides it, so an iterative
+    /// solver's products allocate nothing.
+    fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
+        out.copy_from_slice(&self.matvec(x));
+    }
+
+    /// `out += Aᵀ·y` element by element (`out` of length `cols()`): how
+    /// [`StackedOp`] sums its blocks. Overridden as [`LinOp::matvec_into`] is.
+    fn rmatvec_add(&self, y: &[f64], out: &mut [f64]) {
+        for (o, p) in out.iter_mut().zip(self.rmatvec(y)) {
+            *o += p;
+        }
+    }
 }
 
 /// A dense matrix as a [`LinOp`].
@@ -95,24 +110,30 @@ impl LinOp for StackedOp<'_> {
         self.cols
     }
     fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.rows());
-        for b in &self.blocks {
-            out.extend(b.matvec(x));
-        }
+        let mut out = vec![0.0; self.rows()];
+        self.matvec_into(x, &mut out);
         out
     }
     fn rmatvec(&self, y: &[f64]) -> Vec<f64> {
         let mut out = vec![0.0; self.cols];
+        self.rmatvec_add(y, &mut out);
+        out
+    }
+    fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
+        let mut rest = out;
+        for b in &self.blocks {
+            let (block, tail) = rest.split_at_mut(b.rows());
+            b.matvec_into(x, block);
+            rest = tail;
+        }
+    }
+    fn rmatvec_add(&self, y: &[f64], out: &mut [f64]) {
         let mut offset = 0;
         for b in &self.blocks {
             let m = b.rows();
-            let part = b.rmatvec(&y[offset..offset + m]);
-            for (o, p) in out.iter_mut().zip(&part) {
-                *o += p;
-            }
+            b.rmatvec_add(&y[offset..offset + m], out);
             offset += m;
         }
-        out
     }
 }
 

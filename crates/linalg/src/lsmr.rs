@@ -100,6 +100,10 @@ pub fn lsmr(a: &dyn LinOp, b: &[f64], opts: &LsmrOptions) -> LsmrResult {
 
     let mut h = v.clone();
     let mut hbar = vec![0.0; n];
+    // The two products' outputs, reused by every iteration: per-iteration
+    // vectors of this size are mmapped and page-faulted afresh each time.
+    let mut av = vec![0.0; m];
+    let mut atu = vec![0.0; n];
 
     // Variables for residual-norm estimation.
     let mut betadd = beta;
@@ -130,7 +134,7 @@ pub fn lsmr(a: &dyn LinOp, b: &[f64], opts: &LsmrOptions) -> LsmrResult {
         iterations += 1;
 
         // Golub–Kahan bidiagonalization step.
-        let av = a.matvec(&v);
+        a.matvec_into(&v, &mut av);
         for (ui, avi) in u.iter_mut().zip(&av) {
             *ui = avi - alpha * *ui;
         }
@@ -139,7 +143,10 @@ pub fn lsmr(a: &dyn LinOp, b: &[f64], opts: &LsmrOptions) -> LsmrResult {
             for e in &mut u {
                 *e /= beta;
             }
-            let atu = a.rmatvec(&u);
+            // `0 + Aᵀu`, as a stack sums its blocks: `Aᵀu` up to the sign of
+            // a zero.
+            atu.fill(0.0);
+            a.rmatvec_add(&u, &mut atu);
             for (vi, atui) in v.iter_mut().zip(&atu) {
                 *vi = atui - beta * *vi;
             }

@@ -2,11 +2,13 @@
 //!
 //! A row-major data vector over a domain `n₁ × n₂ × … × n_d` is separable
 //! along its leading axis: cells `[lo·R, hi·R)` (with `R = Π_{i>1} nᵢ`) form
-//! a contiguous *slab* covering leading-axis rows `[lo, hi)`. Because the
-//! mode contractions of Algorithm 1 are applied trailing-first, every mode
-//! except the leading one operates independently per leading index — so a
-//! Kronecker matvec decomposes into three steps that a sharded engine can
-//! fan out:
+//! a contiguous *slab* covering leading-axis rows `[lo, hi)`. When the
+//! chain driver contracts the leading mode *last* — its order (`contract.rs`)
+//! is the shrinking leaves, then the rest, each group last-to-first, so that
+//! is every product except one whose leading leaf shrinks while some other
+//! leaf does not — every mode except the leading one operates independently
+//! per leading index, and a Kronecker matvec decomposes into three steps
+//! that a sharded engine can fan out:
 //!
 //! 1. **trailing** ([`kmatvec_trailing_slab`]) — apply all factors except the
 //!    leading leaf to each slab independently (the bulk of the flops);
@@ -37,8 +39,15 @@
 //! floating-point addition is not associative: `((a+b)+c)+d` and
 //! `(a+b)+(c+d)` differ in the last ulp. The trailing/merge/leading split is
 //! the decomposition that parallelizes *without* reassociating any sum.
+//!
+//! A product whose order contracts the leading mode early (a leading `Total`
+//! in front of an expanding factor forward, a tall leading factor in front
+//! of a square one transposed) has no such split: [`slab_split`] returns
+//! `None` for it, and the sharded executors run it on the assembled plain
+//! kernel — the path they already take for slabs that do not align with the
+//! leading factor. Same bits either way; only the parallelism differs.
 
-use crate::contract::contract_chain_owned;
+use crate::contract::{chain_order, contract_chain_owned};
 use crate::structured::{flatten, StructuredMatrix};
 use crate::Matrix;
 use std::ops::Range;
@@ -56,7 +65,8 @@ pub struct LeadingSplit<'a> {
 }
 
 /// Splits a factor list into leading leaf and trailing leaves, flattening
-/// nested `Kron` factors first.
+/// nested `Kron` factors first. A split of shapes only: whether a product
+/// may be computed through it is [`slab_split`]'s question.
 ///
 /// # Panics
 /// Panics if `factors` is empty.
@@ -70,6 +80,22 @@ pub fn leading_split<'a>(factors: &[&'a StructuredMatrix]) -> LeadingSplit<'a> {
         leading: flat[0],
         trailing: flat[1..].to_vec(),
     }
+}
+
+/// The [`leading_split`] of a product in direction `transpose`, when the
+/// chain driver contracts its leading mode last — the only order the
+/// trailing / merge / leading decomposition reproduces bit for bit. `None`
+/// when the leading leaf shrinks (output extent below input extent) and some
+/// other leaf does not: that product must run on the plain kernel.
+///
+/// # Panics
+/// Panics if `factors` is empty.
+pub fn slab_split<'a>(
+    factors: &[&'a StructuredMatrix],
+    transpose: bool,
+) -> Option<LeadingSplit<'a>> {
+    let leading_last = chain_order(&flatten(factors), transpose).last() == Some(0);
+    leading_last.then(|| leading_split(factors))
 }
 
 impl LeadingSplit<'_> {
@@ -173,17 +199,46 @@ mod tests {
             .collect()
     }
 
+    /// Whether a leaf's output extent is below its input extent.
+    fn shrinks(a: &StructuredMatrix, transpose: bool) -> bool {
+        let (m, n) = a.shape();
+        if transpose {
+            n < m
+        } else {
+            m < n
+        }
+    }
+
+    /// [`slab_split`]'s answer, from the rule rather than from `chain_order`:
+    /// only a shrinking lead in front of a non-shrinking leaf is refused.
+    fn sliceable(lead: &StructuredMatrix, trailing: &[StructuredMatrix], transpose: bool) -> bool {
+        !shrinks(lead, transpose) || trailing.iter().all(|a| shrinks(a, transpose))
+    }
+
     #[test]
     fn pipeline_matches_full_kmatvec_bitwise() {
         let n_lead = 7;
-        let trailing = [
-            StructuredMatrix::prefix(3).scaled(0.5),
-            StructuredMatrix::Dense(Matrix::from_fn(2, 4, |r, c| (r * 4 + c) as f64 - 3.5)),
+        let short =
+            || StructuredMatrix::Dense(Matrix::from_fn(2, 4, |r, c| (r * 4 + c) as f64 - 3.5));
+        // The second list shrinks in every leaf, so a shrinking lead is sliced
+        // behind it.
+        let trailings = [
+            [StructuredMatrix::prefix(3).scaled(0.5), short()],
+            [StructuredMatrix::total(3).scaled(1.5), short()],
         ];
-        for lead in leading_variants(n_lead) {
+        for (trailing, lead) in trailings
+            .iter()
+            .flat_map(|t| leading_variants(n_lead).into_iter().map(move |l| (t, l)))
+        {
             let factors: Vec<&StructuredMatrix> =
                 std::iter::once(&lead).chain(trailing.iter()).collect();
-            let split = leading_split(&factors);
+            let split = slab_split(&factors, false);
+            assert_eq!(
+                split.is_some(),
+                sliceable(&lead, trailing, false),
+                "{lead:?}"
+            );
+            let Some(split) = split else { continue };
             let rest_n = split.trailing_cols();
             let x = data(n_lead * rest_n, 11);
             let full = kmatvec_structured(&factors, &x);
@@ -211,14 +266,30 @@ mod tests {
     #[test]
     fn transpose_pipeline_matches_full_bitwise() {
         let n_lead = 6;
-        let trailing = [
-            StructuredMatrix::total(3).scaled(1.5),
-            StructuredMatrix::prefix(2),
+        // The second list is all tall, so every leaf shrinks transposed.
+        let trailings = [
+            [
+                StructuredMatrix::total(3).scaled(1.5),
+                StructuredMatrix::prefix(2),
+            ],
+            [
+                StructuredMatrix::Dense(Matrix::from_fn(4, 3, |r, c| (r * 3 + c) as f64 - 5.5)),
+                StructuredMatrix::all_range(2).scaled(0.7),
+            ],
         ];
-        for lead in leading_variants(n_lead) {
+        for (trailing, lead) in trailings
+            .iter()
+            .flat_map(|t| leading_variants(n_lead).into_iter().map(move |l| (t, l)))
+        {
             let factors: Vec<&StructuredMatrix> =
                 std::iter::once(&lead).chain(trailing.iter()).collect();
-            let split = leading_split(&factors);
+            let split = slab_split(&factors, true);
+            assert_eq!(
+                split.is_some(),
+                sliceable(&lead, trailing, true),
+                "{lead:?}ᵀ"
+            );
+            let Some(split) = split else { continue };
             let m_lead = split.leading.rows();
             let rest_m = split.trailing_rows();
             let y = data(m_lead * rest_m, 23);
@@ -271,6 +342,24 @@ mod tests {
                 assert!(ranges.iter().all(|r| !r.is_empty()));
             }
         }
+    }
+
+    #[test]
+    fn slab_split_refuses_only_chains_that_contract_the_leading_mode_early() {
+        let tall = StructuredMatrix::Dense(Matrix::from_fn(11, 9, |r, c| (r + 2 * c) as f64));
+        let identity = StructuredMatrix::identity(5);
+        let total = StructuredMatrix::total(6);
+        let ranges = StructuredMatrix::all_range(6);
+        // A tall lead transposed, and a leading Total forward, each in front
+        // of a leaf that does not shrink.
+        assert!(slab_split(&[&tall, &identity], true).is_none());
+        assert!(slab_split(&[&total, &ranges], false).is_none());
+        // The same leaves the other way round, or in the other direction.
+        assert!(slab_split(&[&tall, &identity], false).is_some());
+        assert!(slab_split(&[&ranges, &total], false).is_some());
+        assert!(slab_split(&[&total, &ranges], true).is_some());
+        assert!(slab_split(&[&tall, &tall], true).is_some());
+        assert!(slab_split(&[&total, &total], false).is_some());
     }
 
     #[test]

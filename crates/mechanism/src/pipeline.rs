@@ -29,12 +29,14 @@ use crate::{
     MarginalsAlgebra, MeasuredBlock, Measurements, MechanismResult, PreparedReconstruct, Strategy,
 };
 use hdmm_linalg::{
-    kmatvec_structured, kmatvec_transpose_structured, lsmr, LinOp, LsmrOptions, Matrix, ScaledOp,
-    StackedOp, StructuredMatrix,
+    kmatvec_structured, kmatvec_structured_scratch, kmatvec_transpose_structured,
+    kmatvec_transpose_structured_scratch, lsmr, KronScratch, LinOp, LsmrOptions, Matrix, StackedOp,
+    StructuredMatrix,
 };
 use hdmm_obs::{Observer, Phase};
 use hdmm_workload::Workload;
 use rand::Rng;
+use std::cell::RefCell;
 use std::convert::Infallible;
 use std::time::Instant;
 
@@ -390,9 +392,10 @@ pub fn reconstruct_on<K: Kernels + ?Sized>(
             let mut rhs = Vec::new();
             for (g, block) in groups.iter().zip(&meas.blocks) {
                 let w = 1.0 / block.noise_scale;
-                ops.push(Box::new(ScaledOp {
-                    alpha: w,
-                    inner: StructuredMatrix::kron(g.factors.clone()),
+                ops.push(Box::new(WhitenedGroup {
+                    weight: w,
+                    op: StructuredMatrix::kron(g.factors.clone()),
+                    scratch: RefCell::default(),
                 }));
                 rhs.extend(block.noisy.iter().map(|v| v * w));
             }
@@ -400,6 +403,71 @@ pub fn reconstruct_on<K: Kernels + ?Sized>(
             Ok(lsmr(&stacked, &rhs, &LsmrOptions::default()).x)
         }
         _ => panic!("PreparedReconstruct was built from a different strategy variant"),
+    }
+}
+
+/// One whitened union group `w·(A₁ ⊗ … ⊗ A_d)` as a block of the stacked
+/// LSMR operator, bitwise `ScaledOp { alpha: w, inner: op }`. Its products
+/// run through one [`KronScratch`] it owns and write into the solver's
+/// buffers, so LSMR's iterations allocate no large vector: per-product
+/// buffers are mmapped and page-faulted afresh on every call.
+struct WhitenedGroup {
+    weight: f64,
+    op: StructuredMatrix,
+    scratch: RefCell<KronScratch>,
+}
+
+impl WhitenedGroup {
+    /// `op·x` (or `opᵀ·x`), each value handed to `emit` with its output
+    /// position. A product runs in the scratch; a single leaf (a 1-D group)
+    /// keeps its own matvec.
+    fn apply(&self, x: &[f64], transpose: bool, mut emit: impl FnMut(usize, f64)) {
+        let mut scratch = self.scratch.borrow_mut();
+        let owned;
+        let y: &[f64] = match (&self.op, transpose) {
+            (StructuredMatrix::Kron(_), false) => {
+                kmatvec_structured_scratch(&[&self.op], x, &mut scratch)
+            }
+            (StructuredMatrix::Kron(_), true) => {
+                kmatvec_transpose_structured_scratch(&[&self.op], x, &mut scratch)
+            }
+            (leaf, false) => {
+                owned = leaf.matvec(x);
+                &owned
+            }
+            (leaf, true) => {
+                owned = leaf.rmatvec(x);
+                &owned
+            }
+        };
+        for (i, &v) in y.iter().enumerate() {
+            emit(i, v * self.weight);
+        }
+    }
+}
+
+impl LinOp for WhitenedGroup {
+    fn rows(&self) -> usize {
+        self.op.rows()
+    }
+    fn cols(&self) -> usize {
+        self.op.cols()
+    }
+    fn matvec(&self, x: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; self.rows()];
+        self.matvec_into(x, &mut out);
+        out
+    }
+    fn rmatvec(&self, y: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; self.cols()];
+        self.apply(y, true, |i, v| out[i] = v);
+        out
+    }
+    fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
+        self.apply(x, false, |i, v| out[i] = v);
+    }
+    fn rmatvec_add(&self, y: &[f64], out: &mut [f64]) {
+        self.apply(y, true, |i, v| out[i] += v);
     }
 }
 

@@ -29,14 +29,16 @@
 //! step is [`hdmm_linalg::contract_rows`], the kernel the plain product
 //! itself runs, called on a row block) and merges are ordered
 //! concatenations; the pipeline draws noise from the same RNG in the same
-//! order whatever the kernels. A serving engine can therefore promise: same
+//! order whatever the kernels. A product whose contraction order does not
+//! end on the leading mode (no [`slab_split`]) is never sliced: it runs on
+//! the assembled plain kernel. A serving engine can therefore promise: same
 //! seed, same dataset, same request order ⇒ same answers, regardless of how
 //! the data vector is partitioned.
 
 use crate::pipeline::{Kernels, PlainKernels};
 use hdmm_linalg::{
     contract_rows, contract_transpose_rows, kmatvec_trailing_slab, kmatvec_transpose_trailing_slab,
-    leading_split, matvec_rows, partition_rows, StructuredMatrix,
+    leading_split, matvec_rows, partition_rows, slab_split, LeadingSplit, StructuredMatrix,
 };
 use hdmm_obs::{Observer, Phase};
 use hdmm_workload::Workload;
@@ -242,9 +244,10 @@ fn timed_task<'a>(
 /// The exact forward fan-out: `(⊗ factors)·x` over the slabs of `view`,
 /// bitwise identical to `kmatvec_structured(factors, view.assemble())`.
 ///
-/// Falls back to the assembled plain kernel when the slab boundaries do not
-/// align with the leading factor's input mode (the result is identical
-/// either way; only the parallelism differs).
+/// Falls back to the assembled plain kernel when the product has no
+/// [`slab_split`] (its contraction order does not end on the leading mode)
+/// or the slab boundaries do not align with the leading factor's input mode
+/// (the result is identical either way; only the parallelism differs).
 pub fn kron_forward_sharded(
     factors: &[&StructuredMatrix],
     view: &ShardedView<'_>,
@@ -252,12 +255,13 @@ pub fn kron_forward_sharded(
     observer: &dyn Observer,
     phase: Phase,
 ) -> Vec<f64> {
-    let split = leading_split(factors);
-    let lead_n = split.leading.cols();
-    let rest_n = split.trailing_cols();
-    if view.ranges_on_axis(lead_n, rest_n).is_none() {
+    let aligned = |s: &LeadingSplit<'_>| {
+        view.ranges_on_axis(s.leading.cols(), s.trailing_cols())
+            .is_some()
+    };
+    let Some(split) = slab_split(factors, false).filter(aligned) else {
         return hdmm_linalg::kmatvec_structured(factors, &view.assemble());
-    }
+    };
 
     // Phase 1 — trailing factors per slab (parallel over slabs).
     let mut parts: Vec<Vec<f64>> = vec![Vec::new(); view.slabs.len()];
@@ -286,7 +290,8 @@ pub fn kron_forward_sharded(
 /// differ (scoped threads over borrowed slabs vs. shard-task RPCs), while the
 /// merge and leading contraction run here on the coordinator either way, so
 /// both paths produce identical bytes by construction. `parts[i]` must be the
-/// trailing-factor product over slab `i`, in slab order.
+/// trailing-factor product over slab `i`, in slab order, of a product that
+/// has a forward [`slab_split`].
 pub fn kron_forward_from_parts(
     factors: &[&StructuredMatrix],
     parts: Vec<Vec<f64>>,
@@ -328,8 +333,10 @@ pub fn kron_forward_from_parts(
 }
 
 /// The exact transposed fan-out: `(⊗ factors)ᵀ·y`, bitwise identical to
-/// `kmatvec_transpose_structured(factors, y)`. `domain_ranges` gives the
-/// output (domain-axis) partition, typically the view's slab ranges.
+/// `kmatvec_transpose_structured(factors, y)` when the transposed product
+/// has a [`slab_split`]. `domain_ranges` gives the output (domain-axis)
+/// partition, typically the view's slab ranges;
+/// [`LocalKernels::aligned_ranges`] checks both.
 pub fn kron_transpose_sharded(
     factors: &[&StructuredMatrix],
     y: &[f64],
@@ -368,7 +375,8 @@ pub fn kron_transpose_sharded(
 /// the in-process and remote executors (see [`kron_forward_from_parts`]).
 /// `parts[i]` must be the trailing-transpose product over the `i`-th
 /// measurement-axis block of `y` (blocks from `partition_rows(m_lead,
-/// domain_ranges.len())`), in block order.
+/// domain_ranges.len())`), in block order, of a product that has a
+/// transposed [`slab_split`].
 pub fn kron_transpose_from_parts(
     factors: &[&StructuredMatrix],
     parts: Vec<Vec<f64>>,
@@ -479,9 +487,10 @@ pub fn answer_sharded(
 ///
 /// Where the fan-out has nothing to offer, the product runs on the plain
 /// kernel instead — the same bits, only the parallelism differs: a product
-/// whose leading factor does not line up with the slab boundaries, and every
-/// product of a one-slab view (a contiguous vector, [`ShardedView::dense`]),
-/// where the per-slab copy and merge buffers would be pure overhead.
+/// with no [`slab_split`] or whose leading factor does not line up with the
+/// slab boundaries, and every product of a one-slab view (a contiguous
+/// vector, [`ShardedView::dense`]), where the per-slab copy and merge buffers
+/// would be pure overhead.
 pub struct LocalKernels<'a> {
     /// The dataset, as ordered leading-axis slabs.
     pub view: &'a ShardedView<'a>,
@@ -501,9 +510,14 @@ impl LocalKernels<'_> {
     }
 
     /// The view's slab ranges on the input axis of `factors`' leading leaf,
-    /// when the boundaries fall on whole rows of it.
-    pub fn aligned_ranges(&self, factors: &[&StructuredMatrix]) -> Option<Vec<Range<usize>>> {
-        let split = leading_split(factors);
+    /// when the product in direction `transpose` has a [`slab_split`] and the
+    /// boundaries fall on whole rows of that axis.
+    pub fn aligned_ranges(
+        &self,
+        factors: &[&StructuredMatrix],
+        transpose: bool,
+    ) -> Option<Vec<Range<usize>>> {
+        let split = slab_split(factors, transpose)?;
         self.view
             .ranges_on_axis(split.leading.cols(), split.trailing_cols())
     }
@@ -552,7 +566,7 @@ impl Kernels for LocalKernels<'_> {
         if let Some(plain) = self.one_slab() {
             return plain.transpose(block, factors, y);
         }
-        Ok(match self.aligned_ranges(factors) {
+        Ok(match self.aligned_ranges(factors, true) {
             Some(ranges) => kron_transpose_sharded(
                 factors,
                 y,
@@ -573,7 +587,7 @@ impl Kernels for LocalKernels<'_> {
         if let Some(plain) = self.one_slab() {
             return plain.inverse_grams(gram_pinvs, aty);
         }
-        let Some(ranges) = self.aligned_ranges(gram_pinvs) else {
+        let Some(ranges) = self.aligned_ranges(gram_pinvs, false) else {
             return Ok(hdmm_linalg::kmatvec_structured(gram_pinvs, aty));
         };
         // Inverse Grams are square, so `Aᵀy` partitions exactly like the data.

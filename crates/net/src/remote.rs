@@ -32,7 +32,7 @@
 
 use crate::client::{Operand, RetryPolicy, WorkerPool};
 use crate::wire::{FactorKey, NetError};
-use hdmm_linalg::{leading_split, partition_rows, Matrix, StructuredMatrix};
+use hdmm_linalg::{leading_split, partition_rows, slab_split, Matrix, StructuredMatrix};
 use hdmm_mechanism::{
     kron_forward_from_parts, kron_transpose_from_parts, Kernels, LocalKernels, PlanShape,
     PreparedReconstruct, Strategy,
@@ -187,12 +187,23 @@ pub struct RpcKernels<'a> {
 }
 
 impl RpcKernels<'_> {
-    /// The slab ranges on the leading axis of `factors`. A product that does
-    /// not line up with them has no per-slab tasks to send; the caller
-    /// reruns the request over [`LocalKernels`], which serve it plain.
-    fn aligned(&self, factors: &[&StructuredMatrix]) -> Result<Vec<Range<usize>>, NetError> {
+    /// The slab ranges on the leading axis of `factors` in direction
+    /// `transpose`. `Ok(None)` for a product with no [`slab_split`] (its
+    /// contraction order does not end on the leading mode): it has no
+    /// per-slab tasks, and `local` serves it plain. A product that does not
+    /// line up with the slabs has none either; the caller reruns the request
+    /// over [`LocalKernels`], which serve it plain.
+    fn aligned(
+        &self,
+        factors: &[&StructuredMatrix],
+        transpose: bool,
+    ) -> Result<Option<Vec<Range<usize>>>, NetError> {
+        if slab_split(factors, transpose).is_none() {
+            return Ok(None);
+        }
         self.local
-            .aligned_ranges(factors)
+            .aligned_ranges(factors, transpose)
+            .map(Some)
             .ok_or(NetError::Unsupported(
                 "slab boundaries do not align with the leading factor",
             ))
@@ -218,7 +229,12 @@ impl Kernels for RpcKernels<'_> {
     /// [`SlabForwardKeyed`](crate::Frame::SlabForwardKeyed) RPCs naming one.
     fn forward(&self, block: usize, factors: &[&StructuredMatrix]) -> Result<Vec<f64>, NetError> {
         let phase = Phase::Measure;
-        self.aligned(factors)?;
+        if self.aligned(factors, false)?.is_none() {
+            return self
+                .local
+                .forward(block, factors)
+                .map_err(|never| match never {});
+        }
         let split = leading_split(factors);
         let trailing = Operand::keyed(self.keys.block(block)?, &split.trailing);
         let slabs = &self.local.view.slabs;
@@ -251,7 +267,12 @@ impl Kernels for RpcKernels<'_> {
         y: &[f64],
     ) -> Result<Vec<f64>, NetError> {
         let phase = Phase::Reconstruct;
-        let domain_ranges = self.aligned(factors)?;
+        let Some(domain_ranges) = self.aligned(factors, true)? else {
+            return self
+                .local
+                .transpose(block, factors, y)
+                .map_err(|never| match never {});
+        };
         let split = leading_split(factors);
         let rest_m = split.trailing_rows();
         let trailing = Operand::keyed(self.keys.block(block)?, &split.trailing);
@@ -279,7 +300,12 @@ impl Kernels for RpcKernels<'_> {
         aty: &[f64],
     ) -> Result<Vec<f64>, NetError> {
         let phase = Phase::Reconstruct;
-        let ranges = self.aligned(gram_pinvs)?;
+        let Some(ranges) = self.aligned(gram_pinvs, false)? else {
+            return self
+                .local
+                .inverse_grams(gram_pinvs, aty)
+                .map_err(|never| match never {});
+        };
         let split = leading_split(gram_pinvs);
         let rest_n = split.trailing_cols();
         let trailing = Operand::keyed(self.keys.gram_pinv.ok_or(NO_KEY)?, &split.trailing);

@@ -9,6 +9,11 @@
 //! seed, (b) report Measure, Reconstruct, Answer to the observer once each,
 //! in order, and (c) refuse an invalid request with the same typed error
 //! whatever the kernels, reporting no phase and leaving the RNG untouched.
+//!
+//! Two rows hold products whose contraction order does not end on the
+//! leading mode, which every kernel kind must serve unsliced: the second
+//! Kron row's transposed strategy (a tall lead before a prefix), and the
+//! union row's `[Total, AllRange]` workload term and `[Total, Prefix]` group.
 
 use hdmm::core::{builders, Domain, Workload};
 use hdmm::linalg::Matrix;
@@ -59,6 +64,22 @@ fn families() -> Vec<(Workload, Strategy)> {
             blocks::prefix(5).scaled(0.2),
         ]),
     );
+    // A tall lead in front of a square leaf: transposed, the lead shrinks and
+    // the prefix does not, so the chain contracts the leading mode first and
+    // no kernel kind may slice RECONSTRUCT's `Aᵀy`. (A prefix, not an
+    // identity: a unit identity gives the same bits in either order, and the
+    // row would not tell a sliced product from an unsliced one.)
+    let tall_lead = (
+        builders::prefix_2d(LEADING, 5),
+        Strategy::kron(vec![
+            Matrix::from_fn(LEADING + 2, LEADING, |r, c| match r {
+                r if r < LEADING => f64::from(u8::from(r == c)),
+                r if r == LEADING => 0.5,
+                _ => (c + 1) as f64 / LEADING as f64,
+            }),
+            blocks::prefix(5).scaled(0.2),
+        ]),
+    );
     // A zero weight exercises the skipped-marginal bookkeeping.
     let marginals_domain = Domain::new(&[LEADING, 3]);
     let marginals = (
@@ -86,7 +107,7 @@ fn families() -> Vec<(Workload, Strategy)> {
             ),
         ]),
     );
-    vec![explicit, kron, marginals, union]
+    vec![explicit, kron, tall_lead, marginals, union]
 }
 
 /// Records the phases the pipeline reports, in order.

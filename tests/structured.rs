@@ -131,8 +131,86 @@ fn check_blocks(
     Ok(())
 }
 
+/// The chain driver as it was before the contraction order depended on the
+/// leaves' shapes: every mode last-to-first, `right` the product of the
+/// output extents already produced. The reference the reordered driver must
+/// reproduce bit for bit on every chain whose order it keeps.
+fn last_to_first(chain: &[&StructuredMatrix], x: &[f64], transpose: bool) -> Vec<f64> {
+    let mut cur = x.to_vec();
+    let mut right = 1;
+    for a in chain.iter().rev() {
+        let (m, n) = a.shape();
+        let (in_dim, out_dim) = if transpose { (m, n) } else { (n, m) };
+        let left = cur.len() / (in_dim * right);
+        let mut next = vec![0.0; left * out_dim * right];
+        let contract: Contract = if transpose {
+            contract_transpose_rows
+        } else {
+            contract_rows
+        };
+        contract(a, &cur, &mut next, left, right, 0..out_dim);
+        cur = next;
+        right *= out_dim;
+    }
+    cur
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Algorithm 1 is correct for any mode order, so whatever order the
+    /// driver picks for a chain the product is the explicit one; and a chain
+    /// with no shrinking leaf (output extent below input extent) before a
+    /// non-shrinking one keeps the last-to-first order, and with it its bits.
+    /// `Total`, `AllRange` and the short 3×(64+n) `Dense` / `Sparse` pair
+    /// land in every position, both directions.
+    #[test]
+    fn chain_in_any_order_matches_explicit(
+        len in 2usize..5,
+        picks in proptest::collection::vec((0usize..6, 2usize..5), 4),
+        scale in 0.2f64..2.2,
+        cells_seed in (proptest::collection::vec(0u32..3, 3 * 68), 0u64..1000),
+    ) {
+        let (cells, seed) = cells_seed;
+        let chain: Vec<StructuredMatrix> = picks[..len]
+            .iter()
+            .map(|&(kind, n)| leaves(n, scale, &cells).swap_remove(kind))
+            .collect();
+        let refs: Vec<&StructuredMatrix> = chain.iter().collect();
+        let rows: usize = refs.iter().map(|a| a.rows()).product();
+        let cols: usize = refs.iter().map(|a| a.cols()).product();
+        prop_assume!(rows.max(cols) <= 1 << 15);
+        let explicit = (rows * cols <= 1 << 22).then(|| {
+            let dense: Vec<Matrix> = refs.iter().map(|a| a.to_dense()).collect();
+            kron_all(&dense.iter().collect::<Vec<_>>())
+        });
+        for transpose in [false, true] {
+            let input = tensor(if transpose { rows } else { cols }, seed);
+            let got = if transpose {
+                kmatvec_transpose_structured(&refs, &input)
+            } else {
+                kmatvec_structured(&refs, &input)
+            };
+            if let Some(e) = &explicit {
+                let want = if transpose { e.t_matvec(&input) } else { e.matvec(&input) };
+                assert_close(&got, &want, 1e-9)?;
+            }
+            let shrinks = |a: &StructuredMatrix| {
+                let (m, n) = a.shape();
+                if transpose { n < m } else { m < n }
+            };
+            let reordered = (0..len)
+                .any(|i| shrinks(refs[i]) && refs[i + 1..].iter().any(|b| !shrinks(b)));
+            if !reordered {
+                let old = last_to_first(&refs, &input, transpose);
+                prop_assert!(
+                    got.len() == old.len()
+                        && got.iter().zip(&old).all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "{refs:?} transpose={transpose}: bits moved on a chain whose order is kept"
+                );
+            }
+        }
+    }
 
     /// Algorithm 1's mode contraction exists once per direction, and the full
     /// contraction is its all-rows block: for every leaf variant, on both

@@ -235,6 +235,16 @@ pub fn put_structured(out: &mut Vec<u8>, f: &StructuredMatrix) {
                 put_structured(out, inner);
             }
         }
+        StructuredMatrix::PIdentity { diag, block } => {
+            out.push(7);
+            put_f64s(out, diag);
+            put_matrix(out, block);
+        }
+        StructuredMatrix::Woodbury { diag, u } => {
+            out.push(8);
+            put_f64s(out, diag);
+            put_matrix(out, u);
+        }
     }
 }
 
@@ -413,6 +423,24 @@ impl<'a> Reader<'a> {
                     (0..n).map(|_| self.structured()).collect();
                 Ok(StructuredMatrix::Kron(fs?))
             }
+            tag @ 7..=8 => {
+                let diag = self.f64s()?;
+                let low = self.matrix()?;
+                if diag.is_empty() || low.cols() != diag.len() {
+                    return Err(CodecError::Invalid(
+                        "inconsistent diagonal-plus-low-rank shape",
+                    ));
+                }
+                if diag.iter().any(|d| !d.is_finite() || *d == 0.0)
+                    || low.as_slice().iter().any(|v| !v.is_finite())
+                {
+                    return Err(CodecError::Invalid("non-finite entry or zero diagonal"));
+                }
+                Ok(match tag {
+                    7 => StructuredMatrix::PIdentity { diag, block: low },
+                    _ => StructuredMatrix::Woodbury { diag, u: low },
+                })
+            }
             tag => Err(CodecError::BadTag { tag }),
         }
     }
@@ -537,7 +565,60 @@ mod tests {
                 term_indices: vec![0, 1],
             }]),
             Strategy::Marginals(MarginalsStrategy::uniform(Domain::new(&[3, 2]))),
+            Strategy::Kron(vec![p_identity(), p_identity().gram_pinv()]),
         ]
+    }
+
+    /// A p = 2, n = 3 p-Identity leaf (Example 8 of the paper).
+    fn p_identity() -> StructuredMatrix {
+        let diag = vec![1.0 / 3.0, 0.25, 0.2];
+        let theta = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[1.0, 1.0, 1.0]]);
+        let block = Matrix::from_fn(2, 3, |r, c| theta[(r, c)] * diag[c]);
+        StructuredMatrix::PIdentity { diag, block }
+    }
+
+    #[test]
+    fn diagonal_plus_low_rank_leaves_round_trip_and_are_validated() {
+        let woodbury = p_identity().gram_pinv();
+        assert!(matches!(woodbury, StructuredMatrix::Woodbury { .. }));
+        for leaf in [p_identity(), woodbury] {
+            let mut out = Vec::new();
+            put_structured_list(&mut out, &[&leaf]);
+            let mut r = Reader::new(&out);
+            assert_eq!(r.structured_list().expect("decodes"), vec![leaf.clone()]);
+            r.expect_end().expect("fully consumed");
+        }
+
+        let encode = |diag: Vec<f64>, low: Matrix| {
+            let mut out = Vec::new();
+            put_structured(&mut out, &StructuredMatrix::PIdentity { diag, block: low });
+            out
+        };
+        let block = Matrix::from_fn(2, 3, |r, c| (r + c) as f64);
+        for (what, bytes) in [
+            ("empty diagonal", encode(Vec::new(), Matrix::zeros(2, 0))),
+            (
+                "block of another width",
+                encode(vec![1.0; 2], block.clone()),
+            ),
+            ("zero diagonal", encode(vec![1.0, 0.0, 1.0], block.clone())),
+            (
+                "NaN diagonal",
+                encode(vec![1.0, f64::NAN, 1.0], block.clone()),
+            ),
+            (
+                "infinite block",
+                encode(vec![1.0; 3], Matrix::from_fn(2, 3, |_, _| f64::INFINITY)),
+            ),
+        ] {
+            assert!(
+                matches!(
+                    Reader::new(&bytes).structured(),
+                    Err(CodecError::Invalid(_))
+                ),
+                "{what}"
+            );
+        }
     }
 
     #[test]

@@ -93,7 +93,9 @@ impl Hdmm {
 #[derive(Debug, Clone)]
 pub struct Plan {
     selected: Selected,
-    grams: WorkloadGrams,
+    /// `‖W‖²_F`, the Identity baseline's error coefficient: all a cached
+    /// plan needs of the workload's Grams, which are `n×n` per attribute.
+    identity_squared_error: f64,
     query_count: usize,
 }
 
@@ -121,11 +123,11 @@ impl Plan {
     }
 
     /// Reassembles a plan from a stored selection (the plan store, and
-    /// benches that hand-pick a strategy).
+    /// benches that hand-pick a strategy). Only `‖W‖²_F` of `grams` is kept.
     pub fn from_parts(selected: Selected, grams: WorkloadGrams, query_count: usize) -> Plan {
         Plan {
             selected,
-            grams,
+            identity_squared_error: grams.frobenius_norm_sq(),
             query_count,
         }
     }
@@ -157,7 +159,7 @@ impl Plan {
 
     /// Expected error of the Identity baseline on the same workload.
     pub fn identity_error(&self, eps: f64) -> f64 {
-        2.0 / (eps * eps) * self.grams.frobenius_norm_sq()
+        2.0 / (eps * eps) * self.identity_squared_error
     }
 
     /// The ε-free squared-error coefficient (`expected_error = 2/ε²·this`).

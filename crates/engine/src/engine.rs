@@ -1347,4 +1347,73 @@ mod tests {
         assert_eq!((t.plan_disk_hits, t.selects_run), (0, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    /// Plan files written while OPT_⊗ factors were stored as CSR matrices
+    /// still load, and serve the answers of the p-Identity leaf plan up to
+    /// the rounding of the inverse Grams (the same noise, the dense inverse
+    /// Gram instead of the Woodbury one).
+    #[test]
+    fn plan_files_with_csr_p_identity_factors_still_load_and_serve() {
+        use hdmm_linalg::StructuredMatrix;
+        use hdmm_mechanism::Strategy;
+        let dir = std::env::temp_dir().join(format!(
+            "hdmm-engine-csr-plan-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = || EngineOptions {
+            hdmm: HdmmOptions {
+                restarts: 1,
+                ..Default::default()
+            },
+            cache_dir: Some(dir.clone()),
+            ..Default::default()
+        };
+        let w = builders::prefix_2d(16, 16);
+        let fresh = Engine::new(opts());
+        let (plan, _) = fresh.plan(&w);
+        let Strategy::Kron(leaves) = plan.strategy() else {
+            panic!("OPT_⊗ selects a Kronecker strategy");
+        };
+        assert!(leaves
+            .iter()
+            .all(|f| matches!(f, StructuredMatrix::PIdentity { .. })));
+
+        // The same factors as the CSR matrices plan files used to carry.
+        let csr = Strategy::kron(leaves.iter().map(StructuredMatrix::to_dense).collect());
+        let Strategy::Kron(factors) = &csr else {
+            unreachable!()
+        };
+        assert!(factors
+            .iter()
+            .all(|f| matches!(f, StructuredMatrix::Sparse(_))));
+        let old = Plan::from_parts(
+            hdmm_optimizer::Selected {
+                strategy: csr,
+                squared_error: plan.squared_error_coefficient(),
+                operator: plan.operator(),
+            },
+            hdmm_core::WorkloadGrams::from_workload(&w),
+            w.query_count(),
+        );
+        assert!(PlanStore::new(&dir).store(&w.fingerprint(), &old, w.domain()));
+
+        let restarted = Engine::new(opts());
+        let x: Vec<f64> = (0..256).map(|i| (i % 7) as f64).collect();
+        for engine in [&fresh, &restarted] {
+            engine
+                .register_dataset("d", Domain::new(&[16, 16]), x.clone(), 10.0)
+                .unwrap();
+        }
+        let want = fresh.serve("d", &w, 1.0).unwrap();
+        let got = restarted.serve("d", &w, 1.0).unwrap();
+        let t = restarted.metrics().telemetry;
+        assert_eq!((t.plan_disk_hits, t.selects_run), (1, 0));
+        assert_eq!(got.answers.len(), want.answers.len());
+        for (a, b) in got.answers.iter().zip(&want.answers) {
+            assert!((a - b).abs() <= 1e-6 * (1.0 + b.abs()), "{a} vs {b}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

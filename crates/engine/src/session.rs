@@ -154,6 +154,12 @@ impl SessionStore {
             }
             // A stale id (closed explicitly) already decremented `len`.
         }
+        // Stale ids only leave the front through eviction, which a store
+        // whose sessions are all closed early never reaches: once they
+        // outnumber the capacity, drop them, so `order` stays O(capacity).
+        if order.len() > 2 * self.capacity {
+            order.retain(|&kept| read_recover(self.shard(kept)).contains_key(&kept));
+        }
     }
 
     pub(crate) fn remove(&self, id: SessionId) -> Option<Arc<Session>> {
@@ -220,6 +226,29 @@ mod tests {
                 .unwrap();
             assert_eq!(serial, par, "lane count {threads} changed answers");
         }
+    }
+
+    /// Sessions closed as soon as they open leave no trail: the eviction
+    /// order stays within twice the capacity, and eviction still drops the
+    /// oldest live session first.
+    #[test]
+    fn closed_sessions_do_not_accumulate_in_the_eviction_order() {
+        let store = SessionStore::new(4);
+        let open = |id: u64| {
+            let mut s = session();
+            s.id = SessionId(id);
+            store.insert(Arc::new(s));
+        };
+        for id in 0..10_000 {
+            open(id);
+            assert!(store.remove(SessionId(id)).is_some());
+            assert!(lock_recover(&store.order).len() <= 2 * 4 + 1);
+        }
+        for id in 10_000..10_005 {
+            open(id);
+        }
+        assert!(store.get(SessionId(10_000)).is_none(), "oldest evicted");
+        assert!((10_001..10_005).all(|id| store.get(SessionId(id)).is_some()));
     }
 
     #[test]

@@ -137,23 +137,10 @@ impl Cholesky {
     /// whole-row [`crate::simd::axpy`] updates, so a wide right-hand side
     /// (`B` is `n×m` with `m ≫ n`) needs no transposes and no scratch.
     pub fn solve_rows_in_place(&self, b: &mut Matrix) {
+        self.solve_lower_rows_in_place(b);
         let n = self.l.rows();
-        assert_eq!(b.rows(), n, "cholesky solve dimension mismatch");
         let m = b.cols();
         let data = b.as_mut_slice();
-        // Forward substitution: L Y = B
-        for i in 0..n {
-            let (done, rest) = data.split_at_mut(i * m);
-            let row_i = &mut rest[..m];
-            let l_row = self.l.row(i);
-            for k in 0..i {
-                crate::simd::axpy(-l_row[k], &done[k * m..(k + 1) * m], row_i);
-            }
-            let inv = 1.0 / l_row[i];
-            for v in row_i.iter_mut() {
-                *v *= inv;
-            }
-        }
         // Back substitution: Lᵀ X = Y
         for i in (0..n).rev() {
             let (head, done) = data.split_at_mut((i + 1) * m);
@@ -163,6 +150,27 @@ impl Cholesky {
                 crate::simd::axpy(-self.l[(k, i)], &done[off..off + m], row_i);
             }
             let inv = 1.0 / self.l[(i, i)];
+            for v in row_i.iter_mut() {
+                *v *= inv;
+            }
+        }
+    }
+
+    /// The forward half of [`Cholesky::solve_rows_in_place`]: solves
+    /// `L Y = B` in place on a row-major `B`, so `Y = L⁻¹B`.
+    pub(crate) fn solve_lower_rows_in_place(&self, b: &mut Matrix) {
+        let n = self.l.rows();
+        assert_eq!(b.rows(), n, "cholesky solve dimension mismatch");
+        let m = b.cols();
+        let data = b.as_mut_slice();
+        for i in 0..n {
+            let (done, rest) = data.split_at_mut(i * m);
+            let row_i = &mut rest[..m];
+            let l_row = self.l.row(i);
+            for k in 0..i {
+                crate::simd::axpy(-l_row[k], &done[k * m..(k + 1) * m], row_i);
+            }
+            let inv = 1.0 / l_row[i];
             for v in row_i.iter_mut() {
                 *v *= inv;
             }

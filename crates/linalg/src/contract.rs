@@ -11,12 +11,14 @@
 //! * a shard's leading step (see `slab.rs`) is `left = 1` and its block.
 //!
 //! A block writes exactly the bits the full contraction holds in those rows:
-//! row-local variants (`Dense`, `Sparse`, `Identity`) restrict their loop,
-//! and variants that carry a running accumulator along the mode (`Total`,
-//! `Prefix`, `AllRange`) replay it from the start of the mode in the
-//! original operation order instead of splitting the sum. "Sharded equals
-//! dense, bit for bit" is therefore a property of this one kernel, not an
-//! agreement between two.
+//! row-local variants (`Dense`, `Sparse`, `Identity`, `PIdentity`) restrict
+//! their loop, variants that carry a running accumulator along the mode
+//! (`Total`, `Prefix`, `AllRange`) replay it from the start of the mode in
+//! the original operation order instead of splitting the sum, and
+//! `Woodbury` forms its rank-`p` term over the whole mode before restricting.
+//! "Sharded equals dense, bit for bit" is therefore a property of this one
+//! kernel, not an agreement between two. `PIdentity` and `Woodbury` run
+//! their dense parts through `Dense`'s own arms.
 //!
 //! # Numeric contract
 //!
@@ -31,6 +33,7 @@
 
 use crate::simd::{add_into, axpy, cumsum_step, diff_scaled, dot, scale_into};
 use crate::structured::{flatten, StructuredMatrix};
+use crate::Matrix;
 use std::ops::Range;
 use StructuredMatrix::*;
 
@@ -70,6 +73,82 @@ fn cumsum_replay<'a>(
     }
 }
 
+/// `Dense`'s forward arm on one lane: rows `rows` of `d` against the `(n,
+/// right)` lane `src`, into the zero-initialized `(rows.len(), right)` block
+/// `dst`. With `right == 1` every row is one [`dot`] — the matvec's bits.
+fn dense_rows(d: &Matrix, src: &[f64], dst: &mut [f64], right: usize, rows: Range<usize>) {
+    if right == 1 {
+        for (slot, r) in dst.iter_mut().zip(rows) {
+            *slot = dot(d.row(r), src);
+        }
+        return;
+    }
+    let n = d.cols();
+    for c0 in (0..n).step_by(PANEL) {
+        let c1 = (c0 + PANEL).min(n);
+        for (r, out_row) in rows.clone().zip(dst.chunks_exact_mut(right)) {
+            for (c, &av) in (c0..c1).zip(&d.row(r)[c0..c1]) {
+                if av != 0.0 {
+                    axpy(av, lane(src, c, right), out_row);
+                }
+            }
+        }
+    }
+}
+
+/// `Dense`'s transposed arm on one lane: adds positions `rows` of `dᵀ·src`
+/// (`src` an `(m, right)` lane) into `dst`, every output row accumulating
+/// over `d`'s rows in ascending order.
+fn dense_transpose_rows(
+    d: &Matrix,
+    src: &[f64],
+    dst: &mut [f64],
+    right: usize,
+    rows: Range<usize>,
+) {
+    if right == 1 {
+        // A `Matrix::t_matvec`-shaped scatter: one axpy along the block per
+        // input row.
+        for (r, &s) in src.iter().enumerate() {
+            if s != 0.0 {
+                axpy(s, &d.row(r)[rows.clone()], dst);
+            }
+        }
+        return;
+    }
+    for c0 in rows.clone().step_by(PANEL) {
+        let c1 = (c0 + PANEL).min(rows.end);
+        for (r, in_row) in src.chunks_exact(right).enumerate() {
+            for (c, &av) in (c0..c1).zip(&d.row(r)[c0..c1]) {
+                if av != 0.0 {
+                    axpy(av, in_row, lane_mut(dst, c - rows.start, right));
+                }
+            }
+        }
+    }
+}
+
+/// A diagonal on one lane: output row `r` of the block is `diag[r]` times
+/// row `r` of `src`.
+fn diag_rows(diag: &[f64], src: &[f64], dst: &mut [f64], right: usize, rows: Range<usize>) {
+    let src = &src[rows.start * right..rows.end * right];
+    let diag = &diag[rows];
+    if right == 1 {
+        // One product per row: `scale_into`'s bits without a call per row.
+        for ((out, &x), &d) in dst.iter_mut().zip(src).zip(diag) {
+            *out = d * x;
+        }
+        return;
+    }
+    for ((out_row, in_row), &d) in dst
+        .chunks_exact_mut(right)
+        .zip(src.chunks_exact(right))
+        .zip(diag)
+    {
+        scale_into(d, in_row, out_row);
+    }
+}
+
 /// Contracts leaf factor `a` (m×n) along the middle mode of the
 /// `(left, n, right)` tensor `cur`, producing output rows `rows ⊆ 0..m` into
 /// `next` (shape `(left, rows.len(), right)`, zero-initialized by the
@@ -98,25 +177,33 @@ pub fn contract_rows(
         .chunks_exact(n * right)
         .zip(next.chunks_exact_mut(k * right));
     match a {
-        Dense(d) if right == 1 => {
-            for (src, dst) in lanes {
-                for (slot, r) in dst.iter_mut().zip(rows.clone()) {
-                    *slot = dot(d.row(r), src);
-                }
-            }
-        }
         Dense(d) => {
             for (src, dst) in lanes {
-                for c0 in (0..n).step_by(PANEL) {
-                    let c1 = (c0 + PANEL).min(n);
-                    for (r, out_row) in rows.clone().zip(dst.chunks_exact_mut(right)) {
-                        for (c, &av) in (c0..c1).zip(&d.row(r)[c0..c1]) {
-                            if av != 0.0 {
-                                axpy(av, lane(src, c, right), out_row);
-                            }
-                        }
-                    }
+                dense_rows(d, src, dst, right, rows.clone());
+            }
+        }
+        PIdentity { diag, block } => {
+            // Rows below `n` are the diagonal's, the rest are `block`'s.
+            let top = rows.start.min(n)..rows.end.min(n);
+            let bottom = rows.start.max(n) - n..rows.end.max(n) - n;
+            for (src, dst) in lanes {
+                let (upper, lower) = dst.split_at_mut(top.len() * right);
+                diag_rows(diag, src, upper, right, top.clone());
+                dense_rows(block, src, lower, right, bottom.clone());
+            }
+        }
+        Woodbury { diag, u } => {
+            // (D − UᵀU)·x = D·x + Uᵀ·(−U·x). `U·x` spans the whole mode, so
+            // a block of rows holds exactly the full call's bits.
+            let mut t = vec![0.0; u.rows() * right];
+            for (src, dst) in lanes {
+                t.fill(0.0);
+                dense_rows(u, src, &mut t, right, 0..u.rows());
+                for v in &mut t {
+                    *v = -*v;
                 }
+                diag_rows(diag, src, dst, right, rows.clone());
+                dense_transpose_rows(u, &t, dst, right, rows.clone());
             }
         }
         Sparse(s) if right == 1 => {
@@ -214,29 +301,18 @@ pub fn contract_transpose_rows(
         .chunks_exact(m * right)
         .zip(next.chunks_exact_mut(k * right));
     match a {
-        Dense(d) if right == 1 => {
-            // A `Matrix::t_matvec`-shaped scatter: one axpy along the block
-            // per input row.
-            for (src, dst) in lanes {
-                for (r, &s) in src.iter().enumerate() {
-                    if s != 0.0 {
-                        axpy(s, &d.row(r)[rows.clone()], dst);
-                    }
-                }
-            }
-        }
         Dense(d) => {
             for (src, dst) in lanes {
-                for c0 in rows.clone().step_by(PANEL) {
-                    let c1 = (c0 + PANEL).min(rows.end);
-                    for (r, in_row) in src.chunks_exact(right).enumerate() {
-                        for (c, &av) in (c0..c1).zip(&d.row(r)[c0..c1]) {
-                            if av != 0.0 {
-                                axpy(av, in_row, lane_mut(dst, c - rows.start, right));
-                            }
-                        }
-                    }
-                }
+                dense_transpose_rows(d, src, dst, right, rows.clone());
+            }
+        }
+        PIdentity { diag, block } => {
+            // Each output column takes its diagonal term, then the block's
+            // rows in ascending order.
+            for (src, dst) in lanes {
+                let (upper, lower) = src.split_at(n * right);
+                diag_rows(diag, upper, dst, right, rows.clone());
+                dense_transpose_rows(block, lower, dst, right, rows.clone());
             }
         }
         Sparse(s) => {
@@ -253,7 +329,7 @@ pub fn contract_transpose_rows(
             }
         }
         // Symmetric.
-        Identity { .. } => contract_rows(a, cur, next, left, right, rows),
+        Identity { .. } | Woodbury { .. } => contract_rows(a, cur, next, left, right, rows),
         Total { scale, .. } => {
             for (src, dst) in lanes {
                 for out_row in dst.chunks_exact_mut(right) {

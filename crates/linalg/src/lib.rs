@@ -11,10 +11,12 @@
 //! # The structured backend
 //!
 //! On top of the dense substrate sits the [`StructuredMatrix`] backend: an
-//! enum over `Dense`, `Sparse` ([`Csr`]), and closed-form `Identity`, `Total`,
-//! `Prefix`, `AllRange`, and `Kron` variants. HDMM's per-attribute building
-//! blocks are exactly these shapes, so workloads and strategies carry O(1)
-//! pattern descriptors instead of O(n²) entry tables:
+//! enum over `Dense`, `Sparse` ([`Csr`]), closed-form `Identity`, `Total`,
+//! `Prefix`, `AllRange`, and `Kron` variants, and the diagonal-plus-low-rank
+//! `PIdentity` (OPT_0's strategy) and `Woodbury` (its inverse Gram). HDMM's
+//! per-attribute building blocks are exactly these shapes, so workloads and
+//! strategies carry O(1) pattern descriptors (O(pn) for p-Identity) instead
+//! of O(n²) entry tables:
 //!
 //! * `matvec`/`rmatvec` run in O(n) for `Identity`/`Total`/`Prefix` (a
 //!   cumulative sum) and O(output) for `AllRange` (prefix sums plus a

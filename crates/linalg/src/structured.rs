@@ -14,14 +14,20 @@
 //! | `Total`      | O(1)    | O(n)           | O(n²) fill     | `\|s\|`     |
 //! | `Prefix`     | O(1)    | O(n) cumsum    | O(n²) fill     | `n·\|s\|`   |
 //! | `AllRange`   | O(1)    | O(m) via sums  | O(n²) fill     | closed form |
+//! | `PIdentity`  | O(pn)   | O(pn)          | O(pn²)         | col sums    |
+//! | `Woodbury`   | O(pn)   | O(pn)          | via `to_dense` | col sums    |
 //! | `Sparse`     | O(nnz)  | O(nnz)         | O(Σnnz_r²)     | col sums    |
 //! | `Dense`      | O(mn)   | O(mn)          | O(mn²)         | col sums    |
 //! | `Kron`       | Σ parts | mode products  | per factor     | product     |
 //!
 //! versus the dense path where a `Prefix` block on a domain of `2^14` costs
-//! 2 GiB just to exist and O(n²) flops per product. [`to_dense`] remains as
-//! the escape hatch for algorithms that genuinely need entries (small-n
-//! optimizer internals, tests).
+//! 2 GiB just to exist and O(n²) flops per product. `PIdentity` is OPT_0's
+//! strategy `[I; Θ]·D` (§5.2) and `Woodbury` its inverse Gram in the closed
+//! form of Theorem 8, built from it in O(p²n) by [`gram_pinv`]. [`to_dense`]
+//! remains as the escape hatch for algorithms that genuinely need entries
+//! (small-n optimizer internals, tests).
+//!
+//! [`gram_pinv`]: StructuredMatrix::gram_pinv
 //!
 //! [`to_dense`]: StructuredMatrix::to_dense
 
@@ -71,6 +77,23 @@ pub enum StructuredMatrix {
         n: usize,
         /// Uniform scale.
         scale: f64,
+    },
+    /// A p-Identity strategy `[diag(diag); block]` of shape `(n+p)×n`: `n`
+    /// scaled point queries over `p` dense rows — `A(Θ) = [I; Θ]·D` with
+    /// `diag = d` and `block = Θ·D` (Definition 9).
+    PIdentity {
+        /// The `n` diagonal entries.
+        diag: Vec<f64>,
+        /// The `p×n` rows below the diagonal.
+        block: Matrix,
+    },
+    /// `diag(diag) − UᵀU`, square `n×n` and symmetric: the inverse Gram of a
+    /// [`PIdentity`](StructuredMatrix::PIdentity) by the Woodbury identity.
+    Woodbury {
+        /// The `n` diagonal entries.
+        diag: Vec<f64>,
+        /// The `p×n` low-rank factor `U`.
+        u: Matrix,
     },
     /// An implicit Kronecker product of structured factors.
     Kron(Vec<StructuredMatrix>),
@@ -138,6 +161,8 @@ impl StructuredMatrix {
             Identity { n, .. } | Prefix { n, .. } => *n,
             Total { .. } => 1,
             AllRange { n, .. } => n * (n + 1) / 2,
+            PIdentity { diag, block } => diag.len() + block.rows(),
+            Woodbury { diag, .. } => diag.len(),
             Kron(fs) => fs.iter().map(StructuredMatrix::rows).product(),
         }
     }
@@ -148,6 +173,7 @@ impl StructuredMatrix {
             Dense(m) => m.cols(),
             Sparse(s) => s.cols(),
             Identity { n, .. } | Total { n, .. } | Prefix { n, .. } | AllRange { n, .. } => *n,
+            PIdentity { diag, .. } | Woodbury { diag, .. } => diag.len(),
             Kron(fs) => fs.iter().map(StructuredMatrix::cols).product(),
         }
     }
@@ -164,6 +190,9 @@ impl StructuredMatrix {
             Dense(m) => m.rows() * m.cols(),
             Sparse(s) => s.nnz(),
             Identity { .. } | Total { .. } | Prefix { .. } | AllRange { .. } => 1,
+            PIdentity { diag, block: low } | Woodbury { diag, u: low } => {
+                diag.len() + low.rows() * low.cols()
+            }
             Kron(fs) => fs.iter().map(StructuredMatrix::storage_size).sum(),
         }
     }
@@ -213,6 +242,7 @@ impl StructuredMatrix {
                 }
                 y
             }
+            PIdentity { .. } | Woodbury { .. } => kmatvec_structured(&[self], x),
             Kron(fs) => {
                 let refs: Vec<&StructuredMatrix> = fs.iter().collect();
                 kmatvec_structured(&refs, x)
@@ -265,6 +295,7 @@ impl StructuredMatrix {
                 }
                 out
             }
+            PIdentity { .. } | Woodbury { .. } => kmatvec_transpose_structured(&[self], y),
             Kron(fs) => {
                 let refs: Vec<&StructuredMatrix> = fs.iter().collect();
                 kmatvec_transpose_structured(&refs, y)
@@ -292,6 +323,14 @@ impl StructuredMatrix {
                     s2 * ((i.min(j) + 1) * (*n - i.max(j))) as f64
                 })
             }
+            PIdentity { diag, block } => {
+                let mut g = block.gram();
+                for (j, d) in diag.iter().enumerate() {
+                    g[(j, j)] += d * d;
+                }
+                g
+            }
+            Woodbury { .. } => self.to_dense().gram(),
             Kron(fs) => {
                 let mut acc = Matrix::identity(1);
                 for f in fs {
@@ -303,8 +342,10 @@ impl StructuredMatrix {
     }
 
     /// `(AᵀA)⁺` as a structured matrix, for RECONSTRUCT's per-factor inverse
-    /// Grams: closed forms keep `Identity` O(1) and `Prefix` tridiagonal;
-    /// everything else goes through the dense spectral pseudo-inverse.
+    /// Grams: closed forms keep `Identity` O(1), `Prefix` tridiagonal and
+    /// `PIdentity` a [`Woodbury`](StructuredMatrix::Woodbury) leaf; only
+    /// `Dense`, `Sparse`, `AllRange` and `Woodbury` go through the dense
+    /// spectral pseudo-inverse.
     pub fn gram_pinv(&self) -> StructuredMatrix {
         match self {
             Identity { n, scale } => Identity {
@@ -343,16 +384,21 @@ impl StructuredMatrix {
                     1.0 / (*n as f64 * *n as f64 * scale * scale),
                 ))
             }
-            Kron(fs) => Kron(fs.iter().map(StructuredMatrix::gram_pinv).collect()),
-            other => {
-                let gram = other.gram_dense();
-                match crate::Cholesky::new(&gram) {
-                    Ok(ch) => Dense(ch.inverse()),
-                    Err(_) => {
-                        Dense(crate::pinv_psd(&gram).expect("factor gram eigendecomposition"))
-                    }
-                }
+            PIdentity { diag, block } => {
+                woodbury_inverse_gram(diag, block).unwrap_or_else(|| self.dense_gram_pinv())
             }
+            Kron(fs) => Kron(fs.iter().map(StructuredMatrix::gram_pinv).collect()),
+            other => other.dense_gram_pinv(),
+        }
+    }
+
+    /// `(AᵀA)⁺` from the dense Gram: a Cholesky inverse, or the spectral
+    /// pseudo-inverse when the Gram is singular.
+    fn dense_gram_pinv(&self) -> StructuredMatrix {
+        let gram = self.gram_dense();
+        match crate::Cholesky::new(&gram) {
+            Ok(ch) => Dense(ch.inverse()),
+            Err(_) => Dense(crate::pinv_psd(&gram).expect("factor gram eigendecomposition")),
         }
     }
 
@@ -366,6 +412,18 @@ impl StructuredMatrix {
             AllRange { n, scale } => (0..*n)
                 .map(|c| scale.abs() * ((c + 1) * (*n - c)) as f64)
                 .collect(),
+            // From the stored entries, in row order (the dense matrix's
+            // bits): never assumed to be 1, so noise is never under-scaled.
+            PIdentity { diag, block } => {
+                let mut sums: Vec<f64> = diag.iter().map(|d| d.abs()).collect();
+                for k in 0..block.rows() {
+                    for (s, v) in sums.iter_mut().zip(block.row(k)) {
+                        *s += v.abs();
+                    }
+                }
+                sums
+            }
+            Woodbury { .. } => self.to_dense().abs_col_sums(),
             Kron(fs) => {
                 let mut acc = vec![1.0];
                 for f in fs {
@@ -390,6 +448,9 @@ impl StructuredMatrix {
                 let c = (*n - 1) / 2;
                 scale.abs() * ((c + 1) * (*n - c)) as f64
             }
+            PIdentity { .. } | Woodbury { .. } => {
+                self.abs_col_sums().into_iter().fold(0.0, f64::max)
+            }
             Kron(fs) => fs.iter().map(StructuredMatrix::sensitivity).product(),
         }
     }
@@ -406,11 +467,16 @@ impl StructuredMatrix {
             AllRange { n, scale } => {
                 scale * scale * (0..*n).map(|i| ((i + 1) * (*n - i)) as f64).sum::<f64>()
             }
+            PIdentity { diag, block } => {
+                diag.iter().map(|d| d * d).sum::<f64>() + block.frobenius_norm_sq()
+            }
+            Woodbury { .. } => self.to_dense().frobenius_norm_sq(),
             Kron(fs) => fs.iter().map(StructuredMatrix::gram_trace).product(),
         }
     }
 
-    /// A scaled copy `alpha · A`, staying in the same representation.
+    /// A scaled copy `alpha · A`, staying in the same representation (except
+    /// `Woodbury`, which goes `Dense`).
     pub fn scaled(&self, alpha: f64) -> StructuredMatrix {
         match self {
             Dense(m) => Dense(m.scaled(alpha)),
@@ -431,6 +497,12 @@ impl StructuredMatrix {
                 n: *n,
                 scale: scale * alpha,
             },
+            PIdentity { diag, block } => PIdentity {
+                diag: diag.iter().map(|d| d * alpha).collect(),
+                block: block.scaled(alpha),
+            },
+            // An inverse Gram, never a strategy: nothing scales one.
+            Woodbury { .. } => Dense(self.to_dense().scaled(alpha)),
             Kron(fs) => {
                 // Fold the scalar into the first factor only.
                 let mut fs = fs.clone();
@@ -473,6 +545,18 @@ impl StructuredMatrix {
                 }
                 out
             }
+            PIdentity { diag, block } => {
+                let n = diag.len();
+                let mut a = Matrix::zeros(n + block.rows(), n);
+                for (j, &d) in diag.iter().enumerate() {
+                    a[(j, j)] = d;
+                }
+                for k in 0..block.rows() {
+                    a.row_mut(n + k).copy_from_slice(block.row(k));
+                }
+                a
+            }
+            Woodbury { diag, u } => Matrix::from_diag(diag).sub(&u.t_matmul(u)),
             Kron(fs) => {
                 let mut acc = Matrix::identity(1);
                 for f in fs {
@@ -484,16 +568,41 @@ impl StructuredMatrix {
     }
 
     /// True when every row is a point query or the total query — the §7.1
-    /// `p = 1` convention's predicate test, answered without materializing.
+    /// `p = 1` convention's predicate test, answered without materializing
+    /// (strategy-only variants excepted).
     pub fn is_total_or_identity(&self) -> bool {
         match self {
             Identity { scale, .. } | Total { scale, .. } => *scale == 1.0,
             Prefix { n, scale } | AllRange { n, scale } => *n == 1 && *scale == 1.0,
             Dense(m) => dense_is_total_or_identity(m),
             Sparse(s) => s.rows_are_total_or_identity(),
+            PIdentity { .. } | Woodbury { .. } => dense_is_total_or_identity(&self.to_dense()),
             Kron(_) => false,
         }
     }
+}
+
+/// `(D² + BᵀB)⁻¹` for the p-Identity `[D; B]` by the Woodbury identity
+/// (Theorem 8), as `diag(E) − UᵀU` with `E = D⁻²`, `LLᵀ = I_p + (B·E)·Bᵀ`
+/// and `U = L⁻¹·B·E`: O(p²n) to build and O(pn) per vector to apply. `None`
+/// only when the `p×p` factorization fails, which it cannot for a finite
+/// nonzero `D` (`I_p + BEBᵀ` is SPD by construction).
+fn woodbury_inverse_gram(diag: &[f64], block: &Matrix) -> Option<StructuredMatrix> {
+    let e: Vec<f64> = diag.iter().map(|d| 1.0 / (d * d)).collect();
+    let mut u = block.clone();
+    for k in 0..u.rows() {
+        for (v, &ej) in u.row_mut(k).iter_mut().zip(&e) {
+            *v *= ej;
+        }
+    }
+    let mut inner = u.matmul_t(block);
+    for k in 0..inner.rows() {
+        inner[(k, k)] += 1.0;
+    }
+    crate::Cholesky::new(&inner)
+        .ok()?
+        .solve_lower_rows_in_place(&mut u);
+    Some(Woodbury { diag: e, u })
 }
 
 fn dense_is_total_or_identity(w: &Matrix) -> bool {
@@ -549,8 +658,22 @@ mod tests {
     use super::*;
     use crate::kron::kron_all;
 
+    /// OPT_0's strategy `[I; Θ]·D` for a non-negative `Θ`, with the column
+    /// scales `d_j = 1/(1 + Σ_k Θ_kj)`.
+    fn p_identity(theta: Matrix) -> StructuredMatrix {
+        let diag: Vec<f64> = (0..theta.cols())
+            .map(|j| 1.0 / (1.0 + (0..theta.rows()).map(|k| theta[(k, j)]).sum::<f64>()))
+            .collect();
+        let mut block = theta;
+        for (j, &d) in diag.iter().enumerate() {
+            block.scale_col(j, d);
+        }
+        PIdentity { diag, block }
+    }
+
     fn variants(n: usize) -> Vec<StructuredMatrix> {
         let dense = Matrix::from_fn(3, n, |r, c| ((r * n + c) % 5) as f64 - 2.0);
+        let pident = p_identity(Matrix::from_fn(3, n, |r, c| ((r * n + c) % 4) as f64 * 0.5));
         vec![
             StructuredMatrix::identity(n).scaled(1.5),
             StructuredMatrix::total(n).scaled(0.5),
@@ -558,6 +681,8 @@ mod tests {
             StructuredMatrix::all_range(n),
             Sparse(Csr::from_dense(&dense)),
             Dense(dense),
+            pident.gram_pinv(),
+            pident,
         ]
     }
 
@@ -647,19 +772,41 @@ mod tests {
         }
     }
 
+    /// Every closed form is a Moore–Penrose inverse of the Gram; a
+    /// p-Identity's is the Woodbury leaf, and that is the dense Cholesky
+    /// inverse it replaces to 1e-9 in relative Frobenius norm, up to column
+    /// scales `1 + Σ_k Θ_kj` of 1e2 (where its `E − UᵀU` cancels hardest).
     #[test]
     fn gram_pinv_closed_forms() {
+        // Θ entries up to `theta_max` over p = 4 rows: column scales ≤ 1e2.
+        let p_identities = [0.5, 5.0, 24.75].map(|theta_max| {
+            p_identity(Matrix::from_fn(4, 24, |r, c| {
+                ((r * 7 + c * 3) % 11) as f64 * theta_max / 10.0
+            }))
+        });
         for v in [
             StructuredMatrix::identity(4).scaled(0.5),
             StructuredMatrix::prefix(5).scaled(0.2),
             StructuredMatrix::total(3).scaled(2.0),
             StructuredMatrix::all_range(4),
-        ] {
-            let pinv = v.gram_pinv().to_dense();
+        ]
+        .into_iter()
+        .chain(p_identities)
+        {
+            let closed = v.gram_pinv();
+            let pinv = closed.to_dense();
             let gram = v.gram_dense();
             // Moore–Penrose on the (symmetric PSD) Gram: G·G⁺·G = G.
             let ggg = gram.matmul(&pinv).matmul(&gram);
             assert!(ggg.approx_eq(&gram, 1e-8), "{v:?}");
+            if let PIdentity { diag, .. } = &v {
+                assert!(diag.iter().all(|d| 1.0 / d <= 1e2));
+                assert!(matches!(closed, Woodbury { .. }), "{closed:?}");
+                assert_eq!(closed.storage_size(), 24 + 4 * 24);
+                let dense = crate::Cholesky::new(&gram).unwrap().inverse();
+                let gap = pinv.sub(&dense).frobenius_norm() / dense.frobenius_norm();
+                assert!(gap <= 1e-9, "{diag:?}: relative gap {gap:e}");
+            }
         }
     }
 

@@ -59,7 +59,11 @@ pub fn measure(strategy: &Strategy, x: &[f64], eps: f64, rng: &mut impl Rng) -> 
 ///
 /// * explicit: the `n×n` inverse Gram `(AᵀA)⁺` (a Cholesky or eigendecomposed
 ///   pseudo-inverse — the dominant cost of a warm explicit request);
-/// * Kronecker: the per-factor inverse Grams `(AᵢᵀAᵢ)⁺`;
+/// * Kronecker: the per-factor inverse Grams `(AᵢᵀAᵢ)⁺`
+///   ([`StructuredMatrix::gram_pinv`]) — for SELECT's p-Identity factors the
+///   `Woodbury` leaf `D⁻² − UᵀU`, O(p²n) to build and `p·n + n` numbers to
+///   hold; only `Dense` / `Sparse` / `AllRange` factors pay a dense `n×n`
+///   inverse;
 /// * marginals: the subset-sum algebra tables and the §7.2 weight vector `v`
 ///   with `(MᵀM)⁺ = G(v)`;
 /// * union: nothing — LSMR has no reusable strategy-only factorization.

@@ -335,7 +335,8 @@ pub fn measure_on<K: Kernels + ?Sized>(
 /// * explicit: `x̄ = A⁺y = (AᵀA)⁺Aᵀy` — small 1-D domains, never fanned out;
 /// * Kronecker: `(⊗Aᵢ)⁺y = ⊗(AᵢᵀAᵢ)⁺ · (⊗Aᵢᵀ)y` through two kernel passes
 ///   (§7.2) — the per-factor work is the `nᵢ × nᵢ` inverse Gram
-///   (closed-form for Identity/Prefix), never the `nᵢ × mᵢ` pseudo-inverse;
+///   (closed-form for Identity/Prefix, O(pnᵢ) Woodbury for p-Identity),
+///   never the `nᵢ × mᵢ` pseudo-inverse;
 /// * marginals: `M⁺y = G(v)·Mᵀy` — `Mᵀy` accumulates per marginal through
 ///   the kernels, the subset-algebra application `G(v)` (§7.2) is a single
 ///   coordinator-side stage;

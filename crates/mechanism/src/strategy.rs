@@ -32,13 +32,15 @@ impl UnionGroup {
 
 /// A measurement strategy in implicit form. Kronecker factors are kept as
 /// [`StructuredMatrix`] so structured strategies (Identity fallback, prefix
-/// hierarchies, sparse p-Identity blocks) measure and reconstruct through
+/// hierarchies, p-Identity leaves) measure and reconstruct through
 /// closed-form kernels instead of dense products.
 #[derive(Debug, Clone)]
 pub enum Strategy {
-    /// A single explicit query matrix (1D / small domains).
+    /// A single explicit query matrix (baselines and small test domains;
+    /// SELECT hands a 1-D OPT_0 result on as a one-factor `Kron`).
     Explicit(Matrix),
-    /// A Kronecker product `A₁ ⊗ … ⊗ A_d` (the `OPT_⊗` output).
+    /// A Kronecker product `A₁ ⊗ … ⊗ A_d` (the `OPT_0` and `OPT_⊗` output,
+    /// one [`StructuredMatrix::PIdentity`] leaf per attribute).
     Kron(Vec<StructuredMatrix>),
     /// A union of product strategies with a budget split (the `OPT_+` output).
     Union(Vec<UnionGroup>),
@@ -48,8 +50,10 @@ pub enum Strategy {
 
 impl Strategy {
     /// A Kronecker strategy from any mix of dense and structured factors;
-    /// dense factors are CSR-compressed when sparse enough (p-Identity
-    /// matrices are mostly the diagonal block).
+    /// dense factors are CSR-compressed when sparse enough. SELECT does not
+    /// come through here: its p-Identity factors are
+    /// [`StructuredMatrix::PIdentity`] leaves already, whose inverse Gram is
+    /// closed-form where a CSR factor's is a dense `n×n` inverse.
     pub fn kron<M: Into<StructuredMatrix>>(factors: Vec<M>) -> Strategy {
         Strategy::Kron(
             factors

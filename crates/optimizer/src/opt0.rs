@@ -11,7 +11,7 @@
 //! ```
 
 use crate::lbfgs::{minimize, LbfgsOptions, Objective};
-use hdmm_linalg::{simd, Cholesky, Matrix};
+use hdmm_linalg::{simd, Cholesky, Matrix, StructuredMatrix};
 use rand::Rng;
 
 /// A p-Identity strategy `A(Θ)` in parameter form (Definition 9).
@@ -76,6 +76,22 @@ impl PIdentity {
             }
         }
         a
+    }
+
+    /// `A(Θ)` as the structured leaf SELECT hands on:
+    /// [`StructuredMatrix::PIdentity`] with `diag = d` and `block = Θ·D`, the
+    /// values of [`PIdentity::matrix`] bit for bit in `p·n + n` numbers. Its
+    /// inverse Gram is the closed-form Woodbury leaf
+    /// ([`StructuredMatrix::gram_pinv`]).
+    pub fn leaf(&self) -> StructuredMatrix {
+        let diag = self.scales();
+        let mut block = self.theta.clone();
+        for k in 0..block.rows() {
+            for (b, &dj) in block.row_mut(k).iter_mut().zip(&diag) {
+                *b *= dj;
+            }
+        }
+        StructuredMatrix::PIdentity { diag, block }
     }
 
     /// `tr[(A(Θ)ᵀA(Θ))⁻¹·G]` in O(pn²) via the Woodbury identity — never
@@ -564,6 +580,27 @@ mod tests {
             &[1.0 / 3.0, 0.25, 0.2],
         ]);
         assert!(a.approx_eq(&expect, 1e-12));
+    }
+
+    /// The leaf SELECT hands on is the strategy matrix, bit for bit, and its
+    /// sensitivity is the dense one's — read off the stored entries, so it
+    /// is 1 only up to rounding, exactly as the dense matrix's is.
+    #[test]
+    fn leaf_is_the_strategy_matrix_bitwise() {
+        let mut rng = StdRng::seed_from_u64(6);
+        for (p, n) in [(1, 1), (2, 3), (3, 16), (8, 128)] {
+            let mut theta = Matrix::from_fn(p, n, |_, _| rng.gen::<f64>() * 3.0);
+            theta[(0, 0)] = 0.0; // an entry at the bound
+            let pid = PIdentity::new(theta);
+            let (leaf, dense) = (pid.leaf(), pid.matrix());
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&leaf.to_dense()), bits(&dense), "p={p} n={n}");
+            assert_eq!(leaf.storage_size(), p * n + n);
+            assert_eq!(
+                leaf.sensitivity().to_bits(),
+                dense.norm_l1_operator().to_bits()
+            );
+        }
     }
 
     #[test]

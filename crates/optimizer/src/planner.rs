@@ -31,7 +31,7 @@
 //! from the Identity fallback — so ties go to the earliest cell and the
 //! result is bitwise identical at any lane count.
 
-use crate::opt0::{opt0_with, Opt0Options};
+use crate::opt0::{opt0_with, Opt0Options, PIdentity};
 use crate::opt_hdmm::{HdmmOptions, Selected};
 use crate::opt_kron::opt_kron;
 use crate::opt_marginals::opt_marginals;
@@ -104,6 +104,9 @@ fn is_total_like(factor: &StructuredMatrix) -> bool {
         | StructuredMatrix::Prefix { n, .. }
         | StructuredMatrix::AllRange { n, .. } => *n == 1,
         StructuredMatrix::Dense(m) => dense_check(m),
+        StructuredMatrix::PIdentity { .. } | StructuredMatrix::Woodbury { .. } => {
+            dense_check(&factor.to_dense())
+        }
         StructuredMatrix::Sparse(s) => s.columns_all_equal(),
         StructuredMatrix::Kron(fs) => fs.iter().all(is_total_like),
     }
@@ -226,11 +229,12 @@ impl Operator {
             Operator::Opt0(wtw) => {
                 let p = ps.first().copied().unwrap_or(1).max(1);
                 let res = opt0_with(wtw, &Opt0Options { p, max_iter: 120 }, rng);
-                (Strategy::Explicit(res.pident.matrix()), res.residual)
+                (Strategy::Kron(vec![res.pident.leaf()]), res.residual)
             }
             Operator::Kron => {
                 let res = opt_kron(grams, ps, rng);
-                (Strategy::kron(res.factors()), res.residual)
+                let leaves = res.pidents.iter().map(PIdentity::leaf).collect();
+                (Strategy::Kron(leaves), res.residual)
             }
             Operator::Plus(partition) => {
                 let res = opt_plus(grams, partition, ps, rng);

@@ -137,6 +137,18 @@ fn hash_structured(h: &mut Fnv, f: &StructuredMatrix) {
                 hash_structured(h, inner);
             }
         }
+        // `diag.len()` is the low-rank part's column count, which
+        // `hash_matrix` writes.
+        StructuredMatrix::PIdentity { diag, block } => {
+            h.write_u64(7);
+            diag.iter().for_each(|&d| h.write_f64(d));
+            hash_matrix(h, block);
+        }
+        StructuredMatrix::Woodbury { diag, u } => {
+            h.write_u64(8);
+            diag.iter().for_each(|&d| h.write_f64(d));
+            hash_matrix(h, u);
+        }
     }
 }
 

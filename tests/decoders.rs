@@ -1,9 +1,11 @@
 //! Property tests for every decoder that reads bytes the process did not
 //! just write: the checksummed codec envelope (`codec::open`), WAL records
-//! and snapshots (`wal::decode_record`, `wal::decode_snapshot`) and plan
-//! files (`PlanStore::load`). Arbitrary bytes, arbitrary payloads behind a
-//! valid checksum, and single-bit flips of valid encodings must come back as
-//! a typed error (`None` for the plan store) — never a panic.
+//! and snapshots (`wal::decode_record`, `wal::decode_snapshot`), plan files
+//! (`PlanStore::load`; a 1-D plan is a p-Identity leaf) and the p-Identity /
+//! Woodbury leaves of plans and inverse-Gram factor lists (`Reader`).
+//! Arbitrary bytes, arbitrary payloads behind a valid checksum, truncations
+//! and single-bit flips of valid encodings must come back as a typed error
+//! (`None` for the plan store) — never a panic.
 //!
 //! The bit-flip properties hold by construction: every format is sealed by
 //! an FNV-1a trailer, whose per-byte step is a bijection of the running
@@ -16,6 +18,9 @@ use hdmm::engine::wal::{
     RecoveredState, RecoveredTenant, WalRecord, SNAPSHOT_MAGIC,
 };
 use hdmm::engine::{AuditKind, PlanStore};
+use hdmm::linalg::{Matrix, StructuredMatrix};
+use hdmm::mechanism::Strategy;
+use hdmm::optimizer::PIdentity;
 use proptest::prelude::*;
 
 /// The first `len` of `raw` as bytes.
@@ -157,6 +162,81 @@ proptest! {
         sealed.extend(bytes);
         codec::seal(&mut sealed);
         let _ = decode_snapshot(&sealed);
+    }
+}
+
+/// A p-Identity Kron plan (OPT_⊗'s output: `PIdentity` leaves) or the
+/// factor list of its `Woodbury` inverse Grams, as `put_strategy` /
+/// `put_structured_list` write them, unsealed.
+fn p_identity_payload(plan: bool, seed: u64) -> Vec<u8> {
+    let theta = |p: usize, n: usize| {
+        Matrix::from_fn(p, n, |r, c| {
+            ((seed as usize + r * 5 + c * 3) % 7) as f64 * 0.3
+        })
+    };
+    let leaves = vec![
+        PIdentity::new(theta(2, 6)).leaf(),
+        PIdentity::new(theta(1, 4)).leaf(),
+    ];
+    let mut out = Vec::new();
+    if plan {
+        codec::put_strategy(&mut out, &Strategy::Kron(leaves));
+    } else {
+        let gram_pinvs: Vec<StructuredMatrix> =
+            leaves.iter().map(StructuredMatrix::gram_pinv).collect();
+        codec::put_structured_list(&mut out, &gram_pinvs);
+    }
+    out
+}
+
+/// Reads what [`p_identity_payload`] wrote, to the last byte.
+fn read_p_identity_payload(plan: bool, payload: &[u8]) -> Result<(), codec::CodecError> {
+    let mut r = codec::Reader::new(payload);
+    if plan {
+        r.strategy()?;
+    } else {
+        r.structured_list()?;
+    }
+    r.expect_end()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// p-Identity and Woodbury leaves (tags 7 and 8): every truncation of an
+    /// encoded plan or factor list fails in the reader, every single-bit flip
+    /// of the sealed bytes fails, and an arbitrary payload behind either tag
+    /// decodes or fails without panicking.
+    #[test]
+    fn p_identity_leaves_reject_truncations_and_bit_flips(
+        raw in proptest::collection::vec(0u16..256, 96),
+        len in 0usize..97,
+        plan in proptest::bool::weighted(0.5),
+        seed in 0u64..1_000,
+        cut in 0usize..1_000_000,
+        bit in 0usize..1_000_000,
+    ) {
+        let payload = p_identity_payload(plan, seed);
+        prop_assert!(read_p_identity_payload(plan, &payload).is_ok());
+        let cut = cut % payload.len();
+        prop_assert!(
+            read_p_identity_payload(plan, &payload[..cut]).is_err(),
+            "truncation at {cut} decoded"
+        );
+
+        let mut sealed = payload;
+        codec::seal(&mut sealed);
+        let flipped = flip_bit(sealed, bit);
+        prop_assert!(
+            codec::open(&flipped)
+                .and_then(|p| read_p_identity_payload(plan, p))
+                .is_err(),
+            "bit {bit} flip decoded"
+        );
+
+        let mut arbitrary = vec![if plan { 7 } else { 8 }];
+        arbitrary.extend(bytes_of(&raw, len));
+        let _ = codec::Reader::new(&arbitrary).structured();
     }
 }
 

@@ -8,7 +8,9 @@
 //! bit of every factor, not merely equal losses.
 
 use hdmm_core::codec;
+use hdmm_linalg::{Matrix, StructuredMatrix};
 use hdmm_mechanism::error::squared_error;
+use hdmm_mechanism::Strategy;
 use hdmm_optimizer::{
     default_ps, opt_hdmm_grams, optimize_with_choice, optimize_with_choice_observed,
     select_optimizer, HdmmOptions, OptimizerChoice, RestartObserver, Selected,
@@ -20,10 +22,14 @@ use std::time::Duration;
 
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 7];
 
-fn strategy_bytes(sel: &Selected) -> Vec<u8> {
+fn encoded(strategy: &Strategy) -> Vec<u8> {
     let mut out = Vec::new();
-    codec::put_strategy(&mut out, &sel.strategy);
+    codec::put_strategy(&mut out, strategy);
     out
+}
+
+fn strategy_bytes(sel: &Selected) -> Vec<u8> {
+    encoded(&sel.strategy)
 }
 
 fn opts(seed: u64, restarts: usize, threads: usize) -> HdmmOptions {
@@ -194,10 +200,23 @@ fn golden_families() -> Vec<(&'static str, Workload)> {
     ]
 }
 
+/// One row of [`GOLDEN`].
+type GoldenRow = (
+    &'static str,
+    &'static str,
+    u64,
+    u64,
+    &'static str,
+    u64,
+    u64,
+    u64,
+);
+
 /// `(family, choice, FNV of the put_strategy bytes, loss bits, winning
-/// operator, digest of the grid's cells, reference loss bits)` at seed 17,
-/// 3 restarts. `opt_hdmm_grams` takes no observer, so its cell digest is that
-/// of no cells.
+/// operator, digest of the grid's cells, reference loss bits, FNV of the
+/// put_strategy bytes before p-Identity leaves)` at seed 17, 3 restarts.
+/// `opt_hdmm_grams` takes no observer, so its cell digest is that of no
+/// cells.
 ///
 /// Recorded twice. The reference losses are those of commit c126d79, whose
 /// OPT_0 gradient materialized `(AᵀA)⁻¹WᵀW` densely; the rest of each row was
@@ -217,36 +236,46 @@ fn golden_families() -> Vec<(&'static str, Workload)> {
 /// refuses such points (`MAX_COLUMN_SCALE` in `opt0.rs`), every row now checks
 /// its loss against the closed form, and the family moved to a size where
 /// OPT_⊗ wins robustly, recorded at c126d79 first.
+///
+/// The strategy column was re-recorded a third time, alone, when SELECT
+/// began handing on its p-Identity strategies as `StructuredMatrix::PIdentity`
+/// leaves: a 1-D OPT_0 result used to be an explicit `(n+p)×n` matrix and is
+/// now a one-factor Kron strategy, and OPT_⊗ factors used to be compressed
+/// to CSR. Every row whose winner is OPT_0 or OPT_⊗ changed its encoding,
+/// not its values: the last column holds the digest recorded before, and
+/// each row rebuilds that older encoding from its selection
+/// ([`encoding_before_leaves`]) and must reproduce it bit for bit. Losses,
+/// operators and cells were untouched.
 #[rustfmt::skip]
-const GOLDEN: &[(&str, &str, u64, u64, &str, u64, u64)] = &[
-    ("opt0", "own", 0xb5c9ae87fd1cf9f9, 0x40b4df628a23bc49, "opt0", 0xa27531c9a6b97eb2, 0x40b4df628a23bc44),
-    ("opt0", "opt0", 0xb5c9ae87fd1cf9f9, 0x40b4df628a23bc49, "opt0", 0xa27531c9a6b97eb2, 0x40b4df628a23bc44),
-    ("opt0", "kron", 0x0a92d3291844c124, 0x40b4df628a2efe17, "kron", 0xbe9038d3ccbd6efe, 0x40b4df628a2efe19),
-    ("opt0", "plus", 0x0a92d3291844c124, 0x40b4df628a2efe17, "kron", 0xbe9038d3ccbd6efe, 0x40b4df628a2efe19),
-    ("opt0", "marginals", 0x0a92d3291844c124, 0x40b4df628a2efe17, "kron", 0xbe9038d3ccbd6efe, 0x40b4df628a2efe19),
-    ("opt0", "exhaustive", 0x0a92d3291844c124, 0x40b4df628a2efe17, "kron", 0xbe9038d3ccbd6efe, 0x40b4df628a2efe19),
-    ("opt0", "opt_hdmm_grams", 0x0a92d3291844c124, 0x40b4df628a2efe17, "kron", 0xcbf29ce484222325, 0x40b4df628a2efe19),
-    ("kron", "own", 0xacca7eeeee880465, 0x40f8231c86a555bd, "kron", 0xeadc3b51ebc6b930, 0x40f8231c86a555ba),
-    ("kron", "opt0", 0xacca7eeeee880465, 0x40f8231c86a555bd, "kron", 0xeadc3b51ebc6b930, 0x40f8231c86a555ba),
-    ("kron", "kron", 0xacca7eeeee880465, 0x40f8231c86a555bd, "kron", 0xeadc3b51ebc6b930, 0x40f8231c86a555ba),
-    ("kron", "plus", 0xacca7eeeee880465, 0x40f8231c86a555bd, "kron", 0xeadc3b51ebc6b930, 0x40f8231c86a555ba),
-    ("kron", "marginals", 0x6886f4c48132919c, 0x4111040000000000, "identity", 0xd504f5c7a044f4af, 0x4111040000000000),
-    ("kron", "exhaustive", 0xacca7eeeee880465, 0x40f8231c86a555bd, "kron", 0x34f1a491c36f6586, 0x40f8231c86a555ba),
-    ("kron", "opt_hdmm_grams", 0xacca7eeeee880465, 0x40f8231c86a555bd, "kron", 0xcbf29ce484222325, 0x40f8231c86a555ba),
-    ("plus", "own", 0xa4b1254618885b58, 0x408e018965ffffda, "plus", 0x06d20ffa8dcc895a, 0x408dfec41e21e554),
-    ("plus", "opt0", 0xf38697d4bdf892a9, 0x409b1fdc387ebf3e, "kron", 0x9815712e5c419268, 0x409b1fdc387ebf44),
-    ("plus", "kron", 0xf38697d4bdf892a9, 0x409b1fdc387ebf3e, "kron", 0x9815712e5c419268, 0x409b1fdc387ebf44),
-    ("plus", "plus", 0xa4b1254618885b58, 0x408e018965ffffda, "plus", 0x06d20ffa8dcc895a, 0x408dfec41e21e554),
-    ("plus", "marginals", 0x8039f3b777beb1e3, 0x40859b0dea000000, "marginals", 0x2362948e26d15508, 0x40859b0dea000000),
-    ("plus", "exhaustive", 0x8039f3b777beb1e3, 0x40859b0dea000000, "marginals", 0x35146c2f338ba880, 0x40859b0dea000000),
-    ("plus", "opt_hdmm_grams", 0x8039f3b777beb1e3, 0x40859b0dea000000, "marginals", 0xcbf29ce484222325, 0x40859b0dea000000),
-    ("marginals", "own", 0xb99a079b6525ab54, 0x40bf23ee00400000, "marginals", 0x291f639b61bab1f9, 0x40bf23ee00400000),
-    ("marginals", "opt0", 0x7fbe7c128479b66c, 0x40cbd80000000000, "identity", 0x4c9ed1b3e8ba3dd6, 0x40cbd80000000000),
-    ("marginals", "kron", 0x7fbe7c128479b66c, 0x40cbd80000000000, "identity", 0x4c9ed1b3e8ba3dd6, 0x40cbd80000000000),
-    ("marginals", "plus", 0x7fbe7c128479b66c, 0x40cbd80000000000, "identity", 0xe16d67491af58f7a, 0x40cbd80000000000),
-    ("marginals", "marginals", 0xb99a079b6525ab54, 0x40bf23ee00400000, "marginals", 0x291f639b61bab1f9, 0x40bf23ee00400000),
-    ("marginals", "exhaustive", 0xb99a079b6525ab54, 0x40bf23ee00400000, "marginals", 0xd04bb40a7d3d8e03, 0x40bf23ee00400000),
-    ("marginals", "opt_hdmm_grams", 0xb99a079b6525ab54, 0x40bf23ee00400000, "marginals", 0xcbf29ce484222325, 0x40bf23ee00400000),
+const GOLDEN: &[GoldenRow] = &[
+    ("opt0", "own", 0x6528b1aea2ce3034, 0x40b4df628a23bc49, "opt0", 0xa27531c9a6b97eb2, 0x40b4df628a23bc44, 0xb5c9ae87fd1cf9f9),
+    ("opt0", "opt0", 0x6528b1aea2ce3034, 0x40b4df628a23bc49, "opt0", 0xa27531c9a6b97eb2, 0x40b4df628a23bc44, 0xb5c9ae87fd1cf9f9),
+    ("opt0", "kron", 0x75daf3b4ac8b229f, 0x40b4df628a2efe17, "kron", 0xbe9038d3ccbd6efe, 0x40b4df628a2efe19, 0x0a92d3291844c124),
+    ("opt0", "plus", 0x75daf3b4ac8b229f, 0x40b4df628a2efe17, "kron", 0xbe9038d3ccbd6efe, 0x40b4df628a2efe19, 0x0a92d3291844c124),
+    ("opt0", "marginals", 0x75daf3b4ac8b229f, 0x40b4df628a2efe17, "kron", 0xbe9038d3ccbd6efe, 0x40b4df628a2efe19, 0x0a92d3291844c124),
+    ("opt0", "exhaustive", 0x75daf3b4ac8b229f, 0x40b4df628a2efe17, "kron", 0xbe9038d3ccbd6efe, 0x40b4df628a2efe19, 0x0a92d3291844c124),
+    ("opt0", "opt_hdmm_grams", 0x75daf3b4ac8b229f, 0x40b4df628a2efe17, "kron", 0xcbf29ce484222325, 0x40b4df628a2efe19, 0x0a92d3291844c124),
+    ("kron", "own", 0x4841103498ce332d, 0x40f8231c86a555bd, "kron", 0xeadc3b51ebc6b930, 0x40f8231c86a555ba, 0xacca7eeeee880465),
+    ("kron", "opt0", 0x4841103498ce332d, 0x40f8231c86a555bd, "kron", 0xeadc3b51ebc6b930, 0x40f8231c86a555ba, 0xacca7eeeee880465),
+    ("kron", "kron", 0x4841103498ce332d, 0x40f8231c86a555bd, "kron", 0xeadc3b51ebc6b930, 0x40f8231c86a555ba, 0xacca7eeeee880465),
+    ("kron", "plus", 0x4841103498ce332d, 0x40f8231c86a555bd, "kron", 0xeadc3b51ebc6b930, 0x40f8231c86a555ba, 0xacca7eeeee880465),
+    ("kron", "marginals", 0x6886f4c48132919c, 0x4111040000000000, "identity", 0xd504f5c7a044f4af, 0x4111040000000000, 0x6886f4c48132919c),
+    ("kron", "exhaustive", 0x4841103498ce332d, 0x40f8231c86a555bd, "kron", 0x34f1a491c36f6586, 0x40f8231c86a555ba, 0xacca7eeeee880465),
+    ("kron", "opt_hdmm_grams", 0x4841103498ce332d, 0x40f8231c86a555bd, "kron", 0xcbf29ce484222325, 0x40f8231c86a555ba, 0xacca7eeeee880465),
+    ("plus", "own", 0xa4b1254618885b58, 0x408e018965ffffda, "plus", 0x06d20ffa8dcc895a, 0x408dfec41e21e554, 0xa4b1254618885b58),
+    ("plus", "opt0", 0xa0f092d591e4d79d, 0x409b1fdc387ebf3e, "kron", 0x9815712e5c419268, 0x409b1fdc387ebf44, 0xf38697d4bdf892a9),
+    ("plus", "kron", 0xa0f092d591e4d79d, 0x409b1fdc387ebf3e, "kron", 0x9815712e5c419268, 0x409b1fdc387ebf44, 0xf38697d4bdf892a9),
+    ("plus", "plus", 0xa4b1254618885b58, 0x408e018965ffffda, "plus", 0x06d20ffa8dcc895a, 0x408dfec41e21e554, 0xa4b1254618885b58),
+    ("plus", "marginals", 0x8039f3b777beb1e3, 0x40859b0dea000000, "marginals", 0x2362948e26d15508, 0x40859b0dea000000, 0x8039f3b777beb1e3),
+    ("plus", "exhaustive", 0x8039f3b777beb1e3, 0x40859b0dea000000, "marginals", 0x35146c2f338ba880, 0x40859b0dea000000, 0x8039f3b777beb1e3),
+    ("plus", "opt_hdmm_grams", 0x8039f3b777beb1e3, 0x40859b0dea000000, "marginals", 0xcbf29ce484222325, 0x40859b0dea000000, 0x8039f3b777beb1e3),
+    ("marginals", "own", 0xb99a079b6525ab54, 0x40bf23ee00400000, "marginals", 0x291f639b61bab1f9, 0x40bf23ee00400000, 0xb99a079b6525ab54),
+    ("marginals", "opt0", 0x7fbe7c128479b66c, 0x40cbd80000000000, "identity", 0x4c9ed1b3e8ba3dd6, 0x40cbd80000000000, 0x7fbe7c128479b66c),
+    ("marginals", "kron", 0x7fbe7c128479b66c, 0x40cbd80000000000, "identity", 0x4c9ed1b3e8ba3dd6, 0x40cbd80000000000, 0x7fbe7c128479b66c),
+    ("marginals", "plus", 0x7fbe7c128479b66c, 0x40cbd80000000000, "identity", 0xe16d67491af58f7a, 0x40cbd80000000000, 0x7fbe7c128479b66c),
+    ("marginals", "marginals", 0xb99a079b6525ab54, 0x40bf23ee00400000, "marginals", 0x291f639b61bab1f9, 0x40bf23ee00400000, 0xb99a079b6525ab54),
+    ("marginals", "exhaustive", 0xb99a079b6525ab54, 0x40bf23ee00400000, "marginals", 0xd04bb40a7d3d8e03, 0x40bf23ee00400000, 0xb99a079b6525ab54),
+    ("marginals", "opt_hdmm_grams", 0xb99a079b6525ab54, 0x40bf23ee00400000, "marginals", 0xcbf29ce484222325, 0x40bf23ee00400000, 0xb99a079b6525ab54),
 ];
 
 /// How far above its reference loss a re-recorded row may sit. On the 8×8
@@ -263,9 +292,37 @@ fn reference_slack(family: &str, operator: &str) -> f64 {
     }
 }
 
+/// The encoding SELECT gave a selection before its p-Identity strategies
+/// were leaves: OPT_0's as the explicit matrix, OPT_⊗'s factors through
+/// `Strategy::kron` (CSR where sparse enough). Other selections are as they
+/// were.
+fn encoding_before_leaves(sel: &Selected) -> Strategy {
+    match (&sel.strategy, sel.operator) {
+        (Strategy::Kron(fs), "opt0") => Strategy::Explicit(fs[0].to_dense()),
+        (Strategy::Kron(fs), "kron") => {
+            Strategy::kron(fs.iter().map(StructuredMatrix::to_dense).collect())
+        }
+        (other, _) => other.clone(),
+    }
+}
+
+/// Every factor of a strategy as a dense matrix (none for marginals).
+fn dense_factors(strategy: &Strategy) -> Vec<Matrix> {
+    match strategy {
+        Strategy::Explicit(a) => vec![a.clone()],
+        Strategy::Kron(fs) => fs.iter().map(StructuredMatrix::to_dense).collect(),
+        Strategy::Union(groups) => groups
+            .iter()
+            .flat_map(|g| g.factors.iter().map(StructuredMatrix::to_dense))
+            .collect(),
+        Strategy::Marginals(_) => Vec::new(),
+    }
+}
+
 /// The selections — and every cell's candidate loss — are the recorded ones
-/// at any lane count, no re-recorded loss sits above its reference, and each
-/// reported loss is the closed-form error of the strategy selected.
+/// at any lane count, no re-recorded loss sits above its reference, each
+/// reported loss is the closed-form error of the strategy selected, and each
+/// selection holds the values recorded before p-Identity leaves.
 #[test]
 fn selections_match_the_table_recorded_before_the_grid_was_unified() {
     let mut rows = GOLDEN.iter();
@@ -283,7 +340,7 @@ fn selections_match_the_table_recorded_before_the_grid_was_unified() {
             ("opt_hdmm_grams", None),
         ];
         for (label, choice) in choices {
-            let &(f, c, strategy, loss, operator, cells, reference) =
+            let &(f, c, strategy, loss, operator, cells, reference, before_leaves) =
                 rows.next().expect("one golden row per (family, choice)");
             assert!(
                 f64::from_bits(loss)
@@ -316,6 +373,17 @@ fn selections_match_the_table_recorded_before_the_grid_was_unified() {
                     "{family}/{label}: reported {} vs closed form {closed_form}",
                     sel.squared_error
                 );
+                let before = encoding_before_leaves(&sel);
+                assert_eq!(
+                    codec::checksum(&encoded(&before)),
+                    before_leaves,
+                    "{family}/{label}: the selection's values moved"
+                );
+                let (new, old) = (dense_factors(&sel.strategy), dense_factors(&before));
+                assert_eq!(new.len(), old.len(), "{family}/{label}");
+                for (a, b) in new.iter().zip(&old) {
+                    assert!(a.approx_eq(b, 1e-12), "{family}/{label}");
+                }
             }
         }
     }

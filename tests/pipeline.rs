@@ -14,6 +14,8 @@
 //! leading mode, which every kernel kind must serve unsliced: the second
 //! Kron row's transposed strategy (a tall lead before a prefix), and the
 //! union row's `[Total, AllRange]` workload term and `[Total, Prefix]` group.
+//! The third Kron row is SELECT's own shape: p-Identity leaves, whose
+//! Woodbury inverse Grams are sliced into row blocks like any square leaf.
 
 use hdmm::core::{builders, Domain, Workload};
 use hdmm::linalg::Matrix;
@@ -22,6 +24,7 @@ use hdmm::mechanism::{
     MechanismError, MechanismRequest, PipelineError, PlainKernels, PreparedReconstruct,
     ScopedExecutor, ShardedView, Strategy, UnionGroup,
 };
+use hdmm::optimizer::PIdentity;
 use hdmm::workload::blocks;
 use hdmm_net::{
     spawn_worker, OperandKeys, RemoteOptions, RpcKernels, WorkerHandle, WorkerOptions, WorkerPool,
@@ -80,6 +83,18 @@ fn families() -> Vec<(Workload, Strategy)> {
             blocks::prefix(5).scaled(0.2),
         ]),
     );
+    // OPT_⊗'s own output: p-Identity leaves, whose inverse Grams are Woodbury
+    // leaves. The leading one is sliced into row blocks on RECONSTRUCT's
+    // inverse-Gram step, and the RPC kind pushes both leaf kinds to workers.
+    let theta =
+        |p: usize, n: usize| Matrix::from_fn(p, n, |r, c| ((r * 5 + c * 3) % 7) as f64 * 0.3);
+    let p_identity = (
+        builders::prefix_2d(LEADING, 5),
+        Strategy::Kron(vec![
+            PIdentity::new(theta(2, LEADING)).leaf(),
+            PIdentity::new(theta(1, 5)).leaf(),
+        ]),
+    );
     // A zero weight exercises the skipped-marginal bookkeeping.
     let marginals_domain = Domain::new(&[LEADING, 3]);
     let marginals = (
@@ -107,7 +122,7 @@ fn families() -> Vec<(Workload, Strategy)> {
             ),
         ]),
     );
-    vec![explicit, kron, tall_lead, marginals, union]
+    vec![explicit, kron, tall_lead, p_identity, marginals, union]
 }
 
 /// Records the phases the pipeline reports, in order.

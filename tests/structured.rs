@@ -7,33 +7,37 @@ use hdmm_linalg::{
     contract_rows, contract_transpose_rows, kmatvec_structured, kmatvec_transpose_structured,
     kron_all, partition_rows, Csr, Matrix, StructuredMatrix,
 };
+use hdmm_optimizer::PIdentity;
 use proptest::prelude::*;
 use std::ops::Range;
+
+/// The p-Identity leaf OPT_0 would hand on for the non-negative `Θ`.
+fn p_identity(theta: Matrix) -> StructuredMatrix {
+    PIdentity::new(theta).leaf()
+}
 
 /// A random structured variant over a domain of size `n` (2..=7), paired
 /// with a generated scale in (0.2, 2.2).
 fn variant(n: usize) -> impl Strategy<Value = StructuredMatrix> {
     (
-        0usize..6,
+        0usize..8,
         0.2f64..2.2,
         proptest::collection::vec(proptest::bool::weighted(0.35), 3 * n),
     )
-        .prop_map(move |(kind, scale, bits)| match kind {
-            0 => StructuredMatrix::identity(n).scaled(scale),
-            1 => StructuredMatrix::total(n).scaled(scale),
-            2 => StructuredMatrix::prefix(n).scaled(scale),
-            3 => StructuredMatrix::all_range(n).scaled(scale),
-            4 => {
-                let dense = Matrix::from_fn(3, n, |r, c| if bits[r * n + c] { scale } else { 0.0 });
-                StructuredMatrix::Sparse(Csr::from_dense(&dense))
+        .prop_map(move |(kind, scale, bits)| {
+            let pick = |r: usize, c: usize, other: f64| if bits[r * n + c] { scale } else { other };
+            match kind {
+                0 => StructuredMatrix::identity(n).scaled(scale),
+                1 => StructuredMatrix::total(n).scaled(scale),
+                2 => StructuredMatrix::prefix(n).scaled(scale),
+                3 => StructuredMatrix::all_range(n).scaled(scale),
+                4 => StructuredMatrix::Sparse(Csr::from_dense(&Matrix::from_fn(3, n, |r, c| {
+                    pick(r, c, 0.0)
+                }))),
+                5 => StructuredMatrix::Dense(Matrix::from_fn(3, n, |r, c| pick(r, c, -1.0))),
+                6 => p_identity(Matrix::from_fn(3, n, |r, c| pick(r, c, 0.0))),
+                _ => p_identity(Matrix::from_fn(3, n, |r, c| pick(r, c, 0.0))).gram_pinv(),
             }
-            _ => StructuredMatrix::Dense(Matrix::from_fn(3, n, |r, c| {
-                if bits[r * n + c] {
-                    scale
-                } else {
-                    -1.0
-                }
-            })),
         })
 }
 
@@ -52,10 +56,12 @@ fn assert_close(a: &[f64], b: &[f64], tol: f64) -> Result<(), TestCaseError> {
 /// The signature shared by `contract_rows` and `contract_transpose_rows`.
 type Contract = fn(&StructuredMatrix, &[f64], &mut [f64], usize, usize, Range<usize>);
 
-/// All six leaf variants over a domain of size `n`. The `Dense` / `Sparse`
+/// All eight leaf variants over a domain of size `n`. The `Dense` / `Sparse`
 /// pair is `3 × (64 + n)` with entries from `cells` (0 → 0.0, 1 → `scale`,
 /// 2 → −1.0), so its columns cross one 64-wide dense panel and its zeros
-/// exercise the skip paths.
+/// exercise the skip paths. The p-Identity (p = 3, `Θ` the same cells as
+/// 0, `scale`, 2·`scale`) and its Woodbury inverse Gram are `n`-column
+/// leaves.
 fn leaves(n: usize, scale: f64, cells: &[u32]) -> Vec<StructuredMatrix> {
     let wide = 64 + n;
     let dense = Matrix::from_fn(3, wide, |r, c| match cells[r * wide + c] {
@@ -63,6 +69,11 @@ fn leaves(n: usize, scale: f64, cells: &[u32]) -> Vec<StructuredMatrix> {
         1 => scale,
         _ => -1.0,
     });
+    let pident = p_identity(Matrix::from_fn(3, n, |r, c| {
+        f64::from(cells[r * wide + c]) * scale
+    }));
+    let woodbury = pident.gram_pinv();
+    assert!(matches!(woodbury, StructuredMatrix::Woodbury { .. }));
     vec![
         StructuredMatrix::Sparse(Csr::from_dense(&dense)),
         StructuredMatrix::Dense(dense),
@@ -70,6 +81,8 @@ fn leaves(n: usize, scale: f64, cells: &[u32]) -> Vec<StructuredMatrix> {
         StructuredMatrix::total(n).scaled(scale),
         StructuredMatrix::prefix(n).scaled(scale),
         StructuredMatrix::all_range(n).scaled(scale),
+        pident,
+        woodbury,
     ]
 }
 
@@ -162,12 +175,13 @@ proptest! {
     /// driver picks for a chain the product is the explicit one; and a chain
     /// with no shrinking leaf (output extent below input extent) before a
     /// non-shrinking one keeps the last-to-first order, and with it its bits.
-    /// `Total`, `AllRange` and the short 3×(64+n) `Dense` / `Sparse` pair
-    /// land in every position, both directions.
+    /// `Total`, `AllRange`, the short 3×(64+n) `Dense` / `Sparse` pair, the
+    /// tall p-Identity and its square Woodbury inverse Gram land in every
+    /// position, both directions.
     #[test]
     fn chain_in_any_order_matches_explicit(
         len in 2usize..5,
-        picks in proptest::collection::vec((0usize..6, 2usize..5), 4),
+        picks in proptest::collection::vec((0usize..8, 2usize..5), 4),
         scale in 0.2f64..2.2,
         cells_seed in (proptest::collection::vec(0u32..3, 3 * 68), 0u64..1000),
     ) {
@@ -266,7 +280,7 @@ proptest! {
     /// question, not a closed-form one — covered by the linalg pinv tests.)
     #[test]
     fn structured_gram_pinv_is_moore_penrose(
-        kind in 0usize..4,
+        kind in 0usize..5,
         n in 2usize..9,
         scale in 0.2f64..2.2,
     ) {
@@ -274,7 +288,8 @@ proptest! {
             0 => StructuredMatrix::identity(n),
             1 => StructuredMatrix::total(n),
             2 => StructuredMatrix::prefix(n),
-            _ => StructuredMatrix::all_range(n),
+            3 => StructuredMatrix::all_range(n),
+            _ => p_identity(Matrix::from_fn(2, n, |r, c| ((r + 2 * c) % 5) as f64 * 0.4)),
         }
         .scaled(scale);
         let gram = v.gram_dense();

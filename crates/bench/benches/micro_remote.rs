@@ -1,5 +1,5 @@
-//! Remote fan-out microbenchmarks: loopback worker-count sweep mirroring
-//! `micro_sharded`, with the shard tasks crossing a real TCP hop.
+//! Remote fan-out microbenchmarks: a loopback worker-count sweep, with the
+//! shard tasks crossing a real TCP hop.
 //!
 //! `remote_measure/W` times the mechanism pipeline over the RPC kernels
 //! (`MechanismRequest::run` over `RpcKernels`, the same path the engine's
@@ -9,11 +9,11 @@
 //! `spawn_worker` loopback workers on a 2¹⁸-cell domain. Slabs are
 //! preloaded and factor lists become worker-resident on the first
 //! iteration, so iterations measure task fan-out — wire encode, TCP round
-//! trip, worker-side contraction, ordered merge — not operand movement. Outputs are byte-identical across W (and to the local
-//! sharded path), so any wall-clock change with W is pure distribution
-//! effect; on a loopback single machine the workers still share the same
-//! cores, so this sweep bounds protocol overhead rather than demonstrating
-//! linear speedup.
+//! trip, worker-side contraction, ordered merge — not operand movement.
+//! Outputs are byte-identical across W (and to the plain kernels), so any
+//! wall-clock change with W is pure distribution effect; on a loopback
+//! single machine the workers still share the same cores, so this sweep
+//! bounds protocol overhead rather than demonstrating linear speedup.
 //!
 //! `remote_serve/W` drives the full engine — budget accounting, plan cache,
 //! session store — over the same pool, with the measurement plan planted in
@@ -26,9 +26,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hdmm_core::{builders, Domain, Plan, QueryEngine, WorkloadGrams};
 use hdmm_engine::{Engine, EngineOptions, PlanStore};
 use hdmm_linalg::StructuredMatrix;
-use hdmm_mechanism::{
-    LocalKernels, MechanismRequest, PreparedReconstruct, ScopedExecutor, ShardedView, Strategy,
-};
+use hdmm_mechanism::{MechanismRequest, PreparedReconstruct, ShardedView, Strategy};
 use hdmm_net::{
     spawn_worker, OperandKeys, RemoteOptions, RetryPolicy, RpcKernels, WorkerHandle, WorkerOptions,
 };
@@ -77,7 +75,6 @@ fn bench_remote_measure(c: &mut Criterion) {
     let keys = OperandKeys::new(&strategy, &prepared);
     let x = data(n1 * n2);
     let view = ShardedView::partitioned(n1, &x, SHARDS);
-    let lanes = ScopedExecutor::new(SHARDS);
     for &workers in &WORKER_SWEEP {
         let (_handles, opts) = spawn_pool(workers);
         let pool = opts.connect();
@@ -100,11 +97,8 @@ fn bench_remote_measure(c: &mut Criterion) {
                     pool: &pool,
                     dataset: "bench",
                     keys: &keys,
-                    local: LocalKernels {
-                        view: &view,
-                        exec: &lanes,
-                        observer: &(),
-                    },
+                    view: &view,
+                    observer: &(),
                 };
                 criterion::black_box(request.run(&mut rng, &kernels, &())).expect("healthy pool")
             });
@@ -151,7 +145,6 @@ fn bench_remote_serve(c: &mut Criterion) {
                 restarts: 1,
                 ..Default::default()
             },
-            shard_workers: SHARDS,
             session_capacity: 2,
             cache_dir: Some(cache_dir.clone()),
             remote: Some(opts),

@@ -1,24 +1,22 @@
 //! How an engine stores a registered data vector.
 //!
-//! A dataset lives as a [`ShardedDataVector`]: independently allocated slabs
-//! partitioning the *leading attribute axis*, of which the ordinary
-//! contiguous vector is the one-slab case. Row-major order makes each slab a
-//! contiguous block of cells, and HDMM's Kronecker structure lets MEASURE /
-//! RECONSTRUCT / ANSWER fan out over slabs with bitwise-identical results
-//! (see `hdmm_mechanism::sharded`) — sharding is a storage and parallelism
-//! decision, never a semantic one.
+//! A dataset lives as a [`ShardedDataVector`]: one contiguous vector plus the
+//! leading-axis row bounds of the `k ≥ 1` slabs it is partitioned into.
+//! Row-major order makes each slab a contiguous block of cells, so a slab is
+//! a subslice of the one vector. The slabs are the unit remote shard workers
+//! hold (`hdmm_net::RpcKernels`); in-process serving runs the plain kernels
+//! over the whole vector, with bitwise-identical results — sharding is a
+//! placement decision, never a semantic one.
 
-use hdmm_mechanism::{DataSlab, ShardedView};
+use hdmm_mechanism::ShardedView;
 use hdmm_workload::Domain;
 
-/// A data vector partitioned into `k ≥ 1` independently allocated
-/// leading-axis slabs — the in-process stand-in for slabs living on
-/// different machines. Immutable once built: the engine serves concurrent
-/// requests lock-free against it.
+/// A data vector partitioned into `k ≥ 1` leading-axis slabs. Immutable once
+/// built: the engine serves concurrent requests lock-free against it.
 #[derive(Debug, Clone)]
 pub struct ShardedDataVector {
-    slabs: Vec<Vec<f64>>,
-    /// Leading-axis row boundaries, length `slabs.len() + 1`, starting at 0.
+    values: Vec<f64>,
+    /// Leading-axis row boundaries, length `k + 1`, from 0 to the axis length.
     bounds: Vec<usize>,
 }
 
@@ -26,48 +24,39 @@ impl ShardedDataVector {
     /// Partitions a row-major vector over `domain` into `shards` contiguous,
     /// near-equal leading-axis slabs. `shards` is clamped to `[1, n₁]`
     /// (a slab must span at least one leading-axis row), so non-divisible
-    /// shapes get slabs differing by one row. A single slab takes ownership
-    /// of `x` as is — no copy.
+    /// shapes get slabs differing by one row. The vector is kept as is — no
+    /// copy, whatever the slab count.
     ///
     /// # Panics
     /// Panics if `x.len() != domain.size()`.
     pub fn partition(domain: &Domain, x: Vec<f64>, shards: usize) -> Self {
         assert_eq!(x.len(), domain.size(), "data vector size mismatch");
         let leading = domain.attr_size(0);
-        let stride = x.len() / leading;
-        // The same canonical near-equal partition the fan-out pipelines use.
+        // The same canonical near-equal partition `ShardedView::partitioned` uses.
         let ranges = hdmm_linalg::partition_rows(leading, shards.clamp(1, leading));
-        let mut bounds = Vec::with_capacity(ranges.len() + 1);
-        bounds.push(0);
-        bounds.extend(ranges.iter().map(|r| r.end));
-        let slabs = if ranges.len() == 1 {
-            vec![x]
-        } else {
-            ranges
-                .iter()
-                .map(|r| x[r.start * stride..r.end * stride].to_vec())
-                .collect()
-        };
-        ShardedDataVector { slabs, bounds }
+        let bounds = std::iter::once(0)
+            .chain(ranges.iter().map(|r| r.end))
+            .collect();
+        ShardedDataVector { values: x, bounds }
     }
 
     /// Number of slabs.
     pub fn shard_count(&self) -> usize {
-        self.slabs.len()
+        self.bounds.len() - 1
     }
 
-    /// The slabs as the borrowed view the mechanism pipeline runs over.
+    /// The whole vector, row-major.
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// The vector read as its slabs.
     pub fn view(&self) -> ShardedView<'_> {
-        let slabs = self
-            .slabs
-            .iter()
-            .zip(self.bounds.windows(2))
-            .map(|(values, rows)| DataSlab {
-                rows: rows[0]..rows[1],
-                values,
-            })
-            .collect();
-        ShardedView::new(self.bounds[self.slabs.len()], slabs)
+        ShardedView::new(
+            self.bounds[self.shard_count()],
+            &self.values,
+            self.bounds.windows(2).map(|b| b[0]..b[1]),
+        )
     }
 }
 
@@ -84,20 +73,26 @@ mod tests {
     }
 
     #[test]
-    fn one_slab_takes_the_vector_without_copying() {
-        let x = cells();
-        let ptr = x.as_ptr();
-        let d = ShardedDataVector::partition(&domain(), x, 1);
-        assert_eq!(d.shard_count(), 1);
-        let view = d.view();
-        assert_eq!(view.leading, 7);
-        assert_eq!(view.slabs[0].rows, 0..7);
-        assert_eq!(view.slabs[0].values, &cells()[..]);
-        assert_eq!(
-            view.slabs[0].values.as_ptr(),
-            ptr,
-            "x was moved, not copied"
-        );
+    fn every_slab_borrows_the_one_vector() {
+        for shards in [1, 3] {
+            let x = cells();
+            let ptr = x.as_ptr();
+            let d = ShardedDataVector::partition(&domain(), x, shards);
+            assert_eq!(d.shard_count(), shards);
+            assert_eq!(d.values().as_ptr(), ptr, "x was moved, not copied");
+            let view = d.view();
+            assert_eq!(view.leading, 7);
+            assert_eq!(view.values.as_ptr(), ptr);
+            for slab in &view.slabs {
+                let offset = slab.rows.start * 3;
+                assert_eq!(
+                    slab.values.as_ptr(),
+                    ptr.wrapping_add(offset),
+                    "slab {:?} borrows the vector at its offset",
+                    slab.rows
+                );
+            }
+        }
     }
 
     #[test]
@@ -109,7 +104,7 @@ mod tests {
         let rows: Vec<_> = view.slabs.iter().map(|s| s.rows.clone()).collect();
         assert_eq!(rows, [0..3, 3..5, 5..7]);
         assert_eq!(view.slabs[0].values, &cells()[0..9]);
-        assert_eq!(view.assemble(), cells());
+        assert_eq!(view.slabs[2].values, &cells()[15..21]);
     }
 
     #[test]

@@ -216,7 +216,9 @@ pub struct QueryResponse {
     pub operator: &'static str,
     /// Closed-form expected total squared error at the spent ε (Definition 7).
     pub expected_error: f64,
-    /// How many data shards the measurement fanned out over (1 = one slab, served by the plain kernels).
+    /// How many leading-axis slabs the dataset is stored in (1 = dense). Only
+    /// remote shard workers split a request by slab; in-process serving runs
+    /// over the whole vector.
     pub shards: usize,
     /// Trace id of the request (deterministic under the engine seed; 0 when
     /// the serving engine does not trace). Look up the request's span tree

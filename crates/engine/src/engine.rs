@@ -3,7 +3,7 @@
 //! One request is one pass through [`Engine::serve_resolved`]: SELECT
 //! (cache-aware, single-flight — pure, no data, no budget), one
 //! [`Reservation`] taken before any noise is drawn, the mechanism pipeline
-//! run lock-free over the dataset's slab view, `commit()` once the pipeline
+//! run lock-free over the dataset's vector, `commit()` once the pipeline
 //! returned `Ok`, and a [`Session`] for zero-ε follow-ups. Everything that
 //! moves ε lives in [`crate::reservation`]; what is registered lives in
 //! [`crate::registry`]; sessions live in [`crate::session`].
@@ -45,7 +45,7 @@ use hdmm_core::{
     WorkloadFingerprint,
 };
 use hdmm_mechanism::{
-    LocalKernels, MechanismError, MechanismRequest, PipelineError, ScopedExecutor,
+    MechanismError, MechanismRequest, PipelineError, PlainKernels, ScopedExecutor,
 };
 use hdmm_net::{RemoteOptions, RpcKernels, WorkerPool};
 use hdmm_obs::{AuditLog, Observer, Phase, Span, SpanCollector, TraceContext};
@@ -69,10 +69,6 @@ pub struct EngineOptions {
     /// per-dataset request order) regardless of thread interleaving across
     /// datasets.
     pub seed: u64,
-    /// Maximum threads a single request's shard fan-out may use
-    /// (0 = the machine's available parallelism). Shard counts above this
-    /// still work; tasks queue onto the available lanes.
-    pub shard_workers: usize,
     /// Directory for the persistent strategy cache. `None` disables spill;
     /// with a directory set, plans survive restarts: the store is probed
     /// lazily on each in-memory cache miss and written back after each
@@ -81,7 +77,7 @@ pub struct EngineOptions {
     /// Remote shard fan-out. With a transport configured, sharded datasets
     /// MEASURE/RECONSTRUCT over the worker pool (answers stay byte-identical
     /// to local serving); dense datasets and a fully failed pool serve
-    /// locally. `None` keeps everything in-process.
+    /// locally. `None` keeps everything in-process, on the plain kernels.
     pub remote: Option<RemoteOptions>,
     /// Requests slower than this flush their span tree to the collector
     /// eagerly (even when unsampled) and count in
@@ -107,7 +103,6 @@ impl Default for EngineOptions {
             hdmm: HdmmOptions::default(),
             session_capacity: 1024,
             seed: 0,
-            shard_workers: 0,
             cache_dir: None,
             remote: None,
             slow_query_threshold: None,
@@ -134,7 +129,8 @@ pub struct Engine {
     registry: Registry,
     sessions: SessionStore,
     telemetry: Telemetry,
-    shard_exec: ScopedExecutor,
+    /// The lanes session batches fan out on (the machine's parallelism).
+    batch_exec: ScopedExecutor,
     remote: Option<WorkerPool>,
     next_session: AtomicU64,
     collector: SpanCollector,
@@ -212,7 +208,7 @@ impl Engine {
             registry: Registry::new(options.seed, wal.as_ref().map(Wal::recovered)),
             sessions: SessionStore::new(options.session_capacity),
             telemetry,
-            shard_exec: ScopedExecutor::new(options.shard_workers),
+            batch_exec: ScopedExecutor::new(0),
             remote: options.remote.as_ref().map(RemoteOptions::connect),
             collector: SpanCollector::new(TRACE_CAPACITY),
             audit: AuditLog::new(AUDIT_CAPACITY),
@@ -244,10 +240,13 @@ impl Engine {
         self.register_dataset_with(name, domain, x, DatasetConfig::new(total_eps))
     }
 
-    /// Registers a dataset partitioned into `shards` leading-axis slabs.
-    /// Sharding is purely a storage/parallelism decision: answers are
-    /// byte-identical to a dense registration with the same name and seed,
-    /// for every `shards ≥ 1` (including non-divisible leading axes).
+    /// Registers a dataset partitioned into `shards` leading-axis slabs —
+    /// the unit remote shard workers hold ([`EngineOptions::remote`]); the
+    /// engine keeps one contiguous vector either way and serves it locally
+    /// with the plain kernels. Sharding is purely a placement decision:
+    /// answers are byte-identical to a dense registration with the same name
+    /// and seed, for every `shards ≥ 1` (including non-divisible leading
+    /// axes).
     pub fn register_dataset_sharded(
         &self,
         name: impl Into<String>,
@@ -446,11 +445,10 @@ impl Engine {
 
     /// Answers a batch of follow-up workloads from a stored session in one
     /// call — the serving-layer face of [`Session::answer_batch`]. The
-    /// workloads fan out over the engine's shard-worker executor
-    /// ([`EngineOptions::shard_workers`] lanes), each as an independent
-    /// `W·x̄` task with its own scratch buffers, so a dashboard refiring `k`
-    /// follow-ups pays one reconstruction (already done at session creation)
-    /// and `k` answer passes that overlap on available cores. Zero
+    /// workloads fan out over one lane per available core, each as an
+    /// independent `W·x̄` task with its own scratch buffers, so a dashboard
+    /// refiring `k` follow-ups pays one reconstruction (already done at
+    /// session creation) and `k` answer passes that overlap. Zero
     /// additional ε; entry `i` is bitwise identical to answering
     /// `workloads[i]` through the session individually, at any lane count.
     /// The whole batch is recorded as one answer-phase observation.
@@ -461,7 +459,7 @@ impl Engine {
     ) -> Result<Vec<Vec<f64>>, EngineError> {
         let session = self.session(id)?;
         let t = Instant::now();
-        let out = session.answer_batch(workloads, &self.shard_exec)?;
+        let out = session.answer_batch(workloads, &self.batch_exec)?;
         self.telemetry.phase_complete(Phase::Answer, t.elapsed());
         Ok(out)
     }
@@ -656,10 +654,10 @@ impl Engine {
         // MEASURE + RECONSTRUCT + answer, lock-free: the data is immutable
         // and the reservation already guaranteed the budget. `remaining =
         // eps` keeps the pipeline's own validation consistent with the
-        // reservation. Every dataset goes through the one pipeline over its
-        // slab view — a dense vector is the one-slab case — and the kernels
-        // only decide where the slab tasks run, never the answer bytes.
-        let view = handle.data.view();
+        // reservation. Every request goes through the one pipeline: over the
+        // RPC kernels when workers hold the dataset's slabs, else over the
+        // plain kernels on its vector — the same answer bytes either way.
+        let data = &handle.data;
         let request = MechanismRequest {
             workload,
             strategy: plan.strategy(),
@@ -667,27 +665,19 @@ impl Engine {
             eps,
             remaining: eps,
         };
-        let local = LocalKernels {
-            view: &view,
-            exec: &self.shard_exec,
-            observer: tracer,
-        };
-        let run_local = |rng: &mut StdRng| {
-            request
-                .run(rng, &local, tracer)
-                .map_err(MechanismError::from)
-        };
-        let result = match &self.remote {
-            Some(pool) if view.shard_count() > 1 => {
+        // `None`: no workers hold the slabs, or none could finish the request.
+        let remote = match &self.remote {
+            Some(pool) if data.shard_count() > 1 => {
                 let rpc = RpcKernels {
                     pool,
                     dataset,
                     keys: &self.cache.operand_keys(&fingerprint, &plan, &prepared),
-                    local: LocalKernels { ..local },
+                    view: &data.view(),
+                    observer: tracer,
                 };
                 match request.run(&mut rng, &rpc, tracer) {
-                    Ok(r) => Ok(r),
-                    Err(PipelineError::Rejected(e)) => Err(e),
+                    Ok(r) => Some(Ok(r)),
+                    Err(PipelineError::Rejected(e)) => Some(Err(e)),
                     Err(PipelineError::Kernel(_)) => {
                         // No worker could complete the request, even after
                         // retry and reassignment: serve locally. The RNG is
@@ -695,13 +685,20 @@ impl Engine {
                         // redraws the identical noise stream — the fallback
                         // is invisible in the answer bytes.
                         self.telemetry.record_remote_fallback();
-                        run_local(&mut StdRng::seed_from_u64(req_seed))
+                        rng = StdRng::seed_from_u64(req_seed);
+                        None
                     }
                 }
             }
-            _ => run_local(&mut rng),
-        }
-        .map_err(|e| EngineError::from_mechanism(e, dataset))?;
+            _ => None,
+        };
+        let result = remote
+            .unwrap_or_else(|| {
+                request
+                    .run(&mut rng, &PlainKernels::over(data.values()), tracer)
+                    .map_err(MechanismError::from)
+            })
+            .map_err(|e| EngineError::from_mechanism(e, dataset))?;
         // Noise was drawn: the ε is genuinely spent, keep the reservation.
         reservation.commit();
 
@@ -722,7 +719,7 @@ impl Engine {
             cache_hit,
             operator: plan.operator(),
             expected_error: plan.expected_error(eps),
-            shards: view.shard_count(),
+            shards: data.shard_count(),
             trace_id,
         })
     }
@@ -1169,25 +1166,20 @@ mod tests {
     }
 
     #[test]
-    fn sharded_requests_record_shard_spans() {
+    fn local_sharded_requests_run_no_shard_tasks() {
         let engine = quick_engine(0);
         engine
             .register_dataset_sharded("d", Domain::new(&[8, 4]), vec![1.0; 32], 4, 10.0)
             .unwrap();
         let w = builders::prefix_2d(8, 4);
         let resp = engine.serve("d", &w, 1.0).unwrap();
+        assert_eq!(resp.shards, 4);
         let spans = engine.trace_spans(resp.trace_id);
-        let shards: Vec<&str> = spans
-            .iter()
-            .filter(|s| s.name == "shard:measure")
-            .flat_map(|s| s.attrs.iter().filter(|(k, _)| k == "shard"))
-            .map(|(_, v)| v.as_str())
-            .collect();
+        assert!(spans.iter().any(|s| s.name == "measure"));
         assert!(
-            !shards.is_empty(),
-            "sharded MEASURE must report shard spans"
+            spans.iter().all(|s| !s.name.starts_with("shard:")),
+            "without workers the plain kernels serve every slab at once: {spans:?}"
         );
-        assert!(shards.contains(&"3"), "all four shards appear: {shards:?}");
     }
 
     #[test]

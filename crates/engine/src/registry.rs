@@ -27,8 +27,8 @@ use std::sync::{Arc, Mutex, RwLock};
 pub struct DatasetConfig {
     /// Total ε budget granted to the dataset.
     pub total_eps: f64,
-    /// Number of leading-axis slabs to partition the data vector into
-    /// (clamped to `[1, n₁]`; 1 = contiguous dense storage).
+    /// Number of leading-axis slabs to partition the data vector into —
+    /// the unit remote shard workers hold (clamped to `[1, n₁]`; 1 = dense).
     pub shards: usize,
     /// Owning tenant; spends are additionally charged against the tenant's
     /// quota when one is set via [`crate::Engine::set_tenant_quota`].

@@ -270,7 +270,7 @@ pub struct DatasetMetrics {
     pub requests: u64,
     /// Requests that returned a typed error (or panicked) after resolving.
     pub failures: u64,
-    /// How many slabs the dataset's backend is partitioned into.
+    /// How many leading-axis slabs the dataset is stored in.
     pub shards: usize,
     /// Total ε budget granted at registration.
     pub eps_total: f64,

@@ -16,9 +16,9 @@
 //!   RECONSTRUCT → ANSWER ([`MechanismRequest::run`]), written once over the
 //!   [`Kernels`] seam that says only *where* each Kronecker product runs:
 //!   the plain reference kernels ([`PlainKernels`], behind [`measure`] /
-//!   [`reconstruct_with`] / [`run_mechanism`]), the in-process slab fan-out
-//!   ([`LocalKernels`] in [`sharded`]), or `hdmm-net`'s RPC fan-out. Every
-//!   phase and shard task is reported to one [`hdmm_obs::Observer`].
+//!   [`reconstruct_with`] / [`run_mechanism`]) or `hdmm-net`'s RPC fan-out
+//!   over the slabs of a [`ShardedView`] ([`sharded`]). Every phase and
+//!   remote shard task is reported to one [`hdmm_obs::Observer`].
 
 pub mod error;
 pub mod laplace;
@@ -38,9 +38,5 @@ pub use pipeline::{
     measure_on, reconstruct_on, Kernels, MechanismError, MechanismRequest, PipelineError,
     PlainKernels, PlanShape,
 };
-pub use sharded::{
-    answer_sharded, explicit_forward_sharded, kron_forward_from_parts, kron_forward_sharded,
-    kron_transpose_from_parts, kron_transpose_sharded, DataSlab, LocalKernels, ScopedExecutor,
-    ShardedView,
-};
+pub use sharded::{DataSlab, ScopedExecutor, ShardedView};
 pub use strategy::{Strategy, UnionGroup};

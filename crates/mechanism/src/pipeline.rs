@@ -7,14 +7,12 @@
 //! product run":
 //!
 //! * [`PlainKernels`] — the plain `hdmm_linalg` kernels over one contiguous
-//!   vector: the bitwise reference every other implementation is tested
-//!   against, behind [`measure`](crate::measure) /
-//!   [`reconstruct_with`](crate::reconstruct_with);
-//! * [`LocalKernels`](crate::LocalKernels) — the in-process fan-out over the
-//!   slabs of a [`ShardedView`](crate::ShardedView); a contiguous vector is
-//!   the one-slab view, which it serves with the plain products;
-//! * `hdmm_net::RpcKernels` — the same fan-out with the per-slab tasks sent
-//!   to shard workers.
+//!   vector: how every request is served in-process, and the bitwise
+//!   reference the other implementation is tested against, behind
+//!   [`measure`](crate::measure) / [`reconstruct_with`](crate::reconstruct_with);
+//! * `hdmm_net::RpcKernels` — the per-slab tasks of a
+//!   [`ShardedView`](crate::ShardedView) sent to shard workers, everything
+//!   else on the plain kernels.
 //!
 //! Everything else is written here exactly once: request validation
 //! ([`MechanismRequest::run`]), the per-strategy sensitivity, block order,

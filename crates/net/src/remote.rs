@@ -1,18 +1,20 @@
 //! The RPC fan-out: [`RpcKernels`], the [`Kernels`] implementation that
 //! sends the per-slab tasks of MEASURE / RECONSTRUCT to TCP shard workers.
 //!
-//! The split of work mirrors the in-process fan-out exactly: the per-slab
-//! trailing-factor products (the bulk of the flops) become
+//! A Kronecker product over a vector held in leading-axis slabs splits into
+//! the per-slab trailing-factor products (the bulk of the flops), their
+//! ordered concatenation, and one leading contraction
+//! ([`hdmm_linalg::slab_split`]). The first stage becomes
 //! [`SlabForwardKeyed`](crate::Frame::SlabForwardKeyed) /
-//! [`ApplyKeyed`](crate::Frame::ApplyKeyed) RPCs, while the ordered merge and
-//! the leading contraction run on the coordinator through the *same*
-//! [`kron_forward_from_parts`] / [`kron_transpose_from_parts`] code
-//! [`LocalKernels`] uses. Workers run the same `kmatvec_*_trailing_slab`
-//! kernels on the same slices, so — run through the one pipeline,
+//! [`ApplyKeyed`](crate::Frame::ApplyKeyed) RPCs; the merge and the leading
+//! contraction run on the coordinator, through the same
+//! [`contract_rows`] / [`contract_transpose_rows`] kernel the plain product
+//! runs. Workers run the `kmatvec_*_trailing_slab` kernels on the same
+//! slices, so — run through the one pipeline,
 //! [`MechanismRequest::run`](hdmm_mechanism::MechanismRequest::run) — the
 //! answers are **bitwise identical** to the plain single-node kernels for
-//! any worker count: the exactness contract of [`hdmm_mechanism::sharded`]
-//! extends across the wire unchanged.
+//! any worker count. Everything the workers do not hold runs on
+//! [`PlainKernels`] over the whole vector.
 //!
 //! A warm request costs the local request plus vector traffic: everything
 //! that depends only on the strategy — the
@@ -27,15 +29,17 @@
 //! (the coordinator keeps the authoritative data, so a reassigned shard is
 //! simply re-pushed). Only when *no* worker can complete a task does a
 //! kernel surface a [`NetError`] — callers such as the serving engine then
-//! rerun the request over [`LocalKernels`] with a reseeded RNG, preserving
+//! rerun the request over [`PlainKernels`] with a reseeded RNG, preserving
 //! byte-identity even through total pool loss.
 
 use crate::client::{Operand, RetryPolicy, WorkerPool};
 use crate::wire::{FactorKey, NetError};
-use hdmm_linalg::{leading_split, partition_rows, slab_split, Matrix, StructuredMatrix};
+use hdmm_linalg::{
+    contract_rows, contract_transpose_rows, leading_split, partition_rows, slab_split, Matrix,
+    StructuredMatrix,
+};
 use hdmm_mechanism::{
-    kron_forward_from_parts, kron_transpose_from_parts, Kernels, LocalKernels, PlanShape,
-    PreparedReconstruct, Strategy,
+    Kernels, PlainKernels, PlanShape, PreparedReconstruct, ShardedView, Strategy,
 };
 use hdmm_obs::{Observer, Phase};
 use hdmm_workload::Workload;
@@ -159,21 +163,51 @@ fn fan_out<I: Sync>(
     results.into_iter().collect()
 }
 
-/// The RPC fan-out behind the [`Kernels`] seam: phase 1 of every Kronecker
-/// product — the trailing factors over each slab or payload block — runs on
-/// the worker pool; the merge and leading contraction run on the
-/// coordinator through `local`'s executor and observer, exactly as
-/// [`LocalKernels`] runs them. Explicit products (small 1-D domains, not
-/// worth a round trip) and ANSWER (per-request workload factors, resident
-/// nowhere) are `local`'s outright.
+/// The coordinator's half of a sliced product: the ordered merge of the
+/// per-slab trailing products `parts` (slab order, or measurement-block
+/// order transposed), then the leading contraction over all of its output
+/// rows. `factors` must have a [`slab_split`] in direction `transpose`; the
+/// result is then bitwise the plain product — the plain driver contracts the
+/// leading mode last through the same kernel, and a row block of that
+/// kernel is bitwise its all-rows call's rows.
+fn merge_and_contract_leading(
+    factors: &[&StructuredMatrix],
+    parts: Vec<Vec<f64>>,
+    transpose: bool,
+) -> Vec<f64> {
+    let split = leading_split(factors);
+    let merged = parts.concat();
+    let leading = split.leading;
+    let (rows, right) = match transpose {
+        false => (leading.rows(), split.trailing_rows()),
+        true => (leading.cols(), split.trailing_cols()),
+    };
+    let mut out = vec![0.0; rows * right];
+    let contract = if transpose {
+        contract_transpose_rows
+    } else {
+        contract_rows
+    };
+    contract(leading, &merged, &mut out, 1, right, 0..rows);
+    out
+}
+
+/// The RPC fan-out behind the [`Kernels`] seam: phase 1 of every sliceable
+/// Kronecker product — the trailing factors over each slab or payload block
+/// — runs on the worker pool, and the merge and leading contraction on the
+/// coordinator. Everything else runs on [`PlainKernels`] over the view's
+/// whole vector: explicit products (small 1-D domains, not worth a round
+/// trip), ANSWER (per-request workload factors, resident nowhere), products
+/// with no [`slab_split`], and products with no trailing factors (a 1-D
+/// plan, whose per-slab task would be an identity copy).
 ///
 /// `keys` must be the [`OperandKeys`] of the plan being served. When
-/// `local`'s observer traces, every RPC attempt of the fan-out (retries
-/// included) and every worker-side kernel span shipped back in the replies
-/// is recorded into it, parented under the phase spans it pre-allocates —
-/// one connected span tree per request even across the wire; the `()`
-/// observer runs untraced. Tracing never changes the computation: the
-/// observer is consulted outside the numeric path.
+/// `observer` traces, every RPC attempt of the fan-out (retries included)
+/// and every worker-side kernel span shipped back in the replies is recorded
+/// into it, parented under the phase spans it pre-allocates — one connected
+/// span tree per request even across the wire; the `()` observer runs
+/// untraced. Tracing never changes the computation: the observer is
+/// consulted outside the numeric path.
 pub struct RpcKernels<'a> {
     /// The workers.
     pub pool: &'a WorkerPool,
@@ -181,40 +215,48 @@ pub struct RpcKernels<'a> {
     pub dataset: &'a str,
     /// The served plan's content keys.
     pub keys: &'a OperandKeys,
-    /// The coordinator-side stages, the dataset view, and the observer the
-    /// shard tasks and RPC spans are reported to.
-    pub local: LocalKernels<'a>,
+    /// The dataset, and the slabs the workers hold.
+    pub view: &'a ShardedView<'a>,
+    /// Receives one [`Observer::shard_phase_complete`] per task, and the
+    /// RPC spans.
+    pub observer: &'a dyn Observer,
 }
 
 impl RpcKernels<'_> {
-    /// The slab ranges on the leading axis of `factors` in direction
-    /// `transpose`. `Ok(None)` for a product with no [`slab_split`] (its
-    /// contraction order does not end on the leading mode): it has no
-    /// per-slab tasks, and `local` serves it plain. A product that does not
-    /// line up with the slabs has none either; the caller reruns the request
-    /// over [`LocalKernels`], which serve it plain.
-    fn aligned(
-        &self,
-        factors: &[&StructuredMatrix],
-        transpose: bool,
-    ) -> Result<Option<Vec<Range<usize>>>, NetError> {
-        if slab_split(factors, transpose).is_none() {
-            return Ok(None);
-        }
-        self.local
-            .aligned_ranges(factors, transpose)
-            .map(Some)
+    /// The plain kernels over the whole dataset.
+    fn plain(&self) -> PlainKernels<'_> {
+        PlainKernels::over(self.view.values)
+    }
+
+    /// Whether the product of `factors` in direction `transpose` runs on the
+    /// workers: it has a [`slab_split`] with trailing factors to send.
+    fn sliced(factors: &[&StructuredMatrix], transpose: bool) -> bool {
+        slab_split(factors, transpose).is_some_and(|split| !split.trailing.is_empty())
+    }
+
+    /// The slab ranges on the input axis of `factors`' leading leaf. A
+    /// product that does not line up with the slabs has none; the caller
+    /// reruns the request over [`PlainKernels`].
+    fn aligned(&self, factors: &[&StructuredMatrix]) -> Result<Vec<Range<usize>>, NetError> {
+        let split = leading_split(factors);
+        self.view
+            .ranges_on_axis(split.leading.cols(), split.trailing_cols())
             .ok_or(NetError::Unsupported(
                 "slab boundaries do not align with the leading factor",
             ))
     }
 }
 
+/// The plain kernels never fail.
+fn infallible<T>(r: Result<T, std::convert::Infallible>) -> Result<T, NetError> {
+    r.map_err(|never| match never {})
+}
+
 impl Kernels for RpcKernels<'_> {
     type Error = NetError;
 
     fn cells(&self) -> usize {
-        self.local.cells()
+        self.view.values.len()
     }
 
     fn resident_plan(&self) -> Option<PlanShape> {
@@ -222,109 +264,84 @@ impl Kernels for RpcKernels<'_> {
     }
 
     fn explicit(&self, a: &Matrix) -> Result<Vec<f64>, NetError> {
-        self.local.explicit(a).map_err(|never| match never {})
+        infallible(self.plain().explicit(a))
     }
 
     /// Slabs are cached on the workers, so tasks are
     /// [`SlabForwardKeyed`](crate::Frame::SlabForwardKeyed) RPCs naming one.
     fn forward(&self, block: usize, factors: &[&StructuredMatrix]) -> Result<Vec<f64>, NetError> {
-        let phase = Phase::Measure;
-        if self.aligned(factors, false)?.is_none() {
-            return self
-                .local
-                .forward(block, factors)
-                .map_err(|never| match never {});
+        if !Self::sliced(factors, false) {
+            return infallible(self.plain().forward(block, factors));
         }
+        // A slab task runs the trailing factors over whole leading rows.
+        self.aligned(factors)?;
+        let phase = Phase::Measure;
         let split = leading_split(factors);
         let trailing = Operand::keyed(self.keys.block(block)?, &split.trailing);
-        let slabs = &self.local.view.slabs;
-        let parts = fan_out(slabs, self.local.observer, phase, |shard, slab| {
+        let parts = fan_out(&self.view.slabs, self.observer, phase, |shard, slab| {
             self.pool.run_slab_task(
                 self.dataset,
                 shard as u64,
                 trailing,
                 (slab.rows.start as u64, slab.rows.end as u64),
                 slab.values,
-                self.local.observer,
+                self.observer,
                 phase,
             )
         })?;
-        Ok(kron_forward_from_parts(
-            factors,
-            parts,
-            self.local.exec,
-            self.local.observer,
-            phase,
-        ))
+        Ok(merge_and_contract_leading(factors, parts, false))
     }
 
     /// Trailing transposes over measurement-axis blocks of `y` run as
-    /// [`ApplyKeyed`](crate::Frame::ApplyKeyed) RPCs.
+    /// [`ApplyKeyed`](crate::Frame::ApplyKeyed) RPCs, one block per slab.
     fn transpose(
         &self,
         block: usize,
         factors: &[&StructuredMatrix],
         y: &[f64],
     ) -> Result<Vec<f64>, NetError> {
+        if !Self::sliced(factors, true) {
+            return infallible(self.plain().transpose(block, factors, y));
+        }
         let phase = Phase::Reconstruct;
-        let Some(domain_ranges) = self.aligned(factors, true)? else {
-            return self
-                .local
-                .transpose(block, factors, y)
-                .map_err(|never| match never {});
-        };
         let split = leading_split(factors);
         let rest_m = split.trailing_rows();
         let trailing = Operand::keyed(self.keys.block(block)?, &split.trailing);
-        let y_blocks = partition_rows(split.leading.rows(), domain_ranges.len());
-        let parts = fan_out(&y_blocks, self.local.observer, phase, |shard, b| {
+        let y_blocks = partition_rows(split.leading.rows(), self.view.shard_count());
+        let parts = fan_out(&y_blocks, self.observer, phase, |shard, b| {
             let payload = &y[b.start * rest_m..b.end * rest_m];
             self.pool
-                .apply(true, trailing, payload, shard, self.local.observer, phase)
+                .apply(true, trailing, payload, shard, self.observer, phase)
         })?;
-        Ok(kron_transpose_from_parts(
-            factors,
-            parts,
-            &domain_ranges,
-            self.local.exec,
-            self.local.observer,
-            phase,
-        ))
+        Ok(merge_and_contract_leading(factors, parts, true))
     }
 
-    /// The intermediate lives on the coordinator, so payload slices ship
-    /// with the [`ApplyKeyed`](crate::Frame::ApplyKeyed) requests.
+    /// The intermediate lives on the coordinator, so payload slices — `Aᵀy`
+    /// cut like the data, inverse Grams being square — ship with the
+    /// [`ApplyKeyed`](crate::Frame::ApplyKeyed) requests.
     fn inverse_grams(
         &self,
         gram_pinvs: &[&StructuredMatrix],
         aty: &[f64],
     ) -> Result<Vec<f64>, NetError> {
+        if !Self::sliced(gram_pinvs, false) {
+            return infallible(self.plain().inverse_grams(gram_pinvs, aty));
+        }
+        let ranges = self.aligned(gram_pinvs)?;
         let phase = Phase::Reconstruct;
-        let Some(ranges) = self.aligned(gram_pinvs, false)? else {
-            return self
-                .local
-                .inverse_grams(gram_pinvs, aty)
-                .map_err(|never| match never {});
-        };
         let split = leading_split(gram_pinvs);
         let rest_n = split.trailing_cols();
         let trailing = Operand::keyed(self.keys.gram_pinv.ok_or(NO_KEY)?, &split.trailing);
-        let parts = fan_out(&ranges, self.local.observer, phase, |shard, r| {
+        let parts = fan_out(&ranges, self.observer, phase, |shard, r| {
             let payload = &aty[r.start * rest_n..r.end * rest_n];
             self.pool
-                .apply(false, trailing, payload, shard, self.local.observer, phase)
+                .apply(false, trailing, payload, shard, self.observer, phase)
         })?;
-        Ok(kron_forward_from_parts(
-            gram_pinvs,
-            parts,
-            self.local.exec,
-            self.local.observer,
-            phase,
-        ))
+        Ok(merge_and_contract_leading(gram_pinvs, parts, false))
     }
 
     fn answer(&self, workload: &Workload, x_hat: &[f64]) -> Vec<f64> {
-        self.local.answer(workload, x_hat)
+        self.plain().answer(workload, x_hat)
     }
 }
 
@@ -334,7 +351,7 @@ mod tests {
     use crate::worker::{spawn_worker, WorkerHandle, WorkerOptions};
     use hdmm_mechanism::{
         run_mechanism, MarginalsStrategy, MechanismRequest, MechanismResult, PipelineError,
-        ScopedExecutor, ShardedView, UnionGroup,
+        UnionGroup,
     };
     use hdmm_workload::{blocks, builders, Domain};
     use rand::rngs::StdRng;
@@ -388,11 +405,8 @@ mod tests {
                 pool,
                 dataset: "test",
                 keys: &keys,
-                local: LocalKernels {
-                    view,
-                    exec: &ScopedExecutor::new(2),
-                    observer,
-                },
+                view,
+                observer,
             },
             observer,
         )

@@ -11,8 +11,8 @@
 //! 4. an over-budget request fails with a typed `BudgetExhausted` error;
 //! 5. a batch served through the `EngineServer` thread pool;
 //! 6. a dataset registered *sharded* (leading-axis slabs) answers
-//!    byte-identically to its dense twin while MEASURE/RECONSTRUCT/ANSWER
-//!    fan out per shard;
+//!    byte-identically to its dense twin — without workers, both run the
+//!    plain kernels over the whole vector;
 //! 7. the same sharded dataset served through a pool of in-process TCP
 //!    shard workers (`hdmm-net`) — remote answers byte-identical to local;
 //! 8. observability: a `/metrics` excerpt with per-worker health, the
@@ -135,10 +135,9 @@ fn main() {
 
     // 6. Sharded domains: the same data registered dense and in 4 leading-
     //    axis slabs — in twin engines with the same seed and dataset name,
-    //    so the RNG streams match — answers byte-identically (the fan-out
-    //    pipeline never reassociates a floating-point sum and draws noise in
-    //    the same order), while the sharded engine's MEASURE/RECONSTRUCT/
-    //    ANSWER run as per-shard tasks with per-shard telemetry spans.
+    //    so the RNG streams match — answers byte-identically. Slabs are the
+    //    unit remote workers hold (#7); without workers the engine keeps the
+    //    one vector and serves it on the plain kernels either way.
     let sharded_x: Vec<f64> = (0..domain.size()).map(|i| ((i * 3) % 7) as f64).collect();
     engine
         .register_dataset_sharded("shardy", domain.clone(), sharded_x.clone(), 4, 2.0)
@@ -208,9 +207,9 @@ fn main() {
     );
 
     // 8. Observability: every request above carried a deterministic trace
-    //    id and assembled a span tree — queue wait, SELECT, phases, shard
-    //    tasks, and (for #7) the RPC attempts plus worker-side spans that
-    //    crossed the wire. The same engines render their metrics as a
+    //    id and assembled a span tree — queue wait, SELECT, phases, and (for
+    //    #7) the shard tasks, RPC attempts and worker-side spans that crossed
+    //    the wire. The same engines render their metrics as a
     //    Prometheus page (`hdmm-metrics-exporter` serves it over HTTP), and
     //    the trace exports as Chrome `trace_event` JSON that Perfetto or
     //    `chrome://tracing` loads directly. Per-worker health is the

@@ -31,7 +31,6 @@ fn engine_with(seed: u64, remote: Option<RemoteOptions>) -> Engine {
             ..Default::default()
         },
         seed,
-        shard_workers: 4,
         remote,
         ..Default::default()
     })
@@ -601,7 +600,11 @@ fn assert_span_table(what: &str, spans: &[Span], expected: &[(usize, &str, &str,
 /// loopback workers, and an unsampled request under a zero slow-query
 /// threshold — as tables recorded before the numeric layers and the engine
 /// shared one observer trait. Every span keeps its name, its parent and its
-/// attribute keys.
+/// attribute keys, except the `shard:*` spans that timed the tasks of the
+/// in-process slab fan-out, which no longer exists: the local request lost
+/// all of them, and the remote one those of its coordinator-side merge and
+/// leading contraction and of ANSWER. The remote request keeps one
+/// `shard:<phase>` span per worker task.
 #[test]
 fn span_trees_match_the_table_recorded_before_the_observer_merge() {
     const RPC_KEYS: &[&str] = &["attempt", "lane", "outcome", "shard", "worker"];
@@ -623,9 +626,6 @@ fn span_trees_match_the_table_recorded_before_the_observer_merge() {
             (1, "request", "", &["dataset", "outcome", "slow"]),
             (1, "restart:kron", "select", &["loss", "restart"]),
             (1, "select", "request", &["cache_hit"]),
-            (4, "shard:answer", "answer", &["lane", "shard"]),
-            (4, "shard:measure", "measure", &["lane", "shard"]),
-            (8, "shard:reconstruct", "reconstruct", &["lane", "shard"]),
         ],
     );
 
@@ -647,9 +647,8 @@ fn span_trees_match_the_table_recorded_before_the_observer_merge() {
             (2, "rpc:forward", "measure", RPC_KEYS),
             (2, "rpc:load", "measure", RPC_KEYS),
             (1, "select", "request", &["cache_hit"]),
-            (4, "shard:answer", "answer", &["lane", "shard"]),
-            (4, "shard:measure", "measure", &["lane", "shard"]),
-            (8, "shard:reconstruct", "reconstruct", &["lane", "shard"]),
+            (2, "shard:measure", "measure", &["lane", "shard"]),
+            (4, "shard:reconstruct", "reconstruct", &["lane", "shard"]),
             (4, "worker:apply", "rpc:apply", &["lane", "worker"]),
             (2, "worker:forward", "rpc:forward", &["lane", "worker"]),
             (2, "worker:load", "rpc:load", &["lane", "worker"]),

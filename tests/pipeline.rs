@@ -1,7 +1,8 @@
 //! The one mechanism pipeline, table-driven: strategy family {explicit, Kron,
-//! marginals, union} × kernel kind {plain; local fan-out over 1, 2, 3, 7
-//! slabs on `ScopedExecutor::new(1)` (serial) and `ScopedExecutor::new(4)`;
-//! RPC fan-out over 2 loopback workers}.
+//! marginals, union} × kernel kind {plain; RPC fan-out over 2, 3 and 7 slabs
+//! on 2 loopback workers}. The slab counts are non-divisible partitions of
+//! the leading axis, so the coordinator's merge and leading contraction are
+//! checked bit for bit on uneven slabs of every family.
 //!
 //! For every cell of that table `MechanismRequest::run` must (a) produce the
 //! `x_hat` and answers of the plain-kernel reference — `measure` +
@@ -20,9 +21,9 @@
 use hdmm::core::{builders, Domain, Workload};
 use hdmm::linalg::Matrix;
 use hdmm::mechanism::{
-    measure, reconstruct_with, run_mechanism, Kernels, LocalKernels, MarginalsStrategy,
-    MechanismError, MechanismRequest, PipelineError, PlainKernels, PreparedReconstruct,
-    ScopedExecutor, ShardedView, Strategy, UnionGroup,
+    measure, reconstruct_with, run_mechanism, Kernels, MarginalsStrategy, MechanismError,
+    MechanismRequest, PipelineError, PlainKernels, PreparedReconstruct, ShardedView, Strategy,
+    UnionGroup,
 };
 use hdmm::optimizer::PIdentity;
 use hdmm::workload::blocks;
@@ -39,6 +40,7 @@ use std::time::Duration;
 /// Every family lives on a domain whose leading axis has 9 rows, so 2 and 7
 /// slabs are non-divisible partitions.
 const LEADING: usize = 9;
+const SLABS: [usize; 3] = [2, 3, 7];
 const SEED: u64 = 42;
 
 fn bits_eq(a: &[f64], b: &[f64]) -> bool {
@@ -163,8 +165,8 @@ fn spawn_pool() -> (Vec<WorkerHandle>, WorkerPool) {
 }
 
 /// Runs `row` over every kernel kind of the table, all serving the data
-/// vector `x`; the RPC row caches its slabs on the workers as `dataset` and
-/// names resident operands through `keys`.
+/// vector `x`; the RPC rows cache their slabs on the workers as
+/// `<dataset>/<slabs>` and name resident operands through `keys`.
 fn for_each_kernel_kind(
     x: &[f64],
     dataset: &str,
@@ -173,37 +175,19 @@ fn for_each_kernel_kind(
     row: &impl Row,
 ) {
     row.check("plain", &PlainKernels::over(x));
-    let executors = [
-        ("serial", &ScopedExecutor::new(1)),
-        ("scoped4", &ScopedExecutor::new(4)),
-    ];
-    for slabs in [1usize, 2, 3, 7] {
+    for slabs in SLABS {
         let view = ShardedView::partitioned(LEADING, x, slabs);
-        for (name, exec) in executors {
-            row.check(
-                &format!("local/{name}/{slabs}"),
-                &LocalKernels {
-                    view: &view,
-                    exec,
-                    observer: &Recorder::default(),
-                },
-            );
-        }
-    }
-    let view = ShardedView::partitioned(LEADING, x, 3);
-    row.check(
-        "rpc/2workers/3",
-        &RpcKernels {
-            pool,
-            dataset,
-            keys,
-            local: LocalKernels {
+        row.check(
+            &format!("rpc/2workers/{slabs}"),
+            &RpcKernels {
+                pool,
+                dataset: &format!("{dataset}/{slabs}"),
+                keys,
                 view: &view,
-                exec: &ScopedExecutor::new(2),
                 observer: &Recorder::default(),
             },
-        },
-    );
+        );
+    }
 }
 
 /// (a) + (b): the reference bits and the phase sequence.
@@ -450,13 +434,10 @@ fn every_kernel_kind_refuses_invalid_requests_identically_before_any_noise() {
             "rpc/2workers/3",
             &RpcKernels {
                 pool: &pool,
-                dataset: "valid",
+                dataset: "valid/3",
                 keys: &stale_keys,
-                local: LocalKernels {
-                    view: &view,
-                    exec: &ScopedExecutor::new(1),
-                    observer: &Recorder::default(),
-                },
+                view: &view,
+                observer: &Recorder::default(),
             },
         );
     }

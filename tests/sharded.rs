@@ -3,23 +3,18 @@
 //! registered dense, for every k ≥ 1 — across random domains, shard counts
 //! (1, 2, 7, non-divisible), and structured/dense strategy mixes.
 //!
-//! Determinism is the sharding contract (ISSUE 5): the fan-out pipeline
-//! never reassociates a floating-point sum and draws noise from the same
-//! per-dataset RNG stream in the same order, so partitioning is invisible in
-//! the output. These tests compare raw `f64::to_bits`, not approximate
-//! equality.
+//! Determinism is the sharding contract: slabs are where remote workers hold
+//! the data, the vector is stored whole either way, and every request draws
+//! noise from the same per-dataset RNG stream in the same order, so
+//! partitioning is invisible in the output. These tests compare raw
+//! `f64::to_bits`, not approximate equality. The kernels over slabs are
+//! checked family by family in `tests/pipeline.rs`.
 
 use hdmm::core::{builders, Domain, QueryEngine, Workload};
 use hdmm::engine::{Engine, EngineOptions};
-use hdmm::mechanism::{
-    measure_on, reconstruct_on, reconstruct_with, Kernels, LocalKernels, PreparedReconstruct,
-    ScopedExecutor, ShardedView, Strategy,
-};
+use hdmm::mechanism::{reconstruct_with, PlainKernels, PreparedReconstruct, Strategy};
 use hdmm::optimizer::HdmmOptions;
 use proptest::prelude::*;
-// The mechanism's `Strategy` shadows the prelude's trait of the same name;
-// re-import the trait under an alias so `prop_map` stays in scope.
-use proptest::strategy::Strategy as PropStrategy;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -34,7 +29,6 @@ fn quick_engine(seed: u64) -> Engine {
             ..Default::default()
         },
         seed,
-        shard_workers: 4,
         ..Default::default()
     })
 }
@@ -125,59 +119,6 @@ proptest! {
         };
         assert_sharded_matches_dense(&sizes, &x, &w, shards, seed)?;
     }
-
-    /// Mechanism-level: measure/reconstruct over an explicit slab view match
-    /// the plain pipeline bitwise, for serial and threaded executors, on
-    /// structured and dense strategies alike — shard counts 1, 2, 7, and a
-    /// non-divisible count included by construction (leading axes are drawn
-    /// from 3..=8 while shard counts include 7).
-    #[test]
-    fn sharded_mechanism_matches_plain_bitwise(
-        n1 in 3usize..9,
-        n2 in 2usize..6,
-        shards in (0usize..3).prop_map(|i| [1usize, 2, 7][i]),
-        seed in 0u64..1000,
-        threaded in proptest::bool::weighted(0.5),
-    ) {
-        let domain = Domain::new(&[n1, n2]);
-        let w = builders::prefix_2d(n1, n2);
-        let x: Vec<f64> = (0..n1 * n2).map(|i| ((i as u64 * 31 + seed) % 23) as f64).collect();
-        let strategies = vec![
-            Strategy::identity(&domain),
-            Strategy::kron(vec![
-                hdmm::linalg::StructuredMatrix::prefix(n1).scaled(1.0 / n1 as f64),
-                hdmm::linalg::StructuredMatrix::prefix(n2).scaled(1.0 / n2 as f64),
-            ]),
-            Strategy::kron(vec![
-                hdmm::linalg::Matrix::from_fn(n1 + 1, n1, |r, c| {
-                    if r == c { 0.8 } else if r == n1 { 0.2 } else { 0.0 }
-                }),
-                hdmm::linalg::Matrix::from_fn(n2, n2, |r, c| {
-                    if c <= r { 1.0 / n2 as f64 } else { 0.0 }
-                }),
-            ]),
-        ];
-        for strategy in strategies {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let plain = hdmm::mechanism::measure(&strategy, &x, 1.0, &mut rng);
-            let prepared = PreparedReconstruct::new(&strategy);
-            let plain_xhat = reconstruct_with(&prepared, &strategy, &plain);
-
-            let view = ShardedView::partitioned(n1, &x, shards);
-            let exec = ScopedExecutor::new(if threaded { 4 } else { 1 });
-            let kernels = LocalKernels { view: &view, exec: &exec, observer: &() };
-            let mut rng = StdRng::seed_from_u64(seed);
-            let meas = measure_on(&strategy, None, 1.0, &mut rng, &kernels).unwrap();
-            for (a, b) in plain.blocks.iter().zip(&meas.blocks) {
-                prop_assert!(bits_eq(&a.noisy, &b.noisy), "measurement diverges");
-                prop_assert!(a.noise_scale.to_bits() == b.noise_scale.to_bits());
-            }
-            let xhat = reconstruct_on(&prepared, &strategy, &meas, &kernels).unwrap();
-            prop_assert!(bits_eq(&plain_xhat, &xhat), "reconstruction diverges");
-            let answers = kernels.answer(&w, &xhat);
-            prop_assert!(bits_eq(&w.answer(&plain_xhat), &answers), "answers diverge");
-        }
-    }
 }
 
 /// Non-random spot checks of the acceptance grid: shard counts 1, 2, 7 and a
@@ -203,10 +144,10 @@ fn acceptance_grid_non_divisible_axes() {
     }
 }
 
-/// The pipeline hands MEASURE the marginals algebra cached
-/// in `PreparedReconstruct` instead of rebuilding it per request (ISSUE 12):
-/// the algebra is a pure function of the domain, so measurements, estimate
-/// and answers must keep the plain pipeline's bits at every shard count.
+/// The pipeline hands MEASURE the marginals algebra cached in
+/// `PreparedReconstruct` instead of rebuilding it per request: the algebra is
+/// a pure function of the domain, so measurements, estimate and answers must
+/// keep the bits of a MEASURE that builds its own.
 #[test]
 fn cached_marginals_algebra_measures_bitwise_like_a_fresh_one() {
     use hdmm::mechanism::{measure, MarginalsStrategy, MechanismRequest};
@@ -222,30 +163,17 @@ fn cached_marginals_algebra_measures_bitwise_like_a_fresh_one() {
     let meas = measure(&strategy, &x, 1.0, &mut StdRng::seed_from_u64(5));
     let plain_x_hat = reconstruct_with(&prepared, &strategy, &meas);
     let plain_answers = w.answer(&plain_x_hat);
-    for shards in [1usize, 2, 4, 6] {
-        let view = ShardedView::partitioned(6, &x, shards);
-        for exec in [&ScopedExecutor::new(1), &ScopedExecutor::new(4)] {
-            let got = MechanismRequest {
-                workload: &w,
-                strategy: &strategy,
-                prepared: &prepared,
-                eps: 1.0,
-                remaining: 1.0,
-            }
-            .run(
-                &mut StdRng::seed_from_u64(5),
-                &LocalKernels {
-                    view: &view,
-                    exec,
-                    observer: &(),
-                },
-                &(),
-            )
-            .unwrap();
-            assert!(
-                bits_eq(&plain_x_hat, &got.x_hat) && bits_eq(&plain_answers, &got.answers),
-                "shards={shards}: cached-algebra pipeline diverges from plain"
-            );
-        }
+    let got = MechanismRequest {
+        workload: &w,
+        strategy: &strategy,
+        prepared: &prepared,
+        eps: 1.0,
+        remaining: 1.0,
     }
+    .run(&mut StdRng::seed_from_u64(5), &PlainKernels::over(&x), &())
+    .unwrap();
+    assert!(
+        bits_eq(&plain_x_hat, &got.x_hat) && bits_eq(&plain_answers, &got.answers),
+        "cached-algebra pipeline diverges from plain"
+    );
 }

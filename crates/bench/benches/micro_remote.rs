@@ -23,10 +23,10 @@
 //! configuration.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hdmm_core::{builders, Domain, Plan, QueryEngine, WorkloadGrams};
+use hdmm_core::{builders, Domain, Plan, QueryEngine, ShardedDataVector, WorkloadGrams};
 use hdmm_engine::{Engine, EngineOptions, PlanStore};
 use hdmm_linalg::StructuredMatrix;
-use hdmm_mechanism::{MechanismRequest, PreparedReconstruct, ShardedView, Strategy};
+use hdmm_mechanism::{MechanismRequest, PreparedReconstruct, Strategy};
 use hdmm_net::{
     spawn_worker, OperandKeys, RemoteOptions, RetryPolicy, RpcKernels, WorkerHandle, WorkerOptions,
 };
@@ -73,14 +73,14 @@ fn bench_remote_measure(c: &mut Criterion) {
     let strategy = kron_strategy(n1, n2);
     let prepared = PreparedReconstruct::new(&strategy);
     let keys = OperandKeys::new(&strategy, &prepared);
-    let x = data(n1 * n2);
-    let view = ShardedView::partitioned(n1, &x, SHARDS);
+    let sharded = ShardedDataVector::partition(workload.domain(), data(n1 * n2), SHARDS);
     for &workers in &WORKER_SWEEP {
         let (_handles, opts) = spawn_pool(workers);
         let pool = opts.connect();
-        for (shard, slab) in view.slabs.iter().enumerate() {
-            let rows = (slab.rows.start as u64, slab.rows.end as u64);
-            pool.load_slab("bench", shard as u64, rows, slab.values)
+        for shard in 0..sharded.shard_count() {
+            let (rows, values) = sharded.slab(shard);
+            let rows = (rows.start as u64, rows.end as u64);
+            pool.load_slab("bench", shard as u64, rows, values)
                 .expect("loopback preload");
         }
         group.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, _| {
@@ -91,13 +91,12 @@ fn bench_remote_measure(c: &mut Criterion) {
                     strategy: &strategy,
                     prepared: &prepared,
                     eps: 1.0,
-                    remaining: f64::INFINITY,
                 };
                 let kernels = RpcKernels {
                     pool: &pool,
                     dataset: "bench",
                     keys: &keys,
-                    view: &view,
+                    data: &sharded,
                     observer: &(),
                 };
                 criterion::black_box(request.run(&mut rng, &kernels, &())).expect("healthy pool")

@@ -155,19 +155,13 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-impl EngineError {
-    /// Lifts a mechanism-layer error into the engine's error domain.
-    pub fn from_mechanism(err: MechanismError, dataset: &str) -> EngineError {
+/// Lifts a mechanism-layer error into the engine's error domain. Budget
+/// refusals never come from the mechanism: the engine's reservation is the
+/// one budget gate.
+impl From<MechanismError> for EngineError {
+    fn from(err: MechanismError) -> EngineError {
         match err {
             MechanismError::InvalidEpsilon { eps } => EngineError::InvalidEpsilon { eps },
-            MechanismError::BudgetExhausted {
-                requested,
-                remaining,
-            } => EngineError::BudgetExhausted {
-                dataset: dataset.to_string(),
-                requested,
-                remaining,
-            },
             MechanismError::DataVectorMismatch { expected, got } => {
                 EngineError::DataVectorMismatch { expected, got }
             }
@@ -268,21 +262,20 @@ mod tests {
     }
 
     #[test]
-    fn mechanism_errors_lift_with_dataset_context() {
-        let lifted = EngineError::from_mechanism(
-            MechanismError::BudgetExhausted {
-                requested: 1.0,
-                remaining: 0.0,
-            },
-            "taxi",
+    fn mechanism_errors_lift_into_the_engine_domain() {
+        assert_eq!(
+            EngineError::from(MechanismError::DataVectorMismatch {
+                expected: 4,
+                got: 3
+            }),
+            EngineError::DataVectorMismatch {
+                expected: 4,
+                got: 3
+            }
         );
         assert_eq!(
-            lifted,
-            EngineError::BudgetExhausted {
-                dataset: "taxi".into(),
-                requested: 1.0,
-                remaining: 0.0
-            }
+            EngineError::from(MechanismError::InvalidEpsilon { eps: -1.0 }),
+            EngineError::InvalidEpsilon { eps: -1.0 }
         );
     }
 

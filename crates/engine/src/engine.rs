@@ -282,16 +282,11 @@ impl Engine {
         // (worker down, pool empty) costs first-request latency only.
         if let Some(pool) = &self.remote {
             if state.data.shard_count() > 1 {
-                let _ = state
-                    .data
-                    .view()
-                    .slabs
-                    .iter()
-                    .zip(0u64..)
-                    .try_for_each(|(slab, s)| {
-                        let rows = (slab.rows.start as u64, slab.rows.end as u64);
-                        pool.load_slab(&name, s, rows, slab.values)
-                    });
+                let _ = (0..state.data.shard_count()).try_for_each(|shard| {
+                    let (rows, values) = state.data.slab(shard);
+                    let rows = (rows.start as u64, rows.end as u64);
+                    pool.load_slab(&name, shard as u64, rows, values)
+                });
             }
         }
         Ok(())
@@ -652,18 +647,16 @@ impl Engine {
         )?;
 
         // MEASURE + RECONSTRUCT + answer, lock-free: the data is immutable
-        // and the reservation already guaranteed the budget. `remaining =
-        // eps` keeps the pipeline's own validation consistent with the
-        // reservation. Every request goes through the one pipeline: over the
-        // RPC kernels when workers hold the dataset's slabs, else over the
-        // plain kernels on its vector — the same answer bytes either way.
+        // and the reservation already guaranteed the budget. Every request
+        // goes through the one pipeline: over the RPC kernels when workers
+        // hold the dataset's slabs, else over the plain kernels on its
+        // vector — the same answer bytes either way.
         let data = &handle.data;
         let request = MechanismRequest {
             workload,
             strategy: plan.strategy(),
             prepared: &prepared,
             eps,
-            remaining: eps,
         };
         // `None`: no workers hold the slabs, or none could finish the request.
         let remote = match &self.remote {
@@ -672,7 +665,7 @@ impl Engine {
                     pool,
                     dataset,
                     keys: &self.cache.operand_keys(&fingerprint, &plan, &prepared),
-                    view: &data.view(),
+                    data,
                     observer: tracer,
                 };
                 match request.run(&mut rng, &rpc, tracer) {
@@ -692,13 +685,11 @@ impl Engine {
             }
             _ => None,
         };
-        let result = remote
-            .unwrap_or_else(|| {
-                request
-                    .run(&mut rng, &PlainKernels::over(data.values()), tracer)
-                    .map_err(MechanismError::from)
-            })
-            .map_err(|e| EngineError::from_mechanism(e, dataset))?;
+        let result = remote.unwrap_or_else(|| {
+            request
+                .run(&mut rng, &PlainKernels::over(data.values()), tracer)
+                .map_err(MechanismError::from)
+        })?;
         // Noise was drawn: the ε is genuinely spent, keep the reservation.
         reservation.commit();
 

@@ -88,7 +88,7 @@ impl Session {
     /// is bitwise identical to `self.answer(workloads[i])` at any lane
     /// count, and like any post-processing of `x̄` the batch consumes zero
     /// additional privacy budget. The engine routes
-    /// [`serve_batch_from_session`] here with its shard-worker executor.
+    /// [`serve_batch_from_session`] here with its batch lanes.
     ///
     /// All-or-nothing: a domain mismatch on any workload fails the batch
     /// before anything is answered.

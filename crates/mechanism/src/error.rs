@@ -65,24 +65,6 @@ pub fn residual_kron_cached(grams: &WorkloadGrams, gram_pinvs: &[Matrix]) -> f64
         .sum()
 }
 
-/// Per-term residual factors `tr[(AᵢᵀAᵢ)⁺·Gᵢ⁽ʲ⁾]` for every term `j` and
-/// attribute `i` — the inputs to the surrogate-workload coefficients of
-/// Problem 3 (Equation 6).
-pub fn residual_factors(grams: &WorkloadGrams, factors: &[Matrix]) -> Vec<Vec<f64>> {
-    let pinvs: Vec<Matrix> = factors.iter().map(gram_pinv).collect();
-    grams
-        .terms()
-        .iter()
-        .map(|t| {
-            t.factors
-                .iter()
-                .zip(&pinvs)
-                .map(|(g, p)| p.trace_product(g))
-                .collect()
-        })
-        .collect()
-}
-
 /// The ε-independent squared-error coefficient of a strategy:
 /// `Err = (2/ε²)·squared_error(...)`.
 ///
@@ -148,16 +130,6 @@ fn squared_error_union(grams: &WorkloadGrams, groups: &[UnionGroup]) -> f64 {
 /// Expected total squared error `Err(W, MM(A))` at privacy level `eps`.
 pub fn expected_total_squared_error(grams: &WorkloadGrams, strategy: &Strategy, eps: f64) -> f64 {
     2.0 / (eps * eps) * squared_error(grams, strategy)
-}
-
-/// Root-mean-squared error per workload query.
-pub fn rmse_per_query(total_squared: f64, query_count: usize) -> f64 {
-    (total_squared / query_count as f64).sqrt()
-}
-
-/// The paper's error ratio `√(Err(W, K_other)/Err(W, HDMM))` (§8.1).
-pub fn error_ratio(other: f64, hdmm: f64) -> f64 {
-    (other / hdmm).sqrt()
 }
 
 /// Identity-strategy squared error `‖W‖²_F` (sensitivity 1), the universal
@@ -300,11 +272,5 @@ mod tests {
         let e1 = expected_total_squared_error(&grams, &s, 1.0);
         let e2 = expected_total_squared_error(&grams, &s, 2.0);
         assert!((e1 / e2 - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ratio_and_rmse_helpers() {
-        assert!((error_ratio(4.0, 1.0) - 2.0).abs() < 1e-12);
-        assert!((rmse_per_query(100.0, 4) - 5.0).abs() < 1e-12);
     }
 }

@@ -27,11 +27,6 @@ pub fn add_laplace_noise(answers: &mut [f64], scale: f64, rng: &mut impl Rng) {
     }
 }
 
-/// Variance of `Laplace(0, scale)`: `2·scale²`.
-pub fn laplace_variance(scale: f64) -> f64 {
-    2.0 * scale * scale
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,7 +75,8 @@ mod tests {
         let mean = samples.iter().sum::<f64>() / n as f64;
         let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.05, "mean {mean}");
-        assert!((var - laplace_variance(scale)).abs() < 0.2, "var {var}");
+        // Laplace(0, b) has variance 2b².
+        assert!((var - 2.0 * scale * scale).abs() < 0.2, "var {var}");
     }
 
     #[test]

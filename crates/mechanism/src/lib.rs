@@ -17,17 +17,20 @@
 //!   [`Kernels`] seam that says only *where* each Kronecker product runs:
 //!   the plain reference kernels ([`PlainKernels`], behind [`measure`] /
 //!   [`reconstruct_with`] / [`run_mechanism`]) or `hdmm-net`'s RPC fan-out
-//!   over the slabs of a [`ShardedView`] ([`sharded`]). Every phase and
-//!   remote shard task is reported to one [`hdmm_obs::Observer`].
+//!   over the slabs of an `hdmm_core::ShardedDataVector`. Every phase and
+//!   remote shard task is reported to one [`hdmm_obs::Observer`];
+//! * [`ScopedExecutor`] — the scoped-thread lanes the SELECT restart grid
+//!   and session batches fan out on.
 
 pub mod error;
+mod executor;
 pub mod laplace;
 pub mod marginals;
 mod mechanism;
 pub mod pipeline;
-pub mod sharded;
 mod strategy;
 
+pub use executor::ScopedExecutor;
 pub use marginals::{MarginalsAlgebra, MarginalsStrategy};
 pub use mechanism::MeasuredBlock;
 pub use mechanism::{
@@ -38,5 +41,4 @@ pub use pipeline::{
     measure_on, reconstruct_on, Kernels, MechanismError, MechanismRequest, PipelineError,
     PlainKernels, PlanShape,
 };
-pub use sharded::{DataSlab, ScopedExecutor, ShardedView};
 pub use strategy::{Strategy, UnionGroup};

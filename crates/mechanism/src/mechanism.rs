@@ -176,7 +176,7 @@ pub fn answer_many_from_parts(
 
 /// The asserting library convenience around [`MechanismRequest::run`]: the
 /// complete ε-differentially-private pipeline over the plain kernels, with
-/// the strategy factorization built on the spot and no budget ceiling.
+/// the strategy factorization built on the spot.
 ///
 /// # Panics
 /// Panics where a serving caller would get a typed [`crate::MechanismError`]:
@@ -194,7 +194,6 @@ pub fn run_mechanism(
         strategy,
         prepared: &PreparedReconstruct::new(strategy),
         eps,
-        remaining: f64::INFINITY,
     };
     match request.run(rng, &PlainKernels::over(x), &()) {
         Ok(result) => result,

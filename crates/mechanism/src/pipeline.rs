@@ -2,22 +2,27 @@
 //! (Table 1(b)), written once over a *kernel seam*.
 //!
 //! The paper's mechanism is a single sequence whose only degree of freedom
-//! is *how* the implicit Kronecker products of §7.2 are evaluated. That
-//! freedom is the [`Kernels`] trait — it answers only "where does this
-//! product run":
+//! is *where* the implicit Kronecker products of §7.2 run. That freedom is
+//! the [`Kernels`] trait: the data vector ([`Kernels::data`]) and the three
+//! products that may move off the coordinator — MEASURE's forward product
+//! ([`Kernels::forward`]), RECONSTRUCT's transposed product
+//! ([`Kernels::transpose`]) and its inverse Grams
+//! ([`Kernels::inverse_grams`]) — plus the plan whose operands a kernel
+//! keeps resident ([`Kernels::resident_plan`]). Two implementations:
 //!
 //! * [`PlainKernels`] — the plain `hdmm_linalg` kernels over one contiguous
 //!   vector: how every request is served in-process, and the bitwise
 //!   reference the other implementation is tested against, behind
 //!   [`measure`](crate::measure) / [`reconstruct_with`](crate::reconstruct_with);
-//! * `hdmm_net::RpcKernels` — the per-slab tasks of a
-//!   [`ShardedView`](crate::ShardedView) sent to shard workers, everything
-//!   else on the plain kernels.
+//! * `hdmm_net::RpcKernels` — the per-slab tasks of an
+//!   `hdmm_core::ShardedDataVector` sent to shard workers, everything else
+//!   on the plain kernels.
 //!
 //! Everything else is written here exactly once: request validation
 //! ([`MechanismRequest::run`]), the per-strategy sensitivity, block order,
-//! θ-scaling and noise-draw order of MEASURE ([`measure_on`]), and the
-//! per-strategy pseudo-inverse of RECONSTRUCT ([`reconstruct_on`]). Blocks
+//! θ-scaling and noise-draw order of MEASURE ([`measure_on`]), the explicit
+//! product, the per-strategy pseudo-inverse of RECONSTRUCT
+//! ([`reconstruct_on`]) and ANSWER's `W·x̄`. Blocks
 //! are visited in strategy order and noise is drawn only after a block's
 //! product succeeded, so every kernel implementation consumes the RNG stream
 //! identically — the root of the byte-identity guarantee across them.
@@ -28,7 +33,7 @@ use crate::{
 };
 use hdmm_linalg::{
     kmatvec_structured, kmatvec_structured_scratch, kmatvec_transpose_structured,
-    kmatvec_transpose_structured_scratch, lsmr, KronScratch, LinOp, LsmrOptions, Matrix, StackedOp,
+    kmatvec_transpose_structured_scratch, lsmr, KronScratch, LinOp, LsmrOptions, StackedOp,
     StructuredMatrix,
 };
 use hdmm_obs::{Observer, Phase};
@@ -46,13 +51,6 @@ pub enum MechanismError {
     InvalidEpsilon {
         /// The offending value.
         eps: f64,
-    },
-    /// The request would overspend the remaining privacy budget.
-    BudgetExhausted {
-        /// ε requested by this measurement.
-        requested: f64,
-        /// ε still available.
-        remaining: f64,
     },
     /// The data vector does not match the workload's domain size.
     DataVectorMismatch {
@@ -76,13 +74,6 @@ impl std::fmt::Display for MechanismError {
                     "privacy parameter must be positive and finite, got {eps}"
                 )
             }
-            MechanismError::BudgetExhausted {
-                requested,
-                remaining,
-            } => write!(
-                f,
-                "measurement requests eps={requested} but only {remaining} remains"
-            ),
             MechanismError::DataVectorMismatch { expected, got } => {
                 write!(f, "data vector has {got} cells, domain has {expected}")
             }
@@ -151,17 +142,14 @@ pub trait Kernels {
     /// Why a product could not be evaluated ([`Infallible`] in-process).
     type Error;
 
-    /// Cells of the dataset being measured.
-    fn cells(&self) -> usize;
+    /// The dataset being measured, row-major.
+    fn data(&self) -> &[f64];
 
     /// The plan whose operands this kernel keeps resident, when it keeps
     /// any; validation refuses a request for a plan of another shape.
     fn resident_plan(&self) -> Option<PlanShape> {
         None
     }
-
-    /// MEASURE: the explicit product `A·x` over the dataset.
-    fn explicit(&self, a: &Matrix) -> Result<Vec<f64>, Self::Error>;
 
     /// MEASURE: `(⊗ factors)·x` over the dataset, for measurement block
     /// `block` (its index in strategy order, for kernels that key resident
@@ -184,10 +172,6 @@ pub trait Kernels {
         gram_pinvs: &[&StructuredMatrix],
         aty: &[f64],
     ) -> Result<Vec<f64>, Self::Error>;
-
-    /// ANSWER: `W·x̄` on the coordinator (workload factors are per request,
-    /// never resident anywhere else).
-    fn answer(&self, workload: &Workload, x_hat: &[f64]) -> Vec<f64>;
 }
 
 /// The reference kernels: the plain `hdmm_linalg` products over one
@@ -208,12 +192,8 @@ impl<'a> PlainKernels<'a> {
 impl Kernels for PlainKernels<'_> {
     type Error = Infallible;
 
-    fn cells(&self) -> usize {
-        self.x.len()
-    }
-
-    fn explicit(&self, a: &Matrix) -> Result<Vec<f64>, Infallible> {
-        Ok(a.matvec(self.x))
+    fn data(&self) -> &[f64] {
+        self.x
     }
 
     fn forward(&self, _: usize, factors: &[&StructuredMatrix]) -> Result<Vec<f64>, Infallible> {
@@ -235,10 +215,6 @@ impl Kernels for PlainKernels<'_> {
         aty: &[f64],
     ) -> Result<Vec<f64>, Infallible> {
         Ok(kmatvec_structured(gram_pinvs, aty))
-    }
-
-    fn answer(&self, workload: &Workload, x_hat: &[f64]) -> Vec<f64> {
-        workload.answer(x_hat)
     }
 }
 
@@ -275,7 +251,7 @@ pub fn measure_on<K: Kernels + ?Sized>(
     let blocks = match strategy {
         Strategy::Explicit(a) => {
             let scale = a.norm_l1_operator() / eps;
-            vec![noisy_block(kernels.explicit(a)?, scale, rng)]
+            vec![noisy_block(a.matvec(kernels.data()), scale, rng)]
         }
         Strategy::Kron(factors) => {
             let sens: f64 = factors.iter().map(StructuredMatrix::sensitivity).product();
@@ -481,10 +457,9 @@ pub struct MechanismRequest<'a> {
     /// `strategy`'s reconstruction factorization
     /// ([`PreparedReconstruct::new`]); serving layers memoize it per plan.
     pub prepared: &'a PreparedReconstruct,
-    /// The privacy budget this request spends.
+    /// The privacy budget this request spends; the caller has already
+    /// reserved it.
     pub eps: f64,
-    /// The budget still available; the request is refused beyond it.
-    pub remaining: f64,
 }
 
 impl MechanismRequest<'_> {
@@ -495,19 +470,10 @@ impl MechanismRequest<'_> {
         if !(eps.is_finite() && eps > 0.0) {
             return Err(MechanismError::InvalidEpsilon { eps });
         }
-        // Tolerate float dust: a request for exactly the remaining budget passes.
-        if eps > self.remaining * (1.0 + 1e-12) {
-            return Err(MechanismError::BudgetExhausted {
-                requested: eps,
-                remaining: self.remaining,
-            });
-        }
         let expected = self.workload.domain().size();
-        if kernels.cells() != expected {
-            return Err(MechanismError::DataVectorMismatch {
-                expected,
-                got: kernels.cells(),
-            });
+        let got = kernels.data().len();
+        if got != expected {
+            return Err(MechanismError::DataVectorMismatch { expected, got });
         }
         let same_family = matches!(
             (self.strategy, self.prepared),
@@ -563,7 +529,7 @@ impl MechanismRequest<'_> {
         observer.phase_complete(Phase::Reconstruct, t.elapsed());
 
         let t = Instant::now();
-        let answers = kernels.answer(self.workload, &x_hat);
+        let answers = self.workload.answer(&x_hat);
         observer.phase_complete(Phase::Answer, t.elapsed());
 
         Ok(MechanismResult { x_hat, answers })

@@ -20,8 +20,8 @@
 //! moves only vectors.
 
 use crate::wire::{
-    frame_into, keyed_task_into, read_frame_ext_buf, ErrorCode, FactorKey, Frame, KeyedTask,
-    NetError, TraceExt,
+    frame_into, keyed_task_into, read_frame_buf, ErrorCode, FactorKey, Frame, KeyedTask, NetError,
+    TraceExt,
 };
 use hdmm_linalg::StructuredMatrix;
 use hdmm_obs::{Observer, Phase, Span};
@@ -140,15 +140,16 @@ impl WorkerLink {
     /// [`DeadlineStream`] so a worker trickling bytes cannot stretch the
     /// attempt past it. Any failure drops the connection (the next call
     /// reconnects) — half-read streams cannot be resynchronized, so
-    /// reconnect-and-retry is the only safe recovery. The request is encoded
-    /// into the link's buffer and leaves in one write; the reply is read
-    /// back into the same buffer.
-    fn call_raw(
+    /// reconnect-and-retry is the only safe recovery. The request carries
+    /// `ext` (the default for an untraced call), is encoded into the link's
+    /// buffer and leaves in one write; the reply is read back into the same
+    /// buffer.
+    fn call(
         &self,
         request: &Request<'_>,
-        ext: Option<&TraceExt>,
+        ext: &TraceExt,
         timeout: Duration,
-    ) -> Result<(Frame, Option<TraceExt>), NetError> {
+    ) -> Result<(Frame, TraceExt), NetError> {
         let mut guard = self.conn.lock().expect("worker link poisoned");
         let Conn { stream, buf } = &mut *guard;
         let deadline = Instant::now() + timeout;
@@ -175,7 +176,7 @@ impl WorkerLink {
             .and_then(|()| {
                 self.bytes_sent
                     .fetch_add(buf.len() as u64, Ordering::Relaxed);
-                read_frame_ext_buf(&mut io, buf)
+                read_frame_buf(&mut io, buf)
             });
         match &exchange {
             Ok(_) => {
@@ -185,12 +186,6 @@ impl WorkerLink {
             Err(_) => *stream = None,
         }
         exchange
-    }
-
-    /// Untraced exchange: the request carries no trace extension, and the
-    /// worker answers in kind.
-    fn call(&self, request: &Request<'_>, timeout: Duration) -> Result<Frame, NetError> {
-        self.call_raw(request, None, timeout).map(|(f, _)| f)
     }
 
     fn health(&self) -> WorkerHealth {
@@ -229,7 +224,7 @@ enum Request<'a> {
 }
 
 impl Request<'_> {
-    fn encode_into(&self, buf: &mut Vec<u8>, ext: Option<&TraceExt>) -> std::io::Result<()> {
+    fn encode_into(&self, buf: &mut Vec<u8>, ext: &TraceExt) -> std::io::Result<()> {
         match self {
             Request::Frame(frame) => frame_into(buf, frame, ext),
             Request::Task(task) => keyed_task_into(buf, task, ext),
@@ -365,8 +360,8 @@ impl WorkerPool {
                 for w in workers.iter() {
                     s.spawn(move || {
                         let alive = matches!(
-                            w.call(&Request::Frame(&Frame::Ping), timeout),
-                            Ok(Frame::Pong { .. })
+                            w.call(&Request::Frame(&Frame::Ping), &TraceExt::default(), timeout),
+                            Ok((Frame::Pong { .. }, _))
                         );
                         w.alive.store(alive, Ordering::Relaxed);
                     });
@@ -379,7 +374,11 @@ impl WorkerPool {
     /// Registers one more worker at runtime; fails unless it answers a ping.
     pub fn add_worker(&self, addr: &str) -> Result<(), NetError> {
         let link = Arc::new(WorkerLink::new(addr));
-        match link.call(&Request::Frame(&Frame::Ping), self.policy.task_timeout)? {
+        let ping = Request::Frame(&Frame::Ping);
+        match link
+            .call(&ping, &TraceExt::default(), self.policy.task_timeout)?
+            .0
+        {
             Frame::Pong { .. } => {
                 link.alive.store(true, Ordering::Relaxed);
                 self.workers
@@ -622,12 +621,13 @@ impl WorkerPool {
         rpc: &RpcSpan<'_>,
     ) -> Result<Frame, NetError> {
         let Some(ctx) = rpc.observer.context() else {
-            return link.call(request, self.policy.task_timeout);
+            let untraced = link.call(request, &TraceExt::default(), self.policy.task_timeout);
+            return untraced.map(|(f, _)| f);
         };
         let span_id = rpc.observer.next_span_id();
         let ext = TraceExt::request(ctx.trace_id, span_id);
         let start = Instant::now();
-        let result = link.call_raw(request, Some(&ext), self.policy.task_timeout);
+        let result = link.call(request, &ext, self.policy.task_timeout);
         let end = Instant::now();
         let outcome = match &result {
             Ok((Frame::Error { .. }, _)) => "remote-error",
@@ -653,7 +653,7 @@ impl WorkerPool {
             .attr("outcome", outcome)
             .attr("lane", &lane),
         );
-        if let Ok((_, Some(reply_ext))) = &result {
+        if let Ok((_, reply_ext)) = &result {
             for ws in &reply_ext.spans {
                 rpc.observer.record(
                     Span::new(

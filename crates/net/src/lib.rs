@@ -1,11 +1,11 @@
 //! Distributed shard fan-out for the HDMM serving engine.
 //!
-//! This crate extends the in-process slab fan-out of
-//! [`hdmm_mechanism::sharded`] across machine boundaries:
+//! This crate runs the slab-split Kronecker products of §7.2 on remote shard
+//! workers, over the slabs of an [`hdmm_core::ShardedDataVector`]:
 //!
 //! * [`wire`] — a length-prefixed, checksummed frame codec for shard-task
-//!   RPCs, built on the same [`hdmm_core::codec`] primitives as the plan
-//!   store on disk;
+//!   RPCs, one frame layout built on the same [`hdmm_core::codec`]
+//!   primitives as the plan store on disk;
 //! * [`worker`] — the shard worker: a TCP server owning pushed data slabs
 //!   and content-keyed trailing-factor lists, and evaluating pure kernels
 //!   over them (also shipped as the `hdmm-shard-worker` binary);
@@ -29,8 +29,7 @@ pub mod worker;
 pub use client::{Operand, PoolHealth, RetryPolicy, WorkerHealth, WorkerPool};
 pub use remote::{OperandKeys, RemoteOptions, RpcKernels};
 pub use wire::{
-    decode_frame, decode_frame_ext, encode_frame, encode_frame_ext, read_frame, read_frame_ext,
-    write_frame, write_frame_ext, ErrorCode, FactorKey, Frame, NetError, TraceExt, WireSpan,
-    MAX_FRAME_BYTES, PROTO_V1, PROTO_V2, WIRE_MAGIC, WIRE_PREFIX,
+    decode_frame, encode_frame, read_frame, write_frame, ErrorCode, FactorKey, Frame, NetError,
+    TraceExt, WireSpan, MAX_FRAME_BYTES, PROTO_V2, WIRE_PREFIX,
 };
 pub use worker::{spawn_worker, WorkerHandle, WorkerOptions, FACTOR_BUDGET_BYTES};

@@ -13,8 +13,9 @@
 //! slices, so — run through the one pipeline,
 //! [`MechanismRequest::run`](hdmm_mechanism::MechanismRequest::run) — the
 //! answers are **bitwise identical** to the plain single-node kernels for
-//! any worker count. Everything the workers do not hold runs on
-//! [`PlainKernels`] over the whole vector.
+//! any worker count. The slabs are those of the registered
+//! [`ShardedDataVector`], borrowed as is; everything the workers do not hold
+//! runs on [`PlainKernels`] over its whole vector.
 //!
 //! A warm request costs the local request plus vector traffic: everything
 //! that depends only on the strategy — the
@@ -34,15 +35,13 @@
 
 use crate::client::{Operand, RetryPolicy, WorkerPool};
 use crate::wire::{FactorKey, NetError};
+use hdmm_core::ShardedDataVector;
 use hdmm_linalg::{
-    contract_rows, contract_transpose_rows, leading_split, partition_rows, slab_split, Matrix,
+    contract_rows, contract_transpose_rows, leading_split, partition_rows, slab_split,
     StructuredMatrix,
 };
-use hdmm_mechanism::{
-    Kernels, PlainKernels, PlanShape, PreparedReconstruct, ShardedView, Strategy,
-};
+use hdmm_mechanism::{Kernels, PlainKernels, PlanShape, PreparedReconstruct, Strategy};
 use hdmm_obs::{Observer, Phase};
-use hdmm_workload::Workload;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -126,26 +125,24 @@ impl OperandKeys {
 /// pipeline's validation rules this out, so it is typed rather than trusted.
 const NO_KEY: NetError = NetError::Unsupported("no operand key for this product");
 
-/// Runs one task per item on its own scoped thread (each blocks on an RPC)
-/// and returns the per-item products in item order. A task thread that
-/// panics — the observer is caller code — is reported as
+/// Runs tasks `0..shards`, each on its own scoped thread (each blocks on an
+/// RPC), and returns the per-shard products in shard order. A task thread
+/// that panics — the observer is caller code — is reported as
 /// [`NetError::TaskPanicked`] instead of unwinding through the request, so
 /// the caller's reseeded local rerun takes over.
-fn fan_out<I: Sync>(
-    items: &[I],
+fn fan_out(
+    shards: usize,
     observer: &dyn Observer,
     phase: Phase,
-    task: impl Fn(usize, &I) -> Result<Vec<f64>, NetError> + Sync,
+    task: impl Fn(usize) -> Result<Vec<f64>, NetError> + Sync,
 ) -> Result<Vec<Vec<f64>>, NetError> {
     let results: Vec<Result<Vec<f64>, NetError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .iter()
-            .enumerate()
-            .map(|(shard, item)| {
+        let handles: Vec<_> = (0..shards)
+            .map(|shard| {
                 let task = &task;
                 s.spawn(move || {
                     let t = Instant::now();
-                    let part = task(shard, item);
+                    let part = task(shard);
                     if part.is_ok() {
                         observer.shard_phase_complete(phase, shard, t.elapsed());
                     }
@@ -195,11 +192,9 @@ fn merge_and_contract_leading(
 /// The RPC fan-out behind the [`Kernels`] seam: phase 1 of every sliceable
 /// Kronecker product — the trailing factors over each slab or payload block
 /// — runs on the worker pool, and the merge and leading contraction on the
-/// coordinator. Everything else runs on [`PlainKernels`] over the view's
-/// whole vector: explicit products (small 1-D domains, not worth a round
-/// trip), ANSWER (per-request workload factors, resident nowhere), products
-/// with no [`slab_split`], and products with no trailing factors (a 1-D
-/// plan, whose per-slab task would be an identity copy).
+/// coordinator. Products with no [`slab_split`], and products with no
+/// trailing factors (a 1-D plan, whose per-slab task would be an identity
+/// copy), run on [`PlainKernels`] over the whole vector.
 ///
 /// `keys` must be the [`OperandKeys`] of the plan being served. When
 /// `observer` traces, every RPC attempt of the fan-out (retries included)
@@ -216,7 +211,7 @@ pub struct RpcKernels<'a> {
     /// The served plan's content keys.
     pub keys: &'a OperandKeys,
     /// The dataset, and the slabs the workers hold.
-    pub view: &'a ShardedView<'a>,
+    pub data: &'a ShardedDataVector,
     /// Receives one [`Observer::shard_phase_complete`] per task, and the
     /// RPC spans.
     pub observer: &'a dyn Observer,
@@ -225,7 +220,7 @@ pub struct RpcKernels<'a> {
 impl RpcKernels<'_> {
     /// The plain kernels over the whole dataset.
     fn plain(&self) -> PlainKernels<'_> {
-        PlainKernels::over(self.view.values)
+        PlainKernels::over(self.data.values())
     }
 
     /// Whether the product of `factors` in direction `transpose` runs on the
@@ -239,7 +234,7 @@ impl RpcKernels<'_> {
     /// reruns the request over [`PlainKernels`].
     fn aligned(&self, factors: &[&StructuredMatrix]) -> Result<Vec<Range<usize>>, NetError> {
         let split = leading_split(factors);
-        self.view
+        self.data
             .ranges_on_axis(split.leading.cols(), split.trailing_cols())
             .ok_or(NetError::Unsupported(
                 "slab boundaries do not align with the leading factor",
@@ -255,16 +250,12 @@ fn infallible<T>(r: Result<T, std::convert::Infallible>) -> Result<T, NetError> 
 impl Kernels for RpcKernels<'_> {
     type Error = NetError;
 
-    fn cells(&self) -> usize {
-        self.view.values.len()
+    fn data(&self) -> &[f64] {
+        self.data.values()
     }
 
     fn resident_plan(&self) -> Option<PlanShape> {
         Some(self.keys.shape())
-    }
-
-    fn explicit(&self, a: &Matrix) -> Result<Vec<f64>, NetError> {
-        infallible(self.plain().explicit(a))
     }
 
     /// Slabs are cached on the workers, so tasks are
@@ -278,13 +269,14 @@ impl Kernels for RpcKernels<'_> {
         let phase = Phase::Measure;
         let split = leading_split(factors);
         let trailing = Operand::keyed(self.keys.block(block)?, &split.trailing);
-        let parts = fan_out(&self.view.slabs, self.observer, phase, |shard, slab| {
+        let parts = fan_out(self.data.shard_count(), self.observer, phase, |shard| {
+            let (rows, values) = self.data.slab(shard);
             self.pool.run_slab_task(
                 self.dataset,
                 shard as u64,
                 trailing,
-                (slab.rows.start as u64, slab.rows.end as u64),
-                slab.values,
+                (rows.start as u64, rows.end as u64),
+                values,
                 self.observer,
                 phase,
             )
@@ -307,8 +299,9 @@ impl Kernels for RpcKernels<'_> {
         let split = leading_split(factors);
         let rest_m = split.trailing_rows();
         let trailing = Operand::keyed(self.keys.block(block)?, &split.trailing);
-        let y_blocks = partition_rows(split.leading.rows(), self.view.shard_count());
-        let parts = fan_out(&y_blocks, self.observer, phase, |shard, b| {
+        let y_blocks = partition_rows(split.leading.rows(), self.data.shard_count());
+        let parts = fan_out(y_blocks.len(), self.observer, phase, |shard| {
+            let b = &y_blocks[shard];
             let payload = &y[b.start * rest_m..b.end * rest_m];
             self.pool
                 .apply(true, trailing, payload, shard, self.observer, phase)
@@ -332,16 +325,13 @@ impl Kernels for RpcKernels<'_> {
         let split = leading_split(gram_pinvs);
         let rest_n = split.trailing_cols();
         let trailing = Operand::keyed(self.keys.gram_pinv.ok_or(NO_KEY)?, &split.trailing);
-        let parts = fan_out(&ranges, self.observer, phase, |shard, r| {
+        let parts = fan_out(ranges.len(), self.observer, phase, |shard| {
+            let r = &ranges[shard];
             let payload = &aty[r.start * rest_n..r.end * rest_n];
             self.pool
                 .apply(false, trailing, payload, shard, self.observer, phase)
         })?;
         Ok(merge_and_contract_leading(gram_pinvs, parts, false))
-    }
-
-    fn answer(&self, workload: &Workload, x_hat: &[f64]) -> Vec<f64> {
-        self.plain().answer(workload, x_hat)
     }
 }
 
@@ -353,7 +343,7 @@ mod tests {
         run_mechanism, MarginalsStrategy, MechanismRequest, MechanismResult, PipelineError,
         UnionGroup,
     };
-    use hdmm_workload::{blocks, builders, Domain};
+    use hdmm_workload::{blocks, builders, Domain, Workload};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::time::Duration;
@@ -386,7 +376,7 @@ mod tests {
     fn run_remote(
         workload: &Workload,
         strategy: &Strategy,
-        view: &ShardedView<'_>,
+        data: &ShardedDataVector,
         pool: &WorkerPool,
         observer: &dyn Observer,
     ) -> Result<MechanismResult, PipelineError<NetError>> {
@@ -397,7 +387,6 @@ mod tests {
             strategy,
             prepared: &prepared,
             eps: 1.0,
-            remaining: 1.0,
         }
         .run(
             &mut StdRng::seed_from_u64(42),
@@ -405,7 +394,7 @@ mod tests {
                 pool,
                 dataset: "test",
                 keys: &keys,
-                view,
+                data,
                 observer,
             },
             observer,
@@ -446,14 +435,12 @@ mod tests {
     #[test]
     fn remote_pipeline_is_bitwise_identical_to_plain() {
         for (w, s) in strategies() {
-            let n = w.domain().size();
-            let leading = w.domain().attr_size(0);
-            let x = data(n);
+            let x = data(w.domain().size());
             let plain = run_mechanism(&w, &s, &x, 1.0, &mut StdRng::seed_from_u64(42));
             for workers in [1usize, 2, 3] {
                 let (_handles, pool) = spawn_pool(workers);
-                let view = ShardedView::partitioned(leading, &x, 3);
-                let got = run_remote(&w, &s, &view, &pool, &()).unwrap();
+                let sharded = ShardedDataVector::partition(w.domain(), x.clone(), 3);
+                let got = run_remote(&w, &s, &sharded, &pool, &()).unwrap();
                 assert!(
                     bits_eq(&got.answers, &plain.answers),
                     "{} workers={workers}: answers diverge",
@@ -482,9 +469,8 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         let w = builders::prefix_2d(4, 4);
         let s = Strategy::kron(vec![blocks::prefix(4), blocks::prefix(4)]);
-        let x = data(16);
-        let view = ShardedView::partitioned(4, &x, 2);
-        let r = run_remote(&w, &s, &view, &pool, &());
+        let sharded = ShardedDataVector::partition(w.domain(), data(16), 2);
+        let r = run_remote(&w, &s, &sharded, &pool, &());
         assert!(matches!(r, Err(PipelineError::Kernel(_))));
     }
 
@@ -500,9 +486,8 @@ mod tests {
         let (_handles, pool) = spawn_pool(2);
         let w = builders::prefix_2d(4, 4);
         let s = Strategy::kron(vec![blocks::prefix(4), blocks::prefix(4)]);
-        let x = data(16);
-        let view = ShardedView::partitioned(4, &x, 2);
-        let r = run_remote(&w, &s, &view, &pool, &PanicsOnShardOne);
+        let sharded = ShardedDataVector::partition(w.domain(), data(16), 2);
+        let r = run_remote(&w, &s, &sharded, &pool, &PanicsOnShardOne);
         assert!(
             matches!(r, Err(PipelineError::Kernel(NetError::TaskPanicked))),
             "got {r:?}"

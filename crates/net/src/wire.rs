@@ -1,26 +1,21 @@
-//! Wire frames for shard-task RPC: length-prefixed, checksummed, typed,
-//! versioned.
+//! Wire frames for shard-task RPC: length-prefixed, checksummed, typed.
 //!
 //! A frame on the wire is `[len: u32 LE][payload][checksum: u64 LE]`, where
 //! `len` covers the payload plus its checksum trailer and the payload is
-//! `[magic "HNW"][version: u8][ext?][kind: u8][body]` encoded through the
+//! `[magic "HNW"][version '2'][ext][kind: u8][body]` encoded through the
 //! shared [`hdmm_core::codec`] — the same encode/decode path and FNV-1a
 //! checksum that seals [`PlanStore`] files, so there is exactly one binary
 //! codec in the system. The length prefix is sanity-bounded by
 //! [`MAX_FRAME_BYTES`] before any allocation: a corrupt or hostile length
 //! yields a typed [`NetError::Oversized`], never a multi-gigabyte buffer.
 //!
-//! **Versioning.** The byte after the `"HNW"` tag says whether a frame
-//! carries a trace extension:
-//!
-//! * version `'1'` — no extension, `kind` immediately follows the magic;
-//! * version `'2'` — a [`TraceExt`] (trace id, parent span id, and — on
-//!   responses — worker-side [`WireSpan`]s) sits between the version byte
-//!   and `kind`. A v2 frame with `trace_id == 0` is explicitly "untraced".
-//!
-//! Both decode through [`decode_frame_ext`]. The coordinator sends v2 for a
-//! traced call and v1 for an untraced one; workers answer in the version
-//! the request arrived in. There is no negotiation: every peer reads both.
+//! **One layout.** Every frame carries a [`TraceExt`] (trace id, parent span
+//! id, and — on responses — worker-side [`WireSpan`]s) between the version
+//! byte and `kind`; an untraced call carries [`TraceExt::default()`], whose
+//! trace id 0 means "untraced". Coordinator and worker ship in one build, so
+//! there is no negotiation and no older layout: any other version byte
+//! decodes to [`CodecError::BadMagic`]. A change to the layout bumps the
+//! version byte.
 //!
 //! Every task frame is **pure and idempotent** — a `SlabForward` or `Apply`
 //! computes a deterministic function of its inputs and mutates nothing — so
@@ -39,8 +34,7 @@
 //! content, a stale or colliding registration is impossible by construction:
 //! `LoadFactors` frames whose key does not match their factor bytes do not
 //! decode. The inline-factor `SlabForward` / `Apply` frames stay decodable
-//! and served (a stateless fallback for older coordinators); this crate's
-//! coordinator no longer emits them.
+//! and served; this crate's coordinator no longer emits them.
 //!
 //! [`PlanStore`]: https://docs.rs/hdmm-engine
 
@@ -49,17 +43,10 @@ use hdmm_linalg::StructuredMatrix;
 use std::borrow::Borrow;
 use std::io::{Read, Write};
 
-/// Magic prefix of every frame payload: format tag + the v1 version byte.
-/// Kept as the public name because v1 is the compatibility baseline.
-pub const WIRE_MAGIC: &[u8; 4] = b"HNW1";
-
-/// The version-independent format tag (the first three payload bytes).
+/// The format tag (the first three payload bytes).
 pub const WIRE_PREFIX: &[u8; 3] = b"HNW";
 
-/// Version byte of an extension-free (untraced) frame.
-pub const PROTO_V1: u8 = b'1';
-
-/// Version byte of a frame that carries a [`TraceExt`].
+/// The version byte after [`WIRE_PREFIX`]: the one frame layout.
 pub const PROTO_V2: u8 = b'2';
 
 /// Upper bound on a frame's encoded size; length prefixes beyond this are
@@ -83,12 +70,11 @@ pub struct WireSpan {
     pub dur_ns: u64,
 }
 
-/// The v2 frame extension: trace identity on requests, plus worker-side
-/// spans on responses.
+/// The extension every frame carries: trace identity on requests, plus
+/// worker-side spans on responses.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TraceExt {
-    /// Trace the request belongs to; 0 means "untraced" (the frame is v2
-    /// for protocol reasons only).
+    /// Trace the request belongs to; 0 means "untraced".
     pub trace_id: u64,
     /// On requests: the coordinator span the worker's spans will be parented
     /// under. Echoed on responses.
@@ -328,7 +314,7 @@ impl Frame {
 pub enum NetError {
     /// Transport failure (connect, read, write, timeout).
     Io(std::io::Error),
-    /// The bytes arrived but do not decode (corruption, version skew).
+    /// The bytes arrived but do not decode (corruption, another layout).
     Codec(CodecError),
     /// A length prefix exceeded [`MAX_FRAME_BYTES`]; rejected pre-allocation.
     Oversized {
@@ -452,32 +438,21 @@ fn read_bool(r: &mut Reader<'_>) -> Result<bool, CodecError> {
     }
 }
 
-/// Encodes a v1 frame payload (magic + kind + body + checksum trailer)
-/// without the stream length prefix — what [`decode_frame`] accepts.
+/// Encodes an untraced frame payload (header + kind + body + checksum
+/// trailer) without the stream length prefix — what [`decode_frame`]
+/// accepts.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    encode_frame_ext(frame, None)
-}
-
-/// Encodes a frame payload in the version implied by `ext`: `None` ⇒ the
-/// legacy v1 bytes (identical to what pre-versioning builds emitted),
-/// `Some` ⇒ v2 with the extension between version byte and kind.
-pub fn encode_frame_ext(frame: &Frame, ext: Option<&TraceExt>) -> Vec<u8> {
     let mut out = Vec::new();
-    put_header(&mut out, ext);
+    put_header(&mut out, &TraceExt::default());
     put_body(&mut out, frame);
     codec::seal(&mut out);
     out
 }
 
-fn put_header(out: &mut Vec<u8>, ext: Option<&TraceExt>) {
+fn put_header(out: &mut Vec<u8>, ext: &TraceExt) {
     out.extend_from_slice(WIRE_PREFIX);
-    match ext {
-        None => out.push(PROTO_V1),
-        Some(ext) => {
-            out.push(PROTO_V2);
-            put_ext(out, ext);
-        }
-    }
+    out.push(PROTO_V2);
+    put_ext(out, ext);
 }
 
 fn put_body(out: &mut Vec<u8>, frame: &Frame) {
@@ -562,30 +537,19 @@ fn put_body(out: &mut Vec<u8>, frame: &Frame) {
     }
 }
 
-/// Decodes a frame payload of either protocol version, discarding any trace
-/// extension — see [`decode_frame_ext`] to keep it.
-pub fn decode_frame(bytes: &[u8]) -> Result<Frame, CodecError> {
-    decode_frame_ext(bytes).map(|(frame, _)| frame)
-}
-
-/// Decodes a frame payload produced by [`encode_frame_ext`]: verifies the
-/// checksum trailer, the prefix, the version, the kind tag, and full
-/// consumption. Returns the frame plus its trace extension (`None` for v1
-/// frames). Any corruption — truncation, bit flips, oversized element
-/// counts, trailing garbage — yields a typed [`CodecError`], never a panic
-/// or a partial read. An unknown version byte is [`CodecError::BadMagic`],
-/// exactly what a pre-versioning peer reports for a v2 frame.
-pub fn decode_frame_ext(bytes: &[u8]) -> Result<(Frame, Option<TraceExt>), CodecError> {
+/// Decodes a frame payload: verifies the checksum trailer, the prefix, the
+/// version, the kind tag, and full consumption. Returns the frame plus its
+/// trace extension. Any corruption — truncation, bit flips, oversized
+/// element counts, trailing garbage — yields a typed [`CodecError`], never a
+/// panic or a partial read; any version byte but [`PROTO_V2`] is
+/// [`CodecError::BadMagic`].
+pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, TraceExt), CodecError> {
     let payload = codec::open(bytes)?;
     let mut r = Reader::new(payload);
-    if r.take(WIRE_PREFIX.len())? != WIRE_PREFIX {
+    if r.take(WIRE_PREFIX.len())? != WIRE_PREFIX || r.u8()? != PROTO_V2 {
         return Err(CodecError::BadMagic);
     }
-    let ext = match r.u8()? {
-        PROTO_V1 => None,
-        PROTO_V2 => Some(read_ext(&mut r)?),
-        _ => return Err(CodecError::BadMagic),
-    };
+    let ext = read_ext(&mut r)?;
     let frame = match r.u8()? {
         0 => Frame::Ping,
         1 => Frame::LoadSlab {
@@ -638,18 +602,9 @@ pub fn decode_frame_ext(bytes: &[u8]) -> Result<(Frame, Option<TraceExt>), Codec
     Ok((frame, ext))
 }
 
-/// Writes one length-prefixed v1 frame to a stream and flushes it.
-pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
-    write_frame_ext(w, frame, None)
-}
-
-/// Writes one length-prefixed frame to a stream and flushes it, in the
-/// version implied by `ext` (see [`encode_frame_ext`]).
-pub fn write_frame_ext(
-    w: &mut impl Write,
-    frame: &Frame,
-    ext: Option<&TraceExt>,
-) -> std::io::Result<()> {
+/// Writes one length-prefixed frame carrying `ext` to a stream and flushes
+/// it.
+pub fn write_frame(w: &mut impl Write, frame: &Frame, ext: &TraceExt) -> std::io::Result<()> {
     let mut buf = Vec::new();
     frame_into(&mut buf, frame, ext)?;
     w.write_all(&buf)?;
@@ -659,11 +614,7 @@ pub fn write_frame_ext(
 /// Replaces `buf` with one complete stream frame — length prefix, payload,
 /// checksum — so a link can reuse one buffer across requests and hand the
 /// socket a single write.
-pub(crate) fn frame_into(
-    buf: &mut Vec<u8>,
-    frame: &Frame,
-    ext: Option<&TraceExt>,
-) -> std::io::Result<()> {
+pub(crate) fn frame_into(buf: &mut Vec<u8>, frame: &Frame, ext: &TraceExt) -> std::io::Result<()> {
     stream_frame_into(buf, ext, |out| put_body(out, frame))
 }
 
@@ -671,14 +622,14 @@ pub(crate) fn frame_into(
 pub(crate) fn keyed_task_into(
     buf: &mut Vec<u8>,
     task: &KeyedTask<'_>,
-    ext: Option<&TraceExt>,
+    ext: &TraceExt,
 ) -> std::io::Result<()> {
     stream_frame_into(buf, ext, |out| put_keyed_task(out, task))
 }
 
 fn stream_frame_into(
     buf: &mut Vec<u8>,
-    ext: Option<&TraceExt>,
+    ext: &TraceExt,
     body: impl FnOnce(&mut Vec<u8>),
 ) -> std::io::Result<()> {
     buf.clear();
@@ -694,26 +645,19 @@ fn stream_frame_into(
     Ok(())
 }
 
-/// Reads one length-prefixed frame of either version, discarding any trace
-/// extension.
-pub fn read_frame(r: &mut impl Read) -> Result<Frame, NetError> {
-    read_frame_ext(r).map(|(frame, _)| frame)
+/// Reads one length-prefixed frame from a stream, with its trace extension.
+/// The length prefix is bounds-checked against [`MAX_FRAME_BYTES`] *before*
+/// the payload buffer is allocated, so a corrupt prefix costs nothing.
+pub fn read_frame(r: &mut impl Read) -> Result<(Frame, TraceExt), NetError> {
+    read_frame_buf(r, &mut Vec::new())
 }
 
-/// Reads one length-prefixed frame from a stream, returning its trace
-/// extension (`None` for v1 frames). The length prefix is bounds-checked
-/// against [`MAX_FRAME_BYTES`] *before* the payload buffer is allocated, so
-/// a corrupt prefix costs nothing.
-pub fn read_frame_ext(r: &mut impl Read) -> Result<(Frame, Option<TraceExt>), NetError> {
-    read_frame_ext_buf(r, &mut Vec::new())
-}
-
-/// [`read_frame_ext`] reading the payload into a caller-owned buffer (left
+/// [`read_frame`] reading the payload into a caller-owned buffer (left
 /// holding the payload bytes), so a link reuses one allocation.
-pub(crate) fn read_frame_ext_buf(
+pub(crate) fn read_frame_buf(
     r: &mut impl Read,
     payload: &mut Vec<u8>,
-) -> Result<(Frame, Option<TraceExt>), NetError> {
+) -> Result<(Frame, TraceExt), NetError> {
     let mut len_bytes = [0u8; 4];
     r.read_exact(&mut len_bytes)?;
     let len = u64::from(u32::from_le_bytes(len_bytes));
@@ -726,7 +670,7 @@ pub(crate) fn read_frame_ext_buf(
     payload.clear();
     payload.resize(len as usize, 0);
     r.read_exact(payload)?;
-    Ok(decode_frame_ext(payload)?)
+    Ok(decode_frame(payload)?)
 }
 
 #[cfg(test)]
@@ -738,10 +682,17 @@ mod tests {
         let frame = Frame::Part {
             values: vec![1.5, -2.5, 0.0],
         };
+        let ext = TraceExt {
+            trace_id: 0xdead_beef,
+            span_id: 42,
+            spans: vec![WireSpan {
+                name: "worker:forward".into(),
+                dur_ns: 1_234,
+            }],
+        };
         let mut buf = Vec::new();
-        write_frame(&mut buf, &frame).unwrap();
-        let back = read_frame(&mut buf.as_slice()).unwrap();
-        assert_eq!(back, frame);
+        write_frame(&mut buf, &frame, &ext).unwrap();
+        assert_eq!(read_frame(&mut buf.as_slice()).unwrap(), (frame, ext));
     }
 
     #[test]
@@ -756,74 +707,10 @@ mod tests {
     }
 
     #[test]
-    fn v1_bytes_are_the_legacy_format() {
-        // The compatibility contract: an ext-free encode starts with the
-        // exact legacy magic, so pre-versioning peers accept it.
-        let payload = encode_frame(&Frame::Ping);
-        assert_eq!(&payload[..4], WIRE_MAGIC);
-        let (frame, ext) = decode_frame_ext(&payload).unwrap();
-        assert_eq!(frame, Frame::Ping);
-        assert_eq!(ext, None);
-    }
-
-    #[test]
-    fn v2_round_trips_the_trace_extension() {
-        let ext = TraceExt {
-            trace_id: 0xdead_beef,
-            span_id: 42,
-            spans: vec![
-                WireSpan {
-                    name: "worker:forward".into(),
-                    dur_ns: 1_234,
-                },
-                WireSpan {
-                    name: "worker:load".into(),
-                    dur_ns: 9,
-                },
-            ],
-        };
-        let frame = Frame::Part {
-            values: vec![1.0, 2.0],
-        };
-        let mut buf = Vec::new();
-        write_frame_ext(&mut buf, &frame, Some(&ext)).unwrap();
-        let (back, back_ext) = read_frame_ext(&mut buf.as_slice()).unwrap();
-        assert_eq!(back, frame);
-        assert_eq!(back_ext, Some(ext));
-    }
-
-    #[test]
-    fn v2_frames_read_as_bad_magic_by_a_v1_only_decoder() {
-        // What an old worker does with a v2 frame: its strict "HNW1" check
-        // fails. The shared decoder reports the same class of error for an
-        // unknown version, so both directions of skew degrade identically.
-        let payload = encode_frame_ext(&Frame::Ping, Some(&TraceExt::request(1, 1)));
-        assert_ne!(&payload[..4], WIRE_MAGIC);
-        // A well-formed frame of an unknown future version: same error class.
-        let mut future = Vec::new();
-        future.extend_from_slice(WIRE_PREFIX);
-        future.push(b'9');
-        future.push(0); // Ping
-        codec::seal(&mut future);
-        assert!(matches!(
-            decode_frame_ext(&future),
-            Err(CodecError::BadMagic)
-        ));
-    }
-
-    #[test]
-    fn untraced_v2_is_legal() {
-        let payload = encode_frame_ext(&Frame::Loaded, Some(&TraceExt::request(0, 0)));
-        let (frame, ext) = decode_frame_ext(&payload).unwrap();
-        assert_eq!(frame, Frame::Loaded);
-        assert_eq!(ext.unwrap().trace_id, 0);
-    }
-
-    #[test]
     fn truncated_stream_is_a_typed_io_error() {
         let frame = Frame::Pong { slabs: 3 };
         let mut buf = Vec::new();
-        write_frame(&mut buf, &frame).unwrap();
+        write_frame(&mut buf, &frame, &TraceExt::default()).unwrap();
         buf.truncate(buf.len() - 2);
         assert!(matches!(
             read_frame(&mut buf.as_slice()),
@@ -862,10 +749,10 @@ mod tests {
             ),
         ];
         for (task, frame) in pairs {
-            for ext in [None, Some(TraceExt::request(9, 4))] {
+            for ext in [TraceExt::default(), TraceExt::request(9, 4)] {
                 let (mut borrowed, mut owned) = (vec![0xAA; 3], Vec::new());
-                keyed_task_into(&mut borrowed, &task, ext.as_ref()).unwrap();
-                write_frame_ext(&mut owned, &frame, ext.as_ref()).unwrap();
+                keyed_task_into(&mut borrowed, &task, &ext).unwrap();
+                write_frame(&mut owned, &frame, &ext).unwrap();
                 assert_eq!(borrowed, owned, "{}", frame.kind());
             }
         }
@@ -879,7 +766,7 @@ mod tests {
             key: right,
             factors: factors.clone(),
         };
-        assert_eq!(decode_frame(&encode_frame(&good)).unwrap(), good);
+        assert_eq!(decode_frame(&encode_frame(&good)).unwrap().0, good);
         for wrong in [
             FactorKey {
                 sum: right.sum ^ 1,
@@ -896,7 +783,7 @@ mod tests {
                 factors: factors.clone(),
             };
             assert_eq!(
-                decode_frame(&encode_frame(&bad)),
+                decode_frame(&encode_frame(&bad)).map(|(frame, _)| frame),
                 Err(CodecError::Invalid("factor key does not match its list"))
             );
         }

@@ -19,6 +19,9 @@
 //! serves. Inline-factor tasks run through the same kernel entry point with
 //! the factors they carry, touching no worker state.
 //!
+//! Every reply echoes the request's [`TraceExt`] identity; a traced request
+//! (trace id ≠ 0) also gets the worker's kernel spans back in it.
+//!
 //! Task kernels run under `catch_unwind`, so a shape mismatch that would
 //! panic in-process comes back as a typed [`Frame::Error`] instead of
 //! killing the connection. The accept loop is non-blocking with a short
@@ -34,9 +37,7 @@
 //! private data slab). Bind workers to loopback or a trusted private
 //! network only — never expose the port beyond the coordinator's network.
 
-use crate::wire::{
-    frame_into, read_frame_ext_buf, ErrorCode, FactorKey, Frame, TraceExt, WireSpan,
-};
+use crate::wire::{frame_into, read_frame_buf, ErrorCode, FactorKey, Frame, TraceExt, WireSpan};
 use hdmm_linalg::{kmatvec_trailing_slab, kmatvec_transpose_trailing_slab, StructuredMatrix};
 use std::collections::HashMap;
 use std::io::Write;
@@ -234,21 +235,21 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        let (request, ext) = match read_frame_ext_buf(&mut stream, &mut buf) {
+        let (request, ext) = match read_frame_buf(&mut stream, &mut buf) {
             Ok(pair) => pair,
             // EOF, reset, or garbage: drop the connection. The coordinator
             // reconnects and retries; tasks are idempotent.
             Err(_) => return,
         };
-        // Answer in kind: an untraced request gets an extension-free reply,
-        // a traced one gets its spans back.
+        // The reply echoes the request's trace identity; a traced request
+        // also gets the worker's spans back.
         let (response, spans) = handle(request, shared);
-        let reply_ext = ext.map(|e| TraceExt {
-            spans: if e.trace_id == 0 { Vec::new() } else { spans },
-            ..e
-        });
-        let sent = frame_into(&mut buf, &response, reply_ext.as_ref())
-            .and_then(|()| stream.write_all(&buf));
+        let reply_ext = TraceExt {
+            spans: if ext.trace_id == 0 { Vec::new() } else { spans },
+            ..ext
+        };
+        let sent =
+            frame_into(&mut buf, &response, &reply_ext).and_then(|()| stream.write_all(&buf));
         if sent.is_err() {
             return;
         }
@@ -424,22 +425,20 @@ fn compute(factors: &[StructuredMatrix], payload: &[f64], transpose: bool) -> Fr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{read_frame, read_frame_ext, write_frame, write_frame_ext, NetError};
+    use crate::wire::{read_frame, write_frame, NetError};
 
     fn call(addr: SocketAddr, frame: &Frame) -> Result<Frame, NetError> {
-        let mut stream = TcpStream::connect(addr)?;
-        write_frame(&mut stream, frame)?;
-        read_frame(&mut stream)
+        call_traced(addr, frame, &TraceExt::default()).map(|(reply, _)| reply)
     }
 
-    fn call_v2(
+    fn call_traced(
         addr: SocketAddr,
         frame: &Frame,
         ext: &TraceExt,
-    ) -> Result<(Frame, Option<TraceExt>), NetError> {
+    ) -> Result<(Frame, TraceExt), NetError> {
         let mut stream = TcpStream::connect(addr)?;
-        write_frame_ext(&mut stream, frame, Some(ext))?;
-        read_frame_ext(&mut stream)
+        write_frame(&mut stream, frame, ext)?;
+        read_frame(&mut stream)
     }
 
     #[test]
@@ -451,9 +450,8 @@ mod tests {
             rows: (0, 2),
             values: (0..6).map(f64::from).collect(),
         };
-        let (reply, ext) = call_v2(w.addr(), &load, &TraceExt::request(77, 5)).unwrap();
+        let (reply, ext) = call_traced(w.addr(), &load, &TraceExt::request(77, 5)).unwrap();
         assert_eq!(reply, Frame::Loaded);
-        let ext = ext.expect("v2 request gets a v2 reply");
         assert_eq!((ext.trace_id, ext.span_id), (77, 5), "identity echoed");
         assert_eq!(ext.spans.len(), 1);
         assert_eq!(ext.spans[0].name, "worker:load");
@@ -463,24 +461,14 @@ mod tests {
             shard: 0,
             factors: vec![StructuredMatrix::total(3)],
         };
-        let (reply, ext) = call_v2(w.addr(), &fwd, &TraceExt::request(77, 6)).unwrap();
+        let (reply, ext) = call_traced(w.addr(), &fwd, &TraceExt::request(77, 6)).unwrap();
         assert!(matches!(reply, Frame::Part { .. }));
-        assert_eq!(ext.unwrap().spans[0].name, "worker:forward");
+        assert_eq!(ext.spans[0].name, "worker:forward");
 
-        // v1 requests keep getting v1 replies from the same worker.
-        assert_eq!(
-            call(w.addr(), &Frame::Ping).unwrap(),
-            Frame::Pong { slabs: 1 }
-        );
-        w.kill();
-    }
-
-    #[test]
-    fn untraced_v2_requests_skip_span_bookkeeping() {
-        let w = spawn_worker("127.0.0.1:0", WorkerOptions::default()).unwrap();
-        let (reply, ext) = call_v2(w.addr(), &Frame::Ping, &TraceExt::request(0, 0)).unwrap();
-        assert_eq!(reply, Frame::Pong { slabs: 0 });
-        assert!(ext.unwrap().spans.is_empty());
+        // An untraced request gets the empty extension back, no spans.
+        let (reply, ext) = call_traced(w.addr(), &fwd, &TraceExt::default()).unwrap();
+        assert!(matches!(reply, Frame::Part { .. }));
+        assert_eq!(ext, TraceExt::default());
         w.kill();
     }
 
@@ -560,7 +548,8 @@ mod tests {
         if let Ok(mut s) = TcpStream::connect(addr) {
             s.set_read_timeout(Some(Duration::from_millis(200)))
                 .unwrap();
-            ok = write_frame(&mut s, &Frame::Ping).is_ok() && read_frame(&mut s).is_ok();
+            ok = write_frame(&mut s, &Frame::Ping, &TraceExt::default()).is_ok()
+                && read_frame(&mut s).is_ok();
         }
         assert!(!ok, "a killed worker must stop answering");
     }

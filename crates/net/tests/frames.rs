@@ -1,14 +1,16 @@
-//! Property tests for the wire codec (ISSUE 6, satellite 2): every frame
-//! kind round-trips bit-exactly through encode/decode and through the
-//! length-prefixed stream path — and corruption (truncated frames, flipped
-//! bytes, oversized length prefixes) always yields a **typed error**, never
-//! a panic and never a partial read that decodes to a different frame.
+//! Property tests for the wire codec: every frame kind round-trips
+//! bit-exactly through encode/decode and through the length-prefixed stream
+//! path, with any trace extension — and corruption (truncated frames,
+//! flipped bytes, oversized length prefixes, another layout's version byte)
+//! always yields a **typed error**, never a panic and never a partial read
+//! that decodes to a different frame. Two golden frames pin the one layout
+//! byte for byte.
 
-use hdmm_core::codec::{self, Reader};
+use hdmm_core::codec::{self, CodecError, Reader};
 use hdmm_linalg::{Matrix, StructuredMatrix};
 use hdmm_net::{
-    decode_frame, decode_frame_ext, encode_frame, encode_frame_ext, read_frame, write_frame,
-    ErrorCode, FactorKey, Frame, TraceExt, WireSpan, MAX_FRAME_BYTES,
+    decode_frame, encode_frame, read_frame, write_frame, ErrorCode, FactorKey, Frame, TraceExt,
+    WireSpan, MAX_FRAME_BYTES, WIRE_PREFIX,
 };
 use proptest::prelude::*;
 
@@ -124,13 +126,15 @@ proptest! {
         let frame = frame_from(which, n, len, seed, &kinds);
         let encoded = encode_frame(&frame);
         let decoded = decode_frame(&encoded).expect("self-encoded frame must decode");
-        prop_assert_eq!(&decoded, &frame);
+        prop_assert_eq!(&decoded, &(frame.clone(), TraceExt::default()));
 
         let mut stream = Vec::new();
-        write_frame(&mut stream, &frame).expect("vec write cannot fail");
+        write_frame(&mut stream, &frame, &TraceExt::default()).expect("vec write cannot fail");
+        // The stream frame is the payload behind its length prefix.
+        prop_assert_eq!(&stream[4..], &encoded[..]);
         let mut cursor = std::io::Cursor::new(stream);
         let via_stream = read_frame(&mut cursor).expect("stream round trip must decode");
-        prop_assert_eq!(&via_stream, &frame);
+        prop_assert_eq!(&via_stream.0, &frame);
     }
 
     /// Truncating an encoded frame at any point yields a typed error — never
@@ -155,7 +159,7 @@ proptest! {
 
         // Same through the stream path: a connection dropped mid-frame.
         let mut stream = Vec::new();
-        write_frame(&mut stream, &frame).expect("vec write cannot fail");
+        write_frame(&mut stream, &frame, &TraceExt::default()).expect("vec write cannot fail");
         let cut = cut_num % stream.len();
         let mut cursor = std::io::Cursor::new(&stream[..cut]);
         prop_assert!(
@@ -189,16 +193,18 @@ proptest! {
         );
     }
 
-    /// A v2 frame with an arbitrary trace extension round-trips bit-exactly:
-    /// the frame, the trace identity, and every worker-side span.
+    /// Every frame kind round-trips bit-exactly with an arbitrary trace
+    /// extension — trace id 0 ("untraced") included: the frame, the trace
+    /// identity, and every worker-side span.
     #[test]
-    fn v2_trace_extension_round_trips_bit_exactly(
+    fn every_frame_kind_round_trips_with_any_trace_extension(
         which in 0usize..KINDS,
         n in 1usize..5,
         len in 0usize..20,
         seed in 0u64..10_000,
         kinds in proptest::collection::vec(0usize..6, 2),
-        trace_id in 0u64..u64::MAX,
+        traced in proptest::bool::weighted(0.75),
+        trace_id in 1u64..u64::MAX,
         span_id in 0u64..u64::MAX,
         spans in proptest::collection::vec((0usize..4, 0u64..u64::MAX), 4),
         span_count in 0usize..5,
@@ -206,7 +212,7 @@ proptest! {
         const NAMES: [&str; 4] = ["worker:forward", "worker:apply", "worker:load", ""];
         let frame = frame_from(which, n, len, seed, &kinds);
         let ext = TraceExt {
-            trace_id,
+            trace_id: if traced { trace_id } else { 0 },
             span_id,
             spans: spans
                 .into_iter()
@@ -217,53 +223,40 @@ proptest! {
                 })
                 .collect(),
         };
-        let encoded = encode_frame_ext(&frame, Some(&ext));
-        let (back, back_ext) = decode_frame_ext(&encoded).expect("v2 must decode");
-        prop_assert_eq!(&back, &frame);
-        prop_assert_eq!(back_ext.as_ref(), Some(&ext));
+        let mut stream = Vec::new();
+        write_frame(&mut stream, &frame, &ext).expect("vec write cannot fail");
+        let back = read_frame(&mut stream.as_slice()).expect("self-written frame must decode");
+        prop_assert_eq!(back, (frame, ext));
     }
 
-    /// Forward compat: a legacy (v1) frame decodes through the v2-aware
-    /// reader as the same frame with no extension — a new coordinator can
-    /// always talk to an old worker's bytes.
+    /// A frame in the retired v1 layout (`"HNW1"`, no extension) — or under
+    /// any version byte but `'2'` — behind a valid checksum is a typed
+    /// `BadMagic`, never a panic and never a frame.
     #[test]
-    fn v1_bytes_decode_through_the_v2_reader(
+    fn a_v1_frame_is_bad_magic(
         which in 0usize..KINDS,
         n in 1usize..5,
         len in 0usize..20,
         seed in 0u64..10_000,
         kinds in proptest::collection::vec(0usize..6, 2),
+        version in 0u16..256,
     ) {
+        let version = version as u8;
         let frame = frame_from(which, n, len, seed, &kinds);
-        let v1 = encode_frame(&frame);
-        let (back, ext) = decode_frame_ext(&v1).expect("v1 must decode via v2 reader");
-        prop_assert_eq!(&back, &frame);
-        prop_assert!(ext.is_none(), "legacy frames carry no extension");
-    }
+        let encoded = encode_frame(&frame);
+        let payload = codec::open(&encoded).expect("self-encoded frame opens");
+        // v1: the kind and body right after the version byte.
+        let mut v1 = b"HNW1".to_vec();
+        v1.extend_from_slice(&payload[4 + EMPTY_EXT_BYTES..]);
+        codec::seal(&mut v1);
+        prop_assert_eq!(decode_frame(&v1), Err(CodecError::BadMagic));
 
-    /// Backward compat: a v2-aware encoder asked for no extension emits
-    /// byte-identical v1 — an old worker never sees bytes it cannot parse
-    /// from a new coordinator that negotiated down. And the extension is
-    /// pure metadata: stripping it (via the ext-discarding decoder) always
-    /// yields the same frame.
-    #[test]
-    fn untraced_v2_is_byte_identical_v1_and_the_extension_is_pure_metadata(
-        which in 0usize..KINDS,
-        n in 1usize..5,
-        len in 0usize..20,
-        seed in 0u64..10_000,
-        kinds in proptest::collection::vec(0usize..6, 2),
-        trace_id in 1u64..u64::MAX,
-    ) {
-        let frame = frame_from(which, n, len, seed, &kinds);
-        prop_assert_eq!(encode_frame_ext(&frame, None), encode_frame(&frame));
-
-        let traced = encode_frame_ext(&frame, Some(&TraceExt::request(trace_id, 1)));
-        prop_assert!(traced != encode_frame(&frame), "v2 bytes differ from v1");
-        prop_assert_eq!(
-            decode_frame(&traced).expect("ext-discarding decode"),
-            frame
-        );
+        let mut other = payload.to_vec();
+        other[WIRE_PREFIX.len()] = version;
+        codec::seal(&mut other);
+        if version != b'2' {
+            prop_assert_eq!(decode_frame(&other), Err(CodecError::BadMagic));
+        }
     }
 
     /// The codec's bulk `f64` paths write and accept byte-for-byte what one
@@ -367,4 +360,49 @@ fn garbage_and_wrong_magic_are_typed_errors() {
     let mut encoded = encode_frame(&Frame::Ping);
     encoded[0] ^= 0xff; // corrupt the magic inside the sealed envelope
     assert!(decode_frame(&encoded).is_err());
+}
+
+/// Bytes of the empty [`TraceExt`]: trace id, span id, span count.
+const EMPTY_EXT_BYTES: usize = 24;
+
+/// An untraced `Ping` as it goes on the wire: length prefix, `"HNW2"`, the
+/// empty extension, kind 0, checksum.
+const GOLDEN_PING: &[u8] = &[
+    37, 0, 0, 0, // length: payload + checksum
+    b'H', b'N', b'W', b'2', // prefix, version
+    0, 0, 0, 0, 0, 0, 0, 0, // trace id
+    0, 0, 0, 0, 0, 0, 0, 0, // span id
+    0, 0, 0, 0, 0, 0, 0, 0, // span count
+    0, // kind: Ping
+    70, 35, 147, 71, 116, 115, 184, 63, // checksum
+];
+
+/// An untraced `Part { values: [1.5, -0.0] }` as it goes on the wire.
+const GOLDEN_PART: &[u8] = &[
+    61, 0, 0, 0, // length: payload + checksum
+    b'H', b'N', b'W', b'2', // prefix, version
+    0, 0, 0, 0, 0, 0, 0, 0, // trace id
+    0, 0, 0, 0, 0, 0, 0, 0, // span id
+    0, 0, 0, 0, 0, 0, 0, 0, // span count
+    6, // kind: Part
+    2, 0, 0, 0, 0, 0, 0, 0, // value count
+    0, 0, 0, 0, 0, 0, 248, 63, // 1.5
+    0, 0, 0, 0, 0, 0, 0, 128, // -0.0
+    247, 14, 151, 147, 20, 195, 137, 239, // checksum
+];
+
+/// The one layout, pinned: a change to the frame format has to edit these
+/// literals.
+#[test]
+fn untraced_frames_match_the_recorded_bytes() {
+    let part = Frame::Part {
+        values: vec![1.5, -0.0],
+    };
+    for (frame, golden) in [(Frame::Ping, GOLDEN_PING), (part, GOLDEN_PART)] {
+        let mut stream = Vec::new();
+        write_frame(&mut stream, &frame, &TraceExt::default()).expect("vec write cannot fail");
+        assert_eq!(stream, golden, "{} bytes moved: {stream:?}", frame.kind());
+        let back = read_frame(&mut &golden[..]).expect("recorded bytes decode");
+        assert_eq!(back, (frame, TraceExt::default()));
+    }
 }

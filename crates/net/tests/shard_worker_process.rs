@@ -1,0 +1,138 @@
+//! The shipped `hdmm-shard-worker` binary, talked to across processes: two
+//! workers are spawned as child processes on ephemeral loopback ports, and a
+//! `WorkerPool` runs a keyed slab task, an apply, and a whole request
+//! through [`RpcKernels`] against them. Every result must equal the
+//! in-process kernels bit for bit — the same check the in-process
+//! `spawn_worker` tests make, with real process and socket boundaries.
+
+use hdmm_core::ShardedDataVector;
+use hdmm_linalg::{kmatvec_trailing_slab, kmatvec_transpose_trailing_slab, StructuredMatrix};
+use hdmm_mechanism::{run_mechanism, MechanismRequest, PreparedReconstruct, Strategy};
+use hdmm_net::{Operand, OperandKeys, RemoteOptions, RetryPolicy, RpcKernels};
+use hdmm_obs::Phase;
+use hdmm_workload::{blocks, builders};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::io::{BufRead, BufReader};
+use std::process::{Child, Command, Stdio};
+use std::time::Duration;
+
+/// A worker process, killed when dropped so a failing test leaves none.
+struct WorkerProcess {
+    child: Child,
+    addr: String,
+}
+
+impl WorkerProcess {
+    /// Starts the binary on an ephemeral port and reads the address it
+    /// announces on its first stdout line.
+    fn spawn() -> WorkerProcess {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_hdmm-shard-worker"))
+            .args(["--listen", "127.0.0.1:0"])
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("the shard-worker binary starts");
+        let stdout = child.stdout.take().expect("piped stdout");
+        let mut line = String::new();
+        BufReader::new(stdout)
+            .read_line(&mut line)
+            .expect("the worker announces its address");
+        let addr = line
+            .trim()
+            .strip_prefix("hdmm-shard-worker listening on ")
+            .unwrap_or_else(|| panic!("unexpected announcement {line:?}"))
+            .to_string();
+        WorkerProcess { child, addr }
+    }
+}
+
+impl Drop for WorkerProcess {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+fn bits_eq(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+fn data(n: usize) -> Vec<f64> {
+    (0..n).map(|i| ((i * 7) % 13) as f64 - 0.5).collect()
+}
+
+#[test]
+fn two_worker_processes_match_the_in_process_kernels_bitwise() {
+    let workers = [WorkerProcess::spawn(), WorkerProcess::spawn()];
+    let pool = RemoteOptions {
+        workers: workers.iter().map(|w| w.addr.clone()).collect(),
+        policy: RetryPolicy {
+            task_timeout: Duration::from_secs(10),
+            ..RetryPolicy::default()
+        },
+    }
+    .connect();
+    assert!(
+        pool.health().workers.iter().all(|w| w.alive),
+        "both processes answer the registration ping"
+    );
+
+    // A keyed slab task: the trailing factor over a 3-row slab of 5 cells.
+    let trailing = StructuredMatrix::prefix(5).scaled(0.2);
+    let refs = [&trailing];
+    let operand = Operand::new(&refs);
+    let slab = data(15);
+    let forward = pool
+        .run_slab_task("d", 0, operand, (0, 3), &slab, &(), Phase::Measure)
+        .expect("slab task");
+    assert!(bits_eq(&forward, &kmatvec_trailing_slab(&refs, &slab)));
+
+    // An apply, transposed, on a payload shipped with the task.
+    let payload = data(10);
+    let applied = pool
+        .apply(true, operand, &payload, 1, &(), Phase::Reconstruct)
+        .expect("apply task");
+    assert!(bits_eq(
+        &applied,
+        &kmatvec_transpose_trailing_slab(&refs, &payload)
+    ));
+
+    // A whole request over the RPC kernels vs the plain pipeline.
+    let workload = builders::prefix_2d(9, 5);
+    let strategy = Strategy::kron(vec![
+        blocks::prefix(9).scaled(1.0 / 9.0),
+        blocks::prefix(5).scaled(0.2),
+    ]);
+    let prepared = PreparedReconstruct::new(&strategy);
+    let keys = OperandKeys::new(&strategy, &prepared);
+    let x = data(45);
+    let sharded = ShardedDataVector::partition(workload.domain(), x.clone(), 3);
+    let remote = MechanismRequest {
+        workload: &workload,
+        strategy: &strategy,
+        prepared: &prepared,
+        eps: 1.0,
+    }
+    .run(
+        &mut StdRng::seed_from_u64(7),
+        &RpcKernels {
+            pool: &pool,
+            dataset: "x",
+            keys: &keys,
+            data: &sharded,
+            observer: &(),
+        },
+        &(),
+    )
+    .expect("healthy worker processes");
+    let plain = run_mechanism(&workload, &strategy, &x, 1.0, &mut StdRng::seed_from_u64(7));
+    assert!(bits_eq(&remote.x_hat, &plain.x_hat), "x_hat diverges");
+    assert!(bits_eq(&remote.answers, &plain.answers), "answers diverge");
+
+    let health = pool.health();
+    assert_eq!(health.retries, 0, "no attempt failed");
+    assert!(
+        health.workers.iter().all(|w| w.tasks > 0),
+        "both processes served tasks: {health:?}"
+    );
+}

@@ -23,7 +23,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// The propagated identity of one request: which trace spans belong to, and
 /// which span new children should parent under. This is what crosses the
-/// shard-worker RPC boundary (the v2 frame extension of `hdmm-net`).
+/// shard-worker RPC boundary (the trace extension of every `hdmm-net`
+/// frame).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceContext {
     /// Trace id shared by every span of the request.
@@ -45,11 +46,6 @@ impl TraceContext {
             trace_id: id,
             span_id: ROOT_SPAN_ID,
         }
-    }
-
-    /// The same trace, reparented under `span_id`.
-    pub fn with_parent(self, span_id: u64) -> TraceContext {
-        TraceContext { span_id, ..self }
     }
 }
 
@@ -130,13 +126,6 @@ mod tests {
         assert_ne!(a.trace_id, TraceContext::derive(8, 0).trace_id);
         assert_ne!(a.trace_id, 0, "0 is reserved for untraced");
         assert_eq!(a.span_id, ROOT_SPAN_ID);
-    }
-
-    #[test]
-    fn reparenting_keeps_the_trace() {
-        let ctx = TraceContext::derive(1, 2).with_parent(42);
-        assert_eq!(ctx.span_id, 42);
-        assert_eq!(ctx.trace_id, TraceContext::derive(1, 2).trace_id);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Constructors for every workload used in the paper's evaluation (§8.1).
 
 use crate::{blocks, Domain, GramTerm, ProductTerm, Workload, WorkloadGrams};
-use hdmm_linalg::Matrix;
 use rand::Rng;
 
 // ---------------------------------------------------------------------------
@@ -53,43 +52,6 @@ pub fn grams_all_range_1d(n: usize) -> WorkloadGrams {
     )
 }
 
-/// Gram-only Width-w Range 1D.
-pub fn grams_width_range_1d(n: usize, width: usize) -> WorkloadGrams {
-    WorkloadGrams::from_terms(
-        Domain::one_dim(n),
-        vec![GramTerm {
-            weight: 1.0,
-            factors: vec![blocks::gram_width_range(n, width)],
-        }],
-    )
-}
-
-/// Gram-only Permuted Range 1D: `(RΠ)ᵀ(RΠ) = Πᵀ(RᵀR)Π`, i.e. the all-range
-/// Gram with rows and columns permuted.
-pub fn grams_permuted_range_1d(n: usize, rng: &mut impl Rng) -> WorkloadGrams {
-    use rand::seq::SliceRandom;
-    let mut perm: Vec<usize> = (0..n).collect();
-    perm.shuffle(rng);
-    let g = blocks::gram_all_range(n);
-    let permuted = Matrix::from_fn(n, n, |i, j| {
-        // entry (perm[i], perm[j]) of the permuted Gram equals g[i,j]
-        g[(inverse(&perm, i), inverse(&perm, j))]
-    });
-    WorkloadGrams::from_terms(
-        Domain::one_dim(n),
-        vec![GramTerm {
-            weight: 1.0,
-            factors: vec![permuted],
-        }],
-    )
-}
-
-fn inverse(perm: &[usize], target: usize) -> usize {
-    perm.iter()
-        .position(|&p| p == target)
-        .expect("valid permutation")
-}
-
 // ---------------------------------------------------------------------------
 // 2D workloads (Table 3 "Taxi" rows, Table 4b)
 // ---------------------------------------------------------------------------
@@ -131,60 +93,6 @@ pub fn range_total_union_2d(n1: usize, n2: usize) -> Workload {
             ProductTerm::product(vec![blocks::total_block(n1), blocks::all_range_block(n2)]),
         ],
     )
-}
-
-/// Gram-only 2D product of structured factors, for large grids.
-pub fn grams_product_2d(g1: Matrix, g2: Matrix) -> WorkloadGrams {
-    let domain = Domain::new(&[g1.rows(), g2.rows()]);
-    WorkloadGrams::from_terms(
-        domain,
-        vec![GramTerm {
-            weight: 1.0,
-            factors: vec![g1, g2],
-        }],
-    )
-}
-
-// ---------------------------------------------------------------------------
-// 3D and general products
-// ---------------------------------------------------------------------------
-
-/// `Prefix 3D` = `P ⊗ P ⊗ P` (Figure 1b).
-pub fn prefix_3d(n: usize) -> Workload {
-    let d = Domain::new(&[n, n, n]);
-    Workload::product(
-        d,
-        vec![
-            blocks::prefix_block(n),
-            blocks::prefix_block(n),
-            blocks::prefix_block(n),
-        ],
-    )
-}
-
-/// `All 3-way Ranges`: for each triple of attributes, `R` on the triple and
-/// `T` elsewhere.
-pub fn all_3way_ranges(domain: &Domain) -> Workload {
-    let d = domain.dims();
-    assert!(d >= 3, "need at least 3 attributes");
-    let mut terms = Vec::new();
-    for a in 0..d {
-        for b in (a + 1)..d {
-            for c in (b + 1)..d {
-                let factors: Vec<_> = (0..d)
-                    .map(|i| {
-                        if i == a || i == b || i == c {
-                            blocks::all_range_block(domain.attr_size(i))
-                        } else {
-                            blocks::total_block(domain.attr_size(i))
-                        }
-                    })
-                    .collect();
-                terms.push(ProductTerm::product(factors));
-            }
-        }
-    }
-    Workload::new(domain.clone(), terms)
 }
 
 // ---------------------------------------------------------------------------
@@ -267,8 +175,6 @@ pub fn range_marginals(domain: &Domain, numeric: &[bool], max_way: Option<usize>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn prefix_1d_counts() {
@@ -291,25 +197,6 @@ mod tests {
         assert!(grams_prefix_1d(n)
             .explicit()
             .approx_eq(&p.explicit(), 1e-10));
-    }
-
-    #[test]
-    fn permuted_gram_has_same_trace_and_norm() {
-        let n = 10;
-        let mut rng = StdRng::seed_from_u64(3);
-        let g = grams_permuted_range_1d(n, &mut rng).explicit();
-        let base = blocks::gram_all_range(n);
-        assert!((g.trace() - base.trace()).abs() < 1e-12);
-        assert!((g.frobenius_norm() - base.frobenius_norm()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn permuted_gram_matches_permuted_workload() {
-        let n = 8;
-        // Same seed must produce the same permutation in both paths.
-        let w = permuted_range_1d(n, &mut StdRng::seed_from_u64(9));
-        let g = grams_permuted_range_1d(n, &mut StdRng::seed_from_u64(9));
-        assert!(g.explicit().approx_eq(&w.explicit().gram(), 1e-10));
     }
 
     #[test]
@@ -345,11 +232,5 @@ mod tests {
         let w = range_total_union_2d(4, 5);
         assert_eq!(w.terms().len(), 2);
         assert_eq!(w.query_count(), 10 + 15);
-    }
-
-    #[test]
-    fn all_3way_ranges_term_count() {
-        let d = Domain::new(&[2, 2, 2, 2]);
-        assert_eq!(all_3way_ranges(&d).terms().len(), 4); // C(4,3)
     }
 }

@@ -134,41 +134,6 @@ impl LogicalProduct {
     pub fn query_count(&self) -> usize {
         self.predicate_sets.iter().map(PredicateSet::len).product()
     }
-
-    /// Evaluates every query of this product on an explicit list of tuples
-    /// (the brute-force semantics of Definition 1, used to validate `ImpVec`).
-    pub fn answer_tuples(&self, tuples: &[Vec<usize>]) -> Vec<f64> {
-        let mut out = vec![0.0; self.query_count()];
-        for t in tuples {
-            // Which predicates of each set match this tuple?
-            let matches: Vec<Vec<usize>> = self
-                .predicate_sets
-                .iter()
-                .zip(t)
-                .map(|(set, &v)| {
-                    set.0
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, p)| p.eval(v))
-                        .map(|(i, _)| i)
-                        .collect()
-                })
-                .collect();
-            // Increment every matching combination (row-major query order).
-            let mut stack = vec![(0usize, 0usize)]; // (attr, flat index)
-            while let Some((attr, flat)) = stack.pop() {
-                if attr == matches.len() {
-                    out[flat] += self.weight;
-                    continue;
-                }
-                let stride = self.predicate_sets[attr].len();
-                for &m in &matches[attr] {
-                    stack.push((attr + 1, flat * stride + m));
-                }
-            }
-        }
-        out
-    }
 }
 
 /// A logical workload: a union of logical products (Definition 3).
@@ -269,6 +234,42 @@ mod tests {
         assert_eq!(joint, kron);
     }
 
+    /// Evaluates every query of `product` on an explicit list of tuples:
+    /// the brute-force semantics of Definition 1, the reference `ImpVec` is
+    /// checked against.
+    fn answer_tuples(product: &LogicalProduct, tuples: &[Vec<usize>]) -> Vec<f64> {
+        let mut out = vec![0.0; product.query_count()];
+        for t in tuples {
+            // Which predicates of each set match this tuple?
+            let matches: Vec<Vec<usize>> = product
+                .predicate_sets
+                .iter()
+                .zip(t)
+                .map(|(set, &v)| {
+                    set.0
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, p)| p.eval(v))
+                        .map(|(i, _)| i)
+                        .collect()
+                })
+                .collect();
+            // Increment every matching combination (row-major query order).
+            let mut stack = vec![(0usize, 0usize)]; // (attr, flat index)
+            while let Some((attr, flat)) = stack.pop() {
+                if attr == matches.len() {
+                    out[flat] += product.weight;
+                    continue;
+                }
+                let stride = product.predicate_sets[attr].len();
+                for &m in &matches[attr] {
+                    stack.push((attr + 1, flat * stride + m));
+                }
+            }
+        }
+        out
+    }
+
     #[test]
     fn impvec_matches_brute_force_answers() {
         let d = Domain::new(&[3, 4]);
@@ -284,7 +285,7 @@ mod tests {
             x[d.flatten(t)] += 1.0;
         }
 
-        assert_eq!(implicit.answer(&x), product.answer_tuples(&tuples));
+        assert_eq!(implicit.answer(&x), answer_tuples(&product, &tuples));
     }
 
     #[test]

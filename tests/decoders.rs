@@ -1,8 +1,9 @@
 //! Property tests for every decoder that reads bytes the process did not
 //! just write: the checksummed codec envelope (`codec::open`), WAL records
 //! and snapshots (`wal::decode_record`, `wal::decode_snapshot`), plan files
-//! (`PlanStore::load`; a 1-D plan is a p-Identity leaf) and the p-Identity /
-//! Woodbury leaves of plans and inverse-Gram factor lists (`Reader`).
+//! (`PlanStore::load`; a 1-D plan is a p-Identity leaf), the p-Identity /
+//! Woodbury leaves of plans and inverse-Gram factor lists (`Reader`), and
+//! shard-worker wire frames (`hdmm_net::decode_frame`).
 //! Arbitrary bytes, arbitrary payloads behind a valid checksum, truncations
 //! and single-bit flips of valid encodings must come back as a typed error
 //! (`None` for the plan store) — never a panic.
@@ -20,6 +21,7 @@ use hdmm::engine::wal::{
 use hdmm::engine::{AuditKind, PlanStore};
 use hdmm::linalg::{Matrix, StructuredMatrix};
 use hdmm::mechanism::Strategy;
+use hdmm::net::{decode_frame, PROTO_V2, WIRE_PREFIX};
 use hdmm::optimizer::PIdentity;
 use proptest::prelude::*;
 
@@ -282,5 +284,33 @@ proptest! {
             prop_assert!(store.load(&fp, &workload).is_none(), "{what} loaded as a plan");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Wire frames have one layout: arbitrary bytes fail, and an arbitrary
+    /// body sealed behind the frame prefix decodes or fails typed — under any
+    /// version byte but the layout's own (the retired `'1'` included) as
+    /// `BadMagic`, before the body is read.
+    #[test]
+    fn wire_frames_reject_other_versions_and_arbitrary_bytes(
+        raw in proptest::collection::vec(0u16..256, 96),
+        len in 0usize..97,
+        version in 0u16..256,
+    ) {
+        let bytes = bytes_of(&raw, len);
+        prop_assert!(decode_frame(&bytes).is_err(), "{len} arbitrary bytes decoded");
+
+        let version = version as u8;
+        let mut sealed = WIRE_PREFIX.to_vec();
+        sealed.push(version);
+        sealed.extend(bytes);
+        codec::seal(&mut sealed);
+        let decoded = decode_frame(&sealed);
+        if version != PROTO_V2 {
+            prop_assert_eq!(decoded.err(), Some(codec::CodecError::BadMagic));
+        }
     }
 }

@@ -18,12 +18,11 @@
 //! The third Kron row is SELECT's own shape: p-Identity leaves, whose
 //! Woodbury inverse Grams are sliced into row blocks like any square leaf.
 
-use hdmm::core::{builders, Domain, Workload};
+use hdmm::core::{builders, Domain, ShardedDataVector, Workload};
 use hdmm::linalg::Matrix;
 use hdmm::mechanism::{
     measure, reconstruct_with, run_mechanism, Kernels, MarginalsStrategy, MechanismError,
-    MechanismRequest, PipelineError, PlainKernels, PreparedReconstruct, ShardedView, Strategy,
-    UnionGroup,
+    MechanismRequest, PipelineError, PlainKernels, PreparedReconstruct, Strategy, UnionGroup,
 };
 use hdmm::optimizer::PIdentity;
 use hdmm::workload::blocks;
@@ -164,6 +163,13 @@ fn spawn_pool() -> (Vec<WorkerHandle>, WorkerPool) {
     (workers, pool)
 }
 
+/// `x` over a `LEADING × (cells / LEADING)` domain, cut into `slabs`
+/// leading-axis slabs.
+fn sharded(x: &[f64], slabs: usize) -> ShardedDataVector {
+    let domain = Domain::new(&[LEADING, x.len() / LEADING]);
+    ShardedDataVector::partition(&domain, x.to_vec(), slabs)
+}
+
 /// Runs `row` over every kernel kind of the table, all serving the data
 /// vector `x`; the RPC rows cache their slabs on the workers as
 /// `<dataset>/<slabs>` and name resident operands through `keys`.
@@ -176,14 +182,14 @@ fn for_each_kernel_kind(
 ) {
     row.check("plain", &PlainKernels::over(x));
     for slabs in SLABS {
-        let view = ShardedView::partitioned(LEADING, x, slabs);
+        let data = sharded(x, slabs);
         row.check(
             &format!("rpc/2workers/{slabs}"),
             &RpcKernels {
                 pool,
                 dataset: &format!("{dataset}/{slabs}"),
                 keys,
-                view: &view,
+                data: &data,
                 observer: &Recorder::default(),
             },
         );
@@ -254,13 +260,11 @@ fn every_kernel_kind_reproduces_the_plain_reference_and_reports_each_phase_once(
             &keys,
             &pool,
             &MatchesReference {
-                // A request for exactly the remaining budget passes.
                 request: MechanismRequest {
                     workload: &workload,
                     strategy: &strategy,
                     prepared: &prepared,
                     eps: 1.0,
-                    remaining: 1.0,
                 },
                 x_hat: &x_hat,
                 answers: &answers,
@@ -321,7 +325,6 @@ fn every_kernel_kind_refuses_invalid_requests_identically_before_any_noise() {
         strategy: &strategy,
         prepared: &prepared,
         eps: 1.0,
-        remaining: 1.0,
     };
 
     for eps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
@@ -340,23 +343,6 @@ fn every_kernel_kind_refuses_invalid_requests_identically_before_any_noise() {
             },
         );
     }
-
-    for_each_kernel_kind(
-        &x,
-        "valid",
-        &keys,
-        &pool,
-        &Refused {
-            what: "over budget",
-            request: MechanismRequest { eps: 2.0, ..valid },
-            expected: &|e| {
-                *e == MechanismError::BudgetExhausted {
-                    requested: 2.0,
-                    remaining: 1.0,
-                }
-            },
-        },
-    );
 
     // A dataset one trailing column short of the workload's domain.
     let short = data(cells - LEADING);
@@ -412,7 +398,7 @@ fn every_kernel_kind_refuses_invalid_requests_identically_before_any_noise() {
         prepared: &PreparedReconstruct::Union,
         ..valid
     };
-    let view = ShardedView::partitioned(LEADING, &x, 3);
+    let data = sharded(&x, 3);
     for (what, request, stale_keys) in [
         (
             "keys of another family",
@@ -436,7 +422,7 @@ fn every_kernel_kind_refuses_invalid_requests_identically_before_any_noise() {
                 pool: &pool,
                 dataset: "valid/3",
                 keys: &stale_keys,
-                view: &view,
+                data: &data,
                 observer: &Recorder::default(),
             },
         );

@@ -168,7 +168,6 @@ fn cached_marginals_algebra_measures_bitwise_like_a_fresh_one() {
         strategy: &strategy,
         prepared: &prepared,
         eps: 1.0,
-        remaining: 1.0,
     }
     .run(&mut StdRng::seed_from_u64(5), &PlainKernels::over(&x), &())
     .unwrap();

@@ -2,9 +2,11 @@
 //! fan-out, and single-flight deduplication of simultaneous cache misses.
 //!
 //! `concurrent_cache_hits/T` serves a fixed batch of warm requests split
-//! across `T` threads. The work is constant, so wall clock must never *rise*
-//! with `T` (that would be lock contention — hits take one shard read lock
-//! and touch only atomics) and drops toward `1/cores` on multicore hosts.
+//! across `T` threads, all on one fingerprint of one dataset. The work is
+//! constant; what the threads serialize on is that dataset's RNG and ledger
+//! mutexes (plus the engine-wide audit ring and session store), since a
+//! cache hit is a read lock and an atomic stamp. Wall clock drops toward
+//! `1/cores` only as far as those short critical sections allow.
 //! `dedup_under_miss` releases 8 threads onto one cold fingerprint at once;
 //! single-flight means the wall clock is ~one SELECT, not eight.
 
@@ -99,7 +101,7 @@ fn bench_dedup_under_miss(c: &mut Criterion) {
 fn bench_singleflight_hit_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("warm_hit_with_telemetry");
     group.sample_size(20);
-    // The full serve path (sharded cache + telemetry): directly comparable
+    // The full serve path (cache hit + telemetry): directly comparable
     // to `engine_end_to_end`'s engine_warm_cache_hit.
     let n = 64;
     let workload = builders::all_range_1d(n);

@@ -1,4 +1,5 @@
-//! The strategy cache: fingerprint-keyed memoization of SELECT.
+//! The strategy cache: fingerprint-keyed memoization of SELECT, and the one
+//! place that keeps "at most one SELECT per fingerprint".
 //!
 //! Strategy optimization is the dominant per-request cost (Figure 6 of the
 //! paper: seconds to minutes at scale) while MEASURE/RECONSTRUCT are
@@ -10,23 +11,28 @@
 //!
 //! ## Concurrency
 //!
-//! The map is sharded across [`RwLock`]s and a hit takes only a *read* lock
-//! on one shard: recency is an atomic stamp per entry and the hit/miss
-//! counters are atomics, so concurrent cache-hit traffic never contends — not
-//! with other hits, and not with a miss inserting into a different shard.
-//! Only `insert` (which follows a multi-second SELECT, so it is rare by
-//! construction) takes a write lock. Eviction is LRU on the global stamp
-//! order: capacity is enforced across all shards, not per shard.
+//! One `RwLock<HashMap>` maps each fingerprint to a [`Slot`]: a landed plan
+//! (`Ready`) or a SELECT in flight (`Selecting`). A hit takes the read lock
+//! and stamps recency with an atomic. A miss takes the write lock once and
+//! either joins the in-flight slot — blocking on its condvar, then sharing
+//! the leader's `Arc<Plan>` — or installs one and leads. The leader runs the
+//! plan-store load or SELECT outside every lock, then swaps its slot to
+//! `Ready` and evicts the least recently used `Ready` entry when over
+//! capacity; an in-flight slot is never a victim and never counts towards
+//! [`CacheStats::len`].
+//!
+//! Panic safety: a leader that unwinds removes its slot and marks the flight
+//! abandoned, so its waiters wake and re-elect a leader; one poisoned
+//! request never wedges the fingerprint (the panic itself propagates only on
+//! the leader's thread).
 
-use crate::sync::{read_recover, write_recover};
+use crate::sync::{lock_recover, read_recover, recover, write_recover};
 use hdmm_core::{Plan, WorkloadFingerprint};
 use hdmm_mechanism::PreparedReconstruct;
 use hdmm_net::OperandKeys;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 
 /// Counters describing cache effectiveness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -43,40 +49,107 @@ pub struct CacheStats {
     pub capacity: usize,
 }
 
+/// How [`StrategyCache::get_or_select`] obtained its plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Lookup {
+    /// The plan was cached.
+    Hit,
+    /// This call ran the load or SELECT (or found the plan landed between
+    /// its read-locked miss and taking the write lock).
+    Led,
+    /// This call waited on a concurrent leader's SELECT and shares its plan.
+    Joined,
+}
+
 #[derive(Debug)]
 struct CacheEntry {
     plan: Arc<Plan>,
-    /// Logical-clock stamp of the last touch; the globally smallest stamp is
-    /// the LRU entry.
+    /// Logical-clock stamp of the last touch; the smallest stamp is the LRU
+    /// entry.
     last_used: AtomicU64,
     /// The strategy's reconstruction factorization (`(AᵀA)⁺` and friends),
     /// built lazily on the first serve of this plan and reused by every
     /// later request — the warm-path cost that motivated
-    /// [`PreparedReconstruct`]. Reset whenever the plan is replaced.
+    /// [`PreparedReconstruct`].
     prepared: OnceLock<Arc<PreparedReconstruct>>,
     /// The content keys the remote fan-out names this plan's factor lists
     /// by: like `prepared`, a pure function of the strategy that costs a
-    /// pass over every factor to derive, built on the first remote serve
-    /// and reset with the plan.
+    /// pass over every factor to derive, built on the first remote serve.
     operand_keys: OnceLock<Arc<OperandKeys>>,
+}
+
+enum FlightState {
+    Pending,
+    Done(Arc<Plan>),
+    /// The leader unwound; waiters must re-elect.
+    Abandoned,
+}
+
+/// One in-flight SELECT: its waiters block on `landed` until the leader
+/// moves `state` out of `Pending`.
+struct Flight {
+    state: Mutex<FlightState>,
+    landed: Condvar,
+    /// Leader-published progress, packed `total << 32 | done`. Zero means the
+    /// leader has not reported anything yet.
+    progress: AtomicU64,
+}
+
+impl Flight {
+    fn finish(&self, state: FlightState) {
+        *lock_recover(&self.state) = state;
+        self.landed.notify_all();
+    }
+
+    /// The leader's plan, or `None` when it unwound.
+    fn wait(&self) -> Option<Arc<Plan>> {
+        let mut state = lock_recover(&self.state);
+        loop {
+            match &*state {
+                FlightState::Pending => state = recover(self.landed.wait(state)),
+                FlightState::Done(plan) => return Some(Arc::clone(plan)),
+                FlightState::Abandoned => return None,
+            }
+        }
+    }
+}
+
+/// Handle the leader uses to publish partial progress on its flight, so
+/// [`StrategyCache::progress`] can show how far a SELECT has come instead of
+/// a silent block.
+pub(crate) struct FlightProgress<'a>(&'a Flight);
+
+impl FlightProgress<'_> {
+    /// Declares the number of units the computation will complete in total.
+    pub(crate) fn set_total(&self, total: u64) {
+        let done = self.0.progress.load(Ordering::Relaxed) & 0xffff_ffff;
+        self.0
+            .progress
+            .store((total.min(u32::MAX as u64) << 32) | done, Ordering::Relaxed);
+    }
+
+    /// Records one completed unit.
+    pub(crate) fn tick(&self) {
+        self.0.progress.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+enum Slot {
+    Ready(CacheEntry),
+    Selecting(Arc<Flight>),
 }
 
 /// Plans the engine's cache holds.
 pub(crate) const PLAN_CAPACITY: usize = 64;
 
-/// Number of shards; hits on different fingerprints rarely collide, and even
-/// same-shard hits share a read lock.
-const SHARDS: usize = 8;
-
-/// A sharded LRU map from workload fingerprint to optimized plan.
+/// An LRU map from workload fingerprint to optimized plan, with at most one
+/// SELECT in flight per fingerprint.
 ///
 /// All methods take `&self`: the cache is safely shared by reference across
 /// serving threads.
-#[derive(Debug)]
-pub struct StrategyCache {
-    shards: [RwLock<HashMap<WorkloadFingerprint, CacheEntry>>; SHARDS],
+pub(crate) struct StrategyCache {
+    slots: RwLock<HashMap<WorkloadFingerprint, Slot>>,
     capacity: usize,
-    len: AtomicUsize,
     clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -91,9 +164,8 @@ impl StrategyCache {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         StrategyCache {
-            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
+            slots: RwLock::new(HashMap::new()),
             capacity,
-            len: AtomicUsize::new(0),
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -101,42 +173,108 @@ impl StrategyCache {
         }
     }
 
-    fn shard(
-        &self,
-        key: &WorkloadFingerprint,
-    ) -> &RwLock<HashMap<WorkloadFingerprint, CacheEntry>> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % SHARDS]
-    }
-
     fn stamp(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Looks up a plan, updating recency and hit/miss counters. Read-lock
-    /// only: cache hits never block each other.
-    pub fn get(&self, key: &WorkloadFingerprint) -> Option<Arc<Plan>> {
-        let shard = read_recover(self.shard(key));
-        match shard.get(key) {
-            Some(entry) => {
-                entry.last_used.store(self.stamp(), Ordering::Relaxed);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&entry.plan))
+    /// The plan for `key`: cached, shared from a concurrent caller's
+    /// in-flight SELECT, or computed by `select` — which runs outside every
+    /// lock, at most once per call, and only while this call is the
+    /// fingerprint's one leader. The hit path is a read lock.
+    pub fn get_or_select(
+        &self,
+        key: &WorkloadFingerprint,
+        mut select: impl FnMut(&FlightProgress<'_>) -> Arc<Plan>,
+    ) -> (Arc<Plan>, Lookup) {
+        if let Some(Slot::Ready(entry)) = read_recover(&self.slots).get(key) {
+            entry.last_used.store(self.stamp(), Ordering::Relaxed);
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return (Arc::clone(&entry.plan), Lookup::Hit);
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        loop {
+            let (flight, leads) = {
+                let mut slots = write_recover(&self.slots);
+                match slots.get(key) {
+                    Some(Slot::Ready(entry)) => return (Arc::clone(&entry.plan), Lookup::Led),
+                    Some(Slot::Selecting(flight)) => (Arc::clone(flight), false),
+                    None => {
+                        let flight = Arc::new(Flight {
+                            state: Mutex::new(FlightState::Pending),
+                            landed: Condvar::new(),
+                            progress: AtomicU64::new(0),
+                        });
+                        slots.insert(key.clone(), Slot::Selecting(Arc::clone(&flight)));
+                        (flight, true)
+                    }
+                }
+            };
+            if leads {
+                return (self.lead(key, &flight, &mut select), Lookup::Led);
             }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
+            if let Some(plan) = flight.wait() {
+                return (plan, Lookup::Joined);
             }
         }
     }
 
-    /// Looks up a plan without touching recency or counters — for re-checks
-    /// on paths that already recorded their miss (single-flight leaders).
-    pub fn peek(&self, key: &WorkloadFingerprint) -> Option<Arc<Plan>> {
-        read_recover(self.shard(key))
-            .get(key)
-            .map(|e| Arc::clone(&e.plan))
+    /// Runs `select` for the flight this call installed, then lands the plan
+    /// in the flight's slot and wakes its waiters.
+    fn lead(
+        &self,
+        key: &WorkloadFingerprint,
+        flight: &Flight,
+        select: &mut impl FnMut(&FlightProgress<'_>) -> Arc<Plan>,
+    ) -> Arc<Plan> {
+        let abandon = AbandonOnUnwind {
+            cache: self,
+            key,
+            flight,
+        };
+        let plan = select(&FlightProgress(flight));
+        std::mem::forget(abandon);
+        {
+            let mut slots = write_recover(&self.slots);
+            let entry = CacheEntry {
+                plan: Arc::clone(&plan),
+                last_used: AtomicU64::new(self.stamp()),
+                prepared: OnceLock::new(),
+                operand_keys: OnceLock::new(),
+            };
+            slots.insert(key.clone(), Slot::Ready(entry));
+            self.evict_over_capacity(&mut slots);
+        }
+        flight.finish(FlightState::Done(Arc::clone(&plan)));
+        plan
+    }
+
+    /// Drops the least recently used `Ready` entry when more than `capacity`
+    /// have landed (each landing adds one, so one victim is enough);
+    /// in-flight slots are never victims.
+    fn evict_over_capacity(&self, slots: &mut HashMap<WorkloadFingerprint, Slot>) {
+        if ready(slots).count() <= self.capacity {
+            return;
+        }
+        let oldest = ready(slots)
+            .min_by_key(|(_, entry)| entry.last_used.load(Ordering::Relaxed))
+            .map(|(key, _)| key.clone());
+        if let Some(key) = oldest {
+            slots.remove(&key);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// `(done, total)` as last published by the leader of an in-flight
+    /// SELECT for `key`: `None` when nothing is in flight (including once the
+    /// plan landed), `Some((0, 0))` when the leader has not reported yet.
+    pub fn progress(&self, key: &WorkloadFingerprint) -> Option<(u64, u64)> {
+        match read_recover(&self.slots).get(key)? {
+            Slot::Selecting(flight) => {
+                let packed = flight.progress.load(Ordering::Relaxed);
+                Some((packed & 0xffff_ffff, packed >> 32))
+            }
+            Slot::Ready(_) => None,
+        }
     }
 
     /// The reconstruction factorization for `plan`, memoized alongside the
@@ -147,9 +285,8 @@ impl StrategyCache {
     /// strategy, so reusing it is bitwise identical to rebuilding it.
     ///
     /// Falls back to an unmemoized build when the entry is gone (evicted
-    /// between the caller's `get` and this call) or holds a different plan
-    /// (replaced by a racing insert) — correctness never depends on the
-    /// cache's retention.
+    /// since the caller's lookup) or holds a different plan (evicted and
+    /// selected again) — correctness never depends on the cache's retention.
     pub fn prepared(
         &self,
         key: &WorkloadFingerprint,
@@ -190,73 +327,12 @@ impl StrategyCache {
         slot: impl Fn(&CacheEntry) -> &OnceLock<Arc<T>>,
         build: impl Fn() -> T,
     ) -> Arc<T> {
-        let shard = read_recover(self.shard(key));
-        if let Some(entry) = shard.get(key) {
+        if let Some(Slot::Ready(entry)) = read_recover(&self.slots).get(key) {
             if Arc::ptr_eq(&entry.plan, plan) {
                 return Arc::clone(slot(entry).get_or_init(|| Arc::new(build())));
             }
         }
-        drop(shard);
         Arc::new(build())
-    }
-
-    /// Inserts a plan, evicting least-recently-used entries when over
-    /// capacity (LRU across all shards).
-    pub fn insert(&self, key: WorkloadFingerprint, plan: Arc<Plan>) {
-        let stamp = self.stamp();
-        let grew = {
-            let mut shard = write_recover(self.shard(&key));
-            match shard.entry(key) {
-                Entry::Occupied(mut e) => {
-                    // Concurrent planners may race on the same miss; keep one
-                    // entry, refreshed. The memoized factorization and keys
-                    // belong to the old plan: drop them so the next serve
-                    // rebuilds them from the plan actually stored.
-                    let entry = e.get_mut();
-                    entry.plan = plan;
-                    entry.last_used.store(stamp, Ordering::Relaxed);
-                    entry.prepared = OnceLock::new();
-                    entry.operand_keys = OnceLock::new();
-                    false
-                }
-                Entry::Vacant(v) => {
-                    v.insert(CacheEntry {
-                        plan,
-                        last_used: AtomicU64::new(stamp),
-                        prepared: OnceLock::new(),
-                        operand_keys: OnceLock::new(),
-                    });
-                    true
-                }
-            }
-        };
-        if grew && self.len.fetch_add(1, Ordering::SeqCst) + 1 > self.capacity {
-            self.evict_lru();
-        }
-    }
-
-    /// Removes globally-oldest entries until within capacity. Insert-path
-    /// only, so the O(len) scan runs in the shadow of a full SELECT.
-    fn evict_lru(&self) {
-        while self.len.load(Ordering::SeqCst) > self.capacity {
-            let mut oldest: Option<(usize, WorkloadFingerprint, u64)> = None;
-            for (i, shard) in self.shards.iter().enumerate() {
-                for (k, e) in read_recover(shard).iter() {
-                    let ts = e.last_used.load(Ordering::Relaxed);
-                    if oldest.as_ref().is_none_or(|(_, _, best)| ts < *best) {
-                        oldest = Some((i, k.clone(), ts));
-                    }
-                }
-            }
-            let Some((i, key, _)) = oldest else {
-                break; // racing evictors emptied the cache under us
-            };
-            if write_recover(&self.shards[i]).remove(&key).is_some() {
-                self.len.fetch_sub(1, Ordering::SeqCst);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-            // If another thread removed it first, loop and rescan.
-        }
     }
 
     /// Current effectiveness counters.
@@ -265,9 +341,34 @@ impl StrategyCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            len: self.len.load(Ordering::SeqCst),
+            len: ready(&read_recover(&self.slots)).count(),
             capacity: self.capacity,
         }
+    }
+}
+
+/// The landed entries of `slots`.
+fn ready(
+    slots: &HashMap<WorkloadFingerprint, Slot>,
+) -> impl Iterator<Item = (&WorkloadFingerprint, &CacheEntry)> {
+    slots.iter().filter_map(|(key, slot)| match slot {
+        Slot::Ready(entry) => Some((key, entry)),
+        Slot::Selecting(_) => None,
+    })
+}
+
+/// Armed while a leader's `select` runs: if it unwinds, the flight's slot is
+/// removed and its waiters woken to re-elect. The success path forgets it.
+struct AbandonOnUnwind<'a> {
+    cache: &'a StrategyCache,
+    key: &'a WorkloadFingerprint,
+    flight: &'a Flight,
+}
+
+impl Drop for AbandonOnUnwind<'_> {
+    fn drop(&mut self) {
+        write_recover(&self.cache.slots).remove(self.key);
+        self.flight.finish(FlightState::Abandoned);
     }
 }
 
@@ -275,21 +376,64 @@ impl StrategyCache {
 mod tests {
     use super::*;
     use hdmm_core::{builders, Hdmm, Workload};
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
 
     fn plan_of(w: &Workload) -> Arc<Plan> {
         Arc::new(Hdmm::with_restarts(1).plan(w))
     }
 
+    /// Blocks until `n` callers besides its leader hold `key`'s in-flight
+    /// slot (each holds a clone of the flight; the map and leader hold two),
+    /// or the slot is no longer in flight.
+    fn await_waiters(cache: &StrategyCache, key: &WorkloadFingerprint, n: usize) {
+        let waiting = || {
+            matches!(read_recover(&cache.slots).get(key),
+                Some(Slot::Selecting(flight)) if Arc::strong_count(flight) < n + 2)
+        };
+        while waiting() {
+            std::thread::yield_now();
+        }
+    }
+
+    /// `w`'s plan through the cache, selected with `plan_of` on a miss.
+    fn select(cache: &StrategyCache, w: &Workload) -> (Arc<Plan>, Lookup) {
+        cache.get_or_select(&w.fingerprint(), |_| plan_of(w))
+    }
+
+    /// Runs `body` while a SELECT for `w` is held in flight on another
+    /// thread; the flight lands once `body` returns (or fails).
+    fn while_selecting<R>(cache: &StrategyCache, w: &Workload, body: impl FnOnce() -> R) -> R {
+        let (started, release) = (Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                cache.get_or_select(&w.fingerprint(), |_| {
+                    started.wait();
+                    release.wait();
+                    plan_of(w)
+                })
+            });
+            started.wait();
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
+            release.wait();
+            out.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        })
+    }
+
     #[test]
-    fn hit_after_insert() {
+    fn a_miss_leads_and_the_next_lookup_hits() {
         let cache = StrategyCache::new(4);
         let w = builders::prefix_1d(8);
-        let fp = w.fingerprint();
-        assert!(cache.get(&fp).is_none());
-        cache.insert(fp.clone(), plan_of(&w));
-        assert!(cache.get(&fp).is_some());
+        let (plan, lookup) = select(&cache, &w);
+        assert_eq!(lookup, Lookup::Led);
+        let (again, lookup) = cache.get_or_select(&w.fingerprint(), |_| {
+            panic!("a cached fingerprint never selects again")
+        });
+        assert_eq!(lookup, Lookup::Hit);
+        assert!(Arc::ptr_eq(&plan, &again));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.len), (1, 1, 1));
+        assert_eq!(cache.progress(&w.fingerprint()), None, "no slot in flight");
     }
 
     #[test]
@@ -298,50 +442,43 @@ mod tests {
         let w1 = builders::prefix_1d(4);
         let w2 = builders::prefix_1d(5);
         let w3 = builders::prefix_1d(6);
-        cache.insert(w1.fingerprint(), plan_of(&w1));
-        cache.insert(w2.fingerprint(), plan_of(&w2));
+        select(&cache, &w1);
+        select(&cache, &w2);
         // Touch w1 so w2 becomes the LRU entry.
-        assert!(cache.get(&w1.fingerprint()).is_some());
-        cache.insert(w3.fingerprint(), plan_of(&w3));
-        assert!(cache.get(&w2.fingerprint()).is_none(), "w2 was evicted");
-        assert!(cache.get(&w1.fingerprint()).is_some());
-        assert!(cache.get(&w3.fingerprint()).is_some());
+        assert_eq!(select(&cache, &w1).1, Lookup::Hit);
+        select(&cache, &w3);
         assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(select(&cache, &w1).1, Lookup::Hit);
+        assert_eq!(select(&cache, &w3).1, Lookup::Hit);
+        assert_eq!(select(&cache, &w2).1, Lookup::Led, "w2 was evicted");
     }
 
+    /// What replaced `peek`: the lookups that are not requests — progress
+    /// polls and the per-plan memos — count nothing and refresh no entry.
     #[test]
-    fn reinsert_does_not_duplicate() {
-        let cache = StrategyCache::new(2);
-        let w = builders::prefix_1d(4);
-        cache.insert(w.fingerprint(), plan_of(&w));
-        cache.insert(w.fingerprint(), plan_of(&w));
-        assert_eq!(cache.stats().len, 1);
-        assert_eq!(cache.stats().evictions, 0);
-    }
-
-    #[test]
-    fn peek_affects_neither_counters_nor_recency() {
+    fn memo_and_progress_lookups_affect_neither_counters_nor_recency() {
         let cache = StrategyCache::new(2);
         let w1 = builders::prefix_1d(4);
         let w2 = builders::prefix_1d(5);
         let w3 = builders::prefix_1d(6);
-        cache.insert(w1.fingerprint(), plan_of(&w1));
-        cache.insert(w2.fingerprint(), plan_of(&w2));
-        // Peeking w1 must NOT refresh it: w1 stays the LRU entry.
-        assert!(cache.peek(&w1.fingerprint()).is_some());
-        cache.insert(w3.fingerprint(), plan_of(&w3));
-        assert!(cache.peek(&w1.fingerprint()).is_none(), "w1 was evicted");
+        let (p1, _) = select(&cache, &w1);
+        select(&cache, &w2);
+        // Reading w1 this way must NOT refresh it: w1 stays the LRU entry.
+        assert_eq!(cache.progress(&w1.fingerprint()), None);
+        cache.prepared(&w1.fingerprint(), &p1);
+        select(&cache, &w3);
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (0, 0), "peek counts nothing");
+        assert_eq!((stats.hits, stats.misses), (0, 3), "only requests count");
+        assert_eq!(select(&cache, &w2).1, Lookup::Hit);
+        assert_eq!(select(&cache, &w1).1, Lookup::Led, "w1 was evicted");
     }
 
     #[test]
-    fn prepared_is_memoized_per_entry_and_reset_on_reinsert() {
-        let cache = StrategyCache::new(2);
+    fn prepared_is_memoized_per_entry_and_reset_on_reselect() {
+        let cache = StrategyCache::new(1);
         let w = builders::prefix_1d(8);
         let fp = w.fingerprint();
-        cache.insert(fp.clone(), plan_of(&w));
-        let plan = cache.get(&fp).unwrap();
+        let (plan, _) = select(&cache, &w);
         let p1 = cache.prepared(&fp, &plan);
         let p2 = cache.prepared(&fp, &plan);
         assert!(Arc::ptr_eq(&p1, &p2), "second lookup reuses the build");
@@ -350,11 +487,15 @@ mod tests {
             Arc::ptr_eq(&k1, &cache.operand_keys(&fp, &plan, &p1)),
             "operand keys share the memo rules"
         );
-        // Replacing the plan invalidates the memoized factorization.
-        cache.insert(fp.clone(), plan_of(&w));
-        let plan2 = cache.get(&fp).unwrap();
+        // Evicted and selected again: a new entry, with a fresh memo.
+        select(&cache, &builders::prefix_1d(4));
+        let (plan2, lookup) = select(&cache, &w);
+        assert_eq!(lookup, Lookup::Led);
         let p3 = cache.prepared(&fp, &plan2);
-        assert!(!Arc::ptr_eq(&p1, &p3), "reinsert resets the memo");
+        assert!(
+            !Arc::ptr_eq(&p1, &p3),
+            "a re-selected plan is memoized anew"
+        );
         assert!(!Arc::ptr_eq(&k1, &cache.operand_keys(&fp, &plan2, &p3)));
         // A stale plan (no longer the cached one) still gets a working
         // factorization, just unmemoized.
@@ -363,27 +504,178 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_hits_and_inserts_keep_counters_consistent() {
-        let cache = Arc::new(StrategyCache::new(16));
+    fn concurrent_hits_keep_counters_consistent() {
+        let cache = StrategyCache::new(16);
         let workloads: Vec<Workload> = (4..12).map(builders::prefix_1d).collect();
         for w in &workloads {
-            cache.insert(w.fingerprint(), plan_of(w));
+            select(&cache, w);
         }
         std::thread::scope(|s| {
             for t in 0..4 {
-                let cache = Arc::clone(&cache);
-                let workloads = &workloads;
+                let (cache, workloads) = (&cache, &workloads);
                 s.spawn(move || {
                     for i in 0..100 {
                         let w = &workloads[(t + i) % workloads.len()];
-                        assert!(cache.get(&w.fingerprint()).is_some());
+                        assert_eq!(select(cache, w).1, Lookup::Hit);
                     }
                 });
             }
         });
         let stats = cache.stats();
-        assert_eq!(stats.hits, 400);
+        assert_eq!((stats.hits, stats.misses), (400, 8));
         assert_eq!(stats.len, 8);
         assert_eq!(stats.evictions, 0);
+    }
+
+    #[test]
+    fn concurrent_misses_select_once_and_share_one_plan() {
+        const K: usize = 8;
+        let cache = StrategyCache::new(4);
+        let w = builders::prefix_1d(8);
+        let fp = w.fingerprint();
+        let computed = AtomicUsize::new(0);
+        let barrier = Barrier::new(K);
+        let results: Vec<(Arc<Plan>, Lookup)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..K)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        cache.get_or_select(&fp, |_| {
+                            computed.fetch_add(1, Ordering::SeqCst);
+                            // Hold the flight open until every other caller
+                            // has joined it.
+                            await_waiters(&cache, &fp, K - 1);
+                            plan_of(&w)
+                        })
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(computed.load(Ordering::SeqCst), 1, "exactly one SELECT");
+        let led = results.iter().filter(|(_, l)| *l == Lookup::Led).count();
+        let joined = results.iter().filter(|(_, l)| *l == Lookup::Joined).count();
+        assert_eq!((led, joined), (1, K - 1));
+        assert!(results.iter().all(|(p, _)| Arc::ptr_eq(p, &results[0].0)));
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.len), (K as u64, 1));
+        assert_eq!(cache.progress(&fp), None);
+    }
+
+    #[test]
+    fn distinct_fingerprints_select_concurrently() {
+        // Each leader waits inside its SELECT until all four are in flight:
+        // a flight that blocked another fingerprint's would deadlock here.
+        let cache = StrategyCache::new(8);
+        let workloads: Vec<Workload> = (4..8).map(builders::prefix_1d).collect();
+        let all_in_flight = Barrier::new(workloads.len());
+        std::thread::scope(|s| {
+            for w in &workloads {
+                let (cache, all_in_flight) = (&cache, &all_in_flight);
+                s.spawn(move || {
+                    let (_, lookup) = cache.get_or_select(&w.fingerprint(), |_| {
+                        all_in_flight.wait();
+                        plan_of(w)
+                    });
+                    assert_eq!(lookup, Lookup::Led);
+                });
+            }
+        });
+        assert_eq!(cache.stats().len, workloads.len());
+    }
+
+    #[test]
+    fn leader_progress_is_visible_until_the_plan_lands() {
+        let cache = StrategyCache::new(2);
+        let w = builders::prefix_1d(8);
+        let fp = w.fingerprint();
+        assert_eq!(cache.progress(&fp), None, "no flight, no progress");
+        let (ready, release) = (Barrier::new(2), Barrier::new(2));
+        let in_flight = std::thread::scope(|s| {
+            s.spawn(|| {
+                cache.get_or_select(&fp, |p| {
+                    p.set_total(4);
+                    p.tick();
+                    p.tick();
+                    ready.wait();
+                    release.wait();
+                    plan_of(&w)
+                })
+            });
+            ready.wait();
+            let progress = cache.progress(&fp);
+            release.wait();
+            progress
+        });
+        assert_eq!(in_flight, Some((2, 4)));
+        assert_eq!(cache.progress(&fp), None, "the slot is Ready once landed");
+    }
+
+    #[test]
+    fn leader_panic_releases_waiters_to_re_elect() {
+        let cache = StrategyCache::new(2);
+        let w = builders::prefix_1d(8);
+        let fp = w.fingerprint();
+        let attempts = AtomicUsize::new(0);
+        let barrier = Barrier::new(2);
+        let (plan, lookup) = std::thread::scope(|s| {
+            let panicker = s.spawn(|| {
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    cache.get_or_select(&fp, |_| {
+                        attempts.fetch_add(1, Ordering::SeqCst);
+                        barrier.wait(); // this call leads; the waiter may start
+                        await_waiters(&cache, &fp, 1);
+                        panic!("leader dies");
+                    })
+                }));
+                assert!(result.is_err(), "leader must observe its own panic");
+            });
+            let waiter = s.spawn(|| {
+                barrier.wait();
+                cache.get_or_select(&fp, |_| {
+                    attempts.fetch_add(1, Ordering::SeqCst);
+                    plan_of(&w)
+                })
+            });
+            panicker.join().unwrap();
+            waiter.join().unwrap()
+        });
+        // The waiter re-elected itself and computed successfully.
+        assert_eq!(lookup, Lookup::Led);
+        assert_eq!(attempts.load(Ordering::SeqCst), 2);
+        assert_eq!(cache.progress(&fp), None, "no abandoned slot left behind");
+        let (cached, lookup) = select(&cache, &w);
+        assert_eq!(lookup, Lookup::Hit, "the re-elected leader's plan landed");
+        assert!(Arc::ptr_eq(&cached, &plan));
+    }
+
+    #[test]
+    fn selecting_slots_are_never_eviction_victims() {
+        let cache = StrategyCache::new(1);
+        let slow = builders::prefix_1d(4);
+        let w2 = builders::prefix_1d(5);
+        let w3 = builders::prefix_1d(6);
+        while_selecting(&cache, &slow, || {
+            select(&cache, &w2);
+            select(&cache, &w3);
+            // Capacity 1: w2 made way for w3, the in-flight slot stayed.
+            assert_eq!(cache.stats().evictions, 1);
+            assert_eq!(cache.progress(&slow.fingerprint()), Some((0, 0)));
+        });
+        // Landing the slow plan evicts w3, the least recently used Ready.
+        let stats = cache.stats();
+        assert_eq!((stats.len, stats.evictions), (1, 2));
+        assert_eq!(select(&cache, &slow).1, Lookup::Hit);
+    }
+
+    #[test]
+    fn selecting_slots_do_not_count_in_len() {
+        let cache = StrategyCache::new(4);
+        let slow = builders::prefix_1d(4);
+        let w = builders::prefix_1d(5);
+        select(&cache, &w);
+        let len_in_flight = while_selecting(&cache, &slow, || cache.stats().len);
+        assert_eq!(len_in_flight, 1, "only the landed plan counts");
+        assert_eq!(cache.stats().len, 2);
     }
 }

@@ -10,32 +10,35 @@
 //!
 //! ## Concurrency architecture
 //!
-//! Engine state is sharded so the hot path never funnels through a global
-//! mutex:
+//! One `serve` takes these locks, in order, each for one short critical
+//! section and never two at once:
 //!
-//! * the **dataset registry** is an `RwLock<HashMap>` of immutable-after-
-//!   registration entries — serving takes a brief read lock to clone a
-//!   handle, and only registration writes;
-//! * per-dataset **mutable state** (ε ledger, RNG stream) sits behind its own
-//!   short-critical-section mutexes, so datasets never contend with each
-//!   other and MEASURE/RECONSTRUCT run without holding any lock at all;
-//! * the **strategy cache** is internally sharded with read-lock hits
-//!   ([`StrategyCache`]);
-//! * concurrent cache misses on one fingerprint deduplicate through a
-//!   [`SingleFlight`] map — one SELECT runs, everyone shares the `Arc<Plan>`;
-//! * **sessions** are sharded by id with a global FIFO eviction queue.
+//! 1. the **registry** read lock, to clone the dataset's handle;
+//! 2. the **strategy cache** read lock, for the plan and again for its
+//!    memoized factorization. A miss takes the write lock once to join or
+//!    lead the fingerprint's one SELECT, which runs outside every lock;
+//! 3. the **dataset RNG** mutex, to draw the request's seed;
+//! 4. the **dataset ledger** mutex, then the **tenant ledger** mutex when a
+//!    tenant owns the dataset — on Reserve, and the dataset ledger again on
+//!    Commit;
+//! 5. the **audit ring** mutex, once per ε transition (Reserve, Commit);
+//! 6. the **WAL append**, per transition, when a durable ledger is set;
+//! 7. the **session store** write lock, to insert the request's session.
+//!
+//! MEASURE/RECONSTRUCT/ANSWER hold no lock. A traced request adds the span
+//! collector's mutex once, at the end. Datasets never contend on 3 and 4;
+//! every request shares 1, 2, 5, 6 and 7.
 //!
 //! Lock poisoning is recovered rather than propagated: every critical
 //! section leaves its state consistent (single map operations, validated
 //! single-field ledger updates), so a panicking request cannot wedge the
 //! engine — see [`crate::sync`].
 
-use crate::cache::{StrategyCache, PLAN_CAPACITY};
+use crate::cache::{FlightProgress, Lookup, StrategyCache, PLAN_CAPACITY};
 use crate::persist::PlanStore;
 use crate::registry::{DatasetConfig, DatasetState, Registry};
 use crate::reservation::{Reservation, AUDIT_CAPACITY};
 use crate::session::{Session, SessionStore};
-use crate::singleflight::{FlightOutcome, FlightProgress, SingleFlight};
 use crate::sync::lock_recover;
 use crate::telemetry::{EngineMetrics, ObsMetrics, Telemetry};
 use crate::tracing::{RequestTracer, TRACE_CAPACITY};
@@ -116,16 +119,15 @@ impl Default for EngineOptions {
 ///
 /// Owns registered datasets (each with its own ε ledger and seeded RNG
 /// stream, so measurements on different datasets proceed concurrently and
-/// deterministically), an internally sharded strategy cache keyed by
-/// canonical workload fingerprints with single-flight miss deduplication, a
-/// bounded sharded registry of the sessions produced by completed
-/// measurements, and a lock-free telemetry registry. Shareable across
-/// threads behind an `Arc`; every method takes `&self`.
+/// deterministically), a strategy cache keyed by canonical workload
+/// fingerprints that runs at most one SELECT per fingerprint, a bounded
+/// store of the sessions produced by completed measurements, and a
+/// lock-free telemetry registry. Shareable across threads behind an `Arc`;
+/// every method takes `&self`.
 pub struct Engine {
     options: EngineOptions,
     cache: StrategyCache,
     plan_store: Option<PlanStore>,
-    inflight: SingleFlight<WorkloadFingerprint, Arc<Plan>>,
     registry: Registry,
     sessions: SessionStore,
     telemetry: Telemetry,
@@ -148,7 +150,7 @@ pub struct Engine {
 /// SELECT reports nothing else.
 struct Flight<'a, 'f> {
     request: &'a dyn Observer,
-    progress: &'f FlightProgress<'f, Arc<Plan>>,
+    progress: &'f FlightProgress<'f>,
 }
 
 impl Observer for Flight<'_, '_> {
@@ -204,7 +206,6 @@ impl Engine {
         Ok(Engine {
             cache: StrategyCache::new(PLAN_CAPACITY),
             plan_store: options.cache_dir.clone().map(PlanStore::new),
-            inflight: SingleFlight::new(),
             registry: Registry::new(options.seed, wal.as_ref().map(Wal::recovered)),
             sessions: SessionStore::new(options.session_capacity),
             telemetry,
@@ -360,7 +361,7 @@ impl Engine {
     /// a flight exists but its restart grid has not been planned yet. Lets a
     /// dashboard distinguish "optimizer 7/12 done" from a silent block.
     pub fn select_progress(&self, workload: &Workload) -> Option<(u64, u64)> {
-        self.inflight.progress(&workload.fingerprint())
+        self.cache.progress(&workload.fingerprint())
     }
 
     /// [`Engine::plan`] with the fingerprint supplied by the caller, so the
@@ -373,27 +374,17 @@ impl Engine {
         workload: &Workload,
         observer: &dyn Observer,
     ) -> (Arc<Plan>, bool) {
-        if let Some(plan) = self.cache.get(fingerprint) {
-            return (plan, true);
-        }
         // SELECT can take seconds while cached requests keep flowing: the
-        // optimization runs outside every lock, under single-flight dedup.
-        let freshly_optimized = std::cell::Cell::new(false);
-        let (plan, outcome) = self.inflight.run_with_progress(fingerprint, |flight| {
-            // A completed flight may have populated the cache between our
-            // miss and leader election; don't optimize twice.
-            if let Some(plan) = self.cache.peek(fingerprint) {
-                return plan;
-            }
+        // cache runs it outside every lock, once per fingerprint.
+        let mut freshly_optimized = false;
+        let (plan, lookup) = self.cache.get_or_select(fingerprint, |flight| {
             // Lazy reload from the persistent store: a plan optimized before
             // a restart is exactly as good now (selection is a pure function
             // of the workload), so a disk hit skips SELECT entirely.
             if let Some(store) = &self.plan_store {
                 if let Some(plan) = store.load(fingerprint, workload) {
-                    let plan = Arc::new(plan);
                     self.telemetry.record_plan_disk_hit();
-                    self.cache.insert(fingerprint.clone(), Arc::clone(&plan));
-                    return plan;
+                    return Arc::new(plan);
                 }
             }
             let _inflight = self.telemetry.select_started();
@@ -406,18 +397,19 @@ impl Engine {
             let choice = select_optimizer(workload, opts).choice;
             let plan = Arc::new(Plan::select(workload, opts, choice, &observer));
             self.telemetry.record_select(t.elapsed());
-            self.cache.insert(fingerprint.clone(), Arc::clone(&plan));
-            freshly_optimized.set(true);
+            freshly_optimized = true;
             plan
         });
-        if outcome == FlightOutcome::Joined {
-            self.telemetry.record_dedup_wait();
+        match lookup {
+            Lookup::Hit => return (plan, true),
+            Lookup::Joined => self.telemetry.record_dedup_wait(),
+            Lookup::Led => {}
         }
         // Spill *after* the flight completes: the plan is already published
-        // to the memory cache and the single-flight waiters, so the disk
-        // write (best-effort, fsync included) never sits on the serving path
-        // of anyone but this leader's tail.
-        if freshly_optimized.get() {
+        // to the memory cache and the flight's waiters, so the disk write
+        // (best-effort, fsync included) never sits on the serving path of
+        // anyone but this leader's tail.
+        if freshly_optimized {
             if let Some(store) = &self.plan_store {
                 store.store(fingerprint, &plan, workload.domain());
             }

@@ -163,24 +163,30 @@ fn route(engine: &Engine, path: &str) -> Option<(&'static str, String)> {
         _ => {
             let id = path
                 .strip_prefix("/trace/")
-                .and_then(|rest| rest.strip_suffix(".json"))
-                .and_then(parse_trace_id)?;
+                .and_then(|rest| rest.strip_suffix(".json"))?;
+            let held = |id: u64| !engine.trace_spans(id).is_empty();
+            let id = parse_trace_id(id, held)?;
             Some(("application/json", engine.chrome_trace(id)))
         }
     }
 }
 
 /// Accepts decimal (`QueryResponse::trace_id` printed with `{}`) and hex
-/// (the `016x` form the Chrome export embeds) trace ids.
-fn parse_trace_id(s: &str) -> Option<u64> {
+/// (`0x`-prefixed, or the 16-digit `016x` form the Chrome export embeds)
+/// trace ids. A 16-digit id of decimal digits only reads both ways: it names
+/// the reading `held` (the collector holds spans for it) accepts, hex first.
+fn parse_trace_id(s: &str, held: impl Fn(u64) -> bool) -> Option<u64> {
     if let Some(hex) = s.strip_prefix("0x") {
         return u64::from_str_radix(hex, 16).ok();
     }
-    s.parse::<u64>().ok().or_else(|| {
-        (s.len() == 16)
-            .then(|| u64::from_str_radix(s, 16).ok())
-            .flatten()
-    })
+    let hex = (s.len() == 16)
+        .then(|| u64::from_str_radix(s, 16).ok())
+        .flatten();
+    let decimal = s.parse::<u64>().ok();
+    match (hex, decimal) {
+        (Some(hex), Some(decimal)) if !held(hex) && held(decimal) => Some(decimal),
+        (hex, decimal) => hex.or(decimal),
+    }
 }
 
 fn respond(
@@ -281,5 +287,32 @@ mod tests {
         assert_eq!(status, 200);
         assert_eq!(body, hex_body);
         exporter.shutdown();
+    }
+
+    /// `{:016x}` of this id is all decimal digits: the route must still
+    /// serve the trace the Chrome export names by it.
+    #[test]
+    fn a_sixteen_digit_id_names_the_trace_the_collector_holds() {
+        let engine = demo_engine();
+        let id = 0x1234_5678_9012_3456;
+        engine
+            .collector()
+            .push(hdmm_obs::Span::new(id, 1, 0, "request", 0, 1));
+        let exporter = MetricsExporter::bind(Arc::clone(&engine), "127.0.0.1:0").unwrap();
+        let (status, body) = get(exporter.addr(), &format!("/trace/{id:016x}.json"));
+        assert_eq!(status, 200);
+        assert!(body.contains("\"name\":\"request\""), "{body}");
+        assert!(
+            body.contains(&format!("\"trace_id\":\"{id:016x}\"")),
+            "{body}"
+        );
+        exporter.shutdown();
+        // The decimal reading wins only when it is the one held.
+        let decimal = 1_234_567_890_123_456;
+        assert_eq!(
+            parse_trace_id("1234567890123456", |t| t == decimal),
+            Some(decimal)
+        );
+        assert_eq!(parse_trace_id("1234567890123456", |_| false), Some(id));
     }
 }

@@ -23,12 +23,14 @@
 //!   decision rules prescribe (`OPT_0` for 1-D, `OPT_M` for marginals,
 //!   `OPT_+` for structured unions, `OPT_⊗` otherwise), instead of running
 //!   all of Algorithm 2 per request.
-//! * **Concurrent serving core** — engine state is sharded (`RwLock`
-//!   registry of immutable datasets, read-lock strategy-cache hits, sharded
-//!   sessions) so cache-hit traffic never contends; concurrent misses on one
-//!   fingerprint deduplicate through a [`SingleFlight`] map (one SELECT, a
-//!   shared `Arc<Plan>` for everyone); and [`EngineServer`] fronts the engine
-//!   with a bounded queue and a pool of std worker threads.
+//! * **Concurrent serving core** — one `serve` takes, in order: the registry
+//!   read lock, the strategy-cache read lock, its dataset's RNG mutex, its
+//!   dataset (and tenant) ledger mutexes, the audit ring's mutex, the WAL
+//!   append and the session store's write lock — each briefly, never two at
+//!   once, and none across MEASURE/RECONSTRUCT. Concurrent misses on one
+//!   fingerprint share the cache's one in-flight SELECT (a shared
+//!   `Arc<Plan>` for everyone); and [`EngineServer`] fronts the engine with
+//!   a bounded queue and a pool of std worker threads.
 //! * **Telemetry** — lock-free per-phase latency histograms
 //!   (select/measure/reconstruct/answer) and serving counters, exported in
 //!   one call via [`Engine::metrics`], whose `Display` is the Prometheus
@@ -98,8 +100,8 @@
 //! read-only accessors; what it serves over lives in one module per concern:
 //! `reservation.rs` (ε transitions), `registry.rs` (datasets, tenants,
 //! recovered spend), `session.rs` ([`Session`] and the bounded store),
-//! `accountant.rs` (the two ledgers), `cache.rs` / `persist.rs` /
-//! `singleflight.rs` (plans), [`wal`] (the durable ledger).
+//! `accountant.rs` (the two ledgers), `cache.rs` / `persist.rs` (plans),
+//! [`wal`] (the durable ledger).
 //!
 //! `hdmm-engine` sits above [`hdmm_core`] (planner API, engine traits) and
 //! below any transport. It adds no new privacy analysis: privacy follows
@@ -117,14 +119,13 @@ mod registry;
 mod reservation;
 mod server;
 mod session;
-mod singleflight;
 mod sync;
 mod telemetry;
 mod tracing;
 pub mod wal;
 
 pub use accountant::{EpsAccountant, TenantLedger};
-pub use cache::{CacheStats, StrategyCache};
+pub use cache::CacheStats;
 pub use engine::{Engine, EngineOptions};
 pub use exporter::MetricsExporter;
 pub use persist::PlanStore;
@@ -132,7 +133,6 @@ pub use prometheus::render_prometheus;
 pub use registry::DatasetConfig;
 pub use server::{EngineServer, ServerOptions, Ticket};
 pub use session::Session;
-pub use singleflight::{FlightOutcome, FlightProgress, SingleFlight};
 pub use telemetry::{
     DatasetMetrics, EngineMetrics, ObsMetrics, PhaseHistogram, PhaseSnapshot, Telemetry,
     TelemetrySnapshot, TenantMetrics,

@@ -5,12 +5,11 @@
 //! *any* function of `x̄` — in particular, answering arbitrary follow-up
 //! workloads over the same domain — consumes zero additional privacy budget.
 
-use crate::sync::{lock_recover, read_recover, write_recover};
+use crate::sync::{read_recover, write_recover};
 use hdmm_core::{Domain, EngineError, SessionId, Workload};
 use hdmm_mechanism::ScopedExecutor;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::collections::BTreeMap;
+use std::sync::{Arc, RwLock};
 
 /// One completed measurement: the reconstructed estimate plus its provenance.
 #[derive(Debug, Clone)]
@@ -108,66 +107,36 @@ impl Session {
     }
 }
 
-/// Number of session shards; ids are sequential, so round-robin spreads load.
-const SESSION_SHARDS: usize = 8;
-
-/// FIFO-bounded session registry, sharded by id for contention-free lookup.
+/// Capacity-bounded session registry. The engine mints session ids in
+/// increasing order, so the smallest key is the oldest session and eviction
+/// drops it first.
 pub(crate) struct SessionStore {
-    shards: [RwLock<HashMap<SessionId, Arc<Session>>>; SESSION_SHARDS],
-    /// Global insertion order for FIFO eviction; ids closed early are left
-    /// stale and skipped when they reach the front.
-    order: Mutex<VecDeque<SessionId>>,
-    len: AtomicUsize,
+    sessions: RwLock<BTreeMap<SessionId, Arc<Session>>>,
     capacity: usize,
 }
 
 impl SessionStore {
     pub(crate) fn new(capacity: usize) -> Self {
         SessionStore {
-            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            order: Mutex::new(VecDeque::new()),
-            len: AtomicUsize::new(0),
+            sessions: RwLock::new(BTreeMap::new()),
             capacity: capacity.max(1),
         }
     }
 
-    fn shard(&self, id: SessionId) -> &RwLock<HashMap<SessionId, Arc<Session>>> {
-        &self.shards[(id.0 as usize) % SESSION_SHARDS]
-    }
-
     pub(crate) fn get(&self, id: SessionId) -> Option<Arc<Session>> {
-        read_recover(self.shard(id)).get(&id).cloned()
+        read_recover(&self.sessions).get(&id).cloned()
     }
 
     pub(crate) fn insert(&self, session: Arc<Session>) {
-        let id = session.id();
-        write_recover(self.shard(id)).insert(id, session);
-        self.len.fetch_add(1, Ordering::SeqCst);
-        let mut order = lock_recover(&self.order);
-        order.push_back(id);
-        while self.len.load(Ordering::SeqCst) > self.capacity {
-            let Some(oldest) = order.pop_front() else {
-                break;
-            };
-            if write_recover(self.shard(oldest)).remove(&oldest).is_some() {
-                self.len.fetch_sub(1, Ordering::SeqCst);
-            }
-            // A stale id (closed explicitly) already decremented `len`.
-        }
-        // Stale ids only leave the front through eviction, which a store
-        // whose sessions are all closed early never reaches: once they
-        // outnumber the capacity, drop them, so `order` stays O(capacity).
-        if order.len() > 2 * self.capacity {
-            order.retain(|&kept| read_recover(self.shard(kept)).contains_key(&kept));
+        let mut sessions = write_recover(&self.sessions);
+        sessions.insert(session.id(), session);
+        while sessions.len() > self.capacity {
+            sessions.pop_first();
         }
     }
 
     pub(crate) fn remove(&self, id: SessionId) -> Option<Arc<Session>> {
-        let removed = write_recover(self.shard(id)).remove(&id);
-        if removed.is_some() {
-            self.len.fetch_sub(1, Ordering::SeqCst);
-        }
-        removed
+        write_recover(&self.sessions).remove(&id)
     }
 }
 
@@ -228,27 +197,40 @@ mod tests {
         }
     }
 
-    /// Sessions closed as soon as they open leave no trail: the eviction
-    /// order stays within twice the capacity, and eviction still drops the
-    /// oldest live session first.
+    fn open(store: &SessionStore, id: u64) {
+        let mut s = session();
+        s.id = SessionId(id);
+        store.insert(Arc::new(s));
+    }
+
+    /// Sessions closed as soon as they open leave no trail: the store stays
+    /// bounded, and eviction still drops the oldest live session first.
     #[test]
-    fn closed_sessions_do_not_accumulate_in_the_eviction_order() {
+    fn closed_sessions_leave_the_store_bounded() {
         let store = SessionStore::new(4);
-        let open = |id: u64| {
-            let mut s = session();
-            s.id = SessionId(id);
-            store.insert(Arc::new(s));
-        };
         for id in 0..10_000 {
-            open(id);
+            open(&store, id);
             assert!(store.remove(SessionId(id)).is_some());
-            assert!(lock_recover(&store.order).len() <= 2 * 4 + 1);
+            assert!(read_recover(&store.sessions).is_empty());
         }
         for id in 10_000..10_005 {
-            open(id);
+            open(&store, id);
         }
+        assert_eq!(read_recover(&store.sessions).len(), 4);
         assert!(store.get(SessionId(10_000)).is_none(), "oldest evicted");
         assert!((10_001..10_005).all(|id| store.get(SessionId(id)).is_some()));
+    }
+
+    /// Sessions can land out of mint order (concurrent serves insert after
+    /// minting); eviction follows the ids, not the insertion order.
+    #[test]
+    fn eviction_drops_the_earliest_minted_id() {
+        let store = SessionStore::new(2);
+        for id in [3, 1, 2] {
+            open(&store, id);
+        }
+        assert!(store.get(SessionId(1)).is_none(), "smallest id evicted");
+        assert!(store.get(SessionId(2)).is_some() && store.get(SessionId(3)).is_some());
     }
 
     #[test]

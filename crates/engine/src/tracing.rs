@@ -146,11 +146,8 @@ impl<'a> RequestTracer<'a> {
             .attr("dataset", dataset)
             .attr("outcome", if ok { "ok" } else { "error" })
             .attr("slow", if slow { "true" } else { "false" });
-            self.collector.push(root);
             let spans = std::mem::take(&mut *lock(&self.spans));
-            for span in spans {
-                self.collector.push(span);
-            }
+            self.collector.push_all(std::iter::once(root).chain(spans));
         }
         slow
     }

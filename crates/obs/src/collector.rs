@@ -1,50 +1,32 @@
-//! The span collector: a sharded, bounded ring buffer plus Chrome
-//! `trace_event` export.
+//! The span collector: a bounded ring buffer plus Chrome `trace_event`
+//! export.
 //!
 //! Serving threads push completed spans; an operator (or the metrics
-//! exporter) reads them back by trace id. Requirements shaped the design:
+//! exporter) reads them back by trace id. The ring is one
+//! `Mutex<VecDeque<Span>>`, the shape [`crate::AuditLog`] has:
 //!
-//! * **No global lock.** Writers pick a shard by trace id (so one trace's
-//!   spans colocate and a snapshot of a hot trace touches one shard), claim
-//!   a slot with one atomic `fetch_add`, and swap the span in under a
-//!   per-slot mutex held for a pointer swap — two writers contend only when
-//!   they land on the same slot of the same shard.
-//! * **Bounded.** The ring overwrites the oldest span when full; every
-//!   overwrite is drop-counted ([`SpanCollector::dropped`]) so silent data
-//!   loss is visible in metrics, never invisible.
-//! * **Readable while hot.** Snapshots lock slots one at a time; they see a
-//!   consistent *per-span* view (a span is recorded exactly once, after it
-//!   completes) without stalling writers.
+//! * **One lock per request.** A request flushes its whole span tree with
+//!   one [`SpanCollector::push_all`], so the mutex is taken once per traced
+//!   request and held for a few pointer moves.
+//! * **Bounded.** The ring drops the oldest span when full; every drop is
+//!   counted ([`SpanCollector::dropped`]) so silent data loss is visible in
+//!   metrics, never invisible.
+//! * **Consistent reads.** A snapshot copies the ring under the same lock;
+//!   a span is recorded exactly once, after it completes.
 
 use crate::json_escape;
 use crate::trace::Span;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Number of independent rings; traces hash to one, so concurrent requests
-/// rarely share a cursor cache line.
-const COLLECTOR_SHARDS: usize = 8;
-
-struct Ring {
-    slots: Box<[Mutex<Option<Span>>]>,
-    cursor: AtomicUsize,
-}
-
-impl Ring {
-    fn new(capacity: usize) -> Ring {
-        Ring {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            cursor: AtomicUsize::new(0),
-        }
-    }
-}
-
-/// A bounded, sharded buffer of completed [`Span`]s. Shareable across every
-/// serving thread by reference; all methods take `&self`.
+/// A bounded buffer of completed [`Span`]s. Shareable across every serving
+/// thread by reference; all methods take `&self`.
 pub struct SpanCollector {
     epoch: Instant,
-    rings: Vec<Ring>,
+    ring: Mutex<VecDeque<Span>>,
+    capacity: usize,
     collected: AtomicU64,
     dropped: AtomicU64,
 }
@@ -60,15 +42,12 @@ impl std::fmt::Debug for SpanCollector {
 }
 
 impl SpanCollector {
-    /// A collector retaining up to `capacity` spans (rounded up to a
-    /// multiple of the shard count, minimum one slot per shard).
+    /// A collector retaining up to `capacity` spans (at least one).
     pub fn new(capacity: usize) -> SpanCollector {
-        let per_shard = capacity.div_ceil(COLLECTOR_SHARDS).max(1);
         SpanCollector {
             epoch: Instant::now(),
-            rings: (0..COLLECTOR_SHARDS)
-                .map(|_| Ring::new(per_shard))
-                .collect(),
+            ring: Mutex::new(VecDeque::new()),
+            capacity: capacity.max(1),
             collected: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
         }
@@ -86,7 +65,7 @@ impl SpanCollector {
 
     /// Total spans the collector can retain.
     pub fn capacity(&self) -> usize {
-        self.rings.iter().map(|r| r.slots.len()).sum()
+        self.capacity
     }
 
     /// Spans pushed over the collector's lifetime.
@@ -94,52 +73,52 @@ impl SpanCollector {
         self.collected.load(Ordering::Relaxed)
     }
 
-    /// Spans lost to ring overflow (the oldest span is overwritten when a
-    /// ring wraps). A growing value means `capacity` is too small for the
+    /// Spans lost to ring overflow (the oldest span is dropped when the ring
+    /// is full). A growing value means `capacity` is too small for the
     /// retention window being queried.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Records one completed span.
-    pub fn push(&self, span: Span) {
-        let ring = &self.rings[(span.trace_id as usize) % self.rings.len()];
-        let idx = ring.cursor.fetch_add(1, Ordering::Relaxed) % ring.slots.len();
-        let evicted = {
-            let mut slot = ring.slots[idx].lock().unwrap_or_else(|p| p.into_inner());
-            slot.replace(span)
-        };
-        self.collected.fetch_add(1, Ordering::Relaxed);
-        if evicted.is_some() {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
+    fn ring(&self) -> MutexGuard<'_, VecDeque<Span>> {
+        self.ring.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Every retained span, in no particular order.
-    pub fn snapshot(&self) -> Vec<Span> {
-        let mut out = Vec::new();
-        for ring in &self.rings {
-            for slot in ring.slots.iter() {
-                let guard = slot.lock().unwrap_or_else(|p| p.into_inner());
-                if let Some(span) = guard.as_ref() {
-                    out.push(span.clone());
-                }
+    /// Records one completed span.
+    pub fn push(&self, span: Span) {
+        self.push_all(std::iter::once(span));
+    }
+
+    /// Records completed spans — one request's tree — under one lock.
+    pub fn push_all(&self, spans: impl IntoIterator<Item = Span>) {
+        let (mut pushed, mut dropped) = (0, 0);
+        let mut ring = self.ring();
+        for span in spans {
+            if ring.len() == self.capacity {
+                ring.pop_front();
+                dropped += 1;
             }
+            ring.push_back(span);
+            pushed += 1;
         }
-        out
+        drop(ring);
+        self.collected.fetch_add(pushed, Ordering::Relaxed);
+        self.dropped.fetch_add(dropped, Ordering::Relaxed);
+    }
+
+    /// Every retained span, oldest first.
+    pub fn snapshot(&self) -> Vec<Span> {
+        self.ring().iter().cloned().collect()
     }
 
     /// The retained spans of one trace, sorted by start time (a span tree in
     /// depth-first-completion order once assembled by `parent_id`).
     pub fn trace(&self, trace_id: u64) -> Vec<Span> {
-        let ring = &self.rings[(trace_id as usize) % self.rings.len()];
-        let mut out: Vec<Span> = ring
-            .slots
+        let mut out: Vec<Span> = self
+            .ring()
             .iter()
-            .filter_map(|slot| {
-                let guard = slot.lock().unwrap_or_else(|p| p.into_inner());
-                guard.as_ref().filter(|s| s.trace_id == trace_id).cloned()
-            })
+            .filter(|s| s.trace_id == trace_id)
+            .cloned()
             .collect();
         out.sort_by_key(|s| (s.start_ns, s.span_id));
         out
@@ -225,14 +204,25 @@ mod tests {
     }
 
     #[test]
-    fn overflow_overwrites_oldest_and_counts_drops() {
-        let c = SpanCollector::new(8); // 1 slot per shard
+    fn overflow_drops_oldest_and_counts_drops() {
+        let c = SpanCollector::new(3);
         for i in 0..5 {
-            c.push(span(16, i + 1, i)); // same shard every time
+            c.push(span(16, i + 1, i));
         }
-        assert_eq!(c.trace(16).len(), 1, "one slot retains one span");
-        assert_eq!(c.dropped(), 4);
+        let kept: Vec<u64> = c.trace(16).iter().map(|s| s.span_id).collect();
+        assert_eq!(kept, [3, 4, 5], "the ring keeps the newest spans");
+        assert_eq!(c.dropped(), 2);
         assert_eq!(c.collected(), 5);
+    }
+
+    #[test]
+    fn push_all_records_a_tree_and_counts_each_span() {
+        let c = SpanCollector::new(4);
+        c.push(span(1, 1, 0));
+        c.push_all((1..=4).map(|i| span(2, i, i)));
+        assert_eq!(c.trace(2).len(), 4);
+        assert!(c.trace(1).is_empty(), "the older trace made room");
+        assert_eq!((c.collected(), c.dropped()), (5, 1));
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!   spans), and `()`, the observer that discards them;
 //! * [`trace`] — [`TraceContext`] (trace id + span id, FNV-derived and
 //!   deterministic under a seed) and [`Span`], the unit of causality;
-//! * [`collector`] — [`SpanCollector`], a sharded bounded ring buffer that
-//!   serving threads push completed spans into without a global lock, with
-//!   drop counting on overflow and Chrome `trace_event` JSON export
+//! * [`collector`] — [`SpanCollector`], one mutex-guarded bounded ring that
+//!   each traced request pushes its finished span tree into under one lock,
+//!   with drop counting on overflow and Chrome `trace_event` JSON export
 //!   ([`chrome_trace`]) so any query opens in Perfetto / `chrome://tracing`;
 //! * [`prom`] — [`PromBuf`], a Prometheus text-format (version 0.0.4)
 //!   renderer: escaped labels, cumulative histogram buckets, and a guarantee

@@ -9,7 +9,7 @@
 //! Appendix B.3 "DAWA + HDMM" hybrid (Table 6).
 
 use crate::greedy_h::greedy_h_explicit;
-use hdmm_linalg::Matrix;
+use hdmm_linalg::{inverse_gram, Matrix};
 use hdmm_mechanism::laplace::add_laplace_noise;
 use hdmm_optimizer::{opt0_with, Opt0Options};
 use rand::Rng;
@@ -157,7 +157,7 @@ pub fn dawa_run(
     add_laplace_noise(&mut y, sens / eps2, rng);
 
     // Reconstruct bucket estimates and expand uniformly.
-    let x_hat_buckets = hdmm_mechanism::error::gram_pinv(&strategy).matvec(&strategy.t_matvec(&y));
+    let x_hat_buckets = inverse_gram(&strategy.gram()).matvec(&strategy.t_matvec(&y));
     let x_hat = p_exp.matvec(&x_hat_buckets);
     w.matvec(&x_hat)
 }

@@ -8,10 +8,7 @@
 //! reproduce that behaviour: the branching factor is selected against the
 //! all-range energy, the reported error is exact on the target workload.
 
-use crate::hierarchy::{
-    hb_branchings, node_level_stats, node_level_stats_mixed, range_energy, tree_strategy_error,
-    NodeLevelStats,
-};
+use crate::hierarchy::{hb_branchings, node_level_stats_mixed, range_energy, tree_strategy_error};
 use hdmm_linalg::Matrix;
 
 /// Result of the HB selection.
@@ -71,11 +68,6 @@ pub fn hb_matrix(n: usize) -> Matrix {
         &r.branchings,
         &vec![1.0; r.branchings.len() + 1],
     )
-}
-
-/// Per-node-level stats helper re-exported for 2D compositions.
-pub fn stats_for(n: usize, b: usize, target: &dyn Fn(&[f64]) -> f64) -> NodeLevelStats {
-    node_level_stats(n, b, target)
 }
 
 #[cfg(test)]

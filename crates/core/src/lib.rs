@@ -55,6 +55,7 @@ pub use hdmm_workload::{
     builders, census, predicates, Domain, ProductTerm, Workload, WorkloadFingerprint, WorkloadGrams,
 };
 
+use hdmm_mechanism::{MechanismError, MechanismRequest, PlainKernels};
 use hdmm_obs::Observer;
 use hdmm_optimizer::OptimizerChoice;
 use rand::Rng;
@@ -88,11 +89,14 @@ impl Hdmm {
     }
 }
 
-/// An optimized measurement plan: the selected strategy plus its error
-/// accounting.
+/// An optimized measurement plan: the selected strategy, its reconstruction
+/// factorization and its error accounting.
 #[derive(Debug, Clone)]
 pub struct Plan {
     selected: Selected,
+    /// The strategy-only half of RECONSTRUCT, built once with the plan:
+    /// every execution against it borrows the same factorization.
+    prepared: PreparedReconstruct,
     /// `‖W‖²_F`, the Identity baseline's error coefficient: all a cached
     /// plan needs of the workload's Grams, which are `n×n` per attribute.
     identity_squared_error: f64,
@@ -122,10 +126,12 @@ impl Plan {
         Plan::from_parts(selected, grams, workload.query_count())
     }
 
-    /// Reassembles a plan from a stored selection (the plan store, and
-    /// benches that hand-pick a strategy). Only `‖W‖²_F` of `grams` is kept.
+    /// Assembles a plan from a selection — SELECT's own, or a stored one
+    /// (the plan store, and benches that hand-pick a strategy) — and builds
+    /// its [`PreparedReconstruct`]. Only `‖W‖²_F` of `grams` is kept.
     pub fn from_parts(selected: Selected, grams: WorkloadGrams, query_count: usize) -> Plan {
         Plan {
+            prepared: PreparedReconstruct::new(&selected.strategy),
             selected,
             identity_squared_error: grams.frobenius_norm_sq(),
             query_count,
@@ -135,6 +141,11 @@ impl Plan {
     /// The selected strategy.
     pub fn strategy(&self) -> &Strategy {
         &self.selected.strategy
+    }
+
+    /// The strategy's reconstruction factorization, built with the plan.
+    pub fn prepared(&self) -> &PreparedReconstruct {
+        &self.prepared
     }
 
     /// Number of workload queries this plan was optimized for.
@@ -168,7 +179,13 @@ impl Plan {
     }
 
     /// MEASURE + RECONSTRUCT: runs the ε-differentially-private mechanism on
-    /// data vector `x` and answers `workload` (Theorem 7).
+    /// data vector `x` and answers `workload` (Theorem 7), reconstructing
+    /// through the plan's own factorization.
+    ///
+    /// # Panics
+    /// Panics on what a serving caller gets as a typed [`MechanismError`]: a
+    /// non-positive or non-finite `eps`, or an `x` that does not match the
+    /// workload's domain.
     pub fn execute(
         &self,
         workload: &Workload,
@@ -176,7 +193,16 @@ impl Plan {
         eps: f64,
         rng: &mut impl Rng,
     ) -> MechanismResult {
-        hdmm_mechanism::run_mechanism(workload, &self.selected.strategy, x, eps, rng)
+        let request = MechanismRequest {
+            workload,
+            strategy: &self.selected.strategy,
+            prepared: &self.prepared,
+            eps,
+        };
+        match request.run(rng, &PlainKernels::over(x), &()) {
+            Ok(result) => result,
+            Err(e) => panic!("{}", MechanismError::from(e)),
+        }
     }
 }
 

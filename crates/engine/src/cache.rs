@@ -9,6 +9,11 @@
 //! skip re-optimization entirely. Since selection never touches data or
 //! budget, a cached strategy is privacy-neutral to reuse.
 //!
+//! A plan carries its own reconstruction factorization
+//! ([`Plan::prepared`], built when the plan is made), so a cache entry holds
+//! nothing for RECONSTRUCT; beside the plan it memoizes only the remote
+//! fan-out's [`OperandKeys`] ([`StrategyCache::operand_keys`]).
+//!
 //! ## Concurrency
 //!
 //! One `RwLock<HashMap>` maps each fingerprint to a [`Slot`]: a landed plan
@@ -28,7 +33,6 @@
 
 use crate::sync::{lock_recover, read_recover, recover, write_recover};
 use hdmm_core::{Plan, WorkloadFingerprint};
-use hdmm_mechanism::PreparedReconstruct;
 use hdmm_net::OperandKeys;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,14 +71,9 @@ struct CacheEntry {
     /// Logical-clock stamp of the last touch; the smallest stamp is the LRU
     /// entry.
     last_used: AtomicU64,
-    /// The strategy's reconstruction factorization (`(AᵀA)⁺` and friends),
-    /// built lazily on the first serve of this plan and reused by every
-    /// later request — the warm-path cost that motivated
-    /// [`PreparedReconstruct`].
-    prepared: OnceLock<Arc<PreparedReconstruct>>,
     /// The content keys the remote fan-out names this plan's factor lists
-    /// by: like `prepared`, a pure function of the strategy that costs a
-    /// pass over every factor to derive, built on the first remote serve.
+    /// by: a pure function of the strategy that costs a pass over every
+    /// factor to derive, built on the first remote serve.
     operand_keys: OnceLock<Arc<OperandKeys>>,
 }
 
@@ -238,7 +237,6 @@ impl StrategyCache {
             let entry = CacheEntry {
                 plan: Arc::clone(&plan),
                 last_used: AtomicU64::new(self.stamp()),
-                prepared: OnceLock::new(),
                 operand_keys: OnceLock::new(),
             };
             slots.insert(key.clone(), Slot::Ready(entry));
@@ -277,62 +275,22 @@ impl StrategyCache {
         }
     }
 
-    /// The reconstruction factorization for `plan`, memoized alongside the
-    /// cache entry for `key`: the first caller builds it (`(AᵀA)⁺`, the
-    /// per-factor inverse Grams, or the marginals algebra — the dominant
-    /// per-request cost of a warm cache hit), every later caller clones an
-    /// `Arc`. The factorization is a pure deterministic function of the
-    /// strategy, so reusing it is bitwise identical to rebuilding it.
+    /// The remote fan-out's [`OperandKeys`] for `plan`, memoized alongside
+    /// the cache entry for `key`: the first caller derives them, every later
+    /// caller clones an `Arc`. They are a pure function of the strategy, so
+    /// reusing them is the same as deriving them again.
     ///
     /// Falls back to an unmemoized build when the entry is gone (evicted
     /// since the caller's lookup) or holds a different plan (evicted and
     /// selected again) — correctness never depends on the cache's retention.
-    pub fn prepared(
-        &self,
-        key: &WorkloadFingerprint,
-        plan: &Arc<Plan>,
-    ) -> Arc<PreparedReconstruct> {
-        self.memoized(
-            key,
-            plan,
-            |entry| &entry.prepared,
-            || PreparedReconstruct::new(plan.strategy()),
-        )
-    }
-
-    /// The remote fan-out's [`OperandKeys`] for `plan`, memoized beside
-    /// [`StrategyCache::prepared`] under the same rules. `prepared` must be
-    /// the factorization of the same plan.
-    pub fn operand_keys(
-        &self,
-        key: &WorkloadFingerprint,
-        plan: &Arc<Plan>,
-        prepared: &PreparedReconstruct,
-    ) -> Arc<OperandKeys> {
-        self.memoized(
-            key,
-            plan,
-            |entry| &entry.operand_keys,
-            || OperandKeys::new(plan.strategy(), prepared),
-        )
-    }
-
-    /// One per-plan memo slot: built by the first caller, shared by every
-    /// later one, bypassed (fresh build, not stored) when the entry is gone
-    /// or no longer holds `plan`.
-    fn memoized<T>(
-        &self,
-        key: &WorkloadFingerprint,
-        plan: &Arc<Plan>,
-        slot: impl Fn(&CacheEntry) -> &OnceLock<Arc<T>>,
-        build: impl Fn() -> T,
-    ) -> Arc<T> {
+    pub fn operand_keys(&self, key: &WorkloadFingerprint, plan: &Arc<Plan>) -> Arc<OperandKeys> {
+        let build = || Arc::new(OperandKeys::new(plan.strategy(), plan.prepared()));
         if let Some(Slot::Ready(entry)) = read_recover(&self.slots).get(key) {
             if Arc::ptr_eq(&entry.plan, plan) {
-                return Arc::clone(slot(entry).get_or_init(|| Arc::new(build())));
+                return Arc::clone(entry.operand_keys.get_or_init(build));
             }
         }
-        Arc::new(build())
+        build()
     }
 
     /// Current effectiveness counters.
@@ -465,7 +423,7 @@ mod tests {
         select(&cache, &w2);
         // Reading w1 this way must NOT refresh it: w1 stays the LRU entry.
         assert_eq!(cache.progress(&w1.fingerprint()), None);
-        cache.prepared(&w1.fingerprint(), &p1);
+        cache.operand_keys(&w1.fingerprint(), &p1);
         select(&cache, &w3);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (0, 3), "only requests count");
@@ -474,33 +432,30 @@ mod tests {
     }
 
     #[test]
-    fn prepared_is_memoized_per_entry_and_reset_on_reselect() {
+    fn operand_keys_are_memoized_per_entry_and_reset_on_reselect() {
         let cache = StrategyCache::new(1);
         let w = builders::prefix_1d(8);
         let fp = w.fingerprint();
         let (plan, _) = select(&cache, &w);
-        let p1 = cache.prepared(&fp, &plan);
-        let p2 = cache.prepared(&fp, &plan);
-        assert!(Arc::ptr_eq(&p1, &p2), "second lookup reuses the build");
-        let k1 = cache.operand_keys(&fp, &plan, &p1);
+        let k1 = cache.operand_keys(&fp, &plan);
         assert!(
-            Arc::ptr_eq(&k1, &cache.operand_keys(&fp, &plan, &p1)),
-            "operand keys share the memo rules"
+            Arc::ptr_eq(&k1, &cache.operand_keys(&fp, &plan)),
+            "second lookup reuses the build"
         );
         // Evicted and selected again: a new entry, with a fresh memo.
         select(&cache, &builders::prefix_1d(4));
         let (plan2, lookup) = select(&cache, &w);
         assert_eq!(lookup, Lookup::Led);
-        let p3 = cache.prepared(&fp, &plan2);
+        let k2 = cache.operand_keys(&fp, &plan2);
         assert!(
-            !Arc::ptr_eq(&p1, &p3),
+            !Arc::ptr_eq(&k1, &k2),
             "a re-selected plan is memoized anew"
         );
-        assert!(!Arc::ptr_eq(&k1, &cache.operand_keys(&fp, &plan2, &p3)));
-        // A stale plan (no longer the cached one) still gets a working
-        // factorization, just unmemoized.
-        let p4 = cache.prepared(&fp, &plan);
-        assert!(!Arc::ptr_eq(&p3, &p4));
+        // A stale plan (no longer the cached one) still gets working keys,
+        // just unmemoized.
+        let k3 = cache.operand_keys(&fp, &plan);
+        assert!(!Arc::ptr_eq(&k2, &k3));
+        assert!(!Arc::ptr_eq(&k3, &cache.operand_keys(&fp, &plan)));
     }
 
     #[test]

@@ -366,7 +366,7 @@ impl Engine {
 
     /// [`Engine::plan`] with the fingerprint supplied by the caller, so the
     /// serving path hashes the workload once and reuses the key for the
-    /// prepared-reconstruct lookup, and with the observer a SELECT reports
+    /// operand-key lookup, and with the observer a SELECT reports
     /// its restart cells to.
     fn plan_keyed(
         &self,
@@ -607,13 +607,6 @@ impl Engine {
         let (plan, cache_hit) = self.plan_keyed(&fingerprint, workload, tracer);
         tracer.record_select(select_started, cache_hit);
 
-        // The strategy's reconstruction factorization, memoized next to the
-        // cached plan: the first request for a plan builds `(AᵀA)⁺` (or the
-        // per-factor/marginals equivalent), every later warm hit reuses it —
-        // pure post-processing of the strategy, so answers are bitwise
-        // unchanged.
-        let prepared = self.cache.prepared(&fingerprint, &plan);
-
         // One u64 off the dataset's stream seeds a per-request RNG: the
         // dataset lock is held for nanoseconds, and the answer sequence is
         // deterministic per (engine seed, dataset, request order) no matter
@@ -647,7 +640,9 @@ impl Engine {
         let request = MechanismRequest {
             workload,
             strategy: plan.strategy(),
-            prepared: &prepared,
+            // Built with the plan: every warm hit reuses its `(AᵀA)⁺` (or
+            // the per-factor / marginals equivalent).
+            prepared: plan.prepared(),
             eps,
         };
         // `None`: no workers hold the slabs, or none could finish the request.
@@ -656,7 +651,7 @@ impl Engine {
                 let rpc = RpcKernels {
                     pool,
                     dataset,
-                    keys: &self.cache.operand_keys(&fingerprint, &plan, &prepared),
+                    keys: &self.cache.operand_keys(&fingerprint, &plan),
                     data,
                     observer: tracer,
                 };

@@ -228,6 +228,48 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
+    /// A plan builds its reconstruction factorization once, in
+    /// `Plan::from_parts`: SELECT's plans and the plan store's reloads hold
+    /// the same bits a fresh `PreparedReconstruct::new` of their strategy
+    /// does. `{:?}` renders every `f64` round-trip exactly (`-0.0`
+    /// included), so equal renderings are equal bits.
+    #[test]
+    fn plans_own_their_factorization_and_reloads_rebuild_it() {
+        use hdmm_core::PreparedReconstruct;
+        use hdmm_optimizer::OptimizerChoice;
+        let (store, dir) = store();
+        let opts = hdmm_core::HdmmOptions {
+            restarts: 1,
+            ..Default::default()
+        };
+        let cases = [
+            (builders::prefix_2d(6, 5), OptimizerChoice::Kron, "kron"),
+            (
+                builders::upto_kway_marginals(&Domain::new(&[4, 4, 4]), 1),
+                OptimizerChoice::Marginals,
+                "marginals",
+            ),
+            (
+                builders::range_total_union_2d(16, 16),
+                OptimizerChoice::Plus,
+                "union",
+            ),
+        ];
+        let bits = |p: &PreparedReconstruct| format!("{p:?}");
+        for (w, choice, kind) in cases {
+            let plan = Plan::select(&w, &opts, choice, &());
+            assert_eq!(plan.strategy().kind(), kind);
+            let fresh = PreparedReconstruct::new(plan.strategy());
+            assert_eq!(bits(plan.prepared()), bits(&fresh), "{kind}");
+            let fp = w.fingerprint();
+            assert!(store.store(&fp, &plan, w.domain()));
+            let loaded = store.load(&fp, &w).expect("plan reloads");
+            let reloaded_fresh = PreparedReconstruct::new(loaded.strategy());
+            assert_eq!(bits(loaded.prepared()), bits(&reloaded_fresh), "{kind}");
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
     #[test]
     fn corrupt_files_are_tolerated() {
         let (store, dir) = store();

@@ -15,6 +15,7 @@ use crate::reservation::Ledgers;
 use crate::sync::{lock_recover, read_recover, write_recover};
 use crate::telemetry::{DatasetMetrics, TenantMetrics};
 use crate::wal::{RecoveredDataset, RecoveredState, Wal, WalRecord};
+use hdmm_core::codec::checksum;
 use hdmm_core::{Domain, EngineError, ShardedDataVector, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -110,14 +111,10 @@ impl Registry {
     }
 
     /// Derives the dataset's RNG seed from the master seed and its name
-    /// (FNV-1a), so streams are stable across runs and distinct per dataset.
+    /// (FNV-1a, the codec's [`checksum`]), so streams are stable across runs
+    /// and distinct per dataset.
     fn dataset_seed(&self, name: &str) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in name.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^ self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        checksum(name.as_bytes()) ^ self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
     }
 
     /// Validates and inserts a dataset, returning its handle.

@@ -5,7 +5,10 @@
 //! There is one kernel per direction — [`contract_rows`] and
 //! [`contract_transpose_rows`], each a single `match` over the leaf variants
 //! of [`StructuredMatrix`] — and one chain driver behind every public
-//! product. Both kernels produce a *block of output rows* of the mode:
+//! product. A single leaf's product ([`StructuredMatrix::matvec`] /
+//! [`StructuredMatrix::rmatvec`]) is a one-mode chain: no variant keeps
+//! arithmetic of its own outside these kernels. Both kernels produce a
+//! *block of output rows* of the mode:
 //!
 //! * the full contraction is the block `0..out_dim`;
 //! * a shard's leading step (see `slab.rs`) is `left = 1` and its block.

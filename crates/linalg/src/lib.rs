@@ -60,11 +60,11 @@ pub use contract::{
 pub use csr::Csr;
 pub use eigen::SymEigen;
 pub use kron::{kron, kron_all, kron_vec};
-pub use linop::{DenseOp, LinOp, ScaledOp, StackedOp};
+pub use linop::{LinOp, ScaledOp, StackedOp};
 pub use lsmr::{lsmr, LsmrOptions, LsmrResult};
 pub use lu::Lu;
 pub use matrix::Matrix;
-pub use pinv::{pinv, pinv_psd};
+pub use pinv::{inverse_gram, pinv, pinv_psd};
 pub use slab::{
     kmatvec_trailing_slab, kmatvec_transpose_trailing_slab, leading_split, matvec_rows,
     partition_rows, slab_split, LeadingSplit,

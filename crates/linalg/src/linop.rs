@@ -3,8 +3,6 @@
 //! LSMR-based reconstruction for union-of-product strategies (§7.2) only needs
 //! products with `A` and `Aᵀ`; this trait lets strategies stay implicit.
 
-use crate::Matrix;
-
 /// A linear operator exposing forward and adjoint matrix–vector products.
 pub trait LinOp {
     /// Output dimension (number of rows).
@@ -29,24 +27,6 @@ pub trait LinOp {
         for (o, p) in out.iter_mut().zip(self.rmatvec(y)) {
             *o += p;
         }
-    }
-}
-
-/// A dense matrix as a [`LinOp`].
-pub struct DenseOp<'a>(pub &'a Matrix);
-
-impl LinOp for DenseOp<'_> {
-    fn rows(&self) -> usize {
-        self.0.rows()
-    }
-    fn cols(&self) -> usize {
-        self.0.cols()
-    }
-    fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        self.0.matvec(x)
-    }
-    fn rmatvec(&self, y: &[f64]) -> Vec<f64> {
-        self.0.t_matvec(y)
     }
 }
 
@@ -140,17 +120,17 @@ impl LinOp for StackedOp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Matrix, StructuredMatrix};
 
     #[test]
     fn stacked_op_matches_vstack() {
         let a = Matrix::identity(3);
         let b = Matrix::ones(2, 3);
-        let stacked = StackedOp::new(vec![
-            Box::new(DenseOp(&a)) as Box<dyn LinOp>,
-            Box::new(DenseOp(&b)),
-        ]);
-        // Use owned matrices to avoid borrow issues in the explicit path.
         let explicit = Matrix::vstack(&[&a, &b]).unwrap();
+        let stacked = StackedOp::new(vec![
+            Box::new(StructuredMatrix::Dense(a)) as Box<dyn LinOp>,
+            Box::new(StructuredMatrix::Dense(b)),
+        ]);
         let x = vec![1.0, 2.0, 3.0];
         assert_eq!(stacked.matvec(&x), explicit.matvec(&x));
         let y = vec![1.0, 0.0, -1.0, 2.0, 2.0];
@@ -159,10 +139,9 @@ mod tests {
 
     #[test]
     fn scaled_op_scales_both_directions() {
-        let a = Matrix::identity(2);
         let op = ScaledOp {
             alpha: 3.0,
-            inner: DenseOp(&a),
+            inner: StructuredMatrix::Dense(Matrix::identity(2)),
         };
         assert_eq!(op.matvec(&[1.0, 2.0]), vec![3.0, 6.0]);
         assert_eq!(op.rmatvec(&[1.0, 1.0]), vec![3.0, 3.0]);

@@ -277,13 +277,14 @@ pub fn lsmr(a: &dyn LinOp, b: &[f64], opts: &LsmrOptions) -> LsmrResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DenseOp, Matrix};
+    use crate::Matrix;
+    use crate::StructuredMatrix::Dense;
 
     #[test]
     fn solves_square_system() {
         let a = Matrix::from_rows(&[&[3.0, 1.0], &[1.0, 2.0]]);
         let b = a.matvec(&[1.0, -2.0]);
-        let r = lsmr(&DenseOp(&a), &b, &LsmrOptions::default());
+        let r = lsmr(&Dense(a), &b, &LsmrOptions::default());
         assert!((r.x[0] - 1.0).abs() < 1e-7 && (r.x[1] + 2.0).abs() < 1e-7);
     }
 
@@ -292,7 +293,7 @@ mod tests {
         // Compare against the normal-equation solution.
         let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 2.0], &[1.0, 3.0], &[1.0, 4.0]]);
         let b = [6.0, 5.0, 7.0, 10.0];
-        let r = lsmr(&DenseOp(&a), &b, &LsmrOptions::default());
+        let r = lsmr(&Dense(a.clone()), &b, &LsmrOptions::default());
         let gram = a.gram();
         let rhs = a.t_matvec(&b);
         let direct = crate::Cholesky::new(&gram).unwrap().solve_vec(&rhs);
@@ -305,7 +306,7 @@ mod tests {
     fn underdetermined_gives_min_norm_consistent_solution() {
         let a = Matrix::from_rows(&[&[1.0, 1.0, 0.0], &[0.0, 1.0, 1.0]]);
         let b = [2.0, 3.0];
-        let r = lsmr(&DenseOp(&a), &b, &LsmrOptions::default());
+        let r = lsmr(&Dense(a.clone()), &b, &LsmrOptions::default());
         let ax = a.matvec(&r.x);
         assert!((ax[0] - 2.0).abs() < 1e-7 && (ax[1] - 3.0).abs() < 1e-7);
         // Min-norm solution equals A⁺b.
@@ -319,7 +320,7 @@ mod tests {
     #[test]
     fn zero_rhs_returns_zero() {
         let a = Matrix::identity(3);
-        let r = lsmr(&DenseOp(&a), &[0.0, 0.0, 0.0], &LsmrOptions::default());
+        let r = lsmr(&Dense(a), &[0.0, 0.0, 0.0], &LsmrOptions::default());
         assert_eq!(r.x, vec![0.0; 3]);
         assert_eq!(r.iterations, 0);
     }
@@ -328,9 +329,9 @@ mod tests {
     fn damped_solution_shrinks_norm() {
         let a = Matrix::identity(2);
         let b = [1.0, 1.0];
-        let plain = lsmr(&DenseOp(&a), &b, &LsmrOptions::default());
+        let plain = lsmr(&Dense(a.clone()), &b, &LsmrOptions::default());
         let damped = lsmr(
-            &DenseOp(&a),
+            &Dense(a.clone()),
             &b,
             &LsmrOptions {
                 damp: 1.0,
@@ -348,7 +349,7 @@ mod tests {
     fn converges_on_badly_scaled_system() {
         let a = Matrix::from_diag(&[1.0, 10.0, 100.0]);
         let b = a.matvec(&[1.0, 1.0, 1.0]);
-        let r = lsmr(&DenseOp(&a), &b, &LsmrOptions::default());
+        let r = lsmr(&Dense(a), &b, &LsmrOptions::default());
         for v in &r.x {
             assert!((v - 1.0).abs() < 1e-6);
         }

@@ -4,7 +4,7 @@
 //! `(AᵀA)⁺` for the closed-form error `‖WA⁺‖²_F = tr[(AᵀA)⁺(WᵀW)]`
 //! (Definition 7 / Equation 3 of the paper).
 
-use crate::{Matrix, Result, SymEigen};
+use crate::{Cholesky, Matrix, Result, SymEigen};
 
 /// Relative eigenvalue cutoff below which a direction is treated as null.
 const RCOND: f64 = 1e-11;
@@ -16,6 +16,21 @@ pub fn pinv_psd(a: &Matrix) -> Result<Matrix> {
     let max = e.values.iter().fold(0.0f64, |m, v| m.max(v.abs()));
     let cut = max * RCOND;
     Ok(e.apply_spectral(|l| if l.abs() <= cut { 0.0 } else { 1.0 / l }))
+}
+
+/// `G⁺` of a symmetric positive-semidefinite Gram `G = AᵀA`: the Cholesky
+/// inverse when `G` is positive definite, else the spectral pseudo-inverse
+/// ([`pinv_psd`]) — a rank-deficient strategy such as `Total`. Every dense
+/// inverse Gram of the workspace is this one function.
+///
+/// # Panics
+/// Panics if the eigendecomposition fails, which a finite symmetric `G`
+/// does not.
+pub fn inverse_gram(gram: &Matrix) -> Matrix {
+    match Cholesky::new(gram) {
+        Ok(ch) => ch.inverse(),
+        Err(_) => pinv_psd(gram).expect("factor gram eigendecomposition"),
+    }
 }
 
 /// General Moore–Penrose pseudo-inverse via `A⁺ = (AᵀA)⁺ Aᵀ`.

@@ -25,12 +25,11 @@
 //!   Changing either the lane assignment or the final combine changes the
 //!   bits of every matvec in the workspace.
 //! * **Element-wise kernels** ([`axpy`], [`scale_into`], [`add_into`],
-//!   [`cumsum_step`], [`diff_scaled`], [`offset_diff_scaled`]): output
-//!   element `i` depends only on input element(s) `i`, so no sum is ever
-//!   reassociated and the unrolling is bit-neutral. The mode contractions
-//!   (`contract.rs`) accumulate over the contracted index in ascending
-//!   order *outside* these kernels; vectorizing their inner `right`-lane
-//!   loop is therefore always safe.
+//!   [`cumsum_step`], [`diff_scaled`]): output element `i` depends only on
+//!   input element(s) `i`, so no sum is ever reassociated and the unrolling
+//!   is bit-neutral. The mode contractions (`contract.rs`) accumulate over
+//!   the contracted index in ascending order *outside* these kernels;
+//!   vectorizing their inner `right`-lane loop is therefore always safe.
 //!
 //! The contract is documented operationally in `docs/PERFORMANCE.md`.
 
@@ -134,18 +133,6 @@ pub mod scalar {
         assert_eq!(hi.len(), out.len(), "diff_scaled output length mismatch");
         for ((o, h), l) in out.iter_mut().zip(hi).zip(lo) {
             *o = scale * (h - l);
-        }
-    }
-
-    /// Reference `out[i] = scale·(src[i] − base)` (the 1-D `AllRange`
-    /// closed-form answer row).
-    ///
-    /// # Panics
-    /// Panics if the slices differ in length.
-    pub fn offset_diff_scaled(src: &[f64], base: f64, scale: f64, out: &mut [f64]) {
-        assert_eq!(src.len(), out.len(), "offset_diff_scaled length mismatch");
-        for (o, s) in out.iter_mut().zip(src) {
-            *o = scale * (s - base);
         }
     }
 }
@@ -311,21 +298,6 @@ mod wide {
             *o = scale * (h - l);
         }
     }
-
-    pub fn offset_diff_scaled(src: &[f64], base: f64, scale: f64, out: &mut [f64]) {
-        assert_eq!(src.len(), out.len(), "offset_diff_scaled length mismatch");
-        let mut co = out.chunks_exact_mut(LANES);
-        let mut cs = src.chunks_exact(LANES);
-        for (oc, sc) in (&mut co).zip(&mut cs) {
-            oc[0] = scale * (sc[0] - base);
-            oc[1] = scale * (sc[1] - base);
-            oc[2] = scale * (sc[2] - base);
-            oc[3] = scale * (sc[3] - base);
-        }
-        for (o, s) in co.into_remainder().iter_mut().zip(cs.remainder()) {
-            *o = scale * (s - base);
-        }
-    }
 }
 
 /// Deterministic dot product `Σ aᵢ·bᵢ` under the lane contract: element `i`
@@ -394,16 +366,6 @@ pub fn cumsum_step(acc: &mut [f64], src: &[f64], dst: &mut [f64], scale: f64) {
 #[inline]
 pub fn diff_scaled(hi: &[f64], lo: &[f64], scale: f64, out: &mut [f64]) {
     wide::diff_scaled(hi, lo, scale, out)
-}
-
-/// `out[i] = scale·(src[i] − base)` — the 1-D `AllRange` closed-form answer
-/// row (one interval start, all interval ends).
-///
-/// # Panics
-/// Panics if the slices differ in length.
-#[inline]
-pub fn offset_diff_scaled(src: &[f64], base: f64, scale: f64, out: &mut [f64]) {
-    wide::offset_diff_scaled(src, base, scale, out)
 }
 
 #[cfg(test)]
@@ -478,10 +440,6 @@ mod tests {
             diff_scaled(&a, &b, 2.25, &mut o1);
             scalar::diff_scaled(&a, &b, 2.25, &mut o2);
             assert_eq!(bits(&o1), bits(&o2), "diff_scaled n={n}");
-
-            offset_diff_scaled(&a, 1.5, 0.75, &mut o1);
-            scalar::offset_diff_scaled(&a, 1.5, 0.75, &mut o2);
-            assert_eq!(bits(&o1), bits(&o2), "offset_diff_scaled n={n}");
         }
     }
 

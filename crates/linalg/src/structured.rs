@@ -6,7 +6,9 @@
 //! products of all of these — are far too regular to store densely. A
 //! [`StructuredMatrix`] keeps only the pattern parameters (`n`, a scale) or a
 //! CSR payload and implements the whole [`LinOp`](crate::LinOp) surface with
-//! closed-form fast paths:
+//! closed-form fast paths. Its products are not written here: a leaf's
+//! `matvec` / `rmatvec` is a one-mode chain through the contraction kernels
+//! of `contract.rs`, exactly like a `Kron` of several leaves.
 //!
 //! | variant      | storage | matvec         | gram           | sensitivity |
 //! |--------------|---------|----------------|----------------|-------------|
@@ -197,110 +199,21 @@ impl StructuredMatrix {
         }
     }
 
-    /// `A·x` through the cheapest path for the representation.
+    /// `A·x`: the one-mode chain of [`kmatvec_structured`], so every
+    /// variant runs its closed-form kernel of `contract.rs`.
     ///
     /// # Panics
     /// Panics if `x.len() != self.cols()`.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols(), "structured matvec dimension mismatch");
-        match self {
-            Dense(m) => m.matvec(x),
-            Sparse(s) => s.matvec(x),
-            Identity { scale, .. } => x.iter().map(|v| v * scale).collect(),
-            Total { scale, .. } => vec![scale * x.iter().sum::<f64>()],
-            Prefix { scale, .. } => {
-                let mut acc = 0.0;
-                x.iter()
-                    .map(|v| {
-                        acc += v;
-                        scale * acc
-                    })
-                    .collect()
-            }
-            AllRange { n, scale } => {
-                // y_(i,j) = scale·(S[j+1] − S[i]) with S the prefix sums.
-                let mut sums = Vec::with_capacity(n + 1);
-                sums.push(0.0);
-                let mut acc = 0.0;
-                for v in x {
-                    acc += v;
-                    sums.push(acc);
-                }
-                // Row block i is scale·(S[i+1..=n] − S[i]) — one lane kernel
-                // per block, bitwise identical to the historical scalar loop.
-                let mut y = vec![0.0; n * (n + 1) / 2];
-                let mut row = 0;
-                for i in 0..*n {
-                    let len = *n - i;
-                    crate::simd::offset_diff_scaled(
-                        &sums[i + 1..*n + 1],
-                        sums[i],
-                        *scale,
-                        &mut y[row..row + len],
-                    );
-                    row += len;
-                }
-                y
-            }
-            PIdentity { .. } | Woodbury { .. } => kmatvec_structured(&[self], x),
-            Kron(fs) => {
-                let refs: Vec<&StructuredMatrix> = fs.iter().collect();
-                kmatvec_structured(&refs, x)
-            }
-        }
+        kmatvec_structured(&[self], x)
     }
 
-    /// `Aᵀ·y` through the cheapest path for the representation.
+    /// `Aᵀ·y`: the one-mode chain of [`kmatvec_transpose_structured`].
     ///
     /// # Panics
     /// Panics if `y.len() != self.rows()`.
     pub fn rmatvec(&self, y: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            y.len(),
-            self.rows(),
-            "structured rmatvec dimension mismatch"
-        );
-        match self {
-            Dense(m) => m.t_matvec(y),
-            Sparse(s) => s.rmatvec(y),
-            Identity { scale, .. } => y.iter().map(|v| v * scale).collect(),
-            Total { n, scale } => vec![scale * y[0]; *n],
-            Prefix { scale, .. } => {
-                // (Pᵀy)_c = scale·Σ_{r≥c} y_r: reversed running sums.
-                let mut out = vec![0.0; y.len()];
-                let mut acc = 0.0;
-                for (o, v) in out.iter_mut().zip(y).rev() {
-                    acc += v;
-                    *o = scale * acc;
-                }
-                out
-            }
-            AllRange { n, scale } => {
-                // Difference-array trick: range (i, j) adds y_r on [i, j].
-                let mut diff = vec![0.0; n + 1];
-                let mut r = 0;
-                for i in 0..*n {
-                    for j in i..*n {
-                        let v = y[r];
-                        diff[i] += v;
-                        diff[j + 1] -= v;
-                        r += 1;
-                    }
-                }
-                let mut out = Vec::with_capacity(*n);
-                let mut acc = 0.0;
-                for d in &diff[..*n] {
-                    acc += d;
-                    out.push(scale * acc);
-                }
-                out
-            }
-            PIdentity { .. } | Woodbury { .. } => kmatvec_transpose_structured(&[self], y),
-            Kron(fs) => {
-                let refs: Vec<&StructuredMatrix> = fs.iter().collect();
-                kmatvec_transpose_structured(&refs, y)
-            }
-        }
+        kmatvec_transpose_structured(&[self], y)
     }
 
     /// The Gram matrix `AᵀA` as a dense `n×n` block, computed from closed
@@ -392,14 +305,9 @@ impl StructuredMatrix {
         }
     }
 
-    /// `(AᵀA)⁺` from the dense Gram: a Cholesky inverse, or the spectral
-    /// pseudo-inverse when the Gram is singular.
+    /// `(AᵀA)⁺` from the dense Gram ([`inverse_gram`](crate::inverse_gram)).
     fn dense_gram_pinv(&self) -> StructuredMatrix {
-        let gram = self.gram_dense();
-        match crate::Cholesky::new(&gram) {
-            Ok(ch) => Dense(ch.inverse()),
-            Err(_) => Dense(crate::pinv_psd(&gram).expect("factor gram eigendecomposition")),
-        }
+        Dense(crate::inverse_gram(&self.gram_dense()))
     }
 
     /// Per-column sums of absolute values, in closed form where possible.

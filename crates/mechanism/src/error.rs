@@ -12,18 +12,8 @@
 //! sum (Thm 6), so everything below touches only `nᵢ × nᵢ` blocks.
 
 use crate::{Strategy, UnionGroup};
-use hdmm_linalg::{pinv_psd, Cholesky, Matrix, StructuredMatrix};
+use hdmm_linalg::{inverse_gram, Cholesky, Matrix, StructuredMatrix};
 use hdmm_workload::WorkloadGrams;
-
-/// Pseudo-inverse of a strategy factor's Gram `AᵀA`: fast Cholesky inverse
-/// when positive definite, spectral pseudo-inverse otherwise (e.g. Total).
-pub fn gram_pinv(a: &Matrix) -> Matrix {
-    let gram = a.gram();
-    match Cholesky::new(&gram) {
-        Ok(ch) => ch.inverse(),
-        Err(_) => pinv_psd(&gram).expect("factor gram eigendecomposition"),
-    }
-}
 
 /// Dense `(AᵀA)⁺` of a structured strategy factor, via its closed-form Gram
 /// pseudo-inverse where one exists.
@@ -33,9 +23,10 @@ fn gram_pinv_structured(a: &StructuredMatrix) -> Matrix {
 
 /// `‖W A⁺‖²_F = tr[(AᵀA)⁺·(WᵀW)]` for explicit `A` and explicit Gram `WᵀW`.
 pub fn residual_explicit(w_gram: &Matrix, a: &Matrix) -> f64 {
-    match Cholesky::new(&a.gram()) {
+    let gram = a.gram();
+    match Cholesky::new(&gram) {
         Ok(ch) => ch.trace_solve(w_gram),
-        Err(_) => gram_pinv(a).trace_product(w_gram),
+        Err(_) => inverse_gram(&gram).trace_product(w_gram),
     }
 }
 
@@ -43,7 +34,7 @@ pub fn residual_explicit(w_gram: &Matrix, a: &Matrix) -> f64 {
 /// `Σ_j w_j²·Πᵢ tr[(AᵢᵀAᵢ)⁺·Gᵢ⁽ʲ⁾]` (Theorem 6).
 pub fn residual_kron(grams: &WorkloadGrams, factors: &[Matrix]) -> f64 {
     assert_eq!(factors.len(), grams.dims(), "strategy arity mismatch");
-    let pinvs: Vec<Matrix> = factors.iter().map(gram_pinv).collect();
+    let pinvs: Vec<Matrix> = factors.iter().map(|a| inverse_gram(&a.gram())).collect();
     residual_kron_cached(grams, &pinvs)
 }
 

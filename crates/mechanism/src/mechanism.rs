@@ -1,7 +1,6 @@
 //! The end-to-end private pipeline: MEASURE → RECONSTRUCT → answer
 //! (Table 1(b) of the paper, with the efficient implementations of §7.2).
 
-use crate::error::gram_pinv;
 use crate::pipeline::{measure_on, reconstruct_on, MechanismRequest, PlainKernels};
 use crate::{MarginalsAlgebra, Strategy};
 use hdmm_linalg::{KronScratch, Matrix, StructuredMatrix};
@@ -95,7 +94,7 @@ impl PreparedReconstruct {
     pub fn new(strategy: &Strategy) -> Self {
         match strategy {
             Strategy::Explicit(a) => PreparedReconstruct::Explicit {
-                gram_pinv: gram_pinv(a),
+                gram_pinv: hdmm_linalg::inverse_gram(&a.gram()),
             },
             Strategy::Kron(factors) => PreparedReconstruct::Kron {
                 gram_pinvs: factors.iter().map(StructuredMatrix::gram_pinv).collect(),

@@ -393,27 +393,14 @@ struct WhitenedGroup {
 }
 
 impl WhitenedGroup {
-    /// `op·x` (or `opᵀ·x`), each value handed to `emit` with its output
-    /// position. A product runs in the scratch; a single leaf (a 1-D group)
-    /// keeps its own matvec.
+    /// `op·x` (or `opᵀ·x`) in the scratch, each value handed to `emit` with
+    /// its output position. A 1-D group's single leaf is a one-mode chain.
     fn apply(&self, x: &[f64], transpose: bool, mut emit: impl FnMut(usize, f64)) {
         let mut scratch = self.scratch.borrow_mut();
-        let owned;
-        let y: &[f64] = match (&self.op, transpose) {
-            (StructuredMatrix::Kron(_), false) => {
-                kmatvec_structured_scratch(&[&self.op], x, &mut scratch)
-            }
-            (StructuredMatrix::Kron(_), true) => {
-                kmatvec_transpose_structured_scratch(&[&self.op], x, &mut scratch)
-            }
-            (leaf, false) => {
-                owned = leaf.matvec(x);
-                &owned
-            }
-            (leaf, true) => {
-                owned = leaf.rmatvec(x);
-                &owned
-            }
+        let y = if transpose {
+            kmatvec_transpose_structured_scratch(&[&self.op], x, &mut scratch)
+        } else {
+            kmatvec_structured_scratch(&[&self.op], x, &mut scratch)
         };
         for (i, &v) in y.iter().enumerate() {
             emit(i, v * self.weight);
@@ -455,7 +442,8 @@ pub struct MechanismRequest<'a> {
     /// The measurement strategy SELECT chose for it.
     pub strategy: &'a Strategy,
     /// `strategy`'s reconstruction factorization
-    /// ([`PreparedReconstruct::new`]); serving layers memoize it per plan.
+    /// ([`PreparedReconstruct::new`]); a plan builds it once, when it is
+    /// made, and every request against the plan borrows it.
     pub prepared: &'a PreparedReconstruct,
     /// The privacy budget this request spends; the caller has already
     /// reserved it.

@@ -23,7 +23,7 @@
 //!
 //! An [`OptimizerChoice`] resolves to an ordered operator set: `Exhaustive`
 //! → `{OPT_⊗, OPT_+(g(W)) when the union partition has ≥ 2 groups, OPT_M
-//! when 2 ≤ d ≤ marginals_max_dims}`; a single choice → that operator, or
+//! when 2 ≤ d ≤ 14}`; a single choice → that operator, or
 //! `OPT_⊗` where it does not apply. The grid enumerates `(restart, operator)`
 //! cells restart-major, seeds each with [`restart_seed`]`(master, restart,
 //! tag)`, runs them on `hdmm_mechanism::ScopedExecutor`

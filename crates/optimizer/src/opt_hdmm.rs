@@ -19,10 +19,6 @@ pub struct HdmmOptions {
     pub restarts: usize,
     /// RNG seed for reproducible selection.
     pub seed: u64,
-    /// Number of groups `l` the union-partitioning function `g` produces.
-    pub union_groups: usize,
-    /// Run `OPT_M` when `2 ≤ d ≤ marginals_max_dims`.
-    pub marginals_max_dims: usize,
     /// Per-attribute p override (`None` → the §7.1 convention).
     pub ps: Option<Vec<usize>>,
     /// Worker threads for the restart grid: `0` fans out one lane per
@@ -37,8 +33,6 @@ impl Default for HdmmOptions {
         HdmmOptions {
             restarts: 4,
             seed: 0,
-            union_groups: 2,
-            marginals_max_dims: 14,
             ps: None,
             threads: 0,
         }

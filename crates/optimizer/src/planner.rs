@@ -112,10 +112,20 @@ fn is_total_like(factor: &StructuredMatrix) -> bool {
     }
 }
 
+/// Number of groups `l` the union partition `g(W)` produces (§6.2; the
+/// paper's `g` uses `l = 2`).
+const UNION_GROUPS: usize = 2;
+
+/// `OPT_M` applies to domains of `2 ≤ d ≤ MARGINALS_MAX_DIMS` attributes:
+/// its subset algebra holds one weight per attribute subset, `2^d` of them.
+const MARGINALS_MAX_DIMS: usize = 14;
+
 /// Inspects the workload's structure and picks the operator the paper's
 /// decision rules prescribe. Pure and cheap: touches only factor shapes and
-/// entries (no Grams are formed), never runs an optimization.
-pub fn select_optimizer(workload: &Workload, opts: &HdmmOptions) -> PlanDecision {
+/// entries (no Grams are formed), never runs an optimization. No option
+/// steers the rules: the union group count and the `OPT_M` cutoff are
+/// constants, so `_opts` is read by nothing.
+pub fn select_optimizer(workload: &Workload, _opts: &HdmmOptions) -> PlanDecision {
     let d = workload.domain().dims();
     if d == 1 {
         return PlanDecision {
@@ -128,7 +138,7 @@ pub fn select_optimizer(workload: &Workload, opts: &HdmmOptions) -> PlanDecision
         .terms()
         .iter()
         .all(|t| t.factors.iter().all(StructuredMatrix::is_total_or_identity));
-    if all_marginal && d <= opts.marginals_max_dims {
+    if all_marginal && d <= MARGINALS_MAX_DIMS {
         return PlanDecision {
             choice: OptimizerChoice::Marginals,
             reason: "marginals workload (all factors Identity/Total): OPT_M subset algebra",
@@ -138,7 +148,7 @@ pub fn select_optimizer(workload: &Workload, opts: &HdmmOptions) -> PlanDecision
     // A union splits into structural groups by which attributes carry a
     // non-Total factor — the same signature `group_terms` computes from the
     // Grams, read here directly off the factor entries.
-    if workload.terms().len() >= 2 && opts.union_groups >= 2 {
+    if workload.terms().len() >= 2 {
         let mut signatures: Vec<u64> = workload
             .terms()
             .iter()
@@ -181,22 +191,18 @@ impl Operator {
     /// Resolves `choice` to the ordered operator set the grid runs — the one
     /// place operator applicability is decided: `OPT_0` needs a 1-D domain,
     /// `OPT_+` a union whose partition has ≥ 2 groups, `OPT_M`
-    /// `2 ≤ d ≤ marginals_max_dims`. A single choice that does not apply
+    /// `2 ≤ d ≤ MARGINALS_MAX_DIMS`. A single choice that does not apply
     /// runs `OPT_⊗` instead, so the set is never empty.
-    fn resolve(
-        choice: OptimizerChoice,
-        grams: &WorkloadGrams,
-        opts: &HdmmOptions,
-    ) -> Vec<Operator> {
+    fn resolve(choice: OptimizerChoice, grams: &WorkloadGrams) -> Vec<Operator> {
         let d = grams.dims();
         let plus = || {
             (grams.terms().len() >= 2 && d >= 2)
-                .then(|| group_terms(grams, opts.union_groups))
+                .then(|| group_terms(grams, UNION_GROUPS))
                 .filter(|partition| partition.len() >= 2)
                 .map(Operator::Plus)
         };
         let marginals = || {
-            (2..=opts.marginals_max_dims)
+            (2..=MARGINALS_MAX_DIMS)
                 .contains(&d)
                 .then_some(Operator::Marginals)
         };
@@ -279,7 +285,7 @@ pub fn optimize_with_choice_observed(
     choice: OptimizerChoice,
     observer: &dyn Observer,
 ) -> Selected {
-    let operators = Operator::resolve(choice, grams, opts);
+    let operators = Operator::resolve(choice, grams);
     let restarts = opts.restarts.max(1);
     let cells = (0..restarts).flat_map(|restart| operators.iter().map(move |op| (restart, op)));
     observer.grid_planned(restarts * operators.len());
@@ -389,38 +395,39 @@ mod tests {
         let product_2d = builders::prefix_2d(4, 4);
         let union_2d = builders::range_total_union_2d(4, 4);
         let marginals_3d = builders::upto_kway_marginals(&Domain::new(&[3, 3, 3]), 2);
-        let narrow = HdmmOptions {
-            marginals_max_dims: 2,
-            ..Default::default()
-        };
-        let wide = HdmmOptions::default();
-        let table: [(&Workload, &HdmmOptions, OptimizerChoice, &[&str]); 15] = [
-            (&range_1d, &wide, Opt0, &["opt0"]),
-            (&range_1d, &wide, Marginals, &["kron"]),
-            (&range_1d, &wide, Plus, &["kron"]),
-            (&range_1d, &wide, Exhaustive, &["kron"]),
-            (&product_2d, &wide, Opt0, &["kron"]),
-            (&product_2d, &wide, Kron, &["kron"]),
-            (&product_2d, &wide, Plus, &["kron"]),
-            (&product_2d, &wide, Marginals, &["marginals"]),
-            (&product_2d, &wide, Exhaustive, &["kron", "marginals"]),
-            (&union_2d, &wide, Plus, &["plus"]),
-            (&union_2d, &wide, Exhaustive, &["kron", "marginals", "plus"]),
-            (&marginals_3d, &wide, Marginals, &["marginals"]),
-            (&marginals_3d, &narrow, Marginals, &["kron"]),
-            (
-                &marginals_3d,
-                &wide,
-                Exhaustive,
-                &["kron", "marginals", "plus"],
-            ),
-            (&marginals_3d, &narrow, Exhaustive, &["kron", "plus"]),
+        // One attribute past `MARGINALS_MAX_DIMS`: OPT_M no longer applies.
+        let marginals_15d =
+            builders::upto_kway_marginals(&Domain::new(&[2; MARGINALS_MAX_DIMS + 1]), 1);
+        let table: [(&Workload, OptimizerChoice, &[&str]); 15] = [
+            (&range_1d, Opt0, &["opt0"]),
+            (&range_1d, Marginals, &["kron"]),
+            (&range_1d, Plus, &["kron"]),
+            (&range_1d, Exhaustive, &["kron"]),
+            (&product_2d, Opt0, &["kron"]),
+            (&product_2d, Kron, &["kron"]),
+            (&product_2d, Plus, &["kron"]),
+            (&product_2d, Marginals, &["marginals"]),
+            (&product_2d, Exhaustive, &["kron", "marginals"]),
+            (&union_2d, Plus, &["plus"]),
+            (&union_2d, Exhaustive, &["kron", "marginals", "plus"]),
+            (&marginals_3d, Marginals, &["marginals"]),
+            (&marginals_15d, Marginals, &["kron"]),
+            (&marginals_3d, Exhaustive, &["kron", "marginals", "plus"]),
+            (&marginals_15d, Exhaustive, &["kron", "plus"]),
         ];
-        for (row, (workload, base, choice, tags)) in table.into_iter().enumerate() {
+        for (row, (workload, choice, tags)) in table.into_iter().enumerate() {
             let grams = WorkloadGrams::from_workload(workload);
+            // The set first, before any restart runs: a wrong cutoff fails
+            // here instead of running OPT_M over 2^15 subset weights.
+            let mut resolved: Vec<_> = Operator::resolve(choice, &grams)
+                .iter()
+                .map(Operator::tag)
+                .collect();
+            resolved.sort_unstable();
+            assert_eq!(resolved, tags, "row {row}: {choice:?}");
             let opts = HdmmOptions {
                 restarts: 2,
-                ..base.clone()
+                ..Default::default()
             };
             let shape = GridShape::default();
             let ps = crate::default_ps(workload);

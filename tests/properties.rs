@@ -2,7 +2,7 @@
 
 use hdmm_core::{Domain, ProductTerm, Workload, WorkloadGrams};
 use hdmm_linalg::{
-    kmatvec_structured, kmatvec_transpose_structured, kron_all, lsmr, DenseOp, LsmrOptions, Matrix,
+    kmatvec_structured, kmatvec_transpose_structured, kron_all, lsmr, LsmrOptions, Matrix,
     StructuredMatrix,
 };
 use hdmm_mechanism::MarginalsAlgebra;
@@ -122,7 +122,7 @@ proptest! {
             .fold(f64::INFINITY, f64::min);
         prop_assume!(min_pivot > 1e-3);
         let direct = ch_ok.solve_vec(&a.t_matvec(&b));
-        let iter = lsmr(&DenseOp(&a), &b, &LsmrOptions::default());
+        let iter = lsmr(&StructuredMatrix::Dense(a.clone()), &b, &LsmrOptions::default());
         for (l, d) in iter.x.iter().zip(&direct) {
             prop_assert!((l - d).abs() < 1e-5, "{l} vs {d}");
         }

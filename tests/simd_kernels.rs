@@ -118,19 +118,6 @@ proptest! {
         simd::scalar::diff_scaled(&hi, &lo, scale, &mut reference);
         prop_assert_eq!(bits(&wide), bits(&reference));
     }
-
-    #[test]
-    fn offset_diff_scaled_matches_scalar_bitwise(
-        src in len().prop_flat_map(values),
-        base in -1.0e6..1.0e6f64,
-        scale in -100.0..100.0f64
-    ) {
-        let mut wide = vec![0.0; src.len()];
-        let mut reference = vec![0.0; src.len()];
-        simd::offset_diff_scaled(&src, base, scale, &mut wide);
-        simd::scalar::offset_diff_scaled(&src, base, scale, &mut reference);
-        prop_assert_eq!(bits(&wide), bits(&reference));
-    }
 }
 
 /// The `+0.0` tail-neutrality claim the wide reductions rely on, pinned

@@ -64,7 +64,7 @@ pub use linop::{LinOp, ScaledOp, StackedOp};
 pub use lsmr::{lsmr, LsmrOptions, LsmrResult};
 pub use lu::Lu;
 pub use matrix::Matrix;
-pub use pinv::{inverse_gram, pinv, pinv_psd};
+pub use pinv::{inverse_gram, joint_diagonalize, pinv, pinv_psd, JointEigen, RCOND};
 pub use slab::{
     kmatvec_trailing_slab, kmatvec_transpose_trailing_slab, leading_split, matvec_rows,
     partition_rows, slab_split, LeadingSplit,

@@ -4,10 +4,10 @@
 //! `(AᵀA)⁺` for the closed-form error `‖WA⁺‖²_F = tr[(AᵀA)⁺(WᵀW)]`
 //! (Definition 7 / Equation 3 of the paper).
 
-use crate::{Cholesky, Matrix, Result, SymEigen};
+use crate::{Cholesky, LinalgError, Matrix, Result, SymEigen};
 
 /// Relative eigenvalue cutoff below which a direction is treated as null.
-const RCOND: f64 = 1e-11;
+pub const RCOND: f64 = 1e-11;
 
 /// Pseudo-inverse of a symmetric positive-semidefinite matrix via its
 /// eigendecomposition: zero eigenvalues map to zero.
@@ -31,6 +31,76 @@ pub fn inverse_gram(gram: &Matrix) -> Matrix {
         Ok(ch) => ch.inverse(),
         Err(_) => pinv_psd(gram).expect("factor gram eigendecomposition"),
     }
+}
+
+/// A basis that diagonalises at most two symmetric PSD matrices at once,
+/// on the range of their sum ([`joint_diagonalize`]).
+#[derive(Debug, Clone)]
+pub struct JointEigen {
+    /// `V`, `n×r`: `r` is the rank of `S = Σ G_g` at the [`pinv_psd`]
+    /// cutoff, and `VᵀSV = I`.
+    pub basis: Matrix,
+    /// Per input matrix `G_g`, the diagonal of `VᵀG_gV` (entries in
+    /// `[0, 1]`; those at or below [`RCOND`] are exactly 0).
+    pub diags: Vec<Vec<f64>>,
+}
+
+/// Diagonalises one or two symmetric PSD matrices with one basis: with
+/// `S = Σ G_g = UΛUᵀ`, keep its range `P = U_r·Λ_r^{-1/2}` (`PᵀSP = I`),
+/// eigendecompose `PᵀG₁P = QMQᵀ` and set `V = PQ`. Then `VᵀG₁V = M` and
+/// `VᵀG₂V = I − M` are both diagonal, so any `Σ_g c_g·G_g` with `c_g ≥ 0`
+/// is `T·diag(Σ_g c_g·μ_g)·Tᵀ` with `T = SV` and `TᵀV = I`.
+///
+/// # Errors
+/// [`LinalgError::DimensionMismatch`] for no matrices,
+/// more than two (no common diagonalising basis exists in general), or
+/// matrices of different orders; [`LinalgError::Singular`]
+/// when `S` is zero; an eigendecomposition's own error otherwise.
+pub fn joint_diagonalize(grams: &[Matrix]) -> Result<JointEigen> {
+    let mismatch = |msg: &str| Err(LinalgError::DimensionMismatch(msg.into()));
+    let Some(first) = grams.first() else {
+        return mismatch("joint diagonalization of no matrices");
+    };
+    if grams.len() > 2 {
+        return mismatch("joint diagonalization of more than two matrices");
+    }
+    if grams.iter().any(|g| g.shape() != first.shape()) {
+        return mismatch("joint diagonalization of matrices of different orders");
+    }
+    let mut sum = first.clone();
+    for g in &grams[1..] {
+        sum.axpy(1.0, g);
+    }
+    let s = SymEigen::new(&sum)?;
+    let max = s.values.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    let kept: Vec<usize> = (0..s.values.len())
+        .filter(|&c| s.values[c] > max * RCOND)
+        .collect();
+    if kept.is_empty() {
+        return Err(LinalgError::Singular);
+    }
+    let p = Matrix::from_fn(first.rows(), kept.len(), |r, c| {
+        s.vectors[(r, kept[c])] / s.values[kept[c]].sqrt()
+    });
+    let q = SymEigen::new(&p.t_matmul(&first.matmul(&p)))?;
+    let basis = p.matmul(&q.vectors);
+    let diags = grams
+        .iter()
+        .map(|g| {
+            let gv = g.matmul(&basis);
+            (0..basis.cols())
+                .map(|c| {
+                    let mu: f64 = (0..basis.rows()).map(|r| basis[(r, c)] * gv[(r, c)]).sum();
+                    if mu > RCOND {
+                        mu
+                    } else {
+                        0.0
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    Ok(JointEigen { basis, diags })
 }
 
 /// General Moore–Penrose pseudo-inverse via `A⁺ = (AᵀA)⁺ Aᵀ`.
@@ -92,6 +162,43 @@ mod tests {
         let ones = Matrix::ones(n, n);
         let p = pinv_psd(&ones).unwrap();
         assert!(p.approx_eq(&ones.scaled(1.0 / (n * n) as f64), 1e-9));
+    }
+
+    fn diagonal_in(basis: &Matrix, g: &Matrix, mu: &[f64], tol: f64) -> bool {
+        basis
+            .t_matmul(&g.matmul(basis))
+            .approx_eq(&Matrix::from_diag(mu), tol)
+    }
+
+    #[test]
+    fn joint_basis_diagonalises_both_grams() {
+        // A prefix Gram beside a rank-1 Total Gram: S is full rank.
+        let n = 5;
+        let prefix = Matrix::from_fn(n, n, |i, j| (n - i.max(j)) as f64);
+        let total = Matrix::ones(n, n);
+        let j = joint_diagonalize(&[prefix.clone(), total.clone()]).unwrap();
+        assert_eq!(j.basis.shape(), (n, n));
+        assert!(diagonal_in(&j.basis, &prefix, &j.diags[0], 1e-10));
+        assert!(diagonal_in(&j.basis, &total, &j.diags[1], 1e-10));
+        // Total is rank 1: one nonzero entry, the others exactly zero.
+        assert_eq!(j.diags[1].iter().filter(|&&m| m > 0.0).count(), 1);
+        let sum = prefix.add(&total);
+        assert!(diagonal_in(&j.basis, &sum, &[1.0; 5], 1e-10));
+    }
+
+    #[test]
+    fn joint_basis_keeps_only_the_range_of_the_sum() {
+        // Two Totals: S = 2·𝟙 has rank 1, so V is one column.
+        let total = Matrix::ones(4, 4);
+        let j = joint_diagonalize(&[total.clone(), total.clone()]).unwrap();
+        assert_eq!(j.basis.shape(), (4, 1));
+        assert!((j.diags[0][0] - 0.5).abs() < 1e-12 && (j.diags[1][0] - 0.5).abs() < 1e-12);
+        // One matrix alone: V whitens it.
+        let one = joint_diagonalize(std::slice::from_ref(&total)).unwrap();
+        assert!((one.diags[0][0] - 1.0).abs() < 1e-12);
+        assert!(joint_diagonalize(&[total.clone(), total.clone(), total]).is_err());
+        assert!(joint_diagonalize(&[Matrix::zeros(3, 3)]).is_err());
+        assert!(joint_diagonalize(&[]).is_err());
     }
 
     #[test]

@@ -24,6 +24,7 @@
 
 pub mod error;
 mod executor;
+mod joint;
 pub mod laplace;
 pub mod marginals;
 mod mechanism;
@@ -31,6 +32,7 @@ pub mod pipeline;
 mod strategy;
 
 pub use executor::ScopedExecutor;
+pub use joint::JointBasis;
 pub use marginals::{MarginalsAlgebra, MarginalsStrategy};
 pub use mechanism::MeasuredBlock;
 pub use mechanism::{

@@ -2,7 +2,7 @@
 //! (Table 1(b) of the paper, with the efficient implementations of §7.2).
 
 use crate::pipeline::{measure_on, reconstruct_on, MechanismRequest, PlainKernels};
-use crate::{MarginalsAlgebra, Strategy};
+use crate::{JointBasis, MarginalsAlgebra, Strategy};
 use hdmm_linalg::{KronScratch, Matrix, StructuredMatrix};
 use hdmm_workload::Workload;
 use rand::Rng;
@@ -65,7 +65,10 @@ pub fn measure(strategy: &Strategy, x: &[f64], eps: f64, rng: &mut impl Rng) -> 
 ///   inverse;
 /// * marginals: the subset-sum algebra tables and the §7.2 weight vector `v`
 ///   with `(MᵀM)⁺ = G(v)`;
-/// * union: nothing — LSMR has no reusable strategy-only factorization.
+/// * union of one or two groups (every union SELECT emits): the joint
+///   per-attribute eigenbasis ([`JointBasis`]) that diagonalises both
+///   groups' factor Grams, `O(Σ nⱼ²)` numbers; a union of three or more
+///   groups has none and reconstructs by LSMR.
 #[derive(Debug, Clone)]
 pub enum PreparedReconstruct {
     /// `(AᵀA)⁺` for an explicit strategy.
@@ -85,8 +88,12 @@ pub enum PreparedReconstruct {
         /// Weights `v` with `(MᵀM)⁺ = G(v)`.
         v: Vec<f64>,
     },
-    /// Union strategies reconstruct iteratively; nothing to precompute.
-    Union,
+    /// The joint eigenbasis of a union's groups.
+    Union {
+        /// `None` for a union of three or more groups, or one whose basis
+        /// could not be built: RECONSTRUCT then solves by LSMR.
+        joint: Option<JointBasis>,
+    },
 }
 
 impl PreparedReconstruct {
@@ -104,7 +111,9 @@ impl PreparedReconstruct {
                 let v = algebra.g_inverse_weights(&m.gram_weights());
                 PreparedReconstruct::Marginals { algebra, v }
             }
-            Strategy::Union(_) => PreparedReconstruct::Union,
+            Strategy::Union(groups) => PreparedReconstruct::Union {
+                joint: JointBasis::new(groups),
+            },
         }
     }
 
@@ -269,6 +278,34 @@ mod tests {
         for (a, t) in got.iter().zip(&truth) {
             assert!((a - t).abs() < 1e-2, "{a} vs {t}");
         }
+    }
+
+    #[test]
+    fn total_by_total_union_builds_a_rank_one_basis_and_serves() {
+        // Every attribute's S_j = G_1j + G_2j is a scaled all-ones matrix.
+        let strat = Strategy::Union(vec![
+            UnionGroup::new(
+                0.5,
+                vec![StructuredMatrix::total(9), StructuredMatrix::total(5)],
+                vec![0],
+            ),
+            UnionGroup::new(
+                0.5,
+                vec![StructuredMatrix::total(9), StructuredMatrix::total(5)],
+                vec![0],
+            ),
+        ]);
+        let prepared = PreparedReconstruct::new(&strat);
+        assert!(matches!(
+            &prepared,
+            PreparedReconstruct::Union { joint: Some(j) } if j.groups() == 2
+        ));
+        let x = data(45);
+        let meas = measure(&strat, &x, 1e7, &mut StdRng::seed_from_u64(5));
+        let x_hat = reconstruct_with(&prepared, &strat, &meas);
+        // Both groups measure the grand total; x̄ keeps it.
+        let total: f64 = x.iter().sum();
+        assert!((x_hat.iter().sum::<f64>() - total).abs() < 1e-3);
     }
 
     #[test]

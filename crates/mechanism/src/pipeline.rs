@@ -314,9 +314,15 @@ pub fn measure_on<K: Kernels + ?Sized>(
 /// * marginals: `M⁺y = G(v)·Mᵀy` — `Mᵀy` accumulates per marginal through
 ///   the kernels, the subset-algebra application `G(v)` (§7.2) is a single
 ///   coordinator-side stage;
-/// * union: no closed-form pseudo-inverse — a global noise-whitened LSMR
-///   solve over the stacked implicit operator (§7.2, reference \[14\]),
-///   also a single coordinator-side stage.
+/// * union of one or two groups: `b = Σ_g w_g²·A_gᵀy_g` (`w_g` the
+///   inverse noise scale) accumulates per group through the kernels, and
+///   the normal equations are solved in closed form on the coordinator:
+///   `x̄ = (⊗Vⱼ)·D⁺·(⊗Vⱼ)ᵀ·b` over the joint eigenbasis
+///   ([`JointBasis`](crate::JointBasis)), two small dense Kronecker
+///   products and one diagonal;
+/// * union of three or more groups: no closed form — a global
+///   noise-whitened LSMR solve over the stacked implicit operator (§7.2,
+///   reference \[14\]), a single coordinator-side stage.
 ///
 /// # Panics
 /// Panics if `prepared` was built from a different strategy variant, or if
@@ -360,7 +366,22 @@ pub fn reconstruct_on<K: Kernels + ?Sized>(
             // x̄ = (MᵀM)⁺·Mᵀy = G(v)·Mᵀy.
             Ok(algebra.g_apply(v, &mty))
         }
-        (Strategy::Union(groups), PreparedReconstruct::Union) => {
+        (Strategy::Union(groups), PreparedReconstruct::Union { joint: Some(joint) }) => {
+            let mut b = Vec::new();
+            let mut weights = Vec::with_capacity(groups.len());
+            for (i, (g, block)) in groups.iter().zip(&meas.blocks).enumerate() {
+                let refs: Vec<&StructuredMatrix> = g.factors.iter().collect();
+                let back = kernels.transpose(i, &refs, &block.noisy)?;
+                let w2 = block.noise_scale.powi(-2);
+                b.resize(back.len(), 0.0);
+                for (acc, v) in b.iter_mut().zip(&back) {
+                    *acc += w2 * v;
+                }
+                weights.push(w2);
+            }
+            Ok(joint.solve(&weights, &b))
+        }
+        (Strategy::Union(groups), PreparedReconstruct::Union { joint: None }) => {
             // Whiten each block by its noise scale and solve jointly over the
             // stacked structured Kronecker operators.
             let mut ops: Vec<Box<dyn LinOp>> = Vec::with_capacity(groups.len());
@@ -463,16 +484,16 @@ impl MechanismRequest<'_> {
         if got != expected {
             return Err(MechanismError::DataVectorMismatch { expected, got });
         }
-        let same_family = matches!(
-            (self.strategy, self.prepared),
+        // A union's joint basis must also have been built for as many groups.
+        let same_family = match (self.strategy, self.prepared) {
             (Strategy::Explicit(_), PreparedReconstruct::Explicit { .. })
-                | (Strategy::Kron(_), PreparedReconstruct::Kron { .. })
-                | (
-                    Strategy::Marginals(_),
-                    PreparedReconstruct::Marginals { .. }
-                )
-                | (Strategy::Union(_), PreparedReconstruct::Union)
-        );
+            | (Strategy::Kron(_), PreparedReconstruct::Kron { .. })
+            | (Strategy::Marginals(_), PreparedReconstruct::Marginals { .. }) => true,
+            (Strategy::Union(groups), PreparedReconstruct::Union { joint }) => {
+                joint.as_ref().is_none_or(|j| j.groups() == groups.len())
+            }
+            _ => false,
+        };
         let resident_ok = kernels
             .resident_plan()
             .is_none_or(|shape| shape == PlanShape::of(self.strategy));

@@ -17,6 +17,9 @@
 //! union row's `[Total, AllRange]` workload term and `[Total, Prefix]` group.
 //! The third Kron row is SELECT's own shape: p-Identity leaves, whose
 //! Woodbury inverse Grams are sliced into row blocks like any square leaf.
+//! The union row has two groups, so it reconstructs by the joint solve:
+//! `Σ_g w_g²·A_gᵀy_g` through each kernel kind's transposed products, the
+//! joint eigenbasis on the coordinator.
 
 use hdmm::core::{builders, Domain, ShardedDataVector, Workload};
 use hdmm::linalg::Matrix;
@@ -237,6 +240,12 @@ fn every_kernel_kind_reproduces_the_plain_reference_and_reports_each_phase_once(
         let x = data(workload.domain().size());
         let prepared = PreparedReconstruct::new(&strategy);
         let keys = OperandKeys::new(&strategy, &prepared);
+        if let Strategy::Union(_) = &strategy {
+            assert!(
+                matches!(&prepared, PreparedReconstruct::Union { joint: Some(_) }),
+                "the two-group union row reconstructs by the joint solve"
+            );
+        }
 
         // The reference: the plain kernels called phase by phase, MEASURE
         // building its own marginals algebra.
@@ -393,11 +402,29 @@ fn every_kernel_kind_refuses_invalid_requests_identically_before_any_noise() {
         vec![blocks::total(LEADING), blocks::total(5)],
         vec![0],
     )]);
+    let two_groups_prepared = PreparedReconstruct::new(&two_groups);
+    let one_group_prepared = PreparedReconstruct::new(&one_group);
     let union_request = MechanismRequest {
         strategy: &two_groups,
-        prepared: &PreparedReconstruct::Union,
+        prepared: &two_groups_prepared,
         ..valid
     };
+
+    // A union's joint basis built for another group count.
+    for_each_kernel_kind(
+        &x,
+        "valid",
+        &OperandKeys::new(&two_groups, &two_groups_prepared),
+        &pool,
+        &Refused {
+            what: "joint basis of another group count",
+            request: MechanismRequest {
+                prepared: &one_group_prepared,
+                ..union_request
+            },
+            expected: &|e| *e == MechanismError::PlanMismatch,
+        },
+    );
     let data = sharded(&x, 3);
     for (what, request, stale_keys) in [
         (
@@ -408,7 +435,7 @@ fn every_kernel_kind_refuses_invalid_requests_identically_before_any_noise() {
         (
             "keys of another block count",
             union_request,
-            OperandKeys::new(&one_group, &PreparedReconstruct::Union),
+            OperandKeys::new(&one_group, &one_group_prepared),
         ),
     ] {
         Refused {

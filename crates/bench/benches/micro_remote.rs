@@ -72,7 +72,7 @@ fn bench_remote_measure(c: &mut Criterion) {
     let workload = builders::prefix_2d(n1, n2);
     let strategy = kron_strategy(n1, n2);
     let prepared = PreparedReconstruct::new(&strategy);
-    let keys = OperandKeys::new(&strategy, &prepared);
+    let keys = OperandKeys::new(&prepared);
     let sharded = ShardedDataVector::partition(workload.domain(), data(n1 * n2), SHARDS);
     for &workers in &WORKER_SWEEP {
         let (_handles, opts) = spawn_pool(workers);
@@ -88,7 +88,6 @@ fn bench_remote_measure(c: &mut Criterion) {
             b.iter(|| {
                 let request = MechanismRequest {
                     workload: &workload,
-                    strategy: &strategy,
                     prepared: &prepared,
                     eps: 1.0,
                 };

@@ -323,9 +323,8 @@ impl<'a> Reader<'a> {
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        let bytes = self.take(8)?.first_chunk().ok_or(CodecError::Truncated)?;
+        Ok(u64::from_le_bytes(*bytes))
     }
 
     /// Reads a `u64` that must fit a `usize`.
@@ -346,9 +345,7 @@ impl<'a> Reader<'a> {
 
     /// Reads a little-endian `f64`, bit-exact.
     pub fn f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        Ok(f64::from_bits(self.u64()?))
     }
 
     /// Reads a run of `n` `f64`s: availability is checked once for the
@@ -357,10 +354,8 @@ impl<'a> Reader<'a> {
     /// [`Reader::f64`].
     fn f64_run(&mut self, n: usize) -> Result<Vec<f64>, CodecError> {
         let bytes = self.take(n.checked_mul(8).ok_or(CodecError::Truncated)?)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect())
+        let (chunks, _) = bytes.as_chunks::<8>();
+        Ok(chunks.iter().copied().map(f64::from_le_bytes).collect())
     }
 
     /// Reads a length-prefixed `f64` vector.
@@ -478,6 +473,12 @@ impl<'a> Reader<'a> {
                         term_indices,
                     });
                 }
+                // MEASURE spends `share_g·ε` per group: shares summing past
+                // 1 would spend more than the request reserved.
+                let total: f64 = groups.iter().map(|g| g.share).sum();
+                if (total - 1.0).abs() >= 1e-9 {
+                    return Err(CodecError::Invalid("union shares do not sum to 1"));
+                }
                 Ok(Strategy::Union(groups))
             }
             3 => {
@@ -560,7 +561,7 @@ mod tests {
                 }))),
             ]),
             Strategy::Union(vec![UnionGroup {
-                share: 0.5,
+                share: 1.0,
                 factors: vec![StructuredMatrix::total(3), StructuredMatrix::identity(2)],
                 term_indices: vec![0, 1],
             }]),

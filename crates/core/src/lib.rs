@@ -195,7 +195,6 @@ impl Plan {
     ) -> MechanismResult {
         let request = MechanismRequest {
             workload,
-            strategy: &self.selected.strategy,
             prepared: &self.prepared,
             eps,
         };

@@ -284,7 +284,7 @@ impl StrategyCache {
     /// since the caller's lookup) or holds a different plan (evicted and
     /// selected again) — correctness never depends on the cache's retention.
     pub fn operand_keys(&self, key: &WorkloadFingerprint, plan: &Arc<Plan>) -> Arc<OperandKeys> {
-        let build = || Arc::new(OperandKeys::new(plan.strategy(), plan.prepared()));
+        let build = || Arc::new(OperandKeys::new(plan.prepared()));
         if let Some(Slot::Ready(entry)) = read_recover(&self.slots).get(key) {
             if Arc::ptr_eq(&entry.plan, plan) {
                 return Arc::clone(entry.operand_keys.get_or_init(build));

@@ -639,9 +639,9 @@ impl Engine {
         let data = &handle.data;
         let request = MechanismRequest {
             workload,
-            strategy: plan.strategy(),
-            // Built with the plan: every warm hit reuses its `(AᵀA)⁺` (or
-            // the per-factor / marginals equivalent).
+            // Built with the plan: every warm hit reuses its measured
+            // products and their inverse Grams (or the marginals / union
+            // equivalent).
             prepared: plan.prepared(),
             eps,
         };

@@ -524,8 +524,10 @@ pub fn kmatvec_structured(factors: &[&StructuredMatrix], x: &[f64]) -> Vec<f64> 
 /// # Panics
 /// Panics if `y.len() != Π mᵢ`.
 pub fn kmatvec_transpose_structured(factors: &[&StructuredMatrix], y: &[f64]) -> Vec<f64> {
+    let expected: usize = factors.iter().map(|f| f.rows()).product();
+    assert_eq!(y.len(), expected, "kmatvec input length mismatch");
     let mut scratch = KronScratch::new();
-    kmatvec_transpose_structured_scratch(factors, y, &mut scratch);
+    contract_chain(factors, y, &mut scratch, true);
     scratch.cur
 }
 
@@ -540,18 +542,6 @@ pub fn kmatvec_structured_scratch<'a>(
     let expected: usize = factors.iter().map(|f| f.cols()).product();
     assert_eq!(x.len(), expected, "kmatvec input length mismatch");
     contract_chain(factors, x, scratch, false);
-    &scratch.cur
-}
-
-/// [`kmatvec_transpose_structured`] into caller-owned scratch.
-pub fn kmatvec_transpose_structured_scratch<'a>(
-    factors: &[&StructuredMatrix],
-    y: &[f64],
-    scratch: &'a mut KronScratch,
-) -> &'a [f64] {
-    let expected: usize = factors.iter().map(|f| f.rows()).product();
-    assert_eq!(y.len(), expected, "kmatvec input length mismatch");
-    contract_chain(factors, y, scratch, true);
     &scratch.cur
 }
 

@@ -52,11 +52,6 @@ impl JointBasis {
         Some(JointBasis { bases, diags })
     }
 
-    /// The number of groups the basis was built for.
-    pub fn groups(&self) -> usize {
-        self.diags.len()
-    }
-
     /// `x̄ = (⊗V_j)·D⁺·(⊗V_j)ᵀ·b`, where `weights[g]` is group `g`'s `w_g²`.
     /// `D⁺` maps entries at or below [`RCOND`] times an upper bound on
     /// `max D` to 0, as `pinv_psd` cuts eigenvalues.

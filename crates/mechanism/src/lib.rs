@@ -6,15 +6,18 @@
 //!
 //! * [`Strategy`] — implicit strategy representations (explicit blocks,
 //!   Kronecker products, unions of products, weighted marginals) with
-//!   sensitivity per Theorem 3;
+//!   sensitivity per Theorem 3, each measured as a list of
+//!   [`MeasuredProduct`]s (an explicit matrix as a one-leaf product);
 //! * [`marginals`] — the `C(a)/G(v)/X(u)` subset algebra of §6.3 and
 //!   Appendix A.4, including the linear-system pseudo-inverse;
 //! * [`error`] — `‖WA⁺‖²_F` for every strategy form, decomposed per
 //!   Theorems 5/6 so only per-attribute blocks are touched;
 //! * [`laplace`] — the vector-form Laplace mechanism (Definition 6);
 //! * [`pipeline`] — the one request pipeline, validate → MEASURE →
-//!   RECONSTRUCT → ANSWER ([`MechanismRequest::run`]), written once over the
-//!   [`Kernels`] seam that says only *where* each Kronecker product runs:
+//!   RECONSTRUCT → ANSWER ([`MechanismRequest::run`]), written once over a
+//!   plan's [`PreparedReconstruct`] — its measured products and its family's
+//!   solve — and the [`Kernels`] seam that says only *where* each Kronecker
+//!   product runs:
 //!   the plain reference kernels ([`PlainKernels`], behind [`measure`] /
 //!   [`reconstruct_with`] / [`run_mechanism`]) or `hdmm-net`'s RPC fan-out
 //!   over the slabs of an `hdmm_core::ShardedDataVector`. Every phase and
@@ -43,4 +46,4 @@ pub use pipeline::{
     measure_on, reconstruct_on, Kernels, MechanismError, MechanismRequest, PipelineError,
     PlainKernels, PlanShape,
 };
-pub use strategy::{Strategy, UnionGroup};
+pub use strategy::{MeasuredProduct, Strategy, UnionGroup};

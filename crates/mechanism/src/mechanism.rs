@@ -2,8 +2,8 @@
 //! (Table 1(b) of the paper, with the efficient implementations of §7.2).
 
 use crate::pipeline::{measure_on, reconstruct_on, MechanismRequest, PlainKernels};
-use crate::{JointBasis, MarginalsAlgebra, Strategy};
-use hdmm_linalg::{KronScratch, Matrix, StructuredMatrix};
+use crate::{JointBasis, MarginalsAlgebra, MeasuredProduct, Strategy};
+use hdmm_linalg::{KronScratch, StructuredMatrix};
 use hdmm_workload::Workload;
 use rand::Rng;
 
@@ -19,8 +19,8 @@ pub struct MeasuredBlock {
 /// The output of the MEASURE phase.
 #[derive(Debug, Clone)]
 pub struct Measurements {
-    /// Per-part noisy answers: one block for explicit/Kron strategies, one per
-    /// marginal for marginals strategies, one per group for unions.
+    /// Noisy answers, one block per measured product of the strategy
+    /// ([`Strategy::measured_products`]), in the same order.
     pub blocks: Vec<MeasuredBlock>,
     /// The privacy budget consumed.
     pub eps: f64,
@@ -37,91 +37,108 @@ pub struct MechanismResult {
 
 /// MEASURE: computes `A·x` implicitly and adds Laplace noise calibrated to
 /// the strategy sensitivity (Definition 6). ε-differentially private. This is
-/// [`measure_on`] over the plain reference kernels.
+/// [`measure_on`] over the plain reference kernels, on the products
+/// [`Strategy::measured_products`] lists.
 ///
 /// # Panics
 /// Panics if `eps` is not positive.
 pub fn measure(strategy: &Strategy, x: &[f64], eps: f64, rng: &mut impl Rng) -> Measurements {
-    match measure_on(strategy, None, eps, rng, &PlainKernels::over(x)) {
+    let products = strategy.measured_products();
+    match measure_on(&products, eps, rng, &PlainKernels::over(x)) {
         Ok(meas) => meas,
         Err(never) => match never {},
     }
 }
 
-/// The strategy-only half of RECONSTRUCT, factored out so a serving layer
-/// answering many requests against one cached strategy pays for it once.
+/// Everything of a strategy that requests against it share, built once per
+/// plan so a serving layer answering many requests pays for it once: the
+/// list of measured products MEASURE, RECONSTRUCT and the RPC fan-out's
+/// operand keys all read ([`Strategy::measured_products`]), and the
+/// strategy family's half of RECONSTRUCT's pseudo-inverse `C⁺`:
 ///
-/// Everything here is a pure deterministic function of the strategy — no
-/// measurements, no randomness — so `reconstruct_with(&prepared, s, m)`
-/// returns the same bits whether `prepared` was built moments ago or cached
-/// across requests:
-///
-/// * explicit: the `n×n` inverse Gram `(AᵀA)⁺` (a Cholesky or eigendecomposed
-///   pseudo-inverse — the dominant cost of a warm explicit request);
-/// * Kronecker: the per-factor inverse Grams `(AᵢᵀAᵢ)⁺`
-///   ([`StructuredMatrix::gram_pinv`]) — for SELECT's p-Identity factors the
-///   `Woodbury` leaf `D⁻² − UᵀU`, O(p²n) to build and `p·n + n` numbers to
-///   hold; only `Dense` / `Sparse` / `AllRange` factors pay a dense `n×n`
-///   inverse;
+/// * one product (explicit or Kronecker): the per-factor inverse Grams
+///   `(AᵢᵀAᵢ)⁺` ([`StructuredMatrix::gram_pinv`]) — for SELECT's p-Identity
+///   factors the `Woodbury` leaf `D⁻² − UᵀU`, O(p²n) to build and `p·n + n`
+///   numbers to hold; only `Dense` / `Sparse` / `AllRange` factors (an
+///   explicit matrix is one `Dense` leaf) pay a dense `n×n` inverse;
 /// * marginals: the subset-sum algebra tables and the §7.2 weight vector `v`
 ///   with `(MᵀM)⁺ = G(v)`;
 /// * union of one or two groups (every union SELECT emits): the joint
 ///   per-attribute eigenbasis ([`JointBasis`]) that diagonalises both
 ///   groups' factor Grams, `O(Σ nⱼ²)` numbers; a union of three or more
 ///   groups has none and reconstructs by LSMR.
+///
+/// Everything here is a pure deterministic function of the strategy — no
+/// measurements, no randomness — so a plan built moments ago and one cached
+/// across requests give the same bits.
 #[derive(Debug, Clone)]
-pub enum PreparedReconstruct {
-    /// `(AᵀA)⁺` for an explicit strategy.
-    Explicit {
-        /// The inverse Gram.
-        gram_pinv: Matrix,
-    },
-    /// Per-factor `(AᵢᵀAᵢ)⁺` for a Kronecker strategy.
-    Kron {
-        /// One inverse Gram per factor, in factor order.
-        gram_pinvs: Vec<StructuredMatrix>,
-    },
-    /// The marginals subset algebra and pseudo-inverse weights.
+pub struct PreparedReconstruct {
+    products: Vec<MeasuredProduct>,
+    pub(crate) solve: Solve,
+}
+
+/// The strategy family's half of RECONSTRUCT: how `C⁺` is applied to the
+/// weighted `Σᵢ cᵢ·Aᵢᵀyᵢ` of the measured products.
+#[derive(Debug, Clone)]
+pub(crate) enum Solve {
+    /// One inverse Gram per factor of the plan's single product.
+    InverseGrams(Vec<StructuredMatrix>),
+    /// The marginals subset algebra and the weights `v` with `(MᵀM)⁺ = G(v)`.
     Marginals {
-        /// Möbius/subset-sum tables for the strategy domain.
         algebra: MarginalsAlgebra,
-        /// Weights `v` with `(MᵀM)⁺ = G(v)`.
         v: Vec<f64>,
     },
     /// The joint eigenbasis of a union's groups.
-    Union {
-        /// `None` for a union of three or more groups, or one whose basis
-        /// could not be built: RECONSTRUCT then solves by LSMR.
-        joint: Option<JointBasis>,
-    },
+    Joint(JointBasis),
+    /// A union of three or more groups, or one whose joint basis could not
+    /// be built: whitened LSMR over the stacked products.
+    Lsmr,
 }
 
 impl PreparedReconstruct {
-    /// Precomputes the reconstruction operator for `strategy`.
+    /// Builds the measured products of `strategy` and its solve.
     pub fn new(strategy: &Strategy) -> Self {
-        match strategy {
-            Strategy::Explicit(a) => PreparedReconstruct::Explicit {
-                gram_pinv: hdmm_linalg::inverse_gram(&a.gram()),
-            },
-            Strategy::Kron(factors) => PreparedReconstruct::Kron {
-                gram_pinvs: factors.iter().map(StructuredMatrix::gram_pinv).collect(),
-            },
+        let products = strategy.measured_products();
+        let solve = match strategy {
+            Strategy::Explicit(_) | Strategy::Kron(_) => {
+                let leaves = &products[0].factors;
+                Solve::InverseGrams(leaves.iter().map(StructuredMatrix::gram_pinv).collect())
+            }
             Strategy::Marginals(m) => {
                 let algebra = MarginalsAlgebra::new(&m.domain);
                 let v = algebra.g_inverse_weights(&m.gram_weights());
-                PreparedReconstruct::Marginals { algebra, v }
+                Solve::Marginals { algebra, v }
             }
-            Strategy::Union(groups) => PreparedReconstruct::Union {
-                joint: JointBasis::new(groups),
-            },
+            Strategy::Union(groups) => JointBasis::new(groups).map_or(Solve::Lsmr, Solve::Joint),
+        };
+        PreparedReconstruct { products, solve }
+    }
+
+    /// The products MEASURE answers, in measurement order.
+    pub fn products(&self) -> &[MeasuredProduct] {
+        &self.products
+    }
+
+    /// The cells of the data vector the plan measures (0 for a plan that
+    /// measures nothing).
+    pub(crate) fn cells(&self) -> usize {
+        let cols = |p: &MeasuredProduct| p.factors.iter().map(StructuredMatrix::cols).product();
+        self.products.first().map_or(0, cols)
+    }
+
+    /// The per-factor inverse Grams of a single-product plan, which
+    /// RECONSTRUCT applies through [`Kernels::inverse_grams`](crate::Kernels::inverse_grams).
+    pub fn inverse_grams(&self) -> Option<&[StructuredMatrix]> {
+        match &self.solve {
+            Solve::InverseGrams(gram_pinvs) => Some(gram_pinvs),
+            _ => None,
         }
     }
 
-    /// The subset algebra of a marginals strategy — MEASURE needs the same
-    /// tables RECONSTRUCT does, so prepared pipelines hand it to both.
-    pub fn marginals_algebra(&self) -> Option<&MarginalsAlgebra> {
-        match self {
-            PreparedReconstruct::Marginals { algebra, .. } => Some(algebra),
+    /// The joint eigenbasis a union of one or two groups reconstructs with.
+    pub fn joint_basis(&self) -> Option<&JointBasis> {
+        match &self.solve {
+            Solve::Joint(joint) => Some(joint),
             _ => None,
         }
     }
@@ -130,18 +147,24 @@ impl PreparedReconstruct {
 /// RECONSTRUCT: least-squares estimate `x̄` of the data vector from noisy
 /// measurements (post-processing; consumes no privacy budget) —
 /// [`reconstruct_on`] over the plain reference kernels; see there for the
-/// per-strategy pseudo-inverses. `prepared` is the strategy-only
-/// factorization ([`PreparedReconstruct::new`]): a pure function of the
-/// strategy, so a cached one gives the same bits as a fresh one.
+/// per-family pseudo-inverses. `prepared` is the strategy-only state
+/// ([`PreparedReconstruct::new`]): a pure function of the strategy, so a
+/// cached one gives the same bits as a fresh one.
 ///
 /// # Panics
-/// Panics if `prepared` was built from a different strategy variant.
+/// Panics if `meas` does not hold one block per measurement block of
+/// `strategy` ([`Strategy::measurement_blocks`]) or of `prepared`.
 pub fn reconstruct_with(
     prepared: &PreparedReconstruct,
     strategy: &Strategy,
     meas: &Measurements,
 ) -> Vec<f64> {
-    match reconstruct_on(prepared, strategy, meas, &PlainKernels::over(&[])) {
+    assert_eq!(
+        meas.blocks.len(),
+        strategy.measurement_blocks(),
+        "measurements were not taken with this strategy"
+    );
+    match reconstruct_on(prepared, meas, &PlainKernels::over(&[])) {
         Ok(x_hat) => x_hat,
         Err(never) => match never {},
     }
@@ -199,7 +222,6 @@ pub fn run_mechanism(
 ) -> MechanismResult {
     let request = MechanismRequest {
         workload,
-        strategy,
         prepared: &PreparedReconstruct::new(strategy),
         eps,
     };
@@ -296,10 +318,7 @@ mod tests {
             ),
         ]);
         let prepared = PreparedReconstruct::new(&strat);
-        assert!(matches!(
-            &prepared,
-            PreparedReconstruct::Union { joint: Some(j) } if j.groups() == 2
-        ));
+        assert!(prepared.joint_basis().is_some());
         let x = data(45);
         let meas = measure(&strat, &x, 1e7, &mut StdRng::seed_from_u64(5));
         let x_hat = reconstruct_with(&prepared, &strat, &meas);

@@ -18,28 +18,25 @@
 //!   `hdmm_core::ShardedDataVector` sent to shard workers, everything else
 //!   on the plain kernels.
 //!
-//! Everything else is written here exactly once: request validation
-//! ([`MechanismRequest::run`]), the per-strategy sensitivity, block order,
-//! θ-scaling and noise-draw order of MEASURE ([`measure_on`]), the explicit
-//! product, the per-strategy pseudo-inverse of RECONSTRUCT
-//! ([`reconstruct_on`]) and ANSWER's `W·x̄`. Blocks
-//! are visited in strategy order and noise is drawn only after a block's
-//! product succeeded, so every kernel implementation consumes the RNG stream
-//! identically — the root of the byte-identity guarantee across them.
+//! Everything else is written here exactly once, over the plan's list of
+//! measured products ([`PreparedReconstruct::products`]): request validation
+//! ([`MechanismRequest::run`]), MEASURE's loop of product, θ-scaling and
+//! noise draw ([`measure_on`]), RECONSTRUCT's weighted `Aᵀy` pass and the
+//! family's solve ([`reconstruct_on`]) and ANSWER's `W·x̄`. Products are
+//! visited in list order and noise is drawn only after a product succeeded,
+//! so every kernel implementation consumes the RNG stream identically — the
+//! root of the byte-identity guarantee across them.
 
 use crate::laplace::add_laplace_noise;
-use crate::{
-    MarginalsAlgebra, MeasuredBlock, Measurements, MechanismResult, PreparedReconstruct, Strategy,
-};
+use crate::mechanism::Solve;
+use crate::{MeasuredBlock, MeasuredProduct, Measurements, MechanismResult, PreparedReconstruct};
 use hdmm_linalg::{
-    kmatvec_structured, kmatvec_structured_scratch, kmatvec_transpose_structured,
-    kmatvec_transpose_structured_scratch, lsmr, KronScratch, LinOp, LsmrOptions, StackedOp,
-    StructuredMatrix,
+    kmatvec_structured, kmatvec_transpose_structured, lsmr, LinOp, LsmrOptions, ScaledOp,
+    StackedOp, StructuredMatrix,
 };
 use hdmm_obs::{Observer, Phase};
 use hdmm_workload::Workload;
 use rand::Rng;
-use std::cell::RefCell;
 use std::convert::Infallible;
 use std::time::Instant;
 
@@ -59,9 +56,10 @@ pub enum MechanismError {
         /// Cells provided.
         got: usize,
     },
-    /// The per-plan state handed in with the strategy — the
-    /// [`PreparedReconstruct`], or the operands a kernel keeps resident — was
-    /// built for another strategy family or measurement-block count.
+    /// The per-plan state of the request does not fit: the
+    /// [`PreparedReconstruct`] measures another number of cells than the
+    /// data vector holds, or the operands a kernel keeps resident belong to
+    /// a plan of another [`PlanShape`].
     PlanMismatch,
 }
 
@@ -110,27 +108,23 @@ impl From<PipelineError<Infallible>> for MechanismError {
 /// The shape of the per-plan operands a kernel keeps resident between
 /// requests (the RPC fan-out's content keys): enough for validation to
 /// refuse operands that visibly belong to another plan. Operands of the
-/// right shape built from different factors are the caller's contract, as
-/// they are for [`reconstruct_with`](crate::reconstruct_with).
+/// right shape built from different factors are the caller's contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanShape {
-    /// Measurement blocks evaluated through [`Kernels::forward`] /
-    /// [`Kernels::transpose`] (explicit strategies have none).
-    pub kron_blocks: usize,
-    /// Whether RECONSTRUCT calls [`Kernels::inverse_grams`] (Kronecker
-    /// strategies only).
+    /// Measured products, each evaluated through [`Kernels::forward`] /
+    /// [`Kernels::transpose`].
+    pub products: usize,
+    /// Whether RECONSTRUCT calls [`Kernels::inverse_grams`] (single-product
+    /// plans only).
     pub inverse_grams: bool,
 }
 
 impl PlanShape {
-    /// The shape of `strategy`'s plan.
-    pub fn of(strategy: &Strategy) -> Self {
+    /// The shape of the `prepared` plan.
+    pub fn of(prepared: &PreparedReconstruct) -> Self {
         PlanShape {
-            kron_blocks: match strategy {
-                Strategy::Explicit(_) => 0,
-                _ => strategy.measurement_blocks(),
-            },
-            inverse_grams: matches!(strategy, Strategy::Kron(_)),
+            products: prepared.products().len(),
+            inverse_grams: prepared.inverse_grams().is_some(),
         }
     }
 }
@@ -151,13 +145,14 @@ pub trait Kernels {
         None
     }
 
-    /// MEASURE: `(⊗ factors)·x` over the dataset, for measurement block
-    /// `block` (its index in strategy order, for kernels that key resident
+    /// MEASURE: `(⊗ factors)·x` over the dataset, for measured product
+    /// `block` (its index in the plan's list, for kernels that key resident
     /// operands the same way).
     fn forward(&self, block: usize, factors: &[&StructuredMatrix])
         -> Result<Vec<f64>, Self::Error>;
 
-    /// RECONSTRUCT: `(⊗ factors)ᵀ·y` over measurement block `block`.
+    /// RECONSTRUCT: `(⊗ factors)ᵀ·y` over the answers of measured product
+    /// `block`.
     fn transpose(
         &self,
         block: usize,
@@ -166,7 +161,7 @@ pub trait Kernels {
     ) -> Result<Vec<f64>, Self::Error>;
 
     /// RECONSTRUCT: `(⊗ gram_pinvs)·aty` over the coordinator-held `Aᵀy` of a
-    /// Kronecker strategy.
+    /// single-product plan.
     fn inverse_grams(
         &self,
         gram_pinvs: &[&StructuredMatrix],
@@ -218,253 +213,138 @@ impl Kernels for PlainKernels<'_> {
     }
 }
 
-/// Adds Laplace noise of scale `scale` to one block of strategy answers.
-fn noisy_block(mut answers: Vec<f64>, scale: f64, rng: &mut impl Rng) -> MeasuredBlock {
-    add_laplace_noise(&mut answers, scale, rng);
-    MeasuredBlock {
-        noisy: answers,
-        noise_scale: scale,
-    }
-}
-
-/// MEASURE over any kernels: computes `A·x` implicitly and adds Laplace
-/// noise calibrated to the strategy sensitivity (Definition 6) —
-/// ε-differentially private, and the same bits for every [`Kernels`]
-/// implementation.
-///
-/// `algebra` is the marginals subset algebra when the caller already holds
-/// one (a [`PreparedReconstruct`] does); `None` builds it here. It is a pure
-/// function of the strategy's domain, so the measurements are the same bits
-/// either way.
+/// MEASURE over any kernels: answers each measured product implicitly,
+/// scales the answers by its θ and adds Laplace noise at
+/// `sensitivity / (share·ε)` (Definition 6; a union group runs at
+/// `ε_g = share_g·ε`, sequential composition) — ε-differentially private,
+/// and the same bits for every [`Kernels`] implementation.
 ///
 /// # Panics
 /// Panics if `eps` is not positive ([`MechanismRequest::run`] validates with
 /// typed errors instead).
 pub fn measure_on<K: Kernels + ?Sized>(
-    strategy: &Strategy,
-    algebra: Option<&MarginalsAlgebra>,
+    products: &[MeasuredProduct],
     eps: f64,
     rng: &mut impl Rng,
     kernels: &K,
 ) -> Result<Measurements, K::Error> {
     assert!(eps > 0.0, "privacy budget must be positive");
-    let blocks = match strategy {
-        Strategy::Explicit(a) => {
-            let scale = a.norm_l1_operator() / eps;
-            vec![noisy_block(a.matvec(kernels.data()), scale, rng)]
-        }
-        Strategy::Kron(factors) => {
-            let sens: f64 = factors.iter().map(StructuredMatrix::sensitivity).product();
-            let refs: Vec<&StructuredMatrix> = factors.iter().collect();
-            vec![noisy_block(kernels.forward(0, &refs)?, sens / eps, rng)]
-        }
-        Strategy::Marginals(m) => {
-            let scale = m.sensitivity() / eps;
-            let built;
-            let algebra = match algebra {
-                Some(cached) => cached,
-                None => {
-                    built = MarginalsAlgebra::new(&m.domain);
-                    &built
-                }
-            };
-            let mut blocks = Vec::new();
-            for (a, &theta) in m.theta.iter().enumerate() {
-                if theta == 0.0 {
-                    continue;
-                }
-                let q = algebra.marginal_factors(a);
-                let refs: Vec<&StructuredMatrix> = q.iter().collect();
-                let mut answers = kernels.forward(blocks.len(), &refs)?;
-                for v in &mut answers {
-                    *v *= theta;
-                }
-                blocks.push(noisy_block(answers, scale, rng));
+    let mut blocks = Vec::with_capacity(products.len());
+    for (i, p) in products.iter().enumerate() {
+        let mut noisy = kernels.forward(i, &p.refs())?;
+        if p.theta != 1.0 {
+            for v in &mut noisy {
+                *v *= p.theta;
             }
-            blocks
         }
-        Strategy::Union(groups) => {
-            // Sequential composition: group g runs at ε_g = share_g·ε.
-            let mut blocks = Vec::with_capacity(groups.len());
-            for g in groups {
-                let sens: f64 = g
-                    .factors
-                    .iter()
-                    .map(StructuredMatrix::sensitivity)
-                    .product();
-                let refs: Vec<&StructuredMatrix> = g.factors.iter().collect();
-                let answers = kernels.forward(blocks.len(), &refs)?;
-                blocks.push(noisy_block(answers, sens / (g.share * eps), rng));
-            }
-            blocks
-        }
-    };
+        let noise_scale = p.sensitivity / (p.share * eps);
+        add_laplace_noise(&mut noisy, noise_scale, rng);
+        blocks.push(MeasuredBlock { noisy, noise_scale });
+    }
     Ok(Measurements { blocks, eps })
 }
 
 /// RECONSTRUCT over any kernels: the least-squares estimate `x̄` of the data
 /// vector from noisy measurements (post-processing; consumes no privacy
-/// budget), with the strategy-only factorization supplied by the caller.
+/// budget). One pass forms `b = Σᵢ cᵢ·Aᵢᵀyᵢ` through the kernels' transposed
+/// products, then the plan's solve applies `C⁺`:
 ///
-/// * explicit: `x̄ = A⁺y = (AᵀA)⁺Aᵀy` — small 1-D domains, never fanned out;
-/// * Kronecker: `(⊗Aᵢ)⁺y = ⊗(AᵢᵀAᵢ)⁺ · (⊗Aᵢᵀ)y` through two kernel passes
-///   (§7.2) — the per-factor work is the `nᵢ × nᵢ` inverse Gram
-///   (closed-form for Identity/Prefix, O(pnᵢ) Woodbury for p-Identity),
-///   never the `nᵢ × mᵢ` pseudo-inverse;
-/// * marginals: `M⁺y = G(v)·Mᵀy` — `Mᵀy` accumulates per marginal through
-///   the kernels, the subset-algebra application `G(v)` (§7.2) is a single
-///   coordinator-side stage;
-/// * union of one or two groups: `b = Σ_g w_g²·A_gᵀy_g` (`w_g` the
-///   inverse noise scale) accumulates per group through the kernels, and
-///   the normal equations are solved in closed form on the coordinator:
-///   `x̄ = (⊗Vⱼ)·D⁺·(⊗Vⱼ)ᵀ·b` over the joint eigenbasis
+/// * one product (explicit or Kronecker): `c = 1` and its `Aᵀy` is `b` as
+///   is; `(⊗Aᵢ)⁺y = ⊗(AᵢᵀAᵢ)⁺ · (⊗Aᵢᵀ)y` (§7.2) — the per-factor work is the
+///   `nᵢ × nᵢ` inverse Gram, never the `nᵢ × mᵢ` pseudo-inverse;
+/// * marginals: `cᵢ = θᵢ`, so `b = Mᵀy`, and `x̄ = G(v)·Mᵀy`, the
+///   subset-algebra application (§7.2) on the coordinator;
+/// * union of one or two groups: `c_g = w_g²` (`w_g` the inverse noise
+///   scale), and the normal equations are solved in closed form on the
+///   coordinator: `x̄ = (⊗Vⱼ)·D⁺·(⊗Vⱼ)ᵀ·b` over the joint eigenbasis
 ///   ([`JointBasis`](crate::JointBasis)), two small dense Kronecker
 ///   products and one diagonal;
 /// * union of three or more groups: no closed form — a global
-///   noise-whitened LSMR solve over the stacked implicit operator (§7.2,
+///   noise-whitened LSMR solve over the stacked implicit products (§7.2,
 ///   reference \[14\]), a single coordinator-side stage.
 ///
 /// # Panics
-/// Panics if `prepared` was built from a different strategy variant, or if
-/// `meas` does not hold one block per measurement block of `strategy`
-/// ([`MechanismRequest::run`] refuses the former with a typed error and
-/// cannot produce the latter).
+/// Panics if `meas` does not hold one block per measured product of
+/// `prepared` ([`MechanismRequest::run`] cannot produce that).
 pub fn reconstruct_on<K: Kernels + ?Sized>(
     prepared: &PreparedReconstruct,
-    strategy: &Strategy,
     meas: &Measurements,
     kernels: &K,
 ) -> Result<Vec<f64>, K::Error> {
+    let products = prepared.products();
     assert_eq!(
         meas.blocks.len(),
-        strategy.measurement_blocks(),
-        "measurements were not taken with this strategy"
+        products.len(),
+        "measurements were not taken with this plan"
     );
-    match (strategy, prepared) {
-        (Strategy::Explicit(a), PreparedReconstruct::Explicit { gram_pinv }) => {
-            Ok(gram_pinv.matvec(&a.t_matvec(&meas.blocks[0].noisy)))
+    match &prepared.solve {
+        Solve::InverseGrams(gram_pinvs) => {
+            let aty = weighted_aty(prepared, meas, None, kernels)?;
+            let refs: Vec<&StructuredMatrix> = gram_pinvs.iter().collect();
+            kernels.inverse_grams(&refs, &aty)
         }
-        (Strategy::Kron(factors), PreparedReconstruct::Kron { gram_pinvs }) => {
-            let refs: Vec<&StructuredMatrix> = factors.iter().collect();
-            let aty = kernels.transpose(0, &refs, &meas.blocks[0].noisy)?;
-            let pinv_refs: Vec<&StructuredMatrix> = gram_pinvs.iter().collect();
-            kernels.inverse_grams(&pinv_refs, &aty)
-        }
-        (Strategy::Marginals(m), PreparedReconstruct::Marginals { algebra, v }) => {
-            // Mᵀy = Σ_a θ_a·Q_aᵀ·y_a over the measured marginals.
-            let mut mty = vec![0.0; m.domain.size()];
-            let measured = (0..m.theta.len()).filter(|&a| m.theta[a] != 0.0);
-            for (i, (a, block)) in measured.zip(&meas.blocks).enumerate() {
-                let q = algebra.marginal_factors(a);
-                let refs: Vec<&StructuredMatrix> = q.iter().collect();
-                let back = kernels.transpose(i, &refs, &block.noisy)?;
-                let theta = m.theta[a];
-                for (acc, b) in mty.iter_mut().zip(&back) {
-                    *acc += theta * b;
-                }
-            }
-            // x̄ = (MᵀM)⁺·Mᵀy = G(v)·Mᵀy.
+        Solve::Marginals { algebra, v } => {
+            let theta: Vec<f64> = products.iter().map(|p| p.theta).collect();
+            let mty = weighted_aty(prepared, meas, Some(&theta), kernels)?;
             Ok(algebra.g_apply(v, &mty))
         }
-        (Strategy::Union(groups), PreparedReconstruct::Union { joint: Some(joint) }) => {
-            let mut b = Vec::new();
-            let mut weights = Vec::with_capacity(groups.len());
-            for (i, (g, block)) in groups.iter().zip(&meas.blocks).enumerate() {
-                let refs: Vec<&StructuredMatrix> = g.factors.iter().collect();
-                let back = kernels.transpose(i, &refs, &block.noisy)?;
-                let w2 = block.noise_scale.powi(-2);
-                b.resize(back.len(), 0.0);
-                for (acc, v) in b.iter_mut().zip(&back) {
-                    *acc += w2 * v;
-                }
-                weights.push(w2);
-            }
-            Ok(joint.solve(&weights, &b))
+        Solve::Joint(joint) => {
+            let w2: Vec<f64> = meas.blocks.iter().map(|b| b.noise_scale.powi(-2)).collect();
+            let b = weighted_aty(prepared, meas, Some(&w2), kernels)?;
+            Ok(joint.solve(&w2, &b))
         }
-        (Strategy::Union(groups), PreparedReconstruct::Union { joint: None }) => {
-            // Whiten each block by its noise scale and solve jointly over the
-            // stacked structured Kronecker operators.
-            let mut ops: Vec<Box<dyn LinOp>> = Vec::with_capacity(groups.len());
+        Solve::Lsmr => {
+            // Whiten each product by its inverse noise scale `w` and solve
+            // jointly over the stacked operators.
+            let mut ops: Vec<Box<dyn LinOp>> = Vec::with_capacity(products.len());
             let mut rhs = Vec::new();
-            for (g, block) in groups.iter().zip(&meas.blocks) {
+            for (p, block) in products.iter().zip(&meas.blocks) {
                 let w = 1.0 / block.noise_scale;
-                ops.push(Box::new(WhitenedGroup {
-                    weight: w,
-                    op: StructuredMatrix::kron(g.factors.clone()),
-                    scratch: RefCell::default(),
+                ops.push(Box::new(ScaledOp {
+                    alpha: w,
+                    inner: StructuredMatrix::kron(p.factors.clone()),
                 }));
                 rhs.extend(block.noisy.iter().map(|v| v * w));
             }
-            let stacked = StackedOp::new(ops);
-            Ok(lsmr(&stacked, &rhs, &LsmrOptions::default()).x)
-        }
-        _ => panic!("PreparedReconstruct was built from a different strategy variant"),
-    }
-}
-
-/// One whitened union group `w·(A₁ ⊗ … ⊗ A_d)` as a block of the stacked
-/// LSMR operator, bitwise `ScaledOp { alpha: w, inner: op }`. Its products
-/// run through one [`KronScratch`] it owns and write into the solver's
-/// buffers, so LSMR's iterations allocate no large vector: per-product
-/// buffers are mmapped and page-faulted afresh on every call.
-struct WhitenedGroup {
-    weight: f64,
-    op: StructuredMatrix,
-    scratch: RefCell<KronScratch>,
-}
-
-impl WhitenedGroup {
-    /// `op·x` (or `opᵀ·x`) in the scratch, each value handed to `emit` with
-    /// its output position. A 1-D group's single leaf is a one-mode chain.
-    fn apply(&self, x: &[f64], transpose: bool, mut emit: impl FnMut(usize, f64)) {
-        let mut scratch = self.scratch.borrow_mut();
-        let y = if transpose {
-            kmatvec_transpose_structured_scratch(&[&self.op], x, &mut scratch)
-        } else {
-            kmatvec_structured_scratch(&[&self.op], x, &mut scratch)
-        };
-        for (i, &v) in y.iter().enumerate() {
-            emit(i, v * self.weight);
+            Ok(lsmr(&StackedOp::new(ops), &rhs, &LsmrOptions::default()).x)
         }
     }
 }
 
-impl LinOp for WhitenedGroup {
-    fn rows(&self) -> usize {
-        self.op.rows()
+/// `b = Σᵢ cᵢ·Aᵢᵀyᵢ` through the kernels' transposed products, accumulated
+/// from zeros in list order. Without weights — a single product, `c = 1` —
+/// its `Aᵀy` is `b` as is: accumulating would turn a `−0.0` into `+0.0`.
+fn weighted_aty<K: Kernels + ?Sized>(
+    prepared: &PreparedReconstruct,
+    meas: &Measurements,
+    weights: Option<&[f64]>,
+    kernels: &K,
+) -> Result<Vec<f64>, K::Error> {
+    let mut b = Vec::new();
+    for (i, (p, block)) in prepared.products().iter().zip(&meas.blocks).enumerate() {
+        let back = kernels.transpose(i, &p.refs(), &block.noisy)?;
+        match weights {
+            None => b = back,
+            Some(c) => {
+                b.resize(back.len(), 0.0);
+                for (acc, v) in b.iter_mut().zip(&back) {
+                    *acc += c[i] * v;
+                }
+            }
+        }
     }
-    fn cols(&self) -> usize {
-        self.op.cols()
-    }
-    fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.rows()];
-        self.matvec_into(x, &mut out);
-        out
-    }
-    fn rmatvec(&self, y: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.cols()];
-        self.apply(y, true, |i, v| out[i] = v);
-        out
-    }
-    fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
-        self.apply(x, false, |i, v| out[i] = v);
-    }
-    fn rmatvec_add(&self, y: &[f64], out: &mut [f64]) {
-        self.apply(y, true, |i, v| out[i] += v);
-    }
+    Ok(b)
 }
 
-/// One request through the mechanism: what to answer, with which strategy
-/// and strategy-only factorization, at what privacy cost.
+/// One request through the mechanism: what to answer, with which plan, at
+/// what privacy cost.
 #[derive(Debug, Clone, Copy)]
 pub struct MechanismRequest<'a> {
     /// The workload to answer.
     pub workload: &'a Workload,
-    /// The measurement strategy SELECT chose for it.
-    pub strategy: &'a Strategy,
-    /// `strategy`'s reconstruction factorization
-    /// ([`PreparedReconstruct::new`]); a plan builds it once, when it is
-    /// made, and every request against the plan borrows it.
+    /// The measured products and solve of the strategy SELECT chose for it
+    /// ([`PreparedReconstruct::new`]); a plan builds them once, when it is
+    /// made, and every request against the plan borrows them.
     pub prepared: &'a PreparedReconstruct,
     /// The privacy budget this request spends; the caller has already
     /// reserved it.
@@ -484,20 +364,11 @@ impl MechanismRequest<'_> {
         if got != expected {
             return Err(MechanismError::DataVectorMismatch { expected, got });
         }
-        // A union's joint basis must also have been built for as many groups.
-        let same_family = match (self.strategy, self.prepared) {
-            (Strategy::Explicit(_), PreparedReconstruct::Explicit { .. })
-            | (Strategy::Kron(_), PreparedReconstruct::Kron { .. })
-            | (Strategy::Marginals(_), PreparedReconstruct::Marginals { .. }) => true,
-            (Strategy::Union(groups), PreparedReconstruct::Union { joint }) => {
-                joint.as_ref().is_none_or(|j| j.groups() == groups.len())
-            }
-            _ => false,
-        };
-        let resident_ok = kernels
-            .resident_plan()
-            .is_none_or(|shape| shape == PlanShape::of(self.strategy));
-        if same_family && resident_ok {
+        let plan_fits = self.prepared.cells() == got
+            && kernels
+                .resident_plan()
+                .is_none_or(|shape| shape == PlanShape::of(self.prepared));
+        if plan_fits {
             Ok(())
         } else {
             Err(MechanismError::PlanMismatch)
@@ -522,19 +393,12 @@ impl MechanismRequest<'_> {
         self.validate(kernels).map_err(PipelineError::Rejected)?;
 
         let t = Instant::now();
-        let meas = measure_on(
-            self.strategy,
-            self.prepared.marginals_algebra(),
-            self.eps,
-            rng,
-            kernels,
-        )
-        .map_err(PipelineError::Kernel)?;
+        let meas = measure_on(self.prepared.products(), self.eps, rng, kernels)
+            .map_err(PipelineError::Kernel)?;
         observer.phase_complete(Phase::Measure, t.elapsed());
 
         let t = Instant::now();
-        let x_hat = reconstruct_on(self.prepared, self.strategy, &meas, kernels)
-            .map_err(PipelineError::Kernel)?;
+        let x_hat = reconstruct_on(self.prepared, &meas, kernels).map_err(PipelineError::Kernel)?;
         observer.phase_complete(Phase::Reconstruct, t.elapsed());
 
         let t = Instant::now();

@@ -1,8 +1,44 @@
 //! Implicit strategy representations (the SELECT outputs of §6–7).
 
-use crate::MarginalsStrategy;
+use crate::{MarginalsAlgebra, MarginalsStrategy};
 use hdmm_linalg::{Matrix, StructuredMatrix};
 use hdmm_workload::Domain;
+
+/// One Kronecker product a strategy is measured as (Table 1(b), §7.2):
+/// MEASURE answers it at its own noise scale, RECONSTRUCT applies its
+/// transpose. An explicit matrix is a one-leaf product.
+#[derive(Debug, Clone)]
+pub struct MeasuredProduct {
+    /// The leaves `A₁, …, A_d` of the product `A₁ ⊗ … ⊗ A_d`.
+    pub factors: Vec<StructuredMatrix>,
+    /// The weight θ its answers are scaled by: a marginal's weight, 1
+    /// otherwise.
+    pub theta: f64,
+    /// The L1 sensitivity its noise is calibrated to: the whole strategy's
+    /// for marginals, whose products share one budget, the product's own
+    /// otherwise.
+    pub sensitivity: f64,
+    /// Its share of the privacy budget: a union group's share, 1 otherwise.
+    pub share: f64,
+}
+
+impl MeasuredProduct {
+    /// An unweighted product at budget share `share`, with the product of
+    /// its leaves' sensitivities (Theorem 3).
+    fn unweighted(factors: Vec<StructuredMatrix>, share: f64) -> Self {
+        MeasuredProduct {
+            sensitivity: factors.iter().map(StructuredMatrix::sensitivity).product(),
+            factors,
+            theta: 1.0,
+            share,
+        }
+    }
+
+    /// The leaves, borrowed in order — what the product kernels take.
+    pub(crate) fn refs(&self) -> Vec<&StructuredMatrix> {
+        self.factors.iter().collect()
+    }
+}
 
 /// One group of a union-of-products strategy (the `OPT_+` output, Def. 11).
 #[derive(Debug, Clone)]
@@ -121,35 +157,13 @@ impl Strategy {
         }
     }
 
-    /// Number of strategy queries (rows) measured.
+    /// Number of strategy queries (rows) measured: the rows of its
+    /// measured products.
     pub fn query_count(&self) -> usize {
-        match self {
-            Strategy::Explicit(a) => a.rows(),
-            Strategy::Kron(factors) => factors.iter().map(StructuredMatrix::rows).product(),
-            Strategy::Union(groups) => groups
-                .iter()
-                .map(|g| {
-                    g.factors
-                        .iter()
-                        .map(StructuredMatrix::rows)
-                        .product::<usize>()
-                })
-                .sum(),
-            Strategy::Marginals(m) => {
-                let d = m.domain.dims();
-                (0..1usize << d)
-                    .filter(|&a| m.theta[a] > 0.0)
-                    .map(|a| {
-                        m.domain
-                            .sizes()
-                            .iter()
-                            .enumerate()
-                            .map(|(i, &n)| if a >> i & 1 == 1 { n } else { 1 })
-                            .product::<usize>()
-                    })
-                    .sum()
-            }
-        }
+        let rows = |p: &MeasuredProduct| -> usize {
+            p.factors.iter().map(StructuredMatrix::rows).product()
+        };
+        self.measured_products().iter().map(rows).sum()
     }
 
     /// Number of blocks MEASURE produces: one for explicit and Kronecker
@@ -159,6 +173,37 @@ impl Strategy {
             Strategy::Explicit(_) | Strategy::Kron(_) => 1,
             Strategy::Union(groups) => groups.len(),
             Strategy::Marginals(m) => m.theta.iter().filter(|&&t| t != 0.0).count(),
+        }
+    }
+
+    /// The products MEASURE answers, in measurement order: the explicit
+    /// matrix as one `Dense` leaf, the Kronecker product, one product per
+    /// union group at its budget share (Definition 11), one per
+    /// nonzero-weight marginal at weight `θ_a`.
+    pub fn measured_products(&self) -> Vec<MeasuredProduct> {
+        match self {
+            Strategy::Explicit(a) => vec![MeasuredProduct::unweighted(
+                vec![StructuredMatrix::Dense(a.clone())],
+                1.0,
+            )],
+            Strategy::Kron(factors) => vec![MeasuredProduct::unweighted(factors.clone(), 1.0)],
+            Strategy::Union(groups) => groups
+                .iter()
+                .map(|g| MeasuredProduct::unweighted(g.factors.clone(), g.share))
+                .collect(),
+            Strategy::Marginals(m) => {
+                let algebra = MarginalsAlgebra::new(&m.domain);
+                let sensitivity = m.sensitivity();
+                (0..m.theta.len())
+                    .filter(|&a| m.theta[a] != 0.0)
+                    .map(|a| MeasuredProduct {
+                        factors: algebra.marginal_factors(a),
+                        theta: m.theta[a],
+                        sensitivity,
+                        share: 1.0,
+                    })
+                    .collect()
+            }
         }
     }
 

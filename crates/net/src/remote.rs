@@ -18,9 +18,9 @@
 //! runs on [`PlainKernels`] over its whole vector.
 //!
 //! A warm request costs the local request plus vector traffic: everything
-//! that depends only on the strategy — the
-//! [`PreparedReconstruct`] inverse Grams / marginals algebra and the content
-//! keys of the trailing-factor lists ([`OperandKeys`]) — is built once per
+//! that depends only on the strategy — the [`PreparedReconstruct`]'s
+//! measured products and solve, and the content keys of their
+//! trailing-factor lists ([`OperandKeys`]) — is built once per
 //! plan by the caller and passed in, and the factors themselves live on the
 //! workers (see [`crate::wire`]), so tasks carry a key plus a slab reference
 //! or a payload.
@@ -40,7 +40,7 @@ use hdmm_linalg::{
     contract_rows, contract_transpose_rows, leading_split, partition_rows, slab_split,
     StructuredMatrix,
 };
-use hdmm_mechanism::{Kernels, PlainKernels, PlanShape, PreparedReconstruct, Strategy};
+use hdmm_mechanism::{Kernels, PlainKernels, PlanShape, PreparedReconstruct};
 use hdmm_obs::{Observer, Phase};
 use std::ops::Range;
 use std::time::Instant;
@@ -68,37 +68,28 @@ impl RemoteOptions {
 /// [`PreparedReconstruct`] — never per request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OperandKeys {
-    /// One per measurement block, in MEASURE order: the trailing factors
+    /// One per measured product, in MEASURE order: the trailing factors
     /// MEASURE applies forward and RECONSTRUCT applies transposed.
     blocks: Vec<FactorKey>,
-    /// The trailing inverse-Gram factors (Kronecker strategies only).
+    /// The trailing inverse-Gram factors (single-product plans only).
     gram_pinv: Option<FactorKey>,
 }
 
 impl OperandKeys {
-    /// Derives the keys for `strategy` and the `prepared` built from it.
-    pub fn new(strategy: &Strategy, prepared: &PreparedReconstruct) -> Self {
-        fn trailing_key<'a>(factors: impl IntoIterator<Item = &'a StructuredMatrix>) -> FactorKey {
-            let refs: Vec<&StructuredMatrix> = factors.into_iter().collect();
+    /// Derives the keys for the `prepared` plan's products and inverse Grams.
+    pub fn new(prepared: &PreparedReconstruct) -> Self {
+        fn trailing_key(factors: &[StructuredMatrix]) -> FactorKey {
+            let refs: Vec<&StructuredMatrix> = factors.iter().collect();
             FactorKey::of(&leading_split(&refs).trailing)
         }
-        let blocks = match strategy {
-            Strategy::Explicit(_) => Vec::new(),
-            Strategy::Kron(factors) => vec![trailing_key(factors)],
-            Strategy::Union(groups) => groups.iter().map(|g| trailing_key(&g.factors)).collect(),
-            Strategy::Marginals(m) => match prepared.marginals_algebra() {
-                Some(algebra) => (0..m.theta.len())
-                    .filter(|&a| m.theta[a] != 0.0)
-                    .map(|a| trailing_key(&algebra.marginal_factors(a)))
-                    .collect(),
-                None => Vec::new(),
-            },
-        };
-        let gram_pinv = match prepared {
-            PreparedReconstruct::Kron { gram_pinvs } => Some(trailing_key(gram_pinvs)),
-            _ => None,
-        };
-        OperandKeys { blocks, gram_pinv }
+        OperandKeys {
+            blocks: prepared
+                .products()
+                .iter()
+                .map(|p| trailing_key(&p.factors))
+                .collect(),
+            gram_pinv: prepared.inverse_grams().map(trailing_key),
+        }
     }
 
     /// Every key the plan's tasks can name.
@@ -110,12 +101,12 @@ impl OperandKeys {
     /// validation refuses to run them against a plan of another shape.
     pub fn shape(&self) -> PlanShape {
         PlanShape {
-            kron_blocks: self.blocks.len(),
+            products: self.blocks.len(),
             inverse_grams: self.gram_pinv.is_some(),
         }
     }
 
-    /// The key for measurement block `block`.
+    /// The key for measured product `block`.
     fn block(&self, block: usize) -> Result<FactorKey, NetError> {
         self.blocks.get(block).copied().ok_or(NO_KEY)
     }
@@ -341,7 +332,7 @@ mod tests {
     use crate::worker::{spawn_worker, WorkerHandle, WorkerOptions};
     use hdmm_mechanism::{
         run_mechanism, MarginalsStrategy, MechanismRequest, MechanismResult, PipelineError,
-        UnionGroup,
+        Strategy, UnionGroup,
     };
     use hdmm_workload::{blocks, builders, Domain, Workload};
     use rand::rngs::StdRng;
@@ -381,10 +372,9 @@ mod tests {
         observer: &dyn Observer,
     ) -> Result<MechanismResult, PipelineError<NetError>> {
         let prepared = PreparedReconstruct::new(strategy);
-        let keys = OperandKeys::new(strategy, &prepared);
+        let keys = OperandKeys::new(&prepared);
         MechanismRequest {
             workload,
-            strategy,
             prepared: &prepared,
             eps: 1.0,
         }

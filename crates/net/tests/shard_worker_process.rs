@@ -104,12 +104,11 @@ fn two_worker_processes_match_the_in_process_kernels_bitwise() {
         blocks::prefix(5).scaled(0.2),
     ]);
     let prepared = PreparedReconstruct::new(&strategy);
-    let keys = OperandKeys::new(&strategy, &prepared);
+    let keys = OperandKeys::new(&prepared);
     let x = data(45);
     let sharded = ShardedDataVector::partition(workload.domain(), x.clone(), 3);
     let remote = MechanismRequest {
         workload: &workload,
-        strategy: &strategy,
         prepared: &prepared,
         eps: 1.0,
     }

@@ -1,7 +1,8 @@
 //! Property tests for every decoder that reads bytes the process did not
 //! just write: the checksummed codec envelope (`codec::open`), WAL records
 //! and snapshots (`wal::decode_record`, `wal::decode_snapshot`), plan files
-//! (`PlanStore::load`; a 1-D plan is a p-Identity leaf), the p-Identity /
+//! (`PlanStore::load`; a 1-D plan is a p-Identity leaf; a union whose
+//! budget shares do not sum to 1 is refused), the p-Identity /
 //! Woodbury leaves of plans and inverse-Gram factor lists (`Reader`), and
 //! shard-worker wire frames (`hdmm_net::decode_frame`).
 //! Arbitrary bytes, arbitrary payloads behind a valid checksum, truncations
@@ -13,16 +14,17 @@
 //! state, so no single-bit change collides with the original checksum.
 
 use hdmm::core::codec;
-use hdmm::core::{builders, Hdmm};
+use hdmm::core::{builders, Hdmm, Plan};
 use hdmm::engine::wal::{
     decode_record, decode_snapshot, encode_record, encode_snapshot, RecoveredDataset,
     RecoveredState, RecoveredTenant, WalRecord, SNAPSHOT_MAGIC,
 };
-use hdmm::engine::{AuditKind, PlanStore};
+use hdmm::engine::{AuditKind, Engine, EngineOptions, PlanStore};
 use hdmm::linalg::{Matrix, StructuredMatrix};
-use hdmm::mechanism::Strategy;
+use hdmm::mechanism::{Strategy, UnionGroup};
 use hdmm::net::{decode_frame, PROTO_V2, WIRE_PREFIX};
-use hdmm::optimizer::PIdentity;
+use hdmm::optimizer::{HdmmOptions, PIdentity, Selected};
+use hdmm::workload::WorkloadGrams;
 use proptest::prelude::*;
 
 /// The first `len` of `raw` as bytes.
@@ -285,6 +287,79 @@ proptest! {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A plan file whose union budget shares sum past 1 — sealed, so only the
+/// decoder can catch it — is a miss: MEASURE would spend `share_g·ε` per
+/// group, 1.8ε against a reservation of ε. The engine runs SELECT instead
+/// of serving it.
+#[test]
+fn plan_store_files_with_union_shares_not_summing_to_one_are_never_served() {
+    let dir = std::env::temp_dir().join(format!("hdmm-decoders-shares-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = PlanStore::new(&dir);
+    let workload = builders::range_total_union_2d(4, 4);
+    let fp = workload.fingerprint();
+    let group = |share: f64, factors| UnionGroup::new(share, factors, vec![0]);
+    let union = Strategy::Union(vec![
+        group(
+            0.375,
+            vec![StructuredMatrix::prefix(4), StructuredMatrix::total(4)],
+        ),
+        group(
+            0.625,
+            vec![StructuredMatrix::total(4), StructuredMatrix::prefix(4)],
+        ),
+    ]);
+    let selected = Selected {
+        strategy: union,
+        squared_error: 1.0,
+        operator: "plus",
+    };
+    let grams = WorkloadGrams::from_workload(&workload);
+    let plan = Plan::from_parts(selected, grams, workload.query_count());
+    assert!(store.store(&fp, &plan, workload.domain()));
+    assert!(store.load(&fp, &workload).is_some(), "the valid file loads");
+
+    // Both shares rewritten to 0.9, the file resealed.
+    let file = std::fs::read_dir(&dir)
+        .expect("the store wrote its directory")
+        .map(|entry| entry.expect("readable entry").path())
+        .next()
+        .expect("one plan file");
+    let valid = std::fs::read(&file).expect("readable plan file");
+    let mut payload = codec::open(&valid).expect("a sealed plan file").to_vec();
+    for share in [0.375f64, 0.625] {
+        let (from, to) = (share.to_le_bytes(), 0.9f64.to_le_bytes());
+        let at: Vec<usize> = (0..payload.len() - 7)
+            .filter(|&i| payload[i..i + 8] == from)
+            .collect();
+        assert_eq!(at.len(), 1, "share {share} is written once");
+        payload[at[0]..at[0] + 8].copy_from_slice(&to);
+    }
+    codec::seal(&mut payload);
+    std::fs::write(&file, payload).expect("writable plan file");
+    assert!(
+        store.load(&fp, &workload).is_none(),
+        "shares 0.9 + 0.9 loaded"
+    );
+
+    let engine = Engine::new(EngineOptions {
+        hdmm: HdmmOptions {
+            restarts: 1,
+            ..Default::default()
+        },
+        cache_dir: Some(dir.clone()),
+        ..Default::default()
+    });
+    let (served, _) = engine.plan(&workload);
+    let t = engine.metrics().telemetry;
+    assert_eq!((t.plan_disk_hits, t.selects_run), (0, 1));
+    if let Strategy::Union(groups) = served.strategy() {
+        let total: f64 = groups.iter().map(|g| g.share).sum();
+        assert!((total - 1.0).abs() < 1e-9, "served shares sum to {total}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {

@@ -4,6 +4,10 @@
 //! the leading axis, so the coordinator's merge and leading contraction are
 //! checked bit for bit on uneven slabs of every family.
 //!
+//! The explicit row and the one-leaf `Dense` Kron row after it hold the same
+//! matrix: an explicit strategy is measured as that product, so the two rows
+//! must give the same bits too.
+//!
 //! For every cell of that table `MechanismRequest::run` must (a) produce the
 //! `x_hat` and answers of the plain-kernel reference — `measure` +
 //! `reconstruct_with` + `Workload::answer` — bit for bit under the same
@@ -22,7 +26,7 @@
 //! joint eigenbasis on the coordinator.
 
 use hdmm::core::{builders, Domain, ShardedDataVector, Workload};
-use hdmm::linalg::Matrix;
+use hdmm::linalg::{Matrix, StructuredMatrix};
 use hdmm::mechanism::{
     measure, reconstruct_with, run_mechanism, Kernels, MarginalsStrategy, MechanismError,
     MechanismRequest, PipelineError, PlainKernels, PreparedReconstruct, Strategy, UnionGroup,
@@ -54,15 +58,22 @@ fn data(n: usize) -> Vec<f64> {
 }
 
 fn families() -> Vec<(Workload, Strategy)> {
+    // An explicit matrix is measured as a one-leaf `Dense` product: the two
+    // rows must give the same bits.
+    let lower = Matrix::from_fn(LEADING, LEADING, |r, c| {
+        if c <= r {
+            1.0 / LEADING as f64
+        } else {
+            0.0
+        }
+    });
     let explicit = (
         builders::prefix_1d(LEADING),
-        Strategy::Explicit(Matrix::from_fn(LEADING, LEADING, |r, c| {
-            if c <= r {
-                1.0 / LEADING as f64
-            } else {
-                0.0
-            }
-        })),
+        Strategy::Explicit(lower.clone()),
+    );
+    let one_leaf = (
+        builders::prefix_1d(LEADING),
+        Strategy::Kron(vec![StructuredMatrix::Dense(lower)]),
     );
     let kron = (
         builders::prefix_2d(LEADING, 5),
@@ -126,7 +137,9 @@ fn families() -> Vec<(Workload, Strategy)> {
             ),
         ]),
     );
-    vec![explicit, kron, tall_lead, p_identity, marginals, union]
+    vec![
+        explicit, one_leaf, kron, tall_lead, p_identity, marginals, union,
+    ]
 }
 
 /// Records the phases the pipeline reports, in order.
@@ -201,6 +214,7 @@ fn for_each_kernel_kind(
 
 /// (a) + (b): the reference bits and the phase sequence.
 struct MatchesReference<'a> {
+    family: &'a str,
     request: MechanismRequest<'a>,
     x_hat: &'a [f64],
     answers: &'a [f64],
@@ -211,7 +225,7 @@ impl Row for MatchesReference<'_> {
     where
         K::Error: Debug,
     {
-        let family = self.request.strategy.kind();
+        let family = self.family;
         let observer = Recorder::default();
         let got = self
             .request
@@ -236,19 +250,20 @@ impl Row for MatchesReference<'_> {
 #[test]
 fn every_kernel_kind_reproduces_the_plain_reference_and_reports_each_phase_once() {
     let (_workers, pool) = spawn_pool();
-    for (workload, strategy) in families() {
+    let mut references = Vec::new();
+    for (row, (workload, strategy)) in families().into_iter().enumerate() {
         let x = data(workload.domain().size());
         let prepared = PreparedReconstruct::new(&strategy);
-        let keys = OperandKeys::new(&strategy, &prepared);
+        let keys = OperandKeys::new(&prepared);
         if let Strategy::Union(_) = &strategy {
             assert!(
-                matches!(&prepared, PreparedReconstruct::Union { joint: Some(_) }),
+                prepared.joint_basis().is_some(),
                 "the two-group union row reconstructs by the joint solve"
             );
         }
 
         // The reference: the plain kernels called phase by phase, MEASURE
-        // building its own marginals algebra.
+        // building its own products.
         let meas = measure(&strategy, &x, 1.0, &mut StdRng::seed_from_u64(SEED));
         let x_hat = reconstruct_with(&prepared, &strategy, &meas);
         let answers = workload.answer(&x_hat);
@@ -265,13 +280,13 @@ fn every_kernel_kind_reproduces_the_plain_reference_and_reports_each_phase_once(
 
         for_each_kernel_kind(
             &x,
-            strategy.kind(),
+            &format!("{row}-{}", strategy.kind()),
             &keys,
             &pool,
             &MatchesReference {
+                family: strategy.kind(),
                 request: MechanismRequest {
                     workload: &workload,
-                    strategy: &strategy,
                     prepared: &prepared,
                     eps: 1.0,
                 },
@@ -279,7 +294,15 @@ fn every_kernel_kind_reproduces_the_plain_reference_and_reports_each_phase_once(
                 answers: &answers,
             },
         );
+        references.push((x_hat, answers));
     }
+    // Rows 0 and 1: `Explicit(a)` and `Kron([Dense(a)])`. Every kernel kind
+    // reproduced its row's reference, so they agree over every kind.
+    let (explicit, one_leaf) = (&references[0], &references[1]);
+    assert!(
+        bits_eq(&explicit.0, &one_leaf.0) && bits_eq(&explicit.1, &one_leaf.1),
+        "an explicit matrix and its one-leaf product diverge"
+    );
     let served: u64 = pool.health().workers.iter().map(|w| w.tasks).sum();
     assert!(served > 0, "the RPC row must actually reach the workers");
 }
@@ -323,15 +346,14 @@ impl Row for Refused<'_> {
 #[test]
 fn every_kernel_kind_refuses_invalid_requests_identically_before_any_noise() {
     let (_workers, pool) = spawn_pool();
-    let (workload, strategy) = families().swap_remove(1);
+    let (workload, strategy) = families().swap_remove(2);
     assert_eq!(strategy.kind(), "kron");
     let cells = workload.domain().size();
     let x = data(cells);
     let prepared = PreparedReconstruct::new(&strategy);
-    let keys = OperandKeys::new(&strategy, &prepared);
+    let keys = OperandKeys::new(&prepared);
     let valid = MechanismRequest {
         workload: &workload,
-        strategy: &strategy,
         prepared: &prepared,
         eps: 1.0,
     };
@@ -372,18 +394,21 @@ fn every_kernel_kind_refuses_invalid_requests_identically_before_any_noise() {
         },
     );
 
-    // Reconstruction state of another strategy family.
-    let other = Strategy::Marginals(MarginalsStrategy::uniform(workload.domain().clone()));
-    let other_prepared = PreparedReconstruct::new(&other);
+    // A plan prepared for another domain: one trailing column short.
+    let narrow = Strategy::kron(vec![
+        blocks::prefix(LEADING).scaled(1.0 / LEADING as f64),
+        blocks::prefix(4).scaled(0.25),
+    ]);
+    let narrow_prepared = PreparedReconstruct::new(&narrow);
     for_each_kernel_kind(
         &x,
         "valid",
         &keys,
         &pool,
         &Refused {
-            what: "prepared for another family",
+            what: "prepared for another domain",
             request: MechanismRequest {
-                prepared: &other_prepared,
+                prepared: &narrow_prepared,
                 ..valid
             },
             expected: &|e| *e == MechanismError::PlanMismatch,
@@ -393,6 +418,7 @@ fn every_kernel_kind_refuses_invalid_requests_identically_before_any_noise() {
     // Resident operands of another plan: another family's keys, and keys of
     // the right family with another block count. Only the RPC kernels keep
     // any, so only they can refuse; the other kinds serve the valid request.
+    let other = Strategy::Marginals(MarginalsStrategy::uniform(workload.domain().clone()));
     let two_groups = Strategy::Union(vec![
         UnionGroup::new(0.5, vec![blocks::total(LEADING), blocks::total(5)], vec![0]),
         UnionGroup::new(0.5, vec![blocks::total(LEADING), blocks::total(5)], vec![0]),
@@ -403,39 +429,21 @@ fn every_kernel_kind_refuses_invalid_requests_identically_before_any_noise() {
         vec![0],
     )]);
     let two_groups_prepared = PreparedReconstruct::new(&two_groups);
-    let one_group_prepared = PreparedReconstruct::new(&one_group);
     let union_request = MechanismRequest {
-        strategy: &two_groups,
         prepared: &two_groups_prepared,
         ..valid
     };
-
-    // A union's joint basis built for another group count.
-    for_each_kernel_kind(
-        &x,
-        "valid",
-        &OperandKeys::new(&two_groups, &two_groups_prepared),
-        &pool,
-        &Refused {
-            what: "joint basis of another group count",
-            request: MechanismRequest {
-                prepared: &one_group_prepared,
-                ..union_request
-            },
-            expected: &|e| *e == MechanismError::PlanMismatch,
-        },
-    );
     let data = sharded(&x, 3);
     for (what, request, stale_keys) in [
         (
             "keys of another family",
             valid,
-            OperandKeys::new(&other, &other_prepared),
+            OperandKeys::new(&PreparedReconstruct::new(&other)),
         ),
         (
             "keys of another block count",
             union_request,
-            OperandKeys::new(&one_group, &one_group_prepared),
+            OperandKeys::new(&PreparedReconstruct::new(&one_group)),
         ),
     ] {
         Refused {

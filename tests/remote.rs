@@ -350,8 +350,7 @@ fn plans_with_different_trailing_factors_never_share_a_key() {
             StructuredMatrix::prefix(8),
             StructuredMatrix::prefix(4).scaled(scale),
         ]);
-        let prepared = PreparedReconstruct::new(&s);
-        OperandKeys::new(&s, &prepared)
+        OperandKeys::new(&PreparedReconstruct::new(&s))
     };
     let (a, b) = (plan(0.25), plan(0.5));
     for ka in a.keys() {

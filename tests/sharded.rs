@@ -144,10 +144,10 @@ fn acceptance_grid_non_divisible_axes() {
     }
 }
 
-/// The pipeline hands MEASURE the marginals algebra cached in
-/// `PreparedReconstruct` instead of rebuilding it per request: the algebra is
-/// a pure function of the domain, so measurements, estimate and answers must
-/// keep the bits of a MEASURE that builds its own.
+/// The pipeline measures the marginal leaves `PreparedReconstruct` built
+/// once per plan instead of rebuilding them per request: they are a pure
+/// function of the domain, so measurements, estimate and answers must keep
+/// the bits of a MEASURE that builds its own.
 #[test]
 fn cached_marginals_algebra_measures_bitwise_like_a_fresh_one() {
     use hdmm::mechanism::{measure, MarginalsStrategy, MechanismRequest};
@@ -157,15 +157,16 @@ fn cached_marginals_algebra_measures_bitwise_like_a_fresh_one() {
     let theta = vec![0.0, 0.2, 0.0, 0.1, 0.3, 0.0, 0.1, 0.3];
     let strategy = Strategy::Marginals(MarginalsStrategy::new(domain.clone(), theta));
     let prepared = PreparedReconstruct::new(&strategy);
-    assert!(prepared.marginals_algebra().is_some());
+    // One product per nonzero weight, at that weight.
+    let weights: Vec<f64> = prepared.products().iter().map(|p| p.theta).collect();
+    assert_eq!(weights, [0.2, 0.1, 0.3, 0.1, 0.3]);
     let x: Vec<f64> = (0..domain.size()).map(|i| ((i * 5) % 11) as f64).collect();
-    // The reference: plain kernels, MEASURE building its own algebra.
+    // The reference: plain kernels, MEASURE building its own leaves.
     let meas = measure(&strategy, &x, 1.0, &mut StdRng::seed_from_u64(5));
     let plain_x_hat = reconstruct_with(&prepared, &strategy, &meas);
     let plain_answers = w.answer(&plain_x_hat);
     let got = MechanismRequest {
         workload: &w,
-        strategy: &strategy,
         prepared: &prepared,
         eps: 1.0,
     }

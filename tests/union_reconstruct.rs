@@ -2,6 +2,7 @@
 //! two-group union (and the LSMR arm a three-group union keeps) vs the dense
 //! normal equations `pinv_psd(Σ w_g²·A_gᵀA_g)·Σ w_g²·A_gᵀy_g` on domains of
 //! at most 64 cells, and vs the LSMR estimator on SELECT's own union plan.
+//! The three-group LSMR arm's `x̂` is also pinned bit for bit.
 //!
 //! Full-rank unions have one least-squares solution, so `x̄` itself must
 //! match. A rank-deficient union (`Total` factors, as `range_total_union_2d`
@@ -10,7 +11,9 @@
 //! solution shares when `W`'s rows lie in the strategy's row space.
 
 use hdmm::core::{builders, Domain, Workload};
-use hdmm::linalg::{kron_all, pinv_psd, Matrix, StructuredMatrix};
+use hdmm::linalg::{
+    kron_all, lsmr, pinv_psd, LinOp, LsmrOptions, Matrix, ScaledOp, StackedOp, StructuredMatrix,
+};
 use hdmm::mechanism::{
     measure, reconstruct_with, Measurements, PreparedReconstruct, Strategy, UnionGroup,
 };
@@ -217,7 +220,7 @@ fn two_group_joint_solve_matches_the_dense_normal_equations() {
         assert!(cells <= 64, "{what}: {cells} cells");
         let prepared = PreparedReconstruct::new(&strategy);
         assert!(
-            matches!(&prepared, PreparedReconstruct::Union { joint: Some(_) }),
+            prepared.joint_basis().is_some(),
             "{what}: a union of at most two groups gets a joint basis"
         );
         let meas = measure(
@@ -240,7 +243,7 @@ fn rank_deficient_joint_solve_answers_like_the_dense_normal_equations() {
         assert!(cells <= 64, "{what}: {cells} cells");
         let prepared = PreparedReconstruct::new(&strategy);
         assert!(
-            matches!(&prepared, PreparedReconstruct::Union { joint: Some(_) }),
+            prepared.joint_basis().is_some(),
             "{what}: a rank-deficient union still gets a joint basis"
         );
         let meas = measure(
@@ -283,13 +286,35 @@ fn three_group_union_keeps_the_lsmr_arm() {
     ]);
     let prepared = PreparedReconstruct::new(&strategy);
     assert!(
-        matches!(&prepared, PreparedReconstruct::Union { joint: None }),
+        prepared.joint_basis().is_none(),
         "three groups have no joint basis"
     );
     let meas = measure(&strategy, &data(16), 1.0, &mut StdRng::seed_from_u64(9));
     let x_hat = reconstruct_with(&prepared, &strategy, &meas);
     let gap = relative_gap(&x_hat, &dense_reference(&strategy, &meas));
     assert!(gap <= 1e-6, "LSMR x̂ is {gap:e} from the dense solution");
+    // The LSMR x̂ bit for bit: how the whitened groups are stacked as
+    // operators must not move them.
+    let pinned: [u64; 16] = [
+        0xc01a8c9609d8d1a8,
+        0x4037488bb74bcd5a,
+        0xc01c8941ca9f8c54,
+        0x4029f35fe54d85c4,
+        0x40366f7e2bf4cf89,
+        0xc0297513ffddee58,
+        0x3ffb23549db34afe,
+        0x40285c63700fe429,
+        0xc0101de2945a8593,
+        0x402871695307775b,
+        0x40356446b22eb74f,
+        0x40274d6189111489,
+        0x3fdd7a39bd55446b,
+        0x40045d1a6b88097e,
+        0xc035eea0a47bb15e,
+        0x40289106e347feaa,
+    ];
+    let bits: Vec<u64> = x_hat.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(bits, pinned, "the LSMR x̂ moved");
 }
 
 /// SELECT's OPT_+ plan for `union_5d`'s workload (2-way range-marginals on
@@ -309,22 +334,31 @@ fn joint_solve_is_the_lsmr_estimator_on_selects_union_plan() {
         optimize_with_choice(&grams, &default_ps(&workload), &opts, OptimizerChoice::Plus);
     assert_eq!(selected.operator, "plus");
     let strategy = selected.strategy;
+    let Strategy::Union(groups) = &strategy else {
+        panic!("OPT_+ selects a union");
+    };
+    assert_eq!(groups.len(), 2);
     let prepared = PreparedReconstruct::new(&strategy);
-    assert!(matches!(
-        &prepared,
-        PreparedReconstruct::Union { joint: Some(j) } if j.groups() == 2
-    ));
+    assert!(prepared.joint_basis().is_some());
 
     let x: Vec<f64> = (0..domain.size())
         .map(|i| ((i * 7919) % 20) as f64)
         .collect();
     let meas = measure(&strategy, &x, 1.0, &mut StdRng::seed_from_u64(1));
     let joint = reconstruct_with(&prepared, &strategy, &meas);
-    let lsmr = reconstruct_with(
-        &PreparedReconstruct::Union { joint: None },
-        &strategy,
-        &meas,
-    );
-    let gap = relative_gap(&joint, &lsmr);
+    // The LSMR estimator: each group whitened by its inverse noise scale,
+    // stacked, solved jointly.
+    let mut ops: Vec<Box<dyn LinOp>> = Vec::new();
+    let mut rhs = Vec::new();
+    for (group, block) in groups.iter().zip(&meas.blocks) {
+        let w = 1.0 / block.noise_scale;
+        ops.push(Box::new(ScaledOp {
+            alpha: w,
+            inner: StructuredMatrix::kron(group.factors.clone()),
+        }));
+        rhs.extend(block.noisy.iter().map(|v| v * w));
+    }
+    let lsmr_x = lsmr(&StackedOp::new(ops), &rhs, &LsmrOptions::default()).x;
+    let gap = relative_gap(&joint, &lsmr_x);
     assert!(gap <= 1e-6, "joint x̂ is {gap:e} from the LSMR x̂");
 }

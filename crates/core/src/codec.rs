@@ -387,21 +387,27 @@ impl<'a> Reader<'a> {
     /// Reads a structured matrix, validating every variant invariant.
     pub fn structured(&mut self) -> Result<StructuredMatrix, CodecError> {
         match self.u8()? {
-            0 => Ok(StructuredMatrix::Dense(self.matrix()?)),
+            0 => {
+                let m = self.matrix()?;
+                all_finite(m.as_slice())?;
+                Ok(StructuredMatrix::Dense(m))
+            }
             1 => {
                 let rows = self.usize()?;
                 let cols = self.usize()?;
                 let indptr = self.usizes()?;
                 let indices = self.usizes()?;
                 let data = self.f64s()?;
+                all_finite(&data)?;
                 csr_checked(rows, cols, indptr, indices, data).map(StructuredMatrix::Sparse)
             }
             tag @ 2..=5 => {
                 let n = self.usize()?;
                 let scale = self.f64()?;
-                if n == 0 {
-                    return Err(CodecError::Invalid("zero-sized structured block"));
+                if n == 0 || scale == 0.0 {
+                    return Err(CodecError::Invalid("zero-sized or zero-scaled block"));
                 }
+                all_finite(&[scale])?;
                 Ok(match tag {
                     2 => StructuredMatrix::Identity { n, scale },
                     3 => StructuredMatrix::Total { n, scale },
@@ -455,29 +461,31 @@ impl<'a> Reader<'a> {
             0 => Ok(Strategy::Explicit(self.matrix()?)),
             1 => Ok(Strategy::Kron(self.structured_list()?)),
             2 => {
-                let n = self.count()?;
-                if n == 0 {
-                    return Err(CodecError::Invalid("empty union"));
+                if self.count()? != 2 {
+                    return Err(CodecError::Invalid("a union has two groups"));
                 }
-                let mut groups = Vec::with_capacity(n);
-                for _ in 0..n {
+                let mut group = || -> Result<UnionGroup, CodecError> {
                     let share = self.f64()?;
                     if !(share.is_finite() && share > 0.0) {
                         return Err(CodecError::Invalid("non-positive union share"));
                     }
-                    let factors = self.structured_list()?;
-                    let term_indices = self.usizes()?;
-                    groups.push(UnionGroup {
+                    Ok(UnionGroup::new(
                         share,
-                        factors,
-                        term_indices,
-                    });
-                }
+                        self.structured_list()?,
+                        self.usizes()?,
+                    ))
+                };
+                let groups = [group()?, group()?];
                 // MEASURE spends `share_g·ε` per group: shares summing past
                 // 1 would spend more than the request reserved.
-                let total: f64 = groups.iter().map(|g| g.share).sum();
-                if (total - 1.0).abs() >= 1e-9 {
+                let [a, b] = &groups;
+                if (a.share + b.share - 1.0).abs() >= 1e-9 {
                     return Err(CodecError::Invalid("union shares do not sum to 1"));
+                }
+                // Both groups measure one data vector, attribute by attribute.
+                let cols = |g: &UnionGroup| g.factors.iter().map(|f| f.cols()).collect::<Vec<_>>();
+                if cols(a) != cols(b) {
+                    return Err(CodecError::Invalid("union groups over other attributes"));
                 }
                 Ok(Strategy::Union(groups))
             }
@@ -514,6 +522,14 @@ impl<'a> Reader<'a> {
             Err(CodecError::TrailingBytes)
         }
     }
+}
+
+/// Fails with [`CodecError::Invalid`] unless every entry is finite.
+fn all_finite(entries: &[f64]) -> Result<(), CodecError> {
+    let finite = entries.iter().all(|v| v.is_finite());
+    finite
+        .then_some(())
+        .ok_or(CodecError::Invalid("non-finite entry"))
 }
 
 /// Validates raw CSR arrays without panicking, then builds the matrix.
@@ -560,11 +576,18 @@ mod tests {
                     }
                 }))),
             ]),
-            Strategy::Union(vec![UnionGroup {
-                share: 1.0,
-                factors: vec![StructuredMatrix::total(3), StructuredMatrix::identity(2)],
-                term_indices: vec![0, 1],
-            }]),
+            Strategy::Union([
+                UnionGroup {
+                    share: 0.25,
+                    factors: vec![StructuredMatrix::total(3), StructuredMatrix::identity(2)],
+                    term_indices: vec![0, 1],
+                },
+                UnionGroup {
+                    share: 0.75,
+                    factors: vec![StructuredMatrix::identity(3), StructuredMatrix::prefix(2)],
+                    term_indices: vec![2],
+                },
+            ]),
             Strategy::Marginals(MarginalsStrategy::uniform(Domain::new(&[3, 2]))),
             Strategy::Kron(vec![p_identity(), p_identity().gram_pinv()]),
         ]
@@ -619,6 +642,41 @@ mod tests {
                 ),
                 "{what}"
             );
+        }
+    }
+
+    #[test]
+    fn non_finite_entries_and_zero_scales_are_invalid() {
+        let sparse = Csr::from_dense(&Matrix::identity(2));
+        let nan_sparse = Csr::new(2, 2, vec![0, 1, 2], vec![0, 1], vec![1.0, f64::NAN]);
+        let mut leaves = vec![
+            StructuredMatrix::Dense(Matrix::from_rows(&[&[1.0, f64::INFINITY]])),
+            StructuredMatrix::Sparse(nan_sparse),
+        ];
+        for scale in [0.0, -0.0, f64::NAN, f64::INFINITY] {
+            leaves.extend([
+                StructuredMatrix::Identity { n: 3, scale },
+                StructuredMatrix::Total { n: 3, scale },
+                StructuredMatrix::Prefix { n: 3, scale },
+                StructuredMatrix::AllRange { n: 3, scale },
+            ]);
+        }
+        for leaf in leaves {
+            let mut out = Vec::new();
+            put_structured(&mut out, &leaf);
+            assert!(
+                matches!(Reader::new(&out).structured(), Err(CodecError::Invalid(_))),
+                "{leaf:?} decoded"
+            );
+        }
+        // Their finite, nonzero-scaled counterparts decode.
+        for leaf in [
+            StructuredMatrix::Sparse(sparse),
+            StructuredMatrix::prefix(3).scaled(-0.5),
+        ] {
+            let mut out = Vec::new();
+            put_structured(&mut out, &leaf);
+            assert_eq!(Reader::new(&out).structured(), Ok(leaf));
         }
     }
 

@@ -16,7 +16,8 @@
 //!    Laplace mechanism, using Kronecker matrix–vector products so the
 //!    strategy is never materialized.
 //! 3. **RECONSTRUCT** — least-squares estimate of the data vector via
-//!    implicit pseudo-inverses (or LSMR for union strategies), then answer
+//!    closed-form implicit pseudo-inverses (a union's through the joint
+//!    eigenbasis of its two groups), then answer
 //!    the workload from the estimate.
 //!
 //! ```

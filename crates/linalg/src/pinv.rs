@@ -33,44 +33,37 @@ pub fn inverse_gram(gram: &Matrix) -> Matrix {
     }
 }
 
-/// A basis that diagonalises at most two symmetric PSD matrices at once,
-/// on the range of their sum ([`joint_diagonalize`]).
+/// A basis that diagonalises two symmetric PSD matrices at once, on the
+/// range of their sum ([`joint_diagonalize`]).
 #[derive(Debug, Clone)]
 pub struct JointEigen {
-    /// `V`, `n×r`: `r` is the rank of `S = Σ G_g` at the [`pinv_psd`]
+    /// `V`, `n×r`: `r` is the rank of `S = G₁ + G₂` at the [`pinv_psd`]
     /// cutoff, and `VᵀSV = I`.
     pub basis: Matrix,
     /// Per input matrix `G_g`, the diagonal of `VᵀG_gV` (entries in
     /// `[0, 1]`; those at or below [`RCOND`] are exactly 0).
-    pub diags: Vec<Vec<f64>>,
+    pub diags: [Vec<f64>; 2],
 }
 
-/// Diagonalises one or two symmetric PSD matrices with one basis: with
-/// `S = Σ G_g = UΛUᵀ`, keep its range `P = U_r·Λ_r^{-1/2}` (`PᵀSP = I`),
+/// Diagonalises two symmetric PSD matrices with one basis: with
+/// `S = G₁ + G₂ = UΛUᵀ`, keep its range `P = U_r·Λ_r^{-1/2}` (`PᵀSP = I`),
 /// eigendecompose `PᵀG₁P = QMQᵀ` and set `V = PQ`. Then `VᵀG₁V = M` and
-/// `VᵀG₂V = I − M` are both diagonal, so any `Σ_g c_g·G_g` with `c_g ≥ 0`
-/// is `T·diag(Σ_g c_g·μ_g)·Tᵀ` with `T = SV` and `TᵀV = I`.
+/// `VᵀG₂V = I − M` are both diagonal, so any `c₁·G₁ + c₂·G₂` with `c_g ≥ 0`
+/// is `T·diag(c₁·μ₁ + c₂·μ₂)·Tᵀ` with `T = SV` and `TᵀV = I`. (Three or
+/// more matrices have no common diagonalising basis in general.)
 ///
 /// # Errors
-/// [`LinalgError::DimensionMismatch`] for no matrices,
-/// more than two (no common diagonalising basis exists in general), or
-/// matrices of different orders; [`LinalgError::Singular`]
-/// when `S` is zero; an eigendecomposition's own error otherwise.
-pub fn joint_diagonalize(grams: &[Matrix]) -> Result<JointEigen> {
-    let mismatch = |msg: &str| Err(LinalgError::DimensionMismatch(msg.into()));
-    let Some(first) = grams.first() else {
-        return mismatch("joint diagonalization of no matrices");
-    };
-    if grams.len() > 2 {
-        return mismatch("joint diagonalization of more than two matrices");
-    }
-    if grams.iter().any(|g| g.shape() != first.shape()) {
-        return mismatch("joint diagonalization of matrices of different orders");
+/// [`LinalgError::DimensionMismatch`] for matrices of different orders;
+/// [`LinalgError::Singular`] when `S` is zero; an eigendecomposition's own
+/// error otherwise.
+pub fn joint_diagonalize(first: &Matrix, second: &Matrix) -> Result<JointEigen> {
+    if first.shape() != second.shape() {
+        return Err(LinalgError::DimensionMismatch(
+            "joint diagonalization of matrices of different orders".into(),
+        ));
     }
     let mut sum = first.clone();
-    for g in &grams[1..] {
-        sum.axpy(1.0, g);
-    }
+    sum.axpy(1.0, second);
     let s = SymEigen::new(&sum)?;
     let max = s.values.iter().fold(0.0f64, |m, v| m.max(v.abs()));
     let kept: Vec<usize> = (0..s.values.len())
@@ -84,22 +77,19 @@ pub fn joint_diagonalize(grams: &[Matrix]) -> Result<JointEigen> {
     });
     let q = SymEigen::new(&p.t_matmul(&first.matmul(&p)))?;
     let basis = p.matmul(&q.vectors);
-    let diags = grams
-        .iter()
-        .map(|g| {
-            let gv = g.matmul(&basis);
-            (0..basis.cols())
-                .map(|c| {
-                    let mu: f64 = (0..basis.rows()).map(|r| basis[(r, c)] * gv[(r, c)]).sum();
-                    if mu > RCOND {
-                        mu
-                    } else {
-                        0.0
-                    }
-                })
-                .collect()
-        })
-        .collect();
+    let diags = [first, second].map(|g| {
+        let gv = g.matmul(&basis);
+        (0..basis.cols())
+            .map(|c| {
+                let mu: f64 = (0..basis.rows()).map(|r| basis[(r, c)] * gv[(r, c)]).sum();
+                if mu > RCOND {
+                    mu
+                } else {
+                    0.0
+                }
+            })
+            .collect()
+    });
     Ok(JointEigen { basis, diags })
 }
 
@@ -176,7 +166,7 @@ mod tests {
         let n = 5;
         let prefix = Matrix::from_fn(n, n, |i, j| (n - i.max(j)) as f64);
         let total = Matrix::ones(n, n);
-        let j = joint_diagonalize(&[prefix.clone(), total.clone()]).unwrap();
+        let j = joint_diagonalize(&prefix, &total).unwrap();
         assert_eq!(j.basis.shape(), (n, n));
         assert!(diagonal_in(&j.basis, &prefix, &j.diags[0], 1e-10));
         assert!(diagonal_in(&j.basis, &total, &j.diags[1], 1e-10));
@@ -190,15 +180,15 @@ mod tests {
     fn joint_basis_keeps_only_the_range_of_the_sum() {
         // Two Totals: S = 2·𝟙 has rank 1, so V is one column.
         let total = Matrix::ones(4, 4);
-        let j = joint_diagonalize(&[total.clone(), total.clone()]).unwrap();
+        let j = joint_diagonalize(&total, &total).unwrap();
         assert_eq!(j.basis.shape(), (4, 1));
         assert!((j.diags[0][0] - 0.5).abs() < 1e-12 && (j.diags[1][0] - 0.5).abs() < 1e-12);
-        // One matrix alone: V whitens it.
-        let one = joint_diagonalize(std::slice::from_ref(&total)).unwrap();
-        assert!((one.diags[0][0] - 1.0).abs() < 1e-12);
-        assert!(joint_diagonalize(&[total.clone(), total.clone(), total]).is_err());
-        assert!(joint_diagonalize(&[Matrix::zeros(3, 3)]).is_err());
-        assert!(joint_diagonalize(&[]).is_err());
+        // One matrix beside zero: V whitens it.
+        let zero = Matrix::zeros(4, 4);
+        let one = joint_diagonalize(&total, &zero).unwrap();
+        assert!((one.diags[0][0] - 1.0).abs() < 1e-12 && one.diags[1][0] == 0.0);
+        assert!(joint_diagonalize(&zero, &zero).is_err());
+        assert!(joint_diagonalize(&total, &Matrix::ones(3, 3)).is_err());
     }
 
     #[test]

@@ -61,8 +61,9 @@ pub fn residual_kron_cached(grams: &WorkloadGrams, gram_pinvs: &[Matrix]) -> f64
 ///
 /// * explicit / Kron / marginals: `‖A‖₁²·‖WA⁺‖²_F`;
 /// * union: `Σ_g ‖A_g‖₁²/share_g²·‖W_g A_g⁺‖²_F` — each group answers its own
-///   workload terms with its share of the budget (§6.2 / §7.2; the joint
-///   pseudo-inverse has no closed form).
+///   workload terms with its share of the budget (§6.2 / §7.2). This is a
+///   bound on the error of the joint estimator RECONSTRUCT serves, not that
+///   error itself, which the joint eigenbasis would give in closed form.
 pub fn squared_error(grams: &WorkloadGrams, strategy: &Strategy) -> f64 {
     match strategy {
         Strategy::Explicit(a) => {
@@ -223,7 +224,7 @@ mod tests {
             vec![blocks::total(3), blocks::prefix(3).scaled(1.0 / 3.0)],
             vec![1],
         );
-        let err = squared_error(&grams, &Strategy::Union(vec![g1.clone(), g2]));
+        let err = squared_error(&grams, &Strategy::Union([g1.clone(), g2]));
         // By symmetry each group contributes the same amount; verify against
         // the single-group formula with share 1 scaled by 4 (=1/0.5²).
         let single = {

@@ -1,4 +1,4 @@
-//! RECONSTRUCT of a union of at most two groups in closed form.
+//! RECONSTRUCT of a union in closed form.
 //!
 //! Every group measures the same `x`, so the whitened normal matrix is the
 //! sum `C = Σ_g w_g²·⊗ⱼ G_gj` of per-group Kronecker products of factor Grams
@@ -8,13 +8,14 @@
 //! `V_jᵀG_2jV_j` diagonal, so `C = (⊗T_j)·D·(⊗T_j)ᵀ` with `T_jᵀV_j = I` and
 //! `D = Σ_g w_g²·⊗ⱼ diag(μ_gj)` diagonal, and
 //! `x̄ = (⊗V_j)·D⁺·(⊗V_j)ᵀ·b` solves `C·x̄ = b = Σ_g w_g²·A_gᵀy_g`.
-//! With three or more groups no common basis exists in general; those
-//! unions reconstruct by LSMR.
+//! Every union has exactly two groups (`OPT_+` partitions with the paper's
+//! `g` at `l = 2`), so this is every union's RECONSTRUCT; three or more
+//! groups would have no common basis in general.
 
 use crate::UnionGroup;
 use hdmm_linalg::{
-    joint_diagonalize, kmatvec_structured, kmatvec_transpose_structured, Matrix, StructuredMatrix,
-    RCOND,
+    joint_diagonalize, kmatvec_structured, kmatvec_transpose_structured, LinalgError,
+    StructuredMatrix, RCOND,
 };
 
 /// The strategy-only half of a union's closed-form RECONSTRUCT: per
@@ -26,30 +27,35 @@ pub struct JointBasis {
     /// `V_j`, one dense leaf per attribute.
     bases: Vec<StructuredMatrix>,
     /// `μ_gj`, indexed `[group][attribute]`.
-    diags: Vec<Vec<Vec<f64>>>,
+    diags: [Vec<Vec<f64>>; 2],
 }
 
 impl JointBasis {
-    /// The basis of a union of one or two groups whose factors have the
-    /// same column counts; `None` for any other union, or when an
-    /// attribute's eigendecomposition fails.
-    pub fn new(groups: &[UnionGroup]) -> Option<Self> {
-        let first = groups.first()?;
-        let dims = first.factors.len();
-        if dims == 0 || groups.len() > 2 || groups.iter().any(|g| g.factors.len() != dims) {
-            return None;
+    /// The basis of a two-group union.
+    ///
+    /// # Errors
+    /// [`LinalgError::DimensionMismatch`] when the groups' factor lists are
+    /// empty or differ in length or, attribute by attribute, in column count
+    /// (groups over different attribute orders);
+    /// [`LinalgError::Singular`] for an attribute whose Grams are both zero;
+    /// an eigendecomposition's own error otherwise.
+    pub fn new(groups: &[UnionGroup; 2]) -> Result<Self, LinalgError> {
+        let [first, second] = groups.each_ref().map(|g| &g.factors);
+        if first.is_empty() || first.len() != second.len() {
+            return Err(LinalgError::DimensionMismatch(
+                "union groups of different arities".into(),
+            ));
         }
-        let mut bases = Vec::with_capacity(dims);
-        let mut diags = vec![Vec::with_capacity(dims); groups.len()];
-        for j in 0..dims {
-            let grams: Vec<Matrix> = groups.iter().map(|g| g.factors[j].gram_dense()).collect();
-            let joint = joint_diagonalize(&grams).ok()?;
+        let mut bases = Vec::with_capacity(first.len());
+        let mut diags = [Vec::new(), Vec::new()];
+        for (a, b) in first.iter().zip(second) {
+            let joint = joint_diagonalize(&a.gram_dense(), &b.gram_dense())?;
             bases.push(StructuredMatrix::Dense(joint.basis));
             for (per_group, mu) in diags.iter_mut().zip(joint.diags) {
                 per_group.push(mu);
             }
         }
-        Some(JointBasis { bases, diags })
+        Ok(JointBasis { bases, diags })
     }
 
     /// `x̄ = (⊗V_j)·D⁺·(⊗V_j)ᵀ·b`, where `weights[g]` is group `g`'s `w_g²`.

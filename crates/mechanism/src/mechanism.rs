@@ -3,7 +3,7 @@
 
 use crate::pipeline::{measure_on, reconstruct_on, MechanismRequest, PlainKernels};
 use crate::{JointBasis, MarginalsAlgebra, MeasuredProduct, Strategy};
-use hdmm_linalg::{KronScratch, StructuredMatrix};
+use hdmm_linalg::{KronScratch, LinalgError, StructuredMatrix};
 use hdmm_workload::Workload;
 use rand::Rng;
 
@@ -63,10 +63,14 @@ pub fn measure(strategy: &Strategy, x: &[f64], eps: f64, rng: &mut impl Rng) -> 
 ///   explicit matrix is one `Dense` leaf) pay a dense `n×n` inverse;
 /// * marginals: the subset-sum algebra tables and the §7.2 weight vector `v`
 ///   with `(MᵀM)⁺ = G(v)`;
-/// * union of one or two groups (every union SELECT emits): the joint
-///   per-attribute eigenbasis ([`JointBasis`]) that diagonalises both
-///   groups' factor Grams, `O(Σ nⱼ²)` numbers; a union of three or more
-///   groups has none and reconstructs by LSMR.
+/// * union (two groups): the joint per-attribute eigenbasis
+///   ([`JointBasis`]) that diagonalises both groups' factor Grams,
+///   `O(Σ nⱼ²)` numbers. When it cannot be built — groups over different
+///   attribute orders, an attribute whose Grams are both zero, an
+///   eigensolver error — the plan keeps that typed error in place of its
+///   solve, and [`MechanismRequest::run`] refuses every request against it
+///   with [`MechanismError::PlanMismatch`](crate::MechanismError::PlanMismatch)
+///   before any noise is drawn.
 ///
 /// Everything here is a pure deterministic function of the strategy — no
 /// measurements, no randomness — so a plan built moments ago and one cached
@@ -74,7 +78,7 @@ pub fn measure(strategy: &Strategy, x: &[f64], eps: f64, rng: &mut impl Rng) -> 
 #[derive(Debug, Clone)]
 pub struct PreparedReconstruct {
     products: Vec<MeasuredProduct>,
-    pub(crate) solve: Solve,
+    pub(crate) solve: Result<Solve, LinalgError>,
 }
 
 /// The strategy family's half of RECONSTRUCT: how `C⁺` is applied to the
@@ -88,28 +92,26 @@ pub(crate) enum Solve {
         algebra: MarginalsAlgebra,
         v: Vec<f64>,
     },
-    /// The joint eigenbasis of a union's groups.
+    /// The joint eigenbasis of a union's two groups.
     Joint(JointBasis),
-    /// A union of three or more groups, or one whose joint basis could not
-    /// be built: whitened LSMR over the stacked products.
-    Lsmr,
 }
 
 impl PreparedReconstruct {
-    /// Builds the measured products of `strategy` and its solve.
+    /// Builds the measured products of `strategy` and its solve, or the
+    /// error that stands in for a union's solve.
     pub fn new(strategy: &Strategy) -> Self {
         let products = strategy.measured_products();
         let solve = match strategy {
             Strategy::Explicit(_) | Strategy::Kron(_) => {
-                let leaves = &products[0].factors;
-                Solve::InverseGrams(leaves.iter().map(StructuredMatrix::gram_pinv).collect())
+                let gram_pinvs = products[0].factors.iter().map(StructuredMatrix::gram_pinv);
+                Ok(Solve::InverseGrams(gram_pinvs.collect()))
             }
             Strategy::Marginals(m) => {
                 let algebra = MarginalsAlgebra::new(&m.domain);
                 let v = algebra.g_inverse_weights(&m.gram_weights());
-                Solve::Marginals { algebra, v }
+                Ok(Solve::Marginals { algebra, v })
             }
-            Strategy::Union(groups) => JointBasis::new(groups).map_or(Solve::Lsmr, Solve::Joint),
+            Strategy::Union(groups) => JointBasis::new(groups).map(Solve::Joint),
         };
         PreparedReconstruct { products, solve }
     }
@@ -130,15 +132,16 @@ impl PreparedReconstruct {
     /// RECONSTRUCT applies through [`Kernels::inverse_grams`](crate::Kernels::inverse_grams).
     pub fn inverse_grams(&self) -> Option<&[StructuredMatrix]> {
         match &self.solve {
-            Solve::InverseGrams(gram_pinvs) => Some(gram_pinvs),
+            Ok(Solve::InverseGrams(gram_pinvs)) => Some(gram_pinvs),
             _ => None,
         }
     }
 
-    /// The joint eigenbasis a union of one or two groups reconstructs with.
+    /// The joint eigenbasis a union reconstructs with (`None` for a union
+    /// whose basis could not be built).
     pub fn joint_basis(&self) -> Option<&JointBasis> {
         match &self.solve {
-            Solve::Joint(joint) => Some(joint),
+            Ok(Solve::Joint(joint)) => Some(joint),
             _ => None,
         }
     }
@@ -153,7 +156,8 @@ impl PreparedReconstruct {
 ///
 /// # Panics
 /// Panics if `meas` does not hold one block per measurement block of
-/// `strategy` ([`Strategy::measurement_blocks`]) or of `prepared`.
+/// `strategy` ([`Strategy::measurement_blocks`]) or of `prepared`, or if
+/// `prepared` holds no solve (a union whose joint basis could not be built).
 pub fn reconstruct_with(
     prepared: &PreparedReconstruct,
     strategy: &Strategy,
@@ -278,7 +282,7 @@ mod tests {
     fn union_pipeline_recovers_at_high_eps() {
         let w = builders::range_total_union_2d(4, 4);
         let x = data(16);
-        let strat = Strategy::Union(vec![
+        let strat = Strategy::Union([
             UnionGroup::new(
                 0.5,
                 vec![blocks::prefix(4).scaled(0.25), blocks::total(4)],
@@ -305,7 +309,7 @@ mod tests {
     #[test]
     fn total_by_total_union_builds_a_rank_one_basis_and_serves() {
         // Every attribute's S_j = G_1j + G_2j is a scaled all-ones matrix.
-        let strat = Strategy::Union(vec![
+        let strat = Strategy::Union([
             UnionGroup::new(
                 0.5,
                 vec![StructuredMatrix::total(9), StructuredMatrix::total(5)],
@@ -386,7 +390,7 @@ mod tests {
 
     #[test]
     fn union_noise_scales_by_share() {
-        let strat = Strategy::Union(vec![
+        let strat = Strategy::Union([
             UnionGroup::new(0.25, vec![StructuredMatrix::identity(3)], vec![0]),
             UnionGroup::new(0.75, vec![StructuredMatrix::identity(3)], vec![0]),
         ]);

@@ -30,10 +30,7 @@
 use crate::laplace::add_laplace_noise;
 use crate::mechanism::Solve;
 use crate::{MeasuredBlock, MeasuredProduct, Measurements, MechanismResult, PreparedReconstruct};
-use hdmm_linalg::{
-    kmatvec_structured, kmatvec_transpose_structured, lsmr, LinOp, LsmrOptions, ScaledOp,
-    StackedOp, StructuredMatrix,
-};
+use hdmm_linalg::{kmatvec_structured, kmatvec_transpose_structured, StructuredMatrix};
 use hdmm_obs::{Observer, Phase};
 use hdmm_workload::Workload;
 use rand::Rng;
@@ -57,9 +54,10 @@ pub enum MechanismError {
         got: usize,
     },
     /// The per-plan state of the request does not fit: the
-    /// [`PreparedReconstruct`] measures another number of cells than the
-    /// data vector holds, or the operands a kernel keeps resident belong to
-    /// a plan of another [`PlanShape`].
+    /// [`PreparedReconstruct`] has no solve (a union whose joint basis could
+    /// not be built) or measures another number of cells than the data
+    /// vector holds, or the operands a kernel keeps resident belong to a
+    /// plan of another [`PlanShape`].
     PlanMismatch,
 }
 
@@ -76,7 +74,7 @@ impl std::fmt::Display for MechanismError {
                 write!(f, "data vector has {got} cells, domain has {expected}")
             }
             MechanismError::PlanMismatch => {
-                write!(f, "prepared state was built for a different strategy")
+                write!(f, "prepared plan does not fit this request")
             }
         }
     }
@@ -254,18 +252,18 @@ pub fn measure_on<K: Kernels + ?Sized>(
 ///   `nᵢ × nᵢ` inverse Gram, never the `nᵢ × mᵢ` pseudo-inverse;
 /// * marginals: `cᵢ = θᵢ`, so `b = Mᵀy`, and `x̄ = G(v)·Mᵀy`, the
 ///   subset-algebra application (§7.2) on the coordinator;
-/// * union of one or two groups: `c_g = w_g²` (`w_g` the inverse noise
-///   scale), and the normal equations are solved in closed form on the
-///   coordinator: `x̄ = (⊗Vⱼ)·D⁺·(⊗Vⱼ)ᵀ·b` over the joint eigenbasis
-///   ([`JointBasis`](crate::JointBasis)), two small dense Kronecker
-///   products and one diagonal;
-/// * union of three or more groups: no closed form — a global
-///   noise-whitened LSMR solve over the stacked implicit products (§7.2,
-///   reference \[14\]), a single coordinator-side stage.
+/// * union: `c_g = w_g²` (`w_g` the inverse noise scale), and the normal
+///   equations are solved in closed form on the coordinator:
+///   `x̄ = (⊗Vⱼ)·D⁺·(⊗Vⱼ)ᵀ·b` over the joint eigenbasis of its two groups
+///   ([`JointBasis`](crate::JointBasis)), two small dense Kronecker products
+///   and one diagonal.
 ///
 /// # Panics
 /// Panics if `meas` does not hold one block per measured product of
-/// `prepared` ([`MechanismRequest::run`] cannot produce that).
+/// `prepared`, or if `prepared` holds no solve (a union whose joint basis
+/// could not be built). [`MechanismRequest::run`] reaches neither: its
+/// MEASURE takes one block per product, and its validation refuses a plan
+/// without a solve.
 pub fn reconstruct_on<K: Kernels + ?Sized>(
     prepared: &PreparedReconstruct,
     meas: &Measurements,
@@ -278,36 +276,22 @@ pub fn reconstruct_on<K: Kernels + ?Sized>(
         "measurements were not taken with this plan"
     );
     match &prepared.solve {
-        Solve::InverseGrams(gram_pinvs) => {
+        Ok(Solve::InverseGrams(gram_pinvs)) => {
             let aty = weighted_aty(prepared, meas, None, kernels)?;
             let refs: Vec<&StructuredMatrix> = gram_pinvs.iter().collect();
             kernels.inverse_grams(&refs, &aty)
         }
-        Solve::Marginals { algebra, v } => {
+        Ok(Solve::Marginals { algebra, v }) => {
             let theta: Vec<f64> = products.iter().map(|p| p.theta).collect();
             let mty = weighted_aty(prepared, meas, Some(&theta), kernels)?;
             Ok(algebra.g_apply(v, &mty))
         }
-        Solve::Joint(joint) => {
+        Ok(Solve::Joint(joint)) => {
             let w2: Vec<f64> = meas.blocks.iter().map(|b| b.noise_scale.powi(-2)).collect();
             let b = weighted_aty(prepared, meas, Some(&w2), kernels)?;
             Ok(joint.solve(&w2, &b))
         }
-        Solve::Lsmr => {
-            // Whiten each product by its inverse noise scale `w` and solve
-            // jointly over the stacked operators.
-            let mut ops: Vec<Box<dyn LinOp>> = Vec::with_capacity(products.len());
-            let mut rhs = Vec::new();
-            for (p, block) in products.iter().zip(&meas.blocks) {
-                let w = 1.0 / block.noise_scale;
-                ops.push(Box::new(ScaledOp {
-                    alpha: w,
-                    inner: StructuredMatrix::kron(p.factors.clone()),
-                }));
-                rhs.extend(block.noisy.iter().map(|v| v * w));
-            }
-            Ok(lsmr(&StackedOp::new(ops), &rhs, &LsmrOptions::default()).x)
-        }
+        Err(e) => panic!("the plan has no solve: {e}"),
     }
 }
 
@@ -364,7 +348,8 @@ impl MechanismRequest<'_> {
         if got != expected {
             return Err(MechanismError::DataVectorMismatch { expected, got });
         }
-        let plan_fits = self.prepared.cells() == got
+        let plan_fits = self.prepared.solve.is_ok()
+            && self.prepared.cells() == got
             && kernels
                 .resident_plan()
                 .is_none_or(|shape| shape == PlanShape::of(self.prepared));

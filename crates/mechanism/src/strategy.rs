@@ -78,8 +78,9 @@ pub enum Strategy {
     /// A Kronecker product `A₁ ⊗ … ⊗ A_d` (the `OPT_0` and `OPT_⊗` output,
     /// one [`StructuredMatrix::PIdentity`] leaf per attribute).
     Kron(Vec<StructuredMatrix>),
-    /// A union of product strategies with a budget split (the `OPT_+` output).
-    Union(Vec<UnionGroup>),
+    /// A union of two product strategies with a budget split (the `OPT_+`
+    /// output: the paper's partition `g` with `l = 2`, Definition 11).
+    Union([UnionGroup; 2]),
     /// Weighted marginals `M(θ)` (the `OPT_M` output).
     Marginals(MarginalsStrategy),
 }
@@ -138,17 +139,12 @@ impl Strategy {
             Strategy::Kron(factors) => {
                 Strategy::Kron(factors.into_iter().map(|f| f.normalized()).collect())
             }
-            Strategy::Union(groups) => Strategy::Union(
-                groups
-                    .into_iter()
-                    .map(|mut g| {
-                        for f in &mut g.factors {
-                            *f = f.normalized();
-                        }
-                        g
-                    })
-                    .collect(),
-            ),
+            Strategy::Union(groups) => Strategy::Union(groups.map(|mut g| {
+                for f in &mut g.factors {
+                    *f = f.normalized();
+                }
+                g
+            })),
             Strategy::Marginals(m) => {
                 let s = m.sensitivity();
                 let theta = m.theta.iter().map(|t| t / s).collect();
@@ -167,7 +163,7 @@ impl Strategy {
     }
 
     /// Number of blocks MEASURE produces: one for explicit and Kronecker
-    /// strategies, one per group of a union, one per nonzero-weight marginal.
+    /// strategies, two for a union, one per nonzero-weight marginal.
     pub fn measurement_blocks(&self) -> usize {
         match self {
             Strategy::Explicit(_) | Strategy::Kron(_) => 1,

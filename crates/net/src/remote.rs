@@ -406,7 +406,7 @@ mod tests {
             ),
             (
                 builders::range_total_union_2d(4, 4),
-                Strategy::Union(vec![
+                Strategy::Union([
                     UnionGroup::new(
                         0.5,
                         vec![blocks::prefix(4).scaled(0.25), blocks::total(4)],

@@ -21,18 +21,19 @@ pub struct OptPlusResult {
     /// Squared error including the budget split: `Σ_g residual_g / share_g²`.
     pub squared_error: f64,
     /// Per-group `OPT_⊗` results.
-    pub groups: Vec<OptKronResult>,
+    pub groups: [OptKronResult; 2],
 }
 
-/// Partitions the workload terms into at most `l` groups by their structural
-/// signature — the set of attributes carrying a non-Total factor. Terms whose
-/// queries live on the same attributes belong in the same product strategy;
-/// extra signatures are folded round-robin (the paper's `g` with `l = 2`).
-pub fn group_terms(grams: &WorkloadGrams, l: usize) -> Vec<Vec<usize>> {
-    assert!(l >= 1, "need at least one group");
+/// Partitions the workload terms into two groups by their structural
+/// signature — the set of attributes carrying a non-Total factor (the
+/// paper's `g` with `l = 2`). Terms whose queries live on the same
+/// attributes belong in the same product strategy; signatures are dealt to
+/// the groups round-robin in order of first appearance. `None` when the
+/// workload has fewer than two signatures: there is nothing to split.
+pub fn group_terms(grams: &WorkloadGrams) -> Option<[Vec<usize>; 2]> {
     let mut signature_order: Vec<u64> = Vec::new();
-    let mut assignment: Vec<usize> = Vec::new();
-    for term in grams.terms() {
+    let mut groups: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
+    for (j, term) in grams.terms().iter().enumerate() {
         let mut sig: u64 = 0;
         for (i, g) in term.factors.iter().enumerate() {
             // A Total factor's Gram is the all-ones matrix scaled; detect via
@@ -50,43 +51,33 @@ pub fn group_terms(grams: &WorkloadGrams, l: usize) -> Vec<Vec<usize>> {
                 signature_order.push(sig);
                 signature_order.len() - 1
             });
-        assignment.push(pos % l);
+        groups[pos % 2].push(j);
     }
-    let groups = signature_order.len().min(l);
-    let mut out = vec![Vec::new(); groups];
-    for (j, &g) in assignment.iter().enumerate() {
-        out[g.min(groups - 1)].push(j);
-    }
-    out.retain(|g| !g.is_empty());
-    out
+    (signature_order.len() >= 2).then_some(groups)
 }
 
-/// Runs `OPT_+` on an implicit workload with an explicit term partition.
+/// Runs `OPT_+` on an implicit workload with an explicit two-group term
+/// partition: `OPT_⊗` on group 0, then on group 1.
 pub fn opt_plus(
     grams: &WorkloadGrams,
-    partition: &[Vec<usize>],
+    partition: &[Vec<usize>; 2],
     ps: &[usize],
     rng: &mut impl Rng,
 ) -> OptPlusResult {
-    assert!(!partition.is_empty(), "need at least one group");
-    let mut group_results = Vec::with_capacity(partition.len());
-    let mut residuals = Vec::with_capacity(partition.len());
-
-    for term_indices in partition {
+    let group_results = partition.each_ref().map(|term_indices| {
         let terms: Vec<GramTerm> = term_indices
             .iter()
             .map(|&j| grams.terms()[j].clone())
             .collect();
         let sub = WorkloadGrams::from_terms(grams.domain().clone(), terms);
-        let res = opt_kron(&sub, ps, rng);
-        residuals.push(res.residual);
-        group_results.push(res);
-    }
+        opt_kron(&sub, ps, rng)
+    });
+    let residuals = group_results.each_ref().map(|res| res.residual);
 
     // Optimal budget shares: minimize Σ r_g/s_g² s.t. Σ s_g = 1 ⇒ s_g ∝ r_g^⅓.
-    let cube_roots: Vec<f64> = residuals.iter().map(|r| r.cbrt()).collect();
+    let cube_roots = residuals.map(f64::cbrt);
     let total: f64 = cube_roots.iter().sum();
-    let shares: Vec<f64> = cube_roots.iter().map(|c| c / total.max(1e-300)).collect();
+    let shares = cube_roots.map(|c| c / total.max(1e-300));
 
     let squared_error: f64 = residuals
         .iter()
@@ -94,14 +85,8 @@ pub fn opt_plus(
         .map(|(r, s)| r / (s * s))
         .sum();
 
-    let groups = group_results
-        .iter()
-        .zip(partition)
-        .zip(&shares)
-        .map(|((res, term_indices), &share)| {
-            UnionGroup::new(share, res.factors(), term_indices.clone())
-        })
-        .collect();
+    let groups = [0, 1]
+        .map(|g| UnionGroup::new(shares[g], group_results[g].factors(), partition[g].clone()));
 
     OptPlusResult {
         strategy: Strategy::Union(groups),
@@ -122,19 +107,20 @@ mod tests {
     fn grouping_by_signature() {
         let w = builders::range_total_union_2d(8, 8);
         let grams = WorkloadGrams::from_workload(&w);
-        let groups = group_terms(&grams, 2);
-        assert_eq!(groups, vec![vec![0], vec![1]]);
+        assert_eq!(group_terms(&grams), Some([vec![0], vec![1]]));
     }
 
     #[test]
-    fn grouping_caps_at_l() {
+    fn grouping_folds_signatures_into_two_groups() {
         let d = hdmm_workload::Domain::new(&[2, 2, 2]);
         let w = builders::all_marginals(&d); // 8 signatures
         let grams = WorkloadGrams::from_workload(&w);
-        let groups = group_terms(&grams, 2);
-        assert_eq!(groups.len(), 2);
+        let groups = group_terms(&grams).expect("8 signatures split");
         let total: usize = groups.iter().map(Vec::len).sum();
         assert_eq!(total, 8);
+        // One signature has nothing to split.
+        let one = WorkloadGrams::from_workload(&builders::prefix_2d(4, 4));
+        assert_eq!(group_terms(&one), None);
     }
 
     #[test]
@@ -143,7 +129,7 @@ mod tests {
         let w = builders::range_total_union_2d(16, 16);
         let grams = WorkloadGrams::from_workload(&w);
         let mut rng = StdRng::seed_from_u64(0);
-        let partition = group_terms(&grams, 2);
+        let partition = group_terms(&grams).expect("two signatures");
         let plus = opt_plus(&grams, &partition, &[2, 2], &mut rng);
         let kron = opt_kron(&grams, &[2, 2], &mut rng);
         assert!(
@@ -159,7 +145,7 @@ mod tests {
         let w = builders::range_total_union_2d(8, 8);
         let grams = WorkloadGrams::from_workload(&w);
         let mut rng = StdRng::seed_from_u64(1);
-        let partition = group_terms(&grams, 2);
+        let partition = group_terms(&grams).expect("two signatures");
         let plus = opt_plus(&grams, &partition, &[1, 1], &mut rng);
         let err = mech_error(&grams, &plus.strategy);
         // The two sides use different inverse algorithms (Woodbury vs dense

@@ -112,10 +112,6 @@ fn is_total_like(factor: &StructuredMatrix) -> bool {
     }
 }
 
-/// Number of groups `l` the union partition `g(W)` produces (§6.2; the
-/// paper's `g` uses `l = 2`).
-const UNION_GROUPS: usize = 2;
-
 /// `OPT_M` applies to domains of `2 ≤ d ≤ MARGINALS_MAX_DIMS` attributes:
 /// its subset algebra holds one weight per attribute subset, `2^d` of them.
 const MARGINALS_MAX_DIMS: usize = 14;
@@ -123,8 +119,8 @@ const MARGINALS_MAX_DIMS: usize = 14;
 /// Inspects the workload's structure and picks the operator the paper's
 /// decision rules prescribe. Pure and cheap: touches only factor shapes and
 /// entries (no Grams are formed), never runs an optimization. No option
-/// steers the rules: the union group count and the `OPT_M` cutoff are
-/// constants, so `_opts` is read by nothing.
+/// steers the rules: a union has two groups by type and the `OPT_M` cutoff
+/// is a constant, so `_opts` is read by nothing.
 pub fn select_optimizer(workload: &Workload, _opts: &HdmmOptions) -> PlanDecision {
     let d = workload.domain().dims();
     if d == 1 {
@@ -182,23 +178,23 @@ enum Operator {
     /// `OPT_0` on the explicit Gram `Σ w²·G` the 1-D union collapses to.
     Opt0(Matrix),
     Kron,
-    /// `OPT_+` over the union partition `g(W)` (≥ 2 groups).
-    Plus(Vec<Vec<usize>>),
+    /// `OPT_+` over the two-group union partition `g(W)`.
+    Plus([Vec<usize>; 2]),
     Marginals,
 }
 
 impl Operator {
     /// Resolves `choice` to the ordered operator set the grid runs — the one
     /// place operator applicability is decided: `OPT_0` needs a 1-D domain,
-    /// `OPT_+` a union whose partition has ≥ 2 groups, `OPT_M`
+    /// `OPT_+` a union of at least two structural signatures, `OPT_M`
     /// `2 ≤ d ≤ MARGINALS_MAX_DIMS`. A single choice that does not apply
     /// runs `OPT_⊗` instead, so the set is never empty.
     fn resolve(choice: OptimizerChoice, grams: &WorkloadGrams) -> Vec<Operator> {
         let d = grams.dims();
         let plus = || {
-            (grams.terms().len() >= 2 && d >= 2)
-                .then(|| group_terms(grams, UNION_GROUPS))
-                .filter(|partition| partition.len() >= 2)
+            (d >= 2)
+                .then(|| group_terms(grams))
+                .flatten()
                 .map(Operator::Plus)
         };
         let marginals = || {

@@ -2,7 +2,8 @@
 //! just write: the checksummed codec envelope (`codec::open`), WAL records
 //! and snapshots (`wal::decode_record`, `wal::decode_snapshot`), plan files
 //! (`PlanStore::load`; a 1-D plan is a p-Identity leaf; a union whose
-//! budget shares do not sum to 1 is refused), the p-Identity /
+//! budget shares do not sum to 1, or whose two groups differ attribute by
+//! attribute, is refused), the p-Identity /
 //! Woodbury leaves of plans and inverse-Gram factor lists (`Reader`), and
 //! shard-worker wire frames (`hdmm_net::decode_frame`).
 //! Arbitrary bytes, arbitrary payloads behind a valid checksum, truncations
@@ -14,7 +15,7 @@
 //! state, so no single-bit change collides with the original checksum.
 
 use hdmm::core::codec;
-use hdmm::core::{builders, Hdmm, Plan};
+use hdmm::core::{builders, Hdmm, Plan, QueryEngine};
 use hdmm::engine::wal::{
     decode_record, decode_snapshot, encode_record, encode_snapshot, RecoveredDataset,
     RecoveredState, RecoveredTenant, WalRecord, SNAPSHOT_MAGIC,
@@ -301,7 +302,7 @@ fn plan_store_files_with_union_shares_not_summing_to_one_are_never_served() {
     let workload = builders::range_total_union_2d(4, 4);
     let fp = workload.fingerprint();
     let group = |share: f64, factors| UnionGroup::new(share, factors, vec![0]);
-    let union = Strategy::Union(vec![
+    let union = Strategy::Union([
         group(
             0.375,
             vec![StructuredMatrix::prefix(4), StructuredMatrix::total(4)],
@@ -360,6 +361,66 @@ fn plan_store_files_with_union_shares_not_summing_to_one_are_never_served() {
         assert!((total - 1.0).abs() < 1e-9, "served shares sum to {total}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A plan file whose union groups differ attribute by attribute — written
+/// by the store itself, so it is sealed and its shares are sound — is a
+/// miss, and the engine runs SELECT instead of serving it. Two cases on a
+/// 4×6 domain: a second group of another cell count (`Total(4)⊗Prefix(5)`,
+/// whose MEASURE cannot run on the data vector) and one over the permuted
+/// attribute order (`Prefix(6)⊗Total(4)`, which no joint basis fits).
+#[test]
+fn plan_store_files_with_union_groups_over_other_attributes_are_never_served() {
+    let workload = builders::range_total_union_2d(4, 6);
+    let fp = workload.fingerprint();
+    let first = || vec![StructuredMatrix::prefix(4), StructuredMatrix::total(6)];
+    for (case, second) in [
+        (
+            "cells",
+            vec![StructuredMatrix::total(4), StructuredMatrix::prefix(5)],
+        ),
+        (
+            "order",
+            vec![StructuredMatrix::prefix(6), StructuredMatrix::total(4)],
+        ),
+    ] {
+        let dir = std::env::temp_dir().join(format!(
+            "hdmm-decoders-groups-{case}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = PlanStore::new(&dir);
+        let selected = Selected {
+            strategy: Strategy::Union([
+                UnionGroup::new(0.5, first(), vec![0]),
+                UnionGroup::new(0.5, second, vec![1]),
+            ]),
+            squared_error: 1.0,
+            operator: "plus",
+        };
+        let grams = WorkloadGrams::from_workload(&workload);
+        let plan = Plan::from_parts(selected, grams, workload.query_count());
+        assert!(store.store(&fp, &plan, workload.domain()));
+        assert!(store.load(&fp, &workload).is_none(), "{case}: loaded");
+
+        let engine = Engine::new(EngineOptions {
+            hdmm: HdmmOptions {
+                restarts: 1,
+                ..Default::default()
+            },
+            cache_dir: Some(dir.clone()),
+            ..Default::default()
+        });
+        let x: Vec<f64> = (0..workload.domain().size()).map(|i| i as f64).collect();
+        engine
+            .register_dataset("d", workload.domain().clone(), x, 1.0)
+            .expect("registers");
+        let served = engine.serve("d", &workload, 0.5).expect("serves");
+        assert_eq!(served.answers.len(), workload.query_count(), "{case}");
+        let t = engine.metrics().telemetry;
+        assert_eq!((t.plan_disk_hits, t.selects_run), (0, 1), "{case}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 proptest! {

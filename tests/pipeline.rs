@@ -121,7 +121,7 @@ fn families() -> Vec<(Workload, Strategy)> {
     );
     let union = (
         builders::range_total_union_2d(LEADING, 4),
-        Strategy::Union(vec![
+        Strategy::Union([
             UnionGroup::new(
                 0.5,
                 vec![
@@ -415,22 +415,50 @@ fn every_kernel_kind_refuses_invalid_requests_identically_before_any_noise() {
         },
     );
 
+    // A union whose groups are over permuted attribute orders: the same cell
+    // count, but no joint basis exists, so the plan has no solve. Its own
+    // keys are resident, so only the missing solve can refuse it.
+    let permuted = Strategy::Union([
+        UnionGroup::new(
+            0.5,
+            vec![blocks::prefix(LEADING), blocks::total(5)],
+            vec![0],
+        ),
+        UnionGroup::new(
+            0.5,
+            vec![blocks::total(5), blocks::prefix(LEADING)],
+            vec![1],
+        ),
+    ]);
+    let permuted_prepared = PreparedReconstruct::new(&permuted);
+    assert!(permuted_prepared.joint_basis().is_none());
+    for_each_kernel_kind(
+        &x,
+        "valid",
+        &OperandKeys::new(&permuted_prepared),
+        &pool,
+        &Refused {
+            what: "a union over permuted attribute orders",
+            request: MechanismRequest {
+                prepared: &permuted_prepared,
+                ..valid
+            },
+            expected: &|e| *e == MechanismError::PlanMismatch,
+        },
+    );
+
     // Resident operands of another plan: another family's keys, and keys of
     // the right family with another block count. Only the RPC kernels keep
     // any, so only they can refuse; the other kinds serve the valid request.
-    let other = Strategy::Marginals(MarginalsStrategy::uniform(workload.domain().clone()));
-    let two_groups = Strategy::Union(vec![
-        UnionGroup::new(0.5, vec![blocks::total(LEADING), blocks::total(5)], vec![0]),
-        UnionGroup::new(0.5, vec![blocks::total(LEADING), blocks::total(5)], vec![0]),
-    ]);
-    let one_group = Strategy::Union(vec![UnionGroup::new(
-        1.0,
-        vec![blocks::total(LEADING), blocks::total(5)],
-        vec![0],
-    )]);
-    let two_groups_prepared = PreparedReconstruct::new(&two_groups);
-    let union_request = MechanismRequest {
-        prepared: &two_groups_prepared,
+    let domain = workload.domain();
+    let uniform = Strategy::Marginals(MarginalsStrategy::uniform(domain.clone()));
+    let full_only = Strategy::Marginals(MarginalsStrategy::new(
+        domain.clone(),
+        vec![0.0, 0.0, 0.0, 1.0],
+    ));
+    let uniform_prepared = PreparedReconstruct::new(&uniform);
+    let marginals_request = MechanismRequest {
+        prepared: &uniform_prepared,
         ..valid
     };
     let data = sharded(&x, 3);
@@ -438,12 +466,12 @@ fn every_kernel_kind_refuses_invalid_requests_identically_before_any_noise() {
         (
             "keys of another family",
             valid,
-            OperandKeys::new(&PreparedReconstruct::new(&other)),
+            OperandKeys::new(&uniform_prepared),
         ),
         (
             "keys of another block count",
-            union_request,
-            OperandKeys::new(&PreparedReconstruct::new(&one_group)),
+            marginals_request,
+            OperandKeys::new(&PreparedReconstruct::new(&full_only)),
         ),
     ] {
         Refused {

@@ -52,6 +52,7 @@
 //! [`PlanStore`]: https://docs.rs/hdmm-engine
 
 use hdmm_linalg::{Csr, Matrix, StructuredMatrix};
+use hdmm_mechanism::marginals::MAX_MARGINAL_ATTRS;
 use hdmm_mechanism::{MarginalsStrategy, Strategy, UnionGroup};
 use hdmm_workload::Domain;
 use std::borrow::Borrow;
@@ -493,6 +494,10 @@ impl<'a> Reader<'a> {
                 let sizes = self.usizes()?;
                 if sizes.is_empty() || sizes.contains(&0) {
                     return Err(CodecError::Invalid("degenerate marginals domain"));
+                }
+                // Before the `2^d` below: a larger shift overflows.
+                if sizes.len() > MAX_MARGINAL_ATTRS {
+                    return Err(CodecError::Invalid("too many marginals attributes"));
                 }
                 let theta = self.f64s()?;
                 let domain = Domain::new(&sizes);

@@ -7,14 +7,28 @@
 //! weight `θ_a`. Key facts implemented here:
 //!
 //! * `MᵀM = G(u)` with `u = θ²`, where `G(v) = Σ_a v_a·C(a)` and
-//!   `C(a) = ⊗ᵢ[𝟙 or I]`;
+//!   `C(a) = Q_aᵀQ_a = ⊗ᵢ[𝟙 or I]`;
 //! * products stay in the class: `G(u)G(v) = G(X(u)v)` with `X(u)` *upper
 //!   triangular in the subset order* (Propositions 3/4), so inverses reduce
 //!   to one sparse triangular solve with `3^d` nonzeros;
-//! * `‖M(θ)‖₁ = Σθ_a` (each marginal has unit column norms).
+//! * `‖M(θ)‖₁ = Σθ_a` (each marginal has unit column norms);
+//! * every vector RECONSTRUCT forms is a marginal table, so
+//!   `x̄ = G(v)·Mᵀy` runs as three sweeps over the subset lattice
+//!   (`MarginalsLattice`): O(d·Πᵢ(nᵢ+1)) work at most, a few streaming
+//!   passes over the `N = Πᵢnᵢ` cells, where one full-domain forward and
+//!   transpose product per nonzero `v_a` cost O(2^d·d·N).
+//!
+//! A domain has at most [`MAX_MARGINAL_ATTRS`] attributes.
 
-use hdmm_linalg::{kmatvec_structured, kmatvec_transpose_structured, Matrix, StructuredMatrix};
+use crate::MeasuredBlock;
+use hdmm_linalg::{contract_rows, Matrix, StructuredMatrix};
 use hdmm_workload::{Domain, WorkloadGrams};
+
+/// The most attributes a marginals domain may have: the algebra holds `2^d`
+/// weights per plan. [`MarginalsAlgebra::new`] and [`MarginalsStrategy::new`]
+/// assert it, and the strategy decoder refuses a larger domain before it
+/// reads a weight.
+pub const MAX_MARGINAL_ATTRS: usize = 24;
 
 /// Subset algebra over the `2^d` marginals of a domain.
 #[derive(Debug, Clone)]
@@ -33,10 +47,13 @@ pub struct SubsetTriangular {
 }
 
 impl MarginalsAlgebra {
-    /// Builds the algebra for a domain (at most ~20 attributes).
+    /// Builds the algebra for a domain.
+    ///
+    /// # Panics
+    /// Panics if the domain has more than [`MAX_MARGINAL_ATTRS`] attributes.
     pub fn new(domain: &Domain) -> Self {
         let d = domain.dims();
-        assert!(d <= 24, "marginals algebra limited to 24 attributes");
+        assert!(d <= MAX_MARGINAL_ATTRS, "too many marginals attributes");
         let subsets = 1usize << d;
         let mut cbar = vec![1.0; subsets];
         for (k, c) in cbar.iter_mut().enumerate() {
@@ -134,26 +151,6 @@ impl MarginalsAlgebra {
         let mut z = vec![0.0; self.subsets()];
         z[self.subsets() - 1] = 1.0;
         x.solve_upper(&z)
-    }
-
-    /// Applies `G(v)` to a data vector via `G(v)x = Σ_a v_a Q_aᵀ(Q_a x)`,
-    /// O(2^d · d · N) and never materializing `N×N` matrices.
-    pub fn g_apply(&self, v: &[f64], x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.domain.size(), "data vector size mismatch");
-        let mut out = vec![0.0; x.len()];
-        for (a, &va) in v.iter().enumerate() {
-            if va == 0.0 {
-                continue;
-            }
-            let q = self.marginal_factors(a);
-            let refs: Vec<&StructuredMatrix> = q.iter().collect();
-            let ax = kmatvec_structured(&refs, x);
-            let back = kmatvec_transpose_structured(&refs, &ax);
-            for (o, b) in out.iter_mut().zip(&back) {
-                *o += va * b;
-            }
-        }
-        out
     }
 
     /// The factors of the marginal query matrix `Q_a` (Identity on set bits,
@@ -261,6 +258,170 @@ impl SubsetTriangular {
     }
 }
 
+/// A marginals plan's RECONSTRUCT on the subset lattice:
+/// `x̄ = G(v)·Mᵀy = Σ_b v_b·Q_bᵀQ_b·(Σ_a θ_a·Q_aᵀy_a)` as three sweeps over
+/// marginal tables, built once per plan.
+///
+/// The table of subset `a` is `Q_a·z`, row-major over `a`'s attributes in
+/// order. Every subset but the full table has one parent: the subset that
+/// adds its smallest missing attribute `i`. Summing the parent's table over
+/// attribute `i` gives the child's, so `Q_c = S·Q_p` and `Q_cᵀ = Q_pᵀ·Sᵀ`,
+/// where `Sᵀ` broadcasts a table along `i` (the data-cube order of Gray et
+/// al. 1997). The lattice holds the closure of the measured subsets and of
+/// `v`'s support under "parent of", so every path ends at the full table:
+///
+/// * **transpose sweep**, `Mᵀy`: each measured block is already table `a`;
+///   `θ_a·y_a` is broadcast into its parent's table, child before parent,
+///   ending at the full table;
+/// * **forward sweep**: `Q_b·(Mᵀy)` for every `b` in `v`'s support, each
+///   table summed out of its parent's;
+/// * **second transpose sweep**: `Σ_b v_b·Q_bᵀ(·)`, as the first.
+///
+/// Each edge costs one pass over its parent's table, so a sweep costs at
+/// most `d` passes over the full table plus its smaller tables. Everything
+/// runs on the coordinator: no step goes through the kernel seam.
+#[derive(Debug, Clone)]
+pub(crate) struct MarginalsLattice {
+    /// The closure's subsets in ascending order, so every child precedes
+    /// its parent and the full table (`θ_full > 0`) is last.
+    nodes: Vec<LatticeNode>,
+    /// The node and weight `θ_a` of each measured product, in list order.
+    measured: Vec<(usize, f64)>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct LatticeNode {
+    /// Cells of the table.
+    cells: usize,
+    /// The parent's node (the full table's is itself).
+    parent: usize,
+    /// The parent's table as `(left, n, right)` around the attribute it adds.
+    n: usize,
+    right: usize,
+    /// `v_b` of this subset.
+    v: f64,
+    /// Whether `v` is nonzero here or below: the forward sweep computes only
+    /// these tables.
+    in_g: bool,
+}
+
+impl MarginalsLattice {
+    /// The lattice of `strategy`: its measured subsets (`θ_a ≠ 0`, in the
+    /// order [`Strategy::measured_products`](crate::Strategy::measured_products)
+    /// lists them) and `v = X(θ²)⁻¹·e_full`, with `G(v) = (MᵀM)⁻¹`.
+    pub(crate) fn new(strategy: &MarginalsStrategy) -> Self {
+        let algebra = MarginalsAlgebra::new(&strategy.domain);
+        let v = algebra.g_inverse_weights(&strategy.gram_weights());
+        Self::with_weights(&strategy.domain, &strategy.theta, &v)
+    }
+
+    fn with_weights(domain: &Domain, theta: &[f64], v: &[f64]) -> Self {
+        let sizes = domain.sizes();
+        let full = theta.len() - 1;
+        // The parent adds the lowest clear bit.
+        let parent = |a: usize| a | (!a & (a + 1));
+        // Closed under "parent of", child before parent (`parent(a) > a`).
+        let mut in_m: Vec<bool> = theta.iter().map(|&t| t != 0.0).collect();
+        let mut in_g: Vec<bool> = v.iter().map(|&x| x != 0.0).collect();
+        for a in 0..full {
+            in_m[parent(a)] |= in_m[a];
+            in_g[parent(a)] |= in_g[a];
+        }
+        let subsets: Vec<usize> = (0..=full).filter(|&a| in_m[a] || in_g[a]).collect();
+        let cells = |a: usize, from: usize| -> usize {
+            (from..sizes.len())
+                .filter(|i| a >> i & 1 == 1)
+                .map(|i| sizes[i])
+                .product()
+        };
+        let nodes = subsets
+            .iter()
+            .map(|&a| {
+                // The attribute the parent adds; `d` for the full table,
+                // which is its own parent.
+                let i = (!a & (a + 1)).trailing_zeros() as usize;
+                LatticeNode {
+                    cells: cells(a, 0),
+                    parent: subsets.partition_point(|&s| s < parent(a).min(full)),
+                    n: sizes.get(i).copied().unwrap_or(1),
+                    right: cells(a, i + 1),
+                    v: v[a],
+                    in_g: in_g[a],
+                }
+            })
+            .collect();
+        let measured = (0..theta.len())
+            .filter(|&a| theta[a] != 0.0)
+            .map(|a| (subsets.partition_point(|&s| s < a), theta[a]))
+            .collect();
+        MarginalsLattice { nodes, measured }
+    }
+
+    /// `x̄ = G(v)·Mᵀy` from one block per measured product, in list order.
+    pub(crate) fn reconstruct(&self, blocks: &[MeasuredBlock]) -> Vec<f64> {
+        let mut tables = vec![None; self.nodes.len()];
+        for (&(node, theta), block) in self.measured.iter().zip(blocks) {
+            tables[node] = Some(block.noisy.iter().map(|y| theta * y).collect());
+        }
+        let mty = self.transpose_sweep(tables);
+        self.transpose_sweep(self.forward_sweep(mty))
+    }
+
+    /// `Σ_k Q_kᵀ·t_k` over the given tables: each accumulated into its
+    /// parent's, child before parent, ending at the full table.
+    fn transpose_sweep(&self, mut tables: Vec<Option<Vec<f64>>>) -> Vec<f64> {
+        let full = self.nodes.len() - 1;
+        for (k, node) in self.nodes[..full].iter().enumerate() {
+            let Some(table) = tables[k].take() else {
+                continue;
+            };
+            let cells = self.nodes[node.parent].cells;
+            let parent = tables[node.parent].get_or_insert_with(|| vec![0.0; cells]);
+            broadcast_add(&table, parent, node.n, node.right);
+        }
+        let cells = self.nodes[full].cells;
+        tables[full].take().unwrap_or_else(|| vec![0.0; cells])
+    }
+
+    /// The tables `v_b·Q_b·z` of `v`'s support, each summed out of its
+    /// parent's table, parent before child.
+    fn forward_sweep(&self, z: Vec<f64>) -> Vec<Option<Vec<f64>>> {
+        let mut tables = vec![Vec::new(); self.nodes.len()];
+        tables[self.nodes.len() - 1] = z;
+        for (k, node) in self.nodes.iter().enumerate().rev().skip(1) {
+            if node.in_g {
+                let (parent, mut table) = (&tables[node.parent], vec![0.0; node.cells]);
+                let total = StructuredMatrix::total(node.n);
+                let left = node.cells / node.right;
+                contract_rows(&total, parent, &mut table, left, node.right, 0..1);
+                tables[k] = table;
+            }
+        }
+        let weighted = |(mut table, node): (Vec<f64>, &LatticeNode)| {
+            (node.v != 0.0).then(|| {
+                table.iter_mut().for_each(|x| *x *= node.v);
+                table
+            })
+        };
+        tables.into_iter().zip(&self.nodes).map(weighted).collect()
+    }
+}
+
+/// `parent[l, k, r] += child[l, r]` for every `k < n`: a child's table
+/// broadcast along the attribute its parent adds.
+fn broadcast_add(child: &[f64], parent: &mut [f64], n: usize, right: usize) {
+    for (src, dst) in child
+        .chunks_exact(right)
+        .zip(parent.chunks_exact_mut(n * right))
+    {
+        for row in dst.chunks_exact_mut(right) {
+            for (d, s) in row.iter_mut().zip(src) {
+                *d += s;
+            }
+        }
+    }
+}
+
 /// A weighted-marginals strategy `M(θ)` (Problem 4).
 #[derive(Debug, Clone)]
 pub struct MarginalsStrategy {
@@ -273,7 +434,16 @@ pub struct MarginalsStrategy {
 
 impl MarginalsStrategy {
     /// Builds and validates a marginals strategy.
+    ///
+    /// # Panics
+    /// Panics if the domain has more than [`MAX_MARGINAL_ATTRS`] attributes,
+    /// or on weights that are not `2^d` non-negative numbers with a positive
+    /// full-table weight.
     pub fn new(domain: Domain, theta: Vec<f64>) -> Self {
+        assert!(
+            domain.dims() <= MAX_MARGINAL_ATTRS,
+            "too many marginals attributes"
+        );
         assert_eq!(
             theta.len(),
             1usize << domain.dims(),
@@ -319,8 +489,10 @@ impl MarginalsStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdmm_linalg::pinv_psd;
+    use hdmm_linalg::{kmatvec_structured, kmatvec_transpose_structured, pinv_psd};
     use hdmm_workload::builders;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn small_domain() -> Domain {
         Domain::new(&[2, 3, 2])
@@ -396,16 +568,202 @@ mod tests {
         }
     }
 
-    #[test]
-    fn g_apply_matches_explicit() {
-        let alg = MarginalsAlgebra::new(&small_domain());
-        let v = [0.3, 0.0, 0.2, 0.5, 0.0, 0.1, 0.4, 0.9];
-        let x: Vec<f64> = (0..12).map(|i| (i as f64) - 5.0).collect();
-        let direct = alg.g_explicit(&v).matvec(&x);
-        let implicit = alg.g_apply(&v, &x);
-        for (l, r) in direct.iter().zip(&implicit) {
-            assert!((l - r).abs() < 1e-9);
+    /// The full-domain `G(v)·x` the lattice replaced, as the oracle: one
+    /// forward and one transpose product over all `N` cells per nonzero `v_a`.
+    fn g_apply_full(alg: &MarginalsAlgebra, v: &[f64], x: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; x.len()];
+        for (a, &va) in v.iter().enumerate().filter(|&(_, &va)| va != 0.0) {
+            let q = alg.marginal_factors(a);
+            let refs: Vec<&StructuredMatrix> = q.iter().collect();
+            let back = kmatvec_transpose_structured(&refs, &kmatvec_structured(&refs, x));
+            out.iter_mut().zip(&back).for_each(|(o, b)| *o += va * b);
         }
+        out
+    }
+
+    /// `Mᵀy = Σ_a θ_a·Q_aᵀy_a` over the full domain, one transpose product
+    /// per measured subset.
+    fn mty_full(alg: &MarginalsAlgebra, theta: &[f64], blocks: &[MeasuredBlock]) -> Vec<f64> {
+        let mut out = vec![0.0; alg.domain().size()];
+        let measured = (0..theta.len()).filter(|&a| theta[a] != 0.0);
+        for (a, block) in measured.zip(blocks) {
+            let q = alg.marginal_factors(a);
+            let refs: Vec<&StructuredMatrix> = q.iter().collect();
+            let back = kmatvec_transpose_structured(&refs, &block.noisy);
+            out.iter_mut()
+                .zip(&back)
+                .for_each(|(o, b)| *o += theta[a] * b);
+        }
+        out
+    }
+
+    /// Random answers `y_a` for every measured subset, in list order.
+    fn random_blocks(domain: &Domain, theta: &[f64], rng: &mut StdRng) -> Vec<MeasuredBlock> {
+        (0..theta.len())
+            .filter(|&a| theta[a] != 0.0)
+            .map(|a| {
+                let cells: usize = (0..domain.dims())
+                    .filter(|i| a >> i & 1 == 1)
+                    .map(|i| domain.attr_size(i))
+                    .product();
+                MeasuredBlock {
+                    noisy: (0..cells).map(|_| rng.gen::<f64>() * 20.0 - 10.0).collect(),
+                    noise_scale: 1.0,
+                }
+            })
+            .collect()
+    }
+
+    fn abs(v: &[f64]) -> Vec<f64> {
+        v.iter().map(|x| x.abs()).collect()
+    }
+
+    /// `max|got − want| ≤ 1e-12·max(scale)`, where `scale` is the same sum
+    /// over absolute values: the size of the terms being added up, which
+    /// bounds the rounding of any order of summation.
+    fn assert_close(got: &[f64], want: &[f64], scale: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        let tol = 1e-12 * scale.iter().fold(f64::MIN_POSITIVE, |m, s| m.max(s.abs()));
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                (g - w).abs() <= tol,
+                "{what}: cell {i}: {g} vs {w} (tol {tol:e})"
+            );
+        }
+    }
+
+    /// The dense `Mᵀ` of the measured subsets, stacked in list order.
+    fn dense_mt(alg: &MarginalsAlgebra, theta: &[f64]) -> Matrix {
+        let blocks: Vec<Matrix> = (0..theta.len())
+            .filter(|&a| theta[a] != 0.0)
+            .map(|a| {
+                let q: Vec<Matrix> = alg
+                    .marginal_factors(a)
+                    .iter()
+                    .map(StructuredMatrix::to_dense)
+                    .collect();
+                let refs: Vec<&Matrix> = q.iter().collect();
+                hdmm_linalg::kron_all(&refs).scaled(theta[a])
+            })
+            .collect();
+        let refs: Vec<&Matrix> = blocks.iter().collect();
+        Matrix::vstack(&refs).unwrap().transpose()
+    }
+
+    /// A random sparse weight vector over `s` subsets, entries in `[-1, 1)`.
+    fn sparse(s: usize, density: f64, rng: &mut StdRng) -> Vec<f64> {
+        (0..s)
+            .map(|_| {
+                if rng.gen::<f64>() < density {
+                    rng.gen::<f64>() * 2.0 - 1.0
+                } else {
+                    0.0
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lattice_sweeps_match_the_dense_stack_and_explicit_g() {
+        let mut rng = StdRng::seed_from_u64(38);
+        for case in 0..160 {
+            let d = 1 + case % 4;
+            let sizes: Vec<usize> = (0..d).map(|_| rng.gen_range(1..=4)).collect();
+            let domain = Domain::new(&sizes);
+            let alg = MarginalsAlgebra::new(&domain);
+            let s = alg.subsets();
+            let mut theta = sparse(s, 0.5, &mut rng)
+                .iter()
+                .map(|t| t.abs())
+                .collect::<Vec<_>>();
+            theta[rng.gen_range(0..s)] = 0.5;
+            let mut v = sparse(s, 0.4, &mut rng);
+            match case / 4 % 4 {
+                0 => {}
+                1 => v[s - 1] = 0.0,
+                2 => {
+                    v.iter_mut().for_each(|x| *x = 0.0);
+                    v[s - 1] = 0.7;
+                }
+                _ => {
+                    v.iter_mut().for_each(|x| *x = 0.0);
+                    v[rng.gen_range(0..s.min(2))] = -0.3;
+                }
+            }
+            let lattice = MarginalsLattice::with_weights(&domain, &theta, &v);
+            let blocks = random_blocks(&domain, &theta, &mut rng);
+            let what = format!("case {case}: sizes {sizes:?}, theta {theta:?}, v {v:?}");
+
+            // Mᵀy against the dense stack.
+            let y: Vec<f64> = blocks
+                .iter()
+                .flat_map(|b| b.noisy.iter().copied())
+                .collect();
+            let mt = dense_mt(&alg, &theta);
+            let mut tables = vec![None; lattice.nodes.len()];
+            for (&(node, t), block) in lattice.measured.iter().zip(&blocks) {
+                tables[node] = Some(block.noisy.iter().map(|y| t * y).collect());
+            }
+            let mty = lattice.transpose_sweep(tables);
+            let mty_scale = dense_mt(&alg, &abs(&theta)).matvec(&abs(&y));
+            assert_close(&mty, &mt.matvec(&y), &mty_scale, &format!("Mᵀy, {what}"));
+
+            // G(v)·z against the explicit G(v), on a random z.
+            let z: Vec<f64> = (0..domain.size()).map(|_| rng.gen::<f64>() - 0.5).collect();
+            let gz = lattice.transpose_sweep(lattice.forward_sweep(z.clone()));
+            let g_scale = alg.g_explicit(&abs(&v)).matvec(&abs(&z));
+            assert_close(
+                &gz,
+                &alg.g_explicit(&v).matvec(&z),
+                &g_scale,
+                &format!("G(v)z, {what}"),
+            );
+
+            // All three sweeps.
+            let x_hat = lattice.reconstruct(&blocks);
+            let want = alg.g_explicit(&v).matvec(&mt.matvec(&y));
+            let scale = alg.g_explicit(&abs(&v)).matvec(&mty_scale);
+            assert_close(&x_hat, &want, &scale, &format!("x̂, {what}"));
+        }
+    }
+
+    #[test]
+    fn lattice_matches_the_full_domain_oracle_on_the_adult_plan() {
+        // The OPT_M plan SELECT picks for the 3-way marginals of the Adult
+        // domain: θ on six subsets, v on twenty. θ_full = 0.001 makes
+        // v_full = 10⁶, so x̂ is a difference of terms ~10⁶ times larger
+        // than itself and the tolerance scales with those terms.
+        let domain = Domain::new(&[75, 16, 5, 2, 20]);
+        let mut theta = vec![0.0; 32];
+        for (a, t) in [
+            (15, 0.27613646453858),
+            (19, 0.22767039983567391),
+            (21, 0.1619563264575513),
+            (25, 0.11445282384267007),
+            (30, 0.2187839853255248),
+            (31, 0.0009999999999999998),
+        ] {
+            theta[a] = t;
+        }
+        let strategy = MarginalsStrategy::new(domain.clone(), theta.clone());
+        let alg = MarginalsAlgebra::new(&domain);
+        let v = alg.g_inverse_weights(&strategy.gram_weights());
+        assert_eq!(v.iter().filter(|&&x| x != 0.0).count(), 20);
+        let lattice = MarginalsLattice::new(&strategy);
+        let mut rng = StdRng::seed_from_u64(5);
+        let blocks = random_blocks(&domain, &theta, &mut rng);
+
+        let mty = mty_full(&alg, &theta, &blocks);
+        let want = g_apply_full(&alg, &v, &mty);
+        let abs_blocks: Vec<MeasuredBlock> = blocks
+            .iter()
+            .map(|b| MeasuredBlock {
+                noisy: abs(&b.noisy),
+                noise_scale: 1.0,
+            })
+            .collect();
+        let scale = g_apply_full(&alg, &abs(&v), &mty_full(&alg, &theta, &abs_blocks));
+        assert_close(&lattice.reconstruct(&blocks), &want, &scale, "adult x̂");
     }
 
     #[test]

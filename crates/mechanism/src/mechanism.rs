@@ -1,8 +1,9 @@
 //! The end-to-end private pipeline: MEASURE → RECONSTRUCT → answer
 //! (Table 1(b) of the paper, with the efficient implementations of §7.2).
 
+use crate::marginals::MarginalsLattice;
 use crate::pipeline::{measure_on, reconstruct_on, MechanismRequest, PlainKernels};
-use crate::{JointBasis, MarginalsAlgebra, MeasuredProduct, Strategy};
+use crate::{JointBasis, MeasuredProduct, Strategy};
 use hdmm_linalg::{KronScratch, LinalgError, StructuredMatrix};
 use hdmm_workload::Workload;
 use rand::Rng;
@@ -61,8 +62,8 @@ pub fn measure(strategy: &Strategy, x: &[f64], eps: f64, rng: &mut impl Rng) -> 
 ///   factors the `Woodbury` leaf `D⁻² − UᵀU`, O(p²n) to build and `p·n + n`
 ///   numbers to hold; only `Dense` / `Sparse` / `AllRange` factors (an
 ///   explicit matrix is one `Dense` leaf) pay a dense `n×n` inverse;
-/// * marginals: the subset-sum algebra tables and the §7.2 weight vector `v`
-///   with `(MᵀM)⁺ = G(v)`;
+/// * marginals: the subset lattice (`MarginalsLattice`) that applies
+///   `(MᵀM)⁺·Mᵀ = G(v)·Mᵀ` as table sweeps, with the §7.2 weights `v`;
 /// * union (two groups): the joint per-attribute eigenbasis
 ///   ([`JointBasis`]) that diagonalises both groups' factor Grams,
 ///   `O(Σ nⱼ²)` numbers. When it cannot be built — groups over different
@@ -87,11 +88,8 @@ pub struct PreparedReconstruct {
 pub(crate) enum Solve {
     /// One inverse Gram per factor of the plan's single product.
     InverseGrams(Vec<StructuredMatrix>),
-    /// The marginals subset algebra and the weights `v` with `(MᵀM)⁺ = G(v)`.
-    Marginals {
-        algebra: MarginalsAlgebra,
-        v: Vec<f64>,
-    },
+    /// The subset lattice that applies `G(v)·Mᵀ`, `(MᵀM)⁺ = G(v)`.
+    Marginals(MarginalsLattice),
     /// The joint eigenbasis of a union's two groups.
     Joint(JointBasis),
 }
@@ -106,11 +104,7 @@ impl PreparedReconstruct {
                 let gram_pinvs = products[0].factors.iter().map(StructuredMatrix::gram_pinv);
                 Ok(Solve::InverseGrams(gram_pinvs.collect()))
             }
-            Strategy::Marginals(m) => {
-                let algebra = MarginalsAlgebra::new(&m.domain);
-                let v = algebra.g_inverse_weights(&m.gram_weights());
-                Ok(Solve::Marginals { algebra, v })
-            }
+            Strategy::Marginals(m) => Ok(Solve::Marginals(MarginalsLattice::new(m))),
             Strategy::Union(groups) => JointBasis::new(groups).map(Solve::Joint),
         };
         PreparedReconstruct { products, solve }
@@ -150,24 +144,21 @@ impl PreparedReconstruct {
 /// RECONSTRUCT: least-squares estimate `x̄` of the data vector from noisy
 /// measurements (post-processing; consumes no privacy budget) —
 /// [`reconstruct_on`] over the plain reference kernels; see there for the
-/// per-family pseudo-inverses. `prepared` is the strategy-only state
-/// ([`PreparedReconstruct::new`]): a pure function of the strategy, so a
-/// cached one gives the same bits as a fresh one.
+/// per-family pseudo-inverses. `prepared` is the strategy-only state of the
+/// strategy ([`PreparedReconstruct::new`]) and holds everything RECONSTRUCT
+/// reads of it, so the strategy argument itself is not read. It is a pure
+/// function of the strategy, so a cached one gives the same bits as a fresh
+/// one.
 ///
 /// # Panics
-/// Panics if `meas` does not hold one block per measurement block of
-/// `strategy` ([`Strategy::measurement_blocks`]) or of `prepared`, or if
-/// `prepared` holds no solve (a union whose joint basis could not be built).
+/// Panics if `meas` does not hold one block per measured product of
+/// `prepared`, or if `prepared` holds no solve (a union whose joint basis
+/// could not be built).
 pub fn reconstruct_with(
     prepared: &PreparedReconstruct,
-    strategy: &Strategy,
+    _strategy: &Strategy,
     meas: &Measurements,
 ) -> Vec<f64> {
-    assert_eq!(
-        meas.blocks.len(),
-        strategy.measurement_blocks(),
-        "measurements were not taken with this strategy"
-    );
     match reconstruct_on(prepared, meas, &PlainKernels::over(&[])) {
         Ok(x_hat) => x_hat,
         Err(never) => match never {},

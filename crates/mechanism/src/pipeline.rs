@@ -22,7 +22,9 @@
 //! measured products ([`PreparedReconstruct::products`]): request validation
 //! ([`MechanismRequest::run`]), MEASURE's loop of product, θ-scaling and
 //! noise draw ([`measure_on`]), RECONSTRUCT's weighted `Aᵀy` pass and the
-//! family's solve ([`reconstruct_on`]) and ANSWER's `W·x̄`. Products are
+//! family's solve ([`reconstruct_on`]) and ANSWER's `W·x̄`. A marginals
+//! plan's RECONSTRUCT, its `Mᵀy` included, runs on the coordinator's
+//! subset lattice and never calls the kernels. Products are
 //! visited in list order and noise is drawn only after a product succeeded,
 //! so every kernel implementation consumes the RNG stream identically — the
 //! root of the byte-identity guarantee across them.
@@ -109,8 +111,8 @@ impl From<PipelineError<Infallible>> for MechanismError {
 /// right shape built from different factors are the caller's contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanShape {
-    /// Measured products, each evaluated through [`Kernels::forward`] /
-    /// [`Kernels::transpose`].
+    /// Measured products, each evaluated through [`Kernels::forward`] and,
+    /// except in a marginals plan, [`Kernels::transpose`].
     pub products: usize,
     /// Whether RECONSTRUCT calls [`Kernels::inverse_grams`] (single-product
     /// plans only).
@@ -150,7 +152,7 @@ pub trait Kernels {
         -> Result<Vec<f64>, Self::Error>;
 
     /// RECONSTRUCT: `(⊗ factors)ᵀ·y` over the answers of measured product
-    /// `block`.
+    /// `block` (product and union plans; a marginals plan never calls it).
     fn transpose(
         &self,
         block: usize,
@@ -244,14 +246,16 @@ pub fn measure_on<K: Kernels + ?Sized>(
 
 /// RECONSTRUCT over any kernels: the least-squares estimate `x̄` of the data
 /// vector from noisy measurements (post-processing; consumes no privacy
-/// budget). One pass forms `b = Σᵢ cᵢ·Aᵢᵀyᵢ` through the kernels' transposed
-/// products, then the plan's solve applies `C⁺`:
+/// budget). For a product or a union, one pass forms `b = Σᵢ cᵢ·Aᵢᵀyᵢ`
+/// through the kernels' transposed products, then the plan's solve applies
+/// `C⁺`:
 ///
 /// * one product (explicit or Kronecker): `c = 1` and its `Aᵀy` is `b` as
 ///   is; `(⊗Aᵢ)⁺y = ⊗(AᵢᵀAᵢ)⁺ · (⊗Aᵢᵀ)y` (§7.2) — the per-factor work is the
 ///   `nᵢ × nᵢ` inverse Gram, never the `nᵢ × mᵢ` pseudo-inverse;
-/// * marginals: `cᵢ = θᵢ`, so `b = Mᵀy`, and `x̄ = G(v)·Mᵀy`, the
-///   subset-algebra application (§7.2) on the coordinator;
+/// * marginals: no kernel runs. `x̄ = G(v)·Mᵀy` is three sweeps over the
+///   marginal tables of the plan's subset lattice (`MarginalsLattice`) on
+///   the coordinator, `Mᵀy = Σ_a θ_a·Q_aᵀy_a` included;
 /// * union: `c_g = w_g²` (`w_g` the inverse noise scale), and the normal
 ///   equations are solved in closed form on the coordinator:
 ///   `x̄ = (⊗Vⱼ)·D⁺·(⊗Vⱼ)ᵀ·b` over the joint eigenbasis of its two groups
@@ -281,11 +285,7 @@ pub fn reconstruct_on<K: Kernels + ?Sized>(
             let refs: Vec<&StructuredMatrix> = gram_pinvs.iter().collect();
             kernels.inverse_grams(&refs, &aty)
         }
-        Ok(Solve::Marginals { algebra, v }) => {
-            let theta: Vec<f64> = products.iter().map(|p| p.theta).collect();
-            let mty = weighted_aty(prepared, meas, Some(&theta), kernels)?;
-            Ok(algebra.g_apply(v, &mty))
-        }
+        Ok(Solve::Marginals(lattice)) => Ok(lattice.reconstruct(&meas.blocks)),
         Ok(Solve::Joint(joint)) => {
             let w2: Vec<f64> = meas.blocks.iter().map(|b| b.noise_scale.powi(-2)).collect();
             let b = weighted_aty(prepared, meas, Some(&w2), kernels)?;

@@ -162,16 +162,6 @@ impl Strategy {
         self.measured_products().iter().map(rows).sum()
     }
 
-    /// Number of blocks MEASURE produces: one for explicit and Kronecker
-    /// strategies, two for a union, one per nonzero-weight marginal.
-    pub fn measurement_blocks(&self) -> usize {
-        match self {
-            Strategy::Explicit(_) | Strategy::Kron(_) => 1,
-            Strategy::Union(groups) => groups.len(),
-            Strategy::Marginals(m) => m.theta.iter().filter(|&&t| t != 0.0).count(),
-        }
-    }
-
     /// The products MEASURE answers, in measurement order: the explicit
     /// matrix as one `Dense` leaf, the Kronecker product, one product per
     /// union group at its budget share (Definition 11), one per

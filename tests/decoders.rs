@@ -3,7 +3,8 @@
 //! and snapshots (`wal::decode_record`, `wal::decode_snapshot`), plan files
 //! (`PlanStore::load`; a 1-D plan is a p-Identity leaf; a union whose
 //! budget shares do not sum to 1, or whose two groups differ attribute by
-//! attribute, is refused), the p-Identity /
+//! attribute, is refused, and so is a marginals domain over more than
+//! `MAX_MARGINAL_ATTRS` attributes), the p-Identity /
 //! Woodbury leaves of plans and inverse-Gram factor lists (`Reader`), and
 //! shard-worker wire frames (`hdmm_net::decode_frame`).
 //! Arbitrary bytes, arbitrary payloads behind a valid checksum, truncations
@@ -421,6 +422,91 @@ fn plan_store_files_with_union_groups_over_other_attributes_are_never_served() {
         assert_eq!((t.plan_disk_hits, t.selects_run), (0, 1), "{case}");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A tag-3 (marginals) strategy payload over `attrs` attributes of size 1
+/// whose weight list has `weights` entries: one weight of 1.0 when
+/// `weights` is 1, only the count otherwise.
+fn marginals_payload(attrs: usize, weights: usize) -> Vec<u8> {
+    let mut out = vec![3];
+    codec::put_usizes(&mut out, &vec![1; attrs]);
+    if weights == 1 {
+        codec::put_f64s(&mut out, &[1.0]);
+    } else {
+        codec::put_usize(&mut out, weights);
+    }
+    out
+}
+
+/// A marginals domain over more attributes than the subset algebra holds
+/// is `CodecError::Invalid`, refused from its attribute count before a
+/// shift by it or a weight is read: 64 size-1 attributes with one weight
+/// (`1 << 64` wraps to 1 in a release build), and 25 with a weight count
+/// of `2^25` (the weights themselves are left out; the decoder must not
+/// need them).
+#[test]
+fn marginals_domains_over_too_many_attributes_are_invalid() {
+    for (attrs, weights) in [(64, 1), (25, 1 << 25)] {
+        let payload = marginals_payload(attrs, weights);
+        let decoded = codec::Reader::new(&payload).strategy();
+        assert!(
+            matches!(decoded, Err(codec::CodecError::Invalid(_))),
+            "{attrs} attributes: {decoded:?}"
+        );
+    }
+}
+
+/// A sealed plan file whose strategy is a 64-attribute marginals domain,
+/// behind the header of a valid plan for the same workload, is a miss: the
+/// engine runs SELECT instead of building a plan it cannot hold.
+#[test]
+fn plan_store_files_with_too_many_marginals_attributes_are_never_served() {
+    let dir = std::env::temp_dir().join(format!("hdmm-decoders-attrs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = PlanStore::new(&dir);
+    let workload = builders::prefix_1d(8);
+    let fp = workload.fingerprint();
+    assert!(store.store(
+        &fp,
+        &Hdmm::with_restarts(1).plan(&workload),
+        workload.domain()
+    ));
+    let file = std::fs::read_dir(&dir)
+        .expect("the store wrote its directory")
+        .map(|entry| entry.expect("readable entry").path())
+        .next()
+        .expect("one plan file");
+    let valid = std::fs::read(&file).expect("readable plan file");
+    assert!(store.load(&fp, &workload).is_some(), "the valid file loads");
+
+    // The valid file's magic and header fields, then the marginals payload.
+    let mut forged = valid[..8].to_vec();
+    codec::put_usizes(&mut forged, workload.domain().sizes());
+    codec::put_usize(&mut forged, workload.query_count());
+    codec::put_str(&mut forged, "marginals");
+    codec::put_f64(&mut forged, 1.0);
+    forged.extend(marginals_payload(64, 1));
+    codec::seal(&mut forged);
+    std::fs::write(&file, forged).expect("writable plan file");
+    assert!(store.load(&fp, &workload).is_none(), "64 attributes loaded");
+
+    let engine = Engine::new(EngineOptions {
+        hdmm: HdmmOptions {
+            restarts: 1,
+            ..Default::default()
+        },
+        cache_dir: Some(dir.clone()),
+        ..Default::default()
+    });
+    let x: Vec<f64> = (0..workload.domain().size()).map(|i| i as f64).collect();
+    engine
+        .register_dataset("d", workload.domain().clone(), x, 1.0)
+        .expect("registers");
+    let served = engine.serve("d", &workload, 0.5).expect("serves");
+    assert_eq!(served.answers.len(), workload.query_count());
+    let t = engine.metrics().telemetry;
+    assert_eq!((t.plan_disk_hits, t.selects_run), (0, 1));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {

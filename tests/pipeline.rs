@@ -24,6 +24,11 @@
 //! The union row has two groups, so it reconstructs by the joint solve:
 //! `Σ_g w_g²·A_gᵀy_g` through each kernel kind's transposed products, the
 //! joint eigenbasis on the coordinator.
+//!
+//! The marginals rows reconstruct on the coordinator's subset lattice, so
+//! no kernel kind may run a RECONSTRUCT shard task for them. The second one
+//! has a size-1 attribute and weights only on the full table and one 1-way
+//! marginal.
 
 use hdmm::core::{builders, Domain, ShardedDataVector, Workload};
 use hdmm::linalg::{Matrix, StructuredMatrix};
@@ -119,6 +124,15 @@ fn families() -> Vec<(Workload, Strategy)> {
             vec![0.0, 0.3, 0.2, 0.5],
         )),
     );
+    // A size-1 attribute, and weights on the full table and the 1-way
+    // marginal of the last attribute only.
+    let unit_domain = Domain::new(&[LEADING, 1, 3]);
+    let mut theta = vec![0.0; 8];
+    (theta[0b100], theta[0b111]) = (0.4, 0.6);
+    let marginals_unit = (
+        builders::all_marginals(&unit_domain),
+        Strategy::Marginals(MarginalsStrategy::new(unit_domain, theta)),
+    );
     let union = (
         builders::range_total_union_2d(LEADING, 4),
         Strategy::Union([
@@ -138,23 +152,42 @@ fn families() -> Vec<(Workload, Strategy)> {
         ]),
     );
     vec![
-        explicit, one_leaf, kron, tall_lead, p_identity, marginals, union,
+        explicit,
+        one_leaf,
+        kron,
+        tall_lead,
+        p_identity,
+        marginals,
+        marginals_unit,
+        union,
     ]
 }
 
-/// Records the phases the pipeline reports, in order.
+/// Records the phases the pipeline reports, in order, and the phase of
+/// every shard task the kernels report.
 #[derive(Default)]
-struct Recorder(Mutex<Vec<Phase>>);
+struct Recorder {
+    phases: Mutex<Vec<Phase>>,
+    shard_tasks: Mutex<Vec<Phase>>,
+}
 
 impl Observer for Recorder {
     fn phase_complete(&self, phase: Phase, _elapsed: Duration) {
-        self.0.lock().unwrap().push(phase);
+        self.phases.lock().unwrap().push(phase);
+    }
+
+    fn shard_phase_complete(&self, phase: Phase, _shard: usize, _elapsed: Duration) {
+        self.shard_tasks.lock().unwrap().push(phase);
     }
 }
 
 impl Recorder {
     fn phases(&self) -> Vec<Phase> {
-        self.0.lock().unwrap().clone()
+        self.phases.lock().unwrap().clone()
+    }
+
+    fn shard_tasks(&self) -> Vec<Phase> {
+        self.shard_tasks.lock().unwrap().clone()
     }
 }
 
@@ -188,28 +221,34 @@ fn sharded(x: &[f64], slabs: usize) -> ShardedDataVector {
 
 /// Runs `row` over every kernel kind of the table, all serving the data
 /// vector `x`; the RPC rows cache their slabs on the workers as
-/// `<dataset>/<slabs>` and name resident operands through `keys`.
+/// `<dataset>/<slabs>` and name resident operands through `keys`. Returns
+/// the phases of the shard tasks each RPC kind reported.
 fn for_each_kernel_kind(
     x: &[f64],
     dataset: &str,
     keys: &OperandKeys,
     pool: &WorkerPool,
     row: &impl Row,
-) {
+) -> Vec<(String, Vec<Phase>)> {
     row.check("plain", &PlainKernels::over(x));
+    let mut shard_tasks = Vec::new();
     for slabs in SLABS {
         let data = sharded(x, slabs);
+        let kind = format!("rpc/2workers/{slabs}");
+        let tasks = Recorder::default();
         row.check(
-            &format!("rpc/2workers/{slabs}"),
+            &kind,
             &RpcKernels {
                 pool,
                 dataset: &format!("{dataset}/{slabs}"),
                 keys,
                 data: &data,
-                observer: &Recorder::default(),
+                observer: &tasks,
             },
         );
+        shard_tasks.push((kind, tasks.shard_tasks()));
     }
+    shard_tasks
 }
 
 /// (a) + (b): the reference bits and the phase sequence.
@@ -278,7 +317,7 @@ fn every_kernel_kind_reproduces_the_plain_reference_and_reports_each_phase_once(
         );
         assert!(bits_eq(&wrapped.x_hat, &x_hat) && bits_eq(&wrapped.answers, &answers));
 
-        for_each_kernel_kind(
+        let shard_tasks = for_each_kernel_kind(
             &x,
             &format!("{row}-{}", strategy.kind()),
             &keys,
@@ -294,6 +333,16 @@ fn every_kernel_kind_reproduces_the_plain_reference_and_reports_each_phase_once(
                 answers: &answers,
             },
         );
+        // A marginals RECONSTRUCT runs on the coordinator's lattice; its
+        // MEASURE still fans out.
+        if let Strategy::Marginals(_) = &strategy {
+            for (kind, tasks) in shard_tasks {
+                assert!(
+                    tasks.contains(&Phase::Measure) && !tasks.contains(&Phase::Reconstruct),
+                    "marginals row {row} over {kind}: shard tasks {tasks:?}"
+                );
+            }
+        }
         references.push((x_hat, answers));
     }
     // Rows 0 and 1: `Explicit(a)` and `Kron([Dense(a)])`. Every kernel kind

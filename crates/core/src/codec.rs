@@ -387,6 +387,15 @@ impl<'a> Reader<'a> {
 
     /// Reads a structured matrix, validating every variant invariant.
     pub fn structured(&mut self) -> Result<StructuredMatrix, CodecError> {
+        self.leaf(true)
+    }
+
+    /// [`Reader::structured`], refusing a `Kron` leaf unless `kron` is set.
+    /// [`StructuredMatrix::kron`] flattens, so no encoder writes a `Kron`
+    /// inside a `Kron`, and refusing one bounds the recursion at one level:
+    /// nesting depth is otherwise the input's to choose, and a deep enough
+    /// one overflows the stack.
+    fn leaf(&mut self, kron: bool) -> Result<StructuredMatrix, CodecError> {
         match self.u8()? {
             0 => {
                 let m = self.matrix()?;
@@ -416,13 +425,14 @@ impl<'a> Reader<'a> {
                     _ => StructuredMatrix::AllRange { n, scale },
                 })
             }
+            6 if !kron => Err(CodecError::Invalid("nested Kron leaf")),
             6 => {
                 let n = self.count()?;
                 if n == 0 {
                     return Err(CodecError::Invalid("empty Kron factor list"));
                 }
                 let fs: Result<Vec<StructuredMatrix>, _> =
-                    (0..n).map(|_| self.structured()).collect();
+                    (0..n).map(|_| self.leaf(false)).collect();
                 Ok(StructuredMatrix::Kron(fs?))
             }
             tag @ 7..=8 => {
@@ -459,7 +469,12 @@ impl<'a> Reader<'a> {
     /// Reads a measurement strategy, validating every family invariant.
     pub fn strategy(&mut self) -> Result<Strategy, CodecError> {
         match self.u8()? {
-            0 => Ok(Strategy::Explicit(self.matrix()?)),
+            0 => {
+                // Measured as a one-leaf `Dense` product: the `Dense` rule.
+                let m = self.matrix()?;
+                all_finite(m.as_slice())?;
+                Ok(Strategy::Explicit(m))
+            }
             1 => Ok(Strategy::Kron(self.structured_list()?)),
             2 => {
                 if self.count()? != 2 {

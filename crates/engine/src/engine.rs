@@ -78,9 +78,9 @@ pub struct EngineOptions {
     /// fresh SELECT (best-effort — I/O failures never fail a request).
     pub cache_dir: Option<std::path::PathBuf>,
     /// Remote shard fan-out. With a transport configured, sharded datasets
-    /// MEASURE/RECONSTRUCT over the worker pool (answers stay byte-identical
-    /// to local serving); dense datasets and a fully failed pool serve
-    /// locally. `None` keeps everything in-process, on the plain kernels.
+    /// MEASURE over the worker pool and RECONSTRUCT on the coordinator
+    /// (answers stay byte-identical to local serving); dense datasets and a
+    /// fully failed pool serve locally. `None` keeps everything in-process, on the plain kernels.
     pub remote: Option<RemoteOptions>,
     /// Requests slower than this flush their span tree to the collector
     /// eagerly (even when unsampled) and count in

@@ -37,8 +37,8 @@
 //!   page. Every layer reports to one [`hdmm_obs::Observer`]: the request's
 //!   tracer feeds the histograms and the span tree from the same events.
 //! * **Remote shard fan-out** — with [`EngineOptions::remote`] configured,
-//!   sharded datasets MEASURE/RECONSTRUCT over a pool of `hdmm-shard-worker`
-//!   processes ([`hdmm_net`]): per-task timeouts, bounded retry with backoff,
+//!   sharded datasets MEASURE over a pool of `hdmm-shard-worker` processes
+//!   ([`hdmm_net`]), RECONSTRUCT on the coordinator: per-task timeouts, bounded retry with backoff,
 //!   shard reassignment to surviving workers, per-worker health in
 //!   [`Engine::metrics`] — and byte-identical answers to local serving, even
 //!   through the local fallback taken when the whole pool is down.

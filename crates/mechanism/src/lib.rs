@@ -16,11 +16,11 @@
 //! * [`pipeline`] — the one request pipeline, validate → MEASURE →
 //!   RECONSTRUCT → ANSWER ([`MechanismRequest::run`]), written once over a
 //!   plan's [`PreparedReconstruct`] — its measured products and its family's
-//!   solve — and the [`Kernels`] seam that says only *where* each Kronecker
-//!   product runs:
-//!   the plain reference kernels ([`PlainKernels`], behind [`measure`] /
-//!   [`reconstruct_with`] / [`run_mechanism`]) or `hdmm-net`'s RPC fan-out
-//!   over the slabs of an `hdmm_core::ShardedDataVector`. Every phase and
+//!   solve — and the [`Kernels`] seam that says only *where* MEASURE's
+//!   Kronecker products run: the plain reference kernels ([`PlainKernels`],
+//!   behind [`measure`] / [`run_mechanism`]) or `hdmm-net`'s RPC fan-out
+//!   over the slabs of an `hdmm_core::ShardedDataVector`. RECONSTRUCT runs
+//!   on the coordinator, which holds the noisy answers. Every phase and
 //!   remote shard task is reported to one [`hdmm_obs::Observer`];
 //! * [`ScopedExecutor`] — the scoped-thread lanes the SELECT restart grid
 //!   and session batches fan out on.
@@ -44,6 +44,6 @@ pub use mechanism::{
 };
 pub use pipeline::{
     measure_on, reconstruct_on, Kernels, MechanismError, MechanismRequest, PipelineError,
-    PlainKernels, PlanShape,
+    PlainKernels,
 };
 pub use strategy::{MeasuredProduct, Strategy, UnionGroup};

@@ -122,15 +122,6 @@ impl PreparedReconstruct {
         self.products.first().map_or(0, cols)
     }
 
-    /// The per-factor inverse Grams of a single-product plan, which
-    /// RECONSTRUCT applies through [`Kernels::inverse_grams`](crate::Kernels::inverse_grams).
-    pub fn inverse_grams(&self) -> Option<&[StructuredMatrix]> {
-        match &self.solve {
-            Ok(Solve::InverseGrams(gram_pinvs)) => Some(gram_pinvs),
-            _ => None,
-        }
-    }
-
     /// The joint eigenbasis a union reconstructs with (`None` for a union
     /// whose basis could not be built).
     pub fn joint_basis(&self) -> Option<&JointBasis> {
@@ -143,8 +134,7 @@ impl PreparedReconstruct {
 
 /// RECONSTRUCT: least-squares estimate `x̄` of the data vector from noisy
 /// measurements (post-processing; consumes no privacy budget) —
-/// [`reconstruct_on`] over the plain reference kernels; see there for the
-/// per-family pseudo-inverses. `prepared` is the strategy-only state of the
+/// [`reconstruct_on`]; see there for the per-family pseudo-inverses. `prepared` is the strategy-only state of the
 /// strategy ([`PreparedReconstruct::new`]) and holds everything RECONSTRUCT
 /// reads of it, so the strategy argument itself is not read. It is a pure
 /// function of the strategy, so a cached one gives the same bits as a fresh
@@ -159,10 +149,7 @@ pub fn reconstruct_with(
     _strategy: &Strategy,
     meas: &Measurements,
 ) -> Vec<f64> {
-    match reconstruct_on(prepared, meas, &PlainKernels::over(&[])) {
-        Ok(x_hat) => x_hat,
-        Err(never) => match never {},
-    }
+    reconstruct_on(prepared, meas)
 }
 
 /// Answers the workload on the reconstructed estimate: `ans = W·x̄`.

@@ -2,18 +2,19 @@
 //! (Table 1(b)), written once over a *kernel seam*.
 //!
 //! The paper's mechanism is a single sequence whose only degree of freedom
-//! is *where* the implicit Kronecker products of §7.2 run. That freedom is
-//! the [`Kernels`] trait: the data vector ([`Kernels::data`]) and the three
-//! products that may move off the coordinator — MEASURE's forward product
-//! ([`Kernels::forward`]), RECONSTRUCT's transposed product
-//! ([`Kernels::transpose`]) and its inverse Grams
-//! ([`Kernels::inverse_grams`]) — plus the plan whose operands a kernel
-//! keeps resident ([`Kernels::resident_plan`]). Two implementations:
+//! is *where* MEASURE's implicit Kronecker products (§7.2) run. That freedom
+//! is the [`Kernels`] trait: the data vector ([`Kernels::data`]), MEASURE's
+//! forward product over it ([`Kernels::forward`]), and the plan whose
+//! operands a kernel keeps resident ([`Kernels::resident_plan`]). A product
+//! leaves the coordinator only when its input already lives elsewhere, and
+//! only MEASURE's input — the dataset — does: RECONSTRUCT reads the noisy
+//! answers the coordinator holds, so it never calls the kernels. Two
+//! implementations:
 //!
 //! * [`PlainKernels`] — the plain `hdmm_linalg` kernels over one contiguous
 //!   vector: how every request is served in-process, and the bitwise
 //!   reference the other implementation is tested against, behind
-//!   [`measure`](crate::measure) / [`reconstruct_with`](crate::reconstruct_with);
+//!   [`measure`](crate::measure);
 //! * `hdmm_net::RpcKernels` — the per-slab tasks of an
 //!   `hdmm_core::ShardedDataVector` sent to shard workers, everything else
 //!   on the plain kernels.
@@ -22,9 +23,7 @@
 //! measured products ([`PreparedReconstruct::products`]): request validation
 //! ([`MechanismRequest::run`]), MEASURE's loop of product, θ-scaling and
 //! noise draw ([`measure_on`]), RECONSTRUCT's weighted `Aᵀy` pass and the
-//! family's solve ([`reconstruct_on`]) and ANSWER's `W·x̄`. A marginals
-//! plan's RECONSTRUCT, its `Mᵀy` included, runs on the coordinator's
-//! subset lattice and never calls the kernels. Products are
+//! family's solve ([`reconstruct_on`]) and ANSWER's `W·x̄`. Products are
 //! visited in list order and noise is drawn only after a product succeeded,
 //! so every kernel implementation consumes the RNG stream identically — the
 //! root of the byte-identity guarantee across them.
@@ -59,7 +58,7 @@ pub enum MechanismError {
     /// [`PreparedReconstruct`] has no solve (a union whose joint basis could
     /// not be built) or measures another number of cells than the data
     /// vector holds, or the operands a kernel keeps resident belong to a
-    /// plan of another [`PlanShape`].
+    /// plan with another number of measured products.
     PlanMismatch,
 }
 
@@ -105,33 +104,9 @@ impl From<PipelineError<Infallible>> for MechanismError {
     }
 }
 
-/// The shape of the per-plan operands a kernel keeps resident between
-/// requests (the RPC fan-out's content keys): enough for validation to
-/// refuse operands that visibly belong to another plan. Operands of the
-/// right shape built from different factors are the caller's contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanShape {
-    /// Measured products, each evaluated through [`Kernels::forward`] and,
-    /// except in a marginals plan, [`Kernels::transpose`].
-    pub products: usize,
-    /// Whether RECONSTRUCT calls [`Kernels::inverse_grams`] (single-product
-    /// plans only).
-    pub inverse_grams: bool,
-}
-
-impl PlanShape {
-    /// The shape of the `prepared` plan.
-    pub fn of(prepared: &PreparedReconstruct) -> Self {
-        PlanShape {
-            products: prepared.products().len(),
-            inverse_grams: prepared.inverse_grams().is_some(),
-        }
-    }
-}
-
-/// The kernel seam: where each product of the pipeline runs. Implementations
-/// must return the bits [`PlainKernels`] returns — they differ in placement
-/// and parallelism only.
+/// The kernel seam: where MEASURE's products run. Implementations must
+/// return the bits [`PlainKernels`] returns — they differ in placement and
+/// parallelism only.
 pub trait Kernels {
     /// Why a product could not be evaluated ([`Infallible`] in-process).
     type Error;
@@ -139,9 +114,11 @@ pub trait Kernels {
     /// The dataset being measured, row-major.
     fn data(&self) -> &[f64];
 
-    /// The plan whose operands this kernel keeps resident, when it keeps
-    /// any; validation refuses a request for a plan of another shape.
-    fn resident_plan(&self) -> Option<PlanShape> {
+    /// The number of measured products of the plan whose operands this
+    /// kernel keeps resident, when it keeps any: enough for validation to
+    /// refuse operands that visibly belong to another plan. Operands of the
+    /// right count built from different factors are the caller's contract.
+    fn resident_plan(&self) -> Option<usize> {
         None
     }
 
@@ -150,23 +127,6 @@ pub trait Kernels {
     /// operands the same way).
     fn forward(&self, block: usize, factors: &[&StructuredMatrix])
         -> Result<Vec<f64>, Self::Error>;
-
-    /// RECONSTRUCT: `(⊗ factors)ᵀ·y` over the answers of measured product
-    /// `block` (product and union plans; a marginals plan never calls it).
-    fn transpose(
-        &self,
-        block: usize,
-        factors: &[&StructuredMatrix],
-        y: &[f64],
-    ) -> Result<Vec<f64>, Self::Error>;
-
-    /// RECONSTRUCT: `(⊗ gram_pinvs)·aty` over the coordinator-held `Aᵀy` of a
-    /// single-product plan.
-    fn inverse_grams(
-        &self,
-        gram_pinvs: &[&StructuredMatrix],
-        aty: &[f64],
-    ) -> Result<Vec<f64>, Self::Error>;
 }
 
 /// The reference kernels: the plain `hdmm_linalg` products over one
@@ -177,8 +137,7 @@ pub struct PlainKernels<'a> {
 }
 
 impl<'a> PlainKernels<'a> {
-    /// Kernels over the data vector `x`. RECONSTRUCT and ANSWER never read
-    /// the dataset, so an empty `x` serves them.
+    /// Kernels over the data vector `x`.
     pub fn over(x: &'a [f64]) -> Self {
         PlainKernels { x }
     }
@@ -193,23 +152,6 @@ impl Kernels for PlainKernels<'_> {
 
     fn forward(&self, _: usize, factors: &[&StructuredMatrix]) -> Result<Vec<f64>, Infallible> {
         Ok(kmatvec_structured(factors, self.x))
-    }
-
-    fn transpose(
-        &self,
-        _: usize,
-        factors: &[&StructuredMatrix],
-        y: &[f64],
-    ) -> Result<Vec<f64>, Infallible> {
-        Ok(kmatvec_transpose_structured(factors, y))
-    }
-
-    fn inverse_grams(
-        &self,
-        gram_pinvs: &[&StructuredMatrix],
-        aty: &[f64],
-    ) -> Result<Vec<f64>, Infallible> {
-        Ok(kmatvec_structured(gram_pinvs, aty))
     }
 }
 
@@ -244,23 +186,21 @@ pub fn measure_on<K: Kernels + ?Sized>(
     Ok(Measurements { blocks, eps })
 }
 
-/// RECONSTRUCT over any kernels: the least-squares estimate `x̄` of the data
-/// vector from noisy measurements (post-processing; consumes no privacy
-/// budget). For a product or a union, one pass forms `b = Σᵢ cᵢ·Aᵢᵀyᵢ`
-/// through the kernels' transposed products, then the plan's solve applies
-/// `C⁺`:
+/// RECONSTRUCT: the least-squares estimate `x̄` of the data vector from
+/// noisy measurements (post-processing; consumes no privacy budget), on the
+/// coordinator, which holds the answers. For a product or a union, one pass
+/// forms `b = Σᵢ cᵢ·Aᵢᵀyᵢ`, then the plan's solve applies `C⁺`:
 ///
 /// * one product (explicit or Kronecker): `c = 1` and its `Aᵀy` is `b` as
 ///   is; `(⊗Aᵢ)⁺y = ⊗(AᵢᵀAᵢ)⁺ · (⊗Aᵢᵀ)y` (§7.2) — the per-factor work is the
 ///   `nᵢ × nᵢ` inverse Gram, never the `nᵢ × mᵢ` pseudo-inverse;
-/// * marginals: no kernel runs. `x̄ = G(v)·Mᵀy` is three sweeps over the
-///   marginal tables of the plan's subset lattice (`MarginalsLattice`) on
-///   the coordinator, `Mᵀy = Σ_a θ_a·Q_aᵀy_a` included;
+/// * marginals: `x̄ = G(v)·Mᵀy` is three sweeps over the marginal tables of
+///   the plan's subset lattice (`MarginalsLattice`), `Mᵀy = Σ_a θ_a·Q_aᵀy_a`
+///   included;
 /// * union: `c_g = w_g²` (`w_g` the inverse noise scale), and the normal
-///   equations are solved in closed form on the coordinator:
-///   `x̄ = (⊗Vⱼ)·D⁺·(⊗Vⱼ)ᵀ·b` over the joint eigenbasis of its two groups
-///   ([`JointBasis`](crate::JointBasis)), two small dense Kronecker products
-///   and one diagonal.
+///   equations are solved in closed form: `x̄ = (⊗Vⱼ)·D⁺·(⊗Vⱼ)ᵀ·b` over the
+///   joint eigenbasis of its two groups ([`JointBasis`](crate::JointBasis)),
+///   two small dense Kronecker products and one diagonal.
 ///
 /// # Panics
 /// Panics if `meas` does not hold one block per measured product of
@@ -268,11 +208,7 @@ pub fn measure_on<K: Kernels + ?Sized>(
 /// could not be built). [`MechanismRequest::run`] reaches neither: its
 /// MEASURE takes one block per product, and its validation refuses a plan
 /// without a solve.
-pub fn reconstruct_on<K: Kernels + ?Sized>(
-    prepared: &PreparedReconstruct,
-    meas: &Measurements,
-    kernels: &K,
-) -> Result<Vec<f64>, K::Error> {
+pub fn reconstruct_on(prepared: &PreparedReconstruct, meas: &Measurements) -> Vec<f64> {
     let products = prepared.products();
     assert_eq!(
         meas.blocks.len(),
@@ -281,32 +217,29 @@ pub fn reconstruct_on<K: Kernels + ?Sized>(
     );
     match &prepared.solve {
         Ok(Solve::InverseGrams(gram_pinvs)) => {
-            let aty = weighted_aty(prepared, meas, None, kernels)?;
             let refs: Vec<&StructuredMatrix> = gram_pinvs.iter().collect();
-            kernels.inverse_grams(&refs, &aty)
+            kmatvec_structured(&refs, &weighted_aty(prepared, meas, None))
         }
-        Ok(Solve::Marginals(lattice)) => Ok(lattice.reconstruct(&meas.blocks)),
+        Ok(Solve::Marginals(lattice)) => lattice.reconstruct(&meas.blocks),
         Ok(Solve::Joint(joint)) => {
             let w2: Vec<f64> = meas.blocks.iter().map(|b| b.noise_scale.powi(-2)).collect();
-            let b = weighted_aty(prepared, meas, Some(&w2), kernels)?;
-            Ok(joint.solve(&w2, &b))
+            joint.solve(&w2, &weighted_aty(prepared, meas, Some(&w2)))
         }
         Err(e) => panic!("the plan has no solve: {e}"),
     }
 }
 
-/// `b = Σᵢ cᵢ·Aᵢᵀyᵢ` through the kernels' transposed products, accumulated
-/// from zeros in list order. Without weights — a single product, `c = 1` —
-/// its `Aᵀy` is `b` as is: accumulating would turn a `−0.0` into `+0.0`.
-fn weighted_aty<K: Kernels + ?Sized>(
+/// `b = Σᵢ cᵢ·Aᵢᵀyᵢ`, accumulated from zeros in list order. Without weights
+/// — a single product, `c = 1` — its `Aᵀy` is `b` as is: accumulating would
+/// turn a `−0.0` into `+0.0`.
+fn weighted_aty(
     prepared: &PreparedReconstruct,
     meas: &Measurements,
     weights: Option<&[f64]>,
-    kernels: &K,
-) -> Result<Vec<f64>, K::Error> {
+) -> Vec<f64> {
     let mut b = Vec::new();
     for (i, (p, block)) in prepared.products().iter().zip(&meas.blocks).enumerate() {
-        let back = kernels.transpose(i, &p.refs(), &block.noisy)?;
+        let back = kmatvec_transpose_structured(&p.refs(), &block.noisy);
         match weights {
             None => b = back,
             Some(c) => {
@@ -317,7 +250,7 @@ fn weighted_aty<K: Kernels + ?Sized>(
             }
         }
     }
-    Ok(b)
+    b
 }
 
 /// One request through the mechanism: what to answer, with which plan, at
@@ -352,7 +285,7 @@ impl MechanismRequest<'_> {
             && self.prepared.cells() == got
             && kernels
                 .resident_plan()
-                .is_none_or(|shape| shape == PlanShape::of(self.prepared));
+                .is_none_or(|products| products == self.prepared.products().len());
         if plan_fits {
             Ok(())
         } else {
@@ -362,7 +295,7 @@ impl MechanismRequest<'_> {
 
     /// Runs the complete ε-differentially-private pipeline (Theorem 7:
     /// privacy follows from the Laplace mechanism plus post-processing):
-    /// validation, then MEASURE, RECONSTRUCT and ANSWER over `kernels`, each
+    /// validation, then MEASURE over `kernels`, RECONSTRUCT and ANSWER, each
     /// phase's wall-clock duration reported to `observer` exactly once, when
     /// it completes. The observer sees timings only, never data or noise.
     ///
@@ -383,7 +316,7 @@ impl MechanismRequest<'_> {
         observer.phase_complete(Phase::Measure, t.elapsed());
 
         let t = Instant::now();
-        let x_hat = reconstruct_on(self.prepared, &meas, kernels).map_err(PipelineError::Kernel)?;
+        let x_hat = reconstruct_on(self.prepared, &meas);
         observer.phase_complete(Phase::Reconstruct, t.elapsed());
 
         let t = Instant::now();

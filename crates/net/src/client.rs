@@ -1,7 +1,9 @@
 //! The coordinator's side of the shard-worker protocol: a registry of
 //! worker links with per-task timeouts, bounded retry with exponential
 //! backoff, shard reassignment to surviving workers, and per-worker health
-//! telemetry.
+//! telemetry. Its one task is MEASURE's: the trailing factors over a data
+//! slab the worker holds ([`WorkerPool::run_slab_task`]). RECONSTRUCT reads
+//! only the noisy answers the coordinator already holds, so it sends none.
 //!
 //! The pool never owns data — the engine keeps the authoritative copy of
 //! every slab and passes it alongside each task, so reassignment is always
@@ -16,8 +18,8 @@
 //! pushes a list the first time a task on that link needs it, and answers a
 //! worker's typed `UnknownFactors` (restart, eviction) by re-pushing and
 //! retrying inside the same attempt — the `UnknownSlab` choreography, for
-//! the other kind of worker-resident operand. In steady state a request
-//! moves only vectors.
+//! the other kind of worker-resident operand. In steady state a task sends
+//! a key and a slab reference, and its reply the slab's partial product.
 
 use crate::wire::{
     frame_into, keyed_task_into, read_frame_buf, ErrorCode, FactorKey, Frame, KeyedTask, NetError,
@@ -217,7 +219,7 @@ struct Conn {
 }
 
 /// What one exchange sends: an owned control frame (ping, operand pushes) or
-/// a keyed task encoded straight from the caller's borrowed slices.
+/// a keyed slab task encoded straight from the caller's borrowed fields.
 enum Request<'a> {
     Frame(&'a Frame),
     Task(KeyedTask<'a>),
@@ -310,17 +312,15 @@ impl std::io::Write for DeadlineStream<'_> {
 }
 
 /// Identity of one RPC attempt inside a request's span tree: which observer
-/// to record into, what to call the span, and which phase span to parent
-/// under.
+/// to record into and what to call the span. Every task is MEASURE's, so
+/// every span is parented under the MEASURE phase span.
 #[derive(Clone, Copy)]
 struct RpcSpan<'a> {
     observer: &'a dyn Observer,
-    /// Span name: `rpc:forward`, `rpc:apply`, `rpc:load`.
+    /// Span name: `rpc:forward`, `rpc:load`.
     name: &'static str,
-    /// The phase whose span is the parent ([`Observer::parent_for`]).
-    phase: Phase,
-    /// Shard (or block) index — also the Chrome-trace lane, so concurrent
-    /// shard RPCs render side by side instead of falsely nested.
+    /// Shard index — also the Chrome-trace lane, so concurrent shard RPCs
+    /// render side by side instead of falsely nested.
     shard: u64,
     attempt: u32,
 }
@@ -434,7 +434,6 @@ impl WorkerPool {
         let rpc = RpcSpan {
             observer: &(),
             name: "rpc:load",
-            phase: Phase::Measure,
             shard,
             attempt: 0,
         };
@@ -458,10 +457,9 @@ impl WorkerPool {
     ///
     /// When `observer` traces, every attempt (including failed and retried
     /// ones) is recorded as an `rpc:forward` span — annotated with worker
-    /// address, shard, attempt index, and outcome — parented under `phase`'s
-    /// span, with the worker's own kernel spans re-based beneath it. The `()`
-    /// observer runs untraced.
-    #[allow(clippy::too_many_arguments)]
+    /// address, shard, attempt index, and outcome — parented under the
+    /// MEASURE phase span, with the worker's own kernel spans re-based
+    /// beneath it. The `()` observer runs untraced.
     pub fn run_slab_task(
         &self,
         dataset: &str,
@@ -470,10 +468,9 @@ impl WorkerPool {
         rows: (u64, u64),
         values: &[f64],
         observer: &dyn Observer,
-        phase: Phase,
     ) -> Result<Vec<f64>, NetError> {
         let key = (dataset.to_string(), shard);
-        let task = KeyedTask::SlabForward {
+        let task = KeyedTask {
             dataset,
             shard,
             key: trailing.key,
@@ -483,70 +480,19 @@ impl WorkerPool {
             rows,
             values,
         };
-        self.with_retry(
-            |_| self.pick_worker(&key),
-            |link, attempt| {
-                let rpc = RpcSpan {
-                    observer,
-                    name: "rpc:forward",
-                    phase,
-                    shard,
-                    attempt,
-                };
-                self.attempt(link, task, trailing, Some(slab), &rpc)
-            },
-        )
-    }
-
-    /// Runs one stateless task (RECONSTRUCT passes): the `trailing` factors
-    /// (or their transposes) against a payload shipped with the request.
-    /// `hint` spreads blocks across live workers; failures retry on the next
-    /// live worker with the same policy. Traced attempts are recorded as
-    /// `rpc:apply` spans (see [`WorkerPool::run_slab_task`]).
-    pub fn apply(
-        &self,
-        transpose: bool,
-        trailing: Operand<'_>,
-        payload: &[f64],
-        hint: usize,
-        observer: &dyn Observer,
-        phase: Phase,
-    ) -> Result<Vec<f64>, NetError> {
-        let task = KeyedTask::Apply {
-            transpose,
-            key: trailing.key,
-            payload,
-        };
-        self.with_retry(
-            |attempt| self.pick_any(hint + attempt as usize),
-            |link, attempt| {
-                let rpc = RpcSpan {
-                    observer,
-                    name: "rpc:apply",
-                    phase,
-                    shard: hint as u64,
-                    attempt,
-                };
-                self.attempt(link, task, trailing, None, &rpc)
-            },
-        )
-    }
-
-    /// The retry policy around one task: up to `policy.attempts` attempts,
-    /// each on the link `pick` chooses, with failures counted against that
-    /// link and doubling backoff in between.
-    fn with_retry(
-        &self,
-        pick: impl Fn(u32) -> Option<Arc<WorkerLink>>,
-        run: impl Fn(&WorkerLink, u32) -> Result<Vec<f64>, NetError>,
-    ) -> Result<Vec<f64>, NetError> {
         let mut delay = self.policy.backoff;
         let mut last_err = NetError::NoWorkers;
         for attempt in 0..self.policy.attempts.max(1) {
-            let Some(link) = pick(attempt) else {
+            let Some(link) = self.pick_worker(&key) else {
                 break;
             };
-            match run(&link, attempt) {
+            let rpc = RpcSpan {
+                observer,
+                name: "rpc:forward",
+                shard,
+                attempt,
+            };
+            match self.attempt(&link, task, trailing, slab, &rpc) {
                 Ok(v) => return Ok(v),
                 Err(e) => last_err = self.note_failure(&link, e, attempt, &mut delay),
             }
@@ -554,33 +500,31 @@ impl WorkerPool {
         Err(last_err)
     }
 
-    /// One attempt of a keyed task on `link`. Operands the link has not
+    /// One attempt of a slab task on `link`. Operands the link has not
     /// pushed yet go first; then the task runs, and a worker that turns out
-    /// not to hold an operand after all (it restarted, or evicted the
-    /// factors) says so with a typed error — the operand is re-pushed and
-    /// the task retried on the same worker, each operand at most once per
-    /// attempt.
+    /// not to hold an operand after all (it restarted, or evicted the slab
+    /// or the factors) says so with a typed error — the operand is re-pushed
+    /// and the task retried on the same worker, each operand at most once
+    /// per attempt.
     fn attempt(
         &self,
         link: &WorkerLink,
         task: KeyedTask<'_>,
         trailing: Operand<'_>,
-        slab: Option<SlabRef<'_>>,
+        slab: SlabRef<'_>,
         rpc: &RpcSpan<'_>,
     ) -> Result<Vec<f64>, NetError> {
         let load = RpcSpan {
             name: "rpc:load",
             ..*rpc
         };
-        if let Some(slab) = slab {
-            if !link
-                .loaded
-                .lock()
-                .expect("loaded set poisoned")
-                .contains(slab.id)
-            {
-                self.push_slab(link, slab, &load)?;
-            }
+        if !link
+            .loaded
+            .lock()
+            .expect("loaded set poisoned")
+            .contains(slab.id)
+        {
+            self.push_slab(link, slab, &load)?;
         }
         self.ensure_factors(link, trailing, false, &load)?;
         let (mut slab_repushed, mut factors_repushed) = (false, false);
@@ -590,8 +534,8 @@ impl WorkerPool {
                 Err(NetError::Remote { code, .. }) => Some(*code),
                 _ => None,
             };
-            match (miss, slab) {
-                (Some(ErrorCode::UnknownSlab), Some(slab)) if !slab_repushed => {
+            match miss {
+                Some(ErrorCode::UnknownSlab) if !slab_repushed => {
                     slab_repushed = true;
                     link.loaded
                         .lock()
@@ -599,7 +543,7 @@ impl WorkerPool {
                         .remove(slab.id);
                     self.push_slab(link, slab, &load)?;
                 }
-                (Some(ErrorCode::UnknownFactors), _) if !factors_repushed => {
+                Some(ErrorCode::UnknownFactors) if !factors_repushed => {
                     factors_repushed = true;
                     self.factor_misses.fetch_add(1, Ordering::Relaxed);
                     self.ensure_factors(link, trailing, true, &load)?;
@@ -636,7 +580,10 @@ impl WorkerPool {
         };
         let start_ns = rpc.observer.rel_ns(start);
         let end_ns = rpc.observer.rel_ns(end);
-        let parent = rpc.observer.parent_for(rpc.phase).unwrap_or(ctx.span_id);
+        let parent = rpc
+            .observer
+            .parent_for(Phase::Measure)
+            .unwrap_or(ctx.span_id);
         let lane = rpc.shard.to_string();
         rpc.observer.record(
             Span::new(
@@ -808,23 +755,6 @@ impl WorkerPool {
         }
         Some(Arc::clone(&workers[idx]))
     }
-
-    /// Any live worker for a stateless task, preferring `hint % n`; falls
-    /// back to the hint slot when the whole pool looks dead.
-    fn pick_any(&self, hint: usize) -> Option<Arc<WorkerLink>> {
-        let workers = self.workers.read().expect("worker registry poisoned");
-        if workers.is_empty() {
-            return None;
-        }
-        let start = hint % workers.len();
-        for step in 0..workers.len() {
-            let cand = (start + step) % workers.len();
-            if workers[cand].alive.load(Ordering::Relaxed) {
-                return Some(Arc::clone(&workers[cand]));
-            }
-        }
-        Some(Arc::clone(&workers[start]))
-    }
 }
 
 impl std::fmt::Debug for WorkerPool {
@@ -862,7 +792,7 @@ mod tests {
         let refs = [&total];
         let trailing = Operand::new(&refs);
         let first = pool
-            .run_slab_task("d", 0, trailing, (0, 2), &values, &(), Phase::Measure)
+            .run_slab_task("d", 0, trailing, (0, 2), &values, &())
             .unwrap();
         assert_eq!(first, vec![6.0, 22.0]);
 
@@ -881,7 +811,7 @@ mod tests {
         }
         std::thread::sleep(Duration::from_millis(20));
         let again = pool
-            .run_slab_task("d", 0, trailing, (0, 2), &values, &(), Phase::Measure)
+            .run_slab_task("d", 0, trailing, (0, 2), &values, &())
             .unwrap();
         assert_eq!(again, first, "reassigned task must compute the same bytes");
         let health = pool.health();
@@ -901,7 +831,7 @@ mod tests {
         let total = StructuredMatrix::total(2);
         let refs = [&total];
         let trailing = Operand::new(&refs);
-        let r = pool.apply(false, trailing, &[1.0, 2.0], 0, &(), Phase::Measure);
+        let r = pool.run_slab_task("d", 0, trailing, (0, 1), &[1.0, 2.0], &());
         assert!(r.is_err(), "a dead pool must surface an error");
     }
 
@@ -929,15 +859,15 @@ mod tests {
             hdmm_linalg::Matrix::from_fn(64, 64, |r, c| (r * 64 + c) as f64).into();
         let refs = [&dense];
         let trailing = Operand::new(&refs);
-        let payload = vec![1.0; 64];
+        let values = vec![1.0; 64];
         let first = pool
-            .apply(false, trailing, &payload, 0, &(), Phase::Measure)
+            .run_slab_task("d", 0, trailing, (0, 1), &values, &())
             .unwrap();
         let after_first = pool.health().workers[0].clone();
         assert_eq!(after_first.factor_pushes, 1);
         for _ in 0..5 {
             let again = pool
-                .apply(false, trailing, &payload, 0, &(), Phase::Measure)
+                .run_slab_task("d", 0, trailing, (0, 1), &values, &())
                 .unwrap();
             assert_eq!(again, first);
         }
@@ -946,12 +876,12 @@ mod tests {
         assert_eq!(link.factor_pushes, 1, "steady state re-ships nothing");
         assert_eq!(health.factor_misses, 0);
         assert_eq!(w.factor_list_count(), 1);
-        // Five warm tasks moved five payloads and five keys — far less than
-        // one copy of the 32 KiB factor.
+        // Five warm tasks moved five keys and slab references — far less
+        // than one copy of the 32 KiB factor or of the 512-byte slab.
         let warm_sent = link.bytes_sent - after_first.bytes_sent;
         assert!(
-            warm_sent < 5 * (64 * 8 + 128),
-            "warm tasks must not carry the factors: {warm_sent} bytes for 5 tasks"
+            warm_sent < 5 * 128,
+            "warm tasks must carry neither factors nor slab: {warm_sent} bytes for 5 tasks"
         );
         assert!(link.bytes_received > after_first.bytes_received);
     }
@@ -965,30 +895,22 @@ mod tests {
         let refs = [&prefix];
         let trailing = Operand::new(&refs);
         let values: Vec<f64> = (0..8).map(f64::from).collect();
-        let payload = [1.0, 2.0, 3.0, 4.0];
-        let slab_first = pool
-            .run_slab_task("d", 0, trailing, (0, 2), &values, &(), Phase::Measure)
-            .unwrap();
-        let apply_first = pool
-            .apply(true, trailing, &payload, 0, &(), Phase::Measure)
+        let first = pool
+            .run_slab_task("d", 0, trailing, (0, 2), &values, &())
             .unwrap();
 
         // The replacement holds nothing, while the link still believes both
         // operands are resident: only the worker's typed replies can say so.
+        // The factors are checked first — UnknownFactors, a re-push — then
+        // the slab: UnknownSlab, a re-push, and the task goes through.
         w.kill();
         let fresh = respawn(addr);
-        let apply_again = pool
-            .apply(true, trailing, &payload, 0, &(), Phase::Measure)
+        let again = pool
+            .run_slab_task("d", 0, trailing, (0, 2), &values, &())
             .unwrap();
-        assert_eq!(apply_again, apply_first);
-        assert_eq!(pool.health().factor_misses, 1);
-        // A slab task needs both operands back: UnknownSlab, then (the
-        // factors are resident again by now) straight through.
-        let slab_again = pool
-            .run_slab_task("d", 0, trailing, (0, 2), &values, &(), Phase::Measure)
-            .unwrap();
-        assert_eq!(slab_again, slab_first);
+        assert_eq!(again, first);
         let health = pool.health();
+        assert_eq!(health.factor_misses, 1);
         assert_eq!(health.workers[0].factor_pushes, 2, "one push, one re-push");
         assert_eq!((fresh.slab_count(), fresh.factor_list_count()), (1, 1));
     }

@@ -1,29 +1,33 @@
 //! The RPC fan-out: [`RpcKernels`], the [`Kernels`] implementation that
-//! sends the per-slab tasks of MEASURE / RECONSTRUCT to TCP shard workers.
+//! sends MEASURE's per-slab tasks to TCP shard workers.
+//!
+//! A product leaves the coordinator only when its input already lives on a
+//! worker, and only MEASURE's input does: the dataset, held there in slabs.
+//! RECONSTRUCT works on the noisy answers the coordinator holds, so it runs
+//! there ([`reconstruct_on`](hdmm_mechanism::reconstruct_on)) and sends
+//! nothing.
 //!
 //! A Kronecker product over a vector held in leading-axis slabs splits into
 //! the per-slab trailing-factor products (the bulk of the flops), their
 //! ordered concatenation, and one leading contraction
 //! ([`hdmm_linalg::slab_split`]). The first stage becomes
-//! [`SlabForwardKeyed`](crate::Frame::SlabForwardKeyed) /
-//! [`ApplyKeyed`](crate::Frame::ApplyKeyed) RPCs; the merge and the leading
-//! contraction run on the coordinator, through the same
-//! [`contract_rows`] / [`contract_transpose_rows`] kernel the plain product
-//! runs. Workers run the `kmatvec_*_trailing_slab` kernels on the same
-//! slices, so — run through the one pipeline,
-//! [`MechanismRequest::run`](hdmm_mechanism::MechanismRequest::run) — the
-//! answers are **bitwise identical** to the plain single-node kernels for
-//! any worker count. The slabs are those of the registered
-//! [`ShardedDataVector`], borrowed as is; everything the workers do not hold
-//! runs on [`PlainKernels`] over its whole vector.
+//! [`SlabForwardKeyed`](crate::Frame::SlabForwardKeyed) RPCs; the merge and
+//! the leading contraction run on the coordinator, through the same
+//! [`contract_rows`] kernel the plain product runs. Workers run
+//! `kmatvec_trailing_slab` on the same slices, so — run through the one
+//! pipeline, [`MechanismRequest::run`](hdmm_mechanism::MechanismRequest::run)
+//! — the answers are **bitwise identical** to the plain single-node kernels
+//! for any worker count. The slabs are those of the registered
+//! [`ShardedDataVector`], borrowed as is; a product the workers cannot
+//! slice runs on [`PlainKernels`] over the whole vector.
 //!
 //! A warm request costs the local request plus vector traffic: everything
 //! that depends only on the strategy — the [`PreparedReconstruct`]'s
 //! measured products and solve, and the content keys of their
 //! trailing-factor lists ([`OperandKeys`]) — is built once per
 //! plan by the caller and passed in, and the factors themselves live on the
-//! workers (see [`crate::wire`]), so tasks carry a key plus a slab reference
-//! or a payload.
+//! workers (see [`crate::wire`]), so tasks carry a key plus a slab
+//! reference.
 //!
 //! Failure handling lives in [`WorkerPool`]: per-task timeouts, bounded
 //! retry with doubling backoff, and shard reassignment to surviving workers
@@ -36,13 +40,9 @@
 use crate::client::{Operand, RetryPolicy, WorkerPool};
 use crate::wire::{FactorKey, NetError};
 use hdmm_core::ShardedDataVector;
-use hdmm_linalg::{
-    contract_rows, contract_transpose_rows, leading_split, partition_rows, slab_split,
-    StructuredMatrix,
-};
-use hdmm_mechanism::{Kernels, PlainKernels, PlanShape, PreparedReconstruct};
+use hdmm_linalg::{contract_rows, leading_split, slab_split, StructuredMatrix};
+use hdmm_mechanism::{Kernels, PlainKernels, PreparedReconstruct};
 use hdmm_obs::{Observer, Phase};
-use std::ops::Range;
 use std::time::Instant;
 
 /// Configuration of the remote fan-out: the [`WorkerPool`] to connect.
@@ -62,21 +62,18 @@ impl RemoteOptions {
     }
 }
 
-/// The content keys of every trailing-factor list [`RpcKernels`] names in
-/// its tasks for one plan. Deriving a key encodes and checksums the whole
-/// list, so this is built once per plan — memoized beside the plan's
-/// [`PreparedReconstruct`] — never per request.
+/// The content keys of the trailing-factor lists [`RpcKernels`] names in its
+/// tasks for one plan, one per measured product, in MEASURE order. Deriving
+/// a key encodes and checksums the whole list, so this is built once per
+/// plan — memoized beside the plan's [`PreparedReconstruct`] — never per
+/// request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OperandKeys {
-    /// One per measured product, in MEASURE order: the trailing factors
-    /// MEASURE applies forward and RECONSTRUCT applies transposed.
     blocks: Vec<FactorKey>,
-    /// The trailing inverse-Gram factors (single-product plans only).
-    gram_pinv: Option<FactorKey>,
 }
 
 impl OperandKeys {
-    /// Derives the keys for the `prepared` plan's products and inverse Grams.
+    /// Derives the keys for the `prepared` plan's products.
     pub fn new(prepared: &PreparedReconstruct) -> Self {
         fn trailing_key(factors: &[StructuredMatrix]) -> FactorKey {
             let refs: Vec<&StructuredMatrix> = factors.iter().collect();
@@ -88,22 +85,12 @@ impl OperandKeys {
                 .iter()
                 .map(|p| trailing_key(&p.factors))
                 .collect(),
-            gram_pinv: prepared.inverse_grams().map(trailing_key),
         }
     }
 
     /// Every key the plan's tasks can name.
     pub fn keys(&self) -> impl Iterator<Item = FactorKey> + '_ {
-        self.blocks.iter().copied().chain(self.gram_pinv)
-    }
-
-    /// The shape of the plan these keys were derived for; the pipeline's
-    /// validation refuses to run them against a plan of another shape.
-    pub fn shape(&self) -> PlanShape {
-        PlanShape {
-            products: self.blocks.len(),
-            inverse_grams: self.gram_pinv.is_some(),
-        }
+        self.blocks.iter().copied()
     }
 
     /// The key for measured product `block`.
@@ -116,15 +103,15 @@ impl OperandKeys {
 /// pipeline's validation rules this out, so it is typed rather than trusted.
 const NO_KEY: NetError = NetError::Unsupported("no operand key for this product");
 
-/// Runs tasks `0..shards`, each on its own scoped thread (each blocks on an
-/// RPC), and returns the per-shard products in shard order. A task thread
+/// Runs MEASURE's tasks `0..shards`, each on its own scoped thread (each
+/// blocks on an RPC) and each reported to `observer` as a MEASURE shard
+/// task, and returns the per-shard products in shard order. A task thread
 /// that panics — the observer is caller code — is reported as
 /// [`NetError::TaskPanicked`] instead of unwinding through the request, so
 /// the caller's reseeded local rerun takes over.
 fn fan_out(
     shards: usize,
     observer: &dyn Observer,
-    phase: Phase,
     task: impl Fn(usize) -> Result<Vec<f64>, NetError> + Sync,
 ) -> Result<Vec<Vec<f64>>, NetError> {
     let results: Vec<Result<Vec<f64>, NetError>> = std::thread::scope(|s| {
@@ -135,7 +122,7 @@ fn fan_out(
                     let t = Instant::now();
                     let part = task(shard);
                     if part.is_ok() {
-                        observer.shard_phase_complete(phase, shard, t.elapsed());
+                        observer.shard_phase_complete(Phase::Measure, shard, t.elapsed());
                     }
                     part
                 })
@@ -152,40 +139,25 @@ fn fan_out(
 }
 
 /// The coordinator's half of a sliced product: the ordered merge of the
-/// per-slab trailing products `parts` (slab order, or measurement-block
-/// order transposed), then the leading contraction over all of its output
-/// rows. `factors` must have a [`slab_split`] in direction `transpose`; the
+/// per-slab trailing products `parts`, then the leading contraction over all
+/// of its output rows. `factors` must have a forward [`slab_split`]; the
 /// result is then bitwise the plain product — the plain driver contracts the
 /// leading mode last through the same kernel, and a row block of that
 /// kernel is bitwise its all-rows call's rows.
-fn merge_and_contract_leading(
-    factors: &[&StructuredMatrix],
-    parts: Vec<Vec<f64>>,
-    transpose: bool,
-) -> Vec<f64> {
+fn merge_and_contract_leading(factors: &[&StructuredMatrix], parts: Vec<Vec<f64>>) -> Vec<f64> {
     let split = leading_split(factors);
-    let merged = parts.concat();
-    let leading = split.leading;
-    let (rows, right) = match transpose {
-        false => (leading.rows(), split.trailing_rows()),
-        true => (leading.cols(), split.trailing_cols()),
-    };
+    let (rows, right) = (split.leading.rows(), split.trailing_rows());
     let mut out = vec![0.0; rows * right];
-    let contract = if transpose {
-        contract_transpose_rows
-    } else {
-        contract_rows
-    };
-    contract(leading, &merged, &mut out, 1, right, 0..rows);
+    contract_rows(split.leading, &parts.concat(), &mut out, 1, right, 0..rows);
     out
 }
 
 /// The RPC fan-out behind the [`Kernels`] seam: phase 1 of every sliceable
-/// Kronecker product — the trailing factors over each slab or payload block
-/// — runs on the worker pool, and the merge and leading contraction on the
-/// coordinator. Products with no [`slab_split`], and products with no
-/// trailing factors (a 1-D plan, whose per-slab task would be an identity
-/// copy), run on [`PlainKernels`] over the whole vector.
+/// MEASURE product — the trailing factors over each slab — runs on the
+/// worker pool, and the merge and leading contraction on the coordinator.
+/// Products with no [`slab_split`], and products with no trailing factors (a
+/// 1-D plan, whose per-slab task would be an identity copy), run on
+/// [`PlainKernels`] over the whole vector.
 ///
 /// `keys` must be the [`OperandKeys`] of the plan being served. When
 /// `observer` traces, every RPC attempt of the fan-out (retries included)
@@ -208,36 +180,6 @@ pub struct RpcKernels<'a> {
     pub observer: &'a dyn Observer,
 }
 
-impl RpcKernels<'_> {
-    /// The plain kernels over the whole dataset.
-    fn plain(&self) -> PlainKernels<'_> {
-        PlainKernels::over(self.data.values())
-    }
-
-    /// Whether the product of `factors` in direction `transpose` runs on the
-    /// workers: it has a [`slab_split`] with trailing factors to send.
-    fn sliced(factors: &[&StructuredMatrix], transpose: bool) -> bool {
-        slab_split(factors, transpose).is_some_and(|split| !split.trailing.is_empty())
-    }
-
-    /// The slab ranges on the input axis of `factors`' leading leaf. A
-    /// product that does not line up with the slabs has none; the caller
-    /// reruns the request over [`PlainKernels`].
-    fn aligned(&self, factors: &[&StructuredMatrix]) -> Result<Vec<Range<usize>>, NetError> {
-        let split = leading_split(factors);
-        self.data
-            .ranges_on_axis(split.leading.cols(), split.trailing_cols())
-            .ok_or(NetError::Unsupported(
-                "slab boundaries do not align with the leading factor",
-            ))
-    }
-}
-
-/// The plain kernels never fail.
-fn infallible<T>(r: Result<T, std::convert::Infallible>) -> Result<T, NetError> {
-    r.map_err(|never| match never {})
-}
-
 impl Kernels for RpcKernels<'_> {
     type Error = NetError;
 
@@ -245,22 +187,31 @@ impl Kernels for RpcKernels<'_> {
         self.data.values()
     }
 
-    fn resident_plan(&self) -> Option<PlanShape> {
-        Some(self.keys.shape())
+    fn resident_plan(&self) -> Option<usize> {
+        Some(self.keys.blocks.len())
     }
 
     /// Slabs are cached on the workers, so tasks are
     /// [`SlabForwardKeyed`](crate::Frame::SlabForwardKeyed) RPCs naming one.
+    /// A product whose leading leaf does not line up with the slabs is a
+    /// [`NetError::Unsupported`]; the caller reruns the request over
+    /// [`PlainKernels`].
     fn forward(&self, block: usize, factors: &[&StructuredMatrix]) -> Result<Vec<f64>, NetError> {
-        if !Self::sliced(factors, false) {
-            return infallible(self.plain().forward(block, factors));
+        if slab_split(factors, false).is_none_or(|split| split.trailing.is_empty()) {
+            let plain = PlainKernels::over(self.data.values());
+            return plain
+                .forward(block, factors)
+                .map_err(|never| match never {});
         }
         // A slab task runs the trailing factors over whole leading rows.
-        self.aligned(factors)?;
-        let phase = Phase::Measure;
         let split = leading_split(factors);
+        self.data
+            .ranges_on_axis(split.leading.cols(), split.trailing_cols())
+            .ok_or(NetError::Unsupported(
+                "slab boundaries do not align with the leading factor",
+            ))?;
         let trailing = Operand::keyed(self.keys.block(block)?, &split.trailing);
-        let parts = fan_out(self.data.shard_count(), self.observer, phase, |shard| {
+        let parts = fan_out(self.data.shard_count(), self.observer, |shard| {
             let (rows, values) = self.data.slab(shard);
             self.pool.run_slab_task(
                 self.dataset,
@@ -269,60 +220,9 @@ impl Kernels for RpcKernels<'_> {
                 (rows.start as u64, rows.end as u64),
                 values,
                 self.observer,
-                phase,
             )
         })?;
-        Ok(merge_and_contract_leading(factors, parts, false))
-    }
-
-    /// Trailing transposes over measurement-axis blocks of `y` run as
-    /// [`ApplyKeyed`](crate::Frame::ApplyKeyed) RPCs, one block per slab.
-    fn transpose(
-        &self,
-        block: usize,
-        factors: &[&StructuredMatrix],
-        y: &[f64],
-    ) -> Result<Vec<f64>, NetError> {
-        if !Self::sliced(factors, true) {
-            return infallible(self.plain().transpose(block, factors, y));
-        }
-        let phase = Phase::Reconstruct;
-        let split = leading_split(factors);
-        let rest_m = split.trailing_rows();
-        let trailing = Operand::keyed(self.keys.block(block)?, &split.trailing);
-        let y_blocks = partition_rows(split.leading.rows(), self.data.shard_count());
-        let parts = fan_out(y_blocks.len(), self.observer, phase, |shard| {
-            let b = &y_blocks[shard];
-            let payload = &y[b.start * rest_m..b.end * rest_m];
-            self.pool
-                .apply(true, trailing, payload, shard, self.observer, phase)
-        })?;
-        Ok(merge_and_contract_leading(factors, parts, true))
-    }
-
-    /// The intermediate lives on the coordinator, so payload slices — `Aᵀy`
-    /// cut like the data, inverse Grams being square — ship with the
-    /// [`ApplyKeyed`](crate::Frame::ApplyKeyed) requests.
-    fn inverse_grams(
-        &self,
-        gram_pinvs: &[&StructuredMatrix],
-        aty: &[f64],
-    ) -> Result<Vec<f64>, NetError> {
-        if !Self::sliced(gram_pinvs, false) {
-            return infallible(self.plain().inverse_grams(gram_pinvs, aty));
-        }
-        let ranges = self.aligned(gram_pinvs)?;
-        let phase = Phase::Reconstruct;
-        let split = leading_split(gram_pinvs);
-        let rest_n = split.trailing_cols();
-        let trailing = Operand::keyed(self.keys.gram_pinv.ok_or(NO_KEY)?, &split.trailing);
-        let parts = fan_out(ranges.len(), self.observer, phase, |shard| {
-            let r = &ranges[shard];
-            let payload = &aty[r.start * rest_n..r.end * rest_n];
-            self.pool
-                .apply(false, trailing, payload, shard, self.observer, phase)
-        })?;
-        Ok(merge_and_contract_leading(gram_pinvs, parts, false))
+        Ok(merge_and_contract_leading(factors, parts))
     }
 }
 

@@ -17,24 +17,26 @@
 //! decodes to [`CodecError::BadMagic`]. A change to the layout bumps the
 //! version byte.
 //!
-//! Every task frame is **pure and idempotent** — a `SlabForward` or `Apply`
-//! computes a deterministic function of its inputs and mutates nothing — so
-//! the client may retry at-least-once on timeout without coordination.
+//! Every task frame is **pure and idempotent** — a `SlabForward` computes a
+//! deterministic function of its inputs and mutates nothing — so the client
+//! may retry at-least-once on timeout without coordination.
 //!
 //! **Keyed operands.** A strategy is a few small per-attribute factors while
 //! the vectors are what is big, so trailing-factor lists are worker-resident
 //! operands exactly like slabs: the coordinator names a list by its
 //! [`FactorKey`] (content checksum + encoded length), pushes it to a worker
 //! once with [`Frame::LoadFactors`], and from then on sends
-//! [`Frame::SlabForwardKeyed`] / [`Frame::ApplyKeyed`] tasks that carry only
-//! the key plus a slab reference or a payload. A worker that does not hold
+//! [`Frame::SlabForwardKeyed`] tasks that carry only the key plus a slab
+//! reference. A worker that does not hold
 //! the key (it restarted, or evicted the list) answers a typed
 //! [`ErrorCode::UnknownFactors`]; the coordinator re-pushes and retries, the
 //! same choreography as [`ErrorCode::UnknownSlab`]. Because the key is the
 //! content, a stale or colliding registration is impossible by construction:
 //! `LoadFactors` frames whose key does not match their factor bytes do not
 //! decode. The inline-factor `SlabForward` / `Apply` frames stay decodable
-//! and served; this crate's coordinator no longer emits them.
+//! and served; this crate's coordinator emits neither. No keyed task carries
+//! a payload: RECONSTRUCT's products run on the coordinator, which holds
+//! the answers they read.
 //!
 //! [`PlanStore`]: https://docs.rs/hdmm-engine
 
@@ -232,8 +234,8 @@ pub enum Frame {
         /// Trailing factors, outermost first.
         factors: Vec<StructuredMatrix>,
     },
-    /// RECONSTRUCT fan-out: apply trailing factors (forward or transposed)
-    /// to a coordinator-resident payload block shipped with the task.
+    /// Apply trailing factors (forward or transposed) to a payload shipped
+    /// with the task. Served by workers; the coordinator sends none.
     Apply {
         /// `true` for the transposed kernel (`Aᵀ`-side passes).
         transpose: bool,
@@ -259,15 +261,6 @@ pub enum Frame {
         shard: u64,
         /// Key of a factor list pushed with [`Frame::LoadFactors`].
         key: FactorKey,
-    },
-    /// [`Frame::Apply`] with the trailing factors named by key.
-    ApplyKeyed {
-        /// `true` for the transposed kernel (`Aᵀ`-side passes).
-        transpose: bool,
-        /// Key of a factor list pushed with [`Frame::LoadFactors`].
-        key: FactorKey,
-        /// The payload block to contract.
-        payload: Vec<f64>,
     },
     /// Response to [`Frame::Ping`]: how many slabs the worker holds.
     Pong {
@@ -300,7 +293,6 @@ impl Frame {
             Frame::Apply { .. } => "apply",
             Frame::LoadFactors { .. } => "load-factors",
             Frame::SlabForwardKeyed { .. } => "slab-forward-keyed",
-            Frame::ApplyKeyed { .. } => "apply-keyed",
             Frame::Pong { .. } => "pong",
             Frame::Loaded => "loaded",
             Frame::Part { .. } => "part",
@@ -387,47 +379,21 @@ fn read_factors(r: &mut Reader<'_>) -> Result<Vec<StructuredMatrix>, CodecError>
     (0..n).map(|_| r.structured()).collect()
 }
 
-/// A keyed task borrowed from coordinator memory: what the request path
-/// encodes, so a payload is copied once — into the link's send buffer — and
-/// never into an owned [`Frame`] first. Encodes to exactly the bytes of the
-/// owned [`Frame::SlabForwardKeyed`] / [`Frame::ApplyKeyed`] it mirrors.
+/// A keyed slab task borrowed from coordinator memory: what the request
+/// path encodes, with no owned [`Frame`] built first. Encodes to exactly the
+/// bytes of the owned [`Frame::SlabForwardKeyed`] it mirrors.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum KeyedTask<'a> {
-    SlabForward {
-        dataset: &'a str,
-        shard: u64,
-        key: FactorKey,
-    },
-    Apply {
-        transpose: bool,
-        key: FactorKey,
-        payload: &'a [f64],
-    },
+pub(crate) struct KeyedTask<'a> {
+    pub(crate) dataset: &'a str,
+    pub(crate) shard: u64,
+    pub(crate) key: FactorKey,
 }
 
 fn put_keyed_task(out: &mut Vec<u8>, task: &KeyedTask<'_>) {
-    match *task {
-        KeyedTask::SlabForward {
-            dataset,
-            shard,
-            key,
-        } => {
-            out.push(9);
-            codec::put_str(out, dataset);
-            codec::put_u64(out, shard);
-            put_key(out, key);
-        }
-        KeyedTask::Apply {
-            transpose,
-            key,
-            payload,
-        } => {
-            out.push(10);
-            out.push(u8::from(transpose));
-            put_key(out, key);
-            codec::put_f64s(out, payload);
-        }
-    }
+    out.push(9);
+    codec::put_str(out, task.dataset);
+    codec::put_u64(out, task.shard);
+    put_key(out, task.key);
 }
 
 fn read_bool(r: &mut Reader<'_>) -> Result<bool, CodecError> {
@@ -516,22 +482,10 @@ fn put_body(out: &mut Vec<u8>, frame: &Frame) {
             key,
         } => put_keyed_task(
             out,
-            &KeyedTask::SlabForward {
+            &KeyedTask {
                 dataset,
                 shard: *shard,
                 key: *key,
-            },
-        ),
-        Frame::ApplyKeyed {
-            transpose,
-            key,
-            payload,
-        } => put_keyed_task(
-            out,
-            &KeyedTask::Apply {
-                transpose: *transpose,
-                key: *key,
-                payload,
             },
         ),
     }
@@ -590,11 +544,6 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, TraceExt), CodecError> {
             dataset: r.str()?,
             shard: r.u64()?,
             key: read_key(&mut r)?,
-        },
-        10 => Frame::ApplyKeyed {
-            transpose: read_bool(&mut r)?,
-            key: read_key(&mut r)?,
-            payload: r.f64s()?,
         },
         tag => return Err(CodecError::BadTag { tag }),
     };
@@ -721,40 +670,21 @@ mod tests {
     #[test]
     fn borrowed_keyed_tasks_encode_to_the_owned_frames_bytes() {
         let key = FactorKey::of(&[StructuredMatrix::prefix(3)]);
-        let payload = [1.5, -0.0, f64::NAN];
-        let pairs = [
-            (
-                KeyedTask::SlabForward {
-                    dataset: "d",
-                    shard: 7,
-                    key,
-                },
-                Frame::SlabForwardKeyed {
-                    dataset: "d".into(),
-                    shard: 7,
-                    key,
-                },
-            ),
-            (
-                KeyedTask::Apply {
-                    transpose: true,
-                    key,
-                    payload: &payload,
-                },
-                Frame::ApplyKeyed {
-                    transpose: true,
-                    key,
-                    payload: payload.to_vec(),
-                },
-            ),
-        ];
-        for (task, frame) in pairs {
-            for ext in [TraceExt::default(), TraceExt::request(9, 4)] {
-                let (mut borrowed, mut owned) = (vec![0xAA; 3], Vec::new());
-                keyed_task_into(&mut borrowed, &task, &ext).unwrap();
-                write_frame(&mut owned, &frame, &ext).unwrap();
-                assert_eq!(borrowed, owned, "{}", frame.kind());
-            }
+        let task = KeyedTask {
+            dataset: "d",
+            shard: 7,
+            key,
+        };
+        let frame = Frame::SlabForwardKeyed {
+            dataset: "d".into(),
+            shard: 7,
+            key,
+        };
+        for ext in [TraceExt::default(), TraceExt::request(9, 4)] {
+            let (mut borrowed, mut owned) = (vec![0xAA; 3], Vec::new());
+            keyed_task_into(&mut borrowed, &task, &ext).unwrap();
+            write_frame(&mut owned, &frame, &ext).unwrap();
+            assert_eq!(borrowed, owned);
         }
     }
 

@@ -8,8 +8,8 @@
 //! ([`WorkerPool`](crate::WorkerPool)), which keeps the authoritative copy of
 //! both; a worker that crashes loses nothing that cannot be re-pushed.
 //!
-//! **Resident operands.** Keyed tasks ([`Frame::SlabForwardKeyed`],
-//! [`Frame::ApplyKeyed`]) name their factors instead of carrying them. A key
+//! **Resident operands.** Keyed slab tasks ([`Frame::SlabForwardKeyed`],
+//! MEASURE's one task) name their factors instead of carrying them. A key
 //! the worker does not hold — never pushed, lost in a restart, or evicted —
 //! is answered with a typed [`ErrorCode::UnknownFactors`], and the
 //! coordinator re-pushes with [`Frame::LoadFactors`] and retries (the
@@ -338,14 +338,6 @@ fn handle(request: Frame, shared: &Shared) -> (Frame, Vec<WireSpan>) {
             factors,
             payload,
         } => apply(shared, &mut spans, &factors, &payload, transpose),
-        Frame::ApplyKeyed {
-            transpose,
-            key,
-            payload,
-        } => match resident(shared, key) {
-            Ok(factors) => apply(shared, &mut spans, &factors, &payload, transpose),
-            Err(unknown) => unknown,
-        },
         // Response frames are not valid requests.
         other => Frame::Error {
             code: ErrorCode::BadTask,
@@ -559,19 +551,18 @@ mod tests {
         let w = spawn_worker("127.0.0.1:0", WorkerOptions::default()).unwrap();
         let factors = vec![StructuredMatrix::prefix(3)];
         let key = FactorKey::of(&factors);
-        let payload: Vec<f64> = (0..6).map(f64::from).collect();
-        let keyed = Frame::ApplyKeyed {
-            transpose: false,
+        let values: Vec<f64> = (0..6).map(f64::from).collect();
+        let slab_task = Frame::SlabForwardKeyed {
+            dataset: "d".into(),
+            shard: 0,
             key,
-            payload: payload.clone(),
         };
 
         // Not pushed yet: a typed miss, not a dropped connection.
-        match call(w.addr(), &keyed).unwrap() {
+        match call(w.addr(), &slab_task).unwrap() {
             Frame::Error { code, .. } => assert_eq!(code, ErrorCode::UnknownFactors),
             other => panic!("expected UnknownFactors, got {other:?}"),
         }
-
         let load = Frame::LoadFactors {
             key,
             factors: factors.clone(),
@@ -579,23 +570,7 @@ mod tests {
         assert_eq!(call(w.addr(), &load).unwrap(), Frame::Loaded);
         assert_eq!(w.factor_list_count(), 1);
 
-        // The keyed task and the inline one run the same kernel on the same
-        // factors: identical bits.
-        let inline = Frame::Apply {
-            transpose: false,
-            factors: factors.clone(),
-            payload,
-        };
-        let via_key = call(w.addr(), &keyed).unwrap();
-        assert!(matches!(via_key, Frame::Part { .. }));
-        assert_eq!(via_key, call(w.addr(), &inline).unwrap());
-
         // Keyed slab tasks need both operands; each miss has its own code.
-        let slab_task = Frame::SlabForwardKeyed {
-            dataset: "d".into(),
-            shard: 0,
-            key,
-        };
         match call(w.addr(), &slab_task).unwrap() {
             Frame::Error { code, .. } => assert_eq!(code, ErrorCode::UnknownSlab),
             other => panic!("expected UnknownSlab, got {other:?}"),
@@ -604,21 +579,26 @@ mod tests {
             dataset: "d".into(),
             shard: 0,
             rows: (0, 2),
-            values: (0..6).map(f64::from).collect(),
+            values: values.clone(),
         };
         assert_eq!(call(w.addr(), &load_slab).unwrap(), Frame::Loaded);
-        assert_eq!(
-            call(w.addr(), &slab_task).unwrap(),
-            call(
-                w.addr(),
-                &Frame::SlabForward {
-                    dataset: "d".into(),
-                    shard: 0,
-                    factors,
-                }
-            )
-            .unwrap()
-        );
+
+        // The keyed task and the inline ones run the same kernel on the same
+        // factors: identical bits.
+        let via_key = call(w.addr(), &slab_task).unwrap();
+        assert!(matches!(via_key, Frame::Part { .. }));
+        let inline_forward = Frame::SlabForward {
+            dataset: "d".into(),
+            shard: 0,
+            factors: factors.clone(),
+        };
+        let inline_apply = Frame::Apply {
+            transpose: false,
+            factors,
+            payload: values,
+        };
+        assert_eq!(via_key, call(w.addr(), &inline_forward).unwrap());
+        assert_eq!(via_key, call(w.addr(), &inline_apply).unwrap());
         w.kill();
     }
 

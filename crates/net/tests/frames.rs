@@ -94,21 +94,16 @@ fn frame_from(which: usize, n: usize, len: usize, seed: u64, kinds: &[usize]) ->
             key: FactorKey::of(&factors),
             factors,
         },
-        9 => Frame::SlabForwardKeyed {
+        _ => Frame::SlabForwardKeyed {
             dataset: format!("ds-{}", seed % 5),
             shard: seed % 16,
             key: FactorKey::of(&factors),
-        },
-        _ => Frame::ApplyKeyed {
-            transpose: seed.is_multiple_of(2),
-            key: FactorKey::of(&factors),
-            payload: values_from(seed, len),
         },
     }
 }
 
 /// Number of frame kinds [`frame_from`] can build.
-const KINDS: usize = 11;
+const KINDS: usize = 10;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]

@@ -1,19 +1,25 @@
-//! The shipped `hdmm-shard-worker` binary, talked to across processes: two
-//! workers are spawned as child processes on ephemeral loopback ports, and a
-//! `WorkerPool` runs a keyed slab task, an apply, and a whole request
-//! through [`RpcKernels`] against them. Every result must equal the
-//! in-process kernels bit for bit — the same check the in-process
-//! `spawn_worker` tests make, with real process and socket boundaries.
+//! The shipped `hdmm-shard-worker` binary, talked to across processes.
+//!
+//! Two workers are spawned as child processes on ephemeral loopback ports,
+//! and a `WorkerPool` runs a keyed slab task and a whole request through
+//! [`RpcKernels`] against them. Every result must equal the in-process
+//! kernels bit for bit — the same check the in-process `spawn_worker` tests
+//! make, with real process and socket boundaries. A worker process must
+//! also survive a crafted frame nested deeply enough to overflow a decoder
+//! that recursed without bound.
 
-use hdmm_core::ShardedDataVector;
-use hdmm_linalg::{kmatvec_trailing_slab, kmatvec_transpose_trailing_slab, StructuredMatrix};
+use hdmm_core::{codec, ShardedDataVector};
+use hdmm_linalg::{kmatvec_trailing_slab, StructuredMatrix};
 use hdmm_mechanism::{run_mechanism, MechanismRequest, PreparedReconstruct, Strategy};
-use hdmm_net::{Operand, OperandKeys, RemoteOptions, RetryPolicy, RpcKernels};
-use hdmm_obs::Phase;
+use hdmm_net::{
+    read_frame, write_frame, Frame, Operand, OperandKeys, RemoteOptions, RetryPolicy, RpcKernels,
+    TraceExt, PROTO_V2, WIRE_PREFIX,
+};
 use hdmm_workload::{blocks, builders};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
@@ -83,19 +89,9 @@ fn two_worker_processes_match_the_in_process_kernels_bitwise() {
     let operand = Operand::new(&refs);
     let slab = data(15);
     let forward = pool
-        .run_slab_task("d", 0, operand, (0, 3), &slab, &(), Phase::Measure)
+        .run_slab_task("d", 0, operand, (0, 3), &slab, &())
         .expect("slab task");
     assert!(bits_eq(&forward, &kmatvec_trailing_slab(&refs, &slab)));
-
-    // An apply, transposed, on a payload shipped with the task.
-    let payload = data(10);
-    let applied = pool
-        .apply(true, operand, &payload, 1, &(), Phase::Reconstruct)
-        .expect("apply task");
-    assert!(bits_eq(
-        &applied,
-        &kmatvec_transpose_trailing_slab(&refs, &payload)
-    ));
 
     // A whole request over the RPC kernels vs the plain pipeline.
     let workload = builders::prefix_2d(9, 5);
@@ -134,4 +130,56 @@ fn two_worker_processes_match_the_in_process_kernels_bitwise() {
         health.workers.iter().all(|w| w.tasks > 0),
         "both processes served tasks: {health:?}"
     );
+}
+
+/// A sealed, length-prefixed `LoadFactors` frame whose one factor nests
+/// 10 000 `Kron` leaves (90 KB), under its own content key. No encoder
+/// writes such a list, so it is built by hand.
+fn nested_kron_load_factors() -> Vec<u8> {
+    let mut list = Vec::new();
+    codec::put_usize(&mut list, 1);
+    for _ in 0..10_000 {
+        list.push(6);
+        codec::put_usize(&mut list, 1);
+    }
+    codec::put_structured(&mut list, &StructuredMatrix::total(2));
+    let mut frame = vec![0; 4];
+    frame.extend_from_slice(WIRE_PREFIX);
+    frame.push(PROTO_V2);
+    codec::put_u64(&mut frame, 0);
+    codec::put_u64(&mut frame, 0);
+    codec::put_usize(&mut frame, 0);
+    frame.push(8);
+    codec::put_u64(&mut frame, codec::checksum(&list));
+    codec::put_u64(&mut frame, list.len() as u64);
+    frame.extend_from_slice(&list);
+    let sum = codec::checksum(&frame[4..]);
+    codec::put_u64(&mut frame, sum);
+    let len = u32::try_from(frame.len() - 4).expect("a 90 KB frame");
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    frame
+}
+
+/// Any client that reaches the port can send the nested frame. The worker
+/// must answer it with a typed error or drop that connection — not abort
+/// on a stack overflow — and then answer a ping on a new connection.
+#[test]
+fn a_worker_process_survives_a_nested_kron_load_factors_frame() {
+    let worker = WorkerProcess::spawn();
+    let timeout = Some(Duration::from_secs(10));
+    let mut crafted = TcpStream::connect(&worker.addr).expect("the worker accepts");
+    crafted.set_read_timeout(timeout).expect("socket option");
+    crafted
+        .write_all(&nested_kron_load_factors())
+        .expect("the frame is sent");
+    match read_frame(&mut crafted) {
+        Ok((Frame::Error { .. }, _)) | Err(_) => {}
+        Ok((other, _)) => panic!("the nested frame was answered with {other:?}"),
+    }
+
+    let mut probe = TcpStream::connect(&worker.addr).expect("the worker still accepts");
+    probe.set_read_timeout(timeout).expect("socket option");
+    write_frame(&mut probe, &Frame::Ping, &TraceExt::default()).expect("ping sent");
+    let (pong, _) = read_frame(&mut probe).expect("the worker still answers");
+    assert_eq!(pong, Frame::Pong { slabs: 0 });
 }

@@ -456,12 +456,16 @@ fn marginals_domains_over_too_many_attributes_are_invalid() {
     }
 }
 
-/// A sealed plan file whose strategy is a 64-attribute marginals domain,
-/// behind the header of a valid plan for the same workload, is a miss: the
-/// engine runs SELECT instead of building a plan it cannot hold.
-#[test]
-fn plan_store_files_with_too_many_marginals_attributes_are_never_served() {
-    let dir = std::env::temp_dir().join(format!("hdmm-decoders-attrs-{}", std::process::id()));
+/// Stores a valid plan for `prefix_1d(8)`, then rewrites its file as the
+/// valid file's magic and header fields followed by the strategy payload
+/// `strategy`, resealed, so only the strategy decoder can refuse it. The
+/// store must then miss, and an engine on that directory must run SELECT
+/// instead of serving the file.
+fn assert_forged_plan_file_is_never_served(case: &str, strategy: &[u8]) {
+    let dir = std::env::temp_dir().join(format!(
+        "hdmm-decoders-forged-{case}-{}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     let store = PlanStore::new(&dir);
     let workload = builders::prefix_1d(8);
@@ -479,16 +483,15 @@ fn plan_store_files_with_too_many_marginals_attributes_are_never_served() {
     let valid = std::fs::read(&file).expect("readable plan file");
     assert!(store.load(&fp, &workload).is_some(), "the valid file loads");
 
-    // The valid file's magic and header fields, then the marginals payload.
     let mut forged = valid[..8].to_vec();
     codec::put_usizes(&mut forged, workload.domain().sizes());
     codec::put_usize(&mut forged, workload.query_count());
-    codec::put_str(&mut forged, "marginals");
+    codec::put_str(&mut forged, "forged");
     codec::put_f64(&mut forged, 1.0);
-    forged.extend(marginals_payload(64, 1));
+    forged.extend_from_slice(strategy);
     codec::seal(&mut forged);
     std::fs::write(&file, forged).expect("writable plan file");
-    assert!(store.load(&fp, &workload).is_none(), "64 attributes loaded");
+    assert!(store.load(&fp, &workload).is_none(), "{case}: loaded");
 
     let engine = Engine::new(EngineOptions {
         hdmm: HdmmOptions {
@@ -503,10 +506,113 @@ fn plan_store_files_with_too_many_marginals_attributes_are_never_served() {
         .register_dataset("d", workload.domain().clone(), x, 1.0)
         .expect("registers");
     let served = engine.serve("d", &workload, 0.5).expect("serves");
-    assert_eq!(served.answers.len(), workload.query_count());
+    assert_eq!(served.answers.len(), workload.query_count(), "{case}");
+    assert!(served.answers.iter().all(|a| a.is_finite()), "{case}");
     let t = engine.metrics().telemetry;
-    assert_eq!((t.plan_disk_hits, t.selects_run), (0, 1));
+    assert_eq!((t.plan_disk_hits, t.selects_run), (0, 1), "{case}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sealed plan file whose strategy is a 64-attribute marginals domain,
+/// behind the header of a valid plan for the same workload, is a miss: the
+/// engine runs SELECT instead of building a plan it cannot hold.
+#[test]
+fn plan_store_files_with_too_many_marginals_attributes_are_never_served() {
+    assert_forged_plan_file_is_never_served("attrs", &marginals_payload(64, 1));
+}
+
+/// A one-factor list whose factor is `depth` `Kron` leaves, each holding
+/// the next as its one factor, around a `Total(2)`: bytes no encoder
+/// writes (`StructuredMatrix::kron` flattens), built by hand, since
+/// encoding such a value would recurse as deeply as decoding it.
+fn nested_kron_list(depth: usize) -> Vec<u8> {
+    let mut list = Vec::new();
+    codec::put_usize(&mut list, 1);
+    for _ in 0..depth {
+        list.push(6);
+        codec::put_usize(&mut list, 1);
+    }
+    codec::put_structured(&mut list, &StructuredMatrix::total(2));
+    list
+}
+
+/// A `Kron` leaf inside a `Kron` leaf is `CodecError::Invalid`, refused
+/// from its tag before the decoder recurses into it: the nesting depth is
+/// the input's to choose, and 10 000 levels (90 KB) overflow a thread's
+/// stack, which aborts the process. A flat `Kron` leaf still decodes.
+#[test]
+fn nested_kron_leaves_are_invalid() {
+    let nested = Err(codec::CodecError::Invalid("nested Kron leaf"));
+    for depth in [2, 10_000] {
+        let list = nested_kron_list(depth);
+        let leaf = codec::Reader::new(&list[8..]).structured();
+        assert_eq!(leaf, nested, "depth {depth}");
+    }
+    let flat = StructuredMatrix::Kron(vec![
+        StructuredMatrix::total(2),
+        StructuredMatrix::prefix(3),
+    ]);
+    let mut bytes = Vec::new();
+    codec::put_structured(&mut bytes, &flat);
+    assert_eq!(codec::Reader::new(&bytes).structured(), Ok(flat));
+}
+
+/// The same list pushed to a worker as a sealed `LoadFactors` frame under
+/// its own content key: `decode_frame` refuses it before the key is
+/// checked.
+#[test]
+fn load_factors_frames_with_nested_kron_leaves_are_invalid() {
+    let list = nested_kron_list(10_000);
+    let mut frame = WIRE_PREFIX.to_vec();
+    frame.push(PROTO_V2);
+    codec::put_u64(&mut frame, 0);
+    codec::put_u64(&mut frame, 0);
+    codec::put_usize(&mut frame, 0);
+    frame.push(8);
+    codec::put_u64(&mut frame, codec::checksum(&list));
+    codec::put_u64(&mut frame, list.len() as u64);
+    frame.extend_from_slice(&list);
+    codec::seal(&mut frame);
+    assert_eq!(
+        decode_frame(&frame).err(),
+        Some(codec::CodecError::Invalid("nested Kron leaf"))
+    );
+}
+
+/// A plan file whose Kronecker strategy's one factor nests 10 000 `Kron`
+/// leaves is a miss, not an abort.
+#[test]
+fn plan_store_files_with_nested_kron_leaves_are_never_served() {
+    let mut strategy = vec![1];
+    strategy.extend(nested_kron_list(10_000));
+    assert_forged_plan_file_is_never_served("nested-kron", &strategy);
+}
+
+/// An explicit strategy (tag 0) is measured as a one-leaf `Dense` product,
+/// so it gets the `Dense` leaf's rule: a non-finite entry is
+/// `CodecError::Invalid`. The sensitivity would not catch it:
+/// `[[NaN, 0], [5, 0], [0, 1]]` reports 1, since the NaN column's norm drops
+/// out of the maximum, and every answer served from it is NaN. As a plan
+/// file it is a miss.
+#[test]
+fn explicit_strategies_with_non_finite_entries_are_invalid() {
+    let explicit = |m: &Matrix| {
+        let mut out = vec![0];
+        codec::put_matrix(&mut out, m);
+        out
+    };
+    let nan = Matrix::from_vec(3, 2, vec![f64::NAN, 0.0, 5.0, 0.0, 0.0, 1.0]);
+    let decoded = codec::Reader::new(&explicit(&nan)).strategy();
+    assert!(
+        matches!(decoded, Err(codec::CodecError::Invalid("non-finite entry"))),
+        "{decoded:?}"
+    );
+    let finite = Matrix::from_vec(3, 2, vec![1.0, 0.0, 5.0, 0.0, 0.0, 1.0]);
+    assert!(codec::Reader::new(&explicit(&finite)).strategy().is_ok());
+
+    let mut identity = Matrix::from_fn(8, 8, |r, c| f64::from(u8::from(r == c)));
+    identity.as_mut_slice()[9] = f64::INFINITY;
+    assert_forged_plan_file_is_never_served("non-finite-explicit", &explicit(&identity));
 }
 
 proptest! {

@@ -16,19 +16,20 @@
 //! whatever the kernels, reporting no phase and leaving the RNG untouched.
 //!
 //! Two rows hold products whose contraction order does not end on the
-//! leading mode, which every kernel kind must serve unsliced: the second
-//! Kron row's transposed strategy (a tall lead before a prefix), and the
-//! union row's `[Total, AllRange]` workload term and `[Total, Prefix]` group.
-//! The third Kron row is SELECT's own shape: p-Identity leaves, whose
-//! Woodbury inverse Grams are sliced into row blocks like any square leaf.
+//! leading mode: the second Kron row's transposed strategy (a tall lead
+//! before a prefix, which RECONSTRUCT applies), and the union row's
+//! `[Total, AllRange]` workload term and `[Total, Prefix]` group, which every
+//! kernel kind must measure unsliced. The third Kron row is SELECT's own
+//! shape: p-Identity leaves, whose inverse Grams are Woodbury leaves.
 //! The union row has two groups, so it reconstructs by the joint solve:
-//! `Σ_g w_g²·A_gᵀy_g` through each kernel kind's transposed products, the
-//! joint eigenbasis on the coordinator.
-//!
-//! The marginals rows reconstruct on the coordinator's subset lattice, so
-//! no kernel kind may run a RECONSTRUCT shard task for them. The second one
-//! has a size-1 attribute and weights only on the full table and one 1-way
+//! `Σ_g w_g²·A_gᵀy_g` and the joint eigenbasis. The second marginals row has
+//! a size-1 attribute and weights only on the full table and one 1-way
 //! marginal.
+//!
+//! RECONSTRUCT runs on the coordinator, which holds the noisy answers, for
+//! every family: the RPC kinds must report MEASURE shard tasks for every
+//! row over a multi-attribute domain, and no RECONSTRUCT shard task for
+//! any row.
 
 use hdmm::core::{builders, Domain, ShardedDataVector, Workload};
 use hdmm::linalg::{Matrix, StructuredMatrix};
@@ -88,10 +89,9 @@ fn families() -> Vec<(Workload, Strategy)> {
         ]),
     );
     // A tall lead in front of a square leaf: transposed, the lead shrinks and
-    // the prefix does not, so the chain contracts the leading mode first and
-    // no kernel kind may slice RECONSTRUCT's `Aᵀy`. (A prefix, not an
-    // identity: a unit identity gives the same bits in either order, and the
-    // row would not tell a sliced product from an unsliced one.)
+    // the prefix does not, so RECONSTRUCT's `Aᵀy` contracts the leading mode
+    // first. (A prefix, not an identity: a unit identity gives the same bits
+    // in either order, and the row would not tell the orders apart.)
     let tall_lead = (
         builders::prefix_2d(LEADING, 5),
         Strategy::kron(vec![
@@ -104,8 +104,7 @@ fn families() -> Vec<(Workload, Strategy)> {
         ]),
     );
     // OPT_⊗'s own output: p-Identity leaves, whose inverse Grams are Woodbury
-    // leaves. The leading one is sliced into row blocks on RECONSTRUCT's
-    // inverse-Gram step, and the RPC kind pushes both leaf kinds to workers.
+    // leaves. The RPC kinds push the trailing p-Identity leaf to workers.
     let theta =
         |p: usize, n: usize| Matrix::from_fn(p, n, |r, c| ((r * 5 + c * 3) % 7) as f64 * 0.3);
     let p_identity = (
@@ -333,15 +332,17 @@ fn every_kernel_kind_reproduces_the_plain_reference_and_reports_each_phase_once(
                 answers: &answers,
             },
         );
-        // A marginals RECONSTRUCT runs on the coordinator's lattice; its
-        // MEASURE still fans out.
-        if let Strategy::Marginals(_) = &strategy {
-            for (kind, tasks) in shard_tasks {
-                assert!(
-                    tasks.contains(&Phase::Measure) && !tasks.contains(&Phase::Reconstruct),
-                    "marginals row {row} over {kind}: shard tasks {tasks:?}"
-                );
-            }
+        // Only MEASURE leaves the coordinator, and only where its input,
+        // the dataset, lives in slabs: a product over a multi-attribute
+        // domain fans out (a 1-D row's one leaf has no trailing factors to
+        // send), and no row runs a RECONSTRUCT shard task.
+        let fans_out = workload.domain().dims() > 1;
+        for (kind, tasks) in shard_tasks {
+            assert!(
+                tasks.iter().all(|p| *p == Phase::Measure) && tasks.is_empty() != fans_out,
+                "{} row {row} over {kind}: shard tasks {tasks:?}",
+                strategy.kind()
+            );
         }
         references.push((x_hat, answers));
     }

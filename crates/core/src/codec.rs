@@ -51,7 +51,7 @@
 //!
 //! [`PlanStore`]: https://docs.rs/hdmm-engine
 
-use hdmm_linalg::{Csr, Matrix, StructuredMatrix};
+use hdmm_linalg::{all_finite, Csr, Matrix, StructuredMatrix};
 use hdmm_mechanism::marginals::MAX_MARGINAL_ATTRS;
 use hdmm_mechanism::{MarginalsStrategy, Strategy, UnionGroup};
 use hdmm_workload::Domain;
@@ -246,6 +246,11 @@ pub fn put_structured(out: &mut Vec<u8>, f: &StructuredMatrix) {
             put_f64s(out, diag);
             put_matrix(out, u);
         }
+        StructuredMatrix::Permuted { inner, perm } => {
+            out.push(9);
+            put_usizes(out, perm);
+            put_structured(out, inner);
+        }
     }
 }
 
@@ -387,29 +392,26 @@ impl<'a> Reader<'a> {
 
     /// Reads a structured matrix, validating every variant invariant.
     pub fn structured(&mut self) -> Result<StructuredMatrix, CodecError> {
-        self.leaf(true)
+        self.leaf(true, true)
     }
 
-    /// [`Reader::structured`], refusing a `Kron` leaf unless `kron` is set.
-    /// [`StructuredMatrix::kron`] flattens, so no encoder writes a `Kron`
-    /// inside a `Kron`, and refusing one bounds the recursion at one level:
-    /// nesting depth is otherwise the input's to choose, and a deep enough
-    /// one overflows the stack.
-    fn leaf(&mut self, kron: bool) -> Result<StructuredMatrix, CodecError> {
-        match self.u8()? {
-            0 => {
-                let m = self.matrix()?;
-                all_finite(m.as_slice())?;
-                Ok(StructuredMatrix::Dense(m))
-            }
+    /// [`Reader::structured`], refusing a `Kron` leaf unless `kron` is set
+    /// and a `Permuted` leaf unless `permuted` is. [`StructuredMatrix::kron`]
+    /// flattens and [`StructuredMatrix::permuted`] takes neither as its inner
+    /// block, so no encoder writes a `Kron` inside a `Kron` or a `Permuted`,
+    /// or a `Permuted` inside a `Permuted`. Refusing them bounds the
+    /// recursion at three levels: nesting depth is otherwise the input's to
+    /// choose, and a deep enough one overflows the stack.
+    fn leaf(&mut self, kron: bool, permuted: bool) -> Result<StructuredMatrix, CodecError> {
+        let leaf = match self.u8()? {
+            0 => StructuredMatrix::Dense(self.matrix()?),
             1 => {
                 let rows = self.usize()?;
                 let cols = self.usize()?;
                 let indptr = self.usizes()?;
                 let indices = self.usizes()?;
                 let data = self.f64s()?;
-                all_finite(&data)?;
-                csr_checked(rows, cols, indptr, indices, data).map(StructuredMatrix::Sparse)
+                StructuredMatrix::Sparse(csr_checked(rows, cols, indptr, indices, data)?)
             }
             tag @ 2..=5 => {
                 let n = self.usize()?;
@@ -417,23 +419,23 @@ impl<'a> Reader<'a> {
                 if n == 0 || scale == 0.0 {
                     return Err(CodecError::Invalid("zero-sized or zero-scaled block"));
                 }
-                all_finite(&[scale])?;
-                Ok(match tag {
+                match tag {
                     2 => StructuredMatrix::Identity { n, scale },
                     3 => StructuredMatrix::Total { n, scale },
                     4 => StructuredMatrix::Prefix { n, scale },
                     _ => StructuredMatrix::AllRange { n, scale },
-                })
+                }
             }
-            6 if !kron => Err(CodecError::Invalid("nested Kron leaf")),
+            6 if !kron => return Err(CodecError::Invalid("nested Kron leaf")),
             6 => {
                 let n = self.count()?;
                 if n == 0 {
                     return Err(CodecError::Invalid("empty Kron factor list"));
                 }
+                // Each factor was checked as it was read.
                 let fs: Result<Vec<StructuredMatrix>, _> =
-                    (0..n).map(|_| self.leaf(false)).collect();
-                Ok(StructuredMatrix::Kron(fs?))
+                    (0..n).map(|_| self.leaf(false, true)).collect();
+                return Ok(StructuredMatrix::Kron(fs?));
             }
             tag @ 7..=8 => {
                 let diag = self.f64s()?;
@@ -443,18 +445,27 @@ impl<'a> Reader<'a> {
                         "inconsistent diagonal-plus-low-rank shape",
                     ));
                 }
-                if diag.iter().any(|d| !d.is_finite() || *d == 0.0)
-                    || low.as_slice().iter().any(|v| !v.is_finite())
-                {
-                    return Err(CodecError::Invalid("non-finite entry or zero diagonal"));
+                if diag.contains(&0.0) {
+                    return Err(CodecError::Invalid("zero diagonal"));
                 }
-                Ok(match tag {
+                match tag {
                     7 => StructuredMatrix::PIdentity { diag, block: low },
                     _ => StructuredMatrix::Woodbury { diag, u: low },
-                })
+                }
             }
-            tag => Err(CodecError::BadTag { tag }),
+            9 if !permuted => return Err(CodecError::Invalid("nested permuted leaf")),
+            9 => {
+                let perm = self.usizes()?;
+                // The inner leaf was checked as it was read.
+                let inner = self.leaf(false, false)?;
+                return StructuredMatrix::permuted(inner, perm).map_err(CodecError::Invalid);
+            }
+            tag => return Err(CodecError::BadTag { tag }),
+        };
+        if !leaf.is_finite() {
+            return Err(CodecError::Invalid("non-finite entry"));
         }
+        Ok(leaf)
     }
 
     /// Reads a non-empty structured factor list.
@@ -472,7 +483,9 @@ impl<'a> Reader<'a> {
             0 => {
                 // Measured as a one-leaf `Dense` product: the `Dense` rule.
                 let m = self.matrix()?;
-                all_finite(m.as_slice())?;
+                if !all_finite(m.as_slice()) {
+                    return Err(CodecError::Invalid("non-finite entry"));
+                }
                 Ok(Strategy::Explicit(m))
             }
             1 => Ok(Strategy::Kron(self.structured_list()?)),
@@ -542,14 +555,6 @@ impl<'a> Reader<'a> {
             Err(CodecError::TrailingBytes)
         }
     }
-}
-
-/// Fails with [`CodecError::Invalid`] unless every entry is finite.
-fn all_finite(entries: &[f64]) -> Result<(), CodecError> {
-    let finite = entries.iter().all(|v| v.is_finite());
-    finite
-        .then_some(())
-        .ok_or(CodecError::Invalid("non-finite entry"))
 }
 
 /// Validates raw CSR arrays without panicking, then builds the matrix.

@@ -50,6 +50,9 @@ pub enum EngineError {
         /// The requested id.
         id: SessionId,
     },
+    /// A workload term weight or leaf entry is NaN or ±∞, so every answer
+    /// it touches would be too: refused before any ε is reserved.
+    NonFiniteWorkload,
     /// The workload's domain does not match the session/dataset domain.
     DomainMismatch {
         /// Domain the engine holds.
@@ -119,6 +122,9 @@ impl std::fmt::Display for EngineError {
             }
             EngineError::UnknownDataset { name } => write!(f, "no dataset named '{name}'"),
             EngineError::UnknownSession { id } => write!(f, "no such {id}"),
+            EngineError::NonFiniteWorkload => {
+                write!(f, "workload has a non-finite weight or entry")
+            }
             EngineError::DomainMismatch { expected, got } => {
                 write!(f, "workload domain {got} does not match engine domain {expected}")
             }

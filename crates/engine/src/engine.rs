@@ -604,6 +604,11 @@ impl Engine {
         // SELECT (cache-aware, single-flight) — pure, no data, no budget.
         let select_started = Instant::now();
         let fingerprint = workload.fingerprint();
+        // Read off the fingerprint's walk: a NaN or ±∞ entry would spend ε
+        // on answers that carry no information.
+        if !workload.is_finite() {
+            return Err(EngineError::NonFiniteWorkload);
+        }
         let (plan, cache_hit) = self.plan_keyed(&fingerprint, workload, tracer);
         tracer.record_select(select_started, cache_hit);
 

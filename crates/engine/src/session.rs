@@ -64,20 +64,25 @@ impl Session {
         &self.x_hat
     }
 
-    fn check_domain(&self, workload: &Workload) -> Result<(), EngineError> {
-        if workload.domain() == &self.domain {
-            return Ok(());
+    /// A follow-up must be over the session's domain and finite, as a
+    /// served workload must.
+    fn check(&self, workload: &Workload) -> Result<(), EngineError> {
+        if workload.domain() != &self.domain {
+            return Err(EngineError::DomainMismatch {
+                expected: self.domain.clone(),
+                got: workload.domain().clone(),
+            });
         }
-        Err(EngineError::DomainMismatch {
-            expected: self.domain.clone(),
-            got: workload.domain().clone(),
-        })
+        if !workload.is_finite() {
+            return Err(EngineError::NonFiniteWorkload);
+        }
+        Ok(())
     }
 
     /// Answers an arbitrary workload over the session's domain from the
     /// reconstructed estimate — pure post-processing, zero additional ε.
     pub fn answer(&self, workload: &Workload) -> Result<Vec<f64>, EngineError> {
-        self.check_domain(workload)?;
+        self.check(workload)?;
         Ok(workload.answer(&self.x_hat))
     }
 
@@ -89,8 +94,8 @@ impl Session {
     /// additional privacy budget. The engine routes
     /// [`serve_batch_from_session`] here with its batch lanes.
     ///
-    /// All-or-nothing: a domain mismatch on any workload fails the batch
-    /// before anything is answered.
+    /// All-or-nothing: a domain mismatch or a non-finite entry in any
+    /// workload fails the batch before anything is answered.
     ///
     /// [`serve_batch_from_session`]: crate::Engine::serve_batch_from_session
     pub fn answer_batch(
@@ -98,7 +103,7 @@ impl Session {
         workloads: &[&Workload],
         exec: &ScopedExecutor,
     ) -> Result<Vec<Vec<f64>>, EngineError> {
-        workloads.iter().try_for_each(|w| self.check_domain(w))?;
+        workloads.iter().try_for_each(|w| self.check(w))?;
         Ok(hdmm_mechanism::answer_many_from_parts(
             &self.x_hat,
             workloads,

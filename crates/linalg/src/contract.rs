@@ -19,6 +19,9 @@
 //! (`Total`, `Prefix`, `AllRange`) replay it from the start of the mode in
 //! the original operation order instead of splitting the sum, and
 //! `Woodbury` forms its rank-`p` term over the whole mode before restricting.
+//! `Permuted` reorders the mode around its inner block's arm: forward it
+//! gathers the input and restricts the inner arm to the block; transposed it
+//! runs the inner arm over the whole mode and scatters the block's positions.
 //! "Sharded equals dense, bit for bit" is therefore a property of this one
 //! kernel, not an agreement between two. `PIdentity` and `Woodbury` run
 //! their dense parts through `Dense`'s own arms.
@@ -273,6 +276,19 @@ pub fn contract_rows(
                 }
             }
         }
+        Permuted { inner, perm } => {
+            // Column `c` of `inner` reads input position `perm[c]`.
+            let mut gathered = vec![0.0; cur.len()];
+            for (src, dst) in cur
+                .chunks_exact(n * right)
+                .zip(gathered.chunks_exact_mut(n * right))
+            {
+                for (c, &p) in perm.iter().enumerate() {
+                    lane_mut(dst, c, right).copy_from_slice(lane(src, p, right));
+                }
+            }
+            contract_rows(inner, &gathered, next, left, right, rows);
+        }
         Kron(_) => unreachable!("Kron factors are flattened before mode contraction"),
     }
 }
@@ -367,6 +383,21 @@ pub fn contract_transpose_rows(
                 let (before, from) = diff.split_at(rows.start * right);
                 let emit = from.chunks_exact(right).zip(dst.chunks_exact_mut(right));
                 cumsum_replay(&mut acc, before.chunks_exact(right), emit, *scale);
+            }
+        }
+        Permuted { inner, perm } => {
+            // Output position `perm[c]` is the inner block's position `c`.
+            let mut full = vec![0.0; left * n * right];
+            contract_transpose_rows(inner, cur, &mut full, left, right, 0..n);
+            for (src, dst) in full
+                .chunks_exact(n * right)
+                .zip(next.chunks_exact_mut(k * right))
+            {
+                for (c, &p) in perm.iter().enumerate() {
+                    if rows.contains(&p) {
+                        lane_mut(dst, p - rows.start, right).copy_from_slice(lane(src, c, right));
+                    }
+                }
             }
         }
         Kron(_) => unreachable!("Kron factors are flattened before mode contraction"),

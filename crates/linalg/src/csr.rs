@@ -101,6 +101,11 @@ impl Csr {
         self.data.len()
     }
 
+    /// The stored values, in row order.
+    pub(crate) fn values(&self) -> &[f64] {
+        &self.data
+    }
+
     /// Stored values per cell, in `[0, 1]`.
     pub fn density(&self) -> f64 {
         if self.rows == 0 || self.cols == 0 {

@@ -69,7 +69,7 @@ pub use slab::{
     kmatvec_trailing_slab, kmatvec_transpose_trailing_slab, leading_split, matvec_rows,
     partition_rows, slab_split, LeadingSplit,
 };
-pub use structured::{StructuredMatrix, SPARSE_DENSITY_THRESHOLD};
+pub use structured::{all_finite, StructuredMatrix, SPARSE_DENSITY_THRESHOLD};
 
 /// Errors produced by factorizations and solvers.
 #[derive(Debug, Clone, PartialEq)]

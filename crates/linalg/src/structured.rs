@@ -20,12 +20,16 @@
 //! | `Woodbury`   | O(pn)   | O(pn)          | via `to_dense` | col sums    |
 //! | `Sparse`     | O(nnz)  | O(nnz)         | O(Σnnz_r²)     | col sums    |
 //! | `Dense`      | O(mn)   | O(mn)          | O(mn²)         | col sums    |
+//! | `Permuted`   | inner+n | inner's        | inner's, moved | inner's     |
 //! | `Kron`       | Σ parts | mode products  | per factor     | product     |
 //!
 //! versus the dense path where a `Prefix` block on a domain of `2^14` costs
 //! 2 GiB just to exist and O(n²) flops per product. `PIdentity` is OPT_0's
 //! strategy `[I; Θ]·D` (§5.2) and `Woodbury` its inverse Gram in the closed
-//! form of Theorem 8, built from it in O(p²n) by [`gram_pinv`]. [`to_dense`]
+//! form of Theorem 8, built from it in O(p²n) by [`gram_pinv`]. `Permuted`
+//! is a block with its columns shuffled (the paper's Permuted Range): `n`
+//! indices on top of the inner block, whose closed forms answer everything
+//! with the indices moved. [`to_dense`]
 //! remains as the escape hatch for algorithms that genuinely need entries
 //! (small-n optimizer internals, tests).
 //!
@@ -97,6 +101,16 @@ pub enum StructuredMatrix {
         /// The `p×n` low-rank factor `U`.
         u: Matrix,
     },
+    /// `inner · P`: column `c` of `inner` becomes column `perm[c]`. Every
+    /// method assumes `perm` is a bijection on `0..inner.cols()` and `inner`
+    /// is neither `Permuted` nor `Kron`, which [`StructuredMatrix::permuted`]
+    /// checks.
+    Permuted {
+        /// The block before its columns move.
+        inner: Box<StructuredMatrix>,
+        /// Where each column of `inner` goes.
+        perm: Vec<usize>,
+    },
     /// An implicit Kronecker product of structured factors.
     Kron(Vec<StructuredMatrix>),
 }
@@ -122,6 +136,35 @@ impl StructuredMatrix {
     /// An unscaled all-range block.
     pub fn all_range(n: usize) -> Self {
         AllRange { n, scale: 1.0 }
+    }
+
+    /// `inner · P`, moving column `c` of `inner` to column `perm[c]`.
+    ///
+    /// # Errors
+    /// Refuses a `perm` that is not a bijection on `0..inner.cols()`, and a
+    /// `Permuted` or `Kron` inner block (a product's factors are permuted one
+    /// by one).
+    pub fn permuted(inner: StructuredMatrix, perm: Vec<usize>) -> Result<Self, &'static str> {
+        if matches!(inner, Permuted { .. } | Kron(_)) {
+            return Err("nested permuted leaf");
+        }
+        let not_a_permutation = Err("not a permutation of the block's columns");
+        // Before `seen` is sized: a decoded closed-form block's `cols()` is
+        // the input's to choose, `perm.len()` is bounded by the input.
+        if perm.len() != inner.cols() {
+            return not_a_permutation;
+        }
+        let mut seen = vec![false; perm.len()];
+        for &p in &perm {
+            match seen.get_mut(p) {
+                Some(seen) if !*seen => *seen = true,
+                _ => return not_a_permutation,
+            }
+        }
+        Ok(Permuted {
+            inner: Box::new(inner),
+            perm,
+        })
     }
 
     /// A Kronecker product of structured factors, flattening nested products.
@@ -165,6 +208,7 @@ impl StructuredMatrix {
             AllRange { n, .. } => n * (n + 1) / 2,
             PIdentity { diag, block } => diag.len() + block.rows(),
             Woodbury { diag, .. } => diag.len(),
+            Permuted { inner, .. } => inner.rows(),
             Kron(fs) => fs.iter().map(StructuredMatrix::rows).product(),
         }
     }
@@ -176,6 +220,7 @@ impl StructuredMatrix {
             Sparse(s) => s.cols(),
             Identity { n, .. } | Total { n, .. } | Prefix { n, .. } | AllRange { n, .. } => *n,
             PIdentity { diag, .. } | Woodbury { diag, .. } => diag.len(),
+            Permuted { perm, .. } => perm.len(),
             Kron(fs) => fs.iter().map(StructuredMatrix::cols).product(),
         }
     }
@@ -195,6 +240,7 @@ impl StructuredMatrix {
             PIdentity { diag, block: low } | Woodbury { diag, u: low } => {
                 diag.len() + low.rows() * low.cols()
             }
+            Permuted { inner, perm } => inner.storage_size() + perm.len(),
             Kron(fs) => fs.iter().map(StructuredMatrix::storage_size).sum(),
         }
     }
@@ -244,6 +290,18 @@ impl StructuredMatrix {
                 g
             }
             Woodbury { .. } => self.to_dense().gram(),
+            // G'[perm[i], perm[j]] = G[i, j].
+            Permuted { inner, perm } => {
+                let g = inner.gram_dense();
+                let mut out = Matrix::zeros(g.rows(), g.cols());
+                for (i, &pi) in perm.iter().enumerate() {
+                    let dst = out.row_mut(pi);
+                    for (&v, &pj) in g.row(i).iter().zip(perm) {
+                        dst[pj] = v;
+                    }
+                }
+                out
+            }
             Kron(fs) => {
                 let mut acc = Matrix::identity(1);
                 for f in fs {
@@ -258,7 +316,7 @@ impl StructuredMatrix {
     /// Grams: closed forms keep `Identity` O(1), `Prefix` tridiagonal and
     /// `PIdentity` a [`Woodbury`](StructuredMatrix::Woodbury) leaf; only
     /// `Dense`, `Sparse`, `AllRange` and `Woodbury` go through the dense
-    /// spectral pseudo-inverse.
+    /// spectral pseudo-inverse, as does `Permuted`.
     pub fn gram_pinv(&self) -> StructuredMatrix {
         match self {
             Identity { n, scale } => Identity {
@@ -332,6 +390,14 @@ impl StructuredMatrix {
                 sums
             }
             Woodbury { .. } => self.to_dense().abs_col_sums(),
+            Permuted { inner, perm } => {
+                let sums = inner.abs_col_sums();
+                let mut out = vec![0.0; sums.len()];
+                for (&v, &p) in sums.iter().zip(perm) {
+                    out[p] = v;
+                }
+                out
+            }
             Kron(fs) => {
                 let mut acc = vec![1.0];
                 for f in fs {
@@ -359,6 +425,7 @@ impl StructuredMatrix {
             PIdentity { .. } | Woodbury { .. } => {
                 self.abs_col_sums().into_iter().fold(0.0, f64::max)
             }
+            Permuted { inner, .. } => inner.sensitivity(),
             Kron(fs) => fs.iter().map(StructuredMatrix::sensitivity).product(),
         }
     }
@@ -379,6 +446,7 @@ impl StructuredMatrix {
                 diag.iter().map(|d| d * d).sum::<f64>() + block.frobenius_norm_sq()
             }
             Woodbury { .. } => self.to_dense().frobenius_norm_sq(),
+            Permuted { inner, .. } => inner.gram_trace(),
             Kron(fs) => fs.iter().map(StructuredMatrix::gram_trace).product(),
         }
     }
@@ -411,6 +479,10 @@ impl StructuredMatrix {
             },
             // An inverse Gram, never a strategy: nothing scales one.
             Woodbury { .. } => Dense(self.to_dense().scaled(alpha)),
+            Permuted { inner, perm } => Permuted {
+                inner: Box::new(inner.scaled(alpha)),
+                perm: perm.clone(),
+            },
             Kron(fs) => {
                 // Fold the scalar into the first factor only.
                 let mut fs = fs.clone();
@@ -465,6 +537,17 @@ impl StructuredMatrix {
                 a
             }
             Woodbury { diag, u } => Matrix::from_diag(diag).sub(&u.t_matmul(u)),
+            Permuted { inner, perm } => {
+                let w = inner.to_dense();
+                let mut out = Matrix::zeros(w.rows(), w.cols());
+                for r in 0..w.rows() {
+                    let dst = out.row_mut(r);
+                    for (&v, &p) in w.row(r).iter().zip(perm) {
+                        dst[p] = v;
+                    }
+                }
+                out
+            }
             Kron(fs) => {
                 let mut acc = Matrix::identity(1);
                 for f in fs {
@@ -485,9 +568,35 @@ impl StructuredMatrix {
             Dense(m) => dense_is_total_or_identity(m),
             Sparse(s) => s.rows_are_total_or_identity(),
             PIdentity { .. } | Woodbury { .. } => dense_is_total_or_identity(&self.to_dense()),
+            // Moving columns keeps a point query a point query.
+            Permuted { inner, .. } => inner.is_total_or_identity(),
             Kron(_) => false,
         }
     }
+
+    /// True when every stored entry and scale is finite: the check a
+    /// workload's leaves pass before they are served and a decoded leaf
+    /// passes before it is trusted.
+    pub fn is_finite(&self) -> bool {
+        match self {
+            Dense(m) => all_finite(m.as_slice()),
+            Sparse(s) => all_finite(s.values()),
+            Identity { scale, .. }
+            | Total { scale, .. }
+            | Prefix { scale, .. }
+            | AllRange { scale, .. } => scale.is_finite(),
+            PIdentity { diag, block: low } | Woodbury { diag, u: low } => {
+                all_finite(diag) && all_finite(low.as_slice())
+            }
+            Permuted { inner, .. } => inner.is_finite(),
+            Kron(fs) => fs.iter().all(StructuredMatrix::is_finite),
+        }
+    }
+}
+
+/// True when every entry is finite (neither NaN nor ±∞).
+pub fn all_finite(entries: &[f64]) -> bool {
+    entries.iter().all(|v| v.is_finite())
 }
 
 /// `(D² + BᵀB)⁻¹` for the p-Identity `[D; B]` by the Woodbury identity

@@ -87,7 +87,7 @@ pub struct PlanDecision {
 /// (`G_ij = wᵢ·wⱼ` is constant iff all columns `wᵢ` coincide). Structured
 /// variants answer from their descriptor; only `Dense`/`Sparse` inspect
 /// entries.
-fn is_total_like(factor: &StructuredMatrix) -> bool {
+pub fn is_total_like(factor: &StructuredMatrix) -> bool {
     let dense_check = |m: &hdmm_linalg::Matrix| {
         for c in 1..m.cols() {
             for r in 0..m.rows() {
@@ -108,6 +108,8 @@ fn is_total_like(factor: &StructuredMatrix) -> bool {
             dense_check(&factor.to_dense())
         }
         StructuredMatrix::Sparse(s) => s.columns_all_equal(),
+        // Moving columns keeps equal columns equal.
+        StructuredMatrix::Permuted { inner, .. } => is_total_like(inner),
         StructuredMatrix::Kron(fs) => fs.iter().all(is_total_like),
     }
 }

@@ -6,10 +6,11 @@
 //! `m × n` 0/1 matrix over a single attribute of size `n`.
 //!
 //! The `*_block` constructors return [`StructuredMatrix`] descriptors — O(1)
-//! for the closed-form patterns, CSR for width-limited ranges — and are what
+//! for the closed-form patterns, CSR for width-limited ranges, `n` indices
+//! over the `AllRange` descriptor for permuted ranges — and are what
 //! [`crate::builders`] emits, so workload construction never allocates a
 //! dense `m × n` table. The plain functions materialize dense equivalents for
-//! entry-wise consumers (baselines, tests).
+//! entry-wise consumers (baselines) and serve as test oracles.
 //!
 //! Closed-form Gram matrices are provided for the structured blocks so that
 //! large-domain error computations never materialize the `m × n` query matrix
@@ -39,6 +40,20 @@ pub fn prefix_block(n: usize) -> StructuredMatrix {
 /// `n(n+1)/2 × n` query set.
 pub fn all_range_block(n: usize) -> StructuredMatrix {
     StructuredMatrix::all_range(n)
+}
+
+/// `Permuted Range` block: [`all_range_block`] with its columns shuffled by
+/// `rng` (column `c` moves to `perm[c]`), stored as the `AllRange`
+/// descriptor plus `n` indices.
+pub fn permuted_range_block(n: usize, rng: &mut impl Rng) -> StructuredMatrix {
+    let mut perm: Vec<usize> = (0..n).collect();
+    perm.shuffle(rng);
+    // A shuffle of `0..n` over a closed-form block: what
+    // `StructuredMatrix::permuted` would check holds by construction.
+    StructuredMatrix::Permuted {
+        inner: Box::new(all_range_block(n)),
+        perm,
+    }
 }
 
 /// `WidthRange` block in CSR form: `width·(n−width+1)` stored values instead
@@ -98,29 +113,6 @@ pub fn width_range(n: usize, width: usize) -> Matrix {
     for r in 0..m {
         for c in r..r + width {
             out[(r, c)] = 1.0;
-        }
-    }
-    out
-}
-
-/// Right-multiplies `w` by a random permutation matrix, shuffling the domain
-/// (the paper's "Permuted Range" workload).
-pub fn permuted(w: &Matrix, rng: &mut impl Rng) -> Matrix {
-    let n = w.cols();
-    let mut perm: Vec<usize> = (0..n).collect();
-    perm.shuffle(rng);
-    apply_permutation(w, &perm)
-}
-
-/// Right-multiplies `w` by the permutation sending column `c` to `perm[c]`.
-pub fn apply_permutation(w: &Matrix, perm: &[usize]) -> Matrix {
-    assert_eq!(perm.len(), w.cols(), "permutation arity mismatch");
-    let mut out = Matrix::zeros(w.rows(), w.cols());
-    for r in 0..w.rows() {
-        let src = w.row(r);
-        let dst = out.row_mut(r);
-        for (c, &p) in perm.iter().enumerate() {
-            dst[p] = src[c];
         }
     }
     out
@@ -239,17 +231,17 @@ mod tests {
     fn permutation_preserves_gram_spectrum_trace() {
         let mut rng = StdRng::seed_from_u64(7);
         let w = all_range(8);
-        let pw = permuted(&w, &mut rng);
+        let pw = permuted_range_block(8, &mut rng).to_dense();
         // Permutation preserves Frobenius norm and Gram trace.
         assert!((w.frobenius_norm() - pw.frobenius_norm()).abs() < 1e-12);
         assert!((w.gram().trace() - pw.gram().trace()).abs() < 1e-12);
     }
 
     #[test]
-    fn apply_permutation_reorders_columns() {
+    fn permuted_block_reorders_columns() {
         let w = Matrix::from_rows(&[&[1.0, 2.0, 3.0]]);
-        let p = apply_permutation(&w, &[2, 0, 1]);
-        assert_eq!(p.row(0), &[2.0, 3.0, 1.0]);
+        let p = StructuredMatrix::permuted(w.into(), vec![2, 0, 1]).unwrap();
+        assert_eq!(p.to_dense().row(0), &[2.0, 3.0, 1.0]);
     }
 
     #[test]

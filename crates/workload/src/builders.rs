@@ -25,9 +25,12 @@ pub fn width_range_1d(n: usize, width: usize) -> Workload {
 }
 
 /// `Permuted Range`: all range queries right-multiplied by a random
-/// permutation, hiding the range structure.
+/// permutation, hiding the range structure. Kept implicit
+/// ([`blocks::permuted_range_block`]): `n` indices over the `AllRange`
+/// descriptor, never the `n(n+1)/2 × n` table. `rng` draws the permutation
+/// by one shuffle of `0..n`.
 pub fn permuted_range_1d(n: usize, rng: &mut impl Rng) -> Workload {
-    Workload::one_dim(blocks::permuted(&blocks::all_range(n), rng))
+    Workload::one_dim(blocks::permuted_range_block(n, rng))
 }
 
 /// Gram-only Prefix 1D (large domains; never materializes the queries).
@@ -175,6 +178,9 @@ pub fn range_marginals(domain: &Domain, numeric: &[bool], max_way: Option<usize>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hdmm_linalg::StructuredMatrix;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn prefix_1d_counts() {
@@ -225,6 +231,67 @@ mod tests {
         assert_eq!(w.terms().len(), 3);
         assert_eq!(w.terms()[1].factors[0].rows(), 10); // all_range(4)
         assert_eq!(w.terms()[2].factors[1].rows(), 3); // identity(3)
+    }
+
+    /// Every leaf of a builder's workload, `Permuted` inner blocks
+    /// included.
+    fn leaves(w: &Workload) -> Vec<&StructuredMatrix> {
+        let mut out = Vec::new();
+        let mut todo: Vec<&StructuredMatrix> = w.terms().iter().flat_map(|t| &t.factors).collect();
+        while let Some(f) = todo.pop() {
+            match f {
+                StructuredMatrix::Permuted { inner, .. } => todo.push(inner),
+                StructuredMatrix::Kron(fs) => todo.extend(fs),
+                leaf => out.push(leaf),
+            }
+        }
+        out
+    }
+
+    /// The `blocks.rs` promise, held for every builder: no workload they
+    /// return carries a dense `m × n` table.
+    #[test]
+    fn builders_emit_no_dense_leaf() {
+        let d = Domain::new(&[3, 4, 2]);
+        let workloads = [
+            prefix_1d(9),
+            all_range_1d(9),
+            width_range_1d(9, 3),
+            permuted_range_1d(9, &mut StdRng::seed_from_u64(1)),
+            prefix_2d(4, 5),
+            all_range_2d(4, 5),
+            prefix_identity_2d(4, 5),
+            range_total_union_2d(4, 5),
+            Workload::new(d.clone(), vec![marginal_term(&d, 0b101)]),
+            all_marginals(&d),
+            kway_marginals(&d, 2),
+            upto_kway_marginals(&d, 1),
+            range_marginals(&d, &[true, false, true], None),
+            range_marginals(&d, &[true, false, true], Some(2)),
+        ];
+        for w in &workloads {
+            for leaf in leaves(w) {
+                assert!(!matches!(leaf, StructuredMatrix::Dense(_)), "{leaf:?}");
+            }
+        }
+    }
+
+    /// Permuted Range at n = 2048 stays implicit: its dense table would be
+    /// 2 098 176 × 2048 f64 (34 GB), so building, fingerprinting, forming the
+    /// Gram and answering it within a second is only possible without one.
+    #[test]
+    fn permuted_range_at_2048_is_built_and_served_implicitly() {
+        let n = 2048;
+        let t = std::time::Instant::now();
+        let w = permuted_range_1d(n, &mut StdRng::seed_from_u64(7));
+        assert!(w.implicit_size() <= n + 1, "{}", w.implicit_size());
+        let _ = w.fingerprint();
+        let grams = WorkloadGrams::from_workload(&w);
+        assert_eq!(grams.terms()[0].factors[0].rows(), n);
+        let x: Vec<f64> = (0..n).map(|i| (i % 5) as f64).collect();
+        assert_eq!(w.answer(&x).len(), n * (n + 1) / 2);
+        let took = t.elapsed();
+        assert!(took < std::time::Duration::from_secs(1), "{took:?}");
     }
 
     #[test]

@@ -149,6 +149,13 @@ fn hash_structured(h: &mut Fnv, f: &StructuredMatrix) {
             diag.iter().for_each(|&d| h.write_f64(d));
             hash_matrix(h, u);
         }
+        // O(n): the inner descriptor and the indices, never the entries.
+        StructuredMatrix::Permuted { inner, perm } => {
+            h.write_u64(9);
+            h.write_u64(perm.len() as u64);
+            perm.iter().for_each(|&p| h.write_u64(p as u64));
+            hash_structured(h, inner);
+        }
     }
 }
 
@@ -167,14 +174,28 @@ impl Workload {
     /// union terms). Hashed once per workload value; later calls, and calls
     /// on its clones, copy the stored key.
     pub fn fingerprint(&self) -> WorkloadFingerprint {
-        self.fingerprint
-            .get_or_init(|| self.hash_contents())
-            .clone()
+        self.contents().0.clone()
     }
 
-    fn hash_contents(&self) -> WorkloadFingerprint {
+    /// True when every term weight and every leaf entry or scale is finite:
+    /// a workload that is not answers NaN or ±∞ and must not be served.
+    /// Found by the same once-per-value walk as [`Workload::fingerprint`],
+    /// so asking again, or after the fingerprint, is a load.
+    pub fn is_finite(&self) -> bool {
+        self.contents().1
+    }
+
+    fn contents(&self) -> &(WorkloadFingerprint, bool) {
+        self.fingerprint.get_or_init(|| self.hash_contents())
+    }
+
+    fn hash_contents(&self) -> (WorkloadFingerprint, bool) {
         #[cfg(test)]
         tests::HASHED.set(tests::HASHED.get() + 1);
+        let finite = self
+            .terms()
+            .iter()
+            .all(|t| t.weight.is_finite() && t.factors.iter().all(StructuredMatrix::is_finite));
         let mut lo: Vec<u64> = self
             .terms()
             .iter()
@@ -202,10 +223,11 @@ impl Workload {
             hasher_lo.write_u64(a);
             hasher_hi.write_u64(b);
         }
-        WorkloadFingerprint {
+        let key = WorkloadFingerprint {
             sizes: self.domain().sizes().to_vec(),
             digest: (hasher_hi.0 as u128) << 64 | hasher_lo.0 as u128,
-        }
+        };
+        (key, finite)
     }
 }
 

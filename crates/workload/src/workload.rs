@@ -114,9 +114,10 @@ impl ProductTerm {
 pub struct Workload {
     domain: Domain,
     terms: Vec<ProductTerm>,
-    /// [`Workload::fingerprint`], hashed on first use: both fields above are
-    /// fixed at construction, and a clone carries the computed value along.
-    pub(crate) fingerprint: OnceLock<WorkloadFingerprint>,
+    /// [`Workload::fingerprint`] and [`Workload::is_finite`], found by one
+    /// walk on first use: both fields above are fixed at construction, and a
+    /// clone carries the computed values along.
+    pub(crate) fingerprint: OnceLock<(WorkloadFingerprint, bool)>,
 }
 
 impl Workload {
@@ -172,9 +173,16 @@ impl Workload {
 
     /// Materializes the full workload matrix (tests / small domains only).
     pub fn explicit(&self) -> Matrix {
-        let blocks: Vec<Matrix> = self.terms.iter().map(ProductTerm::explicit).collect();
-        let refs: Vec<&Matrix> = blocks.iter().collect();
-        Matrix::vstack(&refs).expect("terms share the domain so widths agree")
+        let mut out = Matrix::zeros(self.query_count(), self.domain.size());
+        let mut row = 0;
+        for t in &self.terms {
+            let block = t.explicit();
+            for r in 0..block.rows() {
+                out.row_mut(row).copy_from_slice(block.row(r));
+                row += 1;
+            }
+        }
+        out
     }
 
     /// Answers all queries on data vector `x`, stacking terms in order.

@@ -615,6 +615,81 @@ fn explicit_strategies_with_non_finite_entries_are_invalid() {
     assert_forged_plan_file_is_never_served("non-finite-explicit", &explicit(&identity));
 }
 
+/// `inner` with its columns moved by `perm`, checked or not: the enum is
+/// open, so a caller can build what the constructor refuses.
+fn permuted(inner: StructuredMatrix, perm: Vec<usize>) -> StructuredMatrix {
+    StructuredMatrix::Permuted {
+        inner: Box::new(inner),
+        perm,
+    }
+}
+
+/// A `Permuted` leaf (tag 9) round-trips, on its own and as a `Kron`
+/// factor. One whose indices are not a bijection on its inner block's
+/// columns (a duplicate or an out-of-range index) is `CodecError::Invalid`,
+/// and so is a `Permuted` or `Kron` leaf as its inner block, refused from
+/// its tag: nested `Permuted` leaves would otherwise recurse as deep as the
+/// input says (10 000 levels here). A plan file holding a duplicate index is
+/// a miss.
+#[test]
+fn permuted_leaves_refuse_non_bijections_and_nesting() {
+    let decode = |leaf: &StructuredMatrix| {
+        let mut bytes = Vec::new();
+        codec::put_structured(&mut bytes, leaf);
+        codec::Reader::new(&bytes).structured()
+    };
+    let good = permuted(StructuredMatrix::all_range(4), vec![2, 0, 3, 1]);
+    assert_eq!(decode(&good), Ok(good.clone()));
+    let factor = StructuredMatrix::Kron(vec![good.clone(), StructuredMatrix::prefix(2)]);
+    assert_eq!(decode(&factor), Ok(factor));
+
+    let not_a_permutation = Err(codec::CodecError::Invalid(
+        "not a permutation of the block's columns",
+    ));
+    for perm in [vec![2, 0, 2, 1], vec![2, 0, 4, 1], vec![2, 0, 1]] {
+        let leaf = permuted(StructuredMatrix::all_range(4), perm);
+        assert_eq!(decode(&leaf), not_a_permutation, "{leaf:?}");
+    }
+    // A closed-form block's width is the input's to choose: refused before
+    // anything of that width is allocated.
+    let wide = permuted(StructuredMatrix::identity(1 << 60), vec![0]);
+    assert_eq!(decode(&wide), not_a_permutation);
+
+    let nested = |inner: StructuredMatrix| decode(&permuted(inner, vec![0, 1, 2, 3]));
+    assert_eq!(
+        nested(good),
+        Err(codec::CodecError::Invalid("nested permuted leaf"))
+    );
+    let kron = StructuredMatrix::Kron(vec![
+        StructuredMatrix::total(2),
+        StructuredMatrix::prefix(2),
+    ]);
+    assert_eq!(
+        nested(kron),
+        Err(codec::CodecError::Invalid("nested Kron leaf"))
+    );
+    let mut deep = Vec::new();
+    for _ in 0..10_000 {
+        deep.push(9);
+        codec::put_usizes(&mut deep, &[1, 0]);
+    }
+    codec::put_structured(&mut deep, &StructuredMatrix::total(2));
+    assert_eq!(
+        codec::Reader::new(&deep).structured(),
+        Err(codec::CodecError::Invalid("nested permuted leaf"))
+    );
+
+    let mut strategy = vec![1];
+    codec::put_structured_list(
+        &mut strategy,
+        &[permuted(
+            StructuredMatrix::identity(8),
+            vec![0, 1, 2, 3, 4, 5, 6, 6],
+        )],
+    );
+    assert_forged_plan_file_is_never_served("permuted-duplicate", &strategy);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 

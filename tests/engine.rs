@@ -195,3 +195,75 @@ fn sessions_expose_their_provenance() {
         Err(EngineError::UnknownSession { .. })
     ));
 }
+
+/// A workload with a NaN or ±∞ leaf entry or term weight answers NaN or ±∞,
+/// so serving it would spend ε on nothing. It is refused with a typed error
+/// before SELECT and before the reservation: the budget does not move, the
+/// audit stream gets no `Reserve`, and no plan is cached. A session
+/// follow-up refuses it too.
+#[test]
+fn non_finite_workloads_are_refused_before_any_eps_moves() {
+    use hdmm_core::linalg::{Csr, Matrix, StructuredMatrix};
+    use hdmm_core::{ProductTerm, Workload};
+    use hdmm_engine::AuditKind;
+
+    let engine = quick_engine(3);
+    let domain = Domain::one_dim(8);
+    engine
+        .register_dataset("d", domain.clone(), vec![4.0; 8], 1.0)
+        .unwrap();
+    let session = engine
+        .serve("d", &builders::prefix_1d(8), 0.25)
+        .unwrap()
+        .session;
+
+    let mut nan = Matrix::identity(8);
+    nan[(0, 0)] = f64::NAN;
+    let inf = Csr::new(
+        2,
+        8,
+        vec![0, 1, 3],
+        vec![2, 4, 5],
+        vec![1.0, f64::INFINITY, 1.0],
+    );
+    let inf_weight = ProductTerm::new(f64::INFINITY, vec![StructuredMatrix::prefix(8)]);
+    let workloads = [
+        Workload::one_dim(StructuredMatrix::Dense(nan)),
+        Workload::one_dim(StructuredMatrix::Sparse(inf)),
+        Workload::new(domain, vec![inf_weight]),
+    ];
+    let reserves = || {
+        engine
+            .audit()
+            .recent()
+            .iter()
+            .filter(|e| e.kind == AuditKind::Reserve)
+            .count()
+    };
+    for w in &workloads {
+        let (budget, reserved, cached) = (
+            engine.budget("d").unwrap(),
+            reserves(),
+            engine.cache_stats().len,
+        );
+        assert_eq!(
+            engine.serve("d", w, 0.25).unwrap_err(),
+            EngineError::NonFiniteWorkload
+        );
+        assert_eq!(engine.budget("d").unwrap(), budget);
+        assert_eq!(reserves(), reserved, "no Reserve for a refused request");
+        assert_eq!(
+            engine.cache_stats().len,
+            cached,
+            "no SELECT for a refused request"
+        );
+        assert_eq!(
+            engine.serve_from_session(session, w).unwrap_err(),
+            EngineError::NonFiniteWorkload
+        );
+        assert_eq!(
+            engine.serve_batch_from_session(session, &[w]).unwrap_err(),
+            EngineError::NonFiniteWorkload
+        );
+    }
+}

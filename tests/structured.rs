@@ -7,8 +7,13 @@ use hdmm_linalg::{
     contract_rows, contract_transpose_rows, kmatvec_structured, kmatvec_transpose_structured,
     kron_all, partition_rows, Csr, Matrix, StructuredMatrix,
 };
+use hdmm_optimizer::planner::is_total_like;
 use hdmm_optimizer::PIdentity;
+use hdmm_workload::{blocks, builders};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use std::ops::Range;
 
 /// The p-Identity leaf OPT_0 would hand on for the non-negative `Θ`.
@@ -56,12 +61,13 @@ fn assert_close(a: &[f64], b: &[f64], tol: f64) -> Result<(), TestCaseError> {
 /// The signature shared by `contract_rows` and `contract_transpose_rows`.
 type Contract = fn(&StructuredMatrix, &[f64], &mut [f64], usize, usize, Range<usize>);
 
-/// All eight leaf variants over a domain of size `n`. The `Dense` / `Sparse`
+/// All nine leaf variants over a domain of size `n`. The `Dense` / `Sparse`
 /// pair is `3 × (64 + n)` with entries from `cells` (0 → 0.0, 1 → `scale`,
 /// 2 → −1.0), so its columns cross one 64-wide dense panel and its zeros
 /// exercise the skip paths. The p-Identity (p = 3, `Θ` the same cells as
 /// 0, `scale`, 2·`scale`) and its Woodbury inverse Gram are `n`-column
-/// leaves.
+/// leaves, and so is the `Permuted` prefix block, its columns reversed and
+/// rotated by a cell.
 fn leaves(n: usize, scale: f64, cells: &[u32]) -> Vec<StructuredMatrix> {
     let wide = 64 + n;
     let dense = Matrix::from_fn(3, wide, |r, c| match cells[r * wide + c] {
@@ -74,6 +80,9 @@ fn leaves(n: usize, scale: f64, cells: &[u32]) -> Vec<StructuredMatrix> {
     }));
     let woodbury = pident.gram_pinv();
     assert!(matches!(woodbury, StructuredMatrix::Woodbury { .. }));
+    let shift = cells[1] as usize;
+    let perm = (0..n).map(|c| (2 * n - 1 - c + shift) % n).collect();
+    let permuted = StructuredMatrix::permuted(StructuredMatrix::prefix(n).scaled(scale), perm);
     vec![
         StructuredMatrix::Sparse(Csr::from_dense(&dense)),
         StructuredMatrix::Dense(dense),
@@ -83,6 +92,7 @@ fn leaves(n: usize, scale: f64, cells: &[u32]) -> Vec<StructuredMatrix> {
         StructuredMatrix::all_range(n).scaled(scale),
         pident,
         woodbury,
+        permuted.unwrap(),
     ]
 }
 
@@ -176,12 +186,12 @@ proptest! {
     /// with no shrinking leaf (output extent below input extent) before a
     /// non-shrinking one keeps the last-to-first order, and with it its bits.
     /// `Total`, `AllRange`, the short 3×(64+n) `Dense` / `Sparse` pair, the
-    /// tall p-Identity and its square Woodbury inverse Gram land in every
-    /// position, both directions.
+    /// tall p-Identity, its square Woodbury inverse Gram and a permuted
+    /// prefix land in every position, both directions.
     #[test]
     fn chain_in_any_order_matches_explicit(
         len in 2usize..5,
-        picks in proptest::collection::vec((0usize..8, 2usize..5), 4),
+        picks in proptest::collection::vec((0usize..9, 2usize..5), 4),
         scale in 0.2f64..2.2,
         cells_seed in (proptest::collection::vec(0u32..3, 3 * 68), 0u64..1000),
     ) {
@@ -358,4 +368,145 @@ proptest! {
         let compressed = StructuredMatrix::compress(dense.clone());
         prop_assert!(compressed.to_dense().approx_eq(&dense, 0.0));
     }
+}
+
+/// A seeded shuffle of `0..n`.
+fn shuffled(n: usize, seed: u64) -> Vec<usize> {
+    let mut perm: Vec<usize> = (0..n).collect();
+    perm.shuffle(&mut StdRng::seed_from_u64(seed));
+    perm
+}
+
+/// `AllRange`, `Prefix`, a `Sparse` width range and a `Dense` block over
+/// `n` columns, each with its columns moved by a seeded permutation.
+fn permuted_leaves(n: usize, seed: u64) -> Vec<StructuredMatrix> {
+    let dense = Matrix::from_fn(3, n, |r, c| ((r * n + 2 * c) % 5) as f64 - 2.0);
+    let inners = [
+        StructuredMatrix::all_range(n),
+        StructuredMatrix::prefix(n).scaled(1.5),
+        blocks::width_range_block(n, n.min(3)),
+        StructuredMatrix::Dense(dense),
+    ];
+    inners
+        .into_iter()
+        .enumerate()
+        .map(|(i, inner)| StructuredMatrix::permuted(inner, shuffled(n, seed + i as u64)).unwrap())
+        .collect()
+}
+
+/// Small integers, so every sum is exact whatever order it is taken in.
+fn integers(len: usize, seed: u64) -> Vec<f64> {
+    (0..len as u64)
+        .map(|i| ((i * 7 + seed) % 11) as f64 - 5.0)
+        .collect()
+}
+
+/// A `Permuted` leaf is `W·P` with `n` indices instead of `m·n` entries:
+/// against its dense oracle it has the same products, Grams, norms and
+/// predicate tests, the contraction kernels keep their row-block rule on it,
+/// and it composes in a Kronecker chain.
+#[test]
+fn permuted_leaf_matches_its_dense_oracle() {
+    for n in [1usize, 2, 7, 64] {
+        for (k, a) in permuted_leaves(n, 11 * n as u64).into_iter().enumerate() {
+            let d = a.to_dense();
+            let x = integers(a.cols(), k as u64);
+            let y = integers(a.rows(), 3 + k as u64);
+            assert_close(&a.matvec(&x), &d.matvec(&x), 1e-12).unwrap();
+            assert_close(&a.rmatvec(&y), &d.t_matvec(&y), 1e-12).unwrap();
+            for left in [1usize, 2] {
+                for right in [1usize, 3] {
+                    check_blocks(contract_rows, &a, &d, left, right, k as u64).unwrap();
+                    check_blocks(contract_transpose_rows, &a, &d.transpose(), left, right, 9)
+                        .unwrap();
+                }
+            }
+            let prefix = StructuredMatrix::prefix(3);
+            let explicit = kron_all(&[&d, &prefix.to_dense()]);
+            let xk = integers(explicit.cols(), 5);
+            assert_close(
+                &kmatvec_structured(&[&a, &prefix], &xk),
+                &explicit.matvec(&xk),
+                1e-12,
+            )
+            .unwrap();
+            assert!(a.gram_dense().approx_eq(&d.gram(), 1e-12), "{a:?}");
+            assert_close(&a.abs_col_sums(), &d.abs_col_sums(), 1e-12).unwrap();
+            assert!((a.sensitivity() - d.norm_l1_operator()).abs() < 1e-12);
+            assert!((a.gram_trace() - d.frobenius_norm_sq()).abs() < 1e-12);
+            // Both predicates are properties of the row set, which moving
+            // columns keeps: the leaf answers with its inner block's value,
+            // and the dense oracles of `W·P` and `W` agree. (The `Prefix` /
+            // `AllRange` closed forms answer `false` at n = 2, where the
+            // dense rows are point and total queries.)
+            let StructuredMatrix::Permuted { inner, .. } = &a else {
+                unreachable!()
+            };
+            let (oracle, unmoved) = (
+                StructuredMatrix::Dense(d),
+                StructuredMatrix::Dense(inner.to_dense()),
+            );
+            assert_eq!(a.is_total_or_identity(), inner.is_total_or_identity());
+            assert_eq!(
+                oracle.is_total_or_identity(),
+                unmoved.is_total_or_identity()
+            );
+            assert_eq!(is_total_like(&a), is_total_like(inner));
+            assert_eq!(is_total_like(&oracle), is_total_like(&unmoved), "{a:?}");
+            assert_eq!(a.storage_size(), inner.storage_size() + n);
+        }
+    }
+    // Both predicates can be true of a permuted block.
+    let total = StructuredMatrix::permuted(StructuredMatrix::total(4), shuffled(4, 1)).unwrap();
+    assert!(total.is_total_or_identity() && is_total_like(&total));
+}
+
+/// `permuted_range_1d` draws the permutation it drew when it built the
+/// dense table: one shuffle of `0..n`, column `c` of `all_range(n)` moved to
+/// `perm[c]`. The table is bit for bit the one the old builder made.
+#[test]
+fn permuted_range_1d_draws_the_dense_builders_workload() {
+    for (n, seed) in [(1usize, 0u64), (2, 3), (7, 7), (64, 42)] {
+        let built = builders::permuted_range_1d(n, &mut StdRng::seed_from_u64(seed));
+        let perm = shuffled(n, seed);
+        let w = blocks::all_range(n);
+        let mut old = Matrix::zeros(w.rows(), w.cols());
+        for r in 0..w.rows() {
+            for (c, &p) in perm.iter().enumerate() {
+                old[(r, p)] = w[(r, c)];
+            }
+        }
+        let new = built.terms()[0].factors[0].to_dense();
+        assert_eq!(new.shape(), old.shape());
+        assert!(new
+            .as_slice()
+            .iter()
+            .zip(old.as_slice())
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
+    }
+}
+
+/// The constructor takes only a bijection on the block's columns, and only
+/// a block that is neither permuted already nor a Kronecker product.
+#[test]
+fn permuted_constructor_refuses_non_bijections_and_nested_blocks() {
+    let r = || StructuredMatrix::all_range(4);
+    for perm in [
+        vec![0, 1, 1, 3],
+        vec![0, 1, 2, 4],
+        vec![0, 1, 2],
+        vec![3, 2, 1, 0, 4],
+    ] {
+        assert!(
+            StructuredMatrix::permuted(r(), perm.clone()).is_err(),
+            "{perm:?}"
+        );
+    }
+    let inner = StructuredMatrix::permuted(r(), vec![3, 1, 0, 2]).unwrap();
+    assert!(StructuredMatrix::permuted(inner, vec![0, 1, 2, 3]).is_err());
+    let kron = StructuredMatrix::kron(vec![
+        StructuredMatrix::prefix(2),
+        StructuredMatrix::total(2),
+    ]);
+    assert!(StructuredMatrix::permuted(kron, vec![0, 1, 2, 3]).is_err());
 }

@@ -410,7 +410,10 @@ pub fn contract_transpose_rows(
 /// one being produced); batched answer paths thread one `KronScratch`
 /// through many products so the warm serving path stops allocating. Buffer
 /// reuse is bitwise invisible: the target buffer is zero-filled before every
-/// contraction, exactly like the fresh allocation it replaces.
+/// contraction, exactly like the fresh allocation it replaces. What products
+/// answered against one data vector share besides buffers — the marginal
+/// tables their chains start with — lives in a [`MarginalTables`] for that
+/// vector, not here.
 #[derive(Debug, Default)]
 pub struct KronScratch {
     cur: Vec<f64>,
@@ -464,13 +467,10 @@ pub(crate) fn chain_order<'a>(
 
 /// The one chain driver: flattens nested `Kron` factors so every mode is a
 /// leaf, then contracts the modes in [`chain_order`], ping-ponging between
-/// the two scratch buffers; the result is left in `scratch.cur`. For every
-/// mode, `left` and `right` are the products of the *current* extents of the
-/// modes before and after it — output extents for modes already contracted,
-/// input extents for the rest. `x` may hold any whole number of leading rows
-/// on top of the factors' own modes — one for a full product, a slab's row
-/// count for the trailing step of `slab.rs` — since they are just more of
-/// `left`.
+/// the two scratch buffers; the result is left in `scratch.cur`. `x` may
+/// hold any whole number of leading rows on top of the factors' own modes —
+/// one for a full product, a slab's row count for the trailing step of
+/// `slab.rs` — since they are just more of `left`.
 ///
 /// # Panics
 /// Panics if `x.len()` is not a multiple of the factors' input size.
@@ -488,12 +488,26 @@ pub(crate) fn contract_chain(
     let leaves = flatten(factors);
     scratch.cur.clear();
     scratch.cur.extend_from_slice(x);
-    for (step, i) in chain_order(&leaves, transpose).enumerate() {
+    contract_steps(&leaves, 0, scratch, transpose);
+}
+
+/// Runs the steps of [`chain_order`] from step `done` on, over the tensor in
+/// `scratch.cur` — the intermediate its first `done` steps leave. For every
+/// mode, `left` and `right` are the products of the *current* extents of the
+/// modes before and after it — output extents for modes already contracted,
+/// input extents for the rest.
+fn contract_steps(
+    leaves: &[&StructuredMatrix],
+    done: usize,
+    scratch: &mut KronScratch,
+    transpose: bool,
+) {
+    for (step, i) in chain_order(leaves, transpose).enumerate().skip(done) {
         let a = leaves[i];
         let (in_dim, out_dim) = extents(a, transpose);
         // A mode after `i` is at its output extent once an earlier step
         // contracted it.
-        let contracted = |j: usize| chain_order(&leaves, transpose).take(step).any(|k| k == j);
+        let contracted = |j: usize| chain_order(leaves, transpose).take(step).any(|k| k == j);
         let right: usize = (i + 1..leaves.len())
             .map(|j| {
                 let (input, output) = extents(leaves[j], transpose);
@@ -519,6 +533,136 @@ pub(crate) fn contract_chain(
             contract_rows(a, cur, next, left, right, 0..out_dim);
         }
         std::mem::swap(&mut scratch.cur, &mut scratch.buf);
+    }
+}
+
+/// The marginal tables of one data vector, shared by every product
+/// answered against it through [`MarginalTables::kmatvec`] — a workload's
+/// terms in one `W·x` call — so each table is summed once per call, not once
+/// per product.
+///
+/// A table is keyed by the set `S` of modes it sums out (bit `j` of a
+/// `u64`): `x` with every mode in `S` contracted by an unscaled `Total` and
+/// the other modes at full extent, row-major. `table(S)` is built from
+/// `table(S ∖ {min S})` by one [`contract_rows`] over mode `min S`, so only
+/// the singletons `{j}` read `x`, and a table lives until the cache is
+/// dropped.
+///
+/// Bit for bit: [`chain_order`] contracts a product's shrinking leaves
+/// first, last to first. A product whose chain starts with unscaled `Total`
+/// leaves on `S` therefore sums out `max S`, …, `min S` in turn, each step
+/// with the `(left, n, right)` that builds the next table of the chain
+/// `{max S} ⊂ … ⊂ S`. Its intermediate after those steps *is* `table(S)`,
+/// and the rest of its chain runs on the table in the same order.
+#[derive(Debug)]
+pub struct MarginalTables<'a> {
+    x: &'a [f64],
+    sizes: &'a [usize],
+    /// `(S, table(S))` for every table built so far; `table(∅)` is `x`.
+    tables: Vec<(u64, Vec<f64>)>,
+}
+
+impl<'a> MarginalTables<'a> {
+    /// An empty cache over `x`, a row-major tensor with mode extents `sizes`.
+    ///
+    /// # Panics
+    /// Panics if `x.len() != Π sizes`.
+    pub fn new(x: &'a [f64], sizes: &'a [usize]) -> Self {
+        let len: usize = sizes.iter().product();
+        assert_eq!(x.len(), len, "data vector size mismatch");
+        MarginalTables {
+            x,
+            sizes,
+            tables: Vec::new(),
+        }
+    }
+
+    /// `(A₁ ⊗ … ⊗ A_d)·x` into `scratch` — bit for bit
+    /// [`kmatvec_structured`]'s result — returning the result slice (alive
+    /// until the scratch is reused). A product whose chain starts with a run
+    /// of unscaled `Total` leaves runs the rest of its chain on that run's
+    /// table; any other product (no such run, a `Kron` leaf, more than 64
+    /// modes, leaves that do not match the modes) runs the whole chain on
+    /// `x`.
+    ///
+    /// # Panics
+    /// Panics if the factors' input size is not `x.len()`.
+    pub fn kmatvec<'s>(
+        &mut self,
+        factors: &[&StructuredMatrix],
+        scratch: &'s mut KronScratch,
+    ) -> &'s [f64] {
+        let summed = self.total_run(factors);
+        if summed == 0 {
+            return kmatvec_structured_scratch(factors, self.x, scratch);
+        }
+        let table = self.table(summed);
+        scratch.cur.clear();
+        scratch.cur.extend_from_slice(table);
+        contract_steps(factors, summed.count_ones() as usize, scratch, false);
+        &scratch.cur
+    }
+
+    /// The modes the forward chain of `leaves` starts by summing out: the
+    /// leading steps of [`chain_order`] whose leaf is `Total { scale: 1.0 }`,
+    /// each on a lower mode than the step before (the order the table chain
+    /// adds them in). Empty (`0`) for leaves the tables cannot serve.
+    fn total_run(&self, leaves: &[&StructuredMatrix]) -> u64 {
+        let fits = leaves.len() <= 64
+            && leaves.len() == self.sizes.len()
+            && leaves
+                .iter()
+                .zip(self.sizes)
+                .all(|(a, &n)| !matches!(a, Kron(_)) && a.cols() == n);
+        if !fits {
+            return 0;
+        }
+        let mut summed = 0u64;
+        let mut below = leaves.len();
+        for i in chain_order(leaves, false) {
+            if i >= below || !matches!(leaves[i], Total { scale, .. } if *scale == 1.0) {
+                break;
+            }
+            summed |= 1 << i;
+            below = i;
+        }
+        summed
+    }
+
+    /// `table(summed)`, building the links of its chain the cache lacks from
+    /// the longest one it holds (or from `x`).
+    fn table(&mut self, summed: u64) -> &[f64] {
+        // The links are `summed` with its lowest modes cleared one by one;
+        // `at` indexes `table(have)`, `None` being `x` itself.
+        let mut have = summed;
+        let mut at = None;
+        while have != 0 {
+            at = self.tables.iter().position(|(s, _)| *s == have);
+            if at.is_some() {
+                break;
+            }
+            have &= have - 1;
+        }
+        while have != summed {
+            // The highest mode still missing is the lowest of the next link.
+            let mode = 63 - (summed & !have).leading_zeros() as usize;
+            let left: usize = self.sizes[..mode].iter().product();
+            let right: usize = (mode + 1..self.sizes.len())
+                .filter(|&j| have >> j & 1 == 0)
+                .map(|j| self.sizes[j])
+                .product();
+            let parent = at.map_or(self.x, |k| &self.tables[k].1);
+            let mut next = vec![0.0; left * right];
+            let total = Total {
+                n: self.sizes[mode],
+                scale: 1.0,
+            };
+            contract_rows(&total, parent, &mut next, left, right, 0..1);
+            have |= 1 << mode;
+            self.tables.push((have, next));
+            at = Some(self.tables.len() - 1);
+        }
+        at.map_or(self.x, |k| &self.tables[k].1)
     }
 }
 

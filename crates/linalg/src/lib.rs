@@ -55,7 +55,7 @@ mod structured;
 pub use cholesky::Cholesky;
 pub use contract::{
     contract_rows, contract_transpose_rows, kmatvec_structured, kmatvec_structured_scratch,
-    kmatvec_transpose_structured, KronScratch,
+    kmatvec_transpose_structured, KronScratch, MarginalTables,
 };
 pub use csr::Csr;
 pub use eigen::SymEigen;

@@ -564,7 +564,8 @@ impl StructuredMatrix {
     pub fn is_total_or_identity(&self) -> bool {
         match self {
             Identity { scale, .. } | Total { scale, .. } => *scale == 1.0,
-            Prefix { n, scale } | AllRange { n, scale } => *n == 1 && *scale == 1.0,
+            // Up to n = 2 every row is a point query or the total query.
+            Prefix { n, scale } | AllRange { n, scale } => *n <= 2 && *scale == 1.0,
             Dense(m) => dense_is_total_or_identity(m),
             Sparse(s) => s.rows_are_total_or_identity(),
             PIdentity { .. } | Woodbury { .. } => dense_is_total_or_identity(&self.to_dense()),
@@ -844,6 +845,32 @@ mod tests {
         for v in variants(7) {
             let n = v.normalized();
             assert!((n.sensitivity() - 1.0).abs() < 1e-12, "{v:?}");
+        }
+    }
+
+    #[test]
+    fn total_or_identity_closed_forms_match_their_dense_rows() {
+        for n in 1..=4 {
+            for scale in [1.0, 2.0] {
+                let closed = [
+                    StructuredMatrix::identity(n),
+                    StructuredMatrix::total(n),
+                    StructuredMatrix::prefix(n),
+                    StructuredMatrix::all_range(n),
+                ];
+                for block in closed {
+                    let block = block.scaled(scale);
+                    let reversed = (0..n).rev().collect();
+                    let moved = StructuredMatrix::permuted(block.clone(), reversed).unwrap();
+                    for a in [block, moved] {
+                        assert_eq!(
+                            a.is_total_or_identity(),
+                            dense_is_total_or_identity(&a.to_dense()),
+                            "{a:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -350,6 +350,21 @@ mod tests {
     }
 
     #[test]
+    fn two_cell_prefix_and_ranges_route_like_their_dense_twins() {
+        // Every row of Prefix(2) and AllRange(2) is a point or the total.
+        let domain = Domain::new(&[2, 3]);
+        for block in [StructuredMatrix::prefix(2), StructuredMatrix::all_range(2)] {
+            let twin = StructuredMatrix::Dense(block.to_dense());
+            for first in [block, twin] {
+                let factors = vec![first, StructuredMatrix::identity(3)];
+                let w = Workload::product(domain.clone(), factors);
+                let choice = select_optimizer(&w, &opts()).choice;
+                assert_eq!(choice, OptimizerChoice::Marginals);
+            }
+        }
+    }
+
+    #[test]
     fn structured_union_selects_opt_plus() {
         let w = builders::range_total_union_2d(8, 8);
         assert_eq!(select_optimizer(&w, &opts()).choice, OptimizerChoice::Plus);

@@ -2,7 +2,7 @@
 
 use crate::{Domain, WorkloadFingerprint};
 use hdmm_linalg::{
-    kmatvec_structured, kmatvec_structured_scratch, kron_all, KronScratch, Matrix, StructuredMatrix,
+    kmatvec_structured, kron_all, KronScratch, MarginalTables, Matrix, StructuredMatrix,
 };
 use std::sync::OnceLock;
 
@@ -65,20 +65,6 @@ impl ProductTerm {
             }
         }
         y
-    }
-
-    /// [`ProductTerm::answer`] appended onto `out`, running the Kronecker
-    /// product through caller-owned scratch so a batch of answers shares its
-    /// buffers. Bitwise identical to `answer` (same kernels, same weight
-    /// application).
-    pub fn answer_into(&self, x: &[f64], scratch: &mut KronScratch, out: &mut Vec<f64>) {
-        let refs: Vec<&StructuredMatrix> = self.factors.iter().collect();
-        let y = kmatvec_structured_scratch(&refs, x, scratch);
-        if self.weight != 1.0 {
-            out.extend(y.iter().map(|v| v * self.weight));
-        } else {
-            out.extend_from_slice(y);
-        }
     }
 
     /// Implicit representation size in stored values (Σ per-factor storage;
@@ -193,12 +179,23 @@ impl Workload {
 
     /// [`Workload::answer`] through caller-owned scratch buffers, so a batch
     /// of workloads answered against one estimate allocates its Kronecker
-    /// intermediates once. Bitwise identical to `answer`.
+    /// intermediates once. The terms share one [`MarginalTables`] over `x`:
+    /// a term whose chain starts by summing out attributes with unit `Total`
+    /// factors starts from that marginal table, summed once per call for all
+    /// the terms that need it, not from `x`. Every term's answer keeps the
+    /// bits of its own chain, [`ProductTerm::answer`]; so does the result,
+    /// bitwise identical to `answer`.
     pub fn answer_with(&self, x: &[f64], scratch: &mut KronScratch) -> Vec<f64> {
-        assert_eq!(x.len(), self.domain.size(), "data vector size mismatch");
+        let mut tables = MarginalTables::new(x, self.domain.sizes());
         let mut out = Vec::with_capacity(self.query_count());
         for t in &self.terms {
-            t.answer_into(x, scratch, &mut out);
+            let refs: Vec<&StructuredMatrix> = t.factors.iter().collect();
+            let y = tables.kmatvec(&refs, scratch);
+            if t.weight != 1.0 {
+                out.extend(y.iter().map(|v| v * t.weight));
+            } else {
+                out.extend_from_slice(y);
+            }
         }
         out
     }

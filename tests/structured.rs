@@ -9,11 +9,11 @@ use hdmm_linalg::{
 };
 use hdmm_optimizer::planner::is_total_like;
 use hdmm_optimizer::PIdentity;
-use hdmm_workload::{blocks, builders};
+use hdmm_workload::{blocks, builders, Domain, ProductTerm, Workload};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::ops::Range;
 
 /// The p-Identity leaf OPT_0 would hand on for the non-negative `Θ`.
@@ -509,4 +509,157 @@ fn permuted_constructor_refuses_non_bijections_and_nested_blocks() {
         StructuredMatrix::total(2),
     ]);
     assert!(StructuredMatrix::permuted(kron, vec![0, 1, 2, 3]).is_err());
+}
+
+/// Uniform values in `[-3, 7)`: no sum of them is exact, so a reordered
+/// sum shows in the last bit.
+fn inexact(len: usize, seed: u64) -> Vec<f64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..len).map(|_| rng.gen::<f64>() * 10.0 - 3.0).collect()
+}
+
+/// The per-term oracle: every term through its own chain from `x`,
+/// [`ProductTerm::answer`](hdmm_workload::ProductTerm::answer), stacked.
+fn per_term(w: &Workload, x: &[f64]) -> Vec<f64> {
+    w.terms().iter().flat_map(|t| t.answer(x)).collect()
+}
+
+fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}");
+    for (i, (a, b)) in got.iter().zip(want).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "{what}: answer {i}: {a} vs {b}");
+    }
+}
+
+/// A seeded leaf over an attribute of size `n`: an unscaled `Total` four
+/// times in ten, so that runs of them form, otherwise a leaf that ends a
+/// run where it falls — a scaled `Total`, an `Identity` (unit or scaled),
+/// `Prefix`, `AllRange` or a `Sparse` block with fewer rows than columns
+/// (shrinking, so it goes first in its chain when `n > 1`).
+fn mixed_leaf(n: usize, rng: &mut StdRng) -> StructuredMatrix {
+    match rng.gen_range(0..10) {
+        0..=3 => StructuredMatrix::total(n),
+        4 => StructuredMatrix::total(n).scaled(1.5),
+        5 => StructuredMatrix::identity(n),
+        6 => StructuredMatrix::identity(n).scaled(0.75),
+        7 => StructuredMatrix::prefix(n),
+        8 => StructuredMatrix::all_range(n),
+        _ => {
+            let rows = (n / 2).max(1);
+            let entries = Matrix::from_fn(rows, n, |r, c| match (r + 2 * c) % 3 {
+                0 => 0.0,
+                1 => 1.0,
+                _ => 0.3,
+            });
+            StructuredMatrix::Sparse(Csr::from_dense(&entries))
+        }
+    }
+}
+
+/// A seeded union over `domain`: 1–12 terms of [`mixed_leaf`]s with weights
+/// in {1, 0.5, 2.5}; on a 4-cell attribute a term sometimes takes a
+/// `Total(2) ⊗ Prefix(2)` Kronecker leaf, which keeps the whole term on its
+/// own chain.
+fn mixed_workload(domain: &Domain, rng: &mut StdRng) -> Workload {
+    let terms = (0..rng.gen_range(1..13))
+        .map(|_| {
+            let factors = domain
+                .sizes()
+                .iter()
+                .map(|&n| {
+                    if n == 4 && rng.gen_bool(0.2) {
+                        StructuredMatrix::kron(vec![
+                            StructuredMatrix::total(2),
+                            StructuredMatrix::prefix(2),
+                        ])
+                    } else {
+                        mixed_leaf(n, rng)
+                    }
+                })
+                .collect();
+            let weight = [1.0, 0.5, 2.5][rng.gen_range(0..3)];
+            ProductTerm::new(weight, factors)
+        })
+        .collect();
+    Workload::new(domain.clone(), terms)
+}
+
+/// `Workload::answer` shares marginal tables between the terms whose chains
+/// start by summing out attributes with unscaled `Total`s: on inexact data
+/// it holds the bits of every term's own chain, whatever the mix of leaves
+/// that ends a run early (or keeps a term off the tables), with size-1
+/// attributes, term weights and Kronecker leaves.
+#[test]
+fn shared_tables_answer_seeded_mixes_bit_for_bit() {
+    let domains = [
+        Domain::new(&[3, 1, 4, 2, 5]),
+        Domain::new(&[1, 4, 3]),
+        Domain::new(&[2, 2, 2, 2, 2, 2]),
+    ];
+    let mut shared_runs = 0;
+    for seed in 0..60u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let domain = &domains[seed as usize % domains.len()];
+        let w = mixed_workload(domain, &mut rng);
+        shared_runs += w
+            .terms()
+            .iter()
+            .filter(|t| {
+                let unit_totals = t.factors.iter().filter(
+                    |f| matches!(f, StructuredMatrix::Total { scale, .. } if *scale == 1.0),
+                );
+                unit_totals.count() >= 2
+            })
+            .count();
+        let x = inexact(domain.size(), seed);
+        assert_same_bits(&w.answer(&x), &per_term(&w, &x), &format!("seed {seed}"));
+    }
+    // The mixes do reach tables built from other tables.
+    assert!(shared_runs > 60, "{shared_runs}");
+}
+
+/// The marginals workloads the engine serves: up-to-3-way marginals and
+/// range-marginals on the Adult domain, answered through shared tables,
+/// hold the bits of their per-term chains.
+#[test]
+fn shared_tables_answer_adult_marginals_bit_for_bit() {
+    let adult = hdmm_data::adult_domain();
+    let x = inexact(adult.size(), 7);
+    let numeric = [true, false, false, false, true];
+    for (name, w) in [
+        (
+            "upto_kway_marginals",
+            builders::upto_kway_marginals(&adult, 3),
+        ),
+        (
+            "range_marginals",
+            builders::range_marginals(&adult, &numeric, Some(2)),
+        ),
+    ] {
+        assert_same_bits(&w.answer(&x), &per_term(&w, &x), name);
+    }
+}
+
+/// `answer_many_from_parts` answers each workload of a batch through its
+/// own tables: at 1 and 3 lanes, entry `i` holds the per-term bits of
+/// workload `i`.
+#[test]
+fn shared_tables_answer_many_bit_for_bit_at_one_and_three_lanes() {
+    let domain = Domain::new(&[3, 1, 4, 2, 5]);
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut workloads = vec![
+        builders::upto_kway_marginals(&domain, 2),
+        builders::all_marginals(&domain),
+    ];
+    workloads.extend((0..4).map(|_| mixed_workload(&domain, &mut rng)));
+    let refs: Vec<&Workload> = workloads.iter().collect();
+    let x = inexact(domain.size(), 3);
+    for lanes in [1, 3] {
+        let exec = hdmm_mechanism::ScopedExecutor::new(lanes);
+        let got = hdmm_mechanism::answer_many_from_parts(&x, &refs, &exec);
+        for (i, (answers, w)) in got.iter().zip(&workloads).enumerate() {
+            let what = format!("{lanes} lanes, workload {i}");
+            assert_same_bits(answers, &per_term(w, &x), &what);
+        }
+    }
 }

@@ -480,10 +480,7 @@ pub(crate) fn contract_chain(
     scratch: &mut KronScratch,
     transpose: bool,
 ) {
-    // Before the tensor copy: allocated after it, this small list sits above
-    // a multi-megabyte buffer on the heap and keeps the allocator from
-    // recycling it (measured: +10 % on `warm_marginals_5d`'s p50). It stays
-    // the driver's only allocation besides the scratch: the modes' current
+    // The driver's only allocation besides the scratch: the modes' current
     // extents are read off the order, not kept in a second list.
     let leaves = flatten(factors);
     scratch.cur.clear();
@@ -496,6 +493,11 @@ pub(crate) fn contract_chain(
 /// mode, `left` and `right` are the products of the *current* extents of the
 /// modes before and after it — output extents for modes already contracted,
 /// input extents for the rest.
+///
+/// A step whose leaf is `Identity { scale: 1.0 }` is checked for alignment
+/// but not run: its kernel writes `1.0·v`, which is `v` bit for bit, and
+/// leaves every extent as it was, so the tensor in `scratch.cur` already is
+/// its output.
 fn contract_steps(
     leaves: &[&StructuredMatrix],
     done: usize,
@@ -523,6 +525,9 @@ fn contract_steps(
             0,
             "input length not aligned to the factor modes"
         );
+        if matches!(a, Identity { scale, .. } if *scale == 1.0) {
+            continue;
+        }
         let left = scratch.cur.len() / (in_dim * right);
         scratch.buf.clear();
         scratch.buf.resize(left * out_dim * right, 0.0);
@@ -538,8 +543,9 @@ fn contract_steps(
 
 /// The marginal tables of one data vector, shared by every product
 /// answered against it through [`MarginalTables::kmatvec`] — a workload's
-/// terms in one `W·x` call — so each table is summed once per call, not once
-/// per product.
+/// terms in one `W·x` call (ANSWER), a plan's measured products in one
+/// MEASURE call — so each table is summed once per call, not once per
+/// product.
 ///
 /// A table is keyed by the set `S` of modes it sums out (bit `j` of a
 /// `u64`): `x` with every mode in `S` contracted by an unscaled `Total` and
@@ -548,12 +554,13 @@ fn contract_steps(
 /// the singletons `{j}` read `x`, and a table lives until the cache is
 /// dropped.
 ///
-/// Bit for bit: [`chain_order`] contracts a product's shrinking leaves
-/// first, last to first. A product whose chain starts with unscaled `Total`
-/// leaves on `S` therefore sums out `max S`, …, `min S` in turn, each step
-/// with the `(left, n, right)` that builds the next table of the chain
-/// `{max S} ⊂ … ⊂ S`. Its intermediate after those steps *is* `table(S)`,
-/// and the rest of its chain runs on the table in the same order.
+/// Bit for bit: the chain order (`chain_order`) contracts a product's
+/// shrinking leaves first, last to first. A product whose chain starts with
+/// unscaled `Total` leaves on `S` therefore sums out `max S`, …, `min S` in
+/// turn, each step with the `(left, n, right)` that builds the next table of
+/// the chain `{max S} ⊂ … ⊂ S`. Its intermediate after those steps *is*
+/// `table(S)`, and the rest of its chain runs on the table in the same
+/// order.
 #[derive(Debug)]
 pub struct MarginalTables<'a> {
     x: &'a [f64],
@@ -601,6 +608,19 @@ impl<'a> MarginalTables<'a> {
         scratch.cur.extend_from_slice(table);
         contract_steps(factors, summed.count_ones() as usize, scratch, false);
         &scratch.cur
+    }
+
+    /// [`MarginalTables::kmatvec`] on buffers of its own, as
+    /// [`kmatvec_structured`] runs, returning the result buffer itself rather
+    /// than a view of it: a caller that keeps every product's answer (MEASURE
+    /// keeps them as its noisy blocks) copies none of them a second time.
+    ///
+    /// # Panics
+    /// As [`MarginalTables::kmatvec`].
+    pub fn kmatvec_owned(&mut self, factors: &[&StructuredMatrix]) -> Vec<f64> {
+        let mut scratch = KronScratch::new();
+        self.kmatvec(factors, &mut scratch);
+        scratch.cur
     }
 
     /// The modes the forward chain of `leaves` starts by summing out: the
@@ -769,5 +789,144 @@ mod tests {
             let got: Vec<usize> = chain_order(leaves, transpose).collect();
             assert_eq!(got, want, "{leaves:?} transpose={transpose}");
         }
+    }
+
+    /// Every step of [`chain_order`] run through its kernel, unit
+    /// `Identity` steps included, with the extents tracked in a list: the
+    /// reference a chain that skips those steps must match. `x` may hold
+    /// several leading rows, as a slab does.
+    fn step_by_step(leaves: &[&StructuredMatrix], x: &[f64], transpose: bool) -> Vec<f64> {
+        let mut dims: Vec<usize> = leaves.iter().map(|a| extents(a, transpose).0).collect();
+        let mut cur = x.to_vec();
+        for i in chain_order(leaves, transpose) {
+            let (in_dim, out_dim) = extents(leaves[i], transpose);
+            let right: usize = dims[i + 1..].iter().product();
+            let left = cur.len() / (in_dim * right);
+            let mut next = vec![0.0; left * out_dim * right];
+            if transpose {
+                contract_transpose_rows(leaves[i], &cur, &mut next, left, right, 0..out_dim);
+            } else {
+                contract_rows(leaves[i], &cur, &mut next, left, right, 0..out_dim);
+            }
+            dims[i] = out_dim;
+            cur = next;
+        }
+        cur
+    }
+
+    /// Cycles through `-0.0`, subnormals (of both signs), the smallest
+    /// normal and ordinary inexact values.
+    fn awkward(len: usize) -> Vec<f64> {
+        let pool = [
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(3),
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            0.1,
+            -2.7,
+            0.0,
+        ];
+        (0..len)
+            .map(|i| pool[(i * 5 + i / 3) % pool.len()])
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn unit_identity_steps_are_skipped_bit_for_bit() {
+        let id3 = StructuredMatrix::identity(3);
+        let id4 = StructuredMatrix::identity(4);
+        let twice = StructuredMatrix::identity(4).scaled(2.0);
+        let negated = StructuredMatrix::identity(3).scaled(-1.0);
+        let total = StructuredMatrix::total(4);
+        let prefix = StructuredMatrix::prefix(3);
+        let tall = Dense(Matrix::from_fn(5, 3, |r, c| (r + 2 * c) as f64 * 0.3 - 0.5));
+        let chains: [&[&StructuredMatrix]; 7] = [
+            &[&id3, &id4],
+            &[&id3, &total],
+            &[&prefix, &id4, &id3],
+            &[&id4, &tall, &id3],
+            &[&total, &id3, &tall],
+            &[&twice, &id3],
+            &[&negated, &id4, &twice],
+        ];
+        for chain in chains {
+            for transpose in [false, true] {
+                let cols: usize = chain.iter().map(|a| extents(a, transpose).0).product();
+                // One row for a full product, five for a slab's trailing step.
+                for rows in [1, 5] {
+                    let x = awkward(rows * cols);
+                    let want = step_by_step(chain, &x, transpose);
+                    let got = contract_chain_owned(chain, &x, transpose);
+                    let what = format!("{chain:?} transpose={transpose} rows={rows}");
+                    assert_eq!(bits(&got), bits(&want), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_unit_identity_steps_are_skipped() {
+        let x = awkward(12);
+        let leaves = |a: StructuredMatrix| {
+            let mut scratch = KronScratch::new();
+            contract_chain(
+                &[&a, &StructuredMatrix::identity(4)],
+                &x,
+                &mut scratch,
+                false,
+            );
+            (bits(&scratch.cur), scratch.buf.capacity())
+        };
+        // A unit Identity chain copies x and runs no kernel ...
+        let (unit, buf) = leaves(StructuredMatrix::identity(3));
+        assert_eq!((unit, buf), (bits(&x), 0));
+        // ... a scaled one is still contracted: `2·v`, and `−v`, which turns
+        // every `−0.0` into `+0.0`.
+        for scale in [2.0, -1.0] {
+            let (got, buf) = leaves(StructuredMatrix::identity(3).scaled(scale));
+            let want: Vec<u64> = x.iter().map(|v| (scale * v).to_bits()).collect();
+            assert_eq!(got, want, "scale {scale}");
+            assert!(buf > 0, "scale {scale}: no kernel ran");
+        }
+    }
+
+    #[test]
+    fn slab_split_of_a_leading_unit_identity_is_unchanged() {
+        use crate::slab::{kmatvec_trailing_slab, slab_split};
+        let id3 = StructuredMatrix::identity(3);
+        let total = StructuredMatrix::total(4);
+        let prefix = StructuredMatrix::prefix(4);
+        let tall = Dense(Matrix::from_fn(6, 4, |r, c| (r * c) as f64 * 0.25 - 0.5));
+        // Whether a product is sliced follows chain_order's last step, which
+        // a skipped step does not change: a leading unit Identity never
+        // shrinks, so it is contracted last and the product is sliced.
+        let table: [(&[&StructuredMatrix], bool); 5] = [
+            (&[&id3], false),
+            (&[&id3, &total], false),
+            (&[&id3, &prefix], true),
+            (&[&id3, &tall, &total], false),
+            (&[&id3, &tall], true),
+        ];
+        for (leaves, transpose) in table {
+            let split = slab_split(leaves, transpose).expect("a leading Identity is sliced");
+            assert!(std::ptr::eq(split.leading, &id3));
+            // Forward, the trailing slabs, merged, then the leading step over
+            // them are the plain product's bits.
+            if !transpose {
+                let x = awkward(leaves.iter().map(|a| a.cols()).product());
+                let merged = kmatvec_trailing_slab(&split.trailing, &x);
+                let right = split.trailing_rows();
+                let mut out = vec![0.0; 3 * right];
+                contract_rows(split.leading, &merged, &mut out, 1, right, 0..3);
+                assert_eq!(bits(&out), bits(&kmatvec_structured(leaves, &x)));
+            }
+        }
+        // A leading shrinking leaf in front of a unit Identity is not.
+        assert!(slab_split(&[&total, &id3], false).is_none());
     }
 }

@@ -19,7 +19,8 @@
 //! — the answers are **bitwise identical** to the plain single-node kernels
 //! for any worker count. The slabs are those of the registered
 //! [`ShardedDataVector`], borrowed as is; a product the workers cannot
-//! slice runs on [`PlainKernels`] over the whole vector.
+//! slice runs on the coordinator's plain kernels over the whole vector,
+//! through the marginal tables MEASURE shares among such products.
 //!
 //! A warm request costs the local request plus vector traffic: everything
 //! that depends only on the strategy — the [`PreparedReconstruct`]'s
@@ -34,14 +35,15 @@
 //! (the coordinator keeps the authoritative data, so a reassigned shard is
 //! simply re-pushed). Only when *no* worker can complete a task does a
 //! kernel surface a [`NetError`] — callers such as the serving engine then
-//! rerun the request over [`PlainKernels`] with a reseeded RNG, preserving
-//! byte-identity even through total pool loss.
+//! rerun the request over [`PlainKernels`](hdmm_mechanism::PlainKernels)
+//! with a reseeded RNG, preserving byte-identity even through total pool
+//! loss.
 
 use crate::client::{Operand, RetryPolicy, WorkerPool};
 use crate::wire::{FactorKey, NetError};
 use hdmm_core::ShardedDataVector;
 use hdmm_linalg::{contract_rows, leading_split, slab_split, StructuredMatrix};
-use hdmm_mechanism::{Kernels, PlainKernels, PreparedReconstruct};
+use hdmm_mechanism::{Kernels, PreparedReconstruct};
 use hdmm_obs::{Observer, Phase};
 use std::time::Instant;
 
@@ -156,8 +158,8 @@ fn merge_and_contract_leading(factors: &[&StructuredMatrix], parts: Vec<Vec<f64>
 /// MEASURE product — the trailing factors over each slab — runs on the
 /// worker pool, and the merge and leading contraction on the coordinator.
 /// Products with no [`slab_split`], and products with no trailing factors (a
-/// 1-D plan, whose per-slab task would be an identity copy), run on
-/// [`PlainKernels`] over the whole vector.
+/// 1-D plan, whose per-slab task would be an identity copy), are left to the
+/// plain kernels over the whole vector (`forward` answers `None`).
 ///
 /// `keys` must be the [`OperandKeys`] of the plan being served. When
 /// `observer` traces, every RPC attempt of the fan-out (retries included)
@@ -195,13 +197,14 @@ impl Kernels for RpcKernels<'_> {
     /// [`SlabForwardKeyed`](crate::Frame::SlabForwardKeyed) RPCs naming one.
     /// A product whose leading leaf does not line up with the slabs is a
     /// [`NetError::Unsupported`]; the caller reruns the request over
-    /// [`PlainKernels`].
-    fn forward(&self, block: usize, factors: &[&StructuredMatrix]) -> Result<Vec<f64>, NetError> {
+    /// [`PlainKernels`](hdmm_mechanism::PlainKernels).
+    fn forward(
+        &self,
+        block: usize,
+        factors: &[&StructuredMatrix],
+    ) -> Result<Option<Vec<f64>>, NetError> {
         if slab_split(factors, false).is_none_or(|split| split.trailing.is_empty()) {
-            let plain = PlainKernels::over(self.data.values());
-            return plain
-                .forward(block, factors)
-                .map_err(|never| match never {});
+            return Ok(None);
         }
         // A slab task runs the trailing factors over whole leading rows.
         let split = leading_split(factors);
@@ -222,7 +225,7 @@ impl Kernels for RpcKernels<'_> {
                 self.observer,
             )
         })?;
-        Ok(merge_and_contract_leading(factors, parts))
+        Ok(Some(merge_and_contract_leading(factors, parts)))
     }
 }
 

@@ -663,3 +663,161 @@ fn shared_tables_answer_many_bit_for_bit_at_one_and_three_lanes() {
         }
     }
 }
+
+/// MEASURE's oracle: every product through its own chain from `x`
+/// ([`kmatvec_structured`]), scaled by θ when θ ≠ 1, then noised by
+/// `add_laplace_noise` at the product's scale, in list order off one RNG.
+fn per_product_measure(
+    products: &[hdmm_mechanism::MeasuredProduct],
+    x: &[f64],
+    eps: f64,
+    rng: &mut StdRng,
+) -> Vec<Vec<f64>> {
+    products
+        .iter()
+        .map(|p| {
+            let refs: Vec<&StructuredMatrix> = p.factors.iter().collect();
+            let mut noisy = kmatvec_structured(&refs, x);
+            if p.theta != 1.0 {
+                for v in &mut noisy {
+                    *v *= p.theta;
+                }
+            }
+            let scale = p.sensitivity / (p.share * eps);
+            hdmm_mechanism::laplace::add_laplace_noise(&mut noisy, scale, rng);
+            noisy
+        })
+        .collect()
+}
+
+/// `measure_on` over `PlainKernels` (products through one shared
+/// `MarginalTables`, θ and noise in one pass) vs [`per_product_measure`]:
+/// the same bits in every block, and the same RNG state afterwards.
+fn assert_measure_matches_per_product(strategy: &hdmm_mechanism::Strategy, x: &[f64], what: &str) {
+    let products = strategy.measured_products();
+    let eps = 0.7;
+    let mut rng = StdRng::seed_from_u64(x.len() as u64);
+    let mut oracle_rng = rng.clone();
+    let got = hdmm_mechanism::measure_on(
+        &products,
+        eps,
+        &mut rng,
+        &hdmm_mechanism::PlainKernels::over(x),
+    )
+    .unwrap_or_else(|never| match never {});
+    let want = per_product_measure(&products, x, eps, &mut oracle_rng);
+    assert_eq!(got.blocks.len(), want.len(), "{what}");
+    for (i, (block, want)) in got.blocks.iter().zip(&want).enumerate() {
+        assert_same_bits(&block.noisy, want, &format!("{what}, product {i}"));
+    }
+    assert_eq!(
+        rng.gen::<u64>(),
+        oracle_rng.gen::<u64>(),
+        "{what}: RNG stream"
+    );
+}
+
+/// Seeded marginals plans on small domains: every θ support holds the
+/// full-domain mask (all `Identity` leaves, no table), the all-`Total` mask
+/// (a scalar, the deepest table chain) and every single attribute, plus a
+/// random mix of the other masks; θ is sometimes exactly 1. MEASURE through
+/// the shared tables holds the per-product bits on inexact data.
+#[test]
+fn shared_tables_measure_marginals_plans_bit_for_bit() {
+    let domains = [
+        Domain::new(&[3, 1, 4, 2, 5]),
+        Domain::new(&[4, 3]),
+        Domain::new(&[2, 3, 1, 2]),
+        Domain::new(&[2, 2, 2, 2, 2, 2]),
+    ];
+    for seed in 0..24u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let domain = &domains[seed as usize % domains.len()];
+        let d = domain.dims();
+        let full = (1 << d) - 1;
+        let theta = (0..1usize << d)
+            .map(|a| {
+                let forced = a == full || a == 0 || a.count_ones() == 1;
+                if forced || rng.gen_bool(0.4) {
+                    [1.0, 0.25, 1.75][rng.gen_range(0..3)]
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let strategy = hdmm_mechanism::Strategy::Marginals(hdmm_mechanism::MarginalsStrategy::new(
+            domain.clone(),
+            theta,
+        ));
+        let x = inexact(domain.size(), seed);
+        assert_measure_matches_per_product(&strategy, &x, &format!("seed {seed}"));
+    }
+}
+
+/// Kron, explicit and union plans: their products (a unit `Identity` among
+/// them, a leading `Total` in front of an expansion, a `Total` run that
+/// does reach the tables) keep the per-product bits under the shared-table
+/// MEASURE.
+#[test]
+fn shared_tables_measure_kron_explicit_and_union_plans_bit_for_bit() {
+    use hdmm_mechanism::{Strategy as Plan, UnionGroup};
+    let tall = Matrix::from_fn(5, 4, |r, c| ((r * 4 + c) % 7) as f64 * 0.3 - 0.4);
+    let plans = [
+        (
+            "kron",
+            Plan::Kron(vec![
+                StructuredMatrix::prefix(3),
+                StructuredMatrix::identity(4),
+                StructuredMatrix::Dense(tall.clone()),
+            ]),
+        ),
+        (
+            "kron, leading total",
+            Plan::Kron(vec![
+                StructuredMatrix::total(3),
+                StructuredMatrix::all_range(4),
+                StructuredMatrix::identity(4).scaled(0.5),
+            ]),
+        ),
+        (
+            "kron, total run",
+            Plan::Kron(vec![
+                StructuredMatrix::identity(3),
+                StructuredMatrix::total(4),
+                StructuredMatrix::total(4),
+            ]),
+        ),
+        (
+            "explicit",
+            Plan::Explicit(Matrix::from_fn(7, 48, |r, c| {
+                ((r + 3 * c) % 5) as f64 * 0.25
+            })),
+        ),
+        (
+            "union",
+            Plan::Union([
+                UnionGroup::new(
+                    0.4,
+                    vec![
+                        StructuredMatrix::total(3),
+                        StructuredMatrix::prefix(4),
+                        StructuredMatrix::identity(4),
+                    ],
+                    vec![0],
+                ),
+                UnionGroup::new(
+                    0.6,
+                    vec![
+                        StructuredMatrix::identity(3),
+                        StructuredMatrix::identity(4),
+                        StructuredMatrix::Dense(tall),
+                    ],
+                    vec![1],
+                ),
+            ]),
+        ),
+    ];
+    for (name, plan) in &plans {
+        assert_measure_matches_per_product(plan, &inexact(48, 5), name);
+    }
+}

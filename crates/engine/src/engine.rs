@@ -25,9 +25,24 @@
 //! 6. the **WAL append**, per transition, when a durable ledger is set;
 //! 7. the **session store** write lock, to insert the request's session.
 //!
-//! MEASURE/RECONSTRUCT/ANSWER hold no lock. A traced request adds the span
+//! MEASURE/RECONSTRUCT/ANSWER hold no lock. Around them the request pops a
+//! scratch off the **scratch pool** mutex and pushes it back (as does every
+//! session-batch task), and a session that leaves the store hands its
+//! estimate to the pool under the same mutex. A traced request adds the span
 //! collector's mutex once, at the end. Datasets never contend on 3 and 4;
-//! every request shares 1, 2, 5, 6 and 7.
+//! every request shares 1, 2, 5, 6, 7 and the pool.
+//!
+//! ## Memory
+//!
+//! Each in-flight request answers in one [`KronScratch`](hdmm_linalg::KronScratch)
+//! of the pool ([`ScratchPool`]): MEASURE's tables and noisy blocks,
+//! RECONSTRUCT's sweeps and `x̄`, ANSWER's tables and chain buffers are
+//! taken from it and given back, so a warm request writes to pages the last
+//! one faulted in. The pool holds at most as many scratches as requests ran
+//! at once, each at most its last request's working set, and a session's
+//! `x̄` goes back to the pool when the last [`Arc`] of the session is
+//! dropped by the store (close or eviction) — never while a caller still
+//! holds it.
 //!
 //! Lock poisoning is recovered rather than propagated: every critical
 //! section leaves its state consistent (single map operations, validated
@@ -48,7 +63,7 @@ use hdmm_core::{
     WorkloadFingerprint,
 };
 use hdmm_mechanism::{
-    MechanismError, MechanismRequest, PipelineError, PlainKernels, ScopedExecutor,
+    MechanismError, MechanismRequest, PipelineError, PlainKernels, ScopedExecutor, ScratchPool,
 };
 use hdmm_net::{RemoteOptions, RpcKernels, WorkerPool};
 use hdmm_obs::{AuditLog, Observer, Phase, Span, SpanCollector, TraceContext};
@@ -133,6 +148,8 @@ pub struct Engine {
     telemetry: Telemetry,
     /// The lanes session batches fan out on (the machine's parallelism).
     batch_exec: ScopedExecutor,
+    /// The request scratches between requests (see "Memory" above).
+    scratches: ScratchPool,
     remote: Option<WorkerPool>,
     next_session: AtomicU64,
     collector: SpanCollector,
@@ -210,6 +227,7 @@ impl Engine {
             sessions: SessionStore::new(options.session_capacity),
             telemetry,
             batch_exec: ScopedExecutor::new(0),
+            scratches: ScratchPool::default(),
             remote: options.remote.as_ref().map(RemoteOptions::connect),
             collector: SpanCollector::new(TRACE_CAPACITY),
             audit: AuditLog::new(AUDIT_CAPACITY),
@@ -446,18 +464,29 @@ impl Engine {
     ) -> Result<Vec<Vec<f64>>, EngineError> {
         let session = self.session(id)?;
         let t = Instant::now();
-        let out = session.answer_batch(workloads, &self.batch_exec)?;
+        let out = session.answer_batch(workloads, &self.batch_exec, &self.scratches)?;
         self.telemetry.phase_complete(Phase::Answer, t.elapsed());
         Ok(out)
     }
 
     /// Drops a session, releasing its domain-sized estimate immediately
-    /// instead of waiting for capacity eviction.
+    /// instead of waiting for capacity eviction: to the next request's
+    /// scratch, unless a caller still holds the session.
     pub fn close_session(&self, id: SessionId) -> Result<(), EngineError> {
-        self.sessions
+        let session = self
+            .sessions
             .remove(id)
-            .map(|_| ())
-            .ok_or(EngineError::UnknownSession { id })
+            .ok_or(EngineError::UnknownSession { id })?;
+        self.recycle(session);
+        Ok(())
+    }
+
+    /// Hands the estimate of a session the store let go of to the scratch
+    /// pool, if that was its last reference.
+    fn recycle(&self, session: Arc<Session>) {
+        if let Some(session) = Arc::into_inner(session) {
+            self.scratches.recycle(session.into_estimate());
+        }
     }
 
     /// (total, spent, remaining) ε for a dataset.
@@ -640,7 +669,7 @@ impl Engine {
         // and the reservation already guaranteed the budget. Every request
         // goes through the one pipeline: over the RPC kernels when workers
         // hold the dataset's slabs, else over the plain kernels on its
-        // vector — the same answer bytes either way.
+        // vector — the same answer bytes either way — in one pooled scratch.
         let data = &handle.data;
         let request = MechanismRequest {
             workload,
@@ -650,6 +679,7 @@ impl Engine {
             prepared: plan.prepared(),
             eps,
         };
+        let mut scratch = self.scratches.pop();
         // `None`: no workers hold the slabs, or none could finish the request.
         let remote = match &self.remote {
             Some(pool) if data.shard_count() > 1 => {
@@ -660,7 +690,7 @@ impl Engine {
                     data,
                     observer: tracer,
                 };
-                match request.run(&mut rng, &rpc, tracer) {
+                match request.run_with_scratch(&mut scratch, &mut rng, &rpc, tracer) {
                     Ok(r) => Some(Ok(r)),
                     Err(PipelineError::Rejected(e)) => Some(Err(e)),
                     Err(PipelineError::Kernel(_)) => {
@@ -679,9 +709,17 @@ impl Engine {
         };
         let result = remote.unwrap_or_else(|| {
             request
-                .run(&mut rng, &PlainKernels::over(data.values()), tracer)
+                .run_with_scratch(
+                    &mut scratch,
+                    &mut rng,
+                    &PlainKernels::over(data.values()),
+                    tracer,
+                )
                 .map_err(MechanismError::from)
-        })?;
+        });
+        // Back to the pool before the session store lets go of an estimate.
+        drop(scratch);
+        let result = result?;
         // Noise was drawn: the ε is genuinely spent, keep the reservation.
         reservation.commit();
 
@@ -693,7 +731,9 @@ impl Engine {
             result.x_hat,
             eps,
         ));
-        self.sessions.insert(session);
+        if let Some(evicted) = self.sessions.insert(session) {
+            self.recycle(evicted);
+        }
 
         Ok(QueryResponse {
             answers: result.answers,
@@ -909,6 +949,97 @@ mod tests {
         assert!(!hit1 && hit2);
         let stats = engine.cache_stats();
         assert_eq!((stats.hits, stats.misses, stats.len), (1, 1, 1));
+    }
+
+    /// An engine serving 2-D workloads whose estimates (1024 cells) and
+    /// work vectors are large enough to be pooled.
+    fn pooled_engine(session_capacity: usize, datasets: usize) -> Engine {
+        let engine = Engine::new(EngineOptions {
+            hdmm: HdmmOptions {
+                restarts: 1,
+                ..Default::default()
+            },
+            session_capacity,
+            seed: 7,
+            ..Default::default()
+        });
+        for d in 0..datasets {
+            let x = (0..1024)
+                .map(|i| ((i * 37 + d * 11) % 29) as f64 * 0.75)
+                .collect();
+            engine
+                .register_dataset(format!("d{d}"), Domain::new(&[32, 32]), x, 1e6)
+                .unwrap();
+        }
+        engine
+    }
+
+    fn pooled_workloads() -> [Workload; 2] {
+        [
+            builders::prefix_2d(32, 32),
+            builders::upto_kway_marginals(&Domain::new(&[32, 32]), 1),
+        ]
+    }
+
+    /// A caller holding a session across `close_session`, evictions and
+    /// later serves reads its original estimate bit for bit: the estimate
+    /// goes back to the scratch pool only with the session's last `Arc`.
+    #[test]
+    fn a_held_session_keeps_its_estimate_while_others_are_recycled() {
+        let engine = pooled_engine(2, 1);
+        let workloads = pooled_workloads();
+        let first = engine.serve("d0", &workloads[0], 0.5).unwrap().session;
+        let held = engine.session(first).unwrap();
+        let bits: Vec<u64> = held.estimate().iter().map(|v| v.to_bits()).collect();
+        engine.close_session(first).unwrap();
+        for i in 0..12 {
+            let reply = engine.serve("d0", &workloads[i % 2], 0.5).unwrap();
+            // Every other session is closed (recycled); the rest are evicted.
+            if i % 2 == 0 {
+                engine.close_session(reply.session).unwrap();
+            }
+            let now: Vec<u64> = held.estimate().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(now, bits, "request {i} changed a held estimate");
+        }
+        // Serial requests share one scratch.
+        assert_eq!(engine.scratches.idle(), 1);
+    }
+
+    /// K = 4 threads serving at once (one dataset each, so every dataset's
+    /// noise stream is consumed in the same order) answer as one thread
+    /// serving the same requests in turn, and the pool never holds more
+    /// scratches than ran at once.
+    #[test]
+    fn concurrent_serves_match_serial_and_pool_at_most_k_scratches() {
+        const K: usize = 4;
+        let workloads = pooled_workloads();
+        let serve_all = |engine: &Engine, d: usize| -> Vec<Vec<u64>> {
+            (0..6)
+                .map(|i| {
+                    let reply = engine
+                        .serve(&format!("d{d}"), &workloads[i % 2], 0.5)
+                        .unwrap();
+                    engine.close_session(reply.session).unwrap();
+                    reply.answers.iter().map(|v| v.to_bits()).collect()
+                })
+                .collect()
+        };
+        let serial_engine = pooled_engine(1024, K);
+        let serial: Vec<_> = (0..K).map(|d| serve_all(&serial_engine, d)).collect();
+        let engine = pooled_engine(1024, K);
+        let concurrent: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..K)
+                .map(|d| {
+                    let engine = &engine;
+                    let serve_all = &serve_all;
+                    s.spawn(move || serve_all(engine, d))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(concurrent, serial);
+        assert!((1..=K).contains(&engine.scratches.idle()));
+        assert_eq!(serial_engine.scratches.idle(), 1);
     }
 
     #[test]

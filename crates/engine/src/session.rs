@@ -7,7 +7,7 @@
 
 use crate::sync::{read_recover, write_recover};
 use hdmm_core::{Domain, EngineError, SessionId, Workload};
-use hdmm_mechanism::ScopedExecutor;
+use hdmm_mechanism::{ScopedExecutor, ScratchPool};
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
@@ -64,6 +64,12 @@ impl Session {
         &self.x_hat
     }
 
+    /// The estimate's buffer, for the engine to reuse once the session is
+    /// gone.
+    pub(crate) fn into_estimate(self) -> Vec<f64> {
+        self.x_hat
+    }
+
     /// A follow-up must be over the session's domain and finite, as a
     /// served workload must.
     fn check(&self, workload: &Workload) -> Result<(), EngineError> {
@@ -88,11 +94,12 @@ impl Session {
 
     /// Answers a batch of follow-up workloads against this session's
     /// estimate, fanned over `exec`: each workload's `W·x̄` pass runs as an
-    /// independent task with its own Kronecker scratch buffers, so entry `i`
-    /// is bitwise identical to `self.answer(workloads[i])` at any lane
-    /// count, and like any post-processing of `x̄` the batch consumes zero
+    /// independent task in a scratch of `scratches`, so entry `i` is
+    /// bitwise identical to `self.answer(workloads[i])` at any lane count,
+    /// and like any post-processing of `x̄` the batch consumes zero
     /// additional privacy budget. The engine routes
-    /// [`serve_batch_from_session`] here with its batch lanes.
+    /// [`serve_batch_from_session`] here with its batch lanes and its
+    /// request scratches.
     ///
     /// All-or-nothing: a domain mismatch or a non-finite entry in any
     /// workload fails the batch before anything is answered.
@@ -102,12 +109,14 @@ impl Session {
         &self,
         workloads: &[&Workload],
         exec: &ScopedExecutor,
+        scratches: &ScratchPool,
     ) -> Result<Vec<Vec<f64>>, EngineError> {
         workloads.iter().try_for_each(|w| self.check(w))?;
         Ok(hdmm_mechanism::answer_many_from_parts(
             &self.x_hat,
             workloads,
             exec,
+            scratches,
         ))
     }
 }
@@ -132,12 +141,14 @@ impl SessionStore {
         read_recover(&self.sessions).get(&id).cloned()
     }
 
-    pub(crate) fn insert(&self, session: Arc<Session>) {
+    /// Stores `session`, returning the oldest one when the store was full.
+    pub(crate) fn insert(&self, session: Arc<Session>) -> Option<Arc<Session>> {
         let mut sessions = write_recover(&self.sessions);
         sessions.insert(session.id(), session);
-        while sessions.len() > self.capacity {
-            sessions.pop_first();
+        if sessions.len() > self.capacity {
+            return sessions.pop_first().map(|(_, evicted)| evicted);
         }
+        None
     }
 
     pub(crate) fn remove(&self, id: SessionId) -> Option<Arc<Session>> {
@@ -190,13 +201,16 @@ mod tests {
         let prefix = builders::prefix_1d(4);
         let ranges = builders::all_range_1d(4);
         let workloads: [&hdmm_core::Workload; 3] = [&prefix, &ranges, &prefix];
-        let serial = s.answer_batch(&workloads, &ScopedExecutor::new(1)).unwrap();
+        let pool = ScratchPool::default();
+        let serial = s
+            .answer_batch(&workloads, &ScopedExecutor::new(1), &pool)
+            .unwrap();
         for (got, w) in serial.iter().zip(workloads) {
             assert_eq!(got, &s.answer(w).unwrap());
         }
         for threads in [2, 4, 7] {
             let par = s
-                .answer_batch(&workloads, &ScopedExecutor::new(threads))
+                .answer_batch(&workloads, &ScopedExecutor::new(threads), &pool)
                 .unwrap();
             assert_eq!(serial, par, "lane count {threads} changed answers");
         }
@@ -244,7 +258,11 @@ mod tests {
         let good = builders::prefix_1d(4);
         let bad = builders::prefix_1d(8);
         assert!(matches!(
-            s.answer_batch(&[&good, &bad], &ScopedExecutor::new(1)),
+            s.answer_batch(
+                &[&good, &bad],
+                &ScopedExecutor::new(1),
+                &ScratchPool::default()
+            ),
             Err(EngineError::DomainMismatch { .. })
         ));
     }

@@ -404,26 +404,102 @@ pub fn contract_transpose_rows(
     }
 }
 
-/// Reusable ping-pong buffers for the mode contractions of Algorithm 1.
+/// One request's reusable `f64` buffers: a small free list that MEASURE,
+/// RECONSTRUCT and ANSWER draw their large buffers from — a contraction
+/// chain's ping-pong pair, [`MarginalTables`]' tables, MEASURE's noisy
+/// blocks, RECONSTRUCT's sweep tables and work vectors — so a warm request
+/// writes to pages an earlier one faulted in instead of the fresh pages the
+/// allocator hands out after trimming its heap.
 ///
-/// One contraction chain needs exactly two buffers (current tensor and the
-/// one being produced); batched answer paths thread one `KronScratch`
-/// through many products so the warm serving path stops allocating. Buffer
-/// reuse is bitwise invisible: the target buffer is zero-filled before every
-/// contraction, exactly like the fresh allocation it replaces. What products
-/// answered against one data vector share besides buffers — the marginal
-/// tables their chains start with — lives in a [`MarginalTables`] for that
-/// vector, not here.
+/// Reuse is bitwise invisible: [`KronScratch::take`] zero-fills its buffer
+/// exactly like the fresh `vec![0.0; len]` it replaces, and the chain writes
+/// every other buffer it takes in full before reading it.
+///
+/// A request for `len` values gets the smallest free buffer that holds them
+/// without being twice as large; failing that, the largest smaller one is
+/// replaced by one of `len`, so the list never holds a buffer the request
+/// could have grown instead. Buffers under [`KronScratch::MIN_VALUES`] are
+/// plain allocations, never pooled. [`KronScratch::end_request`] drops every
+/// buffer the request did not draw on, so a scratch kept between requests
+/// keeps at most its last request's buffers.
 #[derive(Debug, Default)]
 pub struct KronScratch {
-    cur: Vec<f64>,
-    buf: Vec<f64>,
+    /// Free buffers, each with whether the current request has drawn on it.
+    free: Vec<(Vec<f64>, bool)>,
 }
 
 impl KronScratch {
-    /// Empty scratch; buffers grow to the largest intermediate they see.
+    /// Buffers shorter than this (4 KiB) are plain allocations, never pooled:
+    /// the allocator serves them from pages it keeps.
+    pub const MIN_VALUES: usize = 512;
+
+    /// An empty scratch; its buffers are what requests give back.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A buffer of `len` zeros — the bits of a fresh `vec![0.0; len]`.
+    pub fn take(&mut self, len: usize) -> Vec<f64> {
+        let mut buf = self.take_empty(len);
+        buf.resize(len, 0.0);
+        buf
+    }
+
+    /// An empty buffer with room for `len` values (see the type's doc for
+    /// which). A small one starts with no room and grows as it is filled,
+    /// as a fresh `Vec` does.
+    fn take_empty(&mut self, len: usize) -> Vec<f64> {
+        if len < Self::MIN_VALUES {
+            return Vec::new();
+        }
+        let cap = |i: usize| self.free[i].0.capacity();
+        let fit = (0..self.free.len())
+            .filter(|&i| (len..=2 * len).contains(&cap(i)))
+            .min_by_key(|&i| cap(i));
+        let short = || {
+            (0..self.free.len())
+                .filter(|&i| cap(i) < len)
+                .max_by_key(|&i| cap(i))
+        };
+        match fit.or_else(short) {
+            Some(i) if cap(i) >= len => {
+                let mut buf = self.free.swap_remove(i).0;
+                buf.clear();
+                buf
+            }
+            Some(i) => {
+                self.free.swap_remove(i);
+                Vec::with_capacity(len)
+            }
+            None => Vec::with_capacity(len),
+        }
+    }
+
+    /// Returns a buffer for later [`KronScratch::take`]s (a small one is
+    /// dropped).
+    pub fn give(&mut self, buf: Vec<f64>) {
+        if buf.capacity() >= Self::MIN_VALUES {
+            self.free.push((buf, true));
+        }
+    }
+
+    /// Ends a request: drops the free buffers it did not draw on.
+    pub fn end_request(&mut self) {
+        self.free.retain(|(_, drawn)| *drawn);
+        for (_, drawn) in &mut self.free {
+            *drawn = false;
+        }
+    }
+
+    /// Between requests, takes a buffer some other owner is done with (a
+    /// closed session's estimate) for the next request, unless a free
+    /// buffer already holds as many values; dropped by that request's
+    /// [`KronScratch::end_request`] if it does not draw on it.
+    pub fn keep(&mut self, buf: Vec<f64>) {
+        let held = |(b, _): &(Vec<f64>, bool)| b.capacity() >= buf.capacity();
+        if buf.capacity() >= Self::MIN_VALUES && !self.free.iter().any(held) {
+            self.free.push((buf, false));
+        }
     }
 }
 
@@ -467,10 +543,11 @@ pub(crate) fn chain_order<'a>(
 
 /// The one chain driver: flattens nested `Kron` factors so every mode is a
 /// leaf, then contracts the modes in [`chain_order`], ping-ponging between
-/// the two scratch buffers; the result is left in `scratch.cur`. `x` may
-/// hold any whole number of leading rows on top of the factors' own modes —
-/// one for a full product, a slab's row count for the trailing step of
-/// `slab.rs` — since they are just more of `left`.
+/// two buffers taken from `scratch`, and returns the result in one of them
+/// (the other goes back). `x` may hold any whole number of leading rows on
+/// top of the factors' own modes — one for a full product, a slab's row
+/// count for the trailing step of `slab.rs` — since they are just more of
+/// `left`.
 ///
 /// # Panics
 /// Panics if `x.len()` is not a multiple of the factors' input size.
@@ -479,33 +556,53 @@ pub(crate) fn contract_chain(
     x: &[f64],
     scratch: &mut KronScratch,
     transpose: bool,
-) {
+) -> Vec<f64> {
     // The driver's only allocation besides the scratch: the modes' current
     // extents are read off the order, not kept in a second list.
     let leaves = flatten(factors);
-    scratch.cur.clear();
-    scratch.cur.extend_from_slice(x);
-    contract_steps(&leaves, 0, scratch, transpose);
+    contract_steps(&leaves, 0, x, scratch, transpose)
 }
 
-/// Runs the steps of [`chain_order`] from step `done` on, over the tensor in
-/// `scratch.cur` — the intermediate its first `done` steps leave. For every
+/// The longest tensor the steps of [`chain_order`] from step `done` on
+/// write, starting from one of `len` values: every step maps `len` to
+/// `len / input · output`.
+fn chain_peak(leaves: &[&StructuredMatrix], done: usize, len: usize, transpose: bool) -> usize {
+    let steps = chain_order(leaves, transpose).skip(done);
+    let lens = steps.scan(len, |len, i| {
+        let (input, output) = extents(leaves[i], transpose);
+        *len = (*len).checked_div(input).unwrap_or(0) * output;
+        Some(*len)
+    });
+    lens.fold(0, usize::max)
+}
+
+/// Runs the steps of [`chain_order`] from step `done` on, over `x` — the
+/// intermediate its first `done` steps leave — and returns the result. The
+/// first step reads `x` itself; the steps write into two buffers taken from
+/// `scratch` that hold the longest output (the one not holding the result
+/// goes back), and a chain that runs no step returns a copy of `x`. For every
 /// mode, `left` and `right` are the products of the *current* extents of the
 /// modes before and after it — output extents for modes already contracted,
 /// input extents for the rest.
 ///
 /// A step whose leaf is `Identity { scale: 1.0 }` is checked for alignment
 /// but not run: its kernel writes `1.0·v`, which is `v` bit for bit, and
-/// leaves every extent as it was, so the tensor in `scratch.cur` already is
-/// its output.
+/// leaves every extent as it was, so the current tensor already is its
+/// output.
 fn contract_steps(
     leaves: &[&StructuredMatrix],
     done: usize,
+    x: &[f64],
     scratch: &mut KronScratch,
     transpose: bool,
-) {
+) -> Vec<f64> {
+    let peak = chain_peak(leaves, done, x.len(), transpose);
+    // `None` while the current tensor still is `x`.
+    let mut cur: Option<Vec<f64>> = None;
+    let mut spare: Option<Vec<f64>> = None;
     for (step, i) in chain_order(leaves, transpose).enumerate().skip(done) {
         let a = leaves[i];
+        let src = cur.as_deref().unwrap_or(x);
         let (in_dim, out_dim) = extents(a, transpose);
         // A mode after `i` is at its output extent once an earlier step
         // contracted it.
@@ -521,24 +618,32 @@ fn contract_steps(
             })
             .product();
         assert_eq!(
-            scratch.cur.len() % (in_dim * right),
+            src.len() % (in_dim * right),
             0,
             "input length not aligned to the factor modes"
         );
         if matches!(a, Identity { scale, .. } if *scale == 1.0) {
             continue;
         }
-        let left = scratch.cur.len() / (in_dim * right);
-        scratch.buf.clear();
-        scratch.buf.resize(left * out_dim * right, 0.0);
-        let (cur, next) = (&scratch.cur, &mut scratch.buf);
+        let left = src.len() / (in_dim * right);
+        let mut next = spare.take().unwrap_or_else(|| scratch.take_empty(peak));
+        next.clear();
+        next.resize(left * out_dim * right, 0.0);
         if transpose {
-            contract_transpose_rows(a, cur, next, left, right, 0..out_dim);
+            contract_transpose_rows(a, src, &mut next, left, right, 0..out_dim);
         } else {
-            contract_rows(a, cur, next, left, right, 0..out_dim);
+            contract_rows(a, src, &mut next, left, right, 0..out_dim);
         }
-        std::mem::swap(&mut scratch.cur, &mut scratch.buf);
+        spare = cur.replace(next);
     }
+    if let Some(spare) = spare {
+        scratch.give(spare);
+    }
+    cur.unwrap_or_else(|| {
+        let mut copy = scratch.take_empty(x.len());
+        copy.extend_from_slice(x);
+        copy
+    })
 }
 
 /// The marginal tables of one data vector, shared by every product
@@ -551,8 +656,9 @@ fn contract_steps(
 /// `u64`): `x` with every mode in `S` contracted by an unscaled `Total` and
 /// the other modes at full extent, row-major. `table(S)` is built from
 /// `table(S ∖ {min S})` by one [`contract_rows`] over mode `min S`, so only
-/// the singletons `{j}` read `x`, and a table lives until the cache is
-/// dropped.
+/// the singletons `{j}` read `x`. Tables and the products' chain buffers
+/// are taken from the [`KronScratch`] the cache is built over, and the
+/// tables go back to it when the cache is dropped.
 ///
 /// Bit for bit: the chain order (`chain_order`) contracts a product's
 /// shrinking leaves first, last to first. A product whose chain starts with
@@ -567,60 +673,58 @@ pub struct MarginalTables<'a> {
     sizes: &'a [usize],
     /// `(S, table(S))` for every table built so far; `table(∅)` is `x`.
     tables: Vec<(u64, Vec<f64>)>,
+    scratch: &'a mut KronScratch,
 }
 
 impl<'a> MarginalTables<'a> {
-    /// An empty cache over `x`, a row-major tensor with mode extents `sizes`.
+    /// An empty cache over `x`, a row-major tensor with mode extents
+    /// `sizes`, drawing its buffers from `scratch`.
     ///
     /// # Panics
     /// Panics if `x.len() != Π sizes`.
-    pub fn new(x: &'a [f64], sizes: &'a [usize]) -> Self {
+    pub fn new(x: &'a [f64], sizes: &'a [usize], scratch: &'a mut KronScratch) -> Self {
         let len: usize = sizes.iter().product();
         assert_eq!(x.len(), len, "data vector size mismatch");
         MarginalTables {
             x,
             sizes,
             tables: Vec::new(),
+            scratch,
         }
     }
 
-    /// `(A₁ ⊗ … ⊗ A_d)·x` into `scratch` — bit for bit
-    /// [`kmatvec_structured`]'s result — returning the result slice (alive
-    /// until the scratch is reused). A product whose chain starts with a run
-    /// of unscaled `Total` leaves runs the rest of its chain on that run's
-    /// table; any other product (no such run, a `Kron` leaf, more than 64
-    /// modes, leaves that do not match the modes) runs the whole chain on
-    /// `x`.
+    /// `(A₁ ⊗ … ⊗ A_d)·x` — bit for bit [`kmatvec_structured`]'s result —
+    /// in a buffer taken from the scratch: a caller that keeps it (MEASURE
+    /// keeps its noisy blocks) copies nothing, one that does not hands it
+    /// back through [`MarginalTables::give`]. A product whose chain starts
+    /// with a run of unscaled `Total` leaves runs the rest of its chain on
+    /// that run's table; any other product (no such run, a `Kron` leaf, more
+    /// than 64 modes, leaves that do not match the modes) runs the whole
+    /// chain on `x`.
     ///
     /// # Panics
     /// Panics if the factors' input size is not `x.len()`.
-    pub fn kmatvec<'s>(
-        &mut self,
-        factors: &[&StructuredMatrix],
-        scratch: &'s mut KronScratch,
-    ) -> &'s [f64] {
+    pub fn kmatvec(&mut self, factors: &[&StructuredMatrix]) -> Vec<f64> {
         let summed = self.total_run(factors);
         if summed == 0 {
-            return kmatvec_structured_scratch(factors, self.x, scratch);
+            return kmatvec_structured_scratch(factors, self.x, self.scratch);
         }
-        let table = self.table(summed);
-        scratch.cur.clear();
-        scratch.cur.extend_from_slice(table);
-        contract_steps(factors, summed.count_ones() as usize, scratch, false);
-        &scratch.cur
+        let table = match self.table(summed) {
+            Some(k) => &self.tables[k].1,
+            None => self.x,
+        };
+        contract_steps(
+            factors,
+            summed.count_ones() as usize,
+            table,
+            self.scratch,
+            false,
+        )
     }
 
-    /// [`MarginalTables::kmatvec`] on buffers of its own, as
-    /// [`kmatvec_structured`] runs, returning the result buffer itself rather
-    /// than a view of it: a caller that keeps every product's answer (MEASURE
-    /// keeps them as its noisy blocks) copies none of them a second time.
-    ///
-    /// # Panics
-    /// As [`MarginalTables::kmatvec`].
-    pub fn kmatvec_owned(&mut self, factors: &[&StructuredMatrix]) -> Vec<f64> {
-        let mut scratch = KronScratch::new();
-        self.kmatvec(factors, &mut scratch);
-        scratch.cur
+    /// Hands a buffer back to the scratch the cache draws from.
+    pub fn give(&mut self, buf: Vec<f64>) {
+        self.scratch.give(buf);
     }
 
     /// The modes the forward chain of `leaves` starts by summing out: the
@@ -649,9 +753,10 @@ impl<'a> MarginalTables<'a> {
         summed
     }
 
-    /// `table(summed)`, building the links of its chain the cache lacks from
-    /// the longest one it holds (or from `x`).
-    fn table(&mut self, summed: u64) -> &[f64] {
+    /// The index of `table(summed)` (`None` for `x` itself), building the
+    /// links of its chain the cache lacks from the longest one it holds (or
+    /// from `x`).
+    fn table(&mut self, summed: u64) -> Option<usize> {
         // The links are `summed` with its lowest modes cleared one by one;
         // `at` indexes `table(have)`, `None` being `x` itself.
         let mut have = summed;
@@ -672,7 +777,7 @@ impl<'a> MarginalTables<'a> {
                 .map(|j| self.sizes[j])
                 .product();
             let parent = at.map_or(self.x, |k| &self.tables[k].1);
-            let mut next = vec![0.0; left * right];
+            let mut next = self.scratch.take(left * right);
             let total = Total {
                 n: self.sizes[mode],
                 scale: 1.0,
@@ -682,19 +787,16 @@ impl<'a> MarginalTables<'a> {
             self.tables.push((have, next));
             at = Some(self.tables.len() - 1);
         }
-        at.map_or(self.x, |k| &self.tables[k].1)
+        at
     }
 }
 
-/// [`contract_chain`] into fresh buffers, returning the result.
-pub(crate) fn contract_chain_owned(
-    factors: &[&StructuredMatrix],
-    x: &[f64],
-    transpose: bool,
-) -> Vec<f64> {
-    let mut scratch = KronScratch::new();
-    contract_chain(factors, x, &mut scratch, transpose);
-    scratch.cur
+impl Drop for MarginalTables<'_> {
+    fn drop(&mut self) {
+        for (_, table) in self.tables.drain(..) {
+            self.scratch.give(table);
+        }
+    }
 }
 
 /// Implicit Kronecker matrix–vector product `(A₁ ⊗ … ⊗ A_d)·x` over
@@ -709,9 +811,7 @@ pub(crate) fn contract_chain_owned(
 /// # Panics
 /// Panics if `x.len() != Π nᵢ`.
 pub fn kmatvec_structured(factors: &[&StructuredMatrix], x: &[f64]) -> Vec<f64> {
-    let mut scratch = KronScratch::new();
-    kmatvec_structured_scratch(factors, x, &mut scratch);
-    scratch.cur
+    kmatvec_structured_scratch(factors, x, &mut KronScratch::new())
 }
 
 /// Implicit transposed product `(A₁ ⊗ … ⊗ A_d)ᵀ·y` over structured factors.
@@ -719,25 +819,38 @@ pub fn kmatvec_structured(factors: &[&StructuredMatrix], x: &[f64]) -> Vec<f64> 
 /// # Panics
 /// Panics if `y.len() != Π mᵢ`.
 pub fn kmatvec_transpose_structured(factors: &[&StructuredMatrix], y: &[f64]) -> Vec<f64> {
-    let expected: usize = factors.iter().map(|f| f.rows()).product();
-    assert_eq!(y.len(), expected, "kmatvec input length mismatch");
-    let mut scratch = KronScratch::new();
-    contract_chain(factors, y, &mut scratch, true);
-    scratch.cur
+    kmatvec_transpose_structured_scratch(factors, y, &mut KronScratch::new())
 }
 
-/// [`kmatvec_structured`] into caller-owned scratch; returns the result
-/// slice (alive until the scratch is reused). Bitwise identical to the
+/// [`kmatvec_structured`] in buffers taken from `scratch`, returning the
+/// result buffer (give it back when done). Bitwise identical to the
 /// allocating variant.
-pub fn kmatvec_structured_scratch<'a>(
+///
+/// # Panics
+/// As [`kmatvec_structured`].
+pub fn kmatvec_structured_scratch(
     factors: &[&StructuredMatrix],
     x: &[f64],
-    scratch: &'a mut KronScratch,
-) -> &'a [f64] {
+    scratch: &mut KronScratch,
+) -> Vec<f64> {
     let expected: usize = factors.iter().map(|f| f.cols()).product();
     assert_eq!(x.len(), expected, "kmatvec input length mismatch");
-    contract_chain(factors, x, scratch, false);
-    &scratch.cur
+    contract_chain(factors, x, scratch, false)
+}
+
+/// [`kmatvec_transpose_structured`] in buffers taken from `scratch`,
+/// returning the result buffer (give it back when done).
+///
+/// # Panics
+/// As [`kmatvec_transpose_structured`].
+pub fn kmatvec_transpose_structured_scratch(
+    factors: &[&StructuredMatrix],
+    y: &[f64],
+    scratch: &mut KronScratch,
+) -> Vec<f64> {
+    let expected: usize = factors.iter().map(|f| f.rows()).product();
+    assert_eq!(y.len(), expected, "kmatvec input length mismatch");
+    contract_chain(factors, y, scratch, true)
 }
 
 #[cfg(test)]
@@ -861,7 +974,7 @@ mod tests {
                 for rows in [1, 5] {
                     let x = awkward(rows * cols);
                     let want = step_by_step(chain, &x, transpose);
-                    let got = contract_chain_owned(chain, &x, transpose);
+                    let got = contract_chain(chain, &x, &mut KronScratch::new(), transpose);
                     let what = format!("{chain:?} transpose={transpose} rows={rows}");
                     assert_eq!(bits(&got), bits(&want), "{what}");
                 }
@@ -871,28 +984,68 @@ mod tests {
 
     #[test]
     fn only_unit_identity_steps_are_skipped() {
-        let x = awkward(12);
+        // 128 · 4 values: enough for the chain to draw on the scratch.
+        let x = awkward(512);
+        let twice = StructuredMatrix::identity(4).scaled(2.0);
         let leaves = |a: StructuredMatrix| {
             let mut scratch = KronScratch::new();
-            contract_chain(
-                &[&a, &StructuredMatrix::identity(4)],
-                &x,
-                &mut scratch,
-                false,
-            );
-            (bits(&scratch.cur), scratch.buf.capacity())
+            let got = contract_chain(&[&a, &twice], &x, &mut scratch, false);
+            // One step writes the result; a second one needs the spare
+            // buffer, which comes back to the scratch.
+            (bits(&got), scratch.free.len())
         };
-        // A unit Identity chain copies x and runs no kernel ...
-        let (unit, buf) = leaves(StructuredMatrix::identity(3));
-        assert_eq!((unit, buf), (bits(&x), 0));
+        // A unit Identity step runs no kernel: one step, no spare ...
+        let (unit, spares) = leaves(StructuredMatrix::identity(128));
+        let doubled: Vec<u64> = x.iter().map(|v| (2.0 * v).to_bits()).collect();
+        assert_eq!((unit, spares), (doubled, 0));
         // ... a scaled one is still contracted: `2·v`, and `−v`, which turns
         // every `−0.0` into `+0.0`.
         for scale in [2.0, -1.0] {
-            let (got, buf) = leaves(StructuredMatrix::identity(3).scaled(scale));
-            let want: Vec<u64> = x.iter().map(|v| (scale * v).to_bits()).collect();
+            let (got, spares) = leaves(StructuredMatrix::identity(128).scaled(scale));
+            let want: Vec<u64> = x.iter().map(|v| (scale * (2.0 * v)).to_bits()).collect();
             assert_eq!(got, want, "scale {scale}");
-            assert!(buf > 0, "scale {scale}: no kernel ran");
+            assert_eq!(spares, 1, "scale {scale}: no kernel ran");
         }
+    }
+
+    /// A reused buffer comes back zeroed; a request keeps only the buffers
+    /// it drew on; a recycled buffer is kept unless a free one holds as
+    /// many values; small buffers are never pooled.
+    #[test]
+    fn scratch_reuses_zeroes_and_trims_its_buffers() {
+        let mut scratch = KronScratch::new();
+        let mut a = scratch.take(1000);
+        a.fill(7.0);
+        let b = scratch.take(3000);
+        scratch.give(a);
+        scratch.give(b);
+        // 600 fits the 1000-value buffer (under twice its size), zeroed.
+        let again = scratch.take(600);
+        assert_eq!(
+            (again.capacity(), again.iter().all(|v| v.to_bits() == 0)),
+            (1000, true)
+        );
+        scratch.give(again);
+        scratch.end_request();
+        let caps = |s: &KronScratch| s.free.iter().map(|(b, _)| b.capacity()).collect::<Vec<_>>();
+        assert_eq!(caps(&scratch).len(), 2, "both were drawn on");
+        // The next request draws on the 3000 only: the 1000 goes.
+        let c = scratch.take(2000);
+        scratch.give(c);
+        scratch.end_request();
+        assert_eq!(caps(&scratch), [3000]);
+        // Between requests: a larger estimate is kept, a smaller one not.
+        scratch.keep(vec![0.0; 4000]);
+        scratch.keep(vec![0.0; 2500]);
+        scratch.keep(vec![0.0; 100]);
+        assert_eq!(caps(&scratch), [3000, 4000]);
+        // A buffer too small for a request is replaced, not kept beside it
+        // (the 4000), and one the request did not draw on goes (the 3000).
+        let d = scratch.take(5000);
+        assert_eq!(caps(&scratch), [3000]);
+        scratch.give(d);
+        scratch.end_request();
+        assert_eq!(caps(&scratch), [5000]);
     }
 
     #[test]

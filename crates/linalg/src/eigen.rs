@@ -18,13 +18,18 @@ pub struct SymEigen {
 impl SymEigen {
     /// Decomposes symmetric `a` with cyclic Jacobi sweeps.
     ///
-    /// `a` is assumed symmetric; only the upper triangle is trusted.
+    /// `a` is assumed symmetric; only the upper triangle is trusted. A
+    /// non-finite entry is [`LinalgError::NonFinite`].
     pub fn new(a: &Matrix) -> Result<Self> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare {
                 rows: a.rows(),
                 cols: a.cols(),
             });
+        }
+        // A NaN would reach the eigenvalue sort, which has no order for it.
+        if !crate::all_finite(a.as_slice()) {
+            return Err(LinalgError::NonFinite);
         }
         let n = a.rows();
         let mut m = a.clone();

@@ -55,7 +55,8 @@ mod structured;
 pub use cholesky::Cholesky;
 pub use contract::{
     contract_rows, contract_transpose_rows, kmatvec_structured, kmatvec_structured_scratch,
-    kmatvec_transpose_structured, KronScratch, MarginalTables,
+    kmatvec_transpose_structured, kmatvec_transpose_structured_scratch, KronScratch,
+    MarginalTables,
 };
 pub use csr::Csr;
 pub use eigen::SymEigen;
@@ -64,7 +65,9 @@ pub use linop::{LinOp, ScaledOp, StackedOp};
 pub use lsmr::{lsmr, LsmrOptions, LsmrResult};
 pub use lu::Lu;
 pub use matrix::Matrix;
-pub use pinv::{inverse_gram, joint_diagonalize, pinv, pinv_psd, JointEigen, RCOND};
+pub use pinv::{
+    inverse_gram, joint_diagonalize, pinv, pinv_psd, try_inverse_gram, JointEigen, RCOND,
+};
 pub use slab::{
     kmatvec_trailing_slab, kmatvec_transpose_trailing_slab, leading_split, matvec_rows,
     partition_rows, slab_split, LeadingSplit,
@@ -82,6 +85,8 @@ pub enum LinalgError {
     Singular,
     /// An iterative method failed to converge.
     NoConvergence { iterations: usize },
+    /// The input holds a NaN or ±∞ entry.
+    NonFinite,
 }
 
 impl std::fmt::Display for LinalgError {
@@ -95,6 +100,7 @@ impl std::fmt::Display for LinalgError {
             LinalgError::NoConvergence { iterations } => {
                 write!(f, "no convergence after {iterations} iterations")
             }
+            LinalgError::NonFinite => write!(f, "matrix has a non-finite entry"),
         }
     }
 }

@@ -23,14 +23,24 @@ pub fn pinv_psd(a: &Matrix) -> Result<Matrix> {
 /// ([`pinv_psd`]) — a rank-deficient strategy such as `Total`. Every dense
 /// inverse Gram of the workspace is this one function.
 ///
+/// # Errors
+/// The eigendecomposition's error when Cholesky fails and the Jacobi
+/// fallback fails too — which it does not for a finite symmetric `G`, but
+/// does for a Gram with a NaN entry ([`LinalgError::NonFinite`]).
+pub fn try_inverse_gram(gram: &Matrix) -> Result<Matrix> {
+    match Cholesky::new(gram) {
+        Ok(ch) => Ok(ch.inverse()),
+        Err(_) => pinv_psd(gram),
+    }
+}
+
+/// [`try_inverse_gram`] for callers whose Gram is finite by construction.
+///
 /// # Panics
 /// Panics if the eigendecomposition fails, which a finite symmetric `G`
 /// does not.
 pub fn inverse_gram(gram: &Matrix) -> Matrix {
-    match Cholesky::new(gram) {
-        Ok(ch) => ch.inverse(),
-        Err(_) => pinv_psd(gram).expect("factor gram eigendecomposition"),
-    }
+    try_inverse_gram(gram).expect("factor gram eigendecomposition")
 }
 
 /// A basis that diagonalises two symmetric PSD matrices at once, on the

@@ -47,7 +47,7 @@
 //! kernel — the path they already take for slabs that do not align with the
 //! leading factor. Same bits either way; only the parallelism differs.
 
-use crate::contract::{chain_order, contract_chain_owned};
+use crate::contract::{chain_order, contract_chain, KronScratch};
 use crate::structured::{flatten, StructuredMatrix};
 use crate::Matrix;
 use std::ops::Range;
@@ -120,7 +120,7 @@ impl LeadingSplit<'_> {
 /// # Panics
 /// Panics if the slab length is not aligned to the trailing modes.
 pub fn kmatvec_trailing_slab(trailing: &[&StructuredMatrix], x_slab: &[f64]) -> Vec<f64> {
-    contract_chain_owned(trailing, x_slab, false)
+    contract_chain(trailing, x_slab, &mut KronScratch::new(), false)
 }
 
 /// Applies the *transposes* of the trailing factors to one leading-axis slab
@@ -129,7 +129,7 @@ pub fn kmatvec_trailing_slab(trailing: &[&StructuredMatrix], x_slab: &[f64]) -> 
 /// # Panics
 /// Panics if the slab length is not aligned to the trailing modes.
 pub fn kmatvec_transpose_trailing_slab(trailing: &[&StructuredMatrix], y_slab: &[f64]) -> Vec<f64> {
-    contract_chain_owned(trailing, y_slab, true)
+    contract_chain(trailing, y_slab, &mut KronScratch::new(), true)
 }
 
 /// Dense matvec restricted to a row block, one [`crate::simd::dot`] per row.

@@ -41,7 +41,7 @@ use crate::contract::{kmatvec_structured, kmatvec_transpose_structured};
 use crate::csr::Csr;
 use crate::kron::kron;
 use crate::linop::LinOp;
-use crate::Matrix;
+use crate::{LinalgError, Matrix};
 
 /// Density at or below which [`StructuredMatrix::compress`] converts a dense
 /// matrix to CSR.
@@ -317,8 +317,12 @@ impl StructuredMatrix {
     /// `PIdentity` a [`Woodbury`](StructuredMatrix::Woodbury) leaf; only
     /// `Dense`, `Sparse`, `AllRange` and `Woodbury` go through the dense
     /// spectral pseudo-inverse, as does `Permuted`.
-    pub fn gram_pinv(&self) -> StructuredMatrix {
-        match self {
+    ///
+    /// # Errors
+    /// [`try_inverse_gram`](crate::try_inverse_gram)'s, from a dense
+    /// inverse whose Jacobi fallback fails (a Gram with a NaN entry).
+    pub fn try_gram_pinv(&self) -> Result<StructuredMatrix, LinalgError> {
+        Ok(match self {
             Identity { n, scale } => Identity {
                 n: *n,
                 scale: 1.0 / (scale * scale),
@@ -355,17 +359,32 @@ impl StructuredMatrix {
                     1.0 / (*n as f64 * *n as f64 * scale * scale),
                 ))
             }
-            PIdentity { diag, block } => {
-                woodbury_inverse_gram(diag, block).unwrap_or_else(|| self.dense_gram_pinv())
-            }
-            Kron(fs) => Kron(fs.iter().map(StructuredMatrix::gram_pinv).collect()),
-            other => other.dense_gram_pinv(),
-        }
+            PIdentity { diag, block } => match woodbury_inverse_gram(diag, block) {
+                Some(woodbury) => woodbury,
+                None => self.dense_gram_pinv()?,
+            },
+            Kron(fs) => Kron(
+                fs.iter()
+                    .map(StructuredMatrix::try_gram_pinv)
+                    .collect::<Result<_, _>>()?,
+            ),
+            other => other.dense_gram_pinv()?,
+        })
     }
 
-    /// `(AᵀA)⁺` from the dense Gram ([`inverse_gram`](crate::inverse_gram)).
-    fn dense_gram_pinv(&self) -> StructuredMatrix {
-        Dense(crate::inverse_gram(&self.gram_dense()))
+    /// [`StructuredMatrix::try_gram_pinv`] for factors whose Gram is finite
+    /// by construction.
+    ///
+    /// # Panics
+    /// Panics where `try_gram_pinv` fails.
+    pub fn gram_pinv(&self) -> StructuredMatrix {
+        self.try_gram_pinv()
+            .expect("factor gram eigendecomposition")
+    }
+
+    /// `(AᵀA)⁺` from the dense Gram ([`try_inverse_gram`](crate::try_inverse_gram)).
+    fn dense_gram_pinv(&self) -> Result<StructuredMatrix, LinalgError> {
+        crate::try_inverse_gram(&self.gram_dense()).map(Dense)
     }
 
     /// Per-column sums of absolute values, in closed form where possible.
@@ -794,6 +813,25 @@ mod tests {
     /// p-Identity's is the Woodbury leaf, and that is the dense Cholesky
     /// inverse it replaces to 1e-9 in relative Frobenius norm, up to column
     /// scales `1 + Σ_k Θ_kj` of 1e2 (where its `E − UᵀU` cancels hardest).
+    /// A Gram whose Cholesky fails (a zero pivot) and whose Jacobi fallback
+    /// cannot converge (a NaN entry) is a typed error, never a panic —
+    /// through a dense leaf, a Kron leaf and a p-Identity whose Woodbury
+    /// form is refused first.
+    #[test]
+    fn try_gram_pinv_types_a_failed_fallback() {
+        let singular_nan = Dense(Matrix::from_rows(&[&[0.0, f64::NAN]]));
+        let kron =
+            StructuredMatrix::kron(vec![StructuredMatrix::identity(2), singular_nan.clone()]);
+        for leaf in [&singular_nan, &kron] {
+            assert!(
+                matches!(leaf.try_gram_pinv(), Err(LinalgError::NonFinite)),
+                "{leaf:?}"
+            );
+        }
+        let fine = StructuredMatrix::prefix(4).try_gram_pinv().unwrap();
+        assert_eq!(fine, StructuredMatrix::prefix(4).gram_pinv());
+    }
+
     #[test]
     fn gram_pinv_closed_forms() {
         // Θ entries up to `theta_max` over p = 4 rows: column scales ≤ 1e2.

@@ -9,7 +9,12 @@
 /// on a pool that could itself be saturated with blocked workers, and the
 /// borrowed output slices need no `'static` laundering. Spawn cost is
 /// microseconds against tasks that are expected to run for milliseconds;
-/// with `threads <= 1` tasks run inline.
+/// with `threads <= 1` tasks run inline, and otherwise the first lane runs on
+/// the calling thread, which waits for the others anyway. That also keeps
+/// its allocations in the caller's malloc arena: a session batch whose lanes
+/// all ran on fresh threads spread the pooled request scratches over
+/// per-thread arenas that a later batch's threads did not reuse, and
+/// `session_answers`' peak RSS crept up by ~4 MB (+15–20 %).
 #[derive(Debug, Clone, Copy)]
 pub struct ScopedExecutor {
     threads: usize,
@@ -45,20 +50,25 @@ impl ScopedExecutor {
             return;
         }
         // Deal tasks round-robin into one lane per thread; each lane runs its
-        // tasks in order on its own scoped thread.
+        // tasks in order, the first on this thread, the rest on scoped ones.
         let lanes = self.threads.min(tasks.len());
         let mut per_lane: Vec<Vec<Box<dyn FnOnce() + Send + 'a>>> =
             (0..lanes).map(|_| Vec::new()).collect();
         for (i, t) in tasks.into_iter().enumerate() {
             per_lane[i % lanes].push(t);
         }
+        let mut lanes = per_lane.into_iter();
+        let first = lanes.next();
         std::thread::scope(|s| {
-            for lane in per_lane {
+            for lane in lanes {
                 s.spawn(move || {
                     for t in lane {
                         t();
                     }
                 });
+            }
+            for t in first.into_iter().flatten() {
+                t();
             }
         });
     }

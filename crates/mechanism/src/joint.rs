@@ -14,8 +14,8 @@
 
 use crate::UnionGroup;
 use hdmm_linalg::{
-    joint_diagonalize, kmatvec_structured, kmatvec_transpose_structured, LinalgError,
-    StructuredMatrix, RCOND,
+    joint_diagonalize, kmatvec_structured_scratch, kmatvec_transpose_structured_scratch,
+    KronScratch, LinalgError, StructuredMatrix, RCOND,
 };
 
 /// The strategy-only half of a union's closed-form RECONSTRUCT: per
@@ -61,11 +61,14 @@ impl JointBasis {
     /// `x̄ = (⊗V_j)·D⁺·(⊗V_j)ᵀ·b`, where `weights[g]` is group `g`'s `w_g²`.
     /// `D⁺` maps entries at or below [`RCOND`] times an upper bound on
     /// `max D` to 0, as `pinv_psd` cuts eigenvalues.
-    pub(crate) fn solve(&self, weights: &[f64], b: &[f64]) -> Vec<f64> {
+    /// Its work vector and `x̄` are taken from `scratch`.
+    pub(crate) fn solve(&self, weights: &[f64], b: &[f64], scratch: &mut KronScratch) -> Vec<f64> {
         let bases: Vec<&StructuredMatrix> = self.bases.iter().collect();
-        let mut z = kmatvec_transpose_structured(&bases, b);
+        let mut z = kmatvec_transpose_structured_scratch(&bases, b, scratch);
         self.divide_by_diagonal(weights, &mut z);
-        kmatvec_structured(&bases, &z)
+        let x_hat = kmatvec_structured_scratch(&bases, &z, scratch);
+        scratch.give(z);
+        x_hat
     }
 
     /// `z_i ← z_i / D_i` with `D_i = Σ_g w_g²·Πⱼ μ_gj[i_j]` formed on the fly,

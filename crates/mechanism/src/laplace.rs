@@ -3,6 +3,12 @@
 use rand::Rng;
 
 /// One sample from `Laplace(0, scale)` via inverse-CDF sampling.
+///
+/// Always inlined: MEASURE draws one per measured value, and whether the
+/// draw loop kept the generator in registers otherwise followed unrelated
+/// inlining choices in its callers — an out-of-line call cost ~10 ns a draw
+/// (~40 % of `warm_hit_1d`'s MEASURE).
+#[inline(always)]
 pub fn laplace_noise(rng: &mut impl Rng, scale: f64) -> f64 {
     assert!(scale >= 0.0, "laplace scale must be non-negative");
     if scale == 0.0 {

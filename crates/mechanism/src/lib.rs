@@ -40,7 +40,7 @@ pub use marginals::{MarginalsAlgebra, MarginalsStrategy};
 pub use mechanism::MeasuredBlock;
 pub use mechanism::{
     answer_many_from_parts, answer_workload, measure, reconstruct_with, run_mechanism,
-    Measurements, MechanismResult, PreparedReconstruct,
+    Measurements, MechanismResult, PooledScratch, PreparedReconstruct, ScratchPool,
 };
 pub use pipeline::{
     measure_on, reconstruct_on, Kernels, MechanismError, MechanismRequest, PipelineError,

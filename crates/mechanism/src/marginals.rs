@@ -21,7 +21,7 @@
 //! A domain has at most [`MAX_MARGINAL_ATTRS`] attributes.
 
 use crate::MeasuredBlock;
-use hdmm_linalg::{contract_rows, Matrix, StructuredMatrix};
+use hdmm_linalg::{contract_rows, KronScratch, Matrix, StructuredMatrix};
 use hdmm_workload::{Domain, WorkloadGrams};
 
 /// The most attributes a marginals domain may have: the algebra holds `2^d`
@@ -279,7 +279,10 @@ impl SubsetTriangular {
 ///
 /// Each edge costs one pass over its parent's table, so a sweep costs at
 /// most `d` passes over the full table plus its smaller tables. Everything
-/// runs on the coordinator: no step goes through the kernel seam.
+/// runs on the coordinator: no step goes through the kernel seam. Each
+/// measured block is scaled in place into its table, every other table is
+/// taken from the request's scratch, and each goes back to it once read:
+/// only the full table, `x̄`, is kept.
 #[derive(Debug, Clone)]
 pub(crate) struct MarginalsLattice {
     /// The closure's subsets in ascending order, so every child precedes
@@ -357,51 +360,74 @@ impl MarginalsLattice {
         MarginalsLattice { nodes, measured }
     }
 
-    /// `x̄ = G(v)·Mᵀy` from one block per measured product, in list order.
-    pub(crate) fn reconstruct(&self, blocks: &[MeasuredBlock]) -> Vec<f64> {
+    /// `x̄ = G(v)·Mᵀy` from one block per measured product, in list order,
+    /// each scaled by its `θ_a` in place as table `a`.
+    pub(crate) fn reconstruct(
+        &self,
+        blocks: Vec<MeasuredBlock>,
+        scratch: &mut KronScratch,
+    ) -> Vec<f64> {
         let mut tables = vec![None; self.nodes.len()];
         for (&(node, theta), block) in self.measured.iter().zip(blocks) {
-            tables[node] = Some(block.noisy.iter().map(|y| theta * y).collect());
+            let mut table = block.noisy;
+            table.iter_mut().for_each(|y| *y *= theta);
+            tables[node] = Some(table);
         }
-        let mty = self.transpose_sweep(tables);
-        self.transpose_sweep(self.forward_sweep(mty))
+        let mty = self.transpose_sweep(tables, scratch);
+        let g = self.forward_sweep(mty, scratch);
+        self.transpose_sweep(g, scratch)
     }
 
     /// `Σ_k Q_kᵀ·t_k` over the given tables: each accumulated into its
     /// parent's, child before parent, ending at the full table.
-    fn transpose_sweep(&self, mut tables: Vec<Option<Vec<f64>>>) -> Vec<f64> {
+    fn transpose_sweep(
+        &self,
+        mut tables: Vec<Option<Vec<f64>>>,
+        scratch: &mut KronScratch,
+    ) -> Vec<f64> {
         let full = self.nodes.len() - 1;
         for (k, node) in self.nodes[..full].iter().enumerate() {
             let Some(table) = tables[k].take() else {
                 continue;
             };
             let cells = self.nodes[node.parent].cells;
-            let parent = tables[node.parent].get_or_insert_with(|| vec![0.0; cells]);
+            let parent = tables[node.parent].get_or_insert_with(|| scratch.take(cells));
             broadcast_add(&table, parent, node.n, node.right);
+            scratch.give(table);
         }
         let cells = self.nodes[full].cells;
-        tables[full].take().unwrap_or_else(|| vec![0.0; cells])
+        tables[full].take().unwrap_or_else(|| scratch.take(cells))
     }
 
     /// The tables `v_b·Q_b·z` of `v`'s support, each summed out of its
-    /// parent's table, parent before child.
-    fn forward_sweep(&self, z: Vec<f64>) -> Vec<Option<Vec<f64>>> {
+    /// parent's table, parent before child; the tables only a child needed
+    /// go back to `scratch`.
+    fn forward_sweep(&self, z: Vec<f64>, scratch: &mut KronScratch) -> Vec<Option<Vec<f64>>> {
         let mut tables = vec![Vec::new(); self.nodes.len()];
         tables[self.nodes.len() - 1] = z;
         for (k, node) in self.nodes.iter().enumerate().rev().skip(1) {
             if node.in_g {
-                let (parent, mut table) = (&tables[node.parent], vec![0.0; node.cells]);
+                let mut table = scratch.take(node.cells);
                 let total = StructuredMatrix::total(node.n);
                 let left = node.cells / node.right;
-                contract_rows(&total, parent, &mut table, left, node.right, 0..1);
+                contract_rows(
+                    &total,
+                    &tables[node.parent],
+                    &mut table,
+                    left,
+                    node.right,
+                    0..1,
+                );
                 tables[k] = table;
             }
         }
         let weighted = |(mut table, node): (Vec<f64>, &LatticeNode)| {
-            (node.v != 0.0).then(|| {
-                table.iter_mut().for_each(|x| *x *= node.v);
-                table
-            })
+            if node.v == 0.0 {
+                scratch.give(table);
+                return None;
+            }
+            table.iter_mut().for_each(|x| *x *= node.v);
+            Some(table)
         };
         tables.into_iter().zip(&self.nodes).map(weighted).collect()
     }
@@ -666,6 +692,8 @@ mod tests {
     #[test]
     fn lattice_sweeps_match_the_dense_stack_and_explicit_g() {
         let mut rng = StdRng::seed_from_u64(38);
+        // One scratch across every case, as a pooled request scratch is.
+        let mut scratch = KronScratch::new();
         for case in 0..160 {
             let d = 1 + case % 4;
             let sizes: Vec<usize> = (0..d).map(|_| rng.gen_range(1..=4)).collect();
@@ -704,13 +732,14 @@ mod tests {
             for (&(node, t), block) in lattice.measured.iter().zip(&blocks) {
                 tables[node] = Some(block.noisy.iter().map(|y| t * y).collect());
             }
-            let mty = lattice.transpose_sweep(tables);
+            let mty = lattice.transpose_sweep(tables, &mut scratch);
             let mty_scale = dense_mt(&alg, &abs(&theta)).matvec(&abs(&y));
             assert_close(&mty, &mt.matvec(&y), &mty_scale, &format!("Mᵀy, {what}"));
 
             // G(v)·z against the explicit G(v), on a random z.
             let z: Vec<f64> = (0..domain.size()).map(|_| rng.gen::<f64>() - 0.5).collect();
-            let gz = lattice.transpose_sweep(lattice.forward_sweep(z.clone()));
+            let g = lattice.forward_sweep(z.clone(), &mut scratch);
+            let gz = lattice.transpose_sweep(g, &mut scratch);
             let g_scale = alg.g_explicit(&abs(&v)).matvec(&abs(&z));
             assert_close(
                 &gz,
@@ -720,7 +749,7 @@ mod tests {
             );
 
             // All three sweeps.
-            let x_hat = lattice.reconstruct(&blocks);
+            let x_hat = lattice.reconstruct(blocks.clone(), &mut scratch);
             let want = alg.g_explicit(&v).matvec(&mt.matvec(&y));
             let scale = alg.g_explicit(&abs(&v)).matvec(&mty_scale);
             assert_close(&x_hat, &want, &scale, &format!("x̂, {what}"));
@@ -763,7 +792,8 @@ mod tests {
             })
             .collect();
         let scale = g_apply_full(&alg, &abs(&v), &mty_full(&alg, &theta, &abs_blocks));
-        assert_close(&lattice.reconstruct(&blocks), &want, &scale, "adult x̂");
+        let x_hat = lattice.reconstruct(blocks, &mut KronScratch::new());
+        assert_close(&x_hat, &want, &scale, "adult x̂");
     }
 
     #[test]

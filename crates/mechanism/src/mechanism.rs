@@ -7,6 +7,7 @@ use crate::{JointBasis, MeasuredProduct, Strategy};
 use hdmm_linalg::{KronScratch, LinalgError, StructuredMatrix};
 use hdmm_workload::Workload;
 use rand::Rng;
+use std::sync::{Mutex, PoisonError};
 
 /// One noisy measurement block together with its noise scale.
 #[derive(Debug, Clone)]
@@ -45,7 +46,13 @@ pub struct MechanismResult {
 /// Panics if `eps` is not positive.
 pub fn measure(strategy: &Strategy, x: &[f64], eps: f64, rng: &mut impl Rng) -> Measurements {
     let products = strategy.measured_products();
-    match measure_on(&products, eps, rng, &PlainKernels::over(x)) {
+    match measure_on(
+        &products,
+        eps,
+        rng,
+        &PlainKernels::over(x),
+        &mut KronScratch::new(),
+    ) {
         Ok(meas) => meas,
         Err(never) => match never {},
     }
@@ -58,20 +65,23 @@ pub fn measure(strategy: &Strategy, x: &[f64], eps: f64, rng: &mut impl Rng) -> 
 /// strategy family's half of RECONSTRUCT's pseudo-inverse `C⁺`:
 ///
 /// * one product (explicit or Kronecker): the per-factor inverse Grams
-///   `(AᵢᵀAᵢ)⁺` ([`StructuredMatrix::gram_pinv`]) — for SELECT's p-Identity
-///   factors the `Woodbury` leaf `D⁻² − UᵀU`, O(p²n) to build and `p·n + n`
-///   numbers to hold; only `Dense` / `Sparse` / `AllRange` factors (an
-///   explicit matrix is one `Dense` leaf) pay a dense `n×n` inverse;
+///   `(AᵢᵀAᵢ)⁺` ([`StructuredMatrix::try_gram_pinv`]) — for SELECT's
+///   p-Identity factors the `Woodbury` leaf `D⁻² − UᵀU`, O(p²n) to build and
+///   `p·n + n` numbers to hold; only `Dense` / `Sparse` / `AllRange` factors
+///   (an explicit matrix is one `Dense` leaf) pay a dense `n×n` inverse;
 /// * marginals: the subset lattice (`MarginalsLattice`) that applies
 ///   `(MᵀM)⁺·Mᵀ = G(v)·Mᵀ` as table sweeps, with the §7.2 weights `v`;
 /// * union (two groups): the joint per-attribute eigenbasis
 ///   ([`JointBasis`]) that diagonalises both groups' factor Grams,
-///   `O(Σ nⱼ²)` numbers. When it cannot be built — groups over different
-///   attribute orders, an attribute whose Grams are both zero, an
-///   eigensolver error — the plan keeps that typed error in place of its
-///   solve, and [`MechanismRequest::run`] refuses every request against it
-///   with [`MechanismError::PlanMismatch`](crate::MechanismError::PlanMismatch)
-///   before any noise is drawn.
+///   `O(Σ nⱼ²)` numbers.
+///
+/// When a solve cannot be built — a union's groups over different
+/// attribute orders, an attribute whose Grams are both zero, an
+/// eigensolver error, an inverse Gram whose Jacobi fallback fails — the
+/// plan keeps that typed error in place of its solve, and
+/// [`MechanismRequest::run`] refuses every request against it with
+/// [`MechanismError::PlanMismatch`](crate::MechanismError::PlanMismatch)
+/// before any noise is drawn.
 ///
 /// Everything here is a pure deterministic function of the strategy — no
 /// measurements, no randomness — so a plan built moments ago and one cached
@@ -96,13 +106,18 @@ pub(crate) enum Solve {
 
 impl PreparedReconstruct {
     /// Builds the measured products of `strategy` and its solve, or the
-    /// error that stands in for a union's solve.
+    /// error that stands in for it.
     pub fn new(strategy: &Strategy) -> Self {
         let products = strategy.measured_products();
         let solve = match strategy {
             Strategy::Explicit(_) | Strategy::Kron(_) => {
-                let gram_pinvs = products[0].factors.iter().map(StructuredMatrix::gram_pinv);
-                Ok(Solve::InverseGrams(gram_pinvs.collect()))
+                let gram_pinvs = products[0]
+                    .factors
+                    .iter()
+                    .map(StructuredMatrix::try_gram_pinv);
+                gram_pinvs
+                    .collect::<Result<_, _>>()
+                    .map(Solve::InverseGrams)
             }
             Strategy::Marginals(m) => Ok(Solve::Marginals(MarginalsLattice::new(m))),
             Strategy::Union(groups) => JointBasis::new(groups).map(Solve::Joint),
@@ -134,11 +149,12 @@ impl PreparedReconstruct {
 
 /// RECONSTRUCT: least-squares estimate `x̄` of the data vector from noisy
 /// measurements (post-processing; consumes no privacy budget) —
-/// [`reconstruct_on`]; see there for the per-family pseudo-inverses. `prepared` is the strategy-only state of the
-/// strategy ([`PreparedReconstruct::new`]) and holds everything RECONSTRUCT
-/// reads of it, so the strategy argument itself is not read. It is a pure
-/// function of the strategy, so a cached one gives the same bits as a fresh
-/// one.
+/// [`reconstruct_on`] on a copy of `meas`, which it consumes; see there for
+/// the per-family pseudo-inverses. `prepared` is the strategy-only state of
+/// the strategy ([`PreparedReconstruct::new`]) and holds everything
+/// RECONSTRUCT reads of it, so the strategy argument itself is not read. It
+/// is a pure function of the strategy, so a cached one gives the same bits
+/// as a fresh one.
 ///
 /// # Panics
 /// Panics if `meas` does not hold one block per measured product of
@@ -149,7 +165,7 @@ pub fn reconstruct_with(
     _strategy: &Strategy,
     meas: &Measurements,
 ) -> Vec<f64> {
-    reconstruct_on(prepared, meas)
+    reconstruct_on(prepared, meas.clone(), &mut KronScratch::new())
 }
 
 /// Answers the workload on the reconstructed estimate: `ans = W·x̄`.
@@ -157,29 +173,108 @@ pub fn answer_workload(workload: &Workload, x_hat: &[f64]) -> Vec<f64> {
     workload.answer(x_hat)
 }
 
+/// The request scratches a serving layer keeps between requests. A request
+/// or a batch task pops one ([`ScratchPool::pop`]), or makes one when none
+/// is idle, and the scratch goes back when the task drops it, so the pool
+/// never holds more scratches than ran at once; each keeps at most its last
+/// request's buffers ([`KronScratch::end_request`]). Which scratch a task
+/// gets never changes a bit of what it computes.
+#[derive(Debug, Default)]
+pub struct ScratchPool {
+    idle: Mutex<Vec<KronScratch>>,
+}
+
+impl ScratchPool {
+    /// An idle scratch, or a new one when none is idle.
+    pub fn pop(&self) -> PooledScratch<'_> {
+        PooledScratch {
+            scratch: self.lock().pop().unwrap_or_default(),
+            pool: self,
+        }
+    }
+
+    /// Hands the next task a buffer its owner is done with — a closed
+    /// session's estimate — through the scratch pushed back last
+    /// ([`KronScratch::keep`]); dropped when no scratch is idle.
+    pub fn recycle(&self, buf: Vec<f64>) {
+        if let Some(scratch) = self.lock().last_mut() {
+            scratch.keep(buf);
+        }
+    }
+
+    /// The scratches the pool holds now.
+    pub fn idle(&self) -> usize {
+        self.lock().len()
+    }
+
+    /// Poisoning is recovered: no task runs under the lock, and a `pop` or
+    /// a `push` leaves the list consistent.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<KronScratch>> {
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A scratch popped off a [`ScratchPool`]; dropping it ends its request
+/// and pushes it back.
+#[derive(Debug)]
+pub struct PooledScratch<'p> {
+    scratch: KronScratch,
+    pool: &'p ScratchPool,
+}
+
+impl std::ops::Deref for PooledScratch<'_> {
+    type Target = KronScratch;
+
+    fn deref(&self) -> &KronScratch {
+        &self.scratch
+    }
+}
+
+impl std::ops::DerefMut for PooledScratch<'_> {
+    fn deref_mut(&mut self) -> &mut KronScratch {
+        &mut self.scratch
+    }
+}
+
+impl Drop for PooledScratch<'_> {
+    fn drop(&mut self) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.end_request();
+        self.pool.lock().push(scratch);
+    }
+}
+
 /// ANSWER for a batch: evaluates several workloads against one reconstructed
 /// estimate, fanned over `exec` — each workload is an independent `W·x̄`
-/// pass, so the batch parallelizes with no coordination. Every task owns its
-/// own [`KronScratch`] shared across the workload's product terms (scratch
-/// buffers never affect values), so entry `i` is bitwise identical to
+/// pass, so the batch parallelizes with no coordination. The batch is one
+/// request: it pops one scratch per lane off `scratches`, its tasks answer
+/// through them (shared across a workload's product terms; scratch buffers
+/// never affect values), and they go back trimmed to what the whole batch
+/// drew on. Entry `i` is bitwise identical to
 /// `answer_workload(workloads[i], x_hat)` at any lane count.
 ///
 /// This is the amortization point for follow-up queries: MEASURE and
 /// RECONSTRUCT ran once, and each additional workload costs only its own
-/// `W·x̄` pass with no per-term allocation.
+/// `W·x̄` pass, whose only fresh allocation is its answer vector.
 pub fn answer_many_from_parts(
     x_hat: &[f64],
     workloads: &[&Workload],
     exec: &crate::ScopedExecutor,
+    scratches: &ScratchPool,
 ) -> Vec<Vec<f64>> {
+    let lanes = exec.threads().min(workloads.len());
+    // At most `lanes` tasks run at once, so a task always finds one here.
+    let batch = Mutex::new((0..lanes).map(|_| scratches.pop()).collect::<Vec<_>>());
+    let lock = || batch.lock().unwrap_or_else(PoisonError::into_inner);
     let mut out: Vec<Vec<f64>> = vec![Vec::new(); workloads.len()];
     let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out
         .iter_mut()
         .zip(workloads)
         .map(|(slot, w)| {
             Box::new(move || {
-                let mut scratch = KronScratch::new();
+                let mut scratch = lock().pop().unwrap_or_else(|| scratches.pop());
                 *slot = w.answer_with(x_hat, &mut scratch);
+                lock().push(scratch);
             }) as Box<dyn FnOnce() + Send + '_>
         })
         .collect();
@@ -220,7 +315,7 @@ mod tests {
     use crate::UnionGroup;
     use hdmm_workload::{blocks, builders, Domain};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn data(n: usize) -> Vec<f64> {
         (0..n).map(|i| ((i * 7) % 13) as f64).collect()
@@ -347,15 +442,18 @@ mod tests {
         let w3 = builders::prefix_2d(4, 5);
         let x_hat = data(20);
         let workloads: [&Workload; 3] = [&w1, &w2, &w3];
-        let serial = answer_many_from_parts(&x_hat, &workloads, &crate::ScopedExecutor::new(1));
+        let pool = ScratchPool::default();
+        let serial =
+            answer_many_from_parts(&x_hat, &workloads, &crate::ScopedExecutor::new(1), &pool);
         assert_eq!(serial.len(), 3);
         for (got, w) in serial.iter().zip(workloads) {
             assert_eq!(got, &w.answer(&x_hat));
         }
         for threads in [2, 4, 7] {
-            let par =
-                answer_many_from_parts(&x_hat, &workloads, &crate::ScopedExecutor::new(threads));
+            let exec = crate::ScopedExecutor::new(threads);
+            let par = answer_many_from_parts(&x_hat, &workloads, &exec, &pool);
             assert_eq!(serial, par, "lane count {threads} changed answers");
+            assert!(pool.idle() <= exec.threads(), "more scratches than lanes");
         }
     }
 
@@ -375,5 +473,33 @@ mod tests {
         let meas = measure(&strat, &data(3), 1.0, &mut StdRng::seed_from_u64(4));
         assert!((meas.blocks[0].noise_scale - 4.0).abs() < 1e-12);
         assert!((meas.blocks[1].noise_scale - 4.0 / 3.0).abs() < 1e-12);
+    }
+
+    /// A plan whose inverse Gram cannot be formed (Cholesky fails and the
+    /// Jacobi fallback does not converge) keeps the error in place of its
+    /// solve: a request against it is a typed `PlanMismatch` before any
+    /// noise is drawn.
+    #[test]
+    fn a_failed_inverse_gram_refuses_requests_with_plan_mismatch() {
+        let nan = hdmm_linalg::Matrix::from_rows(&[&[0.0, f64::NAN], &[0.0, 1.0]]);
+        let strat = Strategy::Explicit(nan);
+        let prepared = PreparedReconstruct::new(&strat);
+        assert!(prepared.solve.is_err());
+        let w = builders::prefix_1d(2);
+        let request = MechanismRequest {
+            workload: &w,
+            prepared: &prepared,
+            eps: 1.0,
+        };
+        let mut rng = StdRng::seed_from_u64(9);
+        let before = rng.clone().gen::<u64>();
+        let got = request.run(&mut rng, &PlainKernels::over(&data(2)), &());
+        assert!(matches!(
+            got,
+            Err(crate::PipelineError::Rejected(
+                crate::MechanismError::PlanMismatch
+            ))
+        ));
+        assert_eq!(rng.gen::<u64>(), before, "no noise was drawn");
     }
 }

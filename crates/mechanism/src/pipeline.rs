@@ -31,12 +31,20 @@
 //! order and noise is drawn only after a product succeeded, so every kernel
 //! implementation consumes the RNG stream identically — the root of the
 //! byte-identity guarantee across them.
+//!
+//! All three phases take their large buffers — tables, chain buffers, the
+//! noisy blocks, RECONSTRUCT's sweeps and `x̄` itself — from one
+//! [`KronScratch`] per request ([`MechanismRequest::run_with_scratch`]), so a
+//! warm request reuses what the last one gave back; RECONSTRUCT consumes the
+//! measurements and hands their blocks back. Only the answer vector is a
+//! fresh allocation.
 
 use crate::laplace::laplace_noise;
 use crate::mechanism::Solve;
 use crate::{MeasuredBlock, MeasuredProduct, Measurements, MechanismResult, PreparedReconstruct};
 use hdmm_linalg::{
-    kmatvec_structured, kmatvec_transpose_structured, MarginalTables, StructuredMatrix,
+    kmatvec_structured_scratch, kmatvec_transpose_structured_scratch, KronScratch, MarginalTables,
+    StructuredMatrix,
 };
 use hdmm_obs::{Observer, Phase};
 use hdmm_workload::Workload;
@@ -176,7 +184,8 @@ impl Kernels for PlainKernels<'_> {
 /// The products the kernels leave to the plain kernels are answered through
 /// one `MarginalTables` over [`Kernels::data`], with the modes of the first
 /// product's leaves: a product whose leaves do not match them runs its whole
-/// chain on the data. The tables live for this call only.
+/// chain on the data. The tables live for this call only; they, the chain
+/// buffers and the blocks those products answer into come from `scratch`.
 ///
 /// # Panics
 /// Panics if `eps` is not positive ([`MechanismRequest::run`] validates with
@@ -187,6 +196,7 @@ pub fn measure_on<K: Kernels + ?Sized>(
     eps: f64,
     rng: &mut impl Rng,
     kernels: &K,
+    scratch: &mut KronScratch,
 ) -> Result<Measurements, K::Error> {
     assert!(eps > 0.0, "privacy budget must be positive");
     let x = kernels.data();
@@ -194,13 +204,13 @@ pub fn measure_on<K: Kernels + ?Sized>(
         || vec![x.len()],
         |p| p.factors.iter().map(StructuredMatrix::cols).collect(),
     );
-    let mut tables = MarginalTables::new(x, &modes);
+    let mut tables = MarginalTables::new(x, &modes, scratch);
     let mut blocks = Vec::with_capacity(products.len());
     for (i, p) in products.iter().enumerate() {
         let refs = p.refs();
         let mut noisy = match kernels.forward(i, &refs)? {
             Some(answers) => answers,
-            None => tables.kmatvec_owned(&refs),
+            None => tables.kmatvec(&refs),
         };
         let noise_scale = p.sensitivity / (p.share * eps);
         scale_and_noise(&mut noisy, p.theta, noise_scale, rng);
@@ -241,13 +251,21 @@ fn scale_and_noise(block: &mut [f64], theta: f64, scale: f64, rng: &mut impl Rng
 ///   joint eigenbasis of its two groups ([`JointBasis`](crate::JointBasis)),
 ///   two small dense Kronecker products and one diagonal.
 ///
+/// It consumes `meas`: every block goes back to `scratch` once read (a
+/// marginals block becomes its own lattice table), and `x̄` and every work
+/// vector are taken from it.
+///
 /// # Panics
 /// Panics if `meas` does not hold one block per measured product of
 /// `prepared`, or if `prepared` holds no solve (a union whose joint basis
 /// could not be built). [`MechanismRequest::run`] reaches neither: its
 /// MEASURE takes one block per product, and its validation refuses a plan
 /// without a solve.
-pub fn reconstruct_on(prepared: &PreparedReconstruct, meas: &Measurements) -> Vec<f64> {
+pub fn reconstruct_on(
+    prepared: &PreparedReconstruct,
+    meas: Measurements,
+    scratch: &mut KronScratch,
+) -> Vec<f64> {
     let products = prepared.products();
     assert_eq!(
         meas.blocks.len(),
@@ -257,12 +275,18 @@ pub fn reconstruct_on(prepared: &PreparedReconstruct, meas: &Measurements) -> Ve
     match &prepared.solve {
         Ok(Solve::InverseGrams(gram_pinvs)) => {
             let refs: Vec<&StructuredMatrix> = gram_pinvs.iter().collect();
-            kmatvec_structured(&refs, &weighted_aty(prepared, meas, None))
+            let b = weighted_aty(prepared, meas.blocks, None, scratch);
+            let x_hat = kmatvec_structured_scratch(&refs, &b, scratch);
+            scratch.give(b);
+            x_hat
         }
-        Ok(Solve::Marginals(lattice)) => lattice.reconstruct(&meas.blocks),
+        Ok(Solve::Marginals(lattice)) => lattice.reconstruct(meas.blocks, scratch),
         Ok(Solve::Joint(joint)) => {
             let w2: Vec<f64> = meas.blocks.iter().map(|b| b.noise_scale.powi(-2)).collect();
-            joint.solve(&w2, &weighted_aty(prepared, meas, Some(&w2)))
+            let b = weighted_aty(prepared, meas.blocks, Some(&w2), scratch);
+            let x_hat = joint.solve(&w2, &b, scratch);
+            scratch.give(b);
+            x_hat
         }
         Err(e) => panic!("the plan has no solve: {e}"),
     }
@@ -270,22 +294,28 @@ pub fn reconstruct_on(prepared: &PreparedReconstruct, meas: &Measurements) -> Ve
 
 /// `b = Σᵢ cᵢ·Aᵢᵀyᵢ`, accumulated from zeros in list order. Without weights
 /// — a single product, `c = 1` — its `Aᵀy` is `b` as is: accumulating would
-/// turn a `−0.0` into `+0.0`.
+/// turn a `−0.0` into `+0.0`. Each block and each product's `Aᵢᵀyᵢ` go back
+/// to `scratch` once added in.
 fn weighted_aty(
     prepared: &PreparedReconstruct,
-    meas: &Measurements,
+    blocks: Vec<MeasuredBlock>,
     weights: Option<&[f64]>,
+    scratch: &mut KronScratch,
 ) -> Vec<f64> {
     let mut b = Vec::new();
-    for (i, (p, block)) in prepared.products().iter().zip(&meas.blocks).enumerate() {
-        let back = kmatvec_transpose_structured(&p.refs(), &block.noisy);
+    for (i, (p, block)) in prepared.products().iter().zip(blocks).enumerate() {
+        let back = kmatvec_transpose_structured_scratch(&p.refs(), &block.noisy, scratch);
+        scratch.give(block.noisy);
         match weights {
-            None => b = back,
+            None => scratch.give(std::mem::replace(&mut b, back)),
             Some(c) => {
-                b.resize(back.len(), 0.0);
+                if b.is_empty() {
+                    b = scratch.take(back.len());
+                }
                 for (acc, v) in b.iter_mut().zip(&back) {
                     *acc += c[i] * v;
                 }
+                scratch.give(back);
             }
         }
     }
@@ -347,19 +377,33 @@ impl MechanismRequest<'_> {
         kernels: &K,
         observer: &dyn Observer,
     ) -> Result<MechanismResult, PipelineError<K::Error>> {
+        self.run_with_scratch(&mut KronScratch::new(), rng, kernels, observer)
+    }
+
+    /// [`MechanismRequest::run`] with every phase's large buffers taken from
+    /// `scratch` — a serving layer's pooled one — and the ones the request
+    /// does not return given back to it. The bits are `run`'s whatever the
+    /// scratch held.
+    pub fn run_with_scratch<K: Kernels + ?Sized>(
+        &self,
+        scratch: &mut KronScratch,
+        rng: &mut impl Rng,
+        kernels: &K,
+        observer: &dyn Observer,
+    ) -> Result<MechanismResult, PipelineError<K::Error>> {
         self.validate(kernels).map_err(PipelineError::Rejected)?;
 
         let t = Instant::now();
-        let meas = measure_on(self.prepared.products(), self.eps, rng, kernels)
+        let meas = measure_on(self.prepared.products(), self.eps, rng, kernels, scratch)
             .map_err(PipelineError::Kernel)?;
         observer.phase_complete(Phase::Measure, t.elapsed());
 
         let t = Instant::now();
-        let x_hat = reconstruct_on(self.prepared, &meas);
+        let x_hat = reconstruct_on(self.prepared, meas, scratch);
         observer.phase_complete(Phase::Reconstruct, t.elapsed());
 
         let t = Instant::now();
-        let answers = self.workload.answer(&x_hat);
+        let answers = self.workload.answer_with(&x_hat, scratch);
         observer.phase_complete(Phase::Answer, t.elapsed());
 
         Ok(MechanismResult { x_hat, answers })

@@ -173,29 +173,30 @@ impl Workload {
 
     /// Answers all queries on data vector `x`, stacking terms in order.
     pub fn answer(&self, x: &[f64]) -> Vec<f64> {
-        let mut scratch = KronScratch::new();
-        self.answer_with(x, &mut scratch)
+        self.answer_with(x, &mut KronScratch::new())
     }
 
-    /// [`Workload::answer`] through caller-owned scratch buffers, so a batch
-    /// of workloads answered against one estimate allocates its Kronecker
-    /// intermediates once. The terms share one [`MarginalTables`] over `x`:
-    /// a term whose chain starts by summing out attributes with unit `Total`
-    /// factors starts from that marginal table, summed once per call for all
-    /// the terms that need it, not from `x`. Every term's answer keeps the
-    /// bits of its own chain, [`ProductTerm::answer`]; so does the result,
-    /// bitwise identical to `answer`.
+    /// [`Workload::answer`] with its tables and chain buffers taken from
+    /// `scratch`, so a request or a batch task answers in pages an earlier
+    /// one already used; only the answer vector is a fresh allocation. The
+    /// terms share one [`MarginalTables`] over `x`: a term whose chain starts
+    /// by summing out attributes with unit `Total` factors starts from that
+    /// marginal table, summed once per call for all the terms that need it,
+    /// not from `x`. Every term's answer keeps the bits of its own chain,
+    /// [`ProductTerm::answer`]; so does the result, bitwise identical to
+    /// `answer`.
     pub fn answer_with(&self, x: &[f64], scratch: &mut KronScratch) -> Vec<f64> {
-        let mut tables = MarginalTables::new(x, self.domain.sizes());
+        let mut tables = MarginalTables::new(x, self.domain.sizes(), scratch);
         let mut out = Vec::with_capacity(self.query_count());
         for t in &self.terms {
             let refs: Vec<&StructuredMatrix> = t.factors.iter().collect();
-            let y = tables.kmatvec(&refs, scratch);
+            let y = tables.kmatvec(&refs);
             if t.weight != 1.0 {
                 out.extend(y.iter().map(|v| v * t.weight));
             } else {
-                out.extend_from_slice(y);
+                out.extend_from_slice(&y);
             }
+            tables.give(y);
         }
         out
     }

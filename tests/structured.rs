@@ -5,7 +5,7 @@
 
 use hdmm_linalg::{
     contract_rows, contract_transpose_rows, kmatvec_structured, kmatvec_transpose_structured,
-    kron_all, partition_rows, Csr, Matrix, StructuredMatrix,
+    kron_all, partition_rows, Csr, KronScratch, Matrix, StructuredMatrix,
 };
 use hdmm_optimizer::planner::is_total_like;
 use hdmm_optimizer::PIdentity;
@@ -641,8 +641,8 @@ fn shared_tables_answer_adult_marginals_bit_for_bit() {
 }
 
 /// `answer_many_from_parts` answers each workload of a batch through its
-/// own tables: at 1 and 3 lanes, entry `i` holds the per-term bits of
-/// workload `i`.
+/// own tables, in scratches of one pool that both batches share: at 1 and 3
+/// lanes, entry `i` holds the per-term bits of workload `i`.
 #[test]
 fn shared_tables_answer_many_bit_for_bit_at_one_and_three_lanes() {
     let domain = Domain::new(&[3, 1, 4, 2, 5]);
@@ -654,9 +654,10 @@ fn shared_tables_answer_many_bit_for_bit_at_one_and_three_lanes() {
     workloads.extend((0..4).map(|_| mixed_workload(&domain, &mut rng)));
     let refs: Vec<&Workload> = workloads.iter().collect();
     let x = inexact(domain.size(), 3);
+    let pool = hdmm_mechanism::ScratchPool::default();
     for lanes in [1, 3] {
         let exec = hdmm_mechanism::ScopedExecutor::new(lanes);
-        let got = hdmm_mechanism::answer_many_from_parts(&x, &refs, &exec);
+        let got = hdmm_mechanism::answer_many_from_parts(&x, &refs, &exec, &pool);
         for (i, (answers, w)) in got.iter().zip(&workloads).enumerate() {
             let what = format!("{lanes} lanes, workload {i}");
             assert_same_bits(answers, &per_term(w, &x), &what);
@@ -692,8 +693,14 @@ fn per_product_measure(
 
 /// `measure_on` over `PlainKernels` (products through one shared
 /// `MarginalTables`, θ and noise in one pass) vs [`per_product_measure`]:
-/// the same bits in every block, and the same RNG state afterwards.
-fn assert_measure_matches_per_product(strategy: &hdmm_mechanism::Strategy, x: &[f64], what: &str) {
+/// the same bits in every block, and the same RNG state afterwards, in a
+/// scratch the caller may have used before.
+fn assert_measure_matches_per_product(
+    strategy: &hdmm_mechanism::Strategy,
+    x: &[f64],
+    scratch: &mut KronScratch,
+    what: &str,
+) {
     let products = strategy.measured_products();
     let eps = 0.7;
     let mut rng = StdRng::seed_from_u64(x.len() as u64);
@@ -703,6 +710,7 @@ fn assert_measure_matches_per_product(strategy: &hdmm_mechanism::Strategy, x: &[
         eps,
         &mut rng,
         &hdmm_mechanism::PlainKernels::over(x),
+        scratch,
     )
     .unwrap_or_else(|never| match never {});
     let want = per_product_measure(&products, x, eps, &mut oracle_rng);
@@ -730,6 +738,7 @@ fn shared_tables_measure_marginals_plans_bit_for_bit() {
         Domain::new(&[2, 3, 1, 2]),
         Domain::new(&[2, 2, 2, 2, 2, 2]),
     ];
+    let mut scratch = KronScratch::new();
     for seed in 0..24u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let domain = &domains[seed as usize % domains.len()];
@@ -750,7 +759,8 @@ fn shared_tables_measure_marginals_plans_bit_for_bit() {
             theta,
         ));
         let x = inexact(domain.size(), seed);
-        assert_measure_matches_per_product(&strategy, &x, &format!("seed {seed}"));
+        let what = format!("seed {seed}");
+        assert_measure_matches_per_product(&strategy, &x, &mut scratch, &what);
     }
 }
 
@@ -817,7 +827,118 @@ fn shared_tables_measure_kron_explicit_and_union_plans_bit_for_bit() {
             ]),
         ),
     ];
+    let mut scratch = KronScratch::new();
     for (name, plan) in &plans {
-        assert_measure_matches_per_product(plan, &inexact(48, 5), name);
+        assert_measure_matches_per_product(plan, &inexact(48, 5), &mut scratch, name);
+    }
+}
+
+/// One request scratch reused across plans of every family — marginals,
+/// Kron, union, explicit, then a marginals plan on twice the cells before
+/// one on half of them, so every buffer a later plan draws on still holds
+/// another plan's values — gives the bits of the fresh-buffer pipeline
+/// (`run_mechanism`) and of `Workload::answer`, in x̂ and in the answers.
+#[test]
+fn shared_tables_one_scratch_across_plans_bit_for_bit() {
+    use hdmm_mechanism::{
+        run_mechanism, MarginalsStrategy, MechanismRequest, PlainKernels, PreparedReconstruct,
+        Strategy as Plan, UnionGroup,
+    };
+    let marginals = |sizes: &[usize]| {
+        let domain = Domain::new(sizes);
+        // Some masks unmeasured, θ sometimes exactly 1; the full table always.
+        let full = (1usize << sizes.len()) - 1;
+        let theta = (0..=full)
+            .map(|a| {
+                if a == full {
+                    1.0
+                } else {
+                    [0.0, 0.5, 1.0, 1.75][a % 4]
+                }
+            })
+            .collect();
+        let plan = Plan::Marginals(MarginalsStrategy::new(domain.clone(), theta));
+        (builders::upto_kway_marginals(&domain, 2), plan)
+    };
+    let n = 520;
+    let explicit = Matrix::from_fn(n + 8, n, |r, c| {
+        if r == c {
+            1.0
+        } else if r >= n {
+            ((r * 7 + c * 3) % 5) as f64 * 0.2
+        } else {
+            0.0
+        }
+    });
+    let cases = [
+        ("marginals", marginals(&[16, 12, 10, 8])),
+        (
+            "kron",
+            (
+                builders::prefix_2d(32, 32),
+                Plan::kron(vec![
+                    StructuredMatrix::prefix(32).scaled(0.25),
+                    StructuredMatrix::identity(32),
+                ]),
+            ),
+        ),
+        (
+            "union",
+            (
+                builders::range_total_union_2d(32, 32),
+                Plan::Union([
+                    UnionGroup::new(
+                        0.5,
+                        vec![
+                            StructuredMatrix::prefix(32).scaled(0.25),
+                            StructuredMatrix::total(32),
+                        ],
+                        vec![0],
+                    ),
+                    UnionGroup::new(
+                        0.5,
+                        vec![
+                            StructuredMatrix::total(32),
+                            StructuredMatrix::prefix(32).scaled(0.25),
+                        ],
+                        vec![1],
+                    ),
+                ]),
+            ),
+        ),
+        (
+            "explicit",
+            (builders::width_range_1d(n, 16), Plan::Explicit(explicit)),
+        ),
+        ("larger marginals", marginals(&[20, 16, 12, 8])),
+        ("smaller marginals", marginals(&[16, 12, 10, 8])),
+    ];
+    let mut scratch = KronScratch::new();
+    for (seed, (name, (w, plan))) in cases.iter().enumerate() {
+        let x = inexact(w.domain().size(), seed as u64);
+        let want = run_mechanism(w, plan, &x, 0.9, &mut StdRng::seed_from_u64(seed as u64));
+        let prepared = PreparedReconstruct::new(plan);
+        let request = MechanismRequest {
+            workload: w,
+            prepared: &prepared,
+            eps: 0.9,
+        };
+        let got = request
+            .run_with_scratch(
+                &mut scratch,
+                &mut StdRng::seed_from_u64(seed as u64),
+                &PlainKernels::over(&x),
+                &(),
+            )
+            .unwrap_or_else(|e| panic!("{name}: {e:?}"));
+        assert_same_bits(&got.x_hat, &want.x_hat, &format!("{name}: x̂"));
+        assert_same_bits(&got.answers, &want.answers, &format!("{name}: answers"));
+        let again = w.answer_with(&got.x_hat, &mut scratch);
+        assert_same_bits(
+            &again,
+            &w.answer(&got.x_hat),
+            &format!("{name}: answer_with"),
+        );
+        scratch.end_request();
     }
 }

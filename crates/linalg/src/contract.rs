@@ -1058,28 +1058,26 @@ mod tests {
         // Whether a product is sliced follows chain_order's last step, which
         // a skipped step does not change: a leading unit Identity never
         // shrinks, so it is contracted last and the product is sliced.
-        let table: [(&[&StructuredMatrix], bool); 5] = [
-            (&[&id3], false),
-            (&[&id3, &total], false),
-            (&[&id3, &prefix], true),
-            (&[&id3, &tall, &total], false),
-            (&[&id3, &tall], true),
+        let table: [&[&StructuredMatrix]; 5] = [
+            &[&id3],
+            &[&id3, &total],
+            &[&id3, &prefix],
+            &[&id3, &tall, &total],
+            &[&id3, &tall],
         ];
-        for (leaves, transpose) in table {
-            let split = slab_split(leaves, transpose).expect("a leading Identity is sliced");
+        for leaves in table {
+            let split = slab_split(leaves).expect("a leading Identity is sliced");
             assert!(std::ptr::eq(split.leading, &id3));
-            // Forward, the trailing slabs, merged, then the leading step over
-            // them are the plain product's bits.
-            if !transpose {
-                let x = awkward(leaves.iter().map(|a| a.cols()).product());
-                let merged = kmatvec_trailing_slab(&split.trailing, &x);
-                let right = split.trailing_rows();
-                let mut out = vec![0.0; 3 * right];
-                contract_rows(split.leading, &merged, &mut out, 1, right, 0..3);
-                assert_eq!(bits(&out), bits(&kmatvec_structured(leaves, &x)));
-            }
+            // The trailing slabs, merged, then the leading step over them are
+            // the plain product's bits.
+            let x = awkward(leaves.iter().map(|a| a.cols()).product());
+            let merged = kmatvec_trailing_slab(&split.trailing, &x);
+            let right = split.trailing_rows();
+            let mut out = vec![0.0; 3 * right];
+            contract_rows(split.leading, &merged, &mut out, 1, right, 0..3);
+            assert_eq!(bits(&out), bits(&kmatvec_structured(leaves, &x)));
         }
         // A leading shrinking leaf in front of a unit Identity is not.
-        assert!(slab_split(&[&total, &id3], false).is_none());
+        assert!(slab_split(&[&total, &id3]).is_none());
     }
 }

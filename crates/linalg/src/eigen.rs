@@ -173,14 +173,14 @@ mod tests {
     }
 
     #[test]
-    fn spectral_inverse_matches_lu() {
+    fn spectral_inverse_matches_cholesky() {
         let mut a = sym(5);
         for i in 0..5 {
             a[(i, i)] += 4.0; // make well-conditioned and PD
         }
         let e = SymEigen::new(&a).unwrap();
         let inv_spec = e.apply_spectral(|l| 1.0 / l);
-        let inv_lu = crate::Lu::new(&a).unwrap().inverse();
-        assert!(inv_spec.approx_eq(&inv_lu, 1e-8));
+        let inv_chol = crate::Cholesky::new(&a).unwrap().inverse();
+        assert!(inv_spec.approx_eq(&inv_chol, 1e-8));
     }
 }

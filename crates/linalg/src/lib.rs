@@ -1,8 +1,8 @@
 //! Linear algebra substrate for the HDMM reproduction.
 //!
 //! The paper's Python implementation leans on numpy/scipy; this crate provides
-//! the equivalents built from scratch: a row-major dense [`Matrix`], Cholesky
-//! and LU factorizations, a cyclic Jacobi symmetric eigendecomposition,
+//! the equivalents built from scratch: a row-major dense [`Matrix`], the
+//! Cholesky factorization, a cyclic Jacobi symmetric eigendecomposition,
 //! Moore–Penrose pseudo-inverses, the LSMR iterative least-squares solver on a
 //! matrix-free [`LinOp`], and Kronecker products — explicit ([`kron_all`], the
 //! test oracle) and the implicit one of Appendix A.5 over structured factors
@@ -45,7 +45,6 @@ mod eigen;
 mod kron;
 mod linop;
 mod lsmr;
-mod lu;
 mod matrix;
 mod pinv;
 pub mod simd;
@@ -63,14 +62,12 @@ pub use eigen::SymEigen;
 pub use kron::{kron, kron_all, kron_vec};
 pub use linop::{LinOp, ScaledOp, StackedOp};
 pub use lsmr::{lsmr, LsmrOptions, LsmrResult};
-pub use lu::Lu;
 pub use matrix::Matrix;
 pub use pinv::{
     inverse_gram, joint_diagonalize, pinv, pinv_psd, try_inverse_gram, JointEigen, RCOND,
 };
 pub use slab::{
-    kmatvec_trailing_slab, kmatvec_transpose_trailing_slab, leading_split, matvec_rows,
-    partition_rows, slab_split, LeadingSplit,
+    kmatvec_trailing_slab, leading_split, matvec_rows, partition_rows, slab_split, LeadingSplit,
 };
 pub use structured::{all_finite, StructuredMatrix, SPARSE_DENSITY_THRESHOLD};
 

@@ -41,11 +41,11 @@
 //! the decomposition that parallelizes *without* reassociating any sum.
 //!
 //! A product whose order contracts the leading mode early (a leading `Total`
-//! in front of an expanding factor forward, a tall leading factor in front
-//! of a square one transposed) has no such split: [`slab_split`] returns
-//! `None` for it, and the sharded executors run it on the assembled plain
-//! kernel — the path they already take for slabs that do not align with the
-//! leading factor. Same bits either way; only the parallelism differs.
+//! in front of a factor that does not shrink) has no such split:
+//! [`slab_split`] returns `None` for it, and the sharded executors run it on
+//! the assembled plain kernel — the path they already take for slabs that do
+//! not align with the leading factor. Same bits either way; only the
+//! parallelism differs.
 
 use crate::contract::{chain_order, contract_chain, KronScratch};
 use crate::structured::{flatten, StructuredMatrix};
@@ -82,19 +82,16 @@ pub fn leading_split<'a>(factors: &[&'a StructuredMatrix]) -> LeadingSplit<'a> {
     }
 }
 
-/// The [`leading_split`] of a product in direction `transpose`, when the
-/// chain driver contracts its leading mode last — the only order the
-/// trailing / merge / leading decomposition reproduces bit for bit. `None`
-/// when the leading leaf shrinks (output extent below input extent) and some
-/// other leaf does not: that product must run on the plain kernel.
+/// The [`leading_split`] of a forward product, when the chain driver
+/// contracts its leading mode last — the only order the trailing / merge /
+/// leading decomposition reproduces bit for bit. `None` when the leading
+/// leaf shrinks (fewer rows than columns) and some other leaf does not: that
+/// product must run on the plain kernel.
 ///
 /// # Panics
 /// Panics if `factors` is empty.
-pub fn slab_split<'a>(
-    factors: &[&'a StructuredMatrix],
-    transpose: bool,
-) -> Option<LeadingSplit<'a>> {
-    let leading_last = chain_order(&flatten(factors), transpose).last() == Some(0);
+pub fn slab_split<'a>(factors: &[&'a StructuredMatrix]) -> Option<LeadingSplit<'a>> {
+    let leading_last = chain_order(&flatten(factors), false).last() == Some(0);
     leading_last.then(|| leading_split(factors))
 }
 
@@ -121,15 +118,6 @@ impl LeadingSplit<'_> {
 /// Panics if the slab length is not aligned to the trailing modes.
 pub fn kmatvec_trailing_slab(trailing: &[&StructuredMatrix], x_slab: &[f64]) -> Vec<f64> {
     contract_chain(trailing, x_slab, &mut KronScratch::new(), false)
-}
-
-/// Applies the *transposes* of the trailing factors to one leading-axis slab
-/// of a measurement vector (rows of the leading factor's output mode).
-///
-/// # Panics
-/// Panics if the slab length is not aligned to the trailing modes.
-pub fn kmatvec_transpose_trailing_slab(trailing: &[&StructuredMatrix], y_slab: &[f64]) -> Vec<f64> {
-    contract_chain(trailing, y_slab, &mut KronScratch::new(), true)
 }
 
 /// Dense matvec restricted to a row block, one [`crate::simd::dot`] per row.
@@ -167,10 +155,7 @@ pub fn partition_rows(len: usize, parts: usize) -> Vec<Range<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        contract_rows, contract_transpose_rows, kmatvec_structured, kmatvec_transpose_structured,
-        Csr,
-    };
+    use crate::{contract_rows, kmatvec_structured, Csr};
 
     fn bits_eq(a: &[f64], b: &[f64]) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
@@ -199,20 +184,15 @@ mod tests {
             .collect()
     }
 
-    /// Whether a leaf's output extent is below its input extent.
-    fn shrinks(a: &StructuredMatrix, transpose: bool) -> bool {
-        let (m, n) = a.shape();
-        if transpose {
-            n < m
-        } else {
-            m < n
-        }
+    /// Whether a leaf has fewer rows than columns.
+    fn shrinks(a: &StructuredMatrix) -> bool {
+        a.rows() < a.cols()
     }
 
     /// [`slab_split`]'s answer, from the rule rather than from `chain_order`:
     /// only a shrinking lead in front of a non-shrinking leaf is refused.
-    fn sliceable(lead: &StructuredMatrix, trailing: &[StructuredMatrix], transpose: bool) -> bool {
-        !shrinks(lead, transpose) || trailing.iter().all(|a| shrinks(a, transpose))
+    fn sliceable(lead: &StructuredMatrix, trailing: &[StructuredMatrix]) -> bool {
+        !shrinks(lead) || trailing.iter().all(shrinks)
     }
 
     #[test]
@@ -232,12 +212,8 @@ mod tests {
         {
             let factors: Vec<&StructuredMatrix> =
                 std::iter::once(&lead).chain(trailing.iter()).collect();
-            let split = slab_split(&factors, false);
-            assert_eq!(
-                split.is_some(),
-                sliceable(&lead, trailing, false),
-                "{lead:?}"
-            );
+            let split = slab_split(&factors);
+            assert_eq!(split.is_some(), sliceable(&lead, trailing), "{lead:?}");
             let Some(split) = split else { continue };
             let rest_n = split.trailing_cols();
             let x = data(n_lead * rest_n, 11);
@@ -259,56 +235,6 @@ mod tests {
                     contract_rows(split.leading, &t, chunk, 1, right, r);
                 }
                 assert!(bits_eq(&out, &full), "{lead:?} shards={shards}");
-            }
-        }
-    }
-
-    #[test]
-    fn transpose_pipeline_matches_full_bitwise() {
-        let n_lead = 6;
-        // The second list is all tall, so every leaf shrinks transposed.
-        let trailings = [
-            [
-                StructuredMatrix::total(3).scaled(1.5),
-                StructuredMatrix::prefix(2),
-            ],
-            [
-                StructuredMatrix::Dense(Matrix::from_fn(4, 3, |r, c| (r * 3 + c) as f64 - 5.5)),
-                StructuredMatrix::all_range(2).scaled(0.7),
-            ],
-        ];
-        for (trailing, lead) in trailings
-            .iter()
-            .flat_map(|t| leading_variants(n_lead).into_iter().map(move |l| (t, l)))
-        {
-            let factors: Vec<&StructuredMatrix> =
-                std::iter::once(&lead).chain(trailing.iter()).collect();
-            let split = slab_split(&factors, true);
-            assert_eq!(
-                split.is_some(),
-                sliceable(&lead, trailing, true),
-                "{lead:?}ᵀ"
-            );
-            let Some(split) = split else { continue };
-            let m_lead = split.leading.rows();
-            let rest_m = split.trailing_rows();
-            let y = data(m_lead * rest_m, 23);
-            let full = kmatvec_transpose_structured(&factors, &y);
-
-            for shards in [1usize, 2, 4, 6] {
-                let mut t = Vec::new();
-                for r in partition_rows(m_lead, shards) {
-                    let slab = &y[r.start * rest_m..r.end * rest_m];
-                    t.extend(kmatvec_transpose_trailing_slab(&split.trailing, slab));
-                }
-                let right = split.trailing_cols();
-                let n = split.leading.cols();
-                let mut out = vec![0.0; n * right];
-                for r in partition_rows(n, shards) {
-                    let chunk = &mut out[r.start * right..r.end * right];
-                    contract_transpose_rows(split.leading, &t, chunk, 1, right, r);
-                }
-                assert!(bits_eq(&out, &full), "{lead:?}ᵀ shards={shards}");
             }
         }
     }
@@ -350,16 +276,13 @@ mod tests {
         let identity = StructuredMatrix::identity(5);
         let total = StructuredMatrix::total(6);
         let ranges = StructuredMatrix::all_range(6);
-        // A tall lead transposed, and a leading Total forward, each in front
-        // of a leaf that does not shrink.
-        assert!(slab_split(&[&tall, &identity], true).is_none());
-        assert!(slab_split(&[&total, &ranges], false).is_none());
-        // The same leaves the other way round, or in the other direction.
-        assert!(slab_split(&[&tall, &identity], false).is_some());
-        assert!(slab_split(&[&ranges, &total], false).is_some());
-        assert!(slab_split(&[&total, &ranges], true).is_some());
-        assert!(slab_split(&[&tall, &tall], true).is_some());
-        assert!(slab_split(&[&total, &total], false).is_some());
+        // A leading Total in front of a leaf that does not shrink.
+        assert!(slab_split(&[&total, &ranges]).is_none());
+        // The same leaves the other way round, or behind a lead that does
+        // not shrink, or in front of leaves that all shrink.
+        assert!(slab_split(&[&tall, &identity]).is_some());
+        assert!(slab_split(&[&ranges, &total]).is_some());
+        assert!(slab_split(&[&total, &total]).is_some());
     }
 
     #[test]

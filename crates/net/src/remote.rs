@@ -142,7 +142,7 @@ fn fan_out(
 
 /// The coordinator's half of a sliced product: the ordered merge of the
 /// per-slab trailing products `parts`, then the leading contraction over all
-/// of its output rows. `factors` must have a forward [`slab_split`]; the
+/// of its output rows. `factors` must have a [`slab_split`]; the
 /// result is then bitwise the plain product — the plain driver contracts the
 /// leading mode last through the same kernel, and a row block of that
 /// kernel is bitwise its all-rows call's rows.
@@ -203,7 +203,7 @@ impl Kernels for RpcKernels<'_> {
         block: usize,
         factors: &[&StructuredMatrix],
     ) -> Result<Option<Vec<f64>>, NetError> {
-        if slab_split(factors, false).is_none_or(|split| split.trailing.is_empty()) {
+        if slab_split(factors).is_none_or(|split| split.trailing.is_empty()) {
             return Ok(None);
         }
         // A slab task runs the trailing factors over whole leading rows.

@@ -33,10 +33,10 @@
 //! same choreography as [`ErrorCode::UnknownSlab`]. Because the key is the
 //! content, a stale or colliding registration is impossible by construction:
 //! `LoadFactors` frames whose key does not match their factor bytes do not
-//! decode. The inline-factor `SlabForward` / `Apply` frames stay decodable
-//! and served; this crate's coordinator emits neither. No keyed task carries
-//! a payload: RECONSTRUCT's products run on the coordinator, which holds
-//! the answers they read.
+//! decode. The inline-factor `SlabForward` / `Apply` frames stay decodable;
+//! this crate's coordinator emits neither, and workers answer `Apply` with
+//! [`ErrorCode::BadTask`]. No keyed task carries a payload: RECONSTRUCT's
+//! products run on the coordinator, which holds the answers they read.
 //!
 //! [`PlanStore`]: https://docs.rs/hdmm-engine
 
@@ -235,7 +235,8 @@ pub enum Frame {
         factors: Vec<StructuredMatrix>,
     },
     /// Apply trailing factors (forward or transposed) to a payload shipped
-    /// with the task. Served by workers; the coordinator sends none.
+    /// with the task. No coordinator sends it, and workers answer it with
+    /// [`ErrorCode::BadTask`]; it stays encodable and decodable.
     Apply {
         /// `true` for the transposed kernel (`Aᵀ`-side passes).
         transpose: bool,

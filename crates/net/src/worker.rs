@@ -16,8 +16,10 @@
 //! [`ErrorCode::UnknownSlab`] choreography). Resident factor lists are
 //! bounded by [`FACTOR_BUDGET_BYTES`], least-recently-used first; the list
 //! just pushed is never the victim, so a single over-budget list still
-//! serves. Inline-factor tasks run through the same kernel entry point with
-//! the factors they carry, touching no worker state.
+//! serves. An inline-factor [`Frame::SlabForward`] runs the same kernel with
+//! the factors it carries, touching no factor store. [`Frame::Apply`] (a
+//! payload shipped with the task) is answered [`ErrorCode::BadTask`]: no
+//! coordinator sends it, since RECONSTRUCT runs on the coordinator.
 //!
 //! Every reply echoes the request's [`TraceExt`] identity; a traced request
 //! (trace id ≠ 0) also gets the worker's kernel spans back in it.
@@ -38,7 +40,7 @@
 //! network only — never expose the port beyond the coordinator's network.
 
 use crate::wire::{frame_into, read_frame_buf, ErrorCode, FactorKey, Frame, TraceExt, WireSpan};
-use hdmm_linalg::{kmatvec_trailing_slab, kmatvec_transpose_trailing_slab, StructuredMatrix};
+use hdmm_linalg::{kmatvec_trailing_slab, StructuredMatrix};
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -333,12 +335,8 @@ fn handle(request: Frame, shared: &Shared) -> (Frame, Vec<WireSpan>) {
             Ok(factors) => slab_forward(shared, &mut spans, &dataset, shard, &factors),
             Err(unknown) => unknown,
         },
-        Frame::Apply {
-            transpose,
-            factors,
-            payload,
-        } => apply(shared, &mut spans, &factors, &payload, transpose),
-        // Response frames are not valid requests.
+        // Response frames are not valid requests, and `Apply` is not served:
+        // no coordinator sends it, RECONSTRUCT runs on the coordinator.
         other => Frame::Error {
             code: ErrorCode::BadTask,
             message: format!("frame kind {:?} is not a request", other.kind()),
@@ -376,34 +374,15 @@ fn slab_forward(
             message: format!("no slab {shard} of dataset {dataset:?} loaded"),
         };
     };
-    timed(spans, "worker:forward", || {
-        compute(factors, &slab.values, false)
-    })
+    timed(spans, "worker:forward", || compute(factors, &slab.values))
 }
 
-fn apply(
-    shared: &Shared,
-    spans: &mut Vec<WireSpan>,
-    factors: &[StructuredMatrix],
-    payload: &[f64],
-    transpose: bool,
-) -> Frame {
-    std::thread::sleep(shared.opts.task_delay);
-    timed(spans, "worker:apply", || {
-        compute(factors, payload, transpose)
-    })
-}
-
-/// Runs a trailing kernel under `catch_unwind` so shape mismatches come back
-/// as typed errors instead of dead connections.
-fn compute(factors: &[StructuredMatrix], payload: &[f64], transpose: bool) -> Frame {
+/// Runs the trailing kernel under `catch_unwind` so shape mismatches come
+/// back as typed errors instead of dead connections.
+fn compute(factors: &[StructuredMatrix], payload: &[f64]) -> Frame {
     let refs: Vec<&StructuredMatrix> = factors.iter().collect();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if transpose {
-            kmatvec_transpose_trailing_slab(&refs, payload)
-        } else {
-            kmatvec_trailing_slab(&refs, payload)
-        }
+        kmatvec_trailing_slab(&refs, payload)
     }));
     match result {
         Ok(values) => Frame::Part { values },
@@ -583,7 +562,7 @@ mod tests {
         };
         assert_eq!(call(w.addr(), &load_slab).unwrap(), Frame::Loaded);
 
-        // The keyed task and the inline ones run the same kernel on the same
+        // The keyed task and the inline one run the same kernel on the same
         // factors: identical bits.
         let via_key = call(w.addr(), &slab_task).unwrap();
         assert!(matches!(via_key, Frame::Part { .. }));
@@ -592,13 +571,22 @@ mod tests {
             shard: 0,
             factors: factors.clone(),
         };
+        assert_eq!(via_key, call(w.addr(), &inline_forward).unwrap());
+
+        // An `Apply` still decodes, but is not served; the worker goes on.
         let inline_apply = Frame::Apply {
             transpose: false,
             factors,
             payload: values,
         };
-        assert_eq!(via_key, call(w.addr(), &inline_forward).unwrap());
-        assert_eq!(via_key, call(w.addr(), &inline_apply).unwrap());
+        match call(w.addr(), &inline_apply).unwrap() {
+            Frame::Error { code, .. } => assert_eq!(code, ErrorCode::BadTask),
+            other => panic!("expected BadTask, got {other:?}"),
+        }
+        assert_eq!(
+            call(w.addr(), &Frame::Ping).unwrap(),
+            Frame::Pong { slabs: 1 }
+        );
         w.kill();
     }
 

@@ -141,6 +141,11 @@ enum Slot {
 /// Plans the engine's cache holds.
 pub(crate) const PLAN_CAPACITY: usize = 64;
 
+/// Bytes of exact MEASURE blocks the engine's
+/// [`MeasureCache`](crate::measure_cache::MeasureCache) holds (64 MiB): one
+/// `f64` per strategy query, per (dataset, plan) pair served.
+pub(crate) const MEASURE_CACHE_BYTES: usize = 64 << 20;
+
 /// An LRU map from workload fingerprint to optimized plan, with at most one
 /// SELECT in flight per fingerprint.
 ///

@@ -23,14 +23,17 @@
 //!    Commit;
 //! 5. the **audit ring** mutex, once per ε transition (Reserve, Commit);
 //! 6. the **WAL append**, per transition, when a durable ledger is set;
-//! 7. the **session store** write lock, to insert the request's session.
+//! 7. the **measure cache** mutex ([`MeasureCache`]), to look up the
+//!    request's exact blocks before MEASURE and, on a miss, to insert them
+//!    once the pipeline returned (before the Commit's 4–6);
+//! 8. the **session store** write lock, to insert the request's session.
 //!
 //! MEASURE/RECONSTRUCT/ANSWER hold no lock. Around them the request pops a
 //! scratch off the **scratch pool** mutex and pushes it back (as does every
 //! session-batch task), and a session that leaves the store hands its
 //! estimate to the pool under the same mutex. A traced request adds the span
 //! collector's mutex once, at the end. Datasets never contend on 3 and 4;
-//! every request shares 1, 2, 5, 6, 7 and the pool.
+//! every request shares 1, 2, 5, 6, 7, 8 and the pool.
 //!
 //! ## Memory
 //!
@@ -44,12 +47,23 @@
 //! dropped by the store (close or eviction) — never while a caller still
 //! holds it.
 //!
+//! MEASURE's unscaled blocks `A_p·x` are computed once per (dataset, plan):
+//! the [`MeasureCache`] keeps a copy of the first request's blocks, and a
+//! later request on the pair copies them into its scratch and only scales
+//! and draws noise — the same bits, no marginal table over `x`, and no RPC
+//! task. It holds one `f64` per strategy query per cached pair, at most
+//! `MEASURE_CACHE_BYTES` (64 MiB) in all, evicting least recently used
+//! pairs; a plan whose blocks exceed the bound alone is served uncached. Its
+//! blocks are exact answers over private data, held like `x` itself: in
+//! memory only, never in the plan store, the WAL, a worker or a log.
+//!
 //! Lock poisoning is recovered rather than propagated: every critical
 //! section leaves its state consistent (single map operations, validated
 //! single-field ledger updates), so a panicking request cannot wedge the
 //! engine — see [`crate::sync`].
 
-use crate::cache::{FlightProgress, Lookup, StrategyCache, PLAN_CAPACITY};
+use crate::cache::{FlightProgress, Lookup, StrategyCache, MEASURE_CACHE_BYTES, PLAN_CAPACITY};
+use crate::measure_cache::MeasureCache;
 use crate::persist::PlanStore;
 use crate::registry::{DatasetConfig, DatasetState, Registry};
 use crate::reservation::{Reservation, AUDIT_CAPACITY};
@@ -150,6 +164,8 @@ pub struct Engine {
     batch_exec: ScopedExecutor,
     /// The request scratches between requests (see "Memory" above).
     scratches: ScratchPool,
+    /// MEASURE's exact blocks per (dataset, plan) (see "Memory" above).
+    measure_cache: MeasureCache,
     remote: Option<WorkerPool>,
     next_session: AtomicU64,
     collector: SpanCollector,
@@ -228,6 +244,7 @@ impl Engine {
             telemetry,
             batch_exec: ScopedExecutor::new(0),
             scratches: ScratchPool::default(),
+            measure_cache: MeasureCache::new(MEASURE_CACHE_BYTES),
             remote: options.remote.as_ref().map(RemoteOptions::connect),
             collector: SpanCollector::new(TRACE_CAPACITY),
             audit: AuditLog::new(AUDIT_CAPACITY),
@@ -507,6 +524,7 @@ impl Engine {
     pub fn metrics(&self) -> EngineMetrics {
         EngineMetrics {
             cache: self.cache.stats(),
+            measure_cache: self.measure_cache.stats(),
             telemetry: self.telemetry.snapshot(),
             datasets: self.registry.dataset_metrics(),
             tenants: self.registry.tenant_metrics(),
@@ -668,8 +686,9 @@ impl Engine {
         // MEASURE + RECONSTRUCT + answer, lock-free: the data is immutable
         // and the reservation already guaranteed the budget. Every request
         // goes through the one pipeline: over the RPC kernels when workers
-        // hold the dataset's slabs, else over the plain kernels on its
-        // vector — the same answer bytes either way — in one pooled scratch.
+        // hold the dataset's slabs and the blocks are not cached, else over
+        // the plain kernels on its vector — the same answer bytes either
+        // way — in one pooled scratch.
         let data = &handle.data;
         let request = MechanismRequest {
             workload,
@@ -680,9 +699,13 @@ impl Engine {
             eps,
         };
         let mut scratch = self.scratches.pop();
-        // `None`: no workers hold the slabs, or none could finish the request.
+        // A·x of an earlier request on this dataset and plan, or a miss that
+        // keeps its blocks for the next one.
+        let mut exact = self.measure_cache.lookup(handle.id, &plan);
+        // `None`: the blocks are cached, no workers hold the slabs, or none
+        // could finish the request.
         let remote = match &self.remote {
-            Some(pool) if data.shard_count() > 1 => {
+            Some(pool) if data.shard_count() > 1 && !exact.is_reuse() => {
                 let rpc = RpcKernels {
                     pool,
                     dataset,
@@ -690,7 +713,8 @@ impl Engine {
                     data,
                     observer: tracer,
                 };
-                match request.run_with_scratch(&mut scratch, &mut rng, &rpc, tracer) {
+                match request.run_with_scratch(&mut scratch, &mut rng, &rpc, tracer, exact.blocks())
+                {
                     Ok(r) => Some(Ok(r)),
                     Err(PipelineError::Rejected(e)) => Some(Err(e)),
                     Err(PipelineError::Kernel(_)) => {
@@ -714,12 +738,14 @@ impl Engine {
                     &mut rng,
                     &PlainKernels::over(data.values()),
                     tracer,
+                    exact.blocks(),
                 )
                 .map_err(MechanismError::from)
         });
         // Back to the pool before the session store lets go of an estimate.
         drop(scratch);
         let result = result?;
+        self.measure_cache.insert(handle.id, &plan, exact);
         // Noise was drawn: the ε is genuinely spent, keep the reservation.
         reservation.commit();
 
@@ -1040,6 +1066,56 @@ mod tests {
         assert_eq!(concurrent, serial);
         assert!((1..=K).contains(&engine.scratches.idle()));
         assert_eq!(serial_engine.scratches.idle(), 1);
+    }
+
+    /// The families SELECT emits (OPT_0's 1-D leaf, OPT_⊗, OPT_M, OPT_+),
+    /// each served three times on one dataset: an engine that copies the
+    /// blocks of the first request answers with the bits of one whose cache
+    /// holds nothing, where every plan is oversize and served uncached.
+    #[test]
+    fn reused_exact_blocks_answer_as_uncached_ones_for_every_family() {
+        let line = Domain::one_dim(64);
+        let grid = Domain::new(&[12, 6]);
+        let cases = [
+            ("line", &line, builders::all_range_1d(64)),
+            ("grid", &grid, builders::prefix_2d(12, 6)),
+            ("grid", &grid, builders::upto_kway_marginals(&grid, 1)),
+            ("grid", &grid, builders::range_total_union_2d(12, 6)),
+        ];
+        let serve_all = |engine: &Engine| {
+            for (name, domain) in [("line", &line), ("grid", &grid)] {
+                let x = (0..domain.size()).map(|i| (i % 7) as f64 + 0.5).collect();
+                engine
+                    .register_dataset(name, domain.clone(), x, 1e6)
+                    .unwrap();
+            }
+            let mut operators = Vec::new();
+            let mut answers = Vec::new();
+            for _ in 0..3 {
+                for (name, _, w) in &cases {
+                    let reply = engine.serve(name, w, 0.5).unwrap();
+                    operators.push(reply.operator);
+                    answers.push(
+                        reply
+                            .answers
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .collect::<Vec<_>>(),
+                    );
+                }
+            }
+            (operators, answers)
+        };
+        let cached = quick_engine(41);
+        let mut uncached = quick_engine(41);
+        uncached.measure_cache = MeasureCache::new(0);
+        let (operators, want) = serve_all(&uncached);
+        assert_eq!(operators[..4], ["opt0", "kron", "marginals", "plus"]);
+        assert_eq!(serve_all(&cached).1, want);
+        let hit = cached.metrics().measure_cache;
+        assert_eq!((hit.entries, hit.misses, hit.hits), (4, 4, 8));
+        let none = uncached.metrics().measure_cache;
+        assert_eq!((none.entries, none.bytes, none.hits), (0, 0, 0));
     }
 
     #[test]

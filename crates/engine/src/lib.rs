@@ -15,6 +15,11 @@
 //!   drawn, refund on any other exit, deny — is one `Reservation` object
 //!   (`reservation.rs`), the only code that moves ε or writes a budget
 //!   record to the audit stream and the durable log.
+//! * **A·x once per (dataset, plan)** — a registered data vector never
+//!   changes, so MEASURE's unscaled blocks `A_p·x` are computed by the
+//!   first request on a (dataset, plan) pair and copied by every later one,
+//!   which only scales them and draws fresh noise: the same answer bits, no
+//!   remote task. The cache is bounded in bytes and never leaves memory.
 //! * **Measure-once / answer-many sessions** — each served request yields a
 //!   [`Session`] holding the reconstructed estimate `x̄`; follow-up workloads
 //!   over the same domain are answered from `x̄` at **zero** additional ε
@@ -26,8 +31,8 @@
 //! * **Concurrent serving core** — one `serve` takes, in order: the registry
 //!   read lock, the strategy-cache read lock, its dataset's RNG mutex, its
 //!   dataset (and tenant) ledger mutexes, the audit ring's mutex, the WAL
-//!   append and the session store's write lock — each briefly, never two at
-//!   once, and none across MEASURE/RECONSTRUCT. Concurrent misses on one
+//!   append, the measure cache's mutex and the session store's write lock —
+//!   each briefly, never two at once, and none across MEASURE/RECONSTRUCT. Concurrent misses on one
 //!   fingerprint share the cache's one in-flight SELECT (a shared
 //!   `Arc<Plan>` for everyone); and [`EngineServer`] fronts the engine with
 //!   a bounded queue and a pool of std worker threads.
@@ -101,7 +106,8 @@
 //! `reservation.rs` (ε transitions), `registry.rs` (datasets, tenants,
 //! recovered spend), `session.rs` ([`Session`] and the bounded store),
 //! `accountant.rs` (the two ledgers), `cache.rs` / `persist.rs` (plans),
-//! [`wal`] (the durable ledger).
+//! `measure_cache.rs` (MEASURE's exact blocks per dataset and plan), [`wal`]
+//! (the durable ledger).
 //!
 //! `hdmm-engine` sits above [`hdmm_core`] (planner API, engine traits) and
 //! below any transport. It adds no new privacy analysis: privacy follows
@@ -113,6 +119,7 @@ mod accountant;
 mod cache;
 mod engine;
 mod exporter;
+mod measure_cache;
 mod persist;
 mod prometheus;
 mod registry;
@@ -128,6 +135,7 @@ pub use accountant::{EpsAccountant, TenantLedger};
 pub use cache::CacheStats;
 pub use engine::{Engine, EngineOptions};
 pub use exporter::MetricsExporter;
+pub use measure_cache::MeasureCacheStats;
 pub use persist::PlanStore;
 pub use prometheus::render_prometheus;
 pub use registry::DatasetConfig;

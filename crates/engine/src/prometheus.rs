@@ -120,6 +120,40 @@ pub fn render_prometheus(m: &EngineMetrics) -> String {
     b.family("hdmm_cache_capacity", "Maximum cached plans.", "gauge");
     b.sample_u64("hdmm_cache_capacity", &[], m.cache.capacity as u64);
 
+    // ---- exact MEASURE blocks per (dataset, plan) ------------------------
+    b.family(
+        "hdmm_measure_cache_bytes",
+        "Bytes of exact MEASURE blocks (A\u{b7}x) cached per dataset and plan.",
+        "gauge",
+    );
+    b.sample_u64("hdmm_measure_cache_bytes", &[], m.measure_cache.bytes);
+    b.family(
+        "hdmm_measure_cache_hits_total",
+        "Requests whose MEASURE copied cached blocks instead of computing them.",
+        "counter",
+    );
+    b.sample_u64("hdmm_measure_cache_hits_total", &[], m.measure_cache.hits);
+    b.family(
+        "hdmm_measure_cache_misses_total",
+        "Requests whose MEASURE computed its blocks.",
+        "counter",
+    );
+    b.sample_u64(
+        "hdmm_measure_cache_misses_total",
+        &[],
+        m.measure_cache.misses,
+    );
+    b.family(
+        "hdmm_measure_cache_evictions_total",
+        "Cached blocks dropped for the byte bound or with their plan.",
+        "counter",
+    );
+    b.sample_u64(
+        "hdmm_measure_cache_evictions_total",
+        &[],
+        m.measure_cache.evictions,
+    );
+
     // ---- per-phase latency histograms ------------------------------------
     b.family(
         "hdmm_phase_duration_seconds",
@@ -439,6 +473,13 @@ mod tests {
                 len: 1,
                 capacity: 64,
             },
+            measure_cache: crate::MeasureCacheStats {
+                bytes: 4096,
+                entries: 2,
+                hits: 5,
+                misses: 2,
+                evictions: 1,
+            },
             telemetry: telemetry.snapshot(),
             datasets: vec![DatasetMetrics {
                 name: "taxi".into(),
@@ -523,7 +564,9 @@ mod tests {
 
     /// The page [`sample_metrics`] renders, recorded before the numeric
     /// layers and the engine shared one observer trait: names, HELP texts,
-    /// label order, bucket bounds and sample values, byte for byte.
+    /// label order, bucket bounds and sample values, byte for byte. The
+    /// `hdmm_measure_cache_*` families were added to it with the cache of
+    /// MEASURE's exact blocks; every other line is as recorded.
     const RECORDED_PAGE: &str = r#"# HELP hdmm_requests_total Requests served, including failures.
 # TYPE hdmm_requests_total counter
 hdmm_requests_total 0
@@ -569,6 +612,18 @@ hdmm_cache_entries 1
 # HELP hdmm_cache_capacity Maximum cached plans.
 # TYPE hdmm_cache_capacity gauge
 hdmm_cache_capacity 64
+# HELP hdmm_measure_cache_bytes Bytes of exact MEASURE blocks (A·x) cached per dataset and plan.
+# TYPE hdmm_measure_cache_bytes gauge
+hdmm_measure_cache_bytes 4096
+# HELP hdmm_measure_cache_hits_total Requests whose MEASURE copied cached blocks instead of computing them.
+# TYPE hdmm_measure_cache_hits_total counter
+hdmm_measure_cache_hits_total 5
+# HELP hdmm_measure_cache_misses_total Requests whose MEASURE computed its blocks.
+# TYPE hdmm_measure_cache_misses_total counter
+hdmm_measure_cache_misses_total 2
+# HELP hdmm_measure_cache_evictions_total Cached blocks dropped for the byte bound or with their plan.
+# TYPE hdmm_measure_cache_evictions_total counter
+hdmm_measure_cache_evictions_total 1
 # HELP hdmm_phase_duration_seconds Per-phase request latency (power-of-two buckets; le is each bucket's inclusive upper bound).
 # TYPE hdmm_phase_duration_seconds histogram
 hdmm_phase_duration_seconds_bucket{phase="select",le="0.000000001"} 0

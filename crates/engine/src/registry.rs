@@ -63,6 +63,9 @@ impl DatasetConfig {
 /// registration and read lock-free; only the ledgers and the RNG stream
 /// mutate, each behind its own short-lived mutex.
 pub(crate) struct DatasetState {
+    /// Unique per registration in this engine: what the exact-answer cache
+    /// keys a dataset's blocks by.
+    pub(crate) id: u64,
     pub(crate) domain: Domain,
     pub(crate) data: ShardedDataVector,
     pub(crate) ledgers: Ledgers,
@@ -80,6 +83,8 @@ pub(crate) struct Registry {
     /// The engine's master seed; each dataset derives its stream from it.
     seed: u64,
     datasets: RwLock<HashMap<String, Arc<DatasetState>>>,
+    /// The id of the next registration.
+    next_id: AtomicU64,
     tenants: RwLock<HashMap<String, Arc<Mutex<TenantLedger>>>>,
     /// Spent-ε recovered from the WAL for datasets not yet re-registered;
     /// re-registration under the same name re-attaches (and removes) the
@@ -105,6 +110,7 @@ impl Registry {
         Registry {
             seed,
             datasets: RwLock::new(HashMap::new()),
+            next_id: AtomicU64::new(0),
             tenants: RwLock::new(tenants),
             recovered: Mutex::new(spends),
         }
@@ -166,6 +172,7 @@ impl Registry {
             ledger.restore_spent(prior.spent);
         }
         let state = Arc::new(DatasetState {
+            id: self.next_id.fetch_add(1, Ordering::Relaxed),
             domain,
             data,
             ledgers: Ledgers::new(ledger, tenant),

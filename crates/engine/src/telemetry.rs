@@ -318,6 +318,9 @@ pub struct ObsMetrics {
 pub struct EngineMetrics {
     /// Strategy-cache effectiveness counters.
     pub cache: crate::cache::CacheStats,
+    /// Size and counters of the cache of MEASURE's exact blocks per
+    /// (dataset, plan).
+    pub measure_cache: crate::MeasureCacheStats,
     /// Per-phase latency histograms and serving counters.
     pub telemetry: TelemetrySnapshot,
     /// Per-dataset request/failure counters and ε gauges, sorted by name.
@@ -412,6 +415,7 @@ mod tests {
                 len: 1,
                 capacity: 64,
             },
+            measure_cache: crate::MeasureCacheStats::default(),
             telemetry: t.snapshot(),
             datasets: Vec::new(),
             tenants: Vec::new(),

@@ -475,6 +475,13 @@ impl KronScratch {
         }
     }
 
+    /// A buffer holding a copy of `src` — the bits of `src.to_vec()`.
+    pub fn copy_of(&mut self, src: &[f64]) -> Vec<f64> {
+        let mut buf = self.take_empty(src.len());
+        buf.extend_from_slice(src);
+        buf
+    }
+
     /// Returns a buffer for later [`KronScratch::take`]s (a small one is
     /// dropped).
     pub fn give(&mut self, buf: Vec<f64>) {
@@ -1046,6 +1053,11 @@ mod tests {
         scratch.give(d);
         scratch.end_request();
         assert_eq!(caps(&scratch), [5000]);
+        // A copy draws on a free buffer and holds the source's bits.
+        let src: Vec<f64> = (0..4000).map(|i| f64::from(i) - 0.5).collect();
+        let copy = scratch.copy_of(&src);
+        assert_eq!((copy.capacity(), copy == src), (5000, true));
+        assert!(caps(&scratch).is_empty());
     }
 
     #[test]

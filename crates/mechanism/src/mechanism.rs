@@ -2,7 +2,7 @@
 //! (Table 1(b) of the paper, with the efficient implementations of §7.2).
 
 use crate::marginals::MarginalsLattice;
-use crate::pipeline::{measure_on, reconstruct_on, MechanismRequest, PlainKernels};
+use crate::pipeline::{measure_on, reconstruct_on, ExactBlocks, MechanismRequest, PlainKernels};
 use crate::{JointBasis, MeasuredProduct, Strategy};
 use hdmm_linalg::{KronScratch, LinalgError, StructuredMatrix};
 use hdmm_workload::Workload;
@@ -52,6 +52,7 @@ pub fn measure(strategy: &Strategy, x: &[f64], eps: f64, rng: &mut impl Rng) -> 
         rng,
         &PlainKernels::over(x),
         &mut KronScratch::new(),
+        ExactBlocks::Compute,
     ) {
         Ok(meas) => meas,
         Err(never) => match never {},

@@ -32,6 +32,16 @@
 //! implementation consumes the RNG stream identically — the root of the
 //! byte-identity guarantee across them.
 //!
+//! Only the noise is new per request: the unscaled blocks `A_p·x` are a
+//! function of the data vector and the plan's products. A caller that serves
+//! one immutable vector with one plan again and again (the engine, per
+//! dataset and plan) computes them once. The first run keeps a copy of each
+//! block before scaling ([`ExactBlocks::Keep`]), over whichever kernels ran;
+//! later runs copy the kept blocks into scratch buffers
+//! ([`ExactBlocks::Reuse`]), build no table and call no kernel. θ-scaling and
+//! noise then run on the copy exactly as on a fresh product, so the bits do
+//! not move. The fill and the reuse are the same loop in [`measure_on`].
+//!
 //! All three phases take their large buffers — tables, chain buffers, the
 //! noisy blocks, RECONSTRUCT's sweeps and `x̄` itself — from one
 //! [`KronScratch`] per request ([`MechanismRequest::run_with_scratch`]), so a
@@ -175,28 +185,61 @@ impl Kernels for PlainKernels<'_> {
     }
 }
 
+/// Where [`measure_on`] takes each measured product's unscaled answers
+/// `A_p·x` from, and whether it keeps them. They depend on the data vector
+/// and the plan's products only — never on ε, θ or the noise — so a caller
+/// that serves one immutable data vector with one plan many times computes
+/// them once ([`ExactBlocks::Keep`]) and copies them on every later request
+/// ([`ExactBlocks::Reuse`]): the same bits, since MEASURE scales and noises
+/// a copy exactly as it does a fresh product. They are exact answers over
+/// the data, as private as `x` itself, so the type has no `Debug`.
+pub enum ExactBlocks<'a> {
+    /// Evaluate every product: on the kernels, or through the marginal
+    /// tables the products left to the plain kernels share.
+    Compute,
+    /// Evaluate every product as [`ExactBlocks::Compute`] does, and replace
+    /// the vector's contents with a copy of each block, before θ-scaling and
+    /// noise, in list order.
+    Keep(&'a mut Vec<Vec<f64>>),
+    /// Copy each product's block from these: what an earlier
+    /// [`ExactBlocks::Keep`] kept over the same data vector and products.
+    /// No kernel computes anything.
+    Reuse(&'a [Vec<f64>]),
+}
+
+/// Where the loop of [`measure_on`] gets a product's unscaled block: the
+/// marginal tables over `x` (and the kernels before them), or the copies.
+enum Source<'a, 's> {
+    Tables(MarginalTables<'s>),
+    Copies(&'a [Vec<f64>], &'s mut KronScratch),
+}
+
 /// MEASURE over any kernels: answers each measured product implicitly,
 /// scales the answers by its θ and adds Laplace noise at
 /// `sensitivity / (share·ε)` (Definition 6; a union group runs at
 /// `ε_g = share_g·ε`, sequential composition) — ε-differentially private,
-/// and the same bits for every [`Kernels`] implementation.
+/// and the same bits for every [`Kernels`] implementation and for every
+/// [`ExactBlocks`] source.
 ///
 /// The products the kernels leave to the plain kernels are answered through
 /// one `MarginalTables` over [`Kernels::data`], with the modes of the first
 /// product's leaves: a product whose leaves do not match them runs its whole
 /// chain on the data. The tables live for this call only; they, the chain
 /// buffers and the blocks those products answer into come from `scratch`.
+/// With [`ExactBlocks::Reuse`] no table is built and no kernel is called:
+/// each block is a copy in a buffer from `scratch`.
 ///
 /// # Panics
 /// Panics if `eps` is not positive ([`MechanismRequest::run`] validates with
-/// typed errors instead), or if the data vector does not hold the first
-/// product's input size.
+/// typed errors instead), if the data vector does not hold the first
+/// product's input size, or if reused blocks are fewer than the products.
 pub fn measure_on<K: Kernels + ?Sized>(
     products: &[MeasuredProduct],
     eps: f64,
     rng: &mut impl Rng,
     kernels: &K,
     scratch: &mut KronScratch,
+    exact: ExactBlocks<'_>,
 ) -> Result<Measurements, K::Error> {
     assert!(eps > 0.0, "privacy budget must be positive");
     let x = kernels.data();
@@ -204,14 +247,31 @@ pub fn measure_on<K: Kernels + ?Sized>(
         || vec![x.len()],
         |p| p.factors.iter().map(StructuredMatrix::cols).collect(),
     );
-    let mut tables = MarginalTables::new(x, &modes, scratch);
+    let mut kept = None;
+    let mut source = match exact {
+        ExactBlocks::Reuse(copies) => Source::Copies(copies, scratch),
+        ExactBlocks::Keep(blocks) => {
+            blocks.clear();
+            kept = Some(blocks);
+            Source::Tables(MarginalTables::new(x, &modes, scratch))
+        }
+        ExactBlocks::Compute => Source::Tables(MarginalTables::new(x, &modes, scratch)),
+    };
     let mut blocks = Vec::with_capacity(products.len());
     for (i, p) in products.iter().enumerate() {
-        let refs = p.refs();
-        let mut noisy = match kernels.forward(i, &refs)? {
-            Some(answers) => answers,
-            None => tables.kmatvec(&refs),
+        let mut noisy = match &mut source {
+            Source::Copies(copies, scratch) => scratch.copy_of(&copies[i]),
+            Source::Tables(tables) => {
+                let refs = p.refs();
+                match kernels.forward(i, &refs)? {
+                    Some(answers) => answers,
+                    None => tables.kmatvec(&refs),
+                }
+            }
         };
+        if let Some(kept) = kept.as_mut() {
+            kept.push(noisy.clone());
+        }
         let noise_scale = p.sensitivity / (p.share * eps);
         scale_and_noise(&mut noisy, p.theta, noise_scale, rng);
         blocks.push(MeasuredBlock { noisy, noise_scale });
@@ -340,7 +400,11 @@ pub struct MechanismRequest<'a> {
 impl MechanismRequest<'_> {
     /// Everything that can refuse a request, checked once, before any noise
     /// is drawn — identically for every kernel implementation.
-    fn validate<K: Kernels + ?Sized>(&self, kernels: &K) -> Result<(), MechanismError> {
+    fn validate<K: Kernels + ?Sized>(
+        &self,
+        kernels: &K,
+        exact: &ExactBlocks<'_>,
+    ) -> Result<(), MechanismError> {
         let eps = self.eps;
         if !(eps.is_finite() && eps > 0.0) {
             return Err(MechanismError::InvalidEpsilon { eps });
@@ -350,11 +414,23 @@ impl MechanismRequest<'_> {
         if got != expected {
             return Err(MechanismError::DataVectorMismatch { expected, got });
         }
+        let products = self.prepared.products();
+        let copies_fit = |copies: &[Vec<f64>]| {
+            copies.len() == products.len()
+                && products
+                    .iter()
+                    .zip(copies)
+                    .all(|(p, block)| block.len() == p.rows())
+        };
         let plan_fits = self.prepared.solve.is_ok()
             && self.prepared.cells() == got
             && kernels
                 .resident_plan()
-                .is_none_or(|products| products == self.prepared.products().len());
+                .is_none_or(|count| count == products.len())
+            && match exact {
+                ExactBlocks::Reuse(copies) => copies_fit(copies),
+                _ => true,
+            };
         if plan_fits {
             Ok(())
         } else {
@@ -377,25 +453,39 @@ impl MechanismRequest<'_> {
         kernels: &K,
         observer: &dyn Observer,
     ) -> Result<MechanismResult, PipelineError<K::Error>> {
-        self.run_with_scratch(&mut KronScratch::new(), rng, kernels, observer)
+        let scratch = &mut KronScratch::new();
+        self.run_with_scratch(scratch, rng, kernels, observer, ExactBlocks::Compute)
     }
 
     /// [`MechanismRequest::run`] with every phase's large buffers taken from
     /// `scratch` — a serving layer's pooled one — and the ones the request
-    /// does not return given back to it. The bits are `run`'s whatever the
-    /// scratch held.
+    /// does not return given back to it, and with MEASURE's unscaled blocks
+    /// computed, kept or reused as `exact` says ([`measure_on`]). The bits
+    /// are `run`'s whatever the scratch held, and whatever `exact` is when
+    /// reused blocks were kept over the same data vector and plan. Reused
+    /// blocks whose count or lengths do not fit the plan are refused with
+    /// [`MechanismError::PlanMismatch`].
     pub fn run_with_scratch<K: Kernels + ?Sized>(
         &self,
         scratch: &mut KronScratch,
         rng: &mut impl Rng,
         kernels: &K,
         observer: &dyn Observer,
+        exact: ExactBlocks<'_>,
     ) -> Result<MechanismResult, PipelineError<K::Error>> {
-        self.validate(kernels).map_err(PipelineError::Rejected)?;
+        self.validate(kernels, &exact)
+            .map_err(PipelineError::Rejected)?;
 
         let t = Instant::now();
-        let meas = measure_on(self.prepared.products(), self.eps, rng, kernels, scratch)
-            .map_err(PipelineError::Kernel)?;
+        let meas = measure_on(
+            self.prepared.products(),
+            self.eps,
+            rng,
+            kernels,
+            scratch,
+            exact,
+        )
+        .map_err(PipelineError::Kernel)?;
         observer.phase_complete(Phase::Measure, t.elapsed());
 
         let t = Instant::now();

@@ -34,6 +34,11 @@ impl MeasuredProduct {
         }
     }
 
+    /// The number of answers it gives: the length of its MEASURE block.
+    pub fn rows(&self) -> usize {
+        self.factors.iter().map(StructuredMatrix::rows).product()
+    }
+
     /// The leaves, borrowed in order — what the product kernels take.
     pub(crate) fn refs(&self) -> Vec<&StructuredMatrix> {
         self.factors.iter().collect()

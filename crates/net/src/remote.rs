@@ -22,13 +22,15 @@
 //! slice runs on the coordinator's plain kernels over the whole vector,
 //! through the marginal tables MEASURE shares among such products.
 //!
-//! A warm request costs the local request plus vector traffic: everything
+//! A request costs the local request plus vector traffic: everything
 //! that depends only on the strategy — the [`PreparedReconstruct`]'s
 //! measured products and solve, and the content keys of their
 //! trailing-factor lists ([`OperandKeys`]) — is built once per
 //! plan by the caller and passed in, and the factors themselves live on the
 //! workers (see [`crate::wire`]), so tasks carry a key plus a slab
-//! reference.
+//! reference. The serving engine fans out only the first request on each
+//! (dataset, plan) pair: it keeps that request's unscaled blocks and later
+//! requests copy them, without these kernels.
 //!
 //! Failure handling lives in [`WorkerPool`]: per-task timeouts, bounded
 //! retry with doubling backoff, and shard reassignment to surviving workers

@@ -9,6 +9,12 @@
 //! workers under content keys, ship to each link exactly once in steady
 //! state, never alias across plans, and come back after a worker restart
 //! through the typed `UnknownFactors` → re-push choreography.
+//!
+//! The engine computes MEASURE's exact blocks `A·x` once per (dataset,
+//! plan): a repeat on one dataset and plan copies them and sends no task
+//! (`warm_repeat_sends_no_task`). So every request below that must reach the
+//! workers misses that cache: it is the first on its (dataset, plan) pair —
+//! the same data registered under a fresh name, or another workload.
 
 use hdmm::core::{builders, Domain, QueryEngine, Workload};
 use hdmm::engine::{Engine, EngineOptions, RemoteOptions, RetryPolicy};
@@ -101,6 +107,25 @@ fn dense_answers(seed: u64, tag: &str, domain: &Domain, w: &Workload) -> (Vec<f6
     let a = engine.serve("d", w, 1.0).unwrap().answers;
     let b = engine.serve("d", w, 0.5).unwrap().answers;
     (a, b)
+}
+
+/// The answers of a dense, remote-less engine to `requests` — (dataset,
+/// workload) pairs at ε = 0.5 — with every dataset named in them
+/// registered over [`data`].
+fn dense_serve(
+    seed: u64,
+    tag: &str,
+    domain: &Domain,
+    requests: &[(&str, &Workload)],
+) -> Vec<Vec<f64>> {
+    let engine = engine_with(seed, tag, None);
+    for (name, _) in requests {
+        let _ = engine.register_dataset(*name, domain.clone(), data(domain.size()), 1e6);
+    }
+    requests
+        .iter()
+        .map(|(name, w)| engine.serve(name, w, 0.5).unwrap().answers)
+        .collect()
 }
 
 #[test]
@@ -215,13 +240,17 @@ fn rejected_duplicate_registration_never_touches_worker_state() {
             .map(hdmm::workload::blocks::prefix_block)
             .collect(),
     );
-    let dense = dense_answers(13, "dup", &domain, &w);
+    // The second request serves another workload, so its (dataset, plan)
+    // pair is new and MEASURE reads the slabs on the workers again.
+    let w2 = builders::upto_kway_marginals(&domain, 2);
+    let dense = dense_serve(13, "dup", &domain, &[("d", &w), ("d", &w2)]);
+    let dense = (dense[0].clone(), dense[1].clone());
     let (_handles, remote) = spawn_workers(&[Duration::ZERO, Duration::ZERO]);
     let engine = engine_with(13, "dup", Some(remote));
     engine
         .register_dataset_sharded("d", domain.clone(), data(domain.size()), 3, 1e6)
         .unwrap();
-    let first = engine.serve("d", &w, 1.0).unwrap().answers;
+    let first = engine.serve("d", &w, 0.5).unwrap().answers;
     assert!(bits_eq(&dense.0, &first));
 
     // Re-registering the live name with DIFFERENT data must fail — and must
@@ -233,7 +262,12 @@ fn rejected_duplicate_registration_never_touches_worker_state() {
         engine.register_dataset_sharded("d", domain.clone(), poison, 3, 1e6),
         Err(hdmm::EngineError::DatasetExists { .. })
     ));
-    let second = engine.serve("d", &w, 0.5).unwrap().answers;
+    let tasks = |engine: &Engine| -> u64 {
+        let pool = engine.metrics().remote.expect("pool health");
+        pool.workers.iter().map(|h| h.tasks).sum()
+    };
+    let before = tasks(&engine);
+    let second = engine.serve("d", &w2, 0.5).unwrap().answers;
     assert!(
         bits_eq(&dense.1, &second),
         "answers after a rejected duplicate registration must still match dense"
@@ -242,6 +276,10 @@ fn rejected_duplicate_registration_never_touches_worker_state() {
         engine.metrics().telemetry.remote_fallbacks,
         0,
         "the original slabs must still be serving remotely"
+    );
+    assert!(
+        tasks(&engine) > before,
+        "the second request reached the workers"
     );
 }
 
@@ -295,7 +333,10 @@ fn prefix_product(domain: &Domain) -> Workload {
 fn restarted_worker_gets_its_factors_back_without_a_fallback() {
     let domain = Domain::new(&[64, 32, 32]);
     let w = prefix_product(&domain);
-    let dense = dense_answers(17, "respawn", &domain, &w);
+    // The second request serves the same data under a second name, so it
+    // misses the engine's cache of MEASURE's exact blocks and fans out.
+    let dense = dense_serve(17, "respawn", &domain, &[("d", &w), ("d2", &w)]);
+    let dense = (dense[0].clone(), dense[1].clone());
 
     // One worker, so the replacement must serve the second request itself:
     // the coordinator still believes slabs and factors are resident there,
@@ -303,10 +344,12 @@ fn restarted_worker_gets_its_factors_back_without_a_fallback() {
     // otherwise.
     let (mut handles, remote) = spawn_workers(&[Duration::ZERO]);
     let engine = engine_with(17, "respawn", Some(remote));
-    engine
-        .register_dataset_sharded("d", domain.clone(), data(domain.size()), 3, 1e6)
-        .unwrap();
-    let first = engine.serve("d", &w, 1.0).unwrap().answers;
+    for name in ["d", "d2"] {
+        engine
+            .register_dataset_sharded(name, domain.clone(), data(domain.size()), 3, 1e6)
+            .unwrap();
+    }
+    let first = engine.serve("d", &w, 0.5).unwrap().answers;
     assert!(bits_eq(&dense.0, &first));
     let before = engine.metrics().remote.expect("pool health");
     assert_eq!(before.factor_misses, 0);
@@ -316,7 +359,7 @@ fn restarted_worker_gets_its_factors_back_without_a_fallback() {
     handles[0] = respawn(addr);
     assert_eq!(handles[0].factor_list_count(), 0);
 
-    let second = engine.serve("d", &w, 0.5).unwrap().answers;
+    let second = engine.serve("d2", &w, 0.5).unwrap().answers;
     assert!(
         bits_eq(&dense.1, &second),
         "answers through a restarted worker must still match dense"
@@ -365,23 +408,21 @@ fn plans_with_different_trailing_factors_never_share_a_key() {
         prefix_product(&domain),
         builders::upto_kway_marginals(&domain, 2),
     );
-    let serve_both = |engine: &Engine| -> Vec<Vec<f64>> {
-        [&wa, &wb, &wa, &wb]
-            .iter()
-            .map(|w| engine.serve("d", w, 0.5).unwrap().answers)
-            .collect()
-    };
-    let dense_engine = engine_with(19, "two-plans", None);
-    dense_engine
-        .register_dataset("d", domain.clone(), data(domain.size()), 1e6)
-        .unwrap();
-    let dense = serve_both(&dense_engine);
+    // The second pair of requests serves the same data under a second name,
+    // so each misses the cache of MEASURE's exact blocks and computes again.
+    let requests = [("d", &wa), ("d", &wb), ("e", &wa), ("e", &wb)];
+    let dense = dense_serve(19, "two-plans", &domain, &requests);
     let (handles, remote) = spawn_workers(&[Duration::ZERO, Duration::ZERO]);
     let engine = engine_with(19, "two-plans", Some(remote));
-    engine
-        .register_dataset_sharded("d", domain.clone(), data(domain.size()), 3, 1e6)
-        .unwrap();
-    let got = serve_both(&engine);
+    for name in ["d", "e"] {
+        engine
+            .register_dataset_sharded(name, domain.clone(), data(domain.size()), 3, 1e6)
+            .unwrap();
+    }
+    let got: Vec<Vec<f64>> = requests
+        .iter()
+        .map(|(name, w)| engine.serve(name, w, 0.5).unwrap().answers)
+        .collect();
     for (i, (d, g)) in dense.iter().zip(&got).enumerate() {
         assert!(bits_eq(d, g), "request {i} diverges from dense");
     }
@@ -398,9 +439,15 @@ fn steady_state_ships_each_factor_list_to_each_link_exactly_once() {
     let w = prefix_product(&domain);
     let (handles, remote) = spawn_workers(&[Duration::ZERO, Duration::ZERO]);
     let engine = engine_with(23, "once", Some(remote));
-    engine
-        .register_dataset_sharded("d", domain.clone(), data(domain.size()), 3, 1e6)
-        .unwrap();
+    // Warm requests on one plan over fresh (dataset, plan) pairs: the same
+    // data under five names, each served once, so every request computes
+    // its blocks on the workers.
+    let names = ["d", "d1", "d2", "d3", "d4"];
+    for name in names {
+        engine
+            .register_dataset_sharded(name, domain.clone(), data(domain.size()), 3, 1e6)
+            .unwrap();
+    }
     engine.serve("d", &w, 0.5).unwrap();
     let warm = engine.metrics().remote.expect("pool health");
     for (link, worker) in warm.workers.iter().zip(&handles) {
@@ -414,8 +461,8 @@ fn steady_state_ships_each_factor_list_to_each_link_exactly_once() {
             "one push per list the worker holds: {warm:?}"
         );
     }
-    for _ in 0..4 {
-        engine.serve("d", &w, 0.5).unwrap();
+    for name in &names[1..] {
+        engine.serve(name, &w, 0.5).unwrap();
     }
     let steady = engine.metrics().remote.expect("pool health");
     assert_eq!(steady.factor_misses, 0);
@@ -427,4 +474,40 @@ fn steady_state_ships_each_factor_list_to_each_link_exactly_once() {
         assert!(after.tasks > before.tasks && after.bytes_sent > before.bytes_sent);
         assert!(after.bytes_received > before.bytes_received);
     }
+}
+
+#[test]
+fn warm_repeat_sends_no_task() {
+    let domain = Domain::new(&[64, 32, 32]);
+    let w = prefix_product(&domain);
+    let dense = dense_answers(29, "repeat", &domain, &w);
+    let (_handles, remote) = spawn_workers(&[Duration::ZERO, Duration::ZERO]);
+    let engine = engine_with(29, "repeat", Some(remote));
+    engine
+        .register_dataset_sharded("d", domain.clone(), data(domain.size()), 3, 1e6)
+        .unwrap();
+    let first = engine.serve("d", &w, 1.0).unwrap().answers;
+    let filled = engine.metrics();
+    let before = filled.remote.expect("pool health");
+    assert!(before.workers.iter().map(|h| h.tasks).sum::<u64>() > 0);
+    assert_eq!(
+        (filled.measure_cache.misses, filled.measure_cache.hits),
+        (1, 0)
+    );
+
+    // The repeat copies the blocks the first request computed on the
+    // workers: no task, no byte either way.
+    let second = engine.serve("d", &w, 0.5).unwrap().answers;
+    assert!(bits_eq(&dense.0, &first) && bits_eq(&dense.1, &second));
+    let m = engine.metrics();
+    let after = m.remote.expect("pool health");
+    for (b, a) in before.workers.iter().zip(&after.workers) {
+        assert_eq!(
+            (a.tasks, a.bytes_sent, a.bytes_received),
+            (b.tasks, b.bytes_sent, b.bytes_received),
+            "a warm repeat reached a worker: {after:?}"
+        );
+    }
+    assert_eq!(m.telemetry.remote_fallbacks, 0);
+    assert_eq!((m.measure_cache.misses, m.measure_cache.hits), (1, 1));
 }

@@ -711,6 +711,7 @@ fn assert_measure_matches_per_product(
         &mut rng,
         &hdmm_mechanism::PlainKernels::over(x),
         scratch,
+        hdmm_mechanism::ExactBlocks::Compute,
     )
     .unwrap_or_else(|never| match never {});
     let want = per_product_measure(&products, x, eps, &mut oracle_rng);
@@ -841,8 +842,8 @@ fn shared_tables_measure_kron_explicit_and_union_plans_bit_for_bit() {
 #[test]
 fn shared_tables_one_scratch_across_plans_bit_for_bit() {
     use hdmm_mechanism::{
-        run_mechanism, MarginalsStrategy, MechanismRequest, PlainKernels, PreparedReconstruct,
-        Strategy as Plan, UnionGroup,
+        run_mechanism, ExactBlocks, MarginalsStrategy, MechanismRequest, PlainKernels,
+        PreparedReconstruct, Strategy as Plan, UnionGroup,
     };
     let marginals = |sizes: &[usize]| {
         let domain = Domain::new(sizes);
@@ -929,6 +930,7 @@ fn shared_tables_one_scratch_across_plans_bit_for_bit() {
                 &mut StdRng::seed_from_u64(seed as u64),
                 &PlainKernels::over(&x),
                 &(),
+                ExactBlocks::Compute,
             )
             .unwrap_or_else(|e| panic!("{name}: {e:?}"));
         assert_same_bits(&got.x_hat, &want.x_hat, &format!("{name}: x̂"));

@@ -251,6 +251,12 @@ pub fn put_structured(out: &mut Vec<u8>, f: &StructuredMatrix) {
             put_usizes(out, perm);
             put_structured(out, inner);
         }
+        StructuredMatrix::WidthRange { n, width, scale } => {
+            out.push(10);
+            put_usize(out, *n);
+            put_usize(out, *width);
+            put_f64(out, *scale);
+        }
     }
 }
 
@@ -460,6 +466,19 @@ impl<'a> Reader<'a> {
                 let inner = self.leaf(false, false)?;
                 return StructuredMatrix::permuted(inner, perm).map_err(CodecError::Invalid);
             }
+            10 => {
+                let n = self.usize()?;
+                let width = self.usize()?;
+                let scale = self.f64()?;
+                // Before the leaf exists: its row count is `n − width + 1`.
+                if width == 0 || width > n {
+                    return Err(CodecError::Invalid("window wider than its domain or empty"));
+                }
+                if scale == 0.0 {
+                    return Err(CodecError::Invalid("zero-sized or zero-scaled block"));
+                }
+                StructuredMatrix::WidthRange { n, width, scale }
+            }
             tag => return Err(CodecError::BadTag { tag }),
         };
         if !leaf.is_finite() {
@@ -615,6 +634,10 @@ mod tests {
             ]),
             Strategy::Marginals(MarginalsStrategy::uniform(Domain::new(&[3, 2]))),
             Strategy::Kron(vec![p_identity(), p_identity().gram_pinv()]),
+            Strategy::Kron(vec![
+                StructuredMatrix::width_range(5, 2).scaled(0.3),
+                StructuredMatrix::identity(2),
+            ]),
         ]
     }
 
@@ -684,6 +707,11 @@ mod tests {
                 StructuredMatrix::Total { n: 3, scale },
                 StructuredMatrix::Prefix { n: 3, scale },
                 StructuredMatrix::AllRange { n: 3, scale },
+                StructuredMatrix::WidthRange {
+                    n: 3,
+                    width: 2,
+                    scale,
+                },
             ]);
         }
         for leaf in leaves {

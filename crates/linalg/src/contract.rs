@@ -14,28 +14,31 @@
 //! * a shard's leading step (see `slab.rs`) is `left = 1` and its block.
 //!
 //! A block writes exactly the bits the full contraction holds in those rows:
-//! row-local variants (`Dense`, `Sparse`, `Identity`, `PIdentity`) restrict
-//! their loop, variants that carry a running accumulator along the mode
-//! (`Total`, `Prefix`, `AllRange`) replay it from the start of the mode in
-//! the original operation order instead of splitting the sum, and
-//! `Woodbury` forms its rank-`p` term over the whole mode before restricting.
+//! row-local variants (`Dense`, `Sparse`, `WidthRange`, `Identity`,
+//! `PIdentity`) restrict their loop, variants that carry a running
+//! accumulator along the mode (`Total`, `Prefix`, `AllRange`) replay it from
+//! the start of the mode in the original operation order instead of
+//! splitting the sum, and `Woodbury` forms its rank-`p` term over the whole
+//! mode before restricting.
 //! `Permuted` reorders the mode around its inner block's arm: forward it
 //! gathers the input and restricts the inner arm to the block; transposed it
 //! runs the inner arm over the whole mode and scatters the block's positions.
 //! "Sharded equals dense, bit for bit" is therefore a property of this one
 //! kernel, not an agreement between two. `PIdentity` and `Woodbury` run
-//! their dense parts through `Dense`'s own arms.
+//! their dense parts through `Dense`'s own arms, and `WidthRange` runs
+//! `Sparse`'s loops over its windows' `(column, value)` entries, so it has
+//! the bits of the CSR block it replaces.
 //!
 //! # Numeric contract
 //!
 //! Every output element accumulates its contributions over the contracted
 //! index in ascending order, through the element-wise kernels of
 //! [`crate::simd`] along the `right` lanes; with `right == 1` the forward
-//! `Dense` / `Sparse` contraction *is* a matvec and reduces through
-//! [`crate::simd::dot`] / [`Csr::row_dot`](crate::Csr::row_dot) — the same
-//! bits as [`Matrix::matvec`](crate::Matrix::matvec) and `Csr::matvec`. The
-//! dense arms tile the columns into [`PANEL`]-wide blocks for locality, which
-//! only reorders *which output row* is touched when.
+//! `Dense` / `Sparse` / `WidthRange` contraction *is* a matvec and reduces
+//! through [`crate::simd::dot`] / [`Csr::row_dot`](crate::Csr::row_dot) —
+//! the same bits as [`Matrix::matvec`](crate::Matrix::matvec) and
+//! `Csr::matvec`. The dense arms tile the columns into [`PANEL`]-wide blocks
+//! for locality, which only reorders *which output row* is touched when.
 
 use crate::simd::{add_into, axpy, cumsum_step, diff_scaled, dot, scale_into};
 use crate::structured::{flatten, StructuredMatrix};
@@ -134,6 +137,53 @@ fn dense_transpose_rows(
     }
 }
 
+/// The `(column, value)` entries of row `r` of a `WidthRange` block: the
+/// window's cells in ascending order, each `scale` — the entries of its CSR
+/// form.
+fn window(r: usize, width: usize, scale: f64) -> impl Iterator<Item = (usize, f64)> {
+    (r..r + width).map(move |c| (c, scale))
+}
+
+/// The forward arm, at any `right`, of a leaf stored as rows of `(column,
+/// value)` entries (`Sparse`, `WidthRange`): output row `r` of the block
+/// adds `value · lane(column)` for each of `entries(r)`, in entry order.
+fn entry_rows<'a, I: Iterator<Item = (usize, f64)>>(
+    entries: impl Fn(usize) -> I,
+    lanes: impl Iterator<Item = (&'a [f64], &'a mut [f64])>,
+    right: usize,
+    rows: Range<usize>,
+) {
+    for (src, dst) in lanes {
+        for (r, out_row) in rows.clone().zip(dst.chunks_exact_mut(right)) {
+            for (c, v) in entries(r) {
+                axpy(v, lane(src, c, right), out_row);
+            }
+        }
+    }
+}
+
+/// The transposed arm of such a leaf: every input row, in order, scatters
+/// `value · row` into the block's positions among its entries' columns.
+fn entry_transpose_rows<'a, I: Iterator<Item = (usize, f64)>>(
+    entries: impl Fn(usize) -> I,
+    lanes: impl Iterator<Item = (&'a [f64], &'a mut [f64])>,
+    right: usize,
+    rows: Range<usize>,
+) {
+    let k = rows.len();
+    for (src, dst) in lanes {
+        for (r, in_row) in src.chunks_exact(right).enumerate() {
+            for (c, v) in entries(r) {
+                // One compare: a column below the block wraps above `k`.
+                let at = c.wrapping_sub(rows.start);
+                if at < k {
+                    axpy(v, in_row, lane_mut(dst, at, right));
+                }
+            }
+        }
+    }
+}
+
 /// A diagonal on one lane: output row `r` of the block is `diag[r]` times
 /// row `r` of `src`.
 fn diag_rows(diag: &[f64], src: &[f64], dst: &mut [f64], right: usize, rows: Range<usize>) {
@@ -219,14 +269,19 @@ pub fn contract_rows(
                 }
             }
         }
-        Sparse(s) => {
+        Sparse(s) => entry_rows(|r| s.row_entries(r), lanes, right, rows),
+        WidthRange { width, scale, .. } if right == 1 => {
+            // `Csr::row_dot`'s 4-lane order: entry `k` of the window is
+            // `scale · src[r + k]`, as `dot_indexed` forms it.
+            let values = vec![*scale; *width];
             for (src, dst) in lanes {
-                for (r, out_row) in rows.clone().zip(dst.chunks_exact_mut(right)) {
-                    for (c, v) in s.row_entries(r) {
-                        axpy(v, lane(src, c, right), out_row);
-                    }
+                for (slot, r) in dst.iter_mut().zip(rows.clone()) {
+                    *slot = dot(&values, &src[r..r + width]);
                 }
             }
+        }
+        WidthRange { width, scale, .. } => {
+            entry_rows(|r| window(r, *width, *scale), lanes, right, rows);
         }
         // Element-wise, so the whole mode of every lane is one contiguous run.
         Identity { scale, .. } if k == n => scale_into(*scale, cur, next),
@@ -334,18 +389,9 @@ pub fn contract_transpose_rows(
                 dense_transpose_rows(block, lower, dst, right, rows.clone());
             }
         }
-        Sparse(s) => {
-            for (src, dst) in lanes {
-                for (r, in_row) in src.chunks_exact(right).enumerate() {
-                    for (c, v) in s.row_entries(r) {
-                        // One compare: a column below the block wraps above `k`.
-                        let at = c.wrapping_sub(rows.start);
-                        if at < k {
-                            axpy(v, in_row, lane_mut(dst, at, right));
-                        }
-                    }
-                }
-            }
+        Sparse(s) => entry_transpose_rows(|r| s.row_entries(r), lanes, right, rows),
+        WidthRange { width, scale, .. } => {
+            entry_transpose_rows(|r| window(r, *width, *scale), lanes, right, rows);
         }
         // Symmetric.
         Identity { .. } | Woodbury { .. } => contract_rows(a, cur, next, left, right, rows),

@@ -1,8 +1,8 @@
 //! Compressed sparse row (CSR) matrices.
 //!
-//! Query-matrix blocks that are structured but not closed-form (width-limited
-//! ranges, p-Identity strategies whose top block is diagonal) are mostly
-//! zeros; CSR stores only the nonzeros and makes matvec/rmatvec O(nnz).
+//! Query-matrix blocks that are structured but not closed-form (vectorized
+//! predicate sets, `Prefix`'s tridiagonal inverse Gram) are mostly zeros;
+//! CSR stores only the nonzeros and makes matvec/rmatvec O(nnz).
 
 use crate::Matrix;
 

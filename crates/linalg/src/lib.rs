@@ -12,7 +12,8 @@
 //!
 //! On top of the dense substrate sits the [`StructuredMatrix`] backend: an
 //! enum over `Dense`, `Sparse` ([`Csr`]), closed-form `Identity`, `Total`,
-//! `Prefix`, `AllRange`, and `Kron` variants, and the diagonal-plus-low-rank
+//! `Prefix`, `AllRange`, `WidthRange`, `Permuted` and `Kron` variants, and
+//! the diagonal-plus-low-rank
 //! `PIdentity` (OPT_0's strategy) and `Woodbury` (its inverse Gram). HDMM's
 //! per-attribute building blocks are exactly these shapes, so workloads and
 //! strategies carry O(1) pattern descriptors (O(pn) for p-Identity) instead

@@ -30,10 +30,12 @@
 //!   rows as more of the outermost `left` loop, across which no variant
 //!   carries state;
 //! * the leading step calls the same kernel the full product calls with
-//!   `0..out_dim`, for a block: variants whose contraction carries a running
-//!   accumulator across rows (`Prefix`, `AllRange`, `Total`) *recompute* the
-//!   prefix state from row 0 in the original order instead of splitting the
-//!   sum, trading a little redundant work for exact reproducibility.
+//!   `0..out_dim`, for a block: row-local variants (`Dense`, `Sparse`,
+//!   `WidthRange`, …) restrict their loop to it, and variants whose
+//!   contraction carries a running accumulator across rows (`Prefix`,
+//!   `AllRange`, `Total`) *recompute* the prefix state from row 0 in the
+//!   original order instead of splitting the sum, trading a little
+//!   redundant work for exact reproducibility.
 //!
 //! Summing per-shard partial products would be the textbook merge, but
 //! floating-point addition is not associative: `((a+b)+c)+d` and
@@ -168,6 +170,8 @@ mod tests {
             StructuredMatrix::total(n).scaled(0.5),
             StructuredMatrix::prefix(n).scaled(0.3),
             StructuredMatrix::all_range(n).scaled(0.7),
+            StructuredMatrix::width_range(n, 3).scaled(0.3),
+            StructuredMatrix::width_range(n, 1),
             StructuredMatrix::Sparse(Csr::from_dense(&dense)),
             StructuredMatrix::Dense(dense),
         ]

@@ -2,13 +2,13 @@
 //! highly-regular operators HDMM composes.
 //!
 //! The building blocks of real workloads and strategies — `Identity`,
-//! `Total`, `Prefix`, `AllRange`, sparse predicate sets, and Kronecker
-//! products of all of these — are far too regular to store densely. A
-//! [`StructuredMatrix`] keeps only the pattern parameters (`n`, a scale) or a
-//! CSR payload and implements the whole [`LinOp`](crate::LinOp) surface with
-//! closed-form fast paths. Its products are not written here: a leaf's
-//! `matvec` / `rmatvec` is a one-mode chain through the contraction kernels
-//! of `contract.rs`, exactly like a `Kron` of several leaves.
+//! `Total`, `Prefix`, `AllRange`, `WidthRange`, sparse predicate sets, and
+//! Kronecker products of all of these — are far too regular to store
+//! densely. A [`StructuredMatrix`] keeps only the pattern parameters (`n`, a
+//! scale) or a CSR payload and implements the whole [`LinOp`](crate::LinOp)
+//! surface with closed-form fast paths. Its products are not written here:
+//! a leaf's `matvec` / `rmatvec` is a one-mode chain through the contraction
+//! kernels of `contract.rs`, exactly like a `Kron` of several leaves.
 //!
 //! | variant      | storage | matvec         | gram           | sensitivity |
 //! |--------------|---------|----------------|----------------|-------------|
@@ -16,6 +16,7 @@
 //! | `Total`      | O(1)    | O(n)           | O(n²) fill     | `\|s\|`     |
 //! | `Prefix`     | O(1)    | O(n) cumsum    | O(n²) fill     | `n·\|s\|`   |
 //! | `AllRange`   | O(1)    | O(m) via sums  | O(n²) fill     | closed form |
+//! | `WidthRange` | O(1)    | O(m·w)         | O(n²) fill     | O(w)        |
 //! | `PIdentity`  | O(pn)   | O(pn)          | O(pn²)         | col sums    |
 //! | `Woodbury`   | O(pn)   | O(pn)          | via `to_dense` | col sums    |
 //! | `Sparse`     | O(nnz)  | O(nnz)         | O(Σnnz_r²)     | col sums    |
@@ -29,9 +30,15 @@
 //! form of Theorem 8, built from it in O(p²n) by [`gram_pinv`]. `Permuted`
 //! is a block with its columns shuffled (the paper's Permuted Range): `n`
 //! indices on top of the inner block, whose closed forms answer everything
-//! with the indices moved. [`to_dense`]
-//! remains as the escape hatch for algorithms that genuinely need entries
-//! (small-n optimizer internals, tests).
+//! with the indices moved. `WidthRange` is the paper's "Width 32 Range" at
+//! any width `w`: the `m = n − w + 1` windows of `w` cells, in three words
+//! where a CSR block holds `w·m` entries. Every method keeps the bits of
+//! that CSR block: its products walk the same `(column, value)` entries in
+//! the same order (`contract.rs`), and its Gram, column sums and Gram trace
+//! read a table of repeated sums, entry `k` being `k` copies of `scale²` (or
+//! of `|scale|`) added in order — what the CSR loops add up entry by entry.
+//! [`to_dense`] remains as the escape hatch for algorithms that genuinely
+//! need entries (small-n optimizer internals, tests).
 //!
 //! [`gram_pinv`]: StructuredMatrix::gram_pinv
 //!
@@ -81,6 +88,18 @@ pub enum StructuredMatrix {
     AllRange {
         /// Domain size `n`.
         n: usize,
+        /// Uniform scale.
+        scale: f64,
+    },
+    /// Every window of `width` consecutive cells: row `r` sums cells
+    /// `r..r + width`, for `r` in `0..=n − width` — the rows, in order, of
+    /// `blocks::width_range`. Every method assumes `1 ≤ width ≤ n`, which
+    /// [`StructuredMatrix::width_range`] checks.
+    WidthRange {
+        /// Domain size `n`.
+        n: usize,
+        /// Cells per window.
+        width: usize,
         /// Uniform scale.
         scale: f64,
     },
@@ -136,6 +155,20 @@ impl StructuredMatrix {
     /// An unscaled all-range block.
     pub fn all_range(n: usize) -> Self {
         AllRange { n, scale: 1.0 }
+    }
+
+    /// An unscaled width-range block: the `n − width + 1` windows of
+    /// `width` cells.
+    ///
+    /// # Panics
+    /// Panics unless `1 ≤ width ≤ n`.
+    pub fn width_range(n: usize, width: usize) -> Self {
+        assert!(width >= 1 && width <= n, "width must be in [1, n]");
+        WidthRange {
+            n,
+            width,
+            scale: 1.0,
+        }
     }
 
     /// `inner · P`, moving column `c` of `inner` to column `perm[c]`.
@@ -206,6 +239,7 @@ impl StructuredMatrix {
             Identity { n, .. } | Prefix { n, .. } => *n,
             Total { .. } => 1,
             AllRange { n, .. } => n * (n + 1) / 2,
+            WidthRange { n, width, .. } => n - width + 1,
             PIdentity { diag, block } => diag.len() + block.rows(),
             Woodbury { diag, .. } => diag.len(),
             Permuted { inner, .. } => inner.rows(),
@@ -218,7 +252,11 @@ impl StructuredMatrix {
         match self {
             Dense(m) => m.cols(),
             Sparse(s) => s.cols(),
-            Identity { n, .. } | Total { n, .. } | Prefix { n, .. } | AllRange { n, .. } => *n,
+            Identity { n, .. }
+            | Total { n, .. }
+            | Prefix { n, .. }
+            | AllRange { n, .. }
+            | WidthRange { n, .. } => *n,
             PIdentity { diag, .. } | Woodbury { diag, .. } => diag.len(),
             Permuted { perm, .. } => perm.len(),
             Kron(fs) => fs.iter().map(StructuredMatrix::cols).product(),
@@ -236,7 +274,11 @@ impl StructuredMatrix {
         match self {
             Dense(m) => m.rows() * m.cols(),
             Sparse(s) => s.nnz(),
-            Identity { .. } | Total { .. } | Prefix { .. } | AllRange { .. } => 1,
+            Identity { .. }
+            | Total { .. }
+            | Prefix { .. }
+            | AllRange { .. }
+            | WidthRange { .. } => 1,
             PIdentity { diag, block: low } | Woodbury { diag, u: low } => {
                 diag.len() + low.rows() * low.cols()
             }
@@ -282,6 +324,12 @@ impl StructuredMatrix {
                     s2 * ((i.min(j) + 1) * (*n - i.max(j))) as f64
                 })
             }
+            // `Csr::gram` adds `scale·scale` once per window holding both
+            // cells, in row order.
+            WidthRange { n, width, scale } => {
+                let sums = repeated_sums(scale * scale, *width);
+                Matrix::from_fn(*n, *n, |i, j| sums[windows_holding(*n, *width, i, j)])
+            }
             PIdentity { diag, block } => {
                 let mut g = block.gram();
                 for (j, d) in diag.iter().enumerate() {
@@ -315,8 +363,8 @@ impl StructuredMatrix {
     /// `(AᵀA)⁺` as a structured matrix, for RECONSTRUCT's per-factor inverse
     /// Grams: closed forms keep `Identity` O(1), `Prefix` tridiagonal and
     /// `PIdentity` a [`Woodbury`](StructuredMatrix::Woodbury) leaf; only
-    /// `Dense`, `Sparse`, `AllRange` and `Woodbury` go through the dense
-    /// spectral pseudo-inverse, as does `Permuted`.
+    /// `Dense`, `Sparse`, `AllRange`, `WidthRange` and `Woodbury` go through
+    /// the dense spectral pseudo-inverse, as does `Permuted`.
     ///
     /// # Errors
     /// [`try_inverse_gram`](crate::try_inverse_gram)'s, from a dense
@@ -397,6 +445,14 @@ impl StructuredMatrix {
             AllRange { n, scale } => (0..*n)
                 .map(|c| scale.abs() * ((c + 1) * (*n - c)) as f64)
                 .collect(),
+            // `Csr::abs_col_sums` adds `|scale|` once per window over the
+            // column, in row order.
+            WidthRange { n, width, scale } => {
+                let sums = repeated_sums(scale.abs(), *width);
+                (0..*n)
+                    .map(|c| sums[windows_holding(*n, *width, c, c)])
+                    .collect()
+            }
             // From the stored entries, in row order (the dense matrix's
             // bits): never assumed to be 1, so noise is never under-scaled.
             PIdentity { diag, block } => {
@@ -441,6 +497,12 @@ impl StructuredMatrix {
                 let c = (*n - 1) / 2;
                 scale.abs() * ((c + 1) * (*n - c)) as f64
             }
+            // The largest column sum is the one over the most windows,
+            // `min(width, n − width + 1)` of them: a sum of positive terms
+            // never falls as terms are added.
+            WidthRange { n, width, scale } => {
+                repeated_sum(scale.abs(), (*width).min(n - width + 1))
+            }
             PIdentity { .. } | Woodbury { .. } => {
                 self.abs_col_sums().into_iter().fold(0.0, f64::max)
             }
@@ -461,6 +523,9 @@ impl StructuredMatrix {
             AllRange { n, scale } => {
                 scale * scale * (0..*n).map(|i| ((i + 1) * (*n - i)) as f64).sum::<f64>()
             }
+            // `Csr::frobenius_norm_sq`: `scale·scale` once per stored entry,
+            // in order.
+            WidthRange { n, width, scale } => repeated_sum(scale * scale, width * (n - width + 1)),
             PIdentity { diag, block } => {
                 diag.iter().map(|d| d * d).sum::<f64>() + block.frobenius_norm_sq()
             }
@@ -490,6 +555,11 @@ impl StructuredMatrix {
             },
             AllRange { n, scale } => AllRange {
                 n: *n,
+                scale: scale * alpha,
+            },
+            WidthRange { n, width, scale } => WidthRange {
+                n: *n,
+                width: *width,
                 scale: scale * alpha,
             },
             PIdentity { diag, block } => PIdentity {
@@ -544,6 +614,13 @@ impl StructuredMatrix {
                 }
                 out
             }
+            WidthRange { n, width, scale } => Matrix::from_fn(n - width + 1, *n, |r, c| {
+                if (r..r + width).contains(&c) {
+                    *scale
+                } else {
+                    0.0
+                }
+            }),
             PIdentity { diag, block } => {
                 let n = diag.len();
                 let mut a = Matrix::zeros(n + block.rows(), n);
@@ -585,6 +662,8 @@ impl StructuredMatrix {
             Identity { scale, .. } | Total { scale, .. } => *scale == 1.0,
             // Up to n = 2 every row is a point query or the total query.
             Prefix { n, scale } | AllRange { n, scale } => *n <= 2 && *scale == 1.0,
+            // One-cell windows are point queries, an `n`-cell one the total.
+            WidthRange { n, width, scale } => (*width == 1 || width == n) && *scale == 1.0,
             Dense(m) => dense_is_total_or_identity(m),
             Sparse(s) => s.rows_are_total_or_identity(),
             PIdentity { .. } | Woodbury { .. } => dense_is_total_or_identity(&self.to_dense()),
@@ -604,7 +683,8 @@ impl StructuredMatrix {
             Identity { scale, .. }
             | Total { scale, .. }
             | Prefix { scale, .. }
-            | AllRange { scale, .. } => scale.is_finite(),
+            | AllRange { scale, .. }
+            | WidthRange { scale, .. } => scale.is_finite(),
             PIdentity { diag, block: low } | Woodbury { diag, u: low } => {
                 all_finite(diag) && all_finite(low.as_slice())
             }
@@ -612,6 +692,35 @@ impl StructuredMatrix {
             Kron(fs) => fs.iter().all(StructuredMatrix::is_finite),
         }
     }
+}
+
+/// `[0, v, v + v, …]`: entry `k` is `k` copies of `v` added in order, from
+/// `0.0` — the bits of a CSR loop that adds `v` into a zeroed slot once per
+/// stored entry it meets, for every count up to `most`.
+fn repeated_sums(v: f64, most: usize) -> Vec<f64> {
+    let mut sums = Vec::with_capacity(most + 1);
+    let mut acc = 0.0;
+    sums.push(acc);
+    for _ in 0..most {
+        acc += v;
+        sums.push(acc);
+    }
+    sums
+}
+
+/// Entry `count` of [`repeated_sums`], without the table.
+fn repeated_sum(v: f64, count: usize) -> f64 {
+    (0..count).fold(0.0, |acc, _| acc + v)
+}
+
+/// How many of the `n − width + 1` windows of `width` cells hold both cells
+/// `i` and `j`: the window starts `s` with `s ≤ min(i, j)`,
+/// `s + width > max(i, j)` and `s ≤ n − width`.
+fn windows_holding(n: usize, width: usize, i: usize, j: usize) -> usize {
+    let (lo, hi) = (i.min(j), i.max(j));
+    let first = (hi + 1).saturating_sub(width);
+    let last = lo.min(n - width);
+    (last + 1).saturating_sub(first)
 }
 
 /// True when every entry is finite (neither NaN nor ±∞).
@@ -716,6 +825,7 @@ mod tests {
             StructuredMatrix::total(n).scaled(0.5),
             StructuredMatrix::prefix(n).scaled(2.0),
             StructuredMatrix::all_range(n),
+            StructuredMatrix::width_range(n, 3).scaled(0.3),
             Sparse(Csr::from_dense(&dense)),
             Dense(dense),
             pident.gram_pinv(),
@@ -896,7 +1006,8 @@ mod tests {
                     StructuredMatrix::prefix(n),
                     StructuredMatrix::all_range(n),
                 ];
-                for block in closed {
+                let windows = (1..=n).map(|w| StructuredMatrix::width_range(n, w));
+                for block in closed.into_iter().chain(windows) {
                     let block = block.scaled(scale);
                     let reversed = (0..n).rev().collect();
                     let moved = StructuredMatrix::permuted(block.clone(), reversed).unwrap();
@@ -916,6 +1027,7 @@ mod tests {
     fn storage_size_is_constant_for_closed_forms() {
         assert_eq!(StructuredMatrix::prefix(1 << 14).storage_size(), 1);
         assert_eq!(StructuredMatrix::all_range(1 << 14).storage_size(), 1);
+        assert_eq!(StructuredMatrix::width_range(1 << 14, 32).storage_size(), 1);
         assert_eq!(
             StructuredMatrix::kron(vec![
                 StructuredMatrix::prefix(8),

@@ -6,7 +6,8 @@
 //! kernels bit for bit — the same check the in-process `spawn_worker` tests
 //! make, with real process and socket boundaries. A worker process must
 //! also survive a crafted frame nested deeply enough to overflow a decoder
-//! that recursed without bound.
+//! that recursed without bound, and refuse one carrying a width-range leaf
+//! whose window does not fit its domain.
 
 use hdmm_core::{codec, ShardedDataVector};
 use hdmm_linalg::{kmatvec_trailing_slab, StructuredMatrix};
@@ -132,17 +133,9 @@ fn two_worker_processes_match_the_in_process_kernels_bitwise() {
     );
 }
 
-/// A sealed, length-prefixed `LoadFactors` frame whose one factor nests
-/// 10 000 `Kron` leaves (90 KB), under its own content key. No encoder
-/// writes such a list, so it is built by hand.
-fn nested_kron_load_factors() -> Vec<u8> {
-    let mut list = Vec::new();
-    codec::put_usize(&mut list, 1);
-    for _ in 0..10_000 {
-        list.push(6);
-        codec::put_usize(&mut list, 1);
-    }
-    codec::put_structured(&mut list, &StructuredMatrix::total(2));
+/// A sealed, length-prefixed `LoadFactors` frame carrying the encoded factor
+/// list `list` under its own content key.
+fn load_factors_frame(list: &[u8]) -> Vec<u8> {
     let mut frame = vec![0; 4];
     frame.extend_from_slice(WIRE_PREFIX);
     frame.push(PROTO_V2);
@@ -150,31 +143,55 @@ fn nested_kron_load_factors() -> Vec<u8> {
     codec::put_u64(&mut frame, 0);
     codec::put_usize(&mut frame, 0);
     frame.push(8);
-    codec::put_u64(&mut frame, codec::checksum(&list));
+    codec::put_u64(&mut frame, codec::checksum(list));
     codec::put_u64(&mut frame, list.len() as u64);
-    frame.extend_from_slice(&list);
+    frame.extend_from_slice(list);
     let sum = codec::checksum(&frame[4..]);
     codec::put_u64(&mut frame, sum);
-    let len = u32::try_from(frame.len() - 4).expect("a 90 KB frame");
+    let len = u32::try_from(frame.len() - 4).expect("a frame under 4 GiB");
     frame[..4].copy_from_slice(&len.to_le_bytes());
     frame
 }
 
-/// Any client that reaches the port can send the nested frame. The worker
+/// A one-factor list whose factor nests 10 000 `Kron` leaves (90 KB). No
+/// encoder writes such a list, so it is built by hand.
+fn nested_kron_list() -> Vec<u8> {
+    let mut list = Vec::new();
+    codec::put_usize(&mut list, 1);
+    for _ in 0..10_000 {
+        list.push(6);
+        codec::put_usize(&mut list, 1);
+    }
+    codec::put_structured(&mut list, &StructuredMatrix::total(2));
+    list
+}
+
+/// A one-factor list whose factor is a width range (tag 10) with a window
+/// wider than its domain: 9 cells over 8, which no constructor builds and
+/// whose row count `n − width + 1` would underflow.
+fn forged_width_range_list() -> Vec<u8> {
+    let mut list = Vec::new();
+    codec::put_usize(&mut list, 1);
+    list.push(10);
+    codec::put_usize(&mut list, 8);
+    codec::put_usize(&mut list, 9);
+    codec::put_f64(&mut list, 1.0);
+    list
+}
+
+/// Any client that reaches the port can send a crafted frame. The worker
 /// must answer it with a typed error or drop that connection — not abort
-/// on a stack overflow — and then answer a ping on a new connection.
-#[test]
-fn a_worker_process_survives_a_nested_kron_load_factors_frame() {
+/// on a stack overflow or a panic — and then answer a ping on a new
+/// connection.
+fn assert_a_worker_process_survives(frame: &[u8]) {
     let worker = WorkerProcess::spawn();
     let timeout = Some(Duration::from_secs(10));
     let mut crafted = TcpStream::connect(&worker.addr).expect("the worker accepts");
     crafted.set_read_timeout(timeout).expect("socket option");
-    crafted
-        .write_all(&nested_kron_load_factors())
-        .expect("the frame is sent");
+    crafted.write_all(frame).expect("the frame is sent");
     match read_frame(&mut crafted) {
         Ok((Frame::Error { .. }, _)) | Err(_) => {}
-        Ok((other, _)) => panic!("the nested frame was answered with {other:?}"),
+        Ok((other, _)) => panic!("the crafted frame was answered with {other:?}"),
     }
 
     let mut probe = TcpStream::connect(&worker.addr).expect("the worker still accepts");
@@ -182,4 +199,14 @@ fn a_worker_process_survives_a_nested_kron_load_factors_frame() {
     write_frame(&mut probe, &Frame::Ping, &TraceExt::default()).expect("ping sent");
     let (pong, _) = read_frame(&mut probe).expect("the worker still answers");
     assert_eq!(pong, Frame::Pong { slabs: 0 });
+}
+
+#[test]
+fn a_worker_process_survives_a_nested_kron_load_factors_frame() {
+    assert_a_worker_process_survives(&load_factors_frame(&nested_kron_list()));
+}
+
+#[test]
+fn a_worker_process_refuses_a_forged_width_range_load_factors_frame() {
+    assert_a_worker_process_survives(&load_factors_frame(&forged_width_range_list()));
 }

@@ -7,6 +7,8 @@
 //! tests. It is sufficient for HDMM's smooth objectives with non-negativity
 //! constraints.
 
+use std::collections::VecDeque;
+
 /// Objective interface: value and gradient at a point.
 pub trait Objective {
     /// Number of variables.
@@ -82,6 +84,11 @@ fn projected_grad_norm(x: &[f64], g: &[f64], lower: &[f64]) -> f64 {
 }
 
 /// Minimizes `f` over the box `x ≥ lower` starting from `x0`.
+///
+/// Every per-iteration vector is allocated once per solve and reused: the
+/// active set, the reduced gradient, the two-loop vector, the direction, and
+/// the curvature pairs, whose history rotates (the oldest pair's buffers
+/// take the newest pair) once it holds `memory` of them.
 pub fn minimize(
     f: &mut dyn Objective,
     x0: &[f64],
@@ -101,10 +108,16 @@ pub fn minimize(
     let (mut cand, mut gv) = (vec![0.0; n], vec![0.0; n]);
     let (mut x_new, mut g_new) = (vec![0.0; n], vec![0.0; n]);
 
-    // L-BFGS history.
-    let mut s_hist: Vec<Vec<f64>> = Vec::new();
-    let mut y_hist: Vec<Vec<f64>> = Vec::new();
-    let mut rho_hist: Vec<f64> = Vec::new();
+    // Per-iteration work vectors.
+    let mut active = vec![false; n];
+    let (mut gr, mut q, mut dir) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    let mut alphas = Vec::with_capacity(opts.memory);
+    // The next curvature pair is formed in `(s, y)`; an accepted pair moves
+    // into the history, oldest first, and `(s, y)` take a spare pair's
+    // buffers — the dropped oldest one's once the history is full.
+    let (mut s, mut y) = (vec![0.0; n], vec![0.0; n]);
+    let mut hist: VecDeque<(Vec<f64>, Vec<f64>, f64)> = VecDeque::with_capacity(opts.memory);
+    let mut spare: Vec<(Vec<f64>, Vec<f64>)> = Vec::new();
 
     let mut converged = false;
     let mut small_steps = 0usize;
@@ -120,8 +133,10 @@ pub fn minimize(
         // gradient pushing outward are frozen this iteration, so the
         // quasi-Newton direction lives in the free subspace (the gradient-
         // projection idea behind L-BFGS-B).
-        let active: Vec<bool> = (0..n).map(|i| x[i] <= lower[i] && g[i] > 0.0).collect();
-        let mut gr = g.clone();
+        for (((a, &xi), &lo), &gi) in active.iter_mut().zip(&x).zip(lower).zip(&g) {
+            *a = xi <= lo && gi > 0.0;
+        }
+        gr.copy_from_slice(&g);
         for (gi, &a) in gr.iter_mut().zip(&active) {
             if a {
                 *gi = 0.0;
@@ -129,35 +144,35 @@ pub fn minimize(
         }
 
         // Two-loop recursion for the search direction (on the reduced grad).
-        let mut q = gr.clone();
-        let k = s_hist.len();
-        let mut alphas = vec![0.0; k];
-        for i in (0..k).rev() {
-            let a = rho_hist[i] * dot(&s_hist[i], &q);
+        q.copy_from_slice(&gr);
+        let k = hist.len();
+        alphas.clear();
+        alphas.resize(k, 0.0);
+        for (i, (s_i, y_i, rho_i)) in hist.iter().enumerate().rev() {
+            let a = rho_i * dot(s_i, &q);
             alphas[i] = a;
-            axpy(-a, &y_hist[i], &mut q);
+            axpy(-a, y_i, &mut q);
         }
         // Initial Hessian scaling γ = sᵀy / yᵀy.
-        if let (Some(s), Some(y)) = (s_hist.last(), y_hist.last()) {
-            let gamma = dot(s, y) / dot(y, y).max(1e-300);
+        if let Some((s_k, y_k, _)) = hist.back() {
+            let gamma = dot(s_k, y_k) / dot(y_k, y_k).max(1e-300);
             for qi in &mut q {
                 *qi *= gamma;
             }
         }
-        for i in 0..k {
-            let b = rho_hist[i] * dot(&y_hist[i], &q);
-            axpy(alphas[i] - b, &s_hist[i], &mut q);
+        for ((s_i, y_i, rho_i), &a) in hist.iter().zip(&alphas) {
+            let b = rho_i * dot(y_i, &q);
+            axpy(a - b, s_i, &mut q);
         }
-        let mut dir: Vec<f64> = q.iter().map(|v| -v).collect();
-        for (di, &a) in dir.iter_mut().zip(&active) {
-            if a {
-                *di = 0.0;
-            }
+        for ((di, &qi), &a) in dir.iter_mut().zip(&q).zip(&active) {
+            *di = if a { 0.0 } else { -qi };
         }
 
         // Ensure descent; fall back to (projected) steepest descent otherwise.
         if dot(&dir, &gr) >= 0.0 {
-            dir = gr.iter().map(|v| -v).collect();
+            for (di, &gi) in dir.iter_mut().zip(&gr) {
+                *di = -gi;
+            }
         }
 
         // Projected weak-Wolfe line search (bisection): Armijo for sufficient
@@ -210,24 +225,27 @@ pub fn minimize(
         };
 
         // Maintain curvature pairs from the projected step.
-        let s: Vec<f64> = (0..n).map(|i| x_new[i] - x[i]).collect();
-        let y: Vec<f64> = (0..n).map(|i| g_new[i] - g[i]).collect();
+        for i in 0..n {
+            s[i] = x_new[i] - x[i];
+            y[i] = g_new[i] - g[i];
+        }
         let sy = dot(&s, &y);
         if sy > 1e-12 * dot(&y, &y).sqrt() * dot(&s, &s).sqrt() {
-            s_hist.push(s);
-            y_hist.push(y);
-            rho_hist.push(1.0 / sy);
-            if s_hist.len() > opts.memory {
-                s_hist.remove(0);
-                y_hist.remove(0);
-                rho_hist.remove(0);
+            if opts.memory > 0 {
+                if hist.len() == opts.memory {
+                    spare.extend(hist.pop_front().map(|(old_s, old_y, _)| (old_s, old_y)));
+                }
+                let (next_s, next_y) = spare.pop().unwrap_or_else(|| (vec![0.0; n], vec![0.0; n]));
+                let (s, y) = (
+                    std::mem::replace(&mut s, next_s),
+                    std::mem::replace(&mut y, next_y),
+                );
+                hist.push_back((s, y, 1.0 / sy));
             }
         } else {
             // Negative curvature along a projected step: the stale history
             // would keep producing the same poor direction — drop it.
-            s_hist.clear();
-            y_hist.clear();
-            rho_hist.clear();
+            spare.extend(hist.drain(..).map(|(old_s, old_y, _)| (old_s, old_y)));
         }
 
         let rel_impr = (fx - f_new) / fx.abs().max(1e-30);

@@ -85,8 +85,9 @@ pub struct PlanDecision {
 /// True when every column of the factor is the same vector — exactly the
 /// terms whose Gram `G = c·𝟙` the union partitioner treats as Total-like
 /// (`G_ij = wᵢ·wⱼ` is constant iff all columns `wᵢ` coincide). Structured
-/// variants answer from their descriptor; only `Dense`/`Sparse` inspect
-/// entries.
+/// variants answer from their descriptor — a width range only when its one
+/// window covers the domain, as its CSR form's `columns_all_equal` does; only
+/// `Dense`/`Sparse` inspect entries.
 pub fn is_total_like(factor: &StructuredMatrix) -> bool {
     let dense_check = |m: &hdmm_linalg::Matrix| {
         for c in 1..m.cols() {
@@ -103,6 +104,7 @@ pub fn is_total_like(factor: &StructuredMatrix) -> bool {
         StructuredMatrix::Identity { n, .. }
         | StructuredMatrix::Prefix { n, .. }
         | StructuredMatrix::AllRange { n, .. } => *n == 1,
+        StructuredMatrix::WidthRange { n, width, .. } => width == n,
         StructuredMatrix::Dense(m) => dense_check(m),
         StructuredMatrix::PIdentity { .. } | StructuredMatrix::Woodbury { .. } => {
             dense_check(&factor.to_dense())

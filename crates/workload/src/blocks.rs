@@ -6,7 +6,7 @@
 //! `m × n` 0/1 matrix over a single attribute of size `n`.
 //!
 //! The `*_block` constructors return [`StructuredMatrix`] descriptors — O(1)
-//! for the closed-form patterns, CSR for width-limited ranges, `n` indices
+//! for the closed-form patterns, width-limited ranges included, `n` indices
 //! over the `AllRange` descriptor for permuted ranges — and are what
 //! [`crate::builders`] emits, so workload construction never allocates a
 //! dense `m × n` table. The plain functions materialize dense equivalents for
@@ -17,7 +17,7 @@
 //! (the paper's "for highly structured workloads, WᵀW can be computed directly
 //! without materializing W", §5.2).
 
-use hdmm_linalg::{Csr, Matrix, StructuredMatrix};
+use hdmm_linalg::{Matrix, StructuredMatrix};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -56,20 +56,15 @@ pub fn permuted_range_block(n: usize, rng: &mut impl Rng) -> StructuredMatrix {
     }
 }
 
-/// `WidthRange` block in CSR form: `width·(n−width+1)` stored values instead
-/// of `n·(n−width+1)`.
+/// `WidthRange` block in structured form: O(1) storage for the
+/// `(n−width+1) × n` query set, with the bits of its CSR form
+/// (`Csr::from_dense(&width_range(n, width))`) in every product, Gram and
+/// norm.
+///
+/// # Panics
+/// Panics unless `1 ≤ width ≤ n`.
 pub fn width_range_block(n: usize, width: usize) -> StructuredMatrix {
-    assert!(width >= 1 && width <= n, "width must be in [1, n]");
-    let m = n - width + 1;
-    let mut indptr = Vec::with_capacity(m + 1);
-    let mut indices = Vec::with_capacity(m * width);
-    indptr.push(0);
-    for r in 0..m {
-        indices.extend(r..r + width);
-        indptr.push(indices.len());
-    }
-    let data = vec![1.0; indices.len()];
-    StructuredMatrix::Sparse(Csr::new(m, n, indptr, indices, data))
+    StructuredMatrix::width_range(n, width)
 }
 
 /// `Identity` predicate set: one point query per domain element.
@@ -131,23 +126,10 @@ pub fn gram_all_range(n: usize) -> Matrix {
 }
 
 /// Gram matrix of [`width_range`] without materializing it:
-/// the number of width-`w` windows containing both `i` and `j`.
+/// the number of width-`w` windows containing both `i` and `j`, filled by
+/// the closed-form [`width_range_block`]'s Gram.
 pub fn gram_width_range(n: usize, width: usize) -> Matrix {
-    Matrix::from_fn(n, n, |i, j| {
-        let lo = i.min(j);
-        let hi = i.max(j);
-        if hi - lo >= width {
-            return 0.0;
-        }
-        // Window start s must satisfy s ≤ lo and s + width > hi and 0 ≤ s ≤ n - width.
-        let s_min = hi.saturating_sub(width - 1);
-        let s_max = lo.min(n - width);
-        if s_max >= s_min {
-            (s_max - s_min + 1) as f64
-        } else {
-            0.0
-        }
-    })
+    width_range_block(n, width).gram_dense()
 }
 
 /// True when every row of `w` is either a point query (one-hot) or the total
@@ -269,9 +251,6 @@ mod tests {
                 .gram_dense()
                 .approx_eq(&gram_all_range(n), 1e-12));
         }
-        assert!(width_range_block(9, 4)
-            .gram_dense()
-            .approx_eq(&gram_width_range(9, 4), 1e-12));
     }
 
     #[test]

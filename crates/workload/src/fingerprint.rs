@@ -130,6 +130,12 @@ fn hash_structured(h: &mut Fnv, f: &StructuredMatrix) {
             h.write_u64(*n as u64);
             h.write_f64(*scale);
         }
+        StructuredMatrix::WidthRange { n, width, scale } => {
+            h.write_u64(10);
+            h.write_u64(*n as u64);
+            h.write_u64(*width as u64);
+            h.write_f64(*scale);
+        }
         StructuredMatrix::Kron(fs) => {
             h.write_u64(6);
             h.write_u64(fs.len() as u64);

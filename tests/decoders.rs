@@ -5,8 +5,9 @@
 //! budget shares do not sum to 1, or whose two groups differ attribute by
 //! attribute, is refused, and so is a marginals domain over more than
 //! `MAX_MARGINAL_ATTRS` attributes), the p-Identity /
-//! Woodbury leaves of plans and inverse-Gram factor lists (`Reader`), and
-//! shard-worker wire frames (`hdmm_net::decode_frame`).
+//! Woodbury leaves of plans and inverse-Gram factor lists (`Reader`), the
+//! width-range leaf (`Reader`; a window that does not fit its domain is
+//! refused), and shard-worker wire frames (`hdmm_net::decode_frame`).
 //! Arbitrary bytes, arbitrary payloads behind a valid checksum, truncations
 //! and single-bit flips of valid encodings must come back as a typed error
 //! (`None` for the plan store) — never a panic.
@@ -688,6 +689,110 @@ fn permuted_leaves_refuse_non_bijections_and_nesting() {
         )],
     );
     assert_forged_plan_file_is_never_served("permuted-duplicate", &strategy);
+}
+
+/// A width-range leaf (tag 10) from raw fields, as `put_structured` lays
+/// one out: what a forged file or frame can carry, whatever the fields.
+fn width_range_leaf(n: usize, width: usize, scale: f64) -> Vec<u8> {
+    let mut out = vec![10];
+    codec::put_usize(&mut out, n);
+    codec::put_usize(&mut out, width);
+    codec::put_f64(&mut out, scale);
+    out
+}
+
+/// A `WidthRange` leaf (tag 10) round-trips, alone, as a `Kron` factor and
+/// as a `Permuted` leaf's inner block. One whose window is empty or wider
+/// than its domain (width 0, width > n, n = 0), or whose scale is zero or
+/// not finite, is `CodecError::Invalid` — before the leaf exists, since its
+/// row count is `n − width + 1`. A plan file holding one is a miss.
+#[test]
+fn width_range_leaves_refuse_empty_or_oversized_windows_and_bad_scales() {
+    let decode = |bytes: &[u8]| codec::Reader::new(bytes).structured();
+    let encode = |leaf: &StructuredMatrix| {
+        let mut bytes = Vec::new();
+        codec::put_structured(&mut bytes, leaf);
+        bytes
+    };
+    let good = StructuredMatrix::width_range(256, 96).scaled(0.3);
+    assert_eq!(encode(&good), width_range_leaf(256, 96, 0.3));
+    let factor = StructuredMatrix::Kron(vec![good.clone(), StructuredMatrix::prefix(2)]);
+    let moved = StructuredMatrix::permuted(StructuredMatrix::width_range(4, 2), vec![2, 0, 3, 1])
+        .expect("a bijection");
+    for leaf in [good, factor, moved] {
+        assert_eq!(decode(&encode(&leaf)), Ok(leaf));
+    }
+
+    for (n, width, scale) in [
+        (8, 0, 1.0),
+        (8, 9, 1.0),
+        (0, 0, 1.0),
+        (0, 1, 1.0),
+        (usize::MAX, 0, 1.0),
+        (8, 3, 0.0),
+        (8, 3, -0.0),
+        (8, 3, f64::NAN),
+        (8, 3, f64::INFINITY),
+        (8, 3, f64::NEG_INFINITY),
+    ] {
+        let decoded = decode(&width_range_leaf(n, width, scale));
+        assert!(
+            matches!(decoded, Err(codec::CodecError::Invalid(_))),
+            "n={n} width={width} scale={scale}: {decoded:?}"
+        );
+    }
+
+    let mut strategy = vec![1];
+    codec::put_usize(&mut strategy, 1);
+    strategy.extend(width_range_leaf(8, 9, 1.0));
+    assert_forged_plan_file_is_never_served("width-range-wider", &strategy);
+}
+
+/// A `LoadFactors` frame for a worker whose one factor is a width range
+/// wider than its domain: `decode_frame` refuses it as `Invalid`.
+#[test]
+fn load_factors_frames_with_forged_width_ranges_are_invalid() {
+    let mut list = Vec::new();
+    codec::put_usize(&mut list, 1);
+    list.extend(width_range_leaf(8, 9, 1.0));
+    let mut frame = WIRE_PREFIX.to_vec();
+    frame.push(PROTO_V2);
+    codec::put_u64(&mut frame, 0);
+    codec::put_u64(&mut frame, 0);
+    codec::put_usize(&mut frame, 0);
+    frame.push(8);
+    codec::put_u64(&mut frame, codec::checksum(&list));
+    codec::put_u64(&mut frame, list.len() as u64);
+    frame.extend_from_slice(&list);
+    codec::seal(&mut frame);
+    assert!(matches!(
+        decode_frame(&frame).err(),
+        Some(codec::CodecError::Invalid(_))
+    ));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes behind tag 10 decode or fail typed, never panic, and
+    /// what decodes is a width range whose window fits its domain, with a
+    /// finite nonzero scale.
+    #[test]
+    fn width_range_leaves_from_arbitrary_bytes_decode_or_fail_typed(
+        raw in proptest::collection::vec(0u16..256, 32),
+        len in 0usize..33,
+    ) {
+        let mut bytes = vec![10];
+        bytes.extend(bytes_of(&raw, len));
+        match codec::Reader::new(&bytes).structured() {
+            Ok(StructuredMatrix::WidthRange { n, width, scale }) => {
+                prop_assert!((1..=n).contains(&width));
+                prop_assert!(scale.is_finite() && scale != 0.0);
+            }
+            Ok(other) => prop_assert!(false, "tag 10 decoded as {other:?}"),
+            Err(_) => {}
+        }
+    }
 }
 
 proptest! {

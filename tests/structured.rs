@@ -4,8 +4,9 @@
 //! paths can replace dense blocks anywhere without changing semantics.
 
 use hdmm_linalg::{
-    contract_rows, contract_transpose_rows, kmatvec_structured, kmatvec_transpose_structured,
-    kron_all, partition_rows, Csr, KronScratch, Matrix, StructuredMatrix,
+    contract_rows, contract_transpose_rows, kmatvec_structured, kmatvec_trailing_slab,
+    kmatvec_transpose_structured, kron_all, partition_rows, slab_split, Csr, KronScratch, Matrix,
+    StructuredMatrix,
 };
 use hdmm_optimizer::planner::is_total_like;
 use hdmm_optimizer::PIdentity;
@@ -377,15 +378,17 @@ fn shuffled(n: usize, seed: u64) -> Vec<usize> {
     perm
 }
 
-/// `AllRange`, `Prefix`, a `Sparse` width range and a `Dense` block over
-/// `n` columns, each with its columns moved by a seeded permutation.
+/// `AllRange`, `Prefix`, a `Sparse` (CSR) width range, a `Dense` block and
+/// the closed-form width range over `n` columns, each with its columns moved
+/// by a seeded permutation.
 fn permuted_leaves(n: usize, seed: u64) -> Vec<StructuredMatrix> {
     let dense = Matrix::from_fn(3, n, |r, c| ((r * n + 2 * c) % 5) as f64 - 2.0);
     let inners = [
         StructuredMatrix::all_range(n),
         StructuredMatrix::prefix(n).scaled(1.5),
-        blocks::width_range_block(n, n.min(3)),
+        StructuredMatrix::Sparse(Csr::from_dense(&blocks::width_range(n, n.min(3)))),
         StructuredMatrix::Dense(dense),
+        blocks::width_range_block(n, n.min(3)),
     ];
     inners
         .into_iter()
@@ -509,6 +512,245 @@ fn permuted_constructor_refuses_non_bijections_and_nested_blocks() {
         StructuredMatrix::total(2),
     ]);
     assert!(StructuredMatrix::permuted(kron, vec![0, 1, 2, 3]).is_err());
+}
+
+/// Every `(n, width, scale)` the width-range tests cover: `n ∈ {1, 2, 7,
+/// 128, 256}`, `width ∈ {1, 3, 4, 5, 96, n − 1, n}` (those in `1..=n`) and
+/// `scale ∈ {1.0, 0.3}`, each as the closed-form leaf and the CSR block of
+/// `blocks::width_range` it replaces, scaled alike. Width 96 puts up to 96
+/// windows over a column, enough that `k·0.09` and `k` copies of `0.09`
+/// added in order part in the last bit.
+fn width_range_pairs() -> Vec<(String, StructuredMatrix, StructuredMatrix)> {
+    let mut pairs = Vec::new();
+    for n in [1usize, 2, 7, 128, 256] {
+        let mut widths = vec![1, 3, 4, 5, 96, n.saturating_sub(1), n];
+        widths.retain(|w| (1..=n).contains(w));
+        widths.sort_unstable();
+        widths.dedup();
+        for width in widths {
+            for scale in [1.0, 0.3] {
+                let closed = blocks::width_range_block(n, width).scaled(scale);
+                let csr = StructuredMatrix::Sparse(Csr::from_dense(&blocks::width_range(n, width)))
+                    .scaled(scale);
+                pairs.push((format!("n={n} width={width} scale={scale}"), closed, csr));
+            }
+        }
+    }
+    pairs
+}
+
+fn bits_of(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `contract` of `a` over an inexact `(left, in_dim, right)` tensor, for the
+/// output block `rows`.
+fn contracted(
+    contract: Contract,
+    a: &StructuredMatrix,
+    transpose: bool,
+    left: usize,
+    right: usize,
+    rows: Range<usize>,
+) -> Vec<u64> {
+    let in_dim = if transpose { a.rows() } else { a.cols() };
+    let cur = inexact(left * in_dim * right, (in_dim * right + left) as u64);
+    let mut out = vec![0.0; left * rows.len() * right];
+    contract(a, &cur, &mut out, left, right, rows);
+    bits_of(&out)
+}
+
+/// Both contraction kernels, full and in every block of a 1- to 3-way row
+/// partition, at `right ∈ {1, 3}` (the `dot_indexed` and entry-order
+/// `axpy` arms) and `left ∈ {1, 2}`: `a` and `b` write the same bits.
+fn assert_same_contractions(a: &StructuredMatrix, b: &StructuredMatrix, what: &str) {
+    for (contract, transpose) in [
+        (contract_rows as Contract, false),
+        (contract_transpose_rows as Contract, true),
+    ] {
+        let out_dim = if transpose { a.cols() } else { a.rows() };
+        for left in [1usize, 2] {
+            for right in [1usize, 3] {
+                for parts in 1..=3 {
+                    for block in partition_rows(out_dim, parts) {
+                        assert_eq!(
+                            contracted(contract, a, transpose, left, right, block.clone()),
+                            contracted(contract, b, transpose, left, right, block.clone()),
+                            "{what} transpose={transpose} left={left} right={right} {block:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The closed-form `WidthRange` leaf has the bits of the CSR block it
+/// replaces in every method and kernel: products (forward, transposed, row
+/// blocks at `right == 1` and `right > 1`), Kronecker chains in both
+/// directions, the slab split, Grams, column sums, sensitivity, Gram trace,
+/// scaled and normalized copies, dense form and both predicates — and as
+/// the inner block of a `Permuted` leaf. It stores its scale only.
+#[test]
+fn width_range_leaf_has_its_csr_blocks_bits() {
+    let prefix = StructuredMatrix::prefix(3).scaled(0.7);
+    let total = StructuredMatrix::total(3).scaled(1.3);
+    for (what, closed, csr) in width_range_pairs() {
+        let (m, n) = csr.shape();
+        assert_eq!(closed.shape(), (m, n), "{what}");
+        assert_eq!(closed.storage_size(), 1, "{what}");
+        assert_eq!(
+            bits_of(closed.to_dense().as_slice()),
+            bits_of(csr.to_dense().as_slice()),
+            "{what}: to_dense"
+        );
+        assert_eq!(
+            bits_of(closed.gram_dense().as_slice()),
+            bits_of(csr.gram_dense().as_slice()),
+            "{what}: gram_dense"
+        );
+        assert_eq!(
+            bits_of(&closed.abs_col_sums()),
+            bits_of(&csr.abs_col_sums()),
+            "{what}: abs_col_sums"
+        );
+        let scalars = |a: &StructuredMatrix| {
+            [
+                a.sensitivity(),
+                a.gram_trace(),
+                a.normalized().sensitivity(),
+            ]
+            .map(f64::to_bits)
+        };
+        assert_eq!(scalars(&closed), scalars(&csr), "{what}: norms");
+        for copy in [closed.normalized(), closed.scaled(-2.5)] {
+            assert!(
+                matches!(copy, StructuredMatrix::WidthRange { .. }),
+                "{what}"
+            );
+        }
+        assert_eq!(
+            bits_of(closed.normalized().to_dense().as_slice()),
+            bits_of(csr.normalized().to_dense().as_slice()),
+            "{what}: normalized"
+        );
+        assert_eq!(
+            bits_of(closed.scaled(-2.5).to_dense().as_slice()),
+            bits_of(csr.scaled(-2.5).to_dense().as_slice()),
+            "{what}: scaled"
+        );
+        assert_eq!(
+            (closed.is_total_or_identity(), is_total_like(&closed)),
+            (csr.is_total_or_identity(), is_total_like(&csr)),
+            "{what}: predicates"
+        );
+
+        assert_eq!(
+            bits_of(&closed.matvec(&inexact(n, 1))),
+            bits_of(&csr.matvec(&inexact(n, 1))),
+            "{what}: matvec"
+        );
+        assert_eq!(
+            bits_of(&closed.rmatvec(&inexact(m, 2))),
+            bits_of(&csr.rmatvec(&inexact(m, 2))),
+            "{what}: rmatvec"
+        );
+        assert_same_contractions(&closed, &csr, &what);
+
+        // In a chain the leaf contracts at `right > 1` in either order.
+        for (other, name) in [(&prefix, "prefix"), (&total, "total")] {
+            for chain in [[&closed, other], [other, &closed]] {
+                let csr_chain = chain.map(|a| if std::ptr::eq(a, &closed) { &csr } else { a });
+                let x = inexact(chain.iter().map(|a| a.cols()).product(), 3);
+                let y = inexact(chain.iter().map(|a| a.rows()).product(), 4);
+                assert_eq!(
+                    bits_of(&kmatvec_structured(&chain, &x)),
+                    bits_of(&kmatvec_structured(&csr_chain, &x)),
+                    "{what}: kron with {name}"
+                );
+                assert_eq!(
+                    bits_of(&kmatvec_transpose_structured(&chain, &y)),
+                    bits_of(&kmatvec_transpose_structured(&csr_chain, &y)),
+                    "{what}: kron transposed with {name}"
+                );
+            }
+        }
+
+        // The slab split: refused or taken alike, and a sliced product is
+        // the plain product's bits.
+        for trailing in [&prefix, &total] {
+            let split = slab_split(&[&closed, trailing]);
+            assert_eq!(
+                split.is_some(),
+                slab_split(&[&csr, trailing]).is_some(),
+                "{what}"
+            );
+            let Some(split) = split else { continue };
+            let x = inexact(n * trailing.cols(), 5);
+            let merged: Vec<f64> = partition_rows(n, 3)
+                .into_iter()
+                .flat_map(|r| {
+                    let slab = &x[r.start * trailing.cols()..r.end * trailing.cols()];
+                    kmatvec_trailing_slab(&split.trailing, slab)
+                })
+                .collect();
+            let right = split.trailing_rows();
+            let mut out = vec![0.0; m * right];
+            for r in partition_rows(m, 3) {
+                let chunk = &mut out[r.start * right..r.end * right];
+                contract_rows(split.leading, &merged, chunk, 1, right, r);
+            }
+            assert_eq!(
+                bits_of(&out),
+                bits_of(&kmatvec_structured(&[&csr, trailing], &x)),
+                "{what}: slabs"
+            );
+        }
+
+        // As the inner block of a permuted leaf.
+        let perm = shuffled(n, n as u64);
+        let moved = StructuredMatrix::permuted(closed.clone(), perm.clone()).unwrap();
+        let moved_csr = StructuredMatrix::permuted(csr.clone(), perm).unwrap();
+        assert_same_contractions(&moved, &moved_csr, &format!("{what} permuted"));
+        assert_eq!(
+            bits_of(moved.gram_dense().as_slice()),
+            bits_of(moved_csr.gram_dense().as_slice()),
+            "{what}: permuted gram"
+        );
+        assert_eq!(
+            bits_of(&moved.abs_col_sums()),
+            bits_of(&moved_csr.abs_col_sums()),
+            "{what}: permuted column sums"
+        );
+    }
+}
+
+/// SELECT never sees the representation: on `width_range_1d(256, w)` it
+/// picks the strategy it picks on the CSR workload, byte for byte, with the
+/// same loss bits. The closed-form block holds at most three values where
+/// the CSR block of `width_range_1d(256, 96)` holds 15 456.
+#[test]
+fn width_range_workloads_select_what_their_csr_form_selects() {
+    use hdmm_core::{codec, HdmmOptions, Plan};
+    use hdmm_optimizer::planner::select_optimizer;
+    let wide = builders::width_range_1d(256, 96);
+    let block = &wide.terms()[0].factors[0];
+    assert!(block.storage_size() <= 3, "{block:?}");
+    let opts = HdmmOptions::default();
+    for width in [3usize, 96, 200] {
+        let closed = builders::width_range_1d(256, width);
+        let csr = Workload::one_dim(StructuredMatrix::Sparse(Csr::from_dense(
+            &blocks::width_range(256, width),
+        )));
+        let selected = |w: &Workload| {
+            let plan = Plan::select(w, &opts, select_optimizer(w, &opts).choice, &());
+            let mut bytes = Vec::new();
+            codec::put_strategy(&mut bytes, plan.strategy());
+            (bytes, plan.squared_error_coefficient().to_bits())
+        };
+        assert_eq!(selected(&closed), selected(&csr), "width {width}");
+        assert_ne!(closed.fingerprint(), csr.fingerprint());
+    }
 }
 
 /// Uniform values in `[-3, 7)`: no sum of them is exact, so a reordered

@@ -23,9 +23,9 @@
 //!    Commit;
 //! 5. the **audit ring** mutex, once per ε transition (Reserve, Commit);
 //! 6. the **WAL append**, per transition, when a durable ledger is set;
-//! 7. the **measure cache** mutex ([`MeasureCache`]), to look up the
-//!    request's exact blocks before MEASURE and, on a miss, to insert them
-//!    once the pipeline returned (before the Commit's 4–6);
+//! 7. the **measure cache** mutex ([`MeasureCache`]), to get the request's
+//!    exact blocks at the start of MEASURE and, on a miss, to insert them
+//!    once computed, before any noise is drawn (so before the Commit's 4–6);
 //! 8. the **session store** write lock, to insert the request's session.
 //!
 //! MEASURE/RECONSTRUCT/ANSWER hold no lock. Around them the request pops a
@@ -47,15 +47,18 @@
 //! dropped by the store (close or eviction) — never while a caller still
 //! holds it.
 //!
-//! MEASURE's unscaled blocks `A_p·x` are computed once per (dataset, plan):
-//! the [`MeasureCache`] keeps a copy of the first request's blocks, and a
-//! later request on the pair copies them into its scratch and only scales
-//! and draws noise — the same bits, no marginal table over `x`, and no RPC
-//! task. It holds one `f64` per strategy query per cached pair, at most
+//! MEASURE is blocks then noise, and its exact blocks `A_p·x` are a value
+//! of the (dataset, plan) pair: the first request on the pair computes them
+//! — over the workers, or locally when the pool is gone — and the
+//! [`MeasureCache`] keeps an exact-length copy. Every request then copies
+//! the blocks into its scratch and only scales them and draws noise — the
+//! same bits, and, once cached, no marginal table over `x` and no RPC task.
+//! The cache holds one `f64` per strategy query per cached pair, at most
 //! `MEASURE_CACHE_BYTES` (64 MiB) in all, evicting least recently used
-//! pairs; a plan whose blocks exceed the bound alone is served uncached. Its
-//! blocks are exact answers over private data, held like `x` itself: in
-//! memory only, never in the plan store, the WAL, a worker or a log.
+//! pairs; a plan whose blocks exceed the bound alone has them computed on
+//! every request. Its blocks are exact answers over private data, held like
+//! `x` itself: in memory only, never in the plan store, the WAL, a worker or
+//! a log.
 //!
 //! Lock poisoning is recovered rather than propagated: every critical
 //! section leaves its state consistent (single map operations, validated
@@ -76,14 +79,16 @@ use hdmm_core::{
     Domain, EngineError, HdmmOptions, Plan, QueryEngine, QueryResponse, SessionId, Workload,
     WorkloadFingerprint,
 };
+use hdmm_linalg::KronScratch;
 use hdmm_mechanism::{
-    MechanismError, MechanismRequest, PipelineError, PlainKernels, ScopedExecutor, ScratchPool,
+    exact_blocks, MechanismError, MechanismRequest, PlainKernels, ScopedExecutor, ScratchPool,
 };
 use hdmm_net::{RemoteOptions, RpcKernels, WorkerPool};
 use hdmm_obs::{AuditLog, Observer, Phase, Span, SpanCollector, TraceContext};
 use hdmm_optimizer::select_optimizer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -662,13 +667,8 @@ impl Engine {
         // One u64 off the dataset's stream seeds a per-request RNG: the
         // dataset lock is held for nanoseconds, and the answer sequence is
         // deterministic per (engine seed, dataset, request order) no matter
-        // how threads interleave across datasets. The seed is kept so a
-        // failed remote fan-out can redraw the same noise locally.
-        let req_seed = {
-            let mut ds_rng = lock_recover(&handle.rng);
-            ds_rng.gen::<u64>()
-        };
-        let mut rng = StdRng::seed_from_u64(req_seed);
+        // how threads interleave across datasets.
+        let mut rng = StdRng::seed_from_u64(lock_recover(&handle.rng).gen());
 
         // Reserve the budget *before* measuring. Any exit from here short of
         // `commit()` — typed error or panic — refunds it, since either way
@@ -685,10 +685,11 @@ impl Engine {
 
         // MEASURE + RECONSTRUCT + answer, lock-free: the data is immutable
         // and the reservation already guaranteed the budget. Every request
-        // goes through the one pipeline: over the RPC kernels when workers
-        // hold the dataset's slabs and the blocks are not cached, else over
-        // the plain kernels on its vector — the same answer bytes either
-        // way — in one pooled scratch.
+        // goes through the one pipeline, in one pooled scratch, on the exact
+        // blocks of its (dataset, plan): cached, or computed now — over the
+        // RPC kernels when workers hold the dataset's slabs, else (or when
+        // no worker could finish the fan-out) over the plain kernels on its
+        // vector, the same bits either way — and cached for the next one.
         let data = &handle.data;
         let request = MechanismRequest {
             workload,
@@ -698,54 +699,41 @@ impl Engine {
             prepared: plan.prepared(),
             eps,
         };
-        let mut scratch = self.scratches.pop();
-        // A·x of an earlier request on this dataset and plan, or a miss that
-        // keeps its blocks for the next one.
-        let mut exact = self.measure_cache.lookup(handle.id, &plan);
-        // `None`: the blocks are cached, no workers hold the slabs, or none
-        // could finish the request.
-        let remote = match &self.remote {
-            Some(pool) if data.shard_count() > 1 && !exact.is_reuse() => {
-                let rpc = RpcKernels {
-                    pool,
-                    dataset,
-                    keys: &self.cache.operand_keys(&fingerprint, &plan),
-                    data,
-                    observer: tracer,
-                };
-                match request.run_with_scratch(&mut scratch, &mut rng, &rpc, tracer, exact.blocks())
-                {
-                    Ok(r) => Some(Ok(r)),
-                    Err(PipelineError::Rejected(e)) => Some(Err(e)),
-                    Err(PipelineError::Kernel(_)) => {
-                        // No worker could complete the request, even after
-                        // retry and reassignment: serve locally. The RNG is
-                        // reseeded from the request seed, so the local rerun
-                        // redraws the identical noise stream — the fallback
-                        // is invisible in the answer bytes.
-                        self.telemetry.record_remote_fallback();
-                        rng = StdRng::seed_from_u64(req_seed);
-                        None
-                    }
-                }
+        let products = request.prepared.products();
+        let plain = PlainKernels::over(data.values());
+        let exact = |scratch: &mut KronScratch| -> Result<_, Infallible> {
+            if let Some(blocks) = self.measure_cache.get(handle.id, &plan) {
+                return Ok(blocks);
             }
-            _ => None,
+            let computed = match &self.remote {
+                Some(pool) if data.shard_count() > 1 => {
+                    let rpc = RpcKernels {
+                        pool,
+                        dataset,
+                        keys: &self.cache.operand_keys(&fingerprint, &plan),
+                        data,
+                        observer: tracer,
+                    };
+                    exact_blocks(products, &rpc, scratch).or_else(|_| {
+                        // No worker could finish the fan-out, even after
+                        // retry and reassignment: compute the blocks here.
+                        self.telemetry.record_remote_fallback();
+                        exact_blocks(products, &plain, scratch)
+                    })
+                }
+                _ => exact_blocks(products, &plain, scratch),
+            }?;
+            Ok(self
+                .measure_cache
+                .insert(handle.id, &plan, computed, scratch))
         };
-        let result = remote.unwrap_or_else(|| {
-            request
-                .run_with_scratch(
-                    &mut scratch,
-                    &mut rng,
-                    &PlainKernels::over(data.values()),
-                    tracer,
-                    exact.blocks(),
-                )
-                .map_err(MechanismError::from)
-        });
+        let mut scratch = self.scratches.pop();
+        let result = request
+            .run_with_scratch(&mut scratch, &mut rng, data.values(), tracer, exact)
+            .map_err(MechanismError::from);
         // Back to the pool before the session store lets go of an estimate.
         drop(scratch);
         let result = result?;
-        self.measure_cache.insert(handle.id, &plan, exact);
         // Noise was drawn: the ε is genuinely spent, keep the reservation.
         reservation.commit();
 
@@ -1071,7 +1059,8 @@ mod tests {
     /// The families SELECT emits (OPT_0's 1-D leaf, OPT_⊗, OPT_M, OPT_+),
     /// each served three times on one dataset: an engine that copies the
     /// blocks of the first request answers with the bits of one whose cache
-    /// holds nothing, where every plan is oversize and served uncached.
+    /// holds nothing, where every plan is oversize and its blocks are
+    /// computed on every request.
     #[test]
     fn reused_exact_blocks_answer_as_uncached_ones_for_every_family() {
         let line = Domain::one_dim(64);

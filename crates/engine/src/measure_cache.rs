@@ -4,19 +4,23 @@
 //! MEASURE is `y = A·x + Lap(‖A‖₁/ε)`, and only the noise is new per
 //! request: a registered data vector never changes (names are unique, and no
 //! call updates or removes a dataset), and a plan's measured products are
-//! fixed when the plan is made. So the first request on a (dataset, plan)
-//! pair keeps a copy of each block before θ-scaling
-//! ([`ExactBlocks::Keep`]), whichever kernels computed it — plain, RPC or
-//! the local fallback — and every later one copies the blocks into its
-//! scratch ([`ExactBlocks::Reuse`]) and only scales and draws noise: the
-//! same bits, in the same draw order. A reused request builds no marginal
-//! table over `x` and sends no task to a worker.
+//! fixed when the plan is made. So the exact blocks of a (dataset, plan)
+//! pair are a value: the first request on the pair computes them
+//! (`hdmm_mechanism::exact_blocks`), whichever kernels ran — plain, RPC or
+//! the plain fallback — and [`MeasureCache::insert`] keeps them. Every
+//! request, the first included, then runs the same MEASURE on them: copy
+//! each block into its scratch, scale it and draw noise. A request that
+//! finds them ([`MeasureCache::get`]) builds no marginal table over `x` and
+//! sends no task to a worker.
 //!
 //! * **Bounded in bytes.** The engine's cache holds at most
 //!   [`MEASURE_CACHE_BYTES`](crate::cache::MEASURE_CACHE_BYTES) of blocks
 //!   and evicts the least recently used entries to stay under it. A plan
-//!   whose blocks alone exceed the bound is served uncached, with the same
-//!   bits.
+//!   whose blocks alone exceed the bound is computed on every request and
+//!   never kept, with the same bits.
+//! * **Exact lengths.** A kept block is a copy of exactly its length: the
+//!   scratch buffers MEASURE computes into may hold more, and the byte
+//!   bound counts what is allocated.
 //! * **One plan per entry.** An entry is keyed by the dataset's registration
 //!   id and the address of the `Arc<Plan>` it was computed with, and holds a
 //!   [`Weak`] of that plan, which keeps the address from being reused. A
@@ -28,11 +32,11 @@
 //! * **Short critical sections.** One mutex, held to look an entry up (an
 //!   `Arc` clone) or to insert one (with its evictions), never while a block
 //!   is computed or copied. Concurrent misses on one pair each compute the
-//!   same bits; the first insert wins.
+//!   same bits; the first insert wins, and the later ones get its blocks.
 
 use crate::sync::lock_recover;
 use hdmm_core::Plan;
-use hdmm_mechanism::ExactBlocks;
+use hdmm_linalg::KronScratch;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
@@ -44,39 +48,13 @@ pub struct MeasureCacheStats {
     pub bytes: u64,
     /// (dataset, plan) pairs held now.
     pub entries: usize,
-    /// Requests whose MEASURE copied cached blocks.
+    /// Requests whose MEASURE found its blocks cached.
     pub hits: u64,
     /// Requests whose MEASURE computed its blocks.
     pub misses: u64,
     /// Entries dropped to stay under the byte bound or because their plan
     /// was dropped.
     pub evictions: u64,
-}
-
-/// What one request's MEASURE does with its unscaled blocks.
-pub(crate) enum Exact {
-    /// Copy the cached blocks of the request's (dataset, plan).
-    Reuse(Arc<[Vec<f64>]>),
-    /// Compute them and keep a copy for [`MeasureCache::insert`].
-    Keep(Vec<Vec<f64>>),
-    /// Compute them only: they would not fit in the cache.
-    Compute,
-}
-
-impl Exact {
-    /// Whether the blocks are cached: the request needs no kernel.
-    pub(crate) fn is_reuse(&self) -> bool {
-        matches!(self, Exact::Reuse(_))
-    }
-
-    /// The pipeline's view of this: what `measure_on` reads or fills.
-    pub(crate) fn blocks(&mut self) -> ExactBlocks<'_> {
-        match self {
-            Exact::Reuse(blocks) => ExactBlocks::Reuse(blocks),
-            Exact::Keep(kept) => ExactBlocks::Keep(kept),
-            Exact::Compute => ExactBlocks::Compute,
-        }
-    }
 }
 
 /// `(dataset registration id, plan address)`.
@@ -108,12 +86,6 @@ pub(crate) struct MeasureCache {
     evictions: AtomicU64,
 }
 
-/// Bytes of the blocks MEASURE computes for `plan`.
-fn block_bytes(plan: &Plan) -> usize {
-    let values: usize = plan.prepared().products().iter().map(|p| p.rows()).sum();
-    values.saturating_mul(std::mem::size_of::<f64>())
-}
-
 fn key(dataset: u64, plan: &Arc<Plan>) -> Key {
     (dataset, Arc::as_ptr(plan) as usize)
 }
@@ -130,9 +102,9 @@ impl MeasureCache {
         }
     }
 
-    /// What a request on `dataset` with `plan` does with its blocks: reuse
-    /// the cached ones, or compute them — keeping a copy when they fit.
-    pub(crate) fn lookup(&self, dataset: u64, plan: &Arc<Plan>) -> Exact {
+    /// The cached blocks of `dataset` with `plan`, counted as a hit; `None`
+    /// is a miss, and the request computes them.
+    pub(crate) fn get(&self, dataset: u64, plan: &Arc<Plan>) -> Option<Arc<[Vec<f64>]>> {
         let cached = {
             let mut entries = lock_recover(&self.entries);
             entries.clock += 1;
@@ -142,39 +114,42 @@ impl MeasureCache {
                 Arc::clone(&entry.blocks)
             })
         };
-        match cached {
-            Some(blocks) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Exact::Reuse(blocks)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                if block_bytes(plan) <= self.capacity {
-                    Exact::Keep(Vec::new())
-                } else {
-                    Exact::Compute
-                }
-            }
-        }
+        let counter = if cached.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        cached
     }
 
-    /// Caches the blocks a request kept ([`Exact::Keep`], filled by a
-    /// MEASURE that returned); anything else is ignored. Entries of dropped
-    /// plans go first, then the least recently used ones until the bound
-    /// holds. A pair cached meanwhile by a concurrent miss keeps its entry.
-    pub(crate) fn insert(&self, dataset: u64, plan: &Arc<Plan>, exact: Exact) {
-        let Exact::Keep(kept) = exact else {
-            return;
-        };
-        let bytes = kept.iter().map(Vec::len).sum::<usize>() * std::mem::size_of::<f64>();
+    /// Keeps the blocks a missing request computed — a copy of each at its
+    /// exact length, the computed buffers going back to `scratch` — and
+    /// returns what MEASURE reads: the kept blocks, the ones a concurrent
+    /// miss kept first, or, when they exceed the bound, `computed` itself,
+    /// not kept. Entries of dropped plans go first, then the least recently
+    /// used ones until the bound holds.
+    pub(crate) fn insert(
+        &self,
+        dataset: u64,
+        plan: &Arc<Plan>,
+        computed: Vec<Vec<f64>>,
+        scratch: &mut KronScratch,
+    ) -> Arc<[Vec<f64>]> {
+        let values: usize = computed.iter().map(Vec::len).sum();
+        let bytes = values.saturating_mul(std::mem::size_of::<f64>());
         if bytes > self.capacity {
-            return;
+            return computed.into();
+        }
+        let blocks: Arc<[Vec<f64>]> = computed.iter().map(|b| b.to_vec()).collect();
+        for block in computed {
+            scratch.give(block);
         }
         let mut guard = lock_recover(&self.entries);
         let entries = &mut *guard;
         let key = key(dataset, plan);
-        if entries.map.contains_key(&key) {
-            return;
+        if let Some(first) = entries.map.get(&key) {
+            return Arc::clone(&first.blocks);
         }
         let mut dropped = 0;
         let mut freed = 0;
@@ -205,12 +180,13 @@ impl MeasureCache {
             key,
             Entry {
                 plan: Arc::downgrade(plan),
-                blocks: kept.into(),
+                blocks: Arc::clone(&blocks),
                 bytes,
                 last_used: entries.clock,
             },
         );
         self.evictions.fetch_add(dropped, Ordering::Relaxed);
+        blocks
     }
 
     /// Current size and counters.
@@ -253,23 +229,21 @@ mod tests {
         ))
     }
 
-    /// Blocks as MEASURE would keep them for `plan`, tagged by `tag`.
-    fn blocks(plan: &Plan, tag: f64) -> Exact {
+    /// Blocks as MEASURE would compute them for `plan`, tagged by `tag`.
+    fn blocks(plan: &Plan, tag: f64) -> Vec<Vec<f64>> {
         let products = plan.prepared().products();
-        Exact::Keep(products.iter().map(|p| vec![tag; p.rows()]).collect())
+        products.iter().map(|p| vec![tag; p.rows()]).collect()
     }
 
     /// Fills the entry of `(dataset, plan)` as a missing request would.
     fn fill(cache: &MeasureCache, dataset: u64, plan: &Arc<Plan>, tag: f64) {
-        assert!(matches!(cache.lookup(dataset, plan), Exact::Keep(_)));
-        cache.insert(dataset, plan, blocks(plan, tag));
+        assert!(cache.get(dataset, plan).is_none());
+        let kept = cache.insert(dataset, plan, blocks(plan, tag), &mut KronScratch::new());
+        assert_eq!(kept[0][0], tag);
     }
 
     fn reused(cache: &MeasureCache, dataset: u64, plan: &Arc<Plan>) -> Option<f64> {
-        match cache.lookup(dataset, plan) {
-            Exact::Reuse(blocks) => Some(blocks[0][0]),
-            _ => None,
-        }
+        cache.get(dataset, plan).map(|blocks| blocks[0][0])
     }
 
     #[test]
@@ -318,10 +292,7 @@ mod tests {
     fn an_oversize_plan_is_computed_and_never_cached() {
         let cache = MeasureCache::new(16 * 8 - 1);
         let big = plan(16);
-        assert!(matches!(cache.lookup(0, &big), Exact::Compute));
-        cache.insert(0, &big, Exact::Compute);
-        // Even blocks kept by a caller are refused.
-        cache.insert(0, &big, blocks(&big, 1.0));
+        fill(&cache, 0, &big, 1.0);
         assert_eq!(reused(&cache, 0, &big), None);
         let stats = cache.stats();
         assert_eq!((stats.entries, stats.bytes, stats.misses), (0, 0, 2));
@@ -343,15 +314,49 @@ mod tests {
     fn a_second_insert_of_one_pair_keeps_the_first() {
         let cache = MeasureCache::new(1 << 20);
         let p = plan(16);
-        let (first, second) = (cache.lookup(0, &p), cache.lookup(0, &p));
-        assert!(matches!(
-            (&first, &second),
-            (Exact::Keep(_), Exact::Keep(_))
-        ));
-        cache.insert(0, &p, blocks(&p, 1.0));
-        cache.insert(0, &p, blocks(&p, 2.0));
+        assert!(cache.get(0, &p).is_none() && cache.get(0, &p).is_none());
+        let scratch = &mut KronScratch::new();
+        let first = cache.insert(0, &p, blocks(&p, 1.0), scratch);
+        let second = cache.insert(0, &p, blocks(&p, 2.0), scratch);
+        assert!(
+            Arc::ptr_eq(&first, &second),
+            "the later miss reads the first"
+        );
         assert_eq!(reused(&cache, 0, &p), Some(1.0));
         let stats = cache.stats();
         assert_eq!((stats.entries, stats.bytes), (1, 128));
+    }
+
+    /// Blocks computed into reused scratch buffers hold more room than
+    /// values; the cache keeps each at exactly its length, and its byte
+    /// count is what the kept blocks hold.
+    #[test]
+    fn cached_blocks_hold_exactly_their_length() {
+        let cache = MeasureCache::new(1 << 20);
+        let plans = [plan(600), plan(700)];
+        let scratch = &mut KronScratch::new();
+        for (i, p) in plans.iter().enumerate() {
+            scratch.give(vec![0.0; 1000]);
+            let computed: Vec<Vec<f64>> = blocks(p, i as f64)
+                .iter()
+                .map(|b| scratch.copy_of(b))
+                .collect();
+            assert!(computed[0].capacity() > computed[0].len());
+            assert!(cache.get(0, p).is_none());
+            cache.insert(0, p, computed, scratch);
+        }
+        let mut held = 0;
+        for p in &plans {
+            let kept = cache.get(0, p).expect("cached");
+            for block in kept.iter() {
+                assert_eq!(
+                    block.capacity(),
+                    block.len(),
+                    "a block kept with spare room"
+                );
+                held += block.capacity() * std::mem::size_of::<f64>();
+            }
+        }
+        assert_eq!(cache.stats().bytes, held as u64);
     }
 }

@@ -63,7 +63,7 @@ pub fn render_prometheus(m: &EngineMetrics) -> String {
     b.sample_u64("hdmm_plan_disk_hits_total", &[], m.telemetry.plan_disk_hits);
     b.family(
         "hdmm_remote_fallbacks_total",
-        "Sharded requests re-served locally after a pool-wide remote failure.",
+        "Sharded requests whose MEASURE blocks were computed locally after a pool-wide remote failure.",
         "counter",
     );
     b.sample_u64(
@@ -582,7 +582,7 @@ hdmm_select_dedup_waits_total 0
 # HELP hdmm_plan_disk_hits_total Plans loaded from the persistent strategy store instead of optimized.
 # TYPE hdmm_plan_disk_hits_total counter
 hdmm_plan_disk_hits_total 0
-# HELP hdmm_remote_fallbacks_total Sharded requests re-served locally after a pool-wide remote failure.
+# HELP hdmm_remote_fallbacks_total Sharded requests whose MEASURE blocks were computed locally after a pool-wide remote failure.
 # TYPE hdmm_remote_fallbacks_total counter
 hdmm_remote_fallbacks_total 0
 # HELP hdmm_slow_queries_total Requests slower than the slow-query threshold (span tree force-flushed).

@@ -244,9 +244,9 @@ pub struct TelemetrySnapshot {
     pub plan_disk_hits: u64,
     /// SELECTs running at snapshot time.
     pub inflight_selects: u64,
-    /// Sharded requests whose remote fan-out failed (pool-wide) and were
-    /// re-served locally from the same request seed — byte-identical answers,
-    /// but an operator signal that the worker fleet is unhealthy.
+    /// Sharded requests whose remote fan-out failed (pool-wide), so their
+    /// MEASURE blocks were computed locally — byte-identical answers, but
+    /// an operator signal that the worker fleet is unhealthy.
     pub remote_fallbacks: u64,
     /// Requests slower than [`crate::EngineOptions::slow_query_threshold`];
     /// each also force-flushed its span tree to the collector.

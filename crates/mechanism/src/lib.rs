@@ -43,7 +43,7 @@ pub use mechanism::{
     Measurements, MechanismResult, PooledScratch, PreparedReconstruct, ScratchPool,
 };
 pub use pipeline::{
-    measure_on, reconstruct_on, ExactBlocks, Kernels, MechanismError, MechanismRequest,
+    exact_blocks, measure_on, reconstruct_on, Kernels, MechanismError, MechanismRequest,
     PipelineError, PlainKernels,
 };
 pub use strategy::{MeasuredProduct, Strategy, UnionGroup};

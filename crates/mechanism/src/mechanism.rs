@@ -2,7 +2,7 @@
 //! (Table 1(b) of the paper, with the efficient implementations of §7.2).
 
 use crate::marginals::MarginalsLattice;
-use crate::pipeline::{measure_on, reconstruct_on, ExactBlocks, MechanismRequest, PlainKernels};
+use crate::pipeline::{exact_blocks, measure_on, reconstruct_on, MechanismRequest, PlainKernels};
 use crate::{JointBasis, MeasuredProduct, Strategy};
 use hdmm_linalg::{KronScratch, LinalgError, StructuredMatrix};
 use hdmm_workload::Workload;
@@ -39,24 +39,19 @@ pub struct MechanismResult {
 
 /// MEASURE: computes `A·x` implicitly and adds Laplace noise calibrated to
 /// the strategy sensitivity (Definition 6). ε-differentially private. This is
-/// [`measure_on`] over the plain reference kernels, on the products
-/// [`Strategy::measured_products`] lists.
+/// [`exact_blocks`] over the plain reference kernels, then [`measure_on`],
+/// on the products [`Strategy::measured_products`] lists.
 ///
 /// # Panics
 /// Panics if `eps` is not positive.
 pub fn measure(strategy: &Strategy, x: &[f64], eps: f64, rng: &mut impl Rng) -> Measurements {
     let products = strategy.measured_products();
-    match measure_on(
-        &products,
-        eps,
-        rng,
-        &PlainKernels::over(x),
-        &mut KronScratch::new(),
-        ExactBlocks::Compute,
-    ) {
-        Ok(meas) => meas,
+    let scratch = &mut KronScratch::new();
+    let blocks = match exact_blocks(&products, &PlainKernels::over(x), scratch) {
+        Ok(blocks) => blocks,
         Err(never) => match never {},
-    }
+    };
+    measure_on(&products, eps, rng, &blocks, scratch)
 }
 
 /// Everything of a strategy that requests against it share, built once per

@@ -21,26 +21,24 @@
 //!
 //! Everything else is written here exactly once, over the plan's list of
 //! measured products ([`PreparedReconstruct::products`]): request validation
-//! ([`MechanismRequest::run`]), MEASURE's loop of product, θ-scaling and
-//! noise draw ([`measure_on`]), RECONSTRUCT's weighted `Aᵀy` pass and the
-//! family's solve ([`reconstruct_on`]) and ANSWER's `W·x̄`. The products that
-//! run on the plain kernels share one `MarginalTables` over the data vector
-//! for the MEASURE call, as ANSWER's terms share one over `x̄`: a marginal
-//! `Q_a·x` starts from the table its unit `Total` leaves sum to, built once
-//! per call, with the bits of its own chain. Products are visited in list
-//! order and noise is drawn only after a product succeeded, so every kernel
-//! implementation consumes the RNG stream identically — the root of the
-//! byte-identity guarantee across them.
+//! ([`MechanismRequest::run`]), MEASURE's exact blocks ([`exact_blocks`]) and
+//! its θ-scaling and noise draw ([`measure_on`]), RECONSTRUCT's weighted
+//! `Aᵀy` pass and the family's solve ([`reconstruct_on`]) and ANSWER's
+//! `W·x̄`. The products that run on the plain kernels share one
+//! `MarginalTables` over the data vector, as ANSWER's terms share one over
+//! `x̄`: a marginal `Q_a·x` starts from the table its unit `Total` leaves sum
+//! to, built once per call, with the bits of its own chain.
 //!
-//! Only the noise is new per request: the unscaled blocks `A_p·x` are a
-//! function of the data vector and the plan's products. A caller that serves
-//! one immutable vector with one plan again and again (the engine, per
-//! dataset and plan) computes them once. The first run keeps a copy of each
-//! block before scaling ([`ExactBlocks::Keep`]), over whichever kernels ran;
-//! later runs copy the kept blocks into scratch buffers
-//! ([`ExactBlocks::Reuse`]), build no table and call no kernel. θ-scaling and
-//! noise then run on the copy exactly as on a fresh product, so the bits do
-//! not move. The fill and the reuse are the same loop in [`measure_on`].
+//! MEASURE is two plain steps, blocks then noise. Only the noise is new per
+//! request: the unscaled blocks `A_p·x` are a function of the data vector
+//! and the plan's products, and [`exact_blocks`] — the one place a
+//! [`Kernels`] implementation runs — computes them without touching the
+//! RNG. [`measure_on`] then copies each block into a scratch buffer and
+//! scales and noises it, in list order. So every kernel implementation, and
+//! a caller that computed the blocks once and serves one immutable vector
+//! with one plan again and again (the engine, per dataset and plan), draws
+//! the same noise onto the same blocks: the root of the byte-identity
+//! guarantee. A kernel that fails fails before any noise is drawn.
 //!
 //! All three phases take their large buffers — tables, chain buffers, the
 //! noisy blocks, RECONSTRUCT's sweeps and `x̄` itself — from one
@@ -113,9 +111,8 @@ pub enum PipelineError<E> {
     /// Validation refused the request; no noise was drawn and the RNG is
     /// untouched. Running it over other kernels cannot help.
     Rejected(MechanismError),
-    /// A kernel could not evaluate a product (an RPC fan-out that lost its
-    /// workers). The RNG may be partially consumed: a caller that reruns the
-    /// request over other kernels must reseed it.
+    /// MEASURE's exact blocks could not be computed (an RPC fan-out that
+    /// lost its workers). No noise was drawn and the RNG is untouched.
     Kernel(E),
 }
 
@@ -150,7 +147,7 @@ pub trait Kernels {
     /// `block` (its index in the plan's list, for kernels that key resident
     /// operands the same way), when this kernel runs it elsewhere; `None`
     /// leaves it to the plain kernels over [`Kernels::data`], which
-    /// [`measure_on`] runs itself through the tables its plain products
+    /// [`exact_blocks`] runs itself through the tables its plain products
     /// share.
     fn forward(
         &self,
@@ -185,98 +182,75 @@ impl Kernels for PlainKernels<'_> {
     }
 }
 
-/// Where [`measure_on`] takes each measured product's unscaled answers
-/// `A_p·x` from, and whether it keeps them. They depend on the data vector
-/// and the plan's products only — never on ε, θ or the noise — so a caller
-/// that serves one immutable data vector with one plan many times computes
-/// them once ([`ExactBlocks::Keep`]) and copies them on every later request
-/// ([`ExactBlocks::Reuse`]): the same bits, since MEASURE scales and noises
-/// a copy exactly as it does a fresh product. They are exact answers over
-/// the data, as private as `x` itself, so the type has no `Debug`.
-pub enum ExactBlocks<'a> {
-    /// Evaluate every product: on the kernels, or through the marginal
-    /// tables the products left to the plain kernels share.
-    Compute,
-    /// Evaluate every product as [`ExactBlocks::Compute`] does, and replace
-    /// the vector's contents with a copy of each block, before θ-scaling and
-    /// noise, in list order.
-    Keep(&'a mut Vec<Vec<f64>>),
-    /// Copy each product's block from these: what an earlier
-    /// [`ExactBlocks::Keep`] kept over the same data vector and products.
-    /// No kernel computes anything.
-    Reuse(&'a [Vec<f64>]),
-}
-
-/// Where the loop of [`measure_on`] gets a product's unscaled block: the
-/// marginal tables over `x` (and the kernels before them), or the copies.
-enum Source<'a, 's> {
-    Tables(MarginalTables<'s>),
-    Copies(&'a [Vec<f64>], &'s mut KronScratch),
-}
-
-/// MEASURE over any kernels: answers each measured product implicitly,
-/// scales the answers by its θ and adds Laplace noise at
-/// `sensitivity / (share·ε)` (Definition 6; a union group runs at
-/// `ε_g = share_g·ε`, sequential composition) — ε-differentially private,
-/// and the same bits for every [`Kernels`] implementation and for every
-/// [`ExactBlocks`] source.
+/// MEASURE's exact blocks: every measured product's unscaled answers
+/// `A_p·x` over [`Kernels::data`], in list order — on the kernels, or
+/// through one `MarginalTables` over the data, with the modes of the first
+/// product's leaves, for the products the kernels leave to the plain
+/// kernels (a product whose leaves do not match those modes runs its whole
+/// chain on the data). The tables live for this call only; they, the chain
+/// buffers and the blocks come from `scratch`, so a block may have more
+/// capacity than length.
 ///
-/// The products the kernels leave to the plain kernels are answered through
-/// one `MarginalTables` over [`Kernels::data`], with the modes of the first
-/// product's leaves: a product whose leaves do not match them runs its whole
-/// chain on the data. The tables live for this call only; they, the chain
-/// buffers and the blocks those products answer into come from `scratch`.
-/// With [`ExactBlocks::Reuse`] no table is built and no kernel is called:
-/// each block is a copy in a buffer from `scratch`.
+/// The blocks depend on the data vector and the products only — never on
+/// ε, θ or the RNG, which this does not take — so a caller that serves one
+/// immutable data vector with one plan many times can compute them once and
+/// hand the same blocks to [`measure_on`] on every request. They are exact
+/// answers over the data, as private as `x` itself.
 ///
 /// # Panics
-/// Panics if `eps` is not positive ([`MechanismRequest::run`] validates with
-/// typed errors instead), if the data vector does not hold the first
-/// product's input size, or if reused blocks are fewer than the products.
-pub fn measure_on<K: Kernels + ?Sized>(
+/// Panics if the data vector does not hold the first product's input size.
+pub fn exact_blocks<K: Kernels + ?Sized>(
     products: &[MeasuredProduct],
-    eps: f64,
-    rng: &mut impl Rng,
     kernels: &K,
     scratch: &mut KronScratch,
-    exact: ExactBlocks<'_>,
-) -> Result<Measurements, K::Error> {
-    assert!(eps > 0.0, "privacy budget must be positive");
+) -> Result<Vec<Vec<f64>>, K::Error> {
     let x = kernels.data();
     let modes: Vec<usize> = products.first().map_or_else(
         || vec![x.len()],
         |p| p.factors.iter().map(StructuredMatrix::cols).collect(),
     );
-    let mut kept = None;
-    let mut source = match exact {
-        ExactBlocks::Reuse(copies) => Source::Copies(copies, scratch),
-        ExactBlocks::Keep(blocks) => {
-            blocks.clear();
-            kept = Some(blocks);
-            Source::Tables(MarginalTables::new(x, &modes, scratch))
-        }
-        ExactBlocks::Compute => Source::Tables(MarginalTables::new(x, &modes, scratch)),
-    };
+    let mut tables = MarginalTables::new(x, &modes, scratch);
     let mut blocks = Vec::with_capacity(products.len());
     for (i, p) in products.iter().enumerate() {
-        let mut noisy = match &mut source {
-            Source::Copies(copies, scratch) => scratch.copy_of(&copies[i]),
-            Source::Tables(tables) => {
-                let refs = p.refs();
-                match kernels.forward(i, &refs)? {
-                    Some(answers) => answers,
-                    None => tables.kmatvec(&refs),
-                }
-            }
-        };
-        if let Some(kept) = kept.as_mut() {
-            kept.push(noisy.clone());
-        }
-        let noise_scale = p.sensitivity / (p.share * eps);
-        scale_and_noise(&mut noisy, p.theta, noise_scale, rng);
-        blocks.push(MeasuredBlock { noisy, noise_scale });
+        let refs = p.refs();
+        blocks.push(match kernels.forward(i, &refs)? {
+            Some(answers) => answers,
+            None => tables.kmatvec(&refs),
+        });
     }
-    Ok(Measurements { blocks, eps })
+    Ok(blocks)
+}
+
+/// MEASURE's noise: copies each product's exact block (from
+/// [`exact_blocks`]) into a buffer from `scratch`, scales it by its θ and
+/// adds Laplace noise at `sensitivity / (share·ε)` (Definition 6; a union
+/// group runs at `ε_g = share_g·ε`, sequential composition), in list order —
+/// ε-differentially private, and the same bits whichever kernels computed
+/// the blocks and however often they are reused.
+///
+/// # Panics
+/// Panics if `eps` is not positive ([`MechanismRequest::run`] validates with
+/// typed errors instead) or if `blocks` are not one per product.
+pub fn measure_on(
+    products: &[MeasuredProduct],
+    eps: f64,
+    rng: &mut impl Rng,
+    blocks: &[Vec<f64>],
+    scratch: &mut KronScratch,
+) -> Measurements {
+    assert!(eps > 0.0, "privacy budget must be positive");
+    assert_eq!(blocks.len(), products.len(), "one block per product");
+    let blocks = products
+        .iter()
+        .zip(blocks)
+        .map(|(p, exact)| {
+            let mut noisy = scratch.copy_of(exact);
+            let noise_scale = p.sensitivity / (p.share * eps);
+            scale_and_noise(&mut noisy, p.theta, noise_scale, rng);
+            MeasuredBlock { noisy, noise_scale }
+        })
+        .collect();
+    Measurements { blocks, eps }
 }
 
 /// MEASURE's θ-scaling and Laplace noise in one pass over a block: each
@@ -398,40 +372,20 @@ pub struct MechanismRequest<'a> {
 }
 
 impl MechanismRequest<'_> {
-    /// Everything that can refuse a request, checked once, before any noise
-    /// is drawn — identically for every kernel implementation.
-    fn validate<K: Kernels + ?Sized>(
-        &self,
-        kernels: &K,
-        exact: &ExactBlocks<'_>,
-    ) -> Result<(), MechanismError> {
+    /// Everything that can refuse a request before its blocks exist,
+    /// checked once, before any noise is drawn — identically for every
+    /// kernel implementation.
+    fn validate(&self, x: &[f64]) -> Result<(), MechanismError> {
         let eps = self.eps;
         if !(eps.is_finite() && eps > 0.0) {
             return Err(MechanismError::InvalidEpsilon { eps });
         }
         let expected = self.workload.domain().size();
-        let got = kernels.data().len();
+        let got = x.len();
         if got != expected {
             return Err(MechanismError::DataVectorMismatch { expected, got });
         }
-        let products = self.prepared.products();
-        let copies_fit = |copies: &[Vec<f64>]| {
-            copies.len() == products.len()
-                && products
-                    .iter()
-                    .zip(copies)
-                    .all(|(p, block)| block.len() == p.rows())
-        };
-        let plan_fits = self.prepared.solve.is_ok()
-            && self.prepared.cells() == got
-            && kernels
-                .resident_plan()
-                .is_none_or(|count| count == products.len())
-            && match exact {
-                ExactBlocks::Reuse(copies) => copies_fit(copies),
-                _ => true,
-            };
-        if plan_fits {
+        if self.prepared.solve.is_ok() && self.prepared.cells() == got {
             Ok(())
         } else {
             Err(MechanismError::PlanMismatch)
@@ -440,52 +394,69 @@ impl MechanismRequest<'_> {
 
     /// Runs the complete ε-differentially-private pipeline (Theorem 7:
     /// privacy follows from the Laplace mechanism plus post-processing):
-    /// validation, then MEASURE over `kernels`, RECONSTRUCT and ANSWER, each
-    /// phase's wall-clock duration reported to `observer` exactly once, when
-    /// it completes. The observer sees timings only, never data or noise.
+    /// validation, then MEASURE with its exact blocks computed over
+    /// `kernels`, RECONSTRUCT and ANSWER, each phase's wall-clock duration
+    /// reported to `observer` exactly once, when it completes. The observer
+    /// sees timings only, never data or noise.
     ///
     /// The result is the same bits for every [`Kernels`] implementation and
-    /// the same `rng` state. On [`PipelineError::Rejected`] nothing ran: no
-    /// phase is reported and `rng` is untouched.
+    /// the same `rng` state. On an error no noise was drawn, no phase is
+    /// reported and `rng` is untouched. Operands `kernels` keep resident for
+    /// a plan with another number of products are refused with
+    /// [`MechanismError::PlanMismatch`].
     pub fn run<K: Kernels + ?Sized>(
         &self,
         rng: &mut impl Rng,
         kernels: &K,
         observer: &dyn Observer,
     ) -> Result<MechanismResult, PipelineError<K::Error>> {
+        let products = self.prepared.products();
+        if kernels
+            .resident_plan()
+            .is_some_and(|count| count != products.len())
+        {
+            return Err(PipelineError::Rejected(MechanismError::PlanMismatch));
+        }
         let scratch = &mut KronScratch::new();
-        self.run_with_scratch(scratch, rng, kernels, observer, ExactBlocks::Compute)
+        self.run_with_scratch(scratch, rng, kernels.data(), observer, |scratch| {
+            exact_blocks(products, kernels, scratch)
+        })
     }
 
-    /// [`MechanismRequest::run`] with every phase's large buffers taken from
-    /// `scratch` — a serving layer's pooled one — and the ones the request
-    /// does not return given back to it, and with MEASURE's unscaled blocks
-    /// computed, kept or reused as `exact` says ([`measure_on`]). The bits
-    /// are `run`'s whatever the scratch held, and whatever `exact` is when
-    /// reused blocks were kept over the same data vector and plan. Reused
-    /// blocks whose count or lengths do not fit the plan are refused with
-    /// [`MechanismError::PlanMismatch`].
-    pub fn run_with_scratch<K: Kernels + ?Sized>(
+    /// [`MechanismRequest::run`] over the data vector `x`, with every
+    /// phase's large buffers taken from `scratch` — a serving layer's pooled
+    /// one — and the ones the request does not return given back to it, and
+    /// with MEASURE's exact blocks taken from `exact`: [`exact_blocks`] over
+    /// some kernels, or the blocks an earlier [`exact_blocks`] computed over
+    /// `x` for this plan. `Phase::Measure` times `exact` and the noise
+    /// together. The bits are
+    /// `run`'s whatever the scratch held. Blocks whose count or lengths do
+    /// not fit the plan are refused with [`MechanismError::PlanMismatch`],
+    /// and `exact`'s error is [`PipelineError::Kernel`] — both before any
+    /// noise is drawn.
+    pub fn run_with_scratch<B: AsRef<[Vec<f64>]>, E>(
         &self,
         scratch: &mut KronScratch,
         rng: &mut impl Rng,
-        kernels: &K,
+        x: &[f64],
         observer: &dyn Observer,
-        exact: ExactBlocks<'_>,
-    ) -> Result<MechanismResult, PipelineError<K::Error>> {
-        self.validate(kernels, &exact)
-            .map_err(PipelineError::Rejected)?;
+        exact: impl FnOnce(&mut KronScratch) -> Result<B, E>,
+    ) -> Result<MechanismResult, PipelineError<E>> {
+        self.validate(x).map_err(PipelineError::Rejected)?;
+        let products = self.prepared.products();
 
         let t = Instant::now();
-        let meas = measure_on(
-            self.prepared.products(),
-            self.eps,
-            rng,
-            kernels,
-            scratch,
-            exact,
-        )
-        .map_err(PipelineError::Kernel)?;
+        let blocks = exact(scratch).map_err(PipelineError::Kernel)?;
+        let fits = blocks.as_ref().len() == products.len()
+            && products
+                .iter()
+                .zip(blocks.as_ref())
+                .all(|(p, block)| block.len() == p.rows());
+        if !fits {
+            return Err(PipelineError::Rejected(MechanismError::PlanMismatch));
+        }
+        let meas = measure_on(products, self.eps, rng, blocks.as_ref(), scratch);
+        drop(blocks);
         observer.phase_complete(Phase::Measure, t.elapsed());
 
         let t = Instant::now();

@@ -28,18 +28,20 @@
 //! trailing-factor lists ([`OperandKeys`]) — is built once per
 //! plan by the caller and passed in, and the factors themselves live on the
 //! workers (see [`crate::wire`]), so tasks carry a key plus a slab
-//! reference. The serving engine fans out only the first request on each
-//! (dataset, plan) pair: it keeps that request's unscaled blocks and later
-//! requests copy them, without these kernels.
+//! reference. These kernels only compute MEASURE's exact blocks
+//! ([`exact_blocks`](hdmm_mechanism::exact_blocks)); the noise is drawn on
+//! the coordinator once every block exists. The serving engine fans out
+//! only the first request on each (dataset, plan) pair: it caches that
+//! request's blocks, and every request runs MEASURE's noise on them.
 //!
 //! Failure handling lives in [`WorkerPool`]: per-task timeouts, bounded
 //! retry with doubling backoff, and shard reassignment to surviving workers
 //! (the coordinator keeps the authoritative data, so a reassigned shard is
 //! simply re-pushed). Only when *no* worker can complete a task does a
-//! kernel surface a [`NetError`] — callers such as the serving engine then
-//! rerun the request over [`PlainKernels`](hdmm_mechanism::PlainKernels)
-//! with a reseeded RNG, preserving byte-identity even through total pool
-//! loss.
+//! kernel surface a [`NetError`], before any noise is drawn — callers such
+//! as the serving engine then compute the blocks over
+//! [`PlainKernels`](hdmm_mechanism::PlainKernels), preserving byte-identity
+//! even through total pool loss.
 
 use crate::client::{Operand, RetryPolicy, WorkerPool};
 use crate::wire::{FactorKey, NetError};
@@ -112,7 +114,7 @@ const NO_KEY: NetError = NetError::Unsupported("no operand key for this product"
 /// task, and returns the per-shard products in shard order. A task thread
 /// that panics — the observer is caller code — is reported as
 /// [`NetError::TaskPanicked`] instead of unwinding through the request, so
-/// the caller's reseeded local rerun takes over.
+/// the caller's plain kernels take over.
 fn fan_out(
     shards: usize,
     observer: &dyn Observer,
@@ -198,7 +200,7 @@ impl Kernels for RpcKernels<'_> {
     /// Slabs are cached on the workers, so tasks are
     /// [`SlabForwardKeyed`](crate::Frame::SlabForwardKeyed) RPCs naming one.
     /// A product whose leading leaf does not line up with the slabs is a
-    /// [`NetError::Unsupported`]; the caller reruns the request over
+    /// [`NetError::Unsupported`]; the caller computes the blocks over
     /// [`PlainKernels`](hdmm_mechanism::PlainKernels).
     fn forward(
         &self,

@@ -1,16 +1,21 @@
 //! MEASURE's exact blocks `A·x`, computed once per (dataset, plan).
 //!
-//! A registered data vector never changes, so the engine keeps the unscaled
-//! blocks of the first request on a (dataset, plan) pair and every later
-//! request copies them and only scales and draws noise. These tests hold
-//! that to the bits of a fresh MEASURE:
+//! MEASURE is two steps: `exact_blocks` computes every product's unscaled
+//! `A_p·x` over some kernels without touching the RNG, and `measure_on`
+//! copies each block, scales it and draws its noise. A registered data
+//! vector never changes, so the engine keeps the blocks of the first
+//! request on a (dataset, plan) pair and every later request runs the same
+//! `measure_on` on them. These tests hold that to the bits of a fresh
+//! MEASURE:
 //!
-//! * for explicit, Kron, marginals and union plans, blocks kept over the
+//! * for explicit, Kron, marginals and union plans, the blocks over the
 //!   plain kernels and over the RPC kernels (two loopback workers) equal
 //!   each other and the plain `kmatvec_structured` of every product; a
-//!   MEASURE and a whole pipeline run that reuse them give a fresh run's
-//!   bits and RNG state, over either kernel kind, and send no task;
-//! * reused blocks that do not fit the plan are refused before any noise;
+//!   MEASURE and a whole pipeline run on them give a fresh run's bits and
+//!   RNG state, and send no task;
+//! * blocks that do not fit the plan are refused before any noise;
+//! * a kernel that fails after its first product leaves the RNG as it was
+//!   and reports no phase;
 //! * in the engine, two datasets with one plan never share an entry, and K
 //!   threads racing on one miss answer as K serial requests do, leaving one
 //!   entry behind.
@@ -19,16 +24,19 @@ use hdmm::core::{builders, Domain, QueryEngine, ShardedDataVector, Workload};
 use hdmm::engine::{Engine, EngineOptions};
 use hdmm::linalg::{kmatvec_structured, KronScratch, Matrix, StructuredMatrix};
 use hdmm::mechanism::{
-    measure_on, ExactBlocks, Kernels, MarginalsStrategy, Measurements, MechanismError,
+    exact_blocks, measure, measure_on, Kernels, MarginalsStrategy, Measurements, MechanismError,
     MechanismRequest, PipelineError, PlainKernels, PreparedReconstruct, Strategy, UnionGroup,
 };
 use hdmm::optimizer::HdmmOptions;
 use hdmm::workload::blocks;
 use hdmm_net::{spawn_worker, OperandKeys, RemoteOptions, RpcKernels, WorkerHandle, WorkerPool};
+use hdmm_obs::{Observer, Phase};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::convert::Infallible;
 use std::fmt::Debug;
-use std::sync::Barrier;
+use std::sync::{Barrier, Mutex};
+use std::time::Duration;
 
 /// The leading axis of every family's domain: 3 slabs cut it unevenly.
 const LEADING: usize = 7;
@@ -104,25 +112,29 @@ fn tasks(pool: &WorkerPool) -> u64 {
     pool.health().workers.iter().map(|w| w.tasks).sum()
 }
 
-/// MEASURE at [`SEED`] over `kernels` with `exact`, and the RNG after it.
-fn measure_with<K: Kernels>(
-    request: &MechanismRequest<'_>,
-    kernels: &K,
-    exact: ExactBlocks<'_>,
-) -> (Measurements, u64)
+/// The exact blocks of `request`'s plan over `kernels`.
+fn blocks_over<K: Kernels>(request: &MechanismRequest<'_>, kernels: &K) -> Vec<Vec<f64>>
 where
     K::Error: Debug,
 {
+    exact_blocks(
+        request.prepared.products(),
+        kernels,
+        &mut KronScratch::new(),
+    )
+    .expect("the kernels serve every product")
+}
+
+/// MEASURE at [`SEED`] on `blocks`, and the RNG after it.
+fn measure_with(request: &MechanismRequest<'_>, blocks: &[Vec<f64>]) -> (Measurements, u64) {
     let mut rng = StdRng::seed_from_u64(SEED);
     let meas = measure_on(
         request.prepared.products(),
         request.eps,
         &mut rng,
-        kernels,
+        blocks,
         &mut KronScratch::new(),
-        exact,
-    )
-    .expect("the kernels serve every product");
+    );
     (meas, rng.gen())
 }
 
@@ -134,9 +146,9 @@ fn same_measurements(a: &Measurements, b: &Measurements) -> bool {
             .all(|(a, b)| bits_eq(&a.noisy, &b.noisy) && a.noise_scale == b.noise_scale)
 }
 
-/// What a reused run must reproduce: a fresh MEASURE, and a fresh pipeline
-/// run, over one kernel kind — without a task: `sent` (the tasks the
-/// workers served so far) does not move while the reused runs run.
+/// What a run on blocks computed earlier must reproduce: a fresh pipeline
+/// run over one kernel kind — without a task: `sent` (the tasks the workers
+/// served so far) does not move while the run on `kept` runs.
 fn assert_reuse_is_fresh<K: Kernels>(
     family: &str,
     kind: &str,
@@ -147,37 +159,26 @@ fn assert_reuse_is_fresh<K: Kernels>(
 ) where
     K::Error: Debug,
 {
-    let run = |exact| {
-        request
-            .run_with_scratch(
-                &mut KronScratch::new(),
-                &mut StdRng::seed_from_u64(SEED),
-                kernels,
-                &(),
-                exact,
-            )
-            .unwrap_or_else(|e| panic!("{family} over {kind}: {e:?}"))
-    };
-    let fresh = (
-        measure_with(request, kernels, ExactBlocks::Compute),
-        run(ExactBlocks::Compute),
-    );
+    let fresh = request
+        .run(&mut StdRng::seed_from_u64(SEED), kernels, &())
+        .unwrap_or_else(|e| panic!("{family} over {kind}: {e:?}"));
     let before = sent();
-    let reused = (
-        measure_with(request, kernels, ExactBlocks::Reuse(kept)),
-        run(ExactBlocks::Reuse(kept)),
-    );
+    let reused = request
+        .run_with_scratch(
+            &mut KronScratch::new(),
+            &mut StdRng::seed_from_u64(SEED),
+            kernels.data(),
+            &(),
+            |_| Ok::<_, Infallible>(kept),
+        )
+        .unwrap_or_else(|e| panic!("{family} over {kind}: {e:?}"));
     assert_eq!(
         sent(),
         before,
         "{family} over {kind}: a reused run sent tasks"
     );
     assert!(
-        same_measurements(&fresh.0 .0, &reused.0 .0) && fresh.0 .1 == reused.0 .1,
-        "{family} over {kind}: a reused MEASURE diverges from a fresh one"
-    );
-    assert!(
-        bits_eq(&fresh.1.x_hat, &reused.1.x_hat) && bits_eq(&fresh.1.answers, &reused.1.answers),
+        bits_eq(&fresh.x_hat, &reused.x_hat) && bits_eq(&fresh.answers, &reused.answers),
         "{family} over {kind}: a reused pipeline run diverges from a fresh one"
     );
 }
@@ -205,31 +206,31 @@ fn kept_and_reused_blocks_give_fresh_bits_for_every_family_and_kernel_kind() {
         };
         let plain = PlainKernels::over(&x);
 
-        // Keeping the blocks leaves MEASURE's bits alone, over either kind,
-        // and keeps the same unscaled blocks: each product's plain product.
-        let mut kept_plain = Vec::new();
-        let mut kept_rpc = vec![vec![1.0]];
-        let fresh = measure_with(&request, &plain, ExactBlocks::Compute);
-        let over_plain = measure_with(&request, &plain, ExactBlocks::Keep(&mut kept_plain));
-        let over_rpc = measure_with(&request, &rpc, ExactBlocks::Keep(&mut kept_rpc));
-        for (kind, kept) in [("plain", &over_plain), ("rpc", &over_rpc)] {
-            assert!(
-                same_measurements(&fresh.0, &kept.0) && fresh.1 == kept.1,
-                "{family} over {kind}: keeping the blocks moved MEASURE's bits"
-            );
-        }
+        // Either kind computes the same unscaled blocks: each product's
+        // plain product. MEASURE on them is `measure`'s, bits and RNG.
+        let kept_plain = blocks_over(&request, &plain);
+        let kept_rpc = blocks_over(&request, &rpc);
         assert_eq!(kept_plain.len(), prepared.products().len());
         for (i, p) in prepared.products().iter().enumerate() {
             let refs: Vec<&StructuredMatrix> = p.factors.iter().collect();
             let exact = kmatvec_structured(&refs, &x);
             assert!(
                 bits_eq(&kept_plain[i], &exact) && bits_eq(&kept_rpc[i], &exact),
-                "{family}, product {i}: kept blocks are not A·x"
+                "{family}, product {i}: exact blocks are not A·x"
+            );
+        }
+        let mut rng = StdRng::seed_from_u64(SEED);
+        let fresh = (measure(&strategy, &x, EPS, &mut rng), rng.gen::<u64>());
+        for (kind, kept) in [("plain", &kept_plain), ("rpc", &kept_rpc)] {
+            let got = measure_with(&request, kept);
+            assert!(
+                same_measurements(&fresh.0, &got.0) && fresh.1 == got.1,
+                "{family} over {kind}: MEASURE on the blocks is not a fresh MEASURE"
             );
         }
 
-        // Reusing them gives a fresh run's bits over either kind, and the
-        // RPC kernels send no task.
+        // A run on them gives a fresh run's bits over either kind, and
+        // sends no task.
         let sent = || tasks(&pool);
         assert_reuse_is_fresh(family, "plain", &request, &plain, &kept_plain, &sent);
         assert_reuse_is_fresh(family, "rpc", &request, &rpc, &kept_rpc, &sent);
@@ -247,24 +248,15 @@ fn reused_blocks_that_do_not_fit_the_plan_are_refused_before_any_noise() {
         prepared: &prepared,
         eps: EPS,
     };
-    let mut kept = Vec::new();
-    measure_with(
-        &request,
-        &PlainKernels::over(&x),
-        ExactBlocks::Keep(&mut kept),
-    );
+    let kept = blocks_over(&request, &PlainKernels::over(&x));
     let mut short_block = kept.clone();
     short_block[1].pop();
     let one_fewer = kept[1..].to_vec();
     for (what, blocks) in [("a short block", short_block), ("a block fewer", one_fewer)] {
         let mut rng = StdRng::seed_from_u64(SEED);
-        let got = request.run_with_scratch(
-            &mut KronScratch::new(),
-            &mut rng,
-            &PlainKernels::over(&x),
-            &(),
-            ExactBlocks::Reuse(&blocks),
-        );
+        let got = request.run_with_scratch(&mut KronScratch::new(), &mut rng, &x, &(), |_| {
+            Ok::<_, Infallible>(blocks)
+        });
         assert!(
             matches!(
                 got,
@@ -277,6 +269,89 @@ fn reused_blocks_that_do_not_fit_the_plan_are_refused_before_any_noise() {
             StdRng::seed_from_u64(SEED).gen::<u64>(),
             "{what}: no noise was drawn"
         );
+    }
+}
+
+/// The plain kernels until product `fails_at`, which they cannot evaluate.
+struct FailingAt<'a> {
+    plain: PlainKernels<'a>,
+    fails_at: usize,
+}
+
+impl Kernels for FailingAt<'_> {
+    type Error = usize;
+
+    fn data(&self) -> &[f64] {
+        self.plain.data()
+    }
+
+    fn forward(
+        &self,
+        block: usize,
+        factors: &[&StructuredMatrix],
+    ) -> Result<Option<Vec<f64>>, usize> {
+        if block == self.fails_at {
+            Err(block)
+        } else {
+            self.plain
+                .forward(block, factors)
+                .map_err(|never| match never {})
+        }
+    }
+}
+
+#[derive(Default)]
+struct Phases(Mutex<Vec<Phase>>);
+
+impl Observer for Phases {
+    fn phase_complete(&self, phase: Phase, _elapsed: Duration) {
+        self.0.lock().unwrap().push(phase);
+    }
+}
+
+/// Every block exists before the first draw: a kernel that fails at a
+/// product after the first leaves the RNG as it was, and no phase is
+/// reported — so a caller can compute the blocks over other kernels and
+/// draw the noise it would have drawn.
+#[test]
+fn a_kernel_failing_after_the_first_product_leaves_the_rng_untouched() {
+    for (workload, strategy) in families() {
+        let prepared = PreparedReconstruct::new(&strategy);
+        let count = prepared.products().len();
+        if count < 2 {
+            continue;
+        }
+        let x = data(workload.domain().size());
+        let request = MechanismRequest {
+            workload: &workload,
+            prepared: &prepared,
+            eps: EPS,
+        };
+        for fails_at in 1..count {
+            let family = strategy.kind();
+            let mut rng = StdRng::seed_from_u64(SEED);
+            let before = rng.clone();
+            let phases = Phases::default();
+            let kernels = FailingAt {
+                plain: PlainKernels::over(&x),
+                fails_at,
+            };
+            let got = request.run(&mut rng, &kernels, &phases);
+            assert!(
+                matches!(got, Err(PipelineError::Kernel(at)) if at == fails_at),
+                "{family}, failing at {fails_at}: {got:?}"
+            );
+            let draws = |mut rng: StdRng| -> Vec<u64> { (0..4).map(|_| rng.gen()).collect() };
+            assert_eq!(
+                draws(rng),
+                draws(before),
+                "{family}, failing at {fails_at}: the RNG moved"
+            );
+            assert!(
+                phases.0.lock().unwrap().is_empty(),
+                "{family}, failing at {fails_at}: a phase was reported"
+            );
+        }
     }
 }
 

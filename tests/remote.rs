@@ -220,8 +220,8 @@ fn killed_worker_mid_measure_retries_and_reassigns() {
     );
     assert!(
         pool.reassignments >= 1 || m.telemetry.remote_fallbacks >= 1,
-        "the orphaned shard must have been reassigned (or the request \
-         re-served locally): {pool:?}"
+        "the orphaned shard must have been reassigned (or its blocks \
+         computed locally): {pool:?}"
     );
     // Survivors carried the load.
     assert!(
@@ -510,4 +510,58 @@ fn warm_repeat_sends_no_task() {
     }
     assert_eq!(m.telemetry.remote_fallbacks, 0);
     assert_eq!((m.measure_cache.misses, m.measure_cache.hits), (1, 1));
+}
+
+/// A pool-wide failure: every worker is dead before a cold request on a
+/// sharded dataset, so the fan-out for MEASURE's exact blocks fails and the
+/// engine computes them on the plain kernels. No noise is drawn before the
+/// blocks exist, so the answers are dense serving's bit for bit and ε is
+/// charged once; the blocks the fallback computed are cached, so the next
+/// request on the pair sends nothing.
+#[test]
+fn a_dead_pool_falls_back_once_with_dense_bits_and_caches_the_blocks() {
+    let domain = Domain::new(&[64, 32, 32]);
+    let w = prefix_product(&domain);
+    let dense = dense_answers(41, "dead-pool", &domain, &w);
+    let (handles, remote) = spawn_workers(&[Duration::ZERO, Duration::ZERO]);
+    let engine = engine_with(41, "dead-pool", Some(remote));
+    engine
+        .register_dataset_sharded("d", domain.clone(), data(domain.size()), 3, 1e6)
+        .unwrap();
+    for handle in &handles {
+        handle.kill();
+    }
+    // Let the accept loops see the stop and close their listeners.
+    std::thread::sleep(Duration::from_millis(50));
+
+    let first = engine.serve("d", &w, 1.0).expect("a dead pool falls back");
+    assert!(
+        bits_eq(&dense.0, &first.answers),
+        "the fallback's answers diverge from dense"
+    );
+    let m = engine.metrics();
+    assert_eq!(m.telemetry.remote_fallbacks, 1);
+    assert_eq!(engine.budget("d").unwrap().1, 1.0, "ε charged once");
+    assert_eq!(
+        (m.measure_cache.entries, m.measure_cache.misses),
+        (1, 1),
+        "the fallback's blocks are cached"
+    );
+    let before = m.remote.expect("pool health");
+    assert!(
+        before.workers.iter().all(|h| !h.alive && h.failures >= 1),
+        "the dead pool is visible in metrics(): {before:?}"
+    );
+
+    let second = engine.serve("d", &w, 0.5).unwrap();
+    assert!(bits_eq(&dense.1, &second.answers));
+    let m = engine.metrics();
+    assert_eq!(
+        m.remote.expect("pool health"),
+        before,
+        "the repeat reached the pool"
+    );
+    assert_eq!(m.telemetry.remote_fallbacks, 1);
+    assert_eq!((m.measure_cache.misses, m.measure_cache.hits), (1, 1));
+    assert_eq!(engine.budget("d").unwrap().1, 1.5);
 }

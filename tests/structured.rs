@@ -933,8 +933,9 @@ fn per_product_measure(
         .collect()
 }
 
-/// `measure_on` over `PlainKernels` (products through one shared
-/// `MarginalTables`, θ and noise in one pass) vs [`per_product_measure`]:
+/// `exact_blocks` over `PlainKernels` (products through one shared
+/// `MarginalTables`), then `measure_on` (θ and noise in one pass) vs
+/// [`per_product_measure`]:
 /// the same bits in every block, and the same RNG state afterwards, in a
 /// scratch the caller may have used before.
 fn assert_measure_matches_per_product(
@@ -947,15 +948,10 @@ fn assert_measure_matches_per_product(
     let eps = 0.7;
     let mut rng = StdRng::seed_from_u64(x.len() as u64);
     let mut oracle_rng = rng.clone();
-    let got = hdmm_mechanism::measure_on(
-        &products,
-        eps,
-        &mut rng,
-        &hdmm_mechanism::PlainKernels::over(x),
-        scratch,
-        hdmm_mechanism::ExactBlocks::Compute,
-    )
-    .unwrap_or_else(|never| match never {});
+    let exact =
+        hdmm_mechanism::exact_blocks(&products, &hdmm_mechanism::PlainKernels::over(x), scratch)
+            .unwrap_or_else(|never| match never {});
+    let got = hdmm_mechanism::measure_on(&products, eps, &mut rng, &exact, scratch);
     let want = per_product_measure(&products, x, eps, &mut oracle_rng);
     assert_eq!(got.blocks.len(), want.len(), "{what}");
     for (i, (block, want)) in got.blocks.iter().zip(&want).enumerate() {
@@ -1084,7 +1080,7 @@ fn shared_tables_measure_kron_explicit_and_union_plans_bit_for_bit() {
 #[test]
 fn shared_tables_one_scratch_across_plans_bit_for_bit() {
     use hdmm_mechanism::{
-        run_mechanism, ExactBlocks, MarginalsStrategy, MechanismRequest, PlainKernels,
+        exact_blocks, run_mechanism, MarginalsStrategy, MechanismRequest, PlainKernels,
         PreparedReconstruct, Strategy as Plan, UnionGroup,
     };
     let marginals = |sizes: &[usize]| {
@@ -1170,9 +1166,9 @@ fn shared_tables_one_scratch_across_plans_bit_for_bit() {
             .run_with_scratch(
                 &mut scratch,
                 &mut StdRng::seed_from_u64(seed as u64),
-                &PlainKernels::over(&x),
+                &x,
                 &(),
-                ExactBlocks::Compute,
+                |scratch| exact_blocks(prepared.products(), &PlainKernels::over(&x), scratch),
             )
             .unwrap_or_else(|e| panic!("{name}: {e:?}"));
         assert_same_bits(&got.x_hat, &want.x_hat, &format!("{name}: x̂"));

@@ -452,10 +452,11 @@ pub fn contract_transpose_rows(
 
 /// One request's reusable `f64` buffers: a small free list that MEASURE,
 /// RECONSTRUCT and ANSWER draw their large buffers from — a contraction
-/// chain's ping-pong pair, [`MarginalTables`]' tables, MEASURE's noisy
-/// blocks, RECONSTRUCT's sweep tables and work vectors — so a warm request
-/// writes to pages an earlier one faulted in instead of the fresh pages the
-/// allocator hands out after trimming its heap.
+/// chain's ping-pong pair, the tables of every
+/// [`SubsetLattice`](crate::SubsetLattice) sweep, MEASURE's noisy blocks,
+/// RECONSTRUCT's work vectors — so a warm request writes to pages an earlier
+/// one faulted in instead of the fresh pages the allocator hands out after
+/// trimming its heap.
 ///
 /// Reuse is bitwise invisible: [`KronScratch::take`] zero-fills its buffer
 /// exactly like the fresh `vec![0.0; len]` it replaces, and the chain writes
@@ -471,7 +472,7 @@ pub fn contract_transpose_rows(
 #[derive(Debug, Default)]
 pub struct KronScratch {
     /// Free buffers, each with whether the current request has drawn on it.
-    free: Vec<(Vec<f64>, bool)>,
+    pub(crate) free: Vec<(Vec<f64>, bool)>,
 }
 
 impl KronScratch {
@@ -642,7 +643,7 @@ fn chain_peak(leaves: &[&StructuredMatrix], done: usize, len: usize, transpose: 
 /// but not run: its kernel writes `1.0·v`, which is `v` bit for bit, and
 /// leaves every extent as it was, so the current tensor already is its
 /// output.
-fn contract_steps(
+pub(crate) fn contract_steps(
     leaves: &[&StructuredMatrix],
     done: usize,
     x: &[f64],
@@ -697,159 +698,6 @@ fn contract_steps(
         copy.extend_from_slice(x);
         copy
     })
-}
-
-/// The marginal tables of one data vector, shared by every product
-/// answered against it through [`MarginalTables::kmatvec`] — a workload's
-/// terms in one `W·x` call (ANSWER), a plan's measured products in one
-/// MEASURE call — so each table is summed once per call, not once per
-/// product.
-///
-/// A table is keyed by the set `S` of modes it sums out (bit `j` of a
-/// `u64`): `x` with every mode in `S` contracted by an unscaled `Total` and
-/// the other modes at full extent, row-major. `table(S)` is built from
-/// `table(S ∖ {min S})` by one [`contract_rows`] over mode `min S`, so only
-/// the singletons `{j}` read `x`. Tables and the products' chain buffers
-/// are taken from the [`KronScratch`] the cache is built over, and the
-/// tables go back to it when the cache is dropped.
-///
-/// Bit for bit: the chain order (`chain_order`) contracts a product's
-/// shrinking leaves first, last to first. A product whose chain starts with
-/// unscaled `Total` leaves on `S` therefore sums out `max S`, …, `min S` in
-/// turn, each step with the `(left, n, right)` that builds the next table of
-/// the chain `{max S} ⊂ … ⊂ S`. Its intermediate after those steps *is*
-/// `table(S)`, and the rest of its chain runs on the table in the same
-/// order.
-#[derive(Debug)]
-pub struct MarginalTables<'a> {
-    x: &'a [f64],
-    sizes: &'a [usize],
-    /// `(S, table(S))` for every table built so far; `table(∅)` is `x`.
-    tables: Vec<(u64, Vec<f64>)>,
-    scratch: &'a mut KronScratch,
-}
-
-impl<'a> MarginalTables<'a> {
-    /// An empty cache over `x`, a row-major tensor with mode extents
-    /// `sizes`, drawing its buffers from `scratch`.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != Π sizes`.
-    pub fn new(x: &'a [f64], sizes: &'a [usize], scratch: &'a mut KronScratch) -> Self {
-        let len: usize = sizes.iter().product();
-        assert_eq!(x.len(), len, "data vector size mismatch");
-        MarginalTables {
-            x,
-            sizes,
-            tables: Vec::new(),
-            scratch,
-        }
-    }
-
-    /// `(A₁ ⊗ … ⊗ A_d)·x` — bit for bit [`kmatvec_structured`]'s result —
-    /// in a buffer taken from the scratch: a caller that keeps it (MEASURE
-    /// keeps its noisy blocks) copies nothing, one that does not hands it
-    /// back through [`MarginalTables::give`]. A product whose chain starts
-    /// with a run of unscaled `Total` leaves runs the rest of its chain on
-    /// that run's table; any other product (no such run, a `Kron` leaf, more
-    /// than 64 modes, leaves that do not match the modes) runs the whole
-    /// chain on `x`.
-    ///
-    /// # Panics
-    /// Panics if the factors' input size is not `x.len()`.
-    pub fn kmatvec(&mut self, factors: &[&StructuredMatrix]) -> Vec<f64> {
-        let summed = self.total_run(factors);
-        if summed == 0 {
-            return kmatvec_structured_scratch(factors, self.x, self.scratch);
-        }
-        let table = match self.table(summed) {
-            Some(k) => &self.tables[k].1,
-            None => self.x,
-        };
-        contract_steps(
-            factors,
-            summed.count_ones() as usize,
-            table,
-            self.scratch,
-            false,
-        )
-    }
-
-    /// Hands a buffer back to the scratch the cache draws from.
-    pub fn give(&mut self, buf: Vec<f64>) {
-        self.scratch.give(buf);
-    }
-
-    /// The modes the forward chain of `leaves` starts by summing out: the
-    /// leading steps of [`chain_order`] whose leaf is `Total { scale: 1.0 }`,
-    /// each on a lower mode than the step before (the order the table chain
-    /// adds them in). Empty (`0`) for leaves the tables cannot serve.
-    fn total_run(&self, leaves: &[&StructuredMatrix]) -> u64 {
-        let fits = leaves.len() <= 64
-            && leaves.len() == self.sizes.len()
-            && leaves
-                .iter()
-                .zip(self.sizes)
-                .all(|(a, &n)| !matches!(a, Kron(_)) && a.cols() == n);
-        if !fits {
-            return 0;
-        }
-        let mut summed = 0u64;
-        let mut below = leaves.len();
-        for i in chain_order(leaves, false) {
-            if i >= below || !matches!(leaves[i], Total { scale, .. } if *scale == 1.0) {
-                break;
-            }
-            summed |= 1 << i;
-            below = i;
-        }
-        summed
-    }
-
-    /// The index of `table(summed)` (`None` for `x` itself), building the
-    /// links of its chain the cache lacks from the longest one it holds (or
-    /// from `x`).
-    fn table(&mut self, summed: u64) -> Option<usize> {
-        // The links are `summed` with its lowest modes cleared one by one;
-        // `at` indexes `table(have)`, `None` being `x` itself.
-        let mut have = summed;
-        let mut at = None;
-        while have != 0 {
-            at = self.tables.iter().position(|(s, _)| *s == have);
-            if at.is_some() {
-                break;
-            }
-            have &= have - 1;
-        }
-        while have != summed {
-            // The highest mode still missing is the lowest of the next link.
-            let mode = 63 - (summed & !have).leading_zeros() as usize;
-            let left: usize = self.sizes[..mode].iter().product();
-            let right: usize = (mode + 1..self.sizes.len())
-                .filter(|&j| have >> j & 1 == 0)
-                .map(|j| self.sizes[j])
-                .product();
-            let parent = at.map_or(self.x, |k| &self.tables[k].1);
-            let mut next = self.scratch.take(left * right);
-            let total = Total {
-                n: self.sizes[mode],
-                scale: 1.0,
-            };
-            contract_rows(&total, parent, &mut next, left, right, 0..1);
-            have |= 1 << mode;
-            self.tables.push((have, next));
-            at = Some(self.tables.len() - 1);
-        }
-        at
-    }
-}
-
-impl Drop for MarginalTables<'_> {
-    fn drop(&mut self) {
-        for (_, table) in self.tables.drain(..) {
-            self.scratch.give(table);
-        }
-    }
 }
 
 /// Implicit Kronecker matrix–vector product `(A₁ ⊗ … ⊗ A_d)·x` over

@@ -44,6 +44,7 @@ mod contract;
 mod csr;
 mod eigen;
 mod kron;
+mod lattice;
 mod linop;
 mod lsmr;
 mod matrix;
@@ -56,11 +57,11 @@ pub use cholesky::Cholesky;
 pub use contract::{
     contract_rows, contract_transpose_rows, kmatvec_structured, kmatvec_structured_scratch,
     kmatvec_transpose_structured, kmatvec_transpose_structured_scratch, KronScratch,
-    MarginalTables,
 };
 pub use csr::Csr;
 pub use eigen::SymEigen;
 pub use kron::{kron, kron_all, kron_vec};
+pub use lattice::{kmatvec_shared, SubsetLattice};
 pub use linop::{LinOp, ScaledOp, StackedOp};
 pub use lsmr::{lsmr, LsmrOptions, LsmrResult};
 pub use matrix::Matrix;

@@ -13,16 +13,17 @@
 //!   to one sparse triangular solve with `3^d` nonzeros;
 //! * `‖M(θ)‖₁ = Σθ_a` (each marginal has unit column norms);
 //! * every vector RECONSTRUCT forms is a marginal table, so
-//!   `x̄ = G(v)·Mᵀy` runs as three sweeps over the subset lattice
-//!   (`MarginalsLattice`): O(d·Πᵢ(nᵢ+1)) work at most, a few streaming
+//!   `x̄ = G(v)·Mᵀy` runs as three sweeps over subset lattices
+//!   (`hdmm_linalg::SubsetLattice`): O(d·Πᵢ(nᵢ+1)) work at most, a few streaming
 //!   passes over the `N = Πᵢnᵢ` cells, where one full-domain forward and
 //!   transpose product per nonzero `v_a` cost O(2^d·d·N).
 //!
 //! A domain has at most [`MAX_MARGINAL_ATTRS`] attributes.
 
 use crate::MeasuredBlock;
-use hdmm_linalg::{contract_rows, KronScratch, Matrix, StructuredMatrix};
+use hdmm_linalg::{KronScratch, Matrix, StructuredMatrix, SubsetLattice};
 use hdmm_workload::{Domain, WorkloadGrams};
+use std::borrow::Cow;
 
 /// The most attributes a marginals domain may have: the algebra holds `2^d`
 /// weights per plan. [`MarginalsAlgebra::new`] and [`MarginalsStrategy::new`]
@@ -263,54 +264,39 @@ impl SubsetTriangular {
 /// marginal tables, built once per plan.
 ///
 /// The table of subset `a` is `Q_a·z`, row-major over `a`'s attributes in
-/// order. Every subset but the full table has one parent: the subset that
-/// adds its smallest missing attribute `i`. Summing the parent's table over
-/// attribute `i` gives the child's, so `Q_c = S·Q_p` and `Q_cᵀ = Q_pᵀ·Sᵀ`,
-/// where `Sᵀ` broadcasts a table along `i` (the data-cube order of Gray et
-/// al. 1997). The lattice holds the closure of the measured subsets and of
-/// `v`'s support under "parent of", so every path ends at the full table:
+/// order: a [`SubsetLattice`] table that keeps the attributes of `a`, so
+/// `Q_c = S·Q_p` for a child `c` of `p` and `Q_cᵀ = Q_pᵀ·Sᵀ`, where `S` sums
+/// out the attribute `p` adds and `Sᵀ` broadcasts along it. Two lattices,
+/// each closed under "parent of" so every path ends at the full table:
 ///
-/// * **transpose sweep**, `Mᵀy`: each measured block is already table `a`;
-///   `θ_a·y_a` is broadcast into its parent's table, child before parent,
-///   ending at the full table;
-/// * **forward sweep**: `Q_b·(Mᵀy)` for every `b` in `v`'s support, each
-///   table summed out of its parent's;
-/// * **second transpose sweep**: `Σ_b v_b·Q_bᵀ(·)`, as the first.
+/// * **transpose sweep** over the measured subsets' lattice, `Mᵀy`: each
+///   measured block is already table `a`; `θ_a·y_a` is broadcast into its
+///   parent's table, child before parent, ending at the full table;
+/// * **forward sweep** over the lattice of `v`'s support: `Q_b·(Mᵀy)` for
+///   every `b` in it, each table summed out of its parent's, and scaled by
+///   `v_b` once its children are built;
+/// * **second transpose sweep**: `Σ_b v_b·Q_bᵀ(·)` over that lattice.
 ///
 /// Each edge costs one pass over its parent's table, so a sweep costs at
 /// most `d` passes over the full table plus its smaller tables. Everything
 /// runs on the coordinator: no step goes through the kernel seam. Each
 /// measured block is scaled in place into its table, every other table is
-/// taken from the request's scratch, and each goes back to it once read:
-/// only the full table, `x̄`, is kept.
+/// taken from the request's scratch, and each goes back to it after its
+/// last reader: only the full table, `x̄`, is kept.
 #[derive(Debug, Clone)]
-pub(crate) struct MarginalsLattice {
-    /// The closure's subsets in ascending order, so every child precedes
-    /// its parent and the full table (`θ_full > 0`) is last.
-    nodes: Vec<LatticeNode>,
-    /// The node and weight `θ_a` of each measured product, in list order.
-    measured: Vec<(usize, f64)>,
+pub(crate) struct MarginalsSolve {
+    /// The measured subsets (`θ_a ≠ 0`) with their `θ_a`, in list order,
+    /// and their lattice.
+    theta: Vec<(u64, f64)>,
+    measured: SubsetLattice,
+    /// `v`, and the lattice of its support.
+    v: Vec<f64>,
+    g: SubsetLattice,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct LatticeNode {
-    /// Cells of the table.
-    cells: usize,
-    /// The parent's node (the full table's is itself).
-    parent: usize,
-    /// The parent's table as `(left, n, right)` around the attribute it adds.
-    n: usize,
-    right: usize,
-    /// `v_b` of this subset.
-    v: f64,
-    /// Whether `v` is nonzero here or below: the forward sweep computes only
-    /// these tables.
-    in_g: bool,
-}
-
-impl MarginalsLattice {
-    /// The lattice of `strategy`: its measured subsets (`θ_a ≠ 0`, in the
-    /// order [`Strategy::measured_products`](crate::Strategy::measured_products)
+impl MarginalsSolve {
+    /// The solve of `strategy`: its measured subsets (in the order
+    /// [`Strategy::measured_products`](crate::Strategy::measured_products)
     /// lists them) and `v = X(θ²)⁻¹·e_full`, with `G(v) = (MᵀM)⁻¹`.
     pub(crate) fn new(strategy: &MarginalsStrategy) -> Self {
         let algebra = MarginalsAlgebra::new(&strategy.domain);
@@ -319,45 +305,15 @@ impl MarginalsLattice {
     }
 
     fn with_weights(domain: &Domain, theta: &[f64], v: &[f64]) -> Self {
-        let sizes = domain.sizes();
-        let full = theta.len() - 1;
-        // The parent adds the lowest clear bit.
-        let parent = |a: usize| a | (!a & (a + 1));
-        // Closed under "parent of", child before parent (`parent(a) > a`).
-        let mut in_m: Vec<bool> = theta.iter().map(|&t| t != 0.0).collect();
-        let mut in_g: Vec<bool> = v.iter().map(|&x| x != 0.0).collect();
-        for a in 0..full {
-            in_m[parent(a)] |= in_m[a];
-            in_g[parent(a)] |= in_g[a];
+        fn support(w: &[f64]) -> impl Iterator<Item = u64> + '_ {
+            (0..w.len() as u64).filter(|&a| w[a as usize] != 0.0)
         }
-        let subsets: Vec<usize> = (0..=full).filter(|&a| in_m[a] || in_g[a]).collect();
-        let cells = |a: usize, from: usize| -> usize {
-            (from..sizes.len())
-                .filter(|i| a >> i & 1 == 1)
-                .map(|i| sizes[i])
-                .product()
-        };
-        let nodes = subsets
-            .iter()
-            .map(|&a| {
-                // The attribute the parent adds; `d` for the full table,
-                // which is its own parent.
-                let i = (!a & (a + 1)).trailing_zeros() as usize;
-                LatticeNode {
-                    cells: cells(a, 0),
-                    parent: subsets.partition_point(|&s| s < parent(a).min(full)),
-                    n: sizes.get(i).copied().unwrap_or(1),
-                    right: cells(a, i + 1),
-                    v: v[a],
-                    in_g: in_g[a],
-                }
-            })
-            .collect();
-        let measured = (0..theta.len())
-            .filter(|&a| theta[a] != 0.0)
-            .map(|a| (subsets.partition_point(|&s| s < a), theta[a]))
-            .collect();
-        MarginalsLattice { nodes, measured }
+        MarginalsSolve {
+            theta: support(theta).map(|a| (a, theta[a as usize])).collect(),
+            measured: SubsetLattice::new(domain.sizes(), support(theta)),
+            v: v.to_vec(),
+            g: SubsetLattice::new(domain.sizes(), support(v)),
+        }
     }
 
     /// `x̄ = G(v)·Mᵀy` from one block per measured product, in list order,
@@ -367,84 +323,29 @@ impl MarginalsLattice {
         blocks: Vec<MeasuredBlock>,
         scratch: &mut KronScratch,
     ) -> Vec<f64> {
-        let mut tables = vec![None; self.nodes.len()];
-        for (&(node, theta), block) in self.measured.iter().zip(blocks) {
+        let tables = self.theta.iter().zip(blocks).map(|(&(a, theta), block)| {
             let mut table = block.noisy;
             table.iter_mut().for_each(|y| *y *= theta);
-            tables[node] = Some(table);
-        }
-        let mty = self.transpose_sweep(tables, scratch);
-        let g = self.forward_sweep(mty, scratch);
-        self.transpose_sweep(g, scratch)
+            (a, table)
+        });
+        let mty = self.measured.transpose(tables, scratch);
+        self.g_apply(mty, scratch)
     }
 
-    /// `Σ_k Q_kᵀ·t_k` over the given tables: each accumulated into its
-    /// parent's, child before parent, ending at the full table.
-    fn transpose_sweep(
-        &self,
-        mut tables: Vec<Option<Vec<f64>>>,
-        scratch: &mut KronScratch,
-    ) -> Vec<f64> {
-        let full = self.nodes.len() - 1;
-        for (k, node) in self.nodes[..full].iter().enumerate() {
-            let Some(table) = tables[k].take() else {
-                continue;
-            };
-            let cells = self.nodes[node.parent].cells;
-            let parent = tables[node.parent].get_or_insert_with(|| scratch.take(cells));
-            broadcast_add(&table, parent, node.n, node.right);
-            scratch.give(table);
-        }
-        let cells = self.nodes[full].cells;
-        tables[full].take().unwrap_or_else(|| scratch.take(cells))
-    }
-
-    /// The tables `v_b·Q_b·z` of `v`'s support, each summed out of its
-    /// parent's table, parent before child; the tables only a child needed
-    /// go back to `scratch`.
-    fn forward_sweep(&self, z: Vec<f64>, scratch: &mut KronScratch) -> Vec<Option<Vec<f64>>> {
-        let mut tables = vec![Vec::new(); self.nodes.len()];
-        tables[self.nodes.len() - 1] = z;
-        for (k, node) in self.nodes.iter().enumerate().rev().skip(1) {
-            if node.in_g {
-                let mut table = scratch.take(node.cells);
-                let total = StructuredMatrix::total(node.n);
-                let left = node.cells / node.right;
-                contract_rows(
-                    &total,
-                    &tables[node.parent],
-                    &mut table,
-                    left,
-                    node.right,
-                    0..1,
-                );
-                tables[k] = table;
-            }
-        }
-        let weighted = |(mut table, node): (Vec<f64>, &LatticeNode)| {
-            if node.v == 0.0 {
+    /// `G(v)·z`: the forward sweep over `v`'s lattice, each table with
+    /// `v_b ≠ 0` scaled in place and kept, then the transpose sweep.
+    fn g_apply(&self, z: Vec<f64>, scratch: &mut KronScratch) -> Vec<f64> {
+        let mut weighted = Vec::new();
+        self.g.forward(Cow::Owned(z), scratch, |b, table, scratch| {
+            let (mut table, vb) = (table.into_owned(), self.v[b as usize]);
+            if vb == 0.0 {
                 scratch.give(table);
-                return None;
+            } else {
+                table.iter_mut().for_each(|x| *x *= vb);
+                weighted.push((b, table));
             }
-            table.iter_mut().for_each(|x| *x *= node.v);
-            Some(table)
-        };
-        tables.into_iter().zip(&self.nodes).map(weighted).collect()
-    }
-}
-
-/// `parent[l, k, r] += child[l, r]` for every `k < n`: a child's table
-/// broadcast along the attribute its parent adds.
-fn broadcast_add(child: &[f64], parent: &mut [f64], n: usize, right: usize) {
-    for (src, dst) in child
-        .chunks_exact(right)
-        .zip(parent.chunks_exact_mut(n * right))
-    {
-        for row in dst.chunks_exact_mut(right) {
-            for (d, s) in row.iter_mut().zip(src) {
-                *d += s;
-            }
-        }
+        });
+        self.g.transpose(weighted, scratch)
     }
 }
 
@@ -718,7 +619,7 @@ mod tests {
                     v[rng.gen_range(0..s.min(2))] = -0.3;
                 }
             }
-            let lattice = MarginalsLattice::with_weights(&domain, &theta, &v);
+            let lattice = MarginalsSolve::with_weights(&domain, &theta, &v);
             let blocks = random_blocks(&domain, &theta, &mut rng);
             let what = format!("case {case}: sizes {sizes:?}, theta {theta:?}, v {v:?}");
 
@@ -728,18 +629,18 @@ mod tests {
                 .flat_map(|b| b.noisy.iter().copied())
                 .collect();
             let mt = dense_mt(&alg, &theta);
-            let mut tables = vec![None; lattice.nodes.len()];
-            for (&(node, t), block) in lattice.measured.iter().zip(&blocks) {
-                tables[node] = Some(block.noisy.iter().map(|y| t * y).collect());
-            }
-            let mty = lattice.transpose_sweep(tables, &mut scratch);
+            let tables = lattice
+                .theta
+                .iter()
+                .zip(&blocks)
+                .map(|(&(a, t), block)| (a, block.noisy.iter().map(|y| t * y).collect()));
+            let mty = lattice.measured.transpose(tables, &mut scratch);
             let mty_scale = dense_mt(&alg, &abs(&theta)).matvec(&abs(&y));
             assert_close(&mty, &mt.matvec(&y), &mty_scale, &format!("Mᵀy, {what}"));
 
             // G(v)·z against the explicit G(v), on a random z.
             let z: Vec<f64> = (0..domain.size()).map(|_| rng.gen::<f64>() - 0.5).collect();
-            let g = lattice.forward_sweep(z.clone(), &mut scratch);
-            let gz = lattice.transpose_sweep(g, &mut scratch);
+            let gz = lattice.g_apply(z.clone(), &mut scratch);
             let g_scale = alg.g_explicit(&abs(&v)).matvec(&abs(&z));
             assert_close(
                 &gz,
@@ -778,7 +679,7 @@ mod tests {
         let alg = MarginalsAlgebra::new(&domain);
         let v = alg.g_inverse_weights(&strategy.gram_weights());
         assert_eq!(v.iter().filter(|&&x| x != 0.0).count(), 20);
-        let lattice = MarginalsLattice::new(&strategy);
+        let lattice = MarginalsSolve::new(&strategy);
         let mut rng = StdRng::seed_from_u64(5);
         let blocks = random_blocks(&domain, &theta, &mut rng);
 

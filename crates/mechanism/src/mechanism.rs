@@ -1,7 +1,7 @@
 //! The end-to-end private pipeline: MEASURE → RECONSTRUCT → answer
 //! (Table 1(b) of the paper, with the efficient implementations of §7.2).
 
-use crate::marginals::MarginalsLattice;
+use crate::marginals::MarginalsSolve;
 use crate::pipeline::{exact_blocks, measure_on, reconstruct_on, MechanismRequest, PlainKernels};
 use crate::{JointBasis, MeasuredProduct, Strategy};
 use hdmm_linalg::{KronScratch, LinalgError, StructuredMatrix};
@@ -65,7 +65,8 @@ pub fn measure(strategy: &Strategy, x: &[f64], eps: f64, rng: &mut impl Rng) -> 
 ///   p-Identity factors the `Woodbury` leaf `D⁻² − UᵀU`, O(p²n) to build and
 ///   `p·n + n` numbers to hold; only `Dense` / `Sparse` / `AllRange` factors
 ///   (an explicit matrix is one `Dense` leaf) pay a dense `n×n` inverse;
-/// * marginals: the subset lattice (`MarginalsLattice`) that applies
+/// * marginals: the subset lattices (`MarginalsSolve`, over
+///   [`SubsetLattice`](hdmm_linalg::SubsetLattice)) that apply
 ///   `(MᵀM)⁺·Mᵀ = G(v)·Mᵀ` as table sweeps, with the §7.2 weights `v`;
 /// * union (two groups): the joint per-attribute eigenbasis
 ///   ([`JointBasis`]) that diagonalises both groups' factor Grams,
@@ -94,8 +95,8 @@ pub struct PreparedReconstruct {
 pub(crate) enum Solve {
     /// One inverse Gram per factor of the plan's single product.
     InverseGrams(Vec<StructuredMatrix>),
-    /// The subset lattice that applies `G(v)·Mᵀ`, `(MᵀM)⁺ = G(v)`.
-    Marginals(MarginalsLattice),
+    /// The subset lattices that apply `G(v)·Mᵀ`, `(MᵀM)⁺ = G(v)`.
+    Marginals(MarginalsSolve),
     /// The joint eigenbasis of a union's two groups.
     Joint(JointBasis),
 }
@@ -115,7 +116,7 @@ impl PreparedReconstruct {
                     .collect::<Result<_, _>>()
                     .map(Solve::InverseGrams)
             }
-            Strategy::Marginals(m) => Ok(Solve::Marginals(MarginalsLattice::new(m))),
+            Strategy::Marginals(m) => Ok(Solve::Marginals(MarginalsSolve::new(m))),
             Strategy::Union(groups) => JointBasis::new(groups).map(Solve::Joint),
         };
         PreparedReconstruct { products, solve }

@@ -24,10 +24,11 @@
 //! ([`MechanismRequest::run`]), MEASURE's exact blocks ([`exact_blocks`]) and
 //! its θ-scaling and noise draw ([`measure_on`]), RECONSTRUCT's weighted
 //! `Aᵀy` pass and the family's solve ([`reconstruct_on`]) and ANSWER's
-//! `W·x̄`. The products that run on the plain kernels share one
-//! `MarginalTables` over the data vector, as ANSWER's terms share one over
-//! `x̄`: a marginal `Q_a·x` starts from the table its unit `Total` leaves sum
-//! to, built once per call, with the bits of its own chain.
+//! `W·x̄`. The products that run on the plain kernels share the tables of
+//! one subset lattice over the data vector ([`kmatvec_shared`]), as ANSWER's
+//! terms share one over `x̄` and the marginals solve sweeps its own: a
+//! marginal `Q_a·x` starts from the table its unit `Total` leaves sum to,
+//! built once per call, with the bits of its own chain.
 //!
 //! MEASURE is two plain steps, blocks then noise. Only the noise is new per
 //! request: the unscaled blocks `A_p·x` are a function of the data vector
@@ -51,7 +52,7 @@ use crate::laplace::laplace_noise;
 use crate::mechanism::Solve;
 use crate::{MeasuredBlock, MeasuredProduct, Measurements, MechanismResult, PreparedReconstruct};
 use hdmm_linalg::{
-    kmatvec_structured_scratch, kmatvec_transpose_structured_scratch, KronScratch, MarginalTables,
+    kmatvec_shared, kmatvec_structured_scratch, kmatvec_transpose_structured_scratch, KronScratch,
     StructuredMatrix,
 };
 use hdmm_obs::{Observer, Phase};
@@ -183,13 +184,13 @@ impl Kernels for PlainKernels<'_> {
 }
 
 /// MEASURE's exact blocks: every measured product's unscaled answers
-/// `A_p·x` over [`Kernels::data`], in list order — on the kernels, or
-/// through one `MarginalTables` over the data, with the modes of the first
-/// product's leaves, for the products the kernels leave to the plain
-/// kernels (a product whose leaves do not match those modes runs its whole
-/// chain on the data). The tables live for this call only; they, the chain
-/// buffers and the blocks come from `scratch`, so a block may have more
-/// capacity than length.
+/// `A_p·x` over [`Kernels::data`], in list order — on the kernels, or, for
+/// the products the kernels leave to the plain kernels, through one
+/// [`kmatvec_shared`] over the data with the modes of the first product's
+/// leaves (a product whose leaves do not match those modes runs its whole
+/// chain on the data). The lattice's tables live for this call only; they,
+/// the chain buffers and the blocks come from `scratch`, so a block may have
+/// more capacity than length.
 ///
 /// The blocks depend on the data vector and the products only — never on
 /// ε, θ or the RNG, which this does not take — so a caller that serves one
@@ -204,20 +205,25 @@ pub fn exact_blocks<K: Kernels + ?Sized>(
     kernels: &K,
     scratch: &mut KronScratch,
 ) -> Result<Vec<Vec<f64>>, K::Error> {
-    let x = kernels.data();
-    let modes: Vec<usize> = products.first().map_or_else(
-        || vec![x.len()],
-        |p| p.factors.iter().map(StructuredMatrix::cols).collect(),
-    );
-    let mut tables = MarginalTables::new(x, &modes, scratch);
     let mut blocks = Vec::with_capacity(products.len());
+    let (mut at, mut local) = (Vec::new(), Vec::new());
     for (i, p) in products.iter().enumerate() {
         let refs = p.refs();
-        blocks.push(match kernels.forward(i, &refs)? {
-            Some(answers) => answers,
-            None => tables.kmatvec(&refs),
-        });
+        match kernels.forward(i, &refs)? {
+            Some(answers) => blocks.push(answers),
+            None => {
+                blocks.push(Vec::new());
+                at.push(i);
+                local.push(refs);
+            }
+        }
     }
+    let modes: Vec<usize> = products.first().map_or_else(Vec::new, |p| {
+        p.factors.iter().map(StructuredMatrix::cols).collect()
+    });
+    kmatvec_shared(&local, kernels.data(), &modes, scratch, |j, y, _| {
+        blocks[at[j]] = y;
+    });
     Ok(blocks)
 }
 
@@ -278,7 +284,7 @@ fn scale_and_noise(block: &mut [f64], theta: f64, scale: f64, rng: &mut impl Rng
 ///   is; `(⊗Aᵢ)⁺y = ⊗(AᵢᵀAᵢ)⁺ · (⊗Aᵢᵀ)y` (§7.2) — the per-factor work is the
 ///   `nᵢ × nᵢ` inverse Gram, never the `nᵢ × mᵢ` pseudo-inverse;
 /// * marginals: `x̄ = G(v)·Mᵀy` is three sweeps over the marginal tables of
-///   the plan's subset lattice (`MarginalsLattice`), `Mᵀy = Σ_a θ_a·Q_aᵀy_a`
+///   the plan's subset lattices (`MarginalsSolve`), `Mᵀy = Σ_a θ_a·Q_aᵀy_a`
 ///   included;
 /// * union: `c_g = w_g²` (`w_g` the inverse noise scale), and the normal
 ///   equations are solved in closed form: `x̄ = (⊗Vⱼ)·D⁺·(⊗Vⱼ)ᵀ·b` over the

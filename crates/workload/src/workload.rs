@@ -2,7 +2,7 @@
 
 use crate::{Domain, WorkloadFingerprint};
 use hdmm_linalg::{
-    kmatvec_structured, kron_all, KronScratch, MarginalTables, Matrix, StructuredMatrix,
+    kmatvec_shared, kmatvec_structured, kron_all, KronScratch, Matrix, StructuredMatrix,
 };
 use std::sync::OnceLock;
 
@@ -179,25 +179,33 @@ impl Workload {
     /// [`Workload::answer`] with its tables and chain buffers taken from
     /// `scratch`, so a request or a batch task answers in pages an earlier
     /// one already used; only the answer vector is a fresh allocation. The
-    /// terms share one [`MarginalTables`] over `x`: a term whose chain starts
-    /// by summing out attributes with unit `Total` factors starts from that
-    /// marginal table, summed once per call for all the terms that need it,
-    /// not from `x`. Every term's answer keeps the bits of its own chain,
-    /// [`ProductTerm::answer`]; so does the result, bitwise identical to
-    /// `answer`.
+    /// terms go through one [`kmatvec_shared`] over `x`: a term whose chain
+    /// starts by summing out attributes with unit `Total` factors starts
+    /// from that marginal table of the call's subset lattice, summed once
+    /// for all the terms that need it, not from `x`. Every term's answer
+    /// keeps the bits of its own chain, [`ProductTerm::answer`]; so does the
+    /// result, bitwise identical to `answer`.
     pub fn answer_with(&self, x: &[f64], scratch: &mut KronScratch) -> Vec<f64> {
-        let mut tables = MarginalTables::new(x, self.domain.sizes(), scratch);
+        let refs: fn(&ProductTerm) -> Vec<&StructuredMatrix> = |t| t.factors.iter().collect();
+        let terms: Vec<_> = self.terms.iter().map(refs).collect();
         let mut out = Vec::with_capacity(self.query_count());
-        for t in &self.terms {
-            let refs: Vec<&StructuredMatrix> = t.factors.iter().collect();
-            let y = tables.kmatvec(&refs);
-            if t.weight != 1.0 {
-                out.extend(y.iter().map(|v| v * t.weight));
-            } else {
-                out.extend_from_slice(&y);
+        // The terms come back in ascending order of the attributes their
+        // tables keep (list order for marginals): an answer waits for the
+        // ones listed before it, then goes back to the scratch.
+        let (mut held, mut next) = (vec![None; terms.len()], 0);
+        kmatvec_shared(&terms, x, self.domain.sizes(), scratch, |i, y, scratch| {
+            held[i] = Some(y);
+            while let Some(y) = held.get_mut(next).and_then(Option::take) {
+                let weight = self.terms[next].weight;
+                if weight != 1.0 {
+                    out.extend(y.iter().map(|v| v * weight));
+                } else {
+                    out.extend_from_slice(&y);
+                }
+                scratch.give(y);
+                next += 1;
             }
-            tables.give(y);
-        }
+        });
         out
     }
 

@@ -933,8 +933,8 @@ fn per_product_measure(
         .collect()
 }
 
-/// `exact_blocks` over `PlainKernels` (products through one shared
-/// `MarginalTables`), then `measure_on` (θ and noise in one pass) vs
+/// `exact_blocks` over `PlainKernels` (products through the shared tables
+/// of one `SubsetLattice`), then `measure_on` (θ and noise in one pass) vs
 /// [`per_product_measure`]:
 /// the same bits in every block, and the same RNG state afterwards, in a
 /// scratch the caller may have used before.

@@ -11,8 +11,7 @@
 //!
 //! A plan carries its own reconstruction factorization
 //! ([`Plan::prepared`], built when the plan is made), so a cache entry holds
-//! nothing for RECONSTRUCT; beside the plan it memoizes only the remote
-//! fan-out's [`OperandKeys`] ([`StrategyCache::operand_keys`]).
+//! the plan and its recency stamp, nothing else.
 //!
 //! ## Concurrency
 //!
@@ -33,10 +32,9 @@
 
 use crate::sync::{lock_recover, read_recover, recover, write_recover};
 use hdmm_core::{Plan, WorkloadFingerprint};
-use hdmm_net::OperandKeys;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 /// Counters describing cache effectiveness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -71,10 +69,6 @@ struct CacheEntry {
     /// Logical-clock stamp of the last touch; the smallest stamp is the LRU
     /// entry.
     last_used: AtomicU64,
-    /// The content keys the remote fan-out names this plan's factor lists
-    /// by: a pure function of the strategy that costs a pass over every
-    /// factor to derive, built on the first remote serve.
-    operand_keys: OnceLock<Arc<OperandKeys>>,
 }
 
 enum FlightState {
@@ -242,7 +236,6 @@ impl StrategyCache {
             let entry = CacheEntry {
                 plan: Arc::clone(&plan),
                 last_used: AtomicU64::new(self.stamp()),
-                operand_keys: OnceLock::new(),
             };
             slots.insert(key.clone(), Slot::Ready(entry));
             self.evict_over_capacity(&mut slots);
@@ -278,24 +271,6 @@ impl StrategyCache {
             }
             Slot::Ready(_) => None,
         }
-    }
-
-    /// The remote fan-out's [`OperandKeys`] for `plan`, memoized alongside
-    /// the cache entry for `key`: the first caller derives them, every later
-    /// caller clones an `Arc`. They are a pure function of the strategy, so
-    /// reusing them is the same as deriving them again.
-    ///
-    /// Falls back to an unmemoized build when the entry is gone (evicted
-    /// since the caller's lookup) or holds a different plan (evicted and
-    /// selected again) — correctness never depends on the cache's retention.
-    pub fn operand_keys(&self, key: &WorkloadFingerprint, plan: &Arc<Plan>) -> Arc<OperandKeys> {
-        let build = || Arc::new(OperandKeys::new(plan.prepared()));
-        if let Some(Slot::Ready(entry)) = read_recover(&self.slots).get(key) {
-            if Arc::ptr_eq(&entry.plan, plan) {
-                return Arc::clone(entry.operand_keys.get_or_init(build));
-            }
-        }
-        build()
     }
 
     /// Current effectiveness counters.
@@ -416,51 +391,23 @@ mod tests {
         assert_eq!(select(&cache, &w2).1, Lookup::Led, "w2 was evicted");
     }
 
-    /// What replaced `peek`: the lookups that are not requests — progress
-    /// polls and the per-plan memos — count nothing and refresh no entry.
+    /// What replaced `peek`: a lookup that is not a request — a progress
+    /// poll — counts nothing and refreshes no entry.
     #[test]
-    fn memo_and_progress_lookups_affect_neither_counters_nor_recency() {
+    fn progress_lookups_affect_neither_counters_nor_recency() {
         let cache = StrategyCache::new(2);
         let w1 = builders::prefix_1d(4);
         let w2 = builders::prefix_1d(5);
         let w3 = builders::prefix_1d(6);
-        let (p1, _) = select(&cache, &w1);
+        select(&cache, &w1);
         select(&cache, &w2);
         // Reading w1 this way must NOT refresh it: w1 stays the LRU entry.
         assert_eq!(cache.progress(&w1.fingerprint()), None);
-        cache.operand_keys(&w1.fingerprint(), &p1);
         select(&cache, &w3);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (0, 3), "only requests count");
         assert_eq!(select(&cache, &w2).1, Lookup::Hit);
         assert_eq!(select(&cache, &w1).1, Lookup::Led, "w1 was evicted");
-    }
-
-    #[test]
-    fn operand_keys_are_memoized_per_entry_and_reset_on_reselect() {
-        let cache = StrategyCache::new(1);
-        let w = builders::prefix_1d(8);
-        let fp = w.fingerprint();
-        let (plan, _) = select(&cache, &w);
-        let k1 = cache.operand_keys(&fp, &plan);
-        assert!(
-            Arc::ptr_eq(&k1, &cache.operand_keys(&fp, &plan)),
-            "second lookup reuses the build"
-        );
-        // Evicted and selected again: a new entry, with a fresh memo.
-        select(&cache, &builders::prefix_1d(4));
-        let (plan2, lookup) = select(&cache, &w);
-        assert_eq!(lookup, Lookup::Led);
-        let k2 = cache.operand_keys(&fp, &plan2);
-        assert!(
-            !Arc::ptr_eq(&k1, &k2),
-            "a re-selected plan is memoized anew"
-        );
-        // A stale plan (no longer the cached one) still gets working keys,
-        // just unmemoized.
-        let k3 = cache.operand_keys(&fp, &plan);
-        assert!(!Arc::ptr_eq(&k2, &k3));
-        assert!(!Arc::ptr_eq(&k3, &cache.operand_keys(&fp, &plan)));
     }
 
     #[test]

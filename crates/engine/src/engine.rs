@@ -312,25 +312,8 @@ impl Engine {
         x: Vec<f64>,
         config: DatasetConfig,
     ) -> Result<(), EngineError> {
-        let name = name.into();
-        let state = self
-            .registry
-            .register(name.clone(), domain, x, config, self.wal.as_ref())?;
-        // Warm the remote workers with the new dataset's slabs — strictly
-        // after the insert, so a rejected registration (duplicate name, bad
-        // shape) never overwrites a live dataset's slabs on the workers.
-        // Best-effort: `run_slab_task` re-pushes on demand, so a failure here
-        // (worker down, pool empty) costs first-request latency only.
-        if let Some(pool) = &self.remote {
-            if state.data.shard_count() > 1 {
-                let _ = (0..state.data.shard_count()).try_for_each(|shard| {
-                    let (rows, values) = state.data.slab(shard);
-                    let rows = (rows.start as u64, rows.end as u64);
-                    pool.load_slab(&name, shard as u64, rows, values)
-                });
-            }
-        }
-        Ok(())
+        self.registry
+            .register(name.into(), domain, x, config, self.wal.as_ref())
     }
 
     /// Registers one more shard worker at runtime; subsequent sharded
@@ -405,9 +388,8 @@ impl Engine {
     }
 
     /// [`Engine::plan`] with the fingerprint supplied by the caller, so the
-    /// serving path hashes the workload once and reuses the key for the
-    /// operand-key lookup, and with the observer a SELECT reports
-    /// its restart cells to.
+    /// serving path hashes the workload once, and with the observer a SELECT
+    /// reports its restart cells to.
     fn plan_keyed(
         &self,
         fingerprint: &WorkloadFingerprint,
@@ -710,7 +692,6 @@ impl Engine {
                     let rpc = RpcKernels {
                         pool,
                         dataset,
-                        keys: &self.cache.operand_keys(&fingerprint, &plan),
                         data,
                         observer: tracer,
                     };

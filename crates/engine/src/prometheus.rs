@@ -282,12 +282,6 @@ pub fn render_prometheus(m: &EngineMetrics) -> String {
         );
         b.sample_u64("hdmm_pool_reassignments_total", &[], pool.reassignments);
         b.family(
-            "hdmm_pool_factor_misses_total",
-            "Keyed tasks a worker answered with UnknownFactors (restart or eviction).",
-            "counter",
-        );
-        b.sample_u64("hdmm_pool_factor_misses_total", &[], pool.factor_misses);
-        b.family(
             "hdmm_worker_up",
             "1 when the worker's last interaction succeeded.",
             "gauge",
@@ -345,11 +339,6 @@ pub fn render_prometheus(m: &EngineMetrics) -> String {
                 "hdmm_worker_bytes_received_total",
                 "Bytes read back from the worker's socket.",
                 |w| w.bytes_received,
-            ),
-            (
-                "hdmm_worker_factor_pushes_total",
-                "Factor lists pushed to the worker (first use plus re-pushes).",
-                |w| w.factor_pushes,
             ),
         ] {
             b.family(metric, help, "counter");

@@ -123,7 +123,7 @@ impl Registry {
         checksum(name.as_bytes()) ^ self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
     }
 
-    /// Validates and inserts a dataset, returning its handle.
+    /// Validates and inserts a dataset.
     pub(crate) fn register(
         &self,
         name: String,
@@ -131,7 +131,7 @@ impl Registry {
         x: Vec<f64>,
         config: DatasetConfig,
         wal: Option<&Wal>,
-    ) -> Result<Arc<DatasetState>, EngineError> {
+    ) -> Result<(), EngineError> {
         if x.len() != domain.size() {
             return Err(EngineError::DataVectorMismatch {
                 expected: domain.size(),
@@ -171,7 +171,7 @@ impl Registry {
         if let Some(prior) = lock_recover(&self.recovered).remove(&name) {
             ledger.restore_spent(prior.spent);
         }
-        let state = Arc::new(DatasetState {
+        let state = DatasetState {
             id: self.next_id.fetch_add(1, Ordering::Relaxed),
             domain,
             data,
@@ -179,9 +179,9 @@ impl Registry {
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
             requests: AtomicU64::new(0),
             failures: AtomicU64::new(0),
-        });
-        datasets.insert(name, Arc::clone(&state));
-        Ok(state)
+        };
+        datasets.insert(name, Arc::new(state));
+        Ok(())
     }
 
     /// The tenant's shared ledger, created unlimited if absent.

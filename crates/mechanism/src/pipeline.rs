@@ -3,10 +3,9 @@
 //!
 //! The paper's mechanism is a single sequence whose only degree of freedom
 //! is *where* MEASURE's implicit Kronecker products (§7.2) run. That freedom
-//! is the [`Kernels`] trait: the data vector ([`Kernels::data`]), the
-//! MEASURE products a kernel runs elsewhere ([`Kernels::forward`]), and the
-//! plan whose operands a kernel keeps resident ([`Kernels::resident_plan`]).
-//! A product leaves the coordinator only when its input already lives
+//! is the [`Kernels`] trait: the data vector ([`Kernels::data`]) and the
+//! MEASURE products a kernel runs elsewhere ([`Kernels::forward`]), each
+//! given by its factors alone. A product leaves the coordinator only when its input already lives
 //! elsewhere, and only MEASURE's input — the dataset — does: RECONSTRUCT
 //! reads the noisy answers the coordinator holds, so it never calls the
 //! kernels. Two implementations:
@@ -80,8 +79,7 @@ pub enum MechanismError {
     /// The per-plan state of the request does not fit: the
     /// [`PreparedReconstruct`] has no solve (a union whose joint basis could
     /// not be built) or measures another number of cells than the data
-    /// vector holds, or the operands a kernel keeps resident belong to a
-    /// plan with another number of measured products.
+    /// vector holds, or MEASURE's blocks do not fit the plan's products.
     PlanMismatch,
 }
 
@@ -136,29 +134,15 @@ pub trait Kernels {
     /// The dataset being measured, row-major.
     fn data(&self) -> &[f64];
 
-    /// The number of measured products of the plan whose operands this
-    /// kernel keeps resident, when it keeps any: enough for validation to
-    /// refuse operands that visibly belong to another plan. Operands of the
-    /// right count built from different factors are the caller's contract.
-    fn resident_plan(&self) -> Option<usize> {
-        None
-    }
-
-    /// MEASURE: `(⊗ factors)·x` over the dataset, for measured product
-    /// `block` (its index in the plan's list, for kernels that key resident
-    /// operands the same way), when this kernel runs it elsewhere; `None`
-    /// leaves it to the plain kernels over [`Kernels::data`], which
-    /// [`exact_blocks`] runs itself through the tables its plain products
-    /// share.
-    fn forward(
-        &self,
-        block: usize,
-        factors: &[&StructuredMatrix],
-    ) -> Result<Option<Vec<f64>>, Self::Error>;
+    /// MEASURE: `(⊗ factors)·x` over the dataset, when this kernel runs it
+    /// elsewhere; `None` leaves it to the plain kernels over
+    /// [`Kernels::data`], which [`exact_blocks`] runs itself through the
+    /// tables its plain products share.
+    fn forward(&self, factors: &[&StructuredMatrix]) -> Result<Option<Vec<f64>>, Self::Error>;
 }
 
 /// The reference kernels: every product on the plain `hdmm_linalg` kernels
-/// over one contiguous data vector, single-threaded, nothing resident.
+/// over one contiguous data vector, single-threaded.
 #[derive(Debug, Clone, Copy)]
 pub struct PlainKernels<'a> {
     x: &'a [f64],
@@ -178,7 +162,7 @@ impl Kernels for PlainKernels<'_> {
         self.x
     }
 
-    fn forward(&self, _: usize, _: &[&StructuredMatrix]) -> Result<Option<Vec<f64>>, Infallible> {
+    fn forward(&self, _: &[&StructuredMatrix]) -> Result<Option<Vec<f64>>, Infallible> {
         Ok(None)
     }
 }
@@ -209,7 +193,7 @@ pub fn exact_blocks<K: Kernels + ?Sized>(
     let (mut at, mut local) = (Vec::new(), Vec::new());
     for (i, p) in products.iter().enumerate() {
         let refs = p.refs();
-        match kernels.forward(i, &refs)? {
+        match kernels.forward(&refs)? {
             Some(answers) => blocks.push(answers),
             None => {
                 blocks.push(Vec::new());
@@ -407,9 +391,7 @@ impl MechanismRequest<'_> {
     ///
     /// The result is the same bits for every [`Kernels`] implementation and
     /// the same `rng` state. On an error no noise was drawn, no phase is
-    /// reported and `rng` is untouched. Operands `kernels` keep resident for
-    /// a plan with another number of products are refused with
-    /// [`MechanismError::PlanMismatch`].
+    /// reported and `rng` is untouched.
     pub fn run<K: Kernels + ?Sized>(
         &self,
         rng: &mut impl Rng,
@@ -417,12 +399,6 @@ impl MechanismRequest<'_> {
         observer: &dyn Observer,
     ) -> Result<MechanismResult, PipelineError<K::Error>> {
         let products = self.prepared.products();
-        if kernels
-            .resident_plan()
-            .is_some_and(|count| count != products.len())
-        {
-            return Err(PipelineError::Rejected(MechanismError::PlanMismatch));
-        }
         let scratch = &mut KronScratch::new();
         self.run_with_scratch(scratch, rng, kernels.data(), observer, |scratch| {
             exact_blocks(products, kernels, scratch)

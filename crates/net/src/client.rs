@@ -13,17 +13,15 @@
 //! task that timed out but actually completed on the worker changes nothing
 //! when it runs again elsewhere.
 //!
-//! Tasks name their trailing factors by [`FactorKey`] instead of carrying
-//! them (see [`crate::wire`]): each link remembers which keys it has pushed,
-//! pushes a list the first time a task on that link needs it, and answers a
-//! worker's typed `UnknownFactors` (restart, eviction) by re-pushing and
-//! retrying inside the same attempt — the `UnknownSlab` choreography, for
-//! the other kind of worker-resident operand. In steady state a task sends
-//! a key and a slab reference, and its reply the slab's partial product.
+//! Slabs reach a worker one way only: lazily, on the first task on a link
+//! that needs one. Each link remembers the slabs it has pushed, and a
+//! worker's typed `UnknownSlab` (it restarted) makes the link re-push and
+//! retry inside the same attempt. A task carries its trailing factors
+//! inline (see [`crate::wire`]) and a slab reference; its reply is the
+//! slab's partial product.
 
 use crate::wire::{
-    frame_into, keyed_task_into, read_frame_buf, ErrorCode, FactorKey, Frame, KeyedTask, NetError,
-    TraceExt,
+    frame_into, read_frame_buf, slab_task_into, ErrorCode, Frame, NetError, SlabTask, TraceExt,
 };
 use hdmm_linalg::StructuredMatrix;
 use hdmm_obs::{Observer, Phase, Span};
@@ -78,9 +76,6 @@ pub struct WorkerHealth {
     pub bytes_sent: u64,
     /// Bytes read back from this worker's socket.
     pub bytes_received: u64,
-    /// Factor lists pushed to this worker (first use of a key on the link,
-    /// plus every re-push after an `UnknownFactors` reply).
-    pub factor_pushes: u64,
 }
 
 /// Point-in-time health of the whole pool.
@@ -92,9 +87,6 @@ pub struct PoolHealth {
     pub retries: u64,
     /// Shards moved to a surviving worker after their primary failed.
     pub reassignments: u64,
-    /// Keyed tasks a worker answered with `UnknownFactors` (it restarted or
-    /// evicted the list); each one cost a re-push and a retry.
-    pub factor_misses: u64,
 }
 
 /// One coordinator→worker link: a lazily (re)connected TCP stream plus
@@ -110,11 +102,9 @@ struct WorkerLink {
     task_nanos: AtomicU64,
     bytes_sent: AtomicU64,
     bytes_received: AtomicU64,
-    factor_pushes: AtomicU64,
+    /// Slabs this link has pushed. Only a hint: the worker is the authority
+    /// and says `UnknownSlab` when the hint is stale.
     loaded: Mutex<HashSet<(String, u64)>>,
-    /// Factor lists this link has pushed. Only a hint: the worker is the
-    /// authority and says `UnknownFactors` when the hint is stale.
-    factors: Mutex<HashSet<FactorKey>>,
 }
 
 impl WorkerLink {
@@ -131,9 +121,7 @@ impl WorkerLink {
             task_nanos: AtomicU64::new(0),
             bytes_sent: AtomicU64::new(0),
             bytes_received: AtomicU64::new(0),
-            factor_pushes: AtomicU64::new(0),
             loaded: Mutex::new(HashSet::new()),
-            factors: Mutex::new(HashSet::new()),
         }
     }
 
@@ -206,7 +194,6 @@ impl WorkerLink {
             slabs: self.loaded.lock().expect("loaded set poisoned").len(),
             bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
             bytes_received: self.bytes_received.load(Ordering::Relaxed),
-            factor_pushes: self.factor_pushes.load(Ordering::Relaxed),
         }
     }
 }
@@ -218,46 +205,19 @@ struct Conn {
     buf: Vec<u8>,
 }
 
-/// What one exchange sends: an owned control frame (ping, operand pushes) or
-/// a keyed slab task encoded straight from the caller's borrowed fields.
+/// What one exchange sends: an owned control frame (ping, slab push) or a
+/// slab task encoded straight from the caller's borrowed fields.
 enum Request<'a> {
     Frame(&'a Frame),
-    Task(KeyedTask<'a>),
+    Task(SlabTask<'a>),
 }
 
 impl Request<'_> {
     fn encode_into(&self, buf: &mut Vec<u8>, ext: &TraceExt) -> std::io::Result<()> {
         match self {
             Request::Frame(frame) => frame_into(buf, frame, ext),
-            Request::Task(task) => keyed_task_into(buf, task, ext),
+            Request::Task(task) => slab_task_into(buf, task, ext),
         }
-    }
-}
-
-/// A trailing-factor list as a worker-resident operand: the factors (pushed
-/// to a link the first time it needs them) and the content key tasks send in
-/// their place.
-#[derive(Debug, Clone, Copy)]
-pub struct Operand<'a> {
-    key: FactorKey,
-    factors: &'a [&'a StructuredMatrix],
-}
-
-impl<'a> Operand<'a> {
-    /// Derives the key from the factors — an encode plus a checksum of the
-    /// whole list, so the request path does not do this per task: it
-    /// memoizes keys per plan ([`OperandKeys`](crate::OperandKeys)).
-    pub fn new(factors: &'a [&'a StructuredMatrix]) -> Self {
-        Operand {
-            key: FactorKey::of(factors),
-            factors,
-        }
-    }
-
-    /// An operand under a key derived earlier by [`FactorKey::of`] the same
-    /// factors.
-    pub(crate) fn keyed(key: FactorKey, factors: &'a [&'a StructuredMatrix]) -> Self {
-        Operand { key, factors }
     }
 }
 
@@ -334,7 +294,6 @@ pub struct WorkerPool {
     next_rr: AtomicUsize,
     retries: AtomicU64,
     reassignments: AtomicU64,
-    factor_misses: AtomicU64,
 }
 
 impl WorkerPool {
@@ -351,7 +310,6 @@ impl WorkerPool {
             next_rr: AtomicUsize::new(0),
             retries: AtomicU64::new(0),
             reassignments: AtomicU64::new(0),
-            factor_misses: AtomicU64::new(0),
         };
         {
             let workers = pool.workers.read().expect("worker registry poisoned");
@@ -413,47 +371,17 @@ impl WorkerPool {
                 .collect(),
             retries: self.retries.load(Ordering::Relaxed),
             reassignments: self.reassignments.load(Ordering::Relaxed),
-            factor_misses: self.factor_misses.load(Ordering::Relaxed),
         }
-    }
-
-    /// Eagerly pushes a slab to its primary worker (assigned round-robin on
-    /// first touch). Registration-time warm-up: failures are returned but
-    /// harmless — `run_slab_task` re-pushes on demand.
-    pub fn load_slab(
-        &self,
-        dataset: &str,
-        shard: u64,
-        rows: (u64, u64),
-        values: &[f64],
-    ) -> Result<(), NetError> {
-        let key = (dataset.to_string(), shard);
-        let Some(link) = self.pick_worker(&key) else {
-            return Err(NetError::NoWorkers);
-        };
-        let rpc = RpcSpan {
-            observer: &(),
-            name: "rpc:load",
-            shard,
-            attempt: 0,
-        };
-        let slab = SlabRef {
-            id: &key,
-            rows,
-            values,
-        };
-        self.push_slab(&link, slab, &rpc)
     }
 
     /// Runs one MEASURE phase-1 task: the product of the `trailing` factors
     /// over the given slab, on whichever worker currently holds (or
-    /// receives) it.
+    /// receives) it. The task frame carries the `trailing` factors.
     ///
     /// Failure handling: per-attempt timeout, up to `policy.attempts` total
     /// attempts with doubling backoff, and reassignment to the next live
     /// worker when the primary fails — re-pushing the slab from the
-    /// coordinator's authoritative copy (`rows`/`values`), and the factors
-    /// from `trailing`, as needed.
+    /// coordinator's authoritative copy (`rows`/`values`) as needed.
     ///
     /// When `observer` traces, every attempt (including failed and retried
     /// ones) is recorded as an `rpc:forward` span — annotated with worker
@@ -464,16 +392,16 @@ impl WorkerPool {
         &self,
         dataset: &str,
         shard: u64,
-        trailing: Operand<'_>,
+        trailing: &[&StructuredMatrix],
         rows: (u64, u64),
         values: &[f64],
         observer: &dyn Observer,
     ) -> Result<Vec<f64>, NetError> {
         let key = (dataset.to_string(), shard);
-        let task = KeyedTask {
+        let task = SlabTask {
             dataset,
             shard,
-            key: trailing.key,
+            factors: trailing,
         };
         let slab = SlabRef {
             id: &key,
@@ -492,7 +420,7 @@ impl WorkerPool {
                 shard,
                 attempt,
             };
-            match self.attempt(&link, task, trailing, slab, &rpc) {
+            match self.attempt(&link, task, slab, &rpc) {
                 Ok(v) => return Ok(v),
                 Err(e) => last_err = self.note_failure(&link, e, attempt, &mut delay),
             }
@@ -500,17 +428,15 @@ impl WorkerPool {
         Err(last_err)
     }
 
-    /// One attempt of a slab task on `link`. Operands the link has not
-    /// pushed yet go first; then the task runs, and a worker that turns out
-    /// not to hold an operand after all (it restarted, or evicted the slab
-    /// or the factors) says so with a typed error — the operand is re-pushed
-    /// and the task retried on the same worker, each operand at most once
-    /// per attempt.
+    /// One attempt of a slab task on `link`. A slab the link has not pushed
+    /// yet goes first; then the task runs, and a worker that turns out not
+    /// to hold the slab after all (it restarted) says so with a typed
+    /// `UnknownSlab` — the slab is re-pushed and the task retried on the
+    /// same worker, once per attempt.
     fn attempt(
         &self,
         link: &WorkerLink,
-        task: KeyedTask<'_>,
-        trailing: Operand<'_>,
+        task: SlabTask<'_>,
         slab: SlabRef<'_>,
         rpc: &RpcSpan<'_>,
     ) -> Result<Vec<f64>, NetError> {
@@ -526,30 +452,20 @@ impl WorkerPool {
         {
             self.push_slab(link, slab, &load)?;
         }
-        self.ensure_factors(link, trailing, false, &load)?;
-        let (mut slab_repushed, mut factors_repushed) = (false, false);
-        loop {
-            let result = self.exec(link, &Request::Task(task), rpc);
-            let miss = match &result {
-                Err(NetError::Remote { code, .. }) => Some(*code),
-                _ => None,
-            };
-            match miss {
-                Some(ErrorCode::UnknownSlab) if !slab_repushed => {
-                    slab_repushed = true;
-                    link.loaded
-                        .lock()
-                        .expect("loaded set poisoned")
-                        .remove(slab.id);
-                    self.push_slab(link, slab, &load)?;
-                }
-                Some(ErrorCode::UnknownFactors) if !factors_repushed => {
-                    factors_repushed = true;
-                    self.factor_misses.fetch_add(1, Ordering::Relaxed);
-                    self.ensure_factors(link, trailing, true, &load)?;
-                }
-                _ => return result,
+        let task = Request::Task(task);
+        match self.exec(link, &task, rpc) {
+            Err(NetError::Remote {
+                code: ErrorCode::UnknownSlab,
+                ..
+            }) => {
+                link.loaded
+                    .lock()
+                    .expect("loaded set poisoned")
+                    .remove(slab.id);
+                self.push_slab(link, slab, &load)?;
+                self.exec(link, &task, rpc)
             }
+            result => result,
         }
     }
 
@@ -640,18 +556,8 @@ impl WorkerPool {
         }
     }
 
-    /// One operand push expecting a `Loaded` response.
-    fn push(&self, link: &WorkerLink, frame: &Frame, rpc: &RpcSpan<'_>) -> Result<(), NetError> {
-        match self.roundtrip(link, &Request::Frame(frame), rpc)? {
-            Frame::Loaded => {
-                link.alive.store(true, Ordering::Relaxed);
-                Ok(())
-            }
-            Frame::Error { code, message } => Err(NetError::Remote { code, message }),
-            other => Err(NetError::Unexpected { got: other.kind() }),
-        }
-    }
-
+    /// Pushes `slab` to `link`'s worker, expecting a `Loaded` response, and
+    /// records it in the link's `loaded` set.
     fn push_slab(
         &self,
         link: &WorkerLink,
@@ -664,45 +570,18 @@ impl WorkerPool {
             rows: slab.rows,
             values: slab.values.to_vec(),
         };
-        self.push(link, &frame, rpc)?;
-        link.loaded
-            .lock()
-            .expect("loaded set poisoned")
-            .insert(slab.id.clone());
-        Ok(())
-    }
-
-    /// Makes `trailing` resident on `link`'s worker: a no-op when the link
-    /// already pushed the key, unless the worker just said it is `missing`.
-    /// The link's key set stays locked across the push, so concurrent tasks
-    /// that need the same list wait for the one push instead of each sending
-    /// their own (they queue on the link's socket anyway). The set is valid
-    /// after every single step, so a poisoned lock — an observer panicked
-    /// under it — is recovered rather than propagated.
-    fn ensure_factors(
-        &self,
-        link: &WorkerLink,
-        trailing: Operand<'_>,
-        missing: bool,
-        rpc: &RpcSpan<'_>,
-    ) -> Result<(), NetError> {
-        let mut pushed = link
-            .factors
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if missing {
-            pushed.remove(&trailing.key);
-        } else if pushed.contains(&trailing.key) {
-            return Ok(());
+        match self.roundtrip(link, &Request::Frame(&frame), rpc)? {
+            Frame::Loaded => {
+                link.alive.store(true, Ordering::Relaxed);
+                link.loaded
+                    .lock()
+                    .expect("loaded set poisoned")
+                    .insert(slab.id.clone());
+                Ok(())
+            }
+            Frame::Error { code, message } => Err(NetError::Remote { code, message }),
+            other => Err(NetError::Unexpected { got: other.kind() }),
         }
-        let frame = Frame::LoadFactors {
-            key: trailing.key,
-            factors: trailing.factors.iter().map(|f| (*f).clone()).collect(),
-        };
-        self.push(link, &frame, rpc)?;
-        link.factor_pushes.fetch_add(1, Ordering::Relaxed);
-        pushed.insert(trailing.key);
-        Ok(())
     }
 
     /// Marks a failed attempt against `link`, applies backoff, and returns
@@ -728,7 +607,7 @@ impl WorkerPool {
         e
     }
 
-    /// The worker for a keyed (slab-owning) task: the current primary while
+    /// The worker for a (slab-owning) task: the current primary while
     /// it is alive, otherwise the next live worker scanning cyclically —
     /// recording a reassignment. With every worker dead, the primary is
     /// returned anyway: the connect acts as a recovery probe, and a still-
@@ -789,8 +668,7 @@ mod tests {
         );
         let values: Vec<f64> = (0..8).map(f64::from).collect();
         let total = StructuredMatrix::total(4);
-        let refs = [&total];
-        let trailing = Operand::new(&refs);
+        let trailing: &[&StructuredMatrix] = &[&total];
         let first = pool
             .run_slab_task("d", 0, trailing, (0, 2), &values, &())
             .unwrap();
@@ -829,15 +707,13 @@ mod tests {
         w.kill();
         std::thread::sleep(Duration::from_millis(20));
         let total = StructuredMatrix::total(2);
-        let refs = [&total];
-        let trailing = Operand::new(&refs);
-        let r = pool.run_slab_task("d", 0, trailing, (0, 1), &[1.0, 2.0], &());
+        let r = pool.run_slab_task("d", 0, &[&total], (0, 1), &[1.0, 2.0], &());
         assert!(r.is_err(), "a dead pool must surface an error");
     }
 
-    /// A fresh worker on the address of a killed one: same port, no slabs,
-    /// no factors. The old listener closes within one poll of the kill, so
-    /// the bind is retried briefly.
+    /// A fresh worker on the address of a killed one: same port, no slabs.
+    /// The old listener closes within one poll of the kill, so the bind is
+    /// retried briefly.
     fn respawn(addr: std::net::SocketAddr) -> crate::worker::WorkerHandle {
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
@@ -852,57 +728,50 @@ mod tests {
     }
 
     #[test]
-    fn factors_ship_once_per_link_and_tasks_carry_only_the_key() {
+    fn a_slab_ships_once_per_link_and_every_task_carries_its_factors() {
         let w = spawn_worker("127.0.0.1:0", WorkerOptions::default()).unwrap();
         let pool = WorkerPool::connect(&[w.addr().to_string()], quick_policy());
-        let dense: StructuredMatrix =
-            hdmm_linalg::Matrix::from_fn(64, 64, |r, c| (r * 64 + c) as f64).into();
-        let refs = [&dense];
-        let trailing = Operand::new(&refs);
-        let values = vec![1.0; 64];
+        let prefix = StructuredMatrix::prefix(8);
+        let trailing: &[&StructuredMatrix] = &[&prefix];
+        let values: Vec<f64> = (0..64).map(f64::from).collect();
         let first = pool
-            .run_slab_task("d", 0, trailing, (0, 1), &values, &())
+            .run_slab_task("d", 0, trailing, (0, 8), &values, &())
             .unwrap();
         let after_first = pool.health().workers[0].clone();
-        assert_eq!(after_first.factor_pushes, 1);
         for _ in 0..5 {
             let again = pool
-                .run_slab_task("d", 0, trailing, (0, 1), &values, &())
+                .run_slab_task("d", 0, trailing, (0, 8), &values, &())
                 .unwrap();
             assert_eq!(again, first);
         }
-        let health = pool.health();
-        let link = &health.workers[0];
-        assert_eq!(link.factor_pushes, 1, "steady state re-ships nothing");
-        assert_eq!(health.factor_misses, 0);
-        assert_eq!(w.factor_list_count(), 1);
-        // Five warm tasks moved five keys and slab references — far less
-        // than one copy of the 32 KiB factor or of the 512-byte slab.
-        let warm_sent = link.bytes_sent - after_first.bytes_sent;
-        assert!(
-            warm_sent < 5 * 128,
-            "warm tasks must carry neither factors nor slab: {warm_sent} bytes for 5 tasks"
-        );
-        assert!(link.bytes_received > after_first.bytes_received);
+        let link = &pool.health().workers[0];
+        assert_eq!((link.slabs, w.slab_count()), (1, 1));
+        assert_eq!(link.tasks, 6);
+        // Each later task is one inline task frame and no slab push.
+        let task = Frame::SlabForward {
+            dataset: "d".into(),
+            shard: 0,
+            factors: vec![prefix.clone()],
+        };
+        let frame_bytes = 4 + crate::wire::encode_frame(&task).len() as u64;
+        assert_eq!(link.bytes_sent - after_first.bytes_sent, 5 * frame_bytes);
     }
 
     #[test]
-    fn a_restarted_worker_says_unknown_factors_and_gets_them_again() {
+    fn a_restarted_worker_says_unknown_slab_and_gets_it_again() {
         let w = spawn_worker("127.0.0.1:0", WorkerOptions::default()).unwrap();
         let addr = w.addr();
         let pool = WorkerPool::connect(&[addr.to_string()], quick_policy());
         let prefix = StructuredMatrix::prefix(4);
-        let refs = [&prefix];
-        let trailing = Operand::new(&refs);
+        let trailing: &[&StructuredMatrix] = &[&prefix];
         let values: Vec<f64> = (0..8).map(f64::from).collect();
         let first = pool
             .run_slab_task("d", 0, trailing, (0, 2), &values, &())
             .unwrap();
 
-        // The replacement holds nothing, while the link still believes both
-        // operands are resident: only the worker's typed replies can say so.
-        // The factors are checked first — UnknownFactors, a re-push — then
-        // the slab: UnknownSlab, a re-push, and the task goes through.
+        // The replacement holds nothing, while the link still believes the
+        // slab is there: only the worker's typed UnknownSlab can say so. The
+        // slab is re-pushed and the task goes through.
         w.kill();
         let fresh = respawn(addr);
         let again = pool
@@ -910,25 +779,14 @@ mod tests {
             .unwrap();
         assert_eq!(again, first);
         let health = pool.health();
-        assert_eq!(health.factor_misses, 1);
-        assert_eq!(health.workers[0].factor_pushes, 2, "one push, one re-push");
-        assert_eq!((fresh.slab_count(), fresh.factor_list_count()), (1, 1));
-    }
-
-    #[test]
-    fn different_factor_lists_never_share_a_key() {
-        let (p4, p5, t4) = (
-            StructuredMatrix::prefix(4),
-            StructuredMatrix::prefix(5),
-            StructuredMatrix::total(4),
+        assert_eq!(health.workers[0].tasks, 2);
+        assert_eq!(
+            fresh.slab_count(),
+            1,
+            "only an UnknownSlab re-push reaches it"
         );
-        let lists: [&[&StructuredMatrix]; 5] = [&[], &[&p4], &[&p5], &[&t4], &[&p4, &t4]];
-        let keys: Vec<FactorKey> = lists.iter().map(|l| FactorKey::of(l)).collect();
-        for (i, a) in keys.iter().enumerate() {
-            for b in &keys[i + 1..] {
-                assert_ne!(a, b);
-            }
-        }
-        assert_eq!(FactorKey::of(&[&p4]), keys[1], "keys are content");
+        // One failed attempt, on the killed worker's connection: the re-push
+        // and the task's second run happen inside the next attempt.
+        assert_eq!((health.retries, health.workers[0].failures), (1, 1));
     }
 }

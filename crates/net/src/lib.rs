@@ -7,8 +7,8 @@
 //!   RPCs, one frame layout built on the same [`hdmm_core::codec`]
 //!   primitives as the plan store on disk;
 //! * [`worker`] — the shard worker: a TCP server owning pushed data slabs
-//!   and content-keyed trailing-factor lists, and evaluating pure kernels
-//!   over them (also shipped as the `hdmm-shard-worker` binary);
+//!   and evaluating pure kernels over them with the factors each task
+//!   carries (also shipped as the `hdmm-shard-worker` binary);
 //! * [`client`] — the coordinator's [`WorkerPool`]: task routing with
 //!   per-task timeouts, bounded retry with backoff, shard reassignment to
 //!   surviving workers, and per-worker health counters;
@@ -17,8 +17,8 @@
 //!   the plain single-node kernels for every worker count.
 //!
 //! The design keeps workers stateless in the failure sense: the coordinator
-//! holds the authoritative data and factors, both are pushed (and re-pushed)
-//! on demand, and tasks are pure and idempotent — which is what makes at-least-once
+//! holds the authoritative data, slabs are pushed (and re-pushed) on demand,
+//! each task carries its factors, and tasks are pure and idempotent — which is what makes at-least-once
 //! retry and reassignment safe without any distributed coordination.
 
 pub mod client;
@@ -26,10 +26,10 @@ pub mod remote;
 pub mod wire;
 pub mod worker;
 
-pub use client::{Operand, PoolHealth, RetryPolicy, WorkerHealth, WorkerPool};
-pub use remote::{OperandKeys, RemoteOptions, RpcKernels};
+pub use client::{PoolHealth, RetryPolicy, WorkerHealth, WorkerPool};
+pub use remote::{RemoteOptions, RpcKernels};
 pub use wire::{
-    decode_frame, encode_frame, read_frame, write_frame, ErrorCode, FactorKey, Frame, NetError,
-    TraceExt, WireSpan, MAX_FRAME_BYTES, PROTO_V2, WIRE_PREFIX,
+    decode_frame, encode_frame, read_frame, write_frame, ErrorCode, Frame, NetError, TraceExt,
+    WireSpan, MAX_FRAME_BYTES, PROTO_V2, WIRE_PREFIX,
 };
-pub use worker::{spawn_worker, WorkerHandle, WorkerOptions, FACTOR_BUDGET_BYTES};
+pub use worker::{spawn_worker, WorkerHandle, WorkerOptions};

@@ -11,7 +11,7 @@
 //! the per-slab trailing-factor products (the bulk of the flops), their
 //! ordered concatenation, and one leading contraction
 //! ([`hdmm_linalg::slab_split`]). The first stage becomes
-//! [`SlabForwardKeyed`](crate::Frame::SlabForwardKeyed) RPCs; the merge and
+//! [`SlabForward`](crate::Frame::SlabForward) RPCs; the merge and
 //! the leading contraction run on the coordinator, through the same
 //! [`contract_rows`] kernel the plain product runs. Workers run
 //! `kmatvec_trailing_slab` on the same slices, so — run through the one
@@ -22,13 +22,12 @@
 //! slice runs on the coordinator's plain kernels over the whole vector,
 //! through the marginal tables MEASURE shares among such products.
 //!
-//! A request costs the local request plus vector traffic: everything
-//! that depends only on the strategy — the [`PreparedReconstruct`]'s
-//! measured products and solve, and the content keys of their
-//! trailing-factor lists ([`OperandKeys`]) — is built once per
-//! plan by the caller and passed in, and the factors themselves live on the
-//! workers (see [`crate::wire`]), so tasks carry a key plus a slab
-//! reference. These kernels only compute MEASURE's exact blocks
+//! A request costs the local request plus vector traffic: everything that
+//! depends only on the strategy — the
+//! [`PreparedReconstruct`](hdmm_mechanism::PreparedReconstruct)'s measured
+//! products and solve — is built once per plan by the caller, and a task
+//! carries its product's small trailing factors plus a slab reference (see
+//! [`crate::wire`]). These kernels only compute MEASURE's exact blocks
 //! ([`exact_blocks`](hdmm_mechanism::exact_blocks)); the noise is drawn on
 //! the coordinator once every block exists. The serving engine fans out
 //! only the first request on each (dataset, plan) pair: it caches that
@@ -43,11 +42,11 @@
 //! [`PlainKernels`](hdmm_mechanism::PlainKernels), preserving byte-identity
 //! even through total pool loss.
 
-use crate::client::{Operand, RetryPolicy, WorkerPool};
-use crate::wire::{FactorKey, NetError};
+use crate::client::{RetryPolicy, WorkerPool};
+use crate::wire::NetError;
 use hdmm_core::ShardedDataVector;
 use hdmm_linalg::{contract_rows, leading_split, slab_split, StructuredMatrix};
-use hdmm_mechanism::{Kernels, PreparedReconstruct};
+use hdmm_mechanism::Kernels;
 use hdmm_obs::{Observer, Phase};
 use std::time::Instant;
 
@@ -67,47 +66,6 @@ impl RemoteOptions {
         WorkerPool::connect(&self.workers, self.policy.clone())
     }
 }
-
-/// The content keys of the trailing-factor lists [`RpcKernels`] names in its
-/// tasks for one plan, one per measured product, in MEASURE order. Deriving
-/// a key encodes and checksums the whole list, so this is built once per
-/// plan — memoized beside the plan's [`PreparedReconstruct`] — never per
-/// request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OperandKeys {
-    blocks: Vec<FactorKey>,
-}
-
-impl OperandKeys {
-    /// Derives the keys for the `prepared` plan's products.
-    pub fn new(prepared: &PreparedReconstruct) -> Self {
-        fn trailing_key(factors: &[StructuredMatrix]) -> FactorKey {
-            let refs: Vec<&StructuredMatrix> = factors.iter().collect();
-            FactorKey::of(&leading_split(&refs).trailing)
-        }
-        OperandKeys {
-            blocks: prepared
-                .products()
-                .iter()
-                .map(|p| trailing_key(&p.factors))
-                .collect(),
-        }
-    }
-
-    /// Every key the plan's tasks can name.
-    pub fn keys(&self) -> impl Iterator<Item = FactorKey> + '_ {
-        self.blocks.iter().copied()
-    }
-
-    /// The key for measured product `block`.
-    fn block(&self, block: usize) -> Result<FactorKey, NetError> {
-        self.blocks.get(block).copied().ok_or(NO_KEY)
-    }
-}
-
-/// A task asked for a key the plan's [`OperandKeys`] do not hold — the
-/// pipeline's validation rules this out, so it is typed rather than trusted.
-const NO_KEY: NetError = NetError::Unsupported("no operand key for this product");
 
 /// Runs MEASURE's tasks `0..shards`, each on its own scoped thread (each
 /// blocks on an RPC) and each reported to `observer` as a MEASURE shard
@@ -165,8 +123,7 @@ fn merge_and_contract_leading(factors: &[&StructuredMatrix], parts: Vec<Vec<f64>
 /// 1-D plan, whose per-slab task would be an identity copy), are left to the
 /// plain kernels over the whole vector (`forward` answers `None`).
 ///
-/// `keys` must be the [`OperandKeys`] of the plan being served. When
-/// `observer` traces, every RPC attempt of the fan-out (retries included)
+/// When `observer` traces, every RPC attempt of the fan-out (retries included)
 /// and every worker-side kernel span shipped back in the replies is recorded
 /// into it, parented under the phase spans it pre-allocates — one connected
 /// span tree per request even across the wire; the `()` observer runs
@@ -177,8 +134,6 @@ pub struct RpcKernels<'a> {
     pub pool: &'a WorkerPool,
     /// The name the dataset's slabs are cached under on the workers.
     pub dataset: &'a str,
-    /// The served plan's content keys.
-    pub keys: &'a OperandKeys,
     /// The dataset, and the slabs the workers hold.
     pub data: &'a ShardedDataVector,
     /// Receives one [`Observer::shard_phase_complete`] per task, and the
@@ -193,20 +148,12 @@ impl Kernels for RpcKernels<'_> {
         self.data.values()
     }
 
-    fn resident_plan(&self) -> Option<usize> {
-        Some(self.keys.blocks.len())
-    }
-
     /// Slabs are cached on the workers, so tasks are
-    /// [`SlabForwardKeyed`](crate::Frame::SlabForwardKeyed) RPCs naming one.
+    /// [`SlabForward`](crate::Frame::SlabForward) RPCs naming one.
     /// A product whose leading leaf does not line up with the slabs is a
     /// [`NetError::Unsupported`]; the caller computes the blocks over
     /// [`PlainKernels`](hdmm_mechanism::PlainKernels).
-    fn forward(
-        &self,
-        block: usize,
-        factors: &[&StructuredMatrix],
-    ) -> Result<Option<Vec<f64>>, NetError> {
+    fn forward(&self, factors: &[&StructuredMatrix]) -> Result<Option<Vec<f64>>, NetError> {
         if slab_split(factors).is_none_or(|split| split.trailing.is_empty()) {
             return Ok(None);
         }
@@ -217,13 +164,12 @@ impl Kernels for RpcKernels<'_> {
             .ok_or(NetError::Unsupported(
                 "slab boundaries do not align with the leading factor",
             ))?;
-        let trailing = Operand::keyed(self.keys.block(block)?, &split.trailing);
         let parts = fan_out(self.data.shard_count(), self.observer, |shard| {
             let (rows, values) = self.data.slab(shard);
             self.pool.run_slab_task(
                 self.dataset,
                 shard as u64,
-                trailing,
+                &split.trailing,
                 (rows.start as u64, rows.end as u64),
                 values,
                 self.observer,
@@ -239,7 +185,7 @@ mod tests {
     use crate::worker::{spawn_worker, WorkerHandle, WorkerOptions};
     use hdmm_mechanism::{
         run_mechanism, MarginalsStrategy, MechanismRequest, MechanismResult, PipelineError,
-        Strategy, UnionGroup,
+        PreparedReconstruct, Strategy, UnionGroup,
     };
     use hdmm_workload::{blocks, builders, Domain, Workload};
     use rand::rngs::StdRng;
@@ -270,7 +216,7 @@ mod tests {
     }
 
     /// The pipeline over RPC kernels, with the per-plan state built on the
-    /// spot (the engine memoizes it; a test has one request per plan anyway).
+    /// spot (a plan owns it in the engine; a test has one request per plan).
     fn run_remote(
         workload: &Workload,
         strategy: &Strategy,
@@ -279,7 +225,6 @@ mod tests {
         observer: &dyn Observer,
     ) -> Result<MechanismResult, PipelineError<NetError>> {
         let prepared = PreparedReconstruct::new(strategy);
-        let keys = OperandKeys::new(&prepared);
         MechanismRequest {
             workload,
             prepared: &prepared,
@@ -290,7 +235,6 @@ mod tests {
             &RpcKernels {
                 pool,
                 dataset: "test",
-                keys: &keys,
                 data,
                 observer,
             },

@@ -21,22 +21,19 @@
 //! deterministic function of its inputs and mutates nothing — so the client
 //! may retry at-least-once on timeout without coordination.
 //!
-//! **Keyed operands.** A strategy is a few small per-attribute factors while
-//! the vectors are what is big, so trailing-factor lists are worker-resident
-//! operands exactly like slabs: the coordinator names a list by its
-//! [`FactorKey`] (content checksum + encoded length), pushes it to a worker
-//! once with [`Frame::LoadFactors`], and from then on sends
-//! [`Frame::SlabForwardKeyed`] tasks that carry only the key plus a slab
-//! reference. A worker that does not hold
-//! the key (it restarted, or evicted the list) answers a typed
-//! [`ErrorCode::UnknownFactors`]; the coordinator re-pushes and retries, the
-//! same choreography as [`ErrorCode::UnknownSlab`]. Because the key is the
-//! content, a stale or colliding registration is impossible by construction:
-//! `LoadFactors` frames whose key does not match their factor bytes do not
-//! decode. The inline-factor `SlabForward` / `Apply` frames stay decodable;
-//! this crate's coordinator emits neither, and workers answer `Apply` with
-//! [`ErrorCode::BadTask`]. No keyed task carries a payload: RECONSTRUCT's
-//! products run on the coordinator, which holds the answers they read.
+//! **One task frame.** MEASURE's one task is a [`Frame::SlabForward`]: the
+//! trailing factors travel inline, next to a reference to a slab the worker
+//! holds. A strategy is a few small per-attribute factors while the slabs
+//! and the partial products are what is big, and a task is sent only when
+//! the engine's cache of MEASURE's exact blocks misses, so the factors are
+//! sent again on every task rather than kept on the worker. The coordinator
+//! encodes the frame straight from its borrowed factors, through the same
+//! body writer as [`encode_frame`], so no factor is cloned per task.
+//! [`Frame::Apply`] stays decodable; no coordinator sends it, and workers
+//! answer it with [`ErrorCode::BadTask`]. Payload tags 8 and 9, once a
+//! keyed factor push and a keyed slab task, and error code 3, once a keyed
+//! task's miss, no longer decode ([`CodecError::BadTag`]). The version byte
+//! is still `'2'`: no remaining frame's bytes changed.
 //!
 //! [`PlanStore`]: https://docs.rs/hdmm-engine
 
@@ -66,7 +63,7 @@ const MAX_EXT_SPANS: usize = 1 << 16;
 /// also assigned coordinator-side, keeping them unique within the trace).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireSpan {
-    /// Span name (`worker:forward`, `worker:apply`, `worker:load`).
+    /// Span name (`worker:forward`, `worker:load`).
     pub name: String,
     /// Duration in nanoseconds on the worker's clock.
     pub dur_ns: u64,
@@ -138,10 +135,6 @@ pub enum ErrorCode {
     UnknownSlab,
     /// The request was structurally invalid for this worker.
     BadTask,
-    /// The worker does not hold the factor list a keyed task names (it
-    /// restarted, or evicted the list); the client re-pushes the factors and
-    /// retries.
-    UnknownFactors,
 }
 
 impl ErrorCode {
@@ -150,7 +143,6 @@ impl ErrorCode {
             ErrorCode::Internal => 0,
             ErrorCode::UnknownSlab => 1,
             ErrorCode::BadTask => 2,
-            ErrorCode::UnknownFactors => 3,
         }
     }
 
@@ -159,51 +151,9 @@ impl ErrorCode {
             0 => Ok(ErrorCode::Internal),
             1 => Ok(ErrorCode::UnknownSlab),
             2 => Ok(ErrorCode::BadTask),
-            3 => Ok(ErrorCode::UnknownFactors),
             tag => Err(CodecError::BadTag { tag }),
         }
     }
-}
-
-/// Content key of a trailing-factor list: what keyed tasks send instead of
-/// the factors themselves. Two lists share a key only if their encodings
-/// agree in both checksum and length, so different factors never alias.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FactorKey {
-    /// [`codec::checksum`] of the list's `put_structured_list` bytes.
-    pub sum: u64,
-    /// Length of those bytes — also what a worker charges against its
-    /// resident-factor budget.
-    pub len: u64,
-}
-
-impl FactorKey {
-    /// Derives the key of a factor list (encodes and checksums it — do this
-    /// once per plan, not per request).
-    pub fn of<F: Borrow<StructuredMatrix>>(factors: &[F]) -> FactorKey {
-        let mut bytes = Vec::new();
-        codec::put_structured_list(&mut bytes, factors);
-        FactorKey::of_encoded(&bytes)
-    }
-
-    fn of_encoded(bytes: &[u8]) -> FactorKey {
-        FactorKey {
-            sum: codec::checksum(bytes),
-            len: bytes.len() as u64,
-        }
-    }
-}
-
-fn put_key(out: &mut Vec<u8>, key: FactorKey) {
-    codec::put_u64(out, key.sum);
-    codec::put_u64(out, key.len);
-}
-
-fn read_key(r: &mut Reader<'_>) -> Result<FactorKey, CodecError> {
-    Ok(FactorKey {
-        sum: r.u64()?,
-        len: r.u64()?,
-    })
 }
 
 /// Every message exchanged between coordinator and shard worker, both
@@ -245,30 +195,12 @@ pub enum Frame {
         /// The payload block to contract.
         payload: Vec<f64>,
     },
-    /// Pushes one trailing-factor list to the worker under its content key.
-    /// Idempotent; answered by [`Frame::Loaded`].
-    LoadFactors {
-        /// Must equal [`FactorKey::of`] the list, or the frame does not
-        /// decode.
-        key: FactorKey,
-        /// Trailing factors, outermost first.
-        factors: Vec<StructuredMatrix>,
-    },
-    /// [`Frame::SlabForward`] with the trailing factors named by key.
-    SlabForwardKeyed {
-        /// Dataset whose slab to use.
-        dataset: String,
-        /// Shard index within the dataset's partition.
-        shard: u64,
-        /// Key of a factor list pushed with [`Frame::LoadFactors`].
-        key: FactorKey,
-    },
     /// Response to [`Frame::Ping`]: how many slabs the worker holds.
     Pong {
         /// Number of loaded slabs.
         slabs: u64,
     },
-    /// Response to [`Frame::LoadSlab`] and [`Frame::LoadFactors`].
+    /// Response to [`Frame::LoadSlab`].
     Loaded,
     /// Successful task result: the per-slab partial product.
     Part {
@@ -292,8 +224,6 @@ impl Frame {
             Frame::LoadSlab { .. } => "load-slab",
             Frame::SlabForward { .. } => "slab-forward",
             Frame::Apply { .. } => "apply",
-            Frame::LoadFactors { .. } => "load-factors",
-            Frame::SlabForwardKeyed { .. } => "slab-forward-keyed",
             Frame::Pong { .. } => "pong",
             Frame::Loaded => "loaded",
             Frame::Part { .. } => "part",
@@ -380,21 +310,28 @@ fn read_factors(r: &mut Reader<'_>) -> Result<Vec<StructuredMatrix>, CodecError>
     (0..n).map(|_| r.structured()).collect()
 }
 
-/// A keyed slab task borrowed from coordinator memory: what the request
-/// path encodes, with no owned [`Frame`] built first. Encodes to exactly the
-/// bytes of the owned [`Frame::SlabForwardKeyed`] it mirrors.
+/// A slab task borrowed from coordinator memory: what the request path
+/// encodes, with no owned [`Frame`] built first and no factor cloned.
+/// Encodes to exactly the bytes of the owned [`Frame::SlabForward`] it
+/// mirrors.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct KeyedTask<'a> {
+pub(crate) struct SlabTask<'a> {
     pub(crate) dataset: &'a str,
     pub(crate) shard: u64,
-    pub(crate) key: FactorKey,
+    pub(crate) factors: &'a [&'a StructuredMatrix],
 }
 
-fn put_keyed_task(out: &mut Vec<u8>, task: &KeyedTask<'_>) {
-    out.push(9);
-    codec::put_str(out, task.dataset);
-    codec::put_u64(out, task.shard);
-    put_key(out, task.key);
+/// The one writer of a [`Frame::SlabForward`] body, owned or borrowed.
+fn put_slab_forward<F: Borrow<StructuredMatrix>>(
+    out: &mut Vec<u8>,
+    dataset: &str,
+    shard: u64,
+    factors: &[F],
+) {
+    out.push(2);
+    codec::put_str(out, dataset);
+    codec::put_u64(out, shard);
+    codec::put_structured_list(out, factors);
 }
 
 fn read_bool(r: &mut Reader<'_>) -> Result<bool, CodecError> {
@@ -442,12 +379,7 @@ fn put_body(out: &mut Vec<u8>, frame: &Frame) {
             dataset,
             shard,
             factors,
-        } => {
-            out.push(2);
-            codec::put_str(out, dataset);
-            codec::put_u64(out, *shard);
-            codec::put_structured_list(out, factors);
-        }
+        } => put_slab_forward(out, dataset, *shard, factors),
         Frame::Apply {
             transpose,
             factors,
@@ -472,23 +404,6 @@ fn put_body(out: &mut Vec<u8>, frame: &Frame) {
             out.push(code.tag());
             codec::put_str(out, message);
         }
-        Frame::LoadFactors { key, factors } => {
-            out.push(8);
-            put_key(out, *key);
-            codec::put_structured_list(out, factors);
-        }
-        Frame::SlabForwardKeyed {
-            dataset,
-            shard,
-            key,
-        } => put_keyed_task(
-            out,
-            &KeyedTask {
-                dataset,
-                shard: *shard,
-                key: *key,
-            },
-        ),
     }
 }
 
@@ -530,22 +445,6 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, TraceExt), CodecError> {
             code: ErrorCode::from_tag(r.u8()?)?,
             message: r.str()?,
         },
-        8 => {
-            let key = read_key(&mut r)?;
-            let start = r.position();
-            let factors = read_factors(&mut r)?;
-            // The key is the content: a frame that names its factors wrongly
-            // is corrupt, and a worker must never file a list under it.
-            if FactorKey::of_encoded(&payload[start..r.position()]) != key {
-                return Err(CodecError::Invalid("factor key does not match its list"));
-            }
-            Frame::LoadFactors { key, factors }
-        }
-        9 => Frame::SlabForwardKeyed {
-            dataset: r.str()?,
-            shard: r.u64()?,
-            key: read_key(&mut r)?,
-        },
         tag => return Err(CodecError::BadTag { tag }),
     };
     r.expect_end()?;
@@ -568,13 +467,15 @@ pub(crate) fn frame_into(buf: &mut Vec<u8>, frame: &Frame, ext: &TraceExt) -> st
     stream_frame_into(buf, ext, |out| put_body(out, frame))
 }
 
-/// [`frame_into`] for a borrowed [`KeyedTask`].
-pub(crate) fn keyed_task_into(
+/// [`frame_into`] for a borrowed [`SlabTask`].
+pub(crate) fn slab_task_into(
     buf: &mut Vec<u8>,
-    task: &KeyedTask<'_>,
+    task: &SlabTask<'_>,
     ext: &TraceExt,
 ) -> std::io::Result<()> {
-    stream_frame_into(buf, ext, |out| put_keyed_task(out, task))
+    stream_frame_into(buf, ext, |out| {
+        put_slab_forward(out, task.dataset, task.shard, task.factors)
+    })
 }
 
 fn stream_frame_into(
@@ -669,54 +570,30 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_keyed_tasks_encode_to_the_owned_frames_bytes() {
-        let key = FactorKey::of(&[StructuredMatrix::prefix(3)]);
-        let task = KeyedTask {
-            dataset: "d",
-            shard: 7,
-            key,
-        };
-        let frame = Frame::SlabForwardKeyed {
-            dataset: "d".into(),
-            shard: 7,
-            key,
-        };
-        for ext in [TraceExt::default(), TraceExt::request(9, 4)] {
-            let (mut borrowed, mut owned) = (vec![0xAA; 3], Vec::new());
-            keyed_task_into(&mut borrowed, &task, &ext).unwrap();
-            write_frame(&mut owned, &frame, &ext).unwrap();
-            assert_eq!(borrowed, owned);
-        }
-    }
-
-    #[test]
-    fn a_factor_list_filed_under_the_wrong_key_does_not_decode() {
-        let factors = vec![StructuredMatrix::prefix(3)];
-        let right = FactorKey::of(&factors);
-        let good = Frame::LoadFactors {
-            key: right,
-            factors: factors.clone(),
-        };
-        assert_eq!(decode_frame(&encode_frame(&good)).unwrap().0, good);
-        for wrong in [
-            FactorKey {
-                sum: right.sum ^ 1,
-                ..right
-            },
-            FactorKey {
-                len: right.len + 1,
-                ..right
-            },
-            FactorKey::of(&[StructuredMatrix::prefix(4)]),
-        ] {
-            let bad = Frame::LoadFactors {
-                key: wrong,
-                factors: factors.clone(),
+    fn borrowed_slab_tasks_encode_to_the_owned_frames_bytes() {
+        let (prefix, total) = (StructuredMatrix::prefix(3), StructuredMatrix::total(4));
+        let lists: [&[&StructuredMatrix]; 3] = [&[], &[&prefix], &[&prefix, &total]];
+        for factors in lists {
+            let task = SlabTask {
+                dataset: "d",
+                shard: 7,
+                factors,
             };
-            assert_eq!(
-                decode_frame(&encode_frame(&bad)).map(|(frame, _)| frame),
-                Err(CodecError::Invalid("factor key does not match its list"))
-            );
+            let frame = Frame::SlabForward {
+                dataset: "d".into(),
+                shard: 7,
+                factors: factors.iter().map(|f| (*f).clone()).collect(),
+            };
+            for ext in [TraceExt::default(), TraceExt::request(9, 4)] {
+                let (mut borrowed, mut owned) = (vec![0xAA; 3], Vec::new());
+                slab_task_into(&mut borrowed, &task, &ext).unwrap();
+                write_frame(&mut owned, &frame, &ext).unwrap();
+                assert_eq!(borrowed, owned);
+            }
+            let untraced = encode_frame(&frame);
+            let mut stream = Vec::new();
+            slab_task_into(&mut stream, &task, &TraceExt::default()).unwrap();
+            assert_eq!(stream[4..], untraced[..], "the payload is encode_frame's");
         }
     }
 }

@@ -2,22 +2,18 @@
 //! frames.
 //!
 //! A worker is deliberately dumb — it holds `(dataset, shard) → slab`
-//! entries and [`FactorKey`] → trailing-factor-list entries pushed by the
-//! coordinator and evaluates pure kernels against them. All policy
-//! (assignment, retry, reassignment, fallback) lives on the coordinator side
-//! ([`WorkerPool`](crate::WorkerPool)), which keeps the authoritative copy of
-//! both; a worker that crashes loses nothing that cannot be re-pushed.
+//! entries pushed by the coordinator and evaluates pure kernels against
+//! them. All policy (assignment, retry, reassignment, fallback) lives on the
+//! coordinator side ([`WorkerPool`](crate::WorkerPool)), which keeps the
+//! authoritative copy of every slab; a worker that crashes loses nothing
+//! that cannot be re-pushed.
 //!
-//! **Resident operands.** Keyed slab tasks ([`Frame::SlabForwardKeyed`],
-//! MEASURE's one task) name their factors instead of carrying them. A key
-//! the worker does not hold — never pushed, lost in a restart, or evicted —
-//! is answered with a typed [`ErrorCode::UnknownFactors`], and the
-//! coordinator re-pushes with [`Frame::LoadFactors`] and retries (the
-//! [`ErrorCode::UnknownSlab`] choreography). Resident factor lists are
-//! bounded by [`FACTOR_BUDGET_BYTES`], least-recently-used first; the list
-//! just pushed is never the victim, so a single over-budget list still
-//! serves. An inline-factor [`Frame::SlabForward`] runs the same kernel with
-//! the factors it carries, touching no factor store. [`Frame::Apply`] (a
+//! **One task.** A [`Frame::SlabForward`] (MEASURE's one task) carries its
+//! trailing factors and names a slab; the worker runs the trailing kernel
+//! with those factors over that slab and keeps nothing of the task. A slab
+//! the worker does not hold — never pushed, or lost in a restart — is
+//! answered with a typed [`ErrorCode::UnknownSlab`], and the coordinator
+//! re-pushes it with [`Frame::LoadSlab`] and retries. [`Frame::Apply`] (a
 //! payload shipped with the task) is answered [`ErrorCode::BadTask`]: no
 //! coordinator sends it, since RECONSTRUCT runs on the coordinator.
 //!
@@ -39,7 +35,7 @@
 //! private data slab). Bind workers to loopback or a trusted private
 //! network only — never expose the port beyond the coordinator's network.
 
-use crate::wire::{frame_into, read_frame_buf, ErrorCode, FactorKey, Frame, TraceExt, WireSpan};
+use crate::wire::{frame_into, read_frame_buf, ErrorCode, Frame, TraceExt, WireSpan};
 use hdmm_linalg::{kmatvec_trailing_slab, StructuredMatrix};
 use std::collections::HashMap;
 use std::io::Write;
@@ -60,65 +56,9 @@ struct Slab {
     values: Vec<f64>,
 }
 
-/// Cap on the encoded bytes of factor lists a worker keeps resident. A fixed
-/// constant, not an option: factors are small next to slabs (a 256×256 dense
-/// factor is 0.5 MB), so the cap only has to stop unbounded growth across
-/// many plans, and eviction costs one re-push.
-pub const FACTOR_BUDGET_BYTES: u64 = 64 << 20;
-
-/// The worker-resident factor lists: content-keyed, LRU-bounded by bytes.
-struct FactorStore {
-    budget: u64,
-    /// `key → (factors, last-use stamp)`; the smallest stamp is the LRU list.
-    lists: HashMap<FactorKey, (Arc<Vec<StructuredMatrix>>, u64)>,
-    bytes: u64,
-    clock: u64,
-}
-
-impl FactorStore {
-    fn new(budget: u64) -> Self {
-        FactorStore {
-            budget,
-            lists: HashMap::new(),
-            bytes: 0,
-            clock: 0,
-        }
-    }
-
-    fn insert(&mut self, key: FactorKey, factors: Vec<StructuredMatrix>) {
-        self.clock += 1;
-        if self
-            .lists
-            .insert(key, (Arc::new(factors), self.clock))
-            .is_none()
-        {
-            self.bytes += key.len;
-        }
-        while self.bytes > self.budget {
-            let victim = self
-                .lists
-                .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(_, (_, used))| *used)
-                .map(|(k, _)| *k);
-            let Some(victim) = victim else { break };
-            self.lists.remove(&victim);
-            self.bytes -= victim.len;
-        }
-    }
-
-    fn get(&mut self, key: FactorKey) -> Option<Arc<Vec<StructuredMatrix>>> {
-        self.clock += 1;
-        let (factors, used) = self.lists.get_mut(&key)?;
-        *used = self.clock;
-        Some(Arc::clone(factors))
-    }
-}
-
 struct Shared {
     stop: AtomicBool,
     slabs: Mutex<HashMap<(String, u64), Slab>>,
-    factors: Mutex<FactorStore>,
     /// Kill-registry of live connections, keyed by accept-order id so each
     /// entry can be pruned when its serve loop exits.
     conns: Mutex<Vec<(u64, TcpStream)>>,
@@ -141,16 +81,6 @@ impl WorkerHandle {
     /// Number of slabs currently loaded.
     pub fn slab_count(&self) -> usize {
         self.shared.slabs.lock().expect("slab map poisoned").len()
-    }
-
-    /// Number of factor lists currently resident.
-    pub fn factor_list_count(&self) -> usize {
-        self.shared
-            .factors
-            .lock()
-            .expect("factor store poisoned")
-            .lists
-            .len()
     }
 
     /// Hard-stops the worker: the accept loop exits and every live
@@ -189,7 +119,6 @@ pub fn spawn_worker(
     let shared = Arc::new(Shared {
         stop: AtomicBool::new(false),
         slabs: Mutex::new(HashMap::new()),
-        factors: Mutex::new(FactorStore::new(FACTOR_BUDGET_BYTES)),
         conns: Mutex::new(Vec::new()),
         next_conn: AtomicU64::new(0),
         opts,
@@ -312,29 +241,11 @@ fn handle(request: Frame, shared: &Shared) -> (Frame, Vec<WireSpan>) {
             });
             Frame::Loaded
         }
-        Frame::LoadFactors { key, factors } => {
-            timed(&mut spans, "worker:load", || {
-                shared
-                    .factors
-                    .lock()
-                    .expect("factor store poisoned")
-                    .insert(key, factors);
-            });
-            Frame::Loaded
-        }
         Frame::SlabForward {
             dataset,
             shard,
             factors,
         } => slab_forward(shared, &mut spans, &dataset, shard, &factors),
-        Frame::SlabForwardKeyed {
-            dataset,
-            shard,
-            key,
-        } => match resident(shared, key) {
-            Ok(factors) => slab_forward(shared, &mut spans, &dataset, shard, &factors),
-            Err(unknown) => unknown,
-        },
         // Response frames are not valid requests, and `Apply` is not served:
         // no coordinator sends it, RECONSTRUCT runs on the coordinator.
         other => Frame::Error {
@@ -343,20 +254,6 @@ fn handle(request: Frame, shared: &Shared) -> (Frame, Vec<WireSpan>) {
         },
     };
     (response, spans)
-}
-
-/// The factor list a keyed task names, or the typed miss that makes the
-/// coordinator re-push it.
-fn resident(shared: &Shared, key: FactorKey) -> Result<Arc<Vec<StructuredMatrix>>, Frame> {
-    let held = shared
-        .factors
-        .lock()
-        .expect("factor store poisoned")
-        .get(key);
-    held.ok_or_else(|| Frame::Error {
-        code: ErrorCode::UnknownFactors,
-        message: format!("no factor list {:#018x}/{} resident", key.sum, key.len),
-    })
 }
 
 fn slab_forward(
@@ -482,6 +379,21 @@ mod tests {
             Frame::Error { code, .. } => assert_eq!(code, ErrorCode::UnknownSlab),
             other => panic!("expected UnknownSlab, got {other:?}"),
         }
+
+        // An `Apply` still decodes, but is not served; the worker goes on.
+        let apply = Frame::Apply {
+            transpose: false,
+            factors: vec![StructuredMatrix::total(3)],
+            payload: values,
+        };
+        match call(w.addr(), &apply).unwrap() {
+            Frame::Error { code, .. } => assert_eq!(code, ErrorCode::BadTask),
+            other => panic!("expected BadTask, got {other:?}"),
+        }
+        assert_eq!(
+            call(w.addr(), &Frame::Ping).unwrap(),
+            Frame::Pong { slabs: 1 }
+        );
         w.kill();
     }
 
@@ -523,93 +435,5 @@ mod tests {
                 && read_frame(&mut s).is_ok();
         }
         assert!(!ok, "a killed worker must stop answering");
-    }
-
-    #[test]
-    fn keyed_tasks_use_resident_factors_and_miss_typed() {
-        let w = spawn_worker("127.0.0.1:0", WorkerOptions::default()).unwrap();
-        let factors = vec![StructuredMatrix::prefix(3)];
-        let key = FactorKey::of(&factors);
-        let values: Vec<f64> = (0..6).map(f64::from).collect();
-        let slab_task = Frame::SlabForwardKeyed {
-            dataset: "d".into(),
-            shard: 0,
-            key,
-        };
-
-        // Not pushed yet: a typed miss, not a dropped connection.
-        match call(w.addr(), &slab_task).unwrap() {
-            Frame::Error { code, .. } => assert_eq!(code, ErrorCode::UnknownFactors),
-            other => panic!("expected UnknownFactors, got {other:?}"),
-        }
-        let load = Frame::LoadFactors {
-            key,
-            factors: factors.clone(),
-        };
-        assert_eq!(call(w.addr(), &load).unwrap(), Frame::Loaded);
-        assert_eq!(w.factor_list_count(), 1);
-
-        // Keyed slab tasks need both operands; each miss has its own code.
-        match call(w.addr(), &slab_task).unwrap() {
-            Frame::Error { code, .. } => assert_eq!(code, ErrorCode::UnknownSlab),
-            other => panic!("expected UnknownSlab, got {other:?}"),
-        }
-        let load_slab = Frame::LoadSlab {
-            dataset: "d".into(),
-            shard: 0,
-            rows: (0, 2),
-            values: values.clone(),
-        };
-        assert_eq!(call(w.addr(), &load_slab).unwrap(), Frame::Loaded);
-
-        // The keyed task and the inline one run the same kernel on the same
-        // factors: identical bits.
-        let via_key = call(w.addr(), &slab_task).unwrap();
-        assert!(matches!(via_key, Frame::Part { .. }));
-        let inline_forward = Frame::SlabForward {
-            dataset: "d".into(),
-            shard: 0,
-            factors: factors.clone(),
-        };
-        assert_eq!(via_key, call(w.addr(), &inline_forward).unwrap());
-
-        // An `Apply` still decodes, but is not served; the worker goes on.
-        let inline_apply = Frame::Apply {
-            transpose: false,
-            factors,
-            payload: values,
-        };
-        match call(w.addr(), &inline_apply).unwrap() {
-            Frame::Error { code, .. } => assert_eq!(code, ErrorCode::BadTask),
-            other => panic!("expected BadTask, got {other:?}"),
-        }
-        assert_eq!(
-            call(w.addr(), &Frame::Ping).unwrap(),
-            Frame::Pong { slabs: 1 }
-        );
-        w.kill();
-    }
-
-    #[test]
-    fn factor_store_evicts_least_recently_used_down_to_its_budget() {
-        let key = |sum: u64, len: u64| FactorKey { sum, len };
-        let list = || vec![StructuredMatrix::total(2)];
-        let mut store = FactorStore::new(100);
-        store.insert(key(1, 40), list());
-        store.insert(key(2, 40), list());
-        assert!(store.get(key(1, 40)).is_some(), "touch 1: 2 is now oldest");
-        store.insert(key(3, 40), list());
-        assert!(store.get(key(2, 40)).is_none(), "LRU list evicted");
-        assert!(store.get(key(1, 40)).is_some() && store.get(key(3, 40)).is_some());
-        assert_eq!(store.bytes, 80);
-
-        // Re-inserting a resident key is idempotent in the accounting.
-        store.insert(key(3, 40), list());
-        assert_eq!(store.bytes, 80);
-
-        // A list larger than the whole budget still serves, alone.
-        store.insert(key(4, 500), list());
-        assert!(store.get(key(4, 500)).is_some());
-        assert_eq!((store.lists.len(), store.bytes), (1, 500));
     }
 }

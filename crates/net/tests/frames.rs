@@ -4,13 +4,14 @@
 //! flipped bytes, oversized length prefixes, another layout's version byte)
 //! always yields a **typed error**, never a panic and never a partial read
 //! that decodes to a different frame. Two golden frames pin the one layout
-//! byte for byte.
+//! byte for byte, and the retired payload tags 8 and 9 (and error code 3)
+//! no longer decode.
 
 use hdmm_core::codec::{self, CodecError, Reader};
 use hdmm_linalg::{Matrix, StructuredMatrix};
 use hdmm_net::{
-    decode_frame, encode_frame, read_frame, write_frame, ErrorCode, FactorKey, Frame, TraceExt,
-    WireSpan, MAX_FRAME_BYTES, WIRE_PREFIX,
+    decode_frame, encode_frame, read_frame, write_frame, ErrorCode, Frame, TraceExt, WireSpan,
+    MAX_FRAME_BYTES, PROTO_V2, WIRE_PREFIX,
 };
 use proptest::prelude::*;
 
@@ -66,11 +67,10 @@ fn frame_from(which: usize, n: usize, len: usize, seed: u64, kinds: &[usize]) ->
             values: values_from(seed, len),
         },
         4 => Frame::Error {
-            code: match seed % 4 {
+            code: match seed % 3 {
                 0 => ErrorCode::Internal,
                 1 => ErrorCode::UnknownSlab,
-                2 => ErrorCode::BadTask,
-                _ => ErrorCode::UnknownFactors,
+                _ => ErrorCode::BadTask,
             },
             message: format!("err-{seed}: ünïcode ok"),
         },
@@ -85,25 +85,16 @@ fn frame_from(which: usize, n: usize, len: usize, seed: u64, kinds: &[usize]) ->
             shard: seed % 16,
             factors,
         },
-        7 => Frame::Apply {
+        _ => Frame::Apply {
             transpose: seed.is_multiple_of(2),
             factors,
             payload: values_from(seed, len),
-        },
-        8 => Frame::LoadFactors {
-            key: FactorKey::of(&factors),
-            factors,
-        },
-        _ => Frame::SlabForwardKeyed {
-            dataset: format!("ds-{}", seed % 5),
-            shard: seed % 16,
-            key: FactorKey::of(&factors),
         },
     }
 }
 
 /// Number of frame kinds [`frame_from`] can build.
-const KINDS: usize = 10;
+const KINDS: usize = 8;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -400,4 +391,43 @@ fn untraced_frames_match_the_recorded_bytes() {
         let back = read_frame(&mut &golden[..]).expect("recorded bytes decode");
         assert_eq!(back, (frame, TraceExt::default()));
     }
+}
+
+/// A sealed, untraced payload: the header, then `body` (kind tag first).
+fn sealed_payload(body: &[u8]) -> Vec<u8> {
+    let mut payload = WIRE_PREFIX.to_vec();
+    payload.push(PROTO_V2);
+    payload.extend_from_slice(&[0; EMPTY_EXT_BYTES]);
+    payload.extend_from_slice(body);
+    codec::seal(&mut payload);
+    payload
+}
+
+/// Tags 8 and 9 were a keyed factor push and a keyed slab task, and error
+/// code 3 a keyed task's miss. None of them decodes any more, whatever
+/// follows the tag.
+#[test]
+fn retired_tags_are_bad_tags() {
+    for tag in [8, 9] {
+        for tail in [&[][..], &[0; 16], &[7; 40]] {
+            let body = [&[tag][..], tail].concat();
+            assert_eq!(
+                decode_frame(&sealed_payload(&body)),
+                Err(CodecError::BadTag { tag }),
+                "payload tag {tag}, {} trailing bytes",
+                tail.len()
+            );
+        }
+    }
+    let mut error = vec![7, 3];
+    codec::put_str(&mut error, "no factor list");
+    assert_eq!(
+        decode_frame(&sealed_payload(&error)),
+        Err(CodecError::BadTag { tag: 3 })
+    );
+    // The same envelope around a live tag decodes: the header is right.
+    assert_eq!(
+        decode_frame(&sealed_payload(&[0])),
+        Ok((Frame::Ping, TraceExt::default()))
+    );
 }

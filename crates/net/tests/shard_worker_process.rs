@@ -1,20 +1,20 @@
 //! The shipped `hdmm-shard-worker` binary, talked to across processes.
 //!
 //! Two workers are spawned as child processes on ephemeral loopback ports,
-//! and a `WorkerPool` runs a keyed slab task and a whole request through
+//! and a `WorkerPool` runs a slab task and a whole request through
 //! [`RpcKernels`] against them. Every result must equal the in-process
 //! kernels bit for bit — the same check the in-process `spawn_worker` tests
 //! make, with real process and socket boundaries. A worker process must
-//! also survive a crafted frame nested deeply enough to overflow a decoder
-//! that recursed without bound, and refuse one carrying a width-range leaf
-//! whose window does not fit its domain.
+//! also survive a crafted `SlabForward` frame nested deeply enough to
+//! overflow a decoder that recursed without bound, and refuse one carrying a
+//! width-range leaf whose window does not fit its domain.
 
 use hdmm_core::{codec, ShardedDataVector};
 use hdmm_linalg::{kmatvec_trailing_slab, StructuredMatrix};
 use hdmm_mechanism::{run_mechanism, MechanismRequest, PreparedReconstruct, Strategy};
 use hdmm_net::{
-    read_frame, write_frame, Frame, Operand, OperandKeys, RemoteOptions, RetryPolicy, RpcKernels,
-    TraceExt, PROTO_V2, WIRE_PREFIX,
+    read_frame, write_frame, Frame, RemoteOptions, RetryPolicy, RpcKernels, TraceExt, PROTO_V2,
+    WIRE_PREFIX,
 };
 use hdmm_workload::{blocks, builders};
 use rand::rngs::StdRng;
@@ -84,13 +84,12 @@ fn two_worker_processes_match_the_in_process_kernels_bitwise() {
         "both processes answer the registration ping"
     );
 
-    // A keyed slab task: the trailing factor over a 3-row slab of 5 cells.
+    // A slab task: the trailing factor over a 3-row slab of 5 cells.
     let trailing = StructuredMatrix::prefix(5).scaled(0.2);
     let refs = [&trailing];
-    let operand = Operand::new(&refs);
     let slab = data(15);
     let forward = pool
-        .run_slab_task("d", 0, operand, (0, 3), &slab, &())
+        .run_slab_task("d", 0, &refs, (0, 3), &slab, &())
         .expect("slab task");
     assert!(bits_eq(&forward, &kmatvec_trailing_slab(&refs, &slab)));
 
@@ -101,7 +100,6 @@ fn two_worker_processes_match_the_in_process_kernels_bitwise() {
         blocks::prefix(5).scaled(0.2),
     ]);
     let prepared = PreparedReconstruct::new(&strategy);
-    let keys = OperandKeys::new(&prepared);
     let x = data(45);
     let sharded = ShardedDataVector::partition(workload.domain(), x.clone(), 3);
     let remote = MechanismRequest {
@@ -114,7 +112,6 @@ fn two_worker_processes_match_the_in_process_kernels_bitwise() {
         &RpcKernels {
             pool: &pool,
             dataset: "x",
-            keys: &keys,
             data: &sharded,
             observer: &(),
         },
@@ -133,18 +130,18 @@ fn two_worker_processes_match_the_in_process_kernels_bitwise() {
     );
 }
 
-/// A sealed, length-prefixed `LoadFactors` frame carrying the encoded factor
-/// list `list` under its own content key.
-fn load_factors_frame(list: &[u8]) -> Vec<u8> {
+/// A sealed, length-prefixed `SlabForward` frame whose trailing factors are
+/// the encoded factor list `list`.
+fn slab_forward_frame(list: &[u8]) -> Vec<u8> {
     let mut frame = vec![0; 4];
     frame.extend_from_slice(WIRE_PREFIX);
     frame.push(PROTO_V2);
     codec::put_u64(&mut frame, 0);
     codec::put_u64(&mut frame, 0);
     codec::put_usize(&mut frame, 0);
-    frame.push(8);
-    codec::put_u64(&mut frame, codec::checksum(list));
-    codec::put_u64(&mut frame, list.len() as u64);
+    frame.push(2);
+    codec::put_str(&mut frame, "d");
+    codec::put_u64(&mut frame, 0);
     frame.extend_from_slice(list);
     let sum = codec::checksum(&frame[4..]);
     codec::put_u64(&mut frame, sum);
@@ -202,11 +199,11 @@ fn assert_a_worker_process_survives(frame: &[u8]) {
 }
 
 #[test]
-fn a_worker_process_survives_a_nested_kron_load_factors_frame() {
-    assert_a_worker_process_survives(&load_factors_frame(&nested_kron_list()));
+fn a_worker_process_survives_a_nested_kron_slab_forward_frame() {
+    assert_a_worker_process_survives(&slab_forward_frame(&nested_kron_list()));
 }
 
 #[test]
-fn a_worker_process_refuses_a_forged_width_range_load_factors_frame() {
-    assert_a_worker_process_survives(&load_factors_frame(&forged_width_range_list()));
+fn a_worker_process_refuses_a_forged_width_range_slab_forward_frame() {
+    assert_a_worker_process_survives(&slab_forward_frame(&forged_width_range_list()));
 }

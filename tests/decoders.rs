@@ -558,22 +558,27 @@ fn nested_kron_leaves_are_invalid() {
     assert_eq!(codec::Reader::new(&bytes).structured(), Ok(flat));
 }
 
-/// The same list pushed to a worker as a sealed `LoadFactors` frame under
-/// its own content key: `decode_frame` refuses it before the key is
-/// checked.
-#[test]
-fn load_factors_frames_with_nested_kron_leaves_are_invalid() {
-    let list = nested_kron_list(10_000);
+/// A sealed `SlabForward` frame, untraced, whose trailing factors are the
+/// encoded factor list `list`: how crafted factor bytes reach a worker.
+fn slab_forward_payload(list: &[u8]) -> Vec<u8> {
     let mut frame = WIRE_PREFIX.to_vec();
     frame.push(PROTO_V2);
     codec::put_u64(&mut frame, 0);
     codec::put_u64(&mut frame, 0);
     codec::put_usize(&mut frame, 0);
-    frame.push(8);
-    codec::put_u64(&mut frame, codec::checksum(&list));
-    codec::put_u64(&mut frame, list.len() as u64);
-    frame.extend_from_slice(&list);
+    frame.push(2);
+    codec::put_str(&mut frame, "d");
+    codec::put_u64(&mut frame, 0);
+    frame.extend_from_slice(list);
     codec::seal(&mut frame);
+    frame
+}
+
+/// The same list sent to a worker as the trailing factors of a sealed
+/// `SlabForward` frame: `decode_frame` refuses it.
+#[test]
+fn slab_forward_frames_with_nested_kron_leaves_are_invalid() {
+    let frame = slab_forward_payload(&nested_kron_list(10_000));
     assert_eq!(
         decode_frame(&frame).err(),
         Some(codec::CodecError::Invalid("nested Kron leaf"))
@@ -748,25 +753,15 @@ fn width_range_leaves_refuse_empty_or_oversized_windows_and_bad_scales() {
     assert_forged_plan_file_is_never_served("width-range-wider", &strategy);
 }
 
-/// A `LoadFactors` frame for a worker whose one factor is a width range
-/// wider than its domain: `decode_frame` refuses it as `Invalid`.
+/// A `SlabForward` frame whose one trailing factor is a width range wider
+/// than its domain: `decode_frame` refuses it as `Invalid`.
 #[test]
-fn load_factors_frames_with_forged_width_ranges_are_invalid() {
+fn slab_forward_frames_with_forged_width_ranges_are_invalid() {
     let mut list = Vec::new();
     codec::put_usize(&mut list, 1);
     list.extend(width_range_leaf(8, 9, 1.0));
-    let mut frame = WIRE_PREFIX.to_vec();
-    frame.push(PROTO_V2);
-    codec::put_u64(&mut frame, 0);
-    codec::put_u64(&mut frame, 0);
-    codec::put_usize(&mut frame, 0);
-    frame.push(8);
-    codec::put_u64(&mut frame, codec::checksum(&list));
-    codec::put_u64(&mut frame, list.len() as u64);
-    frame.extend_from_slice(&list);
-    codec::seal(&mut frame);
     assert!(matches!(
-        decode_frame(&frame).err(),
+        decode_frame(&slab_forward_payload(&list)).err(),
         Some(codec::CodecError::Invalid(_))
     ));
 }

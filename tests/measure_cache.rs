@@ -29,10 +29,11 @@ use hdmm::mechanism::{
 };
 use hdmm::optimizer::HdmmOptions;
 use hdmm::workload::blocks;
-use hdmm_net::{spawn_worker, OperandKeys, RemoteOptions, RpcKernels, WorkerHandle, WorkerPool};
+use hdmm_net::{spawn_worker, RemoteOptions, RpcKernels, WorkerHandle, WorkerPool};
 use hdmm_obs::{Observer, Phase};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::Cell;
 use std::convert::Infallible;
 use std::fmt::Debug;
 use std::sync::{Barrier, Mutex};
@@ -195,12 +196,10 @@ fn kept_and_reused_blocks_give_fresh_bits_for_every_family_and_kernel_kind() {
             prepared: &prepared,
             eps: EPS,
         };
-        let keys = OperandKeys::new(&prepared);
         let sharded = ShardedDataVector::partition(workload.domain(), x.clone(), 3);
         let rpc = RpcKernels {
             pool: &pool,
             dataset: &format!("{row}-{family}"),
-            keys: &keys,
             data: &sharded,
             observer: &(),
         };
@@ -272,10 +271,12 @@ fn reused_blocks_that_do_not_fit_the_plan_are_refused_before_any_noise() {
     }
 }
 
-/// The plain kernels until product `fails_at`, which they cannot evaluate.
+/// The plain kernels until product `fails_at` (counting the products they
+/// are asked for, in order), which they cannot evaluate.
 struct FailingAt<'a> {
     plain: PlainKernels<'a>,
     fails_at: usize,
+    asked: Cell<usize>,
 }
 
 impl Kernels for FailingAt<'_> {
@@ -285,17 +286,12 @@ impl Kernels for FailingAt<'_> {
         self.plain.data()
     }
 
-    fn forward(
-        &self,
-        block: usize,
-        factors: &[&StructuredMatrix],
-    ) -> Result<Option<Vec<f64>>, usize> {
+    fn forward(&self, factors: &[&StructuredMatrix]) -> Result<Option<Vec<f64>>, usize> {
+        let block = self.asked.replace(self.asked.get() + 1);
         if block == self.fails_at {
             Err(block)
         } else {
-            self.plain
-                .forward(block, factors)
-                .map_err(|never| match never {})
+            self.plain.forward(factors).map_err(|never| match never {})
         }
     }
 }
@@ -335,6 +331,7 @@ fn a_kernel_failing_after_the_first_product_leaves_the_rng_untouched() {
             let kernels = FailingAt {
                 plain: PlainKernels::over(&x),
                 fails_at,
+                asked: Cell::new(0),
             };
             let got = request.run(&mut rng, &kernels, &phases);
             assert!(

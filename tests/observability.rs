@@ -606,7 +606,9 @@ fn assert_span_table(what: &str, spans: &[Span], expected: &[(usize, &str, &str,
 /// leading contraction and of ANSWER. The remote request keeps one
 /// `shard:measure` span per worker task; it lost the `rpc:apply`,
 /// `worker:apply` and `shard:reconstruct` spans of its RECONSTRUCT tasks,
-/// since RECONSTRUCT runs on the coordinator and sends no RPC.
+/// since RECONSTRUCT runs on the coordinator and sends no RPC. Its two
+/// `rpc:load` / `worker:load` pairs are the pushes of its two slabs, which
+/// reach the workers on the first task that needs them.
 #[test]
 fn span_trees_match_the_table_recorded_before_the_observer_merge() {
     const RPC_KEYS: &[&str] = &["attempt", "lane", "outcome", "shard", "worker"];

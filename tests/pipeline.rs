@@ -39,9 +39,7 @@ use hdmm::mechanism::{
 };
 use hdmm::optimizer::PIdentity;
 use hdmm::workload::blocks;
-use hdmm_net::{
-    spawn_worker, OperandKeys, RemoteOptions, RpcKernels, WorkerHandle, WorkerOptions, WorkerPool,
-};
+use hdmm_net::{spawn_worker, RemoteOptions, RpcKernels, WorkerHandle, WorkerOptions, WorkerPool};
 use hdmm_obs::{Observer, Phase};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -220,12 +218,11 @@ fn sharded(x: &[f64], slabs: usize) -> ShardedDataVector {
 
 /// Runs `row` over every kernel kind of the table, all serving the data
 /// vector `x`; the RPC rows cache their slabs on the workers as
-/// `<dataset>/<slabs>` and name resident operands through `keys`. Returns
-/// the phases of the shard tasks each RPC kind reported.
+/// `<dataset>/<slabs>`. Returns the phases of the shard tasks each RPC kind
+/// reported.
 fn for_each_kernel_kind(
     x: &[f64],
     dataset: &str,
-    keys: &OperandKeys,
     pool: &WorkerPool,
     row: &impl Row,
 ) -> Vec<(String, Vec<Phase>)> {
@@ -240,7 +237,6 @@ fn for_each_kernel_kind(
             &RpcKernels {
                 pool,
                 dataset: &format!("{dataset}/{slabs}"),
-                keys,
                 data: &data,
                 observer: &tasks,
             },
@@ -292,7 +288,6 @@ fn every_kernel_kind_reproduces_the_plain_reference_and_reports_each_phase_once(
     for (row, (workload, strategy)) in families().into_iter().enumerate() {
         let x = data(workload.domain().size());
         let prepared = PreparedReconstruct::new(&strategy);
-        let keys = OperandKeys::new(&prepared);
         if let Strategy::Union(_) = &strategy {
             assert!(
                 prepared.joint_basis().is_some(),
@@ -319,7 +314,6 @@ fn every_kernel_kind_reproduces_the_plain_reference_and_reports_each_phase_once(
         let shard_tasks = for_each_kernel_kind(
             &x,
             &format!("{row}-{}", strategy.kind()),
-            &keys,
             &pool,
             &MatchesReference {
                 family: strategy.kind(),
@@ -401,7 +395,6 @@ fn every_kernel_kind_refuses_invalid_requests_identically_before_any_noise() {
     let cells = workload.domain().size();
     let x = data(cells);
     let prepared = PreparedReconstruct::new(&strategy);
-    let keys = OperandKeys::new(&prepared);
     let valid = MechanismRequest {
         workload: &workload,
         prepared: &prepared,
@@ -412,7 +405,6 @@ fn every_kernel_kind_refuses_invalid_requests_identically_before_any_noise() {
         for_each_kernel_kind(
             &x,
             "valid",
-            &keys,
             &pool,
             &Refused {
                 what: &format!("eps={eps}"),
@@ -430,7 +422,6 @@ fn every_kernel_kind_refuses_invalid_requests_identically_before_any_noise() {
     for_each_kernel_kind(
         &short,
         "short",
-        &keys,
         &pool,
         &Refused {
             what: "short data vector",
@@ -453,7 +444,6 @@ fn every_kernel_kind_refuses_invalid_requests_identically_before_any_noise() {
     for_each_kernel_kind(
         &x,
         "valid",
-        &keys,
         &pool,
         &Refused {
             what: "prepared for another domain",
@@ -466,8 +456,8 @@ fn every_kernel_kind_refuses_invalid_requests_identically_before_any_noise() {
     );
 
     // A union whose groups are over permuted attribute orders: the same cell
-    // count, but no joint basis exists, so the plan has no solve. Its own
-    // keys are resident, so only the missing solve can refuse it.
+    // count, but no joint basis exists, so the plan has no solve, and only
+    // the missing solve can refuse it.
     let permuted = Strategy::Union([
         UnionGroup::new(
             0.5,
@@ -485,7 +475,6 @@ fn every_kernel_kind_refuses_invalid_requests_identically_before_any_noise() {
     for_each_kernel_kind(
         &x,
         "valid",
-        &OperandKeys::new(&permuted_prepared),
         &pool,
         &Refused {
             what: "a union over permuted attribute orders",
@@ -496,48 +485,4 @@ fn every_kernel_kind_refuses_invalid_requests_identically_before_any_noise() {
             expected: &|e| *e == MechanismError::PlanMismatch,
         },
     );
-
-    // Resident operands of another plan: another family's keys, and keys of
-    // the right family with another block count. Only the RPC kernels keep
-    // any, so only they can refuse; the other kinds serve the valid request.
-    let domain = workload.domain();
-    let uniform = Strategy::Marginals(MarginalsStrategy::uniform(domain.clone()));
-    let full_only = Strategy::Marginals(MarginalsStrategy::new(
-        domain.clone(),
-        vec![0.0, 0.0, 0.0, 1.0],
-    ));
-    let uniform_prepared = PreparedReconstruct::new(&uniform);
-    let marginals_request = MechanismRequest {
-        prepared: &uniform_prepared,
-        ..valid
-    };
-    let data = sharded(&x, 3);
-    for (what, request, stale_keys) in [
-        (
-            "keys of another family",
-            valid,
-            OperandKeys::new(&uniform_prepared),
-        ),
-        (
-            "keys of another block count",
-            marginals_request,
-            OperandKeys::new(&PreparedReconstruct::new(&full_only)),
-        ),
-    ] {
-        Refused {
-            what,
-            request,
-            expected: &|e| *e == MechanismError::PlanMismatch,
-        }
-        .check(
-            "rpc/2workers/3",
-            &RpcKernels {
-                pool: &pool,
-                dataset: "valid/3",
-                keys: &stale_keys,
-                data: &data,
-                observer: &Recorder::default(),
-            },
-        );
-    }
 }

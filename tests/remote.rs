@@ -5,10 +5,10 @@
 //! killed mid-MEASURE must never fail a request: tasks retry and reassign to
 //! survivors, with the failure visible in `Engine::metrics()`.
 //!
-//! ISSUE 12 adds the residency contract: trailing-factor lists live on the
-//! workers under content keys, ship to each link exactly once in steady
-//! state, never alias across plans, and come back after a worker restart
-//! through the typed `UnknownFactors` → re-push choreography.
+//! Each slab task carries its trailing factors; a slab reaches a worker on
+//! the first task that needs it, and comes back after a worker restart
+//! through the typed `UnknownSlab` → re-push choreography. A request that
+//! misses is one task per shard per product the workers can slice.
 //!
 //! The engine computes MEASURE's exact blocks `A·x` once per (dataset,
 //! plan): a repeat on one dataset and plan copies them and sends no task
@@ -18,6 +18,7 @@
 
 use hdmm::core::{builders, Domain, QueryEngine, Workload};
 use hdmm::engine::{Engine, EngineOptions, RemoteOptions, RetryPolicy};
+use hdmm::linalg::{slab_split, StructuredMatrix};
 use hdmm::optimizer::HdmmOptions;
 use hdmm_net::{spawn_worker, WorkerHandle, WorkerOptions};
 use std::time::Duration;
@@ -179,9 +180,9 @@ fn killed_worker_mid_measure_retries_and_reassigns() {
     );
     let dense = dense_answers(11, "kill", &domain, &w);
 
-    // Worker 0 delays every task by 400ms; with slabs preloaded round-robin
-    // it owns shard 0, so the first MEASURE fan-out is guaranteed to be
-    // sitting on it when the kill lands.
+    // Worker 0 delays every task by 400ms; shards are assigned round-robin
+    // on their first task, so it owns one of the three, and the first
+    // MEASURE fan-out is guaranteed to be sitting on it when the kill lands.
     let (handles, remote) =
         spawn_workers(&[Duration::from_millis(400), Duration::ZERO, Duration::ZERO]);
     let engine = engine_with(11, "kill", Some(remote));
@@ -332,36 +333,35 @@ fn prefix_product(domain: &Domain) -> Workload {
 #[test]
 fn restarted_worker_gets_its_factors_back_without_a_fallback() {
     let domain = Domain::new(&[64, 32, 32]);
-    let w = prefix_product(&domain);
-    // The second request serves the same data under a second name, so it
-    // misses the engine's cache of MEASURE's exact blocks and fans out.
-    let dense = dense_serve(17, "respawn", &domain, &[("d", &w), ("d2", &w)]);
-    let dense = (dense[0].clone(), dense[1].clone());
+    let (w, w2) = (
+        prefix_product(&domain),
+        builders::upto_kway_marginals(&domain, 2),
+    );
+    // The second request serves another workload on the same dataset, so it
+    // misses the engine's cache of MEASURE's exact blocks and fans out over
+    // slabs the coordinator already pushed.
+    let dense = dense_serve(17, "respawn", &domain, &[("d", &w), ("d", &w2)]);
 
     // One worker, so the replacement must serve the second request itself:
-    // the coordinator still believes slabs and factors are resident there,
-    // and only the worker's typed UnknownSlab / UnknownFactors can say
-    // otherwise.
+    // the coordinator still believes the slabs are there, and only the
+    // worker's typed UnknownSlab can say otherwise.
     let (mut handles, remote) = spawn_workers(&[Duration::ZERO]);
     let engine = engine_with(17, "respawn", Some(remote));
-    for name in ["d", "d2"] {
-        engine
-            .register_dataset_sharded(name, domain.clone(), data(domain.size()), 3, 1e6)
-            .unwrap();
-    }
+    engine
+        .register_dataset_sharded("d", domain.clone(), data(domain.size()), 3, 1e6)
+        .unwrap();
     let first = engine.serve("d", &w, 0.5).unwrap().answers;
-    assert!(bits_eq(&dense.0, &first));
-    let before = engine.metrics().remote.expect("pool health");
-    assert_eq!(before.factor_misses, 0);
+    assert!(bits_eq(&dense[0], &first));
+    assert_eq!(handles[0].slab_count(), 3);
 
     let addr = handles[0].addr();
     handles[0].kill();
     handles[0] = respawn(addr);
-    assert_eq!(handles[0].factor_list_count(), 0);
+    assert_eq!(handles[0].slab_count(), 0);
 
-    let second = engine.serve("d2", &w, 0.5).unwrap().answers;
+    let second = engine.serve("d", &w2, 0.5).unwrap().answers;
     assert!(
-        bits_eq(&dense.1, &second),
+        bits_eq(&dense[1], &second),
         "answers through a restarted worker must still match dense"
     );
     let m = engine.metrics();
@@ -369,40 +369,24 @@ fn restarted_worker_gets_its_factors_back_without_a_fallback() {
         m.telemetry.remote_fallbacks, 0,
         "a restart is recovered on the wire, not by serving locally"
     );
+    assert_eq!(
+        handles[0].slab_count(),
+        3,
+        "the restarted worker must have answered UnknownSlab and been sent every slab again"
+    );
     let pool = m.remote.expect("pool health");
-    assert!(
-        pool.factor_misses >= 1,
-        "the restarted worker must have answered UnknownFactors: {pool:?}"
+    assert_eq!(
+        (pool.retries, pool.workers[0].failures),
+        (1, 1),
+        "one failed attempt, on the killed worker's connection: each UnknownSlab \
+         is re-pushed inside its attempt: {pool:?}"
     );
-    assert!(
-        pool.workers[0].factor_pushes > before.workers[0].factor_pushes,
-        "and been sent the factors again: {pool:?}"
-    );
-    assert!(handles[0].factor_list_count() >= 1);
 }
 
 #[test]
 fn plans_with_different_trailing_factors_never_share_a_key() {
-    use hdmm::linalg::StructuredMatrix;
-    use hdmm::mechanism::{PreparedReconstruct, Strategy};
-    use hdmm_net::OperandKeys;
-
-    // Same shapes, same leading factor; only the trailing factors differ.
-    let plan = |scale: f64| {
-        let s = Strategy::kron(vec![
-            StructuredMatrix::prefix(8),
-            StructuredMatrix::prefix(4).scaled(scale),
-        ]);
-        OperandKeys::new(&PreparedReconstruct::new(&s))
-    };
-    let (a, b) = (plan(0.25), plan(0.5));
-    for ka in a.keys() {
-        assert!(b.keys().all(|kb| kb != ka), "plans alias on {ka:?}");
-    }
-    assert_eq!(a, plan(0.25), "keys are a pure function of the plan");
-
-    // And on the wire: two plans over one dataset, served alternately
-    // through the same workers, each keep computing with their own factors.
+    // Two plans over one dataset, served alternately through the same
+    // workers, each keep computing with their own factors.
     let domain = Domain::new(&[64, 32, 32]);
     let (wa, wb) = (
         prefix_product(&domain),
@@ -412,7 +396,7 @@ fn plans_with_different_trailing_factors_never_share_a_key() {
     // so each misses the cache of MEASURE's exact blocks and computes again.
     let requests = [("d", &wa), ("d", &wb), ("e", &wa), ("e", &wb)];
     let dense = dense_serve(19, "two-plans", &domain, &requests);
-    let (handles, remote) = spawn_workers(&[Duration::ZERO, Duration::ZERO]);
+    let (_handles, remote) = spawn_workers(&[Duration::ZERO, Duration::ZERO]);
     let engine = engine_with(19, "two-plans", Some(remote));
     for name in ["d", "e"] {
         engine
@@ -427,53 +411,79 @@ fn plans_with_different_trailing_factors_never_share_a_key() {
         assert!(bits_eq(d, g), "request {i} diverges from dense");
     }
     assert_eq!(engine.metrics().telemetry.remote_fallbacks, 0);
-    assert!(
-        handles.iter().all(|h| h.factor_list_count() >= 2),
-        "each worker holds both plans' lists side by side"
-    );
+}
+
+/// The products of `w`'s plan that the workers slice: a slab split with
+/// trailing factors, as `RpcKernels::forward` decides.
+fn remotable_products(engine: &Engine, w: &Workload) -> u64 {
+    let (plan, _) = engine.plan(w);
+    let sliced = plan.prepared().products().iter().filter(|p| {
+        let refs: Vec<&StructuredMatrix> = p.factors.iter().collect();
+        slab_split(&refs).is_some_and(|split| !split.trailing.is_empty())
+    });
+    sliced.count() as u64
 }
 
 #[test]
-fn steady_state_ships_each_factor_list_to_each_link_exactly_once() {
+fn a_miss_is_one_task_per_shard_per_remotable_product() {
     let domain = Domain::new(&[64, 32, 32]);
-    let w = prefix_product(&domain);
+    let (wk, wm) = (
+        prefix_product(&domain),
+        builders::upto_kway_marginals(&domain, 2),
+    );
     let (handles, remote) = spawn_workers(&[Duration::ZERO, Duration::ZERO]);
     let engine = engine_with(23, "once", Some(remote));
-    // Warm requests on one plan over fresh (dataset, plan) pairs: the same
-    // data under five names, each served once, so every request computes
-    // its blocks on the workers.
-    let names = ["d", "d1", "d2", "d3", "d4"];
-    for name in names {
+    for name in ["d", "e", "f"] {
         engine
             .register_dataset_sharded(name, domain.clone(), data(domain.size()), 3, 1e6)
             .unwrap();
     }
-    engine.serve("d", &w, 0.5).unwrap();
-    let warm = engine.metrics().remote.expect("pool health");
-    for (link, worker) in warm.workers.iter().zip(&handles) {
-        assert!(
-            link.factor_pushes >= 1,
-            "the first request pushes: {warm:?}"
-        );
+    let health = |engine: &Engine| engine.metrics().remote.expect("pool health");
+    // Five fresh (dataset, plan) pairs: each misses the cache of MEASURE's
+    // exact blocks, and the second on a dataset finds its slabs pushed.
+    let pairs = [("d", &wk), ("d", &wm), ("e", &wk), ("e", &wm), ("f", &wk)];
+    let mut shards_on = std::collections::HashMap::new();
+    for (name, w) in pairs {
+        let before = health(&engine);
+        let resp = engine.serve(name, w, 0.5).unwrap();
+        let after = health(&engine);
+        let remotable = remotable_products(&engine, w);
+        assert!(remotable > 0, "{name}: the plan sends no task");
+        let first_touch = !shards_on.contains_key(name);
+        let held: &Vec<u64> = shards_on.entry(name).or_insert_with(|| {
+            let pushed = before.workers.iter().zip(&after.workers);
+            pushed.map(|(b, a)| (a.slabs - b.slabs) as u64).collect()
+        });
         assert_eq!(
-            link.factor_pushes as usize,
-            worker.factor_list_count(),
-            "one push per list the worker holds: {warm:?}"
+            held.iter().sum::<u64>(),
+            3,
+            "{name}: every shard has a link"
         );
-    }
-    for name in &names[1..] {
-        engine.serve(name, &w, 0.5).unwrap();
-    }
-    let steady = engine.metrics().remote.expect("pool health");
-    assert_eq!(steady.factor_misses, 0);
-    for (before, after) in warm.workers.iter().zip(&steady.workers) {
+        for (i, (b, a)) in before.workers.iter().zip(&after.workers).enumerate() {
+            assert_eq!(
+                a.tasks - b.tasks,
+                held[i] * remotable,
+                "{name}, link {i}: one task per shard per remotable product"
+            );
+        }
+        assert_eq!((after.retries, after.reassignments), (0, 0));
+        // A slab is pushed once per link, on the first task that needs it.
+        let loads = engine
+            .trace_spans(resp.trace_id)
+            .iter()
+            .filter(|s| s.name == "rpc:load")
+            .count();
         assert_eq!(
-            before.factor_pushes, after.factor_pushes,
-            "warm requests re-ship no factors: {steady:?}"
+            loads,
+            if first_touch { 3 } else { 0 },
+            "{name}: slab pushes"
         );
-        assert!(after.tasks > before.tasks && after.bytes_sent > before.bytes_sent);
-        assert!(after.bytes_received > before.bytes_received);
     }
+    let end = health(&engine);
+    for (link, worker) in end.workers.iter().zip(&handles) {
+        assert_eq!(link.slabs, worker.slab_count());
+    }
+    assert_eq!(engine.metrics().telemetry.remote_fallbacks, 0);
 }
 
 #[test]

@@ -19,21 +19,20 @@
 //!    lead the fingerprint's one SELECT, which runs outside every lock;
 //! 3. the **dataset RNG** mutex, to draw the request's seed;
 //! 4. the **dataset ledger** mutex, then the **tenant ledger** mutex when a
-//!    tenant owns the dataset — on Reserve, and the dataset ledger again on
-//!    Commit;
-//! 5. the **audit ring** mutex, once per ε transition (Reserve, Commit);
-//! 6. the **WAL append**, per transition, when a durable ledger is set;
-//! 7. the **measure cache** mutex ([`MeasureCache`]), to get the request's
+//!    tenant owns the dataset — on Reserve;
+//! 5. the **ledger log** mutex ([`Wal`]), once per ε transition (Reserve,
+//!    Commit), which also writes the record when a durable ledger is set;
+//! 6. the **measure cache** mutex ([`MeasureCache`]), to get the request's
 //!    exact blocks at the start of MEASURE and, on a miss, to insert them
-//!    once computed, before any noise is drawn (so before the Commit's 4–6);
-//! 8. the **session store** write lock, to insert the request's session.
+//!    once computed, before any noise is drawn (so before the Commit's 5);
+//! 7. the **session store** write lock, to insert the request's session.
 //!
 //! MEASURE/RECONSTRUCT/ANSWER hold no lock. Around them the request pops a
 //! scratch off the **scratch pool** mutex and pushes it back (as does every
 //! session-batch task), and a session that leaves the store hands its
 //! estimate to the pool under the same mutex. A traced request adds the span
 //! collector's mutex once, at the end. Datasets never contend on 3 and 4;
-//! every request shares 1, 2, 5, 6, 7, 8 and the pool.
+//! every request shares 1, 2, 5, 6, 7 and the pool.
 //!
 //! ## Memory
 //!
@@ -69,12 +68,12 @@ use crate::cache::{FlightProgress, Lookup, StrategyCache, MEASURE_CACHE_BYTES, P
 use crate::measure_cache::MeasureCache;
 use crate::persist::PlanStore;
 use crate::registry::{DatasetConfig, DatasetState, Registry};
-use crate::reservation::{Reservation, AUDIT_CAPACITY};
+use crate::reservation::Reservation;
 use crate::session::{Session, SessionStore};
 use crate::sync::lock_recover;
 use crate::telemetry::{EngineMetrics, ObsMetrics, Telemetry};
 use crate::tracing::{RequestTracer, TRACE_CAPACITY};
-use crate::wal::{Wal, SNAPSHOT_EVERY};
+use crate::wal::{AuditTail, Wal, SNAPSHOT_EVERY};
 use hdmm_core::{
     Domain, EngineError, HdmmOptions, Plan, QueryEngine, QueryResponse, SessionId, Workload,
     WorkloadFingerprint,
@@ -84,7 +83,7 @@ use hdmm_mechanism::{
     exact_blocks, MechanismError, MechanismRequest, PlainKernels, ScopedExecutor, ScratchPool,
 };
 use hdmm_net::{RemoteOptions, RpcKernels, WorkerPool};
-use hdmm_obs::{AuditLog, Observer, Phase, Span, SpanCollector, TraceContext};
+use hdmm_obs::{Observer, Phase, Span, SpanCollector, TraceContext};
 use hdmm_optimizer::select_optimizer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -126,7 +125,8 @@ pub struct EngineOptions {
     /// Phase events always reach the latency histograms regardless.
     pub trace_sample: u64,
     /// Directory for the durable ε-ledger ([`crate::wal`]). `None` keeps the
-    /// ledgers in memory only. With a directory set, every budget transition
+    /// ledgers, and the ledger log whose tail [`Engine::audit`] reads, in
+    /// memory only. With a directory set, every budget transition
     /// is journaled (commits fsynced before the answer is released), the
     /// ledger state is snapshotted periodically, and [`Engine::open`] replays
     /// snapshot + log to reconstruct exact spent-budget state after a crash —
@@ -174,11 +174,11 @@ pub struct Engine {
     remote: Option<WorkerPool>,
     next_session: AtomicU64,
     collector: SpanCollector,
-    audit: AuditLog,
     /// Per-request trace counter; trace ids derive from `(seed, counter)`.
     next_trace: AtomicU64,
-    /// The durable ε-ledger, when [`EngineOptions::wal_dir`] is set.
-    wal: Option<Wal>,
+    /// The one ledger log: durable when [`EngineOptions::wal_dir`] is set,
+    /// memory-only otherwise; its tail is the ε-audit stream.
+    log: Wal,
 }
 
 /// SELECT's events as one in-flight optimization sees them: the grid size
@@ -235,16 +235,16 @@ impl Engine {
     /// corrupt beyond the tolerated torn tail — serving anyway could
     /// under-count spent ε, so the engine refuses to start.
     pub fn open(options: EngineOptions) -> Result<Self, EngineError> {
-        let wal = match &options.wal_dir {
-            Some(dir) => Some(Wal::open(dir.clone(), SNAPSHOT_EVERY)?),
-            None => None,
+        let log = match &options.wal_dir {
+            Some(dir) => Wal::open(dir.clone(), SNAPSHOT_EVERY)?,
+            None => Wal::in_memory(),
         };
         let telemetry = Telemetry::default();
         telemetry.set_select_threads(ScopedExecutor::new(options.hdmm.threads).threads() as u64);
         Ok(Engine {
             cache: StrategyCache::new(PLAN_CAPACITY),
             plan_store: options.cache_dir.clone().map(PlanStore::new),
-            registry: Registry::new(options.seed, wal.as_ref().map(Wal::recovered)),
+            registry: Registry::new(options.seed, log.recovered()),
             sessions: SessionStore::new(options.session_capacity),
             telemetry,
             batch_exec: ScopedExecutor::new(0),
@@ -252,11 +252,10 @@ impl Engine {
             measure_cache: MeasureCache::new(MEASURE_CACHE_BYTES),
             remote: options.remote.as_ref().map(RemoteOptions::connect),
             collector: SpanCollector::new(TRACE_CAPACITY),
-            audit: AuditLog::new(AUDIT_CAPACITY),
             options,
             next_session: AtomicU64::new(1),
             next_trace: AtomicU64::new(0),
-            wal,
+            log,
         })
     }
 
@@ -313,7 +312,7 @@ impl Engine {
         config: DatasetConfig,
     ) -> Result<(), EngineError> {
         self.registry
-            .register(name.into(), domain, x, config, self.wal.as_ref())
+            .register(name.into(), domain, x, config, &self.log)
     }
 
     /// Registers one more shard worker at runtime; subsequent sharded
@@ -337,8 +336,7 @@ impl Engine {
     /// the tenant's datasets may not exceed `eps_cap`. Lowering the cap
     /// below spend blocks further measurement until it is raised.
     pub fn set_tenant_quota(&self, tenant: &str, eps_cap: f64) -> Result<(), EngineError> {
-        self.registry
-            .set_tenant_quota(tenant, eps_cap, self.wal.as_ref())
+        self.registry.set_tenant_quota(tenant, eps_cap, &self.log)
     }
 
     /// Spent ε recovered from the durable ledger for a dataset that has not
@@ -353,10 +351,7 @@ impl Engine {
     /// truncate the log) instead of waiting for the next automatic one.
     /// No-op without a WAL.
     pub fn snapshot_wal(&self) -> Result<(), EngineError> {
-        match &self.wal {
-            Some(wal) => wal.snapshot_now().map_err(EngineError::from),
-            None => Ok(()),
-        }
+        self.log.snapshot_now().map_err(EngineError::from)
     }
 
     /// (cap, spent, remaining) ε for a tenant's quota.
@@ -509,6 +504,7 @@ impl Engine {
     /// quotas, and span/audit pipeline counters. Its `Display` is the
     /// Prometheus page [`Engine::render_prometheus`] serves.
     pub fn metrics(&self) -> EngineMetrics {
+        let log = self.log.metrics();
         EngineMetrics {
             cache: self.cache.stats(),
             measure_cache: self.measure_cache.stats(),
@@ -519,11 +515,11 @@ impl Engine {
                 spans_collected: self.collector.collected(),
                 spans_dropped: self.collector.dropped(),
                 trace_capacity: self.collector.capacity(),
-                audit_events: self.audit.emitted(),
-                audit_subscriber_drops: self.audit.subscriber_drops(),
+                audit_events: log.appends,
+                audit_subscriber_drops: log.subscriber_drops,
             },
             remote: self.remote.as_ref().map(WorkerPool::health),
-            wal: self.wal.as_ref().map(Wal::metrics),
+            wal: self.options.wal_dir.as_ref().map(|_| log),
         }
     }
 
@@ -539,11 +535,13 @@ impl Engine {
         &self.collector
     }
 
-    /// The ε-budget audit stream: every reserve / commit / refund / denial,
-    /// with the trace id of the request that caused it. Subscribe for live
-    /// events or dump the retained ring as JSONL.
-    pub fn audit(&self) -> &AuditLog {
-        &self.audit
+    /// The ε-budget audit stream: the ledger log, whose records are every
+    /// reserve / commit / refund / denial (with the trace id of the request
+    /// that caused it) and every registration and quota change. Subscribe
+    /// for live records or read / dump its retained tail as JSONL; the view
+    /// cannot append.
+    pub fn audit(&self) -> AuditTail<'_> {
+        AuditTail(&self.log)
     }
 
     /// The retained spans of one trace (the `trace_id` of a
@@ -656,14 +654,7 @@ impl Engine {
         // `commit()` — typed error or panic — refunds it, since either way
         // no noise was drawn against the ε.
         let trace_id = tracer.trace_id();
-        let reservation = Reservation::reserve(
-            &handle.ledgers,
-            dataset,
-            eps,
-            trace_id,
-            &self.audit,
-            self.wal.as_ref(),
-        )?;
+        let reservation = Reservation::reserve(&handle.ledgers, dataset, eps, trace_id, &self.log)?;
 
         // MEASURE + RECONSTRUCT + answer, lock-free: the data is immutable
         // and the reservation already guaranteed the budget. Every request
@@ -789,10 +780,7 @@ impl QueryEngine for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accountant::EpsAccountant;
-    use crate::reservation::Ledgers;
     use hdmm_core::builders;
-    use hdmm_obs::AuditKind;
 
     fn quick_engine(seed: u64) -> Engine {
         Engine::new(EngineOptions {
@@ -913,7 +901,7 @@ mod tests {
             // request, refund the in-memory ledger, and journal *neither*
             // half of the aborted reservation (DURABILITY.md §7) — an
             // unmatched Refund would subtract the committed 0.25 on replay.
-            let wal = engine.wal.as_ref().unwrap();
+            let wal = &engine.log;
             wal.fail_appends
                 .store(1, std::sync::atomic::Ordering::Relaxed);
             assert!(matches!(
@@ -1226,32 +1214,6 @@ mod tests {
         engine.serve("d", &builders::prefix_1d(16), 1.0).unwrap();
         let m = engine.metrics();
         assert_eq!(m.telemetry.restarts_run, 3);
-    }
-
-    #[test]
-    fn budget_reservation_refunds_when_measurement_unwinds() {
-        let audit = AuditLog::new(16);
-        let ledgers = Ledgers::new(EpsAccountant::new("d", 1.0), None);
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _reservation = Reservation::reserve(&ledgers, "d", 0.6, 7, &audit, None).unwrap();
-            panic!("measurement died mid-flight");
-        }));
-        assert!(unwound.is_err());
-        assert!(
-            ledgers.budget().1.abs() < 1e-12,
-            "a panicked request must not leak its ε reservation"
-        );
-        // The unwound reservation is audited as a refund, trace id intact.
-        let events = audit.recent();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[1].kind, AuditKind::Refund);
-        assert_eq!(events[1].trace_id, 7);
-        // The success path keeps the spend and audits a commit.
-        Reservation::reserve(&ledgers, "d", 0.4, 8, &audit, None)
-            .unwrap()
-            .commit();
-        assert!((ledgers.budget().1 - 0.4).abs() < 1e-12);
-        assert_eq!(audit.recent().last().unwrap().kind, AuditKind::Commit);
     }
 
     #[test]

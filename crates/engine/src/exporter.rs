@@ -9,7 +9,7 @@
 //! | `/metrics`       | Prometheus text format ([`crate::Engine::render_prometheus`]) |
 //! | `/trace.json`    | every retained span as Chrome `trace_event` JSON   |
 //! | `/trace/<id>.json` | one trace by id (decimal or hex)                 |
-//! | `/audit.jsonl`   | the retained ε-audit ring, one JSON event per line |
+//! | `/audit.jsonl`   | the ledger log's retained tail, one JSON record per line |
 //!
 //! The listener accepts on a background thread and answers each connection
 //! on a short-lived handler thread, so one slow client never stalls a

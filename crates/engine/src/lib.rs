@@ -13,8 +13,8 @@
 //!   with a typed [`EngineError::BudgetExhausted`] before any noise is drawn.
 //!   The whole transition — reserve before MEASURE, commit once noise was
 //!   drawn, refund on any other exit, deny — is one `Reservation` object
-//!   (`reservation.rs`), the only code that moves ε or writes a budget
-//!   record to the audit stream and the durable log.
+//!   (`reservation.rs`), the only code that moves ε or appends a budget
+//!   record to the ledger log.
 //! * **A·x once per (dataset, plan)** — a registered data vector never
 //!   changes, so MEASURE's unscaled blocks `A_p·x` are computed by the
 //!   first request on a (dataset, plan) pair and copied by every later one,
@@ -30,8 +30,8 @@
 //!   all of Algorithm 2 per request.
 //! * **Concurrent serving core** — one `serve` takes, in order: the registry
 //!   read lock, the strategy-cache read lock, its dataset's RNG mutex, its
-//!   dataset (and tenant) ledger mutexes, the audit ring's mutex, the WAL
-//!   append, the measure cache's mutex and the session store's write lock —
+//!   dataset (and tenant) ledger mutexes, the ledger log's mutex, the
+//!   measure cache's mutex and the session store's write lock —
 //!   each briefly, never two at once, and none across MEASURE/RECONSTRUCT. Concurrent misses on one
 //!   fingerprint share the cache's one in-flight SELECT (a shared
 //!   `Arc<Plan>` for everyone); and [`EngineServer`] fronts the engine with
@@ -54,13 +54,15 @@
 //!   bounded [`SpanCollector`] and exportable as Chrome `trace_event` JSON
 //!   via [`Engine::chrome_trace`]. [`render_prometheus`] renders
 //!   [`Engine::metrics`] in Prometheus text format (also served over HTTP
-//!   by [`MetricsExporter`] and the `hdmm-metrics-exporter` binary), and an
-//!   [`AuditLog`] streams every ε reserve/commit/refund/deny as typed,
-//!   trace-correlated events.
-//! * **Durable ε-ledger** — with [`EngineOptions::wal_dir`] set, every budget
-//!   transition is journaled to a checksummed write-ahead log ([`wal`]),
-//!   commits are fsynced before the answer is released, ledger state is
-//!   snapshotted with log truncation, and [`Engine::open`] replays
+//!   by [`MetricsExporter`] and the `hdmm-metrics-exporter` binary), and
+//!   [`Engine::audit`] streams the ledger log's records — every ε
+//!   reserve/commit/refund/deny, trace-correlated, and every registration
+//!   and quota change.
+//! * **One ledger log** — every budget transition and administrative record
+//!   is one append to [`Wal`], whose last records are the audit stream.
+//!   With [`EngineOptions::wal_dir`] set it is a checksummed write-ahead log
+//!   ([`wal`]): commits are fsynced before the answer is released, ledger
+//!   state is snapshotted with log truncation, and [`Engine::open`] replays
 //!   snapshot + log (tolerating a torn final record) so spent ε survives
 //!   crashes — the on-disk format and recovery protocol are specified in
 //!   `docs/DURABILITY.md`.
@@ -145,10 +147,8 @@ pub use telemetry::{
     DatasetMetrics, EngineMetrics, ObsMetrics, PhaseHistogram, PhaseSnapshot, Telemetry,
     TelemetrySnapshot, TenantMetrics,
 };
-pub use wal::{Wal, WalError, WalMetrics, WalRecord};
+pub use wal::{AuditKind, AuditTail, Wal, WalError, WalMetrics, WalRecord};
 
 pub use hdmm_core::{BudgetAccountant, EngineError, QueryEngine, QueryResponse, SessionId};
 pub use hdmm_net::{PoolHealth, RemoteOptions, RetryPolicy, WorkerHealth};
-pub use hdmm_obs::{
-    chrome_trace, AuditEvent, AuditKind, AuditLog, Span, SpanCollector, TraceContext,
-};
+pub use hdmm_obs::{chrome_trace, Span, SpanCollector, TraceContext};

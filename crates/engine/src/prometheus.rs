@@ -502,6 +502,7 @@ mod tests {
                 recovery_replayed: 2,
                 recovery_torn_tail: true,
                 log_bytes: 200,
+                subscriber_drops: 0,
             }),
         }
     }

@@ -5,9 +5,9 @@
 //! entries — serving takes a brief read lock to clone a handle, and only
 //! registration writes. Per-dataset mutable state (the ε [`Ledgers`], the
 //! RNG stream) sits behind its own short-critical-section mutexes, so
-//! datasets never contend with each other. With a durable ledger configured
-//! every registration and quota change is journaled *before* it is applied,
-//! and spend recovered from the log re-attaches by dataset name
+//! datasets never contend with each other. Every registration and quota
+//! change is appended to the ledger log *before* it is applied, and with a
+//! durable log, spend recovered from it re-attaches by dataset name
 //! (`docs/DURABILITY.md` §6).
 
 use crate::accountant::{EpsAccountant, TenantLedger};
@@ -93,26 +93,22 @@ pub(crate) struct Registry {
 }
 
 impl Registry {
-    /// An empty registry, or — after a restart over a durable ledger — one
-    /// whose recovered tenant quotas are live immediately and whose
-    /// recovered dataset spends wait for re-registration.
-    pub(crate) fn new(seed: u64, recovered: Option<&RecoveredState>) -> Self {
+    /// A registry over the ledger log's recovered state (empty unless a
+    /// durable log was reopened): recovered tenant quotas are live
+    /// immediately, recovered dataset spends wait for re-registration.
+    pub(crate) fn new(seed: u64, recovered: &RecoveredState) -> Self {
         let mut tenants = HashMap::new();
-        let mut spends = HashMap::new();
-        if let Some(state) = recovered {
-            for (name, t) in &state.tenants {
-                let mut ledger = TenantLedger::new(name.clone(), t.cap);
-                ledger.restore_spent(t.spent);
-                tenants.insert(name.clone(), Arc::new(Mutex::new(ledger)));
-            }
-            spends.extend(state.datasets.clone());
+        for (name, t) in &recovered.tenants {
+            let mut ledger = TenantLedger::new(name.clone(), t.cap);
+            ledger.restore_spent(t.spent);
+            tenants.insert(name.clone(), Arc::new(Mutex::new(ledger)));
         }
         Registry {
             seed,
             datasets: RwLock::new(HashMap::new()),
             next_id: AtomicU64::new(0),
             tenants: RwLock::new(tenants),
-            recovered: Mutex::new(spends),
+            recovered: Mutex::new(recovered.datasets.clone().into_iter().collect()),
         }
     }
 
@@ -130,7 +126,7 @@ impl Registry {
         domain: Domain,
         x: Vec<f64>,
         config: DatasetConfig,
-        wal: Option<&Wal>,
+        log: &Wal,
     ) -> Result<(), EngineError> {
         if x.len() != domain.size() {
             return Err(EngineError::DataVectorMismatch {
@@ -153,17 +149,15 @@ impl Registry {
         if datasets.contains_key(&name) {
             return Err(EngineError::DatasetExists { name });
         }
-        // Journal before apply (still under the write lock, so the WAL's
+        // Journal before apply (still under the write lock, so the log's
         // registration order matches the registry's): if the durable record
         // cannot be written, the registration fails and nothing was
         // inserted — no rollback path to get wrong.
-        if let Some(wal) = wal {
-            wal.append(&WalRecord::DatasetRegistered {
-                name: name.clone(),
-                total_eps: config.total_eps,
-                tenant: tenant.as_ref().map(|(t, _)| t.clone()),
-            })?;
-        }
+        log.push(WalRecord::DatasetRegistered {
+            name: name.clone(),
+            total_eps: config.total_eps,
+            tenant: tenant.as_ref().map(|(t, _)| t.clone()),
+        })?;
         let mut ledger = EpsAccountant::new(name.clone(), config.total_eps);
         // A crash-recovered ledger under this name re-attaches here: the new
         // registration's grant and tenant win, the recovered spend is
@@ -201,19 +195,17 @@ impl Registry {
         &self,
         tenant: &str,
         eps_cap: f64,
-        wal: Option<&Wal>,
+        log: &Wal,
     ) -> Result<(), EngineError> {
         if eps_cap.is_nan() || eps_cap <= 0.0 {
             return Err(EngineError::InvalidEpsilon { eps: eps_cap });
         }
         // Journal before apply: a quota that was acked must survive restart
         // (replaying a cap the crash forgot would *loosen* a tenant's limit).
-        if let Some(wal) = wal {
-            wal.append(&WalRecord::TenantQuotaSet {
-                tenant: tenant.to_string(),
-                cap: eps_cap,
-            })?;
-        }
+        log.push(WalRecord::TenantQuotaSet {
+            tenant: tenant.to_string(),
+            cap: eps_cap,
+        })?;
         let ledger = self.tenant_ledger_or_default(tenant);
         lock_recover(&ledger).set_cap(eps_cap);
         Ok(())

@@ -4,36 +4,32 @@
 //! (Table 1(b), Theorem 7), so the privacy argument rests on one rule: ε is
 //! reserved *before* noise is drawn and kept only if it was. A
 //! [`Reservation`] is that rule as an object. [`Reservation::reserve`] moves
-//! the ledgers in a fixed order — dataset ledger → audit `Reserve` → durable
-//! `Reserve` append → tenant ledger — and fails without holding anything;
+//! the ledgers in a fixed order — dataset ledger → `Reserve` appended to the
+//! ledger log → tenant ledger — and fails without holding anything;
 //! [`Reservation::commit`] keeps the spend once noise has been drawn; every
 //! other exit (typed error or panic unwinding through the holder) refunds in
 //! `Drop`. No ledger lock is held across an append, and the holder runs
 //! MEASURE with no lock at all.
 //!
-//! Every transition is written to both streams — the [`AuditLog`] and, when
-//! the engine has one, the durable [`Wal`] — by the single private
-//! `Reservation::record`. One rule keeps replay conservative
-//! (`docs/DURABILITY.md` §7): a `Reserve` that never reached the log must
-//! not journal its `Refund`, because replay would subtract the unmatched
-//! record from previously *committed* spend and under-count ε.
+//! Every transition is one append to the engine's one ledger log ([`Wal`]),
+//! by the single private `Reservation::record`; the log's tail is the audit
+//! stream. A `Reserve` whose append failed refunds the dataset ledger
+//! without a record (`docs/DURABILITY.md` §7): a `Refund` journaled after a
+//! `Reserve` that never reached the log would make replay subtract it from
+//! previously *committed* spend and under-count ε.
 
 use crate::accountant::{EpsAccountant, TenantLedger};
 use crate::sync::lock_recover;
-use crate::wal::{now_unix_ms, Wal, WalError, WalRecord};
+use crate::wal::{now_unix_ms, AuditKind, Wal, WalError, WalRecord};
 use hdmm_core::{BudgetAccountant, EngineError};
-use hdmm_obs::{AuditKind, AuditLog};
 use std::sync::{Arc, Mutex};
-
-/// ε-audit events the engine's [`AuditLog`] ring retains.
-pub(crate) const AUDIT_CAPACITY: usize = 1024;
 
 /// The ledgers one dataset's spends are charged against, each behind its own
 /// short-critical-section mutex.
 pub(crate) struct Ledgers {
     accountant: Mutex<EpsAccountant>,
     /// The owning tenant's name (duplicated outside the ledger lock for
-    /// metrics labels and audit events) and its quota, shared by all of the
+    /// metrics labels and log records) and its quota, shared by all of the
     /// tenant's datasets.
     tenant: Option<(String, Arc<Mutex<TenantLedger>>)>,
 }
@@ -76,10 +72,7 @@ pub(crate) struct Reservation<'a> {
     dataset: &'a str,
     eps: f64,
     trace_id: u64,
-    audit: &'a AuditLog,
-    /// The durable ledger. Cleared when the `Reserve` append itself fails, so
-    /// the drop's refund is *not* journaled.
-    wal: Option<&'a Wal>,
+    log: &'a Wal,
     held: Held,
 }
 
@@ -95,42 +88,35 @@ impl<'a> Reservation<'a> {
         dataset: &'a str,
         eps: f64,
         trace_id: u64,
-        audit: &'a AuditLog,
-        wal: Option<&'a Wal>,
+        log: &'a Wal,
     ) -> Result<Self, EngineError> {
         let mut r = Reservation {
             ledgers,
             dataset,
             eps,
             trace_id,
-            audit,
-            wal,
+            log,
             held: Held::Nothing,
         };
-        let (outcome, remaining) = {
-            let mut a = lock_recover(&ledgers.accountant);
-            (a.try_spend(eps), a.remaining())
-        };
+        let outcome = lock_recover(&ledgers.accountant).try_spend(eps);
         if let Err(e) = outcome {
             // A denial changes no ledger state; journaling it is best-effort
             // forensic context, not a correctness need.
-            let _ = r.record(AuditKind::Deny, remaining);
+            let _ = r.record(AuditKind::Deny);
             return Err(e);
         }
-        r.held = Held::Dataset;
-        if let Err(e) = r.record(AuditKind::Reserve, remaining) {
-            r.wal = None;
+        if let Err(e) = r.record(AuditKind::Reserve) {
+            // §7: the Reserve never reached the log, so its Refund must not.
+            lock_recover(&ledgers.accountant).refund(eps);
             return Err(e.into());
         }
+        r.held = Held::Dataset;
         if let Some((_, tenant)) = &ledgers.tenant {
-            let (outcome, remaining) = {
-                let mut l = lock_recover(tenant);
-                (l.try_spend(eps), l.remaining())
-            };
+            let outcome = lock_recover(tenant).try_spend(eps);
             if let Err(e) = outcome {
-                // Both streams read Reserve → Deny → Refund in cause order;
+                // The log reads Reserve → Deny → Refund in cause order;
                 // replay relies on the refund following its reserve.
-                let _ = r.record(AuditKind::Deny, remaining);
+                let _ = r.record(AuditKind::Deny);
                 return Err(e);
             }
             r.held = Held::DatasetAndTenant;
@@ -144,39 +130,26 @@ impl<'a> Reservation<'a> {
     /// after a crash (`docs/DURABILITY.md` §5).
     pub(crate) fn commit(mut self) {
         self.held = Held::Nothing;
-        let remaining = lock_recover(&self.ledgers.accountant).remaining();
         // Best-effort past this point: the in-memory spend already stands,
         // and replay counts a reserve whose commit was lost as spent.
-        let _ = self.record(AuditKind::Commit, remaining);
+        let _ = self.record(AuditKind::Commit);
     }
 
-    /// Writes one transition to the audit stream and then, when present, the
-    /// durable log. The caller chooses what an append failure means: the
-    /// reserve fails the request (no noise drawn yet); deny, commit and
-    /// refund absorb it (the in-memory transition already happened; the
-    /// failure is counted in [`crate::wal::WalMetrics::append_errors`] and
-    /// can only make replay over-count spend).
-    fn record(&self, kind: AuditKind, remaining: f64) -> Result<(), WalError> {
-        let tenant = self.ledgers.tenant_name();
-        self.audit.emit(
-            self.trace_id,
-            self.dataset,
-            tenant,
+    /// Appends one transition to the ledger log. The caller chooses what a
+    /// failure means: the reserve fails the request (no noise drawn yet);
+    /// deny, commit and refund absorb it (the in-memory transition already
+    /// happened; the failure is counted in
+    /// [`crate::wal::WalMetrics::append_errors`] and can only make replay
+    /// over-count spend).
+    fn record(&self, kind: AuditKind) -> Result<(), WalError> {
+        self.log.push(WalRecord::Budget {
             kind,
-            self.eps,
-            remaining,
-        );
-        match self.wal {
-            Some(wal) => wal.append(&WalRecord::Budget {
-                kind,
-                dataset: self.dataset.to_string(),
-                tenant: tenant.map(str::to_string),
-                eps: self.eps,
-                trace_id: self.trace_id,
-                unix_ms: now_unix_ms(),
-            }),
-            None => Ok(()),
-        }
+            dataset: self.dataset.to_string(),
+            tenant: self.ledgers.tenant_name().map(str::to_string),
+            eps: self.eps,
+            trace_id: self.trace_id,
+            unix_ms: now_unix_ms(),
+        })
     }
 }
 
@@ -187,15 +160,11 @@ impl Drop for Reservation<'_> {
         if self.held == Held::Nothing {
             return;
         }
-        let remaining = {
-            let mut a = lock_recover(&self.ledgers.accountant);
-            a.refund(self.eps);
-            a.remaining()
-        };
+        lock_recover(&self.ledgers.accountant).refund(self.eps);
         if let (Held::DatasetAndTenant, Some((_, tenant))) = (self.held, &self.ledgers.tenant) {
             lock_recover(tenant).refund(self.eps);
         }
-        let _ = self.record(AuditKind::Refund, remaining);
+        let _ = self.record(AuditKind::Refund);
     }
 }
 
@@ -217,51 +186,42 @@ mod tests {
     }
 
     /// One row of the exit table: where the request leaves, the ε both
-    /// ledgers hold afterwards, and the transition kinds each stream saw.
+    /// ledgers hold afterwards, and the transition kinds the log holds.
     struct Row {
         exit: Exit,
         spent: f64,
-        audit: &'static [AuditKind],
-        wal: &'static [AuditKind],
+        log: &'static [AuditKind],
     }
 
     const EPS: f64 = 0.25;
 
-    /// The `Budget` kinds in the directory's log, in append order.
-    fn journaled(dir: &std::path::Path) -> Vec<AuditKind> {
+    /// The `(seq, record)` pairs in the directory's `wal.log`, in order.
+    fn journaled(dir: &std::path::Path) -> Vec<(u64, WalRecord)> {
         let log = std::fs::read(dir.join("wal.log")).unwrap();
-        let mut kinds = Vec::new();
+        let mut records = Vec::new();
         let mut pos = crate::wal::LOG_MAGIC.len();
         while pos < log.len() {
-            let (_, record, used) =
+            let (seq, record, used) =
                 crate::wal::decode_record(&log[pos..]).expect("no partial frame left in the log");
-            if let WalRecord::Budget { kind, .. } = record {
-                kinds.push(kind);
-            }
+            records.push((seq, record));
             pos += used;
         }
-        kinds
+        records
     }
 
     #[test]
-    fn every_exit_moves_both_ledgers_and_both_streams_as_specified() {
+    fn every_exit_moves_both_ledgers_and_the_log_as_specified() {
         #[rustfmt::skip]
         let table = [
-            Row { exit: Exit::DatasetDeny, spent: 0.0, audit: &[Deny], wal: &[Deny] },
+            Row { exit: Exit::DatasetDeny, spent: 0.0, log: &[Deny] },
             // §7: the Reserve never reached the log, so neither does its Refund.
-            Row { exit: Exit::ReserveAppendFails, spent: 0.0, audit: &[Reserve, Refund], wal: &[] },
-            Row { exit: Exit::TenantDeny, spent: 0.0, audit: &[Reserve, Deny, Refund], wal: &[Reserve, Deny, Refund] },
-            Row { exit: Exit::DropWithoutCommit, spent: 0.0, audit: &[Reserve, Refund], wal: &[Reserve, Refund] },
-            Row { exit: Exit::PanicInHolder, spent: 0.0, audit: &[Reserve, Refund], wal: &[Reserve, Refund] },
-            Row { exit: Exit::Commit, spent: EPS, audit: &[Reserve, Commit], wal: &[Reserve, Commit] },
+            Row { exit: Exit::ReserveAppendFails, spent: 0.0, log: &[] },
+            Row { exit: Exit::TenantDeny, spent: 0.0, log: &[Reserve, Deny, Refund] },
+            Row { exit: Exit::DropWithoutCommit, spent: 0.0, log: &[Reserve, Refund] },
+            Row { exit: Exit::PanicInHolder, spent: 0.0, log: &[Reserve, Refund] },
+            Row { exit: Exit::Commit, spent: EPS, log: &[Reserve, Commit] },
         ];
-        for Row {
-            exit,
-            spent,
-            audit: audit_kinds,
-            wal: wal_kinds,
-        } in table
-        {
+        for Row { exit, spent, log } in table {
             let dir = std::env::temp_dir().join(format!(
                 "hdmm-reservation-{exit:?}-{}-{:?}",
                 std::process::id(),
@@ -269,7 +229,6 @@ mod tests {
             ));
             let _ = std::fs::remove_dir_all(&dir);
             let wal = Wal::open(&dir, 0).unwrap();
-            let audit = AuditLog::new(16);
             // A ledger that must deny is granted less than the request.
             let grant = |deny: bool| if deny { EPS / 2.0 } else { 1.0 };
             let tenant = Arc::new(Mutex::new(TenantLedger::new(
@@ -282,7 +241,7 @@ mod tests {
             );
             let fail = matches!(exit, Exit::ReserveAppendFails);
             wal.fail_appends.store(fail as u64, Ordering::Relaxed);
-            let reserved = Reservation::reserve(&ledgers, "d", EPS, 7, &audit, Some(&wal));
+            let reserved = Reservation::reserve(&ledgers, "d", EPS, 7, &wal);
             wal.fail_appends.store(0, Ordering::Relaxed);
             match (exit, reserved) {
                 (Exit::DatasetDeny, Err(EngineError::BudgetExhausted { .. }))
@@ -310,12 +269,23 @@ mod tests {
                 (tenant_spent - spent).abs() < 1e-12,
                 "{exit:?}: tenant {tenant_spent}"
             );
-            let events = audit.recent();
-            let kinds: Vec<AuditKind> = events.iter().map(|e| e.kind).collect();
-            assert_eq!(kinds, audit_kinds, "{exit:?}: audit stream");
-            assert!(events.iter().all(|e| e.trace_id == 7 && e.dataset == "d"));
+            let tail = wal.recent();
+            let kinds: Vec<AuditKind> = tail
+                .iter()
+                .map(|(_, record)| match record {
+                    WalRecord::Budget {
+                        kind,
+                        dataset,
+                        trace_id: 7,
+                        ..
+                    } if dataset == "d" => *kind,
+                    other => panic!("{exit:?}: unexpected record {other:?}"),
+                })
+                .collect();
+            assert_eq!(kinds, log, "{exit:?}: the log's tail");
+            assert_eq!(wal.metrics().append_errors, u64::from(fail), "{exit:?}");
             drop(wal);
-            assert_eq!(journaled(&dir), wal_kinds, "{exit:?}: WAL stream");
+            assert_eq!(journaled(&dir), tail, "{exit:?}: wal.log vs the tail");
             let _ = std::fs::remove_dir_all(&dir);
         }
     }

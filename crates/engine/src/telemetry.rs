@@ -305,9 +305,10 @@ pub struct ObsMetrics {
     pub spans_dropped: u64,
     /// Spans the collector can retain.
     pub trace_capacity: usize,
-    /// ε-audit events emitted.
+    /// Ledger-log records appended: ε transitions and the registration and
+    /// quota records.
     pub audit_events: u64,
-    /// Audit events dropped on saturated subscriber channels.
+    /// Ledger-log records dropped on saturated subscriber channels.
     pub audit_subscriber_drops: u64,
 }
 

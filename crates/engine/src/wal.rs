@@ -1,5 +1,6 @@
-//! The durable ε-ledger: a write-ahead log of budget events with periodic
-//! snapshots, log truncation, and torn-tail-tolerant crash recovery.
+//! The engine's one ledger log and, with a directory, the durable ε-ledger:
+//! a write-ahead log of budget events with periodic snapshots, log
+//! truncation, and torn-tail-tolerant crash recovery.
 //!
 //! A restart that forgets spent ε is a **privacy violation**, not merely a
 //! bug: the ledger is the one piece of engine state that must survive a
@@ -25,6 +26,13 @@
 //! * recovery ([`Wal::open`]) loads the snapshot, replays the log tail, and
 //!   stops at the first invalid record — a torn final record (the expected
 //!   result of a crash mid-append) is tolerated and trimmed, never an error.
+//!
+//! The same log is the engine's ε-audit stream, with or without a
+//! directory: it keeps its last [`TAIL_CAPACITY`] records as `(seq, record)`
+//! pairs for [`Wal::recent`], `/audit.jsonl` and non-blocking
+//! [`Wal::subscribe`]rs, and a record enters that tail exactly when it
+//! enters the log. A memory-only log ([`Wal::in_memory`]) has no file,
+//! encodes nothing and keeps no replayed state.
 //!
 //! The byte-level record and snapshot formats, the recovery state machine,
 //! and the crash-consistency invariants are specified in
@@ -88,12 +96,13 @@
 
 use hdmm_core::codec::{self, Reader};
 use hdmm_core::EngineError;
-use hdmm_obs::AuditKind;
-use std::collections::BTreeMap;
+use hdmm_obs::json_escape;
+use std::collections::{BTreeMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -138,7 +147,33 @@ impl From<WalError> for EngineError {
     }
 }
 
-/// One durable ledger transition (`docs/DURABILITY.md` §2.2–§2.4).
+/// A budget transition kind (`docs/DURABILITY.md` §7 gives the order a
+/// request's transitions take).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum AuditKind {
+    /// ε reserved before measurement (all-or-nothing, pre-noise).
+    Reserve,
+    /// The reservation stands: noise was drawn, the ε is genuinely spent.
+    Commit,
+    /// The reservation was released: no noise was drawn against it.
+    Refund,
+    /// A reservation was refused (budget or quota exhausted, invalid ε).
+    Deny,
+}
+
+impl AuditKind {
+    /// Stable lowercase name (JSONL field, metric label).
+    pub fn name(self) -> &'static str {
+        match self {
+            AuditKind::Reserve => "reserve",
+            AuditKind::Commit => "commit",
+            AuditKind::Refund => "refund",
+            AuditKind::Deny => "deny",
+        }
+    }
+}
+
+/// One ledger-log record (`docs/DURABILITY.md` §2.2–§2.4).
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// A dataset was registered (tag `0x01`). Replayable: recovery keeps the
@@ -160,9 +195,7 @@ pub enum WalRecord {
         cap: f64,
     },
     /// A budget transition (tags `0x10`–`0x13` for
-    /// Reserve/Commit/Refund/Deny). Mirrors the in-memory
-    /// [`AuditEvent`](hdmm_obs::AuditEvent) — the WAL is the audit stream's
-    /// durable superset.
+    /// Reserve/Commit/Refund/Deny), journaled by the request's reservation.
     Budget {
         /// Transition kind.
         kind: AuditKind,
@@ -188,6 +221,63 @@ impl WalRecord {
             WalRecord::DatasetRegistered { .. } | WalRecord::TenantQuotaSet { .. } => true,
             WalRecord::Budget { kind, .. } => *kind == AuditKind::Commit,
         }
+    }
+
+    /// The record as one `/audit.jsonl` line (no trailing newline): `seq`,
+    /// `kind` (an [`AuditKind::name`], `dataset_registered` or
+    /// `tenant_quota_set`), then the record's fields. A non-finite number
+    /// renders as JSON `null`, which has no `Infinity` literal.
+    pub fn to_json(&self, seq: u64) -> String {
+        let num = |v: f64| {
+            if v.is_finite() {
+                v.to_string()
+            } else {
+                "null".to_string()
+            }
+        };
+        let string = |key: &str, value: &str| {
+            let mut out = format!(",\"{key}\":\"");
+            json_escape(&mut out, value);
+            out + "\""
+        };
+        let tenant =
+            |t: &Option<String>| t.as_deref().map_or(String::new(), |t| string("tenant", t));
+        let (kind, fields) = match self {
+            WalRecord::DatasetRegistered {
+                name,
+                total_eps,
+                tenant: t,
+            } => (
+                "dataset_registered",
+                format!(
+                    "{},\"total_eps\":{}{}",
+                    string("name", name),
+                    num(*total_eps),
+                    tenant(t)
+                ),
+            ),
+            WalRecord::TenantQuotaSet { tenant: t, cap } => (
+                "tenant_quota_set",
+                format!("{},\"cap\":{}", string("tenant", t), num(*cap)),
+            ),
+            WalRecord::Budget {
+                kind,
+                dataset,
+                tenant: t,
+                eps,
+                trace_id,
+                unix_ms,
+            } => (
+                kind.name(),
+                format!(
+                    ",\"unix_ms\":{unix_ms},\"trace_id\":\"{trace_id:016x}\"{}{},\"eps\":{}",
+                    string("dataset", dataset),
+                    tenant(t),
+                    num(*eps)
+                ),
+            ),
+        };
+        format!("{{\"seq\":{seq},\"kind\":\"{kind}\"{fields}}}")
     }
 }
 
@@ -605,7 +695,7 @@ pub fn replay(
 // The live WAL
 // ---------------------------------------------------------------------------
 
-/// Counters the durability layer exports through `Engine::metrics()`.
+/// Counters the ledger log exports through `Engine::metrics()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WalMetrics {
     /// Records appended since open.
@@ -623,12 +713,24 @@ pub struct WalMetrics {
     pub recovery_torn_tail: bool,
     /// Current log length in bytes, header included.
     pub log_bytes: u64,
+    /// Records a saturated subscriber channel did not receive.
+    pub subscriber_drops: u64,
 }
 
-struct WalInner {
+/// Records every ledger log keeps in memory, durable or not: what
+/// [`Wal::recent`] and `/audit.jsonl` return.
+pub const TAIL_CAPACITY: usize = 1024;
+
+/// How many records a subscriber channel buffers before the log stops
+/// sending to it: a slow subscriber loses records (counted) rather than
+/// stalling the serving path.
+const SUBSCRIBER_BUFFER: usize = 1024;
+
+/// The open `wal.log` of a durable log and the state replaying it gives.
+struct LogFile {
+    dir: PathBuf,
     file: File,
     state: RecoveredState,
-    next_seq: u64,
     since_snapshot: u64,
     log_bytes: u64,
     /// Set when a failed append could not be rolled back: the file may hold
@@ -638,16 +740,25 @@ struct WalInner {
     poisoned: bool,
 }
 
+struct WalInner {
+    /// `None` for a memory-only log.
+    disk: Option<LogFile>,
+    next_seq: u64,
+    /// The last [`TAIL_CAPACITY`] records, oldest first.
+    tail: VecDeque<(u64, WalRecord)>,
+    subscribers: Vec<SyncSender<(u64, WalRecord)>>,
+}
+
 /// WAL records between the engine's automatic snapshots (each snapshot also
 /// truncates the log).
 pub(crate) const SNAPSHOT_EVERY: u64 = 1024;
 
-/// The append-only budget log: one per engine, owning `wal.log` and
-/// `snapshot.bin` inside its directory. All appends serialize through one
-/// mutex — correctness wants the record order to *be* the apply order, and
-/// the commit-path fsync dominates the hold time anyway.
+/// The engine's one ledger log: every budget transition and administrative
+/// record, durable (`wal.log` and `snapshot.bin` inside its directory) or
+/// memory-only. All appends serialize through one mutex — correctness
+/// wants the record order to *be* the apply order, and the commit-path
+/// fsync dominates the hold time anyway.
 pub struct Wal {
-    dir: PathBuf,
     snapshot_every: u64,
     inner: Mutex<WalInner>,
     recovered: RecoveredState,
@@ -657,6 +768,7 @@ pub struct Wal {
     fsyncs: AtomicU64,
     snapshots: AtomicU64,
     append_errors: AtomicU64,
+    subscriber_drops: AtomicU64,
     /// Fault injection for the append path: 0 = off, 1 = fail before
     /// writing, 2 = write half the frame then fail (a torn append).
     #[cfg(test)]
@@ -666,8 +778,8 @@ pub struct Wal {
 impl std::fmt::Debug for Wal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Wal")
-            .field("dir", &self.dir)
             .field("snapshot_every", &self.snapshot_every)
+            .field("appends", &self.appends)
             .finish()
     }
 }
@@ -678,6 +790,10 @@ pub fn now_unix_ms() -> u64 {
         .duration_since(UNIX_EPOCH)
         .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
         .unwrap_or(0)
+}
+
+fn poisoned() -> WalError {
+    WalError::Io("WAL poisoned: an earlier failed append could not be rolled back".into())
 }
 
 impl Wal {
@@ -749,49 +865,68 @@ impl Wal {
         };
         file.seek(SeekFrom::Start(valid_len)).map_err(io)?;
 
-        Ok(Wal {
+        let disk = LogFile {
             dir,
+            file,
+            state: state.clone(),
+            since_snapshot: 0,
+            log_bytes: valid_len,
+            poisoned: false,
+        };
+        Ok(Wal::with(Some(disk), snapshot_every, state, summary))
+    }
+
+    /// A memory-only log: no file, no encoding, no replayed state — only the
+    /// sequence numbers, the tail and the subscribers.
+    pub fn in_memory() -> Wal {
+        Wal::with(None, 0, RecoveredState::default(), ReplaySummary::default())
+    }
+
+    fn with(
+        disk: Option<LogFile>,
+        snapshot_every: u64,
+        recovered: RecoveredState,
+        summary: ReplaySummary,
+    ) -> Wal {
+        Wal {
             snapshot_every,
             inner: Mutex::new(WalInner {
-                file,
-                state: state.clone(),
+                disk,
                 next_seq: summary.last_seq + 1,
-                since_snapshot: 0,
-                log_bytes: valid_len,
-                poisoned: false,
+                tail: VecDeque::new(),
+                subscribers: Vec::new(),
             }),
-            recovered: state,
+            recovered,
             recovery_replayed: summary.replayed,
             recovery_torn_tail: summary.torn_tail,
             appends: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
             snapshots: AtomicU64::new(0),
             append_errors: AtomicU64::new(0),
+            subscriber_drops: AtomicU64::new(0),
             #[cfg(test)]
             fail_appends: AtomicU64::new(0),
-        })
-    }
-
-    /// The directory holding `wal.log` and `snapshot.bin`.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+        }
     }
 
     /// The ledger state recovery reconstructed at open (snapshot + log
-    /// tail). Empty on a fresh directory.
+    /// tail). Empty on a fresh directory and for a memory-only log.
     pub fn recovered(&self) -> &RecoveredState {
         &self.recovered
     }
 
-    /// Appends one record: assigns its sequence number, writes the frame,
-    /// fsyncs when the record demands it ([`WalRecord`] kinds document the
-    /// policy), applies it to the materialized state, and snapshots +
-    /// truncates when the snapshot interval is reached.
+    /// Appends one record: assigns its sequence number, writes the frame
+    /// (fsyncing when the record demands it; [`WalRecord`] kinds document
+    /// the policy), applies it to the materialized state, snapshots +
+    /// truncates when the snapshot interval is reached, and hands the record
+    /// to the tail and the subscribers. A memory-only log does only the
+    /// first and the last step.
     ///
     /// The caller decides what a failure means: registration rolls back,
     /// a reserve fails the request before noise is drawn, a commit/refund
     /// absorbs it (counted in [`WalMetrics::append_errors`]) because the
-    /// in-memory transition has already happened.
+    /// in-memory transition has already happened. A record whose write
+    /// failed takes no sequence number and never reaches the tail.
     ///
     /// A failed write is rolled back: the file is truncated to the last
     /// known-good offset so a partial frame never sits in front of later
@@ -800,28 +935,64 @@ impl Wal {
     /// poisoned — every later append and snapshot fail-stops rather than
     /// appending behind garbage (docs/DURABILITY.md §4.5).
     pub fn append(&self, record: &WalRecord) -> Result<(), WalError> {
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        if inner.poisoned {
-            self.append_errors.fetch_add(1, Ordering::Relaxed);
-            return Err(WalError::Io(
-                "WAL poisoned: an earlier failed append could not be rolled back".into(),
-            ));
-        }
+        self.push(record.clone())
+    }
+
+    /// [`Wal::append`] of an owned record, which the tail keeps as is.
+    pub(crate) fn push(&self, record: WalRecord) -> Result<(), WalError> {
+        let mut guard = self.inner.lock().unwrap_or_else(|p| p.into_inner());
+        let inner = &mut *guard;
         let seq = inner.next_seq;
+        let mut snapshot = Ok(());
+        if let Some(disk) = &mut inner.disk {
+            self.write(disk, seq, &record)?;
+            if self.snapshot_every > 0 && disk.since_snapshot >= self.snapshot_every {
+                snapshot = self.snapshot_locked(disk, seq).inspect_err(|_| {
+                    self.append_errors.fetch_add(1, Ordering::Relaxed);
+                });
+            }
+        }
+        inner.next_seq += 1;
+        self.appends.fetch_add(1, Ordering::Relaxed);
+        inner
+            .subscribers
+            .retain(|tx| match tx.try_send((seq, record.clone())) {
+                Ok(()) => true,
+                Err(TrySendError::Full(_)) => {
+                    // Slow subscriber: drop the record for it, keep the channel.
+                    self.subscriber_drops.fetch_add(1, Ordering::Relaxed);
+                    true
+                }
+                Err(TrySendError::Disconnected(_)) => false,
+            });
+        if inner.tail.len() == TAIL_CAPACITY {
+            inner.tail.pop_front();
+        }
+        inner.tail.push_back((seq, record));
+        snapshot
+    }
+
+    /// Writes one frame to `wal.log` and applies it to the materialized
+    /// state, rolling a failed write back (see [`Wal::append`]).
+    fn write(&self, disk: &mut LogFile, seq: u64, record: &WalRecord) -> Result<(), WalError> {
+        if disk.poisoned {
+            self.append_errors.fetch_add(1, Ordering::Relaxed);
+            return Err(poisoned());
+        }
         let frame = encode_record(seq, record);
         let result = (|| -> std::io::Result<()> {
             #[cfg(test)]
             match self.fail_appends.load(Ordering::Relaxed) {
                 1 => return Err(std::io::Error::other("injected append failure")),
                 2 => {
-                    inner.file.write_all(&frame[..frame.len() / 2])?;
+                    disk.file.write_all(&frame[..frame.len() / 2])?;
                     return Err(std::io::Error::other("injected torn append"));
                 }
                 _ => {}
             }
-            inner.file.write_all(&frame)?;
+            disk.file.write_all(&frame)?;
             if record.durable() {
-                inner.file.sync_data()?;
+                disk.file.sync_data()?;
                 self.fsyncs.fetch_add(1, Ordering::Relaxed);
             }
             Ok(())
@@ -831,53 +1002,47 @@ impl Wal {
             // Roll the file back to the last known-good offset: commit and
             // refund callers absorb this error and keep appending, and those
             // later records must not land behind a partial frame.
-            let good_len = inner.log_bytes;
-            let rollback = inner
+            let good_len = disk.log_bytes;
+            let rollback = disk
                 .file
                 .set_len(good_len)
-                .and_then(|()| inner.file.seek(SeekFrom::Start(good_len)))
+                .and_then(|()| disk.file.seek(SeekFrom::Start(good_len)))
                 .map(|_| ());
             if rollback.is_err() {
-                inner.poisoned = true;
+                disk.poisoned = true;
             }
             return Err(WalError::Io(e.to_string()));
         }
-        inner.next_seq += 1;
-        inner.log_bytes += frame.len() as u64;
-        inner.state.apply(record);
-        inner.since_snapshot += 1;
-        self.appends.fetch_add(1, Ordering::Relaxed);
-        if self.snapshot_every > 0 && inner.since_snapshot >= self.snapshot_every {
-            if let Err(e) = self.snapshot_locked(&mut inner) {
-                self.append_errors.fetch_add(1, Ordering::Relaxed);
-                return Err(e);
-            }
-        }
+        disk.log_bytes += frame.len() as u64;
+        disk.state.apply(record);
+        disk.since_snapshot += 1;
         Ok(())
     }
 
     /// Takes a snapshot now (serialize state, fsync, rename, truncate the
-    /// log), regardless of the automatic interval.
+    /// log), regardless of the automatic interval. A no-op for a
+    /// memory-only log.
     pub fn snapshot_now(&self) -> Result<(), WalError> {
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        self.snapshot_locked(&mut inner)
+        let last_seq = inner.next_seq - 1;
+        match &mut inner.disk {
+            Some(disk) => self.snapshot_locked(disk, last_seq),
+            None => Ok(()),
+        }
     }
 
     /// `docs/DURABILITY.md` §5.2: tmp-write + fsync + rename, then truncate
     /// the log back to its header. A crash at any point leaves either the
     /// old snapshot + full log, or the new snapshot + a log whose records
     /// are all ≤ `last_seq` and therefore skipped on replay.
-    fn snapshot_locked(&self, inner: &mut WalInner) -> Result<(), WalError> {
-        if inner.poisoned {
-            return Err(WalError::Io(
-                "WAL poisoned: an earlier failed append could not be rolled back".into(),
-            ));
+    fn snapshot_locked(&self, disk: &mut LogFile, last_seq: u64) -> Result<(), WalError> {
+        if disk.poisoned {
+            return Err(poisoned());
         }
         let io = |e: std::io::Error| WalError::Io(e.to_string());
-        let last_seq = inner.next_seq - 1;
-        let bytes = encode_snapshot(&inner.state, last_seq);
-        let final_path = self.dir.join("snapshot.bin");
-        let tmp = self
+        let bytes = encode_snapshot(&disk.state, last_seq);
+        let final_path = disk.dir.join("snapshot.bin");
+        let tmp = disk
             .dir
             .join(format!("snapshot.tmp.{}", std::process::id()));
         let write = || -> std::io::Result<()> {
@@ -887,32 +1052,64 @@ impl Wal {
             std::fs::rename(&tmp, &final_path)?;
             // Make the rename itself durable before truncating the log it
             // supersedes (best-effort: not all filesystems support dir sync).
-            if let Ok(d) = File::open(&self.dir) {
+            if let Ok(d) = File::open(&disk.dir) {
                 let _ = d.sync_all();
             }
             Ok(())
         };
         write().map_err(io)?;
-        inner.file.set_len(LOG_MAGIC.len() as u64).map_err(io)?;
-        inner
-            .file
+        disk.file.set_len(LOG_MAGIC.len() as u64).map_err(io)?;
+        disk.file
             .seek(SeekFrom::Start(LOG_MAGIC.len() as u64))
             .map_err(io)?;
-        inner.file.sync_data().map_err(io)?;
-        inner.log_bytes = LOG_MAGIC.len() as u64;
-        inner.since_snapshot = 0;
+        disk.file.sync_data().map_err(io)?;
+        disk.log_bytes = LOG_MAGIC.len() as u64;
+        disk.since_snapshot = 0;
         self.snapshots.fetch_add(1, Ordering::Relaxed);
         self.fsyncs.fetch_add(2, Ordering::Relaxed);
         Ok(())
     }
 
-    /// A point-in-time copy of the durability counters.
+    /// Subscribes to all *future* records. The returned receiver buffers a
+    /// bounded number of records; if the subscriber falls further behind,
+    /// records are dropped for it ([`WalMetrics::subscriber_drops`]) rather
+    /// than stalling appenders. Dropping the receiver unsubscribes.
+    pub fn subscribe(&self) -> Receiver<(u64, WalRecord)> {
+        let (tx, rx) = std::sync::mpsc::sync_channel(SUBSCRIBER_BUFFER);
+        self.inner
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .subscribers
+            .push(tx);
+        rx
+    }
+
+    /// The retained tail as `(seq, record)` pairs, oldest first.
+    pub fn recent(&self) -> Vec<(u64, WalRecord)> {
+        let inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
+        inner.tail.iter().cloned().collect()
+    }
+
+    /// The retained tail as JSONL ([`WalRecord::to_json`], one record per
+    /// line, oldest first).
+    pub fn dump_jsonl(&self) -> String {
+        let mut out = String::new();
+        for (seq, record) in self.recent() {
+            out.push_str(&record.to_json(seq));
+            out.push('\n');
+        }
+        out
+    }
+
+    /// A point-in-time copy of the log's counters.
     pub fn metrics(&self) -> WalMetrics {
         let log_bytes = self
             .inner
             .lock()
             .unwrap_or_else(|p| p.into_inner())
-            .log_bytes;
+            .disk
+            .as_ref()
+            .map_or(0, |d| d.log_bytes);
         WalMetrics {
             appends: self.appends.load(Ordering::Relaxed),
             fsyncs: self.fsyncs.load(Ordering::Relaxed),
@@ -921,7 +1118,31 @@ impl Wal {
             recovery_replayed: self.recovery_replayed,
             recovery_torn_tail: self.recovery_torn_tail,
             log_bytes,
+            subscriber_drops: self.subscriber_drops.load(Ordering::Relaxed),
         }
+    }
+}
+
+/// The ledger log as its readers see it ([`crate::Engine::audit`]): the
+/// retained tail and live subscription, but no append, so nothing outside
+/// the engine can write a record that replay would apply.
+#[derive(Debug, Clone, Copy)]
+pub struct AuditTail<'a>(pub(crate) &'a Wal);
+
+impl AuditTail<'_> {
+    /// [`Wal::recent`].
+    pub fn recent(&self) -> Vec<(u64, WalRecord)> {
+        self.0.recent()
+    }
+
+    /// [`Wal::subscribe`].
+    pub fn subscribe(&self) -> Receiver<(u64, WalRecord)> {
+        self.0.subscribe()
+    }
+
+    /// [`Wal::dump_jsonl`].
+    pub fn dump_jsonl(&self) -> String {
+        self.0.dump_jsonl()
     }
 }
 
@@ -1190,6 +1411,58 @@ mod tests {
         // The sweep touched nothing recovery cares about.
         assert_eq!(wal.recovered(), &RecoveredState::default());
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn memory_log_keeps_a_bounded_tail_and_feeds_subscribers() {
+        let log = Wal::in_memory();
+        log.append(&budget(AuditKind::Reserve, "d", 0.1)).unwrap();
+        let rx = log.subscribe();
+        for _ in 0..TAIL_CAPACITY {
+            log.append(&budget(AuditKind::Commit, "d", 0.1)).unwrap();
+        }
+        let tail = log.recent();
+        assert_eq!(tail.len(), TAIL_CAPACITY, "the tail keeps the newest");
+        assert_eq!(tail[0].0, 2, "seq 1 was evicted");
+        assert_eq!(tail[TAIL_CAPACITY - 1].0, TAIL_CAPACITY as u64 + 1);
+        // The subscriber sees only records after it subscribed, in order.
+        let got = rx.try_recv().unwrap();
+        assert_eq!(got, (2, budget(AuditKind::Commit, "d", 0.1)));
+        drop(rx);
+        log.snapshot_now().unwrap();
+        log.append(&budget(AuditKind::Refund, "d", 0.1)).unwrap();
+        let m = log.metrics();
+        assert_eq!(
+            (m.appends, m.fsyncs, m.snapshots),
+            (TAIL_CAPACITY as u64 + 2, 0, 0)
+        );
+        assert_eq!((m.log_bytes, m.subscriber_drops), (0, 0));
+        assert_eq!(log.dump_jsonl().lines().count(), TAIL_CAPACITY);
+    }
+
+    #[test]
+    fn json_lines_escape_and_render_nonfinite_as_null() {
+        let record = WalRecord::Budget {
+            kind: AuditKind::Deny,
+            dataset: "we\"ird\n".into(),
+            tenant: Some("acme".into()),
+            eps: 0.25,
+            trace_id: 0xabc,
+            unix_ms: 1,
+        };
+        assert_eq!(
+            record.to_json(3),
+            "{\"seq\":3,\"kind\":\"deny\",\"unix_ms\":1,\"trace_id\":\"0000000000000abc\",\
+             \"dataset\":\"we\\\"ird\\n\",\"tenant\":\"acme\",\"eps\":0.25}"
+        );
+        let quota = WalRecord::TenantQuotaSet {
+            tenant: "acme".into(),
+            cap: f64::INFINITY,
+        };
+        assert_eq!(
+            quota.to_json(4),
+            "{\"seq\":4,\"kind\":\"tenant_quota_set\",\"tenant\":\"acme\",\"cap\":null}"
+        );
     }
 
     #[test]

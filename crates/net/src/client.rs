@@ -21,7 +21,8 @@
 //! slab's partial product.
 
 use crate::wire::{
-    frame_into, read_frame_buf, slab_task_into, ErrorCode, Frame, NetError, SlabTask, TraceExt,
+    frame_into, read_frame_buf, slab_load_into, slab_task_into, ErrorCode, Frame, NetError,
+    SlabLoad, SlabTask, TraceExt,
 };
 use hdmm_linalg::StructuredMatrix;
 use hdmm_obs::{Observer, Phase, Span};
@@ -209,6 +210,7 @@ struct Conn {
 /// slab task encoded straight from the caller's borrowed fields.
 enum Request<'a> {
     Frame(&'a Frame),
+    Load(SlabLoad<'a>),
     Task(SlabTask<'a>),
 }
 
@@ -216,6 +218,7 @@ impl Request<'_> {
     fn encode_into(&self, buf: &mut Vec<u8>, ext: &TraceExt) -> std::io::Result<()> {
         match self {
             Request::Frame(frame) => frame_into(buf, frame, ext),
+            Request::Load(load) => slab_load_into(buf, load, ext),
             Request::Task(task) => slab_task_into(buf, task, ext),
         }
     }
@@ -564,13 +567,13 @@ impl WorkerPool {
         slab: SlabRef<'_>,
         rpc: &RpcSpan<'_>,
     ) -> Result<(), NetError> {
-        let frame = Frame::LoadSlab {
-            dataset: slab.id.0.clone(),
+        let load = SlabLoad {
+            dataset: &slab.id.0,
             shard: slab.id.1,
             rows: slab.rows,
-            values: slab.values.to_vec(),
+            values: slab.values,
         };
-        match self.roundtrip(link, &Request::Frame(&frame), rpc)? {
+        match self.roundtrip(link, &Request::Load(load), rpc)? {
             Frame::Loaded => {
                 link.alive.store(true, Ordering::Relaxed);
                 link.loaded

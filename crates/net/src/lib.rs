@@ -29,7 +29,7 @@ pub mod worker;
 pub use client::{PoolHealth, RetryPolicy, WorkerHealth, WorkerPool};
 pub use remote::{RemoteOptions, RpcKernels};
 pub use wire::{
-    decode_frame, encode_frame, read_frame, write_frame, ErrorCode, Frame, NetError, TraceExt,
-    WireSpan, MAX_FRAME_BYTES, PROTO_V2, WIRE_PREFIX,
+    decode_frame, encode_frame, read_frame, slab_load_into, write_frame, ErrorCode, Frame,
+    NetError, SlabLoad, TraceExt, WireSpan, MAX_FRAME_BYTES, PROTO_V2, WIRE_PREFIX,
 };
 pub use worker::{spawn_worker, WorkerHandle, WorkerOptions};

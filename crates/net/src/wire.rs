@@ -28,7 +28,8 @@
 //! the engine's cache of MEASURE's exact blocks misses, so the factors are
 //! sent again on every task rather than kept on the worker. The coordinator
 //! encodes the frame straight from its borrowed factors, through the same
-//! body writer as [`encode_frame`], so no factor is cloned per task.
+//! body writer as [`encode_frame`], so no factor is cloned per task; a slab
+//! push ([`SlabLoad`]) is encoded from the borrowed slab the same way.
 //! [`Frame::Apply`] stays decodable; no coordinator sends it, and workers
 //! answer it with [`ErrorCode::BadTask`]. Payload tags 8 and 9, once a
 //! keyed factor push and a keyed slab task, and error code 3, once a keyed
@@ -321,6 +322,31 @@ pub(crate) struct SlabTask<'a> {
     pub(crate) factors: &'a [&'a StructuredMatrix],
 }
 
+/// A slab push borrowed from coordinator memory: encodes to exactly the
+/// bytes of the owned [`Frame::LoadSlab`] it mirrors, without copying the
+/// slab's values into one.
+#[derive(Debug, Clone, Copy)]
+pub struct SlabLoad<'a> {
+    /// Dataset the slab belongs to.
+    pub dataset: &'a str,
+    /// Shard index within the dataset's partition.
+    pub shard: u64,
+    /// Leading-axis row range `[start, end)` the slab covers.
+    pub rows: (u64, u64),
+    /// The slab's cells, row-major.
+    pub values: &'a [f64],
+}
+
+/// The one writer of a [`Frame::LoadSlab`] body, owned or borrowed.
+fn put_load_slab(out: &mut Vec<u8>, load: &SlabLoad<'_>) {
+    out.push(1);
+    codec::put_str(out, load.dataset);
+    codec::put_u64(out, load.shard);
+    codec::put_u64(out, load.rows.0);
+    codec::put_u64(out, load.rows.1);
+    codec::put_f64s(out, load.values);
+}
+
 /// The one writer of a [`Frame::SlabForward`] body, owned or borrowed.
 fn put_slab_forward<F: Borrow<StructuredMatrix>>(
     out: &mut Vec<u8>,
@@ -367,14 +393,15 @@ fn put_body(out: &mut Vec<u8>, frame: &Frame) {
             shard,
             rows,
             values,
-        } => {
-            out.push(1);
-            codec::put_str(out, dataset);
-            codec::put_u64(out, *shard);
-            codec::put_u64(out, rows.0);
-            codec::put_u64(out, rows.1);
-            codec::put_f64s(out, values);
-        }
+        } => put_load_slab(
+            out,
+            &SlabLoad {
+                dataset,
+                shard: *shard,
+                rows: *rows,
+                values,
+            },
+        ),
         Frame::SlabForward {
             dataset,
             shard,
@@ -465,6 +492,17 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame, ext: &TraceExt) -> std::io
 /// socket a single write.
 pub(crate) fn frame_into(buf: &mut Vec<u8>, frame: &Frame, ext: &TraceExt) -> std::io::Result<()> {
     stream_frame_into(buf, ext, |out| put_body(out, frame))
+}
+
+/// Replaces `buf` with the stream bytes [`write_frame`] gives the
+/// [`Frame::LoadSlab`] that `load` mirrors (length prefix, payload,
+/// checksum).
+pub fn slab_load_into(
+    buf: &mut Vec<u8>,
+    load: &SlabLoad<'_>,
+    ext: &TraceExt,
+) -> std::io::Result<()> {
+    stream_frame_into(buf, ext, |out| put_load_slab(out, load))
 }
 
 /// [`frame_into`] for a borrowed [`SlabTask`].

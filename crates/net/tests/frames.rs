@@ -10,8 +10,8 @@
 use hdmm_core::codec::{self, CodecError, Reader};
 use hdmm_linalg::{Matrix, StructuredMatrix};
 use hdmm_net::{
-    decode_frame, encode_frame, read_frame, write_frame, ErrorCode, Frame, TraceExt, WireSpan,
-    MAX_FRAME_BYTES, PROTO_V2, WIRE_PREFIX,
+    decode_frame, encode_frame, read_frame, slab_load_into, write_frame, ErrorCode, Frame,
+    SlabLoad, TraceExt, WireSpan, MAX_FRAME_BYTES, PROTO_V2, WIRE_PREFIX,
 };
 use proptest::prelude::*;
 
@@ -390,6 +390,40 @@ fn untraced_frames_match_the_recorded_bytes() {
         assert_eq!(stream, golden, "{} bytes moved: {stream:?}", frame.kind());
         let back = read_frame(&mut &golden[..]).expect("recorded bytes decode");
         assert_eq!(back, (frame, TraceExt::default()));
+    }
+}
+
+/// A slab push encoded from the borrowed slab is the owned
+/// `Frame::LoadSlab`'s bytes, traced or not: the payload is
+/// `encode_frame`'s, and the version byte is still `'2'`.
+#[test]
+fn borrowed_slab_loads_encode_to_the_owned_frames_bytes() {
+    for len in [0, 1, 37] {
+        let values = values_from(len as u64 + 5, len);
+        let load = SlabLoad {
+            dataset: "census",
+            shard: 3,
+            rows: (4, 4 + len as u64),
+            values: &values,
+        };
+        let frame = Frame::LoadSlab {
+            dataset: "census".into(),
+            shard: 3,
+            rows: load.rows,
+            values: values.clone(),
+        };
+        for ext in [TraceExt::default(), TraceExt::request(9, 4)] {
+            let (mut borrowed, mut owned) = (vec![0xAA; 3], Vec::new());
+            slab_load_into(&mut borrowed, &load, &ext).expect("vec write cannot fail");
+            write_frame(&mut owned, &frame, &ext).expect("vec write cannot fail");
+            assert_eq!(borrowed, owned, "{len} values, {ext:?}");
+        }
+        let mut stream = Vec::new();
+        slab_load_into(&mut stream, &load, &TraceExt::default()).expect("vec write cannot fail");
+        let untraced = encode_frame(&frame);
+        assert_eq!(stream[4..], untraced[..], "the payload is encode_frame's");
+        assert_eq!(untraced[WIRE_PREFIX.len()], PROTO_V2);
+        assert_eq!(PROTO_V2, b'2');
     }
 }
 

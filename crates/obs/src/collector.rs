@@ -3,7 +3,7 @@
 //!
 //! Serving threads push completed spans; an operator (or the metrics
 //! exporter) reads them back by trace id. The ring is one
-//! `Mutex<VecDeque<Span>>`, the shape [`crate::AuditLog`] has:
+//! `Mutex<VecDeque<Span>>`, the shape the engine's ledger-log tail has:
 //!
 //! * **One lock per request.** A request flushes its whole span tree with
 //!   one [`SpanCollector::push_all`], so the mutex is taken once per traced

@@ -245,13 +245,15 @@ fn main() {
         ),
         Err(e) => println!("   trace dump skipped ({e})"),
     }
+    // The ledger log's tail: the registration record, then each request's
+    // Reserve and Commit.
     let audit_tail = remote_twin.audit().recent();
     println!(
-        "   ε-audit stream tail ({} events total):",
+        "   ε-audit stream tail ({} ledger-log records retained):",
         audit_tail.len()
     );
-    for event in audit_tail.iter().rev().take(2).rev() {
-        println!("   {}", event.to_json());
+    for (seq, record) in audit_tail.iter().rev().take(2).rev() {
+        println!("   {}", record.to_json(*seq));
     }
 
     // The one-call observability surface, printed as its Prometheus page:

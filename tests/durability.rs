@@ -438,3 +438,71 @@ fn tenant_denial_journals_reserve_deny_refund() {
     assert!((state.tenants["acme"].spent - 0.4).abs() < 1e-12);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The WAL's records are the audit stream. An engine with a `wal_dir`
+/// serves a grant, a dataset denial and a tenant denial: its `audit()` tail
+/// is exactly the `(seq, record)` pairs `wal.log` decodes to, in order. A
+/// memory-only engine with the same seed serving the same requests keeps
+/// the same budget transitions — kind, dataset, tenant, ε and trace id.
+#[test]
+fn audit_tail_is_the_decoded_log_with_or_without_a_wal_dir() {
+    let dir = fresh_dir("one-log");
+    let run = |options: EngineOptions| {
+        let engine = Engine::open(options).expect("open");
+        engine.set_tenant_quota("acme", 0.5).expect("quota");
+        engine
+            .register_dataset_with(
+                "d",
+                Domain::one_dim(8),
+                vec![1.0; 8],
+                DatasetConfig::new(1.0).with_tenant("acme"),
+            )
+            .expect("register");
+        let workload = builders::prefix_1d(8);
+        engine.serve("d", &workload, 0.25).expect("grant");
+        assert!(matches!(
+            engine.serve("d", &workload, 2.0),
+            Err(EngineError::BudgetExhausted { .. })
+        ));
+        assert!(matches!(
+            engine.serve("d", &workload, 0.5),
+            Err(EngineError::TenantBudgetExceeded { .. })
+        ));
+        engine.audit().recent()
+    };
+    let durable = run(opts(&dir));
+    let log = std::fs::read(dir.join("wal.log")).expect("log exists");
+    let mut decoded = Vec::new();
+    let mut pos = wal::LOG_MAGIC.len();
+    while pos < log.len() {
+        let (seq, record, used) = wal::decode_record(&log[pos..]).expect("a clean log");
+        decoded.push((seq, record));
+        pos += used;
+    }
+    assert_eq!(durable, decoded, "the tail is the log");
+
+    let memory = run(EngineOptions {
+        wal_dir: None,
+        ..opts(&dir)
+    });
+    let transitions = |tail: &[(u64, WalRecord)]| -> Vec<_> {
+        tail.iter()
+            .filter_map(|(_, record)| match record {
+                WalRecord::Budget {
+                    kind,
+                    dataset,
+                    tenant,
+                    eps,
+                    trace_id,
+                    ..
+                } => Some((*kind, dataset.clone(), tenant.clone(), *eps, *trace_id)),
+                _ => None,
+            })
+            .collect()
+    };
+    let kinds: Vec<AuditKind> = transitions(&memory).iter().map(|t| t.0).collect();
+    use AuditKind::{Commit, Deny, Refund, Reserve};
+    assert_eq!(kinds, [Reserve, Commit, Deny, Reserve, Deny, Refund]);
+    assert_eq!(transitions(&memory), transitions(&durable));
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -205,7 +205,7 @@ fn sessions_expose_their_provenance() {
 fn non_finite_workloads_are_refused_before_any_eps_moves() {
     use hdmm_core::linalg::{Csr, Matrix, StructuredMatrix};
     use hdmm_core::{ProductTerm, Workload};
-    use hdmm_engine::AuditKind;
+    use hdmm_engine::{AuditKind, WalRecord};
 
     let engine = quick_engine(3);
     let domain = Domain::one_dim(8);
@@ -237,7 +237,15 @@ fn non_finite_workloads_are_refused_before_any_eps_moves() {
             .audit()
             .recent()
             .iter()
-            .filter(|e| e.kind == AuditKind::Reserve)
+            .filter(|(_, r)| {
+                matches!(
+                    r,
+                    WalRecord::Budget {
+                        kind: AuditKind::Reserve,
+                        ..
+                    }
+                )
+            })
             .count()
     };
     for w in &workloads {

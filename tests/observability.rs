@@ -17,7 +17,7 @@
 //! bucket equal to `_count`).
 
 use hdmm::core::{builders, Domain, EngineError, QueryEngine};
-use hdmm::engine::{AuditKind, Engine, EngineOptions, RemoteOptions, RetryPolicy, Span};
+use hdmm::engine::{AuditKind, Engine, EngineOptions, RemoteOptions, RetryPolicy, Span, WalRecord};
 use hdmm::optimizer::HdmmOptions;
 use hdmm_net::{spawn_worker, WorkerHandle, WorkerOptions};
 use proptest::prelude::*;
@@ -199,8 +199,8 @@ fn trace_ids_are_deterministic_under_the_engine_seed() {
 
 /// Every ε movement is audited, trace-correlated, and ordered: a grant is
 /// Reserve→Commit, a refused request is Reserve-free (accountant denial) or
-/// Reserve→Deny→Refund (tenant denial), and the JSONL dump is one event per
-/// line.
+/// Reserve→Deny→Refund (tenant denial), and the JSONL dump is one ledger-log
+/// record per line. Balances live in the ledgers, not in the stream.
 #[test]
 fn audit_stream_records_grants_and_denials_with_trace_ids() {
     let engine = engine_with(5, None);
@@ -208,30 +208,43 @@ fn audit_stream_records_grants_and_denials_with_trace_ids() {
         .register_dataset("d", Domain::one_dim(16), vec![1.0; 16], 1.0)
         .unwrap();
     let rx = engine.audit().subscribe();
+    let next = || match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
+        (
+            _,
+            WalRecord::Budget {
+                kind,
+                dataset,
+                eps,
+                trace_id,
+                ..
+            },
+        ) => (kind, dataset, eps, trace_id),
+        (_, other) => panic!("expected a budget record, got {other:?}"),
+    };
 
     let resp = engine.serve("d", &builders::prefix_1d(16), 0.75).unwrap();
-    let reserve = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-    assert_eq!(reserve.kind, AuditKind::Reserve);
-    assert_eq!(reserve.trace_id, resp.trace_id);
-    assert_eq!(reserve.dataset, "d");
-    assert!((reserve.eps - 0.75).abs() < 1e-12);
-    let commit = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-    assert_eq!(commit.kind, AuditKind::Commit);
-    assert_eq!(commit.trace_id, resp.trace_id);
-    assert!(commit.remaining < reserve.remaining + 1e-12);
+    let (kind, dataset, eps, trace_id) = next();
+    assert_eq!(kind, AuditKind::Reserve);
+    assert_eq!(trace_id, resp.trace_id);
+    assert_eq!(dataset, "d");
+    assert!((eps - 0.75).abs() < 1e-12);
+    let (kind, _, _, trace_id) = next();
+    assert_eq!(kind, AuditKind::Commit);
+    assert_eq!(trace_id, resp.trace_id);
+    assert!((engine.budget("d").unwrap().1 - 0.75).abs() < 1e-12);
 
     // Over budget: refused before any reservation — the accountant denies.
     let err = engine
         .serve("d", &builders::prefix_1d(16), 0.5)
         .unwrap_err();
     assert!(matches!(err, EngineError::BudgetExhausted { .. }));
-    let deny = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-    assert_eq!(deny.kind, AuditKind::Deny);
-    assert_ne!(deny.trace_id, resp.trace_id, "denial has its own trace");
+    let (kind, _, _, trace_id) = next();
+    assert_eq!(kind, AuditKind::Deny);
+    assert_ne!(trace_id, resp.trace_id, "denial has its own trace");
 
     let dump = engine.audit().dump_jsonl();
     let lines: Vec<&str> = dump.lines().collect();
-    assert_eq!(lines.len() as u64, engine.audit().emitted());
+    assert_eq!(lines.len() as u64, engine.metrics().obs.audit_events);
     for line in lines {
         assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         assert!(line.contains("\"kind\""), "{line}");
